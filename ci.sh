@@ -1,5 +1,9 @@
 #!/usr/bin/env bash
-# Local CI gate: build, test, lint, format.
+# Local CI gate: format, clippy, kfds-lint, release build, the workspace
+# tests under the default environment and once per reference path a
+# KFDS_* switch selects, the benchmark package's own tests, and the
+# kfds-serve smoke runs. Correctness only: nothing here asserts a timing
+# (timings, bytes and throughput are benchmark/'s — see BENCHMARK.json).
 #
 #   ./ci.sh            # everything
 #   ./ci.sh --fast     # skip the release build
@@ -76,6 +80,17 @@ echo "== cargo test (kfds-tree, KFDS_KNN=scalar — scalar-distance kNN referenc
 # under both search modes; this lane runs the tree suite on that path.
 KFDS_KNN=scalar cargo test -q -p kfds-tree
 
+echo "== cargo test (kfds-core, KFDS_REFACTOR=off — per-λ rebuild reference) =="
+# lambda_sweep, the GP noise grid and SharedFactor::refactorize fall back
+# to a fresh factorization per λ; the suite asserts the switch is honored
+# and that the two routes agree bitwise.
+KFDS_REFACTOR=off cargo test -q -p kfds-core
+
+echo "== cargo test (kfds-core, KFDS_BATCH=off — per-node engine reference) =="
+# Skeletonization, assembly and factorization run the per-node engine the
+# level-batched one is proven bitwise against (tests/batch_equiv.rs).
+KFDS_BATCH=off cargo test -q -p kfds-core
+
 if [[ $miri -eq 1 ]]; then
   echo "== miri lane (kfds-la deterministic suite under the interpreter) =="
   # Checks the raw-pointer/`set_len` unsafe core for UB. SIMD dispatch is
@@ -105,35 +120,13 @@ if [[ $tsan -eq 1 ]]; then
   fi
 fi
 
-echo "== dispatch checks (simd, cpqr, gemm eval, knn, refactor, batch, scaling) =="
-# Fails if this host supports AVX2+FMA but the vector kernels silently
-# fell back to scalar, or if the blocked CPQR / GEMM eval / GEMM-tile kNN
-# paths silently deactivated (dispatch or build regression). The knn,
-# refactor, and batch gates run separately so a neighbor-search, λ-sweep
-# refactorization, or level-batched engine regression is named in the
-# output; the refactor and batch gates also verify their KFDS_* opt-outs
-# reproduce the legacy paths (KFDS_BATCH=off must route back to the
-# per-node engine; the default must be bitwise vs per-node). The scaling
-# gate arms only on hosts with >= 2 physical cores (it reports not-armed
-# and passes elsewhere) and then requires multi-thread setup+factorize to
-# beat single-thread wall-clock.
-if [[ $fast -eq 0 ]]; then
-  cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check
-  cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check knn
-  cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check refactor
-  KFDS_REFACTOR=off cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check refactor
-  cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check batch
-  KFDS_BATCH=off cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check batch
-  cargo run -q --release -p kfds-bench --bin perf_trajectory -- --check scaling
-else
-  cargo run -q -p kfds-bench --bin perf_trajectory -- --check
-  cargo run -q -p kfds-bench --bin perf_trajectory -- --check knn
-  cargo run -q -p kfds-bench --bin perf_trajectory -- --check refactor
-  KFDS_REFACTOR=off cargo run -q -p kfds-bench --bin perf_trajectory -- --check refactor
-  cargo run -q -p kfds-bench --bin perf_trajectory -- --check batch
-  KFDS_BATCH=off cargo run -q -p kfds-bench --bin perf_trajectory -- --check batch
-  cargo run -q -p kfds-bench --bin perf_trajectory -- --check scaling
-fi
+echo "== cargo test (benchmark/ — the ledger harness and a --quick run of every workload) =="
+# benchmark/ is a package of its own (the root workspace does not build
+# it), and it is the only place timings, bytes and throughput are
+# recorded. Its suite runs all four workloads at smoke sizes with their
+# own answer checks on, so a change under crates/ that stops the benchmark
+# compiling, or makes a workload wrong, fails here.
+cargo test -q --manifest-path benchmark/Cargo.toml
 
 echo "== kfds-serve smoke (single-node, then sharded) =="
 # Stands up the batched solve service under closed-loop load and asserts a

@@ -29,7 +29,7 @@ pub fn skeletonize<K: Kernel>(tree: BallTree, kernel: &K, config: SkelConfig) ->
 
 /// The kNN phase of the construction, exposed separately so harnesses can
 /// time tree build / neighbor search / skeletonization individually (the
-/// perf-trajectory setup breakdown).
+/// `tree.*` / `askit.*` rows of `benchmark/`).
 pub fn compute_neighbors(tree: &BallTree, config: &SkelConfig) -> NeighborLists {
     let n = tree.points().len();
     let kappa = config.neighbors.min(n.saturating_sub(1)).max(1);

@@ -29,7 +29,6 @@ fn main() {
     level_sweep(scale);
     storage_crossover(scale);
     split_rule(scale);
-    scheduler(scale);
     w_storage(scale);
 }
 
@@ -63,34 +62,10 @@ fn split_rule(scale: f64) {
     println!();
 }
 
-/// Ablation 6 — level-synchronous vs task-parallel scheduling (§VI).
-fn scheduler(scale: f64) {
-    let n = (8192.0 * scale) as usize;
-    println!("# Ablation 6 — factorization scheduler (N = {n}, adaptive ranks)\n");
-    header(&["scheduler", "T_f (s)", "flops (G)"]);
-    let points = normal_embedded(n, 4, 16, 0.05, 53);
-    // Adaptive ranks create the load imbalance task scheduling targets.
-    let (st, kernel, _) = build_skeleton_tree(&points, 2.0, 128, 1e-5, 128, 1);
-    let cfg = SolverConfig::default();
-    let (f1, t1) = timed(|| factorize(&st, &kernel, cfg).expect("level"));
-    let (f2, t2) = timed(|| kfds_core::factorize_taskparallel(&st, &kernel, cfg).expect("task"));
-    row(&[
-        "level-synchronous".into(),
-        format!("{t1:.2}"),
-        format!("{:.2}", f1.stats().flops / 1e9),
-    ]);
-    row(&[
-        "task-parallel (dataflow)".into(),
-        format!("{t2:.2}"),
-        format!("{:.2}", f2.stats().flops / 1e9),
-    ]);
-    println!("# (single-core container: differences reflect scheduling overhead only)\n");
-}
-
-/// Ablation 7 — the §III W-storage trade-off.
+/// Ablation 6 — the §III W-storage trade-off.
 fn w_storage(scale: f64) {
     let n = (8192.0 * scale) as usize;
-    println!("# Ablation 7 — W (P-hat) storage scheme (N = {n})\n");
+    println!("# Ablation 6 — W (P-hat) storage scheme (N = {n})\n");
     header(&["scheme", "retained MiB", "T_f (s)", "T_s (s)"]);
     let points = normal_embedded(n, 4, 16, 0.05, 57);
     let (st, kernel, _) = build_skeleton_tree(&points, 2.0, 128, 0.0, 96, 1);

@@ -32,36 +32,17 @@ use kfds_askit::SkeletonTree;
 use kfds_kernels::{eval_block_range, eval_blocks, eval_symmetric, flops, BlockSpec, Kernel};
 use kfds_la::Mat;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
+use std::sync::OnceLock;
 use std::time::Instant;
 
-/// Runtime kill-switch for λ-sweep refactorization. Defaults to on;
-/// `KFDS_REFACTOR=off` (or `=0`) routes `lambda_sweep`, the GP noise
-/// grid, and the serve factor stage back to factorize-from-scratch.
-static REFACTOR_ENABLED: AtomicBool = AtomicBool::new(true);
-static ENV_INIT: Once = Once::new();
-
 /// `true` when λ-sweep refactorization over cached [`AssembledBlocks`]
-/// is active (the default). Controlled by the registered `KFDS_REFACTOR`
-/// switch, sampled once per process; [`set_refactor_enabled`] overrides.
+/// is active (the default). `KFDS_REFACTOR=off` (or `=0`), sampled once
+/// per process, routes `lambda_sweep`, the GP noise grid, and the serve
+/// factor stage back to factorize-from-scratch.
 #[inline]
 pub fn refactor_enabled() -> bool {
-    ENV_INIT.call_once(|| {
-        if kfds_switches::KFDS_REFACTOR.is_off() {
-            REFACTOR_ENABLED.store(false, Ordering::Relaxed);
-        }
-    });
-    REFACTOR_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables λ-sweep refactorization at runtime (overrides
-/// `KFDS_REFACTOR`). With the switch off, every sweep consumer rebuilds
-/// its factorization from scratch per λ — the legacy path, reproduced
-/// bitwise. Used by the perf-trajectory harness and the A/B gates.
-pub fn set_refactor_enabled(on: bool) {
-    let _ = refactor_enabled(); // apply the env default first so it cannot clobber us
-    REFACTOR_ENABLED.store(on, Ordering::Relaxed);
+    static ENABLED: OnceLock<bool> = OnceLock::new();
+    *ENABLED.get_or_init(|| !kfds_switches::KFDS_REFACTOR.is_off())
 }
 
 /// The λ-independent kernel blocks cached for one tree node.

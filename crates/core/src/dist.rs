@@ -80,25 +80,31 @@ pub struct DistSolver<'a, K: Kernel> {
 /// level `log₂ p` (every level-`log₂ p` node exists), with a fully
 /// skeletonized tree (no level restriction).
 ///
-/// # Panics
-/// Panics if `p` is not a power of two or exceeds the nodes available at
-/// its level.
+/// # Errors
+/// Returns [`SolverError::Partition`] if `p` is not a power of two or the
+/// tree does not have exactly `p` nodes at level `log₂ p`.
 pub fn dist_factorize<'a, K: Kernel>(
     st: &'a SkeletonTree,
     kernel: &'a K,
     config: SolverConfig,
     p: usize,
 ) -> Result<DistSolver<'a, K>, SolverError> {
-    assert!(p.is_power_of_two(), "rank count must be a power of two");
+    if !p.is_power_of_two() {
+        return Err(SolverError::Partition {
+            reason: format!("rank count {p} is not a power of two"),
+        });
+    }
     let tree = st.tree();
     let lp = p.trailing_zeros() as usize;
     let level_nodes = tree.nodes_at_level(lp);
-    assert_eq!(
-        level_nodes.len(),
-        p,
-        "tree has {} nodes at level {lp}, need exactly {p}",
-        level_nodes.len()
-    );
+    if level_nodes.len() != p {
+        return Err(SolverError::Partition {
+            reason: format!(
+                "tree has {} node(s) at level {lp}, need exactly {p} rank-owned subtrees",
+                level_nodes.len()
+            ),
+        });
+    }
     let t0 = Instant::now();
     let results: Vec<Result<RankState<'a, K>, SolverError>> = World::run(p, |comm: Comm| {
         let my_node = tree.nodes_at_level(lp)[comm.rank()];

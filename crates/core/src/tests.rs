@@ -227,6 +227,18 @@ fn distributed_matches_serial() {
 }
 
 #[test]
+fn distributed_rejects_rank_counts_that_do_not_fit_the_tree() {
+    let (st, kernel) = fixture(1, 1e-5);
+    let cfg = SolverConfig::default().with_lambda(0.6);
+    // Not a power of two; and a power of two one level past the leaves.
+    let too_many = 2 * st.tree().leaves().len();
+    for p in [0, 3, too_many] {
+        let got = dist_factorize(&st, &kernel, cfg, p);
+        assert!(matches!(got, Err(crate::SolverError::Partition { .. })), "p={p}");
+    }
+}
+
+#[test]
 fn ridge_regression_learns_annulus() {
     let (pts, labels) = two_class_annulus(600, 3, 5);
     let test_pts = pts.select(&(500..600).collect::<Vec<_>>());
@@ -692,6 +704,11 @@ mod refactor {
         let mut x = b.to_vec();
         ft.solve_in_place(&mut x).expect("solve");
         x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn refactorization_is_on_unless_the_switch_opts_out() {
+        assert_eq!(crate::refactor_enabled(), !kfds_switches::KFDS_REFACTOR.is_off());
     }
 
     #[test]

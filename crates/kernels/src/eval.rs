@@ -36,8 +36,8 @@ pub fn gemm_eval_active() -> bool {
 }
 
 /// Enables or disables the GEMM assembly path at runtime (overrides
-/// `KFDS_EVAL_GEMM`), so the perf harness can A/B both paths in one
-/// process.
+/// `KFDS_EVAL_GEMM`), so benches and property tests can A/B both paths in
+/// one process.
 pub fn set_gemm_eval_enabled(on: bool) {
     let _ = gemm_eval_active(); // apply the env default first
     GEMM_EVAL.store(on, Ordering::Relaxed);
@@ -497,6 +497,13 @@ mod tests {
             assert_eq!((g.nrows(), g.ncols()), (w.nrows(), w.ncols()), "block {i}");
             assert_eq!(g.as_slice(), w.as_slice(), "block {i} not bitwise equal");
         }
+    }
+
+    #[test]
+    fn gemm_assembly_is_the_default() {
+        // Every test that flips the switch restores it under MODE_LOCK.
+        let _guard = MODE_LOCK.lock().unwrap();
+        assert_eq!(gemm_eval_active(), !kfds_switches::KFDS_EVAL_GEMM.is_off());
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub fn batch_active() -> bool {
 /// `KFDS_BATCH`). With batching off, skeletonization/assembly/
 /// factorization take the per-node `par_iter` reference path —
 /// bitwise-identical results, per-node launch overhead. Used by the
-/// perf-trajectory harness and the A/B property tests.
+/// `level_batch` bench and the A/B property tests.
 pub fn set_batch_enabled(on: bool) {
     let _ = batch_active(); // apply the env default first so it cannot clobber us
     BATCH_ENABLED.store(on, Ordering::Relaxed);
@@ -501,9 +501,11 @@ mod tests {
 
     #[test]
     fn switch_default_and_override() {
-        // Default (env unset in the test harness): active; the override
+        // Only this test flips the switch in this binary, so `prev` is the
+        // default: active unless KFDS_BATCH opts out. The override
         // round-trips.
         let prev = batch_active();
+        assert_eq!(prev, !kfds_switches::KFDS_BATCH.is_off());
         set_batch_enabled(false);
         assert!(!batch_active());
         set_batch_enabled(true);

@@ -30,7 +30,7 @@
 //!   `KFDS_WS_POOL` — forces the scalar reference paths, so
 //!   pooled/unpooled x simd/scalar can be A/B'd in one binary;
 //! * [`set_simd_enabled`] overrides the environment at runtime (used by
-//!   the perf-trajectory harness and the A/B property tests).
+//!   the `microkernel` bench and the A/B property tests).
 //!
 //! # Tolerance model
 //!
@@ -73,7 +73,7 @@ fn enabled() -> bool {
 
 /// Enables or disables the SIMD kernels at runtime (overrides `KFDS_SIMD`).
 /// With SIMD off every consumer runs its scalar reference path, which is
-/// exactly the pre-SIMD behavior — used by the perf-trajectory harness and
+/// exactly the pre-SIMD behavior — used by the `microkernel` bench and
 /// the scalar-vs-vector property tests to A/B from one binary.
 pub fn set_simd_enabled(on: bool) {
     let _ = enabled(); // apply the env default first so it cannot clobber us
@@ -856,8 +856,12 @@ mod tests {
 
     #[test]
     fn dispatch_flags() {
-        // The override wins over the default/env; cpu_supported is fixed.
+        // Only this test flips the switch in this binary, so `before` is
+        // the default: on whenever the CPU has the kernels, unless
+        // KFDS_SIMD opts out.
         let before = active();
+        assert_eq!(before, cpu_supported() && !kfds_switches::KFDS_SIMD.is_off());
+        // The override wins over the default/env; cpu_supported is fixed.
         set_simd_enabled(false);
         assert!(!active());
         set_simd_enabled(true);

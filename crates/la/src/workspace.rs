@@ -68,8 +68,8 @@ fn enabled() -> bool {
 
 /// Enables or disables pooling at runtime (overrides `KFDS_WS_POOL`).
 /// With pooling off every take allocates and every return frees, which is
-/// exactly the pre-pool behavior — used by the perf-trajectory harness to
-/// record before/after numbers from one binary.
+/// exactly the pre-pool behavior — used by the pooled-vs-unpooled
+/// property tests to compare both from one binary.
 pub fn set_pool_enabled(on: bool) {
     let _ = enabled(); // apply the env default first so it cannot clobber us
     POOL_ENABLED.store(on, Ordering::Relaxed);
@@ -184,9 +184,8 @@ fn push_to_pool(class: usize, buf: Vec<f64>) {
 /// Filing by capacity rather than initialized length matters: a buffer
 /// taken for a ceil-class request and detached with a non-power-of-two
 /// length used to be filed one class *down* on return, so the next
-/// identical request always missed — the pooled `matmul` regression seen
-/// in `BENCH_factor.json` (`fig4_left_normal64d_n8192`, 0.55x with the
-/// pool on).
+/// identical request always missed — a pooled `matmul` ran at 0.55x of
+/// the unpooled one on the d = 64, n = 8192 fixed-rank workload.
 fn file_buffer(mut buf: Vec<f64>, init_len: usize) {
     if !enabled() {
         return;

@@ -13,8 +13,9 @@
 //! Dispatch follows the repo's kill-switch convention: `KFDS_KNN=scalar`
 //! (or `off`/`0`) routes [`crate::neighbors`] onto the legacy per-pair
 //! scalar paths, and [`set_knn_blocked`] overrides the environment at
-//! runtime for A/B harnesses. [`blocked_tile_count`] counts GEMM tiles so
-//! the `perf_trajectory --check knn` gate can detect a silent fallback.
+//! runtime for A/B harnesses. [`blocked_tile_count`] counts GEMM tiles:
+//! `benchmark/` reports them as `tree.knn_tiles`, and
+//! `tests/dispatch_defaults.rs` fails if a default search computes none.
 //!
 //! # Tolerance model
 //!
@@ -49,14 +50,14 @@ pub fn knn_blocked_active() -> bool {
 }
 
 /// Enables or disables the blocked kNN pipeline at runtime (overrides
-/// `KFDS_KNN`), so the perf harness can A/B both paths in one process.
+/// `KFDS_KNN`), so benches and tests can A/B both paths in one process.
 pub fn set_knn_blocked(on: bool) {
     let _ = knn_blocked_active(); // apply the env default first
     BLOCKED.store(on, Ordering::Relaxed);
 }
 
 /// Number of GEMM distance tiles computed since process start — the
-/// dispatch witness for the `perf_trajectory -- --check knn` gate.
+/// witness that a search took the blocked path.
 pub fn blocked_tile_count() -> u64 {
     TILES.load(Ordering::Relaxed)
 }

@@ -693,9 +693,9 @@ pub fn test_switch_refs(src: &Source) -> Vec<&'static str> {
 
 /// **switch-coverage**: every switch in the `kfds-switches` registry must
 /// be (1) documented in the README switch table, (2) exercised by a
-/// `ci.sh` lane or `--check` gate, and (3) referenced by at least one
-/// test. Called from `lint_repo`, which supplies the README/ci.sh texts
-/// and the union of [`test_switch_refs`] over every scanned file.
+/// `ci.sh` lane, and (3) referenced by at least one test. Called from
+/// `lint_repo`, which supplies the README/ci.sh texts and the union of
+/// [`test_switch_refs`] over every scanned file.
 pub fn rule_switch_coverage(readme: &str, ci: &str, tested: &[&str]) -> Vec<Finding> {
     let mut out = Vec::new();
     for sw in kfds_switches::ALL {
@@ -713,7 +713,7 @@ pub fn rule_switch_coverage(readme: &str, ci: &str, tested: &[&str]) -> Vec<Find
                 path: "ci.sh".into(),
                 line: 0,
                 rule: "switch-coverage",
-                msg: format!("`{name}` is not exercised by any ci.sh lane or --check gate"),
+                msg: format!("`{name}` is not exercised by any ci.sh lane"),
             });
         }
         if !tested.contains(&name) {
