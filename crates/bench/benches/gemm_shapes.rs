@@ -15,11 +15,20 @@
 //! `m ≥ 2048`; on a single-CPU container it measures the split overhead
 //! instead (expected within a few percent of serial).
 //!
+//! A second group, `gemm_solve_shapes`, is the A/B behind the
+//! `GEMM_SKINNY_N = 16` constant: the three products of the blocked solve
+//! (`P̂ z`: 4096x192, `V u`: 192x4096, a mid-tree 1024x160) at
+//! `n ∈ {1, 4, 16, 17, 64}` right-hand sides, `gemm` (which takes the
+//! unpacked AVX-512 path up to `n = 16`) against `gemm_packed` (the packed
+//! path it replaces there), both serial. `n = 17` and `64` are the far
+//! side of the constant: both rows run the packed path and must agree.
+//!
 //! ```sh
 //! cargo bench -p kfds-bench --bench gemm_shapes
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use kfds_la::gemm::gemm_packed;
 use kfds_la::{gemm, Mat, Trans};
 use std::hint::black_box;
 
@@ -75,5 +84,29 @@ fn bench_tall_skinny(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tall_skinny);
+fn bench_solve_shapes(c: &mut Criterion) {
+    let serial = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
+    let mut group = c.benchmark_group("gemm_solve_shapes");
+    group.sample_size(20);
+    for (m, k) in [(4096usize, 192usize), (192, 4096), (1024, 160)] {
+        let a = rand_mat(m, k, 5);
+        for n in [1usize, 4, 16, 17, 64] {
+            let b = rand_mat(k, n, 6);
+            let mut out = Mat::zeros(m, n);
+            let id = format!("{m}x{k}x{n}");
+            group.bench_with_input(BenchmarkId::new("gemm", &id), &n, |bch, _| {
+                bch.iter(|| serial.install(|| black_box(run_gemm(&a, &b, &mut out))))
+            });
+            group.bench_with_input(BenchmarkId::new("packed", &id), &n, |bch, _| {
+                bch.iter(|| {
+                    gemm_packed(1.0, a.rb(), Trans::No, b.rb(), Trans::No, 0.0, out.rb_mut());
+                    black_box(out.as_slice()[0])
+                })
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_tall_skinny, bench_solve_shapes);
 criterion_main!(benches);

@@ -27,6 +27,9 @@ pub struct HybridSolver<'a, 'f, K: Kernel> {
     offsets: Vec<usize>,
     /// Total reduced dimension `Σ_φ s_φ`.
     reduced_dim: usize,
+    /// Per frontier node `φ`, the point indices of `X∖φ` in ascending
+    /// order: the source list of its `V` block (empty at rank 0).
+    complements: Vec<Vec<usize>>,
 }
 
 /// Outcome of a hybrid solve.
@@ -72,7 +75,18 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
             acc += st.skeleton(f).expect("frontier node skeletonized").rank();
         }
         offsets.push(acc);
-        Ok(HybridSolver { ft, frontier, offsets, reduced_dim: acc })
+        let n = tree.points().len();
+        let complements = frontier
+            .iter()
+            .map(|&f| {
+                let nd = tree.node(f);
+                if st.skeleton(f).expect("frontier node skeletonized").rank() == 0 {
+                    return Vec::new();
+                }
+                (0..nd.begin).chain(nd.end..n).collect()
+            })
+            .collect();
+        Ok(HybridSolver { ft, frontier, offsets, reduced_dim: acc, complements })
     }
 
     /// Size of the iteratively solved reduced system (`≈ 2^L s`).
@@ -134,30 +148,28 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
 
     /// `y_φ = K_{φ̃, X∖φ} x` for every frontier node (Algorithm II.8:
     /// `MatVecV` over all nodes above and on the frontier), evaluated
-    /// matrix-free as `K_{φ̃, X} x − K_{φ̃, φ} x_φ`.
+    /// matrix-free in one summation over `X∖φ` per node.
     fn apply_v(&self, x: &[f64]) -> Vec<f64> {
         let st = self.ft.skeleton_tree();
         let tree = st.tree();
         let pts = tree.points();
         let kernel = self.ft.kernel();
-        let n = pts.len();
-        let all: Vec<usize> = (0..n).collect();
         let segments: Vec<Vec<f64>> = self
             .frontier
             .par_iter()
-            .map(|&f| {
+            .zip(self.complements.par_iter())
+            .map(|(&f, rest)| {
                 let sk = st.skeleton(f).expect("frontier skeleton");
                 if sk.rank() == 0 {
                     return Vec::new();
                 }
+                // x on X∖φ: the two runs either side of φ's range.
+                let nd = tree.node(f);
+                let mut xr = workspace::take(rest.len());
+                xr[..nd.begin].copy_from_slice(&x[..nd.begin]);
+                xr[nd.begin..].copy_from_slice(&x[nd.end..]);
                 let mut y = vec![0.0; sk.rank()];
-                sum_fused(kernel, pts, &sk.skeleton, &all, x, &mut y);
-                let range: Vec<usize> = tree.node(f).range().collect();
-                let mut own = vec![0.0; sk.rank()];
-                sum_fused(kernel, pts, &sk.skeleton, &range, &x[tree.node(f).range()], &mut own);
-                for (yi, oi) in y.iter_mut().zip(&own) {
-                    *yi -= oi;
-                }
+                sum_fused(kernel, pts, &sk.skeleton, rest, &xr, &mut y);
                 y
             })
             .collect();
@@ -253,54 +265,39 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     }
 
     /// Multi-RHS `V` application: `Y_φ = K_{φ̃, X∖φ} X` for every frontier
-    /// node, as one fused multi-RHS summation per node instead of one
-    /// single-vector pass per column.
+    /// node, as one fused multi-RHS summation over `X∖φ` per node instead
+    /// of one single-vector pass per column.
     fn apply_v_mat(&self, x: &Mat) -> Mat {
         let st = self.ft.skeleton_tree();
         let tree = st.tree();
         let pts = tree.points();
         let kernel = self.ft.kernel();
-        let n = pts.len();
         let nrhs = x.ncols();
-        let all: Vec<usize> = (0..n).collect();
-        let indexed: Vec<(usize, usize)> = self.frontier.iter().copied().enumerate().collect();
-        let segments: Vec<(usize, Mat)> = indexed
-            .into_par_iter()
-            .map(|(k, f)| {
+        let segments: Vec<Mat> = self
+            .frontier
+            .par_iter()
+            .zip(self.complements.par_iter())
+            .map(|(&f, rest)| {
                 let sk = st.skeleton(f).expect("frontier skeleton");
                 let s = sk.rank();
                 if s == 0 {
-                    return (k, Mat::zeros(0, nrhs));
+                    return Mat::zeros(0, nrhs);
+                }
+                let nd = tree.node(f);
+                let mut xr = workspace::take_mat_detached(rest.len(), nrhs);
+                for j in 0..nrhs {
+                    let (src, dst) = (x.col(j), xr.col_mut(j));
+                    dst[..nd.begin].copy_from_slice(&src[..nd.begin]);
+                    dst[nd.begin..].copy_from_slice(&src[nd.end..]);
                 }
                 let mut y = workspace::take_mat_detached(s, nrhs);
-                sum_fused_multi(kernel, pts, &sk.skeleton, &all, x.rb(), y.rb_mut());
-                let range: Vec<usize> = tree.node(f).range().collect();
-                let nd = tree.node(f);
-                let mut own = workspace::take_mat_detached(s, nrhs);
-                sum_fused_multi(
-                    kernel,
-                    pts,
-                    &sk.skeleton,
-                    &range,
-                    x.submatrix(nd.begin..nd.end, 0..nrhs),
-                    own.rb_mut(),
-                );
-                for j in 0..nrhs {
-                    for i in 0..s {
-                        y[(i, j)] -= own[(i, j)];
-                    }
-                }
-                workspace::recycle_mat(own);
-                (k, y)
+                sum_fused_multi(kernel, pts, &sk.skeleton, rest, xr.rb(), y.rb_mut());
+                workspace::recycle_mat(xr);
+                y
             })
             .collect();
-        let mut by_index: Vec<Option<Mat>> = (0..self.frontier.len()).map(|_| None).collect();
-        for (k, seg) in segments {
-            by_index[k] = Some(seg);
-        }
         let mut out = Mat::zeros(self.reduced_dim, nrhs);
-        for (k, seg) in by_index.into_iter().enumerate() {
-            let seg = seg.expect("every frontier segment computed");
+        for (k, seg) in segments.into_iter().enumerate() {
             let off = self.offsets[k];
             for j in 0..nrhs {
                 out.col_mut(j)[off..off + seg.nrows()].copy_from_slice(seg.col(j));

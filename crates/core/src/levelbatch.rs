@@ -19,10 +19,13 @@
 //!
 //! **Bitwise contract:** batching changes scheduling, never arithmetic.
 //! Every op runs the identical kernel on identical operands in the same
-//! within-op accumulation order as the per-node path (the GEMM never
-//! splits its accumulation dimension; solves are applied column-by-column
-//! either way), and per-node cost accounting reuses the same expressions
-//! in the same sequence — so factors *and* stats are bit-for-bit equal to
+//! within-op accumulation order as the per-node path: the GEMM never
+//! splits its accumulation dimension, and a planned solve makes the one
+//! multi-RHS call the per-node engine makes — [`Lu::solve_mat_mut`] /
+//! `Cholesky::solve_mat_mut` on the same `MatMut` view (row swaps, then
+//! two recursive TRSMs whose splits depend only on the triangle's size).
+//! Per-node cost accounting reuses the same expressions in the same
+//! sequence — so factors *and* stats are bit-for-bit equal to
 //! `KFDS_BATCH=off`. Property tests in `tests/batch_equiv.rs` enforce
 //! this.
 

@@ -18,7 +18,7 @@ use kfds_askit::SkeletonTree;
 use kfds_kernels::{sum_fused, sum_fused_multi, sum_reference, sum_reference_multi, Kernel};
 use kfds_la::blas1::axpy;
 use kfds_la::blas2::{gemv, gemv_t};
-use kfds_la::{gemm, workspace, Mat, Trans};
+use kfds_la::{gemm, workspace, Mat, MatRef, Trans};
 
 /// Borrowed solve context: a skeleton tree plus (possibly in-progress)
 /// node factors.
@@ -336,91 +336,73 @@ impl<K: Kernel> SolveCtx<'_, K> {
         let skr = self.st.skeleton(r).expect("children skeletons required");
         let (sl, sr) = (skl.rank(), skr.rank());
 
-        if sl + sr > 0 {
-            let z_lu = self.factors[node].z_lu.as_ref().expect("reduced system missing");
-            let mut y = workspace::take_mat_detached(sl + sr, nrhs);
+        if sl + sr == 0 {
+            return; // vanishing off-diagonal coupling
+        }
+        let z_lu = self.factors[node].z_lu.as_ref().expect("reduced system missing");
+        let mut y = workspace::take_mat_detached(sl + sr, nrhs);
+        // Y = V U = [K_{l̃ r} U_r ; K_{r̃ l} U_l]: two independent products
+        // into disjoint row blocks of Y. Near the root they are wide and
+        // short (m = s < 2·MC never row-splits inside `gemm`), so the pair
+        // is what runs in parallel.
+        {
+            let (ytop, ybot) = y.rb_mut().split_at_row(sl);
+            let (ul, ur) = (utop.rb(), ubot.rb());
             match self.config.storage {
                 StorageMode::StoredGemv => {
                     let v_lr = self.factors[node].v_lr.as_ref().expect("stored V missing");
                     let v_rl = self.factors[node].v_rl.as_ref().expect("stored V missing");
-                    gemm(
-                        1.0,
-                        v_lr.rb(),
-                        Trans::No,
-                        ubot.rb(),
-                        Trans::No,
-                        0.0,
-                        y.rb_mut().submatrix_mut(0..sl, 0..nrhs),
-                    );
-                    gemm(
-                        1.0,
-                        v_rl.rb(),
-                        Trans::No,
-                        utop.rb(),
-                        Trans::No,
-                        0.0,
-                        y.rb_mut().submatrix_mut(sl..sl + sr, 0..nrhs),
+                    rayon::join(
+                        || gemm(1.0, v_lr.rb(), Trans::No, ur, Trans::No, 0.0, ytop),
+                        || gemm(1.0, v_rl.rb(), Trans::No, ul, Trans::No, 0.0, ybot),
                     );
                 }
                 StorageMode::RecomputeGemm => {
                     let rc: Vec<usize> = tree.node(r).range().collect();
                     let lc: Vec<usize> = tree.node(l).range().collect();
-                    sum_reference_multi(
-                        self.kernel,
-                        tree.points(),
-                        &skl.skeleton,
-                        &rc,
-                        ubot.rb(),
-                        y.rb_mut().submatrix_mut(0..sl, 0..nrhs),
-                    );
-                    sum_reference_multi(
-                        self.kernel,
-                        tree.points(),
-                        &skr.skeleton,
-                        &lc,
-                        utop.rb(),
-                        y.rb_mut().submatrix_mut(sl..sl + sr, 0..nrhs),
+                    let pts = tree.points();
+                    rayon::join(
+                        || sum_reference_multi(self.kernel, pts, &skl.skeleton, &rc, ur, ytop),
+                        || sum_reference_multi(self.kernel, pts, &skr.skeleton, &lc, ul, ybot),
                     );
                 }
                 StorageMode::Gsks => {
                     let rc: Vec<usize> = tree.node(r).range().collect();
                     let lc: Vec<usize> = tree.node(l).range().collect();
-                    sum_fused_multi(
-                        self.kernel,
-                        tree.points(),
-                        &skl.skeleton,
-                        &rc,
-                        ubot.rb(),
-                        y.rb_mut().submatrix_mut(0..sl, 0..nrhs),
-                    );
-                    sum_fused_multi(
-                        self.kernel,
-                        tree.points(),
-                        &skr.skeleton,
-                        &lc,
-                        utop.rb(),
-                        y.rb_mut().submatrix_mut(sl..sl + sr, 0..nrhs),
+                    let pts = tree.points();
+                    rayon::join(
+                        || sum_fused_multi(self.kernel, pts, &skl.skeleton, &rc, ur, ytop),
+                        || sum_fused_multi(self.kernel, pts, &skr.skeleton, &lc, ul, ybot),
                     );
                 }
             }
-            z_lu.solve_mat_inplace(&mut y);
-            let ytop = workspace::mat_from_view(y.submatrix(0..sl, 0..nrhs));
-            let ybot = workspace::mat_from_view(y.submatrix(sl..sl + sr, 0..nrhs));
-            workspace::recycle_mat(y);
-            let corr_top = self.apply_p_hat_mat(l, &ytop);
-            let corr_bot = self.apply_p_hat_mat(r, &ybot);
-            workspace::recycle_mat(ytop);
-            workspace::recycle_mat(ybot);
-            for j in 0..nrhs {
-                for i in 0..nl {
-                    utop[(i, j)] -= corr_top[(i, j)];
-                }
-                for i in 0..nr {
-                    ubot[(i, j)] -= corr_bot[(i, j)];
-                }
-            }
-            workspace::recycle_mat(corr_top);
-            workspace::recycle_mat(corr_bot);
         }
+        z_lu.solve_mat_inplace(&mut y);
+        // U -= W Z = [P̂_l Z_top ; P̂_r Z_bot], the halves again independent.
+        rayon::join(
+            || self.sub_p_hat_apply_mat(l, y.submatrix(0..sl, 0..nrhs), utop),
+            || self.sub_p_hat_apply_mat(r, y.submatrix(sl..sl + sr, 0..nrhs), ubot),
+        );
+        workspace::recycle_mat(y);
+    }
+
+    /// `out -= P̂_node Z`, multi-RHS form of
+    /// [`sub_p_hat_apply`](Self::sub_p_hat_apply): one GEMM against the
+    /// stored factor, or the telescoped recurrence (eq. 10) in
+    /// [`crate::config::WStorage::Recompute`] mode.
+    fn sub_p_hat_apply_mat(&self, node: usize, z: MatRef<'_>, out: &mut Mat) {
+        if let Some(p) = self.factors[node].p_hat.as_ref() {
+            gemm(-1.0, p.rb(), Trans::No, z, Trans::No, 1.0, out.rb_mut());
+            return;
+        }
+        let zm = workspace::mat_from_view(z);
+        let corr = self.apply_p_hat_mat(node, &zm);
+        workspace::recycle_mat(zm);
+        for j in 0..out.ncols() {
+            for (o, c) in out.col_mut(j).iter_mut().zip(corr.col(j)) {
+                *o -= c;
+            }
+        }
+        workspace::recycle_mat(corr);
     }
 }

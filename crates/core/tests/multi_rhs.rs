@@ -81,35 +81,42 @@ fn blocked_hybrid_solve_matches_columnwise() {
     let n = 1024;
     // max_level = 2 leaves the top levels unskeletonized: a partial
     // factorization, so solves route through the hybrid reduced system.
-    let (st, kernel) = fixture(n, 2);
-    let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(0.5)).expect("factorize");
-    assert!(!ft.is_complete(), "fixture must exercise the hybrid path");
-    let hs = HybridSolver::new(&ft).expect("hybrid solver");
-    assert!(hs.reduced_dim() > 0, "reduced system must be nontrivial");
-    let opts = GmresOptions::default();
+    // max_level = 3 doubles the frontier to eight nodes, so every `V`
+    // block sums over `X∖φ` with interior nodes that have points on both
+    // sides of their own range.
+    for max_level in [2, 3] {
+        let (st, kernel) = fixture(n, max_level);
+        let ft =
+            factorize(&st, &kernel, SolverConfig::default().with_lambda(0.5)).expect("factorize");
+        assert!(!ft.is_complete(), "fixture must exercise the hybrid path");
+        let hs = HybridSolver::new(&ft).expect("hybrid solver");
+        assert_eq!(hs.frontier().len(), 1 << max_level);
+        assert!(hs.reduced_dim() > 0, "reduced system must be nontrivial");
+        let opts = GmresOptions::default();
 
-    let b = rhs_matrix(n);
-    let mut blocked = b.clone();
-    let results = hs.solve_mat_in_place(&mut blocked, &opts).expect("blocked hybrid solve");
-    assert_eq!(results.len(), NRHS);
-    for (j, r) in results.iter().enumerate() {
-        assert!(r.converged, "column {j}: reduced GMRES did not converge");
-    }
+        let b = rhs_matrix(n);
+        let mut blocked = b.clone();
+        let results = hs.solve_mat_in_place(&mut blocked, &opts).expect("blocked hybrid solve");
+        assert_eq!(results.len(), NRHS);
+        for (j, r) in results.iter().enumerate() {
+            assert!(r.converged, "L={max_level} column {j}: reduced GMRES did not converge");
+        }
 
-    for j in 0..NRHS {
-        let out = hs.solve(b.col(j), &opts).expect("single-RHS hybrid solve");
-        assert!(out.gmres.converged);
-        let err = rel_err(blocked.col(j), &out.x);
-        // The blocked path runs the same GMRES on the same reduced system
-        // with the same options; only blocked-vs-columnwise D⁻¹/V/W
-        // application order differs.
-        assert!(err < 1e-10, "hybrid path column {j}: blocked vs single rel err {err:.3e}");
-    }
+        for j in 0..NRHS {
+            let out = hs.solve(b.col(j), &opts).expect("single-RHS hybrid solve");
+            assert!(out.gmres.converged);
+            let err = rel_err(blocked.col(j), &out.x);
+            // The blocked path runs the same GMRES on the same reduced
+            // system with the same options; only blocked-vs-columnwise
+            // D⁻¹/V/W application order differs.
+            assert!(err < 1e-10, "L={max_level} column {j}: blocked vs single rel err {err:.3e}");
+        }
 
-    let mut again = b.clone();
-    hs.solve_mat_in_place(&mut again, &opts).expect("repeat blocked hybrid solve");
-    for j in 0..NRHS {
-        assert_eq!(again.col(j), blocked.col(j), "hybrid blocked solve must be deterministic");
+        let mut again = b.clone();
+        hs.solve_mat_in_place(&mut again, &opts).expect("repeat blocked hybrid solve");
+        for j in 0..NRHS {
+            assert_eq!(again.col(j), blocked.col(j), "hybrid blocked solve must be deterministic");
+        }
     }
 }
 

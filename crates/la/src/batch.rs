@@ -22,7 +22,8 @@
 //! Batching is a *scheduling* transformation only: every op runs the
 //! identical kernel on identical operands, so results are bitwise equal
 //! to the per-node path (the GEMM never splits its accumulation
-//! dimension, and the solves are applied column-by-column either way).
+//! dimension, and a batched solve makes the same `solve_mat_mut` call the
+//! per-node path makes).
 
 use crate::chol::Cholesky;
 use crate::lu::Lu;
@@ -182,15 +183,12 @@ impl FactorRef<'_> {
         }
     }
 
-    /// Column-by-column in-place solve — the same loop as the owned
-    /// `solve_mat_inplace`, applied to a view (columns are contiguous in
-    /// every batched destination).
-    fn solve_mat_mut(&self, rhs: &mut MatMut<'_>) {
-        for j in 0..rhs.ncols() {
-            match self {
-                FactorRef::Lu(f) => f.solve_inplace(rhs.col_mut(j)),
-                FactorRef::Cholesky(f) => f.solve_inplace(rhs.col_mut(j)),
-            }
+    /// In-place multi-RHS solve through the factorization's one view
+    /// entry — the same call the owned `solve_mat_inplace` makes.
+    fn solve_mat_mut(&self, rhs: MatMut<'_>) {
+        match self {
+            FactorRef::Lu(f) => f.solve_mat_mut(rhs),
+            FactorRef::Cholesky(f) => f.solve_mat_mut(rhs),
         }
     }
 }
@@ -254,7 +252,7 @@ impl BatchOp<'_> {
             BatchOp::Gemm { alpha, a, ta, b, tb, beta, c } => {
                 crate::gemm(alpha, a, ta, b, tb, beta, c);
             }
-            BatchOp::Solve { f, mut rhs } => f.solve_mat_mut(&mut rhs),
+            BatchOp::Solve { f, rhs } => f.solve_mat_mut(rhs),
         }
     }
 }

@@ -7,9 +7,8 @@
 //! that roundoff has pushed the compressed block indefinite — the §III
 //! failure mode.
 
-use crate::blas1::dot;
 use crate::error::LaError;
-use crate::mat::Mat;
+use crate::mat::{Mat, MatMut};
 
 /// A lower-triangular Cholesky factorization `A = L Lᵀ`.
 #[derive(Clone, Debug)]
@@ -81,31 +80,26 @@ impl Cholesky {
     /// # Panics
     /// Panics on length mismatch.
     pub fn solve_inplace(&self, b: &mut [f64]) {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "Cholesky solve: rhs length mismatch");
-        // Forward: L y = b (L stored in the lower triangle, column-major).
-        for j in 0..n {
-            b[j] /= self.l[(j, j)];
-            let xj = b[j];
-            if xj != 0.0 {
-                let col = &self.l.col(j)[j + 1..];
-                crate::blas1::axpy(-xj, col, &mut b[j + 1..]);
-            }
-        }
-        // Backward: Lᵀ x = y; row i of Lᵀ is column i of L.
-        for i in (0..n).rev() {
-            let col = &self.l.col(i)[i + 1..];
-            let s = dot(col, &b[i + 1..]);
-            b[i] = (b[i] - s) / self.l[(i, i)];
-        }
+        assert_eq!(b.len(), self.dim(), "Cholesky solve: rhs length mismatch");
+        crate::tri::solve_lower_inplace(self.l.rb(), false, b);
+        crate::tri::solve_lower_transpose_inplace(self.l.rb(), b);
+    }
+
+    /// Solves `A X = B` in place on a view of a multi-column right-hand
+    /// side: the two TRSMs of `POTRS`. The one multi-RHS entry — the owned
+    /// form and the batched engine delegate here.
+    ///
+    /// # Panics
+    /// Panics on row-count mismatch.
+    pub fn solve_mat_mut(&self, mut b: MatMut<'_>) {
+        assert_eq!(b.nrows(), self.dim(), "Cholesky solve: rhs rows mismatch");
+        crate::tri::solve_lower_mat_inplace(self.l.rb(), false, b.rb_mut());
+        crate::tri::solve_lower_transpose_mat_inplace(self.l.rb(), b);
     }
 
     /// Solves `A X = B` in place for a multi-column right-hand side.
     pub fn solve_mat_inplace(&self, b: &mut Mat) {
-        assert_eq!(b.nrows(), self.dim(), "Cholesky solve: rhs rows mismatch");
-        for j in 0..b.ncols() {
-            self.solve_inplace(b.col_mut(j));
-        }
+        self.solve_mat_mut(b.rb_mut());
     }
 
     /// `log det A = 2 Σ log L_kk` (useful for GP marginal likelihoods).

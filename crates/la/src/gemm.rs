@@ -65,13 +65,35 @@ pub fn gemm(
     beta: f64,
     c: MatMut<'_>,
 ) {
+    let k = inner_dim(a, ta, b, tb, &c);
+    let parallel = rayon::current_num_threads() > 1 && rayon::current_thread_index().is_none();
+    gemm_parallel(alpha, a, ta, b, tb, beta, c, k, parallel);
+}
+
+/// Checks `op(A)`, `op(B)` and `C` against each other; returns `k`.
+fn inner_dim(a: MatRef<'_>, ta: Trans, b: MatRef<'_>, tb: Trans, c: &MatMut<'_>) -> usize {
     let (m, ka) = op_shape(a, ta);
     let (kb, n) = op_shape(b, tb);
     assert_eq!(ka, kb, "gemm: inner dimension mismatch");
     assert_eq!(c.nrows(), m, "gemm: C row mismatch");
     assert_eq!(c.ncols(), n, "gemm: C col mismatch");
-    let parallel = rayon::current_num_threads() > 1 && rayon::current_thread_index().is_none();
-    gemm_parallel(alpha, a, ta, b, tb, beta, c, ka, parallel);
+    ka
+}
+
+/// The packed serial path, whatever the shape: the reference the skinny
+/// path is tested and benchmarked against.
+#[doc(hidden)]
+pub fn gemm_packed(
+    alpha: f64,
+    a: MatRef<'_>,
+    ta: Trans,
+    b: MatRef<'_>,
+    tb: Trans,
+    beta: f64,
+    c: MatMut<'_>,
+) {
+    let k = inner_dim(a, ta, b, tb, &c);
+    gemm_blocked(alpha, a, ta, b, tb, beta, c, k);
 }
 
 /// Convenience wrapper: returns `A * B` as a new matrix.
@@ -170,7 +192,134 @@ fn gemm_parallel(
             || gemm_parallel(alpha, ab, ta, b, tb, beta, cb, k, parallel),
         );
     } else {
+        #[cfg(target_arch = "x86_64")]
+        if skinny_applies(alpha, ta, n, k) {
+            gemm_skinny(alpha, a, b, tb, beta, c, k);
+            return;
+        }
         gemm_blocked(alpha, a, ta, b, tb, beta, c, k);
+    }
+}
+
+/// `true` when a product with an `n`-column result takes the unpacked
+/// skinny path: `op(A) = A`, between 1 and
+/// [`crate::simd::GEMM_SKINNY_N`] columns, something to add, and the
+/// AVX-512 kernel available and enabled. Decided from the shape and the
+/// CPU alone; everything else is the packed path.
+#[cfg(target_arch = "x86_64")]
+fn skinny_applies(alpha: f64, ta: Trans, n: usize, k: usize) -> bool {
+    ta == Trans::No
+        && (1..=crate::simd::GEMM_SKINNY_N).contains(&n)
+        && alpha != 0.0
+        && k != 0
+        && crate::simd::active()
+        && crate::simd::avx512_supported()
+}
+
+/// Rows of `C` one pass of the skinny path owns: with the widest right
+/// operand the packed block is 32 KiB, L1/L2-resident across the `k` sweep.
+#[cfg(target_arch = "x86_64")]
+const SKINNY_MB: usize = 256;
+/// Columns of `A` one kernel call consumes: that many sequential
+/// `SKINNY_MB`-row streams for the hardware prefetcher, and the interval
+/// at which a tile's accumulators are parked in the packed block.
+#[cfg(target_arch = "x86_64")]
+const SKINNY_KB: usize = 8;
+
+/// The unpacked path for a skinny right operand: at `n <= 16` the packed
+/// kernel copies every element of `A` to use it for `2n` flops, so here
+/// only `op(B)` is packed (`k x n`, row-major, `alpha` folded in) and `A`
+/// is streamed exactly once, straight from where it lives and in long
+/// column runs, by [`crate::simd::dgemm_skinny_avx512`]. `C` goes through
+/// a pooled tile-packed block of `SKINNY_MB` rows at a time: `beta * C`
+/// in, the finished rows out.
+///
+/// Every `C[i, j]` is `beta * C[i, j]` followed by one FMA per `k` in
+/// ascending order — the row and `k` blocking only decides when an
+/// accumulator is parked in the block — so a column's bits depend neither
+/// on how many other columns ride in the call nor on how the caller split
+/// `m`.
+#[cfg(target_arch = "x86_64")]
+fn gemm_skinny(
+    alpha: f64,
+    a: MatRef<'_>,
+    b: MatRef<'_>,
+    tb: Trans,
+    beta: f64,
+    mut c: MatMut<'_>,
+    k: usize,
+) {
+    let (m, n) = (c.nrows(), c.ncols());
+    let mut bpack = crate::workspace::take(k * n);
+    pack_b_skinny(alpha, b, tb, n, &mut bpack);
+    let mut ct = crate::workspace::take(SKINNY_MB.min(m).next_multiple_of(8) * n);
+    let lda = a.col_stride();
+    for ib in (0..m).step_by(SKINNY_MB) {
+        let mb = SKINNY_MB.min(m - ib);
+        // Tile-pack beta * C; the padding rows of a last partial tile only
+        // ever accumulate zeros (masked A lanes) and are dropped.
+        ct[..mb.next_multiple_of(8) * n].fill(0.0);
+        if beta != 0.0 {
+            for j in 0..n {
+                for (t, rows) in c.col_mut(j)[ib..ib + mb].chunks(8).enumerate() {
+                    let tile = &mut ct[(t * n + j) * 8..][..rows.len()];
+                    for (d, &v) in tile.iter_mut().zip(rows.iter()) {
+                        *d = beta * v;
+                    }
+                }
+            }
+        }
+        for pc in (0..k).step_by(SKINNY_KB) {
+            let kc = SKINNY_KB.min(k - pc);
+            // SAFETY: skinny_applies() checked AVX-512F and 1 <= n <= 16.
+            // Rows ib..ib+mb and columns pc..pc+kc lie inside `a` (m x k),
+            // rows pc..pc+kc inside the k x n pack, and `ct` holds mb
+            // rounded up to whole tiles times n.
+            unsafe {
+                crate::simd::dgemm_skinny_avx512(
+                    mb,
+                    n,
+                    kc,
+                    a.as_ptr().add(ib + pc * lda),
+                    lda,
+                    bpack.as_ptr().add(pc * n),
+                    ct.as_mut_ptr(),
+                );
+            }
+        }
+        for j in 0..n {
+            for (t, rows) in c.col_mut(j)[ib..ib + mb].chunks_mut(8).enumerate() {
+                rows.copy_from_slice(&ct[(t * n + j) * 8..][..rows.len()]);
+            }
+        }
+    }
+}
+
+/// Packs `alpha * op(B)` (`k x n`) row-major for the skinny kernel:
+/// `out[kk * n + j]`, the `n` broadcasts of one `k` step contiguous.
+#[cfg(target_arch = "x86_64")]
+fn pack_b_skinny(alpha: f64, b: MatRef<'_>, tb: Trans, n: usize, out: &mut [f64]) {
+    match tb {
+        // Row kk of B^T is the head of column kk of B.
+        Trans::Yes => {
+            for (kk, row) in out.chunks_exact_mut(n).enumerate() {
+                for (d, &v) in row.iter_mut().zip(&b.col(kk)[..n]) {
+                    *d = alpha * v;
+                }
+            }
+        }
+        // A transpose of column runs; 64 rows at a time keeps the block
+        // being written (at most 8 KiB) in L1 across the n column passes.
+        Trans::No => {
+            for (blk, rows) in out.chunks_mut(64 * n).enumerate() {
+                for j in 0..n {
+                    let col = &b.col(j)[blk * 64..];
+                    for (row, &v) in rows.chunks_exact_mut(n).zip(col) {
+                        row[j] = alpha * v;
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -7,7 +7,8 @@
 
 use crate::blas1::iamax;
 use crate::error::LaError;
-use crate::mat::{Mat, MatMut};
+use crate::gemm::{gemm, Trans};
+use crate::mat::{Mat, MatMut, MatRef};
 
 /// A partial-pivoted LU factorization `P A = L U` stored packed in one matrix.
 #[derive(Clone, Debug)]
@@ -126,27 +127,17 @@ impl Lu {
             if k1 == n {
                 break;
             }
-            // --- U12 = L11^{-1} A12 (unit-lower TRSM on the panel). ---
+            // Rows k0..n of the trailing columns, split into the U12 strip
+            // (nb rows) and A22 below it: disjoint row views of one block.
             let (left, right) = a.as_mut_slice().split_at_mut(k1 * n);
-            let l11 = crate::mat::MatRef::from_parts(&left[k0 * n + k0..], nb, nb, n);
-            let mut a12 = MatMut::from_parts(&mut right[k0..], nb, n - k1, n);
-            crate::tri::solve_lower_mat_inplace(l11, true, a12.rb_mut());
+            let trailing = MatMut::from_parts(&mut right[k0..], n - k0, n - k1, n);
+            let (mut u12, a22) = trailing.split_at_row(nb);
+            // --- U12 = L11^{-1} A12 (unit-lower TRSM on the panel). ---
+            let l11 = MatRef::from_parts(&left[k0 * n + k0..], nb, nb, n);
+            crate::tri::solve_lower_mat_inplace(l11, true, u12.rb_mut());
             // --- Trailing update A22 -= L21 * U12 (GEMM). ---
-            let l21 = crate::mat::MatRef::from_parts(&left[k0 * n + k1..], n - k1, nb, n);
-            // U12 and A22 are different row ranges of the same (strided)
-            // columns, which a column-stride view cannot split disjointly;
-            // copy the small nb x (n-k1) U12 strip out instead.
-            let u12_copy = crate::mat::MatRef::from_parts(&right[k0..], nb, n - k1, n).to_mat();
-            let a22 = MatMut::from_parts(&mut right[k1..], n - k1, n - k1, n);
-            crate::gemm::gemm(
-                -1.0,
-                l21,
-                crate::gemm::Trans::No,
-                u12_copy.rb(),
-                crate::gemm::Trans::No,
-                1.0,
-                a22,
-            );
+            let l21 = MatRef::from_parts(&left[k0 * n + k1..], n - k1, nb, n);
+            gemm(-1.0, l21, Trans::No, u12.rb(), Trans::No, 1.0, a22);
         }
         if n == 0 {
             min_pivot_ratio = 1.0;
@@ -178,12 +169,28 @@ impl Lu {
         crate::tri::solve_upper_inplace(self.lu.rb(), b);
     }
 
-    /// Solves `A X = B` in place for a multi-column right-hand side.
-    pub fn solve_mat_inplace(&self, b: &mut Mat) {
+    /// Solves `A X = B` in place on a view of a multi-column right-hand
+    /// side (`GETRS`): the row swaps across every column, then the
+    /// unit-lower and the upper TRSM. The one multi-RHS entry — the owned
+    /// form and the batched engine delegate here.
+    ///
+    /// # Panics
+    /// Panics on row-count mismatch.
+    pub fn solve_mat_mut(&self, mut b: MatMut<'_>) {
         assert_eq!(b.nrows(), self.dim(), "LU solve: rhs rows mismatch");
         for j in 0..b.ncols() {
-            self.solve_inplace(b.col_mut(j));
+            let col = b.col_mut(j);
+            for (k, &p) in self.piv.iter().enumerate() {
+                col.swap(k, p);
+            }
         }
+        crate::tri::solve_lower_mat_inplace(self.lu.rb(), true, b.rb_mut());
+        crate::tri::solve_upper_mat_inplace(self.lu.rb(), b);
+    }
+
+    /// Solves `A X = B` in place for a multi-column right-hand side.
+    pub fn solve_mat_inplace(&self, b: &mut Mat) {
+        self.solve_mat_mut(b.rb_mut());
     }
 
     /// Solves `A x = b`, returning a fresh vector.

@@ -50,6 +50,9 @@ use std::sync::Once;
 pub const GEMM_MR: usize = 8;
 /// GEMM microkernel register-tile columns.
 pub const GEMM_NR: usize = 6;
+/// Widest right operand the unpacked skinny GEMM kernel takes: one `zmm`
+/// accumulator per column of an 8-row tile, 16 of the 32 registers.
+pub const GEMM_SKINNY_N: usize = 16;
 /// GSKS tile kernel rows (targets).
 pub const GSKS_MR: usize = 8;
 /// GSKS tile kernel columns (sources).
@@ -279,7 +282,8 @@ pub fn avx512_supported() -> bool {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::{
-    axpy_avx2, dgemm_tile_avx2, dgemv_add_avx2, dgemv_t_avx2, dgemv_t_avx512, dot_avx2,
+    axpy_avx2, dgemm_skinny_avx512, dgemm_tile_avx2, dgemv_add_avx2, dgemv_t_avx2, dgemv_t_avx512,
+    dot_avx2,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -326,6 +330,101 @@ mod x86 {
             let hi = _mm256_loadu_pd(col.add(4));
             _mm256_storeu_pd(col, _mm256_fmadd_pd(accj[0], va, lo));
             _mm256_storeu_pd(col.add(4), _mm256_fmadd_pd(accj[1], va, hi));
+        }
+    }
+
+    /// `Ct += A[0..m, 0..kc] * Bp` for a skinny right operand
+    /// (`n <= GEMM_SKINNY_N`), reading `A` in place: column-major with
+    /// stride `lda`, never packed. `bp` is the `kc x n` right operand
+    /// packed row-major (`bp[k * n + j]`, any `alpha` already folded in).
+    /// `ct` is the `m x n` block of `C` packed by 8-row tiles: element
+    /// `(i, j)` at `ct[(i / 8) * 8 * n + j * 8 + i % 8]`, rows padded to a
+    /// multiple of 8 — one contiguous `8n`-element run per tile, so the
+    /// accumulator loads never alias in cache whatever the stride of `C`.
+    ///
+    /// Each 8-row tile holds its `n` accumulators in `zmm` registers for
+    /// the `k` run — loaded from `ct`, one FMA per `k` in ascending order,
+    /// stored back — so an element of `C` is a single FMA chain whose bits
+    /// depend on neither `n`, the tile it falls in, nor how the caller
+    /// blocks `m` and `k`. A last tile of fewer than 8 rows reads `A`
+    /// under a lane mask; its padding rows accumulate zeros.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `1 <= n <= 16`; `a[i + k * lda]` must be
+    /// readable for `i < m`, `k < kc`; `bp` must hold `kc * n` elements;
+    /// `ct` must hold `m.next_multiple_of(8) * n` writable elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn dgemm_skinny_avx512(
+        m: usize,
+        n: usize,
+        kc: usize,
+        a: *const f64,
+        lda: usize,
+        bp: *const f64,
+        ct: *mut f64,
+    ) {
+        debug_assert!(super::avx512_supported(), "dgemm_skinny_avx512 needs AVX-512F");
+        debug_assert!((1..=super::GEMM_SKINNY_N).contains(&n), "skinny n out of range: {n}");
+        debug_assert!(m == 0 || kc == 0 || (!a.is_null() && !bp.is_null() && !ct.is_null()));
+        debug_assert!(lda >= m || kc <= 1, "A columns would overlap: lda = {lda}, m = {m}");
+        match n {
+            1 => skinny_panel::<1>(m, kc, a, lda, bp, ct),
+            2 => skinny_panel::<2>(m, kc, a, lda, bp, ct),
+            3 => skinny_panel::<3>(m, kc, a, lda, bp, ct),
+            4 => skinny_panel::<4>(m, kc, a, lda, bp, ct),
+            5 => skinny_panel::<5>(m, kc, a, lda, bp, ct),
+            6 => skinny_panel::<6>(m, kc, a, lda, bp, ct),
+            7 => skinny_panel::<7>(m, kc, a, lda, bp, ct),
+            8 => skinny_panel::<8>(m, kc, a, lda, bp, ct),
+            9 => skinny_panel::<9>(m, kc, a, lda, bp, ct),
+            10 => skinny_panel::<10>(m, kc, a, lda, bp, ct),
+            11 => skinny_panel::<11>(m, kc, a, lda, bp, ct),
+            12 => skinny_panel::<12>(m, kc, a, lda, bp, ct),
+            13 => skinny_panel::<13>(m, kc, a, lda, bp, ct),
+            14 => skinny_panel::<14>(m, kc, a, lda, bp, ct),
+            15 => skinny_panel::<15>(m, kc, a, lda, bp, ct),
+            _ => skinny_panel::<16>(m, kc, a, lda, bp, ct),
+        }
+    }
+
+    /// The `N`-column instantiation of [`dgemm_skinny_avx512`]: walks the
+    /// 8-row tiles of the panel, `N` `zmm` accumulators each.
+    ///
+    /// # Safety
+    /// As [`dgemm_skinny_avx512`], with `n == N`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn skinny_panel<const N: usize>(
+        m: usize,
+        kc: usize,
+        a: *const f64,
+        lda: usize,
+        bp: *const f64,
+        ct: *mut f64,
+    ) {
+        let mut i0 = 0;
+        while i0 < m {
+            let rows = (m - i0).min(8);
+            let mask: __mmask8 = if rows == 8 { 0xff } else { (1u8 << rows) - 1 };
+            let at = a.add(i0);
+            let tile = ct.add(i0 * N);
+            let mut acc = [_mm512_setzero_pd(); N];
+            for (j, accj) in acc.iter_mut().enumerate() {
+                *accj = _mm512_loadu_pd(tile.add(8 * j));
+            }
+            for k in 0..kc {
+                // The caller's next k block reads these rows kc columns on.
+                _mm_prefetch::<_MM_HINT_T0>(at.wrapping_add((k + kc) * lda) as *const i8);
+                let av = _mm512_maskz_loadu_pd(mask, at.add(k * lda));
+                let bk = bp.add(k * N);
+                for (j, accj) in acc.iter_mut().enumerate() {
+                    *accj = _mm512_fmadd_pd(av, _mm512_set1_pd(*bk.add(j)), *accj);
+                }
+            }
+            for (j, accj) in acc.iter().enumerate() {
+                _mm512_storeu_pd(tile.add(8 * j), *accj);
+            }
+            i0 += 8;
         }
     }
 

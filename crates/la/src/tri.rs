@@ -1,7 +1,25 @@
-//! Triangular solves (TRSV/TRSM analogues), column-oriented.
+//! Triangular solves: column-oriented TRSVs for one right-hand side, and
+//! recursive level-3 TRSMs for a block of them.
+//!
+//! A multi-column solve halves the triangle, solves the leading block,
+//! folds it into the remaining rows with one [`gemm`](crate::gemm::gemm)
+//! on disjoint row views of `B`, and recurses; only a diagonal block of at
+//! most `TRSM_LEAF` (32) rows is solved one column at a time. Every temporary
+//! comes from the GEMM's pooled packing panels.
 
-use crate::blas1::axpy;
+use crate::blas1::{axpy, dot};
+use crate::gemm::{gemm, Trans};
 use crate::mat::{MatMut, MatRef};
+
+/// Largest diagonal block a multi-column solve hands to the column loop.
+const TRSM_LEAF: usize = 32;
+
+/// Row at which a TRSM over `n > TRSM_LEAF` rows splits its triangle: the
+/// midpoint, rounded up to the SIMD row-tile height so the off-diagonal
+/// panel keeps the alignment of the parent.
+fn trsm_split(n: usize) -> usize {
+    (n / 2).next_multiple_of(8)
+}
 
 /// Solves `L x = b` in place, where `L` is the lower triangle of `a`.
 ///
@@ -44,20 +62,100 @@ pub fn solve_upper_inplace(a: MatRef<'_>, b: &mut [f64]) {
     }
 }
 
-/// Solves `L X = B` in place for a multi-column right-hand side.
-pub fn solve_lower_mat_inplace(a: MatRef<'_>, unit_diag: bool, mut b: MatMut<'_>) {
-    assert_eq!(a.ncols(), b.nrows(), "trsm: dimension mismatch");
-    for j in 0..b.ncols() {
-        solve_lower_inplace(a, unit_diag, b.col_mut(j));
+/// Solves `Lᵀ x = b` in place, where `L` is the lower triangle of `a`
+/// (the backward half of a Cholesky solve). Row `i` of `Lᵀ` is column `i`
+/// of `L`, so the substitution is dot-based.
+///
+/// # Panics
+/// Panics on dimension mismatch.
+pub fn solve_lower_transpose_inplace(a: MatRef<'_>, b: &mut [f64]) {
+    let n = a.ncols();
+    debug_assert_eq!(a.nrows(), n, "triangular solve needs a square matrix");
+    assert_eq!(b.len(), n, "solve_lower_t: rhs length mismatch");
+    for i in (0..n).rev() {
+        let col = a.col(i);
+        let s = dot(&col[i + 1..], &b[i + 1..]);
+        b[i] = (b[i] - s) / col[i];
     }
 }
 
-/// Solves `U X = B` in place for a multi-column right-hand side.
-pub fn solve_upper_mat_inplace(a: MatRef<'_>, mut b: MatMut<'_>) {
-    assert_eq!(a.ncols(), b.nrows(), "trsm: dimension mismatch");
-    for j in 0..b.ncols() {
-        solve_upper_inplace(a, b.col_mut(j));
+/// Which triangular system a [`trsm`] solves.
+#[derive(Clone, Copy)]
+enum Tri {
+    /// `L X = B`, `L` the lower triangle (unit diagonal if `unit`).
+    Lower { unit: bool },
+    /// `U X = B`, `U` the upper triangle.
+    Upper,
+    /// `Lᵀ X = B`, `L` the lower triangle.
+    LowerT,
+}
+
+/// The recursive TRSM behind the three `*_mat_inplace` entries (see the
+/// module docs). `Lower` substitutes forward — the leading block first,
+/// then `B₂ -= A₂₁ X₁`; `Upper` and `LowerT` substitute backward — the
+/// trailing block first, then `B₁ -= A₁₂ X₂`, with `A₁₂ = A₂₁ᵀ` read from
+/// the lower triangle for `LowerT`.
+fn trsm(tri: Tri, a: MatRef<'_>, mut b: MatMut<'_>) {
+    let n = a.ncols();
+    debug_assert_eq!(a.nrows(), n, "triangular solve needs a square matrix");
+    assert_eq!(n, b.nrows(), "trsm: dimension mismatch");
+    if n <= TRSM_LEAF {
+        for j in 0..b.ncols() {
+            let col = b.col_mut(j);
+            match tri {
+                Tri::Lower { unit } => solve_lower_inplace(a, unit, col),
+                Tri::Upper => solve_upper_inplace(a, col),
+                Tri::LowerT => solve_lower_transpose_inplace(a, col),
+            }
+        }
+        return;
     }
+    let h = trsm_split(n);
+    let (a11, a22) = (a.submatrix(0..h, 0..h), a.submatrix(h..n, h..n));
+    let (mut b1, mut b2) = b.split_at_row(h);
+    match tri {
+        Tri::Lower { .. } => {
+            trsm(tri, a11, b1.rb_mut());
+            gemm(-1.0, a.submatrix(h..n, 0..h), Trans::No, b1.rb(), Trans::No, 1.0, b2.rb_mut());
+            trsm(tri, a22, b2);
+        }
+        Tri::Upper | Tri::LowerT => {
+            trsm(tri, a22, b2.rb_mut());
+            let (a12, t) = match tri {
+                Tri::Upper => (a.submatrix(0..h, h..n), Trans::No),
+                _ => (a.submatrix(h..n, 0..h), Trans::Yes),
+            };
+            gemm(-1.0, a12, t, b2.rb(), Trans::No, 1.0, b1.rb_mut());
+            trsm(tri, a11, b1);
+        }
+    }
+}
+
+/// Solves `L X = B` in place for a multi-column right-hand side (TRSM,
+/// lower; `unit_diag` as in [`solve_lower_inplace`]).
+///
+/// # Panics
+/// Panics on dimension mismatch.
+pub fn solve_lower_mat_inplace(a: MatRef<'_>, unit_diag: bool, b: MatMut<'_>) {
+    trsm(Tri::Lower { unit: unit_diag }, a, b);
+}
+
+/// Solves `U X = B` in place for a multi-column right-hand side (TRSM,
+/// upper).
+///
+/// # Panics
+/// Panics on dimension mismatch.
+pub fn solve_upper_mat_inplace(a: MatRef<'_>, b: MatMut<'_>) {
+    trsm(Tri::Upper, a, b);
+}
+
+/// Solves `Lᵀ X = B` in place for a multi-column right-hand side (TRSM,
+/// transposed lower).
+///
+/// # Panics
+/// Panics on dimension mismatch.
+pub fn solve_lower_transpose_mat_inplace(a: MatRef<'_>, b: MatMut<'_>) {
+    trsm(Tri::LowerT, a, b);
 }
 
 /// Solves `U^T x = b` in place (forward substitution on the upper triangle).
@@ -68,7 +166,7 @@ pub fn solve_upper_transpose_inplace(a: MatRef<'_>, b: &mut [f64]) {
     // row j of U^T contiguously, so use dot-based substitution.
     for i in 0..n {
         let col = a.col(i);
-        let s = crate::blas1::dot(&col[..i], &b[..i]);
+        let s = dot(&col[..i], &b[..i]);
         b[i] = (b[i] - s) / col[i];
     }
 }

@@ -141,6 +141,43 @@ fn scalar_blas_and_gemm_small_cases() {
 }
 
 #[test]
+fn recursive_trsm_and_skinny_gemm_on_views() {
+    // One split of the TRSM recursion (n = 40 > the 32-row leaf) on
+    // `split_at_row` views, and a 4-column product on strided windows —
+    // the scalar packed path here, the unpacked kernel where AVX-512 runs.
+    let n = 40;
+    let l = Mat::from_fn(n, n, |i, j| match i.cmp(&j) {
+        std::cmp::Ordering::Greater => 0.05 * ((i * 3 + j) % 11) as f64,
+        std::cmp::Ordering::Equal => 2.0,
+        std::cmp::Ordering::Less => f64::NAN,
+    });
+    let x = Mat::from_fn(n, 3, |i, j| 1.0 + ((i + 2 * j) % 5) as f64);
+    // B = L X, formed by hand (the strict upper triangle is poison).
+    let mut b = Mat::from_fn(n, 3, |i, j| (0..=i).map(|p| l[(i, p)] * x[(p, j)]).sum());
+    kfds_la::tri::solve_lower_mat_inplace(l.rb(), false, b.rb_mut());
+    for (got, want) in b.as_slice().iter().zip(x.as_slice()) {
+        assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+    }
+
+    // Dyadic entries: every product and partial sum is exact, so the
+    // window must hold exactly C - A B under either path.
+    let big_a = Mat::from_fn(23, 12, |i, j| (i + 2 * j) as f64 * 0.125);
+    let big_b = Mat::from_fn(11, 6, |i, j| (3 * i + j) as f64 * 0.25);
+    let mut big_c = Mat::from_fn(22, 7, |i, j| (i * j) as f64);
+    let (a, bv) = (big_a.submatrix(2..22, 1..10), big_b.submatrix(1..10, 2..6));
+    gemm(-1.0, a, Trans::No, bv, Trans::No, 1.0, big_c.rb_mut().submatrix_mut(1..21, 2..6));
+    for j in 0..7 {
+        for i in 0..22 {
+            let mut want = (i * j) as f64;
+            if (1..21).contains(&i) && (2..6).contains(&j) {
+                want -= (0..9).map(|p| a.get(i - 1, p) * bv.get(p, j - 2)).sum::<f64>();
+            }
+            assert_eq!(big_c[(i, j)], want, "({i},{j})");
+        }
+    }
+}
+
+#[test]
 #[should_panic(expected = "row swap out of range")]
 fn swap_rows_rejects_out_of_range_indices() {
     // Out of range but still inside the allocation: without the bounds

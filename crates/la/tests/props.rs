@@ -4,7 +4,8 @@
 // property); the Miri lane runs the deterministic suite in `miri.rs`.
 #![cfg(not(miri))]
 
-use kfds_la::{gemm, interp_decomp, workspace, ColPivQr, Lu, Mat, Trans};
+use kfds_la::gemm::gemm_packed;
+use kfds_la::{gemm, interp_decomp, tri, workspace, Cholesky, ColPivQr, Lu, Mat, Trans};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -289,6 +290,202 @@ fn simd_blas_matches_scalar() {
                 (yt0_simd[j] - yt0_scalar[j]).abs() <= tol * (1.0 + yt0_scalar[j].abs()),
                 "gemv_t beta=0 ({m},{n}) row {j}"
             );
+        }
+    }
+}
+
+/// A well-conditioned `n x n` test triangle: `lower` picks which triangle
+/// holds the data; the opposite one is NaN, so any read of it shows.
+fn triangle(n: usize, lower: bool, seed: usize) -> Mat {
+    let off = 0.5 / (n as f64).sqrt();
+    Mat::from_fn(n, n, |i, j| {
+        if i == j {
+            1.5 + ((i + seed) % 7) as f64 * 0.25
+        } else if (i > j) == lower {
+            off * (((i * 31 + j * 17 + seed) % 101) as f64 * 0.37).sin()
+        } else {
+            f64::NAN
+        }
+    })
+}
+
+/// `max |got - want| / max |want|` over two equally shaped matrices.
+fn max_rel_diff(got: &Mat, want: &Mat) -> f64 {
+    let scale = want.as_slice().iter().fold(0.0f64, |m, v| m.max(v.abs()));
+    let diff =
+        got.as_slice().iter().zip(want.as_slice()).fold(0.0f64, |m, (a, b)| m.max((a - b).abs()));
+    diff / scale.max(f64::MIN_POSITIVE)
+}
+
+#[test]
+fn trsm_matches_column_loop_on_strided_views() {
+    // The four recursive TRSMs against one TRSV per column, across the
+    // leaf boundary (32) and odd splits, with both operands interior
+    // windows of larger matrices (col_stride > nrows).
+    type Trsv = fn(kfds_la::MatRef<'_>, &mut [f64]);
+    type Trsm = fn(kfds_la::MatRef<'_>, kfds_la::MatMut<'_>);
+    let variants: [(&str, bool, Trsv, Trsm); 4] = [
+        (
+            "lower unit",
+            true,
+            |a, b| tri::solve_lower_inplace(a, true, b),
+            |a, b| tri::solve_lower_mat_inplace(a, true, b),
+        ),
+        (
+            "lower",
+            true,
+            |a, b| tri::solve_lower_inplace(a, false, b),
+            |a, b| tri::solve_lower_mat_inplace(a, false, b),
+        ),
+        ("upper", false, tri::solve_upper_inplace, tri::solve_upper_mat_inplace),
+        (
+            "lower transposed",
+            true,
+            tri::solve_lower_transpose_inplace,
+            tri::solve_lower_transpose_mat_inplace,
+        ),
+    ];
+    for n in [1usize, 31, 32, 33, 97, 200] {
+        for nrhs in [1usize, 3, 4, 16, 17, 64] {
+            for (name, lower, trsv, trsm) in variants {
+                let mut big_a = Mat::from_fn(n + 5, n + 4, |_, _| f64::NAN);
+                let t = triangle(n, lower, n + nrhs);
+                for j in 0..n {
+                    big_a.col_mut(j + 2)[3..3 + n].copy_from_slice(t.col(j));
+                }
+                let a = big_a.submatrix(3..3 + n, 2..2 + n);
+                let b0 = Mat::from_fn(n, nrhs, |i, j| ((i * 13 + j * 29) as f64 * 0.071).cos());
+                let mut want = b0.clone();
+                for j in 0..nrhs {
+                    trsv(a, want.col_mut(j));
+                }
+                let mut big_b = Mat::from_fn(n + 7, nrhs + 2, |i, j| (i + j) as f64);
+                let untouched = big_b.clone();
+                for j in 0..nrhs {
+                    big_b.col_mut(j + 1)[4..4 + n].copy_from_slice(b0.col(j));
+                }
+                trsm(a, big_b.rb_mut().submatrix_mut(4..4 + n, 1..1 + nrhs));
+                let got = big_b.submatrix(4..4 + n, 1..1 + nrhs).to_mat();
+                let err = max_rel_diff(&got, &want);
+                assert!(err <= 1e-12, "{name} n={n} nrhs={nrhs}: rel err {err:.3e}");
+                for j in 0..nrhs + 2 {
+                    for i in 0..n + 7 {
+                        if !((4..4 + n).contains(&i) && (1..1 + nrhs).contains(&j)) {
+                            assert_eq!(big_b[(i, j)], untouched[(i, j)], "{name}: wrote outside B");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn factor_solve_mat_columns_match_single_solves() {
+    // Column j of the blocked LU / Cholesky solve against the one-vector
+    // solve: the same bits while the triangle is a TRSM leaf, 1e-12 above.
+    for n in [20usize, 40, 130, 200] {
+        let g = Mat::from_fn(n, n, |i, j| (((i * 7 + j * 13) % 53) as f64 * 0.41).sin());
+        let mut a = g.clone();
+        let mut spd = kfds_la::matmul_op(&g, Trans::Yes, &g, Trans::No);
+        for i in 0..n {
+            a[(i, i)] += n as f64 * 0.5;
+            spd[(i, i)] += n as f64;
+        }
+        let lu = Lu::factor(a).expect("lu");
+        let ch = Cholesky::factor(spd).expect("cholesky");
+        let b = Mat::from_fn(n, 5, |i, j| ((i * 3 + j * 11) as f64 * 0.13).cos());
+        let (mut x_lu, mut x_ch) = (b.clone(), b.clone());
+        lu.solve_mat_inplace(&mut x_lu);
+        ch.solve_mat_inplace(&mut x_ch);
+        let (mut w_lu, mut w_ch) = (b.clone(), b.clone());
+        for j in 0..5 {
+            lu.solve_inplace(w_lu.col_mut(j));
+            ch.solve_inplace(w_ch.col_mut(j));
+        }
+        if n <= 32 {
+            assert_eq!(x_lu.as_slice(), w_lu.as_slice(), "LU n={n}");
+            assert_eq!(x_ch.as_slice(), w_ch.as_slice(), "Cholesky n={n}");
+        }
+        let (e_lu, e_ch) = (max_rel_diff(&x_lu, &w_lu), max_rel_diff(&x_ch, &w_ch));
+        assert!(e_lu <= 1e-12, "LU n={n}: rel err {e_lu:.3e}");
+        assert!(e_ch <= 1e-12, "Cholesky n={n}: rel err {e_ch:.3e}");
+    }
+}
+
+#[test]
+fn skinny_gemm_matches_packed() {
+    // `gemm` (the unpacked AVX-512 path for n <= 16 where the CPU has it)
+    // against the packed path on the same strided views; n = 17 is the far
+    // side of the constant, where the two are the same code.
+    let _guard = POOL_TOGGLE.lock().unwrap();
+    for m in [1usize, 7, 8, 9, 255, 1030] {
+        for k in [1usize, 5, 256, 300] {
+            let big_a = Mat::from_fn(m + 3, k + 2, |i, j| ((i * 3 + j * 7) as f64 * 0.11).sin());
+            let a = big_a.submatrix(2..2 + m, 1..1 + k);
+            for n in 1usize..=17 {
+                let big_b = Mat::from_fn(k + 4, n + 1, |i, j| ((i * 5 + j) as f64 * 0.17).cos());
+                let b = big_b.submatrix(3..3 + k, 1..1 + n);
+                let c0 = Mat::from_fn(m + 5, n + 3, |i, j| ((i + 2 * j) as f64 * 0.05).sin());
+                for alpha in [1.0, -1.0, 2.5] {
+                    for beta in [0.0, 1.0, -0.5] {
+                        let (mut got, mut want) = (c0.clone(), c0.clone());
+                        let win = (4..4 + m, 2..2 + n);
+                        let gc = got.rb_mut().submatrix_mut(win.0.clone(), win.1.clone());
+                        gemm(alpha, a, Trans::No, b, Trans::No, beta, gc);
+                        let wc = want.rb_mut().submatrix_mut(win.0, win.1);
+                        gemm_packed(alpha, a, Trans::No, b, Trans::No, beta, wc);
+                        let tol = 1e-13 * (k as f64 + 2.0);
+                        for j in 0..n + 3 {
+                            for i in 0..m + 5 {
+                                let (g, w) = (got[(i, j)], want[(i, j)]);
+                                if (4..4 + m).contains(&i) && (2..2 + n).contains(&j) {
+                                    assert!(
+                                        (g - w).abs() <= tol * (1.0 + w.abs()),
+                                        "({m},{k},{n}) alpha={alpha} beta={beta} at ({i},{j}): {g} vs {w}"
+                                    );
+                                } else {
+                                    assert_eq!(g.to_bits(), w.to_bits(), "wrote outside C");
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn skinny_gemm_column_bits_ignore_company_and_threads() {
+    // A column of a skinny product is one FMA chain per element: the same
+    // bits computed alone, in any position of any n <= 16 column call, and
+    // under any pool size (m = 1100 row-splits under four threads and
+    // ends in a partial tile).
+    let _guard = POOL_TOGGLE.lock().unwrap();
+    let (m, k) = (1100usize, 70usize);
+    let a = Mat::from_fn(m, k, |i, j| ((i * 3 + j * 7) as f64 * 0.11).sin());
+    let b = Mat::from_fn(k, 16, |i, j| ((i * 5 + j * 13) as f64 * 0.17).cos());
+    let c0 = Mat::from_fn(m, 16, |i, j| ((i + 2 * j) as f64 * 0.05).sin());
+    let run =
+        |b: &Mat, c: &mut Mat| gemm(-1.0, a.rb(), Trans::No, b.rb(), Trans::No, 1.0, c.rb_mut());
+    let pool = |t| rayon::ThreadPoolBuilder::new().num_threads(t).build().expect("pool");
+    let mut full = c0.clone();
+    pool(1).install(|| run(&b, &mut full));
+    let mut full4 = c0.clone();
+    pool(4).install(|| run(&b, &mut full4));
+    assert_eq!(full.as_slice(), full4.as_slice(), "pool sizes 1 and 4 must give identical bits");
+    for j in [0usize, 7, 15] {
+        for n in 1usize..=16 {
+            for pos in 0..n {
+                // Column j of B and of C ride at position pos among n - 1
+                // unrelated columns.
+                let bn =
+                    Mat::from_fn(k, n, |i, c| if c == pos { b[(i, j)] } else { (i + c) as f64 });
+                let mut cn = Mat::from_fn(m, n, |i, c| if c == pos { c0[(i, j)] } else { 0.25 });
+                run(&bn, &mut cn);
+                assert_eq!(cn.col(pos), full.col(j), "column {j} at {pos} of {n}");
+            }
         }
     }
 }

@@ -49,6 +49,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/la/src/blas1.rs",
     "crates/la/src/blas2.rs",
     "crates/la/src/batch.rs",
+    "crates/la/src/tri.rs",
     "crates/kernels/src/gsks.rs",
     "crates/tree/src/dist_tiles.rs",
 ];
