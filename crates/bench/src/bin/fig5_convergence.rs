@@ -47,16 +47,16 @@ fn main() {
 
             // (b) Hybrid: partial factorization + reduced GMRES.
             let (ft_res, t_factor) = timed(|| factorize(&st, &kernel, cfg));
-            let (hy_x, hy_iters, hy_res, t_hybrid, unstable) = match &ft_res {
+            let (hy_op, hy_iters, hy_res, t_hybrid, unstable) = match &ft_res {
                 Ok(ft) => {
                     let hy = HybridSolver::new(ft).expect("hybrid");
                     let (out, th) = timed(|| hy.solve(&b, &opts).expect("solve"));
                     let r = rel_err(&kfds_askit::hier_matvec(&st, &kernel, lambda, &out.x), &b);
-                    (Some(out.x), out.gmres.iters, r, th, ft.stats().is_unstable())
+                    let op = out.reduced.operator.to_string();
+                    (op, out.gmres.iters, r, th, ft.stats().is_unstable())
                 }
-                Err(_) => (None, 0, f64::NAN, 0.0, true),
+                Err(_) => ("-".into(), 0, f64::NAN, 0.0, true),
             };
-            let _ = hy_x;
 
             println!("\n## #{id} {name}: lambda = {lambda:.3e} (kappa ~ {kappa:.0e}), setup offset (a) = {t_setup:.2}s, (b) = {:.2}s", t_setup + t_factor);
             println!("method,iter,seconds,relative_residual");
@@ -66,7 +66,7 @@ fn main() {
             let r_plain = rel_err(&kfds_askit::hier_matvec(&st, &kernel, lambda, &plain.x), &b);
             println!("gmres,{},{:.3},{:.3e}  # final", plain.iters, t_setup + t_plain, r_plain);
             println!(
-                "hybrid,{hy_iters},{:.3},{hy_res:.3e}  # final{}",
+                "hybrid,{hy_iters},{:.3},{hy_res:.3e}  # final, {hy_op} reduced operator{}",
                 t_setup + t_factor + t_hybrid,
                 if unstable { " (instability detected — paper run #30 analogue)" } else { "" }
             );
@@ -76,7 +76,7 @@ fn main() {
                 name.to_string(),
                 format!("{:.0e}", kappa),
                 format!("{}/{r_plain:.0e}", plain.iters),
-                format!("{hy_iters}/{hy_res:.0e}"),
+                format!("{hy_iters}/{hy_res:.0e} {hy_op}"),
                 format!("{:.1}s vs {:.1}s", t_setup + t_plain, t_setup + t_factor + t_hybrid),
                 if unstable { "detected".into() } else { "-".into() },
             ]);

@@ -5,21 +5,39 @@
 //! over `φ ∈ A` (factorized directly), `W = D^{-1} blockdiag(P_{φφ̃})`
 //! (the frontier `P̂` factors, Algorithm II.7), and `V` stacks the
 //! skeleton-row blocks `K_{φ̃, X∖φ}` (Algorithm II.8, evaluated
-//! matrix-free — the storage for these blocks above the frontier is
-//! exactly what the hybrid scheme avoids). The reduced system
-//! `(I + V W) z = V D^{-1} u` of size `Σ_φ s_φ ≈ 2^L s` is solved by
-//! GMRES; then `x = D^{-1}u − W z`.
+//! matrix-free). The reduced system `(I + V W) z = V D^{-1} u` of size
+//! `r = Σ_φ s_φ ≈ 2^L s` is solved by GMRES; then `x = D^{-1}u − W z`.
+//!
+//! GMRES runs over one of two renderings of `I + VW`, chosen by size
+//! alone: while the dense `8r²` bytes are no more than the partial factor
+//! already holds, the operator is assembled once per factor (one kernel
+//! pass plus `2rNs` flops — about three matrix-free applications) and every
+//! iteration is a `gemv`; beyond that — the paper's regime, where the
+//! matrix "exceeds 500 GB" — each iteration is one `W` and one `V`
+//! application and nothing above the frontier is stored.
 
 use crate::error::SolverError;
 use crate::factor::FactorTree;
 use kfds_kernels::{sum_fused, sum_fused_multi, Kernel};
-use kfds_krylov::{gmres, FnOp, GmresOptions, SolveResult};
+use kfds_krylov::{gmres, DenseOp, FnOp, GmresOptions, LinOp, SolveResult};
 use kfds_la::{gemm, workspace, Mat, Trans};
 use rayon::prelude::*;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 /// A level-restricted hybrid solver built on a partial factorization.
 pub struct HybridSolver<'a, 'f, K: Kernel> {
     ft: &'f FactorTree<'a, K>,
+    sys: Arc<ReducedSystem>,
+}
+
+/// Everything the hybrid solver holds beyond the borrowed factor tree: the
+/// frontier layout and, once a solve has needed it, the assembled reduced
+/// operator. Behind an `Arc` so an owned factor
+/// ([`SharedFactor`](crate::SharedFactor)) keeps one beside its factor
+/// tree and every batch solved on that factor shares it.
+pub(crate) struct ReducedSystem {
     /// Frontier nodes sorted by their point range.
     frontier: Vec<usize>,
     /// Prefix offsets of each frontier node's skeleton block in the
@@ -30,6 +48,40 @@ pub struct HybridSolver<'a, 'f, K: Kernel> {
     /// Per frontier node `φ`, the point indices of `X∖φ` in ascending
     /// order: the source list of its `V` block (empty at rank 0).
     complements: Vec<Vec<usize>>,
+    /// `I + VW` as a dense matrix, assembled by the first solve the size
+    /// rule sends there — never at construction — and at most once.
+    dense: OnceLock<Mat>,
+}
+
+/// Which rendering of the reduced operator `I + VW` GMRES ran over.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ReducedOperator {
+    /// The dense `reduced_dim²` matrix; one `gemv` per iteration.
+    Assembled,
+    /// One `W` and one `V` application per iteration; nothing stored.
+    MatrixFree,
+}
+
+impl fmt::Display for ReducedOperator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ReducedOperator::Assembled => "assembled",
+            ReducedOperator::MatrixFree => "matrix-free",
+        })
+    }
+}
+
+/// What the reduced operator of one hybrid solve was and what it cost.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ReducedReport {
+    /// The rendering GMRES ran over.
+    pub operator: ReducedOperator,
+    /// Seconds this call spent assembling it: 0 when an earlier solve on
+    /// the same factor already had, and always 0 matrix-free.
+    pub assembly_seconds: f64,
+    /// Bytes of the dense operator held (0 matrix-free). These sit
+    /// outside [`FactorStats::stored_bytes`](crate::FactorStats).
+    pub bytes: usize,
 }
 
 /// Outcome of a hybrid solve.
@@ -39,6 +91,18 @@ pub struct HybridOutcome {
     pub x: Vec<f64>,
     /// GMRES result for the reduced system (iterations, trace).
     pub gmres: SolveResult,
+    /// The reduced operator that GMRES ran over.
+    pub reduced: ReducedReport,
+}
+
+/// Outcome of a blocked hybrid solve (the solution replaces the
+/// right-hand side in place).
+#[derive(Clone, Debug)]
+pub struct HybridBlockOutcome {
+    /// One GMRES result per right-hand-side column.
+    pub gmres: Vec<SolveResult>,
+    /// The reduced operator every column's GMRES ran over.
+    pub reduced: ReducedReport,
 }
 
 impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
@@ -86,12 +150,36 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
                 (0..nd.begin).chain(nd.end..n).collect()
             })
             .collect();
-        Ok(HybridSolver { ft, frontier, offsets, reduced_dim: acc, complements })
+        let sys = ReducedSystem {
+            frontier,
+            offsets,
+            reduced_dim: acc,
+            complements,
+            dense: OnceLock::new(),
+        };
+        Ok(HybridSolver { ft, sys: Arc::new(sys) })
+    }
+
+    /// Rebuilds a solver around the state of an earlier one on the same
+    /// factor tree, sharing its layout and assembled operator.
+    pub(crate) fn from_shared(ft: &'f FactorTree<'a, K>, sys: Arc<ReducedSystem>) -> Self {
+        HybridSolver { ft, sys }
+    }
+
+    /// The shareable state, for [`Self::from_shared`].
+    pub(crate) fn shared(&self) -> Arc<ReducedSystem> {
+        Arc::clone(&self.sys)
     }
 
     /// Size of the iteratively solved reduced system (`≈ 2^L s`).
     pub fn reduced_dim(&self) -> usize {
-        self.reduced_dim
+        self.sys.reduced_dim
+    }
+
+    /// Bytes of the assembled reduced operator held right now: 0 before
+    /// the first solve, and always 0 when the solves run matrix-free.
+    pub fn reduced_bytes(&self) -> usize {
+        self.sys.dense.get().map_or(0, |z| z.nrows() * z.ncols() * 8)
     }
 
     /// The skeleton tree underlying the factorization.
@@ -101,7 +189,13 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
 
     /// The frontier nodes, sorted by point range.
     pub fn frontier(&self) -> &[usize] {
-        &self.frontier
+        &self.sys.frontier
+    }
+
+    /// Per frontier node `φ`, the ascending point indices of `X∖φ` (empty
+    /// at rank 0): the columns of its `V` block.
+    pub(crate) fn complements(&self) -> &[Vec<usize>] {
+        &self.sys.complements
     }
 
     /// `D^{-1} u` in place: independent direct solves on the frontier
@@ -110,9 +204,9 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         let tree = self.ft.skeleton_tree().tree();
         let ctx = self.ft.ctx();
         // Frontier ranges partition u; split it into per-node chunks.
-        let mut chunks: Vec<(usize, &mut [f64])> = Vec::with_capacity(self.frontier.len());
+        let mut chunks: Vec<(usize, &mut [f64])> = Vec::with_capacity(self.sys.frontier.len());
         let mut rest = u;
-        for &f in &self.frontier {
+        for &f in &self.sys.frontier {
             let len = tree.node(f).len();
             let (head, tail) = rest.split_at_mut(len);
             chunks.push((f, head));
@@ -124,11 +218,12 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// `out[φ] = P̂_φ z_φ` (Algorithm II.7: `MatVecW` fires only on the
     /// frontier since `P = I` above it).
     fn apply_w(&self, z: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(z.len(), self.reduced_dim);
+        debug_assert_eq!(z.len(), self.sys.reduced_dim);
         let tree = self.ft.skeleton_tree().tree();
-        let mut chunks: Vec<(usize, usize, &mut [f64])> = Vec::with_capacity(self.frontier.len());
+        let mut chunks: Vec<(usize, usize, &mut [f64])> =
+            Vec::with_capacity(self.sys.frontier.len());
         let mut rest = out;
-        for (k, &f) in self.frontier.iter().enumerate() {
+        for (k, &f) in self.sys.frontier.iter().enumerate() {
             let len = tree.node(f).len();
             let (head, tail) = rest.split_at_mut(len);
             chunks.push((k, f, head));
@@ -136,7 +231,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         }
         let ctx = self.ft.ctx();
         chunks.into_par_iter().for_each(|(k, f, chunk)| {
-            let zk = &z[self.offsets[k]..self.offsets[k + 1]];
+            let zk = &z[self.sys.offsets[k]..self.sys.offsets[k + 1]];
             if let Some(p_hat) = self.ft.factors()[f].p_hat.as_ref() {
                 kfds_la::blas2::gemv(1.0, p_hat.rb(), zk, 0.0, chunk);
             } else {
@@ -155,9 +250,10 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         let pts = tree.points();
         let kernel = self.ft.kernel();
         let segments: Vec<Vec<f64>> = self
+            .sys
             .frontier
             .par_iter()
-            .zip(self.complements.par_iter())
+            .zip(self.sys.complements.par_iter())
             .map(|(&f, rest)| {
                 let sk = st.skeleton(f).expect("frontier skeleton");
                 if sk.rank() == 0 {
@@ -173,7 +269,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
                 y
             })
             .collect();
-        let mut out = Vec::with_capacity(self.reduced_dim);
+        let mut out = Vec::with_capacity(self.sys.reduced_dim);
         for seg in segments {
             out.extend(seg);
         }
@@ -196,6 +292,106 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         self.apply_v(x)
     }
 
+    /// `out = (I + V W) z`, matrix-free: one `W` then one `V` application.
+    fn apply_reduced(&self, z: &[f64], out: &mut [f64]) {
+        let n = self.ft.skeleton_tree().tree().points().len();
+        let mut wz = vec![0.0; n];
+        self.apply_w(z, &mut wz);
+        let vwz = self.apply_v(&wz);
+        for i in 0..z.len() {
+            out[i] = z[i] + vwz[i];
+        }
+    }
+
+    /// `I + VW` as a dense `reduced_dim²` matrix, assembled afresh (the
+    /// solves keep their own copy; see [`Self::reduced_bytes`]). Block
+    /// `(φ, ψ)`, `φ ≠ ψ`, is `K_{φ̃,ψ} P̂_ψ` — one fused summation over
+    /// `ψ`'s points with the `s_ψ` columns of `P̂_ψ` as right-hand sides —
+    /// and the diagonal blocks are `I`, since `V` excludes a node's own
+    /// points. One kernel pass over `K_{φ̃, X∖φ}` plus `2·r·N·s` flops.
+    pub fn assemble_reduced(&self) -> Mat {
+        let st = self.ft.skeleton_tree();
+        let tree = st.tree();
+        let pts = tree.points();
+        let kernel = self.ft.kernel();
+        let ctx = self.ft.ctx();
+        let ReducedSystem { frontier, offsets, .. } = &*self.sys;
+        let mut z = Mat::identity(self.sys.reduced_dim);
+        // One column panel per frontier node ψ, filled in parallel.
+        let mut panels = Vec::with_capacity(frontier.len());
+        let mut rest = z.rb_mut();
+        for (kq, &psi) in frontier.iter().enumerate() {
+            let (panel, tail) = rest.split_at_col(offsets[kq + 1] - offsets[kq]);
+            panels.push((kq, psi, panel));
+            rest = tail;
+        }
+        panels.into_par_iter().for_each(|(kq, psi, mut panel)| {
+            let s_psi = panel.ncols();
+            if s_psi == 0 {
+                return;
+            }
+            // Recompute-W mode dropped P̂_ψ: telescope it through eq. (10)
+            // applied to the identity (the dense block needs the columns).
+            let recomputed;
+            let p_hat = match self.ft.factors()[psi].p_hat.as_ref() {
+                Some(stored) => stored,
+                None => {
+                    recomputed = ctx.apply_p_hat_mat(psi, &Mat::identity(s_psi));
+                    &recomputed
+                }
+            };
+            let psi_points: Vec<usize> = tree.node(psi).range().collect();
+            for (kp, &phi) in frontier.iter().enumerate() {
+                if kp == kq {
+                    continue;
+                }
+                let sk = st.skeleton(phi).expect("frontier skeleton");
+                let block = panel.rb_mut().submatrix_mut(offsets[kp]..offsets[kp + 1], 0..s_psi);
+                sum_fused_multi(kernel, pts, &sk.skeleton, &psi_points, p_hat.rb(), block);
+            }
+        });
+        z
+    }
+
+    /// The reduced operator is kept as a dense matrix exactly while it is
+    /// no larger than the partial factor it sits on. At `L = 3`, `s = 128`
+    /// that is 8 MiB beside tens of MiB of factor and GMRES runs on a
+    /// `gemv`; at the paper's `L = 7`, `s = 2048` it would be 512 GiB and
+    /// only the matrix-free application exists.
+    fn assembles(&self) -> bool {
+        let r = self.sys.reduced_dim;
+        r.saturating_mul(r).saturating_mul(8) <= self.ft.stats().stored_bytes
+    }
+
+    /// Runs `f` over the reduced operator the size rule selects,
+    /// assembling it first if this is the first solve to need it.
+    fn with_reduced_op<R>(&self, f: impl FnOnce(&dyn LinOp) -> R) -> (R, ReducedReport) {
+        if !self.assembles() {
+            let op = FnOp::new(self.sys.reduced_dim, |z: &[f64], out: &mut [f64]| {
+                self.apply_reduced(z, out)
+            });
+            let report = ReducedReport {
+                operator: ReducedOperator::MatrixFree,
+                assembly_seconds: 0.0,
+                bytes: 0,
+            };
+            return (f(&op), report);
+        }
+        let mut assembly_seconds = 0.0;
+        let z = self.sys.dense.get_or_init(|| {
+            let t0 = Instant::now();
+            let z = self.assemble_reduced();
+            assembly_seconds = t0.elapsed().as_secs_f64();
+            z
+        });
+        let report = ReducedReport {
+            operator: ReducedOperator::Assembled,
+            assembly_seconds,
+            bytes: self.reduced_bytes(),
+        };
+        (f(&DenseOp::new(z.rb())), report)
+    }
+
     /// Solves `(λI + K̃) x = b` (`b` in permuted order) — Algorithm II.6.
     pub fn solve(&self, b: &[f64], opts: &GmresOptions) -> Result<HybridOutcome, SolverError> {
         let n = self.ft.skeleton_tree().tree().points().len();
@@ -203,30 +399,10 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         // v = D^{-1} u.
         let mut v = b.to_vec();
         self.apply_dinv(&mut v);
-        if self.reduced_dim == 0 {
-            return Ok(HybridOutcome {
-                x: v,
-                gmres: SolveResult {
-                    x: vec![],
-                    converged: true,
-                    iters: 0,
-                    residual: 0.0,
-                    trace: vec![],
-                },
-            });
-        }
-        // Reduced right-hand side y = V v.
+        // Reduced right-hand side y = V v (empty when every rank is 0).
         let y = self.apply_v(&v);
-        // (I + V W) z = y, matrix-free.
-        let op = FnOp::new(self.reduced_dim, |z: &[f64], out: &mut [f64]| {
-            let mut wz = vec![0.0; n];
-            self.apply_w(z, &mut wz);
-            let vwz = self.apply_v(&wz);
-            for i in 0..z.len() {
-                out[i] = z[i] + vwz[i];
-            }
-        });
-        let gm = gmres(&op, &y, None, opts);
+        // (I + V W) z = y.
+        let (gm, reduced) = self.with_reduced_op(|op| gmres(op, &y, None, opts));
         // x = v − W z.
         let mut wz = vec![0.0; n];
         self.apply_w(&gm.x, &mut wz);
@@ -234,7 +410,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         for (xi, wi) in x.iter_mut().zip(&wz) {
             *xi -= wi;
         }
-        Ok(HybridOutcome { x, gmres: gm })
+        Ok(HybridOutcome { x, gmres: gm, reduced })
     }
 
     /// `D^{-1} U` for a multi-column right-hand side: blocked frontier
@@ -246,6 +422,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         let ctx = self.ft.ctx();
         let nrhs = u.ncols();
         let solved: Vec<(usize, Mat)> = self
+            .sys
             .frontier
             .par_iter()
             .map(|&f| {
@@ -274,9 +451,10 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         let kernel = self.ft.kernel();
         let nrhs = x.ncols();
         let segments: Vec<Mat> = self
+            .sys
             .frontier
             .par_iter()
-            .zip(self.complements.par_iter())
+            .zip(self.sys.complements.par_iter())
             .map(|(&f, rest)| {
                 let sk = st.skeleton(f).expect("frontier skeleton");
                 let s = sk.rank();
@@ -296,9 +474,9 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
                 y
             })
             .collect();
-        let mut out = Mat::zeros(self.reduced_dim, nrhs);
+        let mut out = Mat::zeros(self.sys.reduced_dim, nrhs);
         for (k, seg) in segments.into_iter().enumerate() {
-            let off = self.offsets[k];
+            let off = self.sys.offsets[k];
             for j in 0..nrhs {
                 out.col_mut(j)[off..off + seg.nrows()].copy_from_slice(seg.col(j));
             }
@@ -310,16 +488,16 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// Multi-RHS `W` application: `out[φ] = P̂_φ Z_φ` per frontier node as
     /// a GEMM over all columns.
     fn apply_w_mat(&self, z: &Mat, out: &mut Mat) {
-        debug_assert_eq!(z.nrows(), self.reduced_dim);
+        debug_assert_eq!(z.nrows(), self.sys.reduced_dim);
         let tree = self.ft.skeleton_tree().tree();
         let nrhs = z.ncols();
         let ctx = self.ft.ctx();
-        let indexed: Vec<(usize, usize)> = self.frontier.iter().copied().enumerate().collect();
+        let indexed: Vec<(usize, usize)> = self.sys.frontier.iter().copied().enumerate().collect();
         let chunks: Vec<(usize, Mat)> = indexed
             .into_par_iter()
             .map(|(k, f)| {
                 let zk = workspace::mat_from_view(
-                    z.submatrix(self.offsets[k]..self.offsets[k + 1], 0..nrhs),
+                    z.submatrix(self.sys.offsets[k]..self.sys.offsets[k + 1], 0..nrhs),
                 );
                 let chunk = if let Some(p_hat) = self.ft.factors()[f].p_hat.as_ref() {
                     let mut c = workspace::take_mat_detached(tree.node(f).len(), nrhs);
@@ -348,8 +526,8 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// The frontier direct solves (`D^{-1}`), the reduced right-hand side
     /// (`V`), and the final correction (`W`) run blocked over all columns
     /// (GEMM-shaped); the reduced `(I + VW) z = y` systems are solved by
-    /// GMRES per column (the reduced dimension is `≈ 2^L s`, so this is
-    /// the cheap part). Returns one [`SolveResult`] per column.
+    /// one GMRES per column, the columns in parallel over the one shared
+    /// read-only operator.
     ///
     /// # Errors
     /// Currently infallible after construction, but kept fallible to match
@@ -358,34 +536,21 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         &self,
         b: &mut Mat,
         opts: &GmresOptions,
-    ) -> Result<Vec<SolveResult>, SolverError> {
+    ) -> Result<HybridBlockOutcome, SolverError> {
         let n = self.ft.skeleton_tree().tree().points().len();
         assert_eq!(b.nrows(), n, "hybrid solve: rhs rows mismatch");
         let nrhs = b.ncols();
         // V_mat = D^{-1} B, blocked over the frontier.
         self.apply_dinv_mat(b);
-        if self.reduced_dim == 0 || nrhs == 0 {
-            let done =
-                SolveResult { x: vec![], converged: true, iters: 0, residual: 0.0, trace: vec![] };
-            return Ok((0..nrhs).map(|_| done.clone()).collect());
-        }
         // Reduced right-hand sides Y = V D^{-1} B, one fused pass.
         let y = self.apply_v_mat(b);
-        // (I + V W) z_j = y_j per column, matrix-free.
-        let op = FnOp::new(self.reduced_dim, |z: &[f64], out: &mut [f64]| {
-            let mut wz = vec![0.0; n];
-            self.apply_w(z, &mut wz);
-            let vwz = self.apply_v(&wz);
-            for i in 0..z.len() {
-                out[i] = z[i] + vwz[i];
-            }
+        // (I + V W) z_j = y_j per column.
+        let (results, reduced): (Vec<SolveResult>, _) = self.with_reduced_op(|op| {
+            (0..nrhs).into_par_iter().map(|j| gmres(op, y.col(j), None, opts)).collect()
         });
-        let mut zmat = Mat::zeros(self.reduced_dim, nrhs);
-        let mut results = Vec::with_capacity(nrhs);
-        for j in 0..nrhs {
-            let gm = gmres(&op, y.col(j), None, opts);
+        let mut zmat = Mat::zeros(self.sys.reduced_dim, nrhs);
+        for (j, gm) in results.iter().enumerate() {
             zmat.col_mut(j).copy_from_slice(&gm.x);
-            results.push(gm);
         }
         // X = D^{-1} B − W Z, blocked.
         let mut wz = Mat::zeros(n, nrhs);
@@ -396,7 +561,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
                 *xi -= wi;
             }
         }
-        Ok(results)
+        Ok(HybridBlockOutcome { gmres: results, reduced })
     }
 
     /// Convenience wrapper: right-hand side and solution in *original*

@@ -1,18 +1,21 @@
 //! Fully direct solver under level restriction — the comparison point of
 //! Table V.
 //!
-//! Instead of iterating on the reduced system `(I + VW)` like the hybrid
-//! solver, this variant *assembles and LU-factorizes* it densely: with the
-//! frontier at level `L` the system has dimension `M = Σ_φ s_φ ≈ 2^L s`,
-//! so the assembly costs `O(2^L s² N)` work and `O(2^{2L} s²)` memory —
-//! exactly the blow-up the paper quotes ("if we further increase L, the
-//! cost of the full factorization can be 1000× in runtime and 30× in
-//! storage"), and the reason the hybrid scheme exists.
+//! Where the hybrid solver iterates on the reduced system `(I + VW)`, this
+//! variant LU-factorizes it: with the frontier at level `L` the system has
+//! dimension `M = Σ_φ s_φ ≈ 2^L s`, so the assembly
+//! ([`HybridSolver::assemble_reduced`], the routine the hybrid itself uses
+//! while the matrix is small) costs `O(2^L s² N)` work and `O(2^{2L} s²)`
+//! memory and the LU `O(2^{3L} s³)` on top — exactly the blow-up the paper
+//! quotes ("if we further increase L, the cost of the full factorization
+//! can be 1000× in runtime and 30× in storage"), and the reason the
+//! hybrid's matrix-free path exists.
 
 use crate::error::SolverError;
 use crate::factor::FactorTree;
 use crate::hybrid::HybridSolver;
-use kfds_kernels::{sum_fused_multi, Kernel};
+use kfds_kernels::{eval_block, Kernel};
+use kfds_la::blas2::gemv;
 use kfds_la::{Lu, Mat};
 use rayon::prelude::*;
 
@@ -21,9 +24,7 @@ use rayon::prelude::*;
 pub struct LevelRestrictedDirect<'a, 'f, K: Kernel> {
     hybrid: HybridSolver<'a, 'f, K>,
     z_lu: Lu,
-    /// Dimension `M` of the assembled reduced system.
-    reduced_dim: usize,
-    /// Stored frontier `V` row blocks `K_{φ̃, X}` (per frontier node),
+    /// Stored frontier `V` row blocks `K_{φ̃, X∖φ}` (per frontier node),
     /// present in [`crate::StorageMode::StoredGemv`] — the `2^L s N`
     /// memory term of the paper's Table V discussion.
     stored_v: Option<Vec<Mat>>,
@@ -43,135 +44,60 @@ impl<'a, 'f, K: Kernel> LevelRestrictedDirect<'a, 'f, K> {
         let t0 = std::time::Instant::now();
         let hybrid = HybridSolver::new(ft)?;
         let st = ft.skeleton_tree();
-        let tree = st.tree();
-        let pts = tree.points();
-        let kernel = ft.kernel();
-        let frontier = hybrid.frontier().to_vec();
-        let offsets: Vec<usize> = {
-            let mut o = Vec::with_capacity(frontier.len() + 1);
-            let mut acc = 0;
-            o.push(0);
-            for &f in &frontier {
-                acc += st.skeleton(f).expect("frontier skeleton").rank();
-                o.push(acc);
-            }
-            o
-        };
-        let m_dim = *offsets.last().expect("non-empty offsets");
-        let mut z = Mat::identity(m_dim);
-
-        // (VW)_{φψ} = K_{φ̃, ψ} P̂_ψ for ψ != φ (the own-block term is
-        // excluded from V). Assemble block-column-parallel.
-        // Materialize the frontier P̂ factors where the recompute-W mode
-        // dropped them (the dense assembly genuinely needs the columns).
-        let materialized: Vec<Mat> = frontier
-            .par_iter()
-            .map(|&psi| match ft.factors()[psi].p_hat.as_ref() {
-                Some(p) => p.clone(),
-                None => {
-                    let s_psi = st.skeleton(psi).expect("frontier skeleton").rank();
-                    ft.ctx().apply_p_hat_mat(psi, &Mat::identity(s_psi))
-                }
-            })
-            .collect();
-        let blocks: Vec<(usize, usize, Mat)> = frontier
-            .par_iter()
-            .enumerate()
-            .flat_map_iter(|(jq, &psi)| {
-                let p_hat = &materialized[jq];
-                let psi_cols: Vec<usize> = tree.node(psi).range().collect();
-                frontier
-                    .iter()
-                    .enumerate()
-                    .filter(move |&(iq, _)| iq != jq)
-                    .map(|(iq, &phi)| {
-                        let skf = st.skeleton(phi).expect("frontier skeleton");
-                        let mut blk = Mat::zeros(skf.rank(), p_hat.ncols());
-                        if skf.rank() > 0 && p_hat.ncols() > 0 {
-                            sum_fused_multi(
-                                kernel,
-                                pts,
-                                &skf.skeleton,
-                                &psi_cols,
-                                p_hat.rb(),
-                                blk.rb_mut(),
-                            );
-                        }
-                        (iq, jq, blk)
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-            })
-            .collect();
-        for (iq, jq, blk) in blocks {
-            for j in 0..blk.ncols() {
-                for i in 0..blk.nrows() {
-                    z[(offsets[iq] + i, offsets[jq] + j)] += blk[(i, j)];
-                }
-            }
-        }
-        let z_lu = Lu::factor(z)
-            .map_err(|e| SolverError::Factorization { node: tree.root(), source: e })?;
-        // Stored mode: materialize the frontier V rows K_{φ̃, X} so solves
+        let pts = st.tree().points();
+        let m_dim = hybrid.reduced_dim();
+        let z_lu = Lu::factor(hybrid.assemble_reduced())
+            .map_err(|e| SolverError::Factorization { node: st.tree().root(), source: e })?;
+        // Stored mode: materialize the frontier V rows K_{φ̃, X∖φ} so solves
         // use GEMV instead of fused kernel evaluation (the paper's
         // O(2^L s N) storage term).
-        let n = pts.len();
-        let mut reduced_bytes = m_dim * m_dim * 8;
-        let stored_v = if ft.config().storage == crate::StorageMode::StoredGemv {
-            let all: Vec<usize> = (0..n).collect();
-            let blocks: Vec<Mat> = frontier
-                .par_iter()
-                .map(|&phi| {
-                    let sk = st.skeleton(phi).expect("frontier skeleton");
-                    kfds_kernels::eval_block(kernel, pts, &sk.skeleton, &all)
-                })
-                .collect();
-            reduced_bytes += blocks.iter().map(|b| b.nrows() * b.ncols() * 8).sum::<usize>();
-            Some(blocks)
-        } else {
-            None
-        };
+        let stored_v: Option<Vec<Mat>> = (ft.config().storage == crate::StorageMode::StoredGemv)
+            .then(|| {
+                hybrid
+                    .frontier()
+                    .par_iter()
+                    .zip(hybrid.complements().par_iter())
+                    .map(|(&phi, rest)| {
+                        let sk = st.skeleton(phi).expect("frontier skeleton");
+                        eval_block(ft.kernel(), pts, &sk.skeleton, rest)
+                    })
+                    .collect()
+            });
+        let v_bytes: usize = stored_v.iter().flatten().map(|b| b.nrows() * b.ncols() * 8).sum();
         Ok(LevelRestrictedDirect {
             hybrid,
             z_lu,
-            reduced_dim: m_dim,
             stored_v,
             assembly_seconds: t0.elapsed().as_secs_f64(),
-            reduced_bytes,
+            reduced_bytes: m_dim * m_dim * 8 + v_bytes,
         })
     }
 
     /// `y = V x` using the stored frontier blocks when available, the
     /// matrix-free path otherwise.
     fn apply_v(&self, x: &[f64]) -> Vec<f64> {
-        match &self.stored_v {
-            None => self.hybrid.apply_v_pub(x),
-            Some(blocks) => {
-                let st = self.hybrid_skeleton_tree();
-                let tree = st.tree();
-                let mut out = Vec::with_capacity(self.reduced_dim);
-                for (k, &phi) in self.hybrid.frontier().iter().enumerate() {
-                    let blk = &blocks[k];
-                    let mut y = vec![0.0; blk.nrows()];
-                    kfds_la::blas2::gemv(1.0, blk.rb(), x, 0.0, &mut y);
-                    // Subtract the own-node contribution (V excludes it).
-                    let nd = tree.node(phi);
-                    let own = blk.submatrix(0..blk.nrows(), nd.begin..nd.end);
-                    kfds_la::blas2::gemv(-1.0, own, &x[nd.range()], 1.0, &mut y);
-                    out.extend(y);
-                }
-                out
+        let Some(blocks) = &self.stored_v else {
+            return self.hybrid.apply_v_pub(x);
+        };
+        let tree = self.hybrid.skeleton_tree().tree();
+        let mut out = vec![0.0; self.reduced_dim()];
+        let mut rest = out.as_mut_slice();
+        for (&phi, blk) in self.hybrid.frontier().iter().zip(blocks) {
+            let (y, tail) = rest.split_at_mut(blk.nrows());
+            rest = tail;
+            if blk.nrows() > 0 {
+                // x on X∖φ: the two runs either side of φ's range.
+                let nd = tree.node(phi);
+                let xr = [&x[..nd.begin], &x[nd.end..]].concat();
+                gemv(1.0, blk.rb(), &xr, 0.0, y);
             }
         }
-    }
-
-    fn hybrid_skeleton_tree(&self) -> &'a kfds_askit::SkeletonTree {
-        self.hybrid.skeleton_tree()
+        out
     }
 
     /// Dimension of the assembled reduced system (`≈ 2^L s`).
     pub fn reduced_dim(&self) -> usize {
-        self.reduced_dim
+        self.hybrid.reduced_dim()
     }
 
     /// Solves `(λI + K̃) x = b` (`b` in permuted order) with the dense
@@ -179,7 +105,7 @@ impl<'a, 'f, K: Kernel> LevelRestrictedDirect<'a, 'f, K> {
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let mut v = b.to_vec();
         self.hybrid.apply_dinv_pub(&mut v);
-        if self.reduced_dim == 0 {
+        if self.reduced_dim() == 0 {
             return v;
         }
         let mut y = self.apply_v(&v);

@@ -50,7 +50,7 @@ pub use dist::{dist_factorize, DistSolver};
 pub use error::SolverError;
 pub use factor::{factorize, factorize_with_blocks, FactorTree, LeafFactor, NodeFactors};
 pub use gp::{GaussianProcess, NoiseSweepEntry};
-pub use hybrid::{HybridOutcome, HybridSolver};
+pub use hybrid::{HybridBlockOutcome, HybridOutcome, HybridSolver, ReducedOperator, ReducedReport};
 pub use leveldirect::LevelRestrictedDirect;
 pub use partition::PartitionedFactor;
 pub use precond::{solve_exact_preconditioned, FactorPreconditioner};

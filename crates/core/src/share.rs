@@ -17,12 +17,12 @@ use crate::assemble::{assemble_blocks, refactor_enabled, AssembledBlocks};
 use crate::config::SolverConfig;
 use crate::error::SolverError;
 use crate::factor::{factorize, factorize_with_blocks, FactorTree};
-use crate::hybrid::HybridSolver;
+use crate::hybrid::{HybridSolver, ReducedReport, ReducedSystem};
 use kfds_askit::SkeletonTree;
 use kfds_kernels::Kernel;
 use kfds_krylov::GmresOptions;
 use kfds_la::Mat;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The λ-independent half of a factorization, owned and shareable: the
 /// skeleton tree, the kernel, and the assembled kernel blocks
@@ -78,8 +78,18 @@ impl<K: Kernel + 'static> SharedSetup<K> {
 struct SharedInner<K: Kernel + 'static> {
     /// Declared first so it drops before the `Arc`s it points into.
     ft: FactorTree<'static, K>,
+    /// The hybrid solver's frontier layout and assembled reduced operator
+    /// for a partial `ft`: built by the first blocked solve, shared by
+    /// every later batch on this factor.
+    hybrid: OnceLock<Result<Arc<ReducedSystem>, SolverError>>,
     _st: Arc<SkeletonTree>,
     _kernel: Arc<K>,
+}
+
+impl<K: Kernel + 'static> SharedInner<K> {
+    fn new(ft: FactorTree<'static, K>, st: Arc<SkeletonTree>, kernel: Arc<K>) -> Arc<Self> {
+        Arc::new(SharedInner { ft, hybrid: OnceLock::new(), _st: st, _kernel: kernel })
+    }
 }
 
 /// An owned factorization of `λI + K̃`: skeleton tree + kernel + factors
@@ -115,7 +125,7 @@ impl<K: Kernel + 'static> SharedFactor<K> {
         // `SharedInner._kernel`, declared after `ft`, so it outlives it.
         let k_ref: &'static K = unsafe { &*Arc::as_ptr(&kernel) };
         let ft = factorize(st_ref, k_ref, config)?;
-        Ok(SharedFactor { inner: Arc::new(SharedInner { ft, _st: st, _kernel: kernel }) })
+        Ok(SharedFactor { inner: SharedInner::new(ft, st, kernel) })
     }
 
     /// Factorizes at a new λ from a [`SharedSetup`], reusing its
@@ -142,7 +152,7 @@ impl<K: Kernel + 'static> SharedFactor<K> {
         } else {
             factorize(st_ref, k_ref, config)?
         };
-        Ok(SharedFactor { inner: Arc::new(SharedInner { ft, _st: st, _kernel: kernel }) })
+        Ok(SharedFactor { inner: SharedInner::new(ft, st, kernel) })
     }
 
     /// The underlying factor tree, at the handle's borrow lifetime.
@@ -182,7 +192,10 @@ impl<K: Kernel + 'static> SharedFactor<K> {
     /// Blocked multi-RHS solve in the tree's permuted ordering: the
     /// complete-factorization direct path when available, the blocked
     /// hybrid path (partial factorization + GMRES on the reduced system)
-    /// otherwise. This is the dispatch point a batching service uses.
+    /// otherwise. This is the dispatch point a batching service uses. The
+    /// hybrid path reports the reduced operator its GMRES ran over; the
+    /// handle keeps that operator, so only the first batch on a factor can
+    /// pay for assembling it.
     ///
     /// # Errors
     /// Propagates [`SolverError`] from either path.
@@ -190,13 +203,18 @@ impl<K: Kernel + 'static> SharedFactor<K> {
         &self,
         b: &mut Mat,
         gmres: &GmresOptions,
-    ) -> Result<(), SolverError> {
+    ) -> Result<Option<ReducedReport>, SolverError> {
         if self.is_complete() {
-            self.inner.ft.solve_mat_in_place(b)
-        } else {
-            let hs = HybridSolver::new(self.factor_tree())?;
-            hs.solve_mat_in_place(b, gmres).map(|_| ())
+            return self.inner.ft.solve_mat_in_place(b).map(|()| None);
         }
+        let ft = self.factor_tree();
+        let sys = self
+            .inner
+            .hybrid
+            .get_or_init(|| HybridSolver::new(ft).map(|hs| hs.shared()))
+            .clone()?;
+        let out = HybridSolver::from_shared(ft, sys).solve_mat_in_place(b, gmres)?;
+        Ok(Some(out.reduced))
     }
 }
 

@@ -188,6 +188,12 @@ fn hybrid_inverts_level_restricted_operator() {
     let applied = hier_matvec(&st, &kernel, lambda, &out.x);
     let r = rel_err(&applied, &b);
     assert!(r < 1e-8, "hybrid exact-inverse residual {r}");
+    // r = 511 here: the dense operator would be 2.0 MB on a 0.7 MB factor,
+    // so this fixture stays on the matrix-free side of the size rule (the
+    // n = 1024 fixtures of tests/multi_rhs.rs sit on the assembled side).
+    assert!(8 * hy.reduced_dim() * hy.reduced_dim() > ft.stats().stored_bytes);
+    assert_eq!(out.reduced.operator, crate::ReducedOperator::MatrixFree);
+    assert_eq!((out.reduced.bytes, hy.reduced_bytes()), (0, 0));
 }
 
 #[test]
@@ -284,13 +290,25 @@ fn level_restricted_direct_storage_modes_agree() {
     let (st, kernel) = fixture(2, 1e-5);
     let b = rand_vec(512, 41);
     let mut sols = Vec::new();
+    let mut bytes = Vec::new();
     for mode in [StorageMode::Gsks, StorageMode::StoredGemv] {
         let cfg = SolverConfig::default().with_lambda(0.6).with_storage(mode);
         let ft = factorize(&st, &kernel, cfg).expect("f");
         let direct = crate::LevelRestrictedDirect::new(&ft).expect("direct");
         sols.push(direct.solve(&b));
+        bytes.push(direct.reduced_bytes);
     }
     assert!(rel_err(&sols[0], &sols[1]) < 1e-10, "stored-V direct differs from fused");
+    // Stored V holds K_{φ̃, X∖φ}: no columns for a node's own points.
+    let v_bytes: usize = st
+        .frontier()
+        .iter()
+        .map(|&f| {
+            st.skeleton(f).expect("frontier skeleton").rank() * (512 - st.tree().node(f).len())
+        })
+        .sum::<usize>()
+        * 8;
+    assert_eq!(bytes[1] - bytes[0], v_bytes);
 }
 
 #[test]

@@ -6,12 +6,14 @@
 //! result to tight tolerance; and because every path is deterministic,
 //! repeating the identical blocked solve must reproduce itself bitwise.
 
-use kfds_askit::{skeletonize, SkelConfig, SkeletonTree};
-use kfds_core::{factorize, HybridSolver, SharedFactor, SolverConfig};
+use kfds_askit::{hier_matvec, skeletonize, SkelConfig, SkeletonTree};
+use kfds_core::{
+    factorize, HybridSolver, ReducedOperator, ReducedReport, SharedFactor, SolverConfig, WStorage,
+};
 use kfds_kernels::Gaussian;
-use kfds_krylov::GmresOptions;
+use kfds_krylov::{gmres, FnOp, GmresOptions};
 use kfds_la::Mat;
-use kfds_tree::datasets::normal_embedded;
+use kfds_tree::datasets::{normal_embedded, uniform_cube};
 use kfds_tree::BallTree;
 use std::sync::Arc;
 
@@ -96,15 +98,24 @@ fn blocked_hybrid_solve_matches_columnwise() {
 
         let b = rhs_matrix(n);
         let mut blocked = b.clone();
+        assert_eq!(hs.reduced_bytes(), 0, "nothing is assembled before the first solve");
         let results = hs.solve_mat_in_place(&mut blocked, &opts).expect("blocked hybrid solve");
-        assert_eq!(results.len(), NRHS);
-        for (j, r) in results.iter().enumerate() {
+        assert_eq!(results.gmres.len(), NRHS);
+        for (j, r) in results.gmres.iter().enumerate() {
             assert!(r.converged, "L={max_level} column {j}: reduced GMRES did not converge");
         }
+        // r = 256 / 512 against a 3.7 / 2.6 MB factor: the dense operator
+        // is the smaller of the two, so this fixture runs assembled.
+        let held = 8 * hs.reduced_dim() * hs.reduced_dim();
+        assert_eq!(results.reduced.operator, ReducedOperator::Assembled);
+        assert_eq!((results.reduced.bytes, hs.reduced_bytes()), (held, held));
+        assert!(results.reduced.assembly_seconds > 0.0, "the first solve assembles");
 
         for j in 0..NRHS {
             let out = hs.solve(b.col(j), &opts).expect("single-RHS hybrid solve");
             assert!(out.gmres.converged);
+            // Later solves on the same solver find the operator in place.
+            assert_eq!(out.reduced, ReducedReport { assembly_seconds: 0.0, ..results.reduced });
             let err = rel_err(blocked.col(j), &out.x);
             // The blocked path runs the same GMRES on the same reduced
             // system with the same options; only blocked-vs-columnwise
@@ -112,11 +123,137 @@ fn blocked_hybrid_solve_matches_columnwise() {
             assert!(err < 1e-10, "L={max_level} column {j}: blocked vs single rel err {err:.3e}");
         }
 
+        // Neither the per-column parallel GMRES nor the cached operator
+        // may change a column's bits from one call to the next.
         let mut again = b.clone();
         hs.solve_mat_in_place(&mut again, &opts).expect("repeat blocked hybrid solve");
         for j in 0..NRHS {
             assert_eq!(again.col(j), blocked.col(j), "hybrid blocked solve must be deterministic");
         }
+    }
+}
+
+/// Solves through the matrix-free `I + VW` (the `W`/`V` probes behind a
+/// `FnOp`) whatever the size rule would pick: the reference for the
+/// assembled operator.
+fn solve_matrix_free(
+    hs: &HybridSolver<'_, '_, Gaussian>,
+    b: &[f64],
+    opts: &GmresOptions,
+) -> (Vec<f64>, usize) {
+    let op = FnOp::new(hs.reduced_dim(), |z: &[f64], out: &mut [f64]| {
+        let mut wz = vec![0.0; b.len()];
+        hs.apply_w_pub(z, &mut wz);
+        for (o, (zi, vi)) in out.iter_mut().zip(z.iter().zip(hs.apply_v_pub(&wz))) {
+            *o = zi + vi;
+        }
+    });
+    let mut x = b.to_vec();
+    hs.apply_dinv_pub(&mut x);
+    let gm = gmres(&op, &hs.apply_v_pub(&x), None, opts);
+    assert!(gm.converged, "matrix-free reference did not converge");
+    let mut wz = vec![0.0; b.len()];
+    hs.apply_w_pub(&gm.x, &mut wz);
+    for (xi, wi) in x.iter_mut().zip(&wz) {
+        *xi -= wi;
+    }
+    (x, gm.iters)
+}
+
+#[test]
+fn assembled_operator_matches_matrix_free() {
+    let n = 1024;
+    let (st, kernel) = fixture(n, 3);
+    let opts = GmresOptions { tol: 1e-12, ..Default::default() };
+    let b = rhs_matrix(n);
+    let mut stored_answer = Vec::new();
+    // Recompute-W drops the frontier P̂, so assembly has to telescope it.
+    for w in [WStorage::Stored, WStorage::Recompute] {
+        let cfg = SolverConfig::default().with_lambda(0.5).with_w_storage(w);
+        let ft = factorize(&st, &kernel, cfg).expect("factorize");
+        let hs = HybridSolver::new(&ft).expect("hybrid solver");
+
+        let out = hs.solve(b.col(0), &opts).expect("hybrid solve");
+        assert!(out.gmres.converged);
+        assert_eq!(out.reduced.operator, ReducedOperator::Assembled, "{w:?}");
+        let (want, iters) = solve_matrix_free(&hs, b.col(0), &opts);
+        let err = rel_err(&out.x, &want);
+        assert!(err < 1e-10, "{w:?}: assembled vs matrix-free rel err {err:.3e}");
+        assert!(out.gmres.iters.abs_diff(iters) <= 1, "{w:?}: {} vs {iters}", out.gmres.iters);
+
+        // Column j of the assembled matrix is (I + VW) e_j (a stride of
+        // columns that visits every frontier node's panel).
+        let z = hs.assemble_reduced();
+        let mut e = vec![0.0; hs.reduced_dim()];
+        let mut wz = vec![0.0; n];
+        for j in (0..hs.reduced_dim()).step_by(9) {
+            e[j] = 1.0;
+            hs.apply_w_pub(&e, &mut wz);
+            let mut col = hs.apply_v_pub(&wz);
+            col[j] += 1.0;
+            e[j] = 0.0;
+            let diff = z.col(j).iter().zip(&col).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+            assert!(diff < 1e-12, "{w:?}: column {j} of I + VW off by {diff:.3e}");
+        }
+
+        if w == WStorage::Stored {
+            stored_answer = out.x;
+        } else {
+            let err = rel_err(&out.x, &stored_answer);
+            assert!(err < 1e-10, "recompute-W vs stored-P̂ rel err {err:.3e}");
+        }
+    }
+}
+
+#[test]
+fn assembled_operator_skips_rank_zero_frontier_nodes() {
+    // Tight clusters on a line, some so far from the rest that every
+    // kernel value leaving them underflows to zero and their frontier node
+    // has an empty skeleton: one node of four at level 2, and — the
+    // degenerate reduced system of dimension 0 — both nodes at level 1.
+    let n = 512;
+    let layouts: [(&[f64], usize, usize); 2] =
+        [(&[-400.0, 0.0, 1.5, 3.0], 2, 1), (&[-400.0, 400.0], 1, 2)];
+    for (centers, max_level, rank_zero_nodes) in layouts {
+        let mut pts = uniform_cube(n, 3, 5);
+        for i in 0..n {
+            let p = pts.point_mut(i);
+            p.iter_mut().for_each(|c| *c *= 0.3);
+            p[0] += centers[i % centers.len()];
+        }
+        let kernel = Gaussian::new(1.0);
+        let skel = SkelConfig::default().with_tol(1e-6).with_max_rank(48).with_neighbors(8);
+        let st = skeletonize(BallTree::build(&pts, 32), &kernel, skel.with_max_level(max_level));
+        let lambda = 0.4;
+        let opts = GmresOptions { tol: 1e-12, ..Default::default() };
+        let b = rhs_matrix(n);
+        let mut answers = Vec::new();
+        for w in [WStorage::Stored, WStorage::Recompute] {
+            let cfg = SolverConfig::default().with_lambda(lambda).with_w_storage(w);
+            let ft = factorize(&st, &kernel, cfg).expect("factorize");
+            let hs = HybridSolver::new(&ft).expect("hybrid solver");
+            let ranks: Vec<usize> = hs
+                .frontier()
+                .iter()
+                .map(|&f| st.skeleton(f).expect("frontier skeleton").rank())
+                .collect();
+            assert_eq!(ranks.len(), 1 << max_level);
+            assert_eq!(ranks.iter().filter(|&&r| r == 0).count(), rank_zero_nodes, "{ranks:?}");
+            let out = hs.solve(b.col(0), &opts).expect("hybrid solve");
+            assert_eq!(out.reduced.operator, ReducedOperator::Assembled);
+            let resid = rel_err(&hier_matvec(&st, &kernel, lambda, &out.x), b.col(0));
+            assert!(resid < 1e-9, "L={max_level} {w:?}: residual {resid:.3e}");
+            // The blocked path, and a block of no columns at all.
+            let mut blocked = b.clone();
+            hs.solve_mat_in_place(&mut blocked, &opts).expect("blocked hybrid solve");
+            let err = rel_err(blocked.col(0), &out.x);
+            assert!(err < 1e-10, "L={max_level} {w:?}: blocked vs single rel err {err:.3e}");
+            let none = hs.solve_mat_in_place(&mut Mat::zeros(n, 0), &opts).expect("empty block");
+            assert!(none.gmres.is_empty());
+            answers.push(out.x);
+        }
+        let err = rel_err(&answers[1], &answers[0]);
+        assert!(err < 1e-10, "L={max_level}: recompute-W vs stored-P̂ rel err {err:.3e}");
     }
 }
 
@@ -132,7 +269,21 @@ fn shared_factor_blocked_solve_dispatches_both_paths() {
 
         let b = rhs_matrix(n);
         let mut blocked = b.clone();
-        sf.solve_block_in_place(&mut blocked, &opts).expect("shared blocked solve");
+        let first = sf.solve_block_in_place(&mut blocked, &opts).expect("shared blocked solve");
+        // The handle keeps the hybrid's reduced operator: a second batch on
+        // it assembles nothing and reproduces the first bit for bit.
+        let mut again = b.clone();
+        let second = sf.solve_block_in_place(&mut again, &opts).expect("second batch");
+        assert_eq!(again.as_slice(), blocked.as_slice());
+        match (first, second) {
+            (None, None) => assert!(complete),
+            (Some(first), Some(second)) => {
+                assert_eq!(first.operator, ReducedOperator::Assembled);
+                assert!(first.assembly_seconds > 0.0 && first.bytes > 0);
+                assert_eq!(second, ReducedReport { assembly_seconds: 0.0, ..first });
+            }
+            other => panic!("the two batches took different paths: {other:?}"),
+        }
         for j in 0..NRHS {
             let ft = sf.factor_tree();
             let want = if complete {

@@ -102,7 +102,7 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
         let mut b = vec![0.0; n];
         kfds_la::blas2::gemv(1.0, a.rb(), &x_true, 0.0, &mut b);
-        let res = cg(&DenseOp::new(a), &b, &CgOptions::default());
+        let res = cg(&DenseOp::new(a.rb()), &b, &CgOptions::default());
         assert!(res.converged);
         for (u, v) in res.x.iter().zip(&x_true) {
             assert!((u - v).abs() < 1e-7);
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn cg_zero_rhs() {
         let a = Mat::identity(4);
-        let res = cg(&DenseOp::new(a), &[0.0; 4], &CgOptions::default());
+        let res = cg(&DenseOp::new(a.rb()), &[0.0; 4], &CgOptions::default());
         assert!(res.converged);
         assert_eq!(res.iters, 0);
     }
@@ -121,7 +121,7 @@ mod tests {
     fn cg_detects_indefinite() {
         let mut a = Mat::identity(3);
         a[(2, 2)] = -1.0;
-        let res = cg(&DenseOp::new(a), &[0.0, 0.0, 1.0], &CgOptions::default());
+        let res = cg(&DenseOp::new(a.rb()), &[0.0, 0.0, 1.0], &CgOptions::default());
         assert!(!res.converged);
     }
 }

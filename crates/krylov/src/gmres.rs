@@ -83,14 +83,23 @@ pub fn gmres(op: &dyn LinOp, b: &[f64], x0: Option<&[f64]>, opts: &GmresOptions)
     let mut trace = Vec::new();
     let mut total_iters = 0usize;
     let mut rel;
+    // With no initial guess the first cycle starts from x = 0, where
+    // r = b exactly: no operator application is spent on the zero vector.
+    let mut x_is_zero = x0.is_none();
 
     'outer: loop {
         // r = b - A x.
-        let mut r = vec![0.0; n];
-        op.apply(&x, &mut r);
-        for i in 0..n {
-            r[i] = b[i] - r[i];
-        }
+        let mut r = if x_is_zero {
+            b.to_vec()
+        } else {
+            let mut r = vec![0.0; n];
+            op.apply(&x, &mut r);
+            for i in 0..n {
+                r[i] = b[i] - r[i];
+            }
+            r
+        };
+        x_is_zero = false;
         let beta = nrm2(&r);
         rel = beta / bnorm;
         if total_iters == 0 {
@@ -206,7 +215,7 @@ mod tests {
     use crate::operator::{DenseOp, FnOp};
     use kfds_la::Mat;
 
-    fn spd_system(n: usize, seed: u64) -> (DenseOp, Vec<f64>, Vec<f64>) {
+    fn spd_system(n: usize, seed: u64) -> (Mat, Vec<f64>, Vec<f64>) {
         let mut state = seed | 1;
         let mut rnd = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -221,12 +230,13 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let mut b = vec![0.0; n];
         kfds_la::blas2::gemv(1.0, a.rb(), &x_true, 0.0, &mut b);
-        (DenseOp::new(a), b, x_true)
+        (a, b, x_true)
     }
 
     #[test]
     fn solves_spd_system() {
-        let (op, b, x_true) = spd_system(40, 3);
+        let (a, b, x_true) = spd_system(40, 3);
+        let op = DenseOp::new(a.rb());
         let res = gmres(&op, &b, None, &GmresOptions::default());
         assert!(res.converged, "residual {}", res.residual);
         for (u, v) in res.x.iter().zip(&x_true) {
@@ -248,7 +258,8 @@ mod tests {
 
     #[test]
     fn restart_still_converges() {
-        let (op, b, x_true) = spd_system(50, 7);
+        let (a, b, x_true) = spd_system(50, 7);
+        let op = DenseOp::new(a.rb());
         let opts = GmresOptions { restart: 5, max_iters: 2000, ..Default::default() };
         let res = gmres(&op, &b, None, &opts);
         assert!(res.converged, "residual {}", res.residual);
@@ -259,7 +270,8 @@ mod tests {
 
     #[test]
     fn respects_max_iters_and_reports_nonconvergence() {
-        let (op, b, _) = spd_system(60, 9);
+        let (a, b, _) = spd_system(60, 9);
+        let op = DenseOp::new(a.rb());
         let opts = GmresOptions { tol: 1e-30, max_iters: 3, ..Default::default() };
         let res = gmres(&op, &b, None, &opts);
         assert!(!res.converged);
@@ -268,7 +280,8 @@ mod tests {
 
     #[test]
     fn trace_is_monotone_in_iter_and_time() {
-        let (op, b, _) = spd_system(30, 11);
+        let (a, b, _) = spd_system(30, 11);
+        let op = DenseOp::new(a.rb());
         let res = gmres(&op, &b, None, &GmresOptions::default());
         assert!(!res.trace.is_empty());
         for w in res.trace.windows(2) {
@@ -282,7 +295,8 @@ mod tests {
 
     #[test]
     fn zero_rhs_returns_zero() {
-        let (op, _, _) = spd_system(8, 13);
+        let (a, _, _) = spd_system(8, 13);
+        let op = DenseOp::new(a.rb());
         let res = gmres(&op, &[0.0; 8], None, &GmresOptions::default());
         assert!(res.converged);
         assert!(res.x.iter().all(|&v| v == 0.0));
@@ -290,11 +304,32 @@ mod tests {
 
     #[test]
     fn warm_start_reduces_iterations() {
-        let (op, b, x_true) = spd_system(40, 17);
+        let (a, b, x_true) = spd_system(40, 17);
+        let op = DenseOp::new(a.rb());
         let cold = gmres(&op, &b, None, &GmresOptions::default());
         let warm = gmres(&op, &b, Some(&x_true), &GmresOptions::default());
         assert!(warm.iters <= cold.iters);
         assert!(warm.converged);
+    }
+
+    #[test]
+    fn cold_start_spends_no_apply_on_the_zero_vector() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let (a, b, _) = spd_system(40, 19);
+        let applies = AtomicUsize::new(0);
+        let op = FnOp::new(40, |x: &[f64], y: &mut [f64]| {
+            applies.fetch_add(1, Ordering::Relaxed);
+            kfds_la::blas2::gemv(1.0, a.rb(), x, 0.0, y);
+        });
+        // One cycle (restart 60 > n): exactly one application per iteration.
+        let cold = gmres(&op, &b, None, &GmresOptions::default());
+        assert!(cold.converged && cold.iters > 0);
+        assert_eq!(applies.swap(0, Ordering::Relaxed), cold.iters);
+        // An initial guess — even the zero vector — pays for its residual,
+        // and A·0 = 0 exactly, so the cold start keeps every bit.
+        let warm = gmres(&op, &b, Some(&[0.0; 40]), &GmresOptions::default());
+        assert_eq!(applies.load(Ordering::Relaxed), warm.iters + 1);
+        assert_eq!((warm.iters, &warm.x), (cold.iters, &cold.x));
     }
 
     #[test]

@@ -33,29 +33,31 @@ impl<F: Fn(&[f64], &mut [f64]) + Sync> LinOp for FnOp<F> {
     }
 }
 
-/// A dense matrix as a [`LinOp`] (for tests and small reduced systems).
-pub struct DenseOp {
-    mat: kfds_la::Mat,
+/// A borrowed dense matrix as a [`LinOp`]: one `gemv` per application.
+/// Borrowing lets a cached operator (the hybrid solver's assembled reduced
+/// system) serve many solves, on many threads, without a copy.
+pub struct DenseOp<'a> {
+    mat: kfds_la::MatRef<'a>,
 }
 
-impl DenseOp {
-    /// Wraps a square matrix.
+impl<'a> DenseOp<'a> {
+    /// Wraps a square matrix view.
     ///
     /// # Panics
     /// Panics if `mat` is not square.
-    pub fn new(mat: kfds_la::Mat) -> Self {
+    pub fn new(mat: kfds_la::MatRef<'a>) -> Self {
         assert_eq!(mat.nrows(), mat.ncols(), "DenseOp requires a square matrix");
         DenseOp { mat }
     }
 }
 
-impl LinOp for DenseOp {
+impl LinOp for DenseOp<'_> {
     fn dim(&self) -> usize {
         self.mat.nrows()
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
-        kfds_la::blas2::gemv(1.0, self.mat.rb(), x, 0.0, y);
+        kfds_la::blas2::gemv(1.0, self.mat, x, 0.0, y);
     }
 }
 
@@ -79,7 +81,7 @@ mod tests {
     #[test]
     fn dense_op_matches_gemv() {
         let m = kfds_la::Mat::from_fn(2, 2, |i, j| (i + 2 * j) as f64);
-        let op = DenseOp::new(m);
+        let op = DenseOp::new(m.rb());
         let mut y = vec![0.0; 2];
         op.apply(&[1.0, 1.0], &mut y);
         assert_eq!(y, vec![2.0, 4.0]);

@@ -79,7 +79,7 @@ mod tests {
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).sin()).collect();
         let mut b = vec![0.0; n];
         kfds_la::blas2::gemv(1.0, a.rb(), &x_true, 0.0, &mut b);
-        let op = DenseOp::new(a.clone());
+        let op = DenseOp::new(a.rb());
         let opts = GmresOptions { tol: 1e-10, max_iters: 400, restart: 40, ..Default::default() };
         let plain = gmres(&op, &b, None, &opts);
 
@@ -106,7 +106,7 @@ mod tests {
         let n = 30;
         let a = ill_conditioned(n);
         let lu = Lu::factor(a.clone()).expect("LU");
-        let op = DenseOp::new(a);
+        let op = DenseOp::new(a.rb());
         let prec = FnPrecond::new(move |x: &mut [f64]| lu.solve_inplace(x));
         let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
         let res = gmres_right_preconditioned(&op, &prec, &b, &GmresOptions::default());

@@ -321,12 +321,13 @@ impl<'a> MatRef<'a> {
         let ncols = cols.end - cols.start;
         // Degenerate (zero-extent) views carry no data at all; computing an
         // offset into possibly-empty parent storage would be out of bounds.
-        let (start, end) = if ncols == 0 || nrows == 0 {
-            (0, 0)
-        } else {
-            (offset, offset + (ncols - 1) * self.col_stride + nrows)
-        };
-        MatRef { data: &self.data[start..end], nrows, ncols, col_stride: self.col_stride }
+        // Their stride is 0 so that every column of a zero-row view is the
+        // empty slice rather than a range past the end of no data.
+        if ncols == 0 || nrows == 0 {
+            return MatRef { data: &[], nrows, ncols, col_stride: 0 };
+        }
+        let end = offset + (ncols - 1) * self.col_stride + nrows;
+        MatRef { data: &self.data[offset..end], nrows, ncols, col_stride: self.col_stride }
     }
 
     /// Copies the view into an owned matrix.
@@ -709,6 +710,9 @@ mod tests {
         let t = Mat::zeros(3, 2);
         let v2 = t.submatrix(3..3, 0..2);
         assert_eq!(v2.nrows(), 0);
+        // Every column of a zero-row view is readable (and empty).
+        assert!(v2.col(1).is_empty());
+        assert_eq!(v2.to_mat().ncols(), 2);
         let mut t2 = Mat::zeros(2, 3);
         let v3 = t2.rb_mut().submatrix_mut(2..2, 3..3);
         assert_eq!((v3.nrows(), v3.ncols()), (0, 0));

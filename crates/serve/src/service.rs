@@ -541,7 +541,9 @@ fn solve_batch<K: Kernel + 'static>(
     b: &mut Mat,
 ) -> Result<(), BatchFailure> {
     let single = |b: &mut Mat| {
-        sf.solve_block_in_place(b, &sh.cfg.gmres).map_err(|e| BatchFailure::Solve(e.to_string()))
+        sf.solve_block_in_place(b, &sh.cfg.gmres)
+            .map(|_| ())
+            .map_err(|e| BatchFailure::Solve(e.to_string()))
     };
     let Some(router) = sh.shard.as_ref().filter(|_| sf.is_complete()) else {
         if sh.shard.is_some() {
