@@ -11,6 +11,9 @@
 //!   written straight into column-major `C`;
 //! * a fused-summation rank-`d` tile kernel ([`gsks_tile_8x4`]) for the
 //!   GSKS engine (8 targets x 4 sources per register tile);
+//! * a fused distance filter ([`dist_filter`]) for the neighbor searches:
+//!   the same rank-`d` tile with the norms identity and a threshold
+//!   compare in registers, one mask word out per 8 queries x candidate;
 //! * GEMV ([`dgemv_add_avx2`]) with 4-column blocking so each `y` vector
 //!   load amortizes four FMA columns;
 //! * dot / axpy vector loops for BLAS-1 ([`dot_avx2`], [`axpy_avx2`]);
@@ -57,6 +60,9 @@ pub const GEMM_SKINNY_N: usize = 16;
 pub const GSKS_MR: usize = 8;
 /// GSKS tile kernel columns (sources).
 pub const GSKS_NR: usize = 4;
+/// Rows of one packed query group of [`dist_filter`]: one mask per group
+/// and candidate, one bit per row.
+pub const DIST_FILTER_MR: usize = 8;
 
 /// Runtime kill-switch so benchmarks and tests can A/B the vector and
 /// scalar paths in one process. Defaults to on; `KFDS_SIMD=off` (or `0`)
@@ -259,6 +265,113 @@ pub fn dist_epilogue(g: &mut [f64], row_norms: &[f64], col_norm: f64) {
     }
     for (gi, &rn) in g.iter_mut().zip(row_norms) {
         *gi = (-2.0f64).mul_add(*gi, rn + col_norm).max(0.0);
+    }
+}
+
+/// The fused distance **filter** under both neighbor searches: which
+/// (query, candidate) pairs have a squared distance that may lie at or
+/// under the query's threshold. The rank-`d` Gram update, the norms
+/// identity `f = (‖q‖² + ‖c‖²) − 2 q·c` and the comparison all happen in
+/// registers — no distance is stored (the GSKS idea of §II-D applied to
+/// neighbor selection); the caller re-scores the flagged pairs exactly.
+///
+/// * Queries come packed in groups of [`DIST_FILTER_MR`] rows,
+///   dimension-major inside a group: coordinate `k` of query `8g + r` at
+///   `qpack[g·8d + k·8 + r]`, rows past `m` zero. `qn` and `thr` hold the
+///   squared norm and the threshold of every packed row (`8·⌈m/8⌉` each).
+/// * Candidates are a `d × nc` column-major panel `cand` with squared
+///   norms `cn`; `d = cand.len() / cn.len()`.
+/// * `masks[g·nc + j]` receives one mask per (group, candidate): bit `r`
+///   is set unless `f > thr[8g + r]` for query `8g + r` against candidate
+///   `j` — so `thr = +∞` flags every pair, `−∞` none, and a NaN `f`
+///   (overflowing coordinates) is flagged rather than dropped. Bits of
+///   padding rows are never set.
+///
+/// Whatever the summation order of the body that runs (AVX-512, AVX2,
+/// scalar) and of the dots behind the norms, `f` differs from the scalar
+/// `Σ (q_k − c_k)²` loop by at most `2(d + 8)·ε·(‖q‖² + ‖c‖²)`: each norm
+/// and the Gram term carry `γ_d ≈ d·ε/2` relative to `‖q‖²`, `‖c‖²` and
+/// `‖q‖‖c‖ ≤ (‖q‖² + ‖c‖²)/2`, the two final roundings add `1.5ε`, and the
+/// scalar loop itself is within `(d + 2)·ε/2` of `‖q − c‖² ≤ 2(‖q‖² + ‖c‖²)`
+/// — `(2d + 3.5)ε` in all. A caller that adds this bound to its thresholds
+/// loses no pair.
+///
+/// # Panics
+/// Panics if `cand.len()` is not a multiple of `cn.len()` or a slice is
+/// shorter than the layout above requires.
+pub fn dist_filter(
+    m: usize,
+    qpack: &[f64],
+    qn: &[f64],
+    thr: &[f64],
+    cand: &[f64],
+    cn: &[f64],
+    masks: &mut [usize],
+) {
+    let nc = cn.len();
+    if m == 0 || nc == 0 {
+        return;
+    }
+    let d = cand.len() / nc;
+    let rows = m.next_multiple_of(DIST_FILTER_MR);
+    assert_eq!(cand.len(), d * nc, "dist_filter: candidate panel is not d x nc");
+    assert!(qpack.len() >= rows * d, "dist_filter: qpack too short");
+    assert!(qn.len() >= rows && thr.len() >= rows, "dist_filter: norms/thresholds too short");
+    assert!(masks.len() >= rows / DIST_FILTER_MR * nc, "dist_filter: masks too short");
+    #[cfg(target_arch = "x86_64")]
+    {
+        if active() {
+            let (q, c) = (qpack.as_ptr(), cand.as_ptr());
+            let (qn, thr, cn, out) = (qn.as_ptr(), thr.as_ptr(), cn.as_ptr(), masks.as_mut_ptr());
+            // SAFETY: every length the kernels read or write was asserted
+            // above; active() implies AVX2+FMA and the AVX-512 body runs
+            // only when the CPU reports avx512f.
+            unsafe {
+                if avx512_supported() {
+                    x86::dist_filter_avx512(d, m, nc, q, qn, thr, c, cn, out);
+                } else {
+                    x86::dist_filter_avx2(d, m, nc, q, qn, thr, c, cn, out);
+                }
+            }
+            return;
+        }
+    }
+    dist_filter_scalar(m, qpack, qn, thr, cand, cn, masks);
+}
+
+/// The portable body of [`dist_filter`] (and its `KFDS_SIMD=off` path):
+/// eight running dots per (group, candidate), plain multiply-add.
+fn dist_filter_scalar(
+    m: usize,
+    qpack: &[f64],
+    qn: &[f64],
+    thr: &[f64],
+    cand: &[f64],
+    cn: &[f64],
+    masks: &mut [usize],
+) {
+    const MR: usize = DIST_FILTER_MR;
+    let nc = cn.len();
+    let d = cand.len() / nc.max(1);
+    for g in 0..m.div_ceil(MR) {
+        let rows = (m - MR * g).min(MR);
+        let q = &qpack[g * MR * d..(g + 1) * MR * d];
+        let (gn, gt) = (&qn[MR * g..MR * g + rows], &thr[MR * g..MR * g + rows]);
+        for j in 0..nc {
+            let mut acc = [0.0f64; MR];
+            for (qk, &ck) in q.chunks_exact(MR).zip(&cand[j * d..(j + 1) * d]) {
+                for (a, &qv) in acc.iter_mut().zip(qk) {
+                    *a += qv * ck;
+                }
+            }
+            let mut mask = 0usize;
+            for (r, ((&g2, &n2), &t)) in acc.iter().zip(gn).zip(gt).enumerate() {
+                let f = (n2 + cn[j]) - 2.0 * g2;
+                // "unless f > t", so a NaN is flagged.
+                mask |= usize::from(f.partial_cmp(&t) != Some(std::cmp::Ordering::Greater)) << r;
+            }
+            masks[g * nc + j] = mask;
+        }
     }
 }
 
@@ -520,6 +633,224 @@ mod x86 {
         while i < n {
             *gp.add(i) = (-2.0f64).mul_add(*gp.add(i), *rp.add(i) + cn).max(0.0);
             i += 1;
+        }
+    }
+
+    /// Lanes of query group `g` that hold one of the `m` real queries.
+    #[inline]
+    fn filter_valid_lanes(m: usize, g: usize) -> u8 {
+        let rows = (m - 8 * g).min(8);
+        if rows == 8 {
+            0xff
+        } else {
+            (1u8 << rows) - 1
+        }
+    }
+
+    /// AVX-512 body of [`super::dist_filter`]: a `16 x 4` register tile —
+    /// two packed query groups against four candidates, eight `zmm` Gram
+    /// accumulators — swept over the candidates with the query tile
+    /// resident; an odd last group runs as an `8 x 4` tile and leftover
+    /// candidates one column at a time. The epilogue forms
+    /// `(qn + cn) − 2g` with one `fnmadd` and turns the compare mask
+    /// straight into the output word.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. With `groups = ceil(m / 8)`: `qpack` must hold
+    /// `groups * 8 * d` elements, `qn` and `thr` `groups * 8`, `cand`
+    /// `d * nc`, `cn` `nc`, and `masks` `groups * nc` writable words.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn dist_filter_avx512(
+        d: usize,
+        m: usize,
+        nc: usize,
+        qpack: *const f64,
+        qn: *const f64,
+        thr: *const f64,
+        cand: *const f64,
+        cn: *const f64,
+        masks: *mut usize,
+    ) {
+        debug_assert!(super::avx512_supported(), "dist_filter_avx512 needs AVX-512F");
+        debug_assert!(!qpack.is_null() && !qn.is_null() && !thr.is_null());
+        debug_assert!(!cand.is_null() && !cn.is_null() && !masks.is_null());
+        let groups = m.div_ceil(8);
+        let mut g = 0;
+        while g + 2 <= groups {
+            filter_sweep_avx512::<2>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
+            g += 2;
+        }
+        if g < groups {
+            filter_sweep_avx512::<1>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
+        }
+    }
+
+    /// Query groups `g .. g + MG` of [`dist_filter_avx512`] against every
+    /// candidate, four at a time and then singly.
+    ///
+    /// # Safety
+    /// As [`dist_filter_avx512`], with `g + MG <= ceil(m / 8)`.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn filter_sweep_avx512<const MG: usize>(
+        d: usize,
+        m: usize,
+        g: usize,
+        nc: usize,
+        qpack: *const f64,
+        qn: *const f64,
+        thr: *const f64,
+        cand: *const f64,
+        cn: *const f64,
+        masks: *mut usize,
+    ) {
+        let (q, gn, gt) = (qpack.add(8 * g * d), qn.add(8 * g), thr.add(8 * g));
+        let out = masks.add(g * nc);
+        let mut valid = [0u8; MG];
+        for (gi, v) in valid.iter_mut().enumerate() {
+            *v = filter_valid_lanes(m, g + gi);
+        }
+        let mut j = 0;
+        while j + 4 <= nc {
+            let (c, n) = (cand.add(j * d), cn.add(j));
+            filter_tile_avx512::<MG, 4>(d, nc, q, gn, gt, valid, c, n, out.add(j));
+            j += 4;
+        }
+        while j < nc {
+            let (c, n) = (cand.add(j * d), cn.add(j));
+            filter_tile_avx512::<MG, 1>(d, nc, q, gn, gt, valid, c, n, out.add(j));
+            j += 1;
+        }
+    }
+
+    /// One `8·MG x NR` tile of [`dist_filter_avx512`]: `q`, `qn`, `thr`
+    /// point at the first of `MG` consecutive query groups, `c` / `cn` at
+    /// the first of `NR` candidates, `out` at that candidate's word in the
+    /// first group's mask row (rows are `nc` apart).
+    ///
+    /// # Safety
+    /// As [`dist_filter_avx512`], restricted to this tile.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn filter_tile_avx512<const MG: usize, const NR: usize>(
+        d: usize,
+        nc: usize,
+        q: *const f64,
+        qn: *const f64,
+        thr: *const f64,
+        valid: [u8; MG],
+        c: *const f64,
+        cn: *const f64,
+        out: *mut usize,
+    ) {
+        let mut acc = [[_mm512_setzero_pd(); NR]; MG];
+        for k in 0..d {
+            let mut a = [_mm512_setzero_pd(); MG];
+            for (gi, av) in a.iter_mut().enumerate() {
+                *av = _mm512_loadu_pd(q.add(8 * (gi * d + k)));
+            }
+            for j in 0..NR {
+                let b = _mm512_set1_pd(*c.add(j * d + k));
+                for (accg, av) in acc.iter_mut().zip(a) {
+                    accg[j] = _mm512_fmadd_pd(av, b, accg[j]);
+                }
+            }
+        }
+        let two = _mm512_set1_pd(2.0);
+        for (gi, accg) in acc.iter().enumerate() {
+            let vqn = _mm512_loadu_pd(qn.add(8 * gi));
+            let vthr = _mm512_loadu_pd(thr.add(8 * gi));
+            for (j, g2) in accg.iter().enumerate() {
+                let s = _mm512_add_pd(vqn, _mm512_set1_pd(*cn.add(j)));
+                let f = _mm512_fnmadd_pd(*g2, two, s);
+                // Not-greater-than, unordered true: a NaN is flagged.
+                let hit = _mm512_cmp_pd_mask::<_CMP_NGT_UQ>(f, vthr);
+                *out.add(gi * nc + j) = usize::from(hit & valid[gi]);
+            }
+        }
+    }
+
+    /// AVX2 body of [`super::dist_filter`]: an `8 x 4` register tile — one
+    /// packed query group as two `ymm` halves against four candidates,
+    /// eight accumulators — with the same sweep and epilogue as
+    /// [`dist_filter_avx512`]; the two 4-bit `movemask`s of a column join
+    /// into the output word.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA. Same layout contract as [`dist_filter_avx512`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn dist_filter_avx2(
+        d: usize,
+        m: usize,
+        nc: usize,
+        qpack: *const f64,
+        qn: *const f64,
+        thr: *const f64,
+        cand: *const f64,
+        cn: *const f64,
+        masks: *mut usize,
+    ) {
+        debug_assert!(super::cpu_supported(), "dist_filter_avx2 needs AVX2+FMA");
+        debug_assert!(!qpack.is_null() && !qn.is_null() && !thr.is_null());
+        debug_assert!(!cand.is_null() && !cn.is_null() && !masks.is_null());
+        for g in 0..m.div_ceil(8) {
+            let (q, gn, gt) = (qpack.add(8 * g * d), qn.add(8 * g), thr.add(8 * g));
+            let valid = filter_valid_lanes(m, g);
+            let out = masks.add(g * nc);
+            let mut j = 0;
+            while j + 4 <= nc {
+                filter_tile_avx2::<4>(d, q, gn, gt, valid, cand.add(j * d), cn.add(j), out.add(j));
+                j += 4;
+            }
+            while j < nc {
+                filter_tile_avx2::<1>(d, q, gn, gt, valid, cand.add(j * d), cn.add(j), out.add(j));
+                j += 1;
+            }
+        }
+    }
+
+    /// One `8 x NR` tile of [`dist_filter_avx2`].
+    ///
+    /// # Safety
+    /// As [`dist_filter_avx2`], restricted to this tile.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn filter_tile_avx2<const NR: usize>(
+        d: usize,
+        q: *const f64,
+        qn: *const f64,
+        thr: *const f64,
+        valid: u8,
+        c: *const f64,
+        cn: *const f64,
+        out: *mut usize,
+    ) {
+        let mut acc = [[_mm256_setzero_pd(); 2]; NR];
+        for k in 0..d {
+            let a0 = _mm256_loadu_pd(q.add(8 * k));
+            let a1 = _mm256_loadu_pd(q.add(8 * k + 4));
+            for (j, accj) in acc.iter_mut().enumerate() {
+                let b = _mm256_broadcast_sd(&*c.add(j * d + k));
+                accj[0] = _mm256_fmadd_pd(a0, b, accj[0]);
+                accj[1] = _mm256_fmadd_pd(a1, b, accj[1]);
+            }
+        }
+        let two = _mm256_set1_pd(2.0);
+        let (qn0, qn1) = (_mm256_loadu_pd(qn), _mm256_loadu_pd(qn.add(4)));
+        let (thr0, thr1) = (_mm256_loadu_pd(thr), _mm256_loadu_pd(thr.add(4)));
+        for (j, accj) in acc.iter().enumerate() {
+            let vcn = _mm256_broadcast_sd(&*cn.add(j));
+            let f0 = _mm256_fnmadd_pd(accj[0], two, _mm256_add_pd(qn0, vcn));
+            let f1 = _mm256_fnmadd_pd(accj[1], two, _mm256_add_pd(qn1, vcn));
+            // Not-greater-than, unordered true: a NaN is flagged.
+            let lo = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGT_UQ>(f0, thr0));
+            let hi = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGT_UQ>(f1, thr1));
+            *out.add(j) = usize::from((lo | hi << 4) as u8 & valid);
         }
     }
 
@@ -1060,6 +1391,214 @@ mod tests {
                         "d={d} ({r},{c}): {} vs {want}",
                         out[r * GSKS_NR + c]
                     );
+                }
+            }
+        }
+    }
+
+    /// One filter problem: `m` queries against `nc` candidates in `d`
+    /// dimensions, coordinates uniform in `shift ± scale`, packed the way
+    /// [`dist_filter`] wants them, with the exact-side reference beside it.
+    struct FilterCase {
+        m: usize,
+        d: usize,
+        nc: usize,
+        qpack: Vec<f64>,
+        qn: Vec<f64>,
+        cand: Vec<f64>,
+        cn: Vec<f64>,
+        /// `reference[i * nc + j]`: the scalar `Σ (q_k − c_k)²` loop.
+        reference: Vec<f64>,
+    }
+
+    impl FilterCase {
+        fn new(m: usize, d: usize, nc: usize, scale: f64, shift: f64, seed: u64) -> Self {
+            let mut state = seed | 1;
+            let mut rnd = move || {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0) * scale + shift
+            };
+            let q: Vec<f64> = (0..m * d).map(|_| rnd()).collect();
+            let cand: Vec<f64> = (0..nc * d).map(|_| rnd()).collect();
+            let rows = m.next_multiple_of(DIST_FILTER_MR);
+            let mut qpack = vec![0.0; rows * d];
+            let mut qn = vec![0.0; rows];
+            for i in 0..m {
+                let (g, r) = (i / DIST_FILTER_MR, i % DIST_FILTER_MR);
+                for k in 0..d {
+                    qpack[(g * d + k) * DIST_FILTER_MR + r] = q[i * d + k];
+                }
+                qn[i] = q[i * d..(i + 1) * d].iter().map(|v| v * v).sum();
+            }
+            let cn: Vec<f64> = cand.chunks(d).map(|c| c.iter().map(|v| v * v).sum()).collect();
+            let mut reference = vec![0.0; m * nc];
+            for i in 0..m {
+                for j in 0..nc {
+                    let mut s = 0.0;
+                    for k in 0..d {
+                        let diff = q[i * d + k] - cand[j * d + k];
+                        s += diff * diff;
+                    }
+                    reference[i * nc + j] = s;
+                }
+            }
+            FilterCase { m, d, nc, qpack, qn, cand, cn, reference }
+        }
+
+        /// The documented bound on |filter distance − reference|.
+        fn bound(&self, i: usize, j: usize) -> f64 {
+            2.0 * (self.d as f64 + 8.0) * f64::EPSILON * (self.qn[i] + self.cn[j])
+        }
+
+        /// Masks of one body under per-query thresholds `thr` (length `m`).
+        fn run(&self, body: &str, thr: &[f64]) -> Vec<usize> {
+            let rows = self.m.next_multiple_of(DIST_FILTER_MR);
+            let mut t = vec![f64::NEG_INFINITY; rows];
+            t[..self.m].copy_from_slice(thr);
+            // Poisoned, so a word the body fails to write is seen.
+            let mut masks = vec![usize::MAX; rows / DIST_FILTER_MR * self.nc];
+            let (m, d, nc) = (self.m, self.d, self.nc);
+            match body {
+                "scalar" => dist_filter_scalar(
+                    m,
+                    &self.qpack,
+                    &self.qn,
+                    &t,
+                    &self.cand,
+                    &self.cn,
+                    &mut masks,
+                ),
+                "wrapper" => {
+                    dist_filter(m, &self.qpack, &self.qn, &t, &self.cand, &self.cn, &mut masks)
+                }
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the buffers were sized to the layout contract just
+                // above; `filter_bodies` lists a vector body only when the
+                // CPU supports it.
+                "avx2" => unsafe {
+                    x86::dist_filter_avx2(
+                        d,
+                        m,
+                        nc,
+                        self.qpack.as_ptr(),
+                        self.qn.as_ptr(),
+                        t.as_ptr(),
+                        self.cand.as_ptr(),
+                        self.cn.as_ptr(),
+                        masks.as_mut_ptr(),
+                    )
+                },
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: as for the AVX2 body.
+                "avx512" => unsafe {
+                    x86::dist_filter_avx512(
+                        d,
+                        m,
+                        nc,
+                        self.qpack.as_ptr(),
+                        self.qn.as_ptr(),
+                        t.as_ptr(),
+                        self.cand.as_ptr(),
+                        self.cn.as_ptr(),
+                        masks.as_mut_ptr(),
+                    )
+                },
+                other => panic!("unknown filter body {other}"),
+            }
+            masks
+        }
+
+        fn bit(&self, masks: &[usize], i: usize, j: usize) -> bool {
+            masks[i / DIST_FILTER_MR * self.nc + j] >> (i % DIST_FILTER_MR) & 1 == 1
+        }
+    }
+
+    /// Every body this host can run, called directly — on an AVX-512 host
+    /// dispatch would never reach the AVX2 one.
+    fn filter_bodies() -> Vec<&'static str> {
+        let mut bodies = vec!["scalar", "wrapper"];
+        if cpu_supported() {
+            bodies.push("avx2");
+        }
+        if avx512_supported() {
+            bodies.push("avx512");
+        }
+        bodies
+    }
+
+    /// The mask contract of one body on one case: with one candidate's
+    /// distance as each query's threshold (a mix of set and clear bits in
+    /// every row), a pair clearly under its threshold is flagged and one
+    /// clearly over it is not; `+inf` flags exactly the real rows, `-inf`
+    /// nothing.
+    fn assert_filter_masks(body: &str, case: &FilterCase, what: &str) {
+        let (m, nc) = (case.m, case.nc);
+        let thr: Vec<f64> =
+            (0..m).map(|i| if nc == 0 { 1.0 } else { case.reference[i * nc + i % nc] }).collect();
+        let masks = case.run(body, &thr);
+        for (i, &t) in thr.iter().enumerate() {
+            for j in 0..nc {
+                let (r, b) = (case.reference[i * nc + j], case.bound(i, j));
+                if r < t - b {
+                    assert!(case.bit(&masks, i, j), "{what}: ({i},{j}) dropped");
+                }
+                if r > t + b {
+                    assert!(!case.bit(&masks, i, j), "{what}: ({i},{j}) flagged");
+                }
+            }
+        }
+        let none = case.run(body, &vec![f64::NEG_INFINITY; m]);
+        assert!(none.iter().all(|&w| w == 0), "{what}: bits under -inf");
+        // Padding rows of the last group stay clear even under +inf.
+        let all = case.run(body, &vec![f64::INFINITY; m]);
+        let last = (m - 1) / DIST_FILTER_MR;
+        for (w, &word) in all.iter().enumerate() {
+            let rows = if w / nc == last { m - last * DIST_FILTER_MR } else { DIST_FILTER_MR };
+            assert_eq!(word, (1usize << rows) - 1, "{what}: word {w} under +inf");
+        }
+    }
+
+    #[test]
+    fn dist_filter_flags_every_pair_under_threshold_and_no_padding() {
+        // m off the 8- and 16-row tiles, nc off the 4-column one, clouds at
+        // the origin and far from it.
+        for body in filter_bodies() {
+            for d in [1usize, 3, 8, 16, 54, 64] {
+                for nc in [0usize, 1, 3, 4, 5, 127] {
+                    for (m, shift) in [(1usize, 0.0), (7, 1e7), (9, 0.0), (20, 1e7), (33, 0.0)] {
+                        let case = FilterCase::new(m, d, nc, 1.0, shift, (d * 131 + nc) as u64);
+                        let what = format!("{body} d={d} nc={nc} m={m} shift={shift}");
+                        assert_filter_masks(body, &case, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dist_filter_distance_stays_within_the_documented_bound() {
+        // The kernel stores no distance, so bracket it: with query i's
+        // threshold at reference(i, j) + bound the pair must be flagged,
+        // at reference(i, j) − bound it must not — for unit-scale, tiny
+        // and far-translated clouds (where ‖x‖² dwarfs the distances).
+        for body in filter_bodies() {
+            for d in [1usize, 3, 8, 16, 54, 64] {
+                for (scale, shift) in [(1.0, 0.0), (1e-3, 0.0), (1.0, 1e7), (0.05, -3e8)] {
+                    let case = FilterCase::new(20, d, 6, scale, shift, d as u64 + 99);
+                    for j in 0..case.nc {
+                        let at = |sign: f64| -> Vec<f64> {
+                            (0..case.m)
+                                .map(|i| case.reference[i * case.nc + j] + sign * case.bound(i, j))
+                                .collect()
+                        };
+                        let (above, below) = (case.run(body, &at(1.0)), case.run(body, &at(-1.0)));
+                        for i in 0..case.m {
+                            let what =
+                                format!("{body} d={d} scale={scale} shift={shift} ({i},{j})");
+                            assert!(case.bit(&above, i, j), "{what}: over the bound");
+                            assert!(!case.bit(&below, i, j), "{what}: under the bound");
+                        }
+                    }
                 }
             }
         }

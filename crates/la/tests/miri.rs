@@ -178,6 +178,41 @@ fn recursive_trsm_and_skinny_gemm_on_views() {
 }
 
 #[test]
+fn dist_filter_scalar_body_stays_inside_its_buffers() {
+    // 11 queries (a ragged second group) against 5 candidates in 3-d, on
+    // small integers so every distance is exact: the masks must be exactly
+    // "distance <= threshold", and buffers sized to the layout contract —
+    // not a word more — must be enough.
+    let (m, d, nc) = (11usize, 3usize, 5usize);
+    let q = |i: usize, k: usize| ((i * 7 + k * 3) % 5) as f64;
+    let c = |j: usize, k: usize| ((j * 2 + k) % 4) as f64;
+    let mut qpack = vec![0.0; 16 * d];
+    let mut qn = vec![0.0; 16];
+    for i in 0..m {
+        for k in 0..d {
+            qpack[(i / 8 * d + k) * 8 + i % 8] = q(i, k);
+            qn[i] += q(i, k) * q(i, k);
+        }
+    }
+    let cand: Vec<f64> = (0..nc * d).map(|x| c(x / d, x % d)).collect();
+    let cn: Vec<f64> = cand.chunks(d).map(|p| p.iter().map(|v| v * v).sum()).collect();
+    let thr: Vec<f64> =
+        (0..16).map(|i| if i < m { (i % 4) as f64 * 3.0 } else { f64::INFINITY }).collect();
+    let mut masks = vec![usize::MAX; 2 * nc];
+    kfds_la::simd::dist_filter(m, &qpack, &qn, &thr, &cand, &cn, &mut masks);
+    for g in 0..2 {
+        for j in 0..nc {
+            let mut want = 0usize;
+            for r in 0..(m - 8 * g).min(8) {
+                let dist: f64 = (0..d).map(|k| (q(8 * g + r, k) - c(j, k)).powi(2)).sum();
+                want |= usize::from(dist <= thr[8 * g + r]) << r;
+            }
+            assert_eq!(masks[g * nc + j], want, "group {g}, candidate {j}");
+        }
+    }
+}
+
+#[test]
 #[should_panic(expected = "row swap out of range")]
 fn swap_rows_rejects_out_of_range_indices() {
     // Out of range but still inside the allocation: without the bounds

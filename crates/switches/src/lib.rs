@@ -99,14 +99,16 @@ pub const KFDS_EVAL_GEMM: Switch = Switch {
           scalar path, bitwise-identical to the pre-GEMM code",
 };
 
-/// `KFDS_KNN`: selects the legacy scalar k-nearest-neighbor search.
+/// `KFDS_KNN`: selects the per-query scalar k-nearest-neighbor reference.
 pub const KFDS_KNN: Switch = Switch {
     name: "KFDS_KNN",
     default: "blocked",
     off_values: &["scalar", "off", "0"],
-    doc: "forces the legacy scalar kNN paths (per-point ball-tree descent \
-          and per-pair candidate scoring) instead of the blocked \
-          GEMM-tile dual-tree / bucket scoring pipeline, for A/B runs",
+    doc: "forces the per-query scalar kNN reference (per-point ball-tree \
+          descent, per-pair candidate scoring) instead of the blocked \
+          filter-and-refine search (a fused distance-filter kernel nominates \
+          pairs, the scalar `sq_dist` decides); both return the same indices \
+          and distance bits, so this is a speed A/B only",
 };
 
 /// `KFDS_REFACTOR`: kill-switch for λ-sweep refactorization.

@@ -1,31 +1,53 @@
-//! Blocked squared-distance tiles — the BLAS-3 primitive under both kNN
-//! paths.
+//! Distance primitives under the blocked neighbor searches: the fused
+//! filter that decides which pairs are worth scoring, and the GEMM tiles
+//! that seed its thresholds.
 //!
-//! A pairwise-distance block is a rank-`d` GEMM plus a norms epilogue:
-//! `D[i, j] = ‖x_i‖² + ‖x_j‖² − 2 x_iᵀx_j`, the same norms+Gram identity
-//! the kernel block assembly uses (`kfds_kernels::eval_block`). The Gram
-//! pass goes through the packed SIMD GEMM; the epilogue is the vectorized
-//! [`kfds_la::simd::dist_epilogue`] kernel next to the GSKS tiles. Every
-//! temporary comes from [`kfds_la::workspace`], so the tile routines are
+//! Both searches in [`crate::neighbors`] are **filter-and-refine**. A
+//! block of queries (a tree leaf, a projection-tree bucket) is packed once
+//! into a [`QueryBlock`]; every candidate panel it meets goes through
+//! [`kfds_la::simd::dist_filter`], which forms the norms+Gram distance
+//! `f = ‖q‖² + ‖c‖² − 2 qᵀc` in registers, compares it with the query's
+//! threshold and emits one mask word per (8 queries, candidate) — no
+//! distance is stored. The search re-scores each flagged pair with the
+//! scalar [`crate::points::sq_dist`] and offers *that* to the query's
+//! heap, so heaps only ever hold exact values and the filter's only job is
+//! to lose nothing.
+//!
+//! # The slack
+//!
+//! `f` carries the cancellation residual of the expanded form: it differs
+//! from `sq_dist` by at most `γ·(‖q‖² + ‖c‖²)` with `γ = 2(d + 8)·ε`
+//! (derived at `dist_filter`, tested there on all three kernel bodies). A
+//! query's threshold is therefore its current k-th-best exact distance
+//! plus `slack = γ·(‖q‖² + max‖x‖²)`: every candidate whose `sq_dist` could
+//! still enter the heap passes, whatever the SIMD level or the translation
+//! of the data — far from the origin the slack grows and more pairs are
+//! re-scored, but none is lost. `γ` leaves `12ε` beyond the derivation's
+//! `(2d + 3.5)ε`, which also covers rounding the threshold sum itself.
+//!
+//! # Seed tiles
+//!
+//! A query's first block would pass everything (its heap is empty, its
+//! threshold `+∞`). So the first block of a search — the query leaf
+//! against itself, a bucket of the first projection tree — is one GEMM
+//! tile in memory ([`dist_tile_ranges`], [`dist_tile_sym`]) from which the
+//! search takes each query's k-th smallest *filter* distance: the k
+//! candidates under it have `sq_dist ≤ that + slack`, so only candidates
+//! with `f ≤ that + 2·slack` can matter and a query re-scores ~k of its
+//! first block instead of all of it. Tile values are the same `f` up to
+//! summation order, within the same bound.
+//!
+//! Every temporary comes from [`kfds_la::workspace`], so the routines are
 //! allocation-free on the hot path (this module is on the `kfds-lint`
 //! `hot-path-alloc` list).
 //!
 //! Dispatch follows the repo's kill-switch convention: `KFDS_KNN=scalar`
-//! (or `off`/`0`) routes [`crate::neighbors`] onto the legacy per-pair
-//! scalar paths, and [`set_knn_blocked`] overrides the environment at
-//! runtime for A/B harnesses. [`blocked_tile_count`] counts GEMM tiles:
-//! `benchmark/` reports them as `tree.knn_tiles`, and
-//! `tests/dispatch_defaults.rs` fails if a default search computes none.
-//!
-//! # Tolerance model
-//!
-//! The expanded form carries a cancellation residual of `O(eps · ‖x‖²)`
-//! absolute, so tiny distances lose relative accuracy (and can go
-//! negative — the epilogue clamps at zero). The neighbor search uses tile
-//! distances only to *select* candidates and recomputes the reported
-//! distances with the scalar `sq_dist`, so selection agrees with the
-//! scalar path unless two distinct candidate distances straddle the k-th
-//! boundary within that residual.
+//! (or `off`/`0`) routes [`crate::neighbors`] onto the per-query scalar
+//! reference, and [`set_knn_blocked`] overrides the environment at runtime
+//! for A/B harnesses. [`blocked_tile_count`] counts block pairs resolved —
+//! one per seed tile or filter call: `benchmark/` reports them as
+//! `tree.knn_tiles`, and `tests/dispatch_defaults.rs` fails if a default
+//! search resolves none.
 
 use crate::points::PointSet;
 use kfds_la::{gemm, simd, workspace, MatMut, MatRef, Trans};
@@ -37,8 +59,8 @@ static BLOCKED: AtomicBool = AtomicBool::new(true);
 static ENV_INIT: Once = Once::new();
 static TILES: AtomicU64 = AtomicU64::new(0);
 
-/// Whether the kNN paths route through the blocked GEMM-tile pipeline
-/// (env `KFDS_KNN` + runtime override).
+/// Whether the kNN paths route through the blocked filter-and-refine
+/// pipeline (env `KFDS_KNN` + runtime override).
 #[inline]
 pub fn knn_blocked_active() -> bool {
     ENV_INIT.call_once(|| {
@@ -56,7 +78,8 @@ pub fn set_knn_blocked(on: bool) {
     BLOCKED.store(on, Ordering::Relaxed);
 }
 
-/// Number of GEMM distance tiles computed since process start — the
+/// Number of block pairs (leaf × leaf, or a bucket against itself)
+/// resolved since process start, by a seed tile or a filter call — the
 /// witness that a search took the blocked path.
 pub fn blocked_tile_count() -> u64 {
     TILES.load(Ordering::Relaxed)
@@ -97,54 +120,14 @@ pub fn dist_tile_ranges(
     TILES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Computes the squared-distance tile between a contiguous query range
-/// and a gathered candidate list: `out[i, j] = ‖x_{q.start+i} − x_{cands[j]}‖²`.
-///
-/// The candidate panel is gathered into pooled scratch (one copy per
-/// candidate — the price of a scattered column list), then the same
-/// Gram-GEMM + norms-epilogue pipeline runs.
-///
-/// # Panics
-/// Panics if `out` is not `q.len() x cands.len()`, `sq_norms` is shorter
-/// than the point count, or a candidate id is out of range.
-pub fn dist_tile_gather(
-    pts: &PointSet,
-    sq_norms: &[f64],
-    q: Range<usize>,
-    cands: &[u32],
-    mut out: MatMut<'_>,
-) {
-    let d = pts.dim();
-    let (m, n) = (q.len(), cands.len());
-    assert_eq!(out.nrows(), m, "dist_tile_gather: row mismatch");
-    assert_eq!(out.ncols(), n, "dist_tile_gather: col mismatch");
-    assert!(sq_norms.len() >= pts.len(), "dist_tile_gather: sq_norms too short");
-    if m == 0 || n == 0 {
-        return;
-    }
-    let mut xc = workspace::take(d * n);
-    for (j, &cid) in cands.iter().enumerate() {
-        xc[j * d..(j + 1) * d].copy_from_slice(pts.point(cid as usize));
-    }
-    let xq = MatRef::from_parts(&pts.as_slice()[q.start * d..q.end * d], d, m, d);
-    let xcv = MatRef::from_parts(&xc, d, n, d);
-    gemm(1.0, xq, Trans::Yes, xcv, Trans::No, 0.0, out.rb_mut());
-    let qn = &sq_norms[q.start..q.end];
-    for (j, &cid) in cands.iter().enumerate() {
-        simd::dist_epilogue(out.col_mut(j), qn, sq_norms[cid as usize]);
-    }
-    TILES.fetch_add(1, Ordering::Relaxed);
-}
-
 /// Computes the symmetric squared-distance tile among a gathered id list:
 /// `out[i, j] = ‖x_{ids[i]} − x_{ids[j]}‖²`.
 ///
-/// This is the approximate path's bucket primitive: every projection-tree
-/// bucket scores all its members against each other in one rank-`d` Gram
-/// GEMM (the gathered panel is both operands), so candidate scoring is
-/// BLAS-3 even though bucket members are scattered in tree order. The
-/// diagonal comes out exactly `0.0` (the clamp absorbs the
-/// `‖x‖² − ‖x‖²` cancellation).
+/// This is the approximate path's seed primitive: a bucket of the first
+/// projection tree scores all its members against each other in one
+/// rank-`d` Gram GEMM (the gathered panel is both operands). The diagonal
+/// comes out exactly `0.0` (the clamp absorbs the `‖x‖² − ‖x‖²`
+/// cancellation).
 ///
 /// # Panics
 /// Panics if `out` is not `ids.len() x ids.len()`, `sq_norms` is shorter
@@ -160,10 +143,7 @@ pub fn dist_tile_sym(pts: &PointSet, sq_norms: &[f64], ids: &[u32], mut out: Mat
     }
     let mut xc = workspace::take(d * n);
     let mut rn = workspace::take(n);
-    for (j, &cid) in ids.iter().enumerate() {
-        xc[j * d..(j + 1) * d].copy_from_slice(pts.point(cid as usize));
-        rn[j] = sq_norms[cid as usize];
-    }
+    gather_panel(pts, sq_norms, ids, &mut xc, &mut rn);
     let xcv = MatRef::from_parts(&xc, d, n, d);
     gemm(1.0, xcv, Trans::Yes, xcv, Trans::No, 0.0, out.rb_mut());
     for j in 0..n {
@@ -172,31 +152,148 @@ pub fn dist_tile_sym(pts: &PointSet, sq_norms: &[f64], ids: &[u32], mut out: Mat
     TILES.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Scores one query point against a scattered candidate list:
-/// `out[j] = ‖x_q − x_{cands[j]}‖²` via the norms+Gram identity.
-///
-/// This is the degenerate one-row tile for scattered candidate lists too
-/// short (or too irregular) to justify a gathered GEMM panel: an `m = 1`
-/// GEMM would waste the packed microkernel's row blocking, so the Gram
-/// pass is one SIMD dot per candidate (the coordinate panel is read in
-/// place — no gather), with the same clamped epilogue as the big tiles.
-///
-/// # Panics
-/// Panics if `out.len() != cands.len()`, `sq_norms` is shorter than the
-/// point count, or a candidate id is out of range.
-pub fn dist_row(pts: &PointSet, sq_norms: &[f64], q: usize, cands: &[u32], out: &mut [f64]) {
-    assert_eq!(out.len(), cands.len(), "dist_row: output length mismatch");
-    assert!(sq_norms.len() >= pts.len(), "dist_row: sq_norms too short");
-    if cands.is_empty() {
-        return;
+/// Copies the points `ids` into the `d × ids.len()` column-major panel
+/// `xc` and their squared norms into `rn` — a bucket's scattered members
+/// made contiguous for the filter.
+pub(crate) fn gather_panel(
+    pts: &PointSet,
+    sq_norms: &[f64],
+    ids: &[u32],
+    xc: &mut [f64],
+    rn: &mut [f64],
+) {
+    let d = pts.dim();
+    for (j, &id) in ids.iter().enumerate() {
+        xc[j * d..(j + 1) * d].copy_from_slice(pts.point(id as usize));
+        rn[j] = sq_norms[id as usize];
     }
-    let qp = pts.point(q);
-    let qn = sq_norms[q];
-    for (o, &c) in out.iter_mut().zip(cands) {
-        let g = kfds_la::blas1::dot(qp, pts.point(c as usize));
-        *o = (-2.0f64).mul_add(g, qn + sq_norms[c as usize]).max(0.0);
+}
+
+/// A query's slack (module docs): the most its filter distance to any
+/// point of a set with squared norms up to `max_norm` can differ from the
+/// scalar `sq_dist`.
+pub(crate) fn filter_slack(d: usize, q_norm: f64, max_norm: f64) -> f64 {
+    2.0 * (d as f64 + 8.0) * f64::EPSILON * (q_norm + max_norm)
+}
+
+/// Reads the `m × m` seed tile of a block against itself: for every query
+/// `i`, calls `hit(i, j)` for each `j ≠ i` whose filter distance is within
+/// `2·slack(i)` of the query's k-th smallest — every candidate of the
+/// block that can end among its k nearest (module docs), about k of them.
+/// With fewer than `k` candidates all of them hit. Column `i` of the tile
+/// stands for query `i`'s distances (contiguous; the tile is symmetric up
+/// to summation order, which the slack covers).
+pub(crate) fn seed_hits(
+    tile: &[f64],
+    m: usize,
+    k: usize,
+    slack: impl Fn(usize) -> f64,
+    mut hit: impl FnMut(usize, usize),
+) {
+    let mut sorted = workspace::take(m);
+    for (i, col) in tile.chunks_exact(m).enumerate() {
+        let cut = if k < m {
+            sorted.copy_from_slice(col);
+            sorted[i] = f64::INFINITY;
+            let (_, kth, _) = sorted.select_nth_unstable_by(k - 1, f64::total_cmp);
+            *kth + 2.0 * slack(i)
+        } else {
+            f64::INFINITY
+        };
+        for (j, &f) in col.iter().enumerate() {
+            if j != i && f <= cut {
+                hit(i, j);
+            }
+        }
     }
-    TILES.fetch_add(1, Ordering::Relaxed);
+}
+
+/// A block of queries — a tree leaf, a projection-tree bucket — packed
+/// once for [`simd::dist_filter`], with the per-query slack and threshold
+/// the filter compares against.
+pub(crate) struct QueryBlock {
+    m: usize,
+    /// 8-row groups, dimension-major inside a group; padding rows zero.
+    pack: workspace::WsVec,
+    norms: workspace::WsVec,
+    slack: workspace::WsVec,
+    thr: workspace::WsVec,
+    masks: workspace::WsIdx,
+}
+
+impl QueryBlock {
+    /// Packs the `d × m` column-major `panel` (squared norms `norms`);
+    /// `max_norm` bounds the squared norm of every candidate the block will
+    /// meet. Thresholds start at `+∞`.
+    pub(crate) fn new(panel: &[f64], norms: &[f64], max_norm: f64) -> Self {
+        const MR: usize = simd::DIST_FILTER_MR;
+        let m = norms.len();
+        let d = panel.len() / m;
+        let rows = m.next_multiple_of(MR);
+        let mut pack = workspace::take_zeroed(rows * d);
+        for (i, x) in panel.chunks_exact(d).enumerate() {
+            let group = &mut pack[i / MR * MR * d..];
+            for (k, &v) in x.iter().enumerate() {
+                group[k * MR + i % MR] = v;
+            }
+        }
+        let mut padded = workspace::take_zeroed(rows);
+        padded[..m].copy_from_slice(norms);
+        let mut slack = workspace::take_zeroed(rows);
+        for (s, &qn) in slack.iter_mut().zip(norms) {
+            *s = filter_slack(d, qn, max_norm);
+        }
+        let mut thr = workspace::take(rows);
+        thr.fill(f64::INFINITY);
+        // Mask words for a candidate panel as long as the block itself (a
+        // leaf's peers, a bucket against itself); `filter` grows it for more.
+        let masks = workspace::take_idx(rows / MR * m);
+        QueryBlock { m, pack, norms: padded, slack, thr, masks }
+    }
+
+    /// Query `i`'s slack.
+    pub(crate) fn slack(&self, i: usize) -> f64 {
+        self.slack[i]
+    }
+
+    /// Sets query `i`'s threshold from `worst`, its current k-th-best exact
+    /// distance (`+∞` while its heap is short).
+    pub(crate) fn set_worst(&mut self, i: usize, worst: f64) {
+        self.thr[i] = worst + self.slack[i];
+    }
+
+    /// Filters the block against a `d × cn.len()` candidate panel (squared
+    /// norms `cn`) and calls `hit(i, j)` for every pair the kernel flagged:
+    /// query `i`'s filter distance to candidate `j` is at or under its
+    /// threshold. Counts one block pair.
+    pub(crate) fn filter(&mut self, cand: &[f64], cn: &[f64], mut hit: impl FnMut(usize, usize)) {
+        let nc = cn.len();
+        if nc == 0 {
+            return;
+        }
+        let words = self.m.div_ceil(simd::DIST_FILTER_MR) * nc;
+        if self.masks.len() < words {
+            self.masks.resize(words, 0);
+        }
+        let masks = &mut self.masks[..words];
+        simd::dist_filter(self.m, &self.pack, &self.norms, &self.thr, cand, cn, masks);
+        TILES.fetch_add(1, Ordering::Relaxed);
+        for (g, row) in masks.chunks_exact(nc).enumerate() {
+            // Nearly every word is zero: rule them out eight at a time.
+            for (c, words) in row.chunks(8).enumerate() {
+                if words.iter().fold(0, |any, &w| any | w) == 0 {
+                    continue;
+                }
+                for (j, &word) in words.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        hit(simd::DIST_FILTER_MR * g + bits.trailing_zeros() as usize, 8 * c + j);
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -226,24 +323,6 @@ mod tests {
                 let want = sq_dist(p.point(3 + i), p.point(20 + j));
                 let got = out[(i, j)];
                 assert!((got - want).abs() <= 1e-12 * (1.0 + want), "({i},{j}): {got} vs {want}");
-            }
-        }
-    }
-
-    #[test]
-    fn gather_tile_matches_scalar_distances_and_counts() {
-        let p = pts(30, 5, 9);
-        let mut norms = vec![0.0; p.len()];
-        p.sq_norms_into(&mut norms);
-        let cands: Vec<u32> = vec![29, 0, 17, 3, 3];
-        let before = blocked_tile_count();
-        let mut out = kfds_la::Mat::zeros(6, cands.len());
-        dist_tile_gather(&p, &norms, 10..16, &cands, out.rb_mut());
-        assert!(blocked_tile_count() > before);
-        for i in 0..6 {
-            for (j, &c) in cands.iter().enumerate() {
-                let want = sq_dist(p.point(10 + i), p.point(c as usize));
-                assert!((out[(i, j)] - want).abs() <= 1e-12 * (1.0 + want));
             }
         }
     }
@@ -282,27 +361,97 @@ mod tests {
     }
 
     #[test]
-    fn dist_row_matches_scalar_distances() {
-        let p = pts(25, 9, 13);
-        let mut norms = vec![0.0; p.len()];
-        p.sq_norms_into(&mut norms);
-        let cands: Vec<u32> = vec![0, 7, 24, 7, 12];
-        let mut row = vec![0.0; cands.len()];
-        dist_row(&p, &norms, 4, &cands, &mut row);
-        for (j, &c) in cands.iter().enumerate() {
-            let want = sq_dist(p.point(4), p.point(c as usize));
-            assert!((row[j] - want).abs() <= 1e-12 * (1.0 + want));
-        }
-    }
-
-    #[test]
     fn empty_tiles_are_noops() {
         let p = pts(10, 3, 2);
         let mut norms = vec![0.0; p.len()];
         p.sq_norms_into(&mut norms);
         let mut out = kfds_la::Mat::zeros(0, 5);
         dist_tile_ranges(&p, &norms, 4..4, 0..5, out.rb_mut());
-        let mut out2 = kfds_la::Mat::zeros(3, 0);
-        dist_tile_gather(&p, &norms, 0..3, &[], out2.rb_mut());
+        let mut out2 = kfds_la::Mat::zeros(0, 0);
+        dist_tile_sym(&p, &norms, &[], out2.rb_mut());
+    }
+
+    /// The hits of one filter call, as (query, candidate) pairs.
+    fn filter_pairs(blk: &mut QueryBlock, cand: &[f64], cn: &[f64]) -> Vec<(usize, usize)> {
+        let mut hits = Vec::new();
+        blk.filter(cand, cn, |i, j| hits.push((i, j)));
+        hits
+    }
+
+    #[test]
+    fn query_block_flags_every_pair_under_its_threshold_and_counts_once() {
+        // 21 queries (a ragged last group) against 13 candidates, far from
+        // the origin so the slack is what keeps the near pairs.
+        let mut p = pts(40, 5, 17);
+        for i in 0..p.len() {
+            for v in p.point_mut(i) {
+                *v += 1e6;
+            }
+        }
+        let d = p.dim();
+        let mut norms = vec![0.0; p.len()];
+        p.sq_norms_into(&mut norms);
+        let max_norm = norms.iter().copied().fold(0.0, f64::max);
+        let (q, c) = (2..23, 25..38);
+        let panel = |r: &Range<usize>| &p.as_slice()[r.start * d..r.end * d];
+        let mut blk = QueryBlock::new(panel(&q), &norms[q.clone()], max_norm);
+
+        // Thresholds start at +inf: everything hits, and the call is counted
+        // (exactly once — `tests/dispatch_defaults.rs`, alone in its process).
+        let before = blocked_tile_count();
+        let all = filter_pairs(&mut blk, panel(&c), &norms[c.clone()]);
+        assert!(blocked_tile_count() > before);
+        assert_eq!(all.len(), q.len() * c.len());
+
+        // Each query's 4th-smallest exact distance as its k-th best: the
+        // four candidates at or under it must all be flagged.
+        for i in 0..q.len() {
+            let mut ds: Vec<f64> = c.clone().map(|j| p.sq_dist(q.start + i, j)).collect();
+            ds.sort_by(f64::total_cmp);
+            blk.set_worst(i, ds[3]);
+        }
+        let hits = filter_pairs(&mut blk, panel(&c), &norms[c.clone()]);
+        for i in 0..q.len() {
+            let worst = blk.thr[i] - blk.slack(i);
+            for j in 0..c.len() {
+                if p.sq_dist(q.start + i, c.start + j) <= worst {
+                    assert!(hits.contains(&(i, j)), "pair ({i},{j}) lost");
+                }
+            }
+        }
+        assert!(hits.iter().all(|&(i, j)| i < q.len() && j < c.len()));
+    }
+
+    #[test]
+    fn seed_hits_cover_the_k_nearest_of_the_block() {
+        let p = pts(50, 6, 3);
+        let mut norms = vec![0.0; p.len()];
+        p.sq_norms_into(&mut norms);
+        let max_norm = norms.iter().copied().fold(0.0, f64::max);
+        let (r, k) = (10..37, 5);
+        let m = r.len();
+        let mut tile = kfds_la::Mat::zeros(m, m);
+        dist_tile_ranges(&p, &norms, r.clone(), r.clone(), tile.rb_mut());
+        let mut hits = vec![Vec::new(); m];
+        let slack = |i: usize| filter_slack(p.dim(), norms[r.start + i], max_norm);
+        seed_hits(tile.as_slice(), m, k, slack, |i, j| hits[i].push(j));
+        for (i, row) in hits.iter().enumerate() {
+            assert!(!row.contains(&i), "query {i} hit itself");
+            let mut exact: Vec<(f64, usize)> = (0..m)
+                .filter(|&j| j != i)
+                .map(|j| (p.sq_dist(r.start + i, r.start + j), j))
+                .collect();
+            exact.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for &(_, j) in &exact[..k] {
+                assert!(row.contains(&j), "query {i}: neighbor {j} not seeded");
+            }
+            assert!(row.len() < 2 * k, "query {i}: {} seeds for k = {k}", row.len());
+        }
+        // Fewer candidates than k: every other member hits.
+        let mut few = Vec::new();
+        let mut tiny = kfds_la::Mat::zeros(3, 3);
+        dist_tile_ranges(&p, &norms, 0..3, 0..3, tiny.rb_mut());
+        seed_hits(tiny.as_slice(), 3, k, slack, |i, j| few.push((i, j)));
+        assert_eq!(few.len(), 6);
     }
 }

@@ -1,4 +1,5 @@
-//! k-nearest-neighbor search: blocked (BLAS-3) by default, scalar fallback.
+//! k-nearest-neighbor search: blocked filter-and-refine by default, a
+//! per-query scalar reference behind `KFDS_KNN`.
 //!
 //! ASKIT uses per-point nearest-neighbor lists to choose the sampled rows
 //! `S'` of the skeletonization targets (§II-A: "κ is the number of nearest
@@ -6,32 +7,34 @@
 //! the exact and the approximate search, selected by `KFDS_KNN` (see
 //! [`crate::dist_tiles`]):
 //!
-//! * **blocked** (default): the exact search is a dual-tree / leaf-blocked
-//!   all-nearest-neighbors traversal — node-vs-node ball bounds prune
-//!   against the *max* of a query leaf's current k-th-best radii, and each
-//!   surviving leaf×leaf pair resolves as one GEMM distance tile
-//!   ([`crate::dist_tiles::dist_tile_ranges`]) feeding per-query [`KBest`]
-//!   heaps. The approximate path batches the projection-tree split keys
-//!   (one SIMD dot per point per split, cached outside the
-//!   `select_nth_unstable_by` comparator), scores every bucket as one
-//!   symmetric GEMM tile, and merges each query's tile rows through a
-//!   duplicate-rejecting heap.
-//! * **scalar** (`KFDS_KNN=scalar`): the original per-query ball-tree
-//!   descent and per-pair `sq_dist` scoring, kept for A/B comparison.
+//! * **blocked** (default): every block of queries meets its candidates
+//!   through the fused filter of [`crate::dist_tiles`] — a register-tile
+//!   kernel that flags the pairs whose norms+Gram distance is under the
+//!   query's current k-th best plus a rounding slack — and only flagged
+//!   pairs are re-scored with the scalar [`sq_dist`] and offered to the
+//!   query's [`KBest`] heap. The exact search is a leaf-blocked
+//!   all-nearest-neighbors traversal (query leaf against candidate leaf,
+//!   node-vs-node ball bounds pruned against the *max* of the leaf's
+//!   k-th-best radii); the approximate one runs its projection trees in
+//!   turn, the buckets of a tree in parallel, over per-point heaps that
+//!   persist across trees. A query's first block is seeded from one GEMM
+//!   tile so it refines about k candidates there, not all of them.
+//! * **scalar** (`KFDS_KNN=scalar`): the per-query ball-tree descent and
+//!   per-pair `sq_dist` scoring, kept as the reference.
 //!
-//! Both paths order every neighbor list by `(distance, index)` and the
-//! blocked path recomputes the reported distances with the scalar
-//! [`sq_dist`], so blocked and scalar output is bitwise identical whenever
-//! the selected neighbor sets agree (see the tolerance model in
-//! [`crate::dist_tiles`]).
+//! Heaps hold exact `sq_dist` values on every path and order candidates by
+//! `(distance, index)`, and neither the filter nor a prune ever drops a
+//! candidate that could enter one, so the blocked search, the scalar
+//! search and [`knn_brute_force`] return the same indices and the same
+//! distance bits — at any SIMD level, thread count or translation of the
+//! data.
 
 use crate::balltree::BallTree;
-use crate::dist_tiles;
+use crate::dist_tiles::{self, QueryBlock};
 use crate::points::{sq_dist, PointSet};
 use kfds_la::{workspace, MatMut};
 use rayon::prelude::*;
 use std::cmp::Ordering;
-use std::ops::Range;
 
 /// k-nearest-neighbor lists for every point of a tree's point set.
 ///
@@ -80,6 +83,7 @@ fn cand_cmp(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
 
 /// A bounded max-heap of `(distance, index)` candidates under the
 /// lexicographic order of [`cand_lt`].
+#[derive(Default)]
 struct KBest {
     k: usize,
     heap: Vec<(f64, u32)>,
@@ -138,26 +142,11 @@ impl KBest {
         }
     }
 
-    /// [`Self::push`] that rejects an index already in the heap — used when
-    /// the candidate stream carries cross-tree duplicates. The `O(k)` scan
-    /// only runs on candidates that pass the `worst()` gate (a duplicate
-    /// with a bitwise-equal distance whose first copy was evicted compares
-    /// `>=` the current worst under the lexicographic order, so it is
-    /// gated out before the scan).
+    /// Whether candidate `i` is already kept — the approximate search
+    /// meets a near neighbor again in most trees.
     #[inline]
-    fn push_distinct(&mut self, d: f64, i: u32) {
-        if self.heap.len() == self.k && !cand_lt((d, i), self.heap[0]) {
-            return;
-        }
-        if self.heap.iter().any(|&(_, j)| j == i) {
-            return;
-        }
-        self.push(d, i);
-    }
-
-    /// The kept candidates, unordered.
-    fn into_entries(self) -> Vec<(f64, u32)> {
-        self.heap
+    fn contains(&self, i: u32) -> bool {
+        self.heap.iter().any(|&(_, j)| j == i)
     }
 
     /// The kept candidates, `(dist, idx)`-sorted nearest first.
@@ -171,9 +160,10 @@ impl KBest {
 /// Computes exact k-nearest neighbors (excluding the point itself) for all
 /// points in `tree`, in parallel.
 ///
-/// Dispatches on the `KFDS_KNN` switch: the blocked dual-tree traversal by
-/// default, the scalar per-query descent under `KFDS_KNN=scalar` (or
-/// [`crate::dist_tiles::set_knn_blocked`]`(false)`).
+/// Dispatches on the `KFDS_KNN` switch: the leaf-blocked filter-and-refine
+/// traversal by default, the scalar per-query descent under
+/// `KFDS_KNN=scalar` (or [`crate::dist_tiles::set_knn_blocked`]`(false)`);
+/// both return exactly [`knn_brute_force`]'s lists.
 ///
 /// # Panics
 /// Panics if `k >= n` or `k == 0`.
@@ -205,13 +195,12 @@ fn knn_all_scalar(tree: &BallTree, k: usize) -> NeighborLists {
     NeighborLists { k, idx, dist }
 }
 
-/// Blocked exact path: dual-tree all-nearest-neighbors, parallel over
-/// query leaves, one GEMM distance tile per surviving leaf×leaf pair.
+/// Blocked exact path: leaf-blocked all-nearest-neighbors, parallel over
+/// query leaves, one filter call per surviving leaf×leaf pair.
 fn knn_all_blocked(tree: &BallTree, k: usize) -> NeighborLists {
     let pts = tree.points();
     let n = pts.len();
-    let mut norms = workspace::take(n);
-    pts.sq_norms_into(&mut norms);
+    let (norms, max_norm) = sq_norms_and_max(pts);
     let norms: &[f64] = &norms;
 
     let mut idx = vec![0u32; n * k];
@@ -233,34 +222,80 @@ fn knn_all_blocked(tree: &BallTree, k: usize) -> NeighborLists {
     }
 
     jobs.into_par_iter().for_each(|(lf, irow, drow)| {
-        leaf_all_nn(tree, norms, lf, k, irow, drow);
+        leaf_all_nn(tree, norms, max_norm, lf, k, irow, drow);
     });
 
     NeighborLists { k, idx, dist }
 }
 
-/// All-nearest-neighbors for the queries of one leaf: self tile first (to
-/// tighten τ), then a closer-child-first DFS over candidate nodes, pruning
-/// node `C` when even the best-placed query cannot improve —
-/// `max(0, ‖c_Q − c_C‖ − r_Q − r_C)² ≥ τ` with `τ = max_i worst_i`.
+/// `‖x_i‖²` of every point (pooled) and the largest of them — what the
+/// filter's slack is proportional to.
+fn sq_norms_and_max(pts: &PointSet) -> (workspace::WsVec, f64) {
+    let mut norms = workspace::take(pts.len());
+    pts.sq_norms_into(&mut norms);
+    let max_norm = norms.iter().copied().fold(0.0, f64::max);
+    (norms, max_norm)
+}
+
+/// Squared lower bound on the *computed* `sq_dist` between any two points
+/// of two balls whose centers are `center_dist` apart and whose radii sum
+/// to `radii` — `max(0, center_dist − radii)²`, with the gap first reduced
+/// by `(d + 8)·ε·(center_dist + radii)`. That margin is twice what the
+/// roundings can add up to: `center_dist` and each radius are square roots
+/// of `sq_dist` values, good to `(d/2 + 2)·ε/2` relative, and a computed
+/// `sq_dist` can sit `(d + 2)·ε/2` under the true squared distance. A node
+/// is skipped only when this bound is *strictly* above the k-th best: an
+/// equal-distance candidate with a smaller index still enters a heap.
+fn ball_gap_sq(d: usize, center_dist: f64, radii: f64) -> f64 {
+    let margin = (d as f64 + 8.0) * f64::EPSILON * (center_dist + radii);
+    let gap = (center_dist - radii - margin).max(0.0);
+    gap * gap
+}
+
+/// Moves every query's filter threshold to its heap's current k-th best
+/// and returns `τ`, the largest of them — the leaf's pruning radius.
+fn tighten(block: &mut QueryBlock, best: &[KBest]) -> f64 {
+    let mut tau = 0.0f64;
+    for (i, b) in best.iter().enumerate() {
+        block.set_worst(i, b.worst());
+        tau = tau.max(b.worst());
+    }
+    tau
+}
+
+/// All-nearest-neighbors for the queries of one leaf: the self tile seeds
+/// the heaps (and with them `τ = max_i worst_i`), then a closer-child-first
+/// DFS over candidate nodes filters every leaf it cannot prune.
 fn leaf_all_nn(
     tree: &BallTree,
     norms: &[f64],
+    max_norm: f64,
     lf: usize,
     k: usize,
     irow: &mut [u32],
     drow: &mut [f64],
 ) {
     let pts = tree.points();
+    let d = pts.dim();
     let nd = tree.node(lf);
     let qr = nd.range();
     let m = nd.len();
+    let panel = |r: &std::ops::Range<usize>| &pts.as_slice()[r.start * d..r.end * d];
 
-    let mut tile = workspace::take(m * tree.leaf_size());
     let mut best: Vec<KBest> = (0..m).map(|_| KBest::new(k)).collect();
+    let mut block = QueryBlock::new(panel(&qr), &norms[qr.clone()], max_norm);
 
-    score_leaf_pair(pts, norms, qr.clone(), qr.clone(), &mut tile, &mut best, true);
-    let mut tau = best.iter().map(KBest::worst).fold(0.0f64, f64::max);
+    let mut tile = workspace::take(m * m);
+    let seed = MatMut::from_parts(&mut tile, m, m, m);
+    dist_tiles::dist_tile_ranges(pts, norms, qr.clone(), qr.clone(), seed);
+    dist_tiles::seed_hits(
+        &tile,
+        m,
+        k,
+        |i| block.slack(i),
+        |i, j| best[i].push(pts.sq_dist(qr.start + i, qr.start + j), (qr.start + j) as u32),
+    );
+    let mut tau = tighten(&mut block, &best);
 
     let (qc, qrad) = (&nd.center, nd.radius);
     let mut stack: Vec<usize> = Vec::with_capacity(2 * tree.depth() + 2);
@@ -270,13 +305,15 @@ fn leaf_all_nn(
             continue;
         }
         let cn = tree.node(c);
-        let gap = (sq_dist(qc, &cn.center).sqrt() - qrad - cn.radius).max(0.0);
-        if gap * gap >= tau {
+        if ball_gap_sq(d, sq_dist(qc, &cn.center).sqrt(), qrad + cn.radius) > tau {
             continue;
         }
         if cn.is_leaf() {
-            score_leaf_pair(pts, norms, qr.clone(), cn.range(), &mut tile, &mut best, false);
-            tau = best.iter().map(KBest::worst).fold(0.0f64, f64::max);
+            let cr = cn.range();
+            block.filter(panel(&cr), &norms[cr.clone()], |i, j| {
+                best[i].push(pts.sq_dist(qr.start + i, cr.start + j), (cr.start + j) as u32);
+            });
+            tau = tighten(&mut block, &best);
         } else {
             let (l, r) = cn.children.expect("internal node");
             let dl = sq_dist(qc, &tree.node(l).center);
@@ -292,52 +329,15 @@ fn leaf_all_nn(
         }
     }
 
-    // Finalize: recompute the selected distances with the scalar sq_dist
-    // (tile distances carry the Gram-identity residual) and sort by
-    // (dist, idx) — bitwise equal to the scalar path when the selected
-    // sets agree.
     for (i, b) in best.into_iter().enumerate() {
-        let qp = pts.point(qr.start + i);
-        let mut sel = b.into_entries();
-        for e in &mut sel {
-            e.0 = sq_dist(qp, pts.point(e.1 as usize));
-        }
-        sel.sort_by(cand_cmp);
-        for (j, &(d, id)) in sel.iter().enumerate() {
+        for (j, (dd, id)) in b.into_sorted().into_iter().enumerate() {
             irow[i * k + j] = id;
-            drow[i * k + j] = d;
+            drow[i * k + j] = dd;
         }
     }
 }
 
-/// Scores one leaf×leaf pair through a GEMM distance tile and feeds the
-/// query heaps. `self_block` skips the diagonal (a query is not its own
-/// neighbor).
-fn score_leaf_pair(
-    pts: &PointSet,
-    norms: &[f64],
-    q: Range<usize>,
-    c: Range<usize>,
-    tile: &mut [f64],
-    best: &mut [KBest],
-    self_block: bool,
-) {
-    let (m, nc) = (q.len(), c.len());
-    let out = MatMut::from_parts(&mut tile[..m * nc], m, nc, m);
-    dist_tiles::dist_tile_ranges(pts, norms, q, c.clone(), out);
-    for j in 0..nc {
-        let col = &tile[j * m..(j + 1) * m];
-        let cid = (c.start + j) as u32;
-        for (i, b) in best.iter_mut().enumerate() {
-            if self_block && i == j {
-                continue;
-            }
-            b.push(col[i], cid);
-        }
-    }
-}
-
-/// Scalar recursive descent for one query (the legacy exact path).
+/// Scalar recursive descent for one query (the reference exact path).
 fn search(tree: &BallTree, node: usize, q: usize, best: &mut KBest) {
     let nd = tree.node(node);
     let pts = tree.points();
@@ -359,8 +359,9 @@ fn search(tree: &BallTree, node: usize, q: usize, best: &mut KBest) {
     for &c in &order {
         let cn = tree.node(c);
         let center_dist = sq_dist(qp, &cn.center).sqrt();
-        let lower = (center_dist - cn.radius).max(0.0);
-        if lower * lower < best.worst() {
+        // `<=`, like the blocked prune: a tie at the k-th best can still
+        // enter on its index.
+        if ball_gap_sq(pts.dim(), center_dist, cn.radius) <= best.worst() {
             search(tree, c, q, best);
         }
     }
@@ -378,12 +379,14 @@ fn search(tree: &BallTree, node: usize, q: usize, best: &mut KBest) {
 ///
 /// The blocked path (default) builds the same trees from batched, cached
 /// projection keys (one SIMD dot per point per split instead of two dots
-/// per comparator call), scores every bucket as one symmetric GEMM tile
-/// ([`crate::dist_tiles::dist_tile_sym`]), and merges each query's tile
-/// rows through a duplicate-rejecting heap; `KFDS_KNN=scalar` keeps
-/// per-pair `sq_dist` scoring over sort-deduped merged bucket lists and
-/// in-comparator projections. Bucket structure is identical on both paths
-/// (the cached keys are the same dots).
+/// per comparator call), then takes the trees in turn: the buckets of one
+/// tree run in parallel, each filtering its members against each other
+/// (see [`crate::dist_tiles`]) into per-point heaps that persist from tree
+/// to tree, so nothing of size `n_trees · n · bucket` is ever held.
+/// `KFDS_KNN=scalar` keeps per-pair `sq_dist` scoring over sort-deduped
+/// merged bucket lists and in-comparator projections. Bucket structure is
+/// identical on both paths (the cached keys are the same dots), and so are
+/// the lists: each is the `(dist, idx)`-smallest `k` of the same union.
 ///
 /// # Panics
 /// Panics if `k >= n`, `k == 0`, or `n_trees == 0`.
@@ -404,81 +407,59 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
         (0..n_trees).map(build_one).collect()
     };
 
-    // Invert: members per (tree, bucket) (ascending within each bucket),
-    // plus each point's row rank inside its bucket — the tile row it owns.
-    let mut members: Vec<Vec<Vec<u32>>> = Vec::with_capacity(n_trees);
-    let mut ranks: Vec<Vec<u32>> = Vec::with_capacity(n_trees);
-    for assignment in &buckets {
-        let nb = assignment.iter().copied().max().unwrap_or(0) as usize + 1;
-        let mut m = vec![Vec::new(); nb];
-        let mut r = vec![0u32; n];
-        for (i, &b) in assignment.iter().enumerate() {
-            r[i] = m[b as usize].len() as u32;
-            m[b as usize].push(i as u32);
-        }
-        members.push(m);
-        ranks.push(r);
-    }
+    // Invert: members per (tree, bucket), ascending within each bucket.
+    let members: Vec<Vec<Vec<u32>>> = buckets
+        .iter()
+        .map(|assignment| {
+            let nb = assignment.iter().copied().max().unwrap_or(0) as usize + 1;
+            let mut m = vec![Vec::new(); nb];
+            for (i, &b) in assignment.iter().enumerate() {
+                m[b as usize].push(i as u32);
+            }
+            m
+        })
+        .collect();
 
     let mut idx_out = vec![0u32; n * k];
     let mut dist_out = vec![0.0f64; n * k];
 
     if blocked {
-        let mut norms = workspace::take(n);
-        pts.sq_norms_into(&mut norms);
-        // Every bucket scores all its members against each other as one
-        // symmetric GEMM tile (O(T · N · bucket · d) flops, all BLAS-3);
-        // per-query merging then just reads precomputed tile rows. The flat
-        // tile buffer costs O(T · N · bucket) pooled memory — the same
-        // order as the candidate lists themselves.
-        let mut offsets: Vec<Vec<usize>> = Vec::with_capacity(n_trees);
-        let mut total = 0usize;
-        for m in &members {
-            let mut offs = Vec::with_capacity(m.len());
-            for mem in m {
-                offs.push(total);
-                total += mem.len() * mem.len();
-            }
-            offsets.push(offs);
-        }
-        let mut tiles = workspace::take(total);
-        let mut jobs: Vec<(usize, usize, &mut [f64])> = Vec::new();
-        let mut rest: &mut [f64] = &mut tiles;
-        for (t, m) in members.iter().enumerate() {
-            for (b, mem) in m.iter().enumerate() {
-                let (tile, tail) = rest.split_at_mut(mem.len() * mem.len());
-                rest = tail;
-                jobs.push((t, b, tile));
-            }
-        }
-        jobs.into_par_iter().for_each(|(t, b, tile)| {
-            let mem = &members[t][b];
-            let len = mem.len();
-            dist_tiles::dist_tile_sym(pts, &norms, mem, MatMut::from_parts(tile, len, len, len));
-        });
-
-        idx_out.par_chunks_mut(k).zip(dist_out.par_chunks_mut(k)).enumerate().for_each(
-            |(q, (irow, drow))| {
-                // The query's row of each tree's bucket tile already holds
-                // the distances to that tree's candidates; merge the rows
-                // through a duplicate-rejecting heap (cross-tree duplicates
-                // carry bitwise-equal tile distances).
-                let mut best = KBest::new(k);
-                for t in 0..n_trees {
-                    let b = buckets[t][q] as usize;
-                    let mem = &members[t][b];
-                    let len = mem.len();
-                    let row = ranks[t][q] as usize;
-                    let tile = &tiles[offsets[t][b]..offsets[t][b] + len * len];
-                    for (jj, &c) in mem.iter().enumerate() {
-                        if c as usize != q {
-                            best.push_distinct(tile[jj * len + row], c);
-                        }
+        let (norms, max_norm) = sq_norms_and_max(pts);
+        let norms: &[f64] = &norms;
+        // A point sits in exactly one bucket of a tree, so the bucket jobs
+        // of one tree need disjoint heaps: move each bucket's heaps into
+        // its job, run the jobs in parallel, move them back.
+        let mut heaps: Vec<KBest> = (0..n).map(|_| KBest::new(k)).collect();
+        for (t, tree_buckets) in members.iter().enumerate() {
+            let jobs: Vec<(&Vec<u32>, Vec<KBest>)> = tree_buckets
+                .iter()
+                .map(|mem| {
+                    (mem, mem.iter().map(|&i| std::mem::take(&mut heaps[i as usize])).collect())
+                })
+                .collect();
+            let done: Vec<Vec<KBest>> = jobs
+                .into_par_iter()
+                .map(|(mem, mut own)| {
+                    if t == 0 {
+                        seed_bucket(pts, norms, max_norm, mem, k, &mut own);
+                    } else {
+                        filter_bucket(pts, norms, max_norm, mem, &mut own);
                     }
+                    own
+                })
+                .collect();
+            for (mem, own) in tree_buckets.iter().zip(done) {
+                for (&i, h) in mem.iter().zip(own) {
+                    heaps[i as usize] = h;
                 }
-                finalize_approx_row(pts, q, best, true, k, irow, drow);
-            },
-        );
+            }
+        }
+        idx_out
+            .par_chunks_mut(k)
+            .zip(dist_out.par_chunks_mut(k))
+            .zip(heaps.into_par_iter())
+            .enumerate()
+            .for_each(|(q, ((irow, drow), best))| finalize_approx_row(pts, q, best, k, irow, drow));
     } else {
         idx_out.par_chunks_mut(k).zip(dist_out.par_chunks_mut(k)).enumerate().for_each(
             |(q, (irow, drow))| {
@@ -499,7 +480,7 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
                 for &c in cand.iter() {
                     best.push(pts.sq_dist(q, c as usize), c);
                 }
-                finalize_approx_row(pts, q, best, false, k, irow, drow);
+                finalize_approx_row(pts, q, best, k, irow, drow);
             },
         );
     }
@@ -507,29 +488,59 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
     NeighborLists { k, idx: idx_out, dist: dist_out }
 }
 
-/// Shared tail of both approximate paths: optional exact-distance
-/// recompute (the blocked path selected on tile distances), `(dist, idx)`
-/// sort, row write-out, and the candidates-short-of-`k` padding with the
-/// smallest indices not already present (sorted among themselves, so the
-/// row stays duplicate-free).
+/// A bucket of the first projection tree on the blocked path, `heaps[i]`
+/// being the (empty) heap of `mem[i]`: every member is seeded from the
+/// bucket's symmetric tile with the ~k other members it can take.
+fn seed_bucket(
+    pts: &PointSet,
+    norms: &[f64],
+    max_norm: f64,
+    mem: &[u32],
+    k: usize,
+    heaps: &mut [KBest],
+) {
+    let len = mem.len();
+    let mut tile = workspace::take(len * len);
+    dist_tiles::dist_tile_sym(pts, norms, mem, MatMut::from_parts(&mut tile, len, len, len));
+    dist_tiles::seed_hits(
+        &tile,
+        len,
+        k,
+        |i| dist_tiles::filter_slack(pts.dim(), norms[mem[i] as usize], max_norm),
+        |i, j| heaps[i].push(pts.sq_dist(mem[i] as usize, mem[j] as usize), mem[j]),
+    );
+}
+
+/// A bucket of a later tree: one filter call of its members against each
+/// other under the thresholds the earlier trees left; a flagged candidate
+/// a heap already keeps is skipped before its distance is computed.
+fn filter_bucket(pts: &PointSet, norms: &[f64], max_norm: f64, mem: &[u32], heaps: &mut [KBest]) {
+    let d = pts.dim();
+    let mut xc = workspace::take(d * mem.len());
+    let mut rn = workspace::take(mem.len());
+    dist_tiles::gather_panel(pts, norms, mem, &mut xc, &mut rn);
+    let mut block = QueryBlock::new(&xc, &rn, max_norm);
+    tighten(&mut block, heaps);
+    block.filter(&xc, &rn, |i, j| {
+        if i != j && !heaps[i].contains(mem[j]) {
+            heaps[i].push(sq_dist(&xc[i * d..(i + 1) * d], &xc[j * d..(j + 1) * d]), mem[j]);
+        }
+    });
+}
+
+/// Shared tail of both approximate paths: `(dist, idx)` sort, row
+/// write-out, and the candidates-short-of-`k` padding with the smallest
+/// indices not already present (sorted among themselves, so the row stays
+/// duplicate-free).
 fn finalize_approx_row(
     pts: &PointSet,
     q: usize,
     best: KBest,
-    recompute: bool,
     k: usize,
     irow: &mut [u32],
     drow: &mut [f64],
 ) {
-    let mut sel = best.into_entries();
-    if recompute {
-        // Same exact-recompute finalization as the dual-tree path.
-        let qp = pts.point(q);
-        for e in &mut sel {
-            e.0 = sq_dist(qp, pts.point(e.1 as usize));
-        }
-    }
-    sel.sort_by(cand_cmp);
+    let sel = best.into_sorted();
     for (j, &(d, i)) in sel.iter().enumerate() {
         irow[j] = i;
         drow[j] = d;
@@ -677,21 +688,43 @@ mod tests {
         }
     }
 
+    /// Every point of `p` moved by `shift` in every coordinate.
+    fn translated(p: &PointSet, shift: f64) -> PointSet {
+        let data = p.as_slice().iter().map(|v| v + shift).collect();
+        PointSet::from_col_major(p.dim(), data)
+    }
+
+    /// The one-answer contract of the exact search: blocked, scalar and
+    /// brute force return the same indices and the same distance bits.
+    fn assert_exact_routes_agree(t: &BallTree, k: usize, what: &str) {
+        let n = t.points().len();
+        let _g = SWITCH_LOCK.lock().unwrap();
+        crate::dist_tiles::set_knn_blocked(true);
+        let blocked = knn_all(t, k);
+        crate::dist_tiles::set_knn_blocked(false);
+        let scalar = knn_all(t, k);
+        crate::dist_tiles::set_knn_blocked(true);
+        let brute = knn_brute_force(t, k);
+        assert_lists_bitwise_eq(&blocked, &brute, n, &format!("{what}: blocked vs brute force"));
+        assert_lists_bitwise_eq(&scalar, &brute, n, &format!("{what}: scalar vs brute force"));
+    }
+
+    /// The same for the approximate search: blocked == scalar.
+    fn assert_approx_routes_agree(t: &BallTree, k: usize, n_trees: usize, what: &str) {
+        let _g = SWITCH_LOCK.lock().unwrap();
+        crate::dist_tiles::set_knn_blocked(true);
+        let blocked = knn_approximate(t, k, n_trees, 9);
+        crate::dist_tiles::set_knn_blocked(false);
+        let scalar = knn_approximate(t, k, n_trees, 9);
+        crate::dist_tiles::set_knn_blocked(true);
+        assert_lists_bitwise_eq(&blocked, &scalar, t.points().len(), what);
+    }
+
     #[test]
     fn knn_matches_brute_force() {
         let p = rand_points(200, 3, 42);
         let t = BallTree::build(&p, 16);
-        let fast = knn_all(&t, 5);
-        let slow = knn_brute_force(&t, 5);
-        for i in 0..200 {
-            // Compare distances (indices can differ on near-ties from the
-            // blocked path's Gram-identity selection).
-            for j in 0..5 {
-                let df = fast.distances(i)[j];
-                let ds = slow.distances(i)[j];
-                assert!((df - ds).abs() < 1e-12, "point {i} neighbor {j}: {df} vs {ds}");
-            }
-        }
+        assert_exact_routes_agree(&t, 5, "uniform 3-d");
     }
 
     #[test]
@@ -700,16 +733,74 @@ mod tests {
         // leaf×leaf pairs must prune, the survivors must still be exact.
         let p = crate::datasets::gaussian_mixture(500, 6, 8, 0.05, 11);
         let t = BallTree::build(&p, 16);
-        let _g = SWITCH_LOCK.lock().unwrap();
-        crate::dist_tiles::set_knn_blocked(true);
-        let fast = knn_all(&t, 8);
-        let slow = knn_brute_force(&t, 8);
-        for i in 0..500 {
-            for j in 0..8 {
-                let (df, ds) = (fast.distances(i)[j], slow.distances(i)[j]);
-                assert!((df - ds).abs() < 1e-12, "point {i} neighbor {j}: {df} vs {ds}");
+        assert_exact_routes_agree(&t, 8, "clustered");
+    }
+
+    #[test]
+    fn far_translated_cloud_keeps_exact_neighbors() {
+        // ‖x‖² ~ 6e14 against neighbor distances ~1e-2: the norms+Gram
+        // distance is pure cancellation noise here. It may only ever
+        // nominate candidates — the lists must still be brute force's.
+        let p = translated(&crate::datasets::normal_embedded(1500, 3, 6, 0.05, 7), 1e7);
+        let t = BallTree::build(&p, 64);
+        assert_exact_routes_agree(&t, 8, "cloud at 1e7");
+        assert_approx_routes_agree(&t, 8, 4, "cloud at 1e7, approximate");
+    }
+
+    #[test]
+    fn near_tie_lattice_matches_brute_force_at_any_offset() {
+        // Spacings 1 / 1.01 / 1.02: every point's neighbor distances come in
+        // groups 1e-2 apart in relative terms — and at offset 1e8 far below
+        // the resolution of ‖x‖² ~ 3e16.
+        for offset in [0.0, 1e8] {
+            let mut p = PointSet::with_capacity(3, 1000);
+            for a in 0..10 {
+                for b in 0..10 {
+                    for c in 0..10 {
+                        let (x, y, z) = (a as f64, 1.01 * b as f64, 1.02 * c as f64);
+                        p.push(&[offset + x, offset + y, offset + z]);
+                    }
+                }
+            }
+            let t = BallTree::build(&p, 32);
+            assert_exact_routes_agree(&t, 6, &format!("lattice at {offset}"));
+            assert_approx_routes_agree(&t, 6, 3, &format!("lattice at {offset}, approximate"));
+        }
+    }
+
+    #[test]
+    fn heaps_full_of_ties_still_take_smaller_indices() {
+        // 30 sites x 20 copies against k = 8: every heap fills with zeros
+        // at once, and the other equal-distance copies — some with smaller
+        // indices, which the (dist, idx) order prefers — sit in leaves whose
+        // ball bound is exactly the k-th best. A `>=` prune (or a `<`
+        // descent) never looks at them.
+        let sites = rand_points(30, 4, 5);
+        let mut p = PointSet::with_capacity(4, 600);
+        for _copy in 0..20 {
+            for i in 0..30 {
+                p.push(sites.point(i));
             }
         }
+        let t = BallTree::build(&p, 16);
+        assert_exact_routes_agree(&t, 8, "20 copies");
+        assert_approx_routes_agree(&t, 8, 3, "20 copies, approximate");
+    }
+
+    #[test]
+    fn ragged_leaves_and_leaves_no_larger_than_k() {
+        // n = 35 at leaf size 8 splits into leaves of 4, 5 and 8 points:
+        // packed groups with padding rows, and (k = 6) seed tiles with
+        // fewer candidates than k, whose heaps stay short into the DFS.
+        let p = rand_points(35, 5, 23);
+        let t = BallTree::build(&p, 8);
+        let sizes: Vec<usize> = t.leaves().iter().map(|&l| t.node(l).len()).collect();
+        assert!(sizes.iter().any(|&m| m < 8) && sizes.iter().any(|&m| m <= 6), "{sizes:?}");
+        assert_exact_routes_agree(&t, 6, "ragged");
+        assert_approx_routes_agree(&t, 6, 3, "ragged, approximate");
+        // One leaf, and k = n − 1.
+        let t = BallTree::build(&p, 64);
+        assert_exact_routes_agree(&t, 34, "single leaf");
     }
 
     #[test]
@@ -863,12 +954,6 @@ mod tests {
     fn high_dim_small_n() {
         let p = rand_points(30, 64, 9);
         let t = BallTree::build(&p, 8);
-        let fast = knn_all(&t, 3);
-        let slow = knn_brute_force(&t, 3);
-        for i in 0..30 {
-            for j in 0..3 {
-                assert!((fast.distances(i)[j] - slow.distances(i)[j]).abs() < 1e-12);
-            }
-        }
+        assert_exact_routes_agree(&t, 3, "64-d");
     }
 }

@@ -66,10 +66,10 @@ proptest! {
         let fast = knn_all(&t, k);
         let slow = knn_brute_force(&t, k);
         for i in 0..pts.len() {
+            prop_assert_eq!(fast.neighbors(i), slow.neighbors(i), "indices of point {i}");
             for j in 0..k {
-                let df = fast.distances(i)[j];
-                let ds = slow.distances(i)[j];
-                prop_assert!((df - ds).abs() < 1e-10, "point {i} rank {j}");
+                let (df, ds) = (fast.distances(i)[j], slow.distances(i)[j]);
+                prop_assert_eq!(df.to_bits(), ds.to_bits(), "point {i} rank {j}");
             }
         }
     }
@@ -89,8 +89,8 @@ proptest! {
         let scalar_exact = knn_all(&t, k);
         let scalar_approx = knn_approximate(&t, k, 3, 9);
         set_knn_blocked(true);
-        // Both paths finalize with the same exact-recompute + (dist, idx)
-        // sort, so agreement must be bitwise, not merely within tolerance.
+        // Both paths keep exact `sq_dist` values under the same (dist, idx)
+        // order, so agreement must be bitwise, not merely within tolerance.
         for i in 0..pts.len() {
             prop_assert_eq!(blocked_exact.neighbors(i), scalar_exact.neighbors(i), "exact idx {i}");
             prop_assert_eq!(blocked_approx.neighbors(i), scalar_approx.neighbors(i), "approx idx {i}");
