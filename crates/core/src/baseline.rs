@@ -75,7 +75,7 @@ pub fn factorize_baseline<'a, K: Kernel>(
             .map(|&i| {
                 let mut p = p_full[i].clone().expect("p_full computed in pass 1");
                 let ctx = SolveCtx { st, kernel, config: &config, factors: &factors };
-                ctx.solve_node_mat(i, &mut p);
+                ctx.solve_node(i, p.rb_mut());
                 let fl = recursive_solve_flops(st, i, p.ncols());
                 (i, p, fl)
             })

@@ -21,7 +21,7 @@ use crate::error::SolverError;
 use crate::factor::{factor_subtree, FactorTree};
 use kfds_askit::SkeletonTree;
 use kfds_kernels::{sum_fused, sum_fused_multi, Kernel};
-use kfds_la::{gemm, Lu, Mat, Trans};
+use kfds_la::{gemm, Lu, Mat, MatMut, Trans};
 use kfds_rt::{Comm, World};
 use std::time::Instant;
 
@@ -361,7 +361,7 @@ fn dist_solve_rank<K: Kernel>(rs: &RankState<'_, K>, u: &mut [f64]) {
     let pts = tree.points();
     let kernel = rs.local.kernel();
     // Local D^{-1} on the owned subtree.
-    rs.local.ctx().solve_node(rs.subtree_root, u);
+    rs.local.ctx().solve_node(rs.subtree_root, MatMut::from_col(u));
 
     let own_cols: Vec<usize> = rs.range.clone().collect();
     for lvl in &rs.levels {

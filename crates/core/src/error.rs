@@ -30,6 +30,13 @@ pub enum SolverError {
         /// Human-readable validation failure.
         reason: String,
     },
+    /// A right-hand side whose row count is not the problem size.
+    RhsShape {
+        /// Rows the factorization expects (`N`).
+        expected: usize,
+        /// Rows (or vector length) the caller passed.
+        got: usize,
+    },
 }
 
 impl fmt::Display for SolverError {
@@ -46,6 +53,9 @@ impl fmt::Display for SolverError {
             }
             SolverError::Partition { reason } => {
                 write!(f, "factorization cannot be partitioned: {reason}")
+            }
+            SolverError::RhsShape { expected, got } => {
+                write!(f, "right-hand side has {got} rows, the factorization has {expected}")
             }
         }
     }

@@ -25,7 +25,7 @@ use kfds_kernels::flops;
 use kfds_kernels::{
     eval_block_range, eval_symmetric, sum_fused_multi, sum_reference_multi, Kernel,
 };
-use kfds_la::{gemm, workspace, Cholesky, Lu, Mat, Trans};
+use kfds_la::{gemm, workspace, Cholesky, Lu, Mat, MatMut, Trans};
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,19 +43,11 @@ pub enum LeafFactor {
 }
 
 impl LeafFactor {
-    /// Solves the leaf block in place.
-    pub fn solve_inplace(&self, b: &mut [f64]) {
+    /// Solves the leaf block in place on a view of the right-hand sides.
+    pub fn solve_mat_mut(&self, b: MatMut<'_>) {
         match self {
-            LeafFactor::Lu(f) => f.solve_inplace(b),
-            LeafFactor::Cholesky(f) => f.solve_inplace(b),
-        }
-    }
-
-    /// Multi-RHS solve in place.
-    pub fn solve_mat_inplace(&self, b: &mut Mat) {
-        match self {
-            LeafFactor::Lu(f) => f.solve_mat_inplace(b),
-            LeafFactor::Cholesky(f) => f.solve_mat_inplace(b),
+            LeafFactor::Lu(f) => f.solve_mat_mut(b),
+            LeafFactor::Cholesky(f) => f.solve_mat_mut(b),
         }
     }
 
@@ -534,7 +526,7 @@ fn factor_leaf<K: Kernel>(
         Some(sk) => {
             let s = sk.rank();
             let mut p = pack_proj(&sk.proj, m, s);
-            leaf.solve_mat_inplace(&mut p);
+            leaf.solve_mat_mut(p.rb_mut());
             cost.flops += flops::lu_solve_flops(m, s);
             cost.bytes += m * s * 8;
             Some(p)

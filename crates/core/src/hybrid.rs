@@ -15,12 +15,20 @@
 //! iteration is a `gemv`; beyond that — the paper's regime, where the
 //! matrix "exceeds 500 GB" — each iteration is one `W` and one `V`
 //! application and nothing above the frontier is stored.
+//!
+//! `D^{-1}`, `W` and `V` each exist once, over column-major views: every
+//! frontier node works on its own row block of the caller's matrix (the
+//! `D^{-1}` solves are the recursion of [`crate::solve`] on those blocks),
+//! and a single right-hand side is the `n x 1` view of a slice, so
+//! [`HybridSolver::solve`] is column 0 of the one-column
+//! [`HybridSolver::solve_mat_in_place`], bit for bit.
 
 use crate::error::SolverError;
 use crate::factor::FactorTree;
-use kfds_kernels::{sum_fused, sum_fused_multi, Kernel};
+use crate::solve::check_rhs_rows;
+use kfds_kernels::{sum_fused_multi, Kernel};
 use kfds_krylov::{gmres, DenseOp, FnOp, GmresOptions, LinOp, SolveResult};
-use kfds_la::{gemm, workspace, Mat, Trans};
+use kfds_la::{workspace, Mat, MatMut, MatRef};
 use rayon::prelude::*;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -198,106 +206,97 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         &self.sys.complements
     }
 
-    /// `D^{-1} u` in place: independent direct solves on the frontier
-    /// subtrees (Algorithm II.5/II.3 below the frontier).
-    fn apply_dinv(&self, u: &mut [f64]) {
-        let tree = self.ft.skeleton_tree().tree();
+    /// `D^{-1} U` in place: independent direct solves on the frontier
+    /// subtrees (Algorithm II.5/II.3 below the frontier), each on its own
+    /// row block of `u`.
+    fn apply_dinv(&self, u: MatMut<'_>) {
         let ctx = self.ft.ctx();
-        // Frontier ranges partition u; split it into per-node chunks.
-        let mut chunks: Vec<(usize, &mut [f64])> = Vec::with_capacity(self.sys.frontier.len());
-        let mut rest = u;
-        for &f in &self.sys.frontier {
-            let len = tree.node(f).len();
-            let (head, tail) = rest.split_at_mut(len);
-            chunks.push((f, head));
-            rest = tail;
-        }
-        chunks.into_par_iter().for_each(|(f, chunk)| ctx.solve_node(f, chunk));
+        let frontier = &self.sys.frontier;
+        self.frontier_row_blocks(u)
+            .into_par_iter()
+            .enumerate()
+            .for_each(|(k, block)| ctx.solve_node(frontier[k], block));
     }
 
-    /// `out[φ] = P̂_φ z_φ` (Algorithm II.7: `MatVecW` fires only on the
-    /// frontier since `P = I` above it).
-    fn apply_w(&self, z: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(z.len(), self.sys.reduced_dim);
-        let tree = self.ft.skeleton_tree().tree();
-        let mut chunks: Vec<(usize, usize, &mut [f64])> =
-            Vec::with_capacity(self.sys.frontier.len());
-        let mut rest = out;
-        for (k, &f) in self.sys.frontier.iter().enumerate() {
-            let len = tree.node(f).len();
-            let (head, tail) = rest.split_at_mut(len);
-            chunks.push((k, f, head));
-            rest = tail;
-        }
+    /// `out[φ] = P̂_φ Z_φ` (Algorithm II.7: `MatVecW` fires only on the
+    /// frontier since `P = I` above it); overwrites `out`.
+    fn apply_w(&self, z: MatRef<'_>, out: MatMut<'_>) {
+        debug_assert_eq!(z.nrows(), self.sys.reduced_dim);
+        let nrhs = z.ncols();
         let ctx = self.ft.ctx();
-        chunks.into_par_iter().for_each(|(k, f, chunk)| {
-            let zk = &z[self.sys.offsets[k]..self.sys.offsets[k + 1]];
-            if let Some(p_hat) = self.ft.factors()[f].p_hat.as_ref() {
-                kfds_la::blas2::gemv(1.0, p_hat.rb(), zk, 0.0, chunk);
-            } else {
-                // Recompute-W mode: telescope P̂ through eq. (10).
-                chunk.copy_from_slice(&ctx.apply_p_hat(f, zk));
-            }
+        let ReducedSystem { frontier, offsets, .. } = &*self.sys;
+        self.frontier_row_blocks(out).into_par_iter().enumerate().for_each(|(k, block)| {
+            // The stored factor, or (recompute-W mode) P̂ telescoped
+            // through eq. (10).
+            ctx.apply_p_hat_into(
+                frontier[k],
+                z.submatrix(offsets[k]..offsets[k + 1], 0..nrhs),
+                block,
+            );
         });
     }
 
-    /// `y_φ = K_{φ̃, X∖φ} x` for every frontier node (Algorithm II.8:
+    /// `Y_φ = K_{φ̃, X∖φ} X` for every frontier node (Algorithm II.8:
     /// `MatVecV` over all nodes above and on the frontier), evaluated
-    /// matrix-free in one summation over `X∖φ` per node.
-    fn apply_v(&self, x: &[f64]) -> Vec<f64> {
+    /// matrix-free in one fused summation over `X∖φ` per node, each into
+    /// its own row block of the result.
+    fn apply_v(&self, x: MatRef<'_>) -> Mat {
         let st = self.ft.skeleton_tree();
         let tree = st.tree();
         let pts = tree.points();
         let kernel = self.ft.kernel();
-        let segments: Vec<Vec<f64>> = self
-            .sys
-            .frontier
-            .par_iter()
-            .zip(self.sys.complements.par_iter())
-            .map(|(&f, rest)| {
-                let sk = st.skeleton(f).expect("frontier skeleton");
-                if sk.rank() == 0 {
-                    return Vec::new();
-                }
-                // x on X∖φ: the two runs either side of φ's range.
-                let nd = tree.node(f);
-                let mut xr = workspace::take(rest.len());
-                xr[..nd.begin].copy_from_slice(&x[..nd.begin]);
-                xr[nd.begin..].copy_from_slice(&x[nd.end..]);
-                let mut y = vec![0.0; sk.rank()];
-                sum_fused(kernel, pts, &sk.skeleton, rest, &xr, &mut y);
-                y
-            })
-            .collect();
-        let mut out = Vec::with_capacity(self.sys.reduced_dim);
-        for seg in segments {
-            out.extend(seg);
-        }
+        let nrhs = x.ncols();
+        let ReducedSystem { frontier, offsets, complements, .. } = &*self.sys;
+        let mut out = Mat::zeros(self.sys.reduced_dim, nrhs);
+        let ranks = offsets.windows(2).map(|w| w[1] - w[0]);
+        row_blocks(out.rb_mut(), ranks).into_par_iter().enumerate().for_each(|(k, y)| {
+            if y.nrows() == 0 {
+                return;
+            }
+            // X on X∖φ: the two runs either side of φ's range.
+            let (nd, rest) = (tree.node(frontier[k]), &complements[k]);
+            let mut xr = workspace::take_mat_detached(rest.len(), nrhs);
+            for j in 0..nrhs {
+                let (src, dst) = (x.col(j), xr.col_mut(j));
+                dst[..nd.begin].copy_from_slice(&src[..nd.begin]);
+                dst[nd.begin..].copy_from_slice(&src[nd.end..]);
+            }
+            let sk = st.skeleton(frontier[k]).expect("frontier skeleton");
+            sum_fused_multi(kernel, pts, &sk.skeleton, rest, xr.rb(), y);
+            workspace::recycle_mat(xr);
+        });
         out
     }
 
-    /// Public probe of `D^{-1}` (used by the level-restricted direct
-    /// solver and the benchmark harnesses).
+    /// `m` (all `N` rows) as one row block per frontier node.
+    fn frontier_row_blocks<'m>(&self, m: MatMut<'m>) -> Vec<MatMut<'m>> {
+        let tree = self.ft.skeleton_tree().tree();
+        row_blocks(m, self.sys.frontier.iter().map(|&f| tree.node(f).len()))
+    }
+
+    /// Public probe of `D^{-1}` on one vector (used by the
+    /// level-restricted direct solver and the benchmark harnesses).
     pub fn apply_dinv_pub(&self, u: &mut [f64]) {
-        self.apply_dinv(u)
+        self.apply_dinv(MatMut::from_col(u))
     }
 
-    /// Public probe of the `W` application.
+    /// Public probe of the `W` application on one vector.
     pub fn apply_w_pub(&self, z: &[f64], out: &mut [f64]) {
-        self.apply_w(z, out)
+        self.apply_w(MatRef::from_col(z), MatMut::from_col(out))
     }
 
-    /// Public probe of the `V` application.
+    /// Public probe of the `V` application on one vector.
     pub fn apply_v_pub(&self, x: &[f64]) -> Vec<f64> {
-        self.apply_v(x)
+        self.apply_v(MatRef::from_col(x)).into_vec()
     }
 
     /// `out = (I + V W) z`, matrix-free: one `W` then one `V` application.
     fn apply_reduced(&self, z: &[f64], out: &mut [f64]) {
         let n = self.ft.skeleton_tree().tree().points().len();
-        let mut wz = vec![0.0; n];
-        self.apply_w(z, &mut wz);
-        let vwz = self.apply_v(&wz);
+        // Pooled: `apply_w` overwrites every row block.
+        let mut wz = workspace::take(n);
+        self.apply_w_pub(z, &mut wz);
+        let vwz = self.apply_v_pub(&wz);
         for i in 0..z.len() {
             out[i] = z[i] + vwz[i];
         }
@@ -336,7 +335,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
             let p_hat = match self.ft.factors()[psi].p_hat.as_ref() {
                 Some(stored) => stored,
                 None => {
-                    recomputed = ctx.apply_p_hat_mat(psi, &Mat::identity(s_psi));
+                    recomputed = ctx.apply_p_hat(psi, Mat::identity(s_psi).rb());
                     &recomputed
                 }
             };
@@ -393,131 +392,15 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     }
 
     /// Solves `(λI + K̃) x = b` (`b` in permuted order) — Algorithm II.6.
+    /// The answer is column 0 of the one-column blocked solve, bit for bit.
+    ///
+    /// # Errors
+    /// [`SolverError::RhsShape`] if `b.len()` is not the problem size.
     pub fn solve(&self, b: &[f64], opts: &GmresOptions) -> Result<HybridOutcome, SolverError> {
-        let n = self.ft.skeleton_tree().tree().points().len();
-        assert_eq!(b.len(), n, "hybrid solve: rhs length mismatch");
-        // v = D^{-1} u.
-        let mut v = b.to_vec();
-        self.apply_dinv(&mut v);
-        // Reduced right-hand side y = V v (empty when every rank is 0).
-        let y = self.apply_v(&v);
-        // (I + V W) z = y.
-        let (gm, reduced) = self.with_reduced_op(|op| gmres(op, &y, None, opts));
-        // x = v − W z.
-        let mut wz = vec![0.0; n];
-        self.apply_w(&gm.x, &mut wz);
-        let mut x = v;
-        for (xi, wi) in x.iter_mut().zip(&wz) {
-            *xi -= wi;
-        }
-        Ok(HybridOutcome { x, gmres: gm, reduced })
-    }
-
-    /// `D^{-1} U` for a multi-column right-hand side: blocked frontier
-    /// solves through [`SolveCtx::solve_node_mat`](crate::solve), so the
-    /// leaf LU / reduced-system applications run as GEMMs over all
-    /// columns at once.
-    fn apply_dinv_mat(&self, u: &mut Mat) {
-        let tree = self.ft.skeleton_tree().tree();
-        let ctx = self.ft.ctx();
-        let nrhs = u.ncols();
-        let solved: Vec<(usize, Mat)> = self
-            .sys
-            .frontier
-            .par_iter()
-            .map(|&f| {
-                let nd = tree.node(f);
-                let mut m = workspace::mat_from_view(u.submatrix(nd.begin..nd.end, 0..nrhs));
-                ctx.solve_node_mat(f, &mut m);
-                (f, m)
-            })
-            .collect();
-        for (f, m) in solved {
-            let nd = tree.node(f);
-            for j in 0..nrhs {
-                u.col_mut(j)[nd.begin..nd.end].copy_from_slice(m.col(j));
-            }
-            workspace::recycle_mat(m);
-        }
-    }
-
-    /// Multi-RHS `V` application: `Y_φ = K_{φ̃, X∖φ} X` for every frontier
-    /// node, as one fused multi-RHS summation over `X∖φ` per node instead
-    /// of one single-vector pass per column.
-    fn apply_v_mat(&self, x: &Mat) -> Mat {
-        let st = self.ft.skeleton_tree();
-        let tree = st.tree();
-        let pts = tree.points();
-        let kernel = self.ft.kernel();
-        let nrhs = x.ncols();
-        let segments: Vec<Mat> = self
-            .sys
-            .frontier
-            .par_iter()
-            .zip(self.sys.complements.par_iter())
-            .map(|(&f, rest)| {
-                let sk = st.skeleton(f).expect("frontier skeleton");
-                let s = sk.rank();
-                if s == 0 {
-                    return Mat::zeros(0, nrhs);
-                }
-                let nd = tree.node(f);
-                let mut xr = workspace::take_mat_detached(rest.len(), nrhs);
-                for j in 0..nrhs {
-                    let (src, dst) = (x.col(j), xr.col_mut(j));
-                    dst[..nd.begin].copy_from_slice(&src[..nd.begin]);
-                    dst[nd.begin..].copy_from_slice(&src[nd.end..]);
-                }
-                let mut y = workspace::take_mat_detached(s, nrhs);
-                sum_fused_multi(kernel, pts, &sk.skeleton, rest, xr.rb(), y.rb_mut());
-                workspace::recycle_mat(xr);
-                y
-            })
-            .collect();
-        let mut out = Mat::zeros(self.sys.reduced_dim, nrhs);
-        for (k, seg) in segments.into_iter().enumerate() {
-            let off = self.sys.offsets[k];
-            for j in 0..nrhs {
-                out.col_mut(j)[off..off + seg.nrows()].copy_from_slice(seg.col(j));
-            }
-            workspace::recycle_mat(seg);
-        }
-        out
-    }
-
-    /// Multi-RHS `W` application: `out[φ] = P̂_φ Z_φ` per frontier node as
-    /// a GEMM over all columns.
-    fn apply_w_mat(&self, z: &Mat, out: &mut Mat) {
-        debug_assert_eq!(z.nrows(), self.sys.reduced_dim);
-        let tree = self.ft.skeleton_tree().tree();
-        let nrhs = z.ncols();
-        let ctx = self.ft.ctx();
-        let indexed: Vec<(usize, usize)> = self.sys.frontier.iter().copied().enumerate().collect();
-        let chunks: Vec<(usize, Mat)> = indexed
-            .into_par_iter()
-            .map(|(k, f)| {
-                let zk = workspace::mat_from_view(
-                    z.submatrix(self.sys.offsets[k]..self.sys.offsets[k + 1], 0..nrhs),
-                );
-                let chunk = if let Some(p_hat) = self.ft.factors()[f].p_hat.as_ref() {
-                    let mut c = workspace::take_mat_detached(tree.node(f).len(), nrhs);
-                    gemm(1.0, p_hat.rb(), Trans::No, zk.rb(), Trans::No, 0.0, c.rb_mut());
-                    c
-                } else {
-                    // Recompute-W mode: telescope P̂ through eq. (10).
-                    ctx.apply_p_hat_mat(f, &zk)
-                };
-                workspace::recycle_mat(zk);
-                (f, chunk)
-            })
-            .collect();
-        for (f, chunk) in chunks {
-            let nd = tree.node(f);
-            for j in 0..nrhs {
-                out.col_mut(j)[nd.begin..nd.end].copy_from_slice(chunk.col(j));
-            }
-            workspace::recycle_mat(chunk);
-        }
+        let mut x = b.to_vec();
+        let mut out = self.solve_view(MatMut::from_col(&mut x), opts)?;
+        let gmres = out.gmres.pop().expect("one column, one GMRES result");
+        Ok(HybridOutcome { x, gmres, reduced: out.reduced })
     }
 
     /// Solves `(λI + K̃) X = B` in place for a multi-column right-hand
@@ -530,20 +413,30 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// read-only operator.
     ///
     /// # Errors
-    /// Currently infallible after construction, but kept fallible to match
-    /// [`HybridSolver::solve`].
+    /// [`SolverError::RhsShape`] if `b.nrows()` is not the problem size.
     pub fn solve_mat_in_place(
         &self,
         b: &mut Mat,
         opts: &GmresOptions,
     ) -> Result<HybridBlockOutcome, SolverError> {
+        self.solve_view(b.rb_mut(), opts)
+    }
+
+    /// The one rendering of Algorithm II.6, over a view of the
+    /// right-hand sides.
+    fn solve_view(
+        &self,
+        mut b: MatMut<'_>,
+        opts: &GmresOptions,
+    ) -> Result<HybridBlockOutcome, SolverError> {
         let n = self.ft.skeleton_tree().tree().points().len();
-        assert_eq!(b.nrows(), n, "hybrid solve: rhs rows mismatch");
+        check_rhs_rows(n, b.nrows())?;
         let nrhs = b.ncols();
-        // V_mat = D^{-1} B, blocked over the frontier.
-        self.apply_dinv_mat(b);
-        // Reduced right-hand sides Y = V D^{-1} B, one fused pass.
-        let y = self.apply_v_mat(b);
+        // B <- D^{-1} B, blocked over the frontier.
+        self.apply_dinv(b.rb_mut());
+        // Reduced right-hand sides Y = V D^{-1} B, one fused pass (empty
+        // when every rank is 0).
+        let y = self.apply_v(b.rb());
         // (I + V W) z_j = y_j per column.
         let (results, reduced): (Vec<SolveResult>, _) = self.with_reduced_op(|op| {
             (0..nrhs).into_par_iter().map(|j| gmres(op, y.col(j), None, opts)).collect()
@@ -552,15 +445,16 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         for (j, gm) in results.iter().enumerate() {
             zmat.col_mut(j).copy_from_slice(&gm.x);
         }
-        // X = D^{-1} B − W Z, blocked.
-        let mut wz = Mat::zeros(n, nrhs);
-        self.apply_w_mat(&zmat, &mut wz);
+        // X = D^{-1} B − W Z, blocked. Pooled: `apply_w` overwrites every
+        // row block.
+        let mut wz = workspace::take_mat_detached(n, nrhs);
+        self.apply_w(zmat.rb(), wz.rb_mut());
         for j in 0..nrhs {
-            let col = b.col_mut(j);
-            for (xi, wi) in col.iter_mut().zip(wz.col(j)) {
+            for (xi, wi) in b.col_mut(j).iter_mut().zip(wz.col(j)) {
                 *xi -= wi;
             }
         }
+        workspace::recycle_mat(wz);
         Ok(HybridBlockOutcome { gmres: results, reduced })
     }
 
@@ -572,9 +466,23 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         opts: &GmresOptions,
     ) -> Result<HybridOutcome, SolverError> {
         let tree = self.ft.skeleton_tree().tree();
+        check_rhs_rows(tree.points().len(), b.len())?;
         let bp = tree.permute_vec(b);
         let mut out = self.solve(&bp, opts)?;
         out.x = tree.unpermute_vec(&out.x);
         Ok(out)
     }
+}
+
+/// Splits `m` into consecutive row blocks of the given heights (which
+/// must sum to at most `m.nrows()`), top to bottom.
+fn row_blocks<'m>(m: MatMut<'m>, heights: impl Iterator<Item = usize>) -> Vec<MatMut<'m>> {
+    let mut blocks = Vec::with_capacity(heights.size_hint().0);
+    let mut rest = m;
+    for h in heights {
+        let (head, tail) = rest.split_at_row(h);
+        blocks.push(head);
+        rest = tail;
+    }
+    blocks
 }

@@ -10,11 +10,13 @@
 //! corrections that stitches the per-shard partial solves together.
 //!
 //! The split is bitwise-exact by construction: a shard solve runs the
-//! same `solve_node_mat` recursion on the same rows the single-node solve
+//! same `solve_node` recursion on the same rows the single-node solve
 //! would have recursed into, and the top sweep replays the identical
-//! per-node `smw_correct_mat` arithmetic bottom-up. Only memory movement
-//! (row-block copies, scatter/gather payloads) differs, so
-//! `PartitionedFactor::solve_mat_in_place` equals
+//! per-node `smw_correct` arithmetic bottom-up — both on row-block views
+//! of the caller's matrix, exactly as the single-node recursion does, so
+//! the top sweep touches only the rows it corrects. Only the order of
+//! the node visits (and, across a transport, the scatter/gather payloads)
+//! differs, so `PartitionedFactor::solve_mat_in_place` equals
 //! [`FactorTree::solve_mat_in_place`](crate::FactorTree::solve_mat_in_place)
 //! bit for bit — the property the sharded serve tier's A/B switch and ci
 //! smoke lane assert.
@@ -28,7 +30,7 @@
 use crate::error::SolverError;
 use crate::share::SharedFactor;
 use kfds_kernels::Kernel;
-use kfds_la::{workspace, Mat};
+use kfds_la::{Mat, MatMut};
 use kfds_rt::Transport;
 use std::ops::Range;
 
@@ -162,18 +164,19 @@ impl<K: Kernel + 'static> PartitionedFactor<K> {
     }
 
     /// Runs the independent subtree solve of `shard` on its row block
-    /// (`|shard rows| x nrhs`, permuted ordering) in place. This is the
-    /// work a shard owner performs locally, and it is the exact recursion
-    /// the single-node solve runs below the cut.
-    pub fn solve_local(&self, shard: usize, block: &mut Mat) {
+    /// (a `|shard rows| x nrhs` view, permuted ordering) in place. This is
+    /// the work a shard owner performs locally, and it is the exact
+    /// recursion the single-node solve runs below the cut.
+    pub fn solve_local(&self, shard: usize, block: MatMut<'_>) {
         assert_eq!(block.nrows(), self.ranges[shard].len(), "shard block rows mismatch");
-        self.factor.factor_tree().ctx().solve_node_mat(self.roots[shard], block);
+        self.factor.factor_tree().ctx().solve_node(self.roots[shard], block);
     }
 
     /// Applies the shared top tree to `b` (`n x nrhs`, permuted ordering,
     /// all shard blocks already locally solved): Sherman–Morrison–Woodbury
     /// corrections bottom-up from just above the cut to the root, each
-    /// node running the identical arithmetic of the recursive solve.
+    /// node running the identical arithmetic of the recursive solve on the
+    /// two row-block views of its children.
     pub fn solve_top(&self, b: &mut Mat) {
         assert_eq!(b.nrows(), self.n(), "solve_top: rhs rows mismatch");
         let tree = self.factor.skeleton_tree().tree();
@@ -182,21 +185,9 @@ impl<K: Kernel + 'static> PartitionedFactor<K> {
         for level in (0..self.cut_level).rev() {
             for &node in tree.nodes_at_level(level) {
                 let (l, r) = tree.node(node).children.expect("validated at partition time");
-                let lrange = tree.node(l).range();
-                let rrange = tree.node(r).range();
-                // Row-halves of a column-major matrix are strided; the
-                // recursive path works on owned (pooled) copies, so the
-                // top sweep does the same (bitwise-identical arithmetic,
-                // memory movement only).
-                let mut utop = workspace::mat_from_view(b.submatrix(lrange.clone(), 0..nrhs));
-                let mut ubot = workspace::mat_from_view(b.submatrix(rrange.clone(), 0..nrhs));
-                ctx.smw_correct_mat(node, l, r, &mut utop, &mut ubot);
-                for j in 0..nrhs {
-                    b.col_mut(j)[lrange.clone()].copy_from_slice(utop.col(j));
-                    b.col_mut(j)[rrange.clone()].copy_from_slice(ubot.col(j));
-                }
-                workspace::recycle_mat(utop);
-                workspace::recycle_mat(ubot);
+                let rows = b.rb_mut().submatrix_mut(tree.node(node).range(), 0..nrhs);
+                let (ul, ur) = rows.split_at_row(tree.node(l).len());
+                ctx.smw_correct(node, l, r, ul, ur);
             }
         }
     }
@@ -209,13 +200,7 @@ impl<K: Kernel + 'static> PartitionedFactor<K> {
         assert_eq!(b.nrows(), self.n(), "solve: rhs rows mismatch");
         let nrhs = b.ncols();
         for s in 0..self.shards() {
-            let range = self.ranges[s].clone();
-            let mut block = workspace::mat_from_view(b.submatrix(range.clone(), 0..nrhs));
-            self.solve_local(s, &mut block);
-            for j in 0..nrhs {
-                b.col_mut(j)[range.clone()].copy_from_slice(block.col(j));
-            }
-            workspace::recycle_mat(block);
+            self.solve_local(s, b.rb_mut().submatrix_mut(self.ranges[s].clone(), 0..nrhs));
         }
         self.solve_top(b);
     }
@@ -228,30 +213,6 @@ impl<K: Kernel + 'static> PartitionedFactor<K> {
             out.extend_from_slice(&b.col(j)[range.clone()]);
         }
         out
-    }
-
-    /// Flattens a solved shard block column-major for the wire.
-    pub fn pack_block(block: &Mat) -> Vec<f64> {
-        let mut out = Vec::with_capacity(block.nrows() * block.ncols());
-        for j in 0..block.ncols() {
-            out.extend_from_slice(block.col(j));
-        }
-        out
-    }
-
-    /// Rebuilds `shard`'s `rows x nrhs` block from a wire payload, or
-    /// `None` when the payload shape is wrong (a failed or misrouted
-    /// shard response).
-    pub fn block_from_payload(&self, shard: usize, nrhs: usize, payload: &[f64]) -> Option<Mat> {
-        let rows = self.ranges[shard].len();
-        if nrhs == 0 || payload.len() != rows * nrhs {
-            return None;
-        }
-        let mut m = Mat::zeros(rows, nrhs);
-        for j in 0..nrhs {
-            m.col_mut(j).copy_from_slice(&payload[j * rows..(j + 1) * rows]);
-        }
-        Some(m)
     }
 
     /// Scatters each shard's RHS row block to transport rank `shard`

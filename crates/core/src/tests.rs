@@ -446,7 +446,7 @@ fn recompute_w_matches_stored_w() {
         ft_r.stats().stored_bytes,
         ft_s.stats().stored_bytes
     );
-    // Multi-RHS path exercises apply_p_hat_mat.
+    // Several columns through the telescoped apply_p_hat.
     let mut bm = kfds_la::Mat::zeros(512, 2);
     bm.col_mut(0).copy_from_slice(&b);
     bm.col_mut(1).copy_from_slice(&rand_vec(512, 82));

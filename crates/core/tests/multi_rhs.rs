@@ -8,11 +8,12 @@
 
 use kfds_askit::{hier_matvec, skeletonize, SkelConfig, SkeletonTree};
 use kfds_core::{
-    factorize, HybridSolver, ReducedOperator, ReducedReport, SharedFactor, SolverConfig, WStorage,
+    factorize, HybridSolver, LeafFactorization, PartitionedFactor, ReducedOperator, ReducedReport,
+    SharedFactor, SolverConfig, SolverError, StorageMode, WStorage,
 };
 use kfds_kernels::Gaussian;
 use kfds_krylov::{gmres, FnOp, GmresOptions};
-use kfds_la::Mat;
+use kfds_la::{workspace, Mat};
 use kfds_tree::datasets::{normal_embedded, uniform_cube};
 use kfds_tree::BallTree;
 use std::sync::Arc;
@@ -304,4 +305,135 @@ fn shared_factor_blocked_solve_dispatches_both_paths() {
             );
         }
     }
+}
+
+/// `b`'s column `j` as an `n x 1` block.
+fn one_column(b: &Mat, j: usize) -> Mat {
+    Mat::from_col_major(b.nrows(), 1, b.col(j).to_vec())
+}
+
+#[test]
+fn single_rhs_direct_solve_is_column_zero_of_the_one_column_block() {
+    // One recursion: a vector is the n x 1 view, so the two entry points
+    // must agree bit for bit in every configuration the solve branches on.
+    let n = 1024;
+    let (st, kernel) = fixture(n, 1);
+    let b = rhs_matrix(n);
+    for storage in [StorageMode::StoredGemv, StorageMode::RecomputeGemm, StorageMode::Gsks] {
+        for w in [WStorage::Stored, WStorage::Recompute] {
+            for leaf in [LeafFactorization::Lu, LeafFactorization::Cholesky] {
+                let cfg = SolverConfig::default()
+                    .with_lambda(0.5)
+                    .with_storage(storage)
+                    .with_w_storage(w)
+                    .with_leaf(leaf);
+                let ft = factorize(&st, &kernel, cfg).expect("factorize");
+                let mut single = b.col(1).to_vec();
+                ft.solve_in_place(&mut single).expect("single-RHS solve");
+                let mut block = one_column(&b, 1);
+                ft.solve_mat_in_place(&mut block).expect("one-column blocked solve");
+                assert_eq!(single, block.col(0), "{storage:?} / {w:?} / {leaf:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn single_rhs_hybrid_solve_is_column_zero_of_the_one_column_block() {
+    use ReducedOperator::{Assembled, MatrixFree};
+    let opts = GmresOptions::default();
+    // The n = 1024 fixtures sit on the assembled side of the size rule; at
+    // n = 512, L = 3 the frontier is the leaves, r = 8·64 against a 0.5 MB
+    // factor, and GMRES runs over the matrix-free W/V applications.
+    for (n, max_level, operator) in
+        [(1024, 2, Assembled), (1024, 3, Assembled), (512, 3, MatrixFree)]
+    {
+        let (st, kernel) = fixture(n, max_level);
+        let ft =
+            factorize(&st, &kernel, SolverConfig::default().with_lambda(0.5)).expect("factorize");
+        let hs = HybridSolver::new(&ft).expect("hybrid solver");
+        let b = rhs_matrix(n);
+        let single = hs.solve(b.col(2), &opts).expect("single-RHS hybrid solve");
+        assert_eq!(single.reduced.operator, operator, "n={n} L={max_level}");
+        assert!(single.gmres.converged);
+        let mut block = one_column(&b, 2);
+        let out = hs.solve_mat_in_place(&mut block, &opts).expect("one-column blocked solve");
+        assert_eq!(out.reduced.operator, operator);
+        assert_eq!(out.gmres[0].iters, single.gmres.iters);
+        assert_eq!(single.x, block.col(0), "n={n} L={max_level} {operator}");
+    }
+}
+
+#[test]
+fn solving_a_strided_view_equals_solving_its_owned_copy() {
+    // The partition top sweep and the shard payload hand the recursion
+    // row/column sub-views (col_stride > nrows) of a larger matrix. A
+    // one-shard partition's local solve is the whole solve on a view.
+    let n = 512;
+    for storage in [StorageMode::Gsks, StorageMode::StoredGemv] {
+        let (st, kernel) = fixture(n, 1);
+        let cfg = SolverConfig::default().with_lambda(0.5).with_storage(storage);
+        let sf = SharedFactor::factorize(Arc::new(st), Arc::new(kernel), cfg).expect("shared");
+        let pf = PartitionedFactor::partition(sf.clone(), 1).expect("one shard");
+        for nrhs in [1usize, 3, 16, 17] {
+            let mut owned =
+                Mat::from_fn(n, nrhs, |i, j| ((i * (j + 2) + 5) % 29) as f64 / 29.0 - 0.5);
+            // The block sits at (3, 2) of a larger pooled matrix whose
+            // other elements must come back untouched.
+            let (r0, c0) = (3, 2);
+            let mut big = workspace::take_mat_detached(n + 7, nrhs + 3);
+            big.as_mut_slice().fill(-7.25);
+            for j in 0..nrhs {
+                big.col_mut(c0 + j)[r0..r0 + n].copy_from_slice(owned.col(j));
+            }
+            pf.solve_local(0, big.rb_mut().submatrix_mut(r0..r0 + n, c0..c0 + nrhs));
+            sf.factor_tree().solve_mat_in_place(&mut owned).expect("owned solve");
+            for j in 0..nrhs + 3 {
+                for (i, &v) in big.col(j).iter().enumerate() {
+                    let inside = (r0..r0 + n).contains(&i) && (c0..c0 + nrhs).contains(&j);
+                    let want = if inside { owned[(i - r0, j - c0)] } else { -7.25 };
+                    assert_eq!(v.to_bits(), want.to_bits(), "{storage:?} nrhs={nrhs} ({i},{j})");
+                }
+            }
+            workspace::recycle_mat(big);
+        }
+    }
+}
+
+#[test]
+fn mis_shaped_right_hand_sides_are_typed_errors() {
+    let n = 512;
+    let opts = GmresOptions::default();
+    let shape = |r: Result<(), SolverError>, got: usize| match r {
+        Err(SolverError::RhsShape { expected, got: g }) => assert_eq!((expected, g), (n, got)),
+        other => panic!("expected RhsShape {{ expected: {n}, got: {got} }}, got {other:?}"),
+    };
+    // The direct route, borrowed and shared.
+    let (st, kernel) = fixture(n, 1);
+    let cfg = SolverConfig::default().with_lambda(0.5);
+    let sf = SharedFactor::factorize(Arc::new(st), Arc::new(kernel), cfg).expect("shared");
+    let ft = sf.factor_tree();
+    shape(ft.solve_in_place(&mut vec![0.0; n - 1]), n - 1);
+    shape(ft.solve_in_place(&mut []), 0);
+    shape(ft.solve(&vec![0.0; n + 1]).map(drop), n + 1);
+    shape(ft.solve_mat_in_place(&mut Mat::zeros(n + 2, 3)), n + 2);
+    shape(ft.solve_mat_in_place(&mut Mat::zeros(0, 4)), 0);
+    shape(sf.solve_in_place(&mut vec![0.0; n - 1]), n - 1);
+    shape(sf.solve_block_in_place(&mut Mat::zeros(0, 4), &opts).map(drop), 0);
+    // A block of the right height and no columns is a solve of nothing.
+    let mut none = Mat::zeros(n, 0);
+    ft.solve_mat_in_place(&mut none).expect("n x 0 direct solve");
+    sf.solve_block_in_place(&mut none, &opts).expect("n x 0 shared solve");
+
+    // The hybrid route.
+    let (st, kernel) = fixture(n, 2);
+    let sf = SharedFactor::factorize(Arc::new(st), Arc::new(kernel), cfg).expect("shared partial");
+    let hs = HybridSolver::new(sf.factor_tree()).expect("hybrid solver");
+    shape(hs.solve(&vec![0.0; n - 1], &opts).map(drop), n - 1);
+    shape(hs.solve_original_order(&vec![0.0; n + 1], &opts).map(drop), n + 1);
+    shape(hs.solve_mat_in_place(&mut Mat::zeros(n - 3, 2), &opts).map(drop), n - 3);
+    shape(hs.solve_mat_in_place(&mut Mat::zeros(0, 4), &opts).map(drop), 0);
+    shape(sf.solve_block_in_place(&mut Mat::zeros(0, 4), &opts).map(drop), 0);
+    let out = hs.solve_mat_in_place(&mut none, &opts).expect("n x 0 hybrid solve");
+    assert!(out.gmres.is_empty());
 }

@@ -9,9 +9,14 @@
 use kfds_askit::{compute_neighbors, skeletonize, skeletonize_with_neighbors, SkelConfig};
 use kfds_core::{factorize, SolverConfig};
 use kfds_kernels::Gaussian;
-use kfds_la::workspace;
+use kfds_la::{workspace, Mat};
 use kfds_tree::datasets::normal_embedded;
 use kfds_tree::BallTree;
+use std::sync::Mutex;
+
+/// The pool counters are process-wide: the tests here take turns so each
+/// reads only its own traffic (the solve test pins an absolute count).
+static COUNTERS: Mutex<()> = Mutex::new(());
 
 fn rand_vec(n: usize, seed: u64) -> Vec<f64> {
     let mut state = seed | 1;
@@ -25,6 +30,7 @@ fn rand_vec(n: usize, seed: u64) -> Vec<f64> {
 
 #[test]
 fn steady_state_factor_solve_is_mostly_pool_hits() {
+    let _turn = COUNTERS.lock().unwrap();
     let n = 1024;
     let pts = normal_embedded(n, 3, 8, 0.05, 11);
     let tree = BallTree::build(&pts, 64);
@@ -62,6 +68,7 @@ fn steady_state_factor_solve_is_mostly_pool_hits() {
 
 #[test]
 fn steady_state_solve_path_is_mostly_pool_hits() {
+    let _turn = COUNTERS.lock().unwrap();
     let n = 1024;
     let pts = normal_embedded(n, 3, 8, 0.05, 13);
     let tree = BallTree::build(&pts, 64);
@@ -74,28 +81,43 @@ fn steady_state_solve_path_is_mostly_pool_hits() {
     let cfg = SolverConfig::default().with_lambda(0.5);
     let ft = factorize(&st, &kernel, cfg).expect("factorize");
 
-    // Warm-up solves fill the free lists with solve-shaped buffers.
-    for seed in 0..4u64 {
-        let mut x = rand_vec(n, 17 + seed);
-        ft.solve_in_place(&mut x).expect("warm-up solve");
-    }
-
     // A serving workload is repeated solves against fixed factors: after
-    // warm-up, that loop must be allocation-free in the pooled classes.
-    let (h0, m0) = workspace::stats();
-    for seed in 0..8u64 {
-        let mut x = rand_vec(n, 29 + seed);
-        ft.solve_in_place(&mut x).expect("steady-state solve");
-    }
-    let (h1, m1) = workspace::stats();
-
-    let (hits, misses) = (h1 - h0, m1 - m0);
-    assert!(hits > 0, "solve path saw no pool traffic — hot paths are not pooled");
-    let hit_rate = hits as f64 / (hits + misses) as f64;
-    assert!(
-        hit_rate >= 0.90,
-        "steady-state solve pool hit rate {hit_rate:.3} ({hits} hits / {misses} misses) below 0.90"
-    );
+    // four warm-up solves have filled the free lists with solve-shaped
+    // buffers, eight more must be allocation-free in the pooled classes.
+    // Returns the pool takes per solve.
+    let steady = |what: &str, solve: &dyn Fn(u64)| -> u64 {
+        (0..4).for_each(|seed| solve(17 + seed));
+        let (h0, m0) = workspace::stats();
+        (0..8).for_each(|seed| solve(29 + seed));
+        let (h1, m1) = workspace::stats();
+        let (hits, misses) = (h1 - h0, m1 - m0);
+        assert!(hits > 0, "{what} solve path saw no pool traffic — hot paths are not pooled");
+        let hit_rate = hits as f64 / (hits + misses) as f64;
+        assert!(
+            hit_rate >= 0.90,
+            "steady-state {what} solve pool hit rate {hit_rate:.3} ({hits} hits / {misses} misses) \
+             below 0.90"
+        );
+        (hits + misses) / 8
+    };
+    steady("single-RHS", &|seed| {
+        let mut x = rand_vec(n, seed);
+        ft.solve_in_place(&mut x).expect("single-RHS solve");
+    });
+    // The blocked path, the one the serve tier runs: 16 columns. The
+    // recursion itself takes three buffers per internal node (the reduced
+    // right-hand side and, matrix-free, the two column lists); the rest is
+    // packing scratch inside the GEMM / GSKS calls. 531 is the largest
+    // count of any lane (AVX-512 skinny GEMM, two or more threads; 529 on
+    // one thread, 501 with `KFDS_SIMD=off`), so a row half copied out and
+    // back again would show here. (A buffer built on the heap instead
+    // would not: `kfds-lint`'s hot-path-alloc rule holds `solve.rs` to the
+    // pool.)
+    let takes = steady("16-RHS", &|seed| {
+        let mut b = Mat::from_col_major(n, 16, rand_vec(n * 16, seed));
+        ft.solve_mat_in_place(&mut b).expect("blocked solve");
+    });
+    assert!(takes <= 531, "a 16-RHS solve made {takes} pool takes, more than the pinned 531");
 }
 
 #[test]
@@ -105,6 +127,7 @@ fn steady_state_setup_rebuild_is_mostly_pool_hits() {
     // against the same point set. After a warm-up rebuild, the
     // skeletonization temporaries (column-union lists, sampled blocks,
     // gathered coordinate panels, ID scratch) must recycle from the pool.
+    let _turn = COUNTERS.lock().unwrap();
     let n = 1024;
     let pts = normal_embedded(n, 3, 8, 0.05, 17);
     let kernel = Gaussian::new(1.0);

@@ -100,6 +100,64 @@ fn pack_cols_transposed(pts: &PointSet, idx: &[usize]) -> Packed {
     Packed { coords, norms }
 }
 
+/// The packed operands of one summation — what both summations share up
+/// to the epilogue: the two coordinate panels, and the dispatch they were
+/// packed for (captured once: the packed source layout, the tile kernel
+/// and the epilogue's weight layout must agree for the whole call).
+struct Panels {
+    rp: Packed,
+    cp: Packed,
+    use_simd: bool,
+    d: usize,
+}
+
+impl Panels {
+    fn pack(pts: &PointSet, rows: &[usize], cols: &[usize]) -> Self {
+        let use_simd = kfds_la::simd::active();
+        let rp = pack(pts, rows, MR);
+        let cp = if use_simd { pack_cols_transposed(pts, cols) } else { pack(pts, cols, NR) };
+        Panels { rp, cp, use_simd, d: pts.dim() }
+    }
+
+    /// Source columns including the zero padding of the last tile.
+    fn padded_cols(&self) -> usize {
+        self.cp.norms.len()
+    }
+
+    /// The `MR x NR` tile of `K[rows, cols]` at packed row `r0`, packed
+    /// column `c0`, row-major: the rank-`d` update in registers, then the
+    /// batched kernel transform of the `rows_here` live rows. Padded
+    /// source columns carry finite (kernel-at-the-origin) values the
+    /// epilogue must weight by zero; rows past `rows_here` are not
+    /// transformed and must not be read.
+    #[inline(always)]
+    fn tile<K: Kernel>(&self, k: &K, r0: usize, rows_here: usize, c0: usize) -> [f64; MR * NR] {
+        let d = self.d;
+        let mut tile = [0.0f64; MR * NR];
+        if self.use_simd {
+            kfds_la::simd::gsks_tile_8x4(
+                &self.rp.coords[r0 * d..(r0 + MR) * d],
+                &self.cp.coords[c0 * d..(c0 + NR) * d],
+                d,
+                &mut tile,
+            );
+        } else {
+            tile_dots(
+                &self.rp.coords[r0 * d..(r0 + rows_here) * d],
+                &self.cp.coords[c0 * d..(c0 + NR) * d],
+                d,
+                &mut tile,
+            );
+        }
+        k.eval_parts_many(
+            &mut tile[..rows_here * NR],
+            &self.rp.norms[r0..r0 + rows_here],
+            &self.cp.norms[c0..c0 + NR],
+        );
+        tile
+    }
+}
+
 /// Fused kernel summation: `w = K[rows, cols] * u` (overwrites `w`),
 /// matrix-free with `O((m + n) d)` workspace.
 ///
@@ -122,48 +180,21 @@ pub fn sum_fused<K: Kernel>(
         w.fill(0.0);
         return;
     }
-    let d = pts.dim();
-    // Dispatch captured once: the packed source layout and the tile kernel
-    // must agree for the whole call.
-    let use_simd = kfds_la::simd::active();
-    let rp = pack(pts, rows, MR);
-    let cp = if use_simd { pack_cols_transposed(pts, cols) } else { pack(pts, cols, NR) };
+    let p = Panels::pack(pts, rows, cols);
     // Zero-padded weights so padded source columns contribute nothing.
-    let mut upad = workspace::take(cp.norms.len());
+    let mut upad = workspace::take(p.padded_cols());
     upad[..u.len()].copy_from_slice(u);
     upad[u.len()..].fill(0.0);
 
-    let n_tiles_c = cp.norms.len() / NR;
-    // Parallel over disjoint MR-row chunks of the output.
+    // Parallel over disjoint MR-row chunks of the output. The
+    // single-weight epilogue: one NR-term dot per live tile row, summed
+    // over the tiles in registers.
     w.par_chunks_mut(MR).enumerate().for_each(|(rt, wchunk)| {
         let r0 = rt * MR;
         let rows_here = wchunk.len();
         let mut acc = [0.0f64; MR];
-        for ct in 0..n_tiles_c {
-            let c0 = ct * NR;
-            let mut tile = [0.0f64; MR * NR];
-            if use_simd {
-                kfds_la::simd::gsks_tile_8x4(
-                    &rp.coords[r0 * d..(r0 + MR) * d],
-                    &cp.coords[c0 * d..(c0 + NR) * d],
-                    d,
-                    &mut tile,
-                );
-            } else {
-                tile_dots(
-                    &rp.coords[r0 * d..(r0 + rows_here) * d],
-                    &cp.coords[c0 * d..(c0 + NR) * d],
-                    d,
-                    &mut tile,
-                );
-            }
-            // Fused epilogue: batched kernel transform of the live tile
-            // rows, then the weight reduction.
-            k.eval_parts_many(
-                &mut tile[..rows_here * NR],
-                &rp.norms[r0..r0 + rows_here],
-                &cp.norms[c0..c0 + NR],
-            );
+        for c0 in (0..p.padded_cols()).step_by(NR) {
+            let tile = p.tile(k, r0, rows_here, c0);
             for (r, accr) in acc.iter_mut().enumerate().take(rows_here) {
                 let mut s = 0.0;
                 for (kv, uv) in tile[r * NR..r * NR + NR].iter().zip(&upad[c0..c0 + NR]) {
@@ -179,6 +210,11 @@ pub fn sum_fused<K: Kernel>(
 /// Fused multi-RHS summation: `W = K[rows, cols] * U` (overwrites `W`),
 /// matrix-free. `U` is `cols.len() x nrhs`, `W` is `rows.len() x nrhs`.
 ///
+/// One column takes [`sum_fused`]'s single-weight epilogue (the answer is
+/// `sum_fused`'s, bit for bit): transposing `U`, zeroing a row-major `W`
+/// and the RHS-wide contraction buy nothing for one weight column and
+/// cost 5–17 % at the solve's shapes.
+///
 /// # Panics
 /// Panics on dimension mismatches.
 pub fn sum_fused_multi<K: Kernel>(
@@ -192,28 +228,27 @@ pub fn sum_fused_multi<K: Kernel>(
     assert_eq!(u.nrows(), cols.len(), "sum_fused_multi: U rows mismatch");
     assert_eq!(w.nrows(), rows.len(), "sum_fused_multi: W rows mismatch");
     assert_eq!(u.ncols(), w.ncols(), "sum_fused_multi: RHS count mismatch");
-    let d = pts.dim();
     let nrhs = u.ncols();
     let m = rows.len();
     if m == 0 || nrhs == 0 {
         return;
     }
+    if nrhs == 1 {
+        return sum_fused(k, pts, rows, cols, u.col(0), w.col_mut(0));
+    }
     if cols.is_empty() {
         w.fill(0.0);
         return;
     }
-    let use_simd = kfds_la::simd::active();
-    let rp = pack(pts, rows, MR);
-    let cp = if use_simd { pack_cols_transposed(pts, cols) } else { pack(pts, cols, NR) };
-    let n_tiles_c = cp.norms.len() / NR;
+    let p = Panels::pack(pts, rows, cols);
 
     // SIMD mode: transpose U once into source-major layout (`ut[c * nrhs
     // + t] = U[c, t]`) so the contraction kernel sweeps each source's
     // weights with contiguous vector loads. The zero padding rows make the
     // padded tile columns — whose kernel values are finite but meaningless
     // — contribute nothing, so the kernel never needs a `cols_here` guard.
-    let ut = use_simd.then(|| {
-        let mut ut = workspace::take(cp.norms.len() * nrhs);
+    let ut = p.use_simd.then(|| {
+        let mut ut = workspace::take(p.padded_cols() * nrhs);
         for t in 0..nrhs {
             for (c, &v) in u.col(t).iter().enumerate() {
                 ut[c * nrhs + t] = v;
@@ -230,32 +265,8 @@ pub fn sum_fused_multi<K: Kernel>(
     wbuf.par_chunks_mut(MR * nrhs).enumerate().for_each(|(rt, wchunk)| {
         let r0 = rt * MR;
         let rows_here = MR.min(m - r0);
-        for ct in 0..n_tiles_c {
-            let c0 = ct * NR;
-            let cols_here = NR.min(cols.len().saturating_sub(c0));
-            let mut tile = [0.0f64; MR * NR];
-            if use_simd {
-                kfds_la::simd::gsks_tile_8x4(
-                    &rp.coords[r0 * d..(r0 + MR) * d],
-                    &cp.coords[c0 * d..(c0 + NR) * d],
-                    d,
-                    &mut tile,
-                );
-            } else {
-                tile_dots(
-                    &rp.coords[r0 * d..(r0 + rows_here) * d],
-                    &cp.coords[c0 * d..(c0 + NR) * d],
-                    d,
-                    &mut tile,
-                );
-            }
-            // Batched kernel transform of the live rows (padded columns
-            // are evaluated too but never read), then contract against U.
-            k.eval_parts_many(
-                &mut tile[..rows_here * NR],
-                &rp.norms[r0..r0 + rows_here],
-                &cp.norms[c0..c0 + NR],
-            );
+        for c0 in (0..p.padded_cols()).step_by(NR) {
+            let tile = p.tile(k, r0, rows_here, c0);
             match ut_ref {
                 // Vectorized contraction of a full row tile against every
                 // RHS at once — this multi-RHS epilogue dominates the
@@ -269,6 +280,7 @@ pub fn sum_fused_multi<K: Kernel>(
                     );
                 }
                 _ => {
+                    let cols_here = NR.min(cols.len().saturating_sub(c0));
                     for r in 0..rows_here {
                         let krow = &tile[r * NR..r * NR + NR];
                         let wrow = &mut wchunk[r * nrhs..(r + 1) * nrhs];

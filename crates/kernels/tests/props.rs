@@ -198,6 +198,41 @@ fn simd_gsks_matches_scalar_edge_tiles() {
     }
 }
 
+/// `sum_fused_multi` on one weight column takes `sum_fused`'s epilogue:
+/// the two must agree bit for bit (also through a strided `W` view),
+/// with the vector and with the scalar tile kernels, on shapes that leave
+/// partial row tiles, partial column tiles, and no columns at all.
+#[test]
+fn one_column_multi_is_sum_fused_bitwise() {
+    fn check(n: usize, d: usize, split: usize, seed: u64) {
+        let pts = det_points(n, d, seed);
+        let k = Gaussian::new(0.8);
+        let rows: Vec<usize> = (0..split).collect();
+        let cols: Vec<usize> = (split..n).collect();
+        let u: Vec<f64> = (0..cols.len()).map(|i| (i as f64 * 0.61 + 0.2).cos()).collect();
+        let mut want = vec![f64::NAN; rows.len()];
+        sum_fused(&k, &pts, &rows, &cols, &u, &mut want);
+        // W is column 1 of a taller, wider matrix: col_stride > nrows.
+        let mut big = kfds_la::Mat::from_fn(rows.len() + 3, 3, |_, _| f64::NAN);
+        let umat = kfds_la::MatRef::from_col(&u);
+        let w = big.rb_mut().submatrix_mut(2..2 + rows.len(), 1..2);
+        sum_fused_multi(&k, &pts, &rows, &cols, umat, w);
+        for (i, a) in want.iter().enumerate() {
+            let b = big[(2 + i, 1)];
+            assert_eq!(a.to_bits(), b.to_bits(), "({n},{d},{split}) row {i}: {b} vs {a}");
+        }
+    }
+    let _guard = POOL_TOGGLE.lock().unwrap();
+    // (n, d, split): m = split rows, n - split columns.
+    let shapes =
+        [(2usize, 1usize, 1usize), (12, 3, 7), (29, 5, 13), (45, 4, 8), (70, 9, 33), (11, 2, 11)];
+    for &(n, d, split) in &shapes {
+        check(n, d, split, 0xc01 + n as u64);
+        let _off = SimdOff::new();
+        check(n, d, split, 0xc01 + n as u64);
+    }
+}
+
 #[test]
 fn gsks_coincident_points_no_nan() {
     // Duplicated points make ||x-y||^2 cancel to (possibly slightly

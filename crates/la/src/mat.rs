@@ -272,6 +272,12 @@ impl<'a> MatRef<'a> {
         MatRef { data, nrows, ncols, col_stride }
     }
 
+    /// A slice as the `len x 1` matrix it is.
+    #[inline]
+    pub fn from_col(col: &'a [f64]) -> Self {
+        MatRef { data: col, nrows: col.len(), ncols: 1, col_stride: col.len() }
+    }
+
     #[inline]
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -387,6 +393,14 @@ impl<'a> MatMut<'a> {
         }
     }
 
+    /// A slice as the `len x 1` matrix it is: how a single right-hand
+    /// side enters the multi-column solve routines.
+    #[inline]
+    pub fn from_col(col: &'a mut [f64]) -> Self {
+        let n = col.len();
+        Self::from_parts(col, n, 1, n)
+    }
+
     #[inline]
     pub fn nrows(&self) -> usize {
         self.nrows
@@ -494,8 +508,9 @@ impl<'a> MatMut<'a> {
         // SAFETY: same storage, disjoint row ranges; every accessor bounds
         // element coordinates by the view's own (nrows, ncols), so the top
         // view never touches rows >= i and the bottom never touches rows
-        // < i of the parent.
-        let bot_ptr = unsafe { self.ptr.add(i) };
+        // < i of the parent. A view of no columns spans no storage (its
+        // pointer may dangle), so both of its halves keep the base.
+        let bot_ptr = unsafe { self.ptr.add(if self.ncols == 0 { 0 } else { i }) };
         (
             MatMut {
                 ptr: self.ptr,
@@ -670,6 +685,10 @@ mod tests {
         let (all, e1) = m.rb_mut().split_at_row(4);
         assert_eq!(all.nrows(), 4);
         assert_eq!(e1.nrows(), 0);
+        // A view of no columns has no storage to offset into.
+        let mut none = Mat::zeros(4, 0);
+        let (top, bot) = none.rb_mut().split_at_row(3);
+        assert_eq!((top.nrows(), bot.nrows(), bot.ncols()), (3, 1, 0));
     }
 
     #[test]

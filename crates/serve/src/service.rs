@@ -634,17 +634,25 @@ fn dispatch<K: Kernel + 'static>(sh: &Shared<K>, batch: Vec<Request>) {
         }
     };
     let n = sf.n();
-    // Validate right-hand-side shapes against the resolved problem size.
+    // Validate right-hand sides against the resolved problem size, and
+    // keep non-finite ones out of the batch: the solve would carry a NaN
+    // through to an `Ok` answer.
     let mut valid: Vec<Request> = Vec::with_capacity(live.len());
     for req in live {
-        if req.rhs.len() == n {
-            valid.push(req);
+        let problem = if req.rhs.len() != n {
+            Some(format!("rhs has {} entries, problem size is {n}", req.rhs.len()))
         } else {
-            m.errors.fetch_add(1, Ordering::Relaxed);
-            req.cell.fulfill(Err(ServeError::BadRequest(format!(
-                "rhs has {} entries, problem size is {n}",
-                req.rhs.len()
-            ))));
+            req.rhs
+                .iter()
+                .position(|v| !v.is_finite())
+                .map(|i| format!("rhs entry {i} is not finite ({})", req.rhs[i]))
+        };
+        match problem {
+            None => valid.push(req),
+            Some(msg) => {
+                m.errors.fetch_add(1, Ordering::Relaxed);
+                req.cell.fulfill(Err(ServeError::BadRequest(msg)));
+            }
         }
     }
     if valid.is_empty() {

@@ -63,6 +63,51 @@ fn batched_answers_match_direct_solves() {
     assert_eq!(svc_builds_sanity(&stats), 1, "one key must mean one factorization build");
 }
 
+#[test]
+fn non_finite_request_is_rejected_and_its_batch_mates_are_unaffected() {
+    let n = 512;
+    let key = FactorKey::new("t-nan", n, 1.0, 0.5, 3);
+    let svc =
+        SolveService::start(ServeConfig::default().with_workers(1).with_max_batch(8), build_factor);
+    // While the one worker is busy building a factorization (the first
+    // request on a key), everything submitted behind it queues up and is
+    // drained as one same-key batch.
+    let submit_behind_a_build = |blocker: FactorKey, batch: Vec<Vec<f64>>| {
+        let first = svc.submit(blocker, rhs(n, 99)).expect("submit blocker");
+        let tickets: Vec<_> =
+            batch.into_iter().map(|b| svc.submit(key.clone(), b).expect("submit")).collect();
+        first.wait().expect("blocker solve");
+        tickets.into_iter().map(|t| t.wait()).collect::<Vec<_>>()
+    };
+
+    let poisoned = 3;
+    let mut eight: Vec<Vec<f64>> = (0..8).map(|r| rhs(n, r)).collect();
+    eight[poisoned][n / 2] = f64::NAN;
+    let mixed = submit_behind_a_build(key.clone(), eight.clone());
+    eight.remove(poisoned);
+    let alone = submit_behind_a_build(FactorKey::new("t-nan-other", n, 1.0, 0.5, 5), eight);
+
+    match &mixed[poisoned] {
+        Err(ServeError::BadRequest(msg)) => assert!(msg.contains("not finite"), "{msg}"),
+        other => panic!("a NaN right-hand side must be a BadRequest, got {other:?}"),
+    }
+    let served = mixed.iter().enumerate().filter(|(r, _)| *r != poisoned).map(|(_, a)| a);
+    for (r, (got, want)) in served.zip(&alone).enumerate() {
+        let (got, want) = (got.as_ref().expect("batch-mate"), want.as_ref().expect("alone"));
+        assert!(got.iter().all(|v| v.is_finite()));
+        assert_eq!(got, want, "batch-mate {r} must not see the rejected request");
+    }
+    // An infinity is caught the same way.
+    let mut inf = rhs(n, 1);
+    inf[0] = f64::INFINITY;
+    let t = svc.submit(key.clone(), inf).expect("submit inf");
+    assert!(matches!(t.wait(), Err(ServeError::BadRequest(_))));
+
+    let stats = svc.shutdown();
+    assert_eq!(stats.errors, 2, "each rejected request counts as one error");
+    assert_eq!(stats.completed, 2 + 7 + 7);
+}
+
 fn svc_builds_sanity(stats: &kfds_serve::ServeStats) -> u64 {
     stats.cache_misses
 }

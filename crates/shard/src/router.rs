@@ -24,7 +24,7 @@ use crate::stats::{ShardCounters, ShardLane};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use kfds_core::{PartitionedFactor, SharedFactor};
 use kfds_kernels::Kernel;
-use kfds_la::Mat;
+use kfds_la::{Mat, MatMut};
 use kfds_rt::sync::{LockRank, RankedMutex};
 use kfds_rt::{tags, Comm, Transport, World};
 use std::hash::Hash;
@@ -329,8 +329,8 @@ fn worker_loop<Key, K>(
         // The router scatters unconditionally after broadcasting the job,
         // so the payload must be consumed even on the failure paths below
         // — otherwise it would linger and corrupt the next request.
-        let payload = ep.recv_block(p, SCATTER);
-        let result: Result<Mat, String> = match local.get_or_build(&key, || {
+        let mut payload = ep.recv_block(p, SCATTER);
+        let result: Result<(), String> = match local.get_or_build(&key, || {
             owner
                 .peek(&key)
                 .ok_or("partition not resident in the shard-group owner cache".to_string())
@@ -338,16 +338,18 @@ fn worker_loop<Key, K>(
             Err(e) => Err(e.to_string()),
             Ok((pf, hit)) => {
                 ShardCounters::bump(if hit { &me.local_hits } else { &me.local_misses });
-                match pf.block_from_payload(shard, nrhs, &payload) {
-                    None => Err(format!(
+                let rows = pf.shard_range(shard).len();
+                if nrhs == 0 || payload.len() != rows * nrhs {
+                    Err(format!(
                         "scatter payload shape mismatch on shard {shard}: got {} values for \
-                         {} x {nrhs}",
-                        payload.len(),
-                        pf.shard_range(shard).len()
-                    )),
-                    Some(mut block) => catch_unwind(AssertUnwindSafe(|| {
-                        pf.solve_local(shard, &mut block);
-                        block
+                         {rows} x {nrhs}",
+                        payload.len()
+                    ))
+                } else {
+                    // The payload is the shard's row block, column-major:
+                    // solve on it where it landed and send it back.
+                    catch_unwind(AssertUnwindSafe(|| {
+                        pf.solve_local(shard, MatMut::from_parts(&mut payload, rows, nrhs, rows));
                     }))
                     .map_err(|panic| {
                         let msg = panic
@@ -356,15 +358,15 @@ fn worker_loop<Key, K>(
                             .or_else(|| panic.downcast_ref::<String>().cloned())
                             .unwrap_or_else(|| "local solve panicked".to_string());
                         format!("local solve panicked on shard {shard}: {msg}")
-                    }),
+                    })
                 }
             }
         };
         match result {
-            Ok(block) => {
-                me.rows_solved.fetch_add((block.nrows() * block.ncols()) as u64, Ordering::Relaxed);
+            Ok(()) => {
+                me.rows_solved.fetch_add(payload.len() as u64, Ordering::Relaxed);
                 outcome.record(shard, None);
-                ep.send_block(p, GATHER, &PartitionedFactor::<K>::pack_block(&block));
+                ep.send_block(p, GATHER, &payload);
             }
             Err(msg) => {
                 ShardCounters::bump(&me.errors);
