@@ -4,6 +4,8 @@
 # KFDS_* switch selects, the benchmark package's own tests, and the
 # kfds-serve smoke runs. Correctness only: nothing here asserts a timing
 # (timings, bytes and throughput are benchmark/'s — see BENCHMARK.json).
+# Every step prints the seconds it took and `CI OK` a table of them, so a
+# lane has a price before anyone argues for deleting it.
 #
 #   ./ci.sh            # everything
 #   ./ci.sh --fast     # skip the release build
@@ -27,19 +29,35 @@ for arg in "$@"; do
   esac
 done
 
+# `step "name"` opens a step: prints its banner and, first, what the step
+# before it took (bash SECONDS; reported, never asserted). `step ""` only
+# closes the last one.
+step_name=""
+step_t0=0
+timings=()
+step() {
+  if [[ -n $step_name ]]; then
+    local took=$((SECONDS - step_t0))
+    echo "-- ${took} s: ${step_name}"
+    timings+=("$(printf '%6d s  %s' "$took" "$step_name")")
+  fi
+  step_name="$1"
+  step_t0=$SECONDS
+  if [[ -n $1 ]]; then echo "== $1 =="; fi
+}
+
 # Does the nightly toolchain have a given component (miri, rust-src)?
 nightly_has() {
   rustup component list --toolchain nightly --installed 2>/dev/null | grep -q "^$1"
 }
 
-echo "== cargo fmt --check =="
+step "cargo fmt --check"
 cargo fmt --all --check
 
-echo "== cargo clippy (all targets, warnings are errors) =="
+step "cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== kfds-lint (SAFETY comments, switch registry, hot-path allocs, unsafe preconditions, =="
-echo "==            lock discipline, panic-free data plane, forbid-unsafe, switch coverage)  =="
+step "kfds-lint (SAFETY comments, switch registry, hot-path allocs, unsafe preconditions, lock discipline, panic-free data plane, forbid-unsafe, switch coverage)"
 # The machine-checked safety invariants — see DESIGN.md §7. Always on:
 # the lint is pure source analysis and takes well under a second. The
 # per-rule count line is asserted below so a rule family that silently
@@ -55,44 +73,44 @@ for rule in unsafe-safety env-registry hot-path-alloc unsafe-preconditions \
 done
 
 if [[ $fast -eq 0 ]]; then
-  echo "== cargo build --release =="
+  step "cargo build --release"
   cargo build --release
 fi
 
-echo "== cargo test (workspace, SIMD default) =="
+step "cargo test (workspace, SIMD default)"
 cargo test -q --workspace
 
-echo "== cargo test (workspace, KFDS_SIMD=off — scalar reference paths) =="
+step "cargo test (workspace, KFDS_SIMD=off — scalar reference paths)"
 KFDS_SIMD=off cargo test -q --workspace
 
-echo "== cargo test (workspace, KFDS_CPQR=unblocked + KFDS_EVAL_GEMM=off — BLAS-2 setup paths) =="
+step "cargo test (workspace, KFDS_CPQR=unblocked + KFDS_EVAL_GEMM=off — BLAS-2 setup paths)"
 # The legacy one-reflector CPQR and the scalar kernel-block assembly are the
 # bitwise reference for the blocked setup pipeline; keep them green.
 KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off cargo test -q --workspace
 
-echo "== cargo test (kfds-la, KFDS_WS_POOL=off — global-allocator workspace path) =="
+step "cargo test (kfds-la, KFDS_WS_POOL=off — global-allocator workspace path)"
 # The pool kill-switch must leave every factorization/solve result
 # untouched (the pool only changes where scratch memory comes from).
 KFDS_WS_POOL=off cargo test -q -p kfds-la
 
-echo "== cargo test (kfds-tree, KFDS_KNN=scalar — scalar-distance kNN reference) =="
+step "cargo test (kfds-tree, KFDS_KNN=scalar — scalar-distance kNN reference)"
 # The GEMM-tile neighbor search must agree with the scalar reference
 # under both search modes; this lane runs the tree suite on that path.
 KFDS_KNN=scalar cargo test -q -p kfds-tree
 
-echo "== cargo test (kfds-core, KFDS_REFACTOR=off — per-λ rebuild reference) =="
+step "cargo test (kfds-core, KFDS_REFACTOR=off — per-λ rebuild reference)"
 # lambda_sweep, the GP noise grid and SharedFactor::refactorize fall back
 # to a fresh factorization per λ; the suite asserts the switch is honored
 # and that the two routes agree bitwise.
 KFDS_REFACTOR=off cargo test -q -p kfds-core
 
-echo "== cargo test (kfds-core, KFDS_BATCH=off — per-node engine reference) =="
+step "cargo test (kfds-core, KFDS_BATCH=off — per-node engine reference)"
 # Skeletonization, assembly and factorization run the per-node engine the
 # level-batched one is proven bitwise against (tests/batch_equiv.rs).
 KFDS_BATCH=off cargo test -q -p kfds-core
 
 if [[ $miri -eq 1 ]]; then
-  echo "== miri lane (kfds-la deterministic suite under the interpreter) =="
+  step "miri lane (kfds-la deterministic suite under the interpreter)"
   # Checks the raw-pointer/`set_len` unsafe core for UB. SIMD dispatch is
   # hard-wired scalar under Miri (`cpu_supported()` returns false), and the
   # proptest suite is compiled out (`#![cfg(not(miri))]` in props.rs).
@@ -105,7 +123,7 @@ if [[ $miri -eq 1 ]]; then
 fi
 
 if [[ $tsan -eq 1 ]]; then
-  echo "== tsan lane (kfds-rt + kfds-shard + kfds-serve under ThreadSanitizer) =="
+  step "tsan lane (kfds-rt + kfds-shard + kfds-serve under ThreadSanitizer)"
   # Race-checks the channel runtime, the shard router's scatter/gather
   # data plane, and the serve queue/cache/shutdown paths; the loom stress
   # tests give the detector real interleavings to observe. Needs
@@ -120,7 +138,7 @@ if [[ $tsan -eq 1 ]]; then
   fi
 fi
 
-echo "== cargo test (benchmark/ — the ledger harness and a --quick run of every workload) =="
+step "cargo test (benchmark/ — the ledger harness and a --quick run of every workload)"
 # benchmark/ is a package of its own (the root workspace does not build
 # it), and it is the only place timings, bytes and throughput are
 # recorded. Its suite runs all four workloads at smoke sizes with their
@@ -128,7 +146,7 @@ echo "== cargo test (benchmark/ — the ledger harness and a --quick run of ever
 # compiling, or makes a workload wrong, fails here.
 cargo test -q --manifest-path benchmark/Cargo.toml
 
-echo "== kfds-serve smoke (single-node, then sharded) =="
+step "kfds-serve smoke (single-node, then sharded)"
 # Stands up the batched solve service under closed-loop load and asserts a
 # clean run: zero errors, every request answered, cache hit rate > 0, and
 # exactly one λ-free setup build across the λ-only key spread (the
@@ -152,4 +170,6 @@ else
   KFDS_SHARD=off cargo run -q -p kfds-serve --bin kfds-serve -- --smoke --shards 2 --n 512 --keys 2 --clients 4 --requests 32
 fi
 
-echo "CI OK"
+step ""
+printf '%s\n' "${timings[@]}"
+echo "CI OK (${SECONDS} s)"

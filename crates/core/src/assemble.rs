@@ -17,17 +17,21 @@
 //! The skeleton projections `P_{αα̃}` are *not* duplicated here — they
 //! already live λ-independently in the [`SkeletonTree`].
 //!
-//! The blocked path is bitwise-identical to a fresh `factorize` under
-//! [`StorageMode::StoredGemv`](crate::StorageMode::StoredGemv): kernel
-//! block evaluation is deterministic, so a cached block equals a freshly
-//! evaluated one bit-for-bit, and every downstream operation is the same
-//! code. (The GSKS fused path accumulates in a different order than GEMM
-//! over a materialized block, so `factorize_with_blocks` pins the storage
-//! mode to `StoredGemv`.) The `KFDS_REFACTOR` kill-switch routes
-//! [`crate::lambda_sweep`] and friends back to the legacy
-//! factorize-from-scratch path.
+//! **The assembly is the one home of the stored `V` blocks.** Every
+//! [`StorageMode::StoredGemv`](crate::StorageMode::StoredGemv) factor
+//! carries an `Arc<AssembledBlocks>`; the sweep and the solve read
+//! `K_{l̃r}` / `K_{r̃l}` out of it by reference, so any number of λ-factors
+//! over one assembly hold the coupling bytes once (§III's `sN log(N/m)`
+//! words). A plain stored `factorize` *is* this assembly, leaf blocks left
+//! out, followed by the same sweep — hence bitwise the blocked path. Only
+//! a cached `K_αα` is ever copied, because the LU overwrites it. (GSKS
+//! accumulates in another order than GEMM over a materialized block, so
+//! `factorize_with_blocks` pins `StoredGemv`.) Under `KFDS_REFACTOR=off`
+//! [`crate::lambda_sweep`] and friends re-assemble and re-factor per λ.
 
 use crate::config::LevelStats;
+use crate::error::SolverError;
+use crate::factor::{in_factored_region, in_subtree};
 use kfds_askit::SkeletonTree;
 use kfds_kernels::{eval_block_range, eval_blocks, eval_symmetric, flops, BlockSpec, Kernel};
 use kfds_la::Mat;
@@ -108,18 +112,50 @@ impl AssembledBlocks {
         self.nodes.is_empty()
     }
 
-    /// Asserts this store was assembled over `st`'s tree shape.
-    pub(crate) fn check_compatible(&self, st: &SkeletonTree) {
-        assert_eq!(
-            self.nodes.len(),
-            st.tree().nodes().len(),
-            "AssembledBlocks node count does not match the skeleton tree"
-        );
-        assert_eq!(
-            self.n_points,
-            st.tree().points().len(),
-            "AssembledBlocks point count does not match the skeleton tree"
-        );
+    /// The stored `V` blocks `(K_{l̃r}, K_{r̃l})` of factored internal node
+    /// `i`, where the sweep and the solve read them.
+    pub(crate) fn coupling(&self, i: usize) -> (&Mat, &Mat) {
+        let nb = &self.nodes[i];
+        (
+            nb.k_lr.as_ref().expect("stored V block missing from the assembly"),
+            nb.k_rl.as_ref().expect("stored V block missing from the assembly"),
+        )
+    }
+
+    /// Bytes of the coupling blocks alone.
+    pub(crate) fn coupling_bytes(&self) -> usize {
+        let blocks = self.nodes.iter().flat_map(|nb| [&nb.k_lr, &nb.k_rl]).flatten();
+        blocks.map(|b| b.nrows() * b.ncols() * 8).sum()
+    }
+
+    /// Checks that this store can back a factorization over `st`: same
+    /// tree, every factored node's coupling blocks `s_l x |r|` / `s_r x |l|`
+    /// and cached leaf block (if any) `|α| x |α|` — so an assembly of
+    /// another skeletonization of the same points fails here, typed.
+    pub(crate) fn check_compatible(&self, st: &SkeletonTree) -> Result<(), SolverError> {
+        let tree = st.tree();
+        if self.nodes.len() != tree.nodes().len() || self.n_points != tree.points().len() {
+            return Err(SolverError::BlocksMismatch { node: tree.root() });
+        }
+        let shape = |m: &Option<Mat>| m.as_ref().map(|m| (m.nrows(), m.ncols()));
+        for (i, nb) in self.nodes.iter().enumerate() {
+            if !in_factored_region(st, i) {
+                continue;
+            }
+            let nd = tree.node(i);
+            let fits = match nd.children {
+                None => shape(&nb.kaa).is_none_or(|got| got == (nd.len(), nd.len())),
+                Some((l, r)) => {
+                    let rank = |c| st.skeleton(c).map(|sk| sk.rank());
+                    shape(&nb.k_lr) == rank(l).map(|sl| (sl, tree.node(r).len()))
+                        && shape(&nb.k_rl) == rank(r).map(|sr| (sr, tree.node(l).len()))
+                }
+            };
+            if !fits {
+                return Err(SolverError::BlocksMismatch { node: i });
+            }
+        }
+        Ok(())
     }
 }
 
@@ -129,19 +165,36 @@ impl AssembledBlocks {
 /// parallel across nodes (no cross-node dependencies, unlike the
 /// factorization itself which sweeps level by level).
 pub fn assemble_blocks<K: Kernel>(st: &SkeletonTree, kernel: &K) -> AssembledBlocks {
+    assemble(st, kernel, st.tree().root(), true)
+}
+
+/// [`assemble_blocks`] restricted to the subtree under `root`;
+/// `leaves = false` leaves `K_αα` out — a fresh stored factorization keeps
+/// its `V` blocks and nothing else.
+pub(crate) fn assemble<K: Kernel>(
+    st: &SkeletonTree,
+    kernel: &K,
+    root: usize,
+    leaves: bool,
+) -> AssembledBlocks {
     let t0 = Instant::now();
     let tree = st.tree();
     let pts = tree.points();
     let d = pts.dim();
     let per_eval = kernel.flops_per_eval();
+    let wanted = |i: usize| {
+        in_subtree(tree, root, i)
+            && in_factored_region(st, i)
+            && (leaves || tree.node(i).children.is_some())
+    };
     let mut levels: Vec<LevelStats> = Vec::new();
     let nodes: Vec<NodeBlocks> = if kfds_la::batch_active() {
-        assemble_level_batched(st, kernel, &mut levels)
+        assemble_level_batched(st, kernel, wanted, &mut levels)
     } else {
         (0..tree.nodes().len())
             .into_par_iter()
             .map(|i| {
-                if !crate::factor::in_factored_region(st, i) {
+                if !wanted(i) {
                     return NodeBlocks::default();
                 }
                 let nd = tree.node(i);
@@ -190,6 +243,7 @@ pub fn assemble_blocks<K: Kernel>(st: &SkeletonTree, kernel: &K) -> AssembledBlo
 fn assemble_level_batched<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
+    wanted: impl Fn(usize) -> bool,
     levels: &mut Vec<LevelStats>,
 ) -> Vec<NodeBlocks> {
     let tree = st.tree();
@@ -198,12 +252,8 @@ fn assemble_level_batched<K: Kernel>(
         (0..tree.nodes().len()).map(|_| NodeBlocks::default()).collect();
     for level in (0..=tree.depth()).rev() {
         let lt0 = Instant::now();
-        let level_nodes: Vec<usize> = tree
-            .nodes_at_level(level)
-            .iter()
-            .copied()
-            .filter(|&i| crate::factor::in_factored_region(st, i))
-            .collect();
+        let level_nodes: Vec<usize> =
+            tree.nodes_at_level(level).iter().copied().filter(|&i| wanted(i)).collect();
         if level_nodes.is_empty() {
             continue;
         }

@@ -10,7 +10,8 @@
 //! to roundoff (asserted in the tests), so Table III is a pure
 //! complexity-constant comparison.
 
-use crate::config::{FactorStats, SolverConfig};
+use crate::assemble::{assemble, AssembledBlocks};
+use crate::config::{FactorStats, SolverConfig, StorageMode};
 use crate::error::SolverError;
 use crate::factor::{build_reduced_system, in_factored_region, FactorTree, NodeCost, NodeFactors};
 use crate::solve::SolveCtx;
@@ -18,6 +19,7 @@ use kfds_askit::SkeletonTree;
 use kfds_kernels::{flops, Kernel};
 use kfds_la::{gemm, Mat, Trans};
 use rayon::prelude::*;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Runs the `O(N log² N)` baseline factorization of `λI + K̃`.
@@ -32,6 +34,10 @@ pub fn factorize_baseline<'a, K: Kernel>(
     let t0 = Instant::now();
     let tree = st.tree();
     let n_nodes = tree.nodes().len();
+    // As in `factorize`: a stored factorization assembles its V blocks
+    // first; the reduced systems and recursive solves read them there.
+    let blocks = (config.storage == StorageMode::StoredGemv)
+        .then(|| Arc::new(assemble(st, kernel, tree.root(), false)));
     let mut factors: Vec<NodeFactors> = (0..n_nodes).map(|_| NodeFactors::default()).collect();
     // Full projections P_{αα̃} (|α| x s), materialized as in [36].
     let mut p_full: Vec<Option<Mat>> = (0..n_nodes).map(|_| None).collect();
@@ -49,7 +55,7 @@ pub fn factorize_baseline<'a, K: Kernel>(
         // and full projection (no P̂ yet — that needs the own Z in place).
         let pass1: Vec<(usize, Result<Pass1, SolverError>)> = level_nodes
             .par_iter()
-            .map(|&i| (i, pass1_node(st, kernel, &config, &factors, &p_full, i)))
+            .map(|&i| (i, pass1_node(st, kernel, &config, blocks.as_deref(), &factors, &p_full, i)))
             .collect();
         let mut internal_todo = Vec::new();
         for (i, res) in pass1 {
@@ -74,7 +80,13 @@ pub fn factorize_baseline<'a, K: Kernel>(
             .par_iter()
             .map(|&i| {
                 let mut p = p_full[i].clone().expect("p_full computed in pass 1");
-                let ctx = SolveCtx { st, kernel, config: &config, factors: &factors };
+                let ctx = SolveCtx {
+                    st,
+                    kernel,
+                    config: &config,
+                    factors: &factors,
+                    blocks: blocks.as_deref(),
+                };
                 ctx.solve_node(i, p.rb_mut());
                 let fl = recursive_solve_flops(st, i, p.ncols());
                 (i, p, fl)
@@ -94,12 +106,13 @@ pub fn factorize_baseline<'a, K: Kernel>(
         min_pivot_ratio: if total.min_pivot.is_finite() { total.min_pivot } else { 1.0 },
         unstable_factorizations: total.unstable,
         max_rank,
-        stored_bytes: total.bytes,
+        stored_bytes: total.bytes + blocks.as_ref().map_or(0, |b| b.stats().bytes),
+        shared_bytes: 0,
         // Not level-synchronous in the batched sense (pass 2 walks whole
         // subtrees); no per-level breakdown.
         levels: Vec::new(),
     };
-    Ok(FactorTree::from_parts(st, kernel, config, factors, stats))
+    Ok(FactorTree { st, kernel, config, factors, stats, blocks })
 }
 
 struct Pass1 {
@@ -112,6 +125,7 @@ fn pass1_node<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
     config: &SolverConfig,
+    blocks: Option<&AssembledBlocks>,
     factors: &[NodeFactors],
     p_full: &[Option<Mat>],
     node: usize,
@@ -123,7 +137,7 @@ fn pass1_node<K: Kernel>(
             // Leaves are identical in both algorithms; reuse the
             // O(N log N) code path and record P = proj^T as the full
             // projection.
-            let (nf, cost) = crate::factor::factor_leaf_for_baseline(st, kernel, config, node)?;
+            let (nf, cost) = crate::factor::factor_leaf(st, kernel, config, blocks, node)?;
             let pf = st.skeleton(node).map(|sk| {
                 let (s, m) = (sk.rank(), nd.len());
                 Mat::from_fn(m, s, |i, j| sk.proj[(j, i)])
@@ -133,7 +147,8 @@ fn pass1_node<K: Kernel>(
         Some((l, r)) => {
             let p_hat_l = factors[l].p_hat.as_ref().expect("child P-hat missing");
             let p_hat_r = factors[r].p_hat.as_ref().expect("child P-hat missing");
-            let rs = build_reduced_system(st, kernel, config, None, p_hat_l, p_hat_r, node, l, r)?;
+            let rs =
+                build_reduced_system(st, kernel, config, blocks, p_hat_l, p_hat_r, node, l, r)?;
             let mut cost = rs.cost;
             // Full projection P_{αα̃} = diag(P_l, P_r) · P_{[l̃r̃]α̃},
             // materialized bottom-up from the children's full projections.
@@ -171,12 +186,7 @@ fn pass1_node<K: Kernel>(
                 None => None,
             };
             Ok(Pass1 {
-                factors: NodeFactors {
-                    z_lu: Some(rs.z_lu),
-                    v_lr: rs.v_lr,
-                    v_rl: rs.v_rl,
-                    ..Default::default()
-                },
+                factors: NodeFactors { z_lu: Some(rs.z_lu), ..Default::default() },
                 p_full: pf,
                 cost,
             })

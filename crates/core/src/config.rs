@@ -127,8 +127,19 @@ pub struct FactorStats {
     pub unstable_factorizations: usize,
     /// Largest skeleton rank encountered.
     pub max_rank: usize,
-    /// Bytes held by the factors (LUs, P̂, Z, stored V blocks).
+    /// Bytes this factorization call allocated and the tree keeps alive:
+    /// LUs, `P̂`, `Z`, and the stored `V` blocks of a fresh
+    /// [`StorageMode::StoredGemv`] `factorize`, which assembles them
+    /// itself. A tree over a caller's assembly does not own its `V` blocks
+    /// (their owner reports them, [`AssembleStats::bytes`](crate::AssembleStats)),
+    /// so `stored_bytes` of any number of trees plus one assembly is the
+    /// memory actually held.
     pub stored_bytes: usize,
+    /// Bytes of stored `V` blocks read from an assembly shared with the
+    /// caller; 0 for a fresh `factorize` and the matrix-free modes.
+    /// `stored_bytes + shared_bytes` is what a solve reads, the same
+    /// number however the tree was built.
+    pub shared_bytes: usize,
     /// Per-level breakdown, root-last (the sweep runs bottom-up). Empty
     /// levels are omitted; builders that are not level-synchronous (the
     /// `O(N log² N)` baseline) leave this empty.

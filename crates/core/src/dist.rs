@@ -18,7 +18,7 @@
 
 use crate::config::SolverConfig;
 use crate::error::SolverError;
-use crate::factor::{factor_subtree, FactorTree};
+use crate::factor::{factor_z, factorize_impl, telescope_m, FactorTree, NodeCost};
 use kfds_askit::SkeletonTree;
 use kfds_kernels::{sum_fused, sum_fused_multi, Kernel};
 use kfds_la::{gemm, Lu, Mat, MatMut, Trans};
@@ -127,7 +127,7 @@ fn dist_factor_rank<'a, K: Kernel>(
 ) -> Result<RankState<'a, K>, SolverError> {
     let tree = st.tree();
     // Local phase: factorize the owned subtree (Algorithm II.2).
-    let local = factor_subtree(st, kernel, *config, my_node)?;
+    let local = factorize_impl(st, kernel, *config, None, my_node)?;
 
     // Distributed phase: walk up from level lp to the root, splitting the
     // communicator at each level. We process levels bottom-up, so first
@@ -224,54 +224,12 @@ fn dist_factor_rank<'a, K: Kernel>(
             // B_l arrives from {q/2}.
             let b_l_data = parent_comm.recv_f64(q / 2, tag::B_BLOCK);
             let b_l = Mat::from_col_major(sl, sr, b_l_data);
-            let zdim = sl + sr;
-            let mut z = Mat::identity(zdim);
-            for j in 0..sr {
-                for i in 0..sl {
-                    z[(i, sl + j)] = b_l[(i, j)];
-                }
-            }
-            for j in 0..sl {
-                for i in 0..sr {
-                    z[(sl + i, j)] = b_r[(i, j)];
-                }
-            }
-            let lu = Lu::factor(z).map_err(|e| SolverError::Factorization { node, source: e })?;
+            // The serial sweep's own Z pack + LU; the per-rank cost
+            // accounting it folds in is not reported here.
+            let lu = factor_z(&b_l, &b_r, sl, sr, node, config, &mut NodeCost::default())?;
             // Telescoping data M_l, M_r (eq. 10), root level skips it.
             if let Some(sk) = node_sk {
-                let pt = Mat::from_fn(zdim, s_node, |i, j| sk.proj[(j, i)]);
-                let pt_top = pt.submatrix(0..sl, 0..s_node).to_mat();
-                let pt_bot = pt.submatrix(sl..zdim, 0..s_node).to_mat();
-                let mut cmat = Mat::zeros(zdim, s_node);
-                gemm(
-                    1.0,
-                    b_l.rb(),
-                    Trans::No,
-                    pt_bot.rb(),
-                    Trans::No,
-                    0.0,
-                    cmat.rb_mut().submatrix_mut(0..sl, 0..s_node),
-                );
-                gemm(
-                    1.0,
-                    b_r.rb(),
-                    Trans::No,
-                    pt_top.rb(),
-                    Trans::No,
-                    0.0,
-                    cmat.rb_mut().submatrix_mut(sl..zdim, 0..s_node),
-                );
-                lu.solve_mat_inplace(&mut cmat);
-                let mut m_l = pt_top;
-                let mut m_r = pt_bot;
-                for j in 0..s_node {
-                    for i in 0..sl {
-                        m_l[(i, j)] -= cmat[(i, j)];
-                    }
-                    for i in 0..sr {
-                        m_r[(i, j)] -= cmat[(sl + i, j)];
-                    }
-                }
+                let (m_l, m_r) = telescope_m(&sk.proj, &b_l, &b_r, &lu);
                 parent_comm.send_f64(q / 2, tag::M_BLOCK, m_r.as_slice());
                 m_block = m_l;
             }

@@ -30,6 +30,14 @@ pub enum SolverError {
         /// Human-readable validation failure.
         reason: String,
     },
+    /// The [`AssembledBlocks`](crate::AssembledBlocks) handed to a
+    /// refactorization were not assembled over this skeleton tree: another
+    /// point set, or the same points skeletonized to other ranks.
+    BlocksMismatch {
+        /// First tree node whose blocks are missing or mis-shaped (the
+        /// root when the trees themselves differ).
+        node: usize,
+    },
     /// A right-hand side whose row count is not the problem size.
     RhsShape {
         /// Rows the factorization expects (`N`).
@@ -53,6 +61,9 @@ impl fmt::Display for SolverError {
             }
             SolverError::Partition { reason } => {
                 write!(f, "factorization cannot be partitioned: {reason}")
+            }
+            SolverError::BlocksMismatch { node } => {
+                write!(f, "assembled blocks do not fit the skeleton tree at node {node}")
             }
             SolverError::RhsShape { expected, got } => {
                 write!(f, "right-hand side has {got} rows, the factorization has {expected}")

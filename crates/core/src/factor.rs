@@ -14,18 +14,23 @@
 //! (eq. 10) — no subtree traversal, which is precisely the improvement
 //! over the `O(N log² N)` scheme of \[36\] (implemented in
 //! [`crate::baseline`] for the Table III comparison).
+//!
+//! The sweep evaluates no coupling block: under
+//! [`StorageMode::StoredGemv`] the `V` blocks live in the
+//! [`AssembledBlocks`] the tree carries — the caller's, or one
+//! [`factorize`] assembles first — and are read there by reference, here
+//! and in the solve. A leaf `K_αα` not found cached is all it evaluates.
 
-use crate::assemble::{assemble_blocks, AssembledBlocks};
+use crate::assemble::{assemble, assemble_blocks, AssembledBlocks};
 use crate::config::{
     FactorStats, LeafFactorization, LevelStats, SolverConfig, StorageMode, WStorage,
 };
 use crate::error::SolverError;
 use kfds_askit::SkeletonTree;
 use kfds_kernels::flops;
-use kfds_kernels::{
-    eval_block_range, eval_symmetric, sum_fused_multi, sum_reference_multi, Kernel,
-};
+use kfds_kernels::{eval_symmetric, sum_fused_multi, sum_reference_multi, Kernel};
 use kfds_la::{gemm, workspace, Cholesky, Lu, Mat, MatMut, Trans};
+use kfds_tree::BallTree;
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
@@ -60,7 +65,8 @@ impl LeafFactor {
     }
 }
 
-/// Factors stored at one tree node.
+/// The λ-dependent factors stored at one tree node (the stored `V` blocks
+/// are not among them: see [`FactorTree::assembled_blocks`]).
 #[derive(Debug, Default)]
 pub struct NodeFactors {
     /// Factorization of `λI + K_αα` (leaves only).
@@ -71,10 +77,6 @@ pub struct NodeFactors {
     /// `P̂_{αα̃} = (λI + K̃_αα)^{-1} P_{αα̃}` (`|α| x s`), for
     /// skeletonized nodes.
     pub p_hat: Option<Mat>,
-    /// Stored `K_{l̃ r}` (`s_l x |r|`) — [`StorageMode::StoredGemv`] only.
-    pub v_lr: Option<Mat>,
-    /// Stored `K_{r̃ l}` (`s_r x |l|`) — [`StorageMode::StoredGemv`] only.
-    pub v_rl: Option<Mat>,
     /// Coupling blocks `B_l = K_{l̃r}P̂_{rr̃}`, `B_r = K_{r̃l}P̂_{ll̃}`
     /// (small, `s x s`) — retained in [`WStorage::Recompute`] so `P̂`
     /// applications can telescope through eq. (10) without storing `P̂`.
@@ -89,11 +91,11 @@ pub struct FactorTree<'a, K: Kernel> {
     pub(crate) kernel: &'a K,
     pub(crate) config: SolverConfig,
     pub(crate) factors: Vec<NodeFactors>,
-    stats: FactorStats,
-    /// The λ-independent kernel blocks this tree was factorized over,
-    /// when it came through the refactorization path — kept so
-    /// [`FactorTree::refactor`] chains without re-assembling.
-    blocks: Option<Arc<AssembledBlocks>>,
+    pub(crate) stats: FactorStats,
+    /// The λ-independent kernel blocks this tree was factorized over:
+    /// `Some` for every [`StorageMode::StoredGemv`] tree (they hold its
+    /// `V` blocks), `None` for the matrix-free modes.
+    pub(crate) blocks: Option<Arc<AssembledBlocks>>,
 }
 
 /// Per-node accounting folded into [`FactorStats`].
@@ -106,17 +108,6 @@ pub(crate) struct NodeCost {
 }
 
 impl<'a, K: Kernel> FactorTree<'a, K> {
-    /// Assembles a factor tree from parts (used by the baseline builder).
-    pub(crate) fn from_parts(
-        st: &'a SkeletonTree,
-        kernel: &'a K,
-        config: SolverConfig,
-        factors: Vec<NodeFactors>,
-        stats: FactorStats,
-    ) -> Self {
-        FactorTree { st, kernel, config, factors, stats, blocks: None }
-    }
-
     /// The skeleton tree this factorization refers to.
     pub fn skeleton_tree(&self) -> &'a SkeletonTree {
         self.st
@@ -149,20 +140,22 @@ impl<'a, K: Kernel> FactorTree<'a, K> {
         self.factors[root].z_lu.is_some() || self.st.tree().node(root).is_leaf()
     }
 
-    /// The λ-independent assembled blocks backing this factorization,
-    /// when it was built through [`factorize_with_blocks`] /
-    /// [`FactorTree::refactor`] (trees from plain [`factorize`] carry
-    /// none).
+    /// The assembled blocks backing this factorization — the one home of
+    /// its stored `V` blocks, so every [`StorageMode::StoredGemv`] tree has
+    /// them: the caller's, shared, from [`factorize_with_blocks`] /
+    /// [`FactorTree::refactor`]; its own, coupling blocks only, from plain
+    /// [`factorize`]. Matrix-free trees carry none.
     pub fn assembled_blocks(&self) -> Option<&Arc<AssembledBlocks>> {
         self.blocks.as_ref()
     }
 
     /// Re-factorizes at a new `λ` touching **only the linear algebra**:
     /// the diagonal shift, LU/Cholesky factorizations, `P̂` solves, and
-    /// reduced systems are redone over cached kernel blocks; zero kernel
-    /// evaluations happen (after a one-time assembly if this tree came
-    /// from plain [`factorize`] — the returned tree carries the blocks,
-    /// so further refactors chain for free).
+    /// reduced systems are redone over this tree's assembly, which the
+    /// returned tree shares — no `V` block is re-evaluated or copied, and
+    /// further refactors chain for free. A matrix-free tree pays for an
+    /// assembly here, once; a fresh stored tree's holds no leaf blocks, so
+    /// its refactors evaluate `K_αα` (and nothing else) per λ.
     ///
     /// The result uses [`StorageMode::StoredGemv`] regardless of this
     /// tree's storage mode (see [`factorize_with_blocks`]) and is bitwise
@@ -193,7 +186,7 @@ pub fn factorize<'a, K: Kernel>(
     kernel: &'a K,
     config: SolverConfig,
 ) -> Result<FactorTree<'a, K>, SolverError> {
-    factorize_impl(st, kernel, config, None)
+    factorize_impl(st, kernel, config, None, st.tree().root())
 }
 
 /// Runs the λ-dependent half of the factorization over pre-assembled
@@ -201,48 +194,58 @@ pub fn factorize<'a, K: Kernel>(
 /// shift, LU/Cholesky factorizations, `P̂` solves, and reduced systems
 /// are computed — no kernel evaluations.
 ///
-/// The storage mode is pinned to [`StorageMode::StoredGemv`] (the cached
-/// coupling blocks *are* the stored `V` blocks; the GSKS fused path would
-/// accumulate in a different order and break the bitwise contract). The
-/// result is bitwise identical to
+/// The storage mode is pinned to [`StorageMode::StoredGemv`]: the
+/// assembly's coupling blocks *are* the stored `V` blocks — the tree keeps
+/// the `Arc` and reads them in place ([`FactorStats::shared_bytes`]); the
+/// GSKS fused path would accumulate in another order and break the
+/// bitwise contract. The result is bitwise identical to
 /// `factorize(st, kernel, config.with_storage(StoredGemv))`.
 ///
 /// # Errors
-/// Propagates [`SolverError`] exactly like [`factorize`].
-///
-/// # Panics
-/// Panics if `blocks` was assembled over a different tree shape.
+/// [`SolverError::BlocksMismatch`] if `blocks` was not assembled over
+/// this skeleton tree; otherwise exactly like [`factorize`].
 pub fn factorize_with_blocks<'a, K: Kernel>(
     st: &'a SkeletonTree,
     kernel: &'a K,
     blocks: Arc<AssembledBlocks>,
     config: SolverConfig,
 ) -> Result<FactorTree<'a, K>, SolverError> {
-    blocks.check_compatible(st);
-    factorize_impl(st, kernel, config.with_storage(StorageMode::StoredGemv), Some(blocks))
+    blocks.check_compatible(st)?;
+    let config = config.with_storage(StorageMode::StoredGemv);
+    factorize_impl(st, kernel, config, Some(blocks), st.tree().root())
 }
 
-fn factorize_impl<'a, K: Kernel>(
+/// The sweep behind [`factorize`] and [`factorize_with_blocks`], over the
+/// subtree under `root` (the whole tree, or a rank's share in
+/// [`crate::dist`]): factors exist only for that subtree's nodes.
+pub(crate) fn factorize_impl<'a, K: Kernel>(
     st: &'a SkeletonTree,
     kernel: &'a K,
     config: SolverConfig,
     blocks: Option<Arc<AssembledBlocks>>,
+    root: usize,
 ) -> Result<FactorTree<'a, K>, SolverError> {
     let t0 = Instant::now();
     let tree = st.tree();
     let n_nodes = tree.nodes().len();
+    // Stored V lives in the assembly: a caller's is shared, its bytes not
+    // this call's; a fresh stored factorization assembles its own first.
+    let shared_bytes = blocks.as_ref().map_or(0, |b| b.coupling_bytes());
+    let own = (blocks.is_none() && config.storage == StorageMode::StoredGemv)
+        .then(|| Arc::new(assemble(st, kernel, root, false)));
+    let own_bytes = own.as_ref().map_or(0, |b| b.stats().bytes);
+    let blocks = blocks.or(own);
     let mut factors: Vec<NodeFactors> = (0..n_nodes).map(|_| NodeFactors::default()).collect();
-    let mut total = NodeCost { min_pivot: f64::INFINITY, ..Default::default() };
+    let mut total = NodeCost { min_pivot: f64::INFINITY, bytes: own_bytes, ..Default::default() };
     let mut levels: Vec<LevelStats> = Vec::with_capacity(tree.depth() + 1);
+    let under_root = |level: usize| {
+        tree.nodes_at_level(level).iter().copied().filter(move |&i| in_subtree(tree, root, i))
+    };
 
     for level in (0..=tree.depth()).rev() {
         let lt0 = Instant::now();
-        let level_nodes: Vec<usize> = tree
-            .nodes_at_level(level)
-            .iter()
-            .copied()
-            .filter(|&i| in_factored_region(st, i))
-            .collect();
+        let level_nodes: Vec<usize> =
+            under_root(level).filter(|&i| in_factored_region(st, i)).collect();
         let mut op_groups = 0;
         if !level_nodes.is_empty() {
             let (results, groups) =
@@ -261,7 +264,7 @@ fn factorize_impl<'a, K: Kernel>(
         // building this level; drop them to keep the retained memory at
         // O(sN) (leaves only) instead of O(sN log N).
         if config.w_storage == WStorage::Recompute {
-            for &i in tree.nodes_at_level(level) {
+            for i in under_root(level) {
                 if let Some((l, r)) = tree.node(i).children {
                     for c in [l, r] {
                         if tree.node(c).children.is_some() {
@@ -291,6 +294,7 @@ fn factorize_impl<'a, K: Kernel>(
         unstable_factorizations: total.unstable,
         max_rank,
         stored_bytes: total.bytes,
+        shared_bytes,
         levels,
     };
     Ok(FactorTree { st, kernel, config, factors, stats, blocks })
@@ -330,67 +334,11 @@ pub(crate) fn run_level<K: Kernel>(
     (results, level_nodes.len())
 }
 
-/// Factorizes only the subtree rooted at `root_node` (used by the
-/// distributed factorization: each rank factorizes its own subtree with
-/// Algorithm II.2 before the distributed levels take over). The returned
-/// [`FactorTree`] has factors only for the subtree's nodes.
-pub(crate) fn factor_subtree<'a, K: Kernel>(
-    st: &'a SkeletonTree,
-    kernel: &'a K,
-    config: SolverConfig,
-    root_node: usize,
-) -> Result<FactorTree<'a, K>, SolverError> {
-    let t0 = Instant::now();
-    let tree = st.tree();
-    let n_nodes = tree.nodes().len();
-    let mut factors: Vec<NodeFactors> = (0..n_nodes).map(|_| NodeFactors::default()).collect();
-    let mut total = NodeCost { min_pivot: f64::INFINITY, ..Default::default() };
-
-    // Collect subtree nodes grouped by level.
-    let mut by_level: Vec<Vec<usize>> = vec![Vec::new(); tree.depth() + 1];
-    let mut stack = vec![root_node];
-    while let Some(i) = stack.pop() {
-        by_level[tree.node(i).level].push(i);
-        if let Some((l, r)) = tree.node(i).children {
-            stack.push(l);
-            stack.push(r);
-        }
-    }
-
-    let mut levels: Vec<LevelStats> = Vec::with_capacity(tree.depth() + 1);
-    for level in (0..=tree.depth()).rev() {
-        let lt0 = Instant::now();
-        let level_nodes: Vec<usize> =
-            by_level[level].iter().copied().filter(|&i| in_factored_region(st, i)).collect();
-        if level_nodes.is_empty() {
-            continue;
-        }
-        let (results, op_groups) = run_level(st, kernel, &config, None, &factors, &level_nodes);
-        for (i, res) in results {
-            let (nf, cost) = res?;
-            total.flops += cost.flops;
-            total.min_pivot = total.min_pivot.min(cost.min_pivot);
-            total.unstable += cost.unstable;
-            total.bytes += cost.bytes;
-            factors[i] = nf;
-        }
-        levels.push(LevelStats {
-            level,
-            nodes: level_nodes.len(),
-            op_groups,
-            seconds: lt0.elapsed().as_secs_f64(),
-        });
-    }
-    let stats = FactorStats {
-        seconds: t0.elapsed().as_secs_f64(),
-        flops: total.flops,
-        min_pivot_ratio: if total.min_pivot.is_finite() { total.min_pivot } else { 1.0 },
-        unstable_factorizations: total.unstable,
-        max_rank: 0,
-        stored_bytes: total.bytes,
-        levels,
-    };
-    Ok(FactorTree { st, kernel, config, factors, stats, blocks: None })
+/// `true` when `node` lies in the subtree under `root` (itself
+/// included): at or below its level, inside its point range.
+pub(crate) fn in_subtree(tree: &BallTree, root: usize, node: usize) -> bool {
+    let (r, n) = (tree.node(root), tree.node(node));
+    n.level >= r.level && r.begin <= n.begin && n.end <= r.end
 }
 
 /// A node is factorized iff it is skeletonized, or it is the root with both
@@ -430,21 +378,11 @@ fn factor_node<K: Kernel>(
     }
 }
 
-/// Leaf factorization, shared with the baseline (both algorithms treat
-/// leaves identically).
-pub(crate) fn factor_leaf_for_baseline<K: Kernel>(
-    st: &SkeletonTree,
-    kernel: &K,
-    config: &SolverConfig,
-    node: usize,
-) -> Result<(NodeFactors, NodeCost), SolverError> {
-    factor_leaf(st, kernel, config, None, node)
-}
-
-/// Materializes a leaf's λ-independent `K_αα`: cached pooled copy on the
-/// refactor path (zero kernel evaluations — the eval flops live in
-/// `AssembleStats`), fresh evaluation otherwise. Identical bits either
-/// way. Returns the block plus the kernel-eval flops.
+/// Materializes a leaf's λ-independent `K_αα`: a pooled copy of the
+/// cached block when the assembly holds one (the LU overwrites it; the
+/// eval flops live in `AssembleStats`), fresh evaluation otherwise (the
+/// matrix-free modes and a fresh stored factorization). Identical bits
+/// either way. Returns the block plus the kernel-eval flops.
 pub(crate) fn leaf_kaa<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
@@ -510,7 +448,9 @@ pub(crate) fn pack_proj(proj: &Mat, m: usize, s: usize) -> Mat {
     p
 }
 
-fn factor_leaf<K: Kernel>(
+/// Leaf factorization, shared with the baseline (both algorithms treat
+/// leaves identically).
+pub(crate) fn factor_leaf<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
     config: &SolverConfig,
@@ -538,13 +478,11 @@ fn factor_leaf<K: Kernel>(
 
 /// The reduced system of an internal node: off-diagonal coupling blocks
 /// `B_l = K_{l̃r} P̂_{rr̃}`, `B_r = K_{r̃l} P̂_{ll̃}`, the LU of
-/// `Z = I + VW`, and (stored mode only) the retained kernel blocks.
+/// `Z = I + VW`.
 pub(crate) struct ReducedSystem {
     pub b_l: Mat,
     pub b_r: Mat,
     pub z_lu: Lu,
-    pub v_lr: Option<Mat>,
-    pub v_rl: Option<Mat>,
     pub cost: NodeCost,
 }
 
@@ -577,17 +515,12 @@ pub(crate) fn build_reduced_system<K: Kernel>(
     // (beta = 0 GEMM / `sum_*_multi` overwrite their output).
     let mut b_l = workspace::take_mat_detached(sl, sr);
     let mut b_r = workspace::take_mat_detached(sr, sl);
-    let mut v_lr = None;
-    let mut v_rl = None;
     match config.storage {
         StorageMode::StoredGemv => {
-            let (klr, krl) = stored_coupling(st, kernel, blocks, node, l, r);
+            let (klr, krl) = blocks.expect("a stored factorization has an assembly").coupling(node);
             gemm(1.0, klr.rb(), Trans::No, p_hat_r.rb(), Trans::No, 0.0, b_l.rb_mut());
             gemm(1.0, krl.rb(), Trans::No, p_hat_l.rb(), Trans::No, 0.0, b_r.rb_mut());
-            cost.bytes += (sl * nr + sr * nl) * 8;
             cost.flops += flops::gemm_flops(sl, sr, nr) + flops::gemm_flops(sr, sl, nl);
-            v_lr = Some(klr);
-            v_rl = Some(krl);
         }
         storage => {
             // The matrix-free engines take explicit column lists; build
@@ -627,38 +560,7 @@ pub(crate) fn build_reduced_system<K: Kernel>(
     }
 
     let z_lu = factor_z(&b_l, &b_r, sl, sr, node, config, &mut cost)?;
-    Ok(ReducedSystem { b_l, b_r, z_lu, v_lr, v_rl, cost })
-}
-
-/// Materializes the stored-mode coupling blocks `K_{l̃ r}` / `K_{r̃ l}`.
-/// Refactor path: the cached λ-independent coupling blocks are exactly
-/// the stored V blocks — copy them out of the assembly store (pooled)
-/// instead of re-evaluating the kernel. Fresh path: the sibling columns
-/// are contiguous permuted ranges, streamed straight off the point set.
-/// Identical bits.
-pub(crate) fn stored_coupling<K: Kernel>(
-    st: &SkeletonTree,
-    kernel: &K,
-    blocks: Option<&AssembledBlocks>,
-    node: usize,
-    l: usize,
-    r: usize,
-) -> (Mat, Mat) {
-    let tree = st.tree();
-    let pts = tree.points();
-    let skl = st.skeleton(l).expect("factorable node needs skeletonized children");
-    let skr = st.skeleton(r).expect("factorable node needs skeletonized children");
-    let cached = blocks.map(|b| b.node(node));
-    match cached {
-        Some(nb) if nb.k_lr.is_some() && nb.k_rl.is_some() => (
-            workspace::mat_from_view(nb.k_lr.as_ref().expect("checked").rb()),
-            workspace::mat_from_view(nb.k_rl.as_ref().expect("checked").rb()),
-        ),
-        _ => (
-            eval_block_range(kernel, pts, &skl.skeleton, tree.node(r).range()),
-            eval_block_range(kernel, pts, &skr.skeleton, tree.node(l).range()),
-        ),
-    }
+    Ok(ReducedSystem { b_l, b_r, z_lu, cost })
 }
 
 /// Packs `Z = I + VW` (eq. 8) from the coupling blocks and LU-factorizes
@@ -697,6 +599,45 @@ pub(crate) fn factor_z(
     Ok(z_lu)
 }
 
+/// The telescoping factors of eq. (10), `M_c = Pt_c − (Z^{-1}(Z − I) Pt)_c`
+/// with `Pt = projᵀ`, so that `P̂_α = [P̂_l M_l ; P̂_r M_r]` — for the
+/// per-node engine and the distributed levels of [`crate::dist`]. Both
+/// results are pooled: recycle them.
+pub(crate) fn telescope_m(proj: &Mat, b_l: &Mat, b_r: &Mat, z_lu: &Lu) -> (Mat, Mat) {
+    let (sl, sr, s) = (b_l.nrows(), b_r.nrows(), proj.nrows());
+    // Row-halves of Pt, written straight from the transposed projection —
+    // no (s_l + s_r) x s intermediate. Pooled: every element is
+    // overwritten before use.
+    let mut m_l = workspace::take_mat_detached(sl, s);
+    let mut m_r = workspace::take_mat_detached(sr, s);
+    for j in 0..s {
+        for i in 0..sl {
+            m_l[(i, j)] = proj[(j, i)];
+        }
+        for i in 0..sr {
+            m_r[(i, j)] = proj[(j, sl + i)];
+        }
+    }
+    // C = (Z − I) Pt, via the already-formed off-diagonal blocks.
+    let mut c = workspace::take_mat_detached(sl + sr, s);
+    let (ctop, cbot) = c.rb_mut().split_at_row(sl);
+    gemm(1.0, b_l.rb(), Trans::No, m_r.rb(), Trans::No, 0.0, ctop);
+    gemm(1.0, b_r.rb(), Trans::No, m_l.rb(), Trans::No, 0.0, cbot);
+    // Y = Z^{-1} C.
+    z_lu.solve_mat_inplace(&mut c);
+    // M_c = Pt_c − Y_c.
+    for j in 0..s {
+        for i in 0..sl {
+            m_l[(i, j)] -= c[(i, j)];
+        }
+        for i in 0..sr {
+            m_r[(i, j)] -= c[(sl + i, j)];
+        }
+    }
+    workspace::recycle_mat(c);
+    (m_l, m_r)
+}
+
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn factor_internal<K: Kernel>(
     st: &SkeletonTree,
@@ -714,7 +655,7 @@ pub(crate) fn factor_internal<K: Kernel>(
     let skr = st.skeleton(r).expect("factorable node needs skeletonized children");
     let (sl, sr) = (skl.rank(), skr.rank());
     let (nl, nr) = (tree.node(l).len(), tree.node(r).len());
-    let ReducedSystem { b_l, b_r, z_lu, v_lr, v_rl, mut cost } =
+    let ReducedSystem { b_l, b_r, z_lu, mut cost } =
         build_reduced_system(st, kernel, config, blocks, p_hat_l, p_hat_r, node, l, r)?;
     let zdim = sl + sr;
     let keep_b = config.w_storage == WStorage::Recompute;
@@ -727,73 +668,15 @@ pub(crate) fn factor_internal<K: Kernel>(
     let p_hat = match st.skeleton(node) {
         Some(sk) => {
             let s = sk.rank();
-            // Row-halves of Pt = P_{[l̃r̃]α̃}, written straight from the
-            // transposed projection — no (s_l + s_r) x s intermediate.
-            // Pooled: every element is overwritten before use.
-            let mut m_l = workspace::take_mat_detached(sl, s);
-            let mut m_r = workspace::take_mat_detached(sr, s);
-            for j in 0..s {
-                for i in 0..sl {
-                    m_l[(i, j)] = sk.proj[(j, i)];
-                }
-                for i in 0..sr {
-                    m_r[(i, j)] = sk.proj[(j, sl + i)];
-                }
-            }
-            // C = (Z − I) Pt, via the already-formed off-diagonal blocks.
-            let mut c = workspace::take_mat_detached(zdim, s);
-            gemm(
-                1.0,
-                b_l.rb(),
-                Trans::No,
-                m_r.rb(),
-                Trans::No,
-                0.0,
-                c.rb_mut().submatrix_mut(0..sl, 0..s),
-            );
-            gemm(
-                1.0,
-                b_r.rb(),
-                Trans::No,
-                m_l.rb(),
-                Trans::No,
-                0.0,
-                c.rb_mut().submatrix_mut(sl..zdim, 0..s),
-            );
-            // Y = Z^{-1} C.
-            z_lu.solve_mat_inplace(&mut c);
+            let (m_l, m_r) = telescope_m(&sk.proj, &b_l, &b_r, &z_lu);
             cost.flops += flops::gemm_flops(sl, s, sr)
                 + flops::gemm_flops(sr, s, sl)
                 + flops::lu_solve_flops(zdim, s);
-            // M_c = Pt_c − Y_c; P̂_α = [P̂_l M_l ; P̂_r M_r].
-            for j in 0..s {
-                for i in 0..sl {
-                    m_l[(i, j)] -= c[(i, j)];
-                }
-                for i in 0..sr {
-                    m_r[(i, j)] -= c[(sl + i, j)];
-                }
-            }
-            workspace::recycle_mat(c);
+            // P̂_α = [P̂_l M_l ; P̂_r M_r].
             let mut p = workspace::take_mat_detached(nl + nr, s);
-            gemm(
-                1.0,
-                p_hat_l.rb(),
-                Trans::No,
-                m_l.rb(),
-                Trans::No,
-                0.0,
-                p.rb_mut().submatrix_mut(0..nl, 0..s),
-            );
-            gemm(
-                1.0,
-                p_hat_r.rb(),
-                Trans::No,
-                m_r.rb(),
-                Trans::No,
-                0.0,
-                p.rb_mut().submatrix_mut(nl..nl + nr, 0..s),
-            );
+            let (ptop, pbot) = p.rb_mut().split_at_row(nl);
+            gemm(1.0, p_hat_l.rb(), Trans::No, m_l.rb(), Trans::No, 0.0, ptop);
+            gemm(1.0, p_hat_r.rb(), Trans::No, m_r.rb(), Trans::No, 0.0, pbot);
             workspace::recycle_mat(m_l);
             workspace::recycle_mat(m_r);
             cost.flops += flops::gemm_flops(nl, s, sl) + flops::gemm_flops(nr, s, sr);
@@ -811,15 +694,7 @@ pub(crate) fn factor_internal<K: Kernel>(
         (None, None)
     };
     Ok((
-        NodeFactors {
-            z_lu: Some(z_lu),
-            p_hat,
-            v_lr,
-            v_rl,
-            b_l: b_l_keep,
-            b_r: b_r_keep,
-            ..Default::default()
-        },
+        NodeFactors { z_lu: Some(z_lu), p_hat, b_l: b_l_keep, b_r: b_r_keep, ..Default::default() },
         cost,
     ))
 }

@@ -356,10 +356,13 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// no larger than the partial factor it sits on. At `L = 3`, `s = 128`
     /// that is 8 MiB beside tens of MiB of factor and GMRES runs on a
     /// `gemv`; at the paper's `L = 7`, `s = 2048` it would be 512 GiB and
-    /// only the matrix-free application exists.
+    /// only the matrix-free application exists. The factor is everything a
+    /// solve reads, `V` blocks shared with an assembly included, so the
+    /// rule does not depend on how the tree was built.
     fn assembles(&self) -> bool {
         let r = self.sys.reduced_dim;
-        r.saturating_mul(r).saturating_mul(8) <= self.ft.stats().stored_bytes
+        let stats = self.ft.stats();
+        r.saturating_mul(r).saturating_mul(8) <= stats.stored_bytes + stats.shared_bytes
     }
 
     /// Runs `f` over the reduced operator the size rule selects,

@@ -8,7 +8,11 @@
 //! model):
 //!
 //! 1. one batched kernel-block launch per shape group materializes every
-//!    leaf `K_αα` (or internal coupling block) of the level;
+//!    leaf `K_αα` of the level the assembly does not hold (a cached one
+//!    is copied, because the LU overwrites it). No coupling block is
+//!    evaluated or copied here: under `StoredGemv` the planned `B` GEMMs
+//!    read `K_{l̃r}` / `K_{r̃l}` from the tree's [`AssembledBlocks`] in
+//!    place;
 //! 2. dense factorizations are grouped by dimension and launched once per
 //!    group;
 //! 3. every GEMM and multi-RHS solve of the level is collected into a
@@ -64,8 +68,12 @@ pub(crate) fn factor_level_batched<K: Kernel>(
         op_groups += run_leaves(st, kernel, config, blocks, level_nodes, &leaf_pos, &mut out);
     }
     if !int_pos.is_empty() {
-        op_groups +=
-            run_internals(st, kernel, config, blocks, factors, level_nodes, &int_pos, &mut out);
+        op_groups += if config.storage == StorageMode::StoredGemv {
+            let blocks = blocks.expect("a stored factorization has an assembly");
+            run_internals_stored(st, config, blocks, factors, level_nodes, &int_pos, &mut out)
+        } else {
+            run_internals_grouped(st, kernel, config, factors, level_nodes, &int_pos, &mut out)
+        };
     }
     (out.into_iter().map(|r| r.expect("every level node resolved")).collect(), op_groups)
 }
@@ -211,34 +219,14 @@ fn run_leaves<K: Kernel>(
     groups
 }
 
-#[allow(clippy::too_many_arguments)]
-fn run_internals<K: Kernel>(
-    st: &SkeletonTree,
-    kernel: &K,
-    config: &SolverConfig,
-    blocks: Option<&AssembledBlocks>,
-    factors: &[NodeFactors],
-    level_nodes: &[usize],
-    int_pos: &[usize],
-    out: &mut [Option<NodeResult>],
-) -> usize {
-    if config.storage == StorageMode::StoredGemv {
-        run_internals_stored(st, kernel, config, blocks, factors, level_nodes, int_pos, out)
-    } else {
-        run_internals_grouped(st, kernel, config, blocks, factors, level_nodes, int_pos, out)
-    }
-}
-
 /// Matrix-free storage modes (RecomputeGemm / GSKS): the coupling blocks
 /// are never materialized, so there is nothing to split into batched
 /// stages — but the nodes still launch once per shape group instead of
 /// one task each, keeping the summation kernels' dispatch shape-uniform.
-#[allow(clippy::too_many_arguments)]
 fn run_internals_grouped<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
     config: &SolverConfig,
-    blocks: Option<&AssembledBlocks>,
     factors: &[NodeFactors],
     level_nodes: &[usize],
     int_pos: &[usize],
@@ -278,7 +266,7 @@ fn run_internals_grouped<K: Kernel>(
                 (
                     i.pos,
                     factor::factor_internal(
-                        st, kernel, config, blocks, p_hat_l, p_hat_r, i.node, i.l, i.r,
+                        st, kernel, config, None, p_hat_l, p_hat_r, i.node, i.l, i.r,
                     ),
                 )
             })
@@ -303,8 +291,6 @@ struct IntState {
     zdim: usize,
     s: usize,
     has_sk: bool,
-    klr: Option<Mat>,
-    krl: Option<Mat>,
     b_l: Option<Mat>,
     b_r: Option<Mat>,
     z_lu: Option<Lu>,
@@ -313,15 +299,13 @@ struct IntState {
     err: Option<SolverError>,
 }
 
-/// Stored-GEMV internals: the full staged pipeline — batched coupling
-/// materialization, planned `B` GEMMs, grouped `Z` factorizations,
+/// Stored-GEMV internals: the full staged pipeline — planned `B` GEMMs
+/// over the assembly's coupling blocks, grouped `Z` factorizations,
 /// arena-packed telescope with planned `C`/solve/`P̂` launches.
-#[allow(clippy::too_many_arguments)]
-fn run_internals_stored<K: Kernel>(
+fn run_internals_stored(
     st: &SkeletonTree,
-    kernel: &K,
     config: &SolverConfig,
-    blocks: Option<&AssembledBlocks>,
+    blocks: &AssembledBlocks,
     factors: &[NodeFactors],
     level_nodes: &[usize],
     int_pos: &[usize],
@@ -354,8 +338,6 @@ fn run_internals_stored<K: Kernel>(
                 zdim: sl + sr,
                 s,
                 has_sk,
-                klr: None,
-                krl: None,
                 b_l: None,
                 b_r: None,
                 z_lu: None,
@@ -366,45 +348,9 @@ fn run_internals_stored<K: Kernel>(
         })
         .collect();
 
-    // Stage 1 — coupling blocks K_{l̃r} / K_{r̃l}: cached pooled copies
-    // on the refactor path, one batched kernel launch per shape group for
-    // the rest. Identical bits to per-node `stored_coupling`.
-    let mut fresh: Vec<usize> = Vec::with_capacity(states.len());
-    for (k, is) in states.iter_mut().enumerate() {
-        match blocks.map(|b| b.node(is.node)) {
-            Some(nb) if nb.k_lr.is_some() && nb.k_rl.is_some() => {
-                is.klr = Some(workspace::mat_from_view(nb.k_lr.as_ref().expect("checked").rb()));
-                is.krl = Some(workspace::mat_from_view(nb.k_rl.as_ref().expect("checked").rb()));
-            }
-            _ => fresh.push(k),
-        }
-    }
-    if !fresh.is_empty() {
-        let mut specs: Vec<BlockSpec<'_>> = Vec::with_capacity(fresh.len() * 2);
-        for &k in &fresh {
-            let is = &states[k];
-            let skl = st.skeleton(is.l).expect("factorable node needs skeletonized children");
-            let skr = st.skeleton(is.r).expect("factorable node needs skeletonized children");
-            specs.push(BlockSpec::RowsByRange {
-                rows: &skl.skeleton,
-                range: tree.node(is.r).range(),
-            });
-            specs.push(BlockSpec::RowsByRange {
-                rows: &skr.skeleton,
-                range: tree.node(is.l).range(),
-            });
-        }
-        let (mats, g) = eval_blocks(kernel, tree.points(), &specs);
-        groups += g;
-        let mut it = mats.into_iter();
-        for &k in &fresh {
-            states[k].klr = Some(it.next().expect("klr block"));
-            states[k].krl = Some(it.next().expect("krl block"));
-        }
-    }
-
-    // Stage 2 — B_l = K_{l̃r} P̂_r, B_r = K_{r̃l} P̂_l: every GEMM of the
-    // level in one plan. Pooled destinations: fully overwritten (beta=0).
+    // Stage 1 — B_l = K_{l̃r} P̂_r, B_r = K_{r̃l} P̂_l over the assembly's
+    // coupling blocks, read in place: every GEMM of the level in one plan.
+    // Pooled destinations: fully overwritten (beta=0).
     for is in states.iter_mut() {
         is.b_l = Some(workspace::take_mat_detached(is.sl, is.sr));
         is.b_r = Some(workspace::take_mat_detached(is.sr, is.sl));
@@ -412,12 +358,13 @@ fn run_internals_stored<K: Kernel>(
     {
         let mut plan = BatchPlan::new();
         for is in states.iter_mut() {
-            let IntState { l, r, klr, krl, b_l, b_r, .. } = is;
+            let IntState { node, l, r, b_l, b_r, .. } = is;
+            let (klr, krl) = blocks.coupling(*node);
             let p_hat_l = factors[*l].p_hat.as_ref().expect("child P-hat missing");
             let p_hat_r = factors[*r].p_hat.as_ref().expect("child P-hat missing");
             plan.gemm(
                 1.0,
-                klr.as_ref().expect("coupling").rb(),
+                klr.rb(),
                 Trans::No,
                 p_hat_r.rb(),
                 Trans::No,
@@ -426,7 +373,7 @@ fn run_internals_stored<K: Kernel>(
             );
             plan.gemm(
                 1.0,
-                krl.as_ref().expect("coupling").rb(),
+                krl.rb(),
                 Trans::No,
                 p_hat_l.rb(),
                 Trans::No,
@@ -437,12 +384,11 @@ fn run_internals_stored<K: Kernel>(
         groups += plan.execute();
     }
     for is in states.iter_mut() {
-        is.cost.bytes += (is.sl * is.nr + is.sr * is.nl) * 8;
         is.cost.flops +=
             flops::gemm_flops(is.sl, is.sr, is.nr) + flops::gemm_flops(is.sr, is.sl, is.nl);
     }
 
-    // Stage 3 — reduced systems Z = I + VW, one launch per zdim group.
+    // Stage 2 — reduced systems Z = I + VW, one launch per zdim group.
     let zdims: Vec<usize> = states.iter().map(|is| is.zdim).collect();
     for (_, idxs) in group_by_shape(&zdims, |&z| z) {
         groups += 1;
@@ -478,7 +424,7 @@ fn run_internals_stored<K: Kernel>(
         }
     }
 
-    // Stage 4 — telescope P̂ (eq. 10) for skeletonized nodes. The level's
+    // Stage 3 — telescope P̂ (eq. 10) for skeletonized nodes. The level's
     // M_l/M_r and C scratch lives in two packed arenas (one checkout
     // each); two arenas so the read-side M views and the write-side C
     // slots can coexist. Slot layout per telescope node t: arena_m holds
@@ -638,8 +584,6 @@ fn run_internals_stored<K: Kernel>(
                     NodeFactors {
                         z_lu: is.z_lu,
                         p_hat: is.p,
-                        v_lr: is.klr,
-                        v_rl: is.krl,
                         b_l: b_l_keep,
                         b_r: b_r_keep,
                         ..Default::default()

@@ -86,12 +86,6 @@ struct SharedInner<K: Kernel + 'static> {
     _kernel: Arc<K>,
 }
 
-impl<K: Kernel + 'static> SharedInner<K> {
-    fn new(ft: FactorTree<'static, K>, st: Arc<SkeletonTree>, kernel: Arc<K>) -> Arc<Self> {
-        Arc::new(SharedInner { ft, hybrid: OnceLock::new(), _st: st, _kernel: kernel })
-    }
-}
-
 /// An owned factorization of `λI + K̃`: skeleton tree + kernel + factors
 /// behind a single `Arc`. `Clone` is a reference-count bump, so a cache
 /// can hand the same factorization to many solve workers.
@@ -106,6 +100,31 @@ impl<K: Kernel + 'static> Clone for SharedFactor<K> {
 }
 
 impl<K: Kernel + 'static> SharedFactor<K> {
+    /// The one place the `'static` fiction is stated: runs `build` over
+    /// references into the two `Arc`s and stores its tree beside them.
+    /// `build` must let the references out only inside the tree it returns
+    /// (private: both callers are the two constructors below).
+    fn build(
+        st: Arc<SkeletonTree>,
+        kernel: Arc<K>,
+        build: impl FnOnce(
+            &'static SkeletonTree,
+            &'static K,
+        ) -> Result<FactorTree<'static, K>, SolverError>,
+    ) -> Result<Self, SolverError> {
+        // SAFETY: the Arc heap allocations are stable for the life of
+        // `SharedInner` (the Arcs are stored alongside the factor tree and
+        // outlive it — field order), neither type has interior mutability,
+        // and no method returns a reference outliving `&self`.
+        let st_ref: &'static SkeletonTree = unsafe { &*Arc::as_ptr(&st) };
+        // SAFETY: identical argument for the kernel Arc — stored in
+        // `SharedInner._kernel`, declared after `ft`, so it outlives it.
+        let k_ref: &'static K = unsafe { &*Arc::as_ptr(&kernel) };
+        let ft = build(st_ref, k_ref)?;
+        let inner = SharedInner { ft, hybrid: OnceLock::new(), _st: st, _kernel: kernel };
+        Ok(SharedFactor { inner: Arc::new(inner) })
+    }
+
     /// Runs [`factorize`] over an owned skeleton tree and kernel,
     /// producing a self-contained handle.
     ///
@@ -116,43 +135,27 @@ impl<K: Kernel + 'static> SharedFactor<K> {
         kernel: Arc<K>,
         config: SolverConfig,
     ) -> Result<Self, SolverError> {
-        // SAFETY: the Arc heap allocations are stable for the life of
-        // `SharedInner` (the Arcs are stored alongside the factor tree and
-        // outlive it — field order), neither type has interior mutability,
-        // and no method returns a reference outliving `&self`.
-        let st_ref: &'static SkeletonTree = unsafe { &*Arc::as_ptr(&st) };
-        // SAFETY: identical argument for the kernel Arc — stored in
-        // `SharedInner._kernel`, declared after `ft`, so it outlives it.
-        let k_ref: &'static K = unsafe { &*Arc::as_ptr(&kernel) };
-        let ft = factorize(st_ref, k_ref, config)?;
-        Ok(SharedFactor { inner: SharedInner::new(ft, st, kernel) })
+        Self::build(st, kernel, |st, k| factorize(st, k, config))
     }
 
-    /// Factorizes at a new λ from a [`SharedSetup`], reusing its
-    /// assembled kernel blocks so only linear algebra runs (the λ-sweep
-    /// refactorization path; pins the stored `V`-block scheme). With
-    /// `KFDS_REFACTOR=off` this falls back to a full [`factorize`] under
-    /// `config`'s own storage mode — the legacy path, reproduced bitwise.
+    /// Factorizes at a new λ from a [`SharedSetup`] over its assembled
+    /// kernel blocks, so only linear algebra runs (the λ-sweep
+    /// refactorization path; pins the stored `V`-block scheme). The factor
+    /// shares the setup's `V` blocks — the `Arc`, not a copy — so a cached
+    /// λ costs its λ-dependent factors only. With `KFDS_REFACTOR=off` this
+    /// is a full [`factorize`] under `config`'s own storage mode,
+    /// re-assembling whatever it stores — the legacy path, bitwise.
     ///
     /// # Errors
     /// Propagates [`SolverError`] from the factorization.
     pub fn refactorize(setup: &SharedSetup<K>, config: SolverConfig) -> Result<Self, SolverError> {
-        let st = Arc::clone(&setup.st);
-        let kernel = Arc::clone(&setup.kernel);
-        // SAFETY: as in [`Self::factorize`] — the Arc heap allocations are
-        // stable for the life of `SharedInner` (stored alongside the factor
-        // tree, declared after it, so they outlive it), neither type has
-        // interior mutability, and no method returns a reference outliving
-        // `&self`.
-        let st_ref: &'static SkeletonTree = unsafe { &*Arc::as_ptr(&st) };
-        // SAFETY: identical argument for the kernel Arc.
-        let k_ref: &'static K = unsafe { &*Arc::as_ptr(&kernel) };
-        let ft = if refactor_enabled() {
-            factorize_with_blocks(st_ref, k_ref, Arc::clone(&setup.blocks), config)?
-        } else {
-            factorize(st_ref, k_ref, config)?
-        };
-        Ok(SharedFactor { inner: SharedInner::new(ft, st, kernel) })
+        Self::build(Arc::clone(&setup.st), Arc::clone(&setup.kernel), |st, k| {
+            if refactor_enabled() {
+                factorize_with_blocks(st, k, Arc::clone(&setup.blocks), config)
+            } else {
+                factorize(st, k, config)
+            }
+        })
     }
 
     /// The underlying factor tree, at the handle's borrow lifetime.

@@ -4,7 +4,10 @@
 //! children (the `D^{-1}` application), then apply the
 //! Sherman–Morrison–Woodbury correction through the reduced system. The
 //! `V` product runs in the configured storage mode (stored GEMM /
-//! recomputed GEMM / fused GSKS — Table IV).
+//! recomputed GEMM / fused GSKS — Table IV). The stored blocks are the
+//! coupling blocks of the factor's [`AssembledBlocks`], read in place:
+//! any number of λ-factors over one assembly solve against the same
+//! `K_{l̃r}` / `K_{r̃l}` memory.
 //!
 //! There is one rendering of the recursion, over column-major *views*:
 //! `SolveCtx::solve_node` takes the `|α| x nrhs` block as a
@@ -24,6 +27,7 @@
 //! [`kfds_la::workspace`] (`kfds-lint`'s hot-path-alloc rule holds this
 //! module to it).
 
+use crate::assemble::AssembledBlocks;
 use crate::config::{SolverConfig, StorageMode};
 use crate::error::SolverError;
 use crate::factor::{FactorTree, NodeFactors};
@@ -32,12 +36,14 @@ use kfds_kernels::{sum_fused_multi, sum_reference_multi, Kernel};
 use kfds_la::{gemm, workspace, Mat, MatMut, MatRef, Trans};
 
 /// Borrowed solve context: a skeleton tree plus (possibly in-progress)
-/// node factors.
+/// node factors, and under [`StorageMode::StoredGemv`] the assembly whose
+/// coupling blocks are the stored `V`.
 pub(crate) struct SolveCtx<'b, K: Kernel> {
     pub st: &'b SkeletonTree,
     pub kernel: &'b K,
     pub config: &'b SolverConfig,
     pub factors: &'b [NodeFactors],
+    pub blocks: Option<&'b AssembledBlocks>,
 }
 
 /// The one right-hand-side shape check: `got` rows against the problem
@@ -52,7 +58,13 @@ pub(crate) fn check_rhs_rows(expected: usize, got: usize) -> Result<(), SolverEr
 
 impl<K: Kernel> FactorTree<'_, K> {
     pub(crate) fn ctx(&self) -> SolveCtx<'_, K> {
-        SolveCtx { st: self.st, kernel: self.kernel, config: &self.config, factors: &self.factors }
+        SolveCtx {
+            st: self.st,
+            kernel: self.kernel,
+            config: &self.config,
+            factors: &self.factors,
+            blocks: self.blocks.as_deref(),
+        }
     }
 
     /// Solves `(λI + K̃) X = B` in place on a view (`B` in the tree's
@@ -166,8 +178,8 @@ impl<K: Kernel> SolveCtx<'_, K> {
             let (ul, ur) = (ul.rb(), ur.rb());
             match self.config.storage {
                 StorageMode::StoredGemv => {
-                    let v_lr = self.factors[node].v_lr.as_ref().expect("stored V missing");
-                    let v_rl = self.factors[node].v_rl.as_ref().expect("stored V missing");
+                    let (v_lr, v_rl) =
+                        self.blocks.expect("a stored factor has an assembly").coupling(node);
                     rayon::join(
                         || gemm(1.0, v_lr.rb(), Trans::No, ur, Trans::No, 0.0, ytop),
                         || gemm(1.0, v_rl.rb(), Trans::No, ul, Trans::No, 0.0, ybot),

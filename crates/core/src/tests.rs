@@ -219,16 +219,23 @@ fn level_restricted_direct_matches_hybrid() {
 #[test]
 fn distributed_matches_serial() {
     let (st, kernel) = fixture(1, 1e-5);
-    let cfg = SolverConfig::default().with_lambda(0.6);
-    let serial = factorize(&st, &kernel, cfg).expect("serial");
-    let b = rand_vec(512, 17);
-    let mut want = b.clone();
-    serial.solve_in_place(&mut want).expect("serial solve");
-    for p in [1, 2, 4] {
-        let ds = dist_factorize(&st, &kernel, cfg, p).expect("dist factorize");
-        let got = ds.solve(&b);
-        let r = rel_err(&got, &want);
-        assert!(r < 1e-9, "p={p}: dist-vs-serial {r}");
+    let base = SolverConfig::default().with_lambda(0.6);
+    // The ranks' local sweeps are the serial sweep restricted to a
+    // subtree: under stored V each assembles its own subtree's coupling
+    // blocks, under recompute-W each drops its internal P̂ as it goes.
+    let stored = base.with_storage(StorageMode::StoredGemv);
+    let recompute = base.with_w_storage(crate::WStorage::Recompute);
+    for (cfg, ranks) in [(base, &[1, 2, 4][..]), (stored, &[2, 4]), (recompute, &[2, 4])] {
+        let serial = factorize(&st, &kernel, cfg).expect("serial");
+        let b = rand_vec(512, 17);
+        let mut want = b.clone();
+        serial.solve_in_place(&mut want).expect("serial solve");
+        for &p in ranks {
+            let ds = dist_factorize(&st, &kernel, cfg, p).expect("dist factorize");
+            let got = ds.solve(&b);
+            let r = rel_err(&got, &want);
+            assert!(r < 1e-9, "{:?}/{:?} p={p}: dist-vs-serial {r}", cfg.storage, cfg.w_storage);
+        }
     }
 }
 
@@ -712,7 +719,7 @@ mod refactor {
     use super::*;
     use crate::assemble::assemble_blocks;
     use crate::config::LeafFactorization;
-    use crate::factor::{factorize_with_blocks, FactorTree};
+    use crate::factor::{factorize_with_blocks, in_factored_region, FactorTree};
     use crate::gp::GaussianProcess;
     use kfds_kernels::Kernel;
     use proptest::prelude::*;
@@ -788,6 +795,19 @@ mod refactor {
             .expect("fresh");
             assert_eq!(solve_bits(&fresh, &b), solve_bits(rf, &b), "lambda {lambda}");
         }
+        // A fresh *stored* tree already has an assembly (its V blocks):
+        // its refactored child shares it instead of assembling another.
+        let stored = SolverConfig::default().with_storage(StorageMode::StoredGemv);
+        let fs = factorize(&st, &kernel, stored.with_lambda(0.5)).expect("fresh stored");
+        let child = fs.refactor(2.0).expect("refactor of a fresh stored tree");
+        assert!(
+            Arc::ptr_eq(
+                fs.assembled_blocks().expect("a stored tree carries its V blocks"),
+                child.assembled_blocks().expect("child carries blocks"),
+            ),
+            "a fresh stored tree's refactor must reuse its assembly"
+        );
+        assert_eq!(solve_bits(&child, &b), solve_bits(&r2, &b), "lambda 2.0 from a stored tree");
         // Zero kernel-eval flops on the refactor path: all the eval work
         // is attributed to AssembleStats, so the LA-only flop count must
         // be well below the fresh factorize's (which counts evaluation).
@@ -799,6 +819,139 @@ mod refactor {
             r1.stats().flops,
             fresh_gsks.stats().flops
         );
+    }
+
+    /// Bytes the factors of `ft` hold, counted from the matrices
+    /// themselves (dense factors by their dimension).
+    fn factor_bytes_held<K: Kernel>(ft: &FactorTree<'_, K>) -> usize {
+        let tree = ft.skeleton_tree().tree();
+        let mat = |m: &Option<kfds_la::Mat>| m.as_ref().map_or(0, |m| m.nrows() * m.ncols());
+        let words: usize = (ft.factors().iter().enumerate())
+            .map(|(i, nf)| {
+                let leaf = nf.leaf_lu.as_ref().map_or(0, |_| tree.node(i).len().pow(2));
+                let z = nf.z_lu.as_ref().map_or(0, |z| z.dim().pow(2));
+                leaf + z + mat(&nf.p_hat) + mat(&nf.b_l) + mat(&nf.b_r)
+            })
+            .sum();
+        8 * words
+    }
+
+    #[test]
+    fn stored_v_blocks_exist_once() {
+        let (st, kernel) = fixture(1, 1e-5);
+        let tree = st.tree();
+        let blocks = Arc::new(assemble_blocks(&st, &kernel));
+        let lambdas = [1e-2, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0];
+        let trees: Vec<_> = lambdas
+            .iter()
+            .map(|&l| {
+                let cfg = SolverConfig::default().with_lambda(l);
+                factorize_with_blocks(&st, &kernel, Arc::clone(&blocks), cfg).expect("refactor")
+            })
+            .collect();
+        assert_eq!(Arc::strong_count(&blocks), 1 + trees.len(), "one handle per live tree");
+
+        // No copy: the matrices the solve reads are the assembly's own.
+        let internal: Vec<usize> = (0..tree.nodes().len())
+            .filter(|&i| tree.node(i).children.is_some() && in_factored_region(&st, i))
+            .collect();
+        assert!(!internal.is_empty());
+        for ft in &trees {
+            let read = ft.ctx().blocks.expect("a stored tree solves over its assembly");
+            for &i in &internal {
+                let (v_lr, v_rl) = read.coupling(i);
+                let nb = blocks.node(i);
+                assert!(std::ptr::eq(v_lr, nb.k_lr.as_ref().expect("K_lr")), "node {i}");
+                assert!(std::ptr::eq(v_rl, nb.k_rl.as_ref().expect("K_rl")), "node {i}");
+            }
+        }
+
+        // Bytes follow ownership: each tree reports what it allocated, the
+        // assembly is counted once, and together that is what is held.
+        let reported: usize = trees.iter().map(|ft| ft.stats().stored_bytes).sum();
+        let held: usize = trees.iter().map(factor_bytes_held).sum();
+        assert_eq!(reported, held, "stored_bytes must be the λ-dependent factors only");
+        let assembly: usize = (0..blocks.len())
+            .flat_map(|i| {
+                let nb = blocks.node(i);
+                [&nb.kaa, &nb.k_lr, &nb.k_rl]
+            })
+            .flatten()
+            .map(|m| 8 * m.nrows() * m.ncols())
+            .sum();
+        assert_eq!(blocks.stats().bytes, assembly);
+        for ft in &trees {
+            assert_eq!(ft.stats().shared_bytes, blocks.coupling_bytes());
+        }
+
+        drop(trees);
+        assert_eq!(Arc::strong_count(&blocks), 1);
+    }
+
+    #[test]
+    fn byte_accounting_follows_ownership_in_every_mode() {
+        use crate::config::WStorage;
+        let (st, kernel) = fixture(1, 1e-5);
+        let full = Arc::new(assemble_blocks(&st, &kernel));
+        let v_bytes = full.coupling_bytes();
+        assert!(0 < v_bytes && v_bytes < full.stats().bytes, "the full assembly holds leaves too");
+        for w in [WStorage::Stored, WStorage::Recompute] {
+            let base = SolverConfig::default().with_lambda(0.7).with_w_storage(w);
+            let over = factorize_with_blocks(&st, &kernel, Arc::clone(&full), base).expect("over");
+            let (owned, shared) = (over.stats().stored_bytes, over.stats().shared_bytes);
+            assert_eq!(shared, v_bytes, "{w:?}");
+            assert_eq!(owned, factor_bytes_held(&over), "{w:?}");
+            for storage in [StorageMode::StoredGemv, StorageMode::RecomputeGemm, StorageMode::Gsks]
+            {
+                let fresh = factorize(&st, &kernel, base.with_storage(storage)).expect("fresh");
+                let what = format!("{storage:?}/{w:?}");
+                assert_eq!(fresh.stats().shared_bytes, 0, "{what}: a fresh tree shares nothing");
+                match fresh.assembled_blocks() {
+                    // A fresh stored tree owns its V blocks — and no leaf.
+                    Some(own) => {
+                        assert_eq!(storage, StorageMode::StoredGemv, "{what}");
+                        assert_eq!(fresh.stats().stored_bytes, owned + shared, "{what}");
+                        assert_eq!(own.stats().bytes, v_bytes, "{what}: coupling blocks only");
+                        assert!((0..own.len()).all(|i| own.node(i).kaa.is_none()), "{what}");
+                    }
+                    None => {
+                        assert_ne!(storage, StorageMode::StoredGemv, "{what}");
+                        assert_eq!(fresh.stats().stored_bytes, owned, "{what}: no V held");
+                    }
+                }
+                // Whatever it starts from, a refactored tree reads the
+                // same bytes.
+                let re = fresh.refactor(0.7).expect("refactor");
+                assert_eq!(
+                    re.stats().stored_bytes + re.stats().shared_bytes,
+                    owned + shared,
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_assembly_is_a_typed_error() {
+        // The same points skeletonized to other ranks: tree shape and
+        // point count agree, the block shapes do not.
+        let (loose, kernel) = fixture(1, 1e-3);
+        let (tight, _) = fixture(1, 1e-6);
+        let cfg = SolverConfig::default().with_lambda(0.5);
+        let stale = Arc::new(assemble_blocks(&loose, &kernel));
+        let got = factorize_with_blocks(&tight, &kernel, Arc::clone(&stale), cfg);
+        assert!(matches!(got, Err(crate::SolverError::BlocksMismatch { .. })), "other ranks");
+        assert!(factorize_with_blocks(&loose, &kernel, stale, cfg).is_ok(), "its own tree");
+        // Another point set altogether is caught before any block is read.
+        let pts = normal_embedded(256, 3, 8, 0.05, 42);
+        let small = skeletonize(
+            BallTree::build(&pts, 32),
+            &kernel,
+            SkelConfig::default().with_tol(1e-5).with_max_rank(96).with_neighbors(8),
+        );
+        let other = Arc::new(assemble_blocks(&small, &kernel));
+        let got = factorize_with_blocks(&tight, &kernel, other, cfg);
+        assert!(matches!(got, Err(crate::SolverError::BlocksMismatch { node: 0 })), "other tree");
     }
 
     #[test]

@@ -70,8 +70,9 @@ fn assert_mat_eq(a: Option<&Mat>, b: Option<&Mat>, what: &str, node: usize) {
     }
 }
 
-/// Full bitwise comparison of two factor trees: per-node dense factors
-/// and the aggregate stats.
+/// Full bitwise comparison of two factor trees: per-node dense factors,
+/// the assemblies that hold their stored `V` blocks, and the aggregate
+/// stats.
 fn assert_factors_bitwise<K: kfds_kernels::Kernel>(
     batched: &FactorTree<'_, K>,
     reference: &FactorTree<'_, K>,
@@ -82,16 +83,29 @@ fn assert_factors_bitwise<K: kfds_kernels::Kernel>(
         assert_eq!(a.leaf_lu.is_some(), b.leaf_lu.is_some(), "leaf factor presence, node {i}");
         assert_eq!(a.z_lu.is_some(), b.z_lu.is_some(), "Z factor presence, node {i}");
         assert_mat_eq(a.p_hat.as_ref(), b.p_hat.as_ref(), "P-hat", i);
-        assert_mat_eq(a.v_lr.as_ref(), b.v_lr.as_ref(), "V_lr", i);
-        assert_mat_eq(a.v_rl.as_ref(), b.v_rl.as_ref(), "V_rl", i);
         assert_mat_eq(a.b_l.as_ref(), b.b_l.as_ref(), "B_l", i);
         assert_mat_eq(a.b_r.as_ref(), b.b_r.as_ref(), "B_r", i);
+    }
+    // The stored V blocks live in the trees' assemblies: both engines
+    // must have one exactly in stored mode, block-for-block equal.
+    let stored = batched.config().storage == StorageMode::StoredGemv;
+    assert_eq!(batched.assembled_blocks().is_some(), stored, "batched engine's assembly");
+    assert_eq!(reference.assembled_blocks().is_some(), stored, "per-node engine's assembly");
+    if let (Some(ba), Some(bb)) = (batched.assembled_blocks(), reference.assembled_blocks()) {
+        assert_eq!(ba.len(), bb.len());
+        for i in 0..ba.len() {
+            let (a, b) = (ba.node(i), bb.node(i));
+            assert_mat_eq(a.kaa.as_ref(), b.kaa.as_ref(), "K_aa", i);
+            assert_mat_eq(a.k_lr.as_ref(), b.k_lr.as_ref(), "K_lr", i);
+            assert_mat_eq(a.k_rl.as_ref(), b.k_rl.as_ref(), "K_rl", i);
+        }
     }
     let (sa, sb) = (batched.stats(), reference.stats());
     assert_eq!(sa.flops.to_bits(), sb.flops.to_bits(), "flop accounting diverged");
     assert_eq!(sa.min_pivot_ratio.to_bits(), sb.min_pivot_ratio.to_bits(), "pivot diagnostics");
     assert_eq!(sa.unstable_factorizations, sb.unstable_factorizations);
     assert_eq!(sa.stored_bytes, sb.stored_bytes, "byte accounting diverged");
+    assert_eq!(sa.shared_bytes, sb.shared_bytes, "shared-byte accounting diverged");
     assert_eq!(sa.max_rank, sb.max_rank);
 
     // The factored operators act identically: solves agree bitwise (this

@@ -9,7 +9,7 @@
 use kfds_askit::{hier_matvec, skeletonize, SkelConfig, SkeletonTree};
 use kfds_core::{
     factorize, HybridSolver, LeafFactorization, PartitionedFactor, ReducedOperator, ReducedReport,
-    SharedFactor, SolverConfig, SolverError, StorageMode, WStorage,
+    SharedFactor, SharedSetup, SolverConfig, SolverError, StorageMode, WStorage,
 };
 use kfds_kernels::Gaussian;
 use kfds_krylov::{gmres, FnOp, GmresOptions};
@@ -304,6 +304,52 @@ fn shared_factor_blocked_solve_dispatches_both_paths() {
                 "SharedFactor (complete={complete}) column {j}: rel err {err:.3e}"
             );
         }
+    }
+}
+
+#[test]
+fn size_rule_does_not_depend_on_who_owns_the_stored_blocks() {
+    use ReducedOperator::{Assembled, MatrixFree};
+    let opts = GmresOptions::default();
+    // Stored mode at L = 3, r = 8·64, so 8r² = 2.0 MiB on both fixtures. At
+    // n = 864 the stored factor is 2.2 MiB, of which 0.36 MiB are V blocks
+    // — the rule lands on "assembled" only if the V bytes a refactorized
+    // tree shares with its setup still count; at n = 768 it is 1.8 MiB, V
+    // blocks included, and the rule stays matrix-free.
+    for (n, operator) in [(864, Assembled), (768, MatrixFree)] {
+        let (st, kernel) = fixture(n, 3);
+        let (st, kernel) = (Arc::new(st), Arc::new(kernel));
+        let cfg = SolverConfig::default().with_lambda(0.5).with_storage(StorageMode::StoredGemv);
+        let fresh = SharedFactor::factorize(Arc::clone(&st), Arc::clone(&kernel), cfg)
+            .expect("fresh stored factor");
+        let setup = SharedSetup::build(st, kernel);
+        let over = SharedFactor::refactorize(&setup, cfg).expect("factor over the setup");
+
+        let (fs, os) = (fresh.factor_tree().stats(), over.factor_tree().stats());
+        assert_eq!(fs.shared_bytes, 0);
+        assert_eq!(fs.stored_bytes, os.stored_bytes + os.shared_bytes, "n={n}");
+        let r = HybridSolver::new(fresh.factor_tree()).expect("hybrid").reduced_dim();
+        if kfds_core::refactor_enabled() {
+            assert!(os.shared_bytes > 0, "n={n}: the fixture must have V blocks to share");
+            if operator == Assembled {
+                assert!(
+                    os.stored_bytes < 8 * r * r && 8 * r * r <= fs.stored_bytes,
+                    "n={n}: 8r² = {} must sit between the factor without its V blocks ({}) \
+                     and with them ({})",
+                    8 * r * r,
+                    os.stored_bytes,
+                    fs.stored_bytes
+                );
+            }
+        }
+
+        let b = rhs_matrix(n);
+        let (mut xf, mut xo) = (b.clone(), b.clone());
+        let rf = fresh.solve_block_in_place(&mut xf, &opts).expect("fresh solve");
+        let ro = over.solve_block_in_place(&mut xo, &opts).expect("solve over the setup");
+        assert_eq!(rf.expect("hybrid path").operator, operator, "n={n}: fresh");
+        assert_eq!(ro.expect("hybrid path").operator, operator, "n={n}: over a shared assembly");
+        assert_eq!(xf.as_slice(), xo.as_slice(), "n={n}: the two factors must answer alike");
     }
 }
 

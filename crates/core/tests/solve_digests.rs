@@ -12,13 +12,20 @@
 //! `KFDS_KNN` and `KFDS_WS_POOL` were checked not to move a bit).
 //! Otherwise the test only checks that the same solve reproduces itself.
 //!
+//! The routes to a stored factor that share an assembly instead of
+//! building their own (`factorize_with_blocks`, `FactorTree::refactor`,
+//! `SharedFactor::refactorize`) have no constants of their own: their rows
+//! are asserted equal to the fresh `direct/StoredGemv/*` rows, under any
+//! arithmetic.
+//!
 //! To regenerate after an intended change of arithmetic: run
 //! `KFDS_SIMD=off cargo test -p kfds-core --test solve_digests`; the
 //! failure message prints the whole table in source form.
 
 use kfds_askit::{skeletonize, SkelConfig, SkeletonTree};
 use kfds_core::{
-    factorize, HybridSolver, PartitionedFactor, SharedFactor, SolverConfig, StorageMode, WStorage,
+    factorize, factorize_with_blocks, HybridSolver, PartitionedFactor, SharedFactor, SharedSetup,
+    SolverConfig, StorageMode, WStorage,
 };
 use kfds_kernels::Gaussian;
 use kfds_krylov::GmresOptions;
@@ -120,9 +127,50 @@ fn table() -> Vec<(String, u64)> {
     rows
 }
 
+/// Digests of the stored factors built over a shared assembly, each with
+/// the name of the fresh row of [`table`] it must equal.
+fn shared_assembly_rows() -> Vec<(String, u64, String)> {
+    let (st, kernel) = fixture(1);
+    let (st, kernel) = (Arc::new(st), Arc::new(kernel));
+    let setup = SharedSetup::build(Arc::clone(&st), Arc::clone(&kernel));
+    let gmres = GmresOptions::default();
+    let mut rows = Vec::new();
+    for w in [WStorage::Stored, WStorage::Recompute] {
+        let cfg = SolverConfig::default()
+            .with_lambda(0.5)
+            .with_storage(StorageMode::StoredGemv)
+            .with_w_storage(w);
+        let fresh_row = format!("direct/StoredGemv/{w:?}");
+        let mut push = |name: String, solve: &dyn Fn(&mut Mat)| {
+            let d = digest_of(&name, solve);
+            rows.push((name, d, fresh_row.clone()));
+        };
+
+        let blocks = Arc::clone(setup.blocks());
+        let over = factorize_with_blocks(&st, &*kernel, blocks, cfg).expect("over blocks");
+        push(format!("factorize_with_blocks/{w:?}"), &|b| {
+            over.solve_mat_in_place(b).expect("solve over blocks")
+        });
+
+        let other = factorize(&st, &*kernel, cfg.with_lambda(3.0)).expect("fresh stored");
+        let child = other.refactor(0.5).expect("refactor");
+        push(format!("refactor/{w:?}"), &|b| child.solve_mat_in_place(b).expect("child solve"));
+
+        let sf = SharedFactor::refactorize(&setup, cfg).expect("refactorize");
+        push(format!("refactorize/{w:?}"), &|b| {
+            sf.solve_block_in_place(b, &gmres).expect("shared solve");
+        });
+    }
+    rows
+}
+
 #[test]
 fn blocked_solve_digests_match_the_recorded_table() {
     let got = table();
+    for (name, digest, fresh_row) in shared_assembly_rows() {
+        let (_, fresh) = got.iter().find(|(n, _)| *n == fresh_row).expect("fresh row");
+        assert_eq!(digest, *fresh, "{name} must reproduce {fresh_row} bit for bit");
+    }
     if kfds_la::simd::active()
         || kfds_switches::KFDS_CPQR.is_off()
         || kfds_switches::KFDS_EVAL_GEMM.is_off()
