@@ -152,9 +152,10 @@ step "kfds-serve smoke (single-node, then sharded)"
 # exactly one λ-free setup build across the λ-only key spread (the
 # two-level cache contract). The --shards 2 lane routes every batch
 # through the shard tier and additionally asserts the routed answer is
-# bitwise-identical to the unsharded blocked solve plus per-shard cache
-# counters (one local partition fill per shard per key, zero errors, zero
-# fallbacks).
+# bitwise-identical to the unsharded blocked solve plus what each shard
+# lane did: one request per batch, zero errors, zero fallbacks, and
+# rows_solved equal to the shard's row count times the right-hand sides
+# answered.
 if [[ $fast -eq 0 ]]; then
   cargo run -q --release -p kfds-serve --bin kfds-serve -- --smoke --n 1024 --keys 2 --clients 8 --requests 64
   cargo run -q --release -p kfds-serve --bin kfds-serve -- --smoke --shards 2 --n 1024 --keys 2 --clients 8 --requests 64

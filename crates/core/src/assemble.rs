@@ -4,16 +4,13 @@
 //! `kaa[(i, i)] += λ` in [`crate::factor`] — yet a naive λ-sweep
 //! re-evaluates every kernel block per λ. This module splits `factorize`
 //! the way Minden–Ho–Damle–Ying separate compression from factorization:
-//! [`assemble_blocks`] evaluates, once per (dataset, h, seed), every
-//! kernel block the factorization will ever read —
-//!
-//! * leaf diagonal blocks `K_αα` (no λ shift applied), and
-//! * internal coupling blocks `K_{l̃r}` / `K_{r̃l}` between a node's
-//!   sibling skeletons,
-//!
-//! and [`crate::factorize_with_blocks`] /
-//! [`crate::FactorTree::refactor`] then redo only the linear algebra
-//! (diagonal shift, LU/Cholesky, `P̂` solves, reduced systems) per λ.
+//! [`assemble_blocks`] evaluates, once per (dataset, h, seed), the
+//! internal coupling blocks `K_{l̃r}` / `K_{r̃l}` between a node's sibling
+//! skeletons — `sN log(N/m)` words, the bulk of what a stored
+//! factorization evaluates — and [`crate::factorize_with_blocks`] /
+//! [`crate::FactorTree::refactor`] then redo per λ the leaf diagonals
+//! `K_αα` (`mN` words, which the LU overwrites anyway) and the linear
+//! algebra (diagonal shift, LU/Cholesky, `P̂` solves, reduced systems).
 //! The skeleton projections `P_{αα̃}` are *not* duplicated here — they
 //! already live λ-independently in the [`SkeletonTree`].
 //!
@@ -22,18 +19,18 @@
 //! carries an `Arc<AssembledBlocks>`; the sweep and the solve read
 //! `K_{l̃r}` / `K_{r̃l}` out of it by reference, so any number of λ-factors
 //! over one assembly hold the coupling bytes once (§III's `sN log(N/m)`
-//! words). A plain stored `factorize` *is* this assembly, leaf blocks left
-//! out, followed by the same sweep — hence bitwise the blocked path. Only
-//! a cached `K_αα` is ever copied, because the LU overwrites it. (GSKS
-//! accumulates in another order than GEMM over a materialized block, so
-//! `factorize_with_blocks` pins `StoredGemv`.) Under `KFDS_REFACTOR=off`
-//! [`crate::lambda_sweep`] and friends re-assemble and re-factor per λ.
+//! words). A plain stored `factorize` *is* this assembly followed by the
+//! same sweep — hence bitwise the blocked path; the two differ only in who
+//! owns the `Arc`. (GSKS accumulates in another order than GEMM over a
+//! materialized block, so `factorize_with_blocks` pins `StoredGemv`.)
+//! Under `KFDS_REFACTOR=off` [`crate::lambda_sweep`] and friends
+//! re-assemble and re-factor per λ.
 
 use crate::config::LevelStats;
 use crate::error::SolverError;
 use crate::factor::{in_factored_region, in_subtree};
 use kfds_askit::SkeletonTree;
-use kfds_kernels::{eval_block_range, eval_blocks, eval_symmetric, flops, BlockSpec, Kernel};
+use kfds_kernels::{eval_block_range, eval_blocks, flops, BlockSpec, Kernel};
 use kfds_la::Mat;
 use rayon::prelude::*;
 use std::sync::OnceLock;
@@ -49,12 +46,9 @@ pub fn refactor_enabled() -> bool {
     *ENABLED.get_or_init(|| !kfds_switches::KFDS_REFACTOR.is_off())
 }
 
-/// The λ-independent kernel blocks cached for one tree node.
+/// The λ-independent coupling blocks held for one tree node.
 #[derive(Debug, Default)]
 pub struct NodeBlocks {
-    /// Leaf diagonal block `K_αα` (**without** the `λI` shift), for
-    /// leaves in the factored region.
-    pub kaa: Option<Mat>,
     /// `K_{l̃ r}` (`s_l x |r|`) for internal nodes in the factored region.
     pub k_lr: Option<Mat>,
     /// `K_{r̃ l}` (`s_r x |l|`) for internal nodes in the factored region.
@@ -78,9 +72,9 @@ pub struct AssembleStats {
     pub levels: Vec<LevelStats>,
 }
 
-/// Every kernel block the factorization of `λI + K̃` reads, evaluated
-/// once and reusable across arbitrarily many λ values. Indexed like the
-/// skeleton tree's nodes.
+/// The coupling blocks of the factorization of `λI + K̃` — its stored `V`
+/// — evaluated once and shared by arbitrarily many λ-factors. Indexed like
+/// the skeleton tree's nodes.
 #[derive(Debug)]
 pub struct AssembledBlocks {
     nodes: Vec<NodeBlocks>,
@@ -122,16 +116,10 @@ impl AssembledBlocks {
         )
     }
 
-    /// Bytes of the coupling blocks alone.
-    pub(crate) fn coupling_bytes(&self) -> usize {
-        let blocks = self.nodes.iter().flat_map(|nb| [&nb.k_lr, &nb.k_rl]).flatten();
-        blocks.map(|b| b.nrows() * b.ncols() * 8).sum()
-    }
-
     /// Checks that this store can back a factorization over `st`: same
-    /// tree, every factored node's coupling blocks `s_l x |r|` / `s_r x |l|`
-    /// and cached leaf block (if any) `|α| x |α|` — so an assembly of
-    /// another skeletonization of the same points fails here, typed.
+    /// tree, every factored internal node's coupling blocks `s_l x |r|` /
+    /// `s_r x |l|` — so an assembly of another skeletonization of the same
+    /// points fails here, typed.
     pub(crate) fn check_compatible(&self, st: &SkeletonTree) -> Result<(), SolverError> {
         let tree = st.tree();
         if self.nodes.len() != tree.nodes().len() || self.n_points != tree.points().len() {
@@ -139,18 +127,12 @@ impl AssembledBlocks {
         }
         let shape = |m: &Option<Mat>| m.as_ref().map(|m| (m.nrows(), m.ncols()));
         for (i, nb) in self.nodes.iter().enumerate() {
-            if !in_factored_region(st, i) {
+            let Some((l, r)) = tree.node(i).children.filter(|_| in_factored_region(st, i)) else {
                 continue;
-            }
-            let nd = tree.node(i);
-            let fits = match nd.children {
-                None => shape(&nb.kaa).is_none_or(|got| got == (nd.len(), nd.len())),
-                Some((l, r)) => {
-                    let rank = |c| st.skeleton(c).map(|sk| sk.rank());
-                    shape(&nb.k_lr) == rank(l).map(|sl| (sl, tree.node(r).len()))
-                        && shape(&nb.k_rl) == rank(r).map(|sr| (sr, tree.node(l).len()))
-                }
             };
+            let rank = |c| st.skeleton(c).map(|sk| sk.rank());
+            let fits = shape(&nb.k_lr) == rank(l).map(|sl| (sl, tree.node(r).len()))
+                && shape(&nb.k_rl) == rank(r).map(|sr| (sr, tree.node(l).len()));
             if !fits {
                 return Err(SolverError::BlocksMismatch { node: i });
             }
@@ -159,33 +141,25 @@ impl AssembledBlocks {
     }
 }
 
-/// Evaluates every λ-independent kernel block of the factorization over
-/// `st`: leaf `K_αα` diagonal blocks and internal `K_{l̃r}` / `K_{r̃l}`
-/// coupling blocks, for all nodes in the factored region. Embarrassingly
-/// parallel across nodes (no cross-node dependencies, unlike the
-/// factorization itself which sweeps level by level).
+/// Evaluates the stored `V` blocks of the factorization over `st`: the
+/// coupling blocks `K_{l̃r}` / `K_{r̃l}` of every internal node in the
+/// factored region. Embarrassingly parallel across nodes (no cross-node
+/// dependencies, unlike the factorization itself which sweeps level by
+/// level).
 pub fn assemble_blocks<K: Kernel>(st: &SkeletonTree, kernel: &K) -> AssembledBlocks {
-    assemble(st, kernel, st.tree().root(), true)
+    assemble(st, kernel, st.tree().root())
 }
 
-/// [`assemble_blocks`] restricted to the subtree under `root`;
-/// `leaves = false` leaves `K_αα` out — a fresh stored factorization keeps
-/// its `V` blocks and nothing else.
-pub(crate) fn assemble<K: Kernel>(
-    st: &SkeletonTree,
-    kernel: &K,
-    root: usize,
-    leaves: bool,
-) -> AssembledBlocks {
+/// [`assemble_blocks`] restricted to the subtree under `root`.
+pub(crate) fn assemble<K: Kernel>(st: &SkeletonTree, kernel: &K, root: usize) -> AssembledBlocks {
     let t0 = Instant::now();
     let tree = st.tree();
     let pts = tree.points();
     let d = pts.dim();
     let per_eval = kernel.flops_per_eval();
+    // The children of node `i` when its coupling blocks are to be held.
     let wanted = |i: usize| {
-        in_subtree(tree, root, i)
-            && in_factored_region(st, i)
-            && (leaves || tree.node(i).children.is_some())
+        tree.node(i).children.filter(|_| in_subtree(tree, root, i) && in_factored_region(st, i))
     };
     let mut levels: Vec<LevelStats> = Vec::new();
     let nodes: Vec<NodeBlocks> = if kfds_la::batch_active() {
@@ -194,27 +168,14 @@ pub(crate) fn assemble<K: Kernel>(
         (0..tree.nodes().len())
             .into_par_iter()
             .map(|i| {
-                if !wanted(i) {
+                let Some((l, r)) = wanted(i) else {
                     return NodeBlocks::default();
-                }
-                let nd = tree.node(i);
-                match nd.children {
-                    None => {
-                        let kaa = eval_symmetric(kernel, pts, nd.range());
-                        NodeBlocks { kaa: Some(kaa), ..Default::default() }
-                    }
-                    Some((l, r)) => {
-                        let skl =
-                            st.skeleton(l).expect("factorable node needs skeletonized children");
-                        let skr =
-                            st.skeleton(r).expect("factorable node needs skeletonized children");
-                        let k_lr =
-                            eval_block_range(kernel, pts, &skl.skeleton, tree.node(r).range());
-                        let k_rl =
-                            eval_block_range(kernel, pts, &skr.skeleton, tree.node(l).range());
-                        NodeBlocks { kaa: None, k_lr: Some(k_lr), k_rl: Some(k_rl) }
-                    }
-                }
+                };
+                let skl = st.skeleton(l).expect("factorable node needs skeletonized children");
+                let skr = st.skeleton(r).expect("factorable node needs skeletonized children");
+                let k_lr = eval_block_range(kernel, pts, &skl.skeleton, tree.node(r).range());
+                let k_rl = eval_block_range(kernel, pts, &skr.skeleton, tree.node(l).range());
+                NodeBlocks { k_lr: Some(k_lr), k_rl: Some(k_rl) }
             })
             .collect()
     };
@@ -222,7 +183,7 @@ pub(crate) fn assemble<K: Kernel>(
     let mut kernel_flops = 0.0;
     let mut bytes = 0usize;
     for nb in &nodes {
-        for blk in [&nb.kaa, &nb.k_lr, &nb.k_rl].into_iter().flatten() {
+        for blk in [&nb.k_lr, &nb.k_rl].into_iter().flatten() {
             kernel_flops += flops::summation_flops(blk.nrows(), blk.ncols(), d, per_eval)
                 - 2.0 * (blk.nrows() * blk.ncols()) as f64; // evaluation only, no reduction
             bytes += blk.nrows() * blk.ncols() * 8;
@@ -243,7 +204,7 @@ pub(crate) fn assemble<K: Kernel>(
 fn assemble_level_batched<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
-    wanted: impl Fn(usize) -> bool,
+    wanted: impl Fn(usize) -> Option<(usize, usize)>,
     levels: &mut Vec<LevelStats>,
 ) -> Vec<NodeBlocks> {
     let tree = st.tree();
@@ -252,41 +213,24 @@ fn assemble_level_batched<K: Kernel>(
         (0..tree.nodes().len()).map(|_| NodeBlocks::default()).collect();
     for level in (0..=tree.depth()).rev() {
         let lt0 = Instant::now();
-        let level_nodes: Vec<usize> =
-            tree.nodes_at_level(level).iter().copied().filter(|&i| wanted(i)).collect();
+        let level_nodes: Vec<(usize, (usize, usize))> =
+            tree.nodes_at_level(level).iter().filter_map(|&i| Some((i, wanted(i)?))).collect();
         if level_nodes.is_empty() {
             continue;
         }
-        // Spec layout per node: leaf → [K_αα]; internal → [K_l̃r, K_r̃l].
+        // Two specs per (internal) node: [K_l̃r, K_r̃l].
         let mut specs: Vec<BlockSpec<'_>> = Vec::with_capacity(level_nodes.len() * 2);
-        for &i in &level_nodes {
-            let nd = tree.node(i);
-            match nd.children {
-                None => specs.push(BlockSpec::Symmetric { range: nd.range() }),
-                Some((l, r)) => {
-                    let skl = st.skeleton(l).expect("factorable node needs skeletonized children");
-                    let skr = st.skeleton(r).expect("factorable node needs skeletonized children");
-                    specs.push(BlockSpec::RowsByRange {
-                        rows: &skl.skeleton,
-                        range: tree.node(r).range(),
-                    });
-                    specs.push(BlockSpec::RowsByRange {
-                        rows: &skr.skeleton,
-                        range: tree.node(l).range(),
-                    });
-                }
-            }
+        for &(_, (l, r)) in &level_nodes {
+            let skl = st.skeleton(l).expect("factorable node needs skeletonized children");
+            let skr = st.skeleton(r).expect("factorable node needs skeletonized children");
+            specs.push(BlockSpec::RowsByRange { rows: &skl.skeleton, range: tree.node(r).range() });
+            specs.push(BlockSpec::RowsByRange { rows: &skr.skeleton, range: tree.node(l).range() });
         }
         let (mats, op_groups) = eval_blocks(kernel, pts, &specs);
         let mut it = mats.into_iter();
-        for &i in &level_nodes {
-            match tree.node(i).children {
-                None => nodes[i].kaa = Some(it.next().expect("kaa block")),
-                Some(_) => {
-                    nodes[i].k_lr = Some(it.next().expect("k_lr block"));
-                    nodes[i].k_rl = Some(it.next().expect("k_rl block"));
-                }
-            }
+        for &(i, _) in &level_nodes {
+            nodes[i].k_lr = Some(it.next().expect("k_lr block"));
+            nodes[i].k_rl = Some(it.next().expect("k_rl block"));
         }
         levels.push(LevelStats {
             level,

@@ -10,7 +10,7 @@
 //! to roundoff (asserted in the tests), so Table III is a pure
 //! complexity-constant comparison.
 
-use crate::assemble::{assemble, AssembledBlocks};
+use crate::assemble::{assemble_blocks, AssembledBlocks};
 use crate::config::{FactorStats, SolverConfig, StorageMode};
 use crate::error::SolverError;
 use crate::factor::{build_reduced_system, in_factored_region, FactorTree, NodeCost, NodeFactors};
@@ -36,8 +36,8 @@ pub fn factorize_baseline<'a, K: Kernel>(
     let n_nodes = tree.nodes().len();
     // As in `factorize`: a stored factorization assembles its V blocks
     // first; the reduced systems and recursive solves read them there.
-    let blocks = (config.storage == StorageMode::StoredGemv)
-        .then(|| Arc::new(assemble(st, kernel, tree.root(), false)));
+    let blocks =
+        (config.storage == StorageMode::StoredGemv).then(|| Arc::new(assemble_blocks(st, kernel)));
     let mut factors: Vec<NodeFactors> = (0..n_nodes).map(|_| NodeFactors::default()).collect();
     // Full projections P_{αα̃} (|α| x s), materialized as in [36].
     let mut p_full: Vec<Option<Mat>> = (0..n_nodes).map(|_| None).collect();
@@ -137,7 +137,7 @@ fn pass1_node<K: Kernel>(
             // Leaves are identical in both algorithms; reuse the
             // O(N log N) code path and record P = proj^T as the full
             // projection.
-            let (nf, cost) = crate::factor::factor_leaf(st, kernel, config, blocks, node)?;
+            let (nf, cost) = crate::factor::factor_leaf(st, kernel, config, node)?;
             let pf = st.skeleton(node).map(|sk| {
                 let (s, m) = (sk.rank(), nd.len());
                 Mat::from_fn(m, s, |i, j| sk.proj[(j, i)])

@@ -46,9 +46,9 @@ pub struct LambdaSweepEntry {
 /// held-out accuracy column (treecode prediction with `theta = 0.5`).
 ///
 /// With λ-sweep refactorization active (the default; `KFDS_REFACTOR=off`
-/// disables), the kernel blocks are assembled **once** and every λ pays
-/// only linear algebra ([`factorize_with_blocks`], which pins the stored
-/// `V`-block scheme). With it off, every λ runs a full [`factorize`]
+/// disables), the coupling blocks are assembled **once** and every λ pays
+/// the leaf diagonals and the linear algebra ([`factorize_with_blocks`],
+/// which pins the stored `V`-block scheme). With it off, every λ runs a full [`factorize`]
 /// under `base`'s storage mode — the legacy path, reproduced bitwise.
 ///
 /// λ values whose factorization fails outright are reported with

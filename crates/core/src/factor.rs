@@ -19,7 +19,8 @@
 //! [`StorageMode::StoredGemv`] the `V` blocks live in the
 //! [`AssembledBlocks`] the tree carries — the caller's, or one
 //! [`factorize`] assembles first — and are read there by reference, here
-//! and in the solve. A leaf `K_αα` not found cached is all it evaluates.
+//! and in the solve. The leaf diagonals `K_αα`, which the LU overwrites,
+//! are all a stored sweep evaluates — whoever assembled.
 
 use crate::assemble::{assemble, assemble_blocks, AssembledBlocks};
 use crate::config::{
@@ -154,8 +155,8 @@ impl<'a, K: Kernel> FactorTree<'a, K> {
     /// reduced systems are redone over this tree's assembly, which the
     /// returned tree shares — no `V` block is re-evaluated or copied, and
     /// further refactors chain for free. A matrix-free tree pays for an
-    /// assembly here, once; a fresh stored tree's holds no leaf blocks, so
-    /// its refactors evaluate `K_αα` (and nothing else) per λ.
+    /// assembly here, once. The leaf diagonals `K_αα` (and no other kernel
+    /// block) are evaluated per λ, as in any stored factorization.
     ///
     /// The result uses [`StorageMode::StoredGemv`] regardless of this
     /// tree's storage mode (see [`factorize_with_blocks`]) and is bitwise
@@ -190,9 +191,9 @@ pub fn factorize<'a, K: Kernel>(
 }
 
 /// Runs the λ-dependent half of the factorization over pre-assembled
-/// kernel blocks (see [`crate::assemble_blocks`]): only the diagonal
-/// shift, LU/Cholesky factorizations, `P̂` solves, and reduced systems
-/// are computed — no kernel evaluations.
+/// coupling blocks (see [`crate::assemble_blocks`]): the leaf diagonals
+/// `K_αα` are the only kernel blocks evaluated, then the diagonal shift,
+/// LU/Cholesky factorizations, `P̂` solves, and reduced systems.
 ///
 /// The storage mode is pinned to [`StorageMode::StoredGemv`]: the
 /// assembly's coupling blocks *are* the stored `V` blocks — the tree keeps
@@ -230,9 +231,9 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
     let n_nodes = tree.nodes().len();
     // Stored V lives in the assembly: a caller's is shared, its bytes not
     // this call's; a fresh stored factorization assembles its own first.
-    let shared_bytes = blocks.as_ref().map_or(0, |b| b.coupling_bytes());
+    let shared_bytes = blocks.as_ref().map_or(0, |b| b.stats().bytes);
     let own = (blocks.is_none() && config.storage == StorageMode::StoredGemv)
-        .then(|| Arc::new(assemble(st, kernel, root, false)));
+        .then(|| Arc::new(assemble(st, kernel, root)));
     let own_bytes = own.as_ref().map_or(0, |b| b.stats().bytes);
     let blocks = blocks.or(own);
     let mut factors: Vec<NodeFactors> = (0..n_nodes).map(|_| NodeFactors::default()).collect();
@@ -369,36 +370,12 @@ fn factor_node<K: Kernel>(
     let tree = st.tree();
     let nd = tree.node(node);
     match nd.children {
-        None => factor_leaf(st, kernel, config, blocks, node),
+        None => factor_leaf(st, kernel, config, node),
         Some((l, r)) => {
             let p_hat_l = factors[l].p_hat.as_ref().expect("child P-hat missing");
             let p_hat_r = factors[r].p_hat.as_ref().expect("child P-hat missing");
             factor_internal(st, kernel, config, blocks, p_hat_l, p_hat_r, node, l, r)
         }
-    }
-}
-
-/// Materializes a leaf's λ-independent `K_αα`: a pooled copy of the
-/// cached block when the assembly holds one (the LU overwrites it; the
-/// eval flops live in `AssembleStats`), fresh evaluation otherwise (the
-/// matrix-free modes and a fresh stored factorization). Identical bits
-/// either way. Returns the block plus the kernel-eval flops.
-pub(crate) fn leaf_kaa<K: Kernel>(
-    st: &SkeletonTree,
-    kernel: &K,
-    blocks: Option<&AssembledBlocks>,
-    node: usize,
-) -> (Mat, f64) {
-    let tree = st.tree();
-    let nd = tree.node(node);
-    let m = nd.len();
-    let d = tree.points().dim();
-    match blocks.and_then(|b| b.node(node).kaa.as_ref()) {
-        Some(cached) => (workspace::mat_from_view(cached.rb()), 0.0),
-        None => (
-            eval_symmetric(kernel, tree.points(), nd.range()),
-            flops::summation_flops(m, m, d, kernel.flops_per_eval()),
-        ),
     }
 }
 
@@ -454,11 +431,13 @@ pub(crate) fn factor_leaf<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
     config: &SolverConfig,
-    blocks: Option<&AssembledBlocks>,
     node: usize,
 ) -> Result<(NodeFactors, NodeCost), SolverError> {
-    let m = st.tree().node(node).len();
-    let (kaa, eval_flops) = leaf_kaa(st, kernel, blocks, node);
+    let tree = st.tree();
+    let nd = tree.node(node);
+    let m = nd.len();
+    let kaa = eval_symmetric(kernel, tree.points(), nd.range());
+    let eval_flops = flops::summation_flops(m, m, tree.points().dim(), kernel.flops_per_eval());
     let (leaf, mut cost) = leaf_shift_factor(config, node, kaa, eval_flops)?;
     // P̂_{αα̃} = (λI + K_αα)^{-1} P_{αα̃}; for root-leaf trees there is no
     // skeleton and no P̂.

@@ -120,12 +120,12 @@ impl<'a, K: Kernel> GaussianProcess<'a, K> {
     /// sweep curve — the GP model-selection loop the paper motivates.
     ///
     /// With λ-sweep refactorization active (the default;
-    /// `KFDS_REFACTOR=off` disables), the kernel blocks are assembled
-    /// once and every grid point pays only linear algebra; with it off,
-    /// every grid point runs a full [`factorize`] (the legacy path).
-    /// Grid points whose factorization fails are recorded in the curve
-    /// (`failed = true`, with honest elapsed seconds) and skipped for
-    /// model selection.
+    /// `KFDS_REFACTOR=off` disables), the coupling blocks are assembled
+    /// once and every grid point pays the leaf diagonals and the linear
+    /// algebra; with it off, every grid point runs a full [`factorize`]
+    /// (the legacy path). Grid points whose factorization fails are
+    /// recorded in the curve (`failed = true`, with honest elapsed seconds)
+    /// and skipped for model selection.
     ///
     /// # Errors
     /// [`SolverError`] of the *last* failure when every grid point fails.

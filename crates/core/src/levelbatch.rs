@@ -8,11 +8,9 @@
 //! model):
 //!
 //! 1. one batched kernel-block launch per shape group materializes every
-//!    leaf `K_αα` of the level the assembly does not hold (a cached one
-//!    is copied, because the LU overwrites it). No coupling block is
-//!    evaluated or copied here: under `StoredGemv` the planned `B` GEMMs
-//!    read `K_{l̃r}` / `K_{r̃l}` from the tree's [`AssembledBlocks`] in
-//!    place;
+//!    leaf `K_αα` of the level. No coupling block is evaluated or copied
+//!    here: under `StoredGemv` the planned `B` GEMMs read `K_{l̃r}` /
+//!    `K_{r̃l}` from the tree's [`AssembledBlocks`] in place;
 //! 2. dense factorizations are grouped by dimension and launched once per
 //!    group;
 //! 3. every GEMM and multi-RHS solve of the level is collected into a
@@ -65,7 +63,7 @@ pub(crate) fn factor_level_batched<K: Kernel>(
         (0..level_nodes.len()).filter(|&p| tree.node(level_nodes[p]).children.is_some()).collect();
 
     if !leaf_pos.is_empty() {
-        op_groups += run_leaves(st, kernel, config, blocks, level_nodes, &leaf_pos, &mut out);
+        op_groups += run_leaves(st, kernel, config, level_nodes, &leaf_pos, &mut out);
     }
     if !int_pos.is_empty() {
         op_groups += if config.storage == StorageMode::StoredGemv {
@@ -102,7 +100,6 @@ fn run_leaves<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
     config: &SolverConfig,
-    blocks: Option<&AssembledBlocks>,
     level_nodes: &[usize],
     leaf_pos: &[usize],
     out: &mut [Option<NodeResult>],
@@ -110,33 +107,21 @@ fn run_leaves<K: Kernel>(
     let tree = st.tree();
     let pts = tree.points();
     let d = pts.dim();
-    let mut groups = 0usize;
 
-    // Stage 1 — materialize every leaf's λ-independent K_αα: cached
-    // pooled copies on the refactor path, one batched kernel launch per
-    // shape group for the rest. Identical bits to per-node `leaf_kaa`.
-    let mut kaas: Vec<Option<(Mat, f64)>> = Vec::with_capacity(leaf_pos.len());
-    kaas.resize_with(leaf_pos.len(), || None);
-    let mut fresh: Vec<usize> = Vec::with_capacity(leaf_pos.len());
-    for (k, &pos) in leaf_pos.iter().enumerate() {
-        let node = level_nodes[pos];
-        match blocks.and_then(|b| b.node(node).kaa.as_ref()) {
-            Some(cached) => kaas[k] = Some((workspace::mat_from_view(cached.rb()), 0.0)),
-            None => fresh.push(k),
-        }
-    }
-    if !fresh.is_empty() {
-        let specs: Vec<BlockSpec<'_>> = fresh
-            .iter()
-            .map(|&k| BlockSpec::Symmetric { range: tree.node(level_nodes[leaf_pos[k]]).range() })
-            .collect();
-        let (mats, g) = eval_blocks(kernel, pts, &specs);
-        groups += g;
-        for (mat, &k) in mats.into_iter().zip(&fresh) {
-            let m = mat.nrows();
-            kaas[k] = Some((mat, flops::summation_flops(m, m, d, kernel.flops_per_eval())));
-        }
-    }
+    // Stage 1 — materialize every leaf's K_αα: one batched kernel launch
+    // per shape group. Identical bits to the per-node `eval_symmetric`.
+    let specs: Vec<BlockSpec<'_>> = leaf_pos
+        .iter()
+        .map(|&pos| BlockSpec::Symmetric { range: tree.node(level_nodes[pos]).range() })
+        .collect();
+    let (mats, mut groups) = eval_blocks(kernel, pts, &specs);
+    let mut kaas: Vec<Option<(Mat, f64)>> = mats
+        .into_iter()
+        .map(|kaa| {
+            let m = kaa.nrows();
+            Some((kaa, flops::summation_flops(m, m, d, kernel.flops_per_eval())))
+        })
+        .collect();
 
     // Stage 2 — λ shift + factorization + P̂ pack, one launch per
     // leaf-size group.

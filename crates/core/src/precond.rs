@@ -5,6 +5,7 @@
 
 use crate::error::SolverError;
 use crate::factor::FactorTree;
+use crate::solve::check_rhs_rows;
 use kfds_kernels::Kernel;
 use kfds_krylov::{gmres_right_preconditioned, FnOp, GmresOptions, Preconditioner, SolveResult};
 
@@ -37,6 +38,7 @@ impl<'a, K: Kernel> FactorTree<'a, K> {
 /// compressed operator. `b` is in the tree's permuted ordering.
 ///
 /// # Errors
+/// [`SolverError::RhsShape`] if `b` is not one value per point;
 /// [`SolverError::NotSkeletonized`] for partial factorizations.
 pub fn solve_exact_preconditioned<K: Kernel>(
     ft: &FactorTree<'_, K>,
@@ -47,7 +49,7 @@ pub fn solve_exact_preconditioned<K: Kernel>(
     let kernel = ft.kernel();
     let lambda = ft.config().lambda;
     let n = st.tree().points().len();
-    assert_eq!(b.len(), n, "rhs length mismatch");
+    check_rhs_rows(n, b.len())?;
     let prec = ft.as_preconditioner()?;
     let op = FnOp::new(n, |x: &[f64], y: &mut [f64]| {
         y.copy_from_slice(&kfds_askit::exact_matvec(st, kernel, lambda, x));

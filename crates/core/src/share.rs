@@ -25,11 +25,11 @@ use kfds_la::Mat;
 use std::sync::{Arc, OnceLock};
 
 /// The λ-independent half of a factorization, owned and shareable: the
-/// skeleton tree, the kernel, and the assembled kernel blocks
+/// skeleton tree, the kernel, and the assembled coupling blocks
 /// ([`AssembledBlocks`]). A serving system caches one of these per
 /// `(dataset, n, h, seed)` and derives every λ-specific [`SharedFactor`]
 /// from it via [`SharedFactor::refactorize`], so a λ sweep pays for tree
-/// building, skeletonization, and kernel evaluation exactly once.
+/// building, skeletonization, and the coupling blocks exactly once.
 pub struct SharedSetup<K: Kernel + 'static> {
     st: Arc<SkeletonTree>,
     kernel: Arc<K>,
@@ -47,7 +47,7 @@ impl<K: Kernel + 'static> Clone for SharedSetup<K> {
 }
 
 impl<K: Kernel + 'static> SharedSetup<K> {
-    /// Assembles the λ-independent kernel blocks over an owned skeleton
+    /// Assembles the λ-independent coupling blocks over an owned skeleton
     /// tree, producing a self-contained setup handle.
     pub fn build(st: Arc<SkeletonTree>, kernel: Arc<K>) -> Self {
         let blocks = Arc::new(assemble_blocks(&st, kernel.as_ref()));
@@ -64,7 +64,7 @@ impl<K: Kernel + 'static> SharedSetup<K> {
         &self.kernel
     }
 
-    /// The assembled λ-independent kernel blocks.
+    /// The assembled λ-independent coupling blocks.
     pub fn blocks(&self) -> &Arc<AssembledBlocks> {
         &self.blocks
     }
@@ -139,12 +139,13 @@ impl<K: Kernel + 'static> SharedFactor<K> {
     }
 
     /// Factorizes at a new λ from a [`SharedSetup`] over its assembled
-    /// kernel blocks, so only linear algebra runs (the λ-sweep
-    /// refactorization path; pins the stored `V`-block scheme). The factor
-    /// shares the setup's `V` blocks — the `Arc`, not a copy — so a cached
-    /// λ costs its λ-dependent factors only. With `KFDS_REFACTOR=off` this
-    /// is a full [`factorize`] under `config`'s own storage mode,
-    /// re-assembling whatever it stores — the legacy path, bitwise.
+    /// coupling blocks, so only the leaf diagonals are evaluated before
+    /// the linear algebra runs (the λ-sweep refactorization path; pins the
+    /// stored `V`-block scheme). The factor shares the setup's `V` blocks —
+    /// the `Arc`, not a copy — so a cached λ costs its λ-dependent factors
+    /// only. With `KFDS_REFACTOR=off` this is a full [`factorize`] under
+    /// `config`'s own storage mode, re-assembling whatever it stores — the
+    /// legacy path, bitwise.
     ///
     /// # Errors
     /// Propagates [`SolverError`] from the factorization.

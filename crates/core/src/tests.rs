@@ -86,6 +86,17 @@ fn solve_matches_dense_within_approximation_error() {
 }
 
 #[test]
+fn preconditioned_solve_rejects_a_short_rhs() {
+    let (st, kernel) = fixture(1, 1e-5);
+    let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(1.0)).expect("factorize");
+    let got = crate::solve_exact_preconditioned(&ft, &rand_vec(511, 3), &GmresOptions::default());
+    assert!(
+        matches!(got, Err(crate::SolverError::RhsShape { expected: 512, got: 511 })),
+        "a short right-hand side must be a typed error"
+    );
+}
+
+#[test]
 fn baseline_produces_identical_factorization() {
     // Table III note: "Both methods construct exactly the same
     // factorization (up to roundoff errors)".
@@ -808,9 +819,10 @@ mod refactor {
             "a fresh stored tree's refactor must reuse its assembly"
         );
         assert_eq!(solve_bits(&child, &b), solve_bits(&r2, &b), "lambda 2.0 from a stored tree");
-        // Zero kernel-eval flops on the refactor path: all the eval work
-        // is attributed to AssembleStats, so the LA-only flop count must
-        // be well below the fresh factorize's (which counts evaluation).
+        // No coupling-block evaluation on the refactor path: that work is
+        // attributed to AssembleStats, so the refactor's flop count (leaf
+        // diagonals + LA) must be below the fresh factorize's, which
+        // evaluates every block.
         let fresh_gsks =
             factorize(&st, &kernel, SolverConfig::default().with_lambda(0.05)).expect("f");
         assert!(
@@ -834,6 +846,16 @@ mod refactor {
             })
             .sum();
         8 * words
+    }
+
+    /// Bytes of the coupling blocks `blocks` holds, counted from the
+    /// matrices themselves.
+    fn coupling_bytes_held(blocks: &crate::AssembledBlocks) -> usize {
+        (0..blocks.len())
+            .flat_map(|i| [&blocks.node(i).k_lr, &blocks.node(i).k_rl])
+            .flatten()
+            .map(|m| 8 * m.nrows() * m.ncols())
+            .sum()
     }
 
     #[test]
@@ -871,17 +893,9 @@ mod refactor {
         let reported: usize = trees.iter().map(|ft| ft.stats().stored_bytes).sum();
         let held: usize = trees.iter().map(factor_bytes_held).sum();
         assert_eq!(reported, held, "stored_bytes must be the λ-dependent factors only");
-        let assembly: usize = (0..blocks.len())
-            .flat_map(|i| {
-                let nb = blocks.node(i);
-                [&nb.kaa, &nb.k_lr, &nb.k_rl]
-            })
-            .flatten()
-            .map(|m| 8 * m.nrows() * m.ncols())
-            .sum();
-        assert_eq!(blocks.stats().bytes, assembly);
+        assert_eq!(blocks.stats().bytes, coupling_bytes_held(&blocks));
         for ft in &trees {
-            assert_eq!(ft.stats().shared_bytes, blocks.coupling_bytes());
+            assert_eq!(ft.stats().shared_bytes, blocks.stats().bytes);
         }
 
         drop(trees);
@@ -893,8 +907,9 @@ mod refactor {
         use crate::config::WStorage;
         let (st, kernel) = fixture(1, 1e-5);
         let full = Arc::new(assemble_blocks(&st, &kernel));
-        let v_bytes = full.coupling_bytes();
-        assert!(0 < v_bytes && v_bytes < full.stats().bytes, "the full assembly holds leaves too");
+        let v_bytes = coupling_bytes_held(&full);
+        assert!(v_bytes > 0);
+        assert_eq!(full.stats().bytes, v_bytes, "an assembly is its coupling blocks");
         for w in [WStorage::Stored, WStorage::Recompute] {
             let base = SolverConfig::default().with_lambda(0.7).with_w_storage(w);
             let over = factorize_with_blocks(&st, &kernel, Arc::clone(&full), base).expect("over");
@@ -907,12 +922,11 @@ mod refactor {
                 let what = format!("{storage:?}/{w:?}");
                 assert_eq!(fresh.stats().shared_bytes, 0, "{what}: a fresh tree shares nothing");
                 match fresh.assembled_blocks() {
-                    // A fresh stored tree owns its V blocks — and no leaf.
+                    // A fresh stored tree owns its V blocks.
                     Some(own) => {
                         assert_eq!(storage, StorageMode::StoredGemv, "{what}");
                         assert_eq!(fresh.stats().stored_bytes, owned + shared, "{what}");
-                        assert_eq!(own.stats().bytes, v_bytes, "{what}: coupling blocks only");
-                        assert!((0..own.len()).all(|i| own.node(i).kaa.is_none()), "{what}");
+                        assert_eq!(own.stats().bytes, v_bytes, "{what}: the same assembly");
                     }
                     None => {
                         assert_ne!(storage, StorageMode::StoredGemv, "{what}");

@@ -95,7 +95,6 @@ fn assert_factors_bitwise<K: kfds_kernels::Kernel>(
         assert_eq!(ba.len(), bb.len());
         for i in 0..ba.len() {
             let (a, b) = (ba.node(i), bb.node(i));
-            assert_mat_eq(a.kaa.as_ref(), b.kaa.as_ref(), "K_aa", i);
             assert_mat_eq(a.k_lr.as_ref(), b.k_lr.as_ref(), "K_lr", i);
             assert_mat_eq(a.k_rl.as_ref(), b.k_rl.as_ref(), "K_rl", i);
         }

@@ -435,17 +435,6 @@ pub fn take_mat_detached(nrows: usize, ncols: usize) -> Mat {
     Mat::from_col_major(nrows, ncols, take(nrows * ncols).detach())
 }
 
-/// Copies a view into an owned [`Mat`] backed by pooled storage — the
-/// allocation-free analogue of `MatRef::to_mat` for hot-path temporaries.
-pub fn mat_from_view(v: MatRef<'_>) -> Mat {
-    let (m, n) = (v.nrows(), v.ncols());
-    let mut buf = take(m * n).detach();
-    for j in 0..n {
-        buf[j * m..(j + 1) * m].copy_from_slice(v.col(j));
-    }
-    Mat::from_col_major(m, n, buf)
-}
-
 /// Process-global pool hit count (all threads).
 pub fn hits() -> u64 {
     HITS.load(Ordering::Relaxed)

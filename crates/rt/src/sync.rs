@@ -39,10 +39,8 @@ use std::time::Duration;
 /// * a factor-cache build runs the setup cache single-flight
 ///   (`FactorCache` → `SetupCache` — both locks are only held for map
 ///   bookkeeping, builders run unlocked);
-/// * the shard router serializes its data plane across the owner-cache
-///   lookup and the scatter/gather over rank mailboxes
-///   (`RouterDataPlane` → `ShardPartitionCache`, `RouterDataPlane` →
-///   `RtMailbox`).
+/// * the shard router serializes its data plane across the
+///   scatter/gather over rank mailboxes (`RouterDataPlane` → `RtMailbox`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum LockRank {
@@ -60,12 +58,10 @@ pub enum LockRank {
     RouterControl = 5,
     /// Shard router data plane (endpoint + in-flight serialization).
     RouterDataPlane = 6,
-    /// Per-shard partitioned-factor caches (owner and worker-local).
-    ShardPartitionCache = 7,
     /// Per-request shard outcome (error slots).
-    ShardOutcome = 8,
+    ShardOutcome = 7,
     /// Runtime per-rank mailbox (`WorldState.mailboxes` in `kfds-rt`).
-    RtMailbox = 9,
+    RtMailbox = 8,
 }
 
 impl LockRank {
@@ -78,7 +74,6 @@ impl LockRank {
         LockRank::SetupCache,
         LockRank::RouterControl,
         LockRank::RouterDataPlane,
-        LockRank::ShardPartitionCache,
         LockRank::ShardOutcome,
         LockRank::RtMailbox,
     ];
@@ -93,7 +88,6 @@ impl LockRank {
             LockRank::SetupCache => "SetupCache",
             LockRank::RouterControl => "RouterControl",
             LockRank::RouterDataPlane => "RouterDataPlane",
-            LockRank::ShardPartitionCache => "ShardPartitionCache",
             LockRank::ShardOutcome => "ShardOutcome",
             LockRank::RtMailbox => "RtMailbox",
         }
@@ -497,7 +491,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "lock-rank inversion")]
     fn rank_inversion_panics_in_debug() {
-        let outer = RankedMutex::new(LockRank::ShardPartitionCache, ());
+        let outer = RankedMutex::new(LockRank::ShardOutcome, ());
         let inner = RankedMutex::new(LockRank::RouterDataPlane, ());
         let _g = outer.lock();
         let _g2 = inner.lock(); // 7 held, acquiring 6: inversion

@@ -20,8 +20,10 @@
 //! counter lane per shard in the stats JSON. `--smoke` shrinks the
 //! problem and asserts a clean run — zero errors, every request answered,
 //! cache hit rate above zero, **setup built exactly once**, and (sharded)
-//! a bitwise match against the unsharded solve plus per-shard cache
-//! accounting — exiting nonzero otherwise, which is what `ci.sh` runs.
+//! a bitwise match against the unsharded solve plus per-shard lane
+//! accounting (every batch reached every shard, which solved its rows of
+//! every right-hand side) — exiting nonzero otherwise, which is what
+//! `ci.sh` runs.
 
 use kfds_askit::{skeletonize, SkelConfig};
 use kfds_core::{SharedSetup, SolverConfig, StorageMode};
@@ -158,8 +160,9 @@ fn run(args: Args) -> Result<(), String> {
     // dispatches as a batch of one, so the service answer and an
     // out-of-band unsharded blocked solve of the same 1-column matrix
     // must agree **bitwise** (the shard tier only repartitions the same
-    // arithmetic).
-    if args.smoke && args.shards > 1 {
+    // arithmetic). The same reference factor says how many rows each shard
+    // owns, for the lane accounting below.
+    let shard_rows: Vec<u64> = if args.smoke && args.shards > 1 {
         let skey = SetupKey::from(&keys[0]);
         let setup = build_setup(&skey).map_err(|e| format!("reference setup failed: {e}"))?;
         let sf = kfds_core::SharedFactor::refactorize(&setup, base.with_lambda(keys[0].lambda()))
@@ -180,7 +183,12 @@ fn run(args: Args) -> Result<(), String> {
             return Err("SMOKE FAIL: sharded answer differs from the unsharded solve".into());
         }
         eprintln!("sharded bitwise pre-check OK (p = {})", args.shards);
-    }
+        let pf = kfds_core::PartitionedFactor::partition(sf, args.shards)
+            .map_err(|e| format!("reference partition failed: {e}"))?;
+        (0..args.shards).map(|s| pf.shard_range(s).len() as u64).collect()
+    } else {
+        Vec::new()
+    };
 
     let t0 = Instant::now();
     let answered = Arc::new(AtomicU64::new(0));
@@ -265,15 +273,14 @@ fn run(args: Args) -> Result<(), String> {
             && stats.setup_hits == args.keys as u64 - 1;
         // Per-shard accounting: with every factor complete, every batch
         // routes (no fallbacks) and reaches every shard exactly once, and
-        // each shard fills its local partition cache once per key.
+        // each shard solves its own rows of every right-hand side answered.
         let lanes_ok = if sharding_active {
             stats.shards.len() == args.shards
                 && stats.shard_fallbacks == 0
                 && stats.shards.iter().all(|l| {
                     l.errors == 0
                         && l.requests == stats.batches
-                        && l.local_misses == args.keys as u64
-                        && l.local_hits == stats.batches - args.keys as u64
+                        && l.rows_solved == shard_rows[l.shard] * stats.completed
                 })
         } else {
             stats.shards.is_empty() && stats.shard_fallbacks == 0

@@ -1,17 +1,211 @@
-//! Cache keys and instantiations for the serve tier.
-//!
-//! The generic LRU + single-flight + quarantine machinery lives in
-//! [`kfds_shard::cache`] (it is shared with the shard workers' local
-//! partition caches); this module keeps the serve-side key types and the
-//! named instantiations.
+//! The serve tier's two caches: generic LRU + single-flight + quarantine
+//! machinery, the key types, and the named instantiations.
 //!
 //! Keys identify a factorization completely: dataset id + problem size,
 //! kernel bandwidth, regularizer λ, and the tree seed. Values are cheap
 //! clone handles (e.g. [`kfds_core::SharedFactor`]), so a cache hit is a
 //! map lookup plus a reference-count bump.
+//!
+//! **Single-flight:** concurrent `get_or_build` calls for the same key
+//! block on one builder invocation instead of racing N builds; waiters
+//! receive the built handle (counted as hits — they did not pay for the
+//! build).
+//!
+//! **Quarantine:** a builder error (or panic) poisons the key. Subsequent
+//! requests fail fast with [`CacheError::Poisoned`] without re-running
+//! the builder, so one broken key cannot occupy the workers, and
+//! unrelated keys are untouched.
 
-pub use kfds_shard::cache::{CacheError, SingleFlightCache};
-pub use kfds_shard::LockRank;
+pub use kfds_rt::sync::LockRank;
+use kfds_rt::sync::{RankedCondvar, RankedMutex};
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Why a cache lookup failed.
+#[derive(Clone, Debug)]
+pub enum CacheError {
+    /// This call ran the builder and it failed.
+    BuildFailed(String),
+    /// The key is quarantined from an earlier failure; the builder was
+    /// not re-run.
+    Poisoned(String),
+}
+
+impl std::fmt::Display for CacheError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CacheError::BuildFailed(e) => write!(f, "factorization build failed: {e}"),
+            CacheError::Poisoned(e) => write!(f, "factorization key quarantined: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CacheError {}
+
+enum Slot<V> {
+    /// A builder is running on some thread; waiters sleep on the condvar.
+    Building,
+    Ready {
+        value: V,
+        last_used: u64,
+    },
+    Poisoned(String),
+}
+
+struct CacheState<Key, V> {
+    map: HashMap<Key, Slot<V>>,
+    /// Monotonic recency clock for LRU.
+    tick: u64,
+}
+
+/// LRU + single-flight + quarantine cache, generic over the key. The
+/// serve tier instantiates it twice: factor-level (λ included) and
+/// setup-level (λ-free). Both levels share this one implementation, so
+/// the single-flight and quarantine semantics are identical.
+pub struct SingleFlightCache<Key: Clone + Eq + std::hash::Hash, V: Clone> {
+    capacity: usize,
+    state: RankedMutex<CacheState<Key, V>>,
+    cv: RankedCondvar,
+    builds: AtomicU64,
+}
+
+impl<Key: Clone + Eq + std::hash::Hash, V: Clone> SingleFlightCache<Key, V> {
+    /// Creates a cache retaining at most `capacity` ready factorizations
+    /// (`capacity` is clamped to ≥ 1) whose state lock carries `rank` in
+    /// the [`LockRank`] hierarchy — each instantiation level (factor,
+    /// setup) sits at its own rung. Poisoned keys are
+    /// quarantine records, not cached values, and do not count against
+    /// the capacity.
+    pub fn new(capacity: usize, rank: LockRank) -> Self {
+        SingleFlightCache {
+            capacity: capacity.max(1),
+            state: RankedMutex::new(rank, CacheState { map: HashMap::new(), tick: 0 }),
+            cv: RankedCondvar::new(),
+            builds: AtomicU64::new(0),
+        }
+    }
+
+    /// Looks up `key`, running `build` exactly once across all concurrent
+    /// callers if absent. Returns the handle plus `true` when it was
+    /// served without running the builder in this call (a hit — including
+    /// single-flight waiters).
+    ///
+    /// # Errors
+    /// [`CacheError::Poisoned`] for quarantined keys (fast-fail, builder
+    /// not re-run); [`CacheError::BuildFailed`] when this call's build
+    /// errored or panicked (the key becomes quarantined).
+    pub fn get_or_build<E: std::fmt::Display>(
+        &self,
+        key: &Key,
+        build: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), CacheError> {
+        let mut st = self.state.lock();
+        loop {
+            // Bump the recency clock up front so the Ready arm can borrow
+            // the slot mutably without a second lookup.
+            st.tick += 1;
+            let t = st.tick;
+            match st.map.get_mut(key) {
+                Some(Slot::Ready { value, last_used }) => {
+                    *last_used = t;
+                    return Ok((value.clone(), true));
+                }
+                Some(Slot::Poisoned(e)) => return Err(CacheError::Poisoned(e.clone())),
+                Some(Slot::Building) => {
+                    st = self.cv.wait(st);
+                }
+                None => break,
+            }
+        }
+        // We are the builder for this key.
+        st.map.insert(key.clone(), Slot::Building);
+        drop(st);
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        let built = catch_unwind(AssertUnwindSafe(build));
+        let mut st = self.state.lock();
+        let outcome = match built {
+            Ok(Ok(v)) => {
+                st.tick += 1;
+                let t = st.tick;
+                st.map.insert(key.clone(), Slot::Ready { value: v.clone(), last_used: t });
+                self.evict_lru(&mut st);
+                Ok((v, false))
+            }
+            Ok(Err(e)) => {
+                let msg = e.to_string();
+                st.map.insert(key.clone(), Slot::Poisoned(msg.clone()));
+                Err(CacheError::BuildFailed(msg))
+            }
+            Err(panic) => {
+                let msg = panic_message(panic.as_ref());
+                st.map.insert(key.clone(), Slot::Poisoned(msg.clone()));
+                Err(CacheError::BuildFailed(msg))
+            }
+        };
+        drop(st);
+        self.cv.notify_all();
+        outcome
+    }
+
+    fn evict_lru(&self, st: &mut CacheState<Key, V>) {
+        loop {
+            let ready: Vec<(&Key, u64)> = st
+                .map
+                .iter()
+                .filter_map(|(k, s)| match s {
+                    Slot::Ready { last_used, .. } => Some((k, *last_used)),
+                    _ => None,
+                })
+                .collect();
+            if ready.len() <= self.capacity {
+                return;
+            }
+            // `ready` is nonempty here (len > capacity >= 1), but degrade
+            // to a no-op rather than panic on the impossible branch.
+            let Some(victim) = ready.iter().min_by_key(|(_, t)| *t).map(|(k, _)| (*k).clone())
+            else {
+                return;
+            };
+            st.map.remove(&victim);
+        }
+    }
+
+    /// Quarantines `key` explicitly (e.g. after a solve panic), so later
+    /// requests fail fast instead of re-dispatching onto a bad
+    /// factorization.
+    pub fn poison(&self, key: &Key, reason: impl Into<String>) {
+        let mut st = self.state.lock();
+        st.map.insert(key.clone(), Slot::Poisoned(reason.into()));
+        drop(st);
+        self.cv.notify_all();
+    }
+
+    /// Ready factorizations resident.
+    pub fn ready_len(&self) -> usize {
+        self.state.lock().map.values().filter(|s| matches!(s, Slot::Ready { .. })).count()
+    }
+
+    /// Quarantined keys.
+    pub fn poisoned_len(&self) -> usize {
+        self.state.lock().map.values().filter(|s| matches!(s, Slot::Poisoned(_))).count()
+    }
+
+    /// How many times a builder was invoked over the cache's lifetime.
+    pub fn builds(&self) -> u64 {
+        self.builds.load(Ordering::Relaxed)
+    }
+}
+
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        format!("factorization panicked: {s}")
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        format!("factorization panicked: {s}")
+    } else {
+        "factorization panicked".to_string()
+    }
+}
 
 /// Identity of one factorization: `(dataset id, n, kernel bandwidth, λ,
 /// tree seed)`. Float fields are stored as IEEE bit patterns so the key

@@ -276,7 +276,7 @@ struct Shared<K: Kernel + 'static> {
     metrics: Metrics,
     /// Shard router for `sharded(p)` services (`cfg.shards > 1` with
     /// `KFDS_SHARD` on at start); `None` serves single-node.
-    shard: Option<ShardRouter<FactorKey, K>>,
+    shard: Option<ShardRouter<K>>,
 }
 
 impl<K: Kernel + 'static> Shared<K> {
@@ -310,7 +310,7 @@ impl<K: Kernel + 'static> SolveService<K> {
 
     /// Starts a two-level service: `setup_builder` maps a λ-free
     /// [`SetupKey`] to an owned [`SharedSetup`] (tree + skeletonization +
-    /// assembled kernel blocks — built at most once per setup,
+    /// assembled coupling blocks — built at most once per setup,
     /// single-flight), and every [`FactorKey`] miss then pays only
     /// [`SharedFactor::refactorize`] at `base.with_lambda(key.lambda())`.
     /// A λ sweep therefore runs the setup builder exactly once.
@@ -327,8 +327,7 @@ impl<K: Kernel + 'static> SolveService<K> {
     }
 
     fn start_with_mode(cfg: ServeConfig, mode: BuildMode<K>) -> Self {
-        let shard = (cfg.shards > 1 && shard_enabled())
-            .then(|| ShardRouter::start(cfg.shards, cfg.cache_capacity));
+        let shard = (cfg.shards > 1 && shard_enabled()).then(|| ShardRouter::start(cfg.shards));
         let shared = Arc::new(Shared {
             cache: FactorCache::new(cfg.cache_capacity, LockRank::FactorCache),
             cfg,
@@ -536,7 +535,6 @@ enum BatchFailure {
 /// single-node path — same bits — and count in `shard_fallbacks`.
 fn solve_batch<K: Kernel + 'static>(
     sh: &Shared<K>,
-    key: &FactorKey,
     sf: &SharedFactor<K>,
     b: &mut Mat,
 ) -> Result<(), BatchFailure> {
@@ -553,7 +551,7 @@ fn solve_batch<K: Kernel + 'static>(
         }
         return single(b);
     };
-    match router.solve(key, sf, b) {
+    match router.solve(sf, b) {
         Ok(()) => Ok(()),
         Err(e @ ShardError::ShardFailed { .. }) => Err(BatchFailure::Shard(e.to_string())),
         Err(ShardError::Unpartitionable(_) | ShardError::ShuttingDown) => {
@@ -670,7 +668,7 @@ fn dispatch<K: Kernel + 'static>(sh: &Shared<K>, batch: Vec<Request>) {
     let t0 = Instant::now();
     let solved = catch_unwind(AssertUnwindSafe(|| {
         let mut b = b;
-        solve_batch(sh, &key, &sf, &mut b).map(|()| b)
+        solve_batch(sh, &sf, &mut b).map(|()| b)
     }));
     m.solve_us.record(t0.elapsed());
     match solved {

@@ -77,8 +77,6 @@ fn sharded_service_answers_bitwise_and_the_switch_restores_single_node() {
         assert_eq!(stats.shards.len(), p, "one counter lane per shard");
         for lane in &stats.shards {
             assert_eq!(lane.requests, stats.batches, "every batch reaches every shard");
-            assert_eq!(lane.local_misses, 1, "one local partition-cache fill per shard");
-            assert_eq!(lane.local_hits, stats.batches - 1);
             assert_eq!(lane.errors, 0);
             assert_eq!(lane.rows_solved, stats.batches * (n / p) as u64);
         }

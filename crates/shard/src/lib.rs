@@ -11,13 +11,13 @@
 //! identical to the unsharded blocked solve.
 //!
 //! RHS blocks move over [`kfds_rt::Transport`] (the in-process channel
-//! [`kfds_rt::Comm`] today; a wire backend later), and caching is a
-//! three-level hierarchy built from one generic
-//! [`SingleFlightCache`]: `kfds-serve`'s λ-free setup cache (built once
-//! per shard group) → the router's shard-group partition cache (one
-//! [`kfds_core::PartitionedFactor`] per factor key) → each worker's
-//! local cache, filled by [`SingleFlightCache::peek`] (workers never
-//! build).
+//! [`kfds_rt::Comm`] today; a wire backend later). The tier caches
+//! nothing: [`kfds_core::PartitionedFactor::partition`] is index
+//! arithmetic over a handle (about a microsecond), so the router
+//! partitions the factor each solve is given and the job carries that
+//! view to the workers. What is worth keeping — the λ-free setup and the
+//! per-λ factorization — is `kfds-serve`'s two-level cache, above this
+//! crate.
 //!
 //! `kfds-serve` mounts this behind the `KFDS_SHARD` registry switch:
 //! `sharded(p)` services route complete factorizations through the
@@ -26,11 +26,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod router;
 pub mod stats;
 
-pub use cache::{CacheError, SingleFlightCache};
-pub use kfds_rt::sync::LockRank;
 pub use router::{ShardError, ShardRouter};
 pub use stats::ShardLane;

@@ -1,25 +1,29 @@
-//! The shard router: owner-cache resolution, RHS-block scatter, partial
-//! solve gather, and the shared top-tree sweep.
+//! The shard router: partition, RHS-block scatter, partial solve gather,
+//! and the shared top-tree sweep.
 //!
 //! Topology: `p` shard worker threads hold transport ranks `0..p`, the
-//! router holds rank `p`. A solve is a control-plane job broadcast (key +
-//! RHS width + a shared outcome record, over crossbeam channels) followed
-//! by the data-plane exchange over [`kfds_rt::Transport`]: the router
-//! scatters each shard's contiguous RHS row block under
-//! [`tags::SHARD_DATA`], every worker solves its rank-owned subtree
-//! locally and sends the solved block back, and the router finishes the
-//! gathered vector with [`PartitionedFactor::solve_top`] — the shared
-//! top-tree corrections. The data plane is serialized under one mutex, so
+//! router holds rank `p`. A solve partitions the caller's factor handle
+//! (a view: `O(p)` index arithmetic, no copy), then makes a control-plane
+//! job broadcast (that [`PartitionedFactor`] + RHS width + a shared
+//! outcome record, over crossbeam channels) followed by the data-plane
+//! exchange over [`kfds_rt::Transport`]: the router scatters each shard's
+//! contiguous RHS row block under [`tags::SHARD_DATA`], every worker
+//! solves its rank-owned subtree locally and sends the solved block back,
+//! and the router finishes the gathered vector with
+//! [`PartitionedFactor::solve_top`] — the shared top-tree corrections. The data plane is serialized under one mutex, so
 //! a request's scatter/gather pair can never interleave with another's
 //! and tag reuse across requests is safe; workers drain their channel in
 //! order, matching the transport's per-pair FIFO guarantee.
 //!
-//! A failed worker (missing partition, malformed payload, panicking
-//! solve) still sends an (empty, hence malformed) gather block so the
-//! router always receives exactly `p` responses and the data plane stays
-//! clean; the failure itself travels through the outcome record.
+//! A failed worker (malformed payload, panicking solve) still sends an
+//! (empty, hence malformed) gather block so the router always receives
+//! exactly `p` responses and the data plane stays clean; the failure
+//! itself travels through the outcome record.
+//!
+//! The router keeps no factor: the job carries the handle, and each
+//! worker drops its clone before it answers, so when `solve` returns the
+//! caller's handles are the only ones left.
 
-use crate::cache::SingleFlightCache;
 use crate::stats::{ShardCounters, ShardLane};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use kfds_core::{PartitionedFactor, SharedFactor};
@@ -27,7 +31,6 @@ use kfds_kernels::Kernel;
 use kfds_la::{Mat, MatMut};
 use kfds_rt::sync::{LockRank, RankedMutex};
 use kfds_rt::{tags, Comm, Transport, World};
-use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -43,10 +46,9 @@ const GATHER: u32 = tags::SHARD_DATA.tag(1);
 pub enum ShardError {
     /// The router is shut down (or shutting down); no work was dispatched.
     ShuttingDown,
-    /// The factorization cannot be split into this router's shard count
-    /// (or its partition record is quarantined). The caller should serve
-    /// the request on the single-node path instead — the answer is
-    /// bitwise the same.
+    /// The factorization cannot be split into this router's shard count.
+    /// The caller should serve the request on the single-node path
+    /// instead — the answer is bitwise the same.
     Unpartitionable(String),
     /// A shard worker failed its local solve; the RHS buffer contents are
     /// unspecified and the request must be reported failed.
@@ -115,8 +117,8 @@ impl RequestOutcome {
 }
 
 /// Control-plane message to one shard worker.
-enum Job<Key> {
-    Solve { key: Key, nrhs: usize, outcome: Arc<RequestOutcome> },
+enum Job<K: Kernel + 'static> {
+    Solve { pf: PartitionedFactor<K>, nrhs: usize, outcome: Arc<RequestOutcome> },
     Shutdown,
 }
 
@@ -127,46 +129,29 @@ struct DataPlane {
     closed: bool,
 }
 
-/// Routes keyed solve requests across `p` shard workers.
-///
-/// Caching is two-level within the shard group: the router owns the
-/// *group* cache (one [`PartitionedFactor`] per key, built single-flight
-/// under the data-plane lock), and each worker keeps a *local* cache in
-/// front of it, filled by [`SingleFlightCache::peek`]ing the group owner
-/// — workers never build. Stacked under `kfds-serve`'s setup cache this
-/// gives the three-level hierarchy: setup (λ-free, once per shard group)
-/// → group partition (per key) → shard-local handle.
-pub struct ShardRouter<Key, K>
-where
-    Key: Clone + Eq + Hash + Send + Sync + 'static,
-    K: Kernel + 'static,
-{
+/// Routes solve requests across `p` shard workers. Stateless between
+/// requests: which factor a request solves on is the caller's business
+/// (`kfds-serve` resolves it through its setup and factor caches).
+pub struct ShardRouter<K: Kernel + 'static> {
     p: usize,
-    owner: Arc<SingleFlightCache<Key, PartitionedFactor<K>>>,
     plane: RankedMutex<DataPlane>,
-    job_txs: Vec<Sender<Job<Key>>>,
+    job_txs: Vec<Sender<Job<K>>>,
     workers: RankedMutex<Vec<JoinHandle<()>>>,
     counters: Arc<Vec<ShardCounters>>,
 }
 
-impl<Key, K> ShardRouter<Key, K>
-where
-    Key: Clone + Eq + Hash + Send + Sync + 'static,
-    K: Kernel + 'static,
-{
+impl<K: Kernel + 'static> ShardRouter<K> {
     /// Spawns `p` shard workers (transport ranks `0..p`; the router keeps
-    /// rank `p`), each with a local partition cache of `cache_capacity`
-    /// entries; the group-owner cache uses the same capacity.
+    /// rank `p`).
     ///
     /// # Panics
     /// Panics if `p == 0`.
-    pub fn start(p: usize, cache_capacity: usize) -> Self {
+    pub fn start(p: usize) -> Self {
         assert!(p > 0, "need at least one shard");
         let mut eps = World::endpoints(p + 1);
         // PANIC-OK: World::endpoints(p + 1) returns exactly p + 1
         // endpoints by contract and p >= 1 is asserted above.
         let router_ep = eps.pop().expect("p + 1 endpoints");
-        let owner = Arc::new(SingleFlightCache::new(cache_capacity, LockRank::ShardPartitionCache));
         let counters: Arc<Vec<ShardCounters>> =
             Arc::new((0..p).map(|_| ShardCounters::default()).collect());
         let mut job_txs = Vec::with_capacity(p);
@@ -174,13 +159,11 @@ where
         for (shard, ep) in eps.into_iter().enumerate() {
             let (tx, rx) = unbounded();
             job_txs.push(tx);
-            let owner = Arc::clone(&owner);
             let counters = Arc::clone(&counters);
-            let local = SingleFlightCache::new(cache_capacity, LockRank::ShardPartitionCache);
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("kfds-shard-{shard}"))
-                    .spawn(move || worker_loop(shard, p, ep, rx, local, owner, counters))
+                    .spawn(move || worker_loop(shard, p, ep, rx, counters))
                     // PANIC-OK: thread-spawn failure at router startup is a
                     // resource-exhaustion fault on the control plane, not a
                     // per-request data-plane condition to degrade from.
@@ -189,7 +172,6 @@ where
         }
         ShardRouter {
             p,
-            owner,
             plane: RankedMutex::new(
                 LockRank::RouterDataPlane,
                 DataPlane { ep: router_ep, closed: false },
@@ -205,11 +187,10 @@ where
         self.p
     }
 
-    /// Solves `(λI + K̃) X = B` in place across the shard group: resolves
-    /// (or builds) the partition of `factor` under `key`, scatters RHS
-    /// row blocks, gathers the per-shard partial solves and applies the
-    /// shared top tree. Bitwise-identical to the single-node blocked
-    /// solve on the same `b`.
+    /// Solves `(λI + K̃) X = B` in place across the shard group:
+    /// partitions `factor`, scatters RHS row blocks, gathers the per-shard
+    /// partial solves and applies the shared top tree. Bitwise-identical
+    /// to the single-node blocked solve on the same `b`.
     ///
     /// # Errors
     /// [`ShardError::ShuttingDown`] after [`shutdown`](Self::shutdown)
@@ -218,21 +199,12 @@ where
     /// `p` shards (`b` untouched — serve the single-node path instead);
     /// [`ShardError::ShardFailed`] when a worker fails (`b`'s contents
     /// are unspecified).
-    pub fn solve(
-        &self,
-        key: &Key,
-        factor: &SharedFactor<K>,
-        b: &mut Mat,
-    ) -> Result<(), ShardError> {
+    pub fn solve(&self, factor: &SharedFactor<K>, b: &mut Mat) -> Result<(), ShardError> {
         let plane = self.plane.lock();
         if plane.closed {
             return Err(ShardError::ShuttingDown);
         }
-        let (pf, _hit) = self
-            .owner
-            .get_or_build(key, || {
-                PartitionedFactor::partition(factor.clone(), self.p).map_err(|e| e.to_string())
-            })
+        let pf = PartitionedFactor::partition(factor.clone(), self.p)
             .map_err(|e| ShardError::Unpartitionable(e.to_string()))?;
         assert_eq!(b.nrows(), pf.n(), "routed solve: rhs rows mismatch");
         let nrhs = b.ncols();
@@ -241,7 +213,7 @@ where
         }
         let outcome = Arc::new(RequestOutcome::new(self.p));
         for tx in &self.job_txs {
-            let job = Job::Solve { key: key.clone(), nrhs, outcome: Arc::clone(&outcome) };
+            let job = Job::Solve { pf: pf.clone(), nrhs, outcome: Arc::clone(&outcome) };
             // PANIC-OK: workers only exit after a Shutdown job, which is
             // only sent with `closed` set under this same lock — a
             // disconnected channel here means a worker died outside the
@@ -263,16 +235,6 @@ where
     /// Per-shard counter snapshots, in shard order.
     pub fn stats(&self) -> Vec<ShardLane> {
         self.counters.iter().enumerate().map(|(s, c)| c.snapshot(s)).collect()
-    }
-
-    /// Partitions built by the shard-group owner cache.
-    pub fn owner_builds(&self) -> u64 {
-        self.owner.builds()
-    }
-
-    /// Partitions resident in the shard-group owner cache.
-    pub fn owner_ready_len(&self) -> usize {
-        self.owner.ready_len()
     }
 
     /// Stops the workers and joins them. Idempotent; in-flight solves
@@ -298,70 +260,54 @@ where
     }
 }
 
-impl<Key, K> Drop for ShardRouter<Key, K>
-where
-    Key: Clone + Eq + Hash + Send + Sync + 'static,
-    K: Kernel + 'static,
-{
+impl<K: Kernel + 'static> Drop for ShardRouter<K> {
     fn drop(&mut self) {
         self.shutdown();
     }
 }
 
-fn worker_loop<Key, K>(
+fn worker_loop<K: Kernel + 'static>(
     shard: usize,
     p: usize,
     ep: Comm,
-    rx: Receiver<Job<Key>>,
-    local: SingleFlightCache<Key, PartitionedFactor<K>>,
-    owner: Arc<SingleFlightCache<Key, PartitionedFactor<K>>>,
+    rx: Receiver<Job<K>>,
     counters: Arc<Vec<ShardCounters>>,
-) where
-    Key: Clone + Eq + Hash + Send + Sync + 'static,
-    K: Kernel + 'static,
-{
+) {
     let me = &counters[shard];
     while let Ok(job) = rx.recv() {
-        let Job::Solve { key, nrhs, outcome } = job else {
+        let Job::Solve { pf, nrhs, outcome } = job else {
             break;
         };
         ShardCounters::bump(&me.requests);
         // The router scatters unconditionally after broadcasting the job,
-        // so the payload must be consumed even on the failure paths below
+        // so the payload must be consumed even on the failure path below
         // — otherwise it would linger and corrupt the next request.
         let mut payload = ep.recv_block(p, SCATTER);
-        let result: Result<(), String> = match local.get_or_build(&key, || {
-            owner
-                .peek(&key)
-                .ok_or("partition not resident in the shard-group owner cache".to_string())
-        }) {
-            Err(e) => Err(e.to_string()),
-            Ok((pf, hit)) => {
-                ShardCounters::bump(if hit { &me.local_hits } else { &me.local_misses });
-                let rows = pf.shard_range(shard).len();
-                if nrhs == 0 || payload.len() != rows * nrhs {
-                    Err(format!(
-                        "scatter payload shape mismatch on shard {shard}: got {} values for \
-                         {rows} x {nrhs}",
-                        payload.len()
-                    ))
-                } else {
-                    // The payload is the shard's row block, column-major:
-                    // solve on it where it landed and send it back.
-                    catch_unwind(AssertUnwindSafe(|| {
-                        pf.solve_local(shard, MatMut::from_parts(&mut payload, rows, nrhs, rows));
-                    }))
-                    .map_err(|panic| {
-                        let msg = panic
-                            .downcast_ref::<&str>()
-                            .map(|s| s.to_string())
-                            .or_else(|| panic.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "local solve panicked".to_string());
-                        format!("local solve panicked on shard {shard}: {msg}")
-                    })
-                }
-            }
+        let rows = pf.shard_range(shard).len();
+        let result: Result<(), String> = if nrhs == 0 || payload.len() != rows * nrhs {
+            Err(format!(
+                "scatter payload shape mismatch on shard {shard}: got {} values for \
+                 {rows} x {nrhs}",
+                payload.len()
+            ))
+        } else {
+            // The payload is the shard's row block, column-major: solve on
+            // it where it landed and send it back.
+            catch_unwind(AssertUnwindSafe(|| {
+                pf.solve_local(shard, MatMut::from_parts(&mut payload, rows, nrhs, rows));
+            }))
+            .map_err(|panic| {
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "local solve panicked".to_string());
+                format!("local solve panicked on shard {shard}: {msg}")
+            })
         };
+        // The job's handle goes before the answer does: once the router has
+        // gathered, no worker still holds the factor.
+        drop(pf);
         match result {
             Ok(()) => {
                 me.rows_solved.fetch_add(payload.len() as u64, Ordering::Relaxed);

@@ -8,8 +8,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Default)]
 pub(crate) struct ShardCounters {
     pub requests: AtomicU64,
-    pub local_hits: AtomicU64,
-    pub local_misses: AtomicU64,
     pub rows_solved: AtomicU64,
     pub errors: AtomicU64,
 }
@@ -23,8 +21,6 @@ impl ShardCounters {
         ShardLane {
             shard,
             requests: self.requests.load(Ordering::Relaxed),
-            local_hits: self.local_hits.load(Ordering::Relaxed),
-            local_misses: self.local_misses.load(Ordering::Relaxed),
             rows_solved: self.rows_solved.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
         }
@@ -39,15 +35,10 @@ pub struct ShardLane {
     pub shard: usize,
     /// Scatter/gather requests this shard served (one per routed batch).
     pub requests: u64,
-    /// Requests resolved from the shard-local partition cache.
-    pub local_hits: u64,
-    /// Requests that had to fetch the partition from the shard-group
-    /// owner cache.
-    pub local_misses: u64,
     /// Total RHS rows solved locally (`shard rows × nrhs`, summed).
     pub rows_solved: u64,
-    /// Requests that failed on this shard (bad payload, missing
-    /// partition, or a panicking local solve).
+    /// Requests that failed on this shard (bad payload or a panicking
+    /// local solve).
     pub errors: u64,
 }
 
@@ -56,14 +47,8 @@ impl ShardLane {
     /// stats JSON embeds it verbatim).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"shard\": {}, \"requests\": {}, \"local_hits\": {}, \"local_misses\": {}, \
-             \"rows_solved\": {}, \"errors\": {}}}",
-            self.shard,
-            self.requests,
-            self.local_hits,
-            self.local_misses,
-            self.rows_solved,
-            self.errors
+            "{{\"shard\": {}, \"requests\": {}, \"rows_solved\": {}, \"errors\": {}}}",
+            self.shard, self.requests, self.rows_solved, self.errors
         )
     }
 }

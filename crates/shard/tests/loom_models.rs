@@ -61,16 +61,16 @@ fn router_shutdown_never_loses_a_ticket() {
     let rhs = Arc::new(rhs);
     let expect = Arc::new(expect);
     loom::model(move || {
-        let router: Arc<ShardRouter<u64, Gaussian>> = Arc::new(ShardRouter::start(P, 2));
-        let solvers: Vec<_> = (0..2u64)
-            .map(|key| {
+        let router: Arc<ShardRouter<Gaussian>> = Arc::new(ShardRouter::start(P));
+        let solvers: Vec<_> = (0..2)
+            .map(|_| {
                 let router = Arc::clone(&router);
                 let sf = Arc::clone(&sf);
                 let rhs = Arc::clone(&rhs);
                 let expect = Arc::clone(&expect);
                 thread::spawn(move || {
                     let mut b = (*rhs).clone();
-                    match router.solve(&key, &sf, &mut b) {
+                    match router.solve(&sf, &mut b) {
                         Ok(()) => {
                             for j in 0..NRHS {
                                 assert_eq!(
@@ -97,23 +97,22 @@ fn router_shutdown_never_loses_a_ticket() {
         // Idempotent after the race, and firmly closed.
         router.shutdown();
         let mut b = (*rhs).clone();
-        assert!(matches!(router.solve(&9, &sf, &mut b), Err(ShardError::ShuttingDown)));
+        assert!(matches!(router.solve(&sf, &mut b), Err(ShardError::ShuttingDown)));
     });
 }
 
 #[test]
 fn scatter_gather_completes_exactly_once_per_request() {
-    // Concurrent same-key solves: every request must run the
+    // Concurrent solves on one factor: every request must run the
     // scatter/gather protocol exactly once per shard (the router-side
     // gather counts exactly p legs; the outcome record's swap assert
-    // fires on any double completion), the partition must build once for
-    // the group, and each shard's local cache must miss exactly once.
+    // fires on any double completion).
     let (sf, rhs, expect) = fixture();
     let sf = Arc::new(sf);
     let rhs = Arc::new(rhs);
     let expect = Arc::new(expect);
     loom::model(move || {
-        let router: Arc<ShardRouter<u64, Gaussian>> = Arc::new(ShardRouter::start(P, 2));
+        let router: Arc<ShardRouter<Gaussian>> = Arc::new(ShardRouter::start(P));
         let handles: Vec<_> = (0..3)
             .map(|_| {
                 let router = Arc::clone(&router);
@@ -122,7 +121,7 @@ fn scatter_gather_completes_exactly_once_per_request() {
                 let expect = Arc::clone(&expect);
                 thread::spawn(move || {
                     let mut b = (*rhs).clone();
-                    router.solve(&1u64, &sf, &mut b).expect("routed solve");
+                    router.solve(&sf, &mut b).expect("routed solve");
                     for j in 0..NRHS {
                         assert_eq!(b.col(j), expect.col(j));
                     }
@@ -132,11 +131,8 @@ fn scatter_gather_completes_exactly_once_per_request() {
         for h in handles {
             h.join().expect("solver thread");
         }
-        assert_eq!(router.owner_builds(), 1, "one partition build per shard group");
         for lane in router.stats() {
             assert_eq!(lane.requests, 3, "every request reaches every shard exactly once");
-            assert_eq!(lane.local_misses, 1, "each shard fills its local cache once");
-            assert_eq!(lane.local_hits, 2);
             assert_eq!(lane.errors, 0);
             assert_eq!(lane.rows_solved, 3 * (128 / P as u64) * NRHS as u64);
         }
@@ -154,14 +150,14 @@ fn rank_inversion_is_caught_by_the_runtime_checker() {
     // a (deadlock-free, single-threaded here) pair of acquisitions.
     use kfds_rt::sync::{LockRank, RankedMutex};
     loom::model(|| {
-        let hi = Arc::new(RankedMutex::new(LockRank::ShardPartitionCache, ()));
+        let hi = Arc::new(RankedMutex::new(LockRank::ShardOutcome, ()));
         let lo = Arc::new(RankedMutex::new(LockRank::RouterDataPlane, ()));
         let h = {
             let hi = Arc::clone(&hi);
             let lo = Arc::clone(&lo);
             thread::spawn(move || {
                 let _outer = hi.lock();
-                let _inner = lo.lock(); // ShardPartitionCache > RouterDataPlane: inversion
+                let _inner = lo.lock(); // ShardOutcome > RouterDataPlane: inversion
             })
         };
         let res = h.join();

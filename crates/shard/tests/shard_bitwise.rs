@@ -43,13 +43,15 @@ fn rhs_matrix(n: usize, nrhs: usize, salt: usize) -> Mat {
 
 #[test]
 fn routed_solve_is_bitwise_identical_for_p_1_2_4() {
-    let sf = shared_factor(0.5);
+    // Two factors through one router: each request is solved on the
+    // handle it came with, and the router keeps neither.
+    let (a, b) = (shared_factor(0.5), shared_factor(2.0));
     for p in [1usize, 2, 4] {
-        let router: ShardRouter<String, Gaussian> = ShardRouter::start(p, 4);
-        for (salt, nrhs) in [(0usize, 1usize), (1, 4), (2, 7)] {
+        let router: ShardRouter<Gaussian> = ShardRouter::start(p);
+        for (sf, salt, nrhs) in [(&a, 0usize, 1usize), (&a, 1, 4), (&b, 2, 7)] {
             let mut routed = rhs_matrix(sf.n(), nrhs, salt);
             let mut single = routed.clone();
-            router.solve(&"k".to_string(), &sf, &mut routed).expect("routed solve");
+            router.solve(sf, &mut routed).expect("routed solve");
             sf.factor_tree().solve_mat_in_place(&mut single).expect("single-node solve");
             for j in 0..nrhs {
                 assert_eq!(
@@ -58,19 +60,17 @@ fn routed_solve_is_bitwise_identical_for_p_1_2_4() {
                     "p={p} nrhs={nrhs}: routed and single-node answers diverge in column {j}"
                 );
             }
+            assert_eq!(sf.handle_count(), 1, "p={p}: a finished solve leaves no handle behind");
         }
-        // One partition build serves every request; each shard missed its
-        // local cache exactly once and erred never.
-        assert_eq!(router.owner_builds(), 1);
         for lane in router.stats() {
             assert_eq!(lane.requests, 3);
-            assert_eq!(lane.local_misses, 1);
-            assert_eq!(lane.local_hits, 2);
             assert_eq!(lane.errors, 0);
         }
         router.shutdown();
+        assert_eq!(a.handle_count(), 1, "p={p}: the router retains nothing");
+        assert_eq!(b.handle_count(), 1, "p={p}: the router retains nothing");
         assert!(matches!(
-            router.solve(&"k".to_string(), &sf, &mut rhs_matrix(sf.n(), 1, 0)),
+            router.solve(&a, &mut rhs_matrix(a.n(), 1, 0)),
             Err(ShardError::ShuttingDown)
         ));
     }
@@ -80,10 +80,10 @@ fn routed_solve_is_bitwise_identical_for_p_1_2_4() {
 fn unpartitionable_factor_is_reported_not_dispatched() {
     let sf = shared_factor(0.5);
     // 512 points with 64-point leaves: depth 3, so 16 shards have no cut.
-    let router: ShardRouter<String, Gaussian> = ShardRouter::start(16, 4);
+    let router: ShardRouter<Gaussian> = ShardRouter::start(16);
     let mut b = rhs_matrix(sf.n(), 2, 0);
     let before = b.clone();
-    match router.solve(&"deep".to_string(), &sf, &mut b) {
+    match router.solve(&sf, &mut b) {
         Err(ShardError::Unpartitionable(_)) => {}
         other => panic!("expected Unpartitionable, got {other:?}"),
     }
@@ -110,10 +110,10 @@ proptest! {
         let lambda = [0.25, 1.0, 4.0][lambda_ix];
         let sf = shared_factor(lambda);
         let p = 1 << p_log;
-        let router: ShardRouter<u64, Gaussian> = ShardRouter::start(p, 2);
+        let router: ShardRouter<Gaussian> = ShardRouter::start(p);
         let mut routed = rhs_matrix(sf.n(), nrhs, p_log);
         let mut single = routed.clone();
-        router.solve(&7u64, &sf, &mut routed).expect("routed solve");
+        router.solve(&sf, &mut routed).expect("routed solve");
         sf.factor_tree().solve_mat_in_place(&mut single).expect("single-node solve");
         for j in 0..nrhs {
             prop_assert_eq!(routed.col(j), single.col(j));

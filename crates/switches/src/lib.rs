@@ -118,7 +118,7 @@ pub const KFDS_REFACTOR: Switch = Switch {
     off_values: &["off", "0"],
     doc: "disables λ-sweep refactorization: `lambda_sweep`, the GP noise-grid \
           fit, and the serve tier's factor stage rebuild every factorization \
-          from scratch per λ (re-evaluating all kernel blocks, the legacy \
+          from scratch per λ (re-evaluating the coupling blocks, the legacy \
           path) instead of refactoring over cached λ-independent \
           `AssembledBlocks`",
 };

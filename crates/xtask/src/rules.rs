@@ -970,7 +970,7 @@ mod tests {
         // rank); the static analysis must not guess.
         let src =
             "fn f(&self) {\n    let st = self.state.lock();\n    let q = self.queue.lock();\n}\n";
-        assert!(lint("crates/shard/src/cache.rs", src).is_empty());
+        assert!(lint("crates/serve/src/cache.rs", src).is_empty());
     }
 
     #[test]
