@@ -104,10 +104,12 @@ step "cargo test (kfds-core, KFDS_REFACTOR=off — per-λ rebuild reference)"
 # and that the two routes agree bitwise.
 KFDS_REFACTOR=off cargo test -q -p kfds-core
 
-step "cargo test (kfds-core, KFDS_BATCH=off — per-node engine reference)"
-# Skeletonization, assembly and factorization run the per-node engine the
-# level-batched one is proven bitwise against (tests/batch_equiv.rs).
-KFDS_BATCH=off cargo test -q -p kfds-core
+step "cargo test (kfds-core solve_digests, KFDS_SIMD=off KFDS_BATCH=off — the golden table, retired switch set)"
+# The digest table is asserted only on the scalar kernel bodies, so this is
+# the lane that holds skeletons, factors and solves to the recorded bits.
+# KFDS_BATCH is retired (no crate reads it; the registry entry waits on
+# ROADMAP 1(a)): setting it must move no digest.
+KFDS_SIMD=off KFDS_BATCH=off cargo test -q -p kfds-core --test solve_digests
 
 if [[ $miri -eq 1 ]]; then
   step "miri lane (kfds-la deterministic suite under the interpreter)"

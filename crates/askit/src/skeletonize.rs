@@ -10,9 +10,8 @@
 use crate::config::SkelConfig;
 use crate::sampling::sample_rows;
 use crate::skeleton::{NodeSkeleton, SkeletonTree};
-use kfds_kernels::{eval_block, eval_blocks, BlockSpec, Kernel};
-use kfds_la::workspace::WsIdx;
-use kfds_la::{group_by_shape, interp_decomp, workspace, Mat};
+use kfds_kernels::{eval_block, Kernel};
+use kfds_la::{interp_decomp, workspace};
 use kfds_tree::{knn_all, knn_approximate, BallTree, NeighborLists};
 use rayon::prelude::*;
 
@@ -53,120 +52,15 @@ pub fn skeletonize_with_neighbors<K: Kernel>(
     // Deepest level first; each level only reads skeletons of deeper levels.
     for level in (config.max_level..=tree.depth()).rev() {
         let level_nodes: Vec<usize> = tree.nodes_at_level(level).to_vec();
-        let results: Vec<(usize, Option<NodeSkeleton>)> = if kfds_la::batch_active() {
-            skeletonize_level_batched(&tree, kernel, nn, &skeletons, &level_nodes, &config)
-        } else {
-            level_nodes
-                .par_iter()
-                .map(|&i| (i, skeletonize_node(&tree, kernel, nn, &skeletons, i, &config)))
-                .collect()
-        };
+        let results: Vec<(usize, Option<NodeSkeleton>)> = level_nodes
+            .par_iter()
+            .map(|&i| (i, skeletonize_node(&tree, kernel, nn, &skeletons, i, &config)))
+            .collect();
         for (i, sk) in results {
             skeletons[i] = sk;
         }
     }
     SkeletonTree::new(tree, skeletons, config)
-}
-
-/// One planned level of the batched construction (`KFDS_BATCH`): per-node
-/// row/column sampling first (deterministic per `(seed, node)` regardless
-/// of scheduling), then per block-shape group one batched evaluation of
-/// the sampled kernel blocks `K_{S' α}` followed immediately by that
-/// group's IDs (blocks stay cache-hot between eval and decomposition).
-/// Bitwise identical to the per-node path: the same blocks feed the same
-/// rank-revealing QR in the same per-node arithmetic order — only the
-/// launch structure differs.
-fn skeletonize_level_batched<K: Kernel>(
-    tree: &BallTree,
-    kernel: &K,
-    nn: &NeighborLists,
-    skeletons: &[Option<NodeSkeleton>],
-    level_nodes: &[usize],
-    config: &SkelConfig,
-) -> Vec<(usize, Option<NodeSkeleton>)> {
-    let mut out: Vec<(usize, Option<NodeSkeleton>)> =
-        level_nodes.iter().map(|&i| (i, None)).collect();
-
-    // Stage 1 — sampling. `cols` lists stay checked out of the index pool
-    // until the IDs resolve skeleton indices through them.
-    struct Sampled {
-        pos: usize,
-        rows: Vec<usize>,
-        cols: WsIdx,
-        internal: bool,
-    }
-    let sampled: Vec<Option<Sampled>> = level_nodes
-        .par_iter()
-        .enumerate()
-        .map(|(pos, &node)| -> Option<Sampled> {
-            let nd = tree.node(node);
-            let mut cols = workspace::take_idx(nd.len());
-            match nd.children {
-                None => cols.extend(nd.range()),
-                Some((l, r)) => {
-                    let (ls, rs) = (skeletons[l].as_ref()?, skeletons[r].as_ref()?);
-                    cols.extend(ls.skeleton.iter().chain(rs.skeleton.iter()).copied());
-                }
-            }
-            if cols.is_empty() {
-                return None;
-            }
-            let rows = sample_rows(tree, nn, &cols, nd.begin, nd.end, node, config);
-            if rows.is_empty() {
-                return None;
-            }
-            Some(Sampled { pos, rows, cols, internal: nd.children.is_some() })
-        })
-        .collect();
-    let sampled: Vec<Sampled> = sampled.into_iter().flatten().collect();
-    if sampled.is_empty() {
-        return out;
-    }
-
-    // Stages 2+3 — per shape group: evaluate the group's blocks in one
-    // batched call, then run its IDs immediately while the blocks are
-    // still cache-hot. (Materializing the *whole* level before any ID
-    // starts costs more in locality than the launch grouping saves —
-    // each block is evaluated and decomposed identically either way, so
-    // the pipelining is invisible to the bits.)
-    let shapes: Vec<(usize, usize)> =
-        sampled.iter().map(|s| (s.rows.len(), s.cols.len())).collect();
-    for (_, idxs) in group_by_shape(&shapes, |&sh| sh) {
-        let specs: Vec<BlockSpec<'_>> = idxs
-            .iter()
-            .map(|&k| BlockSpec::RowsByCols { rows: &sampled[k].rows, cols: &sampled[k].cols })
-            .collect();
-        let (mats, _groups) = eval_blocks(kernel, tree.points(), &specs);
-        let items: Vec<(usize, Mat)> = idxs.iter().copied().zip(mats).collect();
-        let done: Vec<(usize, Option<NodeSkeleton>)> = items
-            .into_par_iter()
-            .map(|(k, block)| {
-                let s = &sampled[k];
-                let id = interp_decomp(block, config.tol, config.max_rank);
-                let sk = if id.rank() == 0 {
-                    // Off-node interactions numerically zero: empty
-                    // skeleton is valid — U V vanish for this node.
-                    Some(NodeSkeleton {
-                        skeleton: Vec::new(),
-                        proj: Mat::zeros(0, s.cols.len()),
-                        sigma_est: Vec::new(),
-                    })
-                } else if config.adaptive_frontier && s.internal && id.is_full_rank() {
-                    // α̃ = l̃ ∪ r̃: no compression; stop the recursion here
-                    // (paper §II-A "Level restriction").
-                    None
-                } else {
-                    let skeleton: Vec<usize> = id.skeleton.iter().map(|&c| s.cols[c]).collect();
-                    Some(NodeSkeleton { skeleton, proj: id.proj, sigma_est: id.sigma_est })
-                };
-                (s.pos, sk)
-            })
-            .collect();
-        for (pos, sk) in done {
-            out[pos].1 = sk;
-        }
-    }
-    out
 }
 
 /// Skeletonizes one node, or returns `None` when the node cannot (children

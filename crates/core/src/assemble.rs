@@ -26,11 +26,10 @@
 //! Under `KFDS_REFACTOR=off` [`crate::lambda_sweep`] and friends
 //! re-assemble and re-factor per λ.
 
-use crate::config::LevelStats;
 use crate::error::SolverError;
 use crate::factor::{in_factored_region, in_subtree};
 use kfds_askit::SkeletonTree;
-use kfds_kernels::{eval_block_range, eval_blocks, flops, BlockSpec, Kernel};
+use kfds_kernels::{eval_block_range, flops, Kernel};
 use kfds_la::Mat;
 use rayon::prelude::*;
 use std::sync::OnceLock;
@@ -65,11 +64,6 @@ pub struct AssembleStats {
     pub kernel_flops: f64,
     /// Bytes retained by the cached blocks.
     pub bytes: usize,
-    /// Per-level breakdown of the batched level walk (root-last,
-    /// bottom-up like [`crate::FactorStats::levels`]). Empty on the
-    /// per-node path (`KFDS_BATCH=off`), which is node-, not
-    /// level-parallel.
-    pub levels: Vec<LevelStats>,
 }
 
 /// The coupling blocks of the factorization of `λI + K̃` — its stored `V`
@@ -161,24 +155,19 @@ pub(crate) fn assemble<K: Kernel>(st: &SkeletonTree, kernel: &K, root: usize) ->
     let wanted = |i: usize| {
         tree.node(i).children.filter(|_| in_subtree(tree, root, i) && in_factored_region(st, i))
     };
-    let mut levels: Vec<LevelStats> = Vec::new();
-    let nodes: Vec<NodeBlocks> = if kfds_la::batch_active() {
-        assemble_level_batched(st, kernel, wanted, &mut levels)
-    } else {
-        (0..tree.nodes().len())
-            .into_par_iter()
-            .map(|i| {
-                let Some((l, r)) = wanted(i) else {
-                    return NodeBlocks::default();
-                };
-                let skl = st.skeleton(l).expect("factorable node needs skeletonized children");
-                let skr = st.skeleton(r).expect("factorable node needs skeletonized children");
-                let k_lr = eval_block_range(kernel, pts, &skl.skeleton, tree.node(r).range());
-                let k_rl = eval_block_range(kernel, pts, &skr.skeleton, tree.node(l).range());
-                NodeBlocks { k_lr: Some(k_lr), k_rl: Some(k_rl) }
-            })
-            .collect()
-    };
+    let nodes: Vec<NodeBlocks> = (0..tree.nodes().len())
+        .into_par_iter()
+        .map(|i| {
+            let Some((l, r)) = wanted(i) else {
+                return NodeBlocks::default();
+            };
+            let skl = st.skeleton(l).expect("factorable node needs skeletonized children");
+            let skr = st.skeleton(r).expect("factorable node needs skeletonized children");
+            let k_lr = eval_block_range(kernel, pts, &skl.skeleton, tree.node(r).range());
+            let k_rl = eval_block_range(kernel, pts, &skr.skeleton, tree.node(l).range());
+            NodeBlocks { k_lr: Some(k_lr), k_rl: Some(k_rl) }
+        })
+        .collect();
 
     let mut kernel_flops = 0.0;
     let mut bytes = 0usize;
@@ -189,55 +178,6 @@ pub(crate) fn assemble<K: Kernel>(st: &SkeletonTree, kernel: &K, root: usize) ->
             bytes += blk.nrows() * blk.ncols() * 8;
         }
     }
-    let stats = AssembleStats { seconds: t0.elapsed().as_secs_f64(), kernel_flops, bytes, levels };
+    let stats = AssembleStats { seconds: t0.elapsed().as_secs_f64(), kernel_flops, bytes };
     AssembledBlocks { nodes, stats, n_points: pts.len() }
-}
-
-/// The batched assembly walk (`KFDS_BATCH`): instead of one task per
-/// node, every kernel block of a tree level is requested through one
-/// [`eval_blocks`] call — one gather + Gram GEMM + epilogue launch per
-/// block *shape* group. Identical bits: each block is evaluated by the
-/// same deterministic pipeline as the per-node calls, only the launch
-/// structure differs. Assembly has no cross-level dependencies; levels
-/// are walked bottom-up purely so the recorded [`LevelStats`] align with
-/// the factorization sweep's.
-fn assemble_level_batched<K: Kernel>(
-    st: &SkeletonTree,
-    kernel: &K,
-    wanted: impl Fn(usize) -> Option<(usize, usize)>,
-    levels: &mut Vec<LevelStats>,
-) -> Vec<NodeBlocks> {
-    let tree = st.tree();
-    let pts = tree.points();
-    let mut nodes: Vec<NodeBlocks> =
-        (0..tree.nodes().len()).map(|_| NodeBlocks::default()).collect();
-    for level in (0..=tree.depth()).rev() {
-        let lt0 = Instant::now();
-        let level_nodes: Vec<(usize, (usize, usize))> =
-            tree.nodes_at_level(level).iter().filter_map(|&i| Some((i, wanted(i)?))).collect();
-        if level_nodes.is_empty() {
-            continue;
-        }
-        // Two specs per (internal) node: [K_l̃r, K_r̃l].
-        let mut specs: Vec<BlockSpec<'_>> = Vec::with_capacity(level_nodes.len() * 2);
-        for &(_, (l, r)) in &level_nodes {
-            let skl = st.skeleton(l).expect("factorable node needs skeletonized children");
-            let skr = st.skeleton(r).expect("factorable node needs skeletonized children");
-            specs.push(BlockSpec::RowsByRange { rows: &skl.skeleton, range: tree.node(r).range() });
-            specs.push(BlockSpec::RowsByRange { rows: &skr.skeleton, range: tree.node(l).range() });
-        }
-        let (mats, op_groups) = eval_blocks(kernel, pts, &specs);
-        let mut it = mats.into_iter();
-        for &(i, _) in &level_nodes {
-            nodes[i].k_lr = Some(it.next().expect("k_lr block"));
-            nodes[i].k_rl = Some(it.next().expect("k_rl block"));
-        }
-        levels.push(LevelStats {
-            level,
-            nodes: level_nodes.len(),
-            op_groups,
-            seconds: lt0.elapsed().as_secs_f64(),
-        });
-    }
-    nodes
 }

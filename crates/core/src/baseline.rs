@@ -108,8 +108,8 @@ pub fn factorize_baseline<'a, K: Kernel>(
         max_rank,
         stored_bytes: total.bytes + blocks.as_ref().map_or(0, |b| b.stats().bytes),
         shared_bytes: 0,
-        // Not level-synchronous in the batched sense (pass 2 walks whole
-        // subtrees); no per-level breakdown.
+        // Not level-synchronous (pass 2 walks whole subtrees); no
+        // per-level breakdown.
         levels: Vec::new(),
     };
     Ok(FactorTree { st, kernel, config, factors, stats, blocks })

@@ -94,20 +94,14 @@ impl SolverConfig {
     }
 }
 
-/// Per-level breakdown of a level-synchronous sweep (factorization or
-/// block assembly): how many nodes the level held, how many grouped
-/// launches executed it, and how long it took. With the batched engine
-/// (`KFDS_BATCH`) `op_groups` counts shape-grouped launches — typically
-/// far fewer than `nodes`; the per-node reference path counts each node
-/// as its own launch.
+/// One level of the factorization sweep: how many nodes it factored —
+/// each a task of the level's `par_iter` — and how long the level took.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct LevelStats {
     /// Tree level (0 = root).
     pub level: usize,
-    /// Nodes processed at this level.
+    /// Nodes factored at this level.
     pub nodes: usize,
-    /// Grouped launches that executed the level.
-    pub op_groups: usize,
     /// Wall-clock seconds spent on the level.
     pub seconds: f64,
 }

@@ -38,6 +38,12 @@ pub enum SolverError {
         /// root when the trees themselves differ).
         node: usize,
     },
+    /// The regularizer `λ` is NaN or infinite: every factor and every
+    /// solve would be non-finite, so nothing is factorized.
+    NonFiniteLambda {
+        /// The rejected value.
+        lambda: f64,
+    },
     /// A right-hand side whose row count is not the problem size.
     RhsShape {
         /// Rows the factorization expects (`N`).
@@ -64,6 +70,9 @@ impl fmt::Display for SolverError {
             }
             SolverError::BlocksMismatch { node } => {
                 write!(f, "assembled blocks do not fit the skeleton tree at node {node}")
+            }
+            SolverError::NonFiniteLambda { lambda } => {
+                write!(f, "the regularizer λ must be finite, got {lambda}")
             }
             SolverError::RhsShape { expected, got } => {
                 write!(f, "right-hand side has {got} rows, the factorization has {expected}")

@@ -15,6 +15,11 @@
 //! over the `O(N log² N)` scheme of \[36\] (implemented in
 //! [`crate::baseline`] for the Table III comparison).
 //!
+//! The sweep is level-synchronous, as the paper's shared-memory layer
+//! schedules it: deepest level first, the nodes of a level as the tasks of
+//! one `par_iter`, each running `factor_node` start to finish — a node
+//! reads only its children's `P̂`, final since the level below.
+//!
 //! The sweep evaluates no coupling block: under
 //! [`StorageMode::StoredGemv`] the `V` blocks live in the
 //! [`AssembledBlocks`] the tree carries — the caller's, or one
@@ -35,9 +40,6 @@ use kfds_tree::BallTree;
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Per-node outcome of a level-parallel factorization sweep.
-pub(crate) type NodeResult = (usize, Result<(NodeFactors, NodeCost), SolverError>);
 
 /// A factorized leaf diagonal block `λI + K_αα`.
 #[derive(Debug)]
@@ -164,8 +166,8 @@ impl<'a, K: Kernel> FactorTree<'a, K> {
     /// .with_storage(StoredGemv))`.
     ///
     /// # Errors
-    /// Propagates [`SolverError`] from the factorization (e.g. a λ that
-    /// makes a leaf block singular).
+    /// Propagates [`SolverError`] from the factorization (a non-finite λ,
+    /// or one that makes a leaf block singular).
     pub fn refactor(&self, lambda: f64) -> Result<FactorTree<'a, K>, SolverError> {
         let blocks = match &self.blocks {
             Some(b) => Arc::clone(b),
@@ -182,6 +184,13 @@ impl<'a, K: Kernel> FactorTree<'a, K> {
 /// reduced system and the result is a complete direct factorization. With
 /// level restriction the result is the partial factorization consumed by
 /// the hybrid solver.
+///
+/// # Errors
+/// [`SolverError::NonFiniteLambda`] for a NaN or infinite `config.lambda`,
+/// before anything is evaluated; [`SolverError::Factorization`] when a leaf
+/// or reduced system is exactly singular. A finite `λ ≤ 0`, or one below
+/// the §III threshold, still factorizes and is reported through
+/// [`FactorStats::unstable_factorizations`].
 pub fn factorize<'a, K: Kernel>(
     st: &'a SkeletonTree,
     kernel: &'a K,
@@ -226,6 +235,9 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
     blocks: Option<Arc<AssembledBlocks>>,
     root: usize,
 ) -> Result<FactorTree<'a, K>, SolverError> {
+    if !config.lambda.is_finite() {
+        return Err(SolverError::NonFiniteLambda { lambda: config.lambda });
+    }
     let t0 = Instant::now();
     let tree = st.tree();
     let n_nodes = tree.nodes().len();
@@ -247,19 +259,19 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
         let lt0 = Instant::now();
         let level_nodes: Vec<usize> =
             under_root(level).filter(|&i| in_factored_region(st, i)).collect();
-        let mut op_groups = 0;
-        if !level_nodes.is_empty() {
-            let (results, groups) =
-                run_level(st, kernel, &config, blocks.as_deref(), &factors, &level_nodes);
-            op_groups = groups;
-            for (i, res) in results {
-                let (nf, cost) = res?;
-                total.flops += cost.flops;
-                total.min_pivot = total.min_pivot.min(cost.min_pivot);
-                total.unstable += cost.unstable;
-                total.bytes += cost.bytes;
-                factors[i] = nf;
-            }
+        // The nodes of a level are independent: each reads only its
+        // children's factors, final since the level below.
+        let results: Vec<_> = level_nodes
+            .par_iter()
+            .map(|&i| factor_node(st, kernel, &config, blocks.as_deref(), &factors, i))
+            .collect();
+        for (&i, res) in level_nodes.iter().zip(results) {
+            let (nf, cost) = res?;
+            total.flops += cost.flops;
+            total.min_pivot = total.min_pivot.min(cost.min_pivot);
+            total.unstable += cost.unstable;
+            total.bytes += cost.bytes;
+            factors[i] = nf;
         }
         // Recompute-W mode: children's internal P̂ are only needed while
         // building this level; drop them to keep the retained memory at
@@ -281,7 +293,6 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
             levels.push(LevelStats {
                 level,
                 nodes: level_nodes.len(),
-                op_groups,
                 seconds: lt0.elapsed().as_secs_f64(),
             });
         }
@@ -299,40 +310,6 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
         levels,
     };
     Ok(FactorTree { st, kernel, config, factors, stats, blocks })
-}
-
-/// Executes one level of the factorization sweep: the batched engine
-/// plans shape-grouped launches ([`crate::levelbatch`]) when `KFDS_BATCH`
-/// is active, otherwise each node runs independently inside one
-/// `par_iter` (the per-node reference path). Returns the per-node results
-/// in `level_nodes` order plus the number of launched op groups (the
-/// per-node path counts each node as its own group).
-pub(crate) fn run_level<K: Kernel>(
-    st: &SkeletonTree,
-    kernel: &K,
-    config: &SolverConfig,
-    blocks: Option<&AssembledBlocks>,
-    factors: &[NodeFactors],
-    level_nodes: &[usize],
-) -> (Vec<NodeResult>, usize) {
-    if kfds_la::batch_active() {
-        return crate::levelbatch::factor_level_batched(
-            st,
-            kernel,
-            config,
-            blocks,
-            factors,
-            level_nodes,
-        );
-    }
-    // Nodes of a level are independent; parallelize across them. Each
-    // node only reads children factors from deeper (already final)
-    // levels, so we can hand out disjoint &mut via a scatter.
-    let results: Vec<NodeResult> = level_nodes
-        .par_iter()
-        .map(|&i| (i, factor_node(st, kernel, config, blocks, factors, i)))
-        .collect();
-    (results, level_nodes.len())
 }
 
 /// `true` when `node` lies in the subtree under `root` (itself
@@ -379,16 +356,19 @@ fn factor_node<K: Kernel>(
     }
 }
 
-/// Applies the λ shift to a leaf block and factorizes it, producing the
-/// leaf factor and the node's initial cost (factorization + eval flops,
-/// pivot diagnostics, dense-block bytes).
-pub(crate) fn leaf_shift_factor(
+/// Leaf factorization, shared with the baseline (both algorithms treat
+/// leaves identically).
+pub(crate) fn factor_leaf<K: Kernel>(
+    st: &SkeletonTree,
+    kernel: &K,
     config: &SolverConfig,
     node: usize,
-    mut kaa: Mat,
-    eval_flops: f64,
-) -> Result<(LeafFactor, NodeCost), SolverError> {
-    let m = kaa.nrows();
+) -> Result<(NodeFactors, NodeCost), SolverError> {
+    let tree = st.tree();
+    let nd = tree.node(node);
+    let m = nd.len();
+    let mut kaa = eval_symmetric(kernel, tree.points(), nd.range());
+    let eval_flops = flops::summation_flops(m, m, tree.points().dim(), kernel.flops_per_eval());
     for i in 0..m {
         kaa[(i, i)] += config.lambda;
     }
@@ -403,48 +383,25 @@ pub(crate) fn leaf_shift_factor(
             (LeafFactor::Cholesky(ch), flops::lu_flops(m) / 2.0)
         }
     };
-    let cost = NodeCost {
+    let mut cost = NodeCost {
         flops: factor_flops + eval_flops,
         min_pivot: leaf.min_pivot_ratio(),
         unstable: usize::from(leaf.min_pivot_ratio() < config.stability_threshold),
         bytes: m * m * 8,
     };
-    Ok((leaf, cost))
-}
-
-/// Packs the transposed projection (`proj` is `s x m`) into a pooled
-/// `m x s` right-hand side for the `P̂` solve. Pooled: every element is
-/// written by the transpose copy.
-pub(crate) fn pack_proj(proj: &Mat, m: usize, s: usize) -> Mat {
-    let mut p = workspace::take_mat_detached(m, s);
-    for j in 0..s {
-        for i in 0..m {
-            p[(i, j)] = proj[(j, i)];
-        }
-    }
-    p
-}
-
-/// Leaf factorization, shared with the baseline (both algorithms treat
-/// leaves identically).
-pub(crate) fn factor_leaf<K: Kernel>(
-    st: &SkeletonTree,
-    kernel: &K,
-    config: &SolverConfig,
-    node: usize,
-) -> Result<(NodeFactors, NodeCost), SolverError> {
-    let tree = st.tree();
-    let nd = tree.node(node);
-    let m = nd.len();
-    let kaa = eval_symmetric(kernel, tree.points(), nd.range());
-    let eval_flops = flops::summation_flops(m, m, tree.points().dim(), kernel.flops_per_eval());
-    let (leaf, mut cost) = leaf_shift_factor(config, node, kaa, eval_flops)?;
     // P̂_{αα̃} = (λI + K_αα)^{-1} P_{αα̃}; for root-leaf trees there is no
     // skeleton and no P̂.
     let p_hat = match st.skeleton(node) {
         Some(sk) => {
             let s = sk.rank();
-            let mut p = pack_proj(&sk.proj, m, s);
+            // `proj` is `s x m`; its transpose is the right-hand side.
+            // Pooled: every element is written by the transpose copy.
+            let mut p = workspace::take_mat_detached(m, s);
+            for j in 0..s {
+                for i in 0..m {
+                    p[(i, j)] = sk.proj[(j, i)];
+                }
+            }
             leaf.solve_mat_mut(p.rb_mut());
             cost.flops += flops::lu_solve_flops(m, s);
             cost.bytes += m * s * 8;
@@ -543,8 +500,8 @@ pub(crate) fn build_reduced_system<K: Kernel>(
 }
 
 /// Packs `Z = I + VW` (eq. 8) from the coupling blocks and LU-factorizes
-/// it, folding the flop/byte/pivot accounting into `cost` exactly like
-/// the per-node path.
+/// it, folding the flop/byte/pivot accounting into `cost` — for this sweep
+/// and the distributed levels of [`crate::dist`].
 pub(crate) fn factor_z(
     b_l: &Mat,
     b_r: &Mat,
@@ -579,9 +536,9 @@ pub(crate) fn factor_z(
 }
 
 /// The telescoping factors of eq. (10), `M_c = Pt_c − (Z^{-1}(Z − I) Pt)_c`
-/// with `Pt = projᵀ`, so that `P̂_α = [P̂_l M_l ; P̂_r M_r]` — for the
-/// per-node engine and the distributed levels of [`crate::dist`]. Both
-/// results are pooled: recycle them.
+/// with `Pt = projᵀ`, so that `P̂_α = [P̂_l M_l ; P̂_r M_r]` — for this
+/// sweep and the distributed levels of [`crate::dist`]. Both results are
+/// pooled: recycle them.
 pub(crate) fn telescope_m(proj: &Mat, b_l: &Mat, b_r: &Mat, z_lu: &Lu) -> (Mat, Mat) {
     let (sl, sr, s) = (b_l.nrows(), b_r.nrows(), proj.nrows());
     // Row-halves of Pt, written straight from the transposed projection —
@@ -618,7 +575,7 @@ pub(crate) fn telescope_m(proj: &Mat, b_l: &Mat, b_r: &Mat, z_lu: &Lu) -> (Mat, 
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn factor_internal<K: Kernel>(
+fn factor_internal<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
     config: &SolverConfig,

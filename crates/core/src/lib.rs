@@ -31,7 +31,6 @@ pub mod error;
 pub mod factor;
 pub mod gp;
 pub mod hybrid;
-mod levelbatch;
 pub mod leveldirect;
 pub mod partition;
 pub mod precond;

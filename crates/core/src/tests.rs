@@ -680,6 +680,29 @@ fn factor_stats_populated() {
 }
 
 #[test]
+fn factorization_reports_level_breakdown() {
+    let (st, kernel) = fixture(1, 1e-5);
+    let ft = factorize(&st, &kernel, SolverConfig::default()).expect("f");
+    let levels = &ft.stats().levels;
+    assert!(!levels.is_empty(), "the sweep records per-level stats");
+    // Bottom-up: recorded root-last.
+    for w in levels.windows(2) {
+        assert!(w[0].level > w[1].level, "levels must be recorded bottom-up");
+    }
+    assert_eq!(
+        levels.last().map(|l| (l.level, l.nodes)),
+        Some((0, 1)),
+        "the root closes the sweep"
+    );
+    let factored =
+        ft.factors().iter().filter(|nf| nf.leaf_lu.is_some() || nf.z_lu.is_some()).count();
+    assert_eq!(levels.iter().map(|l| l.nodes).sum::<usize>(), factored);
+    assert!(levels.iter().all(|l| l.seconds >= 0.0));
+    let level_seconds: f64 = levels.iter().map(|l| l.seconds).sum();
+    assert!(level_seconds <= ft.stats().seconds, "levels are timed inside the sweep");
+}
+
+#[test]
 fn works_with_other_kernels() {
     let pts = normal_embedded(256, 2, 6, 0.05, 77);
     let tree = BallTree::build(&pts, 32);
@@ -966,6 +989,28 @@ mod refactor {
         let other = Arc::new(assemble_blocks(&small, &kernel));
         let got = factorize_with_blocks(&tight, &kernel, other, cfg);
         assert!(matches!(got, Err(crate::SolverError::BlocksMismatch { node: 0 })), "other tree");
+    }
+
+    #[test]
+    fn non_finite_lambda_is_a_typed_error() {
+        // A NaN or infinite shift used to factorize "successfully" and
+        // answer every solve with NaN, `is_unstable()` false.
+        let (st, kernel) = fixture(1, 1e-5);
+        let blocks = Arc::new(assemble_blocks(&st, &kernel));
+        let good = factorize(&st, &kernel, SolverConfig::default()).expect("finite λ");
+        let rejected = |got: Result<FactorTree<'_, Gaussian>, crate::SolverError>| {
+            matches!(got, Err(crate::SolverError::NonFiniteLambda { .. }))
+        };
+        for lambda in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let cfg = SolverConfig::default().with_lambda(lambda);
+            for storage in [StorageMode::StoredGemv, StorageMode::Gsks] {
+                let got = factorize(&st, &kernel, cfg.with_storage(storage));
+                assert!(rejected(got), "factorize, λ = {lambda}, {storage:?}");
+            }
+            let got = factorize_with_blocks(&st, &kernel, Arc::clone(&blocks), cfg);
+            assert!(rejected(got), "factorize_with_blocks, λ = {lambda}");
+            assert!(rejected(good.refactor(lambda)), "refactor, λ = {lambda}");
+        }
     }
 
     #[test]

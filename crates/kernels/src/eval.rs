@@ -127,166 +127,6 @@ fn eval_block_gemm(kernel: &dyn Kernel, pts: &PointSet, rows: &[usize], xc: MatR
     out
 }
 
-/// One requested kernel block in a batched assembly launch
-/// ([`eval_blocks`]).
-#[derive(Clone, Debug)]
-pub enum BlockSpec<'a> {
-    /// Full symmetric diagonal block `K[range, range]` (leaf blocks) —
-    /// evaluated exactly like [`eval_symmetric`].
-    Symmetric {
-        /// Contiguous (permuted) point range.
-        range: std::ops::Range<usize>,
-    },
-    /// `K[rows, range]` against a contiguous column range — evaluated
-    /// exactly like [`eval_block_range`].
-    RowsByRange {
-        /// Row index list.
-        rows: &'a [usize],
-        /// Contiguous (permuted) column range.
-        range: std::ops::Range<usize>,
-    },
-    /// `K[rows, cols]` between explicit index lists — evaluated exactly
-    /// like [`eval_block`].
-    RowsByCols {
-        /// Row index list.
-        rows: &'a [usize],
-        /// Column index list.
-        cols: &'a [usize],
-    },
-}
-
-impl BlockSpec<'_> {
-    /// Shape-bucketing key: block kind plus output dimensions. Blocks
-    /// sharing a key run the identical gather/GEMM/epilogue schedule.
-    fn shape_key(&self) -> (u8, usize, usize) {
-        match self {
-            BlockSpec::Symmetric { range } => (0, range.len(), range.len()),
-            BlockSpec::RowsByRange { rows, range } => (1, rows.len(), range.len()),
-            BlockSpec::RowsByCols { rows, cols } => (2, rows.len(), cols.len()),
-        }
-    }
-}
-
-/// Batched block assembly: evaluates every requested block, bucketed into
-/// same-shape groups (first-occurrence order) with **one** parallel launch
-/// per group. Returns the blocks in request order plus the group count.
-///
-/// Each block is built by the same gather + Gram GEMM + per-column
-/// [`Kernel::eval_parts_many`] pipeline as the per-node entry points, so
-/// every returned matrix is **bitwise identical** to calling
-/// [`eval_block`]/[`eval_block_range`]/[`eval_symmetric`] on its spec: the
-/// GEMM never splits the accumulation dimension, and the epilogue is
-/// applied per independent column either way. The only scheduling change
-/// is that parallelism moves from *inside* each block (the per-column
-/// `par_chunks_mut` epilogue dispatch) to *across* the blocks of a group —
-/// one rayon launch per shape group instead of one per block column.
-///
-/// Storage matches the per-node entry points too: `Symmetric` blocks are
-/// plainly allocated (consumed into long-lived factors), the rectangular
-/// kinds are pooled (`workspace::recycle_mat` to return them).
-pub fn eval_blocks(
-    kernel: &dyn Kernel,
-    pts: &PointSet,
-    specs: &[BlockSpec<'_>],
-) -> (Vec<Mat>, usize) {
-    let groups = kfds_la::batch::group_by_shape(specs, BlockSpec::shape_key);
-    let n_groups = groups.len();
-    let mut out: Vec<Option<Mat>> = Vec::with_capacity(specs.len());
-    out.resize_with(specs.len(), || None);
-    for (_, idxs) in &groups {
-        if idxs.len() == 1 {
-            // Singleton group: run inline, letting the block's own column
-            // epilogue parallelize (identical to the per-node call).
-            let i = idxs[0];
-            out[i] = Some(eval_spec_inline(kernel, pts, &specs[i]));
-        } else {
-            let built: Vec<(usize, Mat)> =
-                idxs.par_iter().map(|&i| (i, eval_spec_grouped(kernel, pts, &specs[i]))).collect();
-            for (i, m) in built {
-                out[i] = Some(m);
-            }
-        }
-    }
-    (out.into_iter().map(|m| m.expect("every spec evaluated")).collect(), n_groups)
-}
-
-/// Per-node evaluation of one spec (singleton groups): delegates to the
-/// existing entry points verbatim.
-fn eval_spec_inline(kernel: &dyn Kernel, pts: &PointSet, spec: &BlockSpec<'_>) -> Mat {
-    match spec {
-        BlockSpec::Symmetric { range } => eval_symmetric(kernel, pts, range.clone()),
-        BlockSpec::RowsByRange { rows, range } => {
-            eval_block_range(kernel, pts, rows, range.clone())
-        }
-        BlockSpec::RowsByCols { rows, cols } => eval_block(kernel, pts, rows, cols),
-    }
-}
-
-/// Evaluation of one spec inside a multi-block group launch: the same
-/// pipeline with a *serial* per-column epilogue (bitwise identical —
-/// columns are independent), since the group launch already occupies the
-/// thread pool.
-fn eval_spec_grouped(kernel: &dyn Kernel, pts: &PointSet, spec: &BlockSpec<'_>) -> Mat {
-    if !gemm_eval_active() {
-        // Scalar reference path: reuse the per-node functions unchanged
-        // (their inner parallelism nests harmlessly under rayon).
-        return eval_spec_inline(kernel, pts, spec);
-    }
-    match spec {
-        BlockSpec::Symmetric { range } => eval_symmetric(kernel, pts, range.clone()),
-        BlockSpec::RowsByRange { rows, range } => {
-            let n = range.len();
-            if rows.is_empty() || n == 0 {
-                return Mat::zeros(rows.len(), n);
-            }
-            let d = pts.dim();
-            let xc = MatRef::from_parts(&pts.as_slice()[range.start * d..range.end * d], d, n, d);
-            eval_block_gemm_serial(kernel, pts, rows, xc)
-        }
-        BlockSpec::RowsByCols { rows, cols } => {
-            if rows.is_empty() || cols.is_empty() {
-                return Mat::zeros(rows.len(), cols.len());
-            }
-            let xc = crate::reference::gather_coords(pts, cols);
-            let out = eval_block_gemm_serial(kernel, pts, rows, xc.rb());
-            workspace::recycle_mat(xc);
-            out
-        }
-    }
-}
-
-/// [`eval_block_gemm`] with the per-column kernel epilogue applied
-/// serially instead of through `par_chunks_mut` — bitwise identical
-/// (each column's transform reads only that column), used inside group
-/// launches where the blocks themselves are the parallel units.
-fn eval_block_gemm_serial(
-    kernel: &dyn Kernel,
-    pts: &PointSet,
-    rows: &[usize],
-    xc: MatRef<'_>,
-) -> Mat {
-    let m = rows.len();
-    let n = xc.ncols();
-    let xr = crate::reference::gather_coords(pts, rows);
-    let mut out = workspace::take_mat_detached(m, n);
-    gemm(1.0, xr.rb(), Trans::Yes, xc, Trans::No, 0.0, out.rb_mut());
-    let mut row_norms = workspace::take(m);
-    let mut col_norms = workspace::take(n);
-    for i in 0..m {
-        row_norms[i] = sq_norm(xr.col(i));
-    }
-    for j in 0..n {
-        col_norms[j] = sq_norm(xc.col(j));
-    }
-    let rn: &[f64] = &row_norms;
-    let cn: &[f64] = &col_norms;
-    for (j, col) in out.as_mut_slice().chunks_mut(m).enumerate() {
-        kernel.eval_parts_many(col, rn, &cn[j..j + 1]);
-    }
-    workspace::recycle_mat(xr);
-    out
-}
-
 /// Original per-entry assembly, kept verbatim for `KFDS_EVAL_GEMM=off`.
 fn eval_block_scalar(kernel: &dyn Kernel, pts: &PointSet, rows: &[usize], cols: &[usize]) -> Mat {
     let m = rows.len();
@@ -456,79 +296,10 @@ mod tests {
         }
     }
 
-    /// Serializes tests that read or flip the process-wide GEMM-eval
-    /// toggle so a concurrent flip cannot change the mode mid-comparison.
-    static MODE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn batched_blocks_match_per_node_bitwise() {
-        let _guard = MODE_LOCK.lock().unwrap();
-        let d = 4;
-        let n = 36;
-        let data: Vec<f64> = (0..d * n).map(|i| (i as f64 * 0.29).sin()).collect();
-        let p = PointSet::from_col_major(d, data);
-        let k = Gaussian::new(0.8);
-        let rows_a: Vec<usize> = (0..12).collect();
-        let rows_b: Vec<usize> = (12..24).collect();
-        let cols: Vec<usize> = (5..17).collect();
-        // Two symmetric 8x8 blocks, two 12x12 range blocks, one 12x12
-        // list block sharing the range blocks' dimensions but not their
-        // kind, and one odd singleton: 4 shape groups.
-        let specs = vec![
-            BlockSpec::Symmetric { range: 0..8 },
-            BlockSpec::Symmetric { range: 8..16 },
-            BlockSpec::RowsByRange { rows: &rows_a, range: 20..32 },
-            BlockSpec::RowsByRange { rows: &rows_b, range: 4..16 },
-            BlockSpec::RowsByCols { rows: &rows_a, cols: &cols },
-            BlockSpec::RowsByRange { rows: &rows_a[..5], range: 0..7 },
-        ];
-        let (got, groups) = eval_blocks(&k, &p, &specs);
-        assert_eq!(groups, 4);
-        assert_eq!(got.len(), specs.len());
-        let want = [
-            eval_symmetric(&k, &p, 0..8),
-            eval_symmetric(&k, &p, 8..16),
-            eval_block_range(&k, &p, &rows_a, 20..32),
-            eval_block_range(&k, &p, &rows_b, 4..16),
-            eval_block(&k, &p, &rows_a, &cols),
-            eval_block_range(&k, &p, &rows_a[..5], 0..7),
-        ];
-        for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
-            assert_eq!((g.nrows(), g.ncols()), (w.nrows(), w.ncols()), "block {i}");
-            assert_eq!(g.as_slice(), w.as_slice(), "block {i} not bitwise equal");
-        }
-    }
-
     #[test]
     fn gemm_assembly_is_the_default() {
-        // Every test that flips the switch restores it under MODE_LOCK.
-        let _guard = MODE_LOCK.lock().unwrap();
+        // No test of this binary flips the switch.
         assert_eq!(gemm_eval_active(), !kfds_switches::KFDS_EVAL_GEMM.is_off());
-    }
-
-    #[test]
-    fn batched_blocks_match_scalar_mode() {
-        let _guard = MODE_LOCK.lock().unwrap();
-        let p = pts();
-        let k = Laplacian::new(0.9);
-        let rows = [0usize, 2, 5, 7];
-        let prev = gemm_eval_active();
-        set_gemm_eval_enabled(false);
-        let specs = vec![
-            BlockSpec::RowsByRange { rows: &rows, range: 1..6 },
-            BlockSpec::RowsByRange { rows: &rows, range: 3..8 },
-            BlockSpec::Symmetric { range: 2..9 },
-        ];
-        let (got, _) = eval_blocks(&k, &p, &specs);
-        let want = [
-            eval_block_range(&k, &p, &rows, 1..6),
-            eval_block_range(&k, &p, &rows, 3..8),
-            eval_symmetric(&k, &p, 2..9),
-        ];
-        set_gemm_eval_enabled(prev);
-        for (g, w) in got.iter().zip(want.iter()) {
-            assert_eq!(g.as_slice(), w.as_slice());
-        }
     }
 
     #[test]

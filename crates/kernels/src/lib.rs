@@ -23,8 +23,7 @@ pub mod gsks;
 pub mod reference;
 
 pub use eval::{
-    eval_block, eval_block_range, eval_blocks, eval_symmetric, gemm_eval_active,
-    set_gemm_eval_enabled, BlockSpec,
+    eval_block, eval_block_range, eval_symmetric, gemm_eval_active, set_gemm_eval_enabled,
 };
 pub use function::{Gaussian, Kernel, Laplacian, Matern32, Polynomial};
 pub use gsks::{sum_fused, sum_fused_multi};

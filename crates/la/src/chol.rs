@@ -87,7 +87,7 @@ impl Cholesky {
 
     /// Solves `A X = B` in place on a view of a multi-column right-hand
     /// side: the two TRSMs of `POTRS`. The one multi-RHS entry — the owned
-    /// form and the batched engine delegate here.
+    /// form delegates here.
     ///
     /// # Panics
     /// Panics on row-count mismatch.

@@ -19,7 +19,6 @@
 //! for pivoted QR/ID, which is the paper's key dense kernel) and tested
 //! against naive reference implementations and algebraic invariants.
 
-pub mod batch;
 pub mod blas1;
 pub mod blas2;
 pub mod chol;
@@ -35,9 +34,6 @@ pub mod simd;
 pub mod tri;
 pub mod workspace;
 
-pub use batch::{
-    batch_active, group_by_shape, set_batch_enabled, Arena, BatchOp, BatchPlan, FactorRef,
-};
 pub use chol::Cholesky;
 pub use cpqr::ColPivQr;
 pub use error::LaError;

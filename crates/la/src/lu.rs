@@ -172,7 +172,7 @@ impl Lu {
     /// Solves `A X = B` in place on a view of a multi-column right-hand
     /// side (`GETRS`): the row swaps across every column, then the
     /// unit-lower and the upper TRSM. The one multi-RHS entry — the owned
-    /// form and the batched engine delegate here.
+    /// form delegates here.
     ///
     /// # Panics
     /// Panics on row-count mismatch.

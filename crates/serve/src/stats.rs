@@ -308,7 +308,7 @@ pub struct ServeStats {
     pub batch_hist: Vec<(usize, u64)>,
     /// Mean dispatched batch size.
     pub mean_batch: f64,
-    /// Per-level breakdown (nodes, grouped launches, seconds) of the most
+    /// Per-level breakdown (nodes, seconds) of the most
     /// recently built factorization — empty until the first factor-cache
     /// miss, or when the builder is not level-synchronous.
     pub factor_levels: Vec<LevelStats>,
@@ -342,8 +342,8 @@ impl ServeStats {
             .iter()
             .map(|l| {
                 format!(
-                    "{{\"level\": {}, \"nodes\": {}, \"op_groups\": {}, \"seconds\": {:.6}}}",
-                    l.level, l.nodes, l.op_groups, l.seconds
+                    "{{\"level\": {}, \"nodes\": {}, \"seconds\": {:.6}}}",
+                    l.level, l.nodes, l.seconds
                 )
             })
             .collect();
@@ -413,13 +413,12 @@ mod tests {
         m.batch_hist.record(2);
         m.queue_us.record(Duration::from_micros(42));
         m.shard_fallbacks.fetch_add(2, Ordering::Relaxed);
-        *m.factor_levels.lock() =
-            vec![LevelStats { level: 1, nodes: 4, op_groups: 2, seconds: 0.25 }];
+        *m.factor_levels.lock() = vec![LevelStats { level: 1, nodes: 4, seconds: 0.25 }];
         let s = m.snapshot(1, 2, 0, 1, 1, Vec::new());
         assert_eq!(s.factor_levels.len(), 1);
         let j = s.to_json();
         assert!(j.contains("\"submitted\": 3"));
-        assert!(j.contains("\"factor_levels\": [{\"level\": 1, \"nodes\": 4, \"op_groups\": 2"));
+        assert!(j.contains("\"factor_levels\": [{\"level\": 1, \"nodes\": 4, \"seconds\": 0.25"));
         assert!(j.contains("\"batch_hist\": [[2, 1]]"));
         assert!(j.contains("\"cache_entries\": 2"));
         assert!(j.contains("\"setup_entries\": 1"));

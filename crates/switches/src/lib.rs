@@ -144,16 +144,20 @@ pub const KFDS_SHARD: Switch = Switch {
           same arithmetic)",
 };
 
-/// `KFDS_BATCH`: kill-switch for the level-batched execution engine.
+/// `KFDS_BATCH`: retired. It selected between the level-batched
+/// factorization engine and the per-node one; the batched engine is gone
+/// and no crate reads the variable. The entry stays only because
+/// `benchmark/tests/ledger.rs` pins the registry at nine names (ROADMAP
+/// item 1(a) unpins it; then this goes).
 pub const KFDS_BATCH: Switch = Switch {
     name: "KFDS_BATCH",
     default: "on",
     off_values: &["off", "0"],
-    doc: "disables the level-batched execution engine: skeletonization, \
-          kernel block assembly, and factorization fall back to per-node \
-          calls inside each level's `par_iter` instead of planned \
-          shape-grouped launches (bitwise-identical answers — batching \
-          changes scheduling, not arithmetic)",
+    doc: "retired — selects nothing. It chose the per-node factorization \
+          engine over the level-batched one; the per-node engine is the \
+          only one now and no crate reads the variable (the benchmark \
+          harness still refuses to run with it set, like any registered \
+          switch)",
 };
 
 /// Every registered switch, in README table order. New switches must be

@@ -163,12 +163,17 @@ impl KBest {
 /// Dispatches on the `KFDS_KNN` switch: the leaf-blocked filter-and-refine
 /// traversal by default, the scalar per-query descent under
 /// `KFDS_KNN=scalar` (or [`crate::dist_tiles::set_knn_blocked`]`(false)`);
-/// both return exactly [`knn_brute_force`]'s lists.
+/// both return exactly [`knn_brute_force`]'s lists. A set of fewer than two
+/// points has no neighbours to find: the lists come back empty
+/// (`k() == 0`), whatever `k` was asked for.
 ///
 /// # Panics
-/// Panics if `k >= n` or `k == 0`.
+/// Panics if `k >= n` or `k == 0`, on two points or more.
 pub fn knn_all(tree: &BallTree, k: usize) -> NeighborLists {
     let n = tree.points().len();
+    if n < 2 {
+        return NeighborLists { k: 0, idx: Vec::new(), dist: Vec::new() };
+    }
     assert!(k > 0 && k < n, "need 0 < k < n (k={k}, n={n})");
     if dist_tiles::knn_blocked_active() {
         knn_all_blocked(tree, k)

@@ -48,7 +48,6 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/la/src/simd.rs",
     "crates/la/src/blas1.rs",
     "crates/la/src/blas2.rs",
-    "crates/la/src/batch.rs",
     "crates/la/src/tri.rs",
     "crates/kernels/src/gsks.rs",
     "crates/tree/src/dist_tiles.rs",
@@ -839,7 +838,7 @@ mod tests {
         let src = "fn hot() { let v = vec![0.0; 8]; let w = Vec::new(); let u = x.to_vec(); }\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { let v = vec![1]; let w = Vec::new(); }\n}\n";
         // The first and the last entry of the list: a kernel and the solve.
-        assert_eq!(HOT_PATH_MODULES.len(), 8);
+        assert_eq!(HOT_PATH_MODULES.len(), 7);
         for path in ["crates/la/src/simd.rs", "crates/core/src/solve.rs"] {
             let f = lint(path, src);
             assert_eq!(f.len(), 3, "{path}: {f:?}");

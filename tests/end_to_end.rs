@@ -33,6 +33,12 @@ fn pipeline(n: usize, h: f64, lambda: f64, tol: f64, seed: u64) -> f64 {
 fn full_pipeline_inverts_operator() {
     let r = pipeline(768, 1.0, 0.8, 1e-5, 1);
     assert!(r < 1e-9, "residual {r}");
+    // Down to one point: a single-leaf tree (n ≤ 32) is one dense LU, a
+    // one-point set has no neighbours to search and is the 1 x 1 system.
+    for n in [1, 2, 3, 32, 33] {
+        let r = pipeline(n, 1.0, 0.8, 1e-5, 1);
+        assert!(r < 1e-12, "n = {n}: residual {r}");
+    }
 }
 
 #[test]
