@@ -6,15 +6,21 @@
 //! (the frontier `P̂` factors, Algorithm II.7), and `V` stacks the
 //! skeleton-row blocks `K_{φ̃, X∖φ}` (Algorithm II.8, evaluated
 //! matrix-free). The reduced system `(I + V W) z = V D^{-1} u` of size
-//! `r = Σ_φ s_φ ≈ 2^L s` is solved by GMRES; then `x = D^{-1}u − W z`.
+//! `r = Σ_φ s_φ ≈ 2^L s` is solved; then `x = D^{-1}u − W z`.
 //!
-//! GMRES runs over one of two renderings of `I + VW`, chosen by size
-//! alone: while the dense `8r²` bytes are no more than the partial factor
-//! already holds, the operator is assembled once per factor (one kernel
-//! pass plus `2rNs` flops — about three matrix-free applications) and every
+//! That is one body with three renderings of the reduced step. The hybrid
+//! solves ([`HybridSolver::solve`], [`HybridSolver::solve_mat_in_place`])
+//! run GMRES over one of two renderings of `I + VW`, chosen by size alone:
+//! while the dense `8r²` bytes are no more than the partial factor already
+//! holds, the operator is assembled once per factor (one kernel pass plus
+//! `2rNs` flops — about three matrix-free applications) and every
 //! iteration is a `gemv`; beyond that — the paper's regime, where the
 //! matrix "exceeds 500 GB" — each iteration is one `W` and one `V`
-//! application and nothing above the frontier is stored.
+//! application and nothing above the frontier is stored. The direct
+//! variant of Table V ([`HybridSolver::solve_factored_in_place`]) instead
+//! LU-factors the assembled matrix once per factor and solves every column
+//! with one pair of triangular solves: `O(2^{3L} s³)` on top of the
+//! partial factorization, the blow-up the paper quotes for large `L`.
 //!
 //! `D^{-1}`, `W` and `V` each exist once, over column-major views: every
 //! frontier node works on its own row block of the caller's matrix (the
@@ -28,7 +34,7 @@ use crate::factor::FactorTree;
 use crate::solve::check_rhs_rows;
 use kfds_kernels::{sum_fused_multi, Kernel};
 use kfds_krylov::{gmres, DenseOp, FnOp, GmresOptions, LinOp, SolveResult};
-use kfds_la::{workspace, Mat, MatMut, MatRef};
+use kfds_la::{workspace, Lu, Mat, MatMut, MatRef};
 use rayon::prelude::*;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -41,8 +47,8 @@ pub struct HybridSolver<'a, 'f, K: Kernel> {
 }
 
 /// Everything the hybrid solver holds beyond the borrowed factor tree: the
-/// frontier layout and, once a solve has needed it, the assembled reduced
-/// operator. Behind an `Arc` so an owned factor
+/// frontier layout and, once a solve has needed them, the assembled reduced
+/// operator and its LU. Behind an `Arc` so an owned factor
 /// ([`SharedFactor`](crate::SharedFactor)) keeps one beside its factor
 /// tree and every batch solved on that factor shares it.
 pub(crate) struct ReducedSystem {
@@ -59,15 +65,21 @@ pub(crate) struct ReducedSystem {
     /// `I + VW` as a dense matrix, assembled by the first solve the size
     /// rule sends there — never at construction — and at most once.
     dense: OnceLock<Mat>,
+    /// The LU of a freshly assembled `I + VW`, factored by the first
+    /// factored solve and at most once.
+    lu: OnceLock<Result<Lu, SolverError>>,
 }
 
-/// Which rendering of the reduced operator `I + VW` GMRES ran over.
+/// Which rendering of the reduced operator `I + VW` a solve ran over.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ReducedOperator {
-    /// The dense `reduced_dim²` matrix; one `gemv` per iteration.
+    /// The dense `reduced_dim²` matrix; one `gemv` per GMRES iteration.
     Assembled,
-    /// One `W` and one `V` application per iteration; nothing stored.
+    /// One `W` and one `V` application per GMRES iteration; nothing stored.
     MatrixFree,
+    /// The dense matrix LU-factored; no GMRES, one pair of triangular
+    /// solves over all columns.
+    Factored,
 }
 
 impl fmt::Display for ReducedOperator {
@@ -75,6 +87,7 @@ impl fmt::Display for ReducedOperator {
         f.write_str(match self {
             ReducedOperator::Assembled => "assembled",
             ReducedOperator::MatrixFree => "matrix-free",
+            ReducedOperator::Factored => "factored",
         })
     }
 }
@@ -82,13 +95,14 @@ impl fmt::Display for ReducedOperator {
 /// What the reduced operator of one hybrid solve was and what it cost.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReducedReport {
-    /// The rendering GMRES ran over.
+    /// The rendering the solve ran over.
     pub operator: ReducedOperator,
-    /// Seconds this call spent assembling it: 0 when an earlier solve on
-    /// the same factor already had, and always 0 matrix-free.
+    /// Seconds this call spent assembling it (and, factored, LU-factoring
+    /// it): 0 when an earlier solve on the same factor already had, and
+    /// always 0 matrix-free.
     pub assembly_seconds: f64,
-    /// Bytes of the dense operator held (0 matrix-free). These sit
-    /// outside [`FactorStats::stored_bytes`](crate::FactorStats).
+    /// Bytes of the dense operator or its LU held (0 matrix-free). These
+    /// sit outside [`FactorStats::stored_bytes`](crate::FactorStats).
     pub bytes: usize,
 }
 
@@ -164,6 +178,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
             reduced_dim: acc,
             complements,
             dense: OnceLock::new(),
+            lu: OnceLock::new(),
         };
         Ok(HybridSolver { ft, sys: Arc::new(sys) })
     }
@@ -184,10 +199,14 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         self.sys.reduced_dim
     }
 
-    /// Bytes of the assembled reduced operator held right now: 0 before
-    /// the first solve, and always 0 when the solves run matrix-free.
+    /// Bytes of the reduced operators held right now: the dense `I + VW`
+    /// GMRES runs over once assembled, plus its LU once a factored solve
+    /// has run. 0 before the first solve, and 0 while every solve runs
+    /// matrix-free.
     pub fn reduced_bytes(&self) -> usize {
-        self.sys.dense.get().map_or(0, |z| z.nrows() * z.ncols() * 8)
+        let dense = self.sys.dense.get().map_or(0, square_bytes);
+        let lu = self.sys.lu.get().and_then(|lu| lu.as_ref().ok());
+        dense + lu.map_or(0, |lu| 8 * lu.dim() * lu.dim())
     }
 
     /// The skeleton tree underlying the factorization.
@@ -274,18 +293,17 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         row_blocks(m, self.sys.frontier.iter().map(|&f| tree.node(f).len()))
     }
 
-    /// Public probe of `D^{-1}` on one vector (used by the
-    /// level-restricted direct solver and the benchmark harnesses).
+    /// `D^{-1}` on one vector: a benchmark probe, kept until ROADMAP 1.
     pub fn apply_dinv_pub(&self, u: &mut [f64]) {
         self.apply_dinv(MatMut::from_col(u))
     }
 
-    /// Public probe of the `W` application on one vector.
+    /// `W` on one vector: a benchmark probe, kept until ROADMAP 1.
     pub fn apply_w_pub(&self, z: &[f64], out: &mut [f64]) {
         self.apply_w(MatRef::from_col(z), MatMut::from_col(out))
     }
 
-    /// Public probe of the `V` application on one vector.
+    /// `V` on one vector: a benchmark probe, kept until ROADMAP 1.
     pub fn apply_v_pub(&self, x: &[f64]) -> Vec<f64> {
         self.apply_v(MatRef::from_col(x)).into_vec()
     }
@@ -295,10 +313,10 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         let n = self.ft.skeleton_tree().tree().points().len();
         // Pooled: `apply_w` overwrites every row block.
         let mut wz = workspace::take(n);
-        self.apply_w_pub(z, &mut wz);
-        let vwz = self.apply_v_pub(&wz);
+        self.apply_w(MatRef::from_col(z), MatMut::from_col(&mut wz));
+        let vwz = self.apply_v(MatRef::from_col(&wz));
         for i in 0..z.len() {
-            out[i] = z[i] + vwz[i];
+            out[i] = z[i] + vwz.col(0)[i];
         }
     }
 
@@ -389,9 +407,26 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         let report = ReducedReport {
             operator: ReducedOperator::Assembled,
             assembly_seconds,
-            bytes: self.reduced_bytes(),
+            bytes: square_bytes(z),
         };
         (f(&DenseOp::new(z.rb())), report)
+    }
+
+    /// The LU of `I + VW`, assembled and factored by the first call on
+    /// this factor; the report carries what that call spent.
+    fn factored(&self) -> Result<(&Lu, ReducedReport), SolverError> {
+        let mut assembly_seconds = 0.0;
+        let lu = self.sys.lu.get_or_init(|| {
+            let t0 = Instant::now();
+            let root = self.ft.skeleton_tree().tree().root();
+            let lu = Lu::factor(self.assemble_reduced())
+                .map_err(|source| SolverError::Factorization { node: root, source });
+            assembly_seconds = t0.elapsed().as_secs_f64();
+            lu
+        });
+        let lu = lu.as_ref().map_err(Clone::clone)?;
+        let bytes = 8 * lu.dim() * lu.dim();
+        Ok((lu, ReducedReport { operator: ReducedOperator::Factored, assembly_seconds, bytes }))
     }
 
     /// Solves `(λI + K̃) x = b` (`b` in permuted order) — Algorithm II.6.
@@ -401,7 +436,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// [`SolverError::RhsShape`] if `b.len()` is not the problem size.
     pub fn solve(&self, b: &[f64], opts: &GmresOptions) -> Result<HybridOutcome, SolverError> {
         let mut x = b.to_vec();
-        let mut out = self.solve_view(MatMut::from_col(&mut x), opts)?;
+        let mut out = self.solve_view(MatMut::from_col(&mut x), self.gmres_step(opts))?;
         let gmres = out.gmres.pop().expect("one column, one GMRES result");
         Ok(HybridOutcome { x, gmres, reduced: out.reduced })
     }
@@ -422,16 +457,54 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         b: &mut Mat,
         opts: &GmresOptions,
     ) -> Result<HybridBlockOutcome, SolverError> {
-        self.solve_view(b.rb_mut(), opts)
+        self.solve_view(b.rb_mut(), self.gmres_step(opts))
+    }
+
+    /// The hybrid's reduced step: `(I + V W) z_j = y_j` by one GMRES per
+    /// column, the columns in parallel over the operator the size rule
+    /// picks.
+    fn gmres_step<'s>(
+        &'s self,
+        opts: &'s GmresOptions,
+    ) -> impl FnOnce(&mut Mat) -> Result<HybridBlockOutcome, SolverError> + 's {
+        move |yz| {
+            let (gmres, reduced): (Vec<SolveResult>, _) = self.with_reduced_op(|op| {
+                (0..yz.ncols()).into_par_iter().map(|j| gmres(op, yz.col(j), None, opts)).collect()
+            });
+            for (j, gm) in gmres.iter().enumerate() {
+                yz.col_mut(j).copy_from_slice(&gm.x);
+            }
+            Ok(HybridBlockOutcome { gmres, reduced })
+        }
+    }
+
+    /// Solves `(λI + K̃) X = B` in place (`B` in permuted order) with the
+    /// reduced system LU-factored instead of iterated on — Table V's
+    /// "direct" column. The same blocked `D^{-1}`, `V` and `W` as
+    /// [`Self::solve_mat_in_place`] surround one triangular solve of all
+    /// columns. The first call on a factor assembles and factors `I + VW`
+    /// (reported as [`ReducedReport::assembly_seconds`]); later calls,
+    /// through any solver sharing this one's state, reuse the LU.
+    ///
+    /// # Errors
+    /// [`SolverError::RhsShape`] if `b.nrows()` is not the problem size;
+    /// [`SolverError::Factorization`] if the reduced system is singular.
+    pub fn solve_factored_in_place(&self, b: &mut Mat) -> Result<ReducedReport, SolverError> {
+        self.solve_view(b.rb_mut(), |yz| {
+            let (lu, reduced) = self.factored()?;
+            lu.solve_mat_mut(yz.rb_mut());
+            Ok(reduced)
+        })
     }
 
     /// The one rendering of Algorithm II.6, over a view of the
-    /// right-hand sides.
-    fn solve_view(
+    /// right-hand sides; `reduced_step` turns the reduced right-hand sides
+    /// `Y` into the solutions `Z` of `(I + VW) Z = Y` in place.
+    fn solve_view<R>(
         &self,
         mut b: MatMut<'_>,
-        opts: &GmresOptions,
-    ) -> Result<HybridBlockOutcome, SolverError> {
+        reduced_step: impl FnOnce(&mut Mat) -> Result<R, SolverError>,
+    ) -> Result<R, SolverError> {
         let n = self.ft.skeleton_tree().tree().points().len();
         check_rhs_rows(n, b.nrows())?;
         let nrhs = b.ncols();
@@ -439,26 +512,19 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         self.apply_dinv(b.rb_mut());
         // Reduced right-hand sides Y = V D^{-1} B, one fused pass (empty
         // when every rank is 0).
-        let y = self.apply_v(b.rb());
-        // (I + V W) z_j = y_j per column.
-        let (results, reduced): (Vec<SolveResult>, _) = self.with_reduced_op(|op| {
-            (0..nrhs).into_par_iter().map(|j| gmres(op, y.col(j), None, opts)).collect()
-        });
-        let mut zmat = Mat::zeros(self.sys.reduced_dim, nrhs);
-        for (j, gm) in results.iter().enumerate() {
-            zmat.col_mut(j).copy_from_slice(&gm.x);
-        }
+        let mut yz = self.apply_v(b.rb());
+        let out = reduced_step(&mut yz)?;
         // X = D^{-1} B − W Z, blocked. Pooled: `apply_w` overwrites every
         // row block.
         let mut wz = workspace::take_mat_detached(n, nrhs);
-        self.apply_w(zmat.rb(), wz.rb_mut());
+        self.apply_w(yz.rb(), wz.rb_mut());
         for j in 0..nrhs {
             for (xi, wi) in b.col_mut(j).iter_mut().zip(wz.col(j)) {
                 *xi -= wi;
             }
         }
         workspace::recycle_mat(wz);
-        Ok(HybridBlockOutcome { gmres: results, reduced })
+        Ok(out)
     }
 
     /// Convenience wrapper: right-hand side and solution in *original*
@@ -475,6 +541,11 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         out.x = tree.unpermute_vec(&out.x);
         Ok(out)
     }
+}
+
+/// Bytes of a dense square matrix.
+fn square_bytes(z: &Mat) -> usize {
+    8 * z.nrows() * z.ncols()
 }
 
 /// Splits `m` into consecutive row blocks of the given heights (which

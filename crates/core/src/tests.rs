@@ -32,6 +32,17 @@ fn rand_vec(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// TEMPORARY: old direct type vs the factored hybrid path.
+fn factored_vs_direct(ft: &crate::FactorTree<'_, Gaussian>, b: &[f64], what: &str) -> f64 {
+    let xd = crate::LevelRestrictedDirect::new(ft).expect("direct").solve(b);
+    let hy = HybridSolver::new(ft).expect("hybrid");
+    let mut m = kfds_la::Mat::from_col_major(b.len(), 1, b.to_vec());
+    hy.solve_factored_in_place(&mut m).expect("factored");
+    let e = rel_err(m.col(0), &xd);
+    eprintln!("FACTORED_DIFF {what} {e:.3e}");
+    e
+}
+
 /// Standard fixture: 512 points with intrinsic dimension 3 in 8-D.
 fn fixture(max_level: usize, tol: f64) -> (SkeletonTree, Gaussian) {
     let pts = normal_embedded(512, 3, 8, 0.05, 42);
@@ -219,6 +230,7 @@ fn level_restricted_direct_matches_hybrid() {
     assert_eq!(direct.reduced_dim(), hy.reduced_dim());
     let b = rand_vec(512, 29);
     let xd = direct.solve(&b);
+    factored_vs_direct(&ft, &b, "level_restricted_direct_matches_hybrid");
     // Direct variant must invert the level-restricted operator exactly.
     let applied = hier_matvec(&st, &kernel, lambda, &xd);
     assert!(rel_err(&applied, &b) < 1e-9, "direct level-restricted residual");
@@ -314,6 +326,7 @@ fn level_restricted_direct_storage_modes_agree() {
         let ft = factorize(&st, &kernel, cfg).expect("f");
         let direct = crate::LevelRestrictedDirect::new(&ft).expect("direct");
         sols.push(direct.solve(&b));
+        factored_vs_direct(&ft, &b, &format!("storage_modes {mode:?}"));
         bytes.push(direct.reduced_bytes);
     }
     assert!(rel_err(&sols[0], &sols[1]) < 1e-10, "stored-V direct differs from fused");
@@ -491,6 +504,7 @@ fn recompute_w_hybrid_and_leveldirect() {
     assert!(rel_err(&applied, &b) < 1e-8, "recompute-W hybrid residual");
     let direct = crate::LevelRestrictedDirect::new(&ft).expect("direct");
     let xd = direct.solve(&b);
+    factored_vs_direct(&ft, &b, "recompute_w");
     assert!(rel_err(&xd, &out.x) < 1e-8, "recompute-W leveldirect mismatch");
 }
 
