@@ -1,11 +1,15 @@
-//! Criterion benchmarks: the two renderings of the hybrid solver's reduced
-//! operator `I + VW` at the `covtype_hybrid` shape (n = 8192, d = 54, eight
-//! frontier nodes, s = 128, so `reduced_dim` = 1024). `assemble` is paid
-//! once per factor and buys `gemv_1024` per GMRES iteration in place of
+//! Criterion benchmarks: the three renderings of the hybrid solver's reduced
+//! step at the `covtype_hybrid` shape (n = 8192, d = 54, eight frontier
+//! nodes, s = 128, so `reduced_dim` = 1024). `assemble` is paid once per
+//! factor and buys `gemv_1024` per GMRES iteration in place of
 //! `apply_w_v`: the A/B behind the "≈ 3 applies" of DESIGN.md §5.12 and
-//! behind sizing the dense operator against the factor's own bytes. Before
-//! the groups it prints how a first and a second `solve` on one solver
-//! split into assembly, GMRES and the `D⁻¹` + `V` + `W` remainder.
+//! behind sizing the dense operator against the factor's own bytes.
+//! `lu_factor` (which includes an 8 MiB copy of the operator, since
+//! `Lu::factor` consumes its input) on top of `assemble` buys
+//! `lu_solve_1` / `lu_solve_16` per block of right-hand sides in place of a
+//! GMRES per column: the A/B behind ROADMAP 4(c). Before the groups it
+//! prints how a first and a second `solve` on one solver split into
+//! assembly, GMRES and the `D⁻¹` + `V` + `W` remainder.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kfds_askit::{skeletonize, SkelConfig};
@@ -13,6 +17,7 @@ use kfds_core::{factorize, HybridSolver, SolverConfig};
 use kfds_kernels::Gaussian;
 use kfds_krylov::GmresOptions;
 use kfds_la::blas2::gemv;
+use kfds_la::{Lu, Mat};
 use kfds_tree::datasets::{spec_by_name, table2_standin};
 use kfds_tree::BallTree;
 use std::hint::black_box;
@@ -79,6 +84,21 @@ fn bench_hybrid_reduced(c: &mut Criterion) {
             black_box(out[0])
         })
     });
+    let dense = hs.assemble_reduced();
+    group.bench_function("lu_factor", |b| {
+        b.iter(|| black_box(Lu::factor(dense.clone()).expect("I + VW is nonsingular")))
+    });
+    let lu = Lu::factor(dense).expect("I + VW is nonsingular");
+    for nrhs in [1, 16] {
+        let rhs = Mat::from_fn(r, nrhs, |i, j| (i as f64 * 0.17 + j as f64).cos());
+        group.bench_function(format!("lu_solve_{nrhs}"), |b| {
+            b.iter(|| {
+                let mut y = rhs.clone();
+                lu.solve_mat_inplace(&mut y);
+                black_box(y)
+            })
+        });
+    }
     group.finish();
 }
 

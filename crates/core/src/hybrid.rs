@@ -25,8 +25,7 @@
 //! `D^{-1}`, `W` and `V` each exist once, over column-major views: every
 //! frontier node works on its own row block of the caller's matrix (the
 //! `D^{-1}` solves are the recursion of [`crate::solve`] on those blocks),
-//! and a single right-hand side is the `n x 1` view of a slice, so
-//! [`HybridSolver::solve`] is column 0 of the one-column
+//! and [`HybridSolver::solve`] is the one-column
 //! [`HybridSolver::solve_mat_in_place`], bit for bit.
 
 use crate::error::SolverError;
@@ -204,9 +203,14 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// has run. 0 before the first solve, and 0 while every solve runs
     /// matrix-free.
     pub fn reduced_bytes(&self) -> usize {
-        let dense = self.sys.dense.get().map_or(0, square_bytes);
-        let lu = self.sys.lu.get().and_then(|lu| lu.as_ref().ok());
-        dense + lu.map_or(0, |lu| 8 * lu.dim() * lu.dim())
+        let held = usize::from(self.sys.dense.get().is_some())
+            + usize::from(matches!(self.sys.lu.get(), Some(Ok(_))));
+        held * self.operator_bytes()
+    }
+
+    /// Bytes of one dense `reduced_dim²` operator, or of its LU.
+    fn operator_bytes(&self) -> usize {
+        8 * self.sys.reduced_dim * self.sys.reduced_dim
     }
 
     /// The skeleton tree underlying the factorization.
@@ -217,12 +221,6 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// The frontier nodes, sorted by point range.
     pub fn frontier(&self) -> &[usize] {
         &self.sys.frontier
-    }
-
-    /// Per frontier node `φ`, the ascending point indices of `X∖φ` (empty
-    /// at rank 0): the columns of its `V` block.
-    pub(crate) fn complements(&self) -> &[Vec<usize>] {
-        &self.sys.complements
     }
 
     /// `D^{-1} U` in place: independent direct solves on the frontier
@@ -407,7 +405,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         let report = ReducedReport {
             operator: ReducedOperator::Assembled,
             assembly_seconds,
-            bytes: square_bytes(z),
+            bytes: self.operator_bytes(),
         };
         (f(&DenseOp::new(z.rb())), report)
     }
@@ -424,9 +422,12 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
             assembly_seconds = t0.elapsed().as_secs_f64();
             lu
         });
-        let lu = lu.as_ref().map_err(Clone::clone)?;
-        let bytes = 8 * lu.dim() * lu.dim();
-        Ok((lu, ReducedReport { operator: ReducedOperator::Factored, assembly_seconds, bytes }))
+        let report = ReducedReport {
+            operator: ReducedOperator::Factored,
+            assembly_seconds,
+            bytes: self.operator_bytes(),
+        };
+        Ok((lu.as_ref().map_err(Clone::clone)?, report))
     }
 
     /// Solves `(λI + K̃) x = b` (`b` in permuted order) — Algorithm II.6.
@@ -435,10 +436,10 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// # Errors
     /// [`SolverError::RhsShape`] if `b.len()` is not the problem size.
     pub fn solve(&self, b: &[f64], opts: &GmresOptions) -> Result<HybridOutcome, SolverError> {
-        let mut x = b.to_vec();
-        let mut out = self.solve_view(MatMut::from_col(&mut x), self.gmres_step(opts))?;
+        let mut x = Mat::from_col_major(b.len(), 1, b.to_vec());
+        let mut out = self.solve_mat_in_place(&mut x, opts)?;
         let gmres = out.gmres.pop().expect("one column, one GMRES result");
-        Ok(HybridOutcome { x, gmres, reduced: out.reduced })
+        Ok(HybridOutcome { x: x.into_vec(), gmres, reduced: out.reduced })
     }
 
     /// Solves `(λI + K̃) X = B` in place for a multi-column right-hand
@@ -457,17 +458,8 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         b: &mut Mat,
         opts: &GmresOptions,
     ) -> Result<HybridBlockOutcome, SolverError> {
-        self.solve_view(b.rb_mut(), self.gmres_step(opts))
-    }
-
-    /// The hybrid's reduced step: `(I + V W) z_j = y_j` by one GMRES per
-    /// column, the columns in parallel over the operator the size rule
-    /// picks.
-    fn gmres_step<'s>(
-        &'s self,
-        opts: &'s GmresOptions,
-    ) -> impl FnOnce(&mut Mat) -> Result<HybridBlockOutcome, SolverError> + 's {
-        move |yz| {
+        self.solve_view(b, |yz| {
+            // (I + V W) z_j = y_j per column.
             let (gmres, reduced): (Vec<SolveResult>, _) = self.with_reduced_op(|op| {
                 (0..yz.ncols()).into_par_iter().map(|j| gmres(op, yz.col(j), None, opts)).collect()
             });
@@ -475,7 +467,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
                 yz.col_mut(j).copy_from_slice(&gm.x);
             }
             Ok(HybridBlockOutcome { gmres, reduced })
-        }
+        })
     }
 
     /// Solves `(λI + K̃) X = B` in place (`B` in permuted order) with the
@@ -490,19 +482,19 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// [`SolverError::RhsShape`] if `b.nrows()` is not the problem size;
     /// [`SolverError::Factorization`] if the reduced system is singular.
     pub fn solve_factored_in_place(&self, b: &mut Mat) -> Result<ReducedReport, SolverError> {
-        self.solve_view(b.rb_mut(), |yz| {
+        self.solve_view(b, |yz| {
             let (lu, reduced) = self.factored()?;
             lu.solve_mat_mut(yz.rb_mut());
             Ok(reduced)
         })
     }
 
-    /// The one rendering of Algorithm II.6, over a view of the
-    /// right-hand sides; `reduced_step` turns the reduced right-hand sides
-    /// `Y` into the solutions `Z` of `(I + VW) Z = Y` in place.
+    /// The one rendering of Algorithm II.6; `reduced_step` turns the
+    /// reduced right-hand sides `Y` into the solutions `Z` of
+    /// `(I + VW) Z = Y` in place.
     fn solve_view<R>(
         &self,
-        mut b: MatMut<'_>,
+        b: &mut Mat,
         reduced_step: impl FnOnce(&mut Mat) -> Result<R, SolverError>,
     ) -> Result<R, SolverError> {
         let n = self.ft.skeleton_tree().tree().points().len();
@@ -541,11 +533,6 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         out.x = tree.unpermute_vec(&out.x);
         Ok(out)
     }
-}
-
-/// Bytes of a dense square matrix.
-fn square_bytes(z: &Mat) -> usize {
-    8 * z.nrows() * z.ncols()
 }
 
 /// Splits `m` into consecutive row blocks of the given heights (which

@@ -14,8 +14,9 @@
 //!   right-hand side, with three `V`-block schemes (stored GEMV,
 //!   recomputed GEMM, fused GSKS — Table IV);
 //! * [`HybridSolver`] — Algorithms II.6–II.8: partial factorization up to
-//!   the skeletonization frontier plus matrix-free GMRES on the reduced
-//!   `2^L s` system (§II-C);
+//!   the skeletonization frontier plus the reduced `2^L s` system (§II-C),
+//!   solved by GMRES (assembled or matrix-free) or, as Table V's direct
+//!   variant, by one dense LU;
 //! * [`dist_factorize`]/[`DistSolver`] — Algorithms II.4/II.5 over the
 //!   simulated message-passing runtime;
 //! * [`KernelRidge`] — kernel ridge regression, the paper's end-to-end
@@ -31,7 +32,6 @@ pub mod error;
 pub mod factor;
 pub mod gp;
 pub mod hybrid;
-pub mod leveldirect;
 pub mod partition;
 pub mod precond;
 pub mod regression;
@@ -50,7 +50,6 @@ pub use error::SolverError;
 pub use factor::{factorize, factorize_with_blocks, FactorTree, LeafFactor, NodeFactors};
 pub use gp::{GaussianProcess, NoiseSweepEntry};
 pub use hybrid::{HybridBlockOutcome, HybridOutcome, HybridSolver, ReducedOperator, ReducedReport};
-pub use leveldirect::LevelRestrictedDirect;
 pub use partition::PartitionedFactor;
 pub use precond::{solve_exact_preconditioned, FactorPreconditioner};
 pub use regression::{KernelRidge, TrainReport};

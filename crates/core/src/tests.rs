@@ -32,17 +32,6 @@ fn rand_vec(n: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
-/// TEMPORARY: old direct type vs the factored hybrid path.
-fn factored_vs_direct(ft: &crate::FactorTree<'_, Gaussian>, b: &[f64], what: &str) -> f64 {
-    let xd = crate::LevelRestrictedDirect::new(ft).expect("direct").solve(b);
-    let hy = HybridSolver::new(ft).expect("hybrid");
-    let mut m = kfds_la::Mat::from_col_major(b.len(), 1, b.to_vec());
-    hy.solve_factored_in_place(&mut m).expect("factored");
-    let e = rel_err(m.col(0), &xd);
-    eprintln!("FACTORED_DIFF {what} {e:.3e}");
-    e
-}
-
 /// Standard fixture: 512 points with intrinsic dimension 3 in 8-D.
 fn fixture(max_level: usize, tol: f64) -> (SkeletonTree, Gaussian) {
     let pts = normal_embedded(512, 3, 8, 0.05, 42);
@@ -221,22 +210,28 @@ fn hybrid_inverts_level_restricted_operator() {
 #[test]
 fn level_restricted_direct_matches_hybrid() {
     // Table V compares the hybrid (GMRES on the reduced system) against
-    // the direct variant that LU-factorizes the coalesced 2^L s system.
+    // the direct variant that LU-factorizes the coalesced 2^L s system:
+    // one solver, two reduced steps. Recompute-W telescopes the frontier
+    // P̂ through eq. (10) on both.
     let (st, kernel) = fixture(3, 1e-5);
     let lambda = 0.8;
-    let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(lambda)).expect("f");
-    let direct = crate::LevelRestrictedDirect::new(&ft).expect("level-restricted direct");
-    let hy = HybridSolver::new(&ft).expect("hybrid");
-    assert_eq!(direct.reduced_dim(), hy.reduced_dim());
     let b = rand_vec(512, 29);
-    let xd = direct.solve(&b);
-    factored_vs_direct(&ft, &b, "level_restricted_direct_matches_hybrid");
-    // Direct variant must invert the level-restricted operator exactly.
-    let applied = hier_matvec(&st, &kernel, lambda, &xd);
-    assert!(rel_err(&applied, &b) < 1e-9, "direct level-restricted residual");
-    let opts = GmresOptions { tol: 1e-12, max_iters: 400, ..Default::default() };
-    let out = hy.solve(&b, &opts).expect("hybrid");
-    assert!(rel_err(&xd, &out.x) < 1e-8, "direct vs hybrid mismatch");
+    for w in [crate::WStorage::Stored, crate::WStorage::Recompute] {
+        let cfg = SolverConfig::default().with_lambda(lambda).with_w_storage(w);
+        let ft = factorize(&st, &kernel, cfg).expect("f");
+        let hy = HybridSolver::new(&ft).expect("hybrid");
+        let mut xd = kfds_la::Mat::from_col_major(512, 1, b.clone());
+        let report = hy.solve_factored_in_place(&mut xd).expect("factored solve");
+        assert_eq!(report.operator, crate::ReducedOperator::Factored);
+        // The direct variant must invert the level-restricted operator exactly.
+        let applied = hier_matvec(&st, &kernel, lambda, xd.col(0));
+        assert!(rel_err(&applied, &b) < 1e-9, "{w:?}: direct level-restricted residual");
+        let opts = GmresOptions { tol: 1e-12, max_iters: 400, ..Default::default() };
+        let out = hy.solve(&b, &opts).expect("hybrid");
+        let applied = hier_matvec(&st, &kernel, lambda, &out.x);
+        assert!(rel_err(&applied, &b) < 1e-8, "{w:?}: hybrid residual");
+        assert!(rel_err(xd.col(0), &out.x) < 1e-8, "{w:?}: direct vs hybrid mismatch");
+    }
 }
 
 #[test]
@@ -316,30 +311,30 @@ fn instability_detected_for_tiny_lambda_flat_kernel() {
 }
 
 #[test]
-fn level_restricted_direct_storage_modes_agree() {
+fn level_restricted_direct_storage_and_w_modes_agree() {
+    // The factored solve over every V-block scheme and both W modes: the
+    // same D⁻¹, V and W renderings the direct solves use around one LU.
     let (st, kernel) = fixture(2, 1e-5);
     let b = rand_vec(512, 41);
-    let mut sols = Vec::new();
-    let mut bytes = Vec::new();
-    for mode in [StorageMode::Gsks, StorageMode::StoredGemv] {
-        let cfg = SolverConfig::default().with_lambda(0.6).with_storage(mode);
-        let ft = factorize(&st, &kernel, cfg).expect("f");
-        let direct = crate::LevelRestrictedDirect::new(&ft).expect("direct");
-        sols.push(direct.solve(&b));
-        factored_vs_direct(&ft, &b, &format!("storage_modes {mode:?}"));
-        bytes.push(direct.reduced_bytes);
+    let mut sols: Vec<(String, Vec<f64>)> = Vec::new();
+    for storage in [StorageMode::Gsks, StorageMode::StoredGemv, StorageMode::RecomputeGemm] {
+        for w in [crate::WStorage::Stored, crate::WStorage::Recompute] {
+            let cfg =
+                SolverConfig::default().with_lambda(0.6).with_storage(storage).with_w_storage(w);
+            let ft = factorize(&st, &kernel, cfg).expect("f");
+            let hy = HybridSolver::new(&ft).expect("hybrid");
+            let mut x = kfds_la::Mat::from_col_major(512, 1, b.clone());
+            let report = hy.solve_factored_in_place(&mut x).expect("factored solve");
+            // The LU is the reduced system's only storage in every mode.
+            let r = hy.reduced_dim();
+            assert_eq!((report.bytes, hy.reduced_bytes()), (8 * r * r, 8 * r * r));
+            sols.push((format!("{storage:?}/{w:?}"), x.into_vec()));
+        }
     }
-    assert!(rel_err(&sols[0], &sols[1]) < 1e-10, "stored-V direct differs from fused");
-    // Stored V holds K_{φ̃, X∖φ}: no columns for a node's own points.
-    let v_bytes: usize = st
-        .frontier()
-        .iter()
-        .map(|&f| {
-            st.skeleton(f).expect("frontier skeleton").rank() * (512 - st.tree().node(f).len())
-        })
-        .sum::<usize>()
-        * 8;
-    assert_eq!(bytes[1] - bytes[0], v_bytes);
+    for (what, x) in &sols[1..] {
+        let err = rel_err(x, &sols[0].1);
+        assert!(err < 1e-10, "{what} differs from {}: {err:.3e}", sols[0].0);
+    }
 }
 
 #[test]
@@ -486,26 +481,6 @@ fn recompute_w_matches_stored_w() {
     let mut c0 = bm0.col(0).to_vec();
     ft_s.solve_in_place(&mut c0).expect("s");
     assert!(rel_err(bm.col(0), &c0) < 1e-10);
-}
-
-#[test]
-fn recompute_w_hybrid_and_leveldirect() {
-    let (st, kernel) = fixture(3, 1e-5);
-    let b = rand_vec(512, 91);
-    let lambda = 0.7;
-    let rec_cfg = SolverConfig::default()
-        .with_lambda(lambda)
-        .with_w_storage(crate::config::WStorage::Recompute);
-    let ft = factorize(&st, &kernel, rec_cfg).expect("recompute partial");
-    let hy = HybridSolver::new(&ft).expect("hybrid");
-    let opts = GmresOptions { tol: 1e-12, max_iters: 400, ..Default::default() };
-    let out = hy.solve(&b, &opts).expect("hybrid solve");
-    let applied = hier_matvec(&st, &kernel, lambda, &out.x);
-    assert!(rel_err(&applied, &b) < 1e-8, "recompute-W hybrid residual");
-    let direct = crate::LevelRestrictedDirect::new(&ft).expect("direct");
-    let xd = direct.solve(&b);
-    factored_vs_direct(&ft, &b, "recompute_w");
-    assert!(rel_err(&xd, &out.x) < 1e-8, "recompute-W leveldirect mismatch");
 }
 
 #[test]
@@ -891,7 +866,7 @@ mod refactor {
     }
 
     #[test]
-    fn stored_v_blocks_exist_once() {
+    fn stored_coupling_blocks_exist_once() {
         let (st, kernel) = fixture(1, 1e-5);
         let tree = st.tree();
         let blocks = Arc::new(assemble_blocks(&st, &kernel));

@@ -1,7 +1,8 @@
 //! Blocked multi-RHS solves must agree with column-at-a-time solves.
 //!
-//! The blocked paths ([`FactorTree::solve_mat_in_place`] and
-//! [`HybridSolver::solve_mat_in_place`]) reorganize the same arithmetic
+//! The blocked paths ([`FactorTree::solve_mat_in_place`],
+//! [`HybridSolver::solve_mat_in_place`] and
+//! [`HybridSolver::solve_factored_in_place`]) reorganize the same arithmetic
 //! into GEMM-shaped sweeps, so each column must match the single-RHS
 //! result to tight tolerance; and because every path is deterministic,
 //! repeating the identical blocked solve must reproduce itself bitwise.
@@ -113,6 +114,9 @@ fn blocked_hybrid_solve_matches_columnwise() {
         assert!(results.reduced.assembly_seconds > 0.0, "the first solve assembles");
 
         for j in 0..NRHS {
+            // Against λI + K̃ itself, not just the reduced system GMRES saw.
+            let resid = rel_err(&hier_matvec(&st, &kernel, 0.5, blocked.col(j)), b.col(j));
+            assert!(resid < 10.0 * opts.tol, "L={max_level} column {j}: residual {resid:.3e}");
             let out = hs.solve(b.col(j), &opts).expect("single-RHS hybrid solve");
             assert!(out.gmres.converged);
             // Later solves on the same solver find the operator in place.
@@ -131,6 +135,26 @@ fn blocked_hybrid_solve_matches_columnwise() {
         for j in 0..NRHS {
             assert_eq!(again.col(j), blocked.col(j), "hybrid blocked solve must be deterministic");
         }
+
+        // The direct variant on the same solver: one LU over all columns,
+        // factored by the first call and held beside the dense operator.
+        let mut factored = b.clone();
+        let first = hs.solve_factored_in_place(&mut factored).expect("blocked factored solve");
+        assert_eq!(first.operator, ReducedOperator::Factored);
+        assert!(first.assembly_seconds > 0.0, "the first factored solve factors");
+        assert_eq!((first.bytes, hs.reduced_bytes()), (held, 2 * held));
+        for j in 0..NRHS {
+            let resid = rel_err(&hier_matvec(&st, &kernel, 0.5, factored.col(j)), b.col(j));
+            assert!(resid < 1e-9, "L={max_level} column {j}: factored residual {resid:.3e}");
+            let mut single = one_column(&b, j);
+            let again = hs.solve_factored_in_place(&mut single).expect("one-column factored");
+            assert_eq!(again, ReducedReport { assembly_seconds: 0.0, ..first });
+            let err = rel_err(factored.col(j), single.col(0));
+            assert!(err < 1e-12, "L={max_level} column {j}: blocked vs single rel err {err:.3e}");
+        }
+        let mut again = b.clone();
+        hs.solve_factored_in_place(&mut again).expect("repeat blocked factored solve");
+        assert_eq!(again.as_slice(), factored.as_slice(), "factored solve must be deterministic");
     }
 }
 
@@ -251,6 +275,13 @@ fn assembled_operator_skips_rank_zero_frontier_nodes() {
             assert!(err < 1e-10, "L={max_level} {w:?}: blocked vs single rel err {err:.3e}");
             let none = hs.solve_mat_in_place(&mut Mat::zeros(n, 0), &opts).expect("empty block");
             assert!(none.gmres.is_empty());
+            // The LU of the same system, down to dimension 0.
+            let mut factored = one_column(&b, 0);
+            let report = hs.solve_factored_in_place(&mut factored).expect("factored solve");
+            assert_eq!(report.bytes, 8 * hs.reduced_dim() * hs.reduced_dim());
+            let err = rel_err(factored.col(0), &out.x);
+            assert!(err < 1e-10, "L={max_level} {w:?}: factored vs GMRES rel err {err:.3e}");
+            hs.solve_factored_in_place(&mut Mat::zeros(n, 0)).expect("empty factored block");
             answers.push(out.x);
         }
         let err = rel_err(&answers[1], &answers[0]);
@@ -482,6 +513,8 @@ fn mis_shaped_right_hand_sides_are_typed_errors() {
     shape(hs.solve_mat_in_place(&mut Mat::zeros(n - 3, 2), &opts).map(drop), n - 3);
     shape(hs.solve_mat_in_place(&mut Mat::zeros(0, 4), &opts).map(drop), 0);
     shape(sf.solve_block_in_place(&mut Mat::zeros(0, 4), &opts).map(drop), 0);
+    shape(hs.solve_factored_in_place(&mut Mat::zeros(n - 1, 1)).map(drop), n - 1);
     let out = hs.solve_mat_in_place(&mut none, &opts).expect("n x 0 hybrid solve");
     assert!(out.gmres.is_empty());
+    hs.solve_factored_in_place(&mut none).expect("n x 0 factored solve");
 }

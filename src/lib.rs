@@ -69,8 +69,8 @@ pub mod prelude {
     pub use kfds_core::{
         dist_factorize, estimate_condition, estimate_sigma1, factorize, factorize_baseline,
         DistSolver, FactorStats, FactorTree, HybridOutcome, HybridSolver, KernelRidge,
-        LeafFactorization, LevelRestrictedDirect, ReducedOperator, ReducedReport, SolverConfig,
-        SolverError, StorageMode, WStorage,
+        LeafFactorization, ReducedOperator, ReducedReport, SolverConfig, SolverError, StorageMode,
+        WStorage,
     };
     pub use kfds_kernels::{Gaussian, Kernel, Laplacian, Matern32, Polynomial};
     pub use kfds_krylov::{cg, gmres, CgOptions, GmresOptions, LinOp};
