@@ -9,14 +9,20 @@
 //! digest sees only from outside: skeleton indices and `proj`, every `P̂` /
 //! `B_l` / `B_r`, and the factorization's accounting.
 //!
-//! The tables are asserted when the scalar kernel bodies run
-//! (`KFDS_SIMD=off`, or a host without the vector units), where they do
-//! not depend on the host's vector width; the thread count and
-//! `KFDS_WS_POOL` were checked not to move a bit. The seven retired
-//! registry names (`KFDS_CPQR`, `KFDS_EVAL_GEMM`, `KFDS_KNN`,
+//! Which table binds depends on the arithmetic that runs:
+//!
+//! * `GOLDEN`, `GOLDEN_SETUP` and `GOLDEN_NORMAL64D` bind the scalar kernel
+//!   bodies (`KFDS_SIMD=off`, or a host without AVX2+FMA), on any host:
+//!   they do not depend on the vector width.
+//! * `GOLDEN_AVX512` binds the vector bodies on a host with AVX-512F (the
+//!   default there): the same 25 rows, in the same order.
+//! * On a host with AVX2+FMA but no AVX-512F, with SIMD on, no table binds:
+//!   the test only checks that the same solve reproduces itself.
+//!
+//! The thread count and `KFDS_WS_POOL` were checked not to move a bit. The
+//! seven retired registry names (`KFDS_CPQR`, `KFDS_EVAL_GEMM`, `KFDS_KNN`,
 //! `KFDS_REFACTOR`, `KFDS_SERVE_BATCH`, `KFDS_SHARD`, `KFDS_BATCH`) are read
-//! by nothing, and the ci lane sets them all to show that. With SIMD on the
-//! test only checks that the same solve reproduces itself.
+//! by nothing, and the ci lane sets them all to show that.
 //!
 //! The routes to a stored factor that share an assembly instead of
 //! building their own (`factorize_with_blocks`, `FactorTree::refactor`,
@@ -25,8 +31,9 @@
 //! arithmetic.
 //!
 //! To regenerate after an intended change of arithmetic: run
-//! `KFDS_SIMD=off cargo test -p kfds-core --test solve_digests`; the
-//! failure message prints both tables in source form.
+//! `cargo test -p kfds-core --test solve_digests`, with `KFDS_SIMD=off`
+//! for the scalar tables; the failure message prints the tables this build
+//! produces in source form.
 
 use kfds_askit::{compute_neighbors, skeletonize, skeletonize_with_neighbors};
 use kfds_askit::{SkelConfig, SkeletonTree};
@@ -88,6 +95,38 @@ const GOLDEN_NORMAL64D: [(&str, u64); 4] = [
     ("skeleton/normal64d", 0xbfa8f9fb0b9e5409),
     ("factor/normal64d/Gsks", 0x42576db6768a5185),
     ("direct/normal64d/Gsks", 0x4fc47e5564116b79),
+];
+
+/// Every row of the three tables above, in the same order, under the
+/// vector kernel bodies of a host with AVX-512F (`KFDS_SIMD` on). Recorded
+/// at commit 74324e4, the last with the dimension-major GSKS source pack,
+/// and checked there to be equal on one and two rayon threads.
+const GOLDEN_AVX512: [(&str, u64); 25] = [
+    ("direct/StoredGemv/Stored", 0xb095a3f711100fed),
+    ("direct/StoredGemv/Recompute", 0x148273f8bbf79e08),
+    ("direct/RecomputeGemm/Stored", 0xb095a3f711100fed),
+    ("direct/RecomputeGemm/Recompute", 0x148273f8bbf79e08),
+    ("direct/Gsks/Stored", 0xeadde35b66933515),
+    ("direct/Gsks/Recompute", 0x991ab0d23c5c027f),
+    ("hybrid/L2", 0x14edb07136331898),
+    ("partition/p4", 0xeadde35b66933515),
+    ("skeleton/normal", 0x6fd7da0f032310ea),
+    ("factor/StoredGemv/Stored", 0x00a2adbbaeb8249c),
+    ("factor/StoredGemv/Recompute", 0x954587c7f374f1b7),
+    ("factor/RecomputeGemm/Stored", 0x8adf1170d4e1cf8b),
+    ("factor/RecomputeGemm/Recompute", 0x11322fbc47f614a0),
+    ("factor/Gsks/Stored", 0x9f00994f7039fd2a),
+    ("factor/Gsks/Recompute", 0x574e325d499d849e),
+    ("factor/cholesky", 0xd445119533db1daa),
+    ("direct/cholesky", 0xbae62da72e0e9cfa),
+    ("factor/partial-L2/Recompute", 0xbb39d1910a9cdd41),
+    ("skeleton/covtype", 0x5d32d2622611aeb7),
+    ("factor/covtype", 0xfadc87e5e0297895),
+    ("direct/covtype", 0xe8a1d86b76eb93d8),
+    ("knn/normal64d", 0x427e74ccd79c91b0),
+    ("skeleton/normal64d", 0xec3d48e271469131),
+    ("factor/normal64d/Gsks", 0x4bf611c29bb5edbf),
+    ("direct/normal64d/Gsks", 0x7cce0acc4b90d406),
 ];
 
 /// The `multi_rhs.rs` fixture: n = 1024, leaf 64, τ = 1e-5, s ≤ 64, κ = 8.
@@ -247,6 +286,8 @@ fn digest_of(name: &str, solve: impl Fn(&mut Mat)) -> u64 {
 }
 
 type Rows = Vec<(String, u64)>;
+/// A recorded table: its name and rows.
+type Golden = (&'static str, &'static [(&'static str, u64)]);
 
 fn direct_digest<K: Kernel>(name: &str, ft: &FactorTree<'_, K>) -> (String, u64) {
     let d = digest_of(name, |b| ft.solve_mat_in_place(b).expect("direct solve"));
@@ -361,21 +402,24 @@ fn blocked_solve_digests_match_the_recorded_table() {
         let (_, fresh) = solves.iter().find(|(n, _)| *n == fresh_row).expect("fresh row");
         assert_eq!(digest, *fresh, "{name} must reproduce {fresh_row} bit for bit");
     }
-    if kfds_la::simd::active() {
-        return; // vector arithmetic: run-to-run equality (checked in `digest_of`) is all we hold
-    }
+    let tables: Vec<(Golden, Rows)> = if !kfds_la::simd::active() {
+        vec![
+            (("GOLDEN", &GOLDEN), solves),
+            (("GOLDEN_SETUP", &GOLDEN_SETUP), setup),
+            (("GOLDEN_NORMAL64D", &GOLDEN_NORMAL64D), normal64d),
+        ]
+    } else if kfds_la::simd::avx512_supported() {
+        vec![(("GOLDEN_AVX512", &GOLDEN_AVX512), [solves, setup, normal64d].concat())]
+    } else {
+        return; // AVX2 only: run-to-run equality (checked in `digest_of`) is all we hold
+    };
     let same = |got: &Rows, want: &[(&str, u64)]| {
         got.len() == want.len()
             && got.iter().zip(want).all(|((gn, gd), (wn, wd))| gn == wn && gd == wd)
     };
-    if !same(&solves, &GOLDEN)
-        || !same(&setup, &GOLDEN_SETUP)
-        || !same(&normal64d, &GOLDEN_NORMAL64D)
-    {
+    if tables.iter().any(|((_, want), got)| !same(got, want)) {
         let mut msg = String::from("digests moved; the tables this build produces are\n");
-        let tables =
-            [("GOLDEN", &solves), ("GOLDEN_SETUP", &setup), ("GOLDEN_NORMAL64D", &normal64d)];
-        for (title, rows) in tables {
+        for ((title, _), rows) in &tables {
             msg.push_str(&format!("{title}:\n"));
             for (name, d) in rows {
                 msg.push_str(&format!("    (\"{name}\", {d:#018x}),\n"));
