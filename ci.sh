@@ -89,9 +89,10 @@ step "cargo test (kfds-la, KFDS_WS_POOL=off — global-allocator workspace path)
 KFDS_WS_POOL=off cargo test -q -p kfds-la
 
 step "cargo test (kfds-core solve_digests, KFDS_SIMD=off + every retired switch — the golden table)"
-# The digest table is asserted only on the scalar kernel bodies, so this is
-# the lane that holds neighbour lists, skeletons, factors and solves to the
-# recorded bits. The seven retired registry names select nothing (no crate
+# The scalar digest tables are asserted only on the scalar kernel bodies,
+# so this is the lane that holds neighbour lists, skeletons, factors and
+# solves to those recorded bits on any host (the default lane asserts the
+# GOLDEN_AVX512 table on an AVX-512 host). The seven retired registry names select nothing (no crate
 # reads them; the entries wait on ROADMAP 1(a)): setting them all must move
 # no digest.
 KFDS_SIMD=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=scalar KFDS_REFACTOR=off \

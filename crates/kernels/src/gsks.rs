@@ -3,159 +3,243 @@
 //! The two-pass reference streams an `m x n` kernel block through memory
 //! twice. GSKS fuses the three stages — rank-`d` Gram update, elementwise
 //! kernel evaluation, and the GEMV reduction — inside one register tile:
-//! an `MR x NR` block of `K` is produced in registers by the semi-ring
-//! rank-`d` update, transformed by the kernel function, contracted against
-//! the weights, and discarded. Only `O(md + nd)` memory moves remain and
-//! the `m x n` block never exists (`O(1)` extra storage), which is the
-//! paper's 3–30x win over the reference for small `d`.
+//! a tile of `K` is produced in registers by the semi-ring rank-`d`
+//! update, transformed by the kernel function, contracted against the
+//! weights, and discarded. Only `O(md + nd)` memory moves remain and the
+//! `m x n` block never exists, which is the paper's 3–30x win over the
+//! reference for small `d`.
 //!
-//! The paper implements the microkernel in AVX2/AVX512 assembly; here the
-//! tile goes through `kfds_la::simd::gsks_tile_8x4` — an explicit AVX2+FMA
-//! register kernel when the host supports it and `KFDS_SIMD` is not off,
-//! with the pre-existing scalar tile as the reference path (bitwise the
-//! old numerics when SIMD is disabled). In SIMD mode the source panel is
-//! packed **dimension-major** per NR tile so the kernel loads each
-//! dimension's four source values with one vector load, and the kernel
-//! transform of the whole tile is batched through
-//! [`Kernel::eval_parts_many`] (one `vexp` per tile for Gaussian /
-//! Laplacian instead of `MR x NR` scalar `exp` calls).
+//! # One tile layout
+//!
+//! A tile is 8 targets by 8 sources, column-major, with the targets in the
+//! vector lanes (`kfds_la::simd::GSKS_MR`):
+//!
+//! * The targets (at most `s x d` of them in the solver) are packed
+//!   dimension-major, 8 rows at a time, by the task that owns those rows.
+//! * The sources are read where they lie: each of a tile's 8 columns is
+//!   broadcast from the tree-ordered [`PointSet`]. A group of 8 consecutive
+//!   indices (every full group of a contiguous `cols` range) is a window of
+//!   the point set, no copy. Any other full group is gathered point-major
+//!   once per call, and a partial last group is copied into a zero-padded
+//!   `8 x d` tail.
+//! * [`kfds_la::simd::gsks_gram`] forms the tile, [`Kernel::eval_parts_many`]
+//!   transforms it, and one of two epilogues consumes it. One weight
+//!   column goes through [`kfds_la::simd::gsks_dot`] into eight lane
+//!   accumulators. Several go through [`kfds_la::simd::gsks_contract`],
+//!   which reads `U` and accumulates into `W`, both column-major, in place.
+//!
+//! # Arithmetic
+//!
+//! Every output element is one fixed sequence of roundings, whatever tile
+//! produced it, so the answer does not depend on the layout, the row
+//! grouping or the thread count:
+//!
+//! * the Gram value is one chain over the coordinates from `0` — fused
+//!   multiply-adds under the vector bodies, multiply then add under the
+//!   scalar one;
+//! * squared norms: targets through `kfds_la::blas1::nrm2_sq`, sources as
+//!   one multiply-then-add chain under the vector bodies and through
+//!   `nrm2_sq` under the scalar one;
+//! * the kernel transform is `eval_parts_many` elementwise;
+//! * one weight column: groups of four columns, each summed from `0`
+//!   (`s += k·u`), then `acc += s`;
+//! * several: a full 8-row group under the vector bodies is one FMA chain
+//!   per element over the columns; a partial row group, or the scalar
+//!   body, takes the same groups of four as one column.
+//!
+//! In both epilogues a last group of four is completed with zero-weight
+//! columns: the padded tail makes them kernel values at the origin, finite
+//! for finite targets, so they add only signed zeros. The golden digests in
+//! `tests/digests.rs` pin all of this.
 
 use crate::function::Kernel;
+use kfds_la::simd::{self, GSKS_MR as MR};
 use kfds_la::workspace;
 use kfds_la::{MatMut, MatRef};
 use kfds_tree::PointSet;
-use rayon::prelude::*;
 
-/// Register tile height (rows = targets), matching the SIMD kernel.
-const MR: usize = kfds_la::simd::GSKS_MR;
-/// Register tile width (columns = sources), matching the SIMD kernel.
-const NR: usize = kfds_la::simd::GSKS_NR;
+/// Row groups per parallel band at most: a band's packed targets stay in
+/// L1 while a block of sources streams past all of them.
+const BAND: usize = 4;
+/// Bytes of source coordinates and weights per block: a block stays in L2
+/// while every row group of a band sweeps it, so a source is read from
+/// memory once per band instead of once per row group.
+const BLOCK_BYTES: usize = 256 << 10;
 
-/// Packed, zero-padded coordinates + norms for one side of a summation.
-/// Storage comes from the workspace pool and returns to it on drop.
-struct Packed {
-    /// `padded x d`. Point-major (point `i` = `coords[i*d .. (i+1)*d]`)
-    /// for target panels and scalar-mode source panels; dimension-major
-    /// per NR tile for SIMD-mode source panels (see
-    /// [`pack_cols_transposed`]).
-    coords: workspace::WsVec,
-    /// Squared norms, zero-padded.
-    norms: workspace::WsVec,
+/// `true` if `group` is a run of consecutive point indices.
+fn is_run(group: &[usize]) -> bool {
+    group.windows(2).all(|p| p[1] == p[0] + 1)
 }
 
-fn pack(pts: &PointSet, idx: &[usize], pad_to: usize) -> Packed {
-    let d = pts.dim();
-    let padded = idx.len().next_multiple_of(pad_to);
-    // Pooled buffers arrive with stale contents; the loop overwrites the
-    // live region and only the padding tail needs explicit zeroing (padded
-    // tile entries must evaluate the kernel at the origin, not at garbage
-    // coordinates, so their weighted contribution of zero stays finite).
-    let mut coords = workspace::take(padded * d);
-    let mut norms = workspace::take(padded);
-    for (i, &p) in idx.iter().enumerate() {
-        coords[i * d..(i + 1) * d].copy_from_slice(pts.point(p));
-    }
-    coords[idx.len() * d..].fill(0.0);
-    // Norms in one pass over the packed panel (cache-hot, just copied)
-    // instead of re-walking each source point inside the copy loop.
-    for (i, nv) in norms.iter_mut().enumerate().take(idx.len()) {
-        *nv = kfds_la::blas1::nrm2_sq(&coords[i * d..(i + 1) * d]);
-    }
-    norms[idx.len()..].fill(0.0);
-    Packed { coords, norms }
+/// The source side of one summation: where each tile's `MR` points lie.
+struct Sources<'a> {
+    pts: &'a PointSet,
+    cols: &'a [usize],
+    /// Point-major copies of the full groups that are not runs, group `g`
+    /// at `g * MR * d`; taken only if there is such a group.
+    gathered: Option<workspace::WsVec>,
+    /// A partial last group, zero-padded to `MR` points.
+    tail: workspace::WsVec,
 }
 
-/// SIMD-mode source packing: within each NR-point tile the coordinates are
-/// stored dimension-major (`coords[tile*NR*d + kk*NR + c] = y_c[kk]`), so
-/// the vector kernel loads the tile's four values of dimension `kk` with a
-/// single unaligned load instead of a strided gather. Norms come from one
-/// NR-wide vectorizable accumulation pass over the packed panel.
-fn pack_cols_transposed(pts: &PointSet, idx: &[usize]) -> Packed {
-    let d = pts.dim();
-    let padded = idx.len().next_multiple_of(NR);
-    let mut coords = workspace::take(padded * d);
-    let mut norms = workspace::take(padded);
-    // Pad slots of a partial last tile interleave with live ones, so zero
-    // that whole tile up front before scattering the live points in.
-    if !idx.len().is_multiple_of(NR) {
-        let last_tile = (padded / NR - 1) * NR * d;
-        coords[last_tile..].fill(0.0);
-    }
-    for (i, &p) in idx.iter().enumerate() {
-        let base = (i / NR) * NR * d + i % NR;
-        for (kk, &v) in pts.point(p).iter().enumerate() {
-            coords[base + kk * NR] = v;
-        }
-    }
-    norms.fill(0.0);
-    for t in 0..padded / NR {
-        let base = t * NR * d;
-        let (nrow, crow) = (&mut norms[t * NR..(t + 1) * NR], &coords[base..base + NR * d]);
-        for kk in 0..d {
-            for (nv, &v) in nrow.iter_mut().zip(&crow[kk * NR..kk * NR + NR]) {
-                *nv += v * v;
+impl<'a> Sources<'a> {
+    fn new(pts: &'a PointSet, cols: &'a [usize]) -> Self {
+        let d = pts.dim();
+        let groups = cols.chunks_exact(MR);
+        let rest = groups.remainder();
+        let mut gathered = groups.clone().any(|g| !is_run(g)).then(|| {
+            // Only the gathered groups are written, and only they are read.
+            workspace::take(cols.len() / MR * MR * d)
+        });
+        if let Some(buf) = gathered.as_mut() {
+            for (g, dst) in groups.zip(buf.chunks_exact_mut(MR * d)) {
+                if !is_run(g) {
+                    for (&p, y) in g.iter().zip(dst.chunks_exact_mut(d)) {
+                        y.copy_from_slice(pts.point(p));
+                    }
+                }
             }
         }
-    }
-    Packed { coords, norms }
-}
-
-/// The packed operands of one summation — what both summations share up
-/// to the epilogue: the two coordinate panels, and the dispatch they were
-/// packed for (captured once: the packed source layout, the tile kernel
-/// and the epilogue's weight layout must agree for the whole call).
-struct Panels {
-    rp: Packed,
-    cp: Packed,
-    use_simd: bool,
-    d: usize,
-}
-
-impl Panels {
-    fn pack(pts: &PointSet, rows: &[usize], cols: &[usize]) -> Self {
-        let use_simd = kfds_la::simd::active();
-        let rp = pack(pts, rows, MR);
-        let cp = if use_simd { pack_cols_transposed(pts, cols) } else { pack(pts, cols, NR) };
-        Panels { rp, cp, use_simd, d: pts.dim() }
-    }
-
-    /// Source columns including the zero padding of the last tile.
-    fn padded_cols(&self) -> usize {
-        self.cp.norms.len()
-    }
-
-    /// The `MR x NR` tile of `K[rows, cols]` at packed row `r0`, packed
-    /// column `c0`, row-major: the rank-`d` update in registers, then the
-    /// batched kernel transform of the `rows_here` live rows. Padded
-    /// source columns carry finite (kernel-at-the-origin) values the
-    /// epilogue must weight by zero; rows past `rows_here` are not
-    /// transformed and must not be read.
-    #[inline(always)]
-    fn tile<K: Kernel>(&self, k: &K, r0: usize, rows_here: usize, c0: usize) -> [f64; MR * NR] {
-        let d = self.d;
-        let mut tile = [0.0f64; MR * NR];
-        if self.use_simd {
-            kfds_la::simd::gsks_tile_8x4(
-                &self.rp.coords[r0 * d..(r0 + MR) * d],
-                &self.cp.coords[c0 * d..(c0 + NR) * d],
-                d,
-                &mut tile,
-            );
-        } else {
-            tile_dots(
-                &self.rp.coords[r0 * d..(r0 + rows_here) * d],
-                &self.cp.coords[c0 * d..(c0 + NR) * d],
-                d,
-                &mut tile,
-            );
+        let mut tail = workspace::take(MR * d);
+        for (&p, y) in rest.iter().zip(tail.chunks_exact_mut(d)) {
+            y.copy_from_slice(pts.point(p));
         }
-        k.eval_parts_many(
-            &mut tile[..rows_here * NR],
-            &self.rp.norms[r0..r0 + rows_here],
-            &self.cp.norms[c0..c0 + NR],
-        );
-        tile
+        tail[rest.len() * d..].fill(0.0);
+        Sources { pts, cols, gathered, tail }
     }
+
+    /// Tiles across the sources.
+    fn groups(&self) -> usize {
+        self.cols.len().div_ceil(MR)
+    }
+
+    /// The `MR` points of source group `g`, point-major (`MR * d` values).
+    fn group(&self, g: usize) -> &[f64] {
+        let d = self.pts.dim();
+        let idx = &self.cols[g * MR..self.cols.len().min((g + 1) * MR)];
+        if idx.len() < MR {
+            &self.tail
+        } else if is_run(idx) {
+            &self.pts.as_slice()[idx[0] * d..(idx[0] + MR) * d]
+        } else {
+            let buf = self.gathered.as_deref().expect("a full group off a run is gathered");
+            &buf[g * MR * d..(g + 1) * MR * d]
+        }
+    }
+
+    /// Squared norms of every source, zero past the last; see the module
+    /// docs for the two arithmetics.
+    fn norms(&self, use_simd: bool) -> workspace::WsVec {
+        let d = self.pts.dim();
+        let mut norms = workspace::take(self.groups() * MR);
+        for (g, nv) in norms.chunks_mut(MR).enumerate() {
+            for (n, y) in nv.iter_mut().zip(self.group(g).chunks_exact(d)) {
+                *n = if use_simd {
+                    y.iter().fold(0.0, |s, &v| s + v * v)
+                } else {
+                    kfds_la::blas1::nrm2_sq(y)
+                };
+            }
+        }
+        norms
+    }
+}
+
+/// Packs one row group's targets dimension-major (`xg[k * MR + r]`, rows
+/// past `rows.len()` zero) with their squared norms.
+fn pack_targets(pts: &PointSet, rows: &[usize], xg: &mut [f64], norms: &mut [f64; MR]) {
+    if rows.len() < MR {
+        xg.fill(0.0);
+    }
+    for (r, &p) in rows.iter().enumerate() {
+        let x = pts.point(p);
+        for (xk, &v) in xg.chunks_exact_mut(MR).zip(x) {
+            xk[r] = v;
+        }
+        norms[r] = kfds_la::blas1::nrm2_sq(x);
+    }
+    norms[rows.len()..].fill(0.0);
+}
+
+/// Runs `f(g0, w)` on bands of at most `band` row groups of `w` (`g0` the
+/// band's first group), halving the rows across the rayon pool.
+fn for_each_band<F>(w: MatMut<'_>, g0: usize, band: usize, f: &F)
+where
+    F: Fn(usize, MatMut<'_>) + Sync,
+{
+    let groups = w.nrows().div_ceil(MR);
+    if groups <= band {
+        return f(g0, w);
+    }
+    let half = groups / 2;
+    let (top, bottom) = w.split_at_row(half * MR);
+    rayon::join(|| for_each_band(top, g0, band, f), || for_each_band(bottom, g0 + half, band, f));
+}
+
+/// `W = K[rows, cols] U` through the one tile layout (the engine under
+/// both public entry points): one weight column takes the `gsks_dot`
+/// epilogue, several the `gsks_contract` one.
+///
+/// The rows go in parallel bands of up to [`BAND`] row groups, and each
+/// band sweeps the sources block by block, every row group of the band
+/// over one block before the next. A row still meets the source tiles in
+/// ascending order, so the blocking moves no bit.
+fn sum_tiles<K: Kernel>(
+    k: &K,
+    pts: &PointSet,
+    rows: &[usize],
+    cols: &[usize],
+    u: MatRef<'_>,
+    mut w: MatMut<'_>,
+) {
+    let nrhs = u.ncols();
+    if rows.is_empty() || nrhs == 0 {
+        return;
+    }
+    if cols.is_empty() {
+        w.fill(0.0);
+        return;
+    }
+    let d = pts.dim();
+    let src = Sources::new(pts, cols);
+    let norms = src.norms(simd::active());
+    let band = rows.len().div_ceil(MR).div_ceil(rayon::current_num_threads()).clamp(1, BAND);
+    let block = (BLOCK_BYTES / (MR * (d + nrhs) * std::mem::size_of::<f64>())).max(1);
+    for_each_band(w, 0, band, &|g0, mut wb| {
+        let m = wb.nrows();
+        let mut xg = workspace::take(m.div_ceil(MR) * MR * d);
+        let mut rn = [[0.0f64; MR]; BAND];
+        for ((idx, x), n) in
+            rows[g0 * MR..g0 * MR + m].chunks(MR).zip(xg.chunks_mut(MR * d)).zip(&mut rn)
+        {
+            pack_targets(pts, idx, x, n);
+        }
+        let mut acc = [[0.0f64; MR]; BAND];
+        if nrhs > 1 {
+            wb.fill(0.0);
+        }
+        let mut tile = [0.0f64; MR * MR];
+        for s0 in (0..src.groups()).step_by(block) {
+            for (b, (x, n)) in xg.chunks(MR * d).zip(&rn).enumerate() {
+                for sg in s0..src.groups().min(s0 + block) {
+                    simd::gsks_gram(x, src.group(sg), d, &mut tile);
+                    k.eval_parts_many(&mut tile, &norms[sg * MR..(sg + 1) * MR], n);
+                    let live = sg * MR..cols.len().min((sg + 1) * MR);
+                    if nrhs == 1 {
+                        simd::gsks_dot(&tile, &u.col(0)[live], &mut acc[b]);
+                    } else {
+                        let wg = wb.rb_mut().submatrix_mut(b * MR..m.min((b + 1) * MR), 0..nrhs);
+                        simd::gsks_contract(&tile, u.submatrix(live, 0..nrhs), wg);
+                    }
+                }
+            }
+        }
+        if nrhs == 1 {
+            for (wr, a) in wb.col_mut(0).chunks_mut(MR).zip(&acc) {
+                wr.copy_from_slice(&a[..wr.len()]);
+            }
+        }
+    });
 }
 
 /// Fused kernel summation: `w = K[rows, cols] * u` (overwrites `w`),
@@ -173,47 +257,15 @@ pub fn sum_fused<K: Kernel>(
 ) {
     assert_eq!(u.len(), cols.len(), "sum_fused: weight length mismatch");
     assert_eq!(w.len(), rows.len(), "sum_fused: output length mismatch");
-    if rows.is_empty() {
-        return;
-    }
-    if cols.is_empty() {
-        w.fill(0.0);
-        return;
-    }
-    let p = Panels::pack(pts, rows, cols);
-    // Zero-padded weights so padded source columns contribute nothing.
-    let mut upad = workspace::take(p.padded_cols());
-    upad[..u.len()].copy_from_slice(u);
-    upad[u.len()..].fill(0.0);
-
-    // Parallel over disjoint MR-row chunks of the output. The
-    // single-weight epilogue: one NR-term dot per live tile row, summed
-    // over the tiles in registers.
-    w.par_chunks_mut(MR).enumerate().for_each(|(rt, wchunk)| {
-        let r0 = rt * MR;
-        let rows_here = wchunk.len();
-        let mut acc = [0.0f64; MR];
-        for c0 in (0..p.padded_cols()).step_by(NR) {
-            let tile = p.tile(k, r0, rows_here, c0);
-            for (r, accr) in acc.iter_mut().enumerate().take(rows_here) {
-                let mut s = 0.0;
-                for (kv, uv) in tile[r * NR..r * NR + NR].iter().zip(&upad[c0..c0 + NR]) {
-                    s += kv * uv;
-                }
-                *accr += s;
-            }
-        }
-        wchunk.copy_from_slice(&acc[..rows_here]);
-    });
+    sum_tiles(k, pts, rows, cols, MatRef::from_col(u), MatMut::from_col(w));
 }
 
 /// Fused multi-RHS summation: `W = K[rows, cols] * U` (overwrites `W`),
-/// matrix-free. `U` is `cols.len() x nrhs`, `W` is `rows.len() x nrhs`.
+/// matrix-free. `U` is `cols.len() x nrhs`, `W` is `rows.len() x nrhs`,
+/// both read and written where they lie (any column stride).
 ///
-/// One column takes [`sum_fused`]'s single-weight epilogue (the answer is
-/// `sum_fused`'s, bit for bit): transposing `U`, zeroing a row-major `W`
-/// and the RHS-wide contraction buy nothing for one weight column and
-/// cost 5–17 % at the solve's shapes.
+/// One column takes [`sum_fused`]'s single-weight epilogue, so the answer
+/// is `sum_fused`'s, bit for bit.
 ///
 /// # Panics
 /// Panics on dimension mismatches.
@@ -223,108 +275,12 @@ pub fn sum_fused_multi<K: Kernel>(
     rows: &[usize],
     cols: &[usize],
     u: MatRef<'_>,
-    mut w: MatMut<'_>,
+    w: MatMut<'_>,
 ) {
     assert_eq!(u.nrows(), cols.len(), "sum_fused_multi: U rows mismatch");
     assert_eq!(w.nrows(), rows.len(), "sum_fused_multi: W rows mismatch");
     assert_eq!(u.ncols(), w.ncols(), "sum_fused_multi: RHS count mismatch");
-    let nrhs = u.ncols();
-    let m = rows.len();
-    if m == 0 || nrhs == 0 {
-        return;
-    }
-    if nrhs == 1 {
-        return sum_fused(k, pts, rows, cols, u.col(0), w.col_mut(0));
-    }
-    if cols.is_empty() {
-        w.fill(0.0);
-        return;
-    }
-    let p = Panels::pack(pts, rows, cols);
-
-    // SIMD mode: transpose U once into source-major layout (`ut[c * nrhs
-    // + t] = U[c, t]`) so the contraction kernel sweeps each source's
-    // weights with contiguous vector loads. The zero padding rows make the
-    // padded tile columns — whose kernel values are finite but meaningless
-    // — contribute nothing, so the kernel never needs a `cols_here` guard.
-    let ut = p.use_simd.then(|| {
-        let mut ut = workspace::take(p.padded_cols() * nrhs);
-        for t in 0..nrhs {
-            for (c, &v) in u.col(t).iter().enumerate() {
-                ut[c * nrhs + t] = v;
-            }
-        }
-        ut[cols.len() * nrhs..].fill(0.0);
-        ut
-    });
-    let ut_ref = ut.as_deref();
-
-    // Row-major accumulation buffer (m x nrhs) so row tiles are chunkable;
-    // zeroed because the tile loop accumulates into it.
-    let mut wbuf = workspace::take_zeroed(m * nrhs);
-    wbuf.par_chunks_mut(MR * nrhs).enumerate().for_each(|(rt, wchunk)| {
-        let r0 = rt * MR;
-        let rows_here = MR.min(m - r0);
-        for c0 in (0..p.padded_cols()).step_by(NR) {
-            let tile = p.tile(k, r0, rows_here, c0);
-            match ut_ref {
-                // Vectorized contraction of a full row tile against every
-                // RHS at once — this multi-RHS epilogue dominates the
-                // factorization's P̂ panel applies (nrhs = skeleton size).
-                Some(ut) if rows_here == MR => {
-                    kfds_la::simd::gsks_contract_8x4(
-                        &tile,
-                        &ut[c0 * nrhs..(c0 + NR) * nrhs],
-                        nrhs,
-                        wchunk,
-                    );
-                }
-                _ => {
-                    let cols_here = NR.min(cols.len().saturating_sub(c0));
-                    for r in 0..rows_here {
-                        let krow = &tile[r * NR..r * NR + NR];
-                        let wrow = &mut wchunk[r * nrhs..(r + 1) * nrhs];
-                        for (t, wt) in wrow.iter_mut().enumerate() {
-                            let ucol = u.col(t);
-                            let mut s = 0.0;
-                            for c in 0..cols_here {
-                                s += krow[c] * ucol[c0 + c];
-                            }
-                            *wt += s;
-                        }
-                    }
-                }
-            }
-        }
-    });
-    // Transpose the row-major buffer into the column-major output view.
-    for t in 0..nrhs {
-        let col = w.col_mut(t);
-        for (i, c) in col.iter_mut().enumerate() {
-            *c = wbuf[i * nrhs + t];
-        }
-    }
-}
-
-/// Computes the `MR x NR` tile of inner products between `xr` (up to MR
-/// packed points) and `yc` (NR **point-major** packed points), the
-/// semi-ring rank-`d` update at the heart of GSKS — the scalar reference
-/// path, written row-major into `out` (`out[r*NR + c] = x_r . y_c`).
-#[inline]
-fn tile_dots(xr: &[f64], yc: &[f64], d: usize, out: &mut [f64; MR * NR]) {
-    let rows = xr.len().checked_div(d).unwrap_or(0);
-    for kk in 0..d {
-        let mut yv = [0.0f64; NR];
-        for (c, yvc) in yv.iter_mut().enumerate() {
-            *yvc = yc[c * d + kk];
-        }
-        for r in 0..rows {
-            let xv = xr[r * d + kk];
-            for (acc, &y) in out[r * NR..r * NR + NR].iter_mut().zip(&yv) {
-                *acc += xv * y;
-            }
-        }
-    }
+    sum_tiles(k, pts, rows, cols, u, w);
 }
 
 #[cfg(test)]
@@ -401,6 +357,29 @@ mod tests {
         for i in 0..5 {
             assert!((w1[i] - w2[i]).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn runs_read_in_place_give_the_bits_of_a_gathered_copy() {
+        // The complement of a node's range: two runs whose seam falls
+        // inside a group, so some groups are read in place, one is
+        // gathered and the last is a padded tail. The same points placed
+        // in reverse order are all gathered.
+        let (n, d) = (60, 5);
+        let p = pts(n, d, 21);
+        let cols: Vec<usize> = (0..13).chain(20..n).collect();
+        let rows: Vec<usize> = (13..20).chain([3, 3, 41]).collect();
+        let rev: Vec<usize> = (0..n).rev().collect();
+        let q = p.select(&rev);
+        let flip = |idx: &[usize]| idx.iter().map(|&i| n - 1 - i).collect::<Vec<_>>();
+        let (qrows, qcols) = (flip(&rows), flip(&cols));
+        let u = Mat::from_fn(cols.len(), 3, |i, j| ((i * 7 + j) as f64 * 0.3).sin());
+        let k = Laplacian::new(0.9);
+        let (mut w1, mut w2) = (Mat::zeros(rows.len(), 3), Mat::zeros(rows.len(), 3));
+        sum_fused_multi(&k, &p, &rows, &cols, u.rb(), w1.rb_mut());
+        sum_fused_multi(&k, &q, &qrows, &qcols, u.rb(), w2.rb_mut());
+        let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&w1), bits(&w2));
     }
 
     #[test]

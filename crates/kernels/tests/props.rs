@@ -71,8 +71,8 @@ fn assert_gsks_pool_invariant(n: usize, d: usize, split: usize, nrhs: usize, see
 
 #[test]
 fn pooled_gsks_bitwise_identical_fixed_shapes() {
-    // Shapes straddling the GSKS MR/NR = 4 tile edges, including a
-    // single-target row and a single-source column.
+    // Shapes straddling the 8 x 8 GSKS tile and its groups of four
+    // columns, including a single-target row and a single-source column.
     for &(n, d, split, nrhs) in
         &[(9usize, 3usize, 1usize, 1usize), (10, 2, 9, 2), (33, 5, 13, 3), (64, 4, 32, 1)]
     {
@@ -126,9 +126,9 @@ impl Drop for SimdOff {
     }
 }
 
-/// Fused summation with the SIMD tile kernel vs the scalar fallback path
-/// (which also takes the point-major packing layout) within the relative
-/// tolerance of `d`-term reassociation plus the vectorized exponential.
+/// Fused summation with the vector tile bodies vs the scalar ones within
+/// the relative tolerance of fused multiply-adds plus the vectorized
+/// exponential.
 fn assert_gsks_simd_vs_scalar(n: usize, d: usize, split: usize, nrhs: usize, seed: u64) {
     fn check<K: Kernel>(k: &K, n: usize, d: usize, split: usize, nrhs: usize, seed: u64) {
         let pts = det_points(n, d, seed);
@@ -178,10 +178,10 @@ fn assert_gsks_simd_vs_scalar(n: usize, d: usize, split: usize, nrhs: usize, see
 #[test]
 fn simd_gsks_matches_scalar_edge_tiles() {
     let _guard = POOL_TOGGLE.lock().unwrap();
-    // Shapes straddling the 8x4 GSKS tile: partial row tiles (rows < MR),
-    // partial column tiles (cols % NR != 0), d from 1 to past a 4-wide
-    // register, and nrhs around the contraction kernel's 4-wide RHS step
-    // (exact multiple, scalar tail, and below one vector).
+    // Shapes straddling the 8 x 8 GSKS tile: partial row groups (the
+    // scalar contraction), partial source groups (the zero-padded tail),
+    // d from 1 to past a register, and nrhs from one (the `gsks_dot`
+    // epilogue) to a dozen.
     for &(n, d, split, nrhs) in &[
         (3usize, 1usize, 1usize, 1usize),
         (9, 2, 5, 2),

@@ -9,8 +9,11 @@
 //! * an `8 x 6` f64 GEMM microkernel ([`dgemm_tile_avx2`]) operating on
 //!   MR/NR-packed panels, accumulators held in 12 `ymm` registers and
 //!   written straight into column-major `C`;
-//! * a fused-summation rank-`d` tile kernel ([`gsks_tile_8x4`]) for the
-//!   GSKS engine (8 targets x 4 sources per register tile);
+//! * the three kernels of the GSKS engine's one tile layout, 8 target rows
+//!   in the vector lanes: the `8 x 8` Gram tile ([`gsks_gram`]) against
+//!   sources read point-major where they lie, the one-weight epilogue
+//!   ([`gsks_dot`]) and the multi-RHS contraction that reads `U` and
+//!   accumulates into `W` in place ([`gsks_contract`]);
 //! * a fused distance filter ([`dist_filter`]) for the neighbor searches:
 //!   the same rank-`d` tile with the norms identity and a threshold
 //!   compare in registers, one mask word out per 8 queries x candidate;
@@ -29,6 +32,10 @@
 //! * the CPU must report AVX2 **and** FMA (`is_x86_feature_detected!`);
 //!   on other targets the portable scalar paths are the implementation
 //!   (no unconditional `std::arch::x86_64` imports anywhere);
+//! * where a kernel has an AVX-512 body (the skinny GEMM, the distance
+//!   filter, the GSKS kernels, [`vexp`]), [`avx512_supported`] selects it
+//!   over the AVX2 one; the two give the same bits wherever their tests
+//!   say so;
 //! * the `KFDS_SIMD=off` (or `=0`) environment kill-switch — mirroring
 //!   `KFDS_WS_POOL` — forces the scalar reference paths, so
 //!   pooled/unpooled x simd/scalar can be A/B'd in one binary;
@@ -46,6 +53,7 @@
 //! [`vexp`] deviates from `f64::exp` by at most a few ulp (asserted at
 //! `1e-14` relative); inputs below the normal range flush to zero.
 
+use crate::mat::{MatMut, MatRef};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Once;
 
@@ -56,10 +64,13 @@ pub const GEMM_NR: usize = 6;
 /// Widest right operand the unpacked skinny GEMM kernel takes: one `zmm`
 /// accumulator per column of an 8-row tile, 16 of the 32 registers.
 pub const GEMM_SKINNY_N: usize = 16;
-/// GSKS tile kernel rows (targets).
+/// Target rows of one GSKS tile (the vector lanes), and its source
+/// columns: a tile is `GSKS_MR x GSKS_MR`, stored column-major.
 pub const GSKS_MR: usize = 8;
-/// GSKS tile kernel columns (sources).
-pub const GSKS_NR: usize = 4;
+/// Source columns per partial sum of the GSKS epilogues: a tile's columns
+/// are summed in groups of this many from its first, and a last group is
+/// completed with zero-weight columns.
+const GSKS_SUM: usize = 4;
 /// Rows of one packed query group of [`dist_filter`]: one mask per group
 /// and candidate, one bit per row.
 pub const DIST_FILTER_MR: usize = 8;
@@ -141,9 +152,10 @@ pub fn detected_features() -> String {
 
 /// Elementwise `exp` over a slice, in place.
 ///
-/// Dispatches to a 4-wide AVX2 polynomial kernel when [`active`]; falls
-/// back to [`f64::exp`] per element otherwise (so `KFDS_SIMD=off` is
-/// bitwise the scalar libm path).
+/// Dispatches to a polynomial kernel when [`active`] — 8-wide under
+/// AVX-512, 4-wide under AVX2, the same arithmetic per lane, so the two
+/// give the same bits — and falls back to [`f64::exp`] per element
+/// otherwise (so `KFDS_SIMD=off` is bitwise the scalar libm path).
 ///
 /// Vector-path accuracy: relative error vs [`f64::exp`] is a few ulp
 /// (tested at `1e-14`); inputs below `-708.396` (where `exp` enters the
@@ -153,8 +165,15 @@ pub fn vexp(xs: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     {
         if active() {
-            // SAFETY: active() implies AVX2+FMA support.
-            unsafe { x86::vexp_avx2(xs) };
+            // SAFETY: active() implies AVX2+FMA support; the AVX-512 body
+            // runs only when the CPU reports avx512f.
+            unsafe {
+                if avx512_supported() {
+                    x86::vexp_avx512(xs)
+                } else {
+                    x86::vexp_avx2(xs)
+                }
+            }
             return;
         }
     }
@@ -163,79 +182,161 @@ pub fn vexp(xs: &mut [f64]) {
     }
 }
 
-/// The GSKS rank-`d` register tile: inner products between `GSKS_MR`
-/// packed points `xr` (point-major, point `r` at `xr[r*d..(r+1)*d]`) and
-/// `GSKS_NR` packed points `yct` stored **dimension-major**
-/// (`yct[kk*GSKS_NR + c] = y_c[kk]`), written row-major into `out`
-/// (`out[r*GSKS_NR + c] = xr_r . y_c`).
+/// The GSKS Gram tile: `out[c * 8 + r] = x_r · y_c` for 8 targets against
+/// 8 sources — the rank-`d` update of paper §II-D with the targets in the
+/// vector lanes, written column-major.
 ///
-/// Correct on every target: uses the AVX2 kernel when [`active`], a
-/// portable loop over the same transposed layout otherwise.
+/// * `xg` holds the targets dimension-major: coordinate `k` of target `r`
+///   at `xg[k * 8 + r]`.
+/// * `ys` holds the sources point-major, the way a point set stores them:
+///   coordinate `k` of source `c` at `ys[c * d + k]`. For a contiguous
+///   run of points it is a window of the point set itself.
+///
+/// Each value is one chain over `k = 0..d` starting from `0`: fused
+/// multiply-adds in the AVX-512 and AVX2 bodies, which agree bitwise, and
+/// multiply then add in the scalar body.
 ///
 /// # Panics
-/// Panics if `xr` or `yct` are shorter than the tile requires.
-pub fn gsks_tile_8x4(xr: &[f64], yct: &[f64], d: usize, out: &mut [f64; GSKS_MR * GSKS_NR]) {
-    assert!(xr.len() >= GSKS_MR * d, "gsks_tile_8x4: xr too short");
-    assert!(yct.len() >= GSKS_NR * d, "gsks_tile_8x4: yct too short");
+/// Panics if `xg` or `ys` is shorter than `8 * d`.
+pub fn gsks_gram(xg: &[f64], ys: &[f64], d: usize, out: &mut [f64; GSKS_MR * GSKS_MR]) {
+    assert!(xg.len() >= GSKS_MR * d && ys.len() >= GSKS_MR * d, "gsks_gram: operand under 8 x d");
     #[cfg(target_arch = "x86_64")]
     {
         if active() {
-            // SAFETY: bounds asserted above; active() implies AVX2+FMA.
-            unsafe { x86::gsks_tile_avx2(xr.as_ptr(), yct.as_ptr(), d, out) };
+            let (x, y, o) = (xg.as_ptr(), ys.as_ptr(), out.as_mut_ptr());
+            // SAFETY: both operands hold 8 x d elements (asserted above) and
+            // `out` is one tile; active() implies AVX2+FMA and the AVX-512
+            // body runs only when the CPU reports avx512f.
+            unsafe {
+                if avx512_supported() {
+                    x86::gsks_gram_avx512(d, x, y, o)
+                } else {
+                    x86::gsks_gram_avx2(d, x, y, o)
+                }
+            }
             return;
         }
     }
+    gsks_gram_scalar(xg, ys, d, out);
+}
+
+/// The portable body of [`gsks_gram`] (and its `KFDS_SIMD=off` path).
+fn gsks_gram_scalar(xg: &[f64], ys: &[f64], d: usize, out: &mut [f64; GSKS_MR * GSKS_MR]) {
     out.fill(0.0);
-    for kk in 0..d {
-        let yv = &yct[GSKS_NR * kk..GSKS_NR * kk + GSKS_NR];
-        for r in 0..GSKS_MR {
-            let xv = xr[r * d + kk];
-            let orow = &mut out[GSKS_NR * r..GSKS_NR * r + GSKS_NR];
-            for (o, &y) in orow.iter_mut().zip(yv) {
-                *o += xv * y;
+    for (oc, y) in out.chunks_exact_mut(GSKS_MR).zip(ys.chunks_exact(d.max(1))) {
+        for (xk, &yv) in xg.chunks_exact(GSKS_MR).zip(&y[..d]) {
+            for (o, &x) in oc.iter_mut().zip(xk) {
+                *o += x * yv;
             }
         }
     }
 }
 
-/// The GSKS multi-RHS contraction: `W[r, t] += sum_c tile[r, c] * ut[c, t]`
-/// for the `GSKS_MR x GSKS_NR` kernel-value tile (row-major) against an
-/// `GSKS_NR x nrhs` slice of the **transposed** weight matrix (`ut[c, t]`
-/// at `ut[c * nrhs + t]`), accumulating into the row-major `GSKS_MR x nrhs`
-/// output chunk `wrows`.
+/// The one-weight epilogue of a GSKS tile: `acc[r] += Σ_c k[c * 8 + r] u[c]`
+/// over the tile's `u.len() <= 8` live source columns.
 ///
-/// This is the fused epilogue's hot loop when many right-hand sides share
-/// one kernel block (the factorization's `P̂` panels): per tile the
-/// `MR x NR` kernel values contract against every RHS, so the work is
-/// `MR * NR * nrhs` FMAs — vectorized 4-wide over `t`. Correct on every
-/// target: AVX2 kernel when [`active`], portable loop otherwise.
+/// The columns go in groups of four from the first. Each group is summed
+/// from `0`, multiply then add in column order, a last group completed
+/// with zero weights; the group sum is then added to `acc[r]`. Nothing is
+/// fused, so every body gives the same bits.
 ///
 /// # Panics
-/// Panics if `ut` or `wrows` are shorter than the tile requires.
-pub fn gsks_contract_8x4(
-    tile: &[f64; GSKS_MR * GSKS_NR],
-    ut: &[f64],
-    nrhs: usize,
-    wrows: &mut [f64],
-) {
-    assert!(ut.len() >= GSKS_NR * nrhs, "gsks_contract_8x4: ut too short");
-    assert!(wrows.len() >= GSKS_MR * nrhs, "gsks_contract_8x4: wrows too short");
+/// Panics if `u` has more weights than a tile has columns.
+pub fn gsks_dot(k: &[f64; GSKS_MR * GSKS_MR], u: &[f64], acc: &mut [f64; GSKS_MR]) {
+    assert!(u.len() <= GSKS_MR, "gsks_dot: more weights than tile columns");
     #[cfg(target_arch = "x86_64")]
     {
         if active() {
-            // SAFETY: bounds asserted above; active() implies AVX2+FMA.
+            let (kp, up, cols, ap) = (k.as_ptr(), u.as_ptr(), u.len(), acc.as_mut_ptr());
+            // SAFETY: `u` holds the `cols <= 8` weights read (asserted
+            // above), `k` is one tile and `acc` one lane vector; active()
+            // implies AVX2+FMA and the AVX-512 body runs only when the CPU
+            // reports avx512f.
             unsafe {
-                x86::gsks_contract_avx2(tile, ut.as_ptr(), nrhs, wrows.as_mut_ptr());
+                if avx512_supported() {
+                    x86::gsks_dot_avx512(kp, up, cols, ap)
+                } else {
+                    x86::gsks_dot_avx2(kp, up, cols, ap)
+                }
             }
             return;
         }
     }
-    for (r, trow) in tile.chunks_exact(GSKS_NR).enumerate() {
-        let wrow = &mut wrows[r * nrhs..(r + 1) * nrhs];
-        for (c, &kv) in trow.iter().enumerate() {
-            let urow = &ut[c * nrhs..c * nrhs + nrhs];
-            for (wt, &uv) in wrow.iter_mut().zip(urow) {
-                *wt += kv * uv;
+    gsks_dot_scalar(k, u, acc);
+}
+
+/// The portable body of [`gsks_dot`].
+fn gsks_dot_scalar(k: &[f64; GSKS_MR * GSKS_MR], u: &[f64], acc: &mut [f64; GSKS_MR]) {
+    let groups = u.len().div_ceil(GSKS_SUM);
+    for (g, kg) in k.chunks_exact(GSKS_SUM * GSKS_MR).take(groups).enumerate() {
+        let mut s = [0.0f64; GSKS_MR];
+        for (c, kc) in kg.chunks_exact(GSKS_MR).enumerate() {
+            let uc = u.get(g * GSKS_SUM + c).copied().unwrap_or(0.0);
+            for (sr, &kv) in s.iter_mut().zip(kc) {
+                *sr += kv * uc;
+            }
+        }
+        for (a, sr) in acc.iter_mut().zip(s) {
+            *a += sr;
+        }
+    }
+}
+
+/// The multi-RHS epilogue of a GSKS tile: `W[r, t] += Σ_c k[c * 8 + r] U[c, t]`
+/// over the tile's `U.nrows() <= 8` live source columns and `W.nrows() <= 8`
+/// rows. `U` is read and `W` updated where they lie, at any column stride.
+///
+/// * A full 8-row `W` under the vector bodies: each element is one chain of
+///   fused multiply-adds over the columns in order, with the zero-weight
+///   columns that complete the last group of four. The AVX-512 and AVX2
+///   bodies agree bitwise.
+/// * Fewer rows, or the scalar body: [`gsks_dot`]'s groups of four live
+///   columns, each summed from `0` by multiply then add, then added to `W`.
+///
+/// # Panics
+/// Panics if `U` or `W` has more than 8 rows, or their column counts differ.
+pub fn gsks_contract(k: &[f64; GSKS_MR * GSKS_MR], u: MatRef<'_>, mut w: MatMut<'_>) {
+    let (cols, nrhs) = (u.nrows(), u.ncols());
+    assert!(cols <= GSKS_MR && w.nrows() <= GSKS_MR, "gsks_contract: U or W taller than a tile");
+    assert_eq!(nrhs, w.ncols(), "gsks_contract: RHS count mismatch");
+    if cols == 0 {
+        return; // no column, no term: every body leaves W as it is
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if w.nrows() == GSKS_MR && active() {
+            let (up, us, ws) = (u.as_ptr(), u.col_stride(), w.col_stride());
+            let wp = w.as_mut_ptr();
+            // SAFETY: `U` is a live cols x nrhs view and `W` an 8 x nrhs one,
+            // so every element the bodies touch is inside them (the view
+            // constructors checked the strides); active() implies AVX2+FMA
+            // and the AVX-512 body runs only when the CPU reports avx512f.
+            unsafe {
+                if avx512_supported() {
+                    x86::gsks_contract_avx512(k.as_ptr(), cols, nrhs, up, us, wp, ws)
+                } else {
+                    x86::gsks_contract_avx2(k.as_ptr(), cols, nrhs, up, us, wp, ws)
+                }
+            }
+            return;
+        }
+    }
+    gsks_contract_scalar(k, u, w);
+}
+
+/// The portable body of [`gsks_contract`], and its path for a partial row
+/// group under any dispatch.
+fn gsks_contract_scalar(k: &[f64; GSKS_MR * GSKS_MR], u: MatRef<'_>, mut w: MatMut<'_>) {
+    for t in 0..u.ncols() {
+        let (ut, wt) = (u.col(t), w.col_mut(t));
+        for (g, ug) in ut.chunks(GSKS_SUM).enumerate() {
+            let kg = &k[g * GSKS_SUM * GSKS_MR..];
+            for (r, wr) in wt.iter_mut().enumerate() {
+                let mut s = 0.0;
+                for (c, &uc) in ug.iter().enumerate() {
+                    s += kg[c * GSKS_MR + r] * uc;
+                }
+                *wr += s;
             }
         }
     }
@@ -541,67 +642,192 @@ mod x86 {
         }
     }
 
-    /// The GSKS tile kernel: 8 broadcast-FMA rows against one 4-wide
-    /// source vector per dimension. See [`super::gsks_tile_8x4`].
+    /// AVX-512 body of [`super::gsks_gram`]: the 8 target rows in one
+    /// `zmm`, one accumulator per source column, each coordinate of a
+    /// source broadcast from where it lies — eight independent FMA chains.
     ///
     /// # Safety
-    /// Requires AVX2+FMA; `xr` must hold `8*d` and `yct` `4*d` elements.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gsks_tile_avx2(xr: *const f64, yct: *const f64, d: usize, out: &mut [f64; 32]) {
-        debug_assert!(super::cpu_supported(), "gsks_tile_avx2 needs AVX2+FMA");
-        debug_assert!(!xr.is_null() && !yct.is_null());
-        let mut acc = [_mm256_setzero_pd(); 8];
-        for kk in 0..d {
-            let yv = _mm256_loadu_pd(yct.add(4 * kk));
-            for (r, a) in acc.iter_mut().enumerate() {
-                let xv = _mm256_broadcast_sd(&*xr.add(r * d + kk));
-                *a = _mm256_fmadd_pd(xv, yv, *a);
+    /// Requires AVX-512F. `xg` and `ys` must hold `8 * d` readable
+    /// elements, `out` 64 writable ones.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gsks_gram_avx512(d: usize, xg: *const f64, ys: *const f64, out: *mut f64) {
+        debug_assert!(super::avx512_supported(), "gsks_gram_avx512 needs AVX-512F");
+        debug_assert!(!xg.is_null() && !ys.is_null() && !out.is_null());
+        let mut acc = [_mm512_setzero_pd(); 8];
+        for k in 0..d {
+            let x = _mm512_loadu_pd(xg.add(8 * k));
+            for (c, a) in acc.iter_mut().enumerate() {
+                *a = _mm512_fmadd_pd(x, _mm512_set1_pd(*ys.add(c * d + k)), *a);
             }
         }
-        for (r, a) in acc.iter().enumerate() {
-            _mm256_storeu_pd(out.as_mut_ptr().add(4 * r), *a);
+        for (c, a) in acc.iter().enumerate() {
+            _mm512_storeu_pd(out.add(8 * c), *a);
         }
     }
 
-    /// The GSKS multi-RHS contraction kernel: `W[r, 0..nrhs] +=
-    /// tile[r, c] * ut[c, 0..nrhs]` vectorized 4-wide over the RHS index.
-    /// Each 4-wide RHS block loads the four `ut` rows once and reuses them
-    /// across all eight tile rows. See [`super::gsks_contract_8x4`].
+    /// AVX2 body of [`super::gsks_gram`]: the 8 rows as two `ymm` halves,
+    /// the columns in two passes of four (eight accumulators each, so the
+    /// 16 registers hold them and the operands).
     ///
     /// # Safety
-    /// Requires AVX2+FMA; `ut` must hold `4 * nrhs` and `w` `8 * nrhs`
-    /// elements (checked by the safe caller).
+    /// Requires AVX2+FMA. Same layout contract as [`gsks_gram_avx512`].
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gsks_contract_avx2(tile: &[f64; 32], ut: *const f64, nrhs: usize, w: *mut f64) {
-        debug_assert!(super::cpu_supported(), "gsks_contract_avx2 needs AVX2+FMA");
-        debug_assert!(nrhs == 0 || (!ut.is_null() && !w.is_null()));
-        let mut t = 0;
-        while t + 4 <= nrhs {
-            let u0 = _mm256_loadu_pd(ut.add(t));
-            let u1 = _mm256_loadu_pd(ut.add(nrhs + t));
-            let u2 = _mm256_loadu_pd(ut.add(2 * nrhs + t));
-            let u3 = _mm256_loadu_pd(ut.add(3 * nrhs + t));
-            for r in 0..8 {
-                let wp = w.add(r * nrhs + t);
-                let mut acc = _mm256_loadu_pd(wp);
-                acc = _mm256_fmadd_pd(_mm256_broadcast_sd(&tile[4 * r]), u0, acc);
-                acc = _mm256_fmadd_pd(_mm256_broadcast_sd(&tile[4 * r + 1]), u1, acc);
-                acc = _mm256_fmadd_pd(_mm256_broadcast_sd(&tile[4 * r + 2]), u2, acc);
-                acc = _mm256_fmadd_pd(_mm256_broadcast_sd(&tile[4 * r + 3]), u3, acc);
-                _mm256_storeu_pd(wp, acc);
+    pub unsafe fn gsks_gram_avx2(d: usize, xg: *const f64, ys: *const f64, out: *mut f64) {
+        debug_assert!(super::cpu_supported(), "gsks_gram_avx2 needs AVX2+FMA");
+        debug_assert!(!xg.is_null() && !ys.is_null() && !out.is_null());
+        for half in 0..2 {
+            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+            for k in 0..d {
+                let (x0, x1) = (_mm256_loadu_pd(xg.add(8 * k)), _mm256_loadu_pd(xg.add(8 * k + 4)));
+                for (j, a) in acc.iter_mut().enumerate() {
+                    let y = _mm256_broadcast_sd(&*ys.add((4 * half + j) * d + k));
+                    a[0] = _mm256_fmadd_pd(x0, y, a[0]);
+                    a[1] = _mm256_fmadd_pd(x1, y, a[1]);
+                }
             }
-            t += 4;
+            for (j, a) in acc.iter().enumerate() {
+                let col = out.add(8 * (4 * half + j));
+                _mm256_storeu_pd(col, a[0]);
+                _mm256_storeu_pd(col.add(4), a[1]);
+            }
         }
-        while t < nrhs {
-            for r in 0..8 {
-                let mut s = *w.add(r * nrhs + t);
-                s = tile[4 * r].mul_add(*ut.add(t), s);
-                s = tile[4 * r + 1].mul_add(*ut.add(nrhs + t), s);
-                s = tile[4 * r + 2].mul_add(*ut.add(2 * nrhs + t), s);
-                s = tile[4 * r + 3].mul_add(*ut.add(3 * nrhs + t), s);
-                *w.add(r * nrhs + t) = s;
+    }
+
+    /// Weight `c` of a tile's `cols` live ones, zero past them.
+    ///
+    /// # Safety
+    /// `u[c]` must be readable when `c < cols`.
+    #[inline(always)]
+    unsafe fn weight(u: *const f64, cols: usize, c: usize) -> f64 {
+        if c < cols {
+            *u.add(c)
+        } else {
+            0.0
+        }
+    }
+
+    /// AVX-512 body of [`super::gsks_dot`]: per group of four columns a
+    /// lane-wise multiply-then-add sum, added to the row accumulators.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `k` must hold 64 readable elements, `u` `cols <= 8`,
+    /// `acc` 8 readable and writable ones.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gsks_dot_avx512(k: *const f64, u: *const f64, cols: usize, acc: *mut f64) {
+        debug_assert!(super::avx512_supported(), "gsks_dot_avx512 needs AVX-512F");
+        debug_assert!(cols <= 8 && !k.is_null() && !acc.is_null());
+        let mut a = _mm512_loadu_pd(acc);
+        for g in 0..cols.div_ceil(4) {
+            let mut s = _mm512_setzero_pd();
+            for c in 4 * g..4 * g + 4 {
+                let kc = _mm512_loadu_pd(k.add(8 * c));
+                s = _mm512_add_pd(s, _mm512_mul_pd(kc, _mm512_set1_pd(weight(u, cols, c))));
             }
-            t += 1;
+            a = _mm512_add_pd(a, s);
+        }
+        _mm512_storeu_pd(acc, a);
+    }
+
+    /// AVX2 body of [`super::gsks_dot`]: [`gsks_dot_avx512`] on two `ymm`
+    /// halves.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA. Same contract as [`gsks_dot_avx512`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gsks_dot_avx2(k: *const f64, u: *const f64, cols: usize, acc: *mut f64) {
+        debug_assert!(super::cpu_supported(), "gsks_dot_avx2 needs AVX2+FMA");
+        debug_assert!(cols <= 8 && !k.is_null() && !acc.is_null());
+        let (mut a0, mut a1) = (_mm256_loadu_pd(acc), _mm256_loadu_pd(acc.add(4)));
+        for g in 0..cols.div_ceil(4) {
+            let (mut s0, mut s1) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+            for c in 4 * g..4 * g + 4 {
+                let uc = _mm256_set1_pd(weight(u, cols, c));
+                s0 = _mm256_add_pd(s0, _mm256_mul_pd(_mm256_loadu_pd(k.add(8 * c)), uc));
+                s1 = _mm256_add_pd(s1, _mm256_mul_pd(_mm256_loadu_pd(k.add(8 * c + 4)), uc));
+            }
+            a0 = _mm256_add_pd(a0, s0);
+            a1 = _mm256_add_pd(a1, s1);
+        }
+        _mm256_storeu_pd(acc, a0);
+        _mm256_storeu_pd(acc.add(4), a1);
+    }
+
+    /// AVX-512 body of [`super::gsks_contract`] for a full 8-row `W`: the
+    /// tile's columns stay in registers while every right-hand side `t`
+    /// runs one FMA chain per lane — `W[.., t]` loaded, `cols` rounded up
+    /// to four FMAs against broadcast weights `U[c, t]`, stored back.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `1 <= cols <= 8`; `k` must hold 64 readable
+    /// elements; `u[c + t * ucs]` must be readable for `c < cols`,
+    /// `t < nrhs`, and `w[r + t * wcs]` readable and writable for `r < 8`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn gsks_contract_avx512(
+        k: *const f64,
+        cols: usize,
+        nrhs: usize,
+        u: *const f64,
+        ucs: usize,
+        w: *mut f64,
+        wcs: usize,
+    ) {
+        debug_assert!(super::avx512_supported(), "gsks_contract_avx512 needs AVX-512F");
+        debug_assert!((1..=8).contains(&cols), "tile columns out of range: {cols}");
+        debug_assert!(nrhs <= 1 || (wcs >= 8 && ucs >= cols), "U or W columns would overlap");
+        let mut kc = [_mm512_setzero_pd(); 8];
+        for (c, v) in kc.iter_mut().enumerate() {
+            *v = _mm512_loadu_pd(k.add(8 * c));
+        }
+        let chain = cols.next_multiple_of(4);
+        for t in 0..nrhs {
+            let (ut, wt) = (u.add(t * ucs), w.add(t * wcs));
+            let mut a = _mm512_loadu_pd(wt);
+            if cols == 8 {
+                // Every tile but a last partial one: a fixed, unrolled
+                // chain (about a tenth of a 64-RHS summation's time).
+                for (c, v) in kc.iter().enumerate() {
+                    a = _mm512_fmadd_pd(*v, _mm512_set1_pd(*ut.add(c)), a);
+                }
+            } else {
+                for (c, v) in kc.iter().enumerate().take(chain) {
+                    a = _mm512_fmadd_pd(*v, _mm512_set1_pd(weight(ut, cols, c)), a);
+                }
+            }
+            _mm512_storeu_pd(wt, a);
+        }
+    }
+
+    /// AVX2 body of [`super::gsks_contract`]: [`gsks_contract_avx512`] on
+    /// two `ymm` halves, the tile's columns re-read from `k` (L1).
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA. Same contract as [`gsks_contract_avx512`].
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn gsks_contract_avx2(
+        k: *const f64,
+        cols: usize,
+        nrhs: usize,
+        u: *const f64,
+        ucs: usize,
+        w: *mut f64,
+        wcs: usize,
+    ) {
+        debug_assert!(super::cpu_supported(), "gsks_contract_avx2 needs AVX2+FMA");
+        debug_assert!((1..=8).contains(&cols), "tile columns out of range: {cols}");
+        debug_assert!(nrhs <= 1 || (wcs >= 8 && ucs >= cols), "U or W columns would overlap");
+        let chain = cols.next_multiple_of(4);
+        for t in 0..nrhs {
+            let (ut, wt) = (u.add(t * ucs), w.add(t * wcs));
+            let (mut a0, mut a1) = (_mm256_loadu_pd(wt), _mm256_loadu_pd(wt.add(4)));
+            for c in 0..chain {
+                let uc = _mm256_set1_pd(weight(ut, cols, c));
+                a0 = _mm256_fmadd_pd(_mm256_loadu_pd(k.add(8 * c)), uc, a0);
+                a1 = _mm256_fmadd_pd(_mm256_loadu_pd(k.add(8 * c + 4)), uc, a1);
+            }
+            _mm256_storeu_pd(wt, a0);
+            _mm256_storeu_pd(wt.add(4), a1);
         }
     }
 
@@ -1200,11 +1426,33 @@ mod x86 {
         }
     }
 
+    /// In-place 8-wide `exp` (see [`super::vexp`]): [`exp8`] over full
+    /// vectors, then once under a lane mask for a tail of 1–7.
+    ///
+    /// # Safety
+    /// Requires AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn vexp_avx512(xs: &mut [f64]) {
+        debug_assert!(super::avx512_supported(), "vexp_avx512 needs AVX-512F");
+        let n = xs.len();
+        let p = xs.as_mut_ptr();
+        let mut i = 0;
+        while i + 8 <= n {
+            _mm512_storeu_pd(p.add(i), exp8(_mm512_loadu_pd(p.add(i))));
+            i += 8;
+        }
+        if i < n {
+            let mask: __mmask8 = (1u8 << (n - i)) - 1;
+            let tail = exp8(_mm512_maskz_loadu_pd(mask, p.add(i)));
+            _mm512_mask_storeu_pd(p.add(i), mask, tail);
+        }
+    }
+
     /// Largest input for which `exp` is finite.
-    const EXP_HI: f64 = 709.782712893384;
+    pub(super) const EXP_HI: f64 = 709.782712893384;
     /// Smallest input for which `exp` is a normal double; below this the
     /// kernel flushes to zero (absolute error < 2.5e-308).
-    const EXP_LO: f64 = -708.396418532264;
+    pub(super) const EXP_LO: f64 = -708.396418532264;
     /// Cody–Waite split of ln 2 for the argument reduction.
     const LN2_HI: f64 = 6.931471803691238e-1;
     const LN2_LO: f64 = 1.9082149292705877e-10;
@@ -1212,6 +1460,23 @@ mod x86 {
     /// low mantissa bits of `n + MAGIC` hold `n` as a two's-complement
     /// integer.
     const MAGIC: f64 = 6755399441055744.0;
+    /// Taylor coefficients `1/k!`, `k = 13` down to `0`, in Horner order.
+    const EXP_TAYLOR: [f64; 14] = [
+        1.6059043836821613e-10,
+        2.08767569878681e-9,
+        2.505210838544172e-8,
+        2.755731922398589e-7,
+        2.755731922398589e-6,
+        2.48015873015873e-5,
+        1.984126984126984e-4,
+        1.388888888888889e-3,
+        8.333333333333333e-3,
+        4.1666666666666664e-2,
+        1.6666666666666666e-1,
+        0.5,
+        1.0,
+        1.0,
+    ];
 
     /// 4-wide `exp`: round-to-nearest power-of-two argument reduction
     /// `x = n ln2 + r`, |r| <= ln2/2, degree-13 Taylor polynomial (Horner,
@@ -1229,24 +1494,9 @@ mod x86 {
         );
         let r = _mm256_fnmadd_pd(n, _mm256_set1_pd(LN2_HI), x);
         let r = _mm256_fnmadd_pd(n, _mm256_set1_pd(LN2_LO), r);
-        // Taylor coefficients 1/k!, k = 13 down to 0.
-        let mut p = _mm256_set1_pd(1.6059043836821613e-10);
-        for c in [
-            2.08767569878681e-9,
-            2.505210838544172e-8,
-            2.755731922398589e-7,
-            2.755731922398589e-6,
-            2.48015873015873e-5,
-            1.984126984126984e-4,
-            1.388888888888889e-3,
-            8.333333333333333e-3,
-            4.1666666666666664e-2,
-            1.6666666666666666e-1,
-            0.5,
-            1.0,
-            1.0,
-        ] {
-            p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(c));
+        let mut p = _mm256_set1_pd(EXP_TAYLOR[0]);
+        for c in &EXP_TAYLOR[1..] {
+            p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(*c));
         }
         // 2^n in two steps, n = n1 + n2 with n1 ~ n/2: near the overflow
         // end n reaches 1024 (e.g. x = 709.5: exp(x) finite but 2^1024 is
@@ -1277,6 +1527,42 @@ mod x86 {
             _mm256_cmp_pd::<_CMP_GT_OQ>(x, _mm256_set1_pd(EXP_HI)),
         );
         _mm256_blendv_pd(res, x, _mm256_cmp_pd::<_CMP_UNORD_Q>(x, x))
+    }
+
+    /// [`exp4`] on eight lanes: the same reduction, polynomial, two-step
+    /// exponent insertion and range fix-ups, instruction for instruction,
+    /// so every lane gives the bits [`exp4`] gives.
+    ///
+    /// # Safety
+    /// `#[target_feature]`: the caller must have verified AVX-512F support.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn exp8(x: __m512d) -> __m512d {
+        const NEAREST: i32 = _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC;
+        let n = _mm512_roundscale_pd::<NEAREST>(_mm512_mul_pd(
+            x,
+            _mm512_set1_pd(std::f64::consts::LOG2_E),
+        ));
+        let r = _mm512_fnmadd_pd(n, _mm512_set1_pd(LN2_HI), x);
+        let r = _mm512_fnmadd_pd(n, _mm512_set1_pd(LN2_LO), r);
+        let mut p = _mm512_set1_pd(EXP_TAYLOR[0]);
+        for c in &EXP_TAYLOR[1..] {
+            p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(*c));
+        }
+        let magic_bits = MAGIC.to_bits() as i64;
+        let n1 = _mm512_roundscale_pd::<NEAREST>(_mm512_mul_pd(n, _mm512_set1_pd(0.5)));
+        let n2 = _mm512_sub_pd(n, n1);
+        let pow2_half = |ni: __m512d| {
+            let nb = _mm512_castpd_si512(_mm512_add_pd(ni, _mm512_set1_pd(MAGIC)));
+            let expo = _mm512_add_epi64(nb, _mm512_set1_epi64(1023 - magic_bits));
+            _mm512_castsi512_pd(_mm512_slli_epi64::<52>(expo))
+        };
+        let res = _mm512_mul_pd(_mm512_mul_pd(p, pow2_half(n1)), pow2_half(n2));
+        let low = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(x, _mm512_set1_pd(EXP_LO));
+        let res = _mm512_mask_blend_pd(low, res, _mm512_setzero_pd());
+        let high = _mm512_cmp_pd_mask::<_CMP_GT_OQ>(x, _mm512_set1_pd(EXP_HI));
+        let res = _mm512_mask_blend_pd(high, res, _mm512_set1_pd(f64::INFINITY));
+        _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_UNORD_Q>(x, x), res, x)
     }
 }
 
@@ -1366,34 +1652,279 @@ mod tests {
         assert_eq!(g[0], 0.0);
     }
 
+    /// Uniform values in `[-1, 1)` from a seeded LCG.
+    fn lcg_values(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed | 1;
+        (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One body of [`gsks_gram`] on one operand pair.
+    fn gram_body(body: &str, xg: &[f64], ys: &[f64], d: usize) -> [f64; 64] {
+        // Poisoned, so a value the body fails to write is seen.
+        let mut out = [f64::NAN; 64];
+        let (x, y, o) = (xg.as_ptr(), ys.as_ptr(), out.as_mut_ptr());
+        match body {
+            "scalar" => gsks_gram_scalar(xg, ys, d, &mut out),
+            "wrapper" => gsks_gram(xg, ys, d, &mut out),
+            // SAFETY: both operands hold 8 x d elements; `bodies`
+            // lists a vector body only when the CPU supports it.
+            #[cfg(target_arch = "x86_64")]
+            "avx2" => unsafe { x86::gsks_gram_avx2(d, x, y, o) },
+            // SAFETY: as for the AVX2 body.
+            #[cfg(target_arch = "x86_64")]
+            "avx512" => unsafe { x86::gsks_gram_avx512(d, x, y, o) },
+            other => panic!("unknown body {other} ({x:?}, {y:?}, {o:?})"),
+        }
+        out
+    }
+
     #[test]
-    fn gsks_tile_matches_naive_both_paths() {
-        for d in [1usize, 2, 3, 7, 16] {
-            let xr: Vec<f64> =
-                (0..GSKS_MR * d).map(|i| ((i * 13 % 29) as f64) * 0.3 - 2.0).collect();
-            // Dimension-major packed sources.
-            let ys: Vec<Vec<f64>> = (0..GSKS_NR)
-                .map(|c| (0..d).map(|k| ((c * 7 + k * 3) % 11) as f64 * 0.5 - 1.0).collect())
-                .collect();
-            let mut yct = vec![0.0; GSKS_NR * d];
-            for (c, y) in ys.iter().enumerate() {
-                for (k, &v) in y.iter().enumerate() {
-                    yct[k * GSKS_NR + c] = v;
+    fn gsks_gram_bodies_agree_bitwise_and_scalar_within_tolerance() {
+        for d in 0..=70usize {
+            let xg = lcg_values(8 * d, d as u64 + 1);
+            // The sources sit inside a wider window, as a point set's do.
+            let window = lcg_values(8 * d + 3 * d + 5, d as u64 + 77);
+            let ys = &window[2 * d + 1..];
+            let runs: Vec<(&str, [f64; 64])> =
+                bodies().into_iter().map(|b| (b, gram_body(b, &xg, ys, d))).collect();
+            let fused: Vec<&[f64; 64]> =
+                runs.iter().filter(|(b, _)| b.starts_with("avx")).map(|(_, o)| o).collect();
+            for o in &fused {
+                assert_eq!(bits(*o), bits(fused[0]), "d={d}: AVX-512 and AVX2 bodies differ");
+            }
+            let (_, scalar) = runs[0];
+            for c in 0..8 {
+                for r in 0..8 {
+                    // Chain from 0: exactly the naive sum in order.
+                    let naive = (0..d).fold(0.0, |s, k| s + xg[k * 8 + r] * ys[c * d + k]);
+                    assert_eq!(scalar[c * 8 + r].to_bits(), naive.to_bits(), "d={d} ({r},{c})");
+                    let mag: f64 = (0..d).map(|k| (xg[k * 8 + r] * ys[c * d + k]).abs()).sum();
+                    for (body, o) in &runs {
+                        let tol = 2.0 * (d as f64 + 1.0) * f64::EPSILON * mag;
+                        let diff = (o[c * 8 + r] - naive).abs();
+                        assert!(diff <= tol, "{body} d={d} ({r},{c}): off by {diff} > {tol}");
+                    }
                 }
             }
-            let mut out = [0.0f64; GSKS_MR * GSKS_NR];
-            gsks_tile_8x4(&xr, &yct, d, &mut out);
-            for r in 0..GSKS_MR {
-                for c in 0..GSKS_NR {
-                    let want: f64 = (0..d).map(|k| xr[r * d + k] * ys[c][k]).sum();
-                    assert!(
-                        (out[r * GSKS_NR + c] - want).abs() < 1e-12 * (1.0 + want.abs()),
-                        "d={d} ({r},{c}): {} vs {want}",
-                        out[r * GSKS_NR + c]
-                    );
+            let (_, wrapper) = runs[1];
+            let want = if active() { runs.last().expect("a vector body").1 } else { scalar };
+            assert_eq!(bits(&wrapper), bits(&want), "d={d}: the wrapper runs another body");
+        }
+    }
+
+    #[test]
+    fn gsks_dot_bodies_agree_bitwise() {
+        for cols in 0..=8usize {
+            for seed in 0..6u64 {
+                let k = lcg_values(64, seed * 31 + cols as u64);
+                let k: [f64; 64] = k.try_into().expect("one tile");
+                let u = lcg_values(cols, seed + 1000);
+                let acc0: [f64; 8] = lcg_values(8, seed + 7).try_into().expect("8 lanes");
+                let mut want = acc0;
+                for g in 0..cols.div_ceil(4) {
+                    for (r, a) in want.iter_mut().enumerate() {
+                        let mut s = 0.0;
+                        for c in 4 * g..4 * g + 4 {
+                            s += k[c * 8 + r] * u.get(c).copied().unwrap_or(0.0);
+                        }
+                        *a += s;
+                    }
+                }
+                for body in bodies() {
+                    let mut acc = acc0;
+                    let (kp, up, ap) = (k.as_ptr(), u.as_ptr(), acc.as_mut_ptr());
+                    match body {
+                        "scalar" => gsks_dot_scalar(&k, &u, &mut acc),
+                        "wrapper" => gsks_dot(&k, &u, &mut acc),
+                        // SAFETY: `u` holds `cols` weights, `k` one tile;
+                        // the vector bodies are listed only when supported.
+                        #[cfg(target_arch = "x86_64")]
+                        "avx2" => unsafe { x86::gsks_dot_avx2(kp, up, cols, ap) },
+                        // SAFETY: as for the AVX2 body.
+                        #[cfg(target_arch = "x86_64")]
+                        "avx512" => unsafe { x86::gsks_dot_avx512(kp, up, cols, ap) },
+                        other => panic!("unknown body {other} ({kp:?}, {up:?}, {ap:?})"),
+                    }
+                    assert_eq!(bits(&acc), bits(&want), "{body} cols={cols} seed={seed}");
                 }
             }
         }
+    }
+
+    /// One body of [`gsks_contract`] into `W` rows `1..1 + rows` of a
+    /// poisoned 11-row matrix (`col_stride` 11 > 8 rows), from `U` rows
+    /// `2..2 + cols` of a 13-row one.
+    fn contract_body(
+        body: &str,
+        k: &[f64; 64],
+        u: &crate::Mat,
+        rows: usize,
+        cols: usize,
+    ) -> crate::Mat {
+        let nrhs = u.ncols();
+        let mut w = crate::Mat::from_fn(11, nrhs, |i, j| ((i * 5 + j) % 7) as f64 - 3.0);
+        let uv = u.submatrix(2..2 + cols, 0..nrhs);
+        let mut wv = w.rb_mut().submatrix_mut(1..1 + rows, 0..nrhs);
+        let (up, us, ws) = (uv.as_ptr(), uv.col_stride(), wv.col_stride());
+        let wp = wv.as_mut_ptr();
+        match body {
+            "scalar" => gsks_contract_scalar(k, uv, wv),
+            "wrapper" => gsks_contract(k, uv, wv),
+            // SAFETY: the views are cols x nrhs and 8 x nrhs inside their
+            // matrices; the vector bodies are listed only when supported
+            // and called only for a full 8-row W of at least one column.
+            #[cfg(target_arch = "x86_64")]
+            "avx2" => unsafe { x86::gsks_contract_avx2(k.as_ptr(), cols, nrhs, up, us, wp, ws) },
+            // SAFETY: as for the AVX2 body.
+            #[cfg(target_arch = "x86_64")]
+            "avx512" => unsafe {
+                x86::gsks_contract_avx512(k.as_ptr(), cols, nrhs, up, us, wp, ws)
+            },
+            other => panic!("unknown body {other} ({up:?}, {us}, {wp:?}, {ws})"),
+        }
+        w
+    }
+
+    #[test]
+    fn gsks_contract_bodies_agree_bitwise_on_strided_views() {
+        let nrhs_set: Vec<usize> = (1..=17).chain([64]).collect();
+        for &nrhs in &nrhs_set {
+            let u =
+                crate::Mat::from_fn(13, nrhs, |i, j| ((i * 7 + j * 3) % 11) as f64 * 0.37 - 1.5);
+            for cols in 0..=8usize {
+                let k: [f64; 64] =
+                    lcg_values(64, (nrhs * 9 + cols) as u64).try_into().expect("tile");
+                for rows in 0..=8usize {
+                    let what = format!("nrhs={nrhs} cols={cols} rows={rows}");
+                    let w0 = crate::Mat::from_fn(11, nrhs, |i, j| ((i * 5 + j) % 7) as f64 - 3.0);
+                    let scalar = contract_body("scalar", &k, &u, rows, cols);
+                    for j in 0..nrhs {
+                        for i in 0..11 {
+                            let (got, before) = (scalar[(i, j)], w0[(i, j)]);
+                            if !(1..1 + rows).contains(&i) {
+                                assert_eq!(
+                                    got.to_bits(),
+                                    before.to_bits(),
+                                    "{what}: ({i},{j}) outside W"
+                                );
+                                continue;
+                            }
+                            let mut want = before;
+                            for g in 0..cols.div_ceil(4) {
+                                let mut s = 0.0;
+                                for c in 4 * g..(4 * g + 4).min(cols) {
+                                    s += k[c * 8 + i - 1] * u[(2 + c, j)];
+                                }
+                                want += s;
+                            }
+                            assert_eq!(got.to_bits(), want.to_bits(), "{what}: scalar ({i},{j})");
+                        }
+                    }
+                    let wrapper = contract_body("wrapper", &k, &u, rows, cols);
+                    if rows < 8 || cols == 0 || !active() {
+                        assert_eq!(bits(wrapper.as_slice()), bits(scalar.as_slice()), "{what}");
+                        continue;
+                    }
+                    let vector: Vec<crate::Mat> = bodies()
+                        .into_iter()
+                        .filter(|b| b.starts_with("avx"))
+                        .map(|b| contract_body(b, &k, &u, rows, cols))
+                        .collect();
+                    for v in &vector {
+                        assert_eq!(
+                            bits(v.as_slice()),
+                            bits(vector[0].as_slice()),
+                            "{what}: bodies"
+                        );
+                    }
+                    let fused = vector.last().expect("a vector body");
+                    assert_eq!(bits(wrapper.as_slice()), bits(fused.as_slice()), "{what}: wrapper");
+                    for j in 0..nrhs {
+                        for i in 1..9 {
+                            let mut want = w0[(i, j)];
+                            let mut mag = want.abs();
+                            for c in 0..cols.next_multiple_of(4) {
+                                let uc = if c < cols { u[(2 + c, j)] } else { 0.0 };
+                                want = k[c * 8 + i - 1].mul_add(uc, want);
+                                mag += (k[c * 8 + i - 1] * uc).abs();
+                            }
+                            assert_eq!(
+                                fused[(i, j)].to_bits(),
+                                want.to_bits(),
+                                "{what}: ({i},{j})"
+                            );
+                            let tol = 2.0 * (cols as f64 + 1.0) * f64::EPSILON * mag;
+                            let diff = (scalar[(i, j)] - want).abs();
+                            assert!(diff <= tol, "{what}: scalar off by {diff} > {tol}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn vexp_8_wide_equals_4_wide_bitwise() {
+        if !avx512_supported() || !cpu_supported() {
+            return; // one of the two bodies cannot run here
+        }
+        let ulp = |x: f64, up: bool| {
+            let b = x.to_bits() as i64;
+            f64::from_bits((if (x > 0.0) == up { b + 1 } else { b - 1 }) as u64)
+        };
+        let (hi, lo) = (x86::EXP_HI, x86::EXP_LO);
+        let mut xs = vec![
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            hi,
+            ulp(hi, true),
+            ulp(hi, false),
+            lo,
+            ulp(lo, true),
+            ulp(lo, false),
+            // The subnormal range, flushed to zero.
+            -720.0,
+            -745.0,
+            -708.5,
+            1e-300,
+            -1e-300,
+            709.5,
+        ];
+        xs.extend(lcg_values(997, 42).iter().map(|v| v * 710.0));
+        // Every length up to two vectors and a bit, so every tail of 1–7.
+        for len in 0..=19usize {
+            for start in [0usize, 5, 11] {
+                let src = &xs[start..start + len];
+                let (mut a, mut b) = (src.to_vec(), src.to_vec());
+                // SAFETY: both bodies' CPU features were checked above.
+                unsafe {
+                    x86::vexp_avx512(&mut a);
+                    x86::vexp_avx2(&mut b);
+                }
+                assert_eq!(bits(&a), bits(&b), "len={len} start={start}");
+            }
+        }
+        let (mut a, mut b) = (xs.clone(), xs);
+        // SAFETY: as above.
+        unsafe {
+            x86::vexp_avx512(&mut a);
+            x86::vexp_avx2(&mut b);
+        }
+        assert_eq!(bits(&a), bits(&b), "the full sweep");
+        assert_eq!(a[12], 0.0, "the subnormal range flushes to zero");
     }
 
     /// One filter problem: `m` queries against `nc` candidates in `d`
@@ -1473,7 +2004,7 @@ mod tests {
                 }
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: the buffers were sized to the layout contract just
-                // above; `filter_bodies` lists a vector body only when the
+                // above; `bodies` lists a vector body only when the
                 // CPU supports it.
                 "avx2" => unsafe {
                     x86::dist_filter_avx2(
@@ -1515,7 +2046,7 @@ mod tests {
 
     /// Every body this host can run, called directly — on an AVX-512 host
     /// dispatch would never reach the AVX2 one.
-    fn filter_bodies() -> Vec<&'static str> {
+    fn bodies() -> Vec<&'static str> {
         let mut bodies = vec!["scalar", "wrapper"];
         if cpu_supported() {
             bodies.push("avx2");
@@ -1562,7 +2093,7 @@ mod tests {
     fn dist_filter_flags_every_pair_under_threshold_and_no_padding() {
         // m off the 8- and 16-row tiles, nc off the 4-column one, clouds at
         // the origin and far from it.
-        for body in filter_bodies() {
+        for body in bodies() {
             for d in [1usize, 3, 8, 16, 54, 64] {
                 for nc in [0usize, 1, 3, 4, 5, 127] {
                     for (m, shift) in [(1usize, 0.0), (7, 1e7), (9, 0.0), (20, 1e7), (33, 0.0)] {
@@ -1581,7 +2112,7 @@ mod tests {
         // threshold at reference(i, j) + bound the pair must be flagged,
         // at reference(i, j) − bound it must not — for unit-scale, tiny
         // and far-translated clouds (where ‖x‖² dwarfs the distances).
-        for body in filter_bodies() {
+        for body in bodies() {
             for d in [1usize, 3, 8, 16, 54, 64] {
                 for (scale, shift) in [(1.0, 0.0), (1e-3, 0.0), (1.0, 1e7), (0.05, -3e8)] {
                     let case = FilterCase::new(20, d, 6, scale, shift, d as u64 + 99);

@@ -4,14 +4,15 @@
 //! Small, fixed-size exercises of exactly the code where the unsafe
 //! reasoning lives: `MatMut` raw-pointer views (element access, disjoint
 //! splits, cross-thread sends), the workspace pool's `set_len`
-//! round-trips, and the scalar BLAS paths those views feed. Under Miri,
+//! round-trips, the scalar BLAS paths those views feed, and the GSKS
+//! tile kernels' safe wrappers on strided and degenerate views. Under Miri,
 //! `simd::cpu_supported()` is hard-wired `false`, so dispatch takes the
 //! scalar reference paths the interpreter can check. The suite also runs
 //! in every plain `cargo test` (it is fast), keeping it from bitrotting
 //! between Miri-capable hosts.
 
-use kfds_la::workspace;
 use kfds_la::{blas1, blas2, gemm, Mat, MatMut, Trans};
+use kfds_la::{simd, workspace};
 
 #[test]
 fn simd_dispatch_is_scalar_under_miri() {
@@ -210,6 +211,71 @@ fn dist_filter_scalar_body_stays_inside_its_buffers() {
             assert_eq!(masks[g * nc + j], want, "group {g}, candidate {j}");
         }
     }
+}
+
+#[test]
+fn gsks_kernels_on_views_and_pooled_row_packs() {
+    // Small integers throughout, so every product and partial sum is
+    // exact and the scalar bodies (Miri) and the vector ones (elsewhere)
+    // both equal the naive sums. The sources are a window one point into
+    // a 10-point panel, as the engine reads a contiguous run in place.
+    let d = 3;
+    let panel: Vec<f64> = (0..10 * d).map(|i| ((i * 5) % 7) as f64 - 3.0).collect();
+    let ys = &panel[d..];
+    let mut tile = [f64::NAN; 64];
+    for round in 0..3 {
+        // The row pack comes from the pool the way the engine takes it;
+        // later rounds get the earlier rounds' buffer back.
+        let mut xg = workspace::take(8 * d);
+        for (i, x) in xg.iter_mut().enumerate() {
+            *x = ((i + round) % 5) as f64 - 2.0;
+        }
+        simd::gsks_gram(&xg, ys, d, &mut tile);
+        for c in 0..8 {
+            for r in 0..8 {
+                let want: f64 = (0..d).map(|k| xg[k * 8 + r] * ys[c * d + k]).sum();
+                assert_eq!(tile[c * 8 + r], want, "round {round}: ({r},{c})");
+            }
+        }
+    }
+
+    // One weight column: five live columns, a group of four and a padded one.
+    let u = [1.0, -2.0, 0.5, 3.0, 2.0];
+    let mut acc = [1.0; 8];
+    simd::gsks_dot(&tile, &u, &mut acc);
+    for (r, a) in acc.iter().enumerate() {
+        let want: f64 = 1.0 + (0..5).map(|c| tile[c * 8 + r] * u[c]).sum::<f64>();
+        assert_eq!(*a, want, "dot row {r}");
+    }
+
+    // Several: U is rows 1..6, columns 1..4 of a 9 x 4 matrix; W is rows
+    // 2..2 + rows of a poisoned 12 x 4 one — both col_stride > nrows.
+    let big_u = Mat::from_fn(9, 4, |i, j| ((i + 3 * j) % 4) as f64 - 1.0);
+    let uv = big_u.submatrix(1..6, 1..4);
+    for rows in [8usize, 5, 0] {
+        let mut big_w = Mat::from_fn(12, 4, |_, _| -7.0);
+        simd::gsks_contract(&tile, uv, big_w.rb_mut().submatrix_mut(2..2 + rows, 1..4));
+        for j in 0..4 {
+            for i in 0..12 {
+                let inside = (2..2 + rows).contains(&i) && j >= 1;
+                let want = if inside {
+                    -7.0 + (0..5).map(|c| tile[c * 8 + i - 2] * uv.get(c, j - 1)).sum::<f64>()
+                } else {
+                    -7.0
+                };
+                assert_eq!(big_w[(i, j)], want, "contract rows={rows} ({i},{j})");
+            }
+        }
+    }
+
+    // No right-hand side, and no source column: nothing to do.
+    let mut w = Mat::from_fn(8, 2, |_, _| 5.0);
+    simd::gsks_contract(&tile, big_u.submatrix(0..4, 0..0), w.rb_mut().submatrix_mut(0..8, 0..0));
+    simd::gsks_contract(&tile, big_u.submatrix(0..0, 0..2), w.rb_mut());
+    assert!(w.as_slice().iter().all(|&x| x == 5.0));
+    let mut acc = [2.0; 8];
+    simd::gsks_dot(&tile, &[], &mut acc);
+    assert_eq!(acc, [2.0; 8]);
 }
 
 #[test]
