@@ -92,9 +92,9 @@ step "cargo test (kfds-core solve_digests, KFDS_SIMD=off + every retired switch 
 # The scalar digest tables are asserted only on the scalar kernel bodies,
 # so this is the lane that holds neighbour lists, skeletons, factors and
 # solves to those recorded bits on any host (the default lane asserts the
-# GOLDEN_AVX512 table on an AVX-512 host). The seven retired registry names select nothing (no crate
-# reads them; the entries wait on ROADMAP 1(a)): setting them all must move
-# no digest.
+# GOLDEN_AVX512 table on an AVX-512 host). The seven retired registry
+# names select nothing (no crate reads them; the entries wait on ROADMAP
+# 1(a)): setting them all must move no digest.
 KFDS_SIMD=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=scalar KFDS_REFACTOR=off \
   KFDS_SERVE_BATCH=off KFDS_SHARD=off KFDS_BATCH=off \
   cargo test -q -p kfds-core --test solve_digests

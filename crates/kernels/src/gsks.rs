@@ -45,12 +45,14 @@
 //!   (`s += k·u`), then `acc += s`;
 //! * several: a full 8-row group under the vector bodies is one FMA chain
 //!   per element over the columns; a partial row group, or the scalar
-//!   body, takes the same groups of four as one column.
+//!   body, sums groups of four from `0` and adds each to `W`.
 //!
-//! In both epilogues a last group of four is completed with zero-weight
-//! columns: the padded tail makes them kernel values at the origin, finite
-//! for finite targets, so they add only signed zeros. The golden digests in
-//! `tests/digests.rs` pin all of this.
+//! Only [`kfds_la::simd::gsks_dot`] (every body) and the full-row vector
+//! contraction complete a last group of four with zero-weight columns: the
+//! padded tail makes them kernel values at the origin, finite for finite
+//! targets, so they add only signed zeros. A partial row group and the
+//! scalar contraction sum only the live columns of the last group. The
+//! golden digests in `tests/digests.rs` pin all of this.
 
 use crate::function::Kernel;
 use kfds_la::simd::{self, GSKS_MR as MR};

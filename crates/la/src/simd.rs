@@ -33,9 +33,10 @@
 //!   on other targets the portable scalar paths are the implementation
 //!   (no unconditional `std::arch::x86_64` imports anywhere);
 //! * where a kernel has an AVX-512 body (the skinny GEMM, the distance
-//!   filter, the GSKS kernels, [`vexp`]), [`avx512_supported`] selects it
-//!   over the AVX2 one; the two give the same bits wherever their tests
-//!   say so;
+//!   filter, the GSKS Gram tile and contraction, [`vexp`]),
+//!   [`avx512_supported`] selects it over the AVX2 one; the two give the
+//!   same bits wherever their tests say so. [`gsks_dot`] has none: an
+//!   8-wide body timed no faster end to end;
 //! * the `KFDS_SIMD=off` (or `=0`) environment kill-switch — mirroring
 //!   `KFDS_WS_POOL` — forces the scalar reference paths, so
 //!   pooled/unpooled x simd/scalar can be A/B'd in one binary;
@@ -68,8 +69,8 @@ pub const GEMM_SKINNY_N: usize = 16;
 /// columns: a tile is `GSKS_MR x GSKS_MR`, stored column-major.
 pub const GSKS_MR: usize = 8;
 /// Source columns per partial sum of the GSKS epilogues: a tile's columns
-/// are summed in groups of this many from its first, and a last group is
-/// completed with zero-weight columns.
+/// are summed in groups of this many from its first (see [`gsks_dot`] and
+/// [`gsks_contract`] for which bodies pad a last group with zero weights).
 const GSKS_SUM: usize = 4;
 /// Rows of one packed query group of [`dist_filter`]: one mask per group
 /// and candidate, one bit per row.
@@ -238,7 +239,7 @@ fn gsks_gram_scalar(xg: &[f64], ys: &[f64], d: usize, out: &mut [f64; GSKS_MR * 
 /// The columns go in groups of four from the first. Each group is summed
 /// from `0`, multiply then add in column order, a last group completed
 /// with zero weights; the group sum is then added to `acc[r]`. Nothing is
-/// fused, so every body gives the same bits.
+/// fused, so both bodies give the same bits.
 ///
 /// # Panics
 /// Panics if `u` has more weights than a tile has columns.
@@ -250,15 +251,8 @@ pub fn gsks_dot(k: &[f64; GSKS_MR * GSKS_MR], u: &[f64], acc: &mut [f64; GSKS_MR
             let (kp, up, cols, ap) = (k.as_ptr(), u.as_ptr(), u.len(), acc.as_mut_ptr());
             // SAFETY: `u` holds the `cols <= 8` weights read (asserted
             // above), `k` is one tile and `acc` one lane vector; active()
-            // implies AVX2+FMA and the AVX-512 body runs only when the CPU
-            // reports avx512f.
-            unsafe {
-                if avx512_supported() {
-                    x86::gsks_dot_avx512(kp, up, cols, ap)
-                } else {
-                    x86::gsks_dot_avx2(kp, up, cols, ap)
-                }
-            }
+            // implies AVX2+FMA.
+            unsafe { x86::gsks_dot_avx2(kp, up, cols, ap) };
             return;
         }
     }
@@ -290,8 +284,10 @@ fn gsks_dot_scalar(k: &[f64; GSKS_MR * GSKS_MR], u: &[f64], acc: &mut [f64; GSKS
 ///   fused multiply-adds over the columns in order, with the zero-weight
 ///   columns that complete the last group of four. The AVX-512 and AVX2
 ///   bodies agree bitwise.
-/// * Fewer rows, or the scalar body: [`gsks_dot`]'s groups of four live
-///   columns, each summed from `0` by multiply then add, then added to `W`.
+/// * Fewer rows, or the scalar body: groups of four columns from the
+///   first, each summed from `0` by multiply then add over its *live*
+///   columns only (no zero-weight padding, unlike [`gsks_dot`]), then
+///   added to `W`.
 ///
 /// # Panics
 /// Panics if `U` or `W` has more than 8 rows, or their column counts differ.
@@ -706,33 +702,13 @@ mod x86 {
         }
     }
 
-    /// AVX-512 body of [`super::gsks_dot`]: per group of four columns a
-    /// lane-wise multiply-then-add sum, added to the row accumulators.
+    /// Vector body of [`super::gsks_dot`] (on every vector host): the 8
+    /// rows as two `ymm` halves; per group of four columns a lane-wise
+    /// multiply-then-add sum, added to the row accumulators.
     ///
     /// # Safety
-    /// Requires AVX-512F. `k` must hold 64 readable elements, `u` `cols <= 8`,
+    /// Requires AVX2+FMA. `k` must hold 64 readable elements, `u` `cols <= 8`,
     /// `acc` 8 readable and writable ones.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn gsks_dot_avx512(k: *const f64, u: *const f64, cols: usize, acc: *mut f64) {
-        debug_assert!(super::avx512_supported(), "gsks_dot_avx512 needs AVX-512F");
-        debug_assert!(cols <= 8 && !k.is_null() && !acc.is_null());
-        let mut a = _mm512_loadu_pd(acc);
-        for g in 0..cols.div_ceil(4) {
-            let mut s = _mm512_setzero_pd();
-            for c in 4 * g..4 * g + 4 {
-                let kc = _mm512_loadu_pd(k.add(8 * c));
-                s = _mm512_add_pd(s, _mm512_mul_pd(kc, _mm512_set1_pd(weight(u, cols, c))));
-            }
-            a = _mm512_add_pd(a, s);
-        }
-        _mm512_storeu_pd(acc, a);
-    }
-
-    /// AVX2 body of [`super::gsks_dot`]: [`gsks_dot_avx512`] on two `ymm`
-    /// halves.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA. Same contract as [`gsks_dot_avx512`].
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn gsks_dot_avx2(k: *const f64, u: *const f64, cols: usize, acc: *mut f64) {
         debug_assert!(super::cpu_supported(), "gsks_dot_avx2 needs AVX2+FMA");
@@ -1739,19 +1715,17 @@ mod tests {
                         *a += s;
                     }
                 }
-                for body in bodies() {
+                // `gsks_dot` has no AVX-512 body.
+                for body in bodies().into_iter().filter(|&b| b != "avx512") {
                     let mut acc = acc0;
                     let (kp, up, ap) = (k.as_ptr(), u.as_ptr(), acc.as_mut_ptr());
                     match body {
                         "scalar" => gsks_dot_scalar(&k, &u, &mut acc),
                         "wrapper" => gsks_dot(&k, &u, &mut acc),
                         // SAFETY: `u` holds `cols` weights, `k` one tile;
-                        // the vector bodies are listed only when supported.
+                        // the vector body is listed only when supported.
                         #[cfg(target_arch = "x86_64")]
                         "avx2" => unsafe { x86::gsks_dot_avx2(kp, up, cols, ap) },
-                        // SAFETY: as for the AVX2 body.
-                        #[cfg(target_arch = "x86_64")]
-                        "avx512" => unsafe { x86::gsks_dot_avx512(kp, up, cols, ap) },
                         other => panic!("unknown body {other} ({kp:?}, {up:?}, {ap:?})"),
                     }
                     assert_eq!(bits(&acc), bits(&want), "{body} cols={cols} seed={seed}");
