@@ -114,7 +114,10 @@ pub struct FactorStats {
     /// Explicitly counted floating-point operations.
     pub flops: f64,
     /// Smallest relative pivot over all leaf and reduced-system LUs —
-    /// the §III instability detector.
+    /// the §III instability detector. A block holding a NaN or an infinity
+    /// fails the factorization (`LaError::NonFinite`) rather than reading
+    /// here as perfectly conditioned, so the `1.0` this field falls back
+    /// to only ever stands for a factorization that took no pivot at all.
     pub min_pivot_ratio: f64,
     /// Number of LU factorizations whose pivot ratio fell below the
     /// configured threshold.

@@ -562,6 +562,37 @@ fn cholesky_detects_indefiniteness() {
 }
 
 #[test]
+fn non_finite_blocks_are_a_factorization_error() {
+    // A kernel that evaluates to NaN makes every leaf block NaN. The LU
+    // used to factor it "successfully" with a pivot ratio of +inf, so
+    // `is_unstable()` read false; now both leaf kinds refuse it.
+    struct NanKernel;
+    impl kfds_kernels::Kernel for NanKernel {
+        fn eval_parts(&self, _dot: f64, _nx: f64, _ny: f64) -> f64 {
+            f64::NAN
+        }
+        fn name(&self) -> &'static str {
+            "nan"
+        }
+    }
+    let (st, _) = fixture(1, 1e-4);
+    for leaf in [crate::config::LeafFactorization::Lu, crate::config::LeafFactorization::Cholesky] {
+        for storage in [StorageMode::Gsks, StorageMode::StoredGemv] {
+            let cfg =
+                SolverConfig::default().with_lambda(0.5).with_leaf(leaf).with_storage(storage);
+            match factorize(&st, &NanKernel, cfg) {
+                Err(crate::SolverError::Factorization {
+                    source: kfds_la::LaError::NonFinite { step: 0 },
+                    ..
+                }) => {}
+                Err(other) => panic!("{leaf:?} {storage:?}: unexpected error {other}"),
+                Ok(f) => panic!("{leaf:?} {storage:?}: factored, stats {:?}", f.stats()),
+            }
+        }
+    }
+}
+
+#[test]
 fn hybrid_reports_nonconvergence_honestly() {
     let (st, kernel) = fixture(3, 1e-5);
     let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(0.5)).expect("f");

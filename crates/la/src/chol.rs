@@ -25,7 +25,9 @@ impl Cholesky {
     /// lower triangle is read).
     ///
     /// Returns [`LaError::Singular`] when a non-positive pivot certifies
-    /// that the matrix is not numerically positive definite.
+    /// that the matrix is not numerically positive definite, and
+    /// [`LaError::NonFinite`] when a pivot is NaN or infinite — as it is
+    /// at the first row whose lower-triangle entries hold one.
     ///
     /// # Panics
     /// Panics if `a` is not square.
@@ -40,6 +42,9 @@ impl Cholesky {
             for j in 0..k {
                 let lkj = a[(k, j)];
                 d -= lkj * lkj;
+            }
+            if !d.is_finite() {
+                return Err(LaError::NonFinite { step: k });
             }
             if d <= 0.0 {
                 return Err(LaError::Singular { step: k });
@@ -174,6 +179,23 @@ mod tests {
         let mut a = Mat::identity(3);
         a[(2, 2)] = -1.0;
         assert!(matches!(Cholesky::factor(a), Err(LaError::Singular { step: 2 })));
+    }
+
+    #[test]
+    fn non_finite_entries_are_an_error() {
+        // `d <= 0.0` let a NaN pivot through; the lower triangle is what
+        // is read, so a NaN above the diagonal changes nothing.
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for (i, j, step) in [(0, 0, 0), (5, 2, 5), (7, 7, 7)] {
+                let mut a = spd(8, 3);
+                a[(i, j)] = v;
+                let got = Cholesky::factor(a).map(|c| c.min_pivot_ratio());
+                assert_eq!(got.unwrap_err(), LaError::NonFinite { step }, "({i},{j}) = {v}");
+            }
+        }
+        let mut a = spd(8, 3);
+        a[(2, 5)] = f64::NAN;
+        assert!(Cholesky::factor(a).is_ok());
     }
 
     #[test]

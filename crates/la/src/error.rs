@@ -10,6 +10,13 @@ pub enum LaError {
         /// Elimination step at which the zero pivot appeared.
         step: usize,
     },
+    /// A NaN or an infinity reached elimination step `step`: in the LU
+    /// pivot column, or in the Cholesky pivot. The pivot-ratio monitor
+    /// cannot see one (`max` and `min` drop NaN), so it is an error.
+    NonFinite {
+        /// Elimination step at which the non-finite value appeared.
+        step: usize,
+    },
 }
 
 impl fmt::Display for LaError {
@@ -17,6 +24,9 @@ impl fmt::Display for LaError {
         match self {
             LaError::Singular { step } => {
                 write!(f, "matrix is singular (zero pivot at elimination step {step})")
+            }
+            LaError::NonFinite { step } => {
+                write!(f, "matrix holds a NaN or an infinity (elimination step {step})")
             }
         }
     }

@@ -127,14 +127,6 @@ fn op_shape(a: MatRef<'_>, t: Trans) -> (usize, usize) {
     }
 }
 
-#[inline]
-fn op_get(a: MatRef<'_>, t: Trans, i: usize, j: usize) -> f64 {
-    match t {
-        Trans::No => a.get(i, j),
-        Trans::Yes => a.get(j, i),
-    }
-}
-
 /// Recursively bisects `C` into disjoint panels multiplied in parallel;
 /// each leaf panel is handled by the serial blocked kernel. Wide products
 /// (`n > NC_PAR`) split over NR-aligned column panels (with the matching
@@ -369,41 +361,58 @@ fn gemm_blocked(
 }
 
 /// Packs `op(A)[ic..ic+mc, pc..pc+kc]` into MR-row panels, zero-padded.
+/// Every element is read from a contiguous run of a column of `A`.
 fn pack_a(a: MatRef<'_>, ta: Trans, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f64]) {
-    let panels = mc.div_ceil(MR);
-    for p in 0..panels {
-        let r0 = p * MR;
-        let rows = MR.min(mc - r0);
-        let base = p * MR * kc;
-        if ta == Trans::No && rows == MR {
-            // Fast path: contiguous column reads.
-            for kk in 0..kc {
-                let col = a.col(pc + kk);
-                let dst = &mut out[base + kk * MR..base + kk * MR + MR];
-                dst.copy_from_slice(&col[ic + r0..ic + r0 + MR]);
-            }
-        } else {
-            for kk in 0..kc {
-                for r in 0..MR {
-                    out[base + kk * MR + r] =
-                        if r < rows { op_get(a, ta, ic + r0 + r, pc + kk) } else { 0.0 };
+    for (p, panel) in out.chunks_exact_mut(MR * kc).take(mc.div_ceil(MR)).enumerate() {
+        let r0 = ic + p * MR;
+        let rows = MR.min(mc - p * MR);
+        match ta {
+            Trans::No => {
+                for (kk, dst) in panel.chunks_exact_mut(MR).enumerate() {
+                    dst[..rows].copy_from_slice(&a.col(pc + kk)[r0..r0 + rows]);
                 }
+            }
+            // Row r of op(A) is column r of A.
+            Trans::Yes => {
+                for r in 0..rows {
+                    for (dst, &v) in panel.chunks_exact_mut(MR).zip(&a.col(r0 + r)[pc..pc + kc]) {
+                        dst[r] = v;
+                    }
+                }
+            }
+        }
+        if rows < MR {
+            for dst in panel.chunks_exact_mut(MR) {
+                dst[rows..].fill(0.0);
             }
         }
     }
 }
 
 /// Packs `op(B)[pc..pc+kc, jc..jc+nc]` into NR-column panels, zero-padded.
+/// Every element is read from a contiguous run of a column of `B`.
 fn pack_b(b: MatRef<'_>, tb: Trans, pc: usize, kc: usize, jc: usize, nc: usize, out: &mut [f64]) {
-    let panels = nc.div_ceil(NR);
-    for p in 0..panels {
-        let c0 = p * NR;
-        let cols = NR.min(nc - c0);
-        let base = p * NR * kc;
-        for kk in 0..kc {
-            for cl in 0..NR {
-                out[base + kk * NR + cl] =
-                    if cl < cols { op_get(b, tb, pc + kk, jc + c0 + cl) } else { 0.0 };
+    for (p, panel) in out.chunks_exact_mut(NR * kc).take(nc.div_ceil(NR)).enumerate() {
+        let c0 = jc + p * NR;
+        let cols = NR.min(nc - p * NR);
+        match tb {
+            Trans::No => {
+                for cl in 0..cols {
+                    for (dst, &v) in panel.chunks_exact_mut(NR).zip(&b.col(c0 + cl)[pc..pc + kc]) {
+                        dst[cl] = v;
+                    }
+                }
+            }
+            // Row kk of op(B) is column kk of B.
+            Trans::Yes => {
+                for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                    dst[..cols].copy_from_slice(&b.col(pc + kk)[c0..c0 + cols]);
+                }
+            }
+        }
+        if cols < NR {
+            for dst in panel.chunks_exact_mut(NR) {
+                dst[cols..].fill(0.0);
             }
         }
     }
@@ -543,6 +552,13 @@ fn micro_kernel(apanel: &[f64], bpanel: &[f64], kc: usize) -> [[f64; NR]; MR] {
 mod tests {
     use super::*;
     use crate::mat::Mat;
+
+    fn op_get(a: MatRef<'_>, t: Trans, i: usize, j: usize) -> f64 {
+        match t {
+            Trans::No => a.get(i, j),
+            Trans::Yes => a.get(j, i),
+        }
+    }
 
     fn naive(a: &Mat, ta: Trans, b: &Mat, tb: Trans) -> Mat {
         let (m, k) = op_shape(a.rb(), ta);

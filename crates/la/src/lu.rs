@@ -1,14 +1,26 @@
 //! LU factorization with partial pivoting (LAPACK `GETRF`/`GETRS` analogue).
 //!
+//! Right-looking, in panels of 48 columns from 96 rows up (one panel below):
+//! each elimination step picks its pivot, swaps the rows the panel still
+//! reads, scales the multipliers and updates the panel's remaining columns
+//! with one [`rank1_update`](crate::simd::rank1_update); after the panel,
+//! the other columns take its swaps one column at a time, the `U₁₂` strip
+//! is one unit-lower TRSM and the trailing block one GEMM. An element of
+//! the factor is fixed by the sequence of operations it receives, and each
+//! step gives each element what one `axpy` per column gave it, in the same
+//! step order — the row swaps of step `k` depend on every step before it,
+//! so the steps cannot be reordered, only their columns done together.
+//!
 //! The factorization also records a pivot-growth diagnostic used by the
 //! solver's numerical-stability detector (paper §III): when the regularizer
 //! `λ` is small relative to `σ_min` of a diagonal block, the block becomes
-//! ill-conditioned, which manifests as a tiny relative pivot here.
+//! ill-conditioned, which manifests as a tiny relative pivot here. A NaN or
+//! an infinity, which that diagnostic cannot see, is an error.
 
-use crate::blas1::iamax;
 use crate::error::LaError;
 use crate::gemm::{gemm, Trans};
 use crate::mat::{Mat, MatMut, MatRef};
+use crate::simd::rank1_update;
 
 /// A partial-pivoted LU factorization `P A = L U` stored packed in one matrix.
 #[derive(Clone, Debug)]
@@ -34,7 +46,9 @@ impl Lu {
     /// straight unblocked kernel otherwise; both produce identical
     /// factors.
     ///
-    /// Returns [`LaError::Singular`] when an exactly-zero pivot is hit; the
+    /// Returns [`LaError::Singular`] when an exactly-zero pivot is hit and
+    /// [`LaError::NonFinite`] when a pivot column holds a NaN or an
+    /// infinity — which a NaN or infinity anywhere in `a` comes to; the
     /// near-singular case is *not* an error — inspect
     /// [`Lu::min_pivot_ratio`] to detect it (paper §III stability check).
     ///
@@ -48,82 +62,40 @@ impl Lu {
         }
     }
 
-    /// The unblocked right-looking kernel (rank-1 trailing updates).
-    pub fn factor_unblocked(mut a: Mat) -> Result<Self, LaError> {
+    /// The unblocked right-looking kernel: the whole matrix is one panel
+    /// (rank-1 trailing updates).
+    pub fn factor_unblocked(a: Mat) -> Result<Self, LaError> {
         let n = a.nrows();
-        assert_eq!(a.ncols(), n, "LU requires a square matrix");
-        let amax = a.norm_max().max(f64::MIN_POSITIVE);
-        let mut piv = vec![0usize; n];
-        let mut min_pivot_ratio = f64::INFINITY;
-        if n == 0 {
-            return Ok(Lu { lu: a, piv, min_pivot_ratio: 1.0 });
-        }
-        for k in 0..n {
-            // Pivot search in column k, rows k..n.
-            let colk = &a.col(k)[k..];
-            let p = k + iamax(colk).expect("non-empty pivot column");
-            piv[k] = p;
-            a.swap_rows(k, p);
-            let pivot = a[(k, k)];
-            if pivot == 0.0 {
-                return Err(LaError::Singular { step: k });
-            }
-            min_pivot_ratio = min_pivot_ratio.min(pivot.abs() / amax);
-            // Scale multipliers.
-            let inv = 1.0 / pivot;
-            for i in k + 1..n {
-                a[(i, k)] *= inv;
-            }
-            // Trailing rank-1 update: A[k+1.., k+1..] -= l * u^T, column-wise.
-            let (head, tail) = a.as_mut_slice().split_at_mut((k + 1) * n);
-            let lcol = &head[k * n + k + 1..(k + 1) * n];
-            let trailing = MatMut::from_parts(tail, n, n - k - 1, n);
-            rank1_trailing(lcol, k, trailing);
-        }
-        Ok(Lu { lu: a, piv, min_pivot_ratio })
+        Self::factor_panels(a, n.max(1))
     }
 
     /// Right-looking blocked factorization (`GETRF`-style): factor an
     /// `n x nb` panel with the unblocked kernel, swap the pivot rows
     /// across the full width, solve the `U₁₂` strip with a unit-lower
     /// TRSM, and update the trailing block with one GEMM.
-    pub fn factor_blocked(mut a: Mat) -> Result<Self, LaError> {
+    pub fn factor_blocked(a: Mat) -> Result<Self, LaError> {
+        Self::factor_panels(a, LU_BLOCK)
+    }
+
+    /// Both factorizations: panels of `nb` columns, each eliminated step
+    /// by step ([`eliminate_step`]) and, unless it is the last, followed by
+    /// the `U₁₂` TRSM and the trailing GEMM. `nb >= n` is the unblocked
+    /// kernel.
+    fn factor_panels(mut a: Mat, nb: usize) -> Result<Self, LaError> {
         let n = a.nrows();
         assert_eq!(a.ncols(), n, "LU requires a square matrix");
         let amax = a.norm_max().max(f64::MIN_POSITIVE);
         let mut piv = vec![0usize; n];
-        let mut min_pivot_ratio = f64::INFINITY;
+        let mut min_pivot_ratio = if n == 0 { 1.0 } else { f64::INFINITY };
 
-        for k0 in (0..n).step_by(LU_BLOCK) {
-            let nb = LU_BLOCK.min(n - k0);
+        for k0 in (0..n).step_by(nb) {
+            let nb = nb.min(n - k0);
             let k1 = k0 + nb;
-            // --- Panel factorization on A[k0.., k0..k1] (unblocked). ---
             for k in k0..k1 {
-                let colk = &a.col(k)[k..];
-                let p = k + iamax(colk).expect("non-empty pivot column");
-                piv[k] = p;
-                // Swap full rows: applies the permutation to the left
-                // factors and the not-yet-updated right part alike.
-                a.swap_rows(k, p);
-                let pivot = a[(k, k)];
-                if pivot == 0.0 {
-                    return Err(LaError::Singular { step: k });
-                }
+                let pivot = eliminate_step(&mut a, k, k1, &mut piv)?;
                 min_pivot_ratio = min_pivot_ratio.min(pivot.abs() / amax);
-                let inv = 1.0 / pivot;
-                for i in k + 1..n {
-                    a[(i, k)] *= inv;
-                }
-                // Rank-1 update restricted to the panel columns.
-                for j in k + 1..k1 {
-                    let ukj = a[(k, j)];
-                    if ukj != 0.0 {
-                        let (lo, hi) = a.as_mut_slice().split_at_mut(j * n);
-                        let lcol = &lo[k * n + k + 1..(k + 1) * n];
-                        crate::blas1::axpy(-ukj, lcol, &mut hi[k + 1..n]);
-                    }
-                }
             }
+            swap_outside_steps(&mut a, &piv, k0, k1);
             if k1 == n {
                 break;
             }
@@ -139,9 +111,6 @@ impl Lu {
             let l21 = MatRef::from_parts(&left[k0 * n + k1..], n - k1, nb, n);
             gemm(-1.0, l21, Trans::No, u12.rb(), Trans::No, 1.0, a22);
         }
-        if n == 0 {
-            min_pivot_ratio = 1.0;
-        }
         Ok(Lu { lu: a, piv, min_pivot_ratio })
     }
 
@@ -153,6 +122,14 @@ impl Lu {
     /// `min_k |u_kk| / max|A|`: small values signal near-singularity.
     pub fn min_pivot_ratio(&self) -> f64 {
         self.min_pivot_ratio
+    }
+
+    /// The packed factors (`L` below the diagonal, its unit diagonal
+    /// implied; `U` on and above it) and the row swapped in at each step,
+    /// for tests that hold a factor to its bits.
+    #[doc(hidden)]
+    pub fn packed(&self) -> (MatRef<'_>, &[usize]) {
+        (self.lu.rb(), &self.piv)
     }
 
     /// Solves `A x = b` in place.
@@ -181,7 +158,9 @@ impl Lu {
         for j in 0..b.ncols() {
             let col = b.col_mut(j);
             for (k, &p) in self.piv.iter().enumerate() {
-                col.swap(k, p);
+                if p != k {
+                    col.swap(k, p);
+                }
             }
         }
         crate::tri::solve_lower_mat_inplace(self.lu.rb(), true, b.rb_mut());
@@ -236,17 +215,83 @@ impl Lu {
     }
 }
 
-/// `trailing[i, j] -= lcol[i] * urow[j]` where `urow` is row `k` of the
-/// trailing columns (first row of each trailing column block).
-fn rank1_trailing(lcol: &[f64], k: usize, mut trailing: MatMut<'_>) {
-    let m = lcol.len();
-    for j in 0..trailing.ncols() {
-        let col = trailing.col_mut(j);
-        let ukj = col[k];
-        if ukj != 0.0 {
-            crate::blas1::axpy(-ukj, lcol, &mut col[k + 1..k + 1 + m]);
+/// Elimination step `k` of a panel ending at column `k1`: the pivot search
+/// in column `k` (rows `k..`), the row swap in the columns the panel's
+/// remaining steps read (`k..k1`; [`swap_outside_steps`] brings the
+/// others level after the panel), the scaled multipliers, and
+/// `A[k+1.., k+1..k1] −= l_k u_kᵀ` as one [`rank1_update`] whose
+/// multipliers are the pivot row. Returns the pivot.
+///
+/// A column about to be eliminated holds every value the factor will
+/// derive from it, and a non-finite `u_kj` spreads to the whole column
+/// `j` below the pivot row before step `j` reads it; so checking each
+/// pivot column finds any NaN or infinity the input held.
+fn eliminate_step(a: &mut Mat, k: usize, k1: usize, piv: &mut [usize]) -> Result<f64, LaError> {
+    let n = a.nrows();
+    let p = k + pivot_of(&a.col(k)[k..]).ok_or(LaError::NonFinite { step: k })?;
+    piv[k] = p;
+    if p != k {
+        for j in k..k1 {
+            a.as_mut_slice().swap(k + j * n, p + j * n);
         }
     }
+    let pivot = a[(k, k)];
+    if pivot == 0.0 {
+        return Err(LaError::Singular { step: k });
+    }
+    let inv = 1.0 / pivot;
+    for l in &mut a.col_mut(k)[k + 1..] {
+        *l *= inv;
+    }
+    if k + 1 < k1 {
+        // Rows k.. of columns k+1..k1: the pivot row, then the rows it
+        // updates; column k (below the split) holds the multipliers.
+        let (head, tail) = a.as_mut_slice().split_at_mut((k + 1) * n);
+        let panel = MatMut::from_parts(&mut tail[k..], n - k, k1 - k - 1, n);
+        rank1_update(&head[k * n + k + 1..], 0, 1, panel);
+    }
+    Ok(pivot)
+}
+
+/// The row swaps of steps `k0..k1` that [`eliminate_step`] left out: in
+/// every column outside the panel, and in panel column `j` those of the
+/// steps after `j`. No step reads what they move, and each column gets
+/// its swaps in step order, so the factor is the one full-row swaps at
+/// every step give; one column at a time, the swaps stay in cache.
+fn swap_outside_steps(a: &mut Mat, piv: &[usize], k0: usize, k1: usize) {
+    for j in 0..a.ncols() {
+        let first = if (k0..k1).contains(&j) { j + 1 } else { k0 };
+        let col = a.col_mut(j);
+        for (k, &p) in piv.iter().enumerate().take(k1).skip(first) {
+            if p != k {
+                col.swap(k, p);
+            }
+        }
+    }
+}
+
+/// The pivot of a column segment — the first entry of largest magnitude,
+/// the one [`iamax`](crate::blas1::iamax) picks — or `None` if the segment
+/// holds a NaN or an infinity. Eight running maxima let the scan
+/// vectorize; `max` is exact, so their order does not matter.
+fn pivot_of(col: &[f64]) -> Option<usize> {
+    let (mut big, mut finite) = ([0.0f64; 8], true);
+    let mut chunks = col.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (b, &v) in big.iter_mut().zip(chunk) {
+            *b = b.max(v.abs());
+            finite &= v.is_finite();
+        }
+    }
+    for (b, &v) in big.iter_mut().zip(chunks.remainder()) {
+        *b = b.max(v.abs());
+        finite &= v.is_finite();
+    }
+    let big = big.iter().fold(0.0f64, |m, &b| m.max(b));
+    if !finite {
+        return None;
+    }
+    Some(col.iter().position(|v| v.abs() == big).expect("non-empty pivot column"))
 }
 
 #[cfg(test)]
@@ -320,6 +365,37 @@ mod tests {
             Err(LaError::Singular { .. }) => {}
             other => panic!("expected singular, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn non_finite_entries_are_an_error() {
+        // A NaN or an infinity anywhere — on the diagonal, among the
+        // multipliers, in U, in the last entry — is a typed error on both
+        // paths, never a factor whose pivot ratio reads +inf.
+        for n in [8usize, 128] {
+            for (i, j) in [(0, 0), (n - 1, 0), (0, n - 1), (n / 2, n / 3), (n - 1, n - 1)] {
+                for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                    let mut a = test_mat(n, 5);
+                    a[(i, j)] = v;
+                    for f in [Lu::factor_unblocked(a.clone()), Lu::factor_blocked(a)] {
+                        assert!(
+                            matches!(f, Err(LaError::NonFinite { .. })),
+                            "n={n} ({i},{j}) = {v}: {:?}",
+                            f.map(|f| f.min_pivot_ratio())
+                        );
+                    }
+                }
+            }
+        }
+        // Zero multipliers and a zero U row leave no arithmetic to carry
+        // the NaN into a pivot; the column check still sees it.
+        let mut a = Mat::identity(3);
+        a[(2, 0)] = f64::NAN;
+        assert_eq!(Lu::factor(a).unwrap_err(), LaError::NonFinite { step: 0 });
+        let mut a = Mat::identity(3);
+        a[(0, 2)] = f64::NAN;
+        assert_eq!(Lu::factor(a).unwrap_err(), LaError::NonFinite { step: 2 });
+        assert!(Lu::factor(test_mat(8, 5)).unwrap().min_pivot_ratio().is_finite());
     }
 
     #[test]

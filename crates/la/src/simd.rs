@@ -19,6 +19,10 @@
 //!   compare in registers, one mask word out per 8 queries x candidate;
 //! * GEMV ([`dgemv_add_avx2`]) with 4-column blocking so each `y` vector
 //!   load amortizes four FMA columns;
+//! * the multi-column rank-1 update under the LU panel and the TRSM leaves
+//!   ([`rank1_update`]): one block of `x` held in registers while every
+//!   column of `C` goes by, each element getting the operation `axpy`
+//!   would give it;
 //! * dot / axpy vector loops for BLAS-1 ([`dot_avx2`], [`axpy_avx2`]);
 //! * a vectorized polynomial `exp` ([`vexp`]) for the Gaussian/Laplacian
 //!   kernel transforms (paper §II-D evaluates the kernel inside the
@@ -33,7 +37,7 @@
 //!   on other targets the portable scalar paths are the implementation
 //!   (no unconditional `std::arch::x86_64` imports anywhere);
 //! * where a kernel has an AVX-512 body (the skinny GEMM, the distance
-//!   filter, the GSKS Gram tile and contraction, [`vexp`]),
+//!   filter, the GSKS Gram tile and contraction, the rank-1 update, [`vexp`]),
 //!   [`avx512_supported`] selects it over the AVX2 one; the two give the
 //!   same bits wherever their tests say so. [`gsks_dot`] has none: an
 //!   8-wide body timed no faster end to end;
@@ -338,6 +342,103 @@ fn gsks_contract_scalar(k: &[f64; GSKS_MR * GSKS_MR], u: MatRef<'_>, mut w: MatM
     }
 }
 
+/// The multi-column rank-1 update of one elimination step:
+/// `C[r0 + i, j] += α_j · x[i]` for `i < x.len()` and every column `j`,
+/// with the multiplier `α_j = −C[p, j]` read from row `p` of the same
+/// column — the pivot row of an LU step, the just-solved row of a
+/// substitution step — which lies outside the updated rows. A column with
+/// `α_j == 0` is skipped.
+///
+/// Every element gets exactly the operation [`crate::blas1::axpy`]`(α_j,
+/// x, ..)` gives it at the same offset: with SIMD active and
+/// `x.len() >= 8`, one fused multiply-add on the first `4⌊len/4⌋` rows and
+/// `y + α·x` (multiply, then add) on the rest; `y + α·x` everywhere
+/// otherwise. So each column's bits are those of one `axpy` per column,
+/// whatever the other columns hold, and the AVX-512, AVX2 and scalar
+/// bodies agree bitwise.
+///
+/// # Panics
+/// Panics if row `p` or the rows `r0..r0 + x.len()` are outside `C`, or
+/// `p` is one of those rows.
+pub fn rank1_update(x: &[f64], p: usize, r0: usize, mut c: MatMut<'_>) {
+    let (m, nc) = (x.len(), c.ncols());
+    assert!(p < c.nrows() && r0 + m <= c.nrows(), "rank1_update: rows outside C");
+    assert!(m == 0 || !(r0..r0 + m).contains(&p), "rank1_update: multiplier row updated");
+    if m == 0 || nc == 0 {
+        return;
+    }
+    #[cfg(target_arch = "x86_64")]
+    {
+        if active() {
+            let (cs, cp) = (c.col_stride(), c.as_mut_ptr());
+            // SAFETY: rows `p` and `r0..r0 + m` of every one of the `nc`
+            // columns are inside the view (asserted above; the view's
+            // constructor checked its stride and extent), `p` is not among
+            // the written rows, and `x` holds `m` elements. active() implies
+            // AVX2+FMA and the AVX-512 body runs only when the CPU reports
+            // avx512f.
+            unsafe {
+                let (u, cr) = (cp.add(p).cast_const(), cp.add(r0));
+                if avx512_supported() {
+                    x86::rank1_update_avx512(m, nc, x.as_ptr(), u, cr, cs)
+                } else {
+                    x86::rank1_update_avx2(m, nc, x.as_ptr(), u, cr, cs)
+                }
+            }
+            return;
+        }
+    }
+    for j in 0..nc {
+        let col = c.col_mut(j);
+        let alpha = -col[p];
+        if alpha != 0.0 {
+            for (y, &xi) in col[r0..r0 + m].iter_mut().zip(x) {
+                *y += alpha * xi;
+            }
+        }
+    }
+}
+
+/// Largest triangle [`subst_in_registers`] takes: a TRSM leaf, four `zmm`
+/// per right-hand side.
+pub const SUBST_MAX: usize = 32;
+
+/// A whole substitution `T X = B` on a triangle of at most [`SUBST_MAX`]
+/// rows, as the [`rank1_update`] steps it is made of with `B` held in
+/// registers from the first step to the last. Forward (`T` the lower
+/// triangle of `a`) runs `j = 0..n` and updates the rows below `j`;
+/// `backward` (`T` the upper triangle) runs `j = n-1..0` and updates the
+/// rows above. Step `j` first divides row `j` of `B` by `a_jj` unless
+/// `unit`, then is one [`rank1_update`] with `x` the off-diagonal part of
+/// column `j` and the multipliers `−B[j, ..]`: per element the same
+/// operations, so the same bits, as the steps run one call at a time.
+///
+/// Returns `false`, touching nothing, when no register body applies
+/// (SIMD off, no AVX-512F, or more than [`SUBST_MAX`] rows); the caller
+/// then runs the steps through [`rank1_update`].
+///
+/// # Panics
+/// Panics if `a` is not square or `B` has another row count.
+pub fn subst_in_registers(backward: bool, unit: bool, a: MatRef<'_>, mut b: MatMut<'_>) -> bool {
+    let (n, nrhs) = (a.nrows(), b.ncols());
+    assert!(a.ncols() == n && b.nrows() == n, "subst_in_registers: shape mismatch");
+    if n > SUBST_MAX || !active() || !avx512_supported() {
+        return false;
+    }
+    #[cfg(target_arch = "x86_64")]
+    if n > 0 && nrhs > 0 {
+        let (ap, lda, bs) = (a.as_ptr(), a.col_stride(), b.col_stride());
+        // SAFETY: `a` is an n x n view and `B` an n x nrhs one with
+        // 1 <= n <= 32, so every element the body reads or writes is inside
+        // them (the view constructors checked the strides); the CPU reports
+        // avx512f and active() implies AVX2+FMA.
+        unsafe { x86::subst_avx512(backward, unit, n, ap, lda, b.as_mut_ptr(), bs, nrhs) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (backward, unit, nrhs, &mut b);
+    true
+}
+
 /// Squared-distance epilogue for GEMM-backed neighbor tiles: turns one
 /// column of a Gram block `g[i] = x_i . y` into squared distances via the
 /// norms identity `‖x_i − y‖² = ‖x_i‖² + ‖y‖² − 2 x_i . y`, clamped at
@@ -495,6 +596,12 @@ pub(crate) use x86::{
     axpy_avx2, dgemm_skinny_avx512, dgemm_tile_avx2, dgemv_add_avx2, dgemv_t_avx2, dgemv_t_avx512,
     dot_avx2,
 };
+
+/// The two vector bodies of [`rank1_update`], callable on their own so the
+/// property tests can hold them to the same bits.
+#[cfg(target_arch = "x86_64")]
+#[doc(hidden)]
+pub use x86::{rank1_update_avx2, rank1_update_avx512};
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -1129,6 +1236,462 @@ mod x86 {
             *yp.add(i) += alpha * *xp.add(i);
             i += 1;
         }
+    }
+
+    /// Rows of `x` one pass of the rank-1 bodies holds in registers while
+    /// every column goes by: four `zmm`, or four `ymm`.
+    const RANK1_ZMM: usize = 4;
+
+    /// The rows [`axpy_avx2`] gives a fused multiply-add: the 4-aligned
+    /// body of a vector of at least 8, none of a shorter one.
+    #[inline(always)]
+    fn fused_rows(m: usize) -> usize {
+        if m >= 8 {
+            m & !3
+        } else {
+            0
+        }
+    }
+
+    /// AVX-512 body of [`super::rank1_update`]: `x` in blocks of up to 32
+    /// rows, each held in four `zmm` while every column of `C` goes by — a
+    /// load, one FMA and a store per 8 rows of a column. An 8-row group
+    /// that straddles the fused rows, or runs past `m`, computes both the
+    /// fused and the unfused value and keeps each lane's own under masks.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `x` must hold `m` readable elements; `u[j * cs]`
+    /// must be readable and `c[i + j * cs]` readable and writable for
+    /// `i < m`, `j < nc`, and no `u[j * cs]` may be one of those `c`
+    /// elements.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn rank1_update_avx512(
+        m: usize,
+        nc: usize,
+        x: *const f64,
+        u: *const f64,
+        c: *mut f64,
+        cs: usize,
+    ) {
+        debug_assert!(super::avx512_supported(), "rank1_update_avx512 needs AVX-512F");
+        debug_assert!(!x.is_null() && !u.is_null() && !c.is_null());
+        debug_assert!(nc <= 1 || cs >= m, "C columns would overlap: cs = {cs}, m = {m}");
+        let fused = fused_rows(m);
+        let lanes = |n: usize| -> __mmask8 {
+            if n >= 8 {
+                0xff
+            } else {
+                (1u8 << n) - 1
+            }
+        };
+        let mut i0 = 0;
+        while i0 < m {
+            let rows = (m - i0).min(8 * RANK1_ZMM);
+            let mut xv = [_mm512_setzero_pd(); RANK1_ZMM];
+            let (mut live, mut fma) = ([0; RANK1_ZMM], [0; RANK1_ZMM]);
+            for (v, xr) in xv.iter_mut().enumerate().take(rows.div_ceil(8)) {
+                let r = i0 + 8 * v;
+                live[v] = lanes(m - r);
+                fma[v] = lanes(fused.saturating_sub(r));
+                *xr = _mm512_maskz_loadu_pd(live[v], x.add(r));
+            }
+            let cb = c.add(i0);
+            match rows.div_ceil(8) {
+                1 => rank1_block_avx512::<1>(nc, u, cb, cs, &xv, &live, &fma),
+                2 => rank1_block_avx512::<2>(nc, u, cb, cs, &xv, &live, &fma),
+                3 => rank1_block_avx512::<3>(nc, u, cb, cs, &xv, &live, &fma),
+                _ => rank1_block_avx512::<4>(nc, u, cb, cs, &xv, &live, &fma),
+            }
+            i0 += rows;
+        }
+    }
+
+    /// One row block of [`rank1_update_avx512`]: `V` row groups of 8 at
+    /// `c`, their `x` in `xv`, the lanes each group holds in `live` and the
+    /// lanes it fuses in `fma`, against all `nc` columns.
+    ///
+    /// # Safety
+    /// As [`rank1_update_avx512`], restricted to the block's rows.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn rank1_block_avx512<const V: usize>(
+        nc: usize,
+        u: *const f64,
+        c: *mut f64,
+        cs: usize,
+        xv: &[__m512d; RANK1_ZMM],
+        live: &[__mmask8; RANK1_ZMM],
+        fma: &[__mmask8; RANK1_ZMM],
+    ) {
+        for j in 0..nc {
+            let a = -*u.add(j * cs);
+            if a == 0.0 {
+                continue;
+            }
+            let va = _mm512_set1_pd(a);
+            let cj = c.add(j * cs);
+            for v in 0..V {
+                let p = cj.add(8 * v);
+                if fma[v] == 0xff {
+                    _mm512_storeu_pd(p, _mm512_fmadd_pd(va, xv[v], _mm512_loadu_pd(p)));
+                } else {
+                    let y = _mm512_maskz_loadu_pd(live[v], p);
+                    let fused = _mm512_fmadd_pd(va, xv[v], y);
+                    let split = _mm512_add_pd(y, _mm512_mul_pd(va, xv[v]));
+                    _mm512_mask_storeu_pd(p, live[v], _mm512_mask_blend_pd(fma[v], split, fused));
+                }
+            }
+        }
+    }
+
+    /// AVX2 body of [`super::rank1_update`]: the fused rows in blocks of up
+    /// to 16, four `ymm` of `x` held while every column goes by; the rest
+    /// (the last `m % 4` rows, or all of a vector shorter than 8) multiply
+    /// then add, one element at a time — [`axpy_avx2`]'s split exactly.
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA. Same contract as [`rank1_update_avx512`].
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn rank1_update_avx2(
+        m: usize,
+        nc: usize,
+        x: *const f64,
+        u: *const f64,
+        c: *mut f64,
+        cs: usize,
+    ) {
+        debug_assert!(super::cpu_supported(), "rank1_update_avx2 needs AVX2+FMA");
+        debug_assert!(!x.is_null() && !u.is_null() && !c.is_null());
+        debug_assert!(nc <= 1 || cs >= m, "C columns would overlap: cs = {cs}, m = {m}");
+        let fused = fused_rows(m);
+        let mut i0 = 0;
+        while i0 < fused {
+            let quads = ((fused - i0) / 4).min(RANK1_ZMM);
+            let mut xv = [_mm256_setzero_pd(); RANK1_ZMM];
+            for (v, xr) in xv.iter_mut().enumerate().take(quads) {
+                *xr = _mm256_loadu_pd(x.add(i0 + 4 * v));
+            }
+            for j in 0..nc {
+                let a = -*u.add(j * cs);
+                if a == 0.0 {
+                    continue;
+                }
+                let va = _mm256_set1_pd(a);
+                let cj = c.add(i0 + j * cs);
+                for (v, xr) in xv.iter().enumerate().take(quads) {
+                    let p = cj.add(4 * v);
+                    _mm256_storeu_pd(p, _mm256_fmadd_pd(va, *xr, _mm256_loadu_pd(p)));
+                }
+            }
+            i0 += 4 * quads;
+        }
+        if fused < m {
+            for j in 0..nc {
+                let a = -*u.add(j * cs);
+                if a == 0.0 {
+                    continue;
+                }
+                let cj = c.add(j * cs);
+                for i in fused..m {
+                    *cj.add(i) += a * *x.add(i);
+                }
+            }
+        }
+    }
+
+    /// Lanes of row group `g` (rows `8g..8g + 8`) that fall in `lo..hi`.
+    #[inline(always)]
+    fn lane_span(lo: usize, hi: usize, g: usize) -> __mmask8 {
+        let (lo, hi) = (lo.saturating_sub(8 * g).min(8), hi.saturating_sub(8 * g).min(8));
+        ((1u32 << hi) - (1u32 << lo)) as __mmask8
+    }
+
+    /// AVX-512 body of [`super::subst_in_registers`]: the right-hand sides
+    /// four at a time (then singly), each column's `n <= 32` rows in
+    /// `⌈n/8⌉` `zmm` for all `n` steps. The steps go in phases of up to
+    /// eight, one per row group holding row `j`, so which register row `j`
+    /// sits in and which groups a step updates are constants. Per step,
+    /// each column's multiplier is its row `j` negated — broadcast out of
+    /// its register with a unit diagonal, otherwise carried in scalar,
+    /// divided and written back (see [`subst_phase`]) — and the rows the
+    /// step updates take a masked FMA where [`fused_rows`] says `axpy`
+    /// fuses and a multiply then a masked add where it does not.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `1 <= n <= 32`; `a[i + j * lda]` must be readable
+    /// for `i, j < n`, and `b[i + c * ldb]` readable and writable for
+    /// `i < n`, `c < nrhs`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn subst_avx512(
+        backward: bool,
+        unit: bool,
+        n: usize,
+        a: *const f64,
+        lda: usize,
+        b: *mut f64,
+        ldb: usize,
+        nrhs: usize,
+    ) {
+        debug_assert!(super::avx512_supported(), "subst_avx512 needs AVX-512F");
+        debug_assert!((1..=super::SUBST_MAX).contains(&n), "triangle out of range: {n}");
+        debug_assert!(!a.is_null() && !b.is_null());
+        debug_assert!(n == 1 || lda >= n, "A columns would overlap: lda = {lda}, n = {n}");
+        debug_assert!(nrhs <= 1 || ldb >= n, "B columns would overlap: ldb = {ldb}, n = {n}");
+        match (backward, unit) {
+            (false, true) => subst_groups::<false, true>(n, a, lda, b, ldb, nrhs),
+            (false, false) => subst_groups::<false, false>(n, a, lda, b, ldb, nrhs),
+            (true, true) => subst_groups::<true, true>(n, a, lda, b, ldb, nrhs),
+            (true, false) => subst_groups::<true, false>(n, a, lda, b, ldb, nrhs),
+        }
+    }
+
+    /// [`subst_avx512`] for one direction and diagonal: the row-group count.
+    ///
+    /// # Safety
+    /// As [`subst_avx512`].
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn subst_groups<const BACK: bool, const UNIT: bool>(
+        n: usize,
+        a: *const f64,
+        lda: usize,
+        b: *mut f64,
+        ldb: usize,
+        nrhs: usize,
+    ) {
+        match n.div_ceil(8) {
+            1 => subst_blocks::<1, BACK, UNIT>(n, a, lda, b, ldb, nrhs),
+            2 => subst_blocks::<2, BACK, UNIT>(n, a, lda, b, ldb, nrhs),
+            3 => subst_blocks::<3, BACK, UNIT>(n, a, lda, b, ldb, nrhs),
+            _ => subst_blocks::<4, BACK, UNIT>(n, a, lda, b, ldb, nrhs),
+        }
+    }
+
+    /// Runs `$body` once for each row group `$g < $groups` (at most 4),
+    /// with `$g` a constant: arrays it indexes stay in registers, where a
+    /// loop LLVM declines to unroll would move them to the stack.
+    macro_rules! each_group {
+        ($g:ident < $groups:expr => $body:block) => {{
+            {
+                let $g = 0usize;
+                if $g < $groups $body
+            }
+            {
+                let $g = 1usize;
+                if $g < $groups $body
+            }
+            {
+                let $g = 2usize;
+                if $g < $groups $body
+            }
+            {
+                let $g = 3usize;
+                if $g < $groups $body
+            }
+        }};
+    }
+
+    /// [`subst_avx512`] for a triangle of `G` row groups, forward or
+    /// `BACK`, unit diagonal or not: the column blocks, each loaded, taken
+    /// through every phase and stored.
+    ///
+    /// # Safety
+    /// As [`subst_avx512`], with `G == ⌈n/8⌉`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn subst_blocks<const G: usize, const BACK: bool, const UNIT: bool>(
+        n: usize,
+        a: *const f64,
+        lda: usize,
+        b: *mut f64,
+        ldb: usize,
+        nrhs: usize,
+    ) {
+        let mut c = 0;
+        while c + 4 <= nrhs {
+            subst_cols::<G, 4, BACK, UNIT>(n, a, lda, b.add(c * ldb), ldb);
+            c += 4;
+        }
+        while c < nrhs {
+            subst_cols::<G, 1, BACK, UNIT>(n, a, lda, b.add(c * ldb), ldb);
+            c += 1;
+        }
+    }
+
+    /// `C` columns at `b` through all `n` steps, in registers.
+    ///
+    /// # Safety
+    /// As [`subst_avx512`], restricted to these columns.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn subst_cols<const G: usize, const C: usize, const BACK: bool, const UNIT: bool>(
+        n: usize,
+        a: *const f64,
+        lda: usize,
+        b: *mut f64,
+        ldb: usize,
+    ) {
+        let mut r = [[_mm512_setzero_pd(); 4]; C];
+        for (c, rc) in r.iter_mut().enumerate() {
+            each_group!(g < G => {
+                rc[g] = _mm512_maskz_loadu_pd(lane_span(0, n, g), b.add(c * ldb + 8 * g));
+            });
+        }
+        // The first step's row j, of every column, as it was loaded.
+        let j0 = if BACK { n - 1 } else { 0 };
+        let mut row = [0.0; C];
+        for (c, v) in row.iter_mut().enumerate() {
+            *v = *b.add(c * ldb + j0);
+        }
+        if BACK {
+            subst_phase::<G, C, BACK, UNIT, 3>(&mut r, &mut row, n, a, lda);
+            subst_phase::<G, C, BACK, UNIT, 2>(&mut r, &mut row, n, a, lda);
+            subst_phase::<G, C, BACK, UNIT, 1>(&mut r, &mut row, n, a, lda);
+            subst_phase::<G, C, BACK, UNIT, 0>(&mut r, &mut row, n, a, lda);
+        } else {
+            subst_phase::<G, C, BACK, UNIT, 0>(&mut r, &mut row, n, a, lda);
+            subst_phase::<G, C, BACK, UNIT, 1>(&mut r, &mut row, n, a, lda);
+            subst_phase::<G, C, BACK, UNIT, 2>(&mut r, &mut row, n, a, lda);
+            subst_phase::<G, C, BACK, UNIT, 3>(&mut r, &mut row, n, a, lda);
+        }
+        for (c, rc) in r.iter().enumerate() {
+            each_group!(g < G => {
+                _mm512_mask_storeu_pd(b.add(c * ldb + 8 * g), lane_span(0, n, g), rc[g]);
+            });
+        }
+    }
+
+    /// The steps whose row `j` lies in row group `JG`, in step order, on a
+    /// block of `C` columns in registers. With a unit diagonal a step takes
+    /// each column's multiplier straight out of register `JG`. Otherwise
+    /// the chain from one step to the next runs through a division, and
+    /// `row` carries each column's row `j` in scalar: a step divides it and
+    /// writes it back, then works out the next step's row from the
+    /// register's value before its own update — the operation the vector
+    /// lane gets, so the same bits — keeping the register round trip off
+    /// that chain. Then the step branches once per row group for the whole
+    /// block; a zero multiplier masks its column out.
+    ///
+    /// # Safety
+    /// As [`subst_avx512`].
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn subst_phase<
+        const G: usize,
+        const C: usize,
+        const BACK: bool,
+        const UNIT: bool,
+        const JG: usize,
+    >(
+        r: &mut [[__m512d; 4]; C],
+        row: &mut [f64; C],
+        n: usize,
+        a: *const f64,
+        lda: usize,
+    ) {
+        if JG >= G {
+            return;
+        }
+        // The group after JG in step order, where a phase's last step
+        // finds the next step's row.
+        const fn beyond(jg: usize, back: bool) -> usize {
+            if back {
+                jg.saturating_sub(1)
+            } else if jg < 3 {
+                jg + 1
+            } else {
+                3
+            }
+        }
+        let rows = (n - 8 * JG).min(8);
+        for t in 0..rows {
+            let jl = if BACK { rows - 1 - t } else { t };
+            let j = 8 * JG + jl;
+            let col = a.add(j * lda);
+            // The rows this step's axpy covers, and the ones it fuses, as
+            // bit sets over the triangle's rows.
+            let (lo, hi) = if BACK { (0, j) } else { (j + 1, n) };
+            let fused = lo + fused_rows(hi - lo);
+            let bits = |l: usize, h: usize| ((1u64 << h) - (1u64 << l)) as u32;
+            let (fb, ub) = (bits(lo, fused), bits(fused, hi));
+            let mut va = [_mm512_setzero_pd(); C];
+            if UNIT {
+                let (pick, sign) = (_mm512_set1_epi64(jl as i64), _mm512_set1_epi64(i64::MIN));
+                for (rc, v) in r.iter().zip(va.iter_mut()) {
+                    // Row j in every lane, negated: the multiplier.
+                    let bj = _mm512_castpd_si512(_mm512_permutexvar_pd(pick, rc[JG]));
+                    *v = _mm512_castsi512_pd(_mm512_xor_si512(bj, sign));
+                }
+            } else {
+                // The next step's row `i`: the first (last) this one updates.
+                let has_next = if BACK { j > 0 } else { j + 1 < n };
+                let i = if BACK { j.wrapping_sub(1) } else { j + 1 };
+                let (xi, fuse_i) = if has_next { (*col.add(i), i < fused) } else { (0.0, false) };
+                let (same, pick) = (has_next && i / 8 == JG, _mm512_set1_epi64((i % 8) as i64));
+                for ((rc, bj), v) in r.iter_mut().zip(row.iter_mut()).zip(va.iter_mut()) {
+                    let src = _mm512_mask_mov_pd(
+                        rc[beyond(JG, BACK)],
+                        if same { 0xff } else { 0 },
+                        rc[JG],
+                    );
+                    let bi = _mm512_cvtsd_f64(_mm512_permutexvar_pd(pick, src));
+                    *bj /= *col.add(j);
+                    rc[JG] = _mm512_mask_broadcastsd_pd(rc[JG], 1 << jl, _mm_set_sd(*bj));
+                    let al = -*bj;
+                    *bj = if al == 0.0 {
+                        bi
+                    } else if fuse_i {
+                        al.mul_add(xi, bi)
+                    } else {
+                        bi + al * xi
+                    };
+                    *v = _mm512_set1_pd(al);
+                }
+            }
+            let alpha = va.map(|v| _mm512_cvtsd_f64(v));
+            if alpha.iter().all(|&al| al != 0.0) {
+                subst_update::<G, C, BACK, JG>(r, &va, [0xff; C], col, fb, ub);
+            } else {
+                let live = alpha.map(|al| if al != 0.0 { 0xff } else { 0 });
+                subst_update::<G, C, BACK, JG>(r, &va, live, col, fb, ub);
+            }
+        }
+    }
+
+    /// The update of one step of [`subst_phase`]: the rows in `fb` take a
+    /// masked FMA and those in `ub` a multiply then a masked add, in the
+    /// columns `live` lets through; `col` is column `j` of `a`. Only the
+    /// groups on the updated side of group `JG` can hold such rows.
+    ///
+    /// # Safety
+    /// Requires AVX-512F; `col[i]` readable for every row in `fb | ub`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn subst_update<const G: usize, const C: usize, const BACK: bool, const JG: usize>(
+        r: &mut [[__m512d; 4]; C],
+        va: &[__m512d; C],
+        live: [__mmask8; C],
+        col: *const f64,
+        fb: u32,
+        ub: u32,
+    ) {
+        each_group!(g < G => {
+            let (kf, ku) = ((fb >> (8 * g)) as u8, (ub >> (8 * g)) as u8);
+            if (if BACK { g <= JG } else { g >= JG }) && kf | ku != 0 {
+                let x = _mm512_maskz_loadu_pd(kf | ku, col.add(8 * g));
+                if kf != 0 {
+                    for ((rc, &a), &l) in r.iter_mut().zip(va).zip(&live) {
+                        rc[g] = _mm512_mask3_fmadd_pd(a, x, rc[g], kf & l);
+                    }
+                }
+                if ku != 0 {
+                    for ((rc, &a), &l) in r.iter_mut().zip(va).zip(&live) {
+                        rc[g] = _mm512_mask_add_pd(rc[g], ku & l, rc[g], _mm512_mul_pd(a, x));
+                    }
+                }
+            }
+        });
     }
 
     /// `y += alpha * A * x` for column-major `A` (`m x n`, stride `lda`),

@@ -1,18 +1,27 @@
-//! Triangular solves: column-oriented TRSVs for one right-hand side, and
-//! recursive level-3 TRSMs for a block of them.
+//! Triangular solves: column-oriented substitution for one right-hand side,
+//! and recursive level-3 TRSMs for a block of them.
 //!
 //! A multi-column solve halves the triangle, solves the leading block,
 //! folds it into the remaining rows with one [`gemm`](crate::gemm::gemm)
-//! on disjoint row views of `B`, and recurses; only a diagonal block of at
-//! most `TRSM_LEAF` (32) rows is solved one column at a time. Every temporary
-//! comes from the GEMM's pooled packing panels.
+//! on disjoint row views of `B`, and recurses. A diagonal block of at most
+//! `TRSM_LEAF` (32) rows is solved by substitution on all its columns at
+//! once: step `j` solves row `j` of every right-hand side, and one
+//! [`rank1_update`] folds it into the other rows, the solved row supplying
+//! the multipliers — with AVX-512, [`subst_in_registers`] runs all the
+//! steps with the block in registers. An element gets the operations one
+//! `axpy` per column gave it, so a column's bits are the same alone (the
+//! one-vector solves below are the same substitution on an `n × 1` view)
+//! or among any others. Every temporary comes from the GEMM's pooled
+//! packing panels. The `Lᵀ` leaf stays dot-based, one column at a time.
 
-use crate::blas1::{axpy, dot};
+use crate::blas1::dot;
 use crate::gemm::{gemm, Trans};
 use crate::mat::{MatMut, MatRef};
+use crate::simd::{rank1_update, subst_in_registers};
 
-/// Largest diagonal block a multi-column solve hands to the column loop.
-const TRSM_LEAF: usize = 32;
+/// Largest diagonal block a multi-column solve hands to substitution: the
+/// largest the register body takes.
+const TRSM_LEAF: usize = crate::simd::SUBST_MAX;
 
 /// Row at which a TRSM over `n > TRSM_LEAF` rows splits its triangle: the
 /// midpoint, rounded up to the SIMD row-tile height so the off-diagonal
@@ -29,19 +38,8 @@ fn trsm_split(n: usize) -> usize {
 /// # Panics
 /// Panics on dimension mismatch or (debug) non-square `a`.
 pub fn solve_lower_inplace(a: MatRef<'_>, unit_diag: bool, b: &mut [f64]) {
-    let n = a.ncols();
-    debug_assert_eq!(a.nrows(), n, "triangular solve needs a square matrix");
-    assert_eq!(b.len(), n, "solve_lower: rhs length mismatch");
-    for j in 0..n {
-        let col = a.col(j);
-        if !unit_diag {
-            b[j] /= col[j];
-        }
-        let xj = b[j];
-        if xj != 0.0 {
-            axpy(-xj, &col[j + 1..], &mut b[j + 1..]);
-        }
-    }
+    assert_eq!(b.len(), a.ncols(), "solve_lower: rhs length mismatch");
+    subst_lower(a, unit_diag, MatMut::from_col(b));
 }
 
 /// Solves `U x = b` in place, where `U` is the upper triangle of `a`.
@@ -49,16 +47,41 @@ pub fn solve_lower_inplace(a: MatRef<'_>, unit_diag: bool, b: &mut [f64]) {
 /// # Panics
 /// Panics on dimension mismatch.
 pub fn solve_upper_inplace(a: MatRef<'_>, b: &mut [f64]) {
-    let n = a.ncols();
-    debug_assert_eq!(a.nrows(), n, "triangular solve needs a square matrix");
-    assert_eq!(b.len(), n, "solve_upper: rhs length mismatch");
-    for j in (0..n).rev() {
+    assert_eq!(b.len(), a.ncols(), "solve_upper: rhs length mismatch");
+    subst_upper(a, MatMut::from_col(b));
+}
+
+/// Forward substitution `L X = B` on every column of `B` at once (see the
+/// module docs): step `j` divides row `j` by `l_jj` unless `unit`, then
+/// `B[j+1.., c] −= B[j, c] · L[j+1.., j]`.
+fn subst_lower(a: MatRef<'_>, unit: bool, mut b: MatMut<'_>) {
+    if subst_in_registers(false, unit, a, b.rb_mut()) {
+        return;
+    }
+    for j in 0..a.ncols() {
         let col = a.col(j);
-        b[j] /= col[j];
-        let xj = b[j];
-        if xj != 0.0 {
-            axpy(-xj, &col[..j], &mut b[..j]);
+        if !unit {
+            for c in 0..b.ncols() {
+                b.col_mut(c)[j] /= col[j];
+            }
         }
+        rank1_update(&col[j + 1..], j, j + 1, b.rb_mut());
+    }
+}
+
+/// Back substitution `U X = B` on every column of `B` at once: step `j`
+/// (last row first) divides row `j` by `u_jj`, then
+/// `B[..j, c] −= B[j, c] · U[..j, j]`.
+fn subst_upper(a: MatRef<'_>, mut b: MatMut<'_>) {
+    if subst_in_registers(true, false, a, b.rb_mut()) {
+        return;
+    }
+    for j in (0..a.ncols()).rev() {
+        let col = a.col(j);
+        for c in 0..b.ncols() {
+            b.col_mut(c)[j] /= col[j];
+        }
+        rank1_update(&col[..j], j, 0, b.rb_mut());
     }
 }
 
@@ -100,12 +123,13 @@ fn trsm(tri: Tri, a: MatRef<'_>, mut b: MatMut<'_>) {
     debug_assert_eq!(a.nrows(), n, "triangular solve needs a square matrix");
     assert_eq!(n, b.nrows(), "trsm: dimension mismatch");
     if n <= TRSM_LEAF {
-        for j in 0..b.ncols() {
-            let col = b.col_mut(j);
-            match tri {
-                Tri::Lower { unit } => solve_lower_inplace(a, unit, col),
-                Tri::Upper => solve_upper_inplace(a, col),
-                Tri::LowerT => solve_lower_transpose_inplace(a, col),
+        match tri {
+            Tri::Lower { unit } => subst_lower(a, unit, b),
+            Tri::Upper => subst_upper(a, b),
+            Tri::LowerT => {
+                for j in 0..b.ncols() {
+                    solve_lower_transpose_inplace(a, b.col_mut(j));
+                }
             }
         }
         return;

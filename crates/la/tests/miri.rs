@@ -279,6 +279,41 @@ fn gsks_kernels_on_views_and_pooled_row_packs() {
 }
 
 #[test]
+fn rank1_update_on_strided_empty_and_one_column_views() {
+    // Small integers and halves: every product and sum is exact, so fused
+    // and unfused agree and each body equals the naive update. C is rows
+    // 1..12, columns 1..4 of a 14 x 5 matrix (col_stride 14 > 11 rows);
+    // its row 0 holds the multipliers, one of them -0.0 (skipped).
+    let x = [1.0, -2.0, 3.0, 0.5, 4.0, -1.0, 2.0, 1.0, -3.0];
+    let c0 = Mat::from_fn(14, 5, |i, j| match (i, j) {
+        (1, 2) => -0.0,
+        _ => (i + 3 * j) as f64 - 6.0,
+    });
+    let mut c = c0.clone();
+    simd::rank1_update(&x, 0, 2, c.rb_mut().submatrix_mut(1..12, 1..4));
+    for j in 0..5 {
+        for i in 0..14 {
+            let mut want = c0[(i, j)];
+            if (1..4).contains(&j) && (3..12).contains(&i) {
+                want += -c0[(1, j)] * x[i - 3];
+            }
+            assert_eq!(c[(i, j)].to_bits(), want.to_bits(), "({i},{j})");
+        }
+    }
+
+    // One column, the multipliers below the updated rows.
+    let mut col = vec![2.0, 4.0, -1.0, 0.5];
+    simd::rank1_update(&x[..3], 3, 0, MatMut::from_col(&mut col));
+    assert_eq!(col, [1.5, 5.0, -2.5, 0.5]);
+
+    // No rows, no columns: nothing moves.
+    let mut c = c0.clone();
+    simd::rank1_update(&[], 0, 1, c.rb_mut().submatrix_mut(0..4, 0..3));
+    simd::rank1_update(&x, 0, 1, c.rb_mut().submatrix_mut(0..10, 2..2));
+    assert_eq!(c, c0);
+}
+
+#[test]
 #[should_panic(expected = "row swap out of range")]
 fn swap_rows_rejects_out_of_range_indices() {
     // Out of range but still inside the allocation: without the bounds

@@ -384,6 +384,7 @@ fn trsm_matches_column_loop_on_strided_views() {
 fn factor_solve_mat_columns_match_single_solves() {
     // Column j of the blocked LU / Cholesky solve against the one-vector
     // solve: the same bits while the triangle is a TRSM leaf, 1e-12 above.
+    let _guard = POOL_TOGGLE.lock().unwrap();
     for n in [20usize, 40, 130, 200] {
         let g = Mat::from_fn(n, n, |i, j| (((i * 7 + j * 13) % 53) as f64 * 0.41).sin());
         let mut a = g.clone();
@@ -486,6 +487,333 @@ fn skinny_gemm_column_bits_ignore_company_and_threads() {
                 run(&bn, &mut cn);
                 assert_eq!(cn.col(pos), full.col(j), "column {j} at {pos} of {n}");
             }
+        }
+    }
+}
+
+/// The loops the rank-1 kernel replaced, kept as the oracle its callers are
+/// held to bit for bit: one `blas1::axpy` per column in every substitution
+/// step and every LU panel step, full-row swaps at each step, and the same
+/// recursion split and `gemm` calls around them.
+mod axpy_reference {
+    use kfds_la::blas1::{axpy, iamax};
+    use kfds_la::{gemm, Mat, MatMut, MatRef, Trans};
+
+    #[derive(Clone, Copy, Debug)]
+    pub enum Tri {
+        Lower { unit: bool },
+        Upper,
+    }
+
+    pub fn trsv(tri: Tri, a: MatRef<'_>, b: &mut [f64]) {
+        let n = a.ncols();
+        match tri {
+            Tri::Lower { unit } => {
+                for j in 0..n {
+                    let col = a.col(j);
+                    if !unit {
+                        b[j] /= col[j];
+                    }
+                    let xj = b[j];
+                    if xj != 0.0 {
+                        axpy(-xj, &col[j + 1..], &mut b[j + 1..]);
+                    }
+                }
+            }
+            Tri::Upper => {
+                for j in (0..n).rev() {
+                    let col = a.col(j);
+                    b[j] /= col[j];
+                    let xj = b[j];
+                    if xj != 0.0 {
+                        axpy(-xj, &col[..j], &mut b[..j]);
+                    }
+                }
+            }
+        }
+    }
+
+    pub fn trsm(tri: Tri, a: MatRef<'_>, mut b: MatMut<'_>) {
+        let n = a.ncols();
+        if n <= 32 {
+            for j in 0..b.ncols() {
+                trsv(tri, a, b.col_mut(j));
+            }
+            return;
+        }
+        let h = (n / 2).next_multiple_of(8);
+        let (a11, a22) = (a.submatrix(0..h, 0..h), a.submatrix(h..n, h..n));
+        let (mut b1, mut b2) = b.split_at_row(h);
+        match tri {
+            Tri::Lower { .. } => {
+                trsm(tri, a11, b1.rb_mut());
+                let a21 = a.submatrix(h..n, 0..h);
+                gemm(-1.0, a21, Trans::No, b1.rb(), Trans::No, 1.0, b2.rb_mut());
+                trsm(tri, a22, b2);
+            }
+            Tri::Upper => {
+                trsm(tri, a22, b2.rb_mut());
+                let a12 = a.submatrix(0..h, h..n);
+                gemm(-1.0, a12, Trans::No, b2.rb(), Trans::No, 1.0, b1.rb_mut());
+                trsm(tri, a11, b1);
+            }
+        }
+    }
+
+    /// `P A = L U` in panels of `nb` columns (`nb >= n`: unblocked): the
+    /// packed factors and pivots, or the step of an exactly zero pivot.
+    pub fn lu(mut a: Mat, nb: usize) -> Result<(Mat, Vec<usize>), usize> {
+        let n = a.nrows();
+        let mut piv = vec![0; n];
+        for k0 in (0..n).step_by(nb.max(1)) {
+            let k1 = (k0 + nb).min(n);
+            for k in k0..k1 {
+                let p = k + iamax(&a.col(k)[k..]).expect("pivot column");
+                piv[k] = p;
+                a.swap_rows(k, p);
+                let pivot = a[(k, k)];
+                if pivot == 0.0 {
+                    return Err(k);
+                }
+                let inv = 1.0 / pivot;
+                for i in k + 1..n {
+                    a[(i, k)] *= inv;
+                }
+                for j in k + 1..k1 {
+                    let ukj = a[(k, j)];
+                    if ukj != 0.0 {
+                        let (lo, hi) = a.as_mut_slice().split_at_mut(j * n);
+                        axpy(-ukj, &lo[k * n + k + 1..(k + 1) * n], &mut hi[k + 1..n]);
+                    }
+                }
+            }
+            if k1 == n {
+                break;
+            }
+            let nb = k1 - k0;
+            let (left, right) = a.as_mut_slice().split_at_mut(k1 * n);
+            let trailing = MatMut::from_parts(&mut right[k0..], n - k0, n - k1, n);
+            let (mut u12, a22) = trailing.split_at_row(nb);
+            let l11 = MatRef::from_parts(&left[k0 * n + k0..], nb, nb, n);
+            trsm(Tri::Lower { unit: true }, l11, u12.rb_mut());
+            let l21 = MatRef::from_parts(&left[k0 * n + k1..], n - k1, nb, n);
+            gemm(-1.0, l21, Trans::No, u12.rb(), Trans::No, 1.0, a22);
+        }
+        Ok((a, piv))
+    }
+
+    /// `GETRS` on the reference factors.
+    pub fn lu_solve(lu: MatRef<'_>, piv: &[usize], mut b: MatMut<'_>) {
+        for j in 0..b.ncols() {
+            let col = b.col_mut(j);
+            for (k, &p) in piv.iter().enumerate() {
+                col.swap(k, p);
+            }
+        }
+        trsm(Tri::Lower { unit: true }, lu, b.rb_mut());
+        trsm(Tri::Upper, lu, b);
+    }
+}
+
+/// Bit-for-bit equality, any NaN equal to any other (a NaN's payload is
+/// not part of any result this crate promises).
+fn same_bits(got: &[f64], want: &[f64]) -> Option<usize> {
+    got.iter()
+        .zip(want)
+        .position(|(g, w)| g.to_bits() != w.to_bits() && !(g.is_nan() && w.is_nan()))
+        .or((got.len() != want.len()).then_some(0))
+}
+
+/// Deterministic fill in `[-1, 1]` where about one entry in `zeros` is an
+/// exact `+0.0` or `-0.0` (0 for none), so multipliers of zero occur.
+fn fill(m: usize, n: usize, seed: u64, zeros: u64) -> Mat {
+    let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    Mat::from_fn(m, n, |_, _| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let r = state >> 11;
+        match r % zeros.max(1) {
+            0 if zeros > 0 => [0.0, -0.0][(r >> 20) as usize % 2],
+            _ => (r as f64 / (1u64 << 53) as f64) * 2.0 - 1.0,
+        }
+    })
+}
+
+#[test]
+fn lu_factors_match_the_axpy_reference() {
+    // Both paths at every size the issue of a panel, a threshold or a
+    // leaf could turn on, with exact zeros (skipped multipliers) in the
+    // matrix, under the vector bodies and under the scalar ones.
+    let _guard = POOL_TOGGLE.lock().unwrap();
+    let sizes: Vec<usize> = (1..=40).chain([47, 48, 49, 95, 96, 97, 128, 255, 384]).collect();
+    for simd in [true, false] {
+        let _off = (!simd).then(SimdOff::new);
+        for &n in &sizes {
+            let mut a = fill(n, n, n as u64, 7);
+            for i in 0..n {
+                a[(i, i)] += 1.5;
+            }
+            for (name, nb, got) in [
+                ("blocked", 48, Lu::factor_blocked(a.clone())),
+                ("unblocked", n, Lu::factor_unblocked(a.clone())),
+            ] {
+                let want = axpy_reference::lu(a.clone(), nb);
+                match (got, want) {
+                    (Ok(f), Ok((lu, piv))) => {
+                        let (packed, got_piv) = f.packed();
+                        assert_eq!(got_piv, &piv[..], "{name} n={n} simd={simd}: pivots");
+                        let bad = same_bits(packed.to_mat().as_slice(), lu.as_slice());
+                        assert_eq!(bad, None, "{name} n={n} simd={simd}: factor bits");
+                        let b = fill(n, 5, n as u64 + 9, 5);
+                        let (mut x, mut want_x) = (b.clone(), b);
+                        f.solve_mat_mut(x.rb_mut());
+                        axpy_reference::lu_solve(lu.rb(), &piv, want_x.rb_mut());
+                        let bad = same_bits(x.as_slice(), want_x.as_slice());
+                        assert_eq!(bad, None, "{name} n={n} simd={simd}: solve bits");
+                    }
+                    (Err(e), Err(step)) => {
+                        assert_eq!(e, kfds_la::LaError::Singular { step }, "{name} n={n}");
+                    }
+                    (got, want) => panic!("{name} n={n}: {got:?} vs reference {want:?}"),
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn trsm_leaves_match_the_axpy_reference() {
+    // Every leaf row count, the axpy length thresholds (7, 8, 9, 11, 12)
+    // among them, a few recursive sizes, and the right-hand side counts the
+    // solver produces, on strided windows of larger matrices; the
+    // right-hand sides hold zeros of both signs (skipped multipliers) and,
+    // in three columns, NaN and infinities.
+    let _guard = POOL_TOGGLE.lock().unwrap();
+    use axpy_reference::Tri;
+    let sizes: Vec<usize> = (1..=33).chain([40, 47, 64, 97]).collect();
+    for simd in [true, false] {
+        let _off = (!simd).then(SimdOff::new);
+        for &n in &sizes {
+            for nrhs in [0usize, 1, 3, 7, 8, 9, 16, 64, 192] {
+                for tri in [Tri::Lower { unit: true }, Tri::Lower { unit: false }, Tri::Upper] {
+                    let lower = matches!(tri, Tri::Lower { .. });
+                    let mut big_a = Mat::from_fn(n + 5, n + 4, |_, _| f64::NAN);
+                    let t = triangle(n, lower, n + nrhs);
+                    for j in 0..n {
+                        big_a.col_mut(j + 2)[3..3 + n].copy_from_slice(t.col(j));
+                    }
+                    let a = big_a.submatrix(3..3 + n, 2..2 + n);
+                    let mut b0 = fill(n, nrhs, (n * 7 + nrhs) as u64, 6);
+                    for (c, v) in [(1, f64::NAN), (4, f64::INFINITY), (6, f64::NEG_INFINITY)] {
+                        if c < nrhs {
+                            b0[(n / 2, c)] = v;
+                        }
+                    }
+                    let mut want = b0.clone();
+                    axpy_reference::trsm(tri, a, want.rb_mut());
+                    let mut big_b = Mat::from_fn(n + 7, nrhs + 2, |i, j| (i + j) as f64);
+                    for j in 0..nrhs {
+                        big_b.col_mut(j + 1)[4..4 + n].copy_from_slice(b0.col(j));
+                    }
+                    let win = big_b.rb_mut().submatrix_mut(4..4 + n, 1..1 + nrhs);
+                    match tri {
+                        Tri::Lower { unit } => tri::solve_lower_mat_inplace(a, unit, win),
+                        Tri::Upper => tri::solve_upper_mat_inplace(a, win),
+                    }
+                    let got = big_b.submatrix(4..4 + n, 1..1 + nrhs).to_mat();
+                    let bad = same_bits(got.as_slice(), want.as_slice());
+                    assert_eq!(bad, None, "{tri:?} n={n} nrhs={nrhs} simd={simd}");
+                    if nrhs > 0 {
+                        // The one-vector solve is the same substitution.
+                        let mut v = b0.col(0).to_vec();
+                        match tri {
+                            Tri::Lower { unit } => tri::solve_lower_inplace(a, unit, &mut v),
+                            Tri::Upper => tri::solve_upper_inplace(a, &mut v),
+                        }
+                        let mut w = b0.col(0).to_vec();
+                        axpy_reference::trsv(tri, a, &mut w);
+                        assert_eq!(same_bits(&v, &w), None, "{tri:?} trsv n={n} simd={simd}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `x` and the matrix `C` is a window of for the rank-1 tests: row 2 of
+/// every third column holds a multiplier drawn from zeros of both signs,
+/// NaN, infinities and ordinary values, and `x` an infinity.
+fn rank1_case(m: usize, nc: usize, seed: u64) -> (Vec<f64>, Mat) {
+    let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.5, -2.0];
+    let mut x: Vec<f64> = fill(m, 1, seed, 0).into_vec();
+    if m > 5 {
+        x[m / 2] = f64::INFINITY;
+    }
+    let mut c = fill(m + 9, nc + 3, seed + 1, 5);
+    for j in 0..nc + 3 {
+        if j % 3 == 0 {
+            c[(2, j)] = specials[(j / 3 + seed as usize) % specials.len()];
+        }
+    }
+    (x, c)
+}
+
+#[test]
+fn rank1_update_matches_one_axpy_per_column() {
+    // The kernel against `axpy(-C[p, j], x, C[r0.., j])` column by column,
+    // across the axpy thresholds, with the multiplier row above and below
+    // the updated rows, on a strided window, under both dispatch modes.
+    let _guard = POOL_TOGGLE.lock().unwrap();
+    for simd in [true, false] {
+        let _off = (!simd).then(SimdOff::new);
+        for m in (0..=40).chain([47, 64, 100]) {
+            for nc in [0usize, 1, 3, 8, 13] {
+                // Multipliers above the updated rows, then below them.
+                for (p, r0) in [(2, 3), (2 + m.max(1), 2)] {
+                    let (x, c0) = rank1_case(m, nc, (m * 31 + nc) as u64);
+                    let (mut got, mut want) = (c0.clone(), c0.clone());
+                    let win = got.rb_mut().submatrix_mut(0..m + 7, 1..1 + nc);
+                    kfds_la::simd::rank1_update(&x, p, r0, win);
+                    for j in 1..1 + nc {
+                        let col = want.col_mut(j);
+                        let alpha = -col[p];
+                        kfds_la::blas1::axpy(alpha, &x, &mut col[r0..r0 + m]);
+                    }
+                    let bad = same_bits(got.as_slice(), want.as_slice());
+                    assert_eq!(bad, None, "m={m} nc={nc} p={p} r0={r0} simd={simd}");
+                }
+            }
+        }
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[test]
+fn rank1_update_vector_bodies_agree() {
+    // The AVX-512 body against the AVX2 one on the same raw operands.
+    if !(kfds_la::simd::cpu_supported() && kfds_la::simd::avx512_supported()) {
+        return;
+    }
+    for m in (1..=40).chain([47, 64, 100]) {
+        for nc in [1usize, 3, 8, 13] {
+            let (x, c0) = rank1_case(m, nc, (m * 17 + nc) as u64);
+            let (mut c512, mut c2) = (c0.clone(), c0);
+            let cs = c512.nrows();
+            for (c, avx512) in [(&mut c512, true), (&mut c2, false)] {
+                let base = c.as_mut_slice().as_mut_ptr();
+                // SAFETY: rows 2 (the multipliers) and 3..3 + m of the nc
+                // columns from column 1 lie inside the (m + 9) x (nc + 3)
+                // matrix, x holds m elements, and the CPU reports AVX2+FMA
+                // and AVX-512F.
+                unsafe {
+                    let (u, cr) = (base.add(2 + cs).cast_const(), base.add(3 + cs));
+                    if avx512 {
+                        kfds_la::simd::rank1_update_avx512(m, nc, x.as_ptr(), u, cr, cs);
+                    } else {
+                        kfds_la::simd::rank1_update_avx2(m, nc, x.as_ptr(), u, cr, cs);
+                    }
+                }
+            }
+            assert_eq!(same_bits(c512.as_slice(), c2.as_slice()), None, "m={m} nc={nc}");
         }
     }
 }
