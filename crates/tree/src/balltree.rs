@@ -242,24 +242,8 @@ impl Builder<'_> {
         // Splitting direction: approximate diameter by a double sweep —
         // farthest point p1 from the centroid, then farthest point p2 from
         // p1. Project onto p2 - p1 and split at the median.
-        let p1 = idx
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                let da = sq_dist(self.points.point(a), &center);
-                let db = sq_dist(self.points.point(b), &center);
-                da.partial_cmp(&db).expect("NaN coordinate")
-            })
-            .expect("non-empty node");
-        let p2 = idx
-            .iter()
-            .copied()
-            .max_by(|&a, &b| {
-                let da = self.points.sq_dist(a, p1);
-                let db = self.points.sq_dist(b, p1);
-                da.partial_cmp(&db).expect("NaN coordinate")
-            })
-            .expect("non-empty node");
+        let p1 = farthest(idx, |i| sq_dist(self.points.point(i), &center));
+        let p2 = farthest(idx, |i| self.points.sq_dist(i, p1));
         let x1 = self.points.point(p1);
         let x2 = self.points.point(p2);
         let dir: Vec<f64> = x1.iter().zip(x2).map(|(a, b)| b - a).collect();
@@ -270,9 +254,7 @@ impl Builder<'_> {
         // Equal split at the median projection (paper: children hold an
         // equal number of points). Degenerate direction (all points equal)
         // still splits by position, keeping the tree balanced.
-        idx.select_nth_unstable_by(half, |&a, &b| {
-            proj(a).partial_cmp(&proj(b)).expect("NaN projection")
-        });
+        select_by_key(idx, half, proj);
 
         let (left_idx, right_idx) = idx.split_at_mut(half);
         let parallel = count > 4096;
@@ -342,6 +324,36 @@ impl Builder<'_> {
             .fold(0.0f64, f64::max)
             .sqrt();
         (center, radius)
+    }
+}
+
+/// The point of `idx` with the largest `key`, the last of equals — the
+/// answer `max_by` on the keys gives — with `key` evaluated once per point
+/// rather than twice per comparison.
+///
+/// # Panics
+/// Panics if `idx` is empty or a key is NaN.
+fn farthest(idx: &[usize], key: impl Fn(usize) -> f64) -> usize {
+    idx.iter()
+        .map(|&i| (key(i), i))
+        .max_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN coordinate"))
+        .expect("non-empty node")
+        .1
+}
+
+/// Reorders `idx` so position `nth` holds the point whose `key` ranks
+/// there, the smaller keys before it and the larger after — the
+/// permutation `select_nth_unstable_by` on the keys gives, comparison for
+/// comparison, since it runs the same comparisons on `(key, point)` pairs;
+/// each key is evaluated once rather than twice per comparison.
+///
+/// # Panics
+/// Panics if a key is NaN.
+fn select_by_key(idx: &mut [usize], nth: usize, key: impl Fn(usize) -> f64) {
+    let mut keyed: Vec<(f64, usize)> = idx.iter().map(|&i| (key(i), i)).collect();
+    keyed.select_nth_unstable_by(nth, |a, b| a.0.partial_cmp(&b.0).expect("NaN projection"));
+    for (slot, (_, i)) in idx.iter_mut().zip(keyed) {
+        *slot = i;
     }
 }
 
@@ -505,6 +517,78 @@ mod tests {
         let y = t.permute_vec(&x);
         let z = t.unpermute_vec(&y);
         assert_eq!(x, z);
+    }
+
+    /// `Builder::split` as it was before the keys were computed once: the
+    /// comparator forms, evaluating `sq_dist` and the projection inside
+    /// every comparison — the oracle for the permutation, centers and radii.
+    fn split_by_comparators(b: &Builder<'_>, idx: &mut [usize]) -> Box<BoxNode> {
+        let count = idx.len();
+        let (center, radius) = b.ball_of(idx);
+        if count <= b.leaf_size {
+            return Box::new(BoxNode { count, center, radius, children: None });
+        }
+        let p1 = idx
+            .iter()
+            .copied()
+            .max_by(|&x, &y| {
+                let dx = sq_dist(b.points.point(x), &center);
+                let dy = sq_dist(b.points.point(y), &center);
+                dx.partial_cmp(&dy).expect("NaN coordinate")
+            })
+            .expect("non-empty node");
+        let p2 = idx
+            .iter()
+            .copied()
+            .max_by(|&x, &y| {
+                b.points.sq_dist(x, p1).partial_cmp(&b.points.sq_dist(y, p1)).expect("NaN")
+            })
+            .expect("non-empty node");
+        let dir: Vec<f64> =
+            b.points.point(p1).iter().zip(b.points.point(p2)).map(|(u, v)| v - u).collect();
+        let proj =
+            |i: usize| -> f64 { b.points.point(i).iter().zip(&dir).map(|(x, d)| x * d).sum() };
+        let half = count / 2;
+        idx.select_nth_unstable_by(half, |&x, &y| proj(x).partial_cmp(&proj(y)).expect("NaN"));
+        let (l, r) = idx.split_at_mut(half);
+        let children = Some((split_by_comparators(b, l), split_by_comparators(b, r)));
+        Box::new(BoxNode { count, center, radius, children })
+    }
+
+    #[test]
+    fn keyed_split_matches_the_comparator_form() {
+        // Ragged n and d in {1, 8, 64}, on three sets: random points, the
+        // same with every fifth point a copy of point 0, and points of a
+        // {-1, 0, 1} lattice, whose distances and projections tie exactly
+        // between different points (where the last-maximum rule and the
+        // selection's comparisons decide). The same permutation, centers
+        // and radii, to the bit.
+        for d in [1usize, 8, 64] {
+            for n in [1usize, 2, 3, 17, 100, 257, 1000, 5000] {
+                let copies: Vec<usize> = (0..n).map(|i| if i % 5 == 3 { 0 } else { i }).collect();
+                let lattice = (0..n * d).map(|k| ((k * 7 + k / 3) % 3) as f64 - 1.0).collect();
+                let sets = [
+                    grid_points(n, d),
+                    grid_points(n, d).select(&copies),
+                    PointSet::from_col_major(d, lattice),
+                ];
+                for (s, p) in sets.iter().enumerate() {
+                    let t = BallTree::build(p, 16);
+                    let b = Builder { points: p, leaf_size: 16, rule: SplitRule::FarthestPair };
+                    let mut idx: Vec<usize> = (0..n).collect();
+                    let mut nodes = Vec::new();
+                    flatten(*split_by_comparators(&b, &mut idx), 0, None, &mut nodes);
+                    let what = format!("d={d} n={n} set {s}");
+                    assert_eq!(t.perm(), &idx[..], "{what}: permutation");
+                    assert_eq!(t.nodes().len(), nodes.len(), "{what}");
+                    for (got, want) in t.nodes().iter().zip(&nodes) {
+                        assert_eq!(got.radius.to_bits(), want.radius.to_bits(), "{what}: radius");
+                        let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got.center), bits(&want.center), "{what}: center");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
