@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Local CI gate: format, clippy, kfds-lint, release build, the workspace
 # tests under the default environment and under each of the two live
-# KFDS_* switches, the golden digests with every retired switch set, the
-# benchmark package's own tests, and the kfds-serve smoke runs. Correctness only: nothing here asserts a timing
+# KFDS_* switches, the golden digests with every retired switch set and on
+# one rayon thread, the benchmark package's own tests, and the kfds-serve
+# smoke runs. Correctness only: nothing here asserts a timing
 # (timings, bytes and throughput are benchmark/'s — see BENCHMARK.json).
 # Every step prints the seconds it took and `CI OK` a table of them, so a
 # lane has a price before anyone argues for deleting it.
@@ -98,6 +99,13 @@ step "cargo test (kfds-core solve_digests, KFDS_SIMD=off + every retired switch 
 KFDS_SIMD=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=scalar KFDS_REFACTOR=off \
   KFDS_SERVE_BATCH=off KFDS_SHARD=off KFDS_BATCH=off \
   cargo test -q -p kfds-core --test solve_digests
+
+step "cargo test (kfds-core solve_digests, RAYON_NUM_THREADS=1 — the tables on one thread)"
+# The other lanes run the pool at the host's width; the tables claim the
+# same rows on one thread. Every level's par_iter and every
+# row-split GEMM then runs serially, so a kernel whose bits depended on
+# the split would show here.
+RAYON_NUM_THREADS=1 cargo test -q -p kfds-core --test solve_digests
 
 if [[ $miri -eq 1 ]]; then
   step "miri lane (kfds-la deterministic suite under the interpreter)"
