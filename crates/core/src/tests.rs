@@ -563,9 +563,9 @@ fn cholesky_detects_indefiniteness() {
 
 #[test]
 fn non_finite_blocks_are_a_factorization_error() {
-    // A kernel that evaluates to NaN makes every leaf block NaN. The LU
-    // used to factor it "successfully" with a pivot ratio of +inf, so
-    // `is_unstable()` read false; now both leaf kinds refuse it.
+    // A kernel that evaluates to NaN makes every leaf block NaN. Both leaf
+    // kinds must refuse it: a factor with a pivot ratio of +inf would read
+    // as perfectly conditioned (`is_unstable()` false).
     struct NanKernel;
     impl kfds_kernels::Kernel for NanKernel {
         fn eval_parts(&self, _dot: f64, _nx: f64, _ny: f64) -> f64 {

@@ -183,8 +183,8 @@ mod tests {
 
     #[test]
     fn non_finite_entries_are_an_error() {
-        // `d <= 0.0` let a NaN pivot through; the lower triangle is what
-        // is read, so a NaN above the diagonal changes nothing.
+        // A NaN pivot passes `d <= 0.0`, so it needs its own test; only
+        // the lower triangle is read, so a NaN above the diagonal is fine.
         for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             for (i, j, step) in [(0, 0, 0), (5, 2, 5), (7, 7, 7)] {
                 let mut a = spd(8, 3);

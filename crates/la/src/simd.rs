@@ -403,15 +403,24 @@ pub fn rank1_update(x: &[f64], p: usize, r0: usize, mut c: MatMut<'_>) {
 /// per right-hand side.
 pub const SUBST_MAX: usize = 32;
 
+/// The substitutions [`subst_in_registers`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Subst {
+    /// `L X = B`, `L` the lower triangle (unit diagonal if `unit`): steps
+    /// `j = 0..n`, each updating the rows below `j`.
+    Forward { unit: bool },
+    /// `U X = B`, `U` the upper triangle: steps `j = n-1..0`, each updating
+    /// the rows above `j`.
+    Backward,
+}
+
 /// A whole substitution `T X = B` on a triangle of at most [`SUBST_MAX`]
 /// rows, as the [`rank1_update`] steps it is made of with `B` held in
-/// registers from the first step to the last. Forward (`T` the lower
-/// triangle of `a`) runs `j = 0..n` and updates the rows below `j`;
-/// `backward` (`T` the upper triangle) runs `j = n-1..0` and updates the
-/// rows above. Step `j` first divides row `j` of `B` by `a_jj` unless
-/// `unit`, then is one [`rank1_update`] with `x` the off-diagonal part of
-/// column `j` and the multipliers `−B[j, ..]`: per element the same
-/// operations, so the same bits, as the steps run one call at a time.
+/// registers from the first step to the last. Step `j` first divides row
+/// `j` of `B` by `a_jj` (not for a unit diagonal), then is one
+/// [`rank1_update`] with `x` the off-diagonal part of column `j` and the
+/// multipliers `−B[j, ..]`: per element the same operations, so the same
+/// bits, as the steps run one call at a time.
 ///
 /// Returns `false`, touching nothing, when no register body applies
 /// (SIMD off, no AVX-512F, or more than [`SUBST_MAX`] rows); the caller
@@ -419,7 +428,7 @@ pub const SUBST_MAX: usize = 32;
 ///
 /// # Panics
 /// Panics if `a` is not square or `B` has another row count.
-pub fn subst_in_registers(backward: bool, unit: bool, a: MatRef<'_>, mut b: MatMut<'_>) -> bool {
+pub fn subst_in_registers(kind: Subst, a: MatRef<'_>, mut b: MatMut<'_>) -> bool {
     let (n, nrhs) = (a.nrows(), b.ncols());
     assert!(a.ncols() == n && b.nrows() == n, "subst_in_registers: shape mismatch");
     if n > SUBST_MAX || !active() || !avx512_supported() {
@@ -432,10 +441,10 @@ pub fn subst_in_registers(backward: bool, unit: bool, a: MatRef<'_>, mut b: MatM
         // 1 <= n <= 32, so every element the body reads or writes is inside
         // them (the view constructors checked the strides); the CPU reports
         // avx512f and active() implies AVX2+FMA.
-        unsafe { x86::subst_avx512(backward, unit, n, ap, lda, b.as_mut_ptr(), bs, nrhs) };
+        unsafe { x86::subst_avx512(kind, n, ap, lda, b.as_mut_ptr(), bs, nrhs) };
     }
     #[cfg(not(target_arch = "x86_64"))]
-    let _ = (backward, unit, nrhs, &mut b);
+    let _ = (kind, nrhs, &mut b);
     true
 }
 
@@ -1421,11 +1430,9 @@ mod x86 {
     /// Requires AVX-512F. `1 <= n <= 32`; `a[i + j * lda]` must be readable
     /// for `i, j < n`, and `b[i + c * ldb]` readable and writable for
     /// `i < n`, `c < nrhs`.
-    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     pub unsafe fn subst_avx512(
-        backward: bool,
-        unit: bool,
+        kind: super::Subst,
         n: usize,
         a: *const f64,
         lda: usize,
@@ -1438,11 +1445,14 @@ mod x86 {
         debug_assert!(!a.is_null() && !b.is_null());
         debug_assert!(n == 1 || lda >= n, "A columns would overlap: lda = {lda}, n = {n}");
         debug_assert!(nrhs <= 1 || ldb >= n, "B columns would overlap: ldb = {ldb}, n = {n}");
-        match (backward, unit) {
-            (false, true) => subst_groups::<false, true>(n, a, lda, b, ldb, nrhs),
-            (false, false) => subst_groups::<false, false>(n, a, lda, b, ldb, nrhs),
-            (true, true) => subst_groups::<true, true>(n, a, lda, b, ldb, nrhs),
-            (true, false) => subst_groups::<true, false>(n, a, lda, b, ldb, nrhs),
+        match kind {
+            super::Subst::Forward { unit: true } => {
+                subst_groups::<false, true>(n, a, lda, b, ldb, nrhs)
+            }
+            super::Subst::Forward { unit: false } => {
+                subst_groups::<false, false>(n, a, lda, b, ldb, nrhs)
+            }
+            super::Subst::Backward => subst_groups::<true, false>(n, a, lda, b, ldb, nrhs),
         }
     }
 

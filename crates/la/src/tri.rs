@@ -17,7 +17,7 @@
 use crate::blas1::dot;
 use crate::gemm::{gemm, Trans};
 use crate::mat::{MatMut, MatRef};
-use crate::simd::{rank1_update, subst_in_registers};
+use crate::simd::{rank1_update, subst_in_registers, Subst};
 
 /// Largest diagonal block a multi-column solve hands to substitution: the
 /// largest the register body takes.
@@ -55,7 +55,7 @@ pub fn solve_upper_inplace(a: MatRef<'_>, b: &mut [f64]) {
 /// module docs): step `j` divides row `j` by `l_jj` unless `unit`, then
 /// `B[j+1.., c] −= B[j, c] · L[j+1.., j]`.
 fn subst_lower(a: MatRef<'_>, unit: bool, mut b: MatMut<'_>) {
-    if subst_in_registers(false, unit, a, b.rb_mut()) {
+    if subst_in_registers(Subst::Forward { unit }, a, b.rb_mut()) {
         return;
     }
     for j in 0..a.ncols() {
@@ -73,7 +73,7 @@ fn subst_lower(a: MatRef<'_>, unit: bool, mut b: MatMut<'_>) {
 /// (last row first) divides row `j` by `u_jj`, then
 /// `B[..j, c] −= B[j, c] · U[..j, j]`.
 fn subst_upper(a: MatRef<'_>, mut b: MatMut<'_>) {
-    if subst_in_registers(true, false, a, b.rb_mut()) {
+    if subst_in_registers(Subst::Backward, a, b.rb_mut()) {
         return;
     }
     for j in (0..a.ncols()).rev() {

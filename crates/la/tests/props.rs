@@ -491,10 +491,10 @@ fn skinny_gemm_column_bits_ignore_company_and_threads() {
     }
 }
 
-/// The loops the rank-1 kernel replaced, kept as the oracle its callers are
-/// held to bit for bit: one `blas1::axpy` per column in every substitution
-/// step and every LU panel step, full-row swaps at each step, and the same
-/// recursion split and `gemm` calls around them.
+/// The oracle the rank-1 kernel's callers are held to bit for bit: the
+/// substitutions and the LU written one `blas1::axpy` per column in every
+/// step, with full-row swaps at each step and the same recursion split and
+/// `gemm` calls around them.
 mod axpy_reference {
     use kfds_la::blas1::{axpy, iamax};
     use kfds_la::{gemm, Mat, MatMut, MatRef, Trans};
@@ -640,9 +640,9 @@ fn fill(m: usize, n: usize, seed: u64, zeros: u64) -> Mat {
 
 #[test]
 fn lu_factors_match_the_axpy_reference() {
-    // Both paths at every size the issue of a panel, a threshold or a
-    // leaf could turn on, with exact zeros (skipped multipliers) in the
-    // matrix, under the vector bodies and under the scalar ones.
+    // Both paths at every size where a panel edge, the blocking threshold
+    // or a TRSM leaf boundary falls, with exact zeros (skipped multipliers)
+    // in the matrix, under the vector bodies and under the scalar ones.
     let _guard = POOL_TOGGLE.lock().unwrap();
     let sizes: Vec<usize> = (1..=40).chain([47, 48, 49, 95, 96, 97, 128, 255, 384]).collect();
     for simd in [true, false] {

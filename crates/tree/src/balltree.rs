@@ -519,9 +519,9 @@ mod tests {
         assert_eq!(x, z);
     }
 
-    /// `Builder::split` as it was before the keys were computed once: the
-    /// comparator forms, evaluating `sq_dist` and the projection inside
-    /// every comparison — the oracle for the permutation, centers and radii.
+    /// `Builder::split` in comparator form, `sq_dist` and the projection
+    /// evaluated inside every comparison: the oracle for the permutation,
+    /// centers and radii.
     fn split_by_comparators(b: &Builder<'_>, idx: &mut [usize]) -> Box<BoxNode> {
         let count = idx.len();
         let (center, radius) = b.ball_of(idx);
