@@ -124,14 +124,6 @@ impl Lu {
         self.min_pivot_ratio
     }
 
-    /// The packed factors (`L` below the diagonal, its unit diagonal
-    /// implied; `U` on and above it) and the row swapped in at each step,
-    /// for tests that hold a factor to its bits.
-    #[doc(hidden)]
-    pub fn packed(&self) -> (MatRef<'_>, &[usize]) {
-        (self.lu.rb(), &self.piv)
-    }
-
     /// Solves `A x = b` in place.
     ///
     /// # Panics
@@ -305,6 +297,89 @@ mod tests {
             let r = ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
             r + if i == j { n as f64 * 0.1 } else { 0.0 }
         })
+    }
+
+    /// The LU written one `blas1::axpy` per column in every step, with a
+    /// full-row swap at each step, in panels of `nb` columns (`nb >= n`:
+    /// unblocked) followed by the same TRSM and `gemm` calls: the packed
+    /// factors and pivots the kernel-based steps must reproduce bit for bit.
+    fn axpy_reference(mut a: Mat, nb: usize) -> (Mat, Vec<usize>) {
+        let n = a.nrows();
+        let mut piv = vec![0; n];
+        for k0 in (0..n).step_by(nb.max(1)) {
+            let k1 = (k0 + nb).min(n);
+            for k in k0..k1 {
+                let p = k + crate::blas1::iamax(&a.col(k)[k..]).expect("pivot column");
+                piv[k] = p;
+                a.swap_rows(k, p);
+                let inv = 1.0 / a[(k, k)];
+                for i in k + 1..n {
+                    a[(i, k)] *= inv;
+                }
+                for j in k + 1..k1 {
+                    let ukj = a[(k, j)];
+                    if ukj != 0.0 {
+                        let (lo, hi) = a.as_mut_slice().split_at_mut(j * n);
+                        crate::blas1::axpy(
+                            -ukj,
+                            &lo[k * n + k + 1..(k + 1) * n],
+                            &mut hi[k + 1..n],
+                        );
+                    }
+                }
+            }
+            if k1 == n {
+                break;
+            }
+            let (left, right) = a.as_mut_slice().split_at_mut(k1 * n);
+            let trailing = MatMut::from_parts(&mut right[k0..], n - k0, n - k1, n);
+            let (mut u12, a22) = trailing.split_at_row(k1 - k0);
+            let l11 = MatRef::from_parts(&left[k0 * n + k0..], k1 - k0, k1 - k0, n);
+            crate::tri::solve_lower_mat_inplace(l11, true, u12.rb_mut());
+            let l21 = MatRef::from_parts(&left[k0 * n + k1..], n - k1, k1 - k0, n);
+            gemm(-1.0, l21, Trans::No, u12.rb(), Trans::No, 1.0, a22);
+        }
+        (a, piv)
+    }
+
+    #[test]
+    fn factors_match_one_axpy_per_column() {
+        // Both paths at every size where a panel edge, the blocking
+        // threshold or a TRSM leaf boundary falls, under the vector bodies
+        // and the scalar ones. About one entry in seven is an exact zero of
+        // either sign (skipped multipliers), and the weak diagonal leaves
+        // pivoting real swaps to make.
+        let _mode = crate::simd::SIMD_MODE.lock().unwrap_or_else(|e| e.into_inner());
+        let was = crate::simd::active();
+        for simd in [true, false] {
+            crate::simd::set_simd_enabled(simd);
+            for n in (1..=40).chain([47, 48, 49, 95, 96, 97, 128, 255, 384]) {
+                let mut state = (n as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                let a = Mat::from_fn(n, n, |i, j| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let r = state >> 11;
+                    let v = (r as f64 / (1u64 << 53) as f64) * 2.0 - 1.0;
+                    match r % 7 {
+                        0 if i != j => [0.0, -0.0][(r >> 20) as usize % 2],
+                        _ if i == j => v + 1.5,
+                        _ => v,
+                    }
+                });
+                for (name, nb, got) in [
+                    ("blocked", LU_BLOCK, Lu::factor_blocked(a.clone())),
+                    ("unblocked", n, Lu::factor_unblocked(a.clone())),
+                ] {
+                    let f = got.expect("nonsingular");
+                    let (lu, piv) = axpy_reference(a.clone(), nb);
+                    assert_eq!(f.piv, piv, "{name} n={n} simd={simd}: pivots");
+                    let bits =
+                        |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&f.lu), bits(&lu), "{name} n={n} simd={simd}: factor bits");
+                }
+            }
+        }
+        crate::simd::set_simd_enabled(was);
     }
 
     #[test]

@@ -37,10 +37,13 @@
 //!   on other targets the portable scalar paths are the implementation
 //!   (no unconditional `std::arch::x86_64` imports anywhere);
 //! * where a kernel has an AVX-512 body (the skinny GEMM, the distance
-//!   filter, the GSKS Gram tile and contraction, the rank-1 update, [`vexp`]),
+//!   filter, the GSKS Gram tile and contraction, [`vexp`]),
 //!   [`avx512_supported`] selects it over the AVX2 one; the two give the
-//!   same bits wherever their tests say so. [`gsks_dot`] has none: an
-//!   8-wide body timed no faster end to end;
+//!   same bits wherever their tests say so. [`gsks_dot`] and
+//!   [`rank1_update`] have none: an 8-wide body timed no faster end to
+//!   end. The TRSM leaf's register-resident substitution
+//!   (`subst_in_registers`) is AVX-512 only; without it the leaf runs its
+//!   steps through [`rank1_update`];
 //! * the `KFDS_SIMD=off` (or `=0`) environment kill-switch — mirroring
 //!   `KFDS_WS_POOL` — forces the scalar reference paths, so
 //!   pooled/unpooled x simd/scalar can be A/B'd in one binary;
@@ -104,6 +107,11 @@ pub fn set_simd_enabled(on: bool) {
     let _ = enabled(); // apply the env default first so it cannot clobber us
     SIMD_ENABLED.store(on, Ordering::Relaxed);
 }
+
+/// Held by the unit tests that flip [`set_simd_enabled`], so none of them
+/// sees the mode change under it.
+#[cfg(test)]
+pub(crate) static SIMD_MODE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// `true` if this CPU supports the vector kernels (x86-64 with AVX2+FMA).
 /// Immutable for the process lifetime — [`active`] implies this, which is
@@ -354,8 +362,8 @@ fn gsks_contract_scalar(k: &[f64; GSKS_MR * GSKS_MR], u: MatRef<'_>, mut w: MatM
 /// `x.len() >= 8`, one fused multiply-add on the first `4⌊len/4⌋` rows and
 /// `y + α·x` (multiply, then add) on the rest; `y + α·x` everywhere
 /// otherwise. So each column's bits are those of one `axpy` per column,
-/// whatever the other columns hold, and the AVX-512, AVX2 and scalar
-/// bodies agree bitwise.
+/// whatever the other columns hold, with SIMD on or off. The vector body
+/// is AVX2 on every vector host: an 8-wide one timed no faster end to end.
 ///
 /// # Panics
 /// Panics if row `p` or the rows `r0..r0 + x.len()` are outside `C`, or
@@ -375,15 +383,10 @@ pub fn rank1_update(x: &[f64], p: usize, r0: usize, mut c: MatMut<'_>) {
             // columns are inside the view (asserted above; the view's
             // constructor checked its stride and extent), `p` is not among
             // the written rows, and `x` holds `m` elements. active() implies
-            // AVX2+FMA and the AVX-512 body runs only when the CPU reports
-            // avx512f.
+            // AVX2+FMA.
             unsafe {
                 let (u, cr) = (cp.add(p).cast_const(), cp.add(r0));
-                if avx512_supported() {
-                    x86::rank1_update_avx512(m, nc, x.as_ptr(), u, cr, cs)
-                } else {
-                    x86::rank1_update_avx2(m, nc, x.as_ptr(), u, cr, cs)
-                }
+                x86::rank1_update_avx2(m, nc, x.as_ptr(), u, cr, cs);
             }
             return;
         }
@@ -401,11 +404,11 @@ pub fn rank1_update(x: &[f64], p: usize, r0: usize, mut c: MatMut<'_>) {
 
 /// Largest triangle [`subst_in_registers`] takes: a TRSM leaf, four `zmm`
 /// per right-hand side.
-pub const SUBST_MAX: usize = 32;
+pub(crate) const SUBST_MAX: usize = 32;
 
 /// The substitutions [`subst_in_registers`] runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Subst {
+pub(crate) enum Subst {
     /// `L X = B`, `L` the lower triangle (unit diagonal if `unit`): steps
     /// `j = 0..n`, each updating the rows below `j`.
     Forward { unit: bool },
@@ -428,7 +431,7 @@ pub enum Subst {
 ///
 /// # Panics
 /// Panics if `a` is not square or `B` has another row count.
-pub fn subst_in_registers(kind: Subst, a: MatRef<'_>, mut b: MatMut<'_>) -> bool {
+pub(crate) fn subst_in_registers(kind: Subst, a: MatRef<'_>, mut b: MatMut<'_>) -> bool {
     let (n, nrhs) = (a.nrows(), b.ncols());
     assert!(a.ncols() == n && b.nrows() == n, "subst_in_registers: shape mismatch");
     if n > SUBST_MAX || !active() || !avx512_supported() {
@@ -605,12 +608,6 @@ pub(crate) use x86::{
     axpy_avx2, dgemm_skinny_avx512, dgemm_tile_avx2, dgemv_add_avx2, dgemv_t_avx2, dgemv_t_avx512,
     dot_avx2,
 };
-
-/// The two vector bodies of [`rank1_update`], callable on their own so the
-/// property tests can hold them to the same bits.
-#[cfg(target_arch = "x86_64")]
-#[doc(hidden)]
-pub use x86::{rank1_update_avx2, rank1_update_avx512};
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
@@ -1247,9 +1244,9 @@ mod x86 {
         }
     }
 
-    /// Rows of `x` one pass of the rank-1 bodies holds in registers while
-    /// every column goes by: four `zmm`, or four `ymm`.
-    const RANK1_ZMM: usize = 4;
+    /// `ymm` of `x` one pass of [`rank1_update_avx2`] holds in registers
+    /// while every column goes by.
+    const RANK1_YMM: usize = 4;
 
     /// The rows [`axpy_avx2`] gives a fused multiply-add: the 4-aligned
     /// body of a vector of at least 8, none of a shorter one.
@@ -1262,104 +1259,17 @@ mod x86 {
         }
     }
 
-    /// AVX-512 body of [`super::rank1_update`]: `x` in blocks of up to 32
-    /// rows, each held in four `zmm` while every column of `C` goes by — a
-    /// load, one FMA and a store per 8 rows of a column. An 8-row group
-    /// that straddles the fused rows, or runs past `m`, computes both the
-    /// fused and the unfused value and keeps each lane's own under masks.
+    /// Vector body of [`super::rank1_update`]: the fused rows in blocks of
+    /// up to 16, four `ymm` of `x` held while every column of `C` goes by —
+    /// a load, one FMA and a store per 4 rows of a column; the rest (the
+    /// last `m % 4` rows, or all of a vector shorter than 8) multiply then
+    /// add, one element at a time — [`axpy_avx2`]'s split exactly.
     ///
     /// # Safety
-    /// Requires AVX-512F. `x` must hold `m` readable elements; `u[j * cs]`
+    /// Requires AVX2+FMA. `x` must hold `m` readable elements; `u[j * cs]`
     /// must be readable and `c[i + j * cs]` readable and writable for
     /// `i < m`, `j < nc`, and no `u[j * cs]` may be one of those `c`
     /// elements.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn rank1_update_avx512(
-        m: usize,
-        nc: usize,
-        x: *const f64,
-        u: *const f64,
-        c: *mut f64,
-        cs: usize,
-    ) {
-        debug_assert!(super::avx512_supported(), "rank1_update_avx512 needs AVX-512F");
-        debug_assert!(!x.is_null() && !u.is_null() && !c.is_null());
-        debug_assert!(nc <= 1 || cs >= m, "C columns would overlap: cs = {cs}, m = {m}");
-        let fused = fused_rows(m);
-        let lanes = |n: usize| -> __mmask8 {
-            if n >= 8 {
-                0xff
-            } else {
-                (1u8 << n) - 1
-            }
-        };
-        let mut i0 = 0;
-        while i0 < m {
-            let rows = (m - i0).min(8 * RANK1_ZMM);
-            let mut xv = [_mm512_setzero_pd(); RANK1_ZMM];
-            let (mut live, mut fma) = ([0; RANK1_ZMM], [0; RANK1_ZMM]);
-            for (v, xr) in xv.iter_mut().enumerate().take(rows.div_ceil(8)) {
-                let r = i0 + 8 * v;
-                live[v] = lanes(m - r);
-                fma[v] = lanes(fused.saturating_sub(r));
-                *xr = _mm512_maskz_loadu_pd(live[v], x.add(r));
-            }
-            let cb = c.add(i0);
-            match rows.div_ceil(8) {
-                1 => rank1_block_avx512::<1>(nc, u, cb, cs, &xv, &live, &fma),
-                2 => rank1_block_avx512::<2>(nc, u, cb, cs, &xv, &live, &fma),
-                3 => rank1_block_avx512::<3>(nc, u, cb, cs, &xv, &live, &fma),
-                _ => rank1_block_avx512::<4>(nc, u, cb, cs, &xv, &live, &fma),
-            }
-            i0 += rows;
-        }
-    }
-
-    /// One row block of [`rank1_update_avx512`]: `V` row groups of 8 at
-    /// `c`, their `x` in `xv`, the lanes each group holds in `live` and the
-    /// lanes it fuses in `fma`, against all `nc` columns.
-    ///
-    /// # Safety
-    /// As [`rank1_update_avx512`], restricted to the block's rows.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn rank1_block_avx512<const V: usize>(
-        nc: usize,
-        u: *const f64,
-        c: *mut f64,
-        cs: usize,
-        xv: &[__m512d; RANK1_ZMM],
-        live: &[__mmask8; RANK1_ZMM],
-        fma: &[__mmask8; RANK1_ZMM],
-    ) {
-        for j in 0..nc {
-            let a = -*u.add(j * cs);
-            if a == 0.0 {
-                continue;
-            }
-            let va = _mm512_set1_pd(a);
-            let cj = c.add(j * cs);
-            for v in 0..V {
-                let p = cj.add(8 * v);
-                if fma[v] == 0xff {
-                    _mm512_storeu_pd(p, _mm512_fmadd_pd(va, xv[v], _mm512_loadu_pd(p)));
-                } else {
-                    let y = _mm512_maskz_loadu_pd(live[v], p);
-                    let fused = _mm512_fmadd_pd(va, xv[v], y);
-                    let split = _mm512_add_pd(y, _mm512_mul_pd(va, xv[v]));
-                    _mm512_mask_storeu_pd(p, live[v], _mm512_mask_blend_pd(fma[v], split, fused));
-                }
-            }
-        }
-    }
-
-    /// AVX2 body of [`super::rank1_update`]: the fused rows in blocks of up
-    /// to 16, four `ymm` of `x` held while every column goes by; the rest
-    /// (the last `m % 4` rows, or all of a vector shorter than 8) multiply
-    /// then add, one element at a time — [`axpy_avx2`]'s split exactly.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA. Same contract as [`rank1_update_avx512`].
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn rank1_update_avx2(
         m: usize,
@@ -1375,8 +1285,8 @@ mod x86 {
         let fused = fused_rows(m);
         let mut i0 = 0;
         while i0 < fused {
-            let quads = ((fused - i0) / 4).min(RANK1_ZMM);
-            let mut xv = [_mm256_setzero_pd(); RANK1_ZMM];
+            let quads = ((fused - i0) / 4).min(RANK1_YMM);
+            let mut xv = [_mm256_setzero_pd(); RANK1_YMM];
             for (v, xr) in xv.iter_mut().enumerate().take(quads) {
                 *xr = _mm256_loadu_pd(x.add(i0 + 4 * v));
             }
@@ -2121,9 +2031,10 @@ mod tests {
 
     #[test]
     fn dispatch_flags() {
-        // Only this test flips the switch in this binary, so `before` is
-        // the default: on whenever the CPU has the kernels, unless
-        // KFDS_SIMD opts out.
+        // Every test that flips the switch in this binary holds SIMD_MODE
+        // and puts it back, so `before` is the default: on whenever the CPU
+        // has the kernels, unless KFDS_SIMD opts out.
+        let _mode = SIMD_MODE.lock().unwrap_or_else(|e| e.into_inner());
         let before = active();
         assert_eq!(before, cpu_supported() && !kfds_switches::KFDS_SIMD.is_off());
         // The override wins over the default/env; cpu_supported is fixed.
@@ -2131,7 +2042,7 @@ mod tests {
         assert!(!active());
         set_simd_enabled(true);
         assert_eq!(active(), cpu_supported());
-        set_simd_enabled(before || cpu_supported());
+        set_simd_enabled(before);
         let feats = detected_features();
         assert!(!feats.is_empty());
     }

@@ -7,7 +7,7 @@
 //! `TRSM_LEAF` (32) rows is solved by substitution on all its columns at
 //! once: step `j` solves row `j` of every right-hand side, and one
 //! [`rank1_update`] folds it into the other rows, the solved row supplying
-//! the multipliers — with AVX-512, [`subst_in_registers`] runs all the
+//! the multipliers — with AVX-512, `simd::subst_in_registers` runs all the
 //! steps with the block in registers. An element gets the operations one
 //! `axpy` per column gave it, so a column's bits are the same alone (the
 //! one-vector solves below are the same substitution on an `n × 1` view)

@@ -491,13 +491,13 @@ fn skinny_gemm_column_bits_ignore_company_and_threads() {
     }
 }
 
-/// The oracle the rank-1 kernel's callers are held to bit for bit: the
-/// substitutions and the LU written one `blas1::axpy` per column in every
-/// step, with full-row swaps at each step and the same recursion split and
-/// `gemm` calls around them.
+/// The oracle the TRSM leaves are held to bit for bit: the substitutions
+/// written one `blas1::axpy` per column in every step, with the same
+/// recursion split and `gemm` calls around them. (The LU's own oracle is a
+/// unit test in `lu.rs`.)
 mod axpy_reference {
-    use kfds_la::blas1::{axpy, iamax};
-    use kfds_la::{gemm, Mat, MatMut, MatRef, Trans};
+    use kfds_la::blas1::axpy;
+    use kfds_la::{gemm, MatMut, MatRef, Trans};
 
     #[derive(Clone, Copy, Debug)]
     pub enum Tri {
@@ -559,60 +559,6 @@ mod axpy_reference {
             }
         }
     }
-
-    /// `P A = L U` in panels of `nb` columns (`nb >= n`: unblocked): the
-    /// packed factors and pivots, or the step of an exactly zero pivot.
-    pub fn lu(mut a: Mat, nb: usize) -> Result<(Mat, Vec<usize>), usize> {
-        let n = a.nrows();
-        let mut piv = vec![0; n];
-        for k0 in (0..n).step_by(nb.max(1)) {
-            let k1 = (k0 + nb).min(n);
-            for k in k0..k1 {
-                let p = k + iamax(&a.col(k)[k..]).expect("pivot column");
-                piv[k] = p;
-                a.swap_rows(k, p);
-                let pivot = a[(k, k)];
-                if pivot == 0.0 {
-                    return Err(k);
-                }
-                let inv = 1.0 / pivot;
-                for i in k + 1..n {
-                    a[(i, k)] *= inv;
-                }
-                for j in k + 1..k1 {
-                    let ukj = a[(k, j)];
-                    if ukj != 0.0 {
-                        let (lo, hi) = a.as_mut_slice().split_at_mut(j * n);
-                        axpy(-ukj, &lo[k * n + k + 1..(k + 1) * n], &mut hi[k + 1..n]);
-                    }
-                }
-            }
-            if k1 == n {
-                break;
-            }
-            let nb = k1 - k0;
-            let (left, right) = a.as_mut_slice().split_at_mut(k1 * n);
-            let trailing = MatMut::from_parts(&mut right[k0..], n - k0, n - k1, n);
-            let (mut u12, a22) = trailing.split_at_row(nb);
-            let l11 = MatRef::from_parts(&left[k0 * n + k0..], nb, nb, n);
-            trsm(Tri::Lower { unit: true }, l11, u12.rb_mut());
-            let l21 = MatRef::from_parts(&left[k0 * n + k1..], n - k1, nb, n);
-            gemm(-1.0, l21, Trans::No, u12.rb(), Trans::No, 1.0, a22);
-        }
-        Ok((a, piv))
-    }
-
-    /// `GETRS` on the reference factors.
-    pub fn lu_solve(lu: MatRef<'_>, piv: &[usize], mut b: MatMut<'_>) {
-        for j in 0..b.ncols() {
-            let col = b.col_mut(j);
-            for (k, &p) in piv.iter().enumerate() {
-                col.swap(k, p);
-            }
-        }
-        trsm(Tri::Lower { unit: true }, lu, b.rb_mut());
-        trsm(Tri::Upper, lu, b);
-    }
 }
 
 /// Bit-for-bit equality, any NaN equal to any other (a NaN's payload is
@@ -636,48 +582,6 @@ fn fill(m: usize, n: usize, seed: u64, zeros: u64) -> Mat {
             _ => (r as f64 / (1u64 << 53) as f64) * 2.0 - 1.0,
         }
     })
-}
-
-#[test]
-fn lu_factors_match_the_axpy_reference() {
-    // Both paths at every size where a panel edge, the blocking threshold
-    // or a TRSM leaf boundary falls, with exact zeros (skipped multipliers)
-    // in the matrix, under the vector bodies and under the scalar ones.
-    let _guard = POOL_TOGGLE.lock().unwrap();
-    let sizes: Vec<usize> = (1..=40).chain([47, 48, 49, 95, 96, 97, 128, 255, 384]).collect();
-    for simd in [true, false] {
-        let _off = (!simd).then(SimdOff::new);
-        for &n in &sizes {
-            let mut a = fill(n, n, n as u64, 7);
-            for i in 0..n {
-                a[(i, i)] += 1.5;
-            }
-            for (name, nb, got) in [
-                ("blocked", 48, Lu::factor_blocked(a.clone())),
-                ("unblocked", n, Lu::factor_unblocked(a.clone())),
-            ] {
-                let want = axpy_reference::lu(a.clone(), nb);
-                match (got, want) {
-                    (Ok(f), Ok((lu, piv))) => {
-                        let (packed, got_piv) = f.packed();
-                        assert_eq!(got_piv, &piv[..], "{name} n={n} simd={simd}: pivots");
-                        let bad = same_bits(packed.to_mat().as_slice(), lu.as_slice());
-                        assert_eq!(bad, None, "{name} n={n} simd={simd}: factor bits");
-                        let b = fill(n, 5, n as u64 + 9, 5);
-                        let (mut x, mut want_x) = (b.clone(), b);
-                        f.solve_mat_mut(x.rb_mut());
-                        axpy_reference::lu_solve(lu.rb(), &piv, want_x.rb_mut());
-                        let bad = same_bits(x.as_slice(), want_x.as_slice());
-                        assert_eq!(bad, None, "{name} n={n} simd={simd}: solve bits");
-                    }
-                    (Err(e), Err(step)) => {
-                        assert_eq!(e, kfds_la::LaError::Singular { step }, "{name} n={n}");
-                    }
-                    (got, want) => panic!("{name} n={n}: {got:?} vs reference {want:?}"),
-                }
-            }
-        }
-    }
 }
 
 #[test]
@@ -782,38 +686,6 @@ fn rank1_update_matches_one_axpy_per_column() {
                     assert_eq!(bad, None, "m={m} nc={nc} p={p} r0={r0} simd={simd}");
                 }
             }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[test]
-fn rank1_update_vector_bodies_agree() {
-    // The AVX-512 body against the AVX2 one on the same raw operands.
-    if !(kfds_la::simd::cpu_supported() && kfds_la::simd::avx512_supported()) {
-        return;
-    }
-    for m in (1..=40).chain([47, 64, 100]) {
-        for nc in [1usize, 3, 8, 13] {
-            let (x, c0) = rank1_case(m, nc, (m * 17 + nc) as u64);
-            let (mut c512, mut c2) = (c0.clone(), c0);
-            let cs = c512.nrows();
-            for (c, avx512) in [(&mut c512, true), (&mut c2, false)] {
-                let base = c.as_mut_slice().as_mut_ptr();
-                // SAFETY: rows 2 (the multipliers) and 3..3 + m of the nc
-                // columns from column 1 lie inside the (m + 9) x (nc + 3)
-                // matrix, x holds m elements, and the CPU reports AVX2+FMA
-                // and AVX-512F.
-                unsafe {
-                    let (u, cr) = (base.add(2 + cs).cast_const(), base.add(3 + cs));
-                    if avx512 {
-                        kfds_la::simd::rank1_update_avx512(m, nc, x.as_ptr(), u, cr, cs);
-                    } else {
-                        kfds_la::simd::rank1_update_avx2(m, nc, x.as_ptr(), u, cr, cs);
-                    }
-                }
-            }
-            assert_eq!(same_bits(c512.as_slice(), c2.as_slice()), None, "m={m} nc={nc}");
         }
     }
 }
