@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# Local CI gate: format, clippy, kfds-lint, release build, the workspace
-# tests under the default environment and under each of the two live
-# KFDS_* switches, the golden digests with every retired switch set and on
-# one rayon thread, the benchmark package's own tests, and the kfds-serve
-# smoke runs. Correctness only: nothing here asserts a timing
+# Local CI gate: format, clippy, rustdoc, kfds-lint, release build, the
+# workspace tests under the default environment and under each of the two
+# live KFDS_* switches, the golden digests with every retired switch set
+# and on one rayon thread, the benchmark package's own tests, and the
+# kfds-serve smoke runs. Correctness only: nothing here asserts a timing
 # (timings, bytes and throughput are benchmark/'s — see BENCHMARK.json).
 # Every step prints the seconds it took and `CI OK` a table of them, so a
 # lane has a price before anyone argues for deleting it.
@@ -58,6 +58,11 @@ cargo fmt --all --check
 step "cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+step "cargo doc (workspace, warnings are errors)"
+# A broken intra-doc link, or one into an item that is no longer public,
+# fails here rather than rotting in the rendered docs.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
+
 step "kfds-lint (SAFETY comments, switch registry, hot-path allocs, unsafe preconditions, lock discipline, panic-free data plane, forbid-unsafe, switch coverage)"
 # The machine-checked safety invariants — see DESIGN.md §7. Always on:
 # the lint is pure source analysis and takes well under a second. The
@@ -89,7 +94,7 @@ step "cargo test (kfds-la, KFDS_WS_POOL=off — global-allocator workspace path)
 # untouched (the pool only changes where scratch memory comes from).
 KFDS_WS_POOL=off cargo test -q -p kfds-la
 
-step "cargo test (kfds-core solve_digests, KFDS_SIMD=off + every retired switch — the golden table)"
+step "cargo test (kfds-core digests, KFDS_SIMD=off + every retired switch — the golden table)"
 # The scalar digest tables are asserted only on the scalar kernel bodies,
 # so this is the lane that holds neighbour lists, skeletons, factors and
 # solves to those recorded bits on any host (the default lane asserts the
@@ -98,14 +103,14 @@ step "cargo test (kfds-core solve_digests, KFDS_SIMD=off + every retired switch 
 # 1(a)): setting them all must move no digest.
 KFDS_SIMD=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=scalar KFDS_REFACTOR=off \
   KFDS_SERVE_BATCH=off KFDS_SHARD=off KFDS_BATCH=off \
-  cargo test -q -p kfds-core --test solve_digests
+  cargo test -q -p kfds-core --lib digests
 
-step "cargo test (kfds-core solve_digests, RAYON_NUM_THREADS=1 — the tables on one thread)"
+step "cargo test (kfds-core digests, RAYON_NUM_THREADS=1 — the tables on one thread)"
 # The other lanes run the pool at the host's width; the tables claim the
 # same rows on one thread. Every level's par_iter and every
 # row-split GEMM then runs serially, so a kernel whose bits depended on
 # the split would show here.
-RAYON_NUM_THREADS=1 cargo test -q -p kfds-core --test solve_digests
+RAYON_NUM_THREADS=1 cargo test -q -p kfds-core --lib digests
 
 if [[ $miri -eq 1 ]]; then
   step "miri lane (kfds-la deterministic suite under the interpreter)"

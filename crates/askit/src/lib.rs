@@ -13,6 +13,7 @@
 //! must invert exactly this operator, which the tests verify.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub, unnameable_types)]
 
 pub mod config;
 pub mod evaluate;

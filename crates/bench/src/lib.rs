@@ -6,6 +6,7 @@
 //! a single machine (`--scale` multiplies the default problem sizes).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub, unnameable_types)]
 
 use kfds_askit::{skeletonize, SkelConfig, SkeletonTree};
 use kfds_kernels::Gaussian;

@@ -36,11 +36,11 @@ use std::time::Instant;
 
 /// The λ-independent coupling blocks held for one tree node.
 #[derive(Debug, Default)]
-pub struct NodeBlocks {
+pub(crate) struct NodeBlocks {
     /// `K_{l̃ r}` (`s_l x |r|`) for internal nodes in the factored region.
-    pub k_lr: Option<Mat>,
+    pub(crate) k_lr: Option<Mat>,
     /// `K_{r̃ l}` (`s_r x |l|`) for internal nodes in the factored region.
-    pub k_rl: Option<Mat>,
+    pub(crate) k_rl: Option<Mat>,
 }
 
 /// Assembly diagnostics, the λ-independent half of what
@@ -60,7 +60,8 @@ pub struct AssembleStats {
 /// the skeleton tree's nodes.
 #[derive(Debug)]
 pub struct AssembledBlocks {
-    nodes: Vec<NodeBlocks>,
+    /// The blocks of each node, indexed like the tree's nodes.
+    pub(crate) nodes: Vec<NodeBlocks>,
     stats: AssembleStats,
     /// Point count of the tree these blocks were assembled over, so a
     /// mismatched (tree, blocks) pairing fails fast.
@@ -68,25 +69,9 @@ pub struct AssembledBlocks {
 }
 
 impl AssembledBlocks {
-    /// Blocks for node `i` (indexed like the tree's nodes).
-    pub fn node(&self, i: usize) -> &NodeBlocks {
-        &self.nodes[i]
-    }
-
     /// Assembly diagnostics.
     pub fn stats(&self) -> &AssembleStats {
         &self.stats
-    }
-
-    /// Number of node slots (equals the tree's node count).
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// `true` for a zero-node store (never produced by
-    /// [`assemble_blocks`] on a real tree).
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// The stored `V` blocks `(K_{l̃r}, K_{r̃l})` of factored internal node

@@ -11,7 +11,6 @@ use crate::assemble::assemble_blocks;
 use crate::config::SolverConfig;
 use crate::error::SolverError;
 use crate::factor::{factorize, factorize_with_blocks, FactorTree};
-use crate::regression::KernelRidge;
 use kfds_askit::{hier_matvec, SkeletonTree, TreecodeEvaluator};
 use kfds_kernels::Kernel;
 use kfds_la::Mat;
@@ -241,33 +240,4 @@ pub fn grid_search_gaussian(
         }
     }
     best
-}
-
-/// Convenience: train a binary [`KernelRidge`] at the best grid point.
-#[allow(clippy::too_many_arguments)]
-pub fn train_best_gaussian(
-    train: &PointSet,
-    y_train: &[f64],
-    valid: &PointSet,
-    y_valid: &[f64],
-    hs: &[f64],
-    lambdas: &[f64],
-    m: usize,
-    skel: kfds_askit::SkelConfig,
-) -> Result<Option<KernelRidge<kfds_kernels::Gaussian>>, SolverError> {
-    let Some((h, lambda, _)) =
-        grid_search_gaussian(train, y_train, valid, y_valid, hs, lambdas, m, skel.clone())
-    else {
-        return Ok(None);
-    };
-    let kernel = kfds_kernels::Gaussian::new(h);
-    let (model, _) = KernelRidge::train(
-        train,
-        y_train,
-        kernel,
-        m,
-        skel,
-        SolverConfig::default().with_lambda(lambda),
-    )?;
-    Ok(Some(model))
 }

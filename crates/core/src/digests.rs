@@ -32,16 +32,16 @@
 //! arithmetic.
 //!
 //! To regenerate after an intended change of arithmetic: run
-//! `cargo test -p kfds-core --test solve_digests`, with `KFDS_SIMD=off`
+//! `cargo test -p kfds-core --lib digests`, with `KFDS_SIMD=off`
 //! for the scalar tables; the failure message prints the tables this build
 //! produces in source form.
 
-use kfds_askit::{compute_neighbors, skeletonize, skeletonize_with_neighbors};
-use kfds_askit::{SkelConfig, SkeletonTree};
-use kfds_core::{
+use crate::{
     factorize, factorize_with_blocks, FactorTree, HybridSolver, LeafFactorization,
     PartitionedFactor, SharedFactor, SharedSetup, SolverConfig, StorageMode, WStorage,
 };
+use kfds_askit::{compute_neighbors, skeletonize, skeletonize_with_neighbors};
+use kfds_askit::{SkelConfig, SkeletonTree};
 use kfds_kernels::{Gaussian, Kernel};
 use kfds_krylov::GmresOptions;
 use kfds_la::Mat;

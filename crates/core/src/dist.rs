@@ -28,11 +28,11 @@ use std::time::Instant;
 /// Message tags for the distributed factorization/solve.
 mod tag {
     use kfds_rt::tags;
-    pub const SKEL_EXCHANGE: u32 = tags::DIST_FACTOR.tag(0);
-    pub const B_BLOCK: u32 = tags::DIST_FACTOR.tag(1);
-    pub const M_BLOCK: u32 = tags::DIST_FACTOR.tag(2);
-    pub const Y_TOP: u32 = tags::DIST_SOLVE.tag(0);
-    pub const Z_BOT: u32 = tags::DIST_SOLVE.tag(1);
+    pub(super) const SKEL_EXCHANGE: u32 = tags::DIST_FACTOR.tag(0);
+    pub(super) const B_BLOCK: u32 = tags::DIST_FACTOR.tag(1);
+    pub(super) const M_BLOCK: u32 = tags::DIST_FACTOR.tag(2);
+    pub(super) const Y_TOP: u32 = tags::DIST_SOLVE.tag(0);
+    pub(super) const Z_BOT: u32 = tags::DIST_SOLVE.tag(1);
 }
 
 /// Per-rank state of one distributed tree level (node `α`).

@@ -43,7 +43,7 @@ use std::time::Instant;
 
 /// A factorized leaf diagonal block `λI + K_αα`.
 #[derive(Debug)]
-pub enum LeafFactor {
+pub(crate) enum LeafFactor {
     /// Partial-pivoted LU.
     Lu(Lu),
     /// Cholesky (`λI + K` is SPD for PSD kernels).
@@ -52,7 +52,7 @@ pub enum LeafFactor {
 
 impl LeafFactor {
     /// Solves the leaf block in place on a view of the right-hand sides.
-    pub fn solve_mat_mut(&self, b: MatMut<'_>) {
+    pub(crate) fn solve_mat_mut(&self, b: MatMut<'_>) {
         match self {
             LeafFactor::Lu(f) => f.solve_mat_mut(b),
             LeafFactor::Cholesky(f) => f.solve_mat_mut(b),
@@ -60,7 +60,7 @@ impl LeafFactor {
     }
 
     /// Conditioning proxy (see the individual factorizations).
-    pub fn min_pivot_ratio(&self) -> f64 {
+    pub(crate) fn min_pivot_ratio(&self) -> f64 {
         match self {
             LeafFactor::Lu(f) => f.min_pivot_ratio(),
             LeafFactor::Cholesky(f) => f.min_pivot_ratio(),
@@ -71,21 +71,21 @@ impl LeafFactor {
 /// The λ-dependent factors stored at one tree node (the stored `V` blocks
 /// are not among them: see [`FactorTree::assembled_blocks`]).
 #[derive(Debug, Default)]
-pub struct NodeFactors {
+pub(crate) struct NodeFactors {
     /// Factorization of `λI + K_αα` (leaves only).
-    pub leaf_lu: Option<LeafFactor>,
+    pub(crate) leaf_lu: Option<LeafFactor>,
     /// LU of the reduced system `Z_α` (internal nodes in the factored
     /// region).
-    pub z_lu: Option<Lu>,
+    pub(crate) z_lu: Option<Lu>,
     /// `P̂_{αα̃} = (λI + K̃_αα)^{-1} P_{αα̃}` (`|α| x s`), for
     /// skeletonized nodes.
-    pub p_hat: Option<Mat>,
+    pub(crate) p_hat: Option<Mat>,
     /// Coupling blocks `B_l = K_{l̃r}P̂_{rr̃}`, `B_r = K_{r̃l}P̂_{ll̃}`
     /// (small, `s x s`) — retained in [`WStorage::Recompute`] so `P̂`
     /// applications can telescope through eq. (10) without storing `P̂`.
-    pub b_l: Option<Mat>,
+    pub(crate) b_l: Option<Mat>,
     /// See [`NodeFactors::b_l`].
-    pub b_r: Option<Mat>,
+    pub(crate) b_r: Option<Mat>,
 }
 
 /// The factorization of `λI + K̃` over a skeleton tree.
@@ -132,7 +132,7 @@ impl<'a, K: Kernel> FactorTree<'a, K> {
     }
 
     /// Per-node factors (indexed like the tree's nodes).
-    pub fn factors(&self) -> &[NodeFactors] {
+    pub(crate) fn factors(&self) -> &[NodeFactors] {
         &self.factors
     }
 

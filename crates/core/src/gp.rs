@@ -335,6 +335,33 @@ mod tests {
     }
 
     #[test]
+    fn exact_mean_is_the_pointwise_kernel_sum() {
+        let (st, kernel, y) = fixture();
+        let gp = GaussianProcess::fit(&st, &kernel, 0.05, &y).expect("fit");
+        // Training points and midpoints between neighbours in tree order.
+        let pts = st.tree().points();
+        let mut test = kfds_tree::PointSet::with_capacity(pts.dim(), 8);
+        for i in [0usize, 10, 100, 255] {
+            test.push(pts.point(i));
+        }
+        for i in [3usize, 64, 130, 200] {
+            let mid: Vec<f64> =
+                pts.point(i).iter().zip(pts.point(i + 1)).map(|(a, b)| 0.5 * (a + b)).collect();
+            test.push(&mid);
+        }
+        let fast = gp.predict_mean(&test, 0.0);
+        let want: Vec<f64> = (0..test.len())
+            .map(|t| {
+                let x = test.point(t);
+                (0..pts.len()).map(|i| kernel.eval(x, pts.point(i)) * gp.alpha_perm[i]).sum()
+            })
+            .collect();
+        let err: f64 = fast.iter().zip(&want).map(|(f, w)| (f - w).powi(2)).sum::<f64>().sqrt();
+        let norm: f64 = want.iter().map(|w| w * w).sum::<f64>().sqrt();
+        assert!(err <= 1e-10 * norm, "treecode at theta = 0 is {err:e} from the sum ({norm:e})");
+    }
+
+    #[test]
     fn variance_matches_dense_and_shrinks_near_data() {
         let (st, kernel, y) = fixture();
         let noise2 = 0.05;

@@ -21,40 +21,42 @@
 //!   simulated message-passing runtime;
 //! * [`KernelRidge`] — kernel ridge regression, the paper's end-to-end
 //!   learning task;
-//! * [`stability`] — the §III conditioning diagnostics.
+//! * [`estimate_condition`] — the §III conditioning diagnostics.
 
-pub mod assemble;
-pub mod baseline;
-pub mod config;
-pub mod crossval;
-pub mod dist;
-pub mod error;
-pub mod factor;
-pub mod gp;
-pub mod hybrid;
-pub mod partition;
-pub mod precond;
-pub mod regression;
-pub mod share;
-pub mod solve;
-pub mod stability;
+#![warn(unreachable_pub, unnameable_types)]
 
-pub use assemble::{assemble_blocks, AssembleStats, AssembledBlocks, NodeBlocks};
+mod assemble;
+mod baseline;
+mod config;
+mod crossval;
+mod dist;
+mod error;
+mod factor;
+mod gp;
+mod hybrid;
+mod partition;
+mod precond;
+mod regression;
+mod share;
+mod solve;
+mod stability;
+
+pub use assemble::{assemble_blocks, AssembleStats, AssembledBlocks};
 pub use baseline::factorize_baseline;
 pub use config::{FactorStats, LeafFactorization, LevelStats, SolverConfig, StorageMode, WStorage};
-pub use crossval::{
-    grid_search_gaussian, lambda_sweep, train_best_gaussian, KernelRidgeMulti, LambdaSweepEntry,
-};
+pub use crossval::{grid_search_gaussian, lambda_sweep, KernelRidgeMulti, LambdaSweepEntry};
 pub use dist::{dist_factorize, DistSolver};
 pub use error::SolverError;
-pub use factor::{factorize, factorize_with_blocks, FactorTree, LeafFactor, NodeFactors};
+pub use factor::{factorize, factorize_with_blocks, FactorTree};
 pub use gp::{GaussianProcess, NoiseSweepEntry};
 pub use hybrid::{HybridBlockOutcome, HybridOutcome, HybridSolver, ReducedOperator, ReducedReport};
 pub use partition::PartitionedFactor;
-pub use precond::{solve_exact_preconditioned, FactorPreconditioner};
+pub use precond::solve_exact_preconditioned;
 pub use regression::{KernelRidge, TrainReport};
 pub use share::{SharedFactor, SharedSetup};
 pub use stability::{estimate_condition, estimate_sigma1, ConditionEstimate};
 
+#[cfg(test)]
+mod digests;
 #[cfg(test)]
 mod tests;

@@ -24,8 +24,9 @@
 //! RHS movement between a router and shard owners is expressed through
 //! [`kfds_rt::Transport`] (in-process channels today, wire-pluggable
 //! later): [`scatter_rhs`](PartitionedFactor::scatter_rhs) sends each
-//! shard its contiguous row block, [`gather_solutions`]
-//! (PartitionedFactor::gather_solutions) writes the solved blocks back.
+//! shard its contiguous row block,
+//! [`gather_solutions`](PartitionedFactor::gather_solutions) writes the
+//! solved blocks back.
 
 use crate::error::SolverError;
 use crate::share::SharedFactor;
@@ -144,11 +145,6 @@ impl<K: Kernel + 'static> PartitionedFactor<K> {
         self.cut_level
     }
 
-    /// The underlying shared factorization handle.
-    pub fn factor(&self) -> &SharedFactor<K> {
-        &self.factor
-    }
-
     /// Problem size (rows of the factorized system).
     pub fn n(&self) -> usize {
         self.factor.n()
@@ -157,11 +153,6 @@ impl<K: Kernel + 'static> PartitionedFactor<K> {
     /// Permuted row range owned by `shard`.
     pub fn shard_range(&self, shard: usize) -> Range<usize> {
         self.ranges[shard].clone()
-    }
-
-    /// Subtree root node owned by `shard`.
-    pub fn shard_root(&self, shard: usize) -> usize {
-        self.roots[shard]
     }
 
     /// Runs the independent subtree solve of `shard` on its row block
@@ -210,22 +201,16 @@ impl<K: Kernel + 'static> PartitionedFactor<K> {
         Ok(())
     }
 
-    /// Flattens `shard`'s row block of `b` column-major for the wire.
-    pub fn pack_shard_rhs(&self, shard: usize, b: &Mat) -> Vec<f64> {
-        let range = self.ranges[shard].clone();
-        let mut out = Vec::with_capacity(range.len() * b.ncols());
-        for j in 0..b.ncols() {
-            out.extend_from_slice(&b.col(j)[range.clone()]);
-        }
-        out
-    }
-
-    /// Scatters each shard's RHS row block to transport rank `shard`
-    /// under `tag`.
+    /// Scatters each shard's RHS row block, flattened column-major, to
+    /// transport rank `shard` under `tag`.
     pub fn scatter_rhs<T: Transport + ?Sized>(&self, t: &T, b: &Mat, tag: u32) {
         assert_eq!(b.nrows(), self.n(), "scatter: rhs rows mismatch");
-        for s in 0..self.shards() {
-            t.send_block(s, tag, &self.pack_shard_rhs(s, b));
+        for (s, range) in self.ranges.iter().enumerate() {
+            let mut block = Vec::with_capacity(range.len() * b.ncols());
+            for j in 0..b.ncols() {
+                block.extend_from_slice(&b.col(j)[range.clone()]);
+            }
+            t.send_block(s, tag, &block);
         }
     }
 

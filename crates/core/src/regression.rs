@@ -89,14 +89,6 @@ impl<K: Kernel + Clone> KernelRidge<K> {
         ev.evaluate_batch(test)
     }
 
-    /// Fast treecode classification `sign(K(x, X) w)`.
-    pub fn classify_fast(&self, test: &PointSet, theta: f64) -> Vec<f64> {
-        self.predict_fast(test, theta)
-            .into_iter()
-            .map(|v| if v >= 0.0 { 1.0 } else { -1.0 })
-            .collect()
-    }
-
     /// Regression prediction `K(x, X) w` for each test point.
     pub fn predict(&self, test: &PointSet) -> Vec<f64> {
         let train_pts = self.st.tree().points();

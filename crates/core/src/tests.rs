@@ -94,6 +94,16 @@ fn preconditioned_solve_rejects_a_short_rhs() {
         matches!(got, Err(crate::SolverError::RhsShape { expected: 512, got: 511 })),
         "a short right-hand side must be a typed error"
     );
+    // A level-restricted factor has no root reduced system to precondition
+    // with.
+    let (st, kernel) = fixture(3, 1e-5);
+    let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(1.0)).expect("factorize");
+    assert!(!ft.is_complete());
+    let got = crate::solve_exact_preconditioned(&ft, &rand_vec(512, 3), &GmresOptions::default());
+    assert!(
+        matches!(got, Err(crate::SolverError::NotSkeletonized { .. })),
+        "a partial factor must be refused, typed"
+    );
 }
 
 #[test]
@@ -889,8 +899,8 @@ mod refactor {
     /// Bytes of the coupling blocks `blocks` holds, counted from the
     /// matrices themselves.
     fn coupling_bytes_held(blocks: &crate::AssembledBlocks) -> usize {
-        (0..blocks.len())
-            .flat_map(|i| [&blocks.node(i).k_lr, &blocks.node(i).k_rl])
+        (blocks.nodes.iter())
+            .flat_map(|nb| [&nb.k_lr, &nb.k_rl])
             .flatten()
             .map(|m| 8 * m.nrows() * m.ncols())
             .sum()
@@ -920,7 +930,7 @@ mod refactor {
             let read = ft.ctx().blocks.expect("a stored tree solves over its assembly");
             for &i in &internal {
                 let (v_lr, v_rl) = read.coupling(i);
-                let nb = blocks.node(i);
+                let nb = &blocks.nodes[i];
                 assert!(std::ptr::eq(v_lr, nb.k_lr.as_ref().expect("K_lr")), "node {i}");
                 assert!(std::ptr::eq(v_rl, nb.k_rl.as_ref().expect("K_rl")), "node {i}");
             }

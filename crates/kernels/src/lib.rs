@@ -15,6 +15,7 @@
 //!   harnesses to report GFLOP/s the way the paper does.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub, unnameable_types)]
 
 pub mod eval;
 pub mod flops;

@@ -6,6 +6,7 @@
 //! behind Figure 5.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub, unnameable_types)]
 
 pub mod cg;
 pub mod gmres;

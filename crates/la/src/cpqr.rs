@@ -357,13 +357,6 @@ impl ColPivQr {
         Mat::from_fn(s, s, |i, j| if i <= j { self.qr[(i, j)] } else { 0.0 })
     }
 
-    /// `R12` (rank x (n - rank) block).
-    pub fn r12(&self) -> Mat {
-        let s = self.rank;
-        let n = self.qr.ncols();
-        Mat::from_fn(s, n - s, |i, j| self.qr[(i, j + s)])
-    }
-
     /// Solves `R11 X = R12`, the interpolation coefficients of the
     /// non-skeleton columns in terms of the skeleton columns. The result
     /// is backed by pooled storage; recycle it with

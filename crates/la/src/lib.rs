@@ -19,6 +19,8 @@
 //! for pivoted QR/ID, which is the paper's key dense kernel) and tested
 //! against naive reference implementations and algebraic invariants.
 
+#![warn(unreachable_pub, unnameable_types)]
+
 pub mod blas1;
 pub mod blas2;
 pub mod chol;

@@ -3,7 +3,7 @@
 //! Right-looking, in panels of 48 columns from 96 rows up (one panel below):
 //! each elimination step picks its pivot, swaps the rows the panel still
 //! reads, scales the multipliers and updates the panel's remaining columns
-//! with one [`rank1_update`](crate::simd::rank1_update); after the panel,
+//! with one [`rank1_update`]; after the panel,
 //! the other columns take its swaps one column at a time, the `U₁₂` strip
 //! is one unit-lower TRSM and the trailing block one GEMM. An element of
 //! the factor is fixed by the sequence of operations it receives, and each

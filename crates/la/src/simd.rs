@@ -6,7 +6,7 @@
 //! magnitude on the table per core. This module provides the explicit
 //! vector kernels every hot path bottoms out in:
 //!
-//! * an `8 x 6` f64 GEMM microkernel ([`dgemm_tile_avx2`]) operating on
+//! * an `8 x 6` f64 GEMM microkernel (`dgemm_tile_avx2`) operating on
 //!   MR/NR-packed panels, accumulators held in 12 `ymm` registers and
 //!   written straight into column-major `C`;
 //! * the three kernels of the GSKS engine's one tile layout, 8 target rows
@@ -17,13 +17,13 @@
 //! * a fused distance filter ([`dist_filter`]) for the neighbor searches:
 //!   the same rank-`d` tile with the norms identity and a threshold
 //!   compare in registers, one mask word out per 8 queries x candidate;
-//! * GEMV ([`dgemv_add_avx2`]) with 4-column blocking so each `y` vector
+//! * GEMV (`dgemv_add_avx2`) with 4-column blocking so each `y` vector
 //!   load amortizes four FMA columns;
 //! * the multi-column rank-1 update under the LU panel and the TRSM leaves
 //!   ([`rank1_update`]): one block of `x` held in registers while every
 //!   column of `C` goes by, each element getting the operation `axpy`
 //!   would give it;
-//! * dot / axpy vector loops for BLAS-1 ([`dot_avx2`], [`axpy_avx2`]);
+//! * dot / axpy vector loops for BLAS-1 (`dot_avx2`, `axpy_avx2`);
 //! * a vectorized polynomial `exp` ([`vexp`]) for the Gaussian/Laplacian
 //!   kernel transforms (paper §II-D evaluates the kernel inside the
 //!   register tile; a scalar `exp` call per element destroys the fusion
@@ -625,7 +625,7 @@ mod x86 {
     /// readable elements and `c[i + j*ldc]` must be writable for all
     /// `i < 8`, `j < 6`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dgemm_tile_avx2(
+    pub(crate) unsafe fn dgemm_tile_avx2(
         kc: usize,
         alpha: f64,
         ap: *const f64,
@@ -677,7 +677,7 @@ mod x86 {
     /// readable for `i < m`, `k < kc`; `bp` must hold `kc * n` elements;
     /// `ct` must hold `m.next_multiple_of(8) * n` writable elements.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dgemm_skinny_avx512(
+    pub(crate) unsafe fn dgemm_skinny_avx512(
         m: usize,
         n: usize,
         kc: usize,
@@ -759,7 +759,7 @@ mod x86 {
     /// Requires AVX-512F. `xg` and `ys` must hold `8 * d` readable
     /// elements, `out` 64 writable ones.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gsks_gram_avx512(d: usize, xg: *const f64, ys: *const f64, out: *mut f64) {
+    pub(super) unsafe fn gsks_gram_avx512(d: usize, xg: *const f64, ys: *const f64, out: *mut f64) {
         debug_assert!(super::avx512_supported(), "gsks_gram_avx512 needs AVX-512F");
         debug_assert!(!xg.is_null() && !ys.is_null() && !out.is_null());
         let mut acc = [_mm512_setzero_pd(); 8];
@@ -781,7 +781,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX2+FMA. Same layout contract as [`gsks_gram_avx512`].
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gsks_gram_avx2(d: usize, xg: *const f64, ys: *const f64, out: *mut f64) {
+    pub(super) unsafe fn gsks_gram_avx2(d: usize, xg: *const f64, ys: *const f64, out: *mut f64) {
         debug_assert!(super::cpu_supported(), "gsks_gram_avx2 needs AVX2+FMA");
         debug_assert!(!xg.is_null() && !ys.is_null() && !out.is_null());
         for half in 0..2 {
@@ -823,7 +823,7 @@ mod x86 {
     /// Requires AVX2+FMA. `k` must hold 64 readable elements, `u` `cols <= 8`,
     /// `acc` 8 readable and writable ones.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gsks_dot_avx2(k: *const f64, u: *const f64, cols: usize, acc: *mut f64) {
+    pub(super) unsafe fn gsks_dot_avx2(k: *const f64, u: *const f64, cols: usize, acc: *mut f64) {
         debug_assert!(super::cpu_supported(), "gsks_dot_avx2 needs AVX2+FMA");
         debug_assert!(cols <= 8 && !k.is_null() && !acc.is_null());
         let (mut a0, mut a1) = (_mm256_loadu_pd(acc), _mm256_loadu_pd(acc.add(4)));
@@ -852,7 +852,7 @@ mod x86 {
     /// `t < nrhs`, and `w[r + t * wcs]` readable and writable for `r < 8`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn gsks_contract_avx512(
+    pub(super) unsafe fn gsks_contract_avx512(
         k: *const f64,
         cols: usize,
         nrhs: usize,
@@ -894,7 +894,7 @@ mod x86 {
     /// Requires AVX2+FMA. Same contract as [`gsks_contract_avx512`].
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gsks_contract_avx2(
+    pub(super) unsafe fn gsks_contract_avx2(
         k: *const f64,
         cols: usize,
         nrhs: usize,
@@ -929,7 +929,7 @@ mod x86 {
     /// Requires AVX2+FMA. `g` and `rn` must have equal lengths (checked by
     /// the safe caller).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dist_epilogue_avx2(g: &mut [f64], rn: &[f64], cn: f64) {
+    pub(super) unsafe fn dist_epilogue_avx2(g: &mut [f64], rn: &[f64], cn: f64) {
         debug_assert!(super::cpu_supported(), "dist_epilogue_avx2 needs AVX2+FMA");
         debug_assert_eq!(g.len(), rn.len());
         let n = g.len();
@@ -976,7 +976,7 @@ mod x86 {
     /// `d * nc`, `cn` `nc`, and `masks` `groups * nc` writable words.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dist_filter_avx512(
+    pub(super) unsafe fn dist_filter_avx512(
         d: usize,
         m: usize,
         nc: usize,
@@ -1098,7 +1098,7 @@ mod x86 {
     /// Requires AVX2+FMA. Same layout contract as [`dist_filter_avx512`].
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dist_filter_avx2(
+    pub(super) unsafe fn dist_filter_avx2(
         d: usize,
         m: usize,
         nc: usize,
@@ -1175,7 +1175,7 @@ mod x86 {
     /// Requires AVX2+FMA. `x` and `y` must have equal lengths (checked by
     /// the safe caller in `blas1`).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dot_avx2(x: &[f64], y: &[f64]) -> f64 {
+    pub(crate) unsafe fn dot_avx2(x: &[f64], y: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), y.len());
         let n = x.len();
         let (xp, yp) = (x.as_ptr(), y.as_ptr());
@@ -1218,7 +1218,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX2+FMA. Lengths must match (checked by the safe caller).
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
+    pub(crate) unsafe fn axpy_avx2(alpha: f64, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), y.len());
         let n = x.len();
         let xp = x.as_ptr();
@@ -1271,7 +1271,7 @@ mod x86 {
     /// `i < m`, `j < nc`, and no `u[j * cs]` may be one of those `c`
     /// elements.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn rank1_update_avx2(
+    pub(super) unsafe fn rank1_update_avx2(
         m: usize,
         nc: usize,
         x: *const f64,
@@ -1341,7 +1341,7 @@ mod x86 {
     /// for `i, j < n`, and `b[i + c * ldb]` readable and writable for
     /// `i < n`, `c < nrhs`.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn subst_avx512(
+    pub(super) unsafe fn subst_avx512(
         kind: super::Subst,
         n: usize,
         a: *const f64,
@@ -1622,7 +1622,7 @@ mod x86 {
     /// Requires AVX2+FMA. `a` must expose `lda*(n-1)+m` elements, `x` at
     /// least `n`, `y` at least `m`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dgemv_add_avx2(
+    pub(crate) unsafe fn dgemv_add_avx2(
         m: usize,
         n: usize,
         alpha: f64,
@@ -1688,7 +1688,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX-512F. Same layout contract as [`dgemv_t_avx2`].
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn dgemv_t_avx512(
+    pub(crate) unsafe fn dgemv_t_avx512(
         m: usize,
         n: usize,
         alpha: f64,
@@ -1783,7 +1783,7 @@ mod x86 {
     /// Requires AVX2+FMA. `a` must expose `lda*(n-1)+m` elements, `x` at
     /// least `m`, `y` at least `n`.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn dgemv_t_avx2(
+    pub(crate) unsafe fn dgemv_t_avx2(
         m: usize,
         n: usize,
         alpha: f64,
@@ -1868,7 +1868,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX2+FMA.
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn vexp_avx2(xs: &mut [f64]) {
+    pub(super) unsafe fn vexp_avx2(xs: &mut [f64]) {
         debug_assert!(super::cpu_supported(), "vexp_avx2 needs AVX2+FMA");
         let n = xs.len();
         let p = xs.as_mut_ptr();
@@ -1891,7 +1891,7 @@ mod x86 {
     /// # Safety
     /// Requires AVX-512F.
     #[target_feature(enable = "avx512f")]
-    pub unsafe fn vexp_avx512(xs: &mut [f64]) {
+    pub(super) unsafe fn vexp_avx512(xs: &mut [f64]) {
         debug_assert!(super::avx512_supported(), "vexp_avx512 needs AVX-512F");
         let n = xs.len();
         let p = xs.as_mut_ptr();

@@ -2,7 +2,7 @@
 //! and recursive level-3 TRSMs for a block of them.
 //!
 //! A multi-column solve halves the triangle, solves the leading block,
-//! folds it into the remaining rows with one [`gemm`](crate::gemm::gemm)
+//! folds it into the remaining rows with one [`gemm`]
 //! on disjoint row views of `B`, and recurses. A diagonal block of at most
 //! `TRSM_LEAF` (32) rows is solved by substitution on all its columns at
 //! once: step `j` solves row `j` of every right-hand side, and one

@@ -412,11 +412,6 @@ impl WsMat {
     }
 }
 
-/// Takes an `nrows x ncols` scratch matrix with **arbitrary contents**.
-pub fn take_mat(nrows: usize, ncols: usize) -> WsMat {
-    WsMat { buf: take(nrows * ncols), nrows, ncols }
-}
-
 /// Takes an `nrows x ncols` scratch matrix filled with zeros.
 pub fn take_mat_zeroed(nrows: usize, ncols: usize) -> WsMat {
     WsMat { buf: take_zeroed(nrows * ncols), nrows, ncols }

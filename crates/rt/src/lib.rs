@@ -16,6 +16,7 @@
 //!   communicator.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub, unnameable_types)]
 
 mod comm;
 pub mod sync;

@@ -39,6 +39,7 @@
 //! generator; `--max-batch 1` serves unbatched.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub, unnameable_types)]
 
 pub mod cache;
 pub mod service;

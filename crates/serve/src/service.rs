@@ -177,11 +177,6 @@ impl Ticket {
             slot = self.cell.cv.wait(slot);
         }
     }
-
-    /// Non-blocking probe; `Some` once the response is in.
-    pub fn try_take(&self) -> Option<Result<Vec<f64>, ServeError>> {
-        self.cell.slot.lock().take()
-    }
 }
 
 struct Request {
@@ -355,7 +350,7 @@ impl<K: Kernel + 'static> SolveService<K> {
     }
 
     /// Snapshot of all counters and histograms (including one
-    /// [`crate::stats::ShardLane`] per shard when the service is sharded).
+    /// [`crate::ShardLane`] per shard when the service is sharded).
     pub fn stats(&self) -> ServeStats {
         let depth = self.shared.queue.lock().deque.len();
         let (setup_entries, setup_builds) = self.shared.setup_cache_stats();
@@ -506,7 +501,9 @@ fn solve_batch<K: Kernel + 'static>(
     };
     match router.solve(sf, b) {
         Ok(()) => Ok(()),
-        Err(e @ ShardError::ShardFailed { .. }) => Err(BatchFailure::Shard(e.to_string())),
+        Err(e @ (ShardError::ShardFailed { .. } | ShardError::RhsShape { .. })) => {
+            Err(BatchFailure::Shard(e.to_string()))
+        }
         Err(ShardError::Unpartitionable(_) | ShardError::ShuttingDown) => {
             // Both refusals happen before any RHS block is scattered, so
             // `b` is untouched and the single-node path sees clean input.

@@ -24,6 +24,7 @@
 //! the single-node path (bitwise the same) when a factor cannot shard.
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub, unnameable_types)]
 
 pub mod router;
 pub mod stats;

@@ -46,6 +46,14 @@ const GATHER: u32 = tags::SHARD_DATA.tag(1);
 pub enum ShardError {
     /// The router is shut down (or shutting down); no work was dispatched.
     ShuttingDown,
+    /// The right-hand side does not have one row per point of the factor;
+    /// nothing was dispatched and the RHS is untouched.
+    RhsShape {
+        /// Rows the factor solves for.
+        expected: usize,
+        /// Rows the right-hand side has.
+        got: usize,
+    },
     /// The factorization cannot be split into this router's shard count.
     /// The caller should serve the request on the single-node path
     /// instead — the answer is bitwise the same.
@@ -64,6 +72,9 @@ impl std::fmt::Display for ShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ShardError::ShuttingDown => write!(f, "shard router is shutting down"),
+            ShardError::RhsShape { expected, got } => {
+                write!(f, "right-hand side has {got} rows, the factor solves for {expected}")
+            }
             ShardError::Unpartitionable(e) => write!(f, "factor cannot be sharded: {e}"),
             ShardError::ShardFailed { shard, msg } => {
                 write!(f, "shard {shard} failed its local solve: {msg}")
@@ -193,6 +204,8 @@ impl<K: Kernel + 'static> ShardRouter<K> {
     /// to the single-node blocked solve on the same `b`.
     ///
     /// # Errors
+    /// [`ShardError::RhsShape`] when `b` does not have `factor.n()` rows
+    /// (no work dispatched, `b` untouched);
     /// [`ShardError::ShuttingDown`] after [`shutdown`](Self::shutdown)
     /// (no work dispatched, `b` untouched);
     /// [`ShardError::Unpartitionable`] when `factor` cannot split into
@@ -200,13 +213,15 @@ impl<K: Kernel + 'static> ShardRouter<K> {
     /// [`ShardError::ShardFailed`] when a worker fails (`b`'s contents
     /// are unspecified).
     pub fn solve(&self, factor: &SharedFactor<K>, b: &mut Mat) -> Result<(), ShardError> {
+        if b.nrows() != factor.n() {
+            return Err(ShardError::RhsShape { expected: factor.n(), got: b.nrows() });
+        }
         let plane = self.plane.lock();
         if plane.closed {
             return Err(ShardError::ShuttingDown);
         }
         let pf = PartitionedFactor::partition(factor.clone(), self.p)
             .map_err(|e| ShardError::Unpartitionable(e.to_string()))?;
-        assert_eq!(b.nrows(), pf.n(), "routed solve: rhs rows mismatch");
         let nrhs = b.ncols();
         if nrhs == 0 {
             return Ok(());

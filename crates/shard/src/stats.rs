@@ -13,11 +13,11 @@ pub(crate) struct ShardCounters {
 }
 
 impl ShardCounters {
-    pub fn bump(counter: &AtomicU64) {
+    pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub fn snapshot(&self, shard: usize) -> ShardLane {
+    pub(crate) fn snapshot(&self, shard: usize) -> ShardLane {
         ShardLane {
             shard,
             requests: self.requests.load(Ordering::Relaxed),

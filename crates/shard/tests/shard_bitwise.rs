@@ -94,6 +94,26 @@ fn unpartitionable_factor_is_reported_not_dispatched() {
         assert_eq!(lane.requests, 0, "no work may reach the shards");
     }
     router.shutdown();
+
+    // A right-hand side with the wrong row count is refused the same way,
+    // and the router still answers the next well-formed solve.
+    let router: ShardRouter<Gaussian> = ShardRouter::start(2);
+    let mut short = rhs_matrix(sf.n() - 1, 2, 0);
+    let before = short.clone();
+    match router.solve(&sf, &mut short) {
+        Err(ShardError::RhsShape { expected: 512, got: 511 }) => {}
+        other => panic!("expected RhsShape, got {other:?}"),
+    }
+    assert_eq!(short.as_slice(), before.as_slice(), "a refused solve must leave the rhs untouched");
+    for lane in router.stats() {
+        assert_eq!(lane.requests, 0, "no work may reach the shards");
+    }
+    let mut routed = rhs_matrix(sf.n(), 2, 0);
+    let mut single = routed.clone();
+    router.solve(&sf, &mut routed).expect("the next well-formed solve is answered");
+    sf.factor_tree().solve_mat_in_place(&mut single).expect("single-node solve");
+    assert_eq!(routed.as_slice(), single.as_slice());
+    router.shutdown();
 }
 
 proptest! {

@@ -21,6 +21,7 @@
 //! harness keeps refusing to run with it set (ROADMAP item 1(a)).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub, unnameable_types)]
 
 use std::ffi::OsString;
 

@@ -4,7 +4,7 @@
 //!
 //! Both searches in [`crate::neighbors`] are **filter-and-refine**. A
 //! block of queries (a tree leaf, a projection-tree bucket) is packed once
-//! into a [`QueryBlock`]; every candidate panel it meets goes through
+//! into a `QueryBlock`; every candidate panel it meets goes through
 //! [`kfds_la::simd::dist_filter`], which forms the norms+Gram distance
 //! `f = ‖q‖² + ‖c‖² − 2 qᵀc` in registers, compares it with the query's
 //! threshold and emits one mask word per (8 queries, candidate) — no

@@ -7,6 +7,7 @@
 //! for the substitution rationale).
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub, unnameable_types)]
 
 pub mod balltree;
 pub mod datasets;

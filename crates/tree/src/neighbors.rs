@@ -8,7 +8,7 @@
 //! [`crate::dist_tiles`] — a register-tile kernel that flags the pairs
 //! whose norms+Gram distance is under the query's current k-th best plus a
 //! rounding slack — and only flagged pairs are re-scored with the scalar
-//! [`sq_dist`] and offered to the query's [`KBest`] heap:
+//! [`sq_dist`] and offered to the query's `KBest` heap:
 //!
 //! * **exact** ([`knn_all`]): a leaf-blocked all-nearest-neighbors
 //!   traversal (query leaf against candidate leaf, node-vs-node ball

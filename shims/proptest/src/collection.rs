@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use std::ops::{Range, RangeInclusive};
 
-/// Length specification for [`vec`]: a fixed size or a range of sizes.
+/// Length specification for [`vec()`]: a fixed size or a range of sizes.
 pub trait SizeRange {
     fn pick(&self, rng: &mut StdRng) -> usize;
 }

@@ -50,6 +50,7 @@
 //! | [`serve`] | batched solve service: factorization cache + adaptive multi-RHS coalescing |
 
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub, unnameable_types)]
 
 pub use kfds_askit as askit;
 pub use kfds_core as solver;
