@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: format, clippy, rustdoc, kfds-lint, release build, the
+# Local CI gate: the host's vector bodies (which golden table binds), then
+# format, clippy, rustdoc, kfds-lint, release build, the
 # workspace tests under the default environment and under each of the two
 # live KFDS_* switches, the golden digests with every retired switch set
 # and on one rayon thread, the benchmark package's own tests, and the
@@ -51,6 +52,26 @@ step() {
 nightly_has() {
   rustup component list --toolchain nightly --installed 2>/dev/null | grep -q "^$1"
 }
+
+step "host vector bodies"
+# Which kernel bodies the default lanes exercise here, and so which golden
+# table the default digest lane binds (crates/core/src/digests.rs): the
+# AVX-512 bodies, the packed GEMM's 16 x 12 tile among them, run only on
+# an AVX-512F host, so a green log should say whether they ran.
+flags="$(grep -m1 -E '^flags' /proc/cpuinfo 2>/dev/null || true)"
+has() { grep -qw "$1" <<<"$flags"; }
+if [[ -z $flags ]]; then
+  echo "no /proc/cpuinfo: vector bodies and golden table unknown on this host"
+elif has avx512f && has avx2 && has fma; then
+  echo "AVX-512F + AVX2 + FMA: the AVX-512 bodies run (16 x 12 GEMM tile included);"
+  echo "the default digest lane binds GOLDEN_AVX512"
+elif has avx2 && has fma; then
+  echo "AVX2 + FMA only: the AVX-512 bodies do not run (no 16 x 12 GEMM tile);"
+  echo "the default digest lane binds no table (run-to-run equality only)"
+else
+  echo "no AVX2 + FMA: scalar bodies only;"
+  echo "the default digest lane binds the scalar tables (GOLDEN, ...)"
+fi
 
 step "cargo fmt --check"
 cargo fmt --all --check

@@ -23,8 +23,16 @@
 //! path it replaces there), both serial. `n = 17` and `64` are the far
 //! side of the constant: both rows run the packed path and must agree.
 //!
+//! A third, `gemm_factor_shapes`, times `gemm` on one thread at the
+//! factorization's shapes (`m x n x k`, flops `2mnk`): the roofline probe's
+//! 768³, telescoping `P̂` panels 2048×192×192 and 4096×64×64, the LU
+//! trailing updates and TRSM halves 384×192×192 and 128³, a stored-`V`
+//! coupling product 896×128×1024 and the kNN seed tile 128×128×54 — the
+//! packed path's register tiles, not the skinny one.
+//!
 //! ```sh
 //! cargo bench -p kfds-bench --bench gemm_shapes
+//! cargo bench -p kfds-bench --bench gemm_shapes -- gemm_factor_shapes
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -108,5 +116,29 @@ fn bench_solve_shapes(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_tall_skinny, bench_solve_shapes);
+fn bench_factor_shapes(c: &mut Criterion) {
+    let serial = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
+    let mut group = c.benchmark_group("gemm_factor_shapes");
+    group.sample_size(10);
+    let shapes = [
+        (768usize, 768usize, 768usize),
+        (2048, 192, 192),
+        (4096, 64, 64),
+        (384, 192, 192),
+        (128, 128, 128),
+        (896, 128, 1024),
+        (128, 128, 54),
+    ];
+    for (m, n, k) in shapes {
+        let a = rand_mat(m, k, 7);
+        let b = rand_mat(k, n, 8);
+        let mut out = Mat::zeros(m, n);
+        group.bench_with_input(BenchmarkId::new("gemm", format!("{m}x{n}x{k}")), &m, |bch, _| {
+            bch.iter(|| serial.install(|| black_box(run_gemm(&a, &b, &mut out))))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_tall_skinny, bench_solve_shapes, bench_factor_shapes);
 criterion_main!(benches);

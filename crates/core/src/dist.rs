@@ -82,7 +82,10 @@ pub struct DistSolver<'a, K: Kernel> {
 ///
 /// # Errors
 /// Returns [`SolverError::Partition`] if `p` is not a power of two or the
-/// tree does not have exactly `p` nodes at level `log₂ p`.
+/// tree does not have exactly `p` nodes at level `log₂ p`, and
+/// [`SolverError::NotSkeletonized`] if a node at levels `1..=log₂ p` has no
+/// skeleton (a level restriction `L > 1` with `p > 1`): the ranks telescope
+/// every such node's `P̂` up to the root.
 pub fn dist_factorize<'a, K: Kernel>(
     st: &'a SkeletonTree,
     kernel: &'a K,
@@ -104,6 +107,11 @@ pub fn dist_factorize<'a, K: Kernel>(
                 level_nodes.len()
             ),
         });
+    }
+    for l in 1..=lp {
+        if let Some(&node) = tree.nodes_at_level(l).iter().find(|&&v| st.skeleton(v).is_none()) {
+            return Err(SolverError::NotSkeletonized { node });
+        }
     }
     let t0 = Instant::now();
     let results: Vec<Result<RankState<'a, K>, SolverError>> = World::run(p, |comm: Comm| {

@@ -280,6 +280,34 @@ fn distributed_rejects_rank_counts_that_do_not_fit_the_tree() {
 }
 
 #[test]
+fn distributed_rejects_a_level_restricted_tree() {
+    // The ranks telescope every node at levels 1..=log2 p up to the root, so
+    // a level restriction above them is refused, typed, before any rank
+    // thread starts; a level-1 tree still factorizes.
+    let pts = normal_embedded(1024, 3, 6, 0.05, 3);
+    let kernel = Gaussian::new(1.0);
+    let cfg = SolverConfig::default().with_lambda(0.6);
+    for max_level in [1, 2, 3] {
+        let skel = SkelConfig::default()
+            .with_tol(1e-5)
+            .with_max_rank(96)
+            .with_neighbors(8)
+            .with_max_level(max_level);
+        let st = skeletonize(BallTree::build(&pts, 64), &kernel, skel);
+        for p in [2, 4] {
+            match dist_factorize(&st, &kernel, cfg, p) {
+                Ok(_) => assert_eq!(max_level, 1, "L={max_level} p={p} must be refused"),
+                Err(crate::SolverError::NotSkeletonized { node }) => {
+                    assert!(max_level > 1, "L=1 p={p} must factorize");
+                    assert!(st.skeleton(node).is_none(), "L={max_level} p={p}: node {node}");
+                }
+                Err(e) => panic!("L={max_level} p={p}: {e}"),
+            }
+        }
+    }
+}
+
+#[test]
 fn ridge_regression_learns_annulus() {
     let (pts, labels) = two_class_annulus(600, 3, 5);
     let test_pts = pts.select(&(500..600).collect::<Vec<_>>());

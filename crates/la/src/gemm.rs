@@ -1,9 +1,13 @@
 //! Level-3 BLAS-style blocked matrix-matrix multiply.
 //!
 //! The implementation follows the BLIS/GotoBLAS structure the paper's GSKS
-//! kernel builds on: the operands are packed into cache-resident panels and
-//! multiplied by an `MR x NR` register-tile microkernel, with rayon
-//! parallelism across disjoint column panels of `C`.
+//! kernel builds on: the operands are packed into cache-resident panels of
+//! `MR` rows and `NR` columns and multiplied by register-tile microkernels —
+//! the AVX2 `8 x 6` tile on any panel and, with AVX-512, a `16 x 12` tile on
+//! two A panels by two B panels — with rayon parallelism across disjoint
+//! column or row panels of `C`. Every vector tile gives an element the same
+//! operations (one FMA chain from zero per KC block, then one fused `alpha`
+//! update), so which tile ran never shows in the bits.
 
 use crate::mat::{MatMut, MatRef};
 
@@ -16,12 +20,14 @@ pub enum Trans {
     Yes,
 }
 
-/// Register tile rows of the microkernel (shared with the AVX2 kernel:
-/// two 4-wide vector registers per column).
+/// Rows of one packed A panel: the AVX2 tile's height, two 4-wide `ymm`
+/// per column. The AVX-512 tile reads two consecutive panels, 16 rows as
+/// two 8-wide `zmm` per column.
 const MR: usize = crate::simd::GEMM_MR;
-/// Register tile columns of the microkernel — 6 columns x 2 row vectors
-/// leaves 12 of the 16 `ymm` registers as accumulators, the BLIS-style
-/// 8x6 double-precision tiling for AVX2.
+/// Columns of one packed B panel: 6 columns x 2 row vectors leave 12 of
+/// the 16 `ymm` registers as accumulators, the BLIS-style 8x6
+/// double-precision tiling for AVX2. The AVX-512 tile reads two
+/// consecutive panels, 24 of the 32 `zmm` registers as accumulators.
 const NR: usize = crate::simd::GEMM_NR;
 /// Cache block sizes (L2-ish for A panel, L1-ish for the k dimension).
 const MC: usize = 256;
@@ -93,7 +99,37 @@ pub fn gemm_packed(
     c: MatMut<'_>,
 ) {
     let k = inner_dim(a, ta, b, tb, &c);
-    gemm_blocked(alpha, a, ta, b, tb, beta, c, k);
+    gemm_blocked(alpha, a, ta, b, tb, beta, c, k, Tiles::detect());
+}
+
+/// The register tiles one packed product runs, decided once per call by
+/// [`Tiles::detect`]; the unit tests pass one explicitly to compare them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Tiles {
+    /// The portable `MR x NR` tile: `KFDS_SIMD=off`, no AVX2+FMA, non-x86.
+    Scalar,
+    /// `simd::dgemm_tile_avx2` on every panel.
+    Avx2,
+    /// `simd::dgemm_tile_16x12_avx512` on the full 16 x 12 panel pairs,
+    /// `simd::dgemm_tile_avx2` on the rest. Only made where the CPU reports
+    /// AVX-512F.
+    Avx512,
+}
+
+impl Tiles {
+    /// The widest tiles this CPU runs with SIMD enabled. `active()` implies
+    /// CPU support, which is immutable, so a concurrent kill-switch flip
+    /// cannot make a vector call unsound — at worst one product finishes on
+    /// the old tiles.
+    fn detect() -> Self {
+        if !crate::simd::active() {
+            Tiles::Scalar
+        } else if crate::simd::avx512_supported() {
+            Tiles::Avx512
+        } else {
+            Tiles::Avx2
+        }
+    }
 }
 
 /// Convenience wrapper: returns `A * B` as a new matrix.
@@ -189,7 +225,7 @@ fn gemm_parallel(
             gemm_skinny(alpha, a, b, tb, beta, c, k);
             return;
         }
-        gemm_blocked(alpha, a, ta, b, tb, beta, c, k);
+        gemm_blocked(alpha, a, ta, b, tb, beta, c, k, Tiles::detect());
     }
 }
 
@@ -325,6 +361,7 @@ fn gemm_blocked(
     beta: f64,
     mut c: MatMut<'_>,
     k: usize,
+    tiles: Tiles,
 ) {
     let m = c.nrows();
     let n = c.ncols();
@@ -355,7 +392,7 @@ fn gemm_blocked(
         for ic in (0..m).step_by(MC) {
             let mc = MC.min(m - ic);
             pack_a(a, ta, ic, mc, pc, kc, &mut apack);
-            macro_kernel(alpha, &apack, &bpack, mc, n, kc, ic, c.rb_mut());
+            macro_kernel(alpha, &apack, &bpack, mc, n, kc, ic, c.rb_mut(), tiles);
         }
     }
 }
@@ -428,18 +465,19 @@ fn macro_kernel(
     kc: usize,
     ic: usize,
     mut c: MatMut<'_>,
+    tiles: Tiles,
 ) {
     let mpanels = mc.div_ceil(MR);
     let npanels = nc.div_ceil(NR);
-    // Captured once per macro tile: active() implies CPU support, which is
-    // immutable, so a concurrent kill-switch flip cannot make the vector
-    // call unsound — at worst one macro tile finishes on the old path.
-    let use_simd = crate::simd::active();
+    let (mpairs, npairs) = wide_tiles(alpha, apack, bpack, mc, nc, kc, ic, &mut c, tiles);
+    let use_simd = tiles != Tiles::Scalar;
     for jp in 0..npanels {
         let j0 = jp * NR;
         let jcols = NR.min(nc - j0);
         let bpanel = &bpack[jp * NR * kc..(jp * NR * kc) + NR * kc];
-        for ipn in 0..mpanels {
+        // The wide tiles did the top 2 * mpairs panels of these columns.
+        let first = if jp < 2 * npairs { 2 * mpairs } else { 0 };
+        for ipn in first..mpanels {
             let i0 = ipn * MR;
             let irows = MR.min(mc - i0);
             let apanel = &apack[ipn * MR * kc..(ipn * MR * kc) + MR * kc];
@@ -460,6 +498,55 @@ fn macro_kernel(
             }
         }
     }
+}
+
+/// Runs the `16 x 12` AVX-512 tile over the largest grid of full panel
+/// pairs at the top left of the macro tile — `2 * mpairs` full A panels by
+/// `2 * npairs` full B panels — and returns `(mpairs, npairs)`; `(0, 0)`,
+/// touching nothing, for any other tile choice.
+#[allow(clippy::too_many_arguments)]
+fn wide_tiles(
+    alpha: f64,
+    apack: &[f64],
+    bpack: &[f64],
+    mc: usize,
+    nc: usize,
+    kc: usize,
+    ic: usize,
+    c: &mut MatMut<'_>,
+    tiles: Tiles,
+) -> (usize, usize) {
+    #[cfg(target_arch = "x86_64")]
+    if tiles == Tiles::Avx512 {
+        let (mpairs, npairs) = (mc / (2 * MR), nc / (2 * NR));
+        assert!(ic + mc <= c.nrows() && nc <= c.ncols(), "wide_tiles: macro tile outside C");
+        let ldc = c.col_stride();
+        for jq in 0..npairs {
+            let bpair = &bpack[2 * jq * NR * kc..][..2 * NR * kc];
+            for iq in 0..mpairs {
+                let apair = &apack[2 * iq * MR * kc..][..2 * MR * kc];
+                // SAFETY: `Tiles::Avx512` is only made where the CPU reports
+                // AVX-512F. The slices above hold both packed panels of each
+                // pair (16 * kc and 12 * kc elements), and rows
+                // ic + 16 iq .. + 16 and columns 12 jq .. + 12 lie inside
+                // `C`, which holds ic + mc rows and nc columns.
+                unsafe {
+                    let cptr = c.as_mut_ptr().add(ic + 2 * iq * MR + 2 * jq * NR * ldc);
+                    crate::simd::dgemm_tile_16x12_avx512(
+                        kc,
+                        alpha,
+                        apair.as_ptr(),
+                        bpair.as_ptr(),
+                        cptr,
+                        ldc,
+                    );
+                }
+            }
+        }
+        return (mpairs, npairs);
+    }
+    let _ = (alpha, apack, bpack, mc, nc, kc, ic, c, tiles);
+    (0, 0)
 }
 
 /// Runs one register tile through the AVX2 microkernel, accumulating
@@ -486,9 +573,9 @@ fn simd_micro_tile(
         debug_assert!(i0 + irows <= c.nrows() && j0 + jcols <= c.ncols());
         let ldc = c.col_stride();
         if irows == MR && jcols == NR {
-            // SAFETY: the caller's dispatch guarantees AVX2+FMA (active()
-            // implies cpu_supported()); panel lengths and the full MR x NR
-            // destination tile are checked above.
+            // SAFETY: the caller runs this only for vector `Tiles`, which are
+            // only made where the CPU reports AVX2+FMA; panel lengths and the
+            // full MR x NR destination tile are checked above.
             unsafe {
                 let cptr = c.as_mut_ptr().add(i0 + j0 * ldc);
                 crate::simd::dgemm_tile_avx2(
@@ -704,5 +791,58 @@ mod tests {
         let id = Mat::identity(8);
         check_close(&matmul(&a, &id), &a, 1e-14);
         check_close(&matmul(&id, &a), &a, 1e-14);
+    }
+
+    #[test]
+    fn wide_tile_gives_the_avx2_tiles_bits() {
+        // The 16 x 12 AVX-512 tile against the 8 x 6 AVX2 tile alone, over
+        // the same packed panels: every m mod 16 and n mod 12, k on both
+        // sides of KC, m past MC, both transposes, on a strided window of C
+        // with signed zeros, NaNs and infinities in all three operands.
+        // Equal bits, any NaN matching any NaN, as in props.rs.
+        if !(crate::simd::cpu_supported() && crate::simd::avx512_supported()) {
+            return; // the 16 x 12 tile needs AVX-512F
+        }
+        let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let trans = [Trans::No, Trans::Yes];
+        let (alphas, betas) = ([1.0, -1.0, 0.37], [0.0, 1.0, 0.5]);
+        let mut case = 0usize;
+        for rm in 0..16 {
+            for rn in 0..12 {
+                for (ki, k) in [0usize, 1, 54, 255, 256, 257, 600].into_iter().enumerate() {
+                    case += 1;
+                    let m = 16 * [1, 3, 17][(rm + rn + ki) % 3] + rm;
+                    let n = 12 * [1, 2][(rn + ki) % 2] + rn;
+                    let (ta, tb) = (trans[case % 2], trans[case / 2 % 2]);
+                    let (alpha, beta) = (alphas[case % 3], betas[case / 3 % 3]);
+                    let seed = case as u64;
+                    let mut a =
+                        if ta == Trans::No { rand_mat(m, k, seed) } else { rand_mat(k, m, seed) };
+                    let mut b =
+                        if tb == Trans::No { rand_mat(k, n, !seed) } else { rand_mat(n, k, !seed) };
+                    let mut c0 = rand_mat(m + 5, n + 3, seed ^ 0x55);
+                    for (s, &v) in specials.iter().enumerate() {
+                        let t = case + 7 * s;
+                        if k > 0 {
+                            let (ar, ac, br, bc) = (a.nrows(), a.ncols(), b.nrows(), b.ncols());
+                            a[(t % ar, t % ac)] = v;
+                            b[(t / 3 % br, t % bc)] = v;
+                        }
+                        c0[(t % (m + 5), t / 2 % (n + 3))] = v;
+                    }
+                    let run = |tiles| {
+                        let mut big = c0.clone();
+                        let c = big.rb_mut().submatrix_mut(2..2 + m, 1..1 + n);
+                        gemm_blocked(alpha, a.rb(), ta, b.rb(), tb, beta, c, k, tiles);
+                        big
+                    };
+                    let (want, got) = (run(Tiles::Avx2), run(Tiles::Avx512));
+                    let diff = want.as_slice().iter().zip(got.as_slice()).position(|(w, g)| {
+                        w.to_bits() != g.to_bits() && !(w.is_nan() && g.is_nan())
+                    });
+                    assert_eq!(diff, None, "m={m} n={n} k={k} {ta:?}/{tb:?} α={alpha} β={beta}");
+                }
+            }
+        }
     }
 }

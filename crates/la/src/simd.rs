@@ -6,9 +6,12 @@
 //! magnitude on the table per core. This module provides the explicit
 //! vector kernels every hot path bottoms out in:
 //!
-//! * an `8 x 6` f64 GEMM microkernel (`dgemm_tile_avx2`) operating on
-//!   MR/NR-packed panels, accumulators held in 12 `ymm` registers and
-//!   written straight into column-major `C`;
+//! * two f64 GEMM microkernels over the same MR/NR-packed panels, both
+//!   written straight into column-major `C`: an `8 x 6` tile
+//!   (`dgemm_tile_avx2`, 12 `ymm` accumulators) on any panel, and with
+//!   AVX-512 a `16 x 12` tile (`dgemm_tile_16x12_avx512`, 24 `zmm`
+//!   accumulators) over two A panels by two B panels, giving every element
+//!   the operations the `8 x 6` tile gives it;
 //! * the three kernels of the GSKS engine's one tile layout, 8 target rows
 //!   in the vector lanes: the `8 x 8` Gram tile ([`gsks_gram`]) against
 //!   sources read point-major where they lie, the one-weight epilogue
@@ -36,8 +39,9 @@
 //! * the CPU must report AVX2 **and** FMA (`is_x86_feature_detected!`);
 //!   on other targets the portable scalar paths are the implementation
 //!   (no unconditional `std::arch::x86_64` imports anywhere);
-//! * where a kernel has an AVX-512 body (the skinny GEMM, the distance
-//!   filter, the GSKS Gram tile and contraction, [`vexp`]),
+//! * where a kernel has an AVX-512 body (the packed GEMM's `16 x 12` tile,
+//!   the skinny GEMM, the distance filter, the GSKS Gram tile and
+//!   contraction, [`vexp`]),
 //!   [`avx512_supported`] selects it over the AVX2 one; the two give the
 //!   same bits wherever their tests say so. [`gsks_dot`] and
 //!   [`rank1_update`] have none: an 8-wide body timed no faster end to
@@ -605,8 +609,8 @@ pub fn avx512_supported() -> bool {
 
 #[cfg(target_arch = "x86_64")]
 pub(crate) use x86::{
-    axpy_avx2, dgemm_skinny_avx512, dgemm_tile_avx2, dgemv_add_avx2, dgemv_t_avx2, dgemv_t_avx512,
-    dot_avx2,
+    axpy_avx2, dgemm_skinny_avx512, dgemm_tile_16x12_avx512, dgemm_tile_avx2, dgemv_add_avx2,
+    dgemv_t_avx2, dgemv_t_avx512, dot_avx2,
 };
 
 #[cfg(target_arch = "x86_64")]
@@ -653,6 +657,61 @@ mod x86 {
             let hi = _mm256_loadu_pd(col.add(4));
             _mm256_storeu_pd(col, _mm256_fmadd_pd(accj[0], va, lo));
             _mm256_storeu_pd(col.add(4), _mm256_fmadd_pd(accj[1], va, hi));
+        }
+    }
+
+    /// `C[0..16, 0..12] += alpha * sum_k ap[:, k] * bp[k, :]` over two
+    /// consecutive packed A panels and two consecutive packed B panels, in
+    /// the layouts [`dgemm_tile_avx2`] reads: rows `0..8` at `ap`, rows
+    /// `8..16` at `ap + 8 * kc`; columns `0..6` at `bp`, columns `6..12` at
+    /// `bp + 6 * kc`. The 24 accumulators live in `zmm` registers for the
+    /// whole `k` loop.
+    ///
+    /// Each element gets what [`dgemm_tile_avx2`] gives it: one FMA chain
+    /// from zero in ascending `k`, then `C = fma(acc, alpha, C)`. So the
+    /// four `8 x 6` tiles this one covers come out with the bits they have
+    /// when run one at a time.
+    ///
+    /// # Safety
+    /// Requires AVX-512F. `ap`/`bp` must hold at least `16*kc` / `12*kc`
+    /// readable elements and `c[i + j*ldc]` must be writable for all
+    /// `i < 16`, `j < 12`.
+    #[target_feature(enable = "avx512f")]
+    pub(crate) unsafe fn dgemm_tile_16x12_avx512(
+        kc: usize,
+        alpha: f64,
+        ap: *const f64,
+        bp: *const f64,
+        c: *mut f64,
+        ldc: usize,
+    ) {
+        debug_assert!(super::avx512_supported(), "dgemm_tile_16x12_avx512 needs AVX-512F");
+        debug_assert!(!ap.is_null() && !bp.is_null() && !c.is_null());
+        debug_assert!(ldc >= 16, "C tile columns (16 rows) would overlap: ldc = {ldc}");
+        let (ap1, bp1) = (ap.add(8 * kc), bp.add(6 * kc));
+        // Columns 0..6 and 6..12, two row halves each.
+        let mut lo = [[_mm512_setzero_pd(); 2]; 6];
+        let mut hi = [[_mm512_setzero_pd(); 2]; 6];
+        for k in 0..kc {
+            let a0 = _mm512_loadu_pd(ap.add(8 * k));
+            let a1 = _mm512_loadu_pd(ap1.add(8 * k));
+            let (b0, b1) = (bp.add(6 * k), bp1.add(6 * k));
+            for (j, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
+                let bl = _mm512_set1_pd(*b0.add(j));
+                let bh = _mm512_set1_pd(*b1.add(j));
+                l[0] = _mm512_fmadd_pd(a0, bl, l[0]);
+                l[1] = _mm512_fmadd_pd(a1, bl, l[1]);
+                h[0] = _mm512_fmadd_pd(a0, bh, h[0]);
+                h[1] = _mm512_fmadd_pd(a1, bh, h[1]);
+            }
+        }
+        let va = _mm512_set1_pd(alpha);
+        for (j, accj) in lo.iter().chain(hi.iter()).enumerate() {
+            let col = c.add(j * ldc);
+            let top = _mm512_loadu_pd(col);
+            let bot = _mm512_loadu_pd(col.add(8));
+            _mm512_storeu_pd(col, _mm512_fmadd_pd(accj[0], va, top));
+            _mm512_storeu_pd(col.add(8), _mm512_fmadd_pd(accj[1], va, bot));
         }
     }
 

@@ -179,6 +179,30 @@ fn recursive_trsm_and_skinny_gemm_on_views() {
 }
 
 #[test]
+fn packed_gemm_on_a_view_wide_enough_for_the_16x12_tile() {
+    // A 19 x 25 window of C (col_stride 23) from 19 x 5 and 5 x 25 windows:
+    // one 16 x 12 panel pair and its edges where AVX-512 runs (25 columns
+    // keep it off the skinny path), the scalar tile under Miri. Dyadic
+    // entries make every product and partial sum exact, so each tile must
+    // give exactly C + A B, and nothing outside the window may move.
+    let big_a = Mat::from_fn(21, 7, |i, j| (i + 3 * j) as f64 * 0.25 - 2.0);
+    let big_b = Mat::from_fn(6, 27, |i, j| ((2 * i + j) % 7) as f64 * 0.5 - 1.0);
+    let c0 = Mat::from_fn(23, 27, |i, j| ((i * j) % 5) as f64);
+    let mut big_c = c0.clone();
+    let (a, b) = (big_a.submatrix(1..20, 1..6), big_b.submatrix(0..5, 1..26));
+    gemm(1.0, a, Trans::No, b, Trans::No, 1.0, big_c.rb_mut().submatrix_mut(2..21, 1..26));
+    for j in 0..27 {
+        for i in 0..23 {
+            let mut want = c0[(i, j)];
+            if (2..21).contains(&i) && (1..26).contains(&j) {
+                want += (0..5).map(|p| a.get(i - 2, p) * b.get(p, j - 1)).sum::<f64>();
+            }
+            assert_eq!(big_c[(i, j)], want, "({i},{j})");
+        }
+    }
+}
+
+#[test]
 fn dist_filter_scalar_body_stays_inside_its_buffers() {
     // 11 queries (a ragged second group) against 5 candidates in 3-d, on
     // small integers so every distance is exact: the masks must be exactly
