@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Local CI gate: the host's vector bodies (which golden table binds), then
-# format, clippy, rustdoc, kfds-lint, release build, the
-# workspace tests under the default environment and under each of the two
+# format, clippy, rustdoc, kfds-lint, release build, the eight examples,
+# the workspace tests under the default environment and under each of the two
 # live KFDS_* switches, the golden digests with every retired switch set
 # and on one rayon thread, the benchmark package's own tests, and the
 # kfds-serve smoke runs. Correctness only: nothing here asserts a timing
@@ -10,7 +10,7 @@
 # lane has a price before anyone argues for deleting it.
 #
 #   ./ci.sh            # everything
-#   ./ci.sh --fast     # skip the release build
+#   ./ci.sh --fast     # skip the release build and the examples run on it
 #   ./ci.sh --miri     # additionally run the Miri lane (needs nightly + miri)
 #   ./ci.sh --tsan     # additionally run the ThreadSanitizer lane
 #                      # (needs nightly + rust-src; see DESIGN.md §7)
@@ -102,6 +102,21 @@ done
 if [[ $fast -eq 0 ]]; then
   step "cargo build --release"
   cargo build --release
+
+  step "examples (release; each asserts its own accuracy)"
+  # The examples drive the prelude's front doors end to end and each one
+  # asserts its own residual or accuracy, so they run here, not just
+  # compile. An example's output is printed only when it fails. --fast
+  # skips this step with the release build it runs on.
+  for ex in examples/*.rs; do
+    name="$(basename "$ex" .rs)"
+    echo "example ${name}"
+    if ! out="$(cargo run -q --release --example "$name" 2>&1)"; then
+      echo "$out"
+      echo "example ${name} failed" >&2
+      exit 1
+    fi
+  done
 fi
 
 step "cargo test (workspace, SIMD default)"

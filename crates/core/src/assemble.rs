@@ -10,7 +10,7 @@
 //! factorization evaluates — and [`crate::factorize_with_blocks`] /
 //! [`crate::FactorTree::refactor`] then redo per λ the leaf diagonals
 //! `K_αα` (`mN` words, which the LU overwrites anyway) and the linear
-//! algebra (diagonal shift, LU/Cholesky, `P̂` solves, reduced systems).
+//! algebra (diagonal shift, LU, `P̂` solves, reduced systems).
 //! The skeleton projections `P_{αα̃}` are *not* duplicated here — they
 //! already live λ-independently in the [`SkeletonTree`].
 //!

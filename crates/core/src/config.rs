@@ -27,18 +27,6 @@ pub enum WStorage {
     Recompute,
 }
 
-/// How leaf diagonal blocks `λI + K_αα` are factorized.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LeafFactorization {
-    /// Partial-pivoted LU (`GETRF`) — always applicable.
-    Lu,
-    /// Cholesky (`POTRF`) — half the flops; valid because `λI + K` is
-    /// symmetric positive definite for a PSD kernel, and a failed
-    /// factorization certifies numerical indefiniteness (a sharper §III
-    /// instability detector than the LU pivot monitor).
-    Cholesky,
-}
-
 /// Configuration of the direct factorization.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
@@ -46,25 +34,18 @@ pub struct SolverConfig {
     pub lambda: f64,
     /// Kernel-block application scheme.
     pub storage: StorageMode,
-    /// Leaf diagonal-block factorization.
-    pub leaf: LeafFactorization,
     /// Projection-factor storage scheme.
     pub w_storage: WStorage,
-    /// Pivot-ratio threshold below which a node is flagged unstable
-    /// (paper §III: `λ` too small relative to `σ_min` of a diagonal
-    /// block makes `λI + D` ill-conditioned).
-    pub stability_threshold: f64,
 }
+
+/// Pivot-ratio threshold below which an LU is counted in
+/// [`FactorStats::unstable_factorizations`] (paper §III: `λ` too small
+/// relative to `σ_min` of a diagonal block makes `λI + D` ill-conditioned).
+pub(crate) const STABILITY_THRESHOLD: f64 = 1e-12;
 
 impl Default for SolverConfig {
     fn default() -> Self {
-        SolverConfig {
-            lambda: 1.0,
-            storage: StorageMode::Gsks,
-            leaf: LeafFactorization::Lu,
-            w_storage: WStorage::Stored,
-            stability_threshold: 1e-12,
-        }
+        SolverConfig { lambda: 1.0, storage: StorageMode::Gsks, w_storage: WStorage::Stored }
     }
 }
 
@@ -78,12 +59,6 @@ impl SolverConfig {
     /// Builder-style setter for the storage mode.
     pub fn with_storage(mut self, storage: StorageMode) -> Self {
         self.storage = storage;
-        self
-    }
-
-    /// Builder-style setter for the leaf factorization kind.
-    pub fn with_leaf(mut self, leaf: LeafFactorization) -> Self {
-        self.leaf = leaf;
         self
     }
 
@@ -120,7 +95,7 @@ pub struct FactorStats {
     /// to only ever stands for a factorization that took no pivot at all.
     pub min_pivot_ratio: f64,
     /// Number of LU factorizations whose pivot ratio fell below the
-    /// configured threshold.
+    /// stability threshold, `1e-12`.
     pub unstable_factorizations: usize,
     /// Largest skeleton rank encountered.
     pub max_rank: usize,

@@ -11,6 +11,7 @@ use crate::assemble::assemble_blocks;
 use crate::config::SolverConfig;
 use crate::error::SolverError;
 use crate::factor::{factorize, factorize_with_blocks, FactorTree};
+use crate::solve::check_rhs_rows;
 use kfds_askit::{hier_matvec, SkeletonTree, TreecodeEvaluator};
 use kfds_kernels::Kernel;
 use kfds_la::Mat;
@@ -138,10 +139,11 @@ impl<K: Kernel + Clone> KernelRidgeMulti<K> {
     /// Trains on class labels `0..n_classes`.
     ///
     /// # Errors
-    /// Propagates factorization/solve failures.
+    /// [`SolverError::RhsShape`] on a label/point count mismatch;
+    /// factorization/solve failures.
     ///
     /// # Panics
-    /// Panics on label/point count mismatch or out-of-range labels.
+    /// Panics on out-of-range labels.
     pub fn train(
         points: &PointSet,
         labels: &[usize],
@@ -151,7 +153,7 @@ impl<K: Kernel + Clone> KernelRidgeMulti<K> {
         skel: kfds_askit::SkelConfig,
         solver: SolverConfig,
     ) -> Result<Self, SolverError> {
-        assert_eq!(labels.len(), points.len(), "label count mismatch");
+        check_rhs_rows(points.len(), labels.len())?;
         assert!(labels.iter().all(|&c| c < n_classes), "label out of range");
         let tree = kfds_tree::BallTree::build(points, m);
         let st = Box::new(kfds_askit::skeletonize(tree, &kernel, skel));

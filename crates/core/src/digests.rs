@@ -15,7 +15,7 @@
 //!   bodies (`KFDS_SIMD=off`, or a host without AVX2+FMA), on any host:
 //!   they do not depend on the vector width.
 //! * `GOLDEN_AVX512` binds the vector bodies on a host with AVX-512F (the
-//!   default there): the same 25 rows, in the same order.
+//!   default there): the same 23 rows, in the same order.
 //! * On a host with AVX2+FMA but no AVX-512F, with SIMD on, no table binds:
 //!   the test only checks that the same solve reproduces itself.
 //!
@@ -37,8 +37,8 @@
 //! produces in source form.
 
 use crate::{
-    factorize, factorize_with_blocks, FactorTree, HybridSolver, LeafFactorization,
-    PartitionedFactor, SharedFactor, SharedSetup, SolverConfig, StorageMode, WStorage,
+    factorize, factorize_with_blocks, FactorTree, HybridSolver, PartitionedFactor, SharedFactor,
+    SharedSetup, SolverConfig, StorageMode, WStorage,
 };
 use kfds_askit::{compute_neighbors, skeletonize, skeletonize_with_neighbors};
 use kfds_askit::{SkelConfig, SkeletonTree};
@@ -64,12 +64,12 @@ const GOLDEN: [(&str, u64); 8] = [
     ("partition/p4", 0xc1c12e062773d4ff),
 ];
 
-/// Skeletons, factors and the solves [`GOLDEN`] lacks (Cholesky leaves,
+/// Skeletons, factors and the solves [`GOLDEN`] lacks (a partial factor,
 /// ragged tolerance-driven ranks). Recorded under `KFDS_SIMD=off` at commit
 /// 0c24218 (PR 22), the last with a second, level-batched factorization
 /// engine: that engine produced these rows, and the per-node sweep that is
 /// now the only one was checked there to produce the same.
-const GOLDEN_SETUP: [(&str, u64); 13] = [
+const GOLDEN_SETUP: [(&str, u64); 11] = [
     ("skeleton/normal", 0x33ecb6ca1ba2371b),
     ("factor/StoredGemv/Stored", 0x495f4f103a9db366),
     ("factor/StoredGemv/Recompute", 0x3d14bfc8b255dc46),
@@ -77,8 +77,6 @@ const GOLDEN_SETUP: [(&str, u64); 13] = [
     ("factor/RecomputeGemm/Recompute", 0xada08e2fa8ca9a79),
     ("factor/Gsks/Stored", 0xe927c096a3ff3a74),
     ("factor/Gsks/Recompute", 0x287ffc1f689662e7),
-    ("factor/cholesky", 0x29bbd1e989cd30ee),
-    ("direct/cholesky", 0x95e7341ad4894418),
     ("factor/partial-L2/Recompute", 0x32b1ade1346fe8d2),
     ("skeleton/covtype", 0x55a490d32fc576ce),
     ("factor/covtype", 0x10797bdcfd8ca16b),
@@ -102,7 +100,7 @@ const GOLDEN_NORMAL64D: [(&str, u64); 4] = [
 /// vector kernel bodies of a host with AVX-512F (`KFDS_SIMD` on). Recorded
 /// at commit 74324e4, the last with the dimension-major GSKS source pack,
 /// and checked there to be equal on one and two rayon threads.
-const GOLDEN_AVX512: [(&str, u64); 25] = [
+const GOLDEN_AVX512: [(&str, u64); 23] = [
     ("direct/StoredGemv/Stored", 0xb095a3f711100fed),
     ("direct/StoredGemv/Recompute", 0x148273f8bbf79e08),
     ("direct/RecomputeGemm/Stored", 0xb095a3f711100fed),
@@ -118,8 +116,6 @@ const GOLDEN_AVX512: [(&str, u64); 25] = [
     ("factor/RecomputeGemm/Recompute", 0x11322fbc47f614a0),
     ("factor/Gsks/Stored", 0x9f00994f7039fd2a),
     ("factor/Gsks/Recompute", 0x574e325d499d849e),
-    ("factor/cholesky", 0xd445119533db1daa),
-    ("direct/cholesky", 0xbae62da72e0e9cfa),
     ("factor/partial-L2/Recompute", 0xbb39d1910a9cdd41),
     ("skeleton/covtype", 0x5d32d2622611aeb7),
     ("factor/covtype", 0xfadc87e5e0297895),
@@ -258,8 +254,8 @@ fn skeleton_digest(st: &SkeletonTree) -> u64 {
 
 /// Per node: `P̂`, `B_l`, `B_r` (shape and bits) and which dense factors
 /// exist; then the accounting every route to these factors must agree on.
-/// The LU / Cholesky factors themselves have no accessors — the solve rows
-/// hold those.
+/// The LU factors themselves have no accessors — the solve rows hold
+/// those.
 fn factor_digest<K: Kernel>(ft: &FactorTree<'_, K>) -> u64 {
     let mut h = Fnv::new();
     for nf in ft.factors() {
@@ -321,12 +317,6 @@ fn tables() -> (Rows, Rows) {
             solves.push(direct_digest(&format!("direct/{storage:?}/{w:?}"), &ft));
             setup.push((format!("factor/{storage:?}/{w:?}"), factor_digest(&ft)));
         }
-    }
-    {
-        let cfg = base.with_leaf(LeafFactorization::Cholesky);
-        let ft = factorize(&st, &kernel, cfg).expect("factorize, Cholesky leaves");
-        setup.push(("factor/cholesky".to_string(), factor_digest(&ft)));
-        setup.push(direct_digest("direct/cholesky", &ft));
     }
     {
         let (st, kernel) = fixture(2);

@@ -234,7 +234,7 @@ fn dist_factor_rank<'a, K: Kernel>(
             let b_l = Mat::from_col_major(sl, sr, b_l_data);
             // The serial sweep's own Z pack + LU; the per-rank cost
             // accounting it folds in is not reported here.
-            let lu = factor_z(&b_l, &b_r, sl, sr, node, config, &mut NodeCost::default())?;
+            let lu = factor_z(&b_l, &b_r, sl, sr, node, &mut NodeCost::default())?;
             // Telescoping data M_l, M_r (eq. 10), root level skips it.
             if let Some(sk) = node_sk {
                 let (m_l, m_r) = telescope_m(&sk.proj, &b_l, &b_r, &lu);

@@ -44,6 +44,10 @@ pub enum SolverError {
         /// The rejected value.
         lambda: f64,
     },
+    /// The factors multiply to a negative `det(λI + K̃)`: the system is
+    /// not positive definite, so it has no log-determinant (see
+    /// [`FactorTree::log_det`](crate::FactorTree::log_det)).
+    NegativeDeterminant,
     /// A right-hand side whose row count is not the problem size.
     RhsShape {
         /// Rows the factorization expects (`N`).
@@ -73,6 +77,9 @@ impl fmt::Display for SolverError {
             }
             SolverError::NonFiniteLambda { lambda } => {
                 write!(f, "the regularizer λ must be finite, got {lambda}")
+            }
+            SolverError::NegativeDeterminant => {
+                write!(f, "det(λI + K̃) is negative: the system is not positive definite")
             }
             SolverError::RhsShape { expected, got } => {
                 write!(f, "right-hand side has {got} rows, the factorization has {expected}")

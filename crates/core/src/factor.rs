@@ -29,51 +29,24 @@
 
 use crate::assemble::{assemble, assemble_blocks, AssembledBlocks};
 use crate::config::{
-    FactorStats, LeafFactorization, LevelStats, SolverConfig, StorageMode, WStorage,
+    FactorStats, LevelStats, SolverConfig, StorageMode, WStorage, STABILITY_THRESHOLD,
 };
 use crate::error::SolverError;
 use kfds_askit::SkeletonTree;
 use kfds_kernels::flops;
 use kfds_kernels::{eval_symmetric, sum_fused_multi, sum_reference_multi, Kernel};
-use kfds_la::{gemm, workspace, Cholesky, Lu, Mat, MatMut, Trans};
+use kfds_la::{gemm, workspace, Lu, Mat, Trans};
 use kfds_tree::BallTree;
 use rayon::prelude::*;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A factorized leaf diagonal block `λI + K_αα`.
-#[derive(Debug)]
-pub(crate) enum LeafFactor {
-    /// Partial-pivoted LU.
-    Lu(Lu),
-    /// Cholesky (`λI + K` is SPD for PSD kernels).
-    Cholesky(Cholesky),
-}
-
-impl LeafFactor {
-    /// Solves the leaf block in place on a view of the right-hand sides.
-    pub(crate) fn solve_mat_mut(&self, b: MatMut<'_>) {
-        match self {
-            LeafFactor::Lu(f) => f.solve_mat_mut(b),
-            LeafFactor::Cholesky(f) => f.solve_mat_mut(b),
-        }
-    }
-
-    /// Conditioning proxy (see the individual factorizations).
-    pub(crate) fn min_pivot_ratio(&self) -> f64 {
-        match self {
-            LeafFactor::Lu(f) => f.min_pivot_ratio(),
-            LeafFactor::Cholesky(f) => f.min_pivot_ratio(),
-        }
-    }
-}
-
 /// The λ-dependent factors stored at one tree node (the stored `V` blocks
 /// are not among them: see [`FactorTree::assembled_blocks`]).
 #[derive(Debug, Default)]
 pub(crate) struct NodeFactors {
-    /// Factorization of `λI + K_αα` (leaves only).
-    pub(crate) leaf_lu: Option<LeafFactor>,
+    /// LU of `λI + K_αα` (leaves only).
+    pub(crate) leaf_lu: Option<Lu>,
     /// LU of the reduced system `Z_α` (internal nodes in the factored
     /// region).
     pub(crate) z_lu: Option<Lu>,
@@ -153,7 +126,7 @@ impl<'a, K: Kernel> FactorTree<'a, K> {
     }
 
     /// Re-factorizes at a new `λ` touching **only the linear algebra**:
-    /// the diagonal shift, LU/Cholesky factorizations, `P̂` solves, and
+    /// the diagonal shift, LU factorizations, `P̂` solves, and
     /// reduced systems are redone over this tree's assembly, which the
     /// returned tree shares — no `V` block is re-evaluated or copied, and
     /// further refactors chain for free. A matrix-free tree pays for an
@@ -202,7 +175,7 @@ pub fn factorize<'a, K: Kernel>(
 /// Runs the λ-dependent half of the factorization over pre-assembled
 /// coupling blocks (see [`crate::assemble_blocks`]): the leaf diagonals
 /// `K_αα` are the only kernel blocks evaluated, then the diagonal shift,
-/// LU/Cholesky factorizations, `P̂` solves, and reduced systems.
+/// LU factorizations, `P̂` solves, and reduced systems.
 ///
 /// The storage mode is pinned to [`StorageMode::StoredGemv`]: the
 /// assembly's coupling blocks *are* the stored `V` blocks — the tree keeps
@@ -372,21 +345,11 @@ pub(crate) fn factor_leaf<K: Kernel>(
     for i in 0..m {
         kaa[(i, i)] += config.lambda;
     }
-    let (leaf, factor_flops) = match config.leaf {
-        LeafFactorization::Lu => {
-            let lu = Lu::factor(kaa).map_err(|e| SolverError::Factorization { node, source: e })?;
-            (LeafFactor::Lu(lu), flops::lu_flops(m))
-        }
-        LeafFactorization::Cholesky => {
-            let ch = Cholesky::factor(kaa)
-                .map_err(|e| SolverError::Factorization { node, source: e })?;
-            (LeafFactor::Cholesky(ch), flops::lu_flops(m) / 2.0)
-        }
-    };
+    let leaf = Lu::factor(kaa).map_err(|e| SolverError::Factorization { node, source: e })?;
     let mut cost = NodeCost {
-        flops: factor_flops + eval_flops,
+        flops: flops::lu_flops(m) + eval_flops,
         min_pivot: leaf.min_pivot_ratio(),
-        unstable: usize::from(leaf.min_pivot_ratio() < config.stability_threshold),
+        unstable: usize::from(leaf.min_pivot_ratio() < STABILITY_THRESHOLD),
         bytes: m * m * 8,
     };
     // P̂_{αα̃} = (λI + K_αα)^{-1} P_{αα̃}; for root-leaf trees there is no
@@ -495,7 +458,7 @@ pub(crate) fn build_reduced_system<K: Kernel>(
             + 2.0 * (sl * nr * sr + sr * nl * sl) as f64;
     }
 
-    let z_lu = factor_z(&b_l, &b_r, sl, sr, node, config, &mut cost)?;
+    let z_lu = factor_z(&b_l, &b_r, sl, sr, node, &mut cost)?;
     Ok(ReducedSystem { b_l, b_r, z_lu, cost })
 }
 
@@ -508,7 +471,6 @@ pub(crate) fn factor_z(
     sl: usize,
     sr: usize,
     node: usize,
-    config: &SolverConfig,
     cost: &mut NodeCost,
 ) -> Result<Lu, SolverError> {
     let zdim = sl + sr;
@@ -531,7 +493,7 @@ pub(crate) fn factor_z(
     cost.flops += flops::lu_flops(zdim);
     cost.bytes += zdim * zdim * 8;
     cost.min_pivot = cost.min_pivot.min(z_lu.min_pivot_ratio());
-    cost.unstable += usize::from(z_lu.min_pivot_ratio() < config.stability_threshold);
+    cost.unstable += usize::from(z_lu.min_pivot_ratio() < STABILITY_THRESHOLD);
     Ok(z_lu)
 }
 

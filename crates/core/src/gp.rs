@@ -15,7 +15,8 @@
 
 use crate::assemble::assemble_blocks;
 use crate::error::SolverError;
-use crate::factor::{factorize, factorize_with_blocks, FactorTree, LeafFactor};
+use crate::factor::{factorize, factorize_with_blocks, FactorTree};
+use crate::solve::check_rhs_rows;
 use kfds_askit::{SkeletonTree, TreecodeEvaluator};
 use kfds_kernels::Kernel;
 use kfds_la::Mat;
@@ -24,28 +25,31 @@ use std::sync::Arc;
 use std::time::Instant;
 
 impl<K: Kernel> FactorTree<'_, K> {
-    /// `log |det(λI + K̃)|` from the factors (Sylvester's identity); the
-    /// matrix is SPD in the GP setting so this is `log det`.
+    /// `log det(λI + K̃)` from the factors (Sylvester's identity): the sum
+    /// of `log |det|` over every leaf LU and every `Z_α` LU, and the
+    /// product of their signs as the sign of the determinant.
     ///
     /// # Errors
-    /// [`SolverError::NotSkeletonized`] for partial factorizations.
+    /// [`SolverError::NotSkeletonized`] for partial factorizations;
+    /// [`SolverError::NegativeDeterminant`] when the signs multiply to a
+    /// negative determinant — `λI + K̃` is then not positive definite (an
+    /// indefinite compressed operator, or a `λ` below `−σ_min(K̃)`), so it
+    /// has no log-determinant. A positive sign does not prove the matrix
+    /// positive definite: an even number of negative eigenvalues passes.
     pub fn log_det(&self) -> Result<f64, SolverError> {
         if !self.is_complete() {
             return Err(SolverError::NotSkeletonized { node: self.skeleton_tree().tree().root() });
         }
-        let mut acc = 0.0;
-        for nf in self.factors() {
-            if let Some(leaf) = &nf.leaf_lu {
-                acc += match leaf {
-                    LeafFactor::Lu(f) => f.log_abs_det(),
-                    LeafFactor::Cholesky(f) => f.log_det(),
-                };
-            }
-            if let Some(z) = &nf.z_lu {
-                acc += z.log_abs_det();
-            }
+        let (mut acc, mut sign) = (0.0, 1.0);
+        for lu in self.factors().iter().flat_map(|nf| nf.leaf_lu.iter().chain(&nf.z_lu)) {
+            acc += lu.log_abs_det();
+            sign *= lu.det_sign();
         }
-        Ok(acc)
+        if sign > 0.0 {
+            Ok(acc)
+        } else {
+            Err(SolverError::NegativeDeterminant)
+        }
     }
 }
 
@@ -82,10 +86,12 @@ impl<'a, K: Kernel> GaussianProcess<'a, K> {
     /// `y` is in *original* point order.
     ///
     /// # Errors
-    /// Propagates factorization failures.
+    /// [`SolverError::RhsShape`] if `y.len()` differs from the point count;
+    /// factorization failures; [`SolverError::NegativeDeterminant`] when
+    /// the factor is certified indefinite (see [`FactorTree::log_det`]).
     ///
     /// # Panics
-    /// Panics if `y.len()` differs from the point count or `noise2 <= 0`.
+    /// Panics if `noise2 <= 0`.
     pub fn fit(
         st: &'a SkeletonTree,
         kernel: &'a K,
@@ -93,8 +99,7 @@ impl<'a, K: Kernel> GaussianProcess<'a, K> {
         y: &[f64],
     ) -> Result<Self, SolverError> {
         assert!(noise2 > 0.0, "observation noise variance must be positive");
-        let n = st.tree().points().len();
-        assert_eq!(y.len(), n, "label length mismatch");
+        check_rhs_rows(st.tree().points().len(), y.len())?;
         let cfg = crate::SolverConfig::default().with_lambda(noise2);
         let ft = factorize(st, kernel, cfg)?;
         Self::from_factor_tree(ft, noise2, y)
@@ -124,15 +129,18 @@ impl<'a, K: Kernel> GaussianProcess<'a, K> {
     /// so every fit is a stored-`V`
     /// [`StorageMode::StoredGemv`](crate::StorageMode::StoredGemv) factor,
     /// bitwise what [`factorize`] under `StoredGemv` builds). Grid points
-    /// whose factorization fails are recorded in the curve (`failed =
-    /// true`, with honest elapsed seconds) and skipped for model selection.
+    /// whose fit fails — the factorization, or a negative determinant
+    /// ([`SolverError::NegativeDeterminant`]) — are recorded in the curve
+    /// (`failed = true`, with honest elapsed seconds) and skipped for model
+    /// selection.
     ///
     /// # Errors
-    /// [`SolverError`] of the *last* failure when every grid point fails.
+    /// [`SolverError::RhsShape`] if `y.len()` differs from the point count;
+    /// otherwise the [`SolverError`] of the *last* failure when every grid
+    /// point fails.
     ///
     /// # Panics
-    /// Panics on an empty grid, a non-positive noise variance, or a
-    /// label-length mismatch.
+    /// Panics on an empty grid or a non-positive noise variance.
     pub fn fit_best_noise(
         st: &'a SkeletonTree,
         kernel: &'a K,
@@ -141,7 +149,7 @@ impl<'a, K: Kernel> GaussianProcess<'a, K> {
     ) -> Result<(Self, Vec<NoiseSweepEntry>), SolverError> {
         assert!(!noise_grid.is_empty(), "noise grid must be non-empty");
         assert!(noise_grid.iter().all(|&s| s > 0.0), "noise variances must be positive");
-        assert_eq!(y.len(), st.tree().points().len(), "label length mismatch");
+        check_rhs_rows(st.tree().points().len(), y.len())?;
         // One assembly amortized across the whole noise grid.
         let blocks = Arc::new(assemble_blocks(st, kernel));
         let mut curve = Vec::with_capacity(noise_grid.len());
@@ -254,7 +262,7 @@ impl<'a, K: Kernel> GaussianProcess<'a, K> {
 mod tests {
     use super::*;
     use kfds_askit::{skeletonize, SkelConfig};
-    use kfds_kernels::{eval_symmetric, Gaussian};
+    use kfds_kernels::{eval_symmetric, Gaussian, Polynomial};
     use kfds_la::Lu;
     use kfds_tree::datasets::normal_embedded;
     use kfds_tree::BallTree;
@@ -292,6 +300,61 @@ mod tests {
         let dense = Lu::factor(km).expect("dense LU").log_abs_det();
         // The factorization's K̃ differs from K by the (tight) tolerance.
         assert!((fast - dense).abs() < 1e-3 * dense.abs().max(1.0), "fast {fast} vs dense {dense}");
+    }
+
+    /// `K ≡ −3` over `n` points: `λI + K` has the eigenvalues `λ − 3n`
+    /// (once) and `λ`, so its determinant is negative for `0 < λ < 3n`, yet
+    /// every 16-point leaf block's is positive for even leaf counts — the
+    /// sign has to come from the reduced systems `Z_α`.
+    fn negative_fixture(n: usize) -> (SkeletonTree, Polynomial) {
+        let pts = normal_embedded(n, 2, 3, 0.05, 5);
+        let tree = BallTree::build(&pts, 16);
+        let kernel = Polynomial::new(0.0, -3.0, 1);
+        let st = skeletonize(tree, &kernel, SkelConfig::default().with_tol(1e-10));
+        (st, kernel)
+    }
+
+    #[test]
+    fn log_det_refuses_a_negative_determinant() {
+        // One point (a root leaf) and a 64-point tree of leaves and Z_α,
+        // against the sign of the dense determinant.
+        for (n, lambda) in [(1, -2.0), (1, 0.5), (1, 4.0), (64, 1.0), (64, 100.0), (64, 250.0)] {
+            let (st, kernel) = negative_fixture(n);
+            let ft = factorize(&st, &kernel, crate::SolverConfig::default().with_lambda(lambda))
+                .expect("factorize");
+            let mut km = eval_symmetric(&kernel, st.tree().points(), 0..n);
+            for i in 0..n {
+                km[(i, i)] += lambda;
+            }
+            let dense = Lu::factor(km).expect("dense LU");
+            match ft.log_det() {
+                Ok(ld) => {
+                    assert!(dense.det_sign() > 0.0, "n {n}, λ {lambda}: log det {ld}");
+                    let want = dense.log_abs_det();
+                    assert!((ld - want).abs() < 1e-8 * want.abs().max(1.0), "{ld} vs {want}");
+                }
+                Err(SolverError::NegativeDeterminant) => {
+                    assert!(dense.det_sign() < 0.0, "n {n}, λ {lambda}: refused a positive det")
+                }
+                Err(e) => panic!("n {n}, λ {lambda}: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn noise_sweep_fails_a_grid_point_with_a_negative_determinant() {
+        // σ² = 1 leaves λI + K̃ indefinite (det < 0); σ² = 250 does not.
+        let (st, kernel) = negative_fixture(64);
+        let y: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).cos()).collect();
+        let (gp, curve) =
+            GaussianProcess::fit_best_noise(&st, &kernel, &[1.0, 250.0], &y).expect("sweep");
+        assert!(curve[0].failed && curve[0].log_marginal.is_nan(), "σ² = 1 must fail");
+        assert!(!curve[1].failed);
+        assert_eq!(gp.noise_variance(), 250.0);
+        assert!(matches!(
+            GaussianProcess::fit(&st, &kernel, 1.0, &y),
+            Err(SolverError::NegativeDeterminant)
+        ));
     }
 
     #[test]

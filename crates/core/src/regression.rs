@@ -5,6 +5,7 @@
 use crate::config::SolverConfig;
 use crate::error::SolverError;
 use crate::factor::{factorize, FactorTree};
+use crate::solve::check_rhs_rows;
 use kfds_askit::{skeletonize, SkelConfig, SkeletonTree};
 use kfds_kernels::Kernel;
 use kfds_tree::{BallTree, PointSet};
@@ -35,10 +36,8 @@ impl<K: Kernel + Clone> KernelRidge<K> {
     /// Trains on `(points, labels)` with leaf size `m`.
     ///
     /// # Errors
-    /// Propagates factorization failures (singular diagonal blocks).
-    ///
-    /// # Panics
-    /// Panics if `labels.len() != points.len()`.
+    /// [`SolverError::RhsShape`] if `labels.len() != points.len()`;
+    /// factorization failures (singular diagonal blocks).
     pub fn train(
         points: &PointSet,
         labels: &[f64],
@@ -47,7 +46,7 @@ impl<K: Kernel + Clone> KernelRidge<K> {
         skel: SkelConfig,
         solver: SolverConfig,
     ) -> Result<(Self, TrainReport), SolverError> {
-        assert_eq!(labels.len(), points.len(), "label count mismatch");
+        check_rhs_rows(points.len(), labels.len())?;
         let t0 = std::time::Instant::now();
         let tree = BallTree::build(points, m);
         let st = Box::new(skeletonize(tree, &kernel, skel));
@@ -78,15 +77,6 @@ impl<K: Kernel + Clone> KernelRidge<K> {
             KernelRidge { kernel, st, w_perm, train_residual },
             TrainReport { setup_seconds, factor_seconds, solve_seconds },
         ))
-    }
-
-    /// Fast treecode prediction `K(x, X) w` via the trained skeletons
-    /// (multipole acceptance parameter `theta ∈ [0, 1)`; `theta = 0`
-    /// degenerates to the exact evaluation).
-    pub fn predict_fast(&self, test: &PointSet, theta: f64) -> Vec<f64> {
-        let ev =
-            kfds_askit::TreecodeEvaluator::new(&self.st, &self.kernel, self.w_perm.clone(), theta);
-        ev.evaluate_batch(test)
     }
 
     /// Regression prediction `K(x, X) w` for each test point.

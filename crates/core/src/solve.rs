@@ -18,7 +18,7 @@
 //! (which *is* this solve applied to `s` right-hand sides per node, over
 //! a partially built factor set), the sharded top sweep and the hybrid
 //! solver's frontier solves all drive the same routine through
-//! `SolveCtx`. Every primitive below it (`gemm`, the LU/Cholesky TRSMs,
+//! `SolveCtx`. Every primitive below it (`gemm`, the LU TRSMs,
 //! the multi-RHS summations) takes strided views and picks its own kernel
 //! from the shape it is handed — one column reaches a level-2 kernel
 //! there, never through a branch here.

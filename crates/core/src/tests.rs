@@ -468,24 +468,26 @@ fn multiclass_one_vs_all() {
 }
 
 #[test]
-fn fast_prediction_matches_exact_prediction() {
-    let (pts, labels) = two_class_annulus(400, 3, 33);
-    let train = pts.select(&(0..320).collect::<Vec<_>>());
-    let test = pts.select(&(320..400).collect::<Vec<_>>());
-    let (model, _) = KernelRidge::train(
-        &train,
-        &labels[..320],
-        Gaussian::new(0.5),
-        32,
-        SkelConfig::default().with_tol(1e-7).with_max_rank(128).with_neighbors(8),
-        SolverConfig::default().with_lambda(1e-2),
-    )
-    .expect("train");
-    let exact = model.predict(&test);
-    let fast = model.predict_fast(&test, 0.4);
-    for (e, f) in exact.iter().zip(&fast) {
-        assert!((e - f).abs() < 1e-3 * (1.0 + e.abs()), "{e} vs {f}");
-    }
+fn wrong_label_count_is_a_typed_error() {
+    // n − 1 labels: every training front door answers `RhsShape`, as the
+    // solves do, rather than panicking.
+    let (pts, labels) = two_class_annulus(200, 3, 9);
+    let kernel = Gaussian::new(0.5);
+    let skel = SkelConfig::default().with_tol(1e-5).with_max_rank(64).with_neighbors(8);
+    let cfg = SolverConfig::default().with_lambda(0.1);
+    let short = |got: Option<&crate::SolverError>| {
+        matches!(got, Some(crate::SolverError::RhsShape { expected: 200, got: 199 }))
+    };
+    let ridge = KernelRidge::train(&pts, &labels[..199], kernel, 32, skel.clone(), cfg);
+    assert!(short(ridge.as_ref().err()), "KernelRidge::train");
+    let classes = vec![0usize; 199];
+    let multi = crate::KernelRidgeMulti::train(&pts, &classes, 2, kernel, 32, skel.clone(), cfg);
+    assert!(short(multi.as_ref().err()), "KernelRidgeMulti::train");
+    let st = skeletonize(BallTree::build(&pts, 32), &kernel, skel);
+    let gp = crate::gp::GaussianProcess::fit(&st, &kernel, 0.1, &labels[..199]);
+    assert!(short(gp.as_ref().err()), "GaussianProcess::fit");
+    let gp = crate::gp::GaussianProcess::fit_best_noise(&st, &kernel, &[0.1], &labels[..199]);
+    assert!(short(gp.as_ref().err()), "GaussianProcess::fit_best_noise");
 }
 
 #[test]
@@ -560,50 +562,10 @@ fn factorization_preconditions_exact_operator() {
 }
 
 #[test]
-fn cholesky_leaf_matches_lu_leaf() {
-    let (st, kernel) = fixture(1, 1e-5);
-    let b = rand_vec(512, 61);
-    let lu_cfg = SolverConfig::default().with_lambda(0.5);
-    let ch_cfg = lu_cfg.with_leaf(crate::config::LeafFactorization::Cholesky);
-    let ft_lu = factorize(&st, &kernel, lu_cfg).expect("lu");
-    let ft_ch = factorize(&st, &kernel, ch_cfg).expect("cholesky");
-    let mut x1 = b.clone();
-    let mut x2 = b.clone();
-    ft_lu.solve_in_place(&mut x1).expect("solve");
-    ft_ch.solve_in_place(&mut x2).expect("solve");
-    assert!(rel_err(&x1, &x2) < 1e-9, "cholesky leaves disagree with LU");
-    // Cholesky leaves cost half the factorization flops at the leaves.
-    assert!(ft_ch.stats().flops < ft_lu.stats().flops);
-}
-
-#[test]
-fn cholesky_detects_indefiniteness() {
-    // Flat kernel + tiny λ: the compressed leaf blocks are numerically
-    // semidefinite; Cholesky must refuse (or flag) rather than produce a
-    // garbage factorization.
-    let pts = normal_embedded(256, 2, 4, 0.05, 3);
-    let tree = BallTree::build(&pts, 32);
-    let kernel = Gaussian::new(50.0);
-    let st = skeletonize(
-        tree,
-        &kernel,
-        SkelConfig::default().with_tol(1e-7).with_max_rank(64).with_neighbors(8),
-    );
-    let cfg = SolverConfig::default()
-        .with_lambda(1e-16)
-        .with_leaf(crate::config::LeafFactorization::Cholesky);
-    match factorize(&st, &kernel, cfg) {
-        Err(crate::SolverError::Factorization { .. }) => {}
-        Ok(f) => assert!(f.stats().is_unstable()),
-        Err(other) => panic!("unexpected error {other}"),
-    }
-}
-
-#[test]
 fn non_finite_blocks_are_a_factorization_error() {
-    // A kernel that evaluates to NaN makes every leaf block NaN. Both leaf
-    // kinds must refuse it: a factor with a pivot ratio of +inf would read
-    // as perfectly conditioned (`is_unstable()` false).
+    // A kernel that evaluates to NaN makes every leaf block NaN. The leaf
+    // LU must refuse it: a factor with a pivot ratio of +inf would read as
+    // perfectly conditioned (`is_unstable()` false).
     struct NanKernel;
     impl kfds_kernels::Kernel for NanKernel {
         fn eval_parts(&self, _dot: f64, _nx: f64, _ny: f64) -> f64 {
@@ -614,18 +576,15 @@ fn non_finite_blocks_are_a_factorization_error() {
         }
     }
     let (st, _) = fixture(1, 1e-4);
-    for leaf in [crate::config::LeafFactorization::Lu, crate::config::LeafFactorization::Cholesky] {
-        for storage in [StorageMode::Gsks, StorageMode::StoredGemv] {
-            let cfg =
-                SolverConfig::default().with_lambda(0.5).with_leaf(leaf).with_storage(storage);
-            match factorize(&st, &NanKernel, cfg) {
-                Err(crate::SolverError::Factorization {
-                    source: kfds_la::LaError::NonFinite { step: 0 },
-                    ..
-                }) => {}
-                Err(other) => panic!("{leaf:?} {storage:?}: unexpected error {other}"),
-                Ok(f) => panic!("{leaf:?} {storage:?}: factored, stats {:?}", f.stats()),
-            }
+    for storage in [StorageMode::Gsks, StorageMode::StoredGemv] {
+        let cfg = SolverConfig::default().with_lambda(0.5).with_storage(storage);
+        match factorize(&st, &NanKernel, cfg) {
+            Err(crate::SolverError::Factorization {
+                source: kfds_la::LaError::NonFinite { step: 0 },
+                ..
+            }) => {}
+            Err(other) => panic!("{storage:?}: unexpected error {other}"),
+            Ok(f) => panic!("{storage:?}: factored, stats {:?}", f.stats()),
         }
     }
 }
@@ -810,7 +769,6 @@ mod refactor {
 
     use super::*;
     use crate::assemble::assemble_blocks;
-    use crate::config::LeafFactorization;
     use crate::factor::{factorize_with_blocks, in_factored_region, FactorTree};
     use crate::gp::GaussianProcess;
     use kfds_kernels::Kernel;
@@ -1067,22 +1025,6 @@ mod refactor {
     }
 
     #[test]
-    fn blocked_path_agrees_on_failure() {
-        // λ far below -||K||: the shifted leaf blocks go negative
-        // definite and Cholesky must refuse on both paths.
-        let (st, kernel) = fixture(1, 1e-5);
-        let blocks = Arc::new(assemble_blocks(&st, &kernel));
-        let cfg = SolverConfig::default()
-            .with_storage(StorageMode::StoredGemv)
-            .with_leaf(LeafFactorization::Cholesky)
-            .with_lambda(-1e3);
-        let fresh = factorize(&st, &kernel, cfg);
-        let blocked = factorize_with_blocks(&st, &kernel, blocks, cfg);
-        assert!(fresh.is_err(), "fresh path must fail at this λ");
-        assert!(blocked.is_err(), "blocked path must fail at this λ");
-    }
-
-    #[test]
     fn lambda_sweep_is_a_loop_of_stored_factorizations() {
         let (pts, labels) = two_class_annulus(400, 3, 77);
         let train = pts.select(&(0..320).collect::<Vec<_>>());
@@ -1095,15 +1037,15 @@ mod refactor {
             SkelConfig::default().with_tol(1e-6).with_max_rank(96).with_neighbors(8),
         );
         let y_perm = st.tree().permute_vec(&labels[..320]);
-        // Cholesky leaves make the negative λ fail. The sweep is given the
+        // The NaN λ fails (`NonFiniteLambda`). The sweep is given the
         // default (Gsks) storage and pins StoredGemv all the same.
-        let base = SolverConfig::default().with_leaf(LeafFactorization::Cholesky);
-        let lambdas = [10.0, 0.1, -1e3, 1e-3];
+        let base = SolverConfig::default();
+        let lambdas = [10.0, 0.1, f64::NAN, 1e-3];
         let validation = Some((&valid, &labels[320..]));
         let sweep = crate::lambda_sweep(&st, &kernel, base, &lambdas, &y_perm, validation);
         assert_eq!(sweep.len(), lambdas.len());
         for (a, &lambda) in sweep.iter().zip(&lambdas) {
-            assert_eq!(a.lambda, lambda);
+            assert_eq!(a.lambda.to_bits(), lambda.to_bits());
             let cfg = base.with_storage(StorageMode::StoredGemv).with_lambda(lambda);
             let Ok(ft) = factorize(&st, &kernel, cfg) else {
                 assert!(a.failed, "lambda {lambda}: a public factorize failed, the sweep did not");
@@ -1128,8 +1070,8 @@ mod refactor {
         }
         // The failed entry reports honest timing and the distinct marker.
         let failed: Vec<_> = sweep.iter().filter(|e| e.failed).collect();
-        assert_eq!(failed.len(), 1, "exactly the negative λ fails");
-        assert_eq!(failed[0].lambda, -1e3);
+        assert_eq!(failed.len(), 1, "exactly the NaN λ fails");
+        assert!(failed[0].lambda.is_nan());
         assert!(failed[0].factor_seconds > 0.0, "failed λ must report elapsed time, not 0.0");
         assert!(failed[0].unstable && failed[0].residual.is_nan());
         // Completed entries are unfailed regardless of stability flags.

@@ -9,8 +9,8 @@
 
 use kfds_askit::{hier_matvec, skeletonize, SkelConfig, SkeletonTree};
 use kfds_core::{
-    factorize, HybridSolver, LeafFactorization, PartitionedFactor, ReducedOperator, ReducedReport,
-    SharedFactor, SharedSetup, SolverConfig, SolverError, StorageMode, WStorage,
+    factorize, HybridSolver, PartitionedFactor, ReducedOperator, ReducedReport, SharedFactor,
+    SharedSetup, SolverConfig, SolverError, StorageMode, WStorage,
 };
 use kfds_kernels::Gaussian;
 use kfds_krylov::{gmres, FnOp, GmresOptions};
@@ -396,19 +396,14 @@ fn single_rhs_direct_solve_is_column_zero_of_the_one_column_block() {
     let b = rhs_matrix(n);
     for storage in [StorageMode::StoredGemv, StorageMode::RecomputeGemm, StorageMode::Gsks] {
         for w in [WStorage::Stored, WStorage::Recompute] {
-            for leaf in [LeafFactorization::Lu, LeafFactorization::Cholesky] {
-                let cfg = SolverConfig::default()
-                    .with_lambda(0.5)
-                    .with_storage(storage)
-                    .with_w_storage(w)
-                    .with_leaf(leaf);
-                let ft = factorize(&st, &kernel, cfg).expect("factorize");
-                let mut single = b.col(1).to_vec();
-                ft.solve_in_place(&mut single).expect("single-RHS solve");
-                let mut block = one_column(&b, 1);
-                ft.solve_mat_in_place(&mut block).expect("one-column blocked solve");
-                assert_eq!(single, block.col(0), "{storage:?} / {w:?} / {leaf:?}");
-            }
+            let cfg =
+                SolverConfig::default().with_lambda(0.5).with_storage(storage).with_w_storage(w);
+            let ft = factorize(&st, &kernel, cfg).expect("factorize");
+            let mut single = b.col(1).to_vec();
+            ft.solve_in_place(&mut single).expect("single-RHS solve");
+            let mut block = one_column(&b, 1);
+            ft.solve_mat_in_place(&mut block).expect("one-column blocked solve");
+            assert_eq!(single, block.col(0), "{storage:?} / {w:?}");
         }
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! The inner-product pass is one packed rank-`d` GEMM over gathered
 //! coordinate panels (`G = Xr^T Xc`, through the SIMD microkernel path)
-//! followed by the batched [`Kernel::eval_parts_many`] epilogue — the same
-//! pipeline as [`crate::reference::kernel_block_gemm`]. Pointwise
-//! [`Kernel::eval`] is what the tests hold it to.
+//! followed by the batched [`Kernel::eval_parts_many`] epilogue; the
+//! two-pass summation of [`crate::reference`] reduces against this same
+//! block. Pointwise [`Kernel::eval`] is what the tests hold it to.
 
 use crate::function::Kernel;
 use kfds_la::blas1::dot;

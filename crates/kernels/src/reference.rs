@@ -4,10 +4,11 @@
 //! This is the reference implementation the paper compares GSKS against
 //! (labelled "MKL+VML" in Table I): a rank-`d` GEMM produces the Gram
 //! block, the kernel function is applied elementwise (the VML `VEXP`
-//! analogue), and a GEMV/GEMM reduces against the weights. It materializes
-//! the `m x n` block — `O(mn)` extra memory traffic, which is what the
-//! fused engine removes.
+//! analogue), and a GEMV/GEMM reduces against the weights. The block is
+//! [`eval_block`]'s, so it is materialized — `O(mn)` extra memory traffic,
+//! which is what the fused engine removes.
 
+use crate::eval::eval_block;
 use crate::function::Kernel;
 use kfds_la::{gemm, workspace, Mat, MatMut, MatRef, Trans};
 use kfds_tree::PointSet;
@@ -26,34 +27,6 @@ pub fn gather_coords(pts: &PointSet, idx: &[usize]) -> Mat {
     out
 }
 
-/// Materializes `K[rows, cols]` via the GEMM + elementwise-kernel pipeline.
-pub fn kernel_block_gemm<K: Kernel>(k: &K, pts: &PointSet, rows: &[usize], cols: &[usize]) -> Mat {
-    let xr = gather_coords(pts, rows);
-    let xc = gather_coords(pts, cols);
-    let m = rows.len();
-    let n = cols.len();
-    // Gram block G = Xr^T Xc (rank-d update). Pooled: beta = 0 overwrites.
-    let mut g = workspace::take_mat_detached(m, n);
-    gemm(1.0, xr.rb(), Trans::Yes, xc.rb(), Trans::No, 0.0, g.rb_mut());
-    let mut row_norms = workspace::take(m);
-    let mut col_norms = workspace::take(n);
-    for i in 0..m {
-        row_norms[i] = sq_norm(xr.col(i));
-    }
-    for j in 0..n {
-        col_norms[j] = sq_norm(xc.col(j));
-    }
-    // Elementwise kernel transform (the VEXP pass) — batched per column
-    // through eval_parts_many, which vectorizes the exponential for the
-    // Gaussian/Laplacian kernels (the actual VML-VEXP analogue now).
-    for j in 0..n {
-        k.eval_parts_many(g.col_mut(j), &row_norms[..m], &col_norms[j..j + 1]);
-    }
-    workspace::recycle_mat(xr);
-    workspace::recycle_mat(xc);
-    g
-}
-
 /// Two-pass kernel summation: `w = K[rows, cols] * u` (overwrites `w`).
 ///
 /// # Panics
@@ -68,7 +41,7 @@ pub fn sum_reference<K: Kernel>(
 ) {
     assert_eq!(u.len(), cols.len(), "sum_reference: weight length mismatch");
     assert_eq!(w.len(), rows.len(), "sum_reference: output length mismatch");
-    let kb = kernel_block_gemm(k, pts, rows, cols);
+    let kb = eval_block(k, pts, rows, cols);
     kfds_la::blas2::gemv(1.0, kb.rb(), u, 0.0, w);
     workspace::recycle_mat(kb);
 }
@@ -88,41 +61,20 @@ pub fn sum_reference_multi<K: Kernel>(
     assert_eq!(u.nrows(), cols.len(), "sum_reference_multi: U rows mismatch");
     assert_eq!(w.nrows(), rows.len(), "sum_reference_multi: W rows mismatch");
     assert_eq!(u.ncols(), w.ncols(), "sum_reference_multi: RHS count mismatch");
-    let kb = kernel_block_gemm(k, pts, rows, cols);
+    let kb = eval_block(k, pts, rows, cols);
     gemm(1.0, kb.rb(), Trans::No, u, Trans::No, 0.0, w);
     workspace::recycle_mat(kb);
-}
-
-#[inline]
-fn sq_norm(x: &[f64]) -> f64 {
-    kfds_la::blas1::dot(x, x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::eval::eval_block;
     use crate::function::Gaussian;
 
     fn pts(n: usize, d: usize) -> PointSet {
         let data: Vec<f64> =
             (0..n * d).map(|i| ((i * 2654435761) % 1000) as f64 / 500.0 - 1.0).collect();
         PointSet::from_col_major(d, data)
-    }
-
-    #[test]
-    fn gemm_block_matches_direct_eval() {
-        let p = pts(30, 5);
-        let k = Gaussian::new(0.9);
-        let rows: Vec<usize> = (0..7).map(|i| i * 4).collect();
-        let cols: Vec<usize> = (3..19).collect();
-        let a = kernel_block_gemm(&k, &p, &rows, &cols);
-        let b = eval_block(&k, &p, &rows, &cols);
-        for j in 0..cols.len() {
-            for i in 0..rows.len() {
-                assert!((a[(i, j)] - b[(i, j)]).abs() < 1e-13);
-            }
-        }
     }
 
     #[test]
@@ -134,11 +86,10 @@ mod tests {
         let u: Vec<f64> = (0..15).map(|i| (i as f64 * 0.3).cos()).collect();
         let mut w = vec![f64::NAN; 10];
         sum_reference(&k, &p, &rows, &cols, &u, &mut w);
-        let kb = eval_block(&k, &p, &rows, &cols);
-        let mut want = vec![0.0; 10];
-        kfds_la::blas2::gemv(1.0, kb.rb(), &u, 0.0, &mut want);
-        for (a, b) in w.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-12);
+        for (&r, got) in rows.iter().zip(&w) {
+            let want: f64 =
+                cols.iter().zip(&u).map(|(&c, uc)| k.eval(p.point(r), p.point(c)) * uc).sum();
+            assert!((got - want).abs() < 1e-12);
         }
     }
 

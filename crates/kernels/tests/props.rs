@@ -1,8 +1,8 @@
 //! Property-based tests for the kernel functions and summation engines.
 
 use kfds_kernels::{
-    eval_block, kernel_block_gemm, sum_fused, sum_fused_multi, sum_reference, Gaussian, Kernel,
-    Laplacian, Matern32,
+    sum_fused, sum_fused_multi, sum_reference, sum_reference_multi, Gaussian, Kernel, Laplacian,
+    Matern32,
 };
 use kfds_la::workspace;
 use kfds_tree::PointSet;
@@ -233,6 +233,59 @@ fn one_column_multi_is_sum_fused_bitwise() {
     }
 }
 
+/// The two-pass reference against the truth: `sum_reference_multi` against
+/// a pointwise [`Kernel::eval`] loop, on ragged row/column counts (not
+/// multiples of the 8-row tile) and scattered index lists, with `U` and
+/// `W` interior windows of larger matrices (`col_stride > nrows`); nothing
+/// outside the `W` window may be written.
+#[test]
+fn sum_reference_multi_matches_pointwise_eval() {
+    for d in [3usize, 54] {
+        let pts = det_points(120, d, 0x5eed + d as u64);
+        let k = Gaussian::new(0.6 * (d as f64).sqrt());
+        for (m, n) in [(13usize, 29usize), (37, 11)] {
+            let rows: Vec<usize> = (0..m).map(|i| (i * 7 + 3) % 120).collect();
+            let cols: Vec<usize> = (0..n).map(|j| 119 - (j * 5) % 120).collect();
+            for nrhs in [1usize, 5] {
+                let big_u =
+                    kfds_la::Mat::from_fn(n + 4, nrhs + 2, |i, j| ((i * 3 + j * 17) as f64).sin());
+                let u = big_u.submatrix(2..2 + n, 1..1 + nrhs);
+                let mut big_w = kfds_la::Mat::from_fn(m + 5, nrhs + 3, |_, _| f64::NAN);
+                sum_reference_multi(
+                    &k,
+                    &pts,
+                    &rows,
+                    &cols,
+                    u,
+                    big_w.rb_mut().submatrix_mut(3..3 + m, 2..2 + nrhs),
+                );
+                for t in 0..nrhs {
+                    for (i, &r) in rows.iter().enumerate() {
+                        let (mut want, mut scale) = (0.0, 0.0);
+                        for (j, &c) in cols.iter().enumerate() {
+                            let term = k.eval(pts.point(r), pts.point(c)) * big_u[(2 + j, 1 + t)];
+                            want += term;
+                            scale += term.abs();
+                        }
+                        let got = big_w[(3 + i, 2 + t)];
+                        assert!(
+                            (got - want).abs() <= 1e-12 * (1.0 + scale),
+                            "d={d} m={m} n={n} nrhs={nrhs} ({i},{t}): {got} vs {want}"
+                        );
+                    }
+                }
+                for j in 0..nrhs + 3 {
+                    for i in 0..m + 5 {
+                        if !((3..3 + m).contains(&i) && (2..2 + nrhs).contains(&j)) {
+                            assert!(big_w[(i, j)].is_nan(), "wrote outside W at ({i},{j})");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn gsks_coincident_points_no_nan() {
     // Duplicated points make ||x-y||^2 cancel to (possibly slightly
@@ -335,14 +388,6 @@ proptest! {
         sum_fused(&k, &pts, &rows, &cols, &u, &mut w2);
         for (a, b) in w1.iter().zip(&w2) {
             prop_assert!((a - b).abs() < 1e-10 * (1.0 + a.abs()));
-        }
-        // The GEMM-built block matches direct evaluation too.
-        let blk1 = kernel_block_gemm(&k, &pts, &rows, &cols);
-        let blk2 = eval_block(&k, &pts, &rows, &cols);
-        for j in 0..cols.len() {
-            for i in 0..rows.len() {
-                prop_assert!((blk1[(i, j)] - blk2[(i, j)]).abs() < 1e-12);
-            }
         }
     }
 

@@ -20,11 +20,10 @@
 //!   factorizations run, and the reference the blocked path's pivot, rank
 //!   and `R` tests compare against.
 
-use crate::blas1::nrm2;
+use crate::blas1::{axpy, dot, nrm2};
 use crate::blas2::{gemv, gemv_t};
 use crate::gemm::{gemm, Trans};
 use crate::mat::{Mat, MatMut, MatRef};
-use crate::qr::{apply_householder_left, make_householder};
 use crate::workspace;
 
 /// Panel width of the blocked path (LAPACK-style `nb`).
@@ -383,6 +382,44 @@ impl ColPivQr {
     }
 }
 
+/// Computes a Householder reflector for `x` in place.
+///
+/// On return `x\[0\]` holds the resulting `R` diagonal entry (beta) and
+/// `x[1..]` holds the reflector tail `v` (with implicit `v\[0\] = 1`); the
+/// returned `tau` satisfies `H = I - tau * v v^T`, `H x = beta e_1`.
+fn make_householder(x: &mut [f64]) -> f64 {
+    let alpha = x[0];
+    let xnorm = nrm2(&x[1..]);
+    if xnorm == 0.0 {
+        return 0.0; // Already in e_1 direction; H = I.
+    }
+    let beta = -(alpha.signum()) * (alpha * alpha + xnorm * xnorm).sqrt();
+    let tau = (beta - alpha) / beta;
+    let scale = 1.0 / (alpha - beta);
+    for v in &mut x[1..] {
+        *v *= scale;
+    }
+    x[0] = beta;
+    tau
+}
+
+/// Applies `H = I - tau v v^T` (reflector tail `v`, implicit leading 1) to
+/// every column of `a` from the left: `a[:, j] = H a[:, j]`.
+///
+/// `a` must have the same number of rows as `1 + v.len()`.
+fn apply_householder_left(v: &[f64], tau: f64, mut a: MatMut<'_>) {
+    if tau == 0.0 {
+        return;
+    }
+    debug_assert_eq!(a.nrows(), v.len() + 1);
+    for j in 0..a.ncols() {
+        let col = a.col_mut(j);
+        let w = tau * (col[0] + dot(v, &col[1..]));
+        col[0] -= w;
+        axpy(-w, v, &mut col[1..]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,5 +658,21 @@ mod tests {
         let tiny = rand_mat(10, 10, 62);
         let reference = ColPivQr::factor_truncated_unblocked(tiny.clone(), 0.0, usize::MAX);
         assert_eq!(ColPivQr::factor_truncated(tiny, 0.0, usize::MAX).tau(), reference.tau());
+    }
+
+    #[test]
+    fn householder_annihilates() {
+        let mut x = vec![3.0, 4.0, 0.0, 12.0];
+        let orig = x.clone();
+        let norm = nrm2(&x);
+        let tau = make_householder(&mut x);
+        // Applying H to the original vector must give (beta, 0, 0, 0).
+        let v = x[1..].to_vec();
+        let mut m = Mat::from_col_major(4, 1, orig);
+        apply_householder_left(&v, tau, m.rb_mut());
+        assert!((m[(0, 0)].abs() - norm).abs() < 1e-12);
+        for i in 1..4 {
+            assert!(m[(i, 0)].abs() < 1e-12);
+        }
     }
 }

@@ -10,9 +10,9 @@ pub enum LaError {
         /// Elimination step at which the zero pivot appeared.
         step: usize,
     },
-    /// A NaN or an infinity reached elimination step `step`: in the LU
-    /// pivot column, or in the Cholesky pivot. The pivot-ratio monitor
-    /// cannot see one (`max` and `min` drop NaN), so it is an error.
+    /// A NaN or an infinity reached the LU pivot column at elimination
+    /// step `step`. The pivot-ratio monitor cannot see one (`max` and
+    /// `min` drop NaN), so it is an error.
     NonFinite {
         /// Elimination step at which the non-finite value appeared.
         step: usize,

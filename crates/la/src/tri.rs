@@ -12,9 +12,8 @@
 //! `axpy` per column gave it, so a column's bits are the same alone (the
 //! one-vector solves below are the same substitution on an `n × 1` view)
 //! or among any others. Every temporary comes from the GEMM's pooled
-//! packing panels. The `Lᵀ` leaf stays dot-based, one column at a time.
+//! packing panels.
 
-use crate::blas1::dot;
 use crate::gemm::{gemm, Trans};
 use crate::mat::{MatMut, MatRef};
 use crate::simd::{rank1_update, subst_in_registers, Subst};
@@ -85,23 +84,6 @@ fn subst_upper(a: MatRef<'_>, mut b: MatMut<'_>) {
     }
 }
 
-/// Solves `Lᵀ x = b` in place, where `L` is the lower triangle of `a`
-/// (the backward half of a Cholesky solve). Row `i` of `Lᵀ` is column `i`
-/// of `L`, so the substitution is dot-based.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn solve_lower_transpose_inplace(a: MatRef<'_>, b: &mut [f64]) {
-    let n = a.ncols();
-    debug_assert_eq!(a.nrows(), n, "triangular solve needs a square matrix");
-    assert_eq!(b.len(), n, "solve_lower_t: rhs length mismatch");
-    for i in (0..n).rev() {
-        let col = a.col(i);
-        let s = dot(&col[i + 1..], &b[i + 1..]);
-        b[i] = (b[i] - s) / col[i];
-    }
-}
-
 /// Which triangular system a [`trsm`] solves.
 #[derive(Clone, Copy)]
 enum Tri {
@@ -109,16 +91,13 @@ enum Tri {
     Lower { unit: bool },
     /// `U X = B`, `U` the upper triangle.
     Upper,
-    /// `Lᵀ X = B`, `L` the lower triangle.
-    LowerT,
 }
 
-/// The recursive TRSM behind the three `*_mat_inplace` entries (see the
+/// The recursive TRSM behind the two `*_mat_inplace` entries (see the
 /// module docs). `Lower` substitutes forward — the leading block first,
-/// then `B₂ -= A₂₁ X₁`; `Upper` and `LowerT` substitute backward — the
-/// trailing block first, then `B₁ -= A₁₂ X₂`, with `A₁₂ = A₂₁ᵀ` read from
-/// the lower triangle for `LowerT`.
-fn trsm(tri: Tri, a: MatRef<'_>, mut b: MatMut<'_>) {
+/// then `B₂ -= A₂₁ X₁`; `Upper` substitutes backward — the trailing block
+/// first, then `B₁ -= A₁₂ X₂`.
+fn trsm(tri: Tri, a: MatRef<'_>, b: MatMut<'_>) {
     let n = a.ncols();
     debug_assert_eq!(a.nrows(), n, "triangular solve needs a square matrix");
     assert_eq!(n, b.nrows(), "trsm: dimension mismatch");
@@ -126,11 +105,6 @@ fn trsm(tri: Tri, a: MatRef<'_>, mut b: MatMut<'_>) {
         match tri {
             Tri::Lower { unit } => subst_lower(a, unit, b),
             Tri::Upper => subst_upper(a, b),
-            Tri::LowerT => {
-                for j in 0..b.ncols() {
-                    solve_lower_transpose_inplace(a, b.col_mut(j));
-                }
-            }
         }
         return;
     }
@@ -143,13 +117,9 @@ fn trsm(tri: Tri, a: MatRef<'_>, mut b: MatMut<'_>) {
             gemm(-1.0, a.submatrix(h..n, 0..h), Trans::No, b1.rb(), Trans::No, 1.0, b2.rb_mut());
             trsm(tri, a22, b2);
         }
-        Tri::Upper | Tri::LowerT => {
+        Tri::Upper => {
             trsm(tri, a22, b2.rb_mut());
-            let (a12, t) = match tri {
-                Tri::Upper => (a.submatrix(0..h, h..n), Trans::No),
-                _ => (a.submatrix(h..n, 0..h), Trans::Yes),
-            };
-            gemm(-1.0, a12, t, b2.rb(), Trans::No, 1.0, b1.rb_mut());
+            gemm(-1.0, a.submatrix(0..h, h..n), Trans::No, b2.rb(), Trans::No, 1.0, b1.rb_mut());
             trsm(tri, a11, b1);
         }
     }
@@ -171,28 +141,6 @@ pub fn solve_lower_mat_inplace(a: MatRef<'_>, unit_diag: bool, b: MatMut<'_>) {
 /// Panics on dimension mismatch.
 pub fn solve_upper_mat_inplace(a: MatRef<'_>, b: MatMut<'_>) {
     trsm(Tri::Upper, a, b);
-}
-
-/// Solves `Lᵀ X = B` in place for a multi-column right-hand side (TRSM,
-/// transposed lower).
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn solve_lower_transpose_mat_inplace(a: MatRef<'_>, b: MatMut<'_>) {
-    trsm(Tri::LowerT, a, b);
-}
-
-/// Solves `U^T x = b` in place (forward substitution on the upper triangle).
-pub fn solve_upper_transpose_inplace(a: MatRef<'_>, b: &mut [f64]) {
-    let n = a.ncols();
-    assert_eq!(b.len(), n, "solve_upper_t: rhs length mismatch");
-    // U^T is lower triangular with U^T[i,j] = U[j,i]; column j of U holds
-    // row j of U^T contiguously, so use dot-based substitution.
-    for i in 0..n {
-        let col = a.col(i);
-        let s = dot(&col[..i], &b[..i]);
-        b[i] = (b[i] - s) / col[i];
-    }
 }
 
 #[cfg(test)]
@@ -254,19 +202,6 @@ mod tests {
         let mut b = vec![0.0; 6];
         crate::blas2::gemv(1.0, u.rb(), &x_true, 0.0, &mut b);
         solve_upper_inplace(u.rb(), &mut b);
-        for (a, v) in b.iter().zip(&x_true) {
-            assert!((a - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn upper_transpose_solve() {
-        let u = upper(6);
-        let ut = u.transpose();
-        let x_true: Vec<f64> = (0..6).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let mut b = vec![0.0; 6];
-        crate::blas2::gemv(1.0, ut.rb(), &x_true, 0.0, &mut b);
-        solve_upper_transpose_inplace(u.rb(), &mut b);
         for (a, v) in b.iter().zip(&x_true) {
             assert!((a - v).abs() < 1e-12);
         }

@@ -327,110 +327,6 @@ impl Default for RankedCondvar {
     }
 }
 
-/// A reader-writer lock that participates in the lock-rank discipline.
-/// Both read and write acquisitions record the same rank — two reads of
-/// the same rank on one thread are an inversion under the strict order,
-/// which is deliberate (same-thread read reentrancy can still deadlock
-/// against a queued writer).
-pub struct RankedRwLock<T: ?Sized> {
-    rank: LockRank,
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RankedRwLock<T> {
-    /// Creates a lock holding `value` at `rank`.
-    pub const fn new(rank: LockRank, value: T) -> Self {
-        Self { rank, inner: sync::RwLock::new(value) }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-impl<T: ?Sized> RankedRwLock<T> {
-    /// Acquires shared read access under the rank discipline.
-    pub fn read(&self) -> RankedReadGuard<'_, T> {
-        held::acquire(self.rank);
-        let inner = self.inner.read().unwrap_or_else(PoisonError::into_inner);
-        RankedReadGuard { rank: self.rank, inner: Some(inner) }
-    }
-
-    /// Acquires exclusive write access under the rank discipline.
-    pub fn write(&self) -> RankedWriteGuard<'_, T> {
-        held::acquire(self.rank);
-        let inner = self.inner.write().unwrap_or_else(PoisonError::into_inner);
-        RankedWriteGuard { rank: self.rank, inner: Some(inner) }
-    }
-
-    /// The rank this lock was constructed with.
-    pub fn rank(&self) -> LockRank {
-        self.rank
-    }
-}
-
-impl<T: ?Sized> std::fmt::Debug for RankedRwLock<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RankedRwLock").field("rank", &self.rank).finish_non_exhaustive()
-    }
-}
-
-/// Shared guard for [`RankedRwLock`].
-pub struct RankedReadGuard<'a, T: ?Sized> {
-    rank: LockRank,
-    inner: Option<sync::RwLockReadGuard<'a, T>>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RankedReadGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // PANIC-OK: `inner` is only None transiently inside drop().
-        self.inner.as_deref().expect("guard accessed after release")
-    }
-}
-
-impl<T: ?Sized> Drop for RankedReadGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            drop(inner);
-            held::release(self.rank);
-        }
-    }
-}
-
-/// Exclusive guard for [`RankedRwLock`].
-pub struct RankedWriteGuard<'a, T: ?Sized> {
-    rank: LockRank,
-    inner: Option<sync::RwLockWriteGuard<'a, T>>,
-}
-
-impl<T: ?Sized> std::ops::Deref for RankedWriteGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // PANIC-OK: `inner` is only None transiently inside drop().
-        self.inner.as_deref().expect("guard accessed after release")
-    }
-}
-
-impl<T: ?Sized> std::ops::DerefMut for RankedWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // PANIC-OK: same transient-None invariant as Deref.
-        self.inner.as_deref_mut().expect("guard accessed after release")
-    }
-}
-
-impl<T: ?Sized> Drop for RankedWriteGuard<'_, T> {
-    fn drop(&mut self) {
-        if let Some(inner) = self.inner.take() {
-            drop(inner);
-            held::release(self.rank);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,33 +432,6 @@ mod tests {
         assert!(res.timed_out());
         drop(g);
         assert!(held_ranks().is_empty());
-    }
-
-    #[test]
-    fn rwlock_participates_in_the_discipline() {
-        let lk = RankedRwLock::new(LockRank::ServeMetrics, 5u32);
-        {
-            let r = lk.read();
-            assert_eq!(*r, 5);
-            #[cfg(debug_assertions)]
-            assert_eq!(held_ranks(), vec![LockRank::ServeMetrics]);
-        }
-        {
-            let mut w = lk.write();
-            *w = 6;
-        }
-        assert_eq!(lk.into_inner(), 6);
-        assert!(held_ranks().is_empty());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "lock-rank inversion")]
-    fn rwlock_inversion_panics_in_debug() {
-        let hi = RankedRwLock::new(LockRank::RtMailbox, ());
-        let lo = RankedMutex::new(LockRank::ServeQueue, ());
-        let _r = hi.read();
-        let _g = lo.lock();
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! * [`FactorCache`] — single-flight, LRU-evicting cache of owned
 //!   factorization handles ([`kfds_core::SharedFactor`]) keyed by
 //!   [`FactorKey`] `(dataset, n, kernel bandwidth, λ, tree seed)`; failed
-//!   or panicking builds quarantine their key. The two-level service
-//!   ([`SolveService::start_two_level`]) adds a [`SetupCache`] keyed by
-//!   the λ-free [`SetupKey`], so factor keys differing only in λ share
-//!   one tree + skeletonization + kernel-block assembly
+//!   or panicking builds quarantine their key. In front of it the
+//!   service ([`SolveService::start_two_level`]) keeps a [`SetupCache`]
+//!   keyed by the λ-free [`SetupKey`], so factor keys differing only in λ
+//!   share one tree + skeletonization + kernel-block assembly
 //!   ([`kfds_core::SharedSetup`]) and pay only the refactorization.
 //! * [`SolveService`] — bounded request queue + worker threads with
 //!   adaptive micro-batching: same-key requests are coalesced (up to

@@ -192,35 +192,22 @@ struct QueueState {
     open: bool,
 }
 
-/// How factor-cache misses are filled.
-enum BuildMode<K: Kernel + 'static> {
-    /// Legacy single-level service: one builder maps a [`FactorKey`]
-    /// straight to a factorization (tree + skeletonization + assembly +
-    /// factors, all per λ).
-    Single(
-        #[allow(clippy::type_complexity)]
-        Box<dyn Fn(&FactorKey) -> Result<SharedFactor<K>, ServeError> + Send + Sync>,
-    ),
-    /// Two-level service: a λ-free [`SetupKey`] resolves the expensive
-    /// setup ([`SharedSetup`]: tree + skeletonization + assembled kernel
-    /// blocks) through its own single-flight cache, and each λ pays only
-    /// [`SharedFactor::refactorize`]. A factor-level failure quarantines
-    /// the λ key alone; the setup entry keeps serving other λ.
-    TwoLevel {
-        setups: SetupCache<SharedSetup<K>>,
-        #[allow(clippy::type_complexity)]
-        builder: Box<dyn Fn(&SetupKey) -> Result<SharedSetup<K>, ServeError> + Send + Sync>,
-        /// λ-agnostic solver configuration; each key's λ is stamped in.
-        base: SolverConfig,
-    },
-}
-
+/// What the workers share. A factor-cache miss is filled two-level: the
+/// key's λ-free [`SetupKey`] resolves the expensive setup ([`SharedSetup`]:
+/// tree + skeletonization + assembled kernel blocks) through its own
+/// single-flight cache, and each λ pays only [`SharedFactor::refactorize`].
+/// A factor-level failure quarantines the λ key alone; the setup entry
+/// keeps serving other λ.
 struct Shared<K: Kernel + 'static> {
     cfg: ServeConfig,
     queue: RankedMutex<QueueState>,
     cv: RankedCondvar,
     cache: FactorCache<SharedFactor<K>>,
-    mode: BuildMode<K>,
+    setups: SetupCache<SharedSetup<K>>,
+    #[allow(clippy::type_complexity)]
+    builder: Box<dyn Fn(&SetupKey) -> Result<SharedSetup<K>, ServeError> + Send + Sync>,
+    /// λ-agnostic solver configuration; each key's λ is stamped in.
+    base: SolverConfig,
     metrics: Metrics,
     /// Shard router for `sharded(p)` services (`cfg.shards > 1`); `None`
     /// serves single-node.
@@ -228,63 +215,53 @@ struct Shared<K: Kernel + 'static> {
 }
 
 impl<K: Kernel + 'static> Shared<K> {
-    /// `(ready setups, setup builds)` — zeros for a single-level service.
-    fn setup_cache_stats(&self) -> (usize, u64) {
-        match &self.mode {
-            BuildMode::Single(_) => (0, 0),
-            BuildMode::TwoLevel { setups, .. } => (setups.ready_len(), setups.builds()),
-        }
+    /// The stats snapshot at queue depth `depth`.
+    fn snapshot(&self, depth: usize) -> ServeStats {
+        self.metrics.snapshot(
+            depth,
+            self.cache.ready_len(),
+            self.cache.poisoned_len(),
+            self.setups.ready_len(),
+            self.setups.builds(),
+            self.shard.as_ref().map(ShardRouter::stats).unwrap_or_default(),
+        )
     }
 }
 
-/// The batched solve service. Construct with [`SolveService::start`],
-/// submit right-hand sides with [`SolveService::submit`], stop with
-/// [`SolveService::shutdown`].
+/// The batched solve service. Construct with
+/// [`SolveService::start_two_level`], submit right-hand sides with
+/// [`SolveService::submit`], stop with [`SolveService::shutdown`].
 pub struct SolveService<K: Kernel + 'static> {
     shared: Arc<Shared<K>>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl<K: Kernel + 'static> SolveService<K> {
-    /// Starts the worker threads. `builder` maps a [`FactorKey`] to an
-    /// owned factorization — it runs at most once per key (single-flight)
-    /// and its failures quarantine the key.
-    pub fn start(
-        cfg: ServeConfig,
-        builder: impl Fn(&FactorKey) -> Result<SharedFactor<K>, ServeError> + Send + Sync + 'static,
-    ) -> Self {
-        Self::start_with_mode(cfg, BuildMode::Single(Box::new(builder)))
-    }
-
-    /// Starts a two-level service: `setup_builder` maps a λ-free
-    /// [`SetupKey`] to an owned [`SharedSetup`] (tree + skeletonization +
-    /// assembled coupling blocks — built at most once per setup,
-    /// single-flight), and every [`FactorKey`] miss then pays only
+    /// Starts the worker threads of a two-level service: `setup_builder`
+    /// maps a λ-free [`SetupKey`] to an owned [`SharedSetup`] (tree +
+    /// skeletonization + assembled coupling blocks — built at most once per
+    /// setup, single-flight), and every [`FactorKey`] miss then pays only
     /// [`SharedFactor::refactorize`] at `base.with_lambda(key.lambda())`.
-    /// A λ sweep therefore runs the setup builder exactly once.
+    /// A λ sweep therefore runs the setup builder exactly once. A failed
+    /// setup build quarantines the setup; a failed refactorization
+    /// quarantines its λ key alone.
     pub fn start_two_level(
         cfg: ServeConfig,
         base: SolverConfig,
         setup_builder: impl Fn(&SetupKey) -> Result<SharedSetup<K>, ServeError> + Send + Sync + 'static,
     ) -> Self {
-        let setups = SetupCache::new(cfg.cache_capacity, LockRank::SetupCache);
-        Self::start_with_mode(
-            cfg,
-            BuildMode::TwoLevel { setups, builder: Box::new(setup_builder), base },
-        )
-    }
-
-    fn start_with_mode(cfg: ServeConfig, mode: BuildMode<K>) -> Self {
         let shard = (cfg.shards > 1).then(|| ShardRouter::start(cfg.shards));
         let shared = Arc::new(Shared {
             cache: FactorCache::new(cfg.cache_capacity, LockRank::FactorCache),
+            setups: SetupCache::new(cfg.cache_capacity, LockRank::SetupCache),
+            builder: Box::new(setup_builder),
+            base,
             cfg,
             queue: RankedMutex::new(
                 LockRank::ServeQueue,
                 QueueState { deque: VecDeque::new(), open: true },
             ),
             cv: RankedCondvar::new(),
-            mode,
             metrics: Metrics::default(),
             shard,
         });
@@ -353,15 +330,7 @@ impl<K: Kernel + 'static> SolveService<K> {
     /// [`crate::ShardLane`] per shard when the service is sharded).
     pub fn stats(&self) -> ServeStats {
         let depth = self.shared.queue.lock().deque.len();
-        let (setup_entries, setup_builds) = self.shared.setup_cache_stats();
-        self.shared.metrics.snapshot(
-            depth,
-            self.shared.cache.ready_len(),
-            self.shared.cache.poisoned_len(),
-            setup_entries,
-            setup_builds,
-            self.shared.shard.as_ref().map(ShardRouter::stats).unwrap_or_default(),
-        )
+        self.shared.snapshot(depth)
     }
 
     /// How many factorization builders have run (cache diagnostics).
@@ -369,11 +338,10 @@ impl<K: Kernel + 'static> SolveService<K> {
         self.shared.cache.builds()
     }
 
-    /// How many λ-free setup builders have run (always 0 for a
-    /// single-level service). A λ sweep over one dataset/h/seed must
-    /// leave this at 1.
+    /// How many λ-free setup builders have run. A λ sweep over one
+    /// dataset/h/seed must leave this at 1.
     pub fn setup_builds(&self) -> u64 {
-        self.shared.setup_cache_stats().1
+        self.shared.setups.builds()
     }
 
     /// Closes the queue, drains it (pending requests are answered
@@ -397,15 +365,7 @@ impl<K: Kernel + 'static> SolveService<K> {
             req.cell.fulfill(Err(ServeError::ShuttingDown));
         }
         drop(q);
-        let (setup_entries, setup_builds) = self.shared.setup_cache_stats();
-        self.shared.metrics.snapshot(
-            0,
-            self.shared.cache.ready_len(),
-            self.shared.cache.poisoned_len(),
-            setup_entries,
-            setup_builds,
-            self.shared.shard.as_ref().map(ShardRouter::stats).unwrap_or_default(),
-        )
+        self.shared.snapshot(0)
     }
 }
 
@@ -533,24 +493,21 @@ fn dispatch<K: Kernel + 'static>(sh: &Shared<K>, batch: Vec<Request>) {
     }
     let key = live[0].key.clone();
     // Resolve the factorization (single-flight; failures quarantine the λ
-    // key). In two-level mode the λ-free setup resolves through its own
-    // cache *inside* the factor build closure, so a refactorization
-    // failure poisons only this λ — the setup entry keeps serving.
-    // `setup_hit` stays `None` unless this call ran the factor builder.
+    // key). The λ-free setup resolves through its own cache *inside* the
+    // factor build closure, so a refactorization failure poisons only this
+    // λ — the setup entry keeps serving. `setup_hit` stays `None` unless
+    // this call ran the factor builder.
     let mut setup_hit: Option<bool> = None;
-    let built = sh.cache.get_or_build(&key, || match &sh.mode {
-        BuildMode::Single(builder) => builder(&key),
-        BuildMode::TwoLevel { setups, builder, base } => {
-            let skey = SetupKey::from(&key);
-            let (setup, s_hit) =
-                setups.get_or_build(&skey, || builder(&skey)).map_err(|e| match e {
-                    CacheError::BuildFailed(msg) => ServeError::FactorizationFailed(msg),
-                    CacheError::Poisoned(msg) => ServeError::Quarantined(msg),
-                })?;
-            setup_hit = Some(s_hit);
-            SharedFactor::refactorize(&setup, base.with_lambda(key.lambda()))
-                .map_err(|e| ServeError::FactorizationFailed(e.to_string()))
-        }
+    let built = sh.cache.get_or_build(&key, || {
+        let skey = SetupKey::from(&key);
+        let (setup, s_hit) =
+            sh.setups.get_or_build(&skey, || (sh.builder)(&skey)).map_err(|e| match e {
+                CacheError::BuildFailed(msg) => ServeError::FactorizationFailed(msg),
+                CacheError::Poisoned(msg) => ServeError::Quarantined(msg),
+            })?;
+        setup_hit = Some(s_hit);
+        SharedFactor::refactorize(&setup, sh.base.with_lambda(key.lambda()))
+            .map_err(|e| ServeError::FactorizationFailed(e.to_string()))
     });
     let sf = match built {
         Ok((sf, hit)) => {
@@ -560,7 +517,6 @@ fn dispatch<K: Kernel + 'static>(sh: &Shared<K>, batch: Vec<Request>) {
                 m.cache_misses.fetch_add(1, Ordering::Relaxed);
                 match setup_hit {
                     Some(true) => m.setup_hits.fetch_add(1, Ordering::Relaxed),
-                    // Single-level misses count as full builds too.
                     Some(false) | None => m.full_misses.fetch_add(1, Ordering::Relaxed),
                 };
                 // A miss just ran the factorization: keep its per-level

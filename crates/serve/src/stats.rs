@@ -272,7 +272,7 @@ pub struct ServeStats {
     pub cache_hits: u64,
     /// Batch dispatches that had to build (or wait for) a factorization —
     /// the sum of [`ServeStats::setup_hits`] and
-    /// [`ServeStats::full_misses`] under the two-level cache.
+    /// [`ServeStats::full_misses`].
     pub cache_misses: u64,
     /// Factor-level misses whose λ-free setup (tree + skeletonization +
     /// assembled blocks) was cached: only the refactorization ran.
@@ -298,8 +298,7 @@ pub struct ServeStats {
     pub cache_entries: usize,
     /// Quarantined (poisoned) factorization keys.
     pub cache_poisoned: usize,
-    /// Ready λ-free setups resident in the setup cache (0 for a
-    /// single-level service).
+    /// Ready λ-free setups resident in the setup cache.
     pub setup_entries: usize,
     /// Setup builders run over the service lifetime (a λ sweep through
     /// the two-level cache keeps this at 1 per distinct setup).

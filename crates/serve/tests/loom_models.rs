@@ -240,8 +240,9 @@ fn shutdown_never_loses_a_ticket() {
     // ticket hangs `wait()` forever, so the model run itself is the
     // assertion; the match documents the only legal outcomes.
     loom::model(|| {
-        let svc = SolveService::<Gaussian>::start(
+        let svc = SolveService::<Gaussian>::start_two_level(
             ServeConfig::default().with_workers(2).with_cache_capacity(2),
+            kfds_core::SolverConfig::default(),
             |_key| Err(ServeError::FactorizationFailed("model builder always fails".into())),
         );
         let tickets: Vec<_> = (0..4)

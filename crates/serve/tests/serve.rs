@@ -4,7 +4,7 @@
 //! requests must honor their deadlines.
 
 use kfds_askit::{skeletonize, SkelConfig};
-use kfds_core::{LeafFactorization, SharedFactor, SharedSetup, SolverConfig, StorageMode};
+use kfds_core::{SharedFactor, SharedSetup, SolverConfig, StorageMode};
 use kfds_kernels::Gaussian;
 use kfds_serve::{FactorKey, ServeConfig, ServeError, SetupKey, SolveService};
 use kfds_tree::datasets::normal_embedded;
@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn build_factor(key: &FactorKey) -> Result<SharedFactor<Gaussian>, ServeError> {
+fn build_setup(key: &SetupKey) -> Result<SharedSetup<Gaussian>, ServeError> {
     let pts = normal_embedded(key.n, 3, 8, 0.05, key.seed);
     let kernel = Gaussian::new(key.h());
     let tree = BallTree::build(&pts, 64);
@@ -22,10 +22,30 @@ fn build_factor(key: &FactorKey) -> Result<SharedFactor<Gaussian>, ServeError> {
         &kernel,
         SkelConfig::default().with_tol(1e-5).with_max_rank(48).with_neighbors(8).with_max_level(1),
     );
-    let cfg =
-        SolverConfig::default().with_lambda(key.lambda()).with_storage(StorageMode::StoredGemv);
-    SharedFactor::factorize(Arc::new(st), Arc::new(kernel), cfg)
-        .map_err(|e| ServeError::FactorizationFailed(e.to_string()))
+    Ok(SharedSetup::build(Arc::new(st), Arc::new(kernel)))
+}
+
+/// The λ-agnostic solver configuration every service here runs.
+fn base() -> SolverConfig {
+    SolverConfig::default().with_storage(StorageMode::StoredGemv)
+}
+
+/// Starts a two-level service over `setup_builder` with [`base`].
+fn start(
+    cfg: ServeConfig,
+    setup_builder: impl Fn(&SetupKey) -> Result<SharedSetup<Gaussian>, ServeError>
+        + Send
+        + Sync
+        + 'static,
+) -> SolveService<Gaussian> {
+    SolveService::start_two_level(cfg, base(), setup_builder)
+}
+
+/// The out-of-band factor of `key`: what the service's factor builder
+/// answers, built outside it.
+fn reference_factor(key: &FactorKey) -> SharedFactor<Gaussian> {
+    let setup = build_setup(&SetupKey::from(key)).expect("reference setup");
+    SharedFactor::refactorize(&setup, base().with_lambda(key.lambda())).expect("reference factor")
 }
 
 fn rhs(n: usize, seed: usize) -> Vec<f64> {
@@ -37,13 +57,13 @@ fn batched_answers_match_direct_solves() {
     let n = 512;
     let key = FactorKey::new("t-batch", n, 1.0, 0.5, 3);
     // Reference: solve directly against the same factorization.
-    let sf = build_factor(&key).expect("reference factor");
+    let sf = reference_factor(&key);
     let tree_perm = sf.skeleton_tree().tree();
 
     // Coalescing up to 8, and `max_batch = 1`: every request its own batch.
     for max_batch in [8, 1] {
         let cfg = ServeConfig::default().with_workers(2).with_max_batch(max_batch);
-        let svc = SolveService::start(cfg, build_factor);
+        let svc = start(cfg, build_setup);
         let nreq = 24;
         let tickets: Vec<_> =
             (0..nreq).map(|r| svc.submit(key.clone(), rhs(n, r)).expect("submit")).collect();
@@ -73,8 +93,7 @@ fn batched_answers_match_direct_solves() {
 fn non_finite_request_is_rejected_and_its_batch_mates_are_unaffected() {
     let n = 512;
     let key = FactorKey::new("t-nan", n, 1.0, 0.5, 3);
-    let svc =
-        SolveService::start(ServeConfig::default().with_workers(1).with_max_batch(8), build_factor);
+    let svc = start(ServeConfig::default().with_workers(1).with_max_batch(8), build_setup);
     // While the one worker is busy building a factorization (the first
     // request on a key), everything submitted behind it queues up and is
     // drained as one same-key batch.
@@ -122,17 +141,17 @@ fn svc_builds_sanity(stats: &kfds_serve::ServeStats) -> u64 {
 fn flooding_yields_overloaded_while_accepted_requests_complete() {
     let n = 256;
     let key = FactorKey::new("t-flood", n, 1.0, 0.5, 5);
-    let svc = SolveService::start(
+    let svc = start(
         ServeConfig::default()
             .with_workers(1)
             .with_max_batch(4)
             .with_high_water(4)
             .with_linger(Duration::ZERO),
-        |key: &FactorKey| {
+        |key: &SetupKey| {
             // A slow build keeps the single worker busy so the flood below
             // races only the bounded queue, not the solve throughput.
             std::thread::sleep(Duration::from_millis(150));
-            build_factor(key)
+            build_setup(key)
         },
     );
 
@@ -168,15 +187,14 @@ fn failing_key_is_quarantined_and_other_keys_still_serve() {
     let good = FactorKey::new("t-good", n, 1.0, 0.5, 9);
     let bad_builds = Arc::new(AtomicUsize::new(0));
     let bb = Arc::clone(&bad_builds);
-    let svc =
-        SolveService::start(ServeConfig::default().with_workers(2), move |key: &FactorKey| {
-            if key.dataset == "t-bad" {
-                bb.fetch_add(1, Ordering::SeqCst);
-                Err(ServeError::FactorizationFailed("synthetic build failure".into()))
-            } else {
-                build_factor(key)
-            }
-        });
+    let svc = start(ServeConfig::default().with_workers(2), move |key: &SetupKey| {
+        if key.dataset == "t-bad" {
+            bb.fetch_add(1, Ordering::SeqCst);
+            Err(ServeError::FactorizationFailed("synthetic build failure".into()))
+        } else {
+            build_setup(key)
+        }
+    });
 
     // First request on the bad key races the failing build.
     let t = svc.submit(bad.clone(), rhs(n, 0)).expect("submit bad");
@@ -206,13 +224,13 @@ fn queued_request_past_deadline_is_expired_not_solved() {
     let n = 256;
     let slow = FactorKey::new("t-slow", n, 1.0, 0.5, 11);
     let quick = FactorKey::new("t-quick", n, 1.0, 0.5, 13);
-    let svc = SolveService::start(
+    let svc = start(
         ServeConfig::default().with_workers(1).with_linger(Duration::ZERO),
-        |key: &FactorKey| {
+        |key: &SetupKey| {
             if key.dataset == "t-slow" {
                 std::thread::sleep(Duration::from_millis(300));
             }
-            build_factor(key)
+            build_setup(key)
         },
     );
 
@@ -234,26 +252,13 @@ fn queued_request_past_deadline_is_expired_not_solved() {
     assert_eq!(stats.completed, 1);
 }
 
-fn build_setup(key: &SetupKey) -> Result<SharedSetup<Gaussian>, ServeError> {
-    let pts = normal_embedded(key.n, 3, 8, 0.05, key.seed);
-    let kernel = Gaussian::new(key.h());
-    let tree = BallTree::build(&pts, 64);
-    let st = skeletonize(
-        tree,
-        &kernel,
-        SkelConfig::default().with_tol(1e-5).with_max_rank(48).with_neighbors(8).with_max_level(1),
-    );
-    Ok(SharedSetup::build(Arc::new(st), Arc::new(kernel)))
-}
-
 #[test]
 fn lambda_sweep_through_two_level_cache_builds_setup_once() {
     let n = 512;
     let setup_builds = Arc::new(AtomicUsize::new(0));
     let sb = Arc::clone(&setup_builds);
-    let svc = SolveService::start_two_level(
+    let svc = start(
         ServeConfig::default().with_workers(2).with_cache_capacity(8),
-        SolverConfig::default().with_storage(StorageMode::StoredGemv),
         move |key: &SetupKey| {
             sb.fetch_add(1, Ordering::SeqCst);
             build_setup(key)
@@ -267,17 +272,17 @@ fn lambda_sweep_through_two_level_cache_builds_setup_once() {
         lambdas.iter().map(|&l| FactorKey::new("t-sweep", n, 1.0, l, 21)).collect();
     for (r, key) in keys.iter().enumerate() {
         let got = svc.submit(key.clone(), rhs(n, r)).expect("submit").wait().expect("solve");
-        // Bitwise against the legacy single-level build for this key,
+        // Bitwise against an out-of-band refactorization for this key,
         // through the same blocked solve path the service dispatches: the
-        // two-level service must not change a single answered byte.
-        let sf = build_factor(key).expect("reference factor");
+        // caches must not change a single answered byte.
+        let sf = reference_factor(key);
         let tree_perm = sf.skeleton_tree().tree();
         let mut b = kfds_la::Mat::zeros(n, 1);
         b.col_mut(0).copy_from_slice(&tree_perm.permute_vec(&rhs(n, r)));
         sf.solve_block_in_place(&mut b, &kfds_krylov::GmresOptions::default())
             .expect("direct solve");
         let want = tree_perm.unpermute_vec(b.col(0));
-        assert_eq!(got, want, "λ={} must match the single-level answer bitwise", key.lambda());
+        assert_eq!(got, want, "λ={} must match the out-of-band answer bitwise", key.lambda());
     }
 
     let stats = svc.shutdown();
@@ -294,21 +299,15 @@ fn factor_quarantine_does_not_poison_setup() {
     let n = 256;
     let setup_builds = Arc::new(AtomicUsize::new(0));
     let sb = Arc::clone(&setup_builds);
-    // Cholesky leaves reject the indefinite λ = -1e3 shift, so that one λ
-    // fails to refactorize while its siblings succeed.
-    let svc = SolveService::start_two_level(
-        ServeConfig::default().with_workers(2),
-        SolverConfig::default()
-            .with_storage(StorageMode::StoredGemv)
-            .with_leaf(LeafFactorization::Cholesky),
-        move |key: &SetupKey| {
-            sb.fetch_add(1, Ordering::SeqCst);
-            build_setup(key)
-        },
-    );
+    // A NaN λ fails its refactorization (`NonFiniteLambda`) while its
+    // siblings on the same setup succeed.
+    let svc = start(ServeConfig::default().with_workers(2), move |key: &SetupKey| {
+        sb.fetch_add(1, Ordering::SeqCst);
+        build_setup(key)
+    });
 
     let good = FactorKey::new("t-poison", n, 1.0, 0.5, 23);
-    let bad = FactorKey::new("t-poison", n, 1.0, -1e3, 23);
+    let bad = FactorKey::new("t-poison", n, 1.0, f64::NAN, 23);
 
     let x = svc.submit(good.clone(), rhs(n, 0)).expect("submit").wait().expect("good λ solves");
     assert!(x.iter().all(|v| v.is_finite()));
@@ -316,7 +315,7 @@ fn factor_quarantine_does_not_poison_setup() {
     let t = svc.submit(bad.clone(), rhs(n, 1)).expect("submit bad λ");
     assert!(
         matches!(t.wait(), Err(ServeError::FactorizationFailed(_))),
-        "indefinite λ must fail its refactorization"
+        "a NaN λ must fail its refactorization"
     );
     // The λ key is quarantined; a retry fast-fails without a rebuild.
     let t = svc.submit(bad, rhs(n, 2)).expect("resubmit bad λ");
@@ -339,9 +338,9 @@ fn factor_quarantine_does_not_poison_setup() {
 fn shutdown_answers_pending_requests() {
     let n = 256;
     let key = FactorKey::new("t-shutdown", n, 1.0, 0.5, 17);
-    let svc = SolveService::start(ServeConfig::default().with_workers(1), |key: &FactorKey| {
+    let svc = start(ServeConfig::default().with_workers(1), |key: &SetupKey| {
         std::thread::sleep(Duration::from_millis(100));
-        build_factor(key)
+        build_setup(key)
     });
     let t1 = svc.submit(key.clone(), rhs(n, 0)).expect("submit");
     let stats = svc.shutdown();

@@ -4,15 +4,15 @@
 //! every routed batch.
 
 use kfds_askit::{skeletonize, SkelConfig};
-use kfds_core::{SharedFactor, SolverConfig, StorageMode};
+use kfds_core::{SharedSetup, SolverConfig, StorageMode};
 use kfds_kernels::Gaussian;
-use kfds_serve::{FactorKey, ServeConfig, ServeError, SolveService};
+use kfds_serve::{FactorKey, ServeConfig, ServeError, SetupKey, SolveService};
 use kfds_tree::datasets::normal_embedded;
 use kfds_tree::BallTree;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn build_factor(key: &FactorKey) -> Result<SharedFactor<Gaussian>, ServeError> {
+fn build_setup(key: &SetupKey) -> Result<SharedSetup<Gaussian>, ServeError> {
     let pts = normal_embedded(key.n, 3, 8, 0.05, key.seed);
     let kernel = Gaussian::new(key.h());
     let tree = BallTree::build(&pts, 64);
@@ -21,20 +21,20 @@ fn build_factor(key: &FactorKey) -> Result<SharedFactor<Gaussian>, ServeError> {
         &kernel,
         SkelConfig::default().with_tol(1e-5).with_max_rank(48).with_neighbors(8).with_max_level(1),
     );
+    Ok(SharedSetup::build(Arc::new(st), Arc::new(kernel)))
+}
+
+fn start(shards: usize) -> SolveService<Gaussian> {
+    // One worker and zero linger so sequential submit→wait cycles
+    // dispatch deterministically as batches of 1.
     let cfg =
-        SolverConfig::default().with_lambda(key.lambda()).with_storage(StorageMode::StoredGemv);
-    SharedFactor::factorize(Arc::new(st), Arc::new(kernel), cfg)
-        .map_err(|e| ServeError::FactorizationFailed(e.to_string()))
+        ServeConfig::default().with_workers(1).with_shards(shards).with_linger(Duration::ZERO);
+    let base = SolverConfig::default().with_storage(StorageMode::StoredGemv);
+    SolveService::start_two_level(cfg, base, build_setup)
 }
 
 fn rhs(n: usize, seed: usize) -> Vec<f64> {
     (0..n).map(|i| 0.5 + ((i * 13 + seed * 7) % 17) as f64 / 17.0).collect()
-}
-
-fn cfg(shards: usize) -> ServeConfig {
-    // One worker and zero linger so sequential submit→wait cycles
-    // dispatch deterministically as batches of 1.
-    ServeConfig::default().with_workers(1).with_shards(shards).with_linger(Duration::ZERO)
 }
 
 #[test]
@@ -44,7 +44,7 @@ fn sharded_service_answers_bitwise_like_a_single_node_one() {
     let key = FactorKey::new("t-shard", n, 1.0, 0.5, 3);
 
     // Reference: the single-node service, which starts no router.
-    let svc = SolveService::start(cfg(1), build_factor);
+    let svc = start(1);
     let reference: Vec<Vec<f64>> = (0..nreq)
         .map(|r| svc.submit(key.clone(), rhs(n, r)).expect("submit").wait().expect("solve"))
         .collect();
@@ -55,7 +55,7 @@ fn sharded_service_answers_bitwise_like_a_single_node_one() {
 
     // Sharded services at p = 2 and p = 4 must reproduce every byte.
     for p in [2usize, 4] {
-        let svc = SolveService::start(cfg(p), build_factor);
+        let svc = start(p);
         for (r, want) in reference.iter().enumerate() {
             let got =
                 svc.submit(key.clone(), rhs(n, r)).expect("submit").wait().expect("routed solve");

@@ -40,11 +40,11 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`la`] | dense linear algebra: GEMM, LU, QR, RRQR, interpolative decomposition |
+//! | [`la`] | dense linear algebra: GEMM, LU, RRQR, interpolative decomposition |
 //! | [`tree`] | point sets, ball tree, kNN, synthetic datasets |
 //! | [`kernels`] | kernel functions + stored/two-pass/fused (GSKS) summation |
 //! | [`askit`] | skeletonization (Algorithm II.1) and the treecode matvec |
-//! | [`krylov`] | GMRES (MGS + re-orthogonalization) and CG |
+//! | [`krylov`] | GMRES (MGS + re-orthogonalization) |
 //! | [`rt`] | simulated MPI (thread ranks, communicators, collectives) |
 //! | [`solver`] | factorization (II.2), solve (II.3), hybrid (II.6–8), distributed (II.4–5), ridge regression |
 //! | [`serve`] | batched solve service: factorization cache + adaptive multi-RHS coalescing |
@@ -70,11 +70,10 @@ pub mod prelude {
     pub use kfds_core::{
         dist_factorize, estimate_condition, estimate_sigma1, factorize, factorize_baseline,
         DistSolver, FactorStats, FactorTree, HybridOutcome, HybridSolver, KernelRidge,
-        LeafFactorization, ReducedOperator, ReducedReport, SolverConfig, SolverError, StorageMode,
-        WStorage,
+        ReducedOperator, ReducedReport, SolverConfig, SolverError, StorageMode, WStorage,
     };
     pub use kfds_kernels::{Gaussian, Kernel, Laplacian, Matern32, Polynomial};
-    pub use kfds_krylov::{cg, gmres, CgOptions, GmresOptions, LinOp};
+    pub use kfds_krylov::{gmres, GmresOptions, LinOp};
     pub use kfds_tree::datasets;
     pub use kfds_tree::{BallTree, PointSet};
 }
