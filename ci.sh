@@ -56,17 +56,18 @@ nightly_has() {
 step "host vector bodies"
 # Which kernel bodies the default lanes exercise here, and so which golden
 # table the default digest lane binds (crates/core/src/digests.rs): the
-# AVX-512 bodies, the packed GEMM's 16 x 12 tile among them, run only on
-# an AVX-512F host, so a green log should say whether they ran.
+# AVX-512 bodies, the packed GEMM's and the GSKS run contraction's 16 x 12
+# tiles among them, run only on an AVX-512F host, so a green log should say
+# whether they ran.
 flags="$(grep -m1 -E '^flags' /proc/cpuinfo 2>/dev/null || true)"
 has() { grep -qw "$1" <<<"$flags"; }
 if [[ -z $flags ]]; then
   echo "no /proc/cpuinfo: vector bodies and golden table unknown on this host"
 elif has avx512f && has avx2 && has fma; then
-  echo "AVX-512F + AVX2 + FMA: the AVX-512 bodies run (16 x 12 GEMM tile included);"
+  echo "AVX-512F + AVX2 + FMA: the AVX-512 bodies run (16 x 12 GEMM and GSKS contraction tiles included);"
   echo "the default digest lane binds GOLDEN_AVX512"
 elif has avx2 && has fma; then
-  echo "AVX2 + FMA only: the AVX-512 bodies do not run (no 16 x 12 GEMM tile);"
+  echo "AVX2 + FMA only: the AVX-512 bodies do not run (no 16 x 12 GEMM or GSKS contraction tile);"
   echo "the default digest lane binds no table (run-to-run equality only)"
 else
   echo "no AVX2 + FMA: scalar bodies only;"
@@ -141,12 +142,15 @@ KFDS_SIMD=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=scalar KFDS_REFACT
   KFDS_SERVE_BATCH=off KFDS_SHARD=off KFDS_BATCH=off \
   cargo test -q -p kfds-core --lib digests
 
-step "cargo test (kfds-core digests, RAYON_NUM_THREADS=1 — the tables on one thread)"
+step "cargo test (kfds-core and kfds-kernels digests, RAYON_NUM_THREADS=1 — the tables on one thread)"
 # The other lanes run the pool at the host's width; the tables claim the
 # same rows on one thread. Every level's par_iter and every
 # row-split GEMM then runs serially, so a kernel whose bits depended on
-# the split would show here.
+# the split would show here. The GSKS engine's own table too: its band
+# split, and so which row groups share a run contraction, follows the
+# thread count.
 RAYON_NUM_THREADS=1 cargo test -q -p kfds-core --lib digests
+RAYON_NUM_THREADS=1 cargo test -q -p kfds-kernels --test digests
 
 if [[ $miri -eq 1 ]]; then
   step "miri lane (kfds-la deterministic suite under the interpreter)"

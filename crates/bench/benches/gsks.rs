@@ -6,17 +6,28 @@
 //! * `solver_shapes` — the shapes the solver itself hands the engine: a
 //!   64-point skeleton (a scattered index list) against a sibling node's
 //!   contiguous range of 128, 1024 or 8192 points, with one weight column
-//!   (a solve level's `V` product) or 64 (the factorization's
-//!   `B = K P̂`). Each is timed fused and two-pass, so the table answers
+//!   (a solve level's `V` product), 2, 4 or 8 (small solve blocks) or 64
+//!   (the factorization's `B = K P̂`); and the hybrid's assembly of
+//!   `I + VW`: 128 targets against 1024 sources at d = 54 with 128 weight
+//!   columns. Each is timed fused and two-pass, so the table answers
 //!   whether the fused engine beats the reference at every solver shape.
+//! * `contract_shapes` — on one thread, the fused multi-RHS call
+//!   (`fused/…`) next to a `gemm` of the same block materialised
+//!   (`gemm/…`: `W = K U`, `2 m n nrhs` flops, the contraction's count).
+//!   The fused call also forms the block (its Gram tiles and kernel
+//!   transform), so the two rows bound how far its contraction is from
+//!   GEMM speed.
 //!
 //! ```text
 //! cargo bench -p kfds-bench --bench gsks -- solver_shapes
+//! cargo bench -p kfds-bench --bench gsks -- contract_shapes
 //! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use kfds_kernels::{sum_fused, sum_fused_multi, sum_reference, sum_reference_multi, Gaussian};
-use kfds_la::Mat;
+use kfds_kernels::{
+    eval_block, sum_fused, sum_fused_multi, sum_reference, sum_reference_multi, Gaussian,
+};
+use kfds_la::{gemm, Mat, Trans};
 use kfds_tree::datasets::uniform_cube;
 use std::hint::black_box;
 
@@ -50,42 +61,83 @@ fn bench_summation(c: &mut Criterion) {
 /// Skeleton size: the rank `normal64d_direct` factors at.
 const SKELETON: usize = 64;
 
+/// The hybrid's assembly of `I + VW`: `(d, targets, sources, nrhs)`.
+const ASSEMBLY: (usize, usize, usize, usize) = (54, 128, 1024, 128);
+
+/// One summation shape: `rows` spread over the sibling `[0, n)`, as a
+/// skeleton list is, against the node range `[n, 2n)`.
+fn shape(d: usize, m: usize, n: usize) -> (kfds_tree::PointSet, Vec<usize>, Vec<usize>) {
+    let pts = uniform_cube(2 * n, d, (d * n) as u64);
+    let rows: Vec<usize> = (0..m).map(|i| i * n / m).collect();
+    (pts, rows, (n..2 * n).collect())
+}
+
 fn bench_solver_shapes(c: &mut Criterion) {
     let mut group = c.benchmark_group("solver_shapes");
     group.sample_size(10);
+    let mut shapes = Vec::new();
     for d in [16usize, 54, 64] {
-        let kernel = Gaussian::new((d as f64).sqrt());
         for n in [128usize, 1024, 8192] {
-            // Sources: the node range [n, 2n). Targets: 64 points spread
-            // over the sibling [0, n), as a skeleton list is.
-            let pts = uniform_cube(2 * n, d, (d * n) as u64);
-            let rows: Vec<usize> = (0..SKELETON).map(|i| i * n / SKELETON).collect();
-            let cols: Vec<usize> = (n..2 * n).collect();
-            for nrhs in [1usize, 64] {
-                let u = Mat::from_fn(n, nrhs, |i, j| ((i * 3 + j) as f64 * 0.37).sin());
-                let mut w = Mat::zeros(SKELETON, nrhs);
-                let shape = format!("d{d}/n{n}/rhs{nrhs}");
-                group.bench_with_input(BenchmarkId::new("gsks_fused", &shape), &n, |b, _| {
-                    b.iter(|| {
-                        sum_fused_multi(&kernel, &pts, &rows, &cols, u.rb(), w.rb_mut());
-                        black_box(w[(0, 0)])
-                    })
-                });
-                group.bench_with_input(
-                    BenchmarkId::new("reference_two_pass", &shape),
-                    &n,
-                    |b, _| {
-                        b.iter(|| {
-                            sum_reference_multi(&kernel, &pts, &rows, &cols, u.rb(), w.rb_mut());
-                            black_box(w[(0, 0)])
-                        })
-                    },
-                );
-            }
+            shapes.extend([1usize, 2, 4, 8, 64].map(|nrhs| (d, SKELETON, n, nrhs)));
         }
+    }
+    shapes.push(ASSEMBLY);
+    for (d, m, n, nrhs) in shapes {
+        let kernel = Gaussian::new((d as f64).sqrt());
+        let (pts, rows, cols) = shape(d, m, n);
+        let u = Mat::from_fn(n, nrhs, |i, j| ((i * 3 + j) as f64 * 0.37).sin());
+        let mut w = Mat::zeros(m, nrhs);
+        let id = if m == SKELETON {
+            format!("d{d}/n{n}/rhs{nrhs}")
+        } else {
+            format!("d{d}/m{m}/n{n}/rhs{nrhs}")
+        };
+        group.bench_with_input(BenchmarkId::new("gsks_fused", &id), &n, |b, _| {
+            b.iter(|| {
+                sum_fused_multi(&kernel, &pts, &rows, &cols, u.rb(), w.rb_mut());
+                black_box(w[(0, 0)])
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("reference_two_pass", &id), &n, |b, _| {
+            b.iter(|| {
+                sum_reference_multi(&kernel, &pts, &rows, &cols, u.rb(), w.rb_mut());
+                black_box(w[(0, 0)])
+            })
+        });
     }
     group.finish();
 }
 
-criterion_group!(benches, bench_summation, bench_solver_shapes);
+fn bench_contract_shapes(c: &mut Criterion) {
+    let serial = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
+    let mut group = c.benchmark_group("contract_shapes");
+    group.sample_size(20);
+    for (d, m, n, nrhs) in
+        [ASSEMBLY, (54, SKELETON, 1024, 64), (64, SKELETON, 1024, 64), (54, SKELETON, 1024, 16)]
+    {
+        let kernel = Gaussian::new((d as f64).sqrt());
+        let (pts, rows, cols) = shape(d, m, n);
+        let u = Mat::from_fn(n, nrhs, |i, j| ((i * 3 + j) as f64 * 0.37).sin());
+        let block = eval_block(&kernel, &pts, &rows, &cols);
+        let mut w = Mat::zeros(m, nrhs);
+        let id = format!("d{d}/m{m}/n{n}/rhs{nrhs}");
+        group.bench_with_input(BenchmarkId::new("fused", &id), &n, |b, _| {
+            b.iter(|| {
+                serial.install(|| sum_fused_multi(&kernel, &pts, &rows, &cols, u.rb(), w.rb_mut()));
+                black_box(w[(0, 0)])
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("gemm", &id), &n, |b, _| {
+            b.iter(|| {
+                serial.install(|| {
+                    gemm(1.0, block.rb(), Trans::No, u.rb(), Trans::No, 0.0, w.rb_mut())
+                });
+                black_box(w[(0, 0)])
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_summation, bench_solver_shapes, bench_contract_shapes);
 criterion_main!(benches);

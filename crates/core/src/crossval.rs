@@ -55,6 +55,11 @@ pub struct LambdaSweepEntry {
 /// λ values whose factorization fails outright are reported with
 /// `residual = NaN`, `unstable = true`, and `failed = true` rather than
 /// aborting the sweep.
+///
+/// # Errors
+/// [`SolverError::RhsShape`] if `y` is not one value per point, or the
+/// validation labels not one per validation point; nothing is assembled
+/// or factorized then.
 pub fn lambda_sweep<K: Kernel>(
     st: &SkeletonTree,
     kernel: &K,
@@ -62,9 +67,11 @@ pub fn lambda_sweep<K: Kernel>(
     lambdas: &[f64],
     y: &[f64],
     validation: Option<(&PointSet, &[f64])>,
-) -> Vec<LambdaSweepEntry> {
-    let n = st.tree().points().len();
-    assert_eq!(y.len(), n, "label length mismatch");
+) -> Result<Vec<LambdaSweepEntry>, SolverError> {
+    check_rhs_rows(st.tree().points().len(), y.len())?;
+    if let Some((vp, vl)) = validation {
+        check_rhs_rows(vp.len(), vl.len())?;
+    }
     // One assembly amortized across the whole λ grid.
     let blocks = Arc::new(assemble_blocks(st, kernel));
     let mut out = Vec::with_capacity(lambdas.len());
@@ -85,7 +92,7 @@ pub fn lambda_sweep<K: Kernel>(
             }),
         }
     }
-    out
+    Ok(out)
 }
 
 /// Solves + scores one completed factorization of the sweep.
@@ -140,10 +147,9 @@ impl<K: Kernel + Clone> KernelRidgeMulti<K> {
     ///
     /// # Errors
     /// [`SolverError::RhsShape`] on a label/point count mismatch;
+    /// [`SolverError::LabelOutOfRange`] for the first label that is not
+    /// below `n_classes` (both before any tree is built);
     /// factorization/solve failures.
-    ///
-    /// # Panics
-    /// Panics on out-of-range labels.
     pub fn train(
         points: &PointSet,
         labels: &[usize],
@@ -154,7 +160,9 @@ impl<K: Kernel + Clone> KernelRidgeMulti<K> {
         solver: SolverConfig,
     ) -> Result<Self, SolverError> {
         check_rhs_rows(points.len(), labels.len())?;
-        assert!(labels.iter().all(|&c| c < n_classes), "label out of range");
+        if let Some((index, &label)) = labels.iter().enumerate().find(|(_, &c)| c >= n_classes) {
+            return Err(SolverError::LabelOutOfRange { index, label, n_classes });
+        }
         let tree = kfds_tree::BallTree::build(points, m);
         let st = Box::new(kfds_askit::skeletonize(tree, &kernel, skel));
         let ft = factorize(&st, &kernel, solver)?;
@@ -208,6 +216,13 @@ impl<K: Kernel + Clone> KernelRidgeMulti<K> {
 /// built once and shared across the whole `(h, λ)` grid; each `λ` then
 /// shares its `h`'s skeletonization (and, with refactorization active,
 /// its assembled kernel blocks) through [`lambda_sweep`].
+///
+/// Returns `Ok(None)` when no stable configuration was found.
+///
+/// # Errors
+/// [`SolverError::RhsShape`] if `y_train` is not one label per training
+/// point or `y_valid` one per validation point (checked before anything
+/// is built).
 #[allow(clippy::too_many_arguments)]
 pub fn grid_search_gaussian(
     train: &PointSet,
@@ -218,7 +233,9 @@ pub fn grid_search_gaussian(
     lambdas: &[f64],
     m: usize,
     skel: kfds_askit::SkelConfig,
-) -> Option<(f64, f64, f64)> {
+) -> Result<Option<(f64, f64, f64)>, SolverError> {
+    check_rhs_rows(train.len(), y_train.len())?;
+    check_rhs_rows(valid.len(), y_valid.len())?;
     let mut best: Option<(f64, f64, f64)> = None;
     let tree = kfds_tree::BallTree::build(train, m);
     let nn = kfds_askit::compute_neighbors(&tree, &skel);
@@ -233,7 +250,7 @@ pub fn grid_search_gaussian(
             lambdas,
             &y_perm,
             Some((valid, y_valid)),
-        );
+        )?;
         for e in entries {
             let acc = e.accuracy.unwrap_or(0.0);
             if !e.unstable && best.map(|(_, _, a)| acc > a).unwrap_or(true) {
@@ -241,5 +258,5 @@ pub fn grid_search_gaussian(
             }
         }
     }
-    best
+    Ok(best)
 }

@@ -55,6 +55,15 @@ pub enum SolverError {
         /// Rows (or vector length) the caller passed.
         got: usize,
     },
+    /// A class label that is not below the class count.
+    LabelOutOfRange {
+        /// Position of the label in the caller's label vector.
+        index: usize,
+        /// The label itself.
+        label: usize,
+        /// Classes the caller declared (labels must be `0..n_classes`).
+        n_classes: usize,
+    },
 }
 
 impl fmt::Display for SolverError {
@@ -83,6 +92,9 @@ impl fmt::Display for SolverError {
             }
             SolverError::RhsShape { expected, got } => {
                 write!(f, "right-hand side has {got} rows, the factorization has {expected}")
+            }
+            SolverError::LabelOutOfRange { index, label, n_classes } => {
+                write!(f, "label {label} at index {index} is not below the class count {n_classes}")
             }
         }
     }

@@ -417,7 +417,8 @@ fn lambda_sweep_shares_skeletons() {
         &[10.0, 0.1, 1e-3],
         &y_perm,
         Some((&valid, &labels[400..])),
-    );
+    )
+    .expect("one label per point");
     assert_eq!(entries.len(), 3);
     for e in &entries {
         if !e.unstable {
@@ -488,6 +489,64 @@ fn wrong_label_count_is_a_typed_error() {
     assert!(short(gp.as_ref().err()), "GaussianProcess::fit");
     let gp = crate::gp::GaussianProcess::fit_best_noise(&st, &kernel, &[0.1], &labels[..199]);
     assert!(short(gp.as_ref().err()), "GaussianProcess::fit_best_noise");
+}
+
+#[test]
+fn cross_validation_wrong_label_count_is_a_typed_error() {
+    // n − 1 training labels, or n − 1 validation labels, through the λ
+    // sweep and the grid search: `RhsShape`, not a panic.
+    let (pts, labels) = two_class_annulus(250, 3, 13);
+    let train = pts.select(&(0..200).collect::<Vec<_>>());
+    let valid = pts.select(&(200..250).collect::<Vec<_>>());
+    let kernel = Gaussian::new(0.5);
+    let skel = SkelConfig::default().with_tol(1e-5).with_max_rank(64).with_neighbors(8);
+    let st = skeletonize(BallTree::build(&train, 32), &kernel, skel.clone());
+    let shape = |got: Option<&crate::SolverError>, expected: usize| match got {
+        Some(&crate::SolverError::RhsShape { expected: e, got: g }) => (e, g + 1) == (expected, e),
+        _ => false,
+    };
+    let y = st.tree().permute_vec(&labels[..200]);
+    let cfg = SolverConfig::default();
+    let sweep = crate::lambda_sweep(&st, &kernel, cfg, &[0.1], &y[..199], None);
+    assert!(shape(sweep.as_ref().err(), 200), "lambda_sweep, y");
+    let validation = Some((&valid, &labels[200..249]));
+    let sweep = crate::lambda_sweep(&st, &kernel, cfg, &[0.1], &y, validation);
+    assert!(shape(sweep.as_ref().err(), 50), "lambda_sweep, validation labels");
+    let (hs, lambdas) = ([0.5], [0.1]);
+    let grid = |y_train: &[f64], y_valid: &[f64]| {
+        crate::grid_search_gaussian(
+            &train,
+            y_train,
+            &valid,
+            y_valid,
+            &hs,
+            &lambdas,
+            32,
+            skel.clone(),
+        )
+    };
+    assert!(shape(grid(&labels[..199], &labels[200..]).as_ref().err(), 200), "grid, y_train");
+    assert!(shape(grid(&labels[..200], &labels[200..249]).as_ref().err(), 50), "grid, y_valid");
+}
+
+#[test]
+fn out_of_range_class_label_is_a_typed_error() {
+    // A label equal to the class count names itself, its index and the
+    // count.
+    let (pts, labels) = two_class_annulus(200, 3, 9);
+    let mut classes: Vec<usize> = labels.iter().map(|&l| usize::from(l > 0.0)).collect();
+    classes[17] = 2;
+    let skel = SkelConfig::default().with_tol(1e-5).with_max_rank(64).with_neighbors(8);
+    let cfg = SolverConfig::default().with_lambda(0.1);
+    let got = crate::KernelRidgeMulti::train(&pts, &classes, 2, Gaussian::new(0.5), 32, skel, cfg);
+    assert!(
+        matches!(
+            got.as_ref().err(),
+            Some(crate::SolverError::LabelOutOfRange { index: 17, label: 2, n_classes: 2 })
+        ),
+        "got {:?}",
+        got.err()
+    );
 }
 
 #[test]
@@ -1042,7 +1101,8 @@ mod refactor {
         let base = SolverConfig::default();
         let lambdas = [10.0, 0.1, f64::NAN, 1e-3];
         let validation = Some((&valid, &labels[320..]));
-        let sweep = crate::lambda_sweep(&st, &kernel, base, &lambdas, &y_perm, validation);
+        let sweep = crate::lambda_sweep(&st, &kernel, base, &lambdas, &y_perm, validation)
+            .expect("one label per point");
         assert_eq!(sweep.len(), lambdas.len());
         for (a, &lambda) in sweep.iter().zip(&lambdas) {
             assert_eq!(a.lambda.to_bits(), lambda.to_bits());
@@ -1098,7 +1158,8 @@ mod refactor {
             &lambdas,
             32,
             skel.clone(),
-        );
+        )
+        .expect("one label per point");
         // Reference: the pre-hoist loop shape.
         let mut want: Option<(f64, f64, f64)> = None;
         for &h in &hs {
@@ -1113,7 +1174,8 @@ mod refactor {
                 &lambdas,
                 &y_perm,
                 Some((&valid, &labels[320..])),
-            );
+            )
+            .expect("one label per point");
             for e in entries {
                 let acc = e.accuracy.unwrap_or(0.0);
                 if !e.unstable && want.map(|(_, _, a)| acc > a).unwrap_or(true) {

@@ -25,8 +25,13 @@
 //! * [`kfds_la::simd::gsks_gram`] forms the tile, [`Kernel::eval_parts_many`]
 //!   transforms it, and one of two epilogues consumes it. One weight
 //!   column goes through [`kfds_la::simd::gsks_dot`] into eight lane
-//!   accumulators. Several go through [`kfds_la::simd::gsks_contract`],
-//!   which reads `U` and accumulates into `W`, both column-major, in place.
+//!   accumulators, tile by tile. With several, a band first forms every
+//!   row group's tiles against one source block into a pooled buffer (a
+//!   *run*: row group `g`'s tiles one `8 x 8·tiles` column-major block),
+//!   then [`kfds_la::simd::gsks_contract_run`] contracts each pair of row
+//!   groups against the block's rows of `U`, holding that pair's `W` in
+//!   registers across the whole run. `U` is read and `W` accumulated,
+//!   both column-major, in place.
 //!
 //! # Arithmetic
 //!
@@ -44,13 +49,17 @@
 //! * one weight column: groups of four columns, each summed from `0`
 //!   (`s += k·u`), then `acc += s`;
 //! * several: a full 8-row group under the vector bodies is one FMA chain
-//!   per element over the columns; a partial row group, or the scalar
-//!   body, sums groups of four from `0` and adds each to `W`.
+//!   per element from `W = 0` over the columns in ascending order, carried
+//!   in registers through a run and in `W` from one run to the next; a
+//!   partial row group, or the scalar body, sums groups of four from `0`
+//!   and adds each to `W`. Which row groups pair up in a run call (it
+//!   depends on the band split, so on the thread count) moves no bit.
 //!
 //! Only [`kfds_la::simd::gsks_dot`] (every body) and the full-row vector
 //! contraction complete a last group of four with zero-weight columns: the
 //! padded tail makes them kernel values at the origin, finite for finite
-//! targets, so they add only signed zeros. A partial row group and the
+//! targets, so they add only signed zeros. Only the sweep's last tile can
+//! be partial, so only the last run pads. A partial row group and the
 //! scalar contraction sum only the live columns of the last group. The
 //! golden digests in `tests/digests.rs` pin all of this.
 
@@ -180,7 +189,8 @@ where
 
 /// `W = K[rows, cols] U` through the one tile layout (the engine under
 /// both public entry points): one weight column takes the `gsks_dot`
-/// epilogue, several the `gsks_contract` one.
+/// epilogue tile by tile, several one `gsks_contract_run` per pair of row
+/// groups and source block.
 ///
 /// The rows go in parallel bands of up to [`BAND`] row groups, and each
 /// band sweeps the sources block by block, every row group of the band
@@ -216,29 +226,42 @@ fn sum_tiles<K: Kernel>(
         {
             pack_targets(pts, idx, x, n);
         }
-        let mut acc = [[0.0f64; MR]; BAND];
-        if nrhs > 1 {
-            wb.fill(0.0);
-        }
-        let mut tile = [0.0f64; MR * MR];
-        for s0 in (0..src.groups()).step_by(block) {
-            for (b, (x, n)) in xg.chunks(MR * d).zip(&rn).enumerate() {
-                for sg in s0..src.groups().min(s0 + block) {
-                    simd::gsks_gram(x, src.group(sg), d, &mut tile);
-                    k.eval_parts_many(&mut tile, &norms[sg * MR..(sg + 1) * MR], n);
-                    let live = sg * MR..cols.len().min((sg + 1) * MR);
-                    if nrhs == 1 {
-                        simd::gsks_dot(&tile, &u.col(0)[live], &mut acc[b]);
-                    } else {
-                        let wg = wb.rb_mut().submatrix_mut(b * MR..m.min((b + 1) * MR), 0..nrhs);
-                        simd::gsks_contract(&tile, u.submatrix(live, 0..nrhs), wg);
+        if nrhs == 1 {
+            let mut acc = [[0.0f64; MR]; BAND];
+            let mut tile = [0.0f64; MR * MR];
+            for s0 in (0..src.groups()).step_by(block) {
+                for (x, (n, a)) in xg.chunks(MR * d).zip(rn.iter().zip(&mut acc)) {
+                    for sg in s0..src.groups().min(s0 + block) {
+                        simd::gsks_gram(x, src.group(sg), d, &mut tile);
+                        k.eval_parts_many(&mut tile, &norms[sg * MR..(sg + 1) * MR], n);
+                        let live = sg * MR..cols.len().min((sg + 1) * MR);
+                        simd::gsks_dot(&tile, &u.col(0)[live], a);
                     }
                 }
             }
-        }
-        if nrhs == 1 {
             for (wr, a) in wb.col_mut(0).chunks_mut(MR).zip(&acc) {
                 wr.copy_from_slice(&a[..wr.len()]);
+            }
+            return;
+        }
+        // Several weight columns: every row group's tiles against one
+        // source block, then one run contraction per pair of row groups.
+        wb.fill(0.0);
+        let mut tiles = workspace::take(m.div_ceil(MR) * block.min(src.groups()) * MR * MR);
+        for s0 in (0..src.groups()).step_by(block) {
+            let run = src.groups().min(s0 + block) - s0;
+            let span = run * MR * MR;
+            for (x, (n, kg)) in xg.chunks(MR * d).zip(rn.iter().zip(tiles.chunks_exact_mut(span))) {
+                for (sg, tile) in (s0..s0 + run).zip(kg.chunks_exact_mut(MR * MR)) {
+                    let tile: &mut [f64; MR * MR] = tile.try_into().expect("one tile");
+                    simd::gsks_gram(x, src.group(sg), d, tile);
+                    k.eval_parts_many(tile, &norms[sg * MR..(sg + 1) * MR], n);
+                }
+            }
+            let live = s0 * MR..cols.len().min((s0 + run) * MR);
+            for (p, kp) in tiles.chunks(2 * span).enumerate().take(m.div_ceil(2 * MR)) {
+                let pair = wb.rb_mut().submatrix_mut(2 * p * MR..m.min(2 * (p + 1) * MR), 0..nrhs);
+                simd::gsks_contract_run(kp, u.submatrix(live.clone(), 0..nrhs), pair);
             }
         }
     });

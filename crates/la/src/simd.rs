@@ -15,8 +15,10 @@
 //! * the three kernels of the GSKS engine's one tile layout, 8 target rows
 //!   in the vector lanes: the `8 x 8` Gram tile ([`gsks_gram`]) against
 //!   sources read point-major where they lie, the one-weight epilogue
-//!   ([`gsks_dot`]) and the multi-RHS contraction that reads `U` and
-//!   accumulates into `W` in place ([`gsks_contract`]);
+//!   ([`gsks_dot`]) and the multi-RHS contraction of a whole run of tiles
+//!   ([`gsks_contract_run`]), which reads `U` and accumulates into `W` in
+//!   place, holding a `16 x 12` block of `W` in `zmm` registers (`8 x 6`
+//!   in `ymm` under AVX2) across every tile of the run;
 //! * a fused distance filter ([`dist_filter`]) for the neighbor searches:
 //!   the same rank-`d` tile with the norms identity and a threshold
 //!   compare in registers, one mask word out per 8 queries x candidate;
@@ -40,8 +42,8 @@
 //!   on other targets the portable scalar paths are the implementation
 //!   (no unconditional `std::arch::x86_64` imports anywhere);
 //! * where a kernel has an AVX-512 body (the packed GEMM's `16 x 12` tile,
-//!   the skinny GEMM, the distance filter, the GSKS Gram tile and
-//!   contraction, [`vexp`]),
+//!   the skinny GEMM, the distance filter, the GSKS Gram tile and the
+//!   run contraction's `16 x 12` tile, [`vexp`]),
 //!   [`avx512_supported`] selects it over the AVX2 one; the two give the
 //!   same bits wherever their tests say so. [`gsks_dot`] and
 //!   [`rank1_update`] have none: an 8-wide body timed no faster end to
@@ -81,7 +83,8 @@ pub const GEMM_SKINNY_N: usize = 16;
 pub const GSKS_MR: usize = 8;
 /// Source columns per partial sum of the GSKS epilogues: a tile's columns
 /// are summed in groups of this many from its first (see [`gsks_dot`] and
-/// [`gsks_contract`] for which bodies pad a last group with zero weights).
+/// [`gsks_contract_run`] for which bodies pad a last group with zero
+/// weights).
 const GSKS_SUM: usize = 4;
 /// Rows of one packed query group of [`dist_filter`]: one mask per group
 /// and candidate, one bit per row.
@@ -292,61 +295,85 @@ fn gsks_dot_scalar(k: &[f64; GSKS_MR * GSKS_MR], u: &[f64], acc: &mut [f64; GSKS
     }
 }
 
-/// The multi-RHS epilogue of a GSKS tile: `W[r, t] += Σ_c k[c * 8 + r] U[c, t]`
-/// over the tile's `U.nrows() <= 8` live source columns and `W.nrows() <= 8`
-/// rows. `U` is read and `W` updated where they lie, at any column stride.
+/// The multi-RHS epilogue of a run of GSKS tiles:
+/// `W[r, t] += Σ_c K[r, c] U[c, t]` for a `W` of at most two row groups
+/// (`W.nrows() <= 16`) against one run of `U.nrows()` consecutive source
+/// columns. `U` is read and `W` updated where they lie, at any column
+/// stride; `W` stays in registers across every tile of the run.
 ///
-/// * A full 8-row `W` under the vector bodies: each element is one chain of
-///   fused multiply-adds over the columns in order, with the zero-weight
-///   columns that complete the last group of four. The AVX-512 and AVX2
-///   bodies agree bitwise.
-/// * Fewer rows, or the scalar body: groups of four columns from the
-///   first, each summed from `0` by multiply then add over its *live*
+/// `k` holds the run's tiles as [`gsks_gram`] writes them, one row group
+/// after the other: with `tiles = U.nrows().div_ceil(8)`, row `8g + r` of
+/// `W` against source column `c` is `k[g * tiles * 64 + c * 8 + r]`. So a
+/// row group's tiles are one column-major `8 x 8·tiles` block, and only
+/// the last tile of the run can be partial.
+///
+/// * A full 8-row group under the vector bodies: each element is one chain
+///   of fused multiply-adds from its `W` value over the columns in
+///   ascending order, with the zero-weight columns that complete the last
+///   group of four (`fma(k, 0, w)`, reading the tile's values there). The
+///   AVX-512 body (`16 x 12` register tile, or `8 x 12` for an odd group)
+///   and the AVX2 one (`8 x 6`) agree bitwise.
+/// * A partial row group, or the scalar body: groups of four columns from
+///   the first, each summed from `0` by multiply then add over its *live*
 ///   columns only (no zero-weight padding, unlike [`gsks_dot`]), then
 ///   added to `W`.
 ///
 /// # Panics
-/// Panics if `U` or `W` has more than 8 rows, or their column counts differ.
-pub fn gsks_contract(k: &[f64; GSKS_MR * GSKS_MR], u: MatRef<'_>, mut w: MatMut<'_>) {
-    let (cols, nrhs) = (u.nrows(), u.ncols());
-    assert!(cols <= GSKS_MR && w.nrows() <= GSKS_MR, "gsks_contract: U or W taller than a tile");
-    assert_eq!(nrhs, w.ncols(), "gsks_contract: RHS count mismatch");
-    if cols == 0 {
-        return; // no column, no term: every body leaves W as it is
+/// Panics if `W` has more than 16 rows, the column counts of `U` and `W`
+/// differ, or `k` holds fewer than `W.nrows().div_ceil(8) * tiles * 64`
+/// values.
+pub fn gsks_contract_run(k: &[f64], u: MatRef<'_>, mut w: MatMut<'_>) {
+    let (cols, nrhs, rows) = (u.nrows(), u.ncols(), w.nrows());
+    let span = cols.div_ceil(GSKS_MR) * GSKS_MR * GSKS_MR;
+    assert!(rows <= 2 * GSKS_MR, "gsks_contract_run: W taller than two row groups");
+    assert_eq!(nrhs, w.ncols(), "gsks_contract_run: RHS count mismatch");
+    assert!(k.len() >= rows.div_ceil(GSKS_MR) * span, "gsks_contract_run: K shorter than the run");
+    if cols == 0 || nrhs == 0 {
+        return; // no term: every body leaves W as it is
     }
     #[cfg(target_arch = "x86_64")]
     {
-        if w.nrows() == GSKS_MR && active() {
-            let (up, us, ws) = (u.as_ptr(), u.col_stride(), w.col_stride());
-            let wp = w.as_mut_ptr();
-            // SAFETY: `U` is a live cols x nrhs view and `W` an 8 x nrhs one,
-            // so every element the bodies touch is inside them (the view
-            // constructors checked the strides); active() implies AVX2+FMA
-            // and the AVX-512 body runs only when the CPU reports avx512f.
-            unsafe {
-                if avx512_supported() {
-                    x86::gsks_contract_avx512(k.as_ptr(), cols, nrhs, up, us, wp, ws)
-                } else {
-                    x86::gsks_contract_avx2(k.as_ptr(), cols, nrhs, up, us, wp, ws)
+        if active() {
+            let full = rows / GSKS_MR;
+            if full > 0 {
+                let (kp, up, us, ws) = (k.as_ptr(), u.as_ptr(), u.col_stride(), w.col_stride());
+                let wp = w.as_mut_ptr();
+                // SAFETY: `U` is a live cols x nrhs view and `W` a rows x
+                // nrhs one with `full` whole row groups, `k` holds `full`
+                // runs of `span` values (asserted above), so every element
+                // the bodies touch is inside them; active() implies
+                // AVX2+FMA and the AVX-512 body runs only when the CPU
+                // reports avx512f.
+                unsafe {
+                    if avx512_supported() {
+                        x86::gsks_contract_run_avx512(kp, span, full, cols, nrhs, up, us, wp, ws)
+                    } else {
+                        x86::gsks_contract_run_avx2(kp, span, full, cols, nrhs, up, us, wp, ws)
+                    }
                 }
+            }
+            if rows > full * GSKS_MR {
+                let rest = w.submatrix_mut(full * GSKS_MR..rows, 0..nrhs);
+                gsks_contract_run_scalar(&k[full * span..], u, rest);
             }
             return;
         }
     }
-    gsks_contract_scalar(k, u, w);
+    gsks_contract_run_scalar(k, u, w);
 }
 
-/// The portable body of [`gsks_contract`], and its path for a partial row
-/// group under any dispatch.
-fn gsks_contract_scalar(k: &[f64; GSKS_MR * GSKS_MR], u: MatRef<'_>, mut w: MatMut<'_>) {
+/// The portable body of [`gsks_contract_run`], and its path for a partial
+/// row group under any dispatch.
+fn gsks_contract_run_scalar(k: &[f64], u: MatRef<'_>, mut w: MatMut<'_>) {
+    let span = u.nrows().div_ceil(GSKS_MR) * GSKS_MR * GSKS_MR;
     for t in 0..u.ncols() {
         let (ut, wt) = (u.col(t), w.col_mut(t));
         for (g, ug) in ut.chunks(GSKS_SUM).enumerate() {
-            let kg = &k[g * GSKS_SUM * GSKS_MR..];
             for (r, wr) in wt.iter_mut().enumerate() {
+                let kr = &k[r / GSKS_MR * span + g * GSKS_SUM * GSKS_MR + r % GSKS_MR..];
                 let mut s = 0.0;
                 for (c, &uc) in ug.iter().enumerate() {
-                    s += kg[c * GSKS_MR + r] * uc;
+                    s += kr[c * GSKS_MR] * uc;
                 }
                 *wr += s;
             }
@@ -900,19 +927,23 @@ mod x86 {
         _mm256_storeu_pd(acc.add(4), a1);
     }
 
-    /// AVX-512 body of [`super::gsks_contract`] for a full 8-row `W`: the
-    /// tile's columns stay in registers while every right-hand side `t`
-    /// runs one FMA chain per lane — `W[.., t]` loaded, `cols` rounded up
-    /// to four FMAs against broadcast weights `U[c, t]`, stored back.
+    /// AVX-512 body of [`super::gsks_contract_run`] for `groups` (1 or 2)
+    /// full row groups: the right-hand sides go in blocks of 12, then at
+    /// most one each of 8, 4, 2 and 1; each block holds its
+    /// `8·groups x nr` piece of `W` in `zmm` registers for the whole run
+    /// (the `16 x 12` shape of [`dgemm_tile_16x12_avx512`]).
     ///
     /// # Safety
-    /// Requires AVX-512F. `1 <= cols <= 8`; `k` must hold 64 readable
-    /// elements; `u[c + t * ucs]` must be readable for `c < cols`,
-    /// `t < nrhs`, and `w[r + t * wcs]` readable and writable for `r < 8`.
+    /// Requires AVX-512F. `1 <= groups <= 2`, `cols >= 1`; `k[g * span + i]`
+    /// must be readable for `g < groups`, `i < 8 * cols.next_multiple_of(4)`;
+    /// `u[c + t * ucs]` readable for `c < cols`, `t < nrhs`; and
+    /// `w[r + t * wcs]` readable and writable for `r < 8 * groups`.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn gsks_contract_avx512(
+    pub(super) unsafe fn gsks_contract_run_avx512(
         k: *const f64,
+        span: usize,
+        groups: usize,
         cols: usize,
         nrhs: usize,
         u: *const f64,
@@ -920,41 +951,96 @@ mod x86 {
         w: *mut f64,
         wcs: usize,
     ) {
-        debug_assert!(super::avx512_supported(), "gsks_contract_avx512 needs AVX-512F");
-        debug_assert!((1..=8).contains(&cols), "tile columns out of range: {cols}");
-        debug_assert!(nrhs <= 1 || (wcs >= 8 && ucs >= cols), "U or W columns would overlap");
-        let mut kc = [_mm512_setzero_pd(); 8];
-        for (c, v) in kc.iter_mut().enumerate() {
-            *v = _mm512_loadu_pd(k.add(8 * c));
-        }
-        let chain = cols.next_multiple_of(4);
-        for t in 0..nrhs {
+        debug_assert!(super::avx512_supported(), "gsks_contract_run_avx512 needs AVX-512F");
+        debug_assert!((1..=2).contains(&groups) && cols >= 1, "run shape: {groups} x {cols}");
+        debug_assert!(nrhs <= 1 || (wcs >= 8 * groups && ucs >= cols), "U or W columns overlap");
+        let mut t = 0;
+        while t < nrhs {
             let (ut, wt) = (u.add(t * ucs), w.add(t * wcs));
-            let mut a = _mm512_loadu_pd(wt);
-            if cols == 8 {
-                // Every tile but a last partial one: a fixed, unrolled
-                // chain (about a tenth of a 64-RHS summation's time).
-                for (c, v) in kc.iter().enumerate() {
-                    a = _mm512_fmadd_pd(*v, _mm512_set1_pd(*ut.add(c)), a);
-                }
-            } else {
-                for (c, v) in kc.iter().enumerate().take(chain) {
-                    a = _mm512_fmadd_pd(*v, _mm512_set1_pd(weight(ut, cols, c)), a);
-                }
-            }
-            _mm512_storeu_pd(wt, a);
+            let nr = match (groups, nrhs - t) {
+                (2, 12..) => run_avx512::<2, 12>(k, span, cols, ut, ucs, wt, wcs),
+                (2, 8..) => run_avx512::<2, 8>(k, span, cols, ut, ucs, wt, wcs),
+                (2, 4..) => run_avx512::<2, 4>(k, span, cols, ut, ucs, wt, wcs),
+                (2, 2..) => run_avx512::<2, 2>(k, span, cols, ut, ucs, wt, wcs),
+                (2, _) => run_avx512::<2, 1>(k, span, cols, ut, ucs, wt, wcs),
+                (_, 12..) => run_avx512::<1, 12>(k, span, cols, ut, ucs, wt, wcs),
+                (_, 8..) => run_avx512::<1, 8>(k, span, cols, ut, ucs, wt, wcs),
+                (_, 4..) => run_avx512::<1, 4>(k, span, cols, ut, ucs, wt, wcs),
+                (_, 2..) => run_avx512::<1, 2>(k, span, cols, ut, ucs, wt, wcs),
+                (_, _) => run_avx512::<1, 1>(k, span, cols, ut, ucs, wt, wcs),
+            };
+            t += nr;
         }
     }
 
-    /// AVX2 body of [`super::gsks_contract`]: [`gsks_contract_avx512`] on
-    /// two `ymm` halves, the tile's columns re-read from `k` (L1).
+    /// One `8·G x NR` block of [`gsks_contract_run_avx512`]: `W` loaded,
+    /// one FMA per source column and right-hand side in ascending column
+    /// order, then the zero-weight columns up to a multiple of four,
+    /// stored back. Returns `NR`.
     ///
     /// # Safety
-    /// Requires AVX2+FMA. Same contract as [`gsks_contract_avx512`].
+    /// As [`gsks_contract_run_avx512`], with `NR` right-hand sides at `u` / `w`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn run_avx512<const G: usize, const NR: usize>(
+        k: *const f64,
+        span: usize,
+        cols: usize,
+        u: *const f64,
+        ucs: usize,
+        w: *mut f64,
+        wcs: usize,
+    ) -> usize {
+        let mut acc = [[_mm512_setzero_pd(); G]; NR];
+        for (j, aj) in acc.iter_mut().enumerate() {
+            for (g, a) in aj.iter_mut().enumerate() {
+                *a = _mm512_loadu_pd(w.add(j * wcs + 8 * g));
+            }
+        }
+        let mut kc = [_mm512_setzero_pd(); G];
+        for c in 0..cols {
+            for (g, v) in kc.iter_mut().enumerate() {
+                *v = _mm512_loadu_pd(k.add(g * span + 8 * c));
+            }
+            for (j, aj) in acc.iter_mut().enumerate() {
+                let b = _mm512_set1_pd(*u.add(j * ucs + c));
+                for (a, v) in aj.iter_mut().zip(&kc) {
+                    *a = _mm512_fmadd_pd(*v, b, *a);
+                }
+            }
+        }
+        let zero = _mm512_setzero_pd();
+        for c in cols..cols.next_multiple_of(4) {
+            for (g, v) in kc.iter_mut().enumerate() {
+                *v = _mm512_loadu_pd(k.add(g * span + 8 * c));
+            }
+            for aj in acc.iter_mut() {
+                for (a, v) in aj.iter_mut().zip(&kc) {
+                    *a = _mm512_fmadd_pd(*v, zero, *a);
+                }
+            }
+        }
+        for (j, aj) in acc.iter().enumerate() {
+            for (g, a) in aj.iter().enumerate() {
+                _mm512_storeu_pd(w.add(j * wcs + 8 * g), *a);
+            }
+        }
+        NR
+    }
+
+    /// AVX2 body of [`super::gsks_contract_run`]: each full row group on
+    /// its own, the right-hand sides in blocks of 6, then at most one each
+    /// of 4, 2 and 1; each block holds its `8 x nr` piece of `W` in `ymm`
+    /// halves for the whole run (the `8 x 6` shape of [`dgemm_tile_avx2`]).
+    ///
+    /// # Safety
+    /// Requires AVX2+FMA. Same contract as [`gsks_contract_run_avx512`].
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn gsks_contract_avx2(
+    pub(super) unsafe fn gsks_contract_run_avx2(
         k: *const f64,
+        span: usize,
+        groups: usize,
         cols: usize,
         nrhs: usize,
         u: *const f64,
@@ -962,21 +1048,65 @@ mod x86 {
         w: *mut f64,
         wcs: usize,
     ) {
-        debug_assert!(super::cpu_supported(), "gsks_contract_avx2 needs AVX2+FMA");
-        debug_assert!((1..=8).contains(&cols), "tile columns out of range: {cols}");
-        debug_assert!(nrhs <= 1 || (wcs >= 8 && ucs >= cols), "U or W columns would overlap");
-        let chain = cols.next_multiple_of(4);
-        for t in 0..nrhs {
-            let (ut, wt) = (u.add(t * ucs), w.add(t * wcs));
-            let (mut a0, mut a1) = (_mm256_loadu_pd(wt), _mm256_loadu_pd(wt.add(4)));
-            for c in 0..chain {
-                let uc = _mm256_set1_pd(weight(ut, cols, c));
-                a0 = _mm256_fmadd_pd(_mm256_loadu_pd(k.add(8 * c)), uc, a0);
-                a1 = _mm256_fmadd_pd(_mm256_loadu_pd(k.add(8 * c + 4)), uc, a1);
+        debug_assert!(super::cpu_supported(), "gsks_contract_run_avx2 needs AVX2+FMA");
+        debug_assert!((1..=2).contains(&groups) && cols >= 1, "run shape: {groups} x {cols}");
+        debug_assert!(nrhs <= 1 || (wcs >= 8 * groups && ucs >= cols), "U or W columns overlap");
+        for g in 0..groups {
+            let (kg, wg) = (k.add(g * span), w.add(8 * g));
+            let mut t = 0;
+            while t < nrhs {
+                let (ut, wt) = (u.add(t * ucs), wg.add(t * wcs));
+                t += match nrhs - t {
+                    6.. => run_avx2::<6>(kg, cols, ut, ucs, wt, wcs),
+                    4.. => run_avx2::<4>(kg, cols, ut, ucs, wt, wcs),
+                    2.. => run_avx2::<2>(kg, cols, ut, ucs, wt, wcs),
+                    _ => run_avx2::<1>(kg, cols, ut, ucs, wt, wcs),
+                };
             }
-            _mm256_storeu_pd(wt, a0);
-            _mm256_storeu_pd(wt.add(4), a1);
         }
+    }
+
+    /// One `8 x NR` block of [`gsks_contract_run_avx2`], the chain of
+    /// [`run_avx512`] on two `ymm` halves. Returns `NR`.
+    ///
+    /// # Safety
+    /// As [`gsks_contract_run_avx2`], for one row group at `k` / `w`.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn run_avx2<const NR: usize>(
+        k: *const f64,
+        cols: usize,
+        u: *const f64,
+        ucs: usize,
+        w: *mut f64,
+        wcs: usize,
+    ) -> usize {
+        let mut acc = [[_mm256_setzero_pd(); 2]; NR];
+        for (j, aj) in acc.iter_mut().enumerate() {
+            aj[0] = _mm256_loadu_pd(w.add(j * wcs));
+            aj[1] = _mm256_loadu_pd(w.add(j * wcs + 4));
+        }
+        for c in 0..cols {
+            let (k0, k1) = (_mm256_loadu_pd(k.add(8 * c)), _mm256_loadu_pd(k.add(8 * c + 4)));
+            for (j, aj) in acc.iter_mut().enumerate() {
+                let b = _mm256_set1_pd(*u.add(j * ucs + c));
+                aj[0] = _mm256_fmadd_pd(k0, b, aj[0]);
+                aj[1] = _mm256_fmadd_pd(k1, b, aj[1]);
+            }
+        }
+        let zero = _mm256_setzero_pd();
+        for c in cols..cols.next_multiple_of(4) {
+            let (k0, k1) = (_mm256_loadu_pd(k.add(8 * c)), _mm256_loadu_pd(k.add(8 * c + 4)));
+            for aj in acc.iter_mut() {
+                aj[0] = _mm256_fmadd_pd(k0, zero, aj[0]);
+                aj[1] = _mm256_fmadd_pd(k1, zero, aj[1]);
+            }
+        }
+        for (j, aj) in acc.iter().enumerate() {
+            _mm256_storeu_pd(w.add(j * wcs), aj[0]);
+            _mm256_storeu_pd(w.add(j * wcs + 4), aj[1]);
+        }
+        NR
     }
 
     /// The distance-tile epilogue: `g[i] = max(rn[i] + cn - 2*g[i], 0)`
@@ -2277,111 +2407,157 @@ mod tests {
         }
     }
 
-    /// One body of [`gsks_contract`] into `W` rows `1..1 + rows` of a
-    /// poisoned 11-row matrix (`col_stride` 11 > 8 rows), from `U` rows
-    /// `2..2 + cols` of a 13-row one.
-    fn contract_body(
+    /// The run contraction's bodies on one case. `W` is rows `1..1 + rows`
+    /// of a poisoned 19-row matrix (`col_stride` 19 > 16 rows), `U` rows
+    /// `2..2 + cols` of `u` (`col_stride` > 32 columns); `k` holds the run
+    /// as [`gsks_contract_run`] reads it. A vector body is given the full
+    /// row groups only, as the wrapper gives it them.
+    fn contract_run_body(
         body: &str,
-        k: &[f64; 64],
+        k: &[f64],
         u: &crate::Mat,
+        w0: &crate::Mat,
         rows: usize,
         cols: usize,
     ) -> crate::Mat {
         let nrhs = u.ncols();
-        let mut w = crate::Mat::from_fn(11, nrhs, |i, j| ((i * 5 + j) % 7) as f64 - 3.0);
+        let span = cols.div_ceil(8) * 64;
+        let mut w = w0.clone();
         let uv = u.submatrix(2..2 + cols, 0..nrhs);
-        let mut wv = w.rb_mut().submatrix_mut(1..1 + rows, 0..nrhs);
+        let full = if body.starts_with("avx") { rows / 8 * 8 } else { rows };
+        let mut wv = w.rb_mut().submatrix_mut(1..1 + full, 0..nrhs);
         let (up, us, ws) = (uv.as_ptr(), uv.col_stride(), wv.col_stride());
         let wp = wv.as_mut_ptr();
         match body {
-            "scalar" => gsks_contract_scalar(k, uv, wv),
-            "wrapper" => gsks_contract(k, uv, wv),
-            // SAFETY: the views are cols x nrhs and 8 x nrhs inside their
-            // matrices; the vector bodies are listed only when supported
-            // and called only for a full 8-row W of at least one column.
+            "scalar" => gsks_contract_run_scalar(k, uv, wv),
+            "wrapper" => gsks_contract_run(k, uv, wv),
+            // SAFETY: `W` is `full / 8` whole row groups and `U` cols x nrhs
+            // inside their matrices, `k` holds a run of `span` per group;
+            // the vector bodies are listed only when supported and called
+            // only with at least one group and one column.
             #[cfg(target_arch = "x86_64")]
-            "avx2" => unsafe { x86::gsks_contract_avx2(k.as_ptr(), cols, nrhs, up, us, wp, ws) },
+            "avx2" => unsafe {
+                x86::gsks_contract_run_avx2(k.as_ptr(), span, full / 8, cols, nrhs, up, us, wp, ws)
+            },
             // SAFETY: as for the AVX2 body.
             #[cfg(target_arch = "x86_64")]
             "avx512" => unsafe {
-                x86::gsks_contract_avx512(k.as_ptr(), cols, nrhs, up, us, wp, ws)
+                x86::gsks_contract_run_avx512(
+                    k.as_ptr(),
+                    span,
+                    full / 8,
+                    cols,
+                    nrhs,
+                    up,
+                    us,
+                    wp,
+                    ws,
+                )
             },
-            other => panic!("unknown body {other} ({up:?}, {us}, {wp:?}, {ws})"),
+            other => panic!("unknown body {other} ({up:?}, {us}, {wp:?}, {ws}, {span})"),
         }
         w
     }
 
+    /// Bits, with every NaN one value: which NaN an FMA returns is the
+    /// hardware's choice, not the chain's.
+    fn nan_bits(x: f64) -> u64 {
+        if x.is_nan() {
+            u64::MAX
+        } else {
+            x.to_bits()
+        }
+    }
+
     #[test]
     fn gsks_contract_bodies_agree_bitwise_on_strided_views() {
-        let nrhs_set: Vec<usize> = (1..=17).chain([64]).collect();
+        // Weights: seeded values, with ±0, NaN and ±inf in every fifth
+        // right-hand side (the rest stay finite, so a wrong chain cannot
+        // hide behind a NaN) and only +0 in another fifth. Those start
+        // from W = -0 and meet K values that are negative in row 3 of a
+        // group (W stays -0 over the live columns) but positive, or +inf
+        // in row 7, in the padding columns: a body that skips the padding,
+        // or pads with -0, gives other bits.
+        let special = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+        let nrhs_set: Vec<usize> = (1..=30).chain([64, 128, 192]).collect();
         for &nrhs in &nrhs_set {
-            let u =
-                crate::Mat::from_fn(13, nrhs, |i, j| ((i * 7 + j * 3) % 11) as f64 * 0.37 - 1.5);
-            for cols in 0..=8usize {
-                let k: [f64; 64] =
-                    lcg_values(64, (nrhs * 9 + cols) as u64).try_into().expect("tile");
-                for rows in 0..=8usize {
+            let vals = lcg_values(37 * nrhs, nrhs as u64);
+            let u = crate::Mat::from_fn(37, nrhs, |i, j| {
+                if j % 5 == 3 && i % 3 == 1 {
+                    special[(i / 3 + j) % special.len()]
+                } else if j % 5 == 4 {
+                    0.0
+                } else {
+                    vals[j * 37 + i]
+                }
+            });
+            // Poison outside W (a NaN payload and a finite value); inside,
+            // seeded starting values with some -0.0 among them.
+            let start = lcg_values(19 * nrhs, nrhs as u64 + 500);
+            let w0 = crate::Mat::from_fn(19, nrhs, |i, j| match i {
+                0 => f64::from_bits(0x7ff8_dead_beef_0001),
+                17 | 18 => 1234.5,
+                _ if (i + j) % 7 == 0 || j % 5 == 4 => -0.0,
+                _ => start[j * 19 + i],
+            });
+            for cols in 0..=32usize {
+                let span = cols.div_ceil(8) * 64;
+                let mut k = lcg_values(2 * span, (nrhs * 33 + cols) as u64);
+                for (i, v) in k.iter_mut().enumerate() {
+                    let pad = i % span / 8 >= cols;
+                    match i % 8 {
+                        3 if pad => *v = v.abs(),
+                        3 => *v = -v.abs(),
+                        7 if pad => *v = f64::INFINITY,
+                        _ => {}
+                    }
+                }
+                for rows in 1..=16usize {
                     let what = format!("nrhs={nrhs} cols={cols} rows={rows}");
-                    let w0 = crate::Mat::from_fn(11, nrhs, |i, j| ((i * 5 + j) % 7) as f64 - 3.0);
-                    let scalar = contract_body("scalar", &k, &u, rows, cols);
-                    for j in 0..nrhs {
-                        for i in 0..11 {
-                            let (got, before) = (scalar[(i, j)], w0[(i, j)]);
-                            if !(1..1 + rows).contains(&i) {
-                                assert_eq!(
-                                    got.to_bits(),
-                                    before.to_bits(),
-                                    "{what}: ({i},{j}) outside W"
-                                );
-                                continue;
-                            }
-                            let mut want = before;
-                            for g in 0..cols.div_ceil(4) {
-                                let mut s = 0.0;
-                                for c in 4 * g..(4 * g + 4).min(cols) {
-                                    s += k[c * 8 + i - 1] * u[(2 + c, j)];
-                                }
-                                want += s;
-                            }
-                            assert_eq!(got.to_bits(), want.to_bits(), "{what}: scalar ({i},{j})");
+                    // Row `r` of W against source column `c`.
+                    let kv = |r: usize, c: usize| k[r / 8 * span + c * 8 + r % 8];
+                    let fused = |r: usize, t: usize| {
+                        (0..cols.next_multiple_of(4)).fold(w0[(1 + r, t)], |w, c| {
+                            kv(r, c).mul_add(if c < cols { u[(2 + c, t)] } else { 0.0 }, w)
+                        })
+                    };
+                    let grouped = |r: usize, t: usize| {
+                        (0..cols.div_ceil(4)).fold(w0[(1 + r, t)], |w, g| {
+                            w + (4 * g..(4 * g + 4).min(cols))
+                                .fold(0.0, |s, c| s + kv(r, c) * u[(2 + c, t)])
+                        })
+                    };
+                    let full = rows / 8 * 8;
+                    for body in bodies() {
+                        if body.starts_with("avx") && full == 0 {
+                            continue; // a vector body takes whole row groups only
                         }
-                    }
-                    let wrapper = contract_body("wrapper", &k, &u, rows, cols);
-                    if rows < 8 || cols == 0 || !active() {
-                        assert_eq!(bits(wrapper.as_slice()), bits(scalar.as_slice()), "{what}");
-                        continue;
-                    }
-                    let vector: Vec<crate::Mat> = bodies()
-                        .into_iter()
-                        .filter(|b| b.starts_with("avx"))
-                        .map(|b| contract_body(b, &k, &u, rows, cols))
-                        .collect();
-                    for v in &vector {
-                        assert_eq!(
-                            bits(v.as_slice()),
-                            bits(vector[0].as_slice()),
-                            "{what}: bodies"
-                        );
-                    }
-                    let fused = vector.last().expect("a vector body");
-                    assert_eq!(bits(wrapper.as_slice()), bits(fused.as_slice()), "{what}: wrapper");
-                    for j in 0..nrhs {
-                        for i in 1..9 {
-                            let mut want = w0[(i, j)];
-                            let mut mag = want.abs();
-                            for c in 0..cols.next_multiple_of(4) {
-                                let uc = if c < cols { u[(2 + c, j)] } else { 0.0 };
-                                want = k[c * 8 + i - 1].mul_add(uc, want);
-                                mag += (k[c * 8 + i - 1] * uc).abs();
+                        if body.starts_with("avx") && cols == 0 {
+                            continue; // nor an empty run
+                        }
+                        let got = contract_run_body(body, &k, &u, &w0, rows, cols);
+                        let vector = body.starts_with("avx") || (body == "wrapper" && active());
+                        for t in 0..nrhs {
+                            for i in 0..19usize {
+                                let want = match i.checked_sub(1) {
+                                    Some(r) if r < rows && cols > 0 => {
+                                        if vector && r < full {
+                                            fused(r, t)
+                                        } else if body.starts_with("avx") {
+                                            w0[(i, t)] // the partial group is the wrapper's
+                                        } else {
+                                            grouped(r, t)
+                                        }
+                                    }
+                                    _ => w0[(i, t)],
+                                };
+                                assert_eq!(
+                                    nan_bits(got[(i, t)]),
+                                    nan_bits(want),
+                                    "{what}: {body} ({i},{t}) {} vs {want}",
+                                    got[(i, t)]
+                                );
                             }
-                            assert_eq!(
-                                fused[(i, j)].to_bits(),
-                                want.to_bits(),
-                                "{what}: ({i},{j})"
-                            );
-                            let tol = 2.0 * (cols as f64 + 1.0) * f64::EPSILON * mag;
-                            let diff = (scalar[(i, j)] - want).abs();
-                            assert!(diff <= tol, "{what}: scalar off by {diff} > {tol}");
                         }
                     }
                 }

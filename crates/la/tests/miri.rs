@@ -272,18 +272,24 @@ fn gsks_kernels_on_views_and_pooled_row_packs() {
         assert_eq!(*a, want, "dot row {r}");
     }
 
-    // Several: U is rows 1..6, columns 1..4 of a 9 x 4 matrix; W is rows
-    // 2..2 + rows of a poisoned 12 x 4 one — both col_stride > nrows.
-    let big_u = Mat::from_fn(9, 4, |i, j| ((i + 3 * j) % 4) as f64 - 1.0);
-    let uv = big_u.submatrix(1..6, 1..4);
-    for rows in [8usize, 5, 0] {
-        let mut big_w = Mat::from_fn(12, 4, |_, _| -7.0);
-        simd::gsks_contract(&tile, uv, big_w.rb_mut().submatrix_mut(2..2 + rows, 1..4));
+    // Several: a run of two tiles, 13 source columns (the second tile
+    // partial), into W of two, one and a half, one, a part and no row
+    // groups. U is rows 1..14, columns 1..4 of a 16 x 4 matrix; W is rows
+    // 2..2 + rows of a poisoned 19 x 4 one — both col_stride > nrows. The
+    // run holds row group g against source column c at g * 128 + c * 8 + r.
+    let run: Vec<f64> = (0..2 * 128).map(|i| ((i * 3) % 5) as f64 - 2.0).collect();
+    let big_u = Mat::from_fn(16, 4, |i, j| ((i + 3 * j) % 4) as f64 - 1.0);
+    let uv = big_u.submatrix(1..14, 1..4);
+    for rows in [16usize, 13, 8, 5, 0] {
+        let mut big_w = Mat::from_fn(19, 4, |_, _| -7.0);
+        simd::gsks_contract_run(&run, uv, big_w.rb_mut().submatrix_mut(2..2 + rows, 1..4));
         for j in 0..4 {
-            for i in 0..12 {
+            for i in 0..19 {
                 let inside = (2..2 + rows).contains(&i) && j >= 1;
                 let want = if inside {
-                    -7.0 + (0..5).map(|c| tile[c * 8 + i - 2] * uv.get(c, j - 1)).sum::<f64>()
+                    let r = i - 2;
+                    let kv = |c: usize| run[r / 8 * 128 + c * 8 + r % 8];
+                    -7.0 + (0..13).map(|c| kv(c) * uv.get(c, j - 1)).sum::<f64>()
                 } else {
                     -7.0
                 };
@@ -293,9 +299,13 @@ fn gsks_kernels_on_views_and_pooled_row_packs() {
     }
 
     // No right-hand side, and no source column: nothing to do.
-    let mut w = Mat::from_fn(8, 2, |_, _| 5.0);
-    simd::gsks_contract(&tile, big_u.submatrix(0..4, 0..0), w.rb_mut().submatrix_mut(0..8, 0..0));
-    simd::gsks_contract(&tile, big_u.submatrix(0..0, 0..2), w.rb_mut());
+    let mut w = Mat::from_fn(16, 2, |_, _| 5.0);
+    simd::gsks_contract_run(
+        &run,
+        big_u.submatrix(0..4, 0..0),
+        w.rb_mut().submatrix_mut(0..16, 0..0),
+    );
+    simd::gsks_contract_run(&[], big_u.submatrix(0..0, 0..2), w.rb_mut());
     assert!(w.as_slice().iter().all(|&x| x == 5.0));
     let mut acc = [2.0; 8];
     simd::gsks_dot(&tile, &[], &mut acc);

@@ -40,7 +40,8 @@ fn main() {
         &lambdas,
         &y_perm,
         Some((&valid, y_valid)),
-    );
+    )
+    .expect("one label per point");
     println!("\n| lambda | factor (s) | train residual | valid acc | stable |");
     println!("|---|---|---|---|---|");
     for e in &entries {
@@ -64,7 +65,8 @@ fn main() {
         &[1.0, 1e-2, 1e-4],
         64,
         SkelConfig::default().with_tol(1e-6).with_max_rank(128).with_neighbors(12),
-    );
+    )
+    .expect("one label per point");
     match best {
         Some((h, lambda, acc)) => {
             println!(
