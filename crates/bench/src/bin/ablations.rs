@@ -29,7 +29,6 @@ fn main() {
     level_sweep(scale);
     storage_crossover(scale);
     split_rule(scale);
-    w_storage(scale);
 }
 
 /// Ablation 5 — the partitioner's split rule drives off-diagonal ranks.
@@ -57,36 +56,6 @@ fn split_rule(scale: f64) {
             st.total_skeleton_size().to_string(),
             format!("{err:.1e}"),
             format!("{t_f:.2}"),
-        ]);
-    }
-    println!();
-}
-
-/// Ablation 6 — the §III W-storage trade-off.
-fn w_storage(scale: f64) {
-    let n = (8192.0 * scale) as usize;
-    println!("# Ablation 6 — W (P-hat) storage scheme (N = {n})\n");
-    header(&["scheme", "retained MiB", "T_f (s)", "T_s (s)"]);
-    let points = normal_embedded(n, 4, 16, 0.05, 57);
-    let (st, kernel, _) = build_skeleton_tree(&points, 2.0, 128, 0.0, 96, 1);
-    let b = test_vec(n, 5);
-    for (w, label) in [
-        (kfds_core::WStorage::Stored, "stored (O(sN log N))"),
-        (kfds_core::WStorage::Recompute, "recompute via eq. 10 (O(sN))"),
-    ] {
-        let cfg = SolverConfig::default().with_w_storage(w);
-        let (ft, t_f) = timed(|| factorize(&st, &kernel, cfg).expect("f"));
-        let (_, t_s) = timed(|| {
-            for _ in 0..3 {
-                let mut x = b.clone();
-                ft.solve_in_place(&mut x).expect("solve");
-            }
-        });
-        row(&[
-            label.into(),
-            format!("{:.1}", ft.stats().stored_bytes as f64 / (1024.0 * 1024.0)),
-            format!("{t_f:.2}"),
-            format!("{:.2}", t_s / 3.0),
         ]);
     }
     println!();

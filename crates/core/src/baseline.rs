@@ -13,7 +13,9 @@
 use crate::assemble::{assemble_blocks, AssembledBlocks};
 use crate::config::{FactorStats, SolverConfig, StorageMode};
 use crate::error::SolverError;
-use crate::factor::{build_reduced_system, in_factored_region, FactorTree, NodeCost, NodeFactors};
+use crate::factor::{
+    build_reduced_system, held_bytes, in_factored_region, FactorTree, NodeCost, NodeFactors,
+};
 use crate::solve::SolveCtx;
 use kfds_askit::SkeletonTree;
 use kfds_kernels::{flops, Kernel};
@@ -25,7 +27,8 @@ use std::time::Instant;
 /// Runs the `O(N log² N)` baseline factorization of `λI + K̃`.
 ///
 /// Produces a [`FactorTree`] with the same factors as
-/// [`crate::factorize`] (up to roundoff), at the \[36\] complexity.
+/// [`crate::factorize`] (up to roundoff), at the \[36\] complexity, and
+/// reports the same [`FactorStats::stored_bytes`] for them.
 pub fn factorize_baseline<'a, K: Kernel>(
     st: &'a SkeletonTree,
     kernel: &'a K,
@@ -63,7 +66,6 @@ pub fn factorize_baseline<'a, K: Kernel>(
             total.flops += out.cost.flops;
             total.min_pivot = total.min_pivot.min(out.cost.min_pivot);
             total.unstable += out.cost.unstable;
-            total.bytes += out.cost.bytes;
             factors[i] = out.factors;
             if let Some(pf) = out.p_full {
                 let is_internal = tree.node(i).children.is_some();
@@ -94,7 +96,6 @@ pub fn factorize_baseline<'a, K: Kernel>(
             .collect();
         for (i, p, fl) in pass2 {
             total.flops += fl;
-            total.bytes += p.nrows() * p.ncols() * 8;
             factors[i].p_hat = Some(p);
         }
     }
@@ -106,7 +107,9 @@ pub fn factorize_baseline<'a, K: Kernel>(
         min_pivot_ratio: if total.min_pivot.is_finite() { total.min_pivot } else { 1.0 },
         unstable_factorizations: total.unstable,
         max_rank,
-        stored_bytes: total.bytes + blocks.as_ref().map_or(0, |b| b.stats().bytes),
+        // The factors it keeps, counted as `factorize` counts them; the
+        // full projections were scratch.
+        stored_bytes: held_bytes(&factors) + blocks.as_ref().map_or(0, |b| b.stats().bytes),
         shared_bytes: 0,
         // Not level-synchronous (pass 2 walks whole subtrees); no
         // per-level breakdown.
@@ -145,8 +148,7 @@ fn pass1_node<K: Kernel>(
             Ok(Pass1 { factors: nf, p_full: pf, cost })
         }
         Some((l, r)) => {
-            let p_hat_l = factors[l].p_hat.as_ref().expect("child P-hat missing");
-            let p_hat_r = factors[r].p_hat.as_ref().expect("child P-hat missing");
+            let (p_hat_l, p_hat_r) = (factors[l].p_hat(), factors[r].p_hat());
             let rs =
                 build_reduced_system(st, kernel, config, blocks, p_hat_l, p_hat_r, node, l, r)?;
             let mut cost = rs.cost;
@@ -180,7 +182,6 @@ fn pass1_node<K: Kernel>(
                         p.rb_mut().submatrix_mut(nl..nl + nr, 0..s),
                     );
                     cost.flops += flops::gemm_flops(nl, s, sl) + flops::gemm_flops(nr, s, sr);
-                    cost.bytes += (nl + nr) * s * 8;
                     Some(p)
                 }
                 None => None,

@@ -15,18 +15,6 @@ pub enum StorageMode {
     Gsks,
 }
 
-/// How the `W = P̂` projection factors are kept (paper §III, Memory:
-/// "Recomputing W with (10) can reduce another sN log(N/m) to sN").
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WStorage {
-    /// Store `P̂_{αα̃}` densely at every node — `O(sN)` per level.
-    Stored,
-    /// Store `P̂` only at the leaves plus the tiny per-node coupling
-    /// blocks; internal `P̂` applications telescope through eq. (10) at
-    /// solve time. Total `O(sN)` instead of `O(sN log N)`.
-    Recompute,
-}
-
 /// Configuration of the direct factorization.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverConfig {
@@ -34,8 +22,6 @@ pub struct SolverConfig {
     pub lambda: f64,
     /// Kernel-block application scheme.
     pub storage: StorageMode,
-    /// Projection-factor storage scheme.
-    pub w_storage: WStorage,
 }
 
 /// Pivot-ratio threshold below which an LU is counted in
@@ -45,7 +31,7 @@ pub(crate) const STABILITY_THRESHOLD: f64 = 1e-12;
 
 impl Default for SolverConfig {
     fn default() -> Self {
-        SolverConfig { lambda: 1.0, storage: StorageMode::Gsks, w_storage: WStorage::Stored }
+        SolverConfig { lambda: 1.0, storage: StorageMode::Gsks }
     }
 }
 
@@ -59,12 +45,6 @@ impl SolverConfig {
     /// Builder-style setter for the storage mode.
     pub fn with_storage(mut self, storage: StorageMode) -> Self {
         self.storage = storage;
-        self
-    }
-
-    /// Builder-style setter for the projection-storage scheme.
-    pub fn with_w_storage(mut self, w: WStorage) -> Self {
-        self.w_storage = w;
         self
     }
 }
@@ -99,11 +79,15 @@ pub struct FactorStats {
     pub unstable_factorizations: usize,
     /// Largest skeleton rank encountered.
     pub max_rank: usize,
-    /// Bytes this factorization call allocated and the tree keeps alive:
-    /// LUs, `P̂`, `Z`, and the stored `V` blocks of a fresh
-    /// [`StorageMode::StoredGemv`] `factorize`, which assembles them
-    /// itself. A tree over a caller's assembly does not own its `V` blocks
-    /// (their owner reports them, [`AssembleStats::bytes`](crate::AssembleStats)),
+    /// Bytes this factorization call allocated and the tree keeps alive,
+    /// read off the factor layout: every leaf and reduced-system LU
+    /// (`dim²` words) and every `P̂`, plus the stored `V` blocks of a
+    /// fresh [`StorageMode::StoredGemv`] `factorize`, which assembles them
+    /// itself. Scratch a builder drops (the baseline's full projections)
+    /// is not counted, so the same factors report the same bytes whichever
+    /// builder made them. A tree over a caller's assembly does not own its
+    /// `V` blocks (their owner reports them,
+    /// [`AssembleStats::bytes`](crate::AssembleStats)),
     /// so `stored_bytes` of any number of trees plus one assembly is the
     /// memory actually held.
     pub stored_bytes: usize,

@@ -6,8 +6,8 @@
 //! commit produced, so a change that is meant to move memory only (or to
 //! delete a duplicate path) is held to *the same answer*, not to a
 //! tolerance. The `skeleton/*` and `factor/*` rows hash what a solve
-//! digest sees only from outside: skeleton indices and `proj`, every `P̂` /
-//! `B_l` / `B_r`, and the factorization's accounting.
+//! digest sees only from outside: skeleton indices and `proj`, every `P̂`,
+//! and the factorization's accounting.
 //!
 //! Which table binds depends on the arithmetic that runs:
 //!
@@ -15,7 +15,7 @@
 //!   bodies (`KFDS_SIMD=off`, or a host without AVX2+FMA), on any host:
 //!   they do not depend on the vector width.
 //! * `GOLDEN_AVX512` binds the vector bodies on a host with AVX-512F (the
-//!   default there): the same 23 rows, in the same order.
+//!   default there): the same 17 rows, in the same order.
 //! * On a host with AVX2+FMA but no AVX-512F, with SIMD on, no table binds:
 //!   the test only checks that the same solve reproduces itself.
 //!
@@ -28,7 +28,7 @@
 //! The routes to a stored factor that share an assembly instead of
 //! building their own (`factorize_with_blocks`, `FactorTree::refactor`,
 //! `SharedFactor::refactorize`) have no constants of their own: their rows
-//! are asserted equal to the fresh `direct/StoredGemv/*` rows, under any
+//! are asserted equal to the fresh `direct/StoredGemv` row, under any
 //! arithmetic.
 //!
 //! To regenerate after an intended change of arithmetic: run
@@ -38,7 +38,7 @@
 
 use crate::{
     factorize, factorize_with_blocks, FactorTree, HybridSolver, PartitionedFactor, SharedFactor,
-    SharedSetup, SolverConfig, StorageMode, WStorage,
+    SharedSetup, SolverConfig, StorageMode,
 };
 use kfds_askit::{compute_neighbors, skeletonize, skeletonize_with_neighbors};
 use kfds_askit::{SkelConfig, SkeletonTree};
@@ -52,14 +52,13 @@ use std::sync::Arc;
 const N: usize = 1024;
 const NRHS: usize = 8;
 
-/// Recorded at commit 966662b (PR 19) under `KFDS_SIMD=off`.
-const GOLDEN: [(&str, u64); 8] = [
-    ("direct/StoredGemv/Stored", 0x119b70d9989921f0),
-    ("direct/StoredGemv/Recompute", 0xa64d976951062014),
-    ("direct/RecomputeGemm/Stored", 0x119b70d9989921f0),
-    ("direct/RecomputeGemm/Recompute", 0xa64d976951062014),
-    ("direct/Gsks/Stored", 0xc1c12e062773d4ff),
-    ("direct/Gsks/Recompute", 0x3f19190800edd662),
+/// Recorded at commit 966662b (PR 19) under `KFDS_SIMD=off`, where the
+/// three storage rows were named `direct/{mode}/Stored` (the stored-`P̂`
+/// half of a since-retired recomputed-`W` scheme).
+const GOLDEN: [(&str, u64); 5] = [
+    ("direct/StoredGemv", 0x119b70d9989921f0),
+    ("direct/RecomputeGemm", 0x119b70d9989921f0),
+    ("direct/Gsks", 0xc1c12e062773d4ff),
     ("hybrid/L2", 0x142cf354ed0fd538),
     ("partition/p4", 0xc1c12e062773d4ff),
 ];
@@ -68,16 +67,16 @@ const GOLDEN: [(&str, u64); 8] = [
 /// ragged tolerance-driven ranks). Recorded under `KFDS_SIMD=off` at commit
 /// 0c24218 (PR 22), the last with a second, level-batched factorization
 /// engine: that engine produced these rows, and the per-node sweep that is
-/// now the only one was checked there to produce the same.
-const GOLDEN_SETUP: [(&str, u64); 11] = [
+/// now the only one was checked there to produce the same (the
+/// `factor/{mode}` rows as `factor/{mode}/Stored`). `factor/partial-L2`
+/// was recorded at commit 66b0166, the last with the recomputed-`W` scheme,
+/// from the stored-`P̂` factor under `hybrid/L2`.
+const GOLDEN_SETUP: [(&str, u64); 8] = [
     ("skeleton/normal", 0x33ecb6ca1ba2371b),
-    ("factor/StoredGemv/Stored", 0x495f4f103a9db366),
-    ("factor/StoredGemv/Recompute", 0x3d14bfc8b255dc46),
-    ("factor/RecomputeGemm/Stored", 0x051bdcc643f79a51),
-    ("factor/RecomputeGemm/Recompute", 0xada08e2fa8ca9a79),
-    ("factor/Gsks/Stored", 0xe927c096a3ff3a74),
-    ("factor/Gsks/Recompute", 0x287ffc1f689662e7),
-    ("factor/partial-L2/Recompute", 0x32b1ade1346fe8d2),
+    ("factor/StoredGemv", 0x495f4f103a9db366),
+    ("factor/RecomputeGemm", 0x051bdcc643f79a51),
+    ("factor/Gsks", 0xe927c096a3ff3a74),
+    ("factor/partial-L2", 0x69d5b389924ab2d7),
     ("skeleton/covtype", 0x55a490d32fc576ce),
     ("factor/covtype", 0x10797bdcfd8ca16b),
     ("direct/covtype", 0xaf5ee68a5ec977d5),
@@ -99,24 +98,19 @@ const GOLDEN_NORMAL64D: [(&str, u64); 4] = [
 /// Every row of the three tables above, in the same order, under the
 /// vector kernel bodies of a host with AVX-512F (`KFDS_SIMD` on). Recorded
 /// at commit 74324e4, the last with the dimension-major GSKS source pack,
-/// and checked there to be equal on one and two rayon threads.
-const GOLDEN_AVX512: [(&str, u64); 23] = [
-    ("direct/StoredGemv/Stored", 0xb095a3f711100fed),
-    ("direct/StoredGemv/Recompute", 0x148273f8bbf79e08),
-    ("direct/RecomputeGemm/Stored", 0xb095a3f711100fed),
-    ("direct/RecomputeGemm/Recompute", 0x148273f8bbf79e08),
-    ("direct/Gsks/Stored", 0xeadde35b66933515),
-    ("direct/Gsks/Recompute", 0x991ab0d23c5c027f),
+/// and checked there to be equal on one and two rayon threads;
+/// `factor/partial-L2` at commit 66b0166, likewise.
+const GOLDEN_AVX512: [(&str, u64); 17] = [
+    ("direct/StoredGemv", 0xb095a3f711100fed),
+    ("direct/RecomputeGemm", 0xb095a3f711100fed),
+    ("direct/Gsks", 0xeadde35b66933515),
     ("hybrid/L2", 0x14edb07136331898),
     ("partition/p4", 0xeadde35b66933515),
     ("skeleton/normal", 0x6fd7da0f032310ea),
-    ("factor/StoredGemv/Stored", 0x00a2adbbaeb8249c),
-    ("factor/StoredGemv/Recompute", 0x954587c7f374f1b7),
-    ("factor/RecomputeGemm/Stored", 0x8adf1170d4e1cf8b),
-    ("factor/RecomputeGemm/Recompute", 0x11322fbc47f614a0),
-    ("factor/Gsks/Stored", 0x9f00994f7039fd2a),
-    ("factor/Gsks/Recompute", 0x574e325d499d849e),
-    ("factor/partial-L2/Recompute", 0xbb39d1910a9cdd41),
+    ("factor/StoredGemv", 0x00a2adbbaeb8249c),
+    ("factor/RecomputeGemm", 0x8adf1170d4e1cf8b),
+    ("factor/Gsks", 0x9f00994f7039fd2a),
+    ("factor/partial-L2", 0x63a894a368a06f36),
     ("skeleton/covtype", 0x5d32d2622611aeb7),
     ("factor/covtype", 0xfadc87e5e0297895),
     ("direct/covtype", 0xe8a1d86b76eb93d8),
@@ -252,17 +246,19 @@ fn skeleton_digest(st: &SkeletonTree) -> u64 {
     h.0
 }
 
-/// Per node: `P̂`, `B_l`, `B_r` (shape and bits) and which dense factors
-/// exist; then the accounting every route to these factors must agree on.
-/// The LU factors themselves have no accessors — the solve rows hold
-/// those.
+/// Per node: which dense factors exist and `P̂` (shape and bits); then
+/// the accounting every route to these factors must agree on. The LU
+/// factors themselves have no accessors — the solve rows hold those.
 fn factor_digest<K: Kernel>(ft: &FactorTree<'_, K>) -> u64 {
     let mut h = Fnv::new();
     for nf in ft.factors() {
         h.word(u64::from(nf.leaf_lu.is_some()) | u64::from(nf.z_lu.is_some()) << 1);
-        for m in [&nf.p_hat, &nf.b_l, &nf.b_r] {
-            h.mat(m.as_ref());
-        }
+        h.mat(nf.p_hat.as_ref());
+        // Two absent matrices where the retired recomputed-W scheme kept
+        // its coupling blocks `B_l`, `B_r`: the word stream, and so every
+        // recorded row, stays what it was.
+        h.mat(None);
+        h.mat(None);
     }
     let s = ft.stats();
     h.floats(&[s.flops, s.min_pivot_ratio]);
@@ -311,12 +307,9 @@ fn tables() -> (Rows, Rows) {
     let (st, kernel) = fixture(1);
     setup.push(("skeleton/normal".to_string(), skeleton_digest(&st)));
     for storage in [StorageMode::StoredGemv, StorageMode::RecomputeGemm, StorageMode::Gsks] {
-        for w in [WStorage::Stored, WStorage::Recompute] {
-            let cfg = base.with_storage(storage).with_w_storage(w);
-            let ft = factorize(&st, &kernel, cfg).expect("factorize");
-            solves.push(direct_digest(&format!("direct/{storage:?}/{w:?}"), &ft));
-            setup.push((format!("factor/{storage:?}/{w:?}"), factor_digest(&ft)));
-        }
+        let ft = factorize(&st, &kernel, base.with_storage(storage)).expect("factorize");
+        solves.push(direct_digest(&format!("direct/{storage:?}"), &ft));
+        setup.push((format!("factor/{storage:?}"), factor_digest(&ft)));
     }
     {
         let (st, kernel) = fixture(2);
@@ -327,12 +320,10 @@ fn tables() -> (Rows, Rows) {
             hs.solve_mat_in_place(b, &opts).expect("hybrid solve");
         });
         solves.push(("hybrid/L2".to_string(), d));
-        // Recomputed W under a level restriction: the sweep that drops the
-        // children's P̂ also crosses the levels with nothing to factor.
-        let ft = factorize(&st, &kernel, base.with_w_storage(WStorage::Recompute))
-            .expect("partial factorize, recomputed W");
+        // The level-restricted factor under it: the sweep crosses levels
+        // with nothing to factor.
         assert!(!ft.is_complete());
-        setup.push(("factor/partial-L2/Recompute".to_string(), factor_digest(&ft)));
+        setup.push(("factor/partial-L2".to_string(), factor_digest(&ft)));
     }
     let sf = SharedFactor::factorize(Arc::new(st), Arc::new(kernel), base).expect("shared factor");
     let pf = PartitionedFactor::partition(sf, 4).expect("partition");
@@ -348,40 +339,31 @@ fn tables() -> (Rows, Rows) {
     (solves, setup)
 }
 
-/// Digests of the stored factors built over a shared assembly, each with
-/// the name of the fresh row of [`table`] it must equal.
-fn shared_assembly_rows() -> Vec<(String, u64, String)> {
+/// Digests of the stored factors built over a shared assembly; each must
+/// equal the fresh `direct/StoredGemv` row of [`tables`].
+fn shared_assembly_rows() -> Rows {
     let (st, kernel) = fixture(1);
     let (st, kernel) = (Arc::new(st), Arc::new(kernel));
     let setup = SharedSetup::build(Arc::clone(&st), Arc::clone(&kernel));
     let gmres = GmresOptions::default();
-    let mut rows = Vec::new();
-    for w in [WStorage::Stored, WStorage::Recompute] {
-        let cfg = SolverConfig::default()
-            .with_lambda(0.5)
-            .with_storage(StorageMode::StoredGemv)
-            .with_w_storage(w);
-        let fresh_row = format!("direct/StoredGemv/{w:?}");
-        let mut push = |name: String, solve: &dyn Fn(&mut Mat)| {
-            let d = digest_of(&name, solve);
-            rows.push((name, d, fresh_row.clone()));
-        };
+    let cfg = SolverConfig::default().with_lambda(0.5).with_storage(StorageMode::StoredGemv);
+    let mut rows = Rows::new();
+    let mut push = |name: &str, solve: &dyn Fn(&mut Mat)| {
+        rows.push((name.to_string(), digest_of(name, solve)));
+    };
 
-        let blocks = Arc::clone(setup.blocks());
-        let over = factorize_with_blocks(&st, &*kernel, blocks, cfg).expect("over blocks");
-        push(format!("factorize_with_blocks/{w:?}"), &|b| {
-            over.solve_mat_in_place(b).expect("solve over blocks")
-        });
+    let blocks = Arc::clone(setup.blocks());
+    let over = factorize_with_blocks(&st, &*kernel, blocks, cfg).expect("over blocks");
+    push("factorize_with_blocks", &|b| over.solve_mat_in_place(b).expect("solve over blocks"));
 
-        let other = factorize(&st, &*kernel, cfg.with_lambda(3.0)).expect("fresh stored");
-        let child = other.refactor(0.5).expect("refactor");
-        push(format!("refactor/{w:?}"), &|b| child.solve_mat_in_place(b).expect("child solve"));
+    let other = factorize(&st, &*kernel, cfg.with_lambda(3.0)).expect("fresh stored");
+    let child = other.refactor(0.5).expect("refactor");
+    push("refactor", &|b| child.solve_mat_in_place(b).expect("child solve"));
 
-        let sf = SharedFactor::refactorize(&setup, cfg).expect("refactorize");
-        push(format!("refactorize/{w:?}"), &|b| {
-            sf.solve_block_in_place(b, &gmres).expect("shared solve");
-        });
-    }
+    let sf = SharedFactor::refactorize(&setup, cfg).expect("refactorize");
+    push("refactorize", &|b| {
+        sf.solve_block_in_place(b, &gmres).expect("shared solve");
+    });
     rows
 }
 
@@ -389,9 +371,9 @@ fn shared_assembly_rows() -> Vec<(String, u64, String)> {
 fn blocked_solve_digests_match_the_recorded_table() {
     let (solves, setup) = tables();
     let normal64d = normal64d_rows();
-    for (name, digest, fresh_row) in shared_assembly_rows() {
-        let (_, fresh) = solves.iter().find(|(n, _)| *n == fresh_row).expect("fresh row");
-        assert_eq!(digest, *fresh, "{name} must reproduce {fresh_row} bit for bit");
+    let (_, fresh) = solves.iter().find(|(n, _)| n == "direct/StoredGemv").expect("fresh row");
+    for (name, digest) in shared_assembly_rows() {
+        assert_eq!(digest, *fresh, "{name} must reproduce direct/StoredGemv bit for bit");
     }
     let tables: Vec<(Golden, Rows)> = if !kfds_la::simd::active() {
         vec![

@@ -165,8 +165,7 @@ fn dist_factor_rank<'a, K: Kernel>(
     if lp == 0 {
         return Ok(RankState { subtree_root: my_node, range: my_range, local, levels: Vec::new() });
     }
-    let mut phat_child: Mat =
-        local.factors()[my_node].p_hat.as_ref().expect("subtree root P-hat").clone();
+    let mut phat_child: Mat = local.factors()[my_node].p_hat().clone();
     let mut levels = Vec::with_capacity(lp);
 
     for l in (0..lp).rev() {

@@ -28,9 +28,7 @@
 //! are all a stored sweep evaluates — whoever assembled.
 
 use crate::assemble::{assemble, assemble_blocks, AssembledBlocks};
-use crate::config::{
-    FactorStats, LevelStats, SolverConfig, StorageMode, WStorage, STABILITY_THRESHOLD,
-};
+use crate::config::{FactorStats, LevelStats, SolverConfig, StorageMode, STABILITY_THRESHOLD};
 use crate::error::SolverError;
 use kfds_askit::SkeletonTree;
 use kfds_kernels::flops;
@@ -42,7 +40,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// The λ-dependent factors stored at one tree node (the stored `V` blocks
-/// are not among them: see [`FactorTree::assembled_blocks`]).
+/// are not among them: see [`FactorTree::assembled_blocks`]). Every
+/// factored, skeletonized node holds its `P̂`.
 #[derive(Debug, Default)]
 pub(crate) struct NodeFactors {
     /// LU of `λI + K_αα` (leaves only).
@@ -53,12 +52,26 @@ pub(crate) struct NodeFactors {
     /// `P̂_{αα̃} = (λI + K̃_αα)^{-1} P_{αα̃}` (`|α| x s`), for
     /// skeletonized nodes.
     pub(crate) p_hat: Option<Mat>,
-    /// Coupling blocks `B_l = K_{l̃r}P̂_{rr̃}`, `B_r = K_{r̃l}P̂_{ll̃}`
-    /// (small, `s x s`) — retained in [`WStorage::Recompute`] so `P̂`
-    /// applications can telescope through eq. (10) without storing `P̂`.
-    pub(crate) b_l: Option<Mat>,
-    /// See [`NodeFactors::b_l`].
-    pub(crate) b_r: Option<Mat>,
+}
+
+impl NodeFactors {
+    /// `P̂_{αα̃}` of a factored, skeletonized node.
+    pub(crate) fn p_hat(&self) -> &Mat {
+        self.p_hat.as_ref().expect("a factored, skeletonized node holds its P-hat")
+    }
+}
+
+/// Bytes the factors hold — every LU (`dim²`) and every `P̂` — the one
+/// count behind [`FactorStats::stored_bytes`], whichever builder made them.
+pub(crate) fn held_bytes(factors: &[NodeFactors]) -> usize {
+    let lu_words = |lu: &Option<Lu>| lu.as_ref().map_or(0, |lu| lu.dim() * lu.dim());
+    let words: usize = (factors.iter())
+        .map(|nf| {
+            let p_hat = nf.p_hat.as_ref().map_or(0, |p| p.nrows() * p.ncols());
+            lu_words(&nf.leaf_lu) + lu_words(&nf.z_lu) + p_hat
+        })
+        .sum();
+    8 * words
 }
 
 /// The factorization of `λI + K̃` over a skeleton tree.
@@ -80,7 +93,6 @@ pub(crate) struct NodeCost {
     pub flops: f64,
     pub min_pivot: f64,
     pub unstable: usize,
-    pub bytes: usize,
 }
 
 impl<'a, K: Kernel> FactorTree<'a, K> {
@@ -222,7 +234,7 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
     let own_bytes = own.as_ref().map_or(0, |b| b.stats().bytes);
     let blocks = blocks.or(own);
     let mut factors: Vec<NodeFactors> = (0..n_nodes).map(|_| NodeFactors::default()).collect();
-    let mut total = NodeCost { min_pivot: f64::INFINITY, bytes: own_bytes, ..Default::default() };
+    let mut total = NodeCost { min_pivot: f64::INFINITY, ..Default::default() };
     let mut levels: Vec<LevelStats> = Vec::with_capacity(tree.depth() + 1);
     let under_root = |level: usize| {
         tree.nodes_at_level(level).iter().copied().filter(move |&i| in_subtree(tree, root, i))
@@ -243,24 +255,7 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
             total.flops += cost.flops;
             total.min_pivot = total.min_pivot.min(cost.min_pivot);
             total.unstable += cost.unstable;
-            total.bytes += cost.bytes;
             factors[i] = nf;
-        }
-        // Recompute-W mode: children's internal P̂ are only needed while
-        // building this level; drop them to keep the retained memory at
-        // O(sN) (leaves only) instead of O(sN log N).
-        if config.w_storage == WStorage::Recompute {
-            for i in under_root(level) {
-                if let Some((l, r)) = tree.node(i).children {
-                    for c in [l, r] {
-                        if tree.node(c).children.is_some() {
-                            if let Some(p) = factors[c].p_hat.take() {
-                                total.bytes -= p.nrows() * p.ncols() * 8;
-                            }
-                        }
-                    }
-                }
-            }
         }
         if !level_nodes.is_empty() {
             levels.push(LevelStats {
@@ -278,7 +273,7 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
         min_pivot_ratio: if total.min_pivot.is_finite() { total.min_pivot } else { 1.0 },
         unstable_factorizations: total.unstable,
         max_rank,
-        stored_bytes: total.bytes,
+        stored_bytes: held_bytes(&factors) + own_bytes,
         shared_bytes,
         levels,
     };
@@ -322,8 +317,7 @@ fn factor_node<K: Kernel>(
     match nd.children {
         None => factor_leaf(st, kernel, config, node),
         Some((l, r)) => {
-            let p_hat_l = factors[l].p_hat.as_ref().expect("child P-hat missing");
-            let p_hat_r = factors[r].p_hat.as_ref().expect("child P-hat missing");
+            let (p_hat_l, p_hat_r) = (factors[l].p_hat(), factors[r].p_hat());
             factor_internal(st, kernel, config, blocks, p_hat_l, p_hat_r, node, l, r)
         }
     }
@@ -350,7 +344,6 @@ pub(crate) fn factor_leaf<K: Kernel>(
         flops: flops::lu_flops(m) + eval_flops,
         min_pivot: leaf.min_pivot_ratio(),
         unstable: usize::from(leaf.min_pivot_ratio() < STABILITY_THRESHOLD),
-        bytes: m * m * 8,
     };
     // P̂_{αα̃} = (λI + K_αα)^{-1} P_{αα̃}; for root-leaf trees there is no
     // skeleton and no P̂.
@@ -367,7 +360,6 @@ pub(crate) fn factor_leaf<K: Kernel>(
             }
             leaf.solve_mat_mut(p.rb_mut());
             cost.flops += flops::lu_solve_flops(m, s);
-            cost.bytes += m * s * 8;
             Some(p)
         }
         None => None,
@@ -463,7 +455,7 @@ pub(crate) fn build_reduced_system<K: Kernel>(
 }
 
 /// Packs `Z = I + VW` (eq. 8) from the coupling blocks and LU-factorizes
-/// it, folding the flop/byte/pivot accounting into `cost` — for this sweep
+/// it, folding the flop/pivot accounting into `cost` — for this sweep
 /// and the distributed levels of [`crate::dist`].
 pub(crate) fn factor_z(
     b_l: &Mat,
@@ -491,7 +483,6 @@ pub(crate) fn factor_z(
     }
     let z_lu = Lu::factor(z).map_err(|e| SolverError::Factorization { node, source: e })?;
     cost.flops += flops::lu_flops(zdim);
-    cost.bytes += zdim * zdim * 8;
     cost.min_pivot = cost.min_pivot.min(z_lu.min_pivot_ratio());
     cost.unstable += usize::from(z_lu.min_pivot_ratio() < STABILITY_THRESHOLD);
     Ok(z_lu)
@@ -556,10 +547,6 @@ fn factor_internal<K: Kernel>(
     let ReducedSystem { b_l, b_r, z_lu, mut cost } =
         build_reduced_system(st, kernel, config, blocks, p_hat_l, p_hat_r, node, l, r)?;
     let zdim = sl + sr;
-    let keep_b = config.w_storage == WStorage::Recompute;
-    if keep_b {
-        cost.bytes += (sl * sr * 2) * 8;
-    }
 
     // Telescope P̂_{αα̃} (eq. 10) from the children's P̂ — the O(N log N)
     // step that replaces [36]'s subtree traversal.
@@ -578,21 +565,11 @@ fn factor_internal<K: Kernel>(
             workspace::recycle_mat(m_l);
             workspace::recycle_mat(m_r);
             cost.flops += flops::gemm_flops(nl, s, sl) + flops::gemm_flops(nr, s, sr);
-            cost.bytes += (nl + nr) * s * 8;
             Some(p)
         }
         None => None,
     };
-
-    let (b_l_keep, b_r_keep) = if keep_b {
-        (Some(b_l), Some(b_r))
-    } else {
-        workspace::recycle_mat(b_l);
-        workspace::recycle_mat(b_r);
-        (None, None)
-    };
-    Ok((
-        NodeFactors { z_lu: Some(z_lu), p_hat, b_l: b_l_keep, b_r: b_r_keep, ..Default::default() },
-        cost,
-    ))
+    workspace::recycle_mat(b_l);
+    workspace::recycle_mat(b_r);
+    Ok((NodeFactors { z_lu: Some(z_lu), p_hat, ..Default::default() }, cost))
 }

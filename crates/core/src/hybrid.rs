@@ -33,7 +33,7 @@ use crate::factor::FactorTree;
 use crate::solve::check_rhs_rows;
 use kfds_kernels::{sum_fused_multi, Kernel};
 use kfds_krylov::{gmres, DenseOp, FnOp, GmresOptions, LinOp, SolveResult};
-use kfds_la::{workspace, Lu, Mat, MatMut, MatRef};
+use kfds_la::{gemm, workspace, Lu, Mat, MatMut, MatRef, Trans};
 use rayon::prelude::*;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -240,16 +240,11 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     fn apply_w(&self, z: MatRef<'_>, out: MatMut<'_>) {
         debug_assert_eq!(z.nrows(), self.sys.reduced_dim);
         let nrhs = z.ncols();
-        let ctx = self.ft.ctx();
+        let factors = self.ft.factors();
         let ReducedSystem { frontier, offsets, .. } = &*self.sys;
         self.frontier_row_blocks(out).into_par_iter().enumerate().for_each(|(k, block)| {
-            // The stored factor, or (recompute-W mode) P̂ telescoped
-            // through eq. (10).
-            ctx.apply_p_hat_into(
-                frontier[k],
-                z.submatrix(offsets[k]..offsets[k + 1], 0..nrhs),
-                block,
-            );
+            let z_k = z.submatrix(offsets[k]..offsets[k + 1], 0..nrhs);
+            gemm(1.0, factors[frontier[k]].p_hat().rb(), Trans::No, z_k, Trans::No, 0.0, block);
         });
     }
 
@@ -329,7 +324,6 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         let tree = st.tree();
         let pts = tree.points();
         let kernel = self.ft.kernel();
-        let ctx = self.ft.ctx();
         let ReducedSystem { frontier, offsets, .. } = &*self.sys;
         let mut z = Mat::identity(self.sys.reduced_dim);
         // One column panel per frontier node ψ, filled in parallel.
@@ -345,16 +339,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
             if s_psi == 0 {
                 return;
             }
-            // Recompute-W mode dropped P̂_ψ: telescope it through eq. (10)
-            // applied to the identity (the dense block needs the columns).
-            let recomputed;
-            let p_hat = match self.ft.factors()[psi].p_hat.as_ref() {
-                Some(stored) => stored,
-                None => {
-                    recomputed = ctx.apply_p_hat(psi, Mat::identity(s_psi).rb());
-                    &recomputed
-                }
-            };
+            let p_hat = self.ft.factors()[psi].p_hat();
             let psi_points: Vec<usize> = tree.node(psi).range().collect();
             for (kp, &phi) in frontier.iter().enumerate() {
                 if kp == kq {

@@ -43,7 +43,7 @@ mod stability;
 
 pub use assemble::{assemble_blocks, AssembleStats, AssembledBlocks};
 pub use baseline::factorize_baseline;
-pub use config::{FactorStats, LevelStats, SolverConfig, StorageMode, WStorage};
+pub use config::{FactorStats, LevelStats, SolverConfig, StorageMode};
 pub use crossval::{grid_search_gaussian, lambda_sweep, KernelRidgeMulti, LambdaSweepEntry};
 pub use dist::{dist_factorize, DistSolver};
 pub use error::SolverError;

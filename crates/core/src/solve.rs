@@ -33,7 +33,7 @@ use crate::error::SolverError;
 use crate::factor::{FactorTree, NodeFactors};
 use kfds_askit::SkeletonTree;
 use kfds_kernels::{sum_fused_multi, sum_reference_multi, Kernel};
-use kfds_la::{gemm, workspace, Mat, MatMut, MatRef, Trans};
+use kfds_la::{gemm, workspace, Mat, MatMut, Trans};
 
 /// Borrowed solve context: a skeleton tree plus (possibly in-progress)
 /// node factors, and under [`StorageMode::StoredGemv`] the assembly whose
@@ -209,84 +209,12 @@ impl<K: Kernel> SolveCtx<'_, K> {
         }
         z_lu.solve_mat_inplace(&mut y);
         // U -= W Z = [P̂_l Z_top ; P̂_r Z_bot], the halves again independent.
+        let (p_l, p_r) = (self.factors[l].p_hat(), self.factors[r].p_hat());
+        let (z_top, z_bot) = (y.submatrix(0..sl, 0..nrhs), y.submatrix(sl..sl + sr, 0..nrhs));
         rayon::join(
-            || self.sub_p_hat_apply(l, y.submatrix(0..sl, 0..nrhs), ul),
-            || self.sub_p_hat_apply(r, y.submatrix(sl..sl + sr, 0..nrhs), ur),
+            || gemm(-1.0, p_l.rb(), Trans::No, z_top, Trans::No, 1.0, ul),
+            || gemm(-1.0, p_r.rb(), Trans::No, z_bot, Trans::No, 1.0, ur),
         );
-        workspace::recycle_mat(y);
-    }
-
-    /// `out -= P̂_node Z`: one GEMM against the stored factor, or the
-    /// telescoped recurrence (eq. 10) in
-    /// [`crate::config::WStorage::Recompute`] mode.
-    fn sub_p_hat_apply(&self, node: usize, z: MatRef<'_>, mut out: MatMut<'_>) {
-        if let Some(p) = self.factors[node].p_hat.as_ref() {
-            gemm(-1.0, p.rb(), Trans::No, z, Trans::No, 1.0, out);
-            return;
-        }
-        let corr = self.apply_p_hat(node, z);
-        for j in 0..out.ncols() {
-            for (o, c) in out.col_mut(j).iter_mut().zip(corr.col(j)) {
-                *o -= c;
-            }
-        }
-        workspace::recycle_mat(corr);
-    }
-
-    /// Returns `P̂_{αα̃} Z` (`|α| x nrhs`) in pooled storage (hand it back
-    /// with [`workspace::recycle_mat`]). Also used to materialize `P̂`
-    /// where a dense factor is required (reduced-operator assembly).
-    pub(crate) fn apply_p_hat(&self, node: usize, z: MatRef<'_>) -> Mat {
-        let mut out = workspace::take_mat_detached(self.st.tree().node(node).len(), z.ncols());
-        self.apply_p_hat_into(node, z, out.rb_mut());
-        out
-    }
-
-    /// `out = P̂_{αα̃} Z` (overwrites `out`): the stored factor when there
-    /// is one, otherwise telescoped through the children (eq. 10) —
-    /// `P̂_α Z = W_α T`, `T = Y − Z_α^{-1}(Z_α − I) Y`, `Y = P_{[l̃r̃]α̃} Z` —
-    /// each child writing its own row half of `out`.
-    pub(crate) fn apply_p_hat_into(&self, node: usize, z: MatRef<'_>, out: MatMut<'_>) {
-        if let Some(p) = self.factors[node].p_hat.as_ref() {
-            gemm(1.0, p.rb(), Trans::No, z, Trans::No, 0.0, out);
-            return;
-        }
-        let tree = self.st.tree();
-        let (l, r) =
-            tree.node(node).children.expect("recompute-W: internal node without stored P-hat");
-        let sk = self.st.skeleton(node).expect("apply_p_hat on unskeletonized node");
-        let (sl, sr) = (
-            self.st.skeleton(l).expect("child skeleton").rank(),
-            self.st.skeleton(r).expect("child skeleton").rank(),
-        );
-        let nrhs = z.ncols();
-        // Pooled temporaries: y and c are fully overwritten by the beta = 0
-        // products below and recycled before returning.
-        // Y = P_{[l̃r̃]α̃} Z  (proj is s x (sl+sr); we need proj^T Z).
-        let mut y = workspace::take_mat_detached(sl + sr, nrhs);
-        gemm(1.0, sk.proj.rb(), Trans::Yes, z, Trans::No, 0.0, y.rb_mut());
-        // C = Z^{-1} (Z − I) Y, with (Z−I)Y = [B_l Y_bot; B_r Y_top].
-        let b_l = self.factors[node].b_l.as_ref().expect("recompute-W needs B blocks");
-        let b_r = self.factors[node].b_r.as_ref().expect("recompute-W needs B blocks");
-        let z_lu = self.factors[node].z_lu.as_ref().expect("reduced system missing");
-        let mut c = workspace::take_mat_detached(sl + sr, nrhs);
-        {
-            let (ctop, cbot) = c.rb_mut().split_at_row(sl);
-            let (ytop, ybot) = (y.submatrix(0..sl, 0..nrhs), y.submatrix(sl..sl + sr, 0..nrhs));
-            gemm(1.0, b_l.rb(), Trans::No, ybot, Trans::No, 0.0, ctop);
-            gemm(1.0, b_r.rb(), Trans::No, ytop, Trans::No, 0.0, cbot);
-        }
-        z_lu.solve_mat_inplace(&mut c);
-        for j in 0..nrhs {
-            for (yi, ci) in y.col_mut(j).iter_mut().zip(c.col(j)) {
-                *yi -= ci;
-            }
-        }
-        workspace::recycle_mat(c);
-        // W T = [P̂_l T_top ; P̂_r T_bot], recursively.
-        let (otop, obot) = out.split_at_row(tree.node(l).len());
-        self.apply_p_hat_into(l, y.submatrix(0..sl, 0..nrhs), otop);
-        self.apply_p_hat_into(r, y.submatrix(sl..sl + sr, 0..nrhs), obot);
         workspace::recycle_mat(y);
     }
 }

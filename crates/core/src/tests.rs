@@ -111,18 +111,23 @@ fn baseline_produces_identical_factorization() {
     // Table III note: "Both methods construct exactly the same
     // factorization (up to roundoff errors)".
     let (st, kernel) = fixture(1, 1e-5);
-    let cfg = SolverConfig::default().with_lambda(1.0);
-    let fast = factorize(&st, &kernel, cfg).expect("telescoped");
-    let slow = factorize_baseline(&st, &kernel, cfg).expect("baseline");
     let b = rand_vec(512, 21);
-    let mut x1 = b.clone();
-    let mut x2 = b.clone();
-    fast.solve_in_place(&mut x1).expect("solve fast");
-    slow.solve_in_place(&mut x2).expect("solve slow");
-    let r = rel_err(&x1, &x2);
-    assert!(r < 1e-9, "baseline mismatch {r}");
-    // The telescoping must also save flops even at this tiny size.
-    assert!(fast.stats().flops < slow.stats().flops);
+    for storage in [StorageMode::Gsks, StorageMode::StoredGemv] {
+        let cfg = SolverConfig::default().with_lambda(1.0).with_storage(storage);
+        let fast = factorize(&st, &kernel, cfg).expect("telescoped");
+        let slow = factorize_baseline(&st, &kernel, cfg).expect("baseline");
+        let mut x1 = b.clone();
+        let mut x2 = b.clone();
+        fast.solve_in_place(&mut x1).expect("solve fast");
+        slow.solve_in_place(&mut x2).expect("solve slow");
+        let r = rel_err(&x1, &x2);
+        assert!(r < 1e-9, "{storage:?}: baseline mismatch {r}");
+        // The telescoping must also save flops even at this tiny size.
+        assert!(fast.stats().flops < slow.stats().flops, "{storage:?}");
+        // The same factors hold the same bytes: the baseline's full
+        // projections are scratch, not factor.
+        assert_eq!(fast.stats().stored_bytes, slow.stats().stored_bytes, "{storage:?}");
+    }
 }
 
 #[test]
@@ -221,27 +226,23 @@ fn hybrid_inverts_level_restricted_operator() {
 fn level_restricted_direct_matches_hybrid() {
     // Table V compares the hybrid (GMRES on the reduced system) against
     // the direct variant that LU-factorizes the coalesced 2^L s system:
-    // one solver, two reduced steps. Recompute-W telescopes the frontier
-    // P̂ through eq. (10) on both.
+    // one solver, two reduced steps.
     let (st, kernel) = fixture(3, 1e-5);
     let lambda = 0.8;
     let b = rand_vec(512, 29);
-    for w in [crate::WStorage::Stored, crate::WStorage::Recompute] {
-        let cfg = SolverConfig::default().with_lambda(lambda).with_w_storage(w);
-        let ft = factorize(&st, &kernel, cfg).expect("f");
-        let hy = HybridSolver::new(&ft).expect("hybrid");
-        let mut xd = kfds_la::Mat::from_col_major(512, 1, b.clone());
-        let report = hy.solve_factored_in_place(&mut xd).expect("factored solve");
-        assert_eq!(report.operator, crate::ReducedOperator::Factored);
-        // The direct variant must invert the level-restricted operator exactly.
-        let applied = hier_matvec(&st, &kernel, lambda, xd.col(0));
-        assert!(rel_err(&applied, &b) < 1e-9, "{w:?}: direct level-restricted residual");
-        let opts = GmresOptions { tol: 1e-12, max_iters: 400, ..Default::default() };
-        let out = hy.solve(&b, &opts).expect("hybrid");
-        let applied = hier_matvec(&st, &kernel, lambda, &out.x);
-        assert!(rel_err(&applied, &b) < 1e-8, "{w:?}: hybrid residual");
-        assert!(rel_err(xd.col(0), &out.x) < 1e-8, "{w:?}: direct vs hybrid mismatch");
-    }
+    let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(lambda)).expect("f");
+    let hy = HybridSolver::new(&ft).expect("hybrid");
+    let mut xd = kfds_la::Mat::from_col_major(512, 1, b.clone());
+    let report = hy.solve_factored_in_place(&mut xd).expect("factored solve");
+    assert_eq!(report.operator, crate::ReducedOperator::Factored);
+    // The direct variant must invert the level-restricted operator exactly.
+    let applied = hier_matvec(&st, &kernel, lambda, xd.col(0));
+    assert!(rel_err(&applied, &b) < 1e-9, "direct level-restricted residual");
+    let opts = GmresOptions { tol: 1e-12, max_iters: 400, ..Default::default() };
+    let out = hy.solve(&b, &opts).expect("hybrid");
+    let applied = hier_matvec(&st, &kernel, lambda, &out.x);
+    assert!(rel_err(&applied, &b) < 1e-8, "hybrid residual");
+    assert!(rel_err(xd.col(0), &out.x) < 1e-8, "direct vs hybrid mismatch");
 }
 
 #[test]
@@ -250,10 +251,9 @@ fn distributed_matches_serial() {
     let base = SolverConfig::default().with_lambda(0.6);
     // The ranks' local sweeps are the serial sweep restricted to a
     // subtree: under stored V each assembles its own subtree's coupling
-    // blocks, under recompute-W each drops its internal P̂ as it goes.
+    // blocks.
     let stored = base.with_storage(StorageMode::StoredGemv);
-    let recompute = base.with_w_storage(crate::WStorage::Recompute);
-    for (cfg, ranks) in [(base, &[1, 2, 4][..]), (stored, &[2, 4]), (recompute, &[2, 4])] {
+    for (cfg, ranks) in [(base, &[1, 2, 4][..]), (stored, &[2, 4])] {
         let serial = factorize(&st, &kernel, cfg).expect("serial");
         let b = rand_vec(512, 17);
         let mut want = b.clone();
@@ -262,7 +262,7 @@ fn distributed_matches_serial() {
             let ds = dist_factorize(&st, &kernel, cfg, p).expect("dist factorize");
             let got = ds.solve(&b);
             let r = rel_err(&got, &want);
-            assert!(r < 1e-9, "{:?}/{:?} p={p}: dist-vs-serial {r}", cfg.storage, cfg.w_storage);
+            assert!(r < 1e-9, "{:?} p={p}: dist-vs-serial {r}", cfg.storage);
         }
     }
 }
@@ -349,25 +349,22 @@ fn instability_detected_for_tiny_lambda_flat_kernel() {
 }
 
 #[test]
-fn level_restricted_direct_storage_and_w_modes_agree() {
-    // The factored solve over every V-block scheme and both W modes: the
-    // same D⁻¹, V and W renderings the direct solves use around one LU.
+fn level_restricted_direct_storage_modes_agree() {
+    // The factored solve over every V-block scheme: the same D⁻¹, V and W
+    // renderings the direct solves use around one LU.
     let (st, kernel) = fixture(2, 1e-5);
     let b = rand_vec(512, 41);
     let mut sols: Vec<(String, Vec<f64>)> = Vec::new();
     for storage in [StorageMode::Gsks, StorageMode::StoredGemv, StorageMode::RecomputeGemm] {
-        for w in [crate::WStorage::Stored, crate::WStorage::Recompute] {
-            let cfg =
-                SolverConfig::default().with_lambda(0.6).with_storage(storage).with_w_storage(w);
-            let ft = factorize(&st, &kernel, cfg).expect("f");
-            let hy = HybridSolver::new(&ft).expect("hybrid");
-            let mut x = kfds_la::Mat::from_col_major(512, 1, b.clone());
-            let report = hy.solve_factored_in_place(&mut x).expect("factored solve");
-            // The LU is the reduced system's only storage in every mode.
-            let r = hy.reduced_dim();
-            assert_eq!((report.bytes, hy.reduced_bytes()), (8 * r * r, 8 * r * r));
-            sols.push((format!("{storage:?}/{w:?}"), x.into_vec()));
-        }
+        let cfg = SolverConfig::default().with_lambda(0.6).with_storage(storage);
+        let ft = factorize(&st, &kernel, cfg).expect("f");
+        let hy = HybridSolver::new(&ft).expect("hybrid");
+        let mut x = kfds_la::Mat::from_col_major(512, 1, b.clone());
+        let report = hy.solve_factored_in_place(&mut x).expect("factored solve");
+        // The LU is the reduced system's only storage in every mode.
+        let r = hy.reduced_dim();
+        assert_eq!((report.bytes, hy.reduced_bytes()), (8 * r * r, 8 * r * r));
+        sols.push((format!("{storage:?}"), x.into_vec()));
     }
     for (what, x) in &sols[1..] {
         let err = rel_err(x, &sols[0].1);
@@ -547,39 +544,6 @@ fn out_of_range_class_label_is_a_typed_error() {
         "got {:?}",
         got.err()
     );
-}
-
-#[test]
-fn recompute_w_matches_stored_w() {
-    // §III memory scheme: P̂ stored only at leaves, internal applications
-    // telescoped through eq. (10). Must agree with the stored scheme to
-    // roundoff and retain strictly less memory.
-    let (st, kernel) = fixture(1, 1e-5);
-    let b = rand_vec(512, 81);
-    let stored_cfg = SolverConfig::default().with_lambda(0.9);
-    let rec_cfg = stored_cfg.with_w_storage(crate::config::WStorage::Recompute);
-    let ft_s = factorize(&st, &kernel, stored_cfg).expect("stored");
-    let ft_r = factorize(&st, &kernel, rec_cfg).expect("recompute");
-    let mut x1 = b.clone();
-    let mut x2 = b.clone();
-    ft_s.solve_in_place(&mut x1).expect("solve stored");
-    ft_r.solve_in_place(&mut x2).expect("solve recompute");
-    assert!(rel_err(&x1, &x2) < 1e-10, "recompute-W solution differs");
-    assert!(
-        ft_r.stats().stored_bytes < ft_s.stats().stored_bytes,
-        "recompute-W should retain less: {} vs {}",
-        ft_r.stats().stored_bytes,
-        ft_s.stats().stored_bytes
-    );
-    // Several columns through the telescoped apply_p_hat.
-    let mut bm = kfds_la::Mat::zeros(512, 2);
-    bm.col_mut(0).copy_from_slice(&b);
-    bm.col_mut(1).copy_from_slice(&rand_vec(512, 82));
-    let bm0 = bm.clone();
-    ft_r.solve_mat_in_place(&mut bm).expect("solve mat");
-    let mut c0 = bm0.col(0).to_vec();
-    ft_s.solve_in_place(&mut c0).expect("s");
-    assert!(rel_err(bm.col(0), &c0) < 1e-10);
 }
 
 #[test]
@@ -935,7 +899,7 @@ mod refactor {
             .map(|(i, nf)| {
                 let leaf = nf.leaf_lu.as_ref().map_or(0, |_| tree.node(i).len().pow(2));
                 let z = nf.z_lu.as_ref().map_or(0, |z| z.dim().pow(2));
-                leaf + z + mat(&nf.p_hat) + mat(&nf.b_l) + mat(&nf.b_r)
+                leaf + z + mat(&nf.p_hat)
             })
             .sum();
         8 * words
@@ -997,44 +961,36 @@ mod refactor {
 
     #[test]
     fn byte_accounting_follows_ownership_in_every_mode() {
-        use crate::config::WStorage;
         let (st, kernel) = fixture(1, 1e-5);
         let full = Arc::new(assemble_blocks(&st, &kernel));
         let v_bytes = coupling_bytes_held(&full);
         assert!(v_bytes > 0);
         assert_eq!(full.stats().bytes, v_bytes, "an assembly is its coupling blocks");
-        for w in [WStorage::Stored, WStorage::Recompute] {
-            let base = SolverConfig::default().with_lambda(0.7).with_w_storage(w);
-            let over = factorize_with_blocks(&st, &kernel, Arc::clone(&full), base).expect("over");
-            let (owned, shared) = (over.stats().stored_bytes, over.stats().shared_bytes);
-            assert_eq!(shared, v_bytes, "{w:?}");
-            assert_eq!(owned, factor_bytes_held(&over), "{w:?}");
-            for storage in [StorageMode::StoredGemv, StorageMode::RecomputeGemm, StorageMode::Gsks]
-            {
-                let fresh = factorize(&st, &kernel, base.with_storage(storage)).expect("fresh");
-                let what = format!("{storage:?}/{w:?}");
-                assert_eq!(fresh.stats().shared_bytes, 0, "{what}: a fresh tree shares nothing");
-                match fresh.assembled_blocks() {
-                    // A fresh stored tree owns its V blocks.
-                    Some(own) => {
-                        assert_eq!(storage, StorageMode::StoredGemv, "{what}");
-                        assert_eq!(fresh.stats().stored_bytes, owned + shared, "{what}");
-                        assert_eq!(own.stats().bytes, v_bytes, "{what}: the same assembly");
-                    }
-                    None => {
-                        assert_ne!(storage, StorageMode::StoredGemv, "{what}");
-                        assert_eq!(fresh.stats().stored_bytes, owned, "{what}: no V held");
-                    }
+        let base = SolverConfig::default().with_lambda(0.7);
+        let over = factorize_with_blocks(&st, &kernel, Arc::clone(&full), base).expect("over");
+        let (owned, shared) = (over.stats().stored_bytes, over.stats().shared_bytes);
+        assert_eq!(shared, v_bytes);
+        assert_eq!(owned, factor_bytes_held(&over));
+        for storage in [StorageMode::StoredGemv, StorageMode::RecomputeGemm, StorageMode::Gsks] {
+            let fresh = factorize(&st, &kernel, base.with_storage(storage)).expect("fresh");
+            let what = format!("{storage:?}");
+            assert_eq!(fresh.stats().shared_bytes, 0, "{what}: a fresh tree shares nothing");
+            match fresh.assembled_blocks() {
+                // A fresh stored tree owns its V blocks.
+                Some(own) => {
+                    assert_eq!(storage, StorageMode::StoredGemv, "{what}");
+                    assert_eq!(fresh.stats().stored_bytes, owned + shared, "{what}");
+                    assert_eq!(own.stats().bytes, v_bytes, "{what}: the same assembly");
                 }
-                // Whatever it starts from, a refactored tree reads the
-                // same bytes.
-                let re = fresh.refactor(0.7).expect("refactor");
-                assert_eq!(
-                    re.stats().stored_bytes + re.stats().shared_bytes,
-                    owned + shared,
-                    "{what}"
-                );
+                None => {
+                    assert_ne!(storage, StorageMode::StoredGemv, "{what}");
+                    assert_eq!(fresh.stats().stored_bytes, owned, "{what}: no V held");
+                }
             }
+            // Whatever it starts from, a refactored tree reads the same
+            // bytes.
+            let re = fresh.refactor(0.7).expect("refactor");
+            assert_eq!(re.stats().stored_bytes + re.stats().shared_bytes, owned + shared, "{what}");
         }
     }
 

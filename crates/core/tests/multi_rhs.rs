@@ -10,7 +10,7 @@
 use kfds_askit::{hier_matvec, skeletonize, SkelConfig, SkeletonTree};
 use kfds_core::{
     factorize, HybridSolver, PartitionedFactor, ReducedOperator, ReducedReport, SharedFactor,
-    SharedSetup, SolverConfig, SolverError, StorageMode, WStorage,
+    SharedSetup, SolverConfig, SolverError, StorageMode,
 };
 use kfds_kernels::Gaussian;
 use kfds_krylov::{gmres, FnOp, GmresOptions};
@@ -191,42 +191,30 @@ fn assembled_operator_matches_matrix_free() {
     let (st, kernel) = fixture(n, 3);
     let opts = GmresOptions { tol: 1e-12, ..Default::default() };
     let b = rhs_matrix(n);
-    let mut stored_answer = Vec::new();
-    // Recompute-W drops the frontier P̂, so assembly has to telescope it.
-    for w in [WStorage::Stored, WStorage::Recompute] {
-        let cfg = SolverConfig::default().with_lambda(0.5).with_w_storage(w);
-        let ft = factorize(&st, &kernel, cfg).expect("factorize");
-        let hs = HybridSolver::new(&ft).expect("hybrid solver");
+    let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(0.5)).expect("factorize");
+    let hs = HybridSolver::new(&ft).expect("hybrid solver");
 
-        let out = hs.solve(b.col(0), &opts).expect("hybrid solve");
-        assert!(out.gmres.converged);
-        assert_eq!(out.reduced.operator, ReducedOperator::Assembled, "{w:?}");
-        let (want, iters) = solve_matrix_free(&hs, b.col(0), &opts);
-        let err = rel_err(&out.x, &want);
-        assert!(err < 1e-10, "{w:?}: assembled vs matrix-free rel err {err:.3e}");
-        assert!(out.gmres.iters.abs_diff(iters) <= 1, "{w:?}: {} vs {iters}", out.gmres.iters);
+    let out = hs.solve(b.col(0), &opts).expect("hybrid solve");
+    assert!(out.gmres.converged);
+    assert_eq!(out.reduced.operator, ReducedOperator::Assembled);
+    let (want, iters) = solve_matrix_free(&hs, b.col(0), &opts);
+    let err = rel_err(&out.x, &want);
+    assert!(err < 1e-10, "assembled vs matrix-free rel err {err:.3e}");
+    assert!(out.gmres.iters.abs_diff(iters) <= 1, "{} vs {iters}", out.gmres.iters);
 
-        // Column j of the assembled matrix is (I + VW) e_j (a stride of
-        // columns that visits every frontier node's panel).
-        let z = hs.assemble_reduced();
-        let mut e = vec![0.0; hs.reduced_dim()];
-        let mut wz = vec![0.0; n];
-        for j in (0..hs.reduced_dim()).step_by(9) {
-            e[j] = 1.0;
-            hs.apply_w_pub(&e, &mut wz);
-            let mut col = hs.apply_v_pub(&wz);
-            col[j] += 1.0;
-            e[j] = 0.0;
-            let diff = z.col(j).iter().zip(&col).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-            assert!(diff < 1e-12, "{w:?}: column {j} of I + VW off by {diff:.3e}");
-        }
-
-        if w == WStorage::Stored {
-            stored_answer = out.x;
-        } else {
-            let err = rel_err(&out.x, &stored_answer);
-            assert!(err < 1e-10, "recompute-W vs stored-P̂ rel err {err:.3e}");
-        }
+    // Column j of the assembled matrix is (I + VW) e_j (a stride of
+    // columns that visits every frontier node's panel).
+    let z = hs.assemble_reduced();
+    let mut e = vec![0.0; hs.reduced_dim()];
+    let mut wz = vec![0.0; n];
+    for j in (0..hs.reduced_dim()).step_by(9) {
+        e[j] = 1.0;
+        hs.apply_w_pub(&e, &mut wz);
+        let mut col = hs.apply_v_pub(&wz);
+        col[j] += 1.0;
+        e[j] = 0.0;
+        let diff = z.col(j).iter().zip(&col).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+        assert!(diff < 1e-12, "column {j} of I + VW off by {diff:.3e}");
     }
 }
 
@@ -252,40 +240,34 @@ fn assembled_operator_skips_rank_zero_frontier_nodes() {
         let lambda = 0.4;
         let opts = GmresOptions { tol: 1e-12, ..Default::default() };
         let b = rhs_matrix(n);
-        let mut answers = Vec::new();
-        for w in [WStorage::Stored, WStorage::Recompute] {
-            let cfg = SolverConfig::default().with_lambda(lambda).with_w_storage(w);
-            let ft = factorize(&st, &kernel, cfg).expect("factorize");
-            let hs = HybridSolver::new(&ft).expect("hybrid solver");
-            let ranks: Vec<usize> = hs
-                .frontier()
-                .iter()
-                .map(|&f| st.skeleton(f).expect("frontier skeleton").rank())
-                .collect();
-            assert_eq!(ranks.len(), 1 << max_level);
-            assert_eq!(ranks.iter().filter(|&&r| r == 0).count(), rank_zero_nodes, "{ranks:?}");
-            let out = hs.solve(b.col(0), &opts).expect("hybrid solve");
-            assert_eq!(out.reduced.operator, ReducedOperator::Assembled);
-            let resid = rel_err(&hier_matvec(&st, &kernel, lambda, &out.x), b.col(0));
-            assert!(resid < 1e-9, "L={max_level} {w:?}: residual {resid:.3e}");
-            // The blocked path, and a block of no columns at all.
-            let mut blocked = b.clone();
-            hs.solve_mat_in_place(&mut blocked, &opts).expect("blocked hybrid solve");
-            let err = rel_err(blocked.col(0), &out.x);
-            assert!(err < 1e-10, "L={max_level} {w:?}: blocked vs single rel err {err:.3e}");
-            let none = hs.solve_mat_in_place(&mut Mat::zeros(n, 0), &opts).expect("empty block");
-            assert!(none.gmres.is_empty());
-            // The LU of the same system, down to dimension 0.
-            let mut factored = one_column(&b, 0);
-            let report = hs.solve_factored_in_place(&mut factored).expect("factored solve");
-            assert_eq!(report.bytes, 8 * hs.reduced_dim() * hs.reduced_dim());
-            let err = rel_err(factored.col(0), &out.x);
-            assert!(err < 1e-10, "L={max_level} {w:?}: factored vs GMRES rel err {err:.3e}");
-            hs.solve_factored_in_place(&mut Mat::zeros(n, 0)).expect("empty factored block");
-            answers.push(out.x);
-        }
-        let err = rel_err(&answers[1], &answers[0]);
-        assert!(err < 1e-10, "L={max_level}: recompute-W vs stored-P̂ rel err {err:.3e}");
+        let cfg = SolverConfig::default().with_lambda(lambda);
+        let ft = factorize(&st, &kernel, cfg).expect("factorize");
+        let hs = HybridSolver::new(&ft).expect("hybrid solver");
+        let ranks: Vec<usize> = hs
+            .frontier()
+            .iter()
+            .map(|&f| st.skeleton(f).expect("frontier skeleton").rank())
+            .collect();
+        assert_eq!(ranks.len(), 1 << max_level);
+        assert_eq!(ranks.iter().filter(|&&r| r == 0).count(), rank_zero_nodes, "{ranks:?}");
+        let out = hs.solve(b.col(0), &opts).expect("hybrid solve");
+        assert_eq!(out.reduced.operator, ReducedOperator::Assembled);
+        let resid = rel_err(&hier_matvec(&st, &kernel, lambda, &out.x), b.col(0));
+        assert!(resid < 1e-9, "L={max_level}: residual {resid:.3e}");
+        // The blocked path, and a block of no columns at all.
+        let mut blocked = b.clone();
+        hs.solve_mat_in_place(&mut blocked, &opts).expect("blocked hybrid solve");
+        let err = rel_err(blocked.col(0), &out.x);
+        assert!(err < 1e-10, "L={max_level}: blocked vs single rel err {err:.3e}");
+        let none = hs.solve_mat_in_place(&mut Mat::zeros(n, 0), &opts).expect("empty block");
+        assert!(none.gmres.is_empty());
+        // The LU of the same system, down to dimension 0.
+        let mut factored = one_column(&b, 0);
+        let report = hs.solve_factored_in_place(&mut factored).expect("factored solve");
+        assert_eq!(report.bytes, 8 * hs.reduced_dim() * hs.reduced_dim());
+        let err = rel_err(factored.col(0), &out.x);
+        assert!(err < 1e-10, "L={max_level}: factored vs GMRES rel err {err:.3e}");
+        hs.solve_factored_in_place(&mut Mat::zeros(n, 0)).expect("empty factored block");
     }
 }
 
@@ -395,16 +377,13 @@ fn single_rhs_direct_solve_is_column_zero_of_the_one_column_block() {
     let (st, kernel) = fixture(n, 1);
     let b = rhs_matrix(n);
     for storage in [StorageMode::StoredGemv, StorageMode::RecomputeGemm, StorageMode::Gsks] {
-        for w in [WStorage::Stored, WStorage::Recompute] {
-            let cfg =
-                SolverConfig::default().with_lambda(0.5).with_storage(storage).with_w_storage(w);
-            let ft = factorize(&st, &kernel, cfg).expect("factorize");
-            let mut single = b.col(1).to_vec();
-            ft.solve_in_place(&mut single).expect("single-RHS solve");
-            let mut block = one_column(&b, 1);
-            ft.solve_mat_in_place(&mut block).expect("one-column blocked solve");
-            assert_eq!(single, block.col(0), "{storage:?} / {w:?}");
-        }
+        let cfg = SolverConfig::default().with_lambda(0.5).with_storage(storage);
+        let ft = factorize(&st, &kernel, cfg).expect("factorize");
+        let mut single = b.col(1).to_vec();
+        ft.solve_in_place(&mut single).expect("single-RHS solve");
+        let mut block = one_column(&b, 1);
+        ft.solve_mat_in_place(&mut block).expect("one-column blocked solve");
+        assert_eq!(single, block.col(0), "{storage:?}");
     }
 }
 

@@ -34,7 +34,7 @@
 //! that steady-state factorize/solve allocate nothing: a second run of the
 //! same workload must be all hits.
 
-use crate::mat::{Mat, MatMut, MatRef};
+use crate::mat::Mat;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Once;
@@ -350,73 +350,6 @@ pub fn take_zeroed(len: usize) -> WsVec {
     w
 }
 
-/// A pooled scratch matrix (column-major, like [`Mat`]); returns its
-/// storage to the pool on drop.
-pub struct WsMat {
-    buf: WsVec,
-    nrows: usize,
-    ncols: usize,
-}
-
-impl WsMat {
-    #[inline]
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    #[inline]
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
-    /// Immutable view of the whole matrix.
-    #[inline]
-    pub fn rb(&self) -> MatRef<'_> {
-        MatRef::from_parts(&self.buf, self.nrows, self.ncols, self.nrows)
-    }
-
-    /// Mutable view of the whole matrix.
-    #[inline]
-    pub fn rb_mut(&mut self) -> MatMut<'_> {
-        MatMut::from_parts(&mut self.buf, self.nrows, self.ncols, self.nrows)
-    }
-
-    /// Column `j` as a contiguous slice.
-    #[inline]
-    pub fn col(&self, j: usize) -> &[f64] {
-        debug_assert!(j < self.ncols);
-        &self.buf[j * self.nrows..(j + 1) * self.nrows]
-    }
-
-    /// Column `j` as a mutable contiguous slice.
-    #[inline]
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        debug_assert!(j < self.ncols);
-        &mut self.buf[j * self.nrows..(j + 1) * self.nrows]
-    }
-
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.buf
-    }
-
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.buf
-    }
-
-    /// Copies this scratch matrix into an owned [`Mat`] (for results that
-    /// must outlive the workspace guard).
-    pub fn to_mat(&self) -> Mat {
-        self.rb().to_mat()
-    }
-}
-
-/// Takes an `nrows x ncols` scratch matrix filled with zeros.
-pub fn take_mat_zeroed(nrows: usize, ncols: usize) -> WsMat {
-    WsMat { buf: take_zeroed(nrows * ncols), nrows, ncols }
-}
-
 /// Hands a no-longer-needed owned matrix's storage back to the pool.
 pub fn recycle_mat(m: Mat) {
     give_vec(m.into_vec());
@@ -476,16 +409,6 @@ mod tests {
         }
         let w = take_zeroed(64);
         assert!(w.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn ws_mat_shapes_and_views() {
-        let mut wm = take_mat_zeroed(5, 3);
-        wm.col_mut(2)[4] = 8.0;
-        assert_eq!(wm.rb().get(4, 2), 8.0);
-        assert_eq!(wm.rb().nrows(), 5);
-        let owned = wm.to_mat();
-        assert_eq!(owned[(4, 2)], 8.0);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub mod prelude {
     pub use kfds_core::{
         dist_factorize, estimate_condition, estimate_sigma1, factorize, factorize_baseline,
         DistSolver, FactorStats, FactorTree, HybridOutcome, HybridSolver, KernelRidge,
-        ReducedOperator, ReducedReport, SolverConfig, SolverError, StorageMode, WStorage,
+        ReducedOperator, ReducedReport, SolverConfig, SolverError, StorageMode,
     };
     pub use kfds_kernels::{Gaussian, Kernel, Laplacian, Matern32, Polynomial};
     pub use kfds_krylov::{gmres, GmresOptions, LinOp};
