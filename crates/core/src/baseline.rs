@@ -16,6 +16,7 @@ use crate::error::SolverError;
 use crate::factor::{
     build_reduced_system, held_bytes, in_factored_region, FactorTree, NodeCost, NodeFactors,
 };
+use crate::reduced::ReducedLu;
 use crate::solve::SolveCtx;
 use kfds_askit::SkeletonTree;
 use kfds_kernels::{flops, Kernel};
@@ -149,9 +150,8 @@ fn pass1_node<K: Kernel>(
         }
         Some((l, r)) => {
             let (p_hat_l, p_hat_r) = (factors[l].p_hat(), factors[r].p_hat());
-            let rs =
+            let (z, mut cost) =
                 build_reduced_system(st, kernel, config, blocks, p_hat_l, p_hat_r, node, l, r)?;
-            let mut cost = rs.cost;
             // Full projection P_{αα̃} = diag(P_l, P_r) · P_{[l̃r̃]α̃},
             // materialized bottom-up from the children's full projections.
             let pf = match st.skeleton(node) {
@@ -187,7 +187,7 @@ fn pass1_node<K: Kernel>(
                 None => None,
             };
             Ok(Pass1 {
-                factors: NodeFactors { z_lu: Some(rs.z_lu), ..Default::default() },
+                factors: NodeFactors { z: Some(z), ..Default::default() },
                 p_full: pf,
                 cost,
             })
@@ -211,7 +211,7 @@ fn recursive_solve_flops(st: &SkeletonTree, node: usize, nrhs: usize) -> f64 {
             recursive_solve_flops(st, l, nrhs)
                 + recursive_solve_flops(st, r, nrhs)
                 + 2.0 * ((sl * nr + sr * nl) * nrhs) as f64 // V apply
-                + flops::lu_solve_flops(sl + sr, nrhs) // Z solve
+                + ReducedLu::solve_flops(sl, sr, nrhs) // Z solve
                 + 2.0 * ((nl * sl + nr * sr) * nrhs) as f64 // W apply
         }
     }

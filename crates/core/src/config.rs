@@ -66,22 +66,31 @@ pub struct LevelStats {
 pub struct FactorStats {
     /// Wall-clock seconds of the factorization.
     pub seconds: f64,
-    /// Explicitly counted floating-point operations.
+    /// Explicitly counted floating-point operations. An internal node
+    /// counts forming its coupling blocks `B_l`, `B_r`; then
+    /// `gemm(s_r, s_r, s_l) + lu(s_r)` for the Schur complement
+    /// `S = I − B_r B_l` and its LU; then the in-place `Z⁻¹Pᵀ` of the
+    /// telescoping (two GEMMs and an `s_r` LU solve over `s` columns) and
+    /// the two `P̂` GEMMs.
     pub flops: f64,
-    /// Smallest relative pivot over all leaf and reduced-system LUs —
-    /// the §III instability detector. A block holding a NaN or an infinity
-    /// fails the factorization (`LaError::NonFinite`) rather than reading
-    /// here as perfectly conditioned, so the `1.0` this field falls back
-    /// to only ever stands for a factorization that took no pivot at all.
+    /// Smallest relative pivot over all leaf LUs and the LUs of the
+    /// reduced systems' Schur complements `S = I − B_r B_l` — the §III
+    /// instability detector. `Z`'s identity blocks take no pivots, and a
+    /// node with `s_r = 0` has a `0 x 0` `S`, which takes none and reads
+    /// `1.0`. A block holding a NaN or an infinity fails the factorization
+    /// (`LaError::NonFinite`) rather than reading here as perfectly
+    /// conditioned, so the `1.0` this field falls back to only ever stands
+    /// for a factorization that took no pivot at all.
     pub min_pivot_ratio: f64,
-    /// Number of LU factorizations whose pivot ratio fell below the
-    /// stability threshold, `1e-12`.
+    /// Number of LU factorizations (leaf blocks and Schur complements)
+    /// whose pivot ratio fell below the stability threshold, `1e-12`.
     pub unstable_factorizations: usize,
     /// Largest skeleton rank encountered.
     pub max_rank: usize,
     /// Bytes this factorization call allocated and the tree keeps alive,
-    /// read off the factor layout: every leaf and reduced-system LU
-    /// (`dim²` words) and every `P̂`, plus the stored `V` blocks of a
+    /// read off the factor layout: every leaf LU (`dim²` words), every
+    /// reduced system (`B_l`, `B_r` and the LU of `S`: `2 s_l s_r + s_r²`
+    /// words) and every `P̂`, plus the stored `V` blocks of a
     /// fresh [`StorageMode::StoredGemv`] `factorize`, which assembles them
     /// itself. Scratch a builder drops (the baseline's full projections)
     /// is not counted, so the same factors report the same bytes whichever

@@ -52,72 +52,74 @@ use std::sync::Arc;
 const N: usize = 1024;
 const NRHS: usize = 8;
 
-/// Recorded at commit 966662b (PR 19) under `KFDS_SIMD=off`, where the
-/// three storage rows were named `direct/{mode}/Stored` (the stored-`P̂`
-/// half of a since-retired recomputed-`W` scheme).
+/// Recorded under `KFDS_SIMD=off` at the commit after e6b0963, the first
+/// to factor each reduced system `Z_α` through its Schur complement
+/// (`crate::reduced`), which moves every factor and solve bit; checked
+/// there to be equal on one and two rayon threads. The rows were first
+/// recorded at commit 966662b.
 const GOLDEN: [(&str, u64); 5] = [
-    ("direct/StoredGemv", 0x119b70d9989921f0),
-    ("direct/RecomputeGemm", 0x119b70d9989921f0),
-    ("direct/Gsks", 0xc1c12e062773d4ff),
-    ("hybrid/L2", 0x142cf354ed0fd538),
-    ("partition/p4", 0xc1c12e062773d4ff),
+    ("direct/StoredGemv", 0x94d6977bcde77c3b),
+    ("direct/RecomputeGemm", 0x94d6977bcde77c3b),
+    ("direct/Gsks", 0xd97014302f2b8c4d),
+    ("hybrid/L2", 0x40502b27f9f65476),
+    ("partition/p4", 0xd97014302f2b8c4d),
 ];
 
 /// Skeletons, factors and the solves [`GOLDEN`] lacks (a partial factor,
-/// ragged tolerance-driven ranks). Recorded under `KFDS_SIMD=off` at commit
-/// 0c24218 (PR 22), the last with a second, level-batched factorization
-/// engine: that engine produced these rows, and the per-node sweep that is
-/// now the only one was checked there to produce the same (the
-/// `factor/{mode}` rows as `factor/{mode}/Stored`). `factor/partial-L2`
-/// was recorded at commit 66b0166, the last with the recomputed-`W` scheme,
-/// from the stored-`P̂` factor under `hybrid/L2`.
+/// ragged tolerance-driven ranks). The `skeleton/*` rows were recorded
+/// under `KFDS_SIMD=off` at commit 0c24218 and have not moved since; the
+/// `factor/*` and `direct/covtype` rows were re-recorded, like [`GOLDEN`],
+/// at the commit after e6b0963 (Schur-complement reduced systems; the
+/// factor rows now hash the held `B_l`, `B_r` as well).
 const GOLDEN_SETUP: [(&str, u64); 8] = [
     ("skeleton/normal", 0x33ecb6ca1ba2371b),
-    ("factor/StoredGemv", 0x495f4f103a9db366),
-    ("factor/RecomputeGemm", 0x051bdcc643f79a51),
-    ("factor/Gsks", 0xe927c096a3ff3a74),
-    ("factor/partial-L2", 0x69d5b389924ab2d7),
+    ("factor/StoredGemv", 0x2b315e9c8852aaa5),
+    ("factor/RecomputeGemm", 0x7f03e2dc32a2ce35),
+    ("factor/Gsks", 0x5fe3aa8fa3fab9e4),
+    ("factor/partial-L2", 0x89a0668b9b42696e),
     ("skeleton/covtype", 0x55a490d32fc576ce),
-    ("factor/covtype", 0x10797bdcfd8ca16b),
-    ("direct/covtype", 0xaf5ee68a5ec977d5),
+    ("factor/covtype", 0x608606ad0efcf757),
+    ("direct/covtype", 0x30dfd4ef663cbd10),
 ];
 
 /// The `normal64d_direct` benchmark shape, at n = 1024: the one set-up that
 /// takes the approximate neighbour search (8 projection trees), fixed rank
-/// 64 (τ = 0), matrix-free factors. Recorded under `KFDS_SIMD=off` at
-/// commit 8766a4a (PR 23), the last with a per-query scalar kNN route
-/// (`KFDS_KNN=scalar`): these rows were checked there to be equal under it
-/// and on one rayon thread.
+/// 64 (τ = 0), matrix-free factors. The `knn/*` and `skeleton/*` rows were
+/// recorded under `KFDS_SIMD=off` at commit 8766a4a, the last with a
+/// per-query scalar kNN route, and checked there to be equal under it and
+/// on one rayon thread; the factor and solve rows were re-recorded at the
+/// commit after e6b0963 (Schur-complement reduced systems).
 const GOLDEN_NORMAL64D: [(&str, u64); 4] = [
     ("knn/normal64d", 0x427e74ccd79c91b0),
     ("skeleton/normal64d", 0xbfa8f9fb0b9e5409),
-    ("factor/normal64d/Gsks", 0x42576db6768a5185),
-    ("direct/normal64d/Gsks", 0x4fc47e5564116b79),
+    ("factor/normal64d/Gsks", 0xe58ad3a90ba06d9a),
+    ("direct/normal64d/Gsks", 0x5b712eacbdd7e26a),
 ];
 
 /// Every row of the three tables above, in the same order, under the
-/// vector kernel bodies of a host with AVX-512F (`KFDS_SIMD` on). Recorded
-/// at commit 74324e4, the last with the dimension-major GSKS source pack,
-/// and checked there to be equal on one and two rayon threads;
-/// `factor/partial-L2` at commit 66b0166, likewise.
+/// vector kernel bodies of a host with AVX-512F (`KFDS_SIMD` on). The
+/// `knn/*` and `skeleton/*` rows were recorded at commit 74324e4; every
+/// factor and solve row was re-recorded at the commit after e6b0963
+/// (Schur-complement reduced systems) and checked there to be equal on
+/// one and two rayon threads.
 const GOLDEN_AVX512: [(&str, u64); 17] = [
-    ("direct/StoredGemv", 0xb095a3f711100fed),
-    ("direct/RecomputeGemm", 0xb095a3f711100fed),
-    ("direct/Gsks", 0xeadde35b66933515),
-    ("hybrid/L2", 0x14edb07136331898),
-    ("partition/p4", 0xeadde35b66933515),
+    ("direct/StoredGemv", 0xc799ab22d53588c5),
+    ("direct/RecomputeGemm", 0xc799ab22d53588c5),
+    ("direct/Gsks", 0xb66092cbd862f80f),
+    ("hybrid/L2", 0xdc98b2ea1a873115),
+    ("partition/p4", 0xb66092cbd862f80f),
     ("skeleton/normal", 0x6fd7da0f032310ea),
-    ("factor/StoredGemv", 0x00a2adbbaeb8249c),
-    ("factor/RecomputeGemm", 0x8adf1170d4e1cf8b),
-    ("factor/Gsks", 0x9f00994f7039fd2a),
-    ("factor/partial-L2", 0x63a894a368a06f36),
+    ("factor/StoredGemv", 0x3774695993f285c4),
+    ("factor/RecomputeGemm", 0x1812bdc495efed64),
+    ("factor/Gsks", 0x3ca75e34226a7dc8),
+    ("factor/partial-L2", 0xedb832b86d12cd43),
     ("skeleton/covtype", 0x5d32d2622611aeb7),
-    ("factor/covtype", 0xfadc87e5e0297895),
-    ("direct/covtype", 0xe8a1d86b76eb93d8),
+    ("factor/covtype", 0xade9aae3a4d05406),
+    ("direct/covtype", 0xbb5e8ecf764bb7fc),
     ("knn/normal64d", 0x427e74ccd79c91b0),
     ("skeleton/normal64d", 0xec3d48e271469131),
-    ("factor/normal64d/Gsks", 0x4bf611c29bb5edbf),
-    ("direct/normal64d/Gsks", 0x7cce0acc4b90d406),
+    ("factor/normal64d/Gsks", 0xd106c366bfca0adc),
+    ("direct/normal64d/Gsks", 0x313c8f665f5fc64e),
 ];
 
 /// The `multi_rhs.rs` fixture: n = 1024, leaf 64, τ = 1e-5, s ≤ 64, κ = 8.
@@ -246,19 +248,17 @@ fn skeleton_digest(st: &SkeletonTree) -> u64 {
     h.0
 }
 
-/// Per node: which dense factors exist and `P̂` (shape and bits); then
-/// the accounting every route to these factors must agree on. The LU
-/// factors themselves have no accessors — the solve rows hold those.
+/// Per node: which dense factors exist, `P̂` and the reduced system's
+/// coupling blocks `B_l`, `B_r` (shape and bits); then the accounting
+/// every route to these factors must agree on. The LU factors themselves
+/// have no accessors — the solve rows hold those.
 fn factor_digest<K: Kernel>(ft: &FactorTree<'_, K>) -> u64 {
     let mut h = Fnv::new();
     for nf in ft.factors() {
-        h.word(u64::from(nf.leaf_lu.is_some()) | u64::from(nf.z_lu.is_some()) << 1);
+        h.word(u64::from(nf.leaf_lu.is_some()) | u64::from(nf.z.is_some()) << 1);
         h.mat(nf.p_hat.as_ref());
-        // Two absent matrices where the retired recomputed-W scheme kept
-        // its coupling blocks `B_l`, `B_r`: the word stream, and so every
-        // recorded row, stays what it was.
-        h.mat(None);
-        h.mat(None);
+        h.mat(nf.z.as_ref().map(|z| &z.b_l));
+        h.mat(nf.z.as_ref().map(|z| &z.b_r));
     }
     let s = ft.stats();
     h.floats(&[s.flops, s.min_pivot_ratio]);

@@ -19,9 +19,10 @@
 use crate::config::SolverConfig;
 use crate::error::SolverError;
 use crate::factor::{factor_z, factorize_impl, telescope_m, FactorTree, NodeCost};
+use crate::reduced::ReducedLu;
 use kfds_askit::SkeletonTree;
 use kfds_kernels::{sum_fused, sum_fused_multi, Kernel};
-use kfds_la::{gemm, Lu, Mat, MatMut, Trans};
+use kfds_la::{gemm, workspace, Mat, MatMut, Trans};
 use kfds_rt::{Comm, World};
 use std::time::Instant;
 
@@ -50,8 +51,9 @@ struct DistLevel {
     /// Row slice of the child's `P̂` over this rank's points
     /// (`|{x}| x s_c`) — the `W` rows used in the solve correction.
     phat_child: Mat,
-    /// LU of `Z_α`; present on the parent communicator's rank 0 only.
-    z_lu: Option<Lu>,
+    /// `Z_α` (coupling blocks and `LU(S)`); present on the parent
+    /// communicator's rank 0 only.
+    z: Option<ReducedLu>,
 }
 
 /// Everything one rank holds after the distributed factorization.
@@ -156,6 +158,7 @@ fn dist_factor_rank<'a, K: Kernel>(
         a = parent;
         ancestors.push(a);
     }
+    // `dist_factorize` found the p = 2^lp nodes of level lp: lp + 1 ancestors.
     assert_eq!(ancestors.len(), lp + 1, "tree must be complete to level log2(p)");
 
     // The rank's P̂ slice for its current child node, carried upward.
@@ -165,6 +168,7 @@ fn dist_factor_rank<'a, K: Kernel>(
     if lp == 0 {
         return Ok(RankState { subtree_root: my_node, range: my_range, local, levels: Vec::new() });
     }
+    // Level lp >= 1 here, and `dist_factorize` checked it for skeletons.
     let mut phat_child: Mat = local.factors()[my_node].p_hat().clone();
     let mut levels = Vec::with_capacity(lp);
 
@@ -175,16 +179,19 @@ fn dist_factor_rank<'a, K: Kernel>(
         let q = parent_comm.size();
         let me = parent_comm.rank();
         let lower = me < q / 2;
+        // Levels 0..lp lie above the rank-owned subtrees, so never leaves.
         let (lc, rc) = tree.node(node).children.expect("distributed node is internal");
 
         // --- Skeleton exchange (Fig. 1): {0} <-> {q/2}, then Bcast. ---
         let mut skel_l: Vec<usize>;
         let mut skel_r: Vec<usize>;
         if me == 0 {
+            // `dist_factorize` checked every node of levels 1..=lp for a skeleton.
             skel_l = st.skeleton(lc).expect("child skeleton").skeleton.clone();
             parent_comm.send_usize(q / 2, tag::SKEL_EXCHANGE, &skel_l);
             skel_r = parent_comm.recv_usize(q / 2, tag::SKEL_EXCHANGE);
         } else if me == q / 2 {
+            // As above: the children sit at levels 1..=lp.
             skel_r = st.skeleton(rc).expect("child skeleton").skeleton.clone();
             skel_l = parent_comm.recv_usize(0, tag::SKEL_EXCHANGE);
             parent_comm.send_usize(0, tag::SKEL_EXCHANGE, &skel_r);
@@ -222,26 +229,31 @@ fn dist_factor_rank<'a, K: Kernel>(
         let red = half_comm.reduce_sum(0, partial.as_slice());
 
         // --- Assemble and factorize Z on {0} (Algorithm II.4). ---
-        let mut z_lu = None;
+        let mut z = None;
         let node_sk = st.skeleton(node);
         let s_node = node_sk.map(|s| s.rank()).unwrap_or(0);
         let mut m_block = Mat::zeros(0, 0); // M_c for the telescoping
         if me == 0 {
+            // Rank 0 is rank 0 of its half too, the root `reduce_sum` returns to.
             let b_r = Mat::from_col_major(sr, sl, red.expect("half root reduction"));
             // B_l arrives from {q/2}.
             let b_l_data = parent_comm.recv_f64(q / 2, tag::B_BLOCK);
             let b_l = Mat::from_col_major(sl, sr, b_l_data);
-            // The serial sweep's own Z pack + LU; the per-rank cost
+            // The serial sweep's own factorization of Z; the per-rank cost
             // accounting it folds in is not reported here.
-            let lu = factor_z(&b_l, &b_r, sl, sr, node, &mut NodeCost::default())?;
-            // Telescoping data M_l, M_r (eq. 10), root level skips it.
+            let reduced = factor_z(b_l, b_r, node, &mut NodeCost::default())?;
+            // Telescoping data M = Z⁻¹Pᵀ (eq. 10), root level skips it:
+            // the top s_l rows stay, the bottom s_r go to {q/2}.
             if let Some(sk) = node_sk {
-                let (m_l, m_r) = telescope_m(&sk.proj, &b_l, &b_r, &lu);
+                let m = telescope_m(&sk.proj, &reduced);
+                let m_r = m.submatrix(sl..sl + sr, 0..s_node).to_mat();
                 parent_comm.send_f64(q / 2, tag::M_BLOCK, m_r.as_slice());
-                m_block = m_l;
+                m_block = m.submatrix(0..sl, 0..s_node).to_mat();
+                workspace::recycle_mat(m);
             }
-            z_lu = Some(lu);
+            z = Some(reduced);
         } else if me == q / 2 {
+            // Rank q/2 is rank 0 of the upper half, the root of its reduction.
             let b_l_partial = red.expect("half root reduction");
             parent_comm.send_f64(0, tag::B_BLOCK, &b_l_partial);
             if node_sk.is_some() {
@@ -264,7 +276,7 @@ fn dist_factor_rank<'a, K: Kernel>(
                 skel_l,
                 skel_r,
                 phat_child: std::mem::replace(&mut phat_child, phat_node),
-                z_lu,
+                z,
             });
         } else {
             // Root: no skeleton, no telescoping; the carried slice ends here.
@@ -275,7 +287,7 @@ fn dist_factor_rank<'a, K: Kernel>(
                 skel_l,
                 skel_r,
                 phat_child: phat_child.clone(),
-                z_lu,
+                z,
             });
         }
     }
@@ -352,7 +364,7 @@ fn dist_solve_rank<K: Kernel>(rs: &RankState<'_, K>, u: &mut [f64]) {
             let y_top = lvl.parent_comm.recv_f64(q / 2, tag::Y_TOP);
             let mut y = y_top;
             y.extend(y_bot);
-            lvl.z_lu.as_ref().expect("Z on rank 0").solve_inplace(&mut y);
+            lvl.z.as_ref().expect("Z on rank 0").solve_mut(MatMut::from_col(&mut y));
             let (z_top, z_bot) = y.split_at(sl);
             lvl.parent_comm.send_f64(q / 2, tag::Z_BOT, z_bot);
             z_c = z_top.to_vec();

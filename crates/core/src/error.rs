@@ -5,7 +5,8 @@ use std::fmt;
 /// Failure modes of the direct solver.
 #[derive(Clone, Debug)]
 pub enum SolverError {
-    /// A diagonal or reduced-system LU hit an exactly-singular pivot at
+    /// A diagonal LU, or the LU of a reduced system's Schur complement,
+    /// hit an exactly-singular pivot (or a non-finite value) at
     /// tree node `node` — the hard form of the §III instability (λ too
     /// small for the spectrum of the block).
     Factorization {

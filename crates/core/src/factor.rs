@@ -2,18 +2,24 @@
 //! telescoping of eq. (10).
 //!
 //! Bottom-up over the tree: leaves LU-factorize `λI + K_αα` and solve for
-//! `P̂_{αα̃} = (λI+K_αα)^{-1} P_{αα̃}`; an internal node `α` forms and
-//! LU-factorizes the reduced system (eq. 8)
+//! `P̂_{αα̃} = (λI+K_αα)^{-1} P_{αα̃}`; an internal node `α` forms the
+//! reduced system (eq. 8)
 //!
 //! ```text
-//! Z_α = [ I                  K_{l̃r} P̂_{rr̃} ]
-//!       [ K_{r̃l} P̂_{ll̃}   I               ]
+//! Z_α = [ I     B_l ]    B_l = K_{l̃r} P̂_{rr̃}  (s_l x s_r)
+//!       [ B_r   I   ]    B_r = K_{r̃l} P̂_{ll̃}  (s_r x s_l)
+//!
+//!   B_l, B_r ──► S = I − B_r B_l (s_r x s_r) ──► LU(S)      [ReducedLu]
+//!   Pᵀ = projᵀ ((s_l + s_r) x s) ──► M = Z⁻¹ Pᵀ, in place
+//!   P̂_α = [ P̂_l M_top ; P̂_r M_bot ]                        (eq. 10)
 //! ```
 //!
-//! and *telescopes* `P̂_{αα̃}` from the children's `P̂` factors alone
-//! (eq. 10) — no subtree traversal, which is precisely the improvement
-//! over the `O(N log² N)` scheme of \[36\] (implemented in
-//! [`crate::baseline`] for the Table III comparison).
+//! factoring `Z_α` by block elimination — its identity blocks take no
+//! pivots and no storage (see [`crate::reduced`]) — and *telescopes*
+//! `P̂_{αα̃}` from the children's `P̂` factors alone (eq. 10) — no subtree
+//! traversal, which is precisely the improvement over the `O(N log² N)`
+//! scheme of \[36\] (implemented in [`crate::baseline`] for the Table III
+//! comparison).
 //!
 //! The sweep is level-synchronous, as the paper's shared-memory layer
 //! schedules it: deepest level first, the nodes of a level as the tasks of
@@ -30,6 +36,7 @@
 use crate::assemble::{assemble, assemble_blocks, AssembledBlocks};
 use crate::config::{FactorStats, LevelStats, SolverConfig, StorageMode, STABILITY_THRESHOLD};
 use crate::error::SolverError;
+use crate::reduced::ReducedLu;
 use kfds_askit::SkeletonTree;
 use kfds_kernels::flops;
 use kfds_kernels::{eval_symmetric, sum_fused_multi, sum_reference_multi, Kernel};
@@ -46,9 +53,9 @@ use std::time::Instant;
 pub(crate) struct NodeFactors {
     /// LU of `λI + K_αα` (leaves only).
     pub(crate) leaf_lu: Option<Lu>,
-    /// LU of the reduced system `Z_α` (internal nodes in the factored
-    /// region).
-    pub(crate) z_lu: Option<Lu>,
+    /// The reduced system `Z_α` — its coupling blocks and the LU of its
+    /// Schur complement (internal nodes in the factored region).
+    pub(crate) z: Option<ReducedLu>,
     /// `P̂_{αα̃} = (λI + K̃_αα)^{-1} P_{αα̃}` (`|α| x s`), for
     /// skeletonized nodes.
     pub(crate) p_hat: Option<Mat>,
@@ -61,14 +68,15 @@ impl NodeFactors {
     }
 }
 
-/// Bytes the factors hold — every LU (`dim²`) and every `P̂` — the one
+/// Bytes the factors hold — every leaf LU (`dim²`), every reduced system
+/// (`2 s_l s_r + s_r²`: `B_l`, `B_r`, `LU(S)`) and every `P̂` — the one
 /// count behind [`FactorStats::stored_bytes`], whichever builder made them.
 pub(crate) fn held_bytes(factors: &[NodeFactors]) -> usize {
-    let lu_words = |lu: &Option<Lu>| lu.as_ref().map_or(0, |lu| lu.dim() * lu.dim());
     let words: usize = (factors.iter())
         .map(|nf| {
+            let leaf = nf.leaf_lu.as_ref().map_or(0, |lu| lu.dim() * lu.dim());
             let p_hat = nf.p_hat.as_ref().map_or(0, |p| p.nrows() * p.ncols());
-            lu_words(&nf.leaf_lu) + lu_words(&nf.z_lu) + p_hat
+            leaf + nf.z.as_ref().map_or(0, ReducedLu::words) + p_hat
         })
         .sum();
     8 * words
@@ -125,7 +133,7 @@ impl<'a, K: Kernel> FactorTree<'a, K> {
     /// reduced system exists).
     pub fn is_complete(&self) -> bool {
         let root = self.st.tree().root();
-        self.factors[root].z_lu.is_some() || self.st.tree().node(root).is_leaf()
+        self.factors[root].z.is_some() || self.st.tree().node(root).is_leaf()
     }
 
     /// The assembled blocks backing this factorization — the one home of
@@ -367,19 +375,10 @@ pub(crate) fn factor_leaf<K: Kernel>(
     Ok((NodeFactors { leaf_lu: Some(leaf), p_hat, ..Default::default() }, cost))
 }
 
-/// The reduced system of an internal node: off-diagonal coupling blocks
-/// `B_l = K_{l̃r} P̂_{rr̃}`, `B_r = K_{r̃l} P̂_{ll̃}`, the LU of
-/// `Z = I + VW`.
-pub(crate) struct ReducedSystem {
-    pub b_l: Mat,
-    pub b_r: Mat,
-    pub z_lu: Lu,
-    pub cost: NodeCost,
-}
-
-/// Forms and factorizes the reduced system `Z_α` (eq. 8). Shared between
-/// the `O(N log N)` factorization and the `O(N log² N)` baseline — both
-/// construct *identical* reduced systems.
+/// Forms the coupling blocks `B_l = K_{l̃r} P̂_{rr̃}`, `B_r = K_{r̃l} P̂_{ll̃}`
+/// and factorizes the reduced system `Z_α` (eq. 8) over them. Shared
+/// between the `O(N log N)` factorization and the `O(N log² N)` baseline —
+/// both construct *identical* reduced systems.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_reduced_system<K: Kernel>(
     st: &SkeletonTree,
@@ -391,7 +390,7 @@ pub(crate) fn build_reduced_system<K: Kernel>(
     node: usize,
     l: usize,
     r: usize,
-) -> Result<ReducedSystem, SolverError> {
+) -> Result<(ReducedLu, NodeCost), SolverError> {
     let tree = st.tree();
     let pts = tree.points();
     let d = pts.dim();
@@ -450,81 +449,45 @@ pub(crate) fn build_reduced_system<K: Kernel>(
             + 2.0 * (sl * nr * sr + sr * nl * sl) as f64;
     }
 
-    let z_lu = factor_z(&b_l, &b_r, sl, sr, node, &mut cost)?;
-    Ok(ReducedSystem { b_l, b_r, z_lu, cost })
+    let z = factor_z(b_l, b_r, node, &mut cost)?;
+    Ok((z, cost))
 }
 
-/// Packs `Z = I + VW` (eq. 8) from the coupling blocks and LU-factorizes
-/// it, folding the flop/pivot accounting into `cost` — for this sweep
-/// and the distributed levels of [`crate::dist`].
+/// Factorizes `Z = I + VW` (eq. 8) over its coupling blocks by block
+/// elimination ([`ReducedLu::factor`]), folding the flop/pivot accounting
+/// of `LU(S)` into `cost` — for this sweep and the distributed levels of
+/// [`crate::dist`].
 pub(crate) fn factor_z(
-    b_l: &Mat,
-    b_r: &Mat,
-    sl: usize,
-    sr: usize,
+    b_l: Mat,
+    b_r: Mat,
     node: usize,
     cost: &mut NodeCost,
-) -> Result<Lu, SolverError> {
-    let zdim = sl + sr;
-    let mut z = workspace::take_mat_detached(zdim, zdim);
-    z.rb_mut().fill(0.0);
-    for i in 0..zdim {
-        z[(i, i)] = 1.0;
-    }
-    for j in 0..sr {
-        for i in 0..sl {
-            z[(i, sl + j)] = b_l[(i, j)];
-        }
-    }
-    for j in 0..sl {
-        for i in 0..sr {
-            z[(sl + i, j)] = b_r[(i, j)];
-        }
-    }
-    let z_lu = Lu::factor(z).map_err(|e| SolverError::Factorization { node, source: e })?;
-    cost.flops += flops::lu_flops(zdim);
-    cost.min_pivot = cost.min_pivot.min(z_lu.min_pivot_ratio());
-    cost.unstable += usize::from(z_lu.min_pivot_ratio() < STABILITY_THRESHOLD);
-    Ok(z_lu)
+) -> Result<ReducedLu, SolverError> {
+    let (sl, sr) = (b_l.nrows(), b_r.nrows());
+    let z =
+        ReducedLu::factor(b_l, b_r).map_err(|e| SolverError::Factorization { node, source: e })?;
+    cost.flops += ReducedLu::factor_flops(sl, sr);
+    cost.min_pivot = cost.min_pivot.min(z.min_pivot_ratio());
+    cost.unstable += usize::from(z.min_pivot_ratio() < STABILITY_THRESHOLD);
+    Ok(z)
 }
 
-/// The telescoping factors of eq. (10), `M_c = Pt_c − (Z^{-1}(Z − I) Pt)_c`
-/// with `Pt = projᵀ`, so that `P̂_α = [P̂_l M_l ; P̂_r M_r]` — for this
-/// sweep and the distributed levels of [`crate::dist`]. Both results are
-/// pooled: recycle them.
-pub(crate) fn telescope_m(proj: &Mat, b_l: &Mat, b_r: &Mat, z_lu: &Lu) -> (Mat, Mat) {
-    let (sl, sr, s) = (b_l.nrows(), b_r.nrows(), proj.nrows());
-    // Row-halves of Pt, written straight from the transposed projection —
-    // no (s_l + s_r) x s intermediate. Pooled: every element is
-    // overwritten before use.
-    let mut m_l = workspace::take_mat_detached(sl, s);
-    let mut m_r = workspace::take_mat_detached(sr, s);
+/// The telescoping factor of eq. (10), `M = Z⁻¹ Pᵀ` with `Pᵀ = projᵀ`
+/// (`(s_l + s_r) x s`), solved in place, so that
+/// `P̂_α = [P̂_l M_top ; P̂_r M_bot]` with `M_top` its first `s_l` rows —
+/// for this sweep and the distributed levels of [`crate::dist`]. The
+/// result is pooled: recycle it.
+pub(crate) fn telescope_m(proj: &Mat, z: &ReducedLu) -> Mat {
+    let s = proj.nrows();
+    // Pooled: every element is written by the transpose copy.
+    let mut m = workspace::take_mat_detached(proj.ncols(), s);
     for j in 0..s {
-        for i in 0..sl {
-            m_l[(i, j)] = proj[(j, i)];
-        }
-        for i in 0..sr {
-            m_r[(i, j)] = proj[(j, sl + i)];
+        for (i, v) in m.col_mut(j).iter_mut().enumerate() {
+            *v = proj[(j, i)];
         }
     }
-    // C = (Z − I) Pt, via the already-formed off-diagonal blocks.
-    let mut c = workspace::take_mat_detached(sl + sr, s);
-    let (ctop, cbot) = c.rb_mut().split_at_row(sl);
-    gemm(1.0, b_l.rb(), Trans::No, m_r.rb(), Trans::No, 0.0, ctop);
-    gemm(1.0, b_r.rb(), Trans::No, m_l.rb(), Trans::No, 0.0, cbot);
-    // Y = Z^{-1} C.
-    z_lu.solve_mat_inplace(&mut c);
-    // M_c = Pt_c − Y_c.
-    for j in 0..s {
-        for i in 0..sl {
-            m_l[(i, j)] -= c[(i, j)];
-        }
-        for i in 0..sr {
-            m_r[(i, j)] -= c[(sl + i, j)];
-        }
-    }
-    workspace::recycle_mat(c);
-    (m_l, m_r)
+    z.solve_mut(m.rb_mut());
+    m
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -544,32 +507,27 @@ fn factor_internal<K: Kernel>(
     let skr = st.skeleton(r).expect("factorable node needs skeletonized children");
     let (sl, sr) = (skl.rank(), skr.rank());
     let (nl, nr) = (tree.node(l).len(), tree.node(r).len());
-    let ReducedSystem { b_l, b_r, z_lu, mut cost } =
+    let (z, mut cost) =
         build_reduced_system(st, kernel, config, blocks, p_hat_l, p_hat_r, node, l, r)?;
-    let zdim = sl + sr;
 
     // Telescope P̂_{αα̃} (eq. 10) from the children's P̂ — the O(N log N)
     // step that replaces [36]'s subtree traversal.
     let p_hat = match st.skeleton(node) {
         Some(sk) => {
             let s = sk.rank();
-            let (m_l, m_r) = telescope_m(&sk.proj, &b_l, &b_r, &z_lu);
-            cost.flops += flops::gemm_flops(sl, s, sr)
-                + flops::gemm_flops(sr, s, sl)
-                + flops::lu_solve_flops(zdim, s);
-            // P̂_α = [P̂_l M_l ; P̂_r M_r].
+            let m = telescope_m(&sk.proj, &z);
+            cost.flops += ReducedLu::solve_flops(sl, sr, s);
+            // P̂_α = [P̂_l M_top ; P̂_r M_bot].
             let mut p = workspace::take_mat_detached(nl + nr, s);
             let (ptop, pbot) = p.rb_mut().split_at_row(nl);
-            gemm(1.0, p_hat_l.rb(), Trans::No, m_l.rb(), Trans::No, 0.0, ptop);
-            gemm(1.0, p_hat_r.rb(), Trans::No, m_r.rb(), Trans::No, 0.0, pbot);
-            workspace::recycle_mat(m_l);
-            workspace::recycle_mat(m_r);
+            let (m_top, m_bot) = (m.submatrix(0..sl, 0..s), m.submatrix(sl..sl + sr, 0..s));
+            gemm(1.0, p_hat_l.rb(), Trans::No, m_top, Trans::No, 0.0, ptop);
+            gemm(1.0, p_hat_r.rb(), Trans::No, m_bot, Trans::No, 0.0, pbot);
+            workspace::recycle_mat(m);
             cost.flops += flops::gemm_flops(nl, s, sl) + flops::gemm_flops(nr, s, sr);
             Some(p)
         }
         None => None,
     };
-    workspace::recycle_mat(b_l);
-    workspace::recycle_mat(b_r);
-    Ok((NodeFactors { z_lu: Some(z_lu), p_hat, ..Default::default() }, cost))
+    Ok((NodeFactors { z: Some(z), p_hat, ..Default::default() }, cost))
 }

@@ -11,7 +11,9 @@
 //! log det(λI + K̃) = Σ_leaves log det(λI + K_αα) + Σ_internal log det(Z_α)
 //! ```
 //!
-//! an `O(N log N)` determinant that normally costs `O(N³)`.
+//! an `O(N log N)` determinant that normally costs `O(N³)`. Each
+//! `det Z_α` is read as `det S_α`, of the Schur complement through which
+//! the reduced system is factored.
 
 use crate::assemble::assemble_blocks;
 use crate::error::SolverError;
@@ -26,8 +28,9 @@ use std::time::Instant;
 
 impl<K: Kernel> FactorTree<'_, K> {
     /// `log det(λI + K̃)` from the factors (Sylvester's identity): the sum
-    /// of `log |det|` over every leaf LU and every `Z_α` LU, and the
-    /// product of their signs as the sign of the determinant.
+    /// of `log |det|` over every leaf LU and every `Z_α` — the LU of its
+    /// Schur complement `S_α`, as `det Z_α = det S_α` — and the product of
+    /// their signs as the sign of the determinant.
     ///
     /// # Errors
     /// [`SolverError::NotSkeletonized`] for partial factorizations;
@@ -41,9 +44,14 @@ impl<K: Kernel> FactorTree<'_, K> {
             return Err(SolverError::NotSkeletonized { node: self.skeleton_tree().tree().root() });
         }
         let (mut acc, mut sign) = (0.0, 1.0);
-        for lu in self.factors().iter().flat_map(|nf| nf.leaf_lu.iter().chain(&nf.z_lu)) {
-            acc += lu.log_abs_det();
-            sign *= lu.det_sign();
+        let dets = self.factors().iter().flat_map(|nf| {
+            let leaf = nf.leaf_lu.iter().map(|lu| (lu.log_abs_det(), lu.det_sign()));
+            // det Z_α = det S_α (Schur determinant identity).
+            leaf.chain(nf.z.iter().map(|z| (z.log_abs_det(), z.det_sign())))
+        });
+        for (log_abs, s) in dets {
+            acc += log_abs;
+            sign *= s;
         }
         if sign > 0.0 {
             Ok(acc)

@@ -36,6 +36,7 @@ mod gp;
 mod hybrid;
 mod partition;
 mod precond;
+mod reduced;
 mod regression;
 mod share;
 mod solve;

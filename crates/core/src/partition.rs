@@ -127,7 +127,7 @@ impl<K: Kernel + 'static> PartitionedFactor<K> {
                 }
                 let ranks =
                     st.skeleton(l).map_or(0, |s| s.rank()) + st.skeleton(r).map_or(0, |s| s.rank());
-                if ranks > 0 && factors[node].z_lu.is_none() {
+                if ranks > 0 && factors[node].z.is_none() {
                     return Err(err(format!("top-tree node {node} has no reduced system")));
                 }
             }

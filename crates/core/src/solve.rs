@@ -166,7 +166,7 @@ impl<K: Kernel> SolveCtx<'_, K> {
         if sl + sr == 0 {
             return; // vanishing off-diagonal coupling
         }
-        let z_lu = self.factors[node].z_lu.as_ref().expect("reduced system missing");
+        let z = self.factors[node].z.as_ref().expect("reduced system missing");
         // Pooled scratch: the beta = 0 products below overwrite all of it.
         let mut y = workspace::take_mat_detached(sl + sr, nrhs);
         // Y = V U = [K_{l̃ r} U_r ; K_{r̃ l} U_l]: two independent products
@@ -207,7 +207,8 @@ impl<K: Kernel> SolveCtx<'_, K> {
                 }
             }
         }
-        z_lu.solve_mat_inplace(&mut y);
+        // Z^{-1} Y by block elimination, in place (see `crate::reduced`).
+        z.solve_mut(y.rb_mut());
         // U -= W Z = [P̂_l Z_top ; P̂_r Z_bot], the halves again independent.
         let (p_l, p_r) = (self.factors[l].p_hat(), self.factors[r].p_hat());
         let (z_top, z_bot) = (y.submatrix(0..sl, 0..nrhs), y.submatrix(sl..sl + sr, 0..nrhs));

@@ -734,8 +734,7 @@ fn factorization_reports_level_breakdown() {
         Some((0, 1)),
         "the root closes the sweep"
     );
-    let factored =
-        ft.factors().iter().filter(|nf| nf.leaf_lu.is_some() || nf.z_lu.is_some()).count();
+    let factored = ft.factors().iter().filter(|nf| nf.leaf_lu.is_some() || nf.z.is_some()).count();
     assert_eq!(levels.iter().map(|l| l.nodes).sum::<usize>(), factored);
     assert!(levels.iter().all(|l| l.seconds >= 0.0));
     let level_seconds: f64 = levels.iter().map(|l| l.seconds).sum();
@@ -894,12 +893,16 @@ mod refactor {
     /// themselves (dense factors by their dimension).
     fn factor_bytes_held<K: Kernel>(ft: &FactorTree<'_, K>) -> usize {
         let tree = ft.skeleton_tree().tree();
-        let mat = |m: &Option<kfds_la::Mat>| m.as_ref().map_or(0, |m| m.nrows() * m.ncols());
+        let mat = |m: Option<&kfds_la::Mat>| m.map_or(0, |m| m.nrows() * m.ncols());
         let words: usize = (ft.factors().iter().enumerate())
             .map(|(i, nf)| {
                 let leaf = nf.leaf_lu.as_ref().map_or(0, |_| tree.node(i).len().pow(2));
-                let z = nf.z_lu.as_ref().map_or(0, |z| z.dim().pow(2));
-                leaf + z + mat(&nf.p_hat)
+                // B_l, B_r, and the s_r x s_r LU of S.
+                let z = nf
+                    .z
+                    .as_ref()
+                    .map_or(0, |z| mat(Some(&z.b_l)) + mat(Some(&z.b_r)) + z.b_r.nrows().pow(2));
+                leaf + z + mat(nf.p_hat.as_ref())
             })
             .sum();
         8 * words

@@ -52,6 +52,7 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/kernels/src/gsks.rs",
     "crates/tree/src/dist_tiles.rs",
     "crates/core/src/solve.rs",
+    "crates/core/src/reduced.rs",
 ];
 
 /// Files allowed to read `KFDS_*` environment variables directly: the
@@ -837,9 +838,11 @@ mod tests {
     fn alloc_in_hot_module_fails_but_test_mod_is_exempt() {
         let src = "fn hot() { let v = vec![0.0; 8]; let w = Vec::new(); let u = x.to_vec(); }\n\
                    #[cfg(test)]\nmod tests {\n    fn t() { let v = vec![1]; let w = Vec::new(); }\n}\n";
-        // The first and the last entry of the list: a kernel and the solve.
-        assert_eq!(HOT_PATH_MODULES.len(), 7);
-        for path in ["crates/la/src/simd.rs", "crates/core/src/solve.rs"] {
+        // A kernel, the solve, and the reduced-system step under it.
+        assert_eq!(HOT_PATH_MODULES.len(), 8);
+        for path in
+            ["crates/la/src/simd.rs", "crates/core/src/solve.rs", "crates/core/src/reduced.rs"]
+        {
             let f = lint(path, src);
             assert_eq!(f.len(), 3, "{path}: {f:?}");
             assert!(f.iter().all(|f| f.rule == "hot-path-alloc"));
