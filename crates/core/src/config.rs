@@ -67,16 +67,20 @@ pub struct FactorStats {
     /// Wall-clock seconds of the factorization.
     pub seconds: f64,
     /// Explicitly counted floating-point operations. An internal node
-    /// counts forming its coupling blocks `B_l`, `B_r`; then
-    /// `gemm(s_r, s_r, s_l) + lu(s_r)` for the Schur complement
-    /// `S = I − B_r B_l` and its LU; then the in-place `Z⁻¹Pᵀ` of the
-    /// telescoping (two GEMMs and an `s_r` LU solve over `s` columns) and
-    /// the two `P̂` GEMMs.
+    /// counts forming its coupling blocks `B_l`, `B_r`; then, with
+    /// `k = min(s_l, s_r)` and `o = max(s_l, s_r)`, `gemm(k, k, o) + lu(k)`
+    /// for the smaller child's Schur complement `S` and its LU; then the
+    /// in-place `Z⁻¹Pᵀ` of the telescoping (two GEMMs and a `k` LU solve
+    /// over `s` columns) and the two `P̂` GEMMs.
     pub flops: f64,
     /// Smallest relative pivot over all leaf LUs and the LUs of the
-    /// reduced systems' Schur complements `S = I − B_r B_l` — the §III
-    /// instability detector. `Z`'s identity blocks take no pivots, and a
-    /// node with `s_r = 0` has a `0 x 0` `S`, which takes none and reads
+    /// reduced systems' Schur complements `S` — the §III instability
+    /// detector. A leaf LU's pivots are read against its own largest
+    /// entry; `LU(S)`'s against `Z`'s, `max(1, |B_l|, |B_r|)`, and capped
+    /// at the identity blocks' unit pivots — the ratio a packed LU of `Z`
+    /// reads when no row swap crosses its blocks — so that `S ≈ 0` next to
+    /// `Z`'s unit scale is flagged however small `S` is. A node with a
+    /// rank-0 child has a `0 x 0` `S`, which takes no pivot and reads
     /// `1.0`. A block holding a NaN or an infinity fails the factorization
     /// (`LaError::NonFinite`) rather than reading here as perfectly
     /// conditioned, so the `1.0` this field falls back to only ever stands
@@ -89,8 +93,8 @@ pub struct FactorStats {
     pub max_rank: usize,
     /// Bytes this factorization call allocated and the tree keeps alive,
     /// read off the factor layout: every leaf LU (`dim²` words), every
-    /// reduced system (`B_l`, `B_r` and the LU of `S`: `2 s_l s_r + s_r²`
-    /// words) and every `P̂`, plus the stored `V` blocks of a
+    /// reduced system (`B_l`, `B_r` and the LU of `S`:
+    /// `2 s_l s_r + min(s_l, s_r)²` words) and every `P̂`, plus the stored `V` blocks of a
     /// fresh [`StorageMode::StoredGemv`] `factorize`, which assembles them
     /// itself. Scratch a builder drops (the baseline's full projections)
     /// is not counted, so the same factors report the same bytes whichever

@@ -52,34 +52,34 @@ use std::sync::Arc;
 const N: usize = 1024;
 const NRHS: usize = 8;
 
-/// Recorded under `KFDS_SIMD=off` at the commit after e6b0963, the first
-/// to factor each reduced system `Z_α` through its Schur complement
-/// (`crate::reduced`), which moves every factor and solve bit; checked
-/// there to be equal on one and two rayon threads. The rows were first
-/// recorded at commit 966662b.
+/// Recorded under `KFDS_SIMD=off` at the commit after ce90b77, which
+/// factors each reduced system `Z_α` through the Schur complement of its
+/// smaller child (`crate::reduced`); checked there to be equal on one and
+/// two rayon threads. The rows were first recorded at commit 966662b.
 const GOLDEN: [(&str, u64); 5] = [
-    ("direct/StoredGemv", 0x94d6977bcde77c3b),
-    ("direct/RecomputeGemm", 0x94d6977bcde77c3b),
-    ("direct/Gsks", 0xd97014302f2b8c4d),
-    ("hybrid/L2", 0x40502b27f9f65476),
-    ("partition/p4", 0xd97014302f2b8c4d),
+    ("direct/StoredGemv", 0x5d3c1983aaef216b),
+    ("direct/RecomputeGemm", 0x5d3c1983aaef216b),
+    ("direct/Gsks", 0xba86b494ae1ef5d5),
+    ("hybrid/L2", 0x300a1ba6b5e7c993),
+    ("partition/p4", 0xba86b494ae1ef5d5),
 ];
 
 /// Skeletons, factors and the solves [`GOLDEN`] lacks (a partial factor,
 /// ragged tolerance-driven ranks). The `skeleton/*` rows were recorded
 /// under `KFDS_SIMD=off` at commit 0c24218 and have not moved since; the
 /// `factor/*` and `direct/covtype` rows were re-recorded, like [`GOLDEN`],
-/// at the commit after e6b0963 (Schur-complement reduced systems; the
-/// factor rows now hash the held `B_l`, `B_r` as well).
+/// at the commit after ce90b77 (the smaller child's Schur complement, and
+/// a pivot ratio read against `Z`'s scale; the factor rows hash the held
+/// `B_l`, `B_r`).
 const GOLDEN_SETUP: [(&str, u64); 8] = [
     ("skeleton/normal", 0x33ecb6ca1ba2371b),
-    ("factor/StoredGemv", 0x2b315e9c8852aaa5),
-    ("factor/RecomputeGemm", 0x7f03e2dc32a2ce35),
-    ("factor/Gsks", 0x5fe3aa8fa3fab9e4),
-    ("factor/partial-L2", 0x89a0668b9b42696e),
+    ("factor/StoredGemv", 0xccd299f9ac91aa6f),
+    ("factor/RecomputeGemm", 0x694e9efc360eed93),
+    ("factor/Gsks", 0x465f40a9eba7537e),
+    ("factor/partial-L2", 0x02a7788c4ebe1161),
     ("skeleton/covtype", 0x55a490d32fc576ce),
-    ("factor/covtype", 0x608606ad0efcf757),
-    ("direct/covtype", 0x30dfd4ef663cbd10),
+    ("factor/covtype", 0xd45fc711ee3d4ccd),
+    ("direct/covtype", 0x9263dc202a15d2a2),
 ];
 
 /// The `normal64d_direct` benchmark shape, at n = 1024: the one set-up that
@@ -87,38 +87,41 @@ const GOLDEN_SETUP: [(&str, u64); 8] = [
 /// 64 (τ = 0), matrix-free factors. The `knn/*` and `skeleton/*` rows were
 /// recorded under `KFDS_SIMD=off` at commit 8766a4a, the last with a
 /// per-query scalar kNN route, and checked there to be equal under it and
-/// on one rayon thread; the factor and solve rows were re-recorded at the
-/// commit after e6b0963 (Schur-complement reduced systems).
+/// on one rayon thread; the solve row was re-recorded at commit ce90b77
+/// (Schur-complement reduced systems), the factor row at the commit after
+/// it (a pivot ratio read against `Z`'s scale; the equal fixed ranks keep
+/// the right child's complement, so the solve row holds).
 const GOLDEN_NORMAL64D: [(&str, u64); 4] = [
     ("knn/normal64d", 0x427e74ccd79c91b0),
     ("skeleton/normal64d", 0xbfa8f9fb0b9e5409),
-    ("factor/normal64d/Gsks", 0xe58ad3a90ba06d9a),
+    ("factor/normal64d/Gsks", 0xb8ce60b82a3cd627),
     ("direct/normal64d/Gsks", 0x5b712eacbdd7e26a),
 ];
 
 /// Every row of the three tables above, in the same order, under the
 /// vector kernel bodies of a host with AVX-512F (`KFDS_SIMD` on). The
 /// `knn/*` and `skeleton/*` rows were recorded at commit 74324e4; every
-/// factor and solve row was re-recorded at the commit after e6b0963
-/// (Schur-complement reduced systems) and checked there to be equal on
-/// one and two rayon threads.
+/// factor and solve row but `direct/normal64d/Gsks` was re-recorded at the
+/// commit after ce90b77 (the smaller child's Schur complement, a pivot
+/// ratio against `Z`'s scale) and checked there to be equal on one and two
+/// rayon threads.
 const GOLDEN_AVX512: [(&str, u64); 17] = [
-    ("direct/StoredGemv", 0xc799ab22d53588c5),
-    ("direct/RecomputeGemm", 0xc799ab22d53588c5),
-    ("direct/Gsks", 0xb66092cbd862f80f),
-    ("hybrid/L2", 0xdc98b2ea1a873115),
-    ("partition/p4", 0xb66092cbd862f80f),
+    ("direct/StoredGemv", 0x894ba0715dd9d9ef),
+    ("direct/RecomputeGemm", 0x894ba0715dd9d9ef),
+    ("direct/Gsks", 0x1e64e5edb63412bd),
+    ("hybrid/L2", 0x41616fbbff2d9fac),
+    ("partition/p4", 0x1e64e5edb63412bd),
     ("skeleton/normal", 0x6fd7da0f032310ea),
-    ("factor/StoredGemv", 0x3774695993f285c4),
-    ("factor/RecomputeGemm", 0x1812bdc495efed64),
-    ("factor/Gsks", 0x3ca75e34226a7dc8),
-    ("factor/partial-L2", 0xedb832b86d12cd43),
+    ("factor/StoredGemv", 0xfce0f1de4dce7c3d),
+    ("factor/RecomputeGemm", 0xe4e1c68ddfca070d),
+    ("factor/Gsks", 0xbe9a09693ffff370),
+    ("factor/partial-L2", 0x5fd08dfa1420f5c8),
     ("skeleton/covtype", 0x5d32d2622611aeb7),
-    ("factor/covtype", 0xade9aae3a4d05406),
-    ("direct/covtype", 0xbb5e8ecf764bb7fc),
+    ("factor/covtype", 0xc48fd6fd110ac161),
+    ("direct/covtype", 0x2fa638c6f07cb765),
     ("knn/normal64d", 0x427e74ccd79c91b0),
     ("skeleton/normal64d", 0xec3d48e271469131),
-    ("factor/normal64d/Gsks", 0xd106c366bfca0adc),
+    ("factor/normal64d/Gsks", 0x02e9cff8823b26d6),
     ("direct/normal64d/Gsks", 0x313c8f665f5fc64e),
 ];
 

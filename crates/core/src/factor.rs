@@ -9,7 +9,8 @@
 //! Z_α = [ I     B_l ]    B_l = K_{l̃r} P̂_{rr̃}  (s_l x s_r)
 //!       [ B_r   I   ]    B_r = K_{r̃l} P̂_{ll̃}  (s_r x s_l)
 //!
-//!   B_l, B_r ──► S = I − B_r B_l (s_r x s_r) ──► LU(S)      [ReducedLu]
+//!   B_l, B_r ──► S = I − B_r B_l (s_r ≤ s_l) ──► LU(S)      [ReducedLu]
+//!                or I − B_l B_r (s_l < s_r)
 //!   Pᵀ = projᵀ ((s_l + s_r) x s) ──► M = Z⁻¹ Pᵀ, in place
 //!   P̂_α = [ P̂_l M_top ; P̂_r M_bot ]                        (eq. 10)
 //! ```
@@ -69,7 +70,7 @@ impl NodeFactors {
 }
 
 /// Bytes the factors hold — every leaf LU (`dim²`), every reduced system
-/// (`2 s_l s_r + s_r²`: `B_l`, `B_r`, `LU(S)`) and every `P̂` — the one
+/// (`2 s_l s_r + min(s_l, s_r)²`: `B_l`, `B_r`, `LU(S)`) and every `P̂` — the one
 /// count behind [`FactorStats::stored_bytes`], whichever builder made them.
 pub(crate) fn held_bytes(factors: &[NodeFactors]) -> usize {
     let words: usize = (factors.iter())

@@ -18,6 +18,7 @@
 use crate::assemble::assemble_blocks;
 use crate::error::SolverError;
 use crate::factor::{factorize, factorize_with_blocks, FactorTree};
+use crate::reduced::ReducedLu;
 use crate::solve::check_rhs_rows;
 use kfds_askit::{SkeletonTree, TreecodeEvaluator};
 use kfds_kernels::Kernel;
@@ -44,14 +45,14 @@ impl<K: Kernel> FactorTree<'_, K> {
             return Err(SolverError::NotSkeletonized { node: self.skeleton_tree().tree().root() });
         }
         let (mut acc, mut sign) = (0.0, 1.0);
-        let dets = self.factors().iter().flat_map(|nf| {
-            let leaf = nf.leaf_lu.iter().map(|lu| (lu.log_abs_det(), lu.det_sign()));
-            // det Z_α = det S_α (Schur determinant identity).
-            leaf.chain(nf.z.iter().map(|z| (z.log_abs_det(), z.det_sign())))
-        });
-        for (log_abs, s) in dets {
-            acc += log_abs;
-            sign *= s;
+        // det Z_α = det S_α (Schur determinant identity).
+        let lus = self
+            .factors()
+            .iter()
+            .flat_map(|nf| nf.leaf_lu.iter().chain(nf.z.iter().map(ReducedLu::s_lu)));
+        for lu in lus {
+            acc += lu.log_abs_det();
+            sign *= lu.det_sign();
         }
         if sign > 0.0 {
             Ok(acc)

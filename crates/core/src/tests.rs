@@ -897,11 +897,10 @@ mod refactor {
         let words: usize = (ft.factors().iter().enumerate())
             .map(|(i, nf)| {
                 let leaf = nf.leaf_lu.as_ref().map_or(0, |_| tree.node(i).len().pow(2));
-                // B_l, B_r, and the s_r x s_r LU of S.
-                let z = nf
-                    .z
-                    .as_ref()
-                    .map_or(0, |z| mat(Some(&z.b_l)) + mat(Some(&z.b_r)) + z.b_r.nrows().pow(2));
+                // B_l, B_r, and the LU of S, the smaller child's square.
+                let z = (nf.z.as_ref()).map_or(0, |z| {
+                    mat(Some(&z.b_l)) + mat(Some(&z.b_r)) + z.b_l.nrows().min(z.b_r.nrows()).pow(2)
+                });
                 leaf + z + mat(nf.p_hat.as_ref())
             })
             .sum();
