@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: the host's vector bodies (which golden table binds), then
 # format, clippy, rustdoc, kfds-lint, release build, the eight examples,
-# the workspace tests under the default environment and under each of the two
-# live KFDS_* switches, the golden digests with every retired switch set
+# the workspace tests under the default environment and under the one live
+# KFDS_* switch, the golden digests with every retired switch set
 # and on one rayon thread, the benchmark package's own tests, and the
 # kfds-serve smoke runs. Correctness only: nothing here asserts a timing
 # (timings, bytes and throughput are benchmark/'s — see BENCHMARK.json).
@@ -126,20 +126,15 @@ cargo test -q --workspace
 step "cargo test (workspace, KFDS_SIMD=off — scalar reference paths)"
 KFDS_SIMD=off cargo test -q --workspace
 
-step "cargo test (kfds-la, KFDS_WS_POOL=off — global-allocator workspace path)"
-# The pool kill-switch must leave every factorization/solve result
-# untouched (the pool only changes where scratch memory comes from).
-KFDS_WS_POOL=off cargo test -q -p kfds-la
-
 step "cargo test (kfds-core digests, KFDS_SIMD=off + every retired switch — the golden table)"
 # The scalar digest tables are asserted only on the scalar kernel bodies,
 # so this is the lane that holds neighbour lists, skeletons, factors and
 # solves to those recorded bits on any host (the default lane asserts the
-# GOLDEN_AVX512 table on an AVX-512 host). The seven retired registry
+# GOLDEN_AVX512 table on an AVX-512 host). The eight retired registry
 # names select nothing (no crate reads them; the entries wait on ROADMAP
 # 1(a)): setting them all must move no digest.
-KFDS_SIMD=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=scalar KFDS_REFACTOR=off \
-  KFDS_SERVE_BATCH=off KFDS_SHARD=off KFDS_BATCH=off \
+KFDS_SIMD=off KFDS_WS_POOL=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=scalar \
+  KFDS_REFACTOR=off KFDS_SERVE_BATCH=off KFDS_SHARD=off KFDS_BATCH=off \
   cargo test -q -p kfds-core --lib digests
 
 step "cargo test (kfds-core and kfds-kernels digests, RAYON_NUM_THREADS=1 — the tables on one thread)"

@@ -19,11 +19,10 @@
 //! * On a host with AVX2+FMA but no AVX-512F, with SIMD on, no table binds:
 //!   the test only checks that the same solve reproduces itself.
 //!
-//! The thread count and `KFDS_WS_POOL` were checked not to move a bit; the
-//! ci lane `RAYON_NUM_THREADS=1` holds the tables on one thread. The
-//! seven retired registry names (`KFDS_CPQR`, `KFDS_EVAL_GEMM`, `KFDS_KNN`,
-//! `KFDS_REFACTOR`, `KFDS_SERVE_BATCH`, `KFDS_SHARD`, `KFDS_BATCH`) are read
-//! by nothing, and the ci lane sets them all to show that.
+//! The thread count was checked not to move a bit; the ci lane
+//! `RAYON_NUM_THREADS=1` holds the tables on one thread. The eight retired
+//! registry names (every `kfds_switches::ALL` entry but `KFDS_SIMD`) are
+//! read by nothing, and the ci lane sets them all to show that.
 //!
 //! The routes to a stored factor that share an assembly instead of
 //! building their own (`factorize_with_blocks`, `FactorTree::refactor`,

@@ -182,9 +182,10 @@ impl<'a, K: Kernel> FactorTree<'a, K> {
 /// # Errors
 /// [`SolverError::NonFiniteLambda`] for a NaN or infinite `config.lambda`,
 /// before anything is evaluated; [`SolverError::Factorization`] when a leaf
-/// or reduced system is exactly singular. A finite `λ ≤ 0`, or one below
-/// the §III threshold, still factorizes and is reported through
-/// [`FactorStats::unstable_factorizations`].
+/// or reduced system is exactly singular. A finite `λ ≤ 0` is factorized
+/// like any other `λ`: nothing checks its sign, and a factorization at any
+/// `λ` is counted in [`FactorStats::unstable_factorizations`] only where a
+/// leaf or reduced-system pivot ratio falls below `1e-12` (§III).
 pub fn factorize<'a, K: Kernel>(
     st: &'a SkeletonTree,
     kernel: &'a K,

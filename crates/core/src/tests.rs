@@ -349,6 +349,39 @@ fn instability_detected_for_tiny_lambda_flat_kernel() {
 }
 
 #[test]
+fn non_positive_lambda_factorizes_and_is_flagged_only_by_pivots() {
+    // λ ≤ 0 takes no special path: the factorization inverts λI + K̃ like
+    // any other, and the §III flag follows the pivot ratio, not λ's sign.
+    let pts = normal_embedded(300, 3, 8, 0.05, 1);
+    let tree = BallTree::build(&pts, 16);
+    let kernel = Gaussian::new(1.0);
+    let st = skeletonize(
+        tree,
+        &kernel,
+        SkelConfig::default().with_tol(1e-5).with_max_rank(32).with_neighbors(8),
+    );
+    let b = rand_vec(300, 5);
+    for lambda in [0.0, -1.0] {
+        let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(lambda))
+            .unwrap_or_else(|e| panic!("λ = {lambda}: {e}"));
+        let stats = ft.stats();
+        assert_eq!(
+            stats.is_unstable(),
+            stats.min_pivot_ratio < 1e-12,
+            "λ = {lambda}: flag {} at min pivot ratio {}",
+            stats.is_unstable(),
+            stats.min_pivot_ratio
+        );
+        let mut x = b.clone();
+        ft.solve_in_place(&mut x).expect("solve");
+        // λ = 0 inverts K̃ alone: 2e-9 to 1.2e-8 over random right-hand
+        // sides (1e-12 at λ = -1), where a broken factorization reads O(1).
+        let r = rel_err(&hier_matvec(&st, &kernel, lambda, &x), &b);
+        assert!(r <= 1e-7, "λ = {lambda}: exact-inverse residual {r}");
+    }
+}
+
+#[test]
 fn level_restricted_direct_storage_modes_agree() {
     // The factored solve over every V-block scheme: the same D⁻¹, V and W
     // renderings the direct solves use around one LU.

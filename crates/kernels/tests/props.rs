@@ -4,21 +4,13 @@ use kfds_kernels::{
     sum_fused, sum_fused_multi, sum_reference, sum_reference_multi, Gaussian, Kernel, Laplacian,
     Matern32,
 };
-use kfds_la::workspace;
 use kfds_tree::PointSet;
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// Serializes tests that flip the global workspace-pool switch.
-static POOL_TOGGLE: Mutex<()> = Mutex::new(());
-
-/// NaN-poisons a spread of pool size classes so stale-data reads surface.
-fn poison_pool() {
-    for log2 in [5usize, 8, 10, 12, 14] {
-        let mut w = workspace::take(1 << log2);
-        w.fill(f64::NAN);
-    }
-}
+/// Serializes tests that flip the global SIMD switch (or run twice and
+/// compare bits).
+static SIMD_TOGGLE: Mutex<()> = Mutex::new(());
 
 fn det_points(n: usize, d: usize, seed: u64) -> PointSet {
     let data: Vec<f64> = (0..n * d)
@@ -29,9 +21,11 @@ fn det_points(n: usize, d: usize, seed: u64) -> PointSet {
     PointSet::from_col_major(d, data)
 }
 
-/// GSKS summation with the pool off, then on (poisoned), must be bitwise
-/// identical — the packed-pad zeroing has to mask every stale element.
-fn assert_gsks_pool_invariant(n: usize, d: usize, split: usize, nrhs: usize, seed: u64) {
+/// GSKS summation twice, the second run on pads the first returned to the
+/// pool, must be NaN-free and repeat its bits (a debug build hands out
+/// every pooled buffer all-NaN, so scratch read before it is written
+/// reaches the output).
+fn assert_gsks_pool_repeatable(n: usize, d: usize, split: usize, nrhs: usize, seed: u64) {
     let pts = det_points(n, d, seed);
     let k = Gaussian::new(1.1);
     let rows: Vec<usize> = (0..split).collect();
@@ -39,33 +33,20 @@ fn assert_gsks_pool_invariant(n: usize, d: usize, split: usize, nrhs: usize, see
     let u: Vec<f64> = (0..cols.len()).map(|i| (i as f64 * 0.37 + seed as f64).sin()).collect();
     let umat = kfds_la::Mat::from_fn(cols.len(), nrhs, |i, j| ((i * 3 + j) as f64 * 0.29).cos());
 
-    let _guard = POOL_TOGGLE.lock().unwrap();
-    workspace::set_pool_enabled(false);
-    let mut w_ref = vec![0.0; rows.len()];
-    sum_fused(&k, &pts, &rows, &cols, &u, &mut w_ref);
-    let mut wm_ref = kfds_la::Mat::zeros(rows.len(), nrhs);
-    sum_fused_multi(&k, &pts, &rows, &cols, umat.rb(), wm_ref.rb_mut());
-
-    workspace::set_pool_enabled(true);
-    poison_pool();
-    let mut w_pool = vec![0.0; rows.len()];
-    sum_fused(&k, &pts, &rows, &cols, &u, &mut w_pool);
-    let mut wm_pool = kfds_la::Mat::zeros(rows.len(), nrhs);
-    sum_fused_multi(&k, &pts, &rows, &cols, umat.rb(), wm_pool.rb_mut());
-
-    for (i, (a, b)) in w_ref.iter().zip(&w_pool).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "single-RHS row {i}: pooled {b} vs unpooled {a}");
-    }
-    for j in 0..nrhs {
-        for i in 0..rows.len() {
-            assert_eq!(
-                wm_ref[(i, j)].to_bits(),
-                wm_pool[(i, j)].to_bits(),
-                "multi-RHS ({i},{j}): pooled {} vs unpooled {}",
-                wm_pool[(i, j)],
-                wm_ref[(i, j)]
-            );
-        }
+    let _guard = SIMD_TOGGLE.lock().unwrap();
+    let run = || {
+        let mut w = vec![0.0; rows.len()];
+        sum_fused(&k, &pts, &rows, &cols, &u, &mut w);
+        let mut wm = kfds_la::Mat::zeros(rows.len(), nrhs);
+        sum_fused_multi(&k, &pts, &rows, &cols, umat.rb(), wm.rb_mut());
+        (w, wm)
+    };
+    let (first, again) = (run(), run());
+    let single = first.0.iter().zip(&again.0);
+    let multi = first.1.as_slice().iter().zip(again.1.as_slice());
+    for (e, (x, y)) in single.chain(multi).enumerate() {
+        assert!(!x.is_nan(), "output {e}: fused sum read unwritten scratch");
+        assert_eq!(x.to_bits(), y.to_bits(), "output {e}: repeat {y} vs first {x}");
     }
 }
 
@@ -76,7 +57,7 @@ fn pooled_gsks_bitwise_identical_fixed_shapes() {
     for &(n, d, split, nrhs) in
         &[(9usize, 3usize, 1usize, 1usize), (10, 2, 9, 2), (33, 5, 13, 3), (64, 4, 32, 1)]
     {
-        assert_gsks_pool_invariant(n, d, split, nrhs, 0xfeed + n as u64);
+        assert_gsks_pool_repeatable(n, d, split, nrhs, 0xfeed + n as u64);
     }
 }
 
@@ -84,9 +65,7 @@ fn pooled_gsks_bitwise_identical_fixed_shapes() {
 fn pooled_gsks_successive_shapes_do_not_alias() {
     // Back-to-back different shapes reuse pooled pads; the zeroed padding
     // tails must isolate each call (checked against the reference engine).
-    let _guard = POOL_TOGGLE.lock().unwrap();
-    workspace::set_pool_enabled(true);
-    poison_pool();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     for &(n, d, split) in &[(40usize, 6usize, 7usize), (12, 2, 5), (29, 8, 20)] {
         let pts = det_points(n, d, 77);
         let k = Laplacian::new(0.8);
@@ -107,7 +86,7 @@ fn pooled_gsks_successive_shapes_do_not_alias() {
 }
 
 /// RAII guard mirroring the one in `kfds-la`'s props: scalar mode while
-/// held, prior mode restored on drop. Use only under [`POOL_TOGGLE`].
+/// held, prior mode restored on drop. Use only under [`SIMD_TOGGLE`].
 struct SimdOff {
     was_active: bool,
 }
@@ -177,7 +156,7 @@ fn assert_gsks_simd_vs_scalar(n: usize, d: usize, split: usize, nrhs: usize, see
 
 #[test]
 fn simd_gsks_matches_scalar_edge_tiles() {
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     // Shapes straddling the 8 x 8 GSKS tile: partial row groups (the
     // scalar contraction), partial source groups (the zero-padded tail),
     // d from 1 to past a register, and nrhs from one (the `gsks_dot`
@@ -222,7 +201,7 @@ fn one_column_multi_is_sum_fused_bitwise() {
             assert_eq!(a.to_bits(), b.to_bits(), "({n},{d},{split}) row {i}: {b} vs {a}");
         }
     }
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     // (n, d, split): m = split rows, n - split columns.
     let shapes =
         [(2usize, 1usize, 1usize), (12, 3, 7), (29, 5, 13), (45, 4, 8), (70, 9, 33), (11, 2, 11)];
@@ -291,7 +270,7 @@ fn gsks_coincident_points_no_nan() {
     // Duplicated points make ||x-y||^2 cancel to (possibly slightly
     // negative) zero; the clamp plus the SIMD exp must keep every kernel
     // value finite and the all-coincident sums exactly sum(u) * K(x,x).
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     let d = 3;
     let n = 13;
     let mut data = Vec::with_capacity(n * d);
@@ -394,12 +373,12 @@ proptest! {
     #[test]
     fn pooled_gsks_bitwise_identical_random(n in 4usize..40, d in 1usize..6, nrhs in 1usize..4, seed in 0u64..500) {
         let split = (n / 2).max(1);
-        assert_gsks_pool_invariant(n, d, split, nrhs, seed);
+        assert_gsks_pool_repeatable(n, d, split, nrhs, seed);
     }
 
     #[test]
     fn simd_gsks_matches_scalar_random(n in 4usize..40, d in 1usize..8, nrhs in 1usize..10, seed in 0u64..500) {
-        let _guard = POOL_TOGGLE.lock().unwrap();
+        let _guard = SIMD_TOGGLE.lock().unwrap();
         let split = (n / 2).max(1);
         assert_gsks_simd_vs_scalar(n, d, split, nrhs, seed);
     }

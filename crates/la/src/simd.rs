@@ -50,9 +50,8 @@
 //!   end. The TRSM leaf's register-resident substitution
 //!   (`subst_in_registers`) is AVX-512 only; without it the leaf runs its
 //!   steps through [`rank1_update`];
-//! * the `KFDS_SIMD=off` (or `=0`) environment kill-switch — mirroring
-//!   `KFDS_WS_POOL` — forces the scalar reference paths, so
-//!   pooled/unpooled x simd/scalar can be A/B'd in one binary;
+//! * the `KFDS_SIMD=off` (or `=0`) environment kill-switch forces the
+//!   scalar reference paths, so simd/scalar can be A/B'd in one binary;
 //! * [`set_simd_enabled`] overrides the environment at runtime (used by
 //!   the `microkernel` bench and the A/B property tests).
 //!

@@ -29,6 +29,11 @@
 //!   arbitrary (previous-use) contents, which suits consumers that fully
 //!   overwrite it (GEMM packing, GSKS pads). [`take_zeroed`] zero-fills
 //!   for consumers that accumulate.
+//! * **Poisoned in debug builds**: under `debug_assertions` every buffer
+//!   [`take`] hands out, hit or miss, is filled with NaN. A consumer that
+//!   reads scratch it did not write then turns its result into NaN in
+//!   every debug test (the golden digests included), which is what keeps
+//!   pooling from moving a bit. Release builds skip the fill.
 //!
 //! The [`hits`]/[`misses`] counters are process-global and let tests assert
 //! that steady-state factorize/solve allocate nothing: a second run of the
@@ -36,8 +41,7 @@
 
 use crate::mat::Mat;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Once;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Smallest pooled class: `2^MIN_CLASS_LOG2` elements.
 const MIN_CLASS_LOG2: u32 = 5;
@@ -50,30 +54,6 @@ const MAX_PER_CLASS: usize = 8;
 
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
-
-/// Runtime kill-switch so benchmarks can measure pooled vs unpooled paths
-/// in one process. Defaults to on; `KFDS_WS_POOL=off` (or `0`) disables.
-static POOL_ENABLED: AtomicBool = AtomicBool::new(true);
-static ENV_INIT: Once = Once::new();
-
-#[inline]
-fn enabled() -> bool {
-    ENV_INIT.call_once(|| {
-        if kfds_switches::KFDS_WS_POOL.is_off() {
-            POOL_ENABLED.store(false, Ordering::Relaxed);
-        }
-    });
-    POOL_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables pooling at runtime (overrides `KFDS_WS_POOL`).
-/// With pooling off every take allocates and every return frees, which is
-/// exactly the pre-pool behavior — used by the pooled-vs-unpooled
-/// property tests to compare both from one binary.
-pub fn set_pool_enabled(on: bool) {
-    let _ = enabled(); // apply the env default first so it cannot clobber us
-    POOL_ENABLED.store(on, Ordering::Relaxed);
-}
 
 struct Pool {
     free: [Vec<Vec<f64>>; NUM_CLASSES],
@@ -131,10 +111,6 @@ fn class_len(class: usize) -> usize {
 /// A take therefore only ever *truncates*, and never exposes
 /// uninitialized memory.
 fn take_raw(len: usize) -> (Vec<f64>, usize) {
-    if !enabled() {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        return (vec![0.0; len], len);
-    }
     let Some(class) = class_for_request(len) else {
         MISSES.fetch_add(1, Ordering::Relaxed);
         return (vec![0.0; len], len);
@@ -153,8 +129,7 @@ fn take_raw(len: usize) -> (Vec<f64>, usize) {
             // Reserve the full class capacity but initialize (memset) only
             // the requested prefix; the first return zero-extends to the
             // class length once, after which the buffer cycles through the
-            // pool with no memset at all. (The previous `vec![0.0; cl]`
-            // memset up to 2x the request on every miss.)
+            // pool with no memset at all.
             let mut buf = Vec::with_capacity(class_len(class));
             buf.resize(len, 0.0);
             (buf, len)
@@ -162,34 +137,14 @@ fn take_raw(len: usize) -> (Vec<f64>, usize) {
     }
 }
 
-fn push_to_pool(class: usize, buf: Vec<f64>) {
-    if !enabled() {
-        return;
-    }
-    debug_assert!(buf.len() >= class_len(class));
-    POOL.with(|p| {
-        let mut pool = p.borrow_mut();
-        if pool.free[class].len() < MAX_PER_CLASS {
-            pool.free[class].push(buf);
-        }
-    });
-}
-
 /// Common return path: files `buf` into the pool under the floor class of
 /// its **capacity**, stored at exactly the class length. `init_len`
 /// elements of the allocation are initialized (caller contract); if the
 /// class length exceeds that, the gap is zero-extended once, after which
 /// the buffer cycles through take/return with no initialization work.
-///
-/// Filing by capacity rather than initialized length matters: a buffer
-/// taken for a ceil-class request and detached with a non-power-of-two
-/// length used to be filed one class *down* on return, so the next
-/// identical request always missed — a pooled `matmul` ran at 0.55x of
-/// the unpooled one on the d = 64, n = 8192 fixed-rank workload.
+/// (Filed by initialized length, a buffer detached at a non-power-of-two
+/// length would land one class down and the next identical take miss.)
 fn file_buffer(mut buf: Vec<f64>, init_len: usize) {
-    if !enabled() {
-        return;
-    }
     let Some(class) = class_for_buffer(buf.capacity()) else {
         return;
     };
@@ -209,7 +164,12 @@ fn file_buffer(mut buf: Vec<f64>, init_len: usize) {
     } else {
         buf.truncate(cl);
     }
-    push_to_pool(class, buf);
+    POOL.with(|p| {
+        let mut pool = p.borrow_mut();
+        if pool.free[class].len() < MAX_PER_CLASS {
+            pool.free[class].push(buf);
+        }
+    });
 }
 
 /// Returns a foreign buffer (e.g. a temporary [`Mat`]'s storage) to the
@@ -267,10 +227,14 @@ impl std::ops::DerefMut for WsVec {
     }
 }
 
-/// Takes a scratch buffer of `len` elements with **arbitrary contents**.
-/// Use when the consumer fully overwrites the buffer before reading.
+/// Takes a scratch buffer of `len` elements with **arbitrary contents**
+/// (all NaN in debug builds). Use when the consumer fully overwrites the
+/// buffer before reading.
 pub fn take(len: usize) -> WsVec {
-    let (buf, init_len) = take_raw(len);
+    let (mut buf, init_len) = take_raw(len);
+    if cfg!(debug_assertions) {
+        buf.fill(f64::NAN);
+    }
     WsVec { buf, init_len }
 }
 
@@ -302,9 +266,6 @@ impl std::ops::DerefMut for WsIdx {
 
 impl Drop for WsIdx {
     fn drop(&mut self) {
-        if !enabled() {
-            return;
-        }
         let mut buf = std::mem::take(&mut self.buf);
         let Some(class) = class_for_buffer(buf.capacity()) else {
             return;
@@ -321,10 +282,6 @@ impl Drop for WsIdx {
 
 /// Takes an empty index buffer with capacity for at least `cap` entries.
 pub fn take_idx(cap: usize) -> WsIdx {
-    if !enabled() {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-        return WsIdx { buf: Vec::with_capacity(cap) };
-    }
     let Some(class) = class_for_request(cap.max(1)) else {
         MISSES.fetch_add(1, Ordering::Relaxed);
         return WsIdx { buf: Vec::with_capacity(cap) };
@@ -356,9 +313,9 @@ pub fn recycle_mat(m: Mat) {
 }
 
 /// An owned `nrows x ncols` [`Mat`] whose storage comes from the pool and
-/// has **arbitrary contents**. For temporaries that are fully overwritten
-/// (e.g. a `beta = 0` GEMM destination) before being read; hand the
-/// storage back with [`recycle_mat`] when done.
+/// has **arbitrary contents** (all NaN in debug builds). For temporaries
+/// that are fully overwritten (e.g. a `beta = 0` GEMM destination) before
+/// being read; hand the storage back with [`recycle_mat`] when done.
 pub fn take_mat_detached(nrows: usize, ncols: usize) -> Mat {
     Mat::from_col_major(nrows, ncols, take(nrows * ncols).detach())
 }
@@ -384,9 +341,6 @@ mod tests {
 
     #[test]
     fn take_give_roundtrip_hits() {
-        if !enabled() {
-            return; // pool-hit mechanics are vacuous with the pool disabled (KFDS_WS_POOL=off lane)
-        }
         // Warm the pool, then observe a hit for a same-class request.
         let (_, m0) = stats();
         drop(take(100));
@@ -423,9 +377,6 @@ mod tests {
 
     #[test]
     fn detached_roundtrip_hits_same_class() {
-        if !enabled() {
-            return; // pool-hit mechanics are vacuous with the pool disabled (KFDS_WS_POOL=off lane)
-        }
         // Regression test for the pooled `matmul` slowdown: take → detach →
         // give_vec with a non-power-of-two length must file the buffer back
         // under the class it was taken from (by capacity), so the same
@@ -453,9 +404,6 @@ mod tests {
 
     #[test]
     fn idx_pool_roundtrip_hits_and_clears() {
-        if !enabled() {
-            return; // pool-hit mechanics are vacuous with the pool disabled (KFDS_WS_POOL=off lane)
-        }
         {
             let mut w = take_idx(100);
             w.extend(0..100);
@@ -467,6 +415,30 @@ mod tests {
         assert!(w.capacity() >= 120);
         let (h1, _) = stats();
         assert!(h1 > h0, "second take of the class should hit");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn debug_takes_are_poisoned_hit_or_miss() {
+        let all_nan = |v: &[f64]| v.iter().all(|x| x.is_nan());
+        {
+            let mut w = take(200);
+            w.fill(2.5);
+        }
+        let (h0, m0) = stats();
+        let hit = take(180); // same 256-element class as the dirty buffer
+        let (h1, _) = stats();
+        assert!(h1 > h0, "a same-class take after a return should hit");
+        assert!(all_nan(&hit), "a pool hit must come back all-NaN");
+        let miss = take(1000); // a class this test's thread never filed
+        let (_, m1) = stats();
+        assert!(m1 > m0, "a fresh-class take should miss");
+        assert!(all_nan(&miss), "a pool miss must come back all-NaN");
+        drop((hit, miss));
+        let m = take_mat_detached(7, 5);
+        assert!(all_nan(m.as_slice()), "a detached matrix must come back all-NaN");
+        recycle_mat(m);
+        assert!(take_zeroed(180).iter().all(|&v| v == 0.0));
     }
 
     #[test]

@@ -5,27 +5,17 @@
 #![cfg(not(miri))]
 
 use kfds_la::gemm::gemm_packed;
-use kfds_la::{gemm, interp_decomp, tri, workspace, ColPivQr, Lu, Mat, Trans};
+use kfds_la::{gemm, interp_decomp, tri, ColPivQr, Lu, Mat, Trans};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// Serializes tests that flip the global workspace-pool switch so they
-/// cannot observe each other's toggles.
-static POOL_TOGGLE: Mutex<()> = Mutex::new(());
-
-/// Fills the thread-local pool with NaN-poisoned buffers of assorted
-/// classes: any hot path that reads stale pooled data instead of fully
-/// overwriting it will surface as a NaN mismatch.
-fn poison_pool() {
-    for log2 in [5usize, 8, 10, 12, 14, 16] {
-        let mut w = workspace::take(1 << log2);
-        w.fill(f64::NAN);
-    }
-}
+/// Serializes tests that flip the global SIMD switch (or run twice and
+/// compare bits) so they cannot observe each other's toggles.
+static SIMD_TOGGLE: Mutex<()> = Mutex::new(());
 
 /// RAII guard: forces the SIMD kill-switch off for a scalar reference run
 /// and restores the prior state on drop (including on panic). Must be used
-/// while holding [`POOL_TOGGLE`]: the pool-bitwise tests assume the SIMD
+/// while holding [`SIMD_TOGGLE`]: the repeat-bitwise tests assume the SIMD
 /// mode does not flip between their paired runs.
 struct SimdOff {
     was_active: bool,
@@ -72,27 +62,21 @@ fn assert_gemm_simd_vs_scalar(m: usize, k: usize, n: usize, ta: Trans, tb: Trans
     }
 }
 
-/// `alpha*op(A)op(B) + beta*C` twice — pool off then pool on (with a
-/// poisoned pool) — asserting bitwise-identical results.
-fn assert_gemm_pool_invariant(a: &Mat, ta: Trans, b: &Mat, tb: Trans, m: usize, n: usize) {
-    let _guard = POOL_TOGGLE.lock().unwrap();
-    workspace::set_pool_enabled(false);
-    let mut c_ref = Mat::zeros(m, n);
-    gemm(1.5, a.rb(), ta, b.rb(), tb, 0.0, c_ref.rb_mut());
-    workspace::set_pool_enabled(true);
-    poison_pool();
-    let mut c_pool = Mat::zeros(m, n);
-    gemm(1.5, a.rb(), ta, b.rb(), tb, 0.0, c_pool.rb_mut());
-    for j in 0..n {
-        for i in 0..m {
-            assert_eq!(
-                c_ref[(i, j)].to_bits(),
-                c_pool[(i, j)].to_bits(),
-                "({i},{j}): pooled {} vs unpooled {}",
-                c_pool[(i, j)],
-                c_ref[(i, j)]
-            );
-        }
+/// `alpha*op(A)op(B)` twice, the second run on buffers the first returned
+/// to the pool, asserting a NaN-free result and identical bits. A debug
+/// build poisons every pooled take with NaN, so a packing loop that reads
+/// a panel edge it did not write shows up here as a NaN.
+fn assert_gemm_pool_repeatable(a: &Mat, ta: Trans, b: &Mat, tb: Trans, m: usize, n: usize) {
+    let _guard = SIMD_TOGGLE.lock().unwrap();
+    let run = || {
+        let mut c = Mat::zeros(m, n);
+        gemm(1.5, a.rb(), ta, b.rb(), tb, 0.0, c.rb_mut());
+        c
+    };
+    let (first, again) = (run(), run());
+    for (e, (x, y)) in first.as_slice().iter().zip(again.as_slice()).enumerate() {
+        assert!(!x.is_nan(), "entry {e}: pooled gemm read unwritten scratch");
+        assert_eq!(x.to_bits(), y.to_bits(), "entry {e}: repeat {y} vs first {x}");
     }
 }
 
@@ -103,27 +87,25 @@ fn pooled_gemm_bitwise_identical_degenerate_shapes() {
     for &(m, k, n) in &[(0usize, 4usize, 3usize), (1, 1, 1), (5, 1, 7), (1, 9, 1), (3, 2, 0)] {
         let a = Mat::from_fn(m, k, |i, j| ((i * 7 + j * 3) as f64 * 0.21).sin());
         let b = Mat::from_fn(k, n, |i, j| ((i * 5 + j * 11) as f64 * 0.13).cos());
-        assert_gemm_pool_invariant(&a, Trans::No, &b, Trans::No, m, n);
+        assert_gemm_pool_repeatable(&a, Trans::No, &b, Trans::No, m, n);
     }
 }
 
 #[test]
 fn pooled_gemm_bitwise_identical_tall_skinny() {
-    // The row-split parallel path with pooled packing panels must agree
-    // bitwise with the unpooled run.
+    // The row-split parallel path with pooled packing panels must read
+    // only what it packed, and repeat its bits.
     let (m, k, n) = (4096usize, 16usize, 8usize);
     let a = Mat::from_fn(m, k, |i, j| ((i * 13 + j) as f64 * 0.003).sin());
     let b = Mat::from_fn(k, n, |i, j| ((i + j * 17) as f64 * 0.07).cos());
-    assert_gemm_pool_invariant(&a, Trans::No, &b, Trans::No, m, n);
+    assert_gemm_pool_repeatable(&a, Trans::No, &b, Trans::No, m, n);
 }
 
 #[test]
 fn successive_pooled_shapes_do_not_alias() {
     // Different shapes back-to-back reuse the same size classes; each call
     // must behave as if its buffers were fresh.
-    let _guard = POOL_TOGGLE.lock().unwrap();
-    workspace::set_pool_enabled(true);
-    poison_pool();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     let shapes = [(30usize, 7usize, 12usize), (4, 40, 2), (128, 3, 64), (7, 7, 7)];
     for &(m, k, n) in &shapes {
         let a = Mat::from_fn(m, k, |i, j| 1.0 + ((i + 2 * j) as f64 * 0.11).sin());
@@ -146,7 +128,7 @@ fn successive_pooled_shapes_do_not_alias() {
 fn simd_gemm_matches_scalar_edge_tiles() {
     // Shapes straddling the 8x6 register tile: partial rows (m < MR),
     // partial columns (n < NR), and the degenerate k in {0, 1} panels.
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     let shapes = [
         (1usize, 1usize, 1usize),
         (7, 0, 5),
@@ -171,7 +153,7 @@ fn simd_gemm_matches_scalar_edge_tiles() {
 fn simd_gemm_matches_scalar_on_submatrix_views() {
     // Strided views (col_stride > nrows) through the microkernel's ldc
     // handling, writing into an interior window of a larger C.
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     let big_a = Mat::from_fn(40, 30, |i, j| ((i * 3 + j * 7) as f64 * 0.11).sin());
     let big_b = Mat::from_fn(30, 25, |i, j| ((i * 5 + j) as f64 * 0.17).cos());
     let (m, k, n) = (21, 19, 13);
@@ -209,7 +191,7 @@ fn simd_gemm_matches_scalar_on_submatrix_views() {
 
 #[test]
 fn simd_blas_matches_scalar() {
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     for &n in &[1usize, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 100, 1023] {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
@@ -378,7 +360,7 @@ fn trsm_matches_column_loop_on_strided_views() {
 fn factor_solve_mat_columns_match_single_solves() {
     // Column j of the blocked LU solve against the one-vector solve: the
     // same bits while the triangle is a TRSM leaf, 1e-12 above.
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     for n in [20usize, 40, 130, 200] {
         let mut a = Mat::from_fn(n, n, |i, j| (((i * 7 + j * 13) % 53) as f64 * 0.41).sin());
         for i in 0..n {
@@ -405,7 +387,7 @@ fn skinny_gemm_matches_packed() {
     // `gemm` (the unpacked AVX-512 path for n <= 16 where the CPU has it)
     // against the packed path on the same strided views; n = 17 is the far
     // side of the constant, where the two are the same code.
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     for m in [1usize, 7, 8, 9, 255, 1030] {
         for k in [1usize, 5, 256, 300] {
             let big_a = Mat::from_fn(m + 3, k + 2, |i, j| ((i * 3 + j * 7) as f64 * 0.11).sin());
@@ -449,7 +431,7 @@ fn skinny_gemm_column_bits_ignore_company_and_threads() {
     // bits computed alone, in any position of any n <= 16 column call, and
     // under any pool size (m = 1100 row-splits under four threads and
     // ends in a partial tile).
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     let (m, k) = (1100usize, 70usize);
     let a = Mat::from_fn(m, k, |i, j| ((i * 3 + j * 7) as f64 * 0.11).sin());
     let b = Mat::from_fn(k, 16, |i, j| ((i * 5 + j * 13) as f64 * 0.17).cos());
@@ -577,7 +559,7 @@ fn trsm_leaves_match_the_axpy_reference() {
     // solver produces, on strided windows of larger matrices; the
     // right-hand sides hold zeros of both signs (skipped multipliers) and,
     // in three columns, NaN and infinities.
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     use axpy_reference::Tri;
     let sizes: Vec<usize> = (1..=33).chain([40, 47, 64, 97]).collect();
     for simd in [true, false] {
@@ -652,7 +634,7 @@ fn rank1_update_matches_one_axpy_per_column() {
     // The kernel against `axpy(-C[p, j], x, C[r0.., j])` column by column,
     // across the axpy thresholds, with the multiplier row above and below
     // the updated rows, on a strided window, under both dispatch modes.
-    let _guard = POOL_TOGGLE.lock().unwrap();
+    let _guard = SIMD_TOGGLE.lock().unwrap();
     for simd in [true, false] {
         let _off = (!simd).then(SimdOff::new);
         for m in (0..=40).chain([47, 64, 100]) {
@@ -774,22 +756,22 @@ proptest! {
     fn pooled_gemm_bitwise_identical_random_shapes(m in 0usize..24, k in 1usize..12, n in 1usize..12, seed in 0u64..1000) {
         let a = Mat::from_fn(m, k, |i, j| (((i * 7 + j * 3) as u64 + seed) as f64 * 0.17).sin());
         let b = Mat::from_fn(k, n, |i, j| (((i * 5 + j * 11) as u64 + seed) as f64 * 0.09).cos());
-        assert_gemm_pool_invariant(&a, Trans::No, &b, Trans::No, m, n);
+        assert_gemm_pool_repeatable(&a, Trans::No, &b, Trans::No, m, n);
         // Transposed operands exercise the other packing loops.
         let at = a.transpose();
-        assert_gemm_pool_invariant(&at, Trans::Yes, &b, Trans::No, m, n);
+        assert_gemm_pool_repeatable(&at, Trans::Yes, &b, Trans::No, m, n);
     }
 
     #[test]
     fn simd_gemm_matches_scalar_random_shapes(m in 1usize..28, k in 0usize..24, n in 1usize..20, seed in 0u64..1000) {
-        let _guard = POOL_TOGGLE.lock().unwrap();
+        let _guard = SIMD_TOGGLE.lock().unwrap();
         assert_gemm_simd_vs_scalar(m, k, n, Trans::No, Trans::No, seed);
         assert_gemm_simd_vs_scalar(m, k, n, Trans::Yes, Trans::No, seed);
     }
 
     #[test]
     fn simd_vexp_matches_libm(xs in proptest::collection::vec(-750.0f64..750.0, 0..64)) {
-        let _guard = POOL_TOGGLE.lock().unwrap();
+        let _guard = SIMD_TOGGLE.lock().unwrap();
         let mut got = xs.clone();
         kfds_la::simd::vexp(&mut got);
         for (x, g) in xs.iter().zip(&got) {

@@ -11,14 +11,14 @@
 //!
 //! ## Conventions
 //!
-//! Two switches are live: `KFDS_SIMD` and `KFDS_WS_POOL`, kill-switches
-//! that default to the fast path being **on** and are read **once** per
-//! process (the consumer caches the answer behind a `Once`;
-//! `kfds_la::simd::set_simd_enabled` overrides it for benches and A/B
-//! tests). Setting one to an `off_values` entry selects the reference path
-//! bitwise. The other seven names are retired: each selected a path that is
-//! gone, no crate reads it, and it stays registered only so the benchmark
-//! harness keeps refusing to run with it set (ROADMAP item 1(a)).
+//! One switch is live: `KFDS_SIMD`, a kill-switch that defaults to the
+//! fast path being **on** and is read **once** per process (the consumer
+//! caches the answer behind a `Once`; `kfds_la::simd::set_simd_enabled`
+//! overrides it for benches and A/B tests). Setting it to an `off_values`
+//! entry selects the scalar reference path bitwise. The other eight names
+//! are retired: each selected a path that is gone, no crate reads it, and
+//! it stays registered only so the benchmark harness keeps refusing to run
+//! with it set (ROADMAP item 1(a)).
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub, unnameable_types)]
@@ -73,13 +73,18 @@ pub const KFDS_SIMD: Switch = Switch {
           **bitwise**",
 };
 
-/// `KFDS_WS_POOL`: kill-switch for the thread-local workspace pool.
+/// `KFDS_WS_POOL`: retired. It sent every workspace take to the global
+/// allocator; the pool is the only path now and no crate reads the
+/// variable. The entry stays only because `benchmark/tests/ledger.rs` pins
+/// the registry at nine names (ROADMAP item 1(a) unpins it; then this goes).
 pub const KFDS_WS_POOL: Switch = Switch {
     name: "KFDS_WS_POOL",
     default: "on",
     off_values: &["off", "0"],
-    doc: "disables the `kfds_la::workspace` buffer pool; every scratch take \
-          allocates, reproducing pre-pool allocation behavior bitwise",
+    doc: "retired — selects nothing. It sent every `kfds_la::workspace` \
+          scratch take to the global allocator; the pool is the only path \
+          now and no crate reads the variable (the benchmark harness still \
+          refuses to run with it set, like any registered switch)",
 };
 
 /// `KFDS_CPQR`: retired. It forced the unblocked column-pivoted QR at

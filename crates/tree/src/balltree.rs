@@ -95,7 +95,8 @@ impl BallTree {
     /// (see [`BallTree::points`], [`BallTree::perm`]).
     ///
     /// # Panics
-    /// Panics if `points` is empty or `m == 0`.
+    /// Panics if `points` is empty, `m == 0`, or a coordinate is NaN or
+    /// infinite (the message names the first such point's index).
     pub fn build(points: &PointSet, m: usize) -> Self {
         Self::build_with_rule(points, m, SplitRule::FarthestPair)
     }
@@ -103,11 +104,15 @@ impl BallTree {
     /// Builds a tree with an explicit [`SplitRule`].
     ///
     /// # Panics
-    /// Panics if `points` is empty or `m == 0`.
+    /// Panics if `points` is empty, `m == 0`, or a coordinate is NaN or
+    /// infinite (the message names the first such point's index).
     pub fn build_with_rule(points: &PointSet, m: usize, rule: SplitRule) -> Self {
         assert!(m > 0, "leaf size must be positive");
         let n = points.len();
         assert!(n > 0, "cannot build a tree over zero points");
+        if let Some(i) = (0..n).find(|&i| points.point(i).iter().any(|v| !v.is_finite())) {
+            panic!("point {i} has a non-finite coordinate");
+        }
 
         let mut idx: Vec<usize> = (0..n).collect();
         // Recursively split, collecting nodes in a preorder list.
@@ -393,6 +398,22 @@ mod tests {
             data.push(((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0);
         }
         PointSet::from_col_major(d, data)
+    }
+
+    #[test]
+    #[should_panic(expected = "point 37 has a non-finite coordinate")]
+    fn nan_coordinate_is_named_by_point() {
+        let mut p = grid_points(100, 3);
+        p.point_mut(37)[1] = f64::NAN;
+        let _ = BallTree::build(&p, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "point 99 has a non-finite coordinate")]
+    fn infinite_coordinate_is_named_by_point() {
+        let mut p = grid_points(100, 3);
+        p.point_mut(99)[0] = f64::NEG_INFINITY;
+        let _ = BallTree::build(&p, 8);
     }
 
     #[test]
