@@ -1,11 +1,14 @@
 #!/usr/bin/env bash
-# Local CI gate: the host's vector bodies (which golden table binds), then
-# format, clippy, rustdoc, kfds-lint, release build, the eight examples,
-# the workspace tests under the default environment and under the one live
-# KFDS_* switch, the golden digests with every retired switch set
-# and on one rayon thread, the benchmark package's own tests, and the
-# kfds-serve smoke runs. Correctness only: nothing here asserts a timing
-# (timings, bytes and throughput are benchmark/'s — see BENCHMARK.json).
+# Local CI gate: the host's vector flags (which kernel bodies the vector
+# lanes run), then format, clippy, rustdoc, kfds-lint, release build, the
+# eight examples, the workspace tests under the default environment and
+# under the one live KFDS_* switch, the golden digests with every retired
+# switch set and on one rayon thread, the benchmark package's own tests,
+# and the kfds-serve smoke runs. The golden digests bind the scalar table
+# with SIMD off and the vector table with SIMD on, on any AVX2+FMA host
+# (the AVX-512 bodies give the AVX2 bodies' bits). Correctness only:
+# nothing here asserts a timing (timings, bytes and throughput are
+# benchmark/'s — see BENCHMARK.json).
 # Every step prints the seconds it took and `CI OK` a table of them, so a
 # lane has a price before anyone argues for deleting it.
 #
@@ -54,24 +57,23 @@ nightly_has() {
 }
 
 step "host vector bodies"
-# Which kernel bodies the default lanes exercise here, and so which golden
-# table the default digest lane binds (crates/core/src/digests.rs): the
-# AVX-512 bodies, the packed GEMM's and the GSKS run contraction's 16 x 12
-# tiles among them, run only on an AVX-512F host, so a green log should say
-# whether they ran.
+# The host's avx2 / fma / avx512f flags, once, so a green log says which
+# bodies the vector lanes ran. They decide speed only: the default digest
+# lanes bind GOLDEN_VECTOR on any AVX2+FMA host, AVX-512F or not.
 flags="$(grep -m1 -E '^flags' /proc/cpuinfo 2>/dev/null || true)"
 has() { grep -qw "$1" <<<"$flags"; }
 if [[ -z $flags ]]; then
-  echo "no /proc/cpuinfo: vector bodies and golden table unknown on this host"
-elif has avx512f && has avx2 && has fma; then
-  echo "AVX-512F + AVX2 + FMA: the AVX-512 bodies run (16 x 12 GEMM and GSKS contraction tiles included);"
-  echo "the default digest lane binds GOLDEN_AVX512"
-elif has avx2 && has fma; then
-  echo "AVX2 + FMA only: the AVX-512 bodies do not run (no 16 x 12 GEMM or GSKS contraction tile);"
-  echo "the default digest lane binds no table (run-to-run equality only)"
+  echo "no /proc/cpuinfo: vector flags unknown on this host"
 else
-  echo "no AVX2 + FMA: scalar bodies only;"
-  echo "the default digest lane binds the scalar tables (GOLDEN, ...)"
+  for f in avx2 fma avx512f; do
+    if has "$f"; then echo "$f: yes"; else echo "$f: no"; fi
+  done
+  if has avx2 && has fma; then
+    echo "SIMD on: the vector bodies run (the AVX-512 ones too where avx512f is yes);"
+    echo "the default digest lanes bind GOLDEN_VECTOR"
+  else
+    echo "no AVX2 + FMA: scalar bodies only; every digest lane binds GOLDEN_SCALAR"
+  fi
 fi
 
 step "cargo fmt --check"
@@ -126,11 +128,11 @@ cargo test -q --workspace
 step "cargo test (workspace, KFDS_SIMD=off — scalar reference paths)"
 KFDS_SIMD=off cargo test -q --workspace
 
-step "cargo test (kfds-core digests, KFDS_SIMD=off + every retired switch — the golden table)"
-# The scalar digest tables are asserted only on the scalar kernel bodies,
-# so this is the lane that holds neighbour lists, skeletons, factors and
-# solves to those recorded bits on any host (the default lane asserts the
-# GOLDEN_AVX512 table on an AVX-512 host). The eight retired registry
+step "cargo test (kfds-core digests, KFDS_SIMD=off + every retired switch — the scalar table)"
+# The binding rule: GOLDEN_SCALAR with SIMD off, GOLDEN_VECTOR with SIMD on
+# on any AVX2+FMA host. This lane holds neighbour lists, skeletons,
+# factors and solves to the scalar bits on any host (the default lane
+# holds them to the vector bits). The eight retired registry
 # names select nothing (no crate reads them; the entries wait on ROADMAP
 # 1(a)): setting them all must move no digest.
 KFDS_SIMD=off KFDS_WS_POOL=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=scalar \

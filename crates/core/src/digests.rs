@@ -9,15 +9,14 @@
 //! digest sees only from outside: skeleton indices and `proj`, every `P̂`,
 //! and the factorization's accounting.
 //!
-//! Which table binds depends on the arithmetic that runs:
+//! Two tables of the same 17 rows, in the same order; which binds
+//! depends on whether the vector kernels run, and on nothing else:
 //!
-//! * `GOLDEN`, `GOLDEN_SETUP` and `GOLDEN_NORMAL64D` bind the scalar kernel
-//!   bodies (`KFDS_SIMD=off`, or a host without AVX2+FMA), on any host:
-//!   they do not depend on the vector width.
-//! * `GOLDEN_AVX512` binds the vector bodies on a host with AVX-512F (the
-//!   default there): the same 17 rows, in the same order.
-//! * On a host with AVX2+FMA but no AVX-512F, with SIMD on, no table binds:
-//!   the test only checks that the same solve reproduces itself.
+//! * `GOLDEN_SCALAR` binds the scalar kernel bodies (`KFDS_SIMD=off`, or a
+//!   host without AVX2+FMA).
+//! * `GOLDEN_VECTOR` binds the vector bodies (`KFDS_SIMD` on) on any host
+//!   with AVX2+FMA, AVX-512F or not: every AVX-512 body gives the bits of
+//!   the AVX2 body beside it, and the skinny GEMM path the packed path's.
 //!
 //! The thread count was checked not to move a bit; the ci lane
 //! `RAYON_NUM_THREADS=1` holds the tables on one thread. The eight retired
@@ -31,9 +30,9 @@
 //! arithmetic.
 //!
 //! To regenerate after an intended change of arithmetic: run
-//! `cargo test -p kfds-core --lib digests`, with `KFDS_SIMD=off`
-//! for the scalar tables; the failure message prints the tables this build
-//! produces in source form.
+//! `cargo test -p kfds-core --lib digests`, with `KFDS_SIMD=off` for the
+//! scalar table; the failure message prints the table this build produces
+//! in source form.
 
 use crate::{
     factorize, factorize_with_blocks, FactorTree, HybridSolver, PartitionedFactor, SharedFactor,
@@ -51,26 +50,28 @@ use std::sync::Arc;
 const N: usize = 1024;
 const NRHS: usize = 8;
 
-/// Recorded under `KFDS_SIMD=off` at the commit after ce90b77, which
-/// factors each reduced system `Z_α` through the Schur complement of its
-/// smaller child (`crate::reduced`); checked there to be equal on one and
-/// two rayon threads. The rows were first recorded at commit 966662b.
-const GOLDEN: [(&str, u64); 5] = [
+/// Every row under the scalar kernel bodies (`KFDS_SIMD=off`, or a host
+/// without AVX2+FMA), on any host: they do not depend on the vector width.
+/// Three groups, in the order [`tables`] and [`normal64d_rows`] produce
+/// them.
+const GOLDEN_SCALAR: [(&str, u64); 17] = [
+    // The blocked solves. Recorded under `KFDS_SIMD=off` at the commit after
+    // ce90b77, which factors each reduced system `Z_α` through the Schur
+    // complement of its smaller child (`crate::reduced`); checked there to
+    // be equal on one and two rayon threads. The rows were first recorded
+    // at commit 966662b.
     ("direct/StoredGemv", 0x5d3c1983aaef216b),
     ("direct/RecomputeGemm", 0x5d3c1983aaef216b),
     ("direct/Gsks", 0xba86b494ae1ef5d5),
     ("hybrid/L2", 0x300a1ba6b5e7c993),
     ("partition/p4", 0xba86b494ae1ef5d5),
-];
-
-/// Skeletons, factors and the solves [`GOLDEN`] lacks (a partial factor,
-/// ragged tolerance-driven ranks). The `skeleton/*` rows were recorded
-/// under `KFDS_SIMD=off` at commit 0c24218 and have not moved since; the
-/// `factor/*` and `direct/covtype` rows were re-recorded, like [`GOLDEN`],
-/// at the commit after ce90b77 (the smaller child's Schur complement, and
-/// a pivot ratio read against `Z`'s scale; the factor rows hash the held
-/// `B_l`, `B_r`).
-const GOLDEN_SETUP: [(&str, u64); 8] = [
+    // Skeletons, factors and the solves the group above lacks (a partial
+    // factor, ragged tolerance-driven ranks). The `skeleton/*` rows were
+    // recorded under `KFDS_SIMD=off` at commit 0c24218 and have not moved
+    // since; the `factor/*` and `direct/covtype` rows were re-recorded, like
+    // the solves, at the commit after ce90b77 (the smaller child's Schur
+    // complement, and a pivot ratio read against `Z`'s scale; the factor
+    // rows hash the held `B_l`, `B_r`).
     ("skeleton/normal", 0x33ecb6ca1ba2371b),
     ("factor/StoredGemv", 0xccd299f9ac91aa6f),
     ("factor/RecomputeGemm", 0x694e9efc360eed93),
@@ -79,49 +80,50 @@ const GOLDEN_SETUP: [(&str, u64); 8] = [
     ("skeleton/covtype", 0x55a490d32fc576ce),
     ("factor/covtype", 0xd45fc711ee3d4ccd),
     ("direct/covtype", 0x9263dc202a15d2a2),
-];
-
-/// The `normal64d_direct` benchmark shape, at n = 1024: the one set-up that
-/// takes the approximate neighbour search (8 projection trees), fixed rank
-/// 64 (τ = 0), matrix-free factors. The `knn/*` and `skeleton/*` rows were
-/// recorded under `KFDS_SIMD=off` at commit 8766a4a, the last with a
-/// per-query scalar kNN route, and checked there to be equal under it and
-/// on one rayon thread; the solve row was re-recorded at commit ce90b77
-/// (Schur-complement reduced systems), the factor row at the commit after
-/// it (a pivot ratio read against `Z`'s scale; the equal fixed ranks keep
-/// the right child's complement, so the solve row holds).
-const GOLDEN_NORMAL64D: [(&str, u64); 4] = [
+    // The `normal64d_direct` benchmark shape, at n = 1024: the one set-up
+    // that takes the approximate neighbour search (8 projection trees),
+    // fixed rank 64 (τ = 0), matrix-free factors. The `knn/*` and
+    // `skeleton/*` rows were recorded under `KFDS_SIMD=off` at commit
+    // 8766a4a, the last with a per-query scalar kNN route, and checked there
+    // to be equal under it and on one rayon thread; the solve row was
+    // re-recorded at commit ce90b77 (Schur-complement reduced systems), the
+    // factor row at the commit after it (a pivot ratio read against `Z`'s
+    // scale; the equal fixed ranks keep the right child's complement, so the
+    // solve row holds).
     ("knn/normal64d", 0x427e74ccd79c91b0),
     ("skeleton/normal64d", 0xbfa8f9fb0b9e5409),
     ("factor/normal64d/Gsks", 0xb8ce60b82a3cd627),
     ("direct/normal64d/Gsks", 0x5b712eacbdd7e26a),
 ];
 
-/// Every row of the three tables above, in the same order, under the
-/// vector kernel bodies of a host with AVX-512F (`KFDS_SIMD` on). The
-/// `knn/*` and `skeleton/*` rows were recorded at commit 74324e4; every
-/// factor and solve row but `direct/normal64d/Gsks` was re-recorded at the
-/// commit after ce90b77 (the smaller child's Schur complement, a pivot
-/// ratio against `Z`'s scale) and checked there to be equal on one and two
-/// rayon threads.
-const GOLDEN_AVX512: [(&str, u64); 17] = [
-    ("direct/StoredGemv", 0x894ba0715dd9d9ef),
-    ("direct/RecomputeGemm", 0x894ba0715dd9d9ef),
-    ("direct/Gsks", 0x1e64e5edb63412bd),
-    ("hybrid/L2", 0x41616fbbff2d9fac),
-    ("partition/p4", 0x1e64e5edb63412bd),
-    ("skeleton/normal", 0x6fd7da0f032310ea),
-    ("factor/StoredGemv", 0xfce0f1de4dce7c3d),
-    ("factor/RecomputeGemm", 0xe4e1c68ddfca070d),
-    ("factor/Gsks", 0xbe9a09693ffff370),
-    ("factor/partial-L2", 0x5fd08dfa1420f5c8),
-    ("skeleton/covtype", 0x5d32d2622611aeb7),
-    ("factor/covtype", 0xc48fd6fd110ac161),
-    ("direct/covtype", 0x2fa638c6f07cb765),
+/// Every row of [`GOLDEN_SCALAR`], in the same order, under the vector
+/// kernel bodies (`KFDS_SIMD` on) of any host with AVX2+FMA: where a
+/// kernel has an AVX-512 body, it gives the AVX2 body's bits. The
+/// `knn/normal64d`, `skeleton/normal64d` and `factor/normal64d/Gsks` rows
+/// are those recorded on an AVX-512 host (the first two at commit
+/// 74324e4, the third at the commit after ce90b77). The other 14 are the
+/// bits commit 36f196a gives on an AVX-512 host with its AVX-512-only
+/// skinny GEMM path switched off, which is the packed path's arithmetic
+/// that the skinny path now gives too; an AVX2-only host gives them with
+/// `dgemv_t` reduced in one order.
+const GOLDEN_VECTOR: [(&str, u64); 17] = [
+    ("direct/StoredGemv", 0xcfaafa80d7edbd4a),
+    ("direct/RecomputeGemm", 0xcfaafa80d7edbd4a),
+    ("direct/Gsks", 0x5de962f7d1d903a8),
+    ("hybrid/L2", 0xfa12993f0f19be24),
+    ("partition/p4", 0x5de962f7d1d903a8),
+    ("skeleton/normal", 0x33bfbba59df9ebb1),
+    ("factor/StoredGemv", 0x5701ef6f675046fe),
+    ("factor/RecomputeGemm", 0x8184e8430c359d5a),
+    ("factor/Gsks", 0xf758374a1e031447),
+    ("factor/partial-L2", 0xbec7141a75b663dc),
+    ("skeleton/covtype", 0xa7a41cf782a82188),
+    ("factor/covtype", 0x91d417e5821d1ed4),
+    ("direct/covtype", 0xe22453ccd63a7083),
     ("knn/normal64d", 0x427e74ccd79c91b0),
     ("skeleton/normal64d", 0xec3d48e271469131),
     ("factor/normal64d/Gsks", 0x02e9cff8823b26d6),
-    ("direct/normal64d/Gsks", 0x313c8f665f5fc64e),
+    ("direct/normal64d/Gsks", 0xb75c6d53b9440727),
 ];
 
 /// The `multi_rhs.rs` fixture: n = 1024, leaf 64, τ = 1e-5, s ≤ 64, κ = 8.
@@ -281,15 +283,13 @@ fn digest_of(name: &str, solve: impl Fn(&mut Mat)) -> u64 {
 }
 
 type Rows = Vec<(String, u64)>;
-/// A recorded table: its name and rows.
-type Golden = (&'static str, &'static [(&'static str, u64)]);
 
 fn direct_digest<K: Kernel>(name: &str, ft: &FactorTree<'_, K>) -> (String, u64) {
     let d = digest_of(name, |b| ft.solve_mat_in_place(b).expect("direct solve"));
     (name.to_string(), d)
 }
 
-/// The rows of [`GOLDEN_NORMAL64D`], in table order.
+/// The last four rows of the tables, in table order.
 fn normal64d_rows() -> Rows {
     let (st, nn, kernel) = normal64d_fixture();
     let ft = factorize(&st, &kernel, SolverConfig::default().with_lambda(1.0))
@@ -302,7 +302,8 @@ fn normal64d_rows() -> Rows {
     ]
 }
 
-/// The rows of [`GOLDEN`] and of [`GOLDEN_SETUP`], in table order.
+/// The first 13 rows of the tables: the solves, then the skeletons and
+/// factors, each group in table order.
 fn tables() -> (Rows, Rows) {
     let base = SolverConfig::default().with_lambda(0.5);
     let (mut solves, mut setup) = (Rows::new(), Rows::new());
@@ -377,28 +378,18 @@ fn blocked_solve_digests_match_the_recorded_table() {
     for (name, digest) in shared_assembly_rows() {
         assert_eq!(digest, *fresh, "{name} must reproduce direct/StoredGemv bit for bit");
     }
-    let tables: Vec<(Golden, Rows)> = if !kfds_la::simd::active() {
-        vec![
-            (("GOLDEN", &GOLDEN), solves),
-            (("GOLDEN_SETUP", &GOLDEN_SETUP), setup),
-            (("GOLDEN_NORMAL64D", &GOLDEN_NORMAL64D), normal64d),
-        ]
-    } else if kfds_la::simd::avx512_supported() {
-        vec![(("GOLDEN_AVX512", &GOLDEN_AVX512), [solves, setup, normal64d].concat())]
+    let (title, want) = if kfds_la::simd::active() {
+        ("GOLDEN_VECTOR", &GOLDEN_VECTOR)
     } else {
-        return; // AVX2 only: run-to-run equality (checked in `digest_of`) is all we hold
+        ("GOLDEN_SCALAR", &GOLDEN_SCALAR)
     };
-    let same = |got: &Rows, want: &[(&str, u64)]| {
-        got.len() == want.len()
-            && got.iter().zip(want).all(|((gn, gd), (wn, wd))| gn == wn && gd == wd)
-    };
-    if tables.iter().any(|((_, want), got)| !same(got, want)) {
-        let mut msg = String::from("digests moved; the tables this build produces are\n");
-        for ((title, _), rows) in &tables {
-            msg.push_str(&format!("{title}:\n"));
-            for (name, d) in rows {
-                msg.push_str(&format!("    (\"{name}\", {d:#018x}),\n"));
-            }
+    let got = [solves, setup, normal64d].concat();
+    let same = got.len() == want.len()
+        && got.iter().zip(want).all(|((gn, gd), (wn, wd))| gn == wn && gd == wd);
+    if !same {
+        let mut msg = format!("digests moved; the {title} this build produces is\n");
+        for (name, d) in &got {
+            msg.push_str(&format!("    (\"{name}\", {d:#018x}),\n"));
         }
         panic!("{msg}");
     }

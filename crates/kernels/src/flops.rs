@@ -1,4 +1,4 @@
-//! Flop and memory-operation accounting for the summation engines.
+//! Flop accounting for the summation engines and the dense kernels.
 //!
 //! The paper reports GFLOP/s for `m x n x d` kernel summations (Table I).
 //! We count the same way: a rank-`d` Gram update is `2mnd` flops; the
@@ -25,19 +25,6 @@ pub fn lu_solve_flops(n: usize, nrhs: usize) -> f64 {
     2.0 * (n as f64).powi(2) * nrhs as f64
 }
 
-/// Memory operations (reads + writes, in f64 words) of the two-pass
-/// reference summation: it streams the `m x n` block twice plus operands.
-pub fn reference_mops(m: usize, n: usize, d: usize) -> f64 {
-    let (m, n, d) = (m as f64, n as f64, d as f64);
-    m * d + n * d + 3.0 * m * n + n + m
-}
-
-/// Memory operations of the fused summation: operands only.
-pub fn fused_mops(m: usize, n: usize, d: usize) -> f64 {
-    let (m, n, d) = (m as f64, n as f64, d as f64);
-    m * d + n * d + n + m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,13 +35,5 @@ mod tests {
         assert!(summation_flops(100, 100, 8, 5.0) > gemm_flops(100, 100, 8));
         assert_eq!(lu_flops(3), 18.0);
         assert_eq!(lu_solve_flops(4, 2), 64.0);
-    }
-
-    #[test]
-    fn fused_saves_mops() {
-        // The whole point of GSKS: O(mn) fewer memory operations.
-        let r = reference_mops(1000, 1000, 8);
-        let f = fused_mops(1000, 1000, 8);
-        assert!(r / f > 100.0);
     }
 }

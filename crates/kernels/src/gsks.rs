@@ -115,6 +115,10 @@ impl<'a> Sources<'a> {
         for (&p, y) in rest.iter().zip(tail.chunks_exact_mut(d)) {
             y.copy_from_slice(pts.point(p));
         }
+        // Zeros, not what a recycled release-build buffer held: a stale
+        // finite coordinate of ~1e154 or more overflows the pad point's
+        // distance to r = ∞, and Matérn-3/2 or the polynomial kernel then
+        // reads ∞ · 0 = NaN into the sum through the zero-weight column.
         tail[rest.len() * d..].fill(0.0);
         Sources { pts, cols, gathered, tail }
     }
@@ -314,6 +318,25 @@ mod tests {
     use crate::function::{Gaussian, Laplacian};
     use crate::reference::{sum_reference, sum_reference_multi};
     use kfds_la::Mat;
+
+    #[test]
+    fn source_pad_reads_back_as_zero() {
+        // The pad of a partial last group is written, never inherited: a
+        // recycled buffer full of huge finite values must not show through,
+        // for every residue of the source count.
+        for d in [1, 3, 54] {
+            let p = pts(40, d, 7);
+            for n in 8..16 {
+                let mut dirty = workspace::take(MR * d);
+                dirty.fill(1e300);
+                drop(dirty);
+                let cols: Vec<usize> = (0..n).map(|i| i * 3 % 40).collect();
+                let s = Sources::new(&p, &cols);
+                let pad = &s.tail[n % MR * d..];
+                assert!(pad.iter().all(|v| v.to_bits() == 0), "d={d}, {n} sources: {pad:?}");
+            }
+        }
+    }
 
     fn pts(n: usize, d: usize, seed: u64) -> PointSet {
         let mut state = seed | 1;

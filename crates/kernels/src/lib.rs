@@ -11,7 +11,7 @@
 //! * [`gsks`] — the fused, matrix-free summation (GSKS, \[24\]): the kernel
 //!   transform and the reduction happen inside the GEMM register tile, so
 //!   the `m x n` block is never stored;
-//! * [`flops`] — flop/memory-operation accounting used by the benchmark
+//! * [`flops`] — flop accounting used by the benchmark
 //!   harnesses to report GFLOP/s the way the paper does.
 
 #![forbid(unsafe_code)]

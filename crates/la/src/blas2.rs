@@ -1,7 +1,7 @@
-//! Level-2 BLAS-style kernels: matrix-vector products and rank-1 updates.
+//! Level-2 BLAS-style kernels: matrix-vector products.
 
 use crate::blas1::{axpy, dot};
-use crate::mat::{MatMut, MatRef};
+use crate::mat::MatRef;
 
 /// `y = alpha * A * x + beta * y`.
 ///
@@ -55,10 +55,12 @@ pub fn gemv(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
 /// `y = alpha * A^T * x + beta * y`.
 ///
 /// Each output element is a dot product with a contiguous column of `A`.
-/// With SIMD active and `beta == 0` the columns are blocked four at a
-/// time through the AVX2 kernel so each load of `x` amortizes four column
-/// streams; the scalar path (one `dot` per column) stays the reference
-/// implementation under `KFDS_SIMD=off`.
+/// With SIMD active, `beta == 0` and at least 8 rows and 4 columns, the
+/// columns go through a vector body: 8-wide under AVX-512, 4-wide under
+/// AVX2, both reducing every column in one order (documented on
+/// `simd::dgemv_t_avx2`), so every AVX2+FMA host gives the same bits. The
+/// scalar path (one `dot` per column) stays the reference implementation
+/// under `KFDS_SIMD=off`.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -70,7 +72,7 @@ pub fn gemv_t(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
         if beta == 0.0 && alpha != 0.0 && a.nrows() >= 8 && a.ncols() >= 4 && crate::simd::active()
         {
             // SAFETY: active() implies AVX2+FMA (avx512_supported gates
-            // the 8-wide variant); the view exposes
+            // the 8-wide body, which gives the same bits); the view exposes
             // `col_stride * (ncols - 1) + nrows` elements from `as_ptr()`
             // and the length asserts above cover x and y.
             unsafe {
@@ -102,24 +104,6 @@ pub fn gemv_t(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
     for (j, yj) in y.iter_mut().enumerate() {
         let d = if alpha == 0.0 { 0.0 } else { alpha * dot(a.col(j), x) };
         *yj = if beta == 0.0 { d } else { beta * *yj + d };
-    }
-}
-
-/// Rank-1 update `A += alpha * x * y^T`.
-///
-/// # Panics
-/// Panics on dimension mismatch.
-pub fn ger(alpha: f64, x: &[f64], y: &[f64], mut a: MatMut<'_>) {
-    assert_eq!(a.nrows(), x.len(), "ger: A.nrows != x.len");
-    assert_eq!(a.ncols(), y.len(), "ger: A.ncols != y.len");
-    if alpha == 0.0 {
-        return;
-    }
-    for (j, &yv) in y.iter().enumerate() {
-        let s = alpha * yv;
-        if s != 0.0 {
-            axpy(s, x, a.col_mut(j));
-        }
     }
 }
 
@@ -158,12 +142,93 @@ mod tests {
         }
     }
 
+    /// The reduction order of the vector `gemv_t` body (see
+    /// `simd::dgemv_t_avx2`) in portable code: `mul_add` chains in its lane
+    /// order, its chain sum and its halving tree, the row tail unfused.
+    fn gemv_t_order(alpha: f64, a: MatRef<'_>, x: &[f64]) -> Vec<f64> {
+        let (m, n) = (a.nrows(), a.ncols());
+        let four = n / 4 * 4;
+        let mut y = vec![0.0; n];
+        for (j, yj) in y.iter_mut().enumerate() {
+            let c = a.col(j);
+            let mut ch = [[0.0f64; 4]; 4];
+            let step = |ch: &mut [[f64; 4]; 4], i: usize, chains: usize| {
+                for (t, cht) in ch.iter_mut().enumerate().take(chains) {
+                    for (l, v) in cht.iter_mut().enumerate() {
+                        let r = i + 4 * t + l;
+                        *v = c[r].mul_add(x[r], *v);
+                    }
+                }
+            };
+            let mut i = 0;
+            if j < four {
+                while i + 16 <= m {
+                    step(&mut ch, i, 4);
+                    i += 16;
+                }
+            }
+            while i + 8 <= m {
+                step(&mut ch, i, 2);
+                i += 8;
+            }
+            let v: [f64; 4] = std::array::from_fn(|l| {
+                if j < four {
+                    (ch[0][l] + ch[2][l]) + (ch[1][l] + ch[3][l])
+                } else {
+                    ch[0][l] + ch[1][l]
+                }
+            });
+            let mut d = (v[0] + v[2]) + (v[1] + v[3]);
+            for r in i..m {
+                d += c[r] * x[r];
+            }
+            *yj = alpha * d;
+        }
+        y
+    }
+
     #[test]
-    fn ger_rank1() {
-        let mut a = Mat::zeros(3, 2);
-        ger(2.0, &[1.0, 2.0, 3.0], &[4.0, 5.0], a.rb_mut());
-        assert_eq!(a[(2, 1)], 2.0 * 3.0 * 5.0);
-        assert_eq!(a[(0, 0)], 8.0);
+    fn vector_gemv_t_reduces_in_the_one_order() {
+        // Rows through the 16-row steps, the one 8-row step and the tail;
+        // columns through the four-column blocks and the n % 4 after them;
+        // every A a window of a larger matrix (col_stride > nrows).
+        let big = Mat::from_fn(300, 20, |i, j| ((i * 37 + j * 101) % 199) as f64 / 97.0 - 1.0);
+        let xs: Vec<f64> = (0..300).map(|i| ((i * 53) % 89) as f64 / 44.0 - 1.0).collect();
+        for m in [8, 12, 15, 16, 17, 23, 24, 31, 32, 39, 40, 47, 100, 263] {
+            for n in [4, 5, 6, 7, 8, 9, 13] {
+                for alpha in [1.0, -1.0, 0.3] {
+                    let a = big.submatrix(3..3 + m, 2..2 + n);
+                    let x = &xs[1..1 + m];
+                    let want = gemv_t_order(alpha, a, x);
+                    let same = |got: &[f64]| {
+                        got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits())
+                    };
+                    if crate::simd::active() {
+                        let mut y = vec![f64::NAN; n];
+                        gemv_t(alpha, a, x, 0.0, &mut y);
+                        assert!(same(&y), "gemv_t m={m} n={n} α={alpha}: {y:?} vs {want:?}");
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    if crate::simd::cpu_supported() {
+                        let mut y = vec![f64::NAN; n];
+                        // SAFETY: AVX2+FMA checked; the window exposes
+                        // col_stride * (n - 1) + m elements, x m and y n.
+                        unsafe {
+                            crate::simd::dgemv_t_avx2(
+                                m,
+                                n,
+                                alpha,
+                                a.as_ptr(),
+                                a.col_stride(),
+                                x.as_ptr(),
+                                y.as_mut_ptr(),
+                            );
+                        }
+                        assert!(same(&y), "AVX2 body m={m} n={n} α={alpha}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

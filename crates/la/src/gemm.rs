@@ -5,9 +5,14 @@
 //! `MR` rows and `NR` columns and multiplied by register-tile microkernels —
 //! the AVX2 `8 x 6` tile on any panel and, with AVX-512, a `16 x 12` tile on
 //! two A panels by two B panels — with rayon parallelism across disjoint
-//! column or row panels of `C`. Every vector tile gives an element the same
-//! operations (one FMA chain from zero per KC block, then one fused `alpha`
-//! update), so which tile ran never shows in the bits.
+//! column or row panels of `C`. A right operand of at most 16 columns takes
+//! an unpacked AVX-512 path instead, where the CPU has it.
+//!
+//! With SIMD on, every element of `C` gets one chain on every path:
+//! `beta` applied up front, then per KC block one FMA chain from zero in
+//! ascending `k` and one fused update `C = fma(acc, alpha, C)`. Full tiles,
+//! edge tiles, the `16 x 12` tile and the skinny path all give it, so
+//! which one ran never shows in the bits.
 
 use crate::mat::{MatMut, MatRef};
 
@@ -233,7 +238,7 @@ fn gemm_parallel(
 /// skinny path: `op(A) = A`, between 1 and
 /// [`crate::simd::GEMM_SKINNY_N`] columns, something to add, and the
 /// AVX-512 kernel available and enabled. Decided from the shape and the
-/// CPU alone; everything else is the packed path.
+/// CPU alone; everything else is the packed path, with the same bits.
 #[cfg(target_arch = "x86_64")]
 fn skinny_applies(alpha: f64, ta: Trans, n: usize, k: usize) -> bool {
     ta == Trans::No
@@ -245,28 +250,26 @@ fn skinny_applies(alpha: f64, ta: Trans, n: usize, k: usize) -> bool {
 }
 
 /// Rows of `C` one pass of the skinny path owns: with the widest right
-/// operand the packed block is 32 KiB, L1/L2-resident across the `k` sweep.
+/// operand the accumulator block is 32 KiB, L1/L2-resident across a `KC`
+/// block.
 #[cfg(target_arch = "x86_64")]
 const SKINNY_MB: usize = 256;
 /// Columns of `A` one kernel call consumes: that many sequential
 /// `SKINNY_MB`-row streams for the hardware prefetcher, and the interval
-/// at which a tile's accumulators are parked in the packed block.
+/// at which a tile's accumulators are parked in the block.
 #[cfg(target_arch = "x86_64")]
 const SKINNY_KB: usize = 8;
 
 /// The unpacked path for a skinny right operand: at `n <= 16` the packed
 /// kernel copies every element of `A` to use it for `2n` flops, so here
-/// only `op(B)` is packed (`k x n`, row-major, `alpha` folded in) and `A`
-/// is streamed exactly once, straight from where it lives and in long
-/// column runs, by [`crate::simd::dgemm_skinny_avx512`]. `C` goes through
-/// a pooled tile-packed block of `SKINNY_MB` rows at a time: `beta * C`
-/// in, the finished rows out.
+/// only `op(B)` is packed (`k x n`, row-major) and `A` is streamed exactly
+/// once, straight from where it lives and in long column runs, by
+/// [`crate::simd::dgemm_skinny_avx512`], `SKINNY_MB` rows of `C` at a time.
 ///
-/// Every `C[i, j]` is `beta * C[i, j]` followed by one FMA per `k` in
-/// ascending order — the row and `k` blocking only decides when an
-/// accumulator is parked in the block — so a column's bits depend neither
-/// on how many other columns ride in the call nor on how the caller split
-/// `m`.
+/// Every `C[i, j]` gets the packed path's operations: `beta` applied up
+/// front, then per `KC` block one FMA chain from zero in ascending `k`
+/// (parked in a pooled tile-packed block between kernel calls) and
+/// `C = fma(acc, alpha, C)`. So the path changes speed, not bits.
 #[cfg(target_arch = "x86_64")]
 fn gemm_skinny(
     alpha: f64,
@@ -278,62 +281,50 @@ fn gemm_skinny(
     k: usize,
 ) {
     let (m, n) = (c.nrows(), c.ncols());
+    scale_c(beta, &mut c);
     let mut bpack = crate::workspace::take(k * n);
-    pack_b_skinny(alpha, b, tb, n, &mut bpack);
+    pack_b_skinny(b, tb, n, &mut bpack);
     let mut ct = crate::workspace::take(SKINNY_MB.min(m).next_multiple_of(8) * n);
-    let lda = a.col_stride();
+    let (lda, ldc) = (a.col_stride(), c.col_stride());
     for ib in (0..m).step_by(SKINNY_MB) {
         let mb = SKINNY_MB.min(m - ib);
-        // Tile-pack beta * C; the padding rows of a last partial tile only
-        // ever accumulate zeros (masked A lanes) and are dropped.
-        ct[..mb.next_multiple_of(8) * n].fill(0.0);
-        if beta != 0.0 {
-            for j in 0..n {
-                for (t, rows) in c.col_mut(j)[ib..ib + mb].chunks(8).enumerate() {
-                    let tile = &mut ct[(t * n + j) * 8..][..rows.len()];
-                    for (d, &v) in tile.iter_mut().zip(rows.iter()) {
-                        *d = beta * v;
-                    }
+        for pc in (0..k).step_by(KC) {
+            let end = KC.min(k - pc) + pc;
+            for pk in (pc..end).step_by(SKINNY_KB) {
+                let kb = SKINNY_KB.min(end - pk);
+                // SAFETY: skinny_applies() checked AVX-512F and 1 <= n <= 16.
+                // Rows ib..ib+mb and columns pk..pk+kb lie inside `a` (m x k)
+                // and rows pk..pk+kb inside the k x n pack; `ct` holds mb
+                // rounded up to whole tiles times n; rows ib..ib+mb of the
+                // n columns of `c` (stride ldc) lie inside it.
+                unsafe {
+                    let close = (pk + kb == end).then(|| (alpha, c.as_mut_ptr().add(ib), ldc));
+                    crate::simd::dgemm_skinny_avx512(
+                        mb,
+                        n,
+                        kb,
+                        a.as_ptr().add(ib + pk * lda),
+                        lda,
+                        bpack.as_ptr().add(pk * n),
+                        ct.as_mut_ptr(),
+                        pk == pc,
+                        close,
+                    );
                 }
-            }
-        }
-        for pc in (0..k).step_by(SKINNY_KB) {
-            let kc = SKINNY_KB.min(k - pc);
-            // SAFETY: skinny_applies() checked AVX-512F and 1 <= n <= 16.
-            // Rows ib..ib+mb and columns pc..pc+kc lie inside `a` (m x k),
-            // rows pc..pc+kc inside the k x n pack, and `ct` holds mb
-            // rounded up to whole tiles times n.
-            unsafe {
-                crate::simd::dgemm_skinny_avx512(
-                    mb,
-                    n,
-                    kc,
-                    a.as_ptr().add(ib + pc * lda),
-                    lda,
-                    bpack.as_ptr().add(pc * n),
-                    ct.as_mut_ptr(),
-                );
-            }
-        }
-        for j in 0..n {
-            for (t, rows) in c.col_mut(j)[ib..ib + mb].chunks_mut(8).enumerate() {
-                rows.copy_from_slice(&ct[(t * n + j) * 8..][..rows.len()]);
             }
         }
     }
 }
 
-/// Packs `alpha * op(B)` (`k x n`) row-major for the skinny kernel:
+/// Packs `op(B)` (`k x n`) row-major for the skinny kernel:
 /// `out[kk * n + j]`, the `n` broadcasts of one `k` step contiguous.
 #[cfg(target_arch = "x86_64")]
-fn pack_b_skinny(alpha: f64, b: MatRef<'_>, tb: Trans, n: usize, out: &mut [f64]) {
+fn pack_b_skinny(b: MatRef<'_>, tb: Trans, n: usize, out: &mut [f64]) {
     match tb {
         // Row kk of B^T is the head of column kk of B.
         Trans::Yes => {
             for (kk, row) in out.chunks_exact_mut(n).enumerate() {
-                for (d, &v) in row.iter_mut().zip(&b.col(kk)[..n]) {
-                    *d = alpha * v;
-                }
+                row.copy_from_slice(&b.col(kk)[..n]);
             }
         }
         // A transpose of column runs; 64 rows at a time keeps the block
@@ -343,10 +334,22 @@ fn pack_b_skinny(alpha: f64, b: MatRef<'_>, tb: Trans, n: usize, out: &mut [f64]
                 for j in 0..n {
                     let col = &b.col(j)[blk * 64..];
                     for (row, &v) in rows.chunks_exact_mut(n).zip(col) {
-                        row[j] = alpha * v;
+                        row[j] = v;
                     }
                 }
             }
+        }
+    }
+}
+
+/// `C = beta * C` ahead of a product's accumulation; `beta == 0` clears
+/// `C` instead, so a NaN or infinity there does not survive.
+fn scale_c(beta: f64, c: &mut MatMut<'_>) {
+    if beta == 0.0 {
+        c.fill(0.0);
+    } else if beta != 1.0 {
+        for j in 0..c.ncols() {
+            crate::blas1::scal(beta, c.col_mut(j));
         }
     }
 }
@@ -369,20 +372,14 @@ fn gemm_blocked(
         return;
     }
     // Apply beta up front; the packed loops then always accumulate.
-    if beta == 0.0 {
-        c.fill(0.0);
-    } else if beta != 1.0 {
-        for j in 0..n {
-            crate::blas1::scal(beta, c.col_mut(j));
-        }
-    }
+    scale_c(beta, &mut c);
     if alpha == 0.0 || k == 0 {
         return;
     }
 
-    // Pooled packing panels: pack_a / pack_b overwrite every element they
-    // expose to the macro kernel (including zero padding), so the stale
-    // contents of a recycled buffer are never read.
+    // Pooled packing panels: pack_a / pack_b write every live element; the
+    // padding of a last partial panel keeps a recycled buffer's stale
+    // contents, which reach only the tile lanes macro_kernel drops.
     let mut apack = crate::workspace::take(MC.min(m).next_multiple_of(MR) * KC.min(k));
     let mut bpack = crate::workspace::take(KC.min(k) * n.next_multiple_of(NR));
 
@@ -397,8 +394,9 @@ fn gemm_blocked(
     }
 }
 
-/// Packs `op(A)[ic..ic+mc, pc..pc+kc]` into MR-row panels, zero-padded.
-/// Every element is read from a contiguous run of a column of `A`.
+/// Packs `op(A)[ic..ic+mc, pc..pc+kc]` into MR-row panels, padding
+/// unspecified: the rows past `mc` reach only tile lanes the macro kernel
+/// drops. Every element is read from a contiguous run of a column of `A`.
 fn pack_a(a: MatRef<'_>, ta: Trans, ic: usize, mc: usize, pc: usize, kc: usize, out: &mut [f64]) {
     for (p, panel) in out.chunks_exact_mut(MR * kc).take(mc.div_ceil(MR)).enumerate() {
         let r0 = ic + p * MR;
@@ -418,16 +416,13 @@ fn pack_a(a: MatRef<'_>, ta: Trans, ic: usize, mc: usize, pc: usize, kc: usize, 
                 }
             }
         }
-        if rows < MR {
-            for dst in panel.chunks_exact_mut(MR) {
-                dst[rows..].fill(0.0);
-            }
-        }
     }
 }
 
-/// Packs `op(B)[pc..pc+kc, jc..jc+nc]` into NR-column panels, zero-padded.
-/// Every element is read from a contiguous run of a column of `B`.
+/// Packs `op(B)[pc..pc+kc, jc..jc+nc]` into NR-column panels, padding
+/// unspecified: the columns past `nc` reach only tile lanes the macro
+/// kernel drops. Every element is read from a contiguous run of a column
+/// of `B`.
 fn pack_b(b: MatRef<'_>, tb: Trans, pc: usize, kc: usize, jc: usize, nc: usize, out: &mut [f64]) {
     for (p, panel) in out.chunks_exact_mut(NR * kc).take(nc.div_ceil(NR)).enumerate() {
         let c0 = jc + p * NR;
@@ -445,11 +440,6 @@ fn pack_b(b: MatRef<'_>, tb: Trans, pc: usize, kc: usize, jc: usize, nc: usize, 
                 for (kk, dst) in panel.chunks_exact_mut(NR).enumerate() {
                     dst[..cols].copy_from_slice(&b.col(pc + kk)[c0..c0 + cols]);
                 }
-            }
-        }
-        if cols < NR {
-            for dst in panel.chunks_exact_mut(NR) {
-                dst[cols..].fill(0.0);
             }
         }
     }
@@ -550,10 +540,11 @@ fn wide_tiles(
 }
 
 /// Runs one register tile through the AVX2 microkernel, accumulating
-/// `alpha * tile` into `C` at `(i0, j0)`. Full tiles are written straight
-/// into `C` (no intermediate store); partial edge tiles go through a stack
-/// buffer whose live part is accumulated. Returns `false` on non-x86
-/// builds, where the caller falls back to the scalar reference tile.
+/// `alpha * tile` into `C` at `(i0, j0)` as `C = fma(acc, alpha, C)`.
+/// Full tiles are updated in place; a partial edge tile goes through a
+/// stack buffer that carries the live part of `C` in and out. Returns
+/// `false` on non-x86 builds, where the caller falls back to the scalar
+/// reference tile.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn simd_micro_tile(
@@ -588,7 +579,12 @@ fn simd_micro_tile(
                 );
             }
         } else {
+            // The live part of C in a stack tile, so an edge element gets
+            // the full tile's fused update.
             let mut tile = [0.0f64; MR * NR];
+            for (jl, t) in tile.chunks_exact_mut(MR).take(jcols).enumerate() {
+                t[..irows].copy_from_slice(&c.col_mut(j0 + jl)[i0..i0 + irows]);
+            }
             // SAFETY: as above, with the stack tile (ldc = MR) as C.
             unsafe {
                 crate::simd::dgemm_tile_avx2(
@@ -600,11 +596,8 @@ fn simd_micro_tile(
                     MR,
                 );
             }
-            for jl in 0..jcols {
-                let ccol = c.col_mut(j0 + jl);
-                for (il, &t) in tile[jl * MR..jl * MR + irows].iter().enumerate() {
-                    ccol[i0 + il] += t;
-                }
+            for (jl, t) in tile.chunks_exact(MR).take(jcols).enumerate() {
+                c.col_mut(j0 + jl)[i0..i0 + irows].copy_from_slice(&t[..irows]);
             }
         }
         true

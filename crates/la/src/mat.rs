@@ -166,32 +166,6 @@ impl Mat {
         out
     }
 
-    /// Horizontal concatenation `[self, other]`.
-    ///
-    /// # Panics
-    /// Panics if the row counts differ.
-    pub fn hcat(&self, other: &Mat) -> Mat {
-        assert_eq!(self.nrows, other.nrows, "hcat: row count mismatch");
-        let mut data = Vec::with_capacity(self.data.len() + other.data.len());
-        data.extend_from_slice(&self.data);
-        data.extend_from_slice(&other.data);
-        Mat { nrows: self.nrows, ncols: self.ncols + other.ncols, data }
-    }
-
-    /// Vertical concatenation `[self; other]`.
-    ///
-    /// # Panics
-    /// Panics if the column counts differ.
-    pub fn vcat(&self, other: &Mat) -> Mat {
-        assert_eq!(self.ncols, other.ncols, "vcat: column count mismatch");
-        let mut out = Mat::zeros(self.nrows + other.nrows, self.ncols);
-        for j in 0..self.ncols {
-            out.col_mut(j)[..self.nrows].copy_from_slice(self.col(j));
-            out.col_mut(j)[self.nrows..].copy_from_slice(other.col(j));
-        }
-        out
-    }
-
     /// Swaps columns `a` and `b`.
     ///
     /// # Panics
@@ -642,19 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn hcat_vcat_shapes() {
-        let a = Mat::from_fn(2, 2, |i, j| (i + j) as f64);
-        let b = Mat::from_fn(2, 3, |i, j| (i * j) as f64);
-        let h = a.hcat(&b);
-        assert_eq!((h.nrows(), h.ncols()), (2, 5));
-        assert_eq!(h[(1, 3)], b[(1, 1)]);
-        let c = Mat::from_fn(3, 2, |i, j| (i + j) as f64);
-        let v = a.vcat(&c);
-        assert_eq!((v.nrows(), v.ncols()), (5, 2));
-        assert_eq!(v[(3, 1)], c[(1, 1)]);
-    }
-
-    #[test]
     fn select_cols_picks_columns() {
         let m = Mat::from_fn(3, 5, |i, j| (j * 10 + i) as f64);
         let s = m.select_cols(&[4, 0, 2]);
@@ -744,13 +705,5 @@ mod tests {
         let mut t2 = Mat::zeros(2, 3);
         let v3 = t2.rb_mut().submatrix_mut(2..2, 3..3);
         assert_eq!((v3.nrows(), v3.ncols()), (0, 0));
-    }
-
-    #[test]
-    #[should_panic]
-    fn hcat_mismatch_panics() {
-        let a = Mat::zeros(2, 2);
-        let b = Mat::zeros(3, 2);
-        let _ = a.hcat(&b);
     }
 }

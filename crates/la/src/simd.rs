@@ -42,14 +42,15 @@
 //!   on other targets the portable scalar paths are the implementation
 //!   (no unconditional `std::arch::x86_64` imports anywhere);
 //! * where a kernel has an AVX-512 body (the packed GEMM's `16 x 12` tile,
-//!   the skinny GEMM, the distance filter, the GSKS Gram tile and the
-//!   run contraction's `16 x 12` tile, [`vexp`]),
-//!   [`avx512_supported`] selects it over the AVX2 one; the two give the
-//!   same bits wherever their tests say so. [`gsks_dot`] and
+//!   the skinny GEMM, the transposed GEMV, the distance filter, the GSKS
+//!   Gram tile and the run contraction's `16 x 12` tile, [`vexp`]),
+//!   [`avx512_supported`] selects it over the AVX2 one, for speed only:
+//!   each gives the bits of the AVX2 body beside it (the skinny GEMM, the
+//!   packed path's), and its tests say so. [`gsks_dot`] and
 //!   [`rank1_update`] have none: an 8-wide body timed no faster end to
 //!   end. The TRSM leaf's register-resident substitution
-//!   (`subst_in_registers`) is AVX-512 only; without it the leaf runs its
-//!   steps through [`rank1_update`];
+//!   (`subst_in_registers`) is AVX-512 only and gives the bits of the
+//!   [`rank1_update`] steps the leaf runs without it;
 //! * the `KFDS_SIMD=off` (or `=0`) environment kill-switch forces the
 //!   scalar reference paths, so simd/scalar can be A/B'd in one binary;
 //! * [`set_simd_enabled`] overrides the environment at runtime (used by
@@ -57,9 +58,12 @@
 //!
 //! # Tolerance model
 //!
-//! With SIMD off, every consumer takes its pre-existing scalar path and
-//! reproduces the previous numerics **bitwise**. With SIMD on, results
-//! differ from scalar by reassociation and fused multiply-adds: for a
+//! The bits depend on whether SIMD is on, and on nothing else: with it
+//! off, every consumer takes its pre-existing scalar path and reproduces
+//! the previous numerics **bitwise**; with it on, every host with AVX2+FMA
+//! gives the same bits, AVX-512F or not (`kfds-core`'s golden digests bind
+//! one table of each). The vector results differ from the scalar ones by
+//! reassociation and fused multiply-adds: for a
 //! length-`k` reduction the per-element deviation is bounded by
 //! `O(k * eps * sum |terms|)` — the property tests in
 //! `crates/la/tests/props.rs` assert agreement within that envelope.
@@ -741,26 +745,31 @@ mod x86 {
         }
     }
 
-    /// `Ct += A[0..m, 0..kc] * Bp` for a skinny right operand
-    /// (`n <= GEMM_SKINNY_N`), reading `A` in place: column-major with
-    /// stride `lda`, never packed. `bp` is the `kc x n` right operand
-    /// packed row-major (`bp[k * n + j]`, any `alpha` already folded in).
-    /// `ct` is the `m x n` block of `C` packed by 8-row tiles: element
-    /// `(i, j)` at `ct[(i / 8) * 8 * n + j * 8 + i % 8]`, rows padded to a
-    /// multiple of 8 — one contiguous `8n`-element run per tile, so the
-    /// accumulator loads never alias in cache whatever the stride of `C`.
+    /// One `kc` run of the skinny product `A[0..m, 0..kc] * Bp`
+    /// (`n <= GEMM_SKINNY_N` columns), reading `A` in place: column-major
+    /// with stride `lda`, never packed. `bp` is the `kc x n` right operand
+    /// packed row-major (`bp[k * n + j]`). `ct` is an `m x n` accumulator
+    /// block packed by 8-row tiles: element `(i, j)` at
+    /// `ct[(i / 8) * 8 * n + j * 8 + i % 8]`, rows padded to a multiple of
+    /// 8 — one contiguous `8n`-element run per tile, so the accumulator
+    /// loads never alias in cache whatever the stride of `C`.
     ///
     /// Each 8-row tile holds its `n` accumulators in `zmm` registers for
-    /// the `k` run — loaded from `ct`, one FMA per `k` in ascending order,
-    /// stored back — so an element of `C` is a single FMA chain whose bits
-    /// depend on neither `n`, the tile it falls in, nor how the caller
-    /// blocks `m` and `k`. A last tile of fewer than 8 rows reads `A`
-    /// under a lane mask; its padding rows accumulate zeros.
+    /// the run: from zero if `fresh`, else loaded from `ct`; one FMA per
+    /// `k` in ascending order; then stored back to `ct`, or, with
+    /// `close = Some((alpha, c, ldc))`, folded into column-major `C` as
+    /// `C = fma(acc, alpha, C)`, the packed tiles' update. So an element
+    /// is one FMA chain per run of calls from `fresh` to `close`, whose
+    /// bits depend on neither `n`, the tile it falls in, nor how the caller
+    /// blocks `m`. A last tile of fewer than 8 rows reads `A` and `C` under
+    /// a lane mask.
     ///
     /// # Safety
     /// Requires AVX-512F. `1 <= n <= 16`; `a[i + k * lda]` must be
     /// readable for `i < m`, `k < kc`; `bp` must hold `kc * n` elements;
-    /// `ct` must hold `m.next_multiple_of(8) * n` writable elements.
+    /// `ct` must hold `m.next_multiple_of(8) * n` writable elements; with
+    /// `close`, `c[i + j * ldc]` must be writable for `i < m`, `j < n`.
+    #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f")]
     pub(crate) unsafe fn dgemm_skinny_avx512(
         m: usize,
@@ -770,28 +779,30 @@ mod x86 {
         lda: usize,
         bp: *const f64,
         ct: *mut f64,
+        fresh: bool,
+        close: Option<(f64, *mut f64, usize)>,
     ) {
         debug_assert!(super::avx512_supported(), "dgemm_skinny_avx512 needs AVX-512F");
         debug_assert!((1..=super::GEMM_SKINNY_N).contains(&n), "skinny n out of range: {n}");
         debug_assert!(m == 0 || kc == 0 || (!a.is_null() && !bp.is_null() && !ct.is_null()));
         debug_assert!(lda >= m || kc <= 1, "A columns would overlap: lda = {lda}, m = {m}");
         match n {
-            1 => skinny_panel::<1>(m, kc, a, lda, bp, ct),
-            2 => skinny_panel::<2>(m, kc, a, lda, bp, ct),
-            3 => skinny_panel::<3>(m, kc, a, lda, bp, ct),
-            4 => skinny_panel::<4>(m, kc, a, lda, bp, ct),
-            5 => skinny_panel::<5>(m, kc, a, lda, bp, ct),
-            6 => skinny_panel::<6>(m, kc, a, lda, bp, ct),
-            7 => skinny_panel::<7>(m, kc, a, lda, bp, ct),
-            8 => skinny_panel::<8>(m, kc, a, lda, bp, ct),
-            9 => skinny_panel::<9>(m, kc, a, lda, bp, ct),
-            10 => skinny_panel::<10>(m, kc, a, lda, bp, ct),
-            11 => skinny_panel::<11>(m, kc, a, lda, bp, ct),
-            12 => skinny_panel::<12>(m, kc, a, lda, bp, ct),
-            13 => skinny_panel::<13>(m, kc, a, lda, bp, ct),
-            14 => skinny_panel::<14>(m, kc, a, lda, bp, ct),
-            15 => skinny_panel::<15>(m, kc, a, lda, bp, ct),
-            _ => skinny_panel::<16>(m, kc, a, lda, bp, ct),
+            1 => skinny_panel::<1>(m, kc, a, lda, bp, ct, fresh, close),
+            2 => skinny_panel::<2>(m, kc, a, lda, bp, ct, fresh, close),
+            3 => skinny_panel::<3>(m, kc, a, lda, bp, ct, fresh, close),
+            4 => skinny_panel::<4>(m, kc, a, lda, bp, ct, fresh, close),
+            5 => skinny_panel::<5>(m, kc, a, lda, bp, ct, fresh, close),
+            6 => skinny_panel::<6>(m, kc, a, lda, bp, ct, fresh, close),
+            7 => skinny_panel::<7>(m, kc, a, lda, bp, ct, fresh, close),
+            8 => skinny_panel::<8>(m, kc, a, lda, bp, ct, fresh, close),
+            9 => skinny_panel::<9>(m, kc, a, lda, bp, ct, fresh, close),
+            10 => skinny_panel::<10>(m, kc, a, lda, bp, ct, fresh, close),
+            11 => skinny_panel::<11>(m, kc, a, lda, bp, ct, fresh, close),
+            12 => skinny_panel::<12>(m, kc, a, lda, bp, ct, fresh, close),
+            13 => skinny_panel::<13>(m, kc, a, lda, bp, ct, fresh, close),
+            14 => skinny_panel::<14>(m, kc, a, lda, bp, ct, fresh, close),
+            15 => skinny_panel::<15>(m, kc, a, lda, bp, ct, fresh, close),
+            _ => skinny_panel::<16>(m, kc, a, lda, bp, ct, fresh, close),
         }
     }
 
@@ -800,6 +811,7 @@ mod x86 {
     ///
     /// # Safety
     /// As [`dgemm_skinny_avx512`], with `n == N`.
+    #[allow(clippy::too_many_arguments)]
     #[inline]
     #[target_feature(enable = "avx512f")]
     unsafe fn skinny_panel<const N: usize>(
@@ -809,6 +821,8 @@ mod x86 {
         lda: usize,
         bp: *const f64,
         ct: *mut f64,
+        fresh: bool,
+        close: Option<(f64, *mut f64, usize)>,
     ) {
         let mut i0 = 0;
         while i0 < m {
@@ -817,8 +831,10 @@ mod x86 {
             let at = a.add(i0);
             let tile = ct.add(i0 * N);
             let mut acc = [_mm512_setzero_pd(); N];
-            for (j, accj) in acc.iter_mut().enumerate() {
-                *accj = _mm512_loadu_pd(tile.add(8 * j));
+            if !fresh {
+                for (j, accj) in acc.iter_mut().enumerate() {
+                    *accj = _mm512_loadu_pd(tile.add(8 * j));
+                }
             }
             for k in 0..kc {
                 // The caller's next k block reads these rows kc columns on.
@@ -829,8 +845,20 @@ mod x86 {
                     *accj = _mm512_fmadd_pd(av, _mm512_set1_pd(*bk.add(j)), *accj);
                 }
             }
-            for (j, accj) in acc.iter().enumerate() {
-                _mm512_storeu_pd(tile.add(8 * j), *accj);
+            match close {
+                None => {
+                    for (j, accj) in acc.iter().enumerate() {
+                        _mm512_storeu_pd(tile.add(8 * j), *accj);
+                    }
+                }
+                Some((alpha, c, ldc)) => {
+                    let va = _mm512_set1_pd(alpha);
+                    for (j, accj) in acc.iter().enumerate() {
+                        let cj = c.add(i0 + j * ldc);
+                        let cv = _mm512_maskz_loadu_pd(mask, cj);
+                        _mm512_mask_storeu_pd(cj, mask, _mm512_fmadd_pd(*accj, va, cv));
+                    }
+                }
             }
             i0 += 8;
         }
@@ -1869,9 +1897,11 @@ mod x86 {
         }
     }
 
-    /// AVX-512 variant of [`dgemv_t_avx2`]: same 4-column blocking with
-    /// two accumulators per column, but 8-wide lanes (16 rows per
-    /// iteration). Selected when the CPU additionally reports `avx512f`.
+    /// AVX-512 body of [`dgemv_t_avx2`], with its bits: four columns per
+    /// pass, each column's two `zmm` accumulators the AVX2 body's four
+    /// `ymm` chains, and `_mm512_reduce_add_pd` its halving sum. Selected
+    /// when the CPU additionally reports `avx512f`; it stays because it is
+    /// faster end to end (EXPERIMENTS, "Which bodies stay").
     ///
     /// # Safety
     /// Requires AVX-512F. Same layout contract as [`dgemv_t_avx2`].
@@ -1961,11 +1991,21 @@ mod x86 {
     }
 
     /// `y[j] = alpha * dot(A[:, j], x)` for column-major `A` (`m x n`,
-    /// stride `lda`), four columns per pass with two FMA accumulators per
-    /// column — eight independent chains, and each load of `x` amortizes
-    /// four column streams. This is the transpose counterpart of
-    /// [`dgemv_add_avx2`]: the per-pivot `F` accumulation of the blocked
-    /// CPQR is wall-to-wall these products.
+    /// stride `lda`): the transpose counterpart of [`dgemv_add_avx2`], and
+    /// the per-pivot `F` accumulation of the blocked CPQR.
+    ///
+    /// One reduction order, written out by `gemv_t_order` in `blas2.rs`'s
+    /// tests. A column of the first `4 * (n / 4)` is summed into four
+    /// 4-lane FMA chains from zero: 16-row steps put row `i + 4t + l` in
+    /// lane `l` of chain `t`, then one 8-row step, if 8 rows remain, feeds
+    /// chains 0 and 1. The chains meet as `(c0 + c2) + (c1 + c3)` and the
+    /// four lanes by halving, `(v0 + v2) + (v1 + v3)`. A later column takes
+    /// chains 0 and 1 in 8-row steps, `c0 + c1`, the same halving. The last
+    /// `m % 8` rows are then added in order (multiply, then add), and the
+    /// sum is scaled by `alpha`. A chain pair is one `zmm` and the halving
+    /// is `_mm512_reduce_add_pd`, so [`dgemv_t_avx512`] gives these bits.
+    /// Two columns go per pass: their eight chains and four `x` vectors fit
+    /// the 16 `ymm` registers.
     ///
     /// # Safety
     /// Requires AVX2+FMA. `a` must expose `lda*(n-1)+m` elements, `x` at
@@ -1983,72 +2023,66 @@ mod x86 {
         debug_assert!(super::cpu_supported(), "dgemv_t_avx2 needs AVX2+FMA");
         debug_assert!(lda >= m || n <= 1, "A columns would overlap: lda = {lda}, m = {m}");
         debug_assert!(n == 0 || m == 0 || (!a.is_null() && !x.is_null() && !y.is_null()));
+        let four = n / 4 * 4;
         let mut j = 0;
-        while j + 4 <= n {
-            let c0 = a.add(j * lda);
-            let c1 = a.add((j + 1) * lda);
-            let c2 = a.add((j + 2) * lda);
-            let c3 = a.add((j + 3) * lda);
-            let mut s00 = _mm256_setzero_pd();
-            let mut s01 = _mm256_setzero_pd();
-            let mut s10 = _mm256_setzero_pd();
-            let mut s11 = _mm256_setzero_pd();
-            let mut s20 = _mm256_setzero_pd();
-            let mut s21 = _mm256_setzero_pd();
-            let mut s30 = _mm256_setzero_pd();
-            let mut s31 = _mm256_setzero_pd();
+        while j < four {
+            let cols = [a.add(j * lda), a.add((j + 1) * lda)];
+            let mut s = [[_mm256_setzero_pd(); 4]; 2];
             let mut i = 0;
-            while i + 8 <= m {
-                let x0 = _mm256_loadu_pd(x.add(i));
-                let x1 = _mm256_loadu_pd(x.add(i + 4));
-                s00 = _mm256_fmadd_pd(_mm256_loadu_pd(c0.add(i)), x0, s00);
-                s01 = _mm256_fmadd_pd(_mm256_loadu_pd(c0.add(i + 4)), x1, s01);
-                s10 = _mm256_fmadd_pd(_mm256_loadu_pd(c1.add(i)), x0, s10);
-                s11 = _mm256_fmadd_pd(_mm256_loadu_pd(c1.add(i + 4)), x1, s11);
-                s20 = _mm256_fmadd_pd(_mm256_loadu_pd(c2.add(i)), x0, s20);
-                s21 = _mm256_fmadd_pd(_mm256_loadu_pd(c2.add(i + 4)), x1, s21);
-                s30 = _mm256_fmadd_pd(_mm256_loadu_pd(c3.add(i)), x0, s30);
-                s31 = _mm256_fmadd_pd(_mm256_loadu_pd(c3.add(i + 4)), x1, s31);
+            while i + 16 <= m {
+                for t in 0..4 {
+                    let xv = _mm256_loadu_pd(x.add(i + 4 * t));
+                    for (sc, c) in s.iter_mut().zip(cols) {
+                        sc[t] = _mm256_fmadd_pd(_mm256_loadu_pd(c.add(i + 4 * t)), xv, sc[t]);
+                    }
+                }
+                i += 16;
+            }
+            if i + 8 <= m {
+                for t in 0..2 {
+                    let xv = _mm256_loadu_pd(x.add(i + 4 * t));
+                    for (sc, c) in s.iter_mut().zip(cols) {
+                        sc[t] = _mm256_fmadd_pd(_mm256_loadu_pd(c.add(i + 4 * t)), xv, sc[t]);
+                    }
+                }
                 i += 8;
             }
-            if i + 4 <= m {
-                let x0 = _mm256_loadu_pd(x.add(i));
-                s00 = _mm256_fmadd_pd(_mm256_loadu_pd(c0.add(i)), x0, s00);
-                s10 = _mm256_fmadd_pd(_mm256_loadu_pd(c1.add(i)), x0, s10);
-                s20 = _mm256_fmadd_pd(_mm256_loadu_pd(c2.add(i)), x0, s20);
-                s30 = _mm256_fmadd_pd(_mm256_loadu_pd(c3.add(i)), x0, s30);
-                i += 4;
+            for (jj, (sc, c)) in s.iter().zip(cols).enumerate() {
+                let v = _mm256_add_pd(_mm256_add_pd(sc[0], sc[2]), _mm256_add_pd(sc[1], sc[3]));
+                *y.add(j + jj) = alpha * halve_then_rows(v, c, x, i, m);
             }
-            let hsum = |v: __m256d| -> f64 {
-                let lo = _mm256_castpd256_pd128(v);
-                let hi = _mm256_extractf128_pd(v, 1);
-                let q = _mm_add_pd(lo, hi);
-                _mm_cvtsd_f64(_mm_add_sd(q, _mm_unpackhi_pd(q, q)))
-            };
-            let mut d0 = hsum(_mm256_add_pd(s00, s01));
-            let mut d1 = hsum(_mm256_add_pd(s10, s11));
-            let mut d2 = hsum(_mm256_add_pd(s20, s21));
-            let mut d3 = hsum(_mm256_add_pd(s30, s31));
-            while i < m {
-                let xv = *x.add(i);
-                d0 += *c0.add(i) * xv;
-                d1 += *c1.add(i) * xv;
-                d2 += *c2.add(i) * xv;
-                d3 += *c3.add(i) * xv;
-                i += 1;
-            }
-            *y.add(j) = alpha * d0;
-            *y.add(j + 1) = alpha * d1;
-            *y.add(j + 2) = alpha * d2;
-            *y.add(j + 3) = alpha * d3;
-            j += 4;
+            j += 2;
         }
         while j < n {
-            let col = std::slice::from_raw_parts(a.add(j * lda), m);
-            let xs = std::slice::from_raw_parts(x, m);
-            *y.add(j) = alpha * dot_avx2(col, xs);
+            let c = a.add(j * lda);
+            let mut s = [_mm256_setzero_pd(); 2];
+            let mut i = 0;
+            while i + 8 <= m {
+                for (t, st) in s.iter_mut().enumerate() {
+                    let xv = _mm256_loadu_pd(x.add(i + 4 * t));
+                    *st = _mm256_fmadd_pd(_mm256_loadu_pd(c.add(i + 4 * t)), xv, *st);
+                }
+                i += 8;
+            }
+            *y.add(j) = alpha * halve_then_rows(_mm256_add_pd(s[0], s[1]), c, x, i, m);
             j += 1;
         }
+    }
+
+    /// `(v0 + v2) + (v1 + v3)`, then `c[r] * x[r]` added for `r` in
+    /// `i..m`, in order: the close of every [`dgemv_t_avx2`] column.
+    ///
+    /// # Safety
+    /// Requires AVX2. `c` and `x` must expose `m` elements.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn halve_then_rows(v: __m256d, c: *const f64, x: *const f64, i: usize, m: usize) -> f64 {
+        let q = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+        let mut d = _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q));
+        for r in i..m {
+            d += *c.add(r) * *x.add(r);
+        }
+        d
     }
 
     /// In-place vectorized `exp` (see [`super::vexp`] for the contract).
