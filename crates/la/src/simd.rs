@@ -2860,4 +2860,32 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn dist_filter_vector_bodies_give_the_same_masks() {
+        if !(cpu_supported() && avx512_supported()) {
+            return; // one of the two bodies cannot run here
+        }
+        // The grid of the mask contract test; thresholds at each candidate's
+        // reference distance and one ulp either side, where the two bodies'
+        // rounding would show, and ±inf.
+        for d in [1usize, 3, 8, 16, 54, 64] {
+            for nc in [0usize, 1, 3, 4, 5, 127] {
+                for (m, shift) in [(1usize, 0.0), (7, 1e7), (9, 0.0), (20, 1e7), (33, 0.0)] {
+                    let case = FilterCase::new(m, d, nc, 1.0, shift, (d * 131 + nc) as u64);
+                    let mut thrs = vec![vec![f64::INFINITY; m], vec![f64::NEG_INFINITY; m]];
+                    for j in 0..nc {
+                        let at: Vec<f64> = (0..m).map(|i| case.reference[i * nc + j]).collect();
+                        thrs.push(at.iter().map(|t| t.next_up()).collect());
+                        thrs.push(at.iter().map(|t| t.next_down()).collect());
+                        thrs.push(at);
+                    }
+                    for (t, thr) in thrs.iter().enumerate() {
+                        let (wide, narrow) = (case.run("avx512", thr), case.run("avx2", thr));
+                        assert_eq!(wide, narrow, "d={d} nc={nc} m={m} threshold set {t}");
+                    }
+                }
+            }
+        }
+    }
 }
