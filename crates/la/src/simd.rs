@@ -647,67 +647,216 @@ pub(crate) use x86::{
 mod x86 {
     use core::arch::x86_64::*;
 
-    /// `C[0..8, 0..6] += alpha * sum_k ap[:, k] * bp[k, :]` — the BLIS-style
-    /// register-tile microkernel. `ap` is an MR-major packed A panel (8
-    /// consecutive rows per `k`), `bp` an NR-major packed B panel (6
-    /// consecutive columns per `k`); `C` is column-major with stride `ldc`.
-    /// The 12 accumulators live in `ymm` registers for the whole `k` loop;
-    /// the epilogue fuses the `alpha` scale into the `C` update.
+    /// One row group in registers: eight `f64` lanes, row `r` of the group
+    /// in lane `r`, held in one `zmm` ([`Zmm`], AVX-512F) or in two `ymm`
+    /// halves, rows `0..4` and `4..8` ([`YmmPair`], AVX2+FMA). A `YmmPair`
+    /// method is the `Zmm` one on each half, so a kernel body written once
+    /// over `V8` gives every lane the same bits at both widths; [`widths!`]
+    /// instantiates it at each, with the register tile that width's
+    /// register count holds.
     ///
     /// # Safety
-    /// Requires AVX2+FMA. `ap`/`bp` must hold at least `8*kc` / `6*kc`
-    /// readable elements and `c[i + j*ldc]` must be writable for all
-    /// `i < 8`, `j < 6`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn dgemm_tile_avx2(
-        kc: usize,
-        alpha: f64,
-        ap: *const f64,
-        bp: *const f64,
-        c: *mut f64,
-        ldc: usize,
-    ) {
-        debug_assert!(super::cpu_supported(), "dgemm_tile_avx2 needs AVX2+FMA");
-        debug_assert!(!ap.is_null() && !bp.is_null() && !c.is_null());
-        debug_assert!(ldc >= 8, "C tile columns (8 rows) would overlap: ldc = {ldc}");
-        let mut acc = [[_mm256_setzero_pd(); 2]; 6];
-        for k in 0..kc {
-            let a0 = _mm256_loadu_pd(ap.add(8 * k));
-            let a1 = _mm256_loadu_pd(ap.add(8 * k + 4));
-            for (j, accj) in acc.iter_mut().enumerate() {
-                let b = _mm256_broadcast_sd(&*bp.add(6 * k + j));
-                accj[0] = _mm256_fmadd_pd(a0, b, accj[0]);
-                accj[1] = _mm256_fmadd_pd(a1, b, accj[1]);
-            }
+    /// Every method runs its type's instructions, so runs only where the
+    /// CPU has them; called from a body [`widths!`] instantiates, it inlines
+    /// into the function that enables them. `load` reads eight elements at
+    /// `p`, `store` writes eight.
+    trait V8: Copy {
+        /// `[v; 8]`.
+        /// # Safety
+        /// As for [`V8`].
+        unsafe fn splat(v: f64) -> Self;
+        /// The eight elements at `p`.
+        /// # Safety
+        /// As for [`V8`].
+        unsafe fn load(p: *const f64) -> Self;
+        /// Writes the lanes to the eight elements at `p`.
+        /// # Safety
+        /// As for [`V8`].
+        unsafe fn store(self, p: *mut f64);
+        /// `self + b` per lane.
+        /// # Safety
+        /// As for [`V8`].
+        unsafe fn add(self, b: Self) -> Self;
+        /// `self · b + c` per lane, rounded once.
+        /// # Safety
+        /// As for [`V8`].
+        unsafe fn fmadd(self, b: Self, c: Self) -> Self;
+        /// The sum of the lanes: the halves added, `w_l = v_l + v_{l+4}`,
+        /// then `(w0 + w2) + (w1 + w3)`.
+        /// # Safety
+        /// As for [`V8`].
+        unsafe fn reduce_add(self) -> f64;
+        /// Bit `r` set unless lane `r` is greater than lane `r` of `t`, so a
+        /// NaN sets its bit.
+        /// # Safety
+        /// As for [`V8`].
+        unsafe fn ngt_mask(self, t: Self) -> u8;
+        /// `exp` per lane: [`exp8`], or [`exp4`] on each half (see
+        /// [`super::vexp`] for the contract).
+        /// # Safety
+        /// As for [`V8`].
+        unsafe fn exp(self) -> Self;
+    }
+
+    /// [`V8`] in one `zmm`.
+    #[derive(Clone, Copy)]
+    struct Zmm(__m512d);
+
+    impl V8 for Zmm {
+        // SAFETY: AVX-512F, which `V8` asks of the caller.
+        #[inline(always)]
+        unsafe fn splat(v: f64) -> Self {
+            Zmm(_mm512_set1_pd(v))
         }
-        let va = _mm256_set1_pd(alpha);
-        for (j, accj) in acc.iter().enumerate() {
-            let col = c.add(j * ldc);
-            let lo = _mm256_loadu_pd(col);
-            let hi = _mm256_loadu_pd(col.add(4));
-            _mm256_storeu_pd(col, _mm256_fmadd_pd(accj[0], va, lo));
-            _mm256_storeu_pd(col.add(4), _mm256_fmadd_pd(accj[1], va, hi));
+        // SAFETY: as for `splat`, with eight elements at `p`.
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            Zmm(_mm512_loadu_pd(p))
+        }
+        // SAFETY: as for `load`.
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm512_storeu_pd(p, self.0)
+        }
+        // SAFETY: as for `splat`.
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            Zmm(_mm512_add_pd(self.0, b.0))
+        }
+        // SAFETY: as for `splat`.
+        #[inline(always)]
+        unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+            Zmm(_mm512_fmadd_pd(self.0, b.0, c.0))
+        }
+        // SAFETY: as for `splat`.
+        #[inline(always)]
+        unsafe fn reduce_add(self) -> f64 {
+            _mm512_reduce_add_pd(self.0)
+        }
+        // SAFETY: as for `splat`.
+        #[inline(always)]
+        unsafe fn ngt_mask(self, t: Self) -> u8 {
+            // Not-greater-than, unordered true: a NaN is flagged.
+            _mm512_cmp_pd_mask::<_CMP_NGT_UQ>(self.0, t.0)
+        }
+        // SAFETY: as for `splat`.
+        #[inline(always)]
+        unsafe fn exp(self) -> Self {
+            Zmm(exp8(self.0))
         }
     }
 
-    /// `C[0..16, 0..12] += alpha * sum_k ap[:, k] * bp[k, :]` over two
-    /// consecutive packed A panels and two consecutive packed B panels, in
-    /// the layouts [`dgemm_tile_avx2`] reads: rows `0..8` at `ap`, rows
-    /// `8..16` at `ap + 8 * kc`; columns `0..6` at `bp`, columns `6..12` at
-    /// `bp + 6 * kc`. The 24 accumulators live in `zmm` registers for the
-    /// whole `k` loop.
+    /// [`V8`] in two `ymm` halves.
+    #[derive(Clone, Copy)]
+    struct YmmPair([__m256d; 2]);
+
+    impl V8 for YmmPair {
+        // SAFETY: AVX2+FMA, which `V8` asks of the caller.
+        #[inline(always)]
+        unsafe fn splat(v: f64) -> Self {
+            YmmPair([_mm256_set1_pd(v); 2])
+        }
+        // SAFETY: as for `splat`, with eight elements at `p`.
+        #[inline(always)]
+        unsafe fn load(p: *const f64) -> Self {
+            YmmPair([_mm256_loadu_pd(p), _mm256_loadu_pd(p.add(4))])
+        }
+        // SAFETY: as for `load`.
+        #[inline(always)]
+        unsafe fn store(self, p: *mut f64) {
+            _mm256_storeu_pd(p, self.0[0]);
+            _mm256_storeu_pd(p.add(4), self.0[1]);
+        }
+        // SAFETY: as for `splat`.
+        #[inline(always)]
+        unsafe fn add(self, b: Self) -> Self {
+            YmmPair([_mm256_add_pd(self.0[0], b.0[0]), _mm256_add_pd(self.0[1], b.0[1])])
+        }
+        // SAFETY: as for `splat`.
+        #[inline(always)]
+        unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+            let (a, b, c) = (self.0, b.0, c.0);
+            YmmPair([_mm256_fmadd_pd(a[0], b[0], c[0]), _mm256_fmadd_pd(a[1], b[1], c[1])])
+        }
+        // SAFETY: as for `splat`.
+        #[inline(always)]
+        unsafe fn reduce_add(self) -> f64 {
+            let v = _mm256_add_pd(self.0[0], self.0[1]);
+            let q = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
+            _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q))
+        }
+        // SAFETY: as for `splat`.
+        #[inline(always)]
+        unsafe fn ngt_mask(self, t: Self) -> u8 {
+            // Not-greater-than, unordered true: a NaN is flagged.
+            let lo = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGT_UQ>(self.0[0], t.0[0]));
+            let hi = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGT_UQ>(self.0[1], t.0[1]));
+            (lo | hi << 4) as u8
+        }
+        // SAFETY: as for `splat`.
+        #[inline(always)]
+        unsafe fn exp(self) -> Self {
+            YmmPair([exp4(self.0[0]), exp4(self.0[1])])
+        }
+    }
+
+    /// Stamps out the two entry points of a kernel body written once over
+    /// [`V8`]: `$wide` runs it in [`Zmm`] lanes under AVX-512F, `$narrow` in
+    /// [`YmmPair`] lanes under AVX2+FMA, each with its width's tile shape
+    /// (the const parameters after the lane type). The body and every `V8`
+    /// method under it inline into the `#[target_feature]` entry point, so
+    /// every intrinsic does too; a generic helper called across the feature
+    /// boundary might not.
+    macro_rules! widths {
+        (
+            $vis:vis fn $body:ident($($arg:ident: $ty:ty),* $(,)?);
+            $wide:ident = <Zmm $(, $ws:tt)*>;
+            $narrow:ident = <YmmPair $(, $ns:tt)*>;
+        ) => {
+            #[doc = concat!("[`", stringify!($body), "`] in [`Zmm`] lanes.")]
+            ///
+            /// # Safety
+            /// Requires AVX-512F; otherwise as the body.
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = "avx512f")]
+            $vis unsafe fn $wide($($arg: $ty),*) {
+                debug_assert!(super::avx512_supported(), "{} needs AVX-512F", stringify!($wide));
+                $body::<Zmm $(, $ws)*>($($arg),*)
+            }
+
+            #[doc = concat!("[`", stringify!($body), "`] in [`YmmPair`] lanes.")]
+            ///
+            /// # Safety
+            /// Requires AVX2+FMA; otherwise as the body.
+            #[allow(clippy::too_many_arguments)]
+            #[target_feature(enable = "avx2", enable = "fma")]
+            $vis unsafe fn $narrow($($arg: $ty),*) {
+                debug_assert!(super::cpu_supported(), "{} needs AVX2+FMA", stringify!($narrow));
+                $body::<YmmPair $(, $ns)*>($($arg),*)
+            }
+        };
+    }
+
+    /// `C[0..8G, 0..6P] += alpha * sum_k A[:, k] * B[k, :]` — the BLIS-style
+    /// register-tile microkernel over `G` packed A panels by `P` packed B
+    /// panels: an `8 x 6` tile in `ymm` pairs on any panel, a `16 x 12` one
+    /// in `zmm` over two by two. A panel `g` holds rows `8g..8g + 8` MR-major
+    /// (8 consecutive rows per `k`) at `ap + 8g·kc`, B panel `p` columns
+    /// `6p..6p + 6` NR-major (6 consecutive columns per `k`) at `bp + 6p·kc`;
+    /// `C` is column-major with stride `ldc`. The accumulators live in
+    /// registers for the whole `k` loop (12 `ymm` pairs, 24 `zmm`); the
+    /// epilogue fuses the `alpha` scale into the `C` update.
     ///
-    /// Each element gets what [`dgemm_tile_avx2`] gives it: one FMA chain
-    /// from zero in ascending `k`, then `C = fma(acc, alpha, C)`. So the
-    /// four `8 x 6` tiles this one covers come out with the bits they have
-    /// when run one at a time.
+    /// Each element is one FMA chain from zero in ascending `k`, then
+    /// `C = fma(acc, alpha, C)`. So the four `8 x 6` tiles a `16 x 12` one
+    /// covers come out with the bits they have when run one at a time.
     ///
     /// # Safety
-    /// Requires AVX-512F. `ap`/`bp` must hold at least `16*kc` / `12*kc`
+    /// `V`'s CPU features. `ap`/`bp` must hold at least `8G·kc` / `6P·kc`
     /// readable elements and `c[i + j*ldc]` must be writable for all
-    /// `i < 16`, `j < 12`.
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn dgemm_tile_16x12_avx512(
+    /// `i < 8G`, `j < 6P`.
+    #[inline(always)]
+    unsafe fn dgemm_tile_v8<V: V8, const G: usize, const P: usize>(
         kc: usize,
         alpha: f64,
         ap: *const f64,
@@ -715,34 +864,43 @@ mod x86 {
         c: *mut f64,
         ldc: usize,
     ) {
-        debug_assert!(super::avx512_supported(), "dgemm_tile_16x12_avx512 needs AVX-512F");
         debug_assert!(!ap.is_null() && !bp.is_null() && !c.is_null());
-        debug_assert!(ldc >= 16, "C tile columns (16 rows) would overlap: ldc = {ldc}");
-        let (ap1, bp1) = (ap.add(8 * kc), bp.add(6 * kc));
-        // Columns 0..6 and 6..12, two row halves each.
-        let mut lo = [[_mm512_setzero_pd(); 2]; 6];
-        let mut hi = [[_mm512_setzero_pd(); 2]; 6];
+        debug_assert!(ldc >= 8 * G, "C tile columns ({} rows) would overlap: ldc = {ldc}", 8 * G);
+        let mut acc = [[[V::splat(0.0); G]; 6]; P];
         for k in 0..kc {
-            let a0 = _mm512_loadu_pd(ap.add(8 * k));
-            let a1 = _mm512_loadu_pd(ap1.add(8 * k));
-            let (b0, b1) = (bp.add(6 * k), bp1.add(6 * k));
-            for (j, (l, h)) in lo.iter_mut().zip(hi.iter_mut()).enumerate() {
-                let bl = _mm512_set1_pd(*b0.add(j));
-                let bh = _mm512_set1_pd(*b1.add(j));
-                l[0] = _mm512_fmadd_pd(a0, bl, l[0]);
-                l[1] = _mm512_fmadd_pd(a1, bl, l[1]);
-                h[0] = _mm512_fmadd_pd(a0, bh, h[0]);
-                h[1] = _mm512_fmadd_pd(a1, bh, h[1]);
+            let a: [V; G] = std::array::from_fn(|g| V::load(ap.add(8 * (g * kc + k))));
+            for (p, accp) in acc.iter_mut().enumerate() {
+                let bk = bp.add(6 * (p * kc + k));
+                for (j, accj) in accp.iter_mut().enumerate() {
+                    let b = V::splat(*bk.add(j));
+                    for (x, av) in accj.iter_mut().zip(a) {
+                        *x = av.fmadd(b, *x);
+                    }
+                }
             }
         }
-        let va = _mm512_set1_pd(alpha);
-        for (j, accj) in lo.iter().chain(hi.iter()).enumerate() {
-            let col = c.add(j * ldc);
-            let top = _mm512_loadu_pd(col);
-            let bot = _mm512_loadu_pd(col.add(8));
-            _mm512_storeu_pd(col, _mm512_fmadd_pd(accj[0], va, top));
-            _mm512_storeu_pd(col.add(8), _mm512_fmadd_pd(accj[1], va, bot));
+        let va = V::splat(alpha);
+        for (p, accp) in acc.iter().enumerate() {
+            for (j, accj) in accp.iter().enumerate() {
+                for (g, x) in accj.iter().enumerate() {
+                    let cg = c.add((6 * p + j) * ldc + 8 * g);
+                    x.fmadd(va, V::load(cg)).store(cg);
+                }
+            }
         }
+    }
+
+    widths! {
+        pub(crate) fn dgemm_tile_v8(
+            kc: usize,
+            alpha: f64,
+            ap: *const f64,
+            bp: *const f64,
+            c: *mut f64,
+            ldc: usize,
+        );
+        dgemm_tile_16x12_avx512 = <Zmm, 2, 2>;
+        dgemm_tile_avx2 = <YmmPair, 1, 1>;
     }
 
     /// One `kc` run of the skinny product `A[0..m, 0..kc] * Bp`
@@ -864,55 +1022,41 @@ mod x86 {
         }
     }
 
-    /// AVX-512 body of [`super::gsks_gram`]: the 8 target rows in one
-    /// `zmm`, one accumulator per source column, each coordinate of a
-    /// source broadcast from where it lies — eight independent FMA chains.
+    /// [`super::gsks_gram`] over [`V8`]: the 8 target rows in the lanes, one
+    /// accumulator per source column, `NC` columns per pass, each coordinate
+    /// of a source broadcast from where it lies — one FMA chain from zero per
+    /// value. All 8 columns go in one pass in `zmm`; 4 per pass in `ymm`
+    /// pairs, so the 16 registers hold them and the operands.
     ///
     /// # Safety
-    /// Requires AVX-512F. `xg` and `ys` must hold `8 * d` readable
-    /// elements, `out` 64 writable ones.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn gsks_gram_avx512(d: usize, xg: *const f64, ys: *const f64, out: *mut f64) {
-        debug_assert!(super::avx512_supported(), "gsks_gram_avx512 needs AVX-512F");
+    /// `V`'s CPU features; `NC` divides 8. `xg` and `ys` must hold `8 * d`
+    /// readable elements, `out` 64 writable ones.
+    #[inline(always)]
+    unsafe fn gsks_gram_v8<V: V8, const NC: usize>(
+        d: usize,
+        xg: *const f64,
+        ys: *const f64,
+        out: *mut f64,
+    ) {
         debug_assert!(!xg.is_null() && !ys.is_null() && !out.is_null());
-        let mut acc = [_mm512_setzero_pd(); 8];
-        for k in 0..d {
-            let x = _mm512_loadu_pd(xg.add(8 * k));
-            for (c, a) in acc.iter_mut().enumerate() {
-                *a = _mm512_fmadd_pd(x, _mm512_set1_pd(*ys.add(c * d + k)), *a);
-            }
-        }
-        for (c, a) in acc.iter().enumerate() {
-            _mm512_storeu_pd(out.add(8 * c), *a);
-        }
-    }
-
-    /// AVX2 body of [`super::gsks_gram`]: the 8 rows as two `ymm` halves,
-    /// the columns in two passes of four (eight accumulators each, so the
-    /// 16 registers hold them and the operands).
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA. Same layout contract as [`gsks_gram_avx512`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn gsks_gram_avx2(d: usize, xg: *const f64, ys: *const f64, out: *mut f64) {
-        debug_assert!(super::cpu_supported(), "gsks_gram_avx2 needs AVX2+FMA");
-        debug_assert!(!xg.is_null() && !ys.is_null() && !out.is_null());
-        for half in 0..2 {
-            let mut acc = [[_mm256_setzero_pd(); 2]; 4];
+        for pass in 0..8 / NC {
+            let mut acc = [V::splat(0.0); NC];
             for k in 0..d {
-                let (x0, x1) = (_mm256_loadu_pd(xg.add(8 * k)), _mm256_loadu_pd(xg.add(8 * k + 4)));
+                let x = V::load(xg.add(8 * k));
                 for (j, a) in acc.iter_mut().enumerate() {
-                    let y = _mm256_broadcast_sd(&*ys.add((4 * half + j) * d + k));
-                    a[0] = _mm256_fmadd_pd(x0, y, a[0]);
-                    a[1] = _mm256_fmadd_pd(x1, y, a[1]);
+                    *a = x.fmadd(V::splat(*ys.add((NC * pass + j) * d + k)), *a);
                 }
             }
             for (j, a) in acc.iter().enumerate() {
-                let col = out.add(8 * (4 * half + j));
-                _mm256_storeu_pd(col, a[0]);
-                _mm256_storeu_pd(col.add(4), a[1]);
+                a.store(out.add(8 * (NC * pass + j)));
             }
         }
+    }
+
+    widths! {
+        pub(super) fn gsks_gram_v8(d: usize, xg: *const f64, ys: *const f64, out: *mut f64);
+        gsks_gram_avx512 = <Zmm, 8>;
+        gsks_gram_avx2 = <YmmPair, 4>;
     }
 
     /// Weight `c` of a tile's `cols` live ones, zero past them.
@@ -954,20 +1098,22 @@ mod x86 {
         _mm256_storeu_pd(acc.add(4), a1);
     }
 
-    /// AVX-512 body of [`super::gsks_contract_run`] for `groups` (1 or 2)
-    /// full row groups: the right-hand sides go in blocks of 12, then at
-    /// most one each of 8, 4, 2 and 1; each block holds its
-    /// `8·groups x nr` piece of `W` in `zmm` registers for the whole run
-    /// (the `16 x 12` shape of [`dgemm_tile_16x12_avx512`]).
+    /// [`super::gsks_contract_run`] over [`V8`] for `groups` (1 or 2) full
+    /// row groups: both groups at once when `GM == 2` and there are two,
+    /// otherwise one at a time, by the right-hand sides in blocks of `NR`,
+    /// then at most one each of 8 (when `NR > 8`), 4, 2 and 1. Each block
+    /// holds its piece of `W` in registers for the whole run: `16 x 12` in
+    /// `zmm` (the shape of [`dgemm_tile_16x12_avx512`]), `8 x 6` in `ymm`
+    /// pairs (that of [`dgemm_tile_avx2`]).
     ///
     /// # Safety
-    /// Requires AVX-512F. `1 <= groups <= 2`, `cols >= 1`; `k[g * span + i]`
+    /// `V`'s CPU features. `1 <= groups <= 2`, `cols >= 1`; `k[g * span + i]`
     /// must be readable for `g < groups`, `i < 8 * cols.next_multiple_of(4)`;
     /// `u[c + t * ucs]` readable for `c < cols`, `t < nrhs`; and
     /// `w[r + t * wcs]` readable and writable for `r < 8 * groups`.
     #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn gsks_contract_run_avx512(
+    #[inline(always)]
+    unsafe fn gsks_contract_run_v8<V: V8, const GM: usize, const NR: usize>(
         k: *const f64,
         span: usize,
         groups: usize,
@@ -978,38 +1124,74 @@ mod x86 {
         w: *mut f64,
         wcs: usize,
     ) {
-        debug_assert!(super::avx512_supported(), "gsks_contract_run_avx512 needs AVX-512F");
         debug_assert!((1..=2).contains(&groups) && cols >= 1, "run shape: {groups} x {cols}");
         debug_assert!(nrhs <= 1 || (wcs >= 8 * groups && ucs >= cols), "U or W columns overlap");
-        let mut t = 0;
-        while t < nrhs {
-            let (ut, wt) = (u.add(t * ucs), w.add(t * wcs));
-            let nr = match (groups, nrhs - t) {
-                (2, 12..) => run_avx512::<2, 12>(k, span, cols, ut, ucs, wt, wcs),
-                (2, 8..) => run_avx512::<2, 8>(k, span, cols, ut, ucs, wt, wcs),
-                (2, 4..) => run_avx512::<2, 4>(k, span, cols, ut, ucs, wt, wcs),
-                (2, 2..) => run_avx512::<2, 2>(k, span, cols, ut, ucs, wt, wcs),
-                (2, _) => run_avx512::<2, 1>(k, span, cols, ut, ucs, wt, wcs),
-                (_, 12..) => run_avx512::<1, 12>(k, span, cols, ut, ucs, wt, wcs),
-                (_, 8..) => run_avx512::<1, 8>(k, span, cols, ut, ucs, wt, wcs),
-                (_, 4..) => run_avx512::<1, 4>(k, span, cols, ut, ucs, wt, wcs),
-                (_, 2..) => run_avx512::<1, 2>(k, span, cols, ut, ucs, wt, wcs),
-                (_, _) => run_avx512::<1, 1>(k, span, cols, ut, ucs, wt, wcs),
-            };
-            t += nr;
+        if GM == 2 && groups == 2 {
+            run_blocks::<V, 2, NR>(k, span, cols, nrhs, u, ucs, w, wcs);
+        } else {
+            for g in 0..groups {
+                let (kg, wg) = (k.add(g * span), w.add(8 * g));
+                run_blocks::<V, 1, NR>(kg, span, cols, nrhs, u, ucs, wg, wcs);
+            }
         }
     }
 
-    /// One `8·G x NR` block of [`gsks_contract_run_avx512`]: `W` loaded,
-    /// one FMA per source column and right-hand side in ascending column
-    /// order, then the zero-weight columns up to a multiple of four,
-    /// stored back. Returns `NR`.
+    widths! {
+        pub(super) fn gsks_contract_run_v8(
+            k: *const f64,
+            span: usize,
+            groups: usize,
+            cols: usize,
+            nrhs: usize,
+            u: *const f64,
+            ucs: usize,
+            w: *mut f64,
+            wcs: usize,
+        );
+        gsks_contract_run_avx512 = <Zmm, 2, 12>;
+        gsks_contract_run_avx2 = <YmmPair, 1, 6>;
+    }
+
+    /// The right-hand-side blocks of [`gsks_contract_run_v8`] on `G` row
+    /// groups at `k` / `w`.
     ///
     /// # Safety
-    /// As [`gsks_contract_run_avx512`], with `NR` right-hand sides at `u` / `w`.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn run_avx512<const G: usize, const NR: usize>(
+    /// As [`gsks_contract_run_v8`], with `groups == G`.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    unsafe fn run_blocks<V: V8, const G: usize, const NR: usize>(
+        k: *const f64,
+        span: usize,
+        cols: usize,
+        nrhs: usize,
+        u: *const f64,
+        ucs: usize,
+        w: *mut f64,
+        wcs: usize,
+    ) {
+        let mut t = 0;
+        while t < nrhs {
+            let (ut, wt) = (u.add(t * ucs), w.add(t * wcs));
+            t += match nrhs - t {
+                r if r >= NR => run_block::<V, G, NR>(k, span, cols, ut, ucs, wt, wcs),
+                8.. => run_block::<V, G, 8>(k, span, cols, ut, ucs, wt, wcs),
+                4.. => run_block::<V, G, 4>(k, span, cols, ut, ucs, wt, wcs),
+                2.. => run_block::<V, G, 2>(k, span, cols, ut, ucs, wt, wcs),
+                _ => run_block::<V, G, 1>(k, span, cols, ut, ucs, wt, wcs),
+            };
+        }
+    }
+
+    /// One `8·G x NR` block of [`gsks_contract_run_v8`]: `W` loaded, one FMA
+    /// per source column and right-hand side in ascending column order, then
+    /// the zero-weight columns up to a multiple of four, stored back.
+    /// Returns `NR`.
+    ///
+    /// # Safety
+    /// As [`gsks_contract_run_v8`], with `G` groups and `NR` right-hand sides
+    /// at `k` / `u` / `w`.
+    #[inline(always)]
+    unsafe fn run_block<V: V8, const G: usize, const NR: usize>(
         k: *const f64,
         span: usize,
         cols: usize,
@@ -1018,120 +1200,36 @@ mod x86 {
         w: *mut f64,
         wcs: usize,
     ) -> usize {
-        let mut acc = [[_mm512_setzero_pd(); G]; NR];
+        let mut acc = [[V::splat(0.0); G]; NR];
         for (j, aj) in acc.iter_mut().enumerate() {
             for (g, a) in aj.iter_mut().enumerate() {
-                *a = _mm512_loadu_pd(w.add(j * wcs + 8 * g));
+                *a = V::load(w.add(j * wcs + 8 * g));
             }
         }
-        let mut kc = [_mm512_setzero_pd(); G];
+        let k_col =
+            |c: usize| -> [V; G] { std::array::from_fn(|g| V::load(k.add(g * span + 8 * c))) };
         for c in 0..cols {
-            for (g, v) in kc.iter_mut().enumerate() {
-                *v = _mm512_loadu_pd(k.add(g * span + 8 * c));
-            }
+            let kc = k_col(c);
             for (j, aj) in acc.iter_mut().enumerate() {
-                let b = _mm512_set1_pd(*u.add(j * ucs + c));
+                let b = V::splat(*u.add(j * ucs + c));
                 for (a, v) in aj.iter_mut().zip(&kc) {
-                    *a = _mm512_fmadd_pd(*v, b, *a);
+                    *a = v.fmadd(b, *a);
                 }
             }
         }
-        let zero = _mm512_setzero_pd();
+        let zero = V::splat(0.0);
         for c in cols..cols.next_multiple_of(4) {
-            for (g, v) in kc.iter_mut().enumerate() {
-                *v = _mm512_loadu_pd(k.add(g * span + 8 * c));
-            }
+            let kc = k_col(c);
             for aj in acc.iter_mut() {
                 for (a, v) in aj.iter_mut().zip(&kc) {
-                    *a = _mm512_fmadd_pd(*v, zero, *a);
+                    *a = v.fmadd(zero, *a);
                 }
             }
         }
         for (j, aj) in acc.iter().enumerate() {
             for (g, a) in aj.iter().enumerate() {
-                _mm512_storeu_pd(w.add(j * wcs + 8 * g), *a);
+                a.store(w.add(j * wcs + 8 * g));
             }
-        }
-        NR
-    }
-
-    /// AVX2 body of [`super::gsks_contract_run`]: each full row group on
-    /// its own, the right-hand sides in blocks of 6, then at most one each
-    /// of 4, 2 and 1; each block holds its `8 x nr` piece of `W` in `ymm`
-    /// halves for the whole run (the `8 x 6` shape of [`dgemm_tile_avx2`]).
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA. Same contract as [`gsks_contract_run_avx512`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn gsks_contract_run_avx2(
-        k: *const f64,
-        span: usize,
-        groups: usize,
-        cols: usize,
-        nrhs: usize,
-        u: *const f64,
-        ucs: usize,
-        w: *mut f64,
-        wcs: usize,
-    ) {
-        debug_assert!(super::cpu_supported(), "gsks_contract_run_avx2 needs AVX2+FMA");
-        debug_assert!((1..=2).contains(&groups) && cols >= 1, "run shape: {groups} x {cols}");
-        debug_assert!(nrhs <= 1 || (wcs >= 8 * groups && ucs >= cols), "U or W columns overlap");
-        for g in 0..groups {
-            let (kg, wg) = (k.add(g * span), w.add(8 * g));
-            let mut t = 0;
-            while t < nrhs {
-                let (ut, wt) = (u.add(t * ucs), wg.add(t * wcs));
-                t += match nrhs - t {
-                    6.. => run_avx2::<6>(kg, cols, ut, ucs, wt, wcs),
-                    4.. => run_avx2::<4>(kg, cols, ut, ucs, wt, wcs),
-                    2.. => run_avx2::<2>(kg, cols, ut, ucs, wt, wcs),
-                    _ => run_avx2::<1>(kg, cols, ut, ucs, wt, wcs),
-                };
-            }
-        }
-    }
-
-    /// One `8 x NR` block of [`gsks_contract_run_avx2`], the chain of
-    /// [`run_avx512`] on two `ymm` halves. Returns `NR`.
-    ///
-    /// # Safety
-    /// As [`gsks_contract_run_avx2`], for one row group at `k` / `w`.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn run_avx2<const NR: usize>(
-        k: *const f64,
-        cols: usize,
-        u: *const f64,
-        ucs: usize,
-        w: *mut f64,
-        wcs: usize,
-    ) -> usize {
-        let mut acc = [[_mm256_setzero_pd(); 2]; NR];
-        for (j, aj) in acc.iter_mut().enumerate() {
-            aj[0] = _mm256_loadu_pd(w.add(j * wcs));
-            aj[1] = _mm256_loadu_pd(w.add(j * wcs + 4));
-        }
-        for c in 0..cols {
-            let (k0, k1) = (_mm256_loadu_pd(k.add(8 * c)), _mm256_loadu_pd(k.add(8 * c + 4)));
-            for (j, aj) in acc.iter_mut().enumerate() {
-                let b = _mm256_set1_pd(*u.add(j * ucs + c));
-                aj[0] = _mm256_fmadd_pd(k0, b, aj[0]);
-                aj[1] = _mm256_fmadd_pd(k1, b, aj[1]);
-            }
-        }
-        let zero = _mm256_setzero_pd();
-        for c in cols..cols.next_multiple_of(4) {
-            let (k0, k1) = (_mm256_loadu_pd(k.add(8 * c)), _mm256_loadu_pd(k.add(8 * c + 4)));
-            for aj in acc.iter_mut() {
-                aj[0] = _mm256_fmadd_pd(k0, zero, aj[0]);
-                aj[1] = _mm256_fmadd_pd(k1, zero, aj[1]);
-            }
-        }
-        for (j, aj) in acc.iter().enumerate() {
-            _mm256_storeu_pd(w.add(j * wcs), aj[0]);
-            _mm256_storeu_pd(w.add(j * wcs + 4), aj[1]);
         }
         NR
     }
@@ -1167,32 +1265,21 @@ mod x86 {
         }
     }
 
-    /// Lanes of query group `g` that hold one of the `m` real queries.
-    #[inline]
-    fn filter_valid_lanes(m: usize, g: usize) -> u8 {
-        let rows = (m - 8 * g).min(8);
-        if rows == 8 {
-            0xff
-        } else {
-            (1u8 << rows) - 1
-        }
-    }
-
-    /// AVX-512 body of [`super::dist_filter`]: a `16 x 4` register tile —
-    /// two packed query groups against four candidates, eight `zmm` Gram
-    /// accumulators — swept over the candidates with the query tile
-    /// resident; an odd last group runs as an `8 x 4` tile and leftover
-    /// candidates one column at a time. The epilogue forms
-    /// `(qn + cn) − 2g` with one `fnmadd` and turns the compare mask
-    /// straight into the output word.
+    /// [`super::dist_filter`] over [`V8`]: an `8·MG x 4` register tile —
+    /// `MG` packed query groups against four candidates — swept over the
+    /// candidates with the query tile resident; a last group short of `MG`
+    /// runs as an `8 x 4` tile and leftover candidates one column at a time.
+    /// `MG` is 2 in `zmm` (eight accumulators) and 1 in `ymm` pairs (eight
+    /// halves). The epilogue forms `(qn + cn) − 2g` with one FMA and
+    /// turns the compare mask into the output word.
     ///
     /// # Safety
-    /// Requires AVX-512F. With `groups = ceil(m / 8)`: `qpack` must hold
+    /// `V`'s CPU features. With `groups = ceil(m / 8)`: `qpack` must hold
     /// `groups * 8 * d` elements, `qn` and `thr` `groups * 8`, `cand`
     /// `d * nc`, `cn` `nc`, and `masks` `groups * nc` writable words.
     #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn dist_filter_avx512(
+    #[inline(always)]
+    unsafe fn dist_filter_v8<V: V8, const MG: usize>(
         d: usize,
         m: usize,
         nc: usize,
@@ -1203,29 +1290,43 @@ mod x86 {
         cn: *const f64,
         masks: *mut usize,
     ) {
-        debug_assert!(super::avx512_supported(), "dist_filter_avx512 needs AVX-512F");
         debug_assert!(!qpack.is_null() && !qn.is_null() && !thr.is_null());
         debug_assert!(!cand.is_null() && !cn.is_null() && !masks.is_null());
         let groups = m.div_ceil(8);
         let mut g = 0;
-        while g + 2 <= groups {
-            filter_sweep_avx512::<2>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
-            g += 2;
+        while g + MG <= groups {
+            filter_sweep::<V, MG>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
+            g += MG;
         }
-        if g < groups {
-            filter_sweep_avx512::<1>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
+        if MG > 1 && g < groups {
+            filter_sweep::<V, 1>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
         }
     }
 
-    /// Query groups `g .. g + MG` of [`dist_filter_avx512`] against every
+    widths! {
+        pub(super) fn dist_filter_v8(
+            d: usize,
+            m: usize,
+            nc: usize,
+            qpack: *const f64,
+            qn: *const f64,
+            thr: *const f64,
+            cand: *const f64,
+            cn: *const f64,
+            masks: *mut usize,
+        );
+        dist_filter_avx512 = <Zmm, 2>;
+        dist_filter_avx2 = <YmmPair, 1>;
+    }
+
+    /// Query groups `g .. g + MG` of [`dist_filter_v8`] against every
     /// candidate, four at a time and then singly.
     ///
     /// # Safety
-    /// As [`dist_filter_avx512`], with `g + MG <= ceil(m / 8)`.
-    #[inline]
+    /// As [`dist_filter_v8`], with `g + MG <= ceil(m / 8)`.
     #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn filter_sweep_avx512<const MG: usize>(
+    #[inline(always)]
+    unsafe fn filter_sweep<V: V8, const MG: usize>(
         d: usize,
         m: usize,
         g: usize,
@@ -1239,34 +1340,31 @@ mod x86 {
     ) {
         let (q, gn, gt) = (qpack.add(8 * g * d), qn.add(8 * g), thr.add(8 * g));
         let out = masks.add(g * nc);
-        let mut valid = [0u8; MG];
-        for (gi, v) in valid.iter_mut().enumerate() {
-            *v = filter_valid_lanes(m, g + gi);
-        }
+        // The lanes of each group that hold one of the `m` real queries.
+        let valid: [u8; MG] = std::array::from_fn(|gi| u8::MAX >> (8 - (m - 8 * (g + gi)).min(8)));
         let mut j = 0;
         while j + 4 <= nc {
             let (c, n) = (cand.add(j * d), cn.add(j));
-            filter_tile_avx512::<MG, 4>(d, nc, q, gn, gt, valid, c, n, out.add(j));
+            filter_tile::<V, MG, 4>(d, nc, q, gn, gt, valid, c, n, out.add(j));
             j += 4;
         }
         while j < nc {
             let (c, n) = (cand.add(j * d), cn.add(j));
-            filter_tile_avx512::<MG, 1>(d, nc, q, gn, gt, valid, c, n, out.add(j));
+            filter_tile::<V, MG, 1>(d, nc, q, gn, gt, valid, c, n, out.add(j));
             j += 1;
         }
     }
 
-    /// One `8·MG x NR` tile of [`dist_filter_avx512`]: `q`, `qn`, `thr`
-    /// point at the first of `MG` consecutive query groups, `c` / `cn` at
-    /// the first of `NR` candidates, `out` at that candidate's word in the
-    /// first group's mask row (rows are `nc` apart).
+    /// One `8·MG x NR` tile of [`dist_filter_v8`]: `q`, `qn`, `thr` point at
+    /// the first of `MG` consecutive query groups, `c` / `cn` at the first of
+    /// `NR` candidates, `out` at that candidate's word in the first group's
+    /// mask row (rows are `nc` apart).
     ///
     /// # Safety
-    /// As [`dist_filter_avx512`], restricted to this tile.
-    #[inline]
+    /// As [`dist_filter_v8`], restricted to this tile.
     #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn filter_tile_avx512<const MG: usize, const NR: usize>(
+    #[inline(always)]
+    unsafe fn filter_tile<V: V8, const MG: usize, const NR: usize>(
         d: usize,
         nc: usize,
         q: *const f64,
@@ -1277,111 +1375,23 @@ mod x86 {
         cn: *const f64,
         out: *mut usize,
     ) {
-        let mut acc = [[_mm512_setzero_pd(); NR]; MG];
+        let mut acc = [[V::splat(0.0); NR]; MG];
         for k in 0..d {
-            let mut a = [_mm512_setzero_pd(); MG];
-            for (gi, av) in a.iter_mut().enumerate() {
-                *av = _mm512_loadu_pd(q.add(8 * (gi * d + k)));
-            }
+            let a: [V; MG] = std::array::from_fn(|gi| V::load(q.add(8 * (gi * d + k))));
             for j in 0..NR {
-                let b = _mm512_set1_pd(*c.add(j * d + k));
+                let b = V::splat(*c.add(j * d + k));
                 for (accg, av) in acc.iter_mut().zip(a) {
-                    accg[j] = _mm512_fmadd_pd(av, b, accg[j]);
+                    accg[j] = av.fmadd(b, accg[j]);
                 }
             }
         }
-        let two = _mm512_set1_pd(2.0);
+        let minus_two = V::splat(-2.0);
         for (gi, accg) in acc.iter().enumerate() {
-            let vqn = _mm512_loadu_pd(qn.add(8 * gi));
-            let vthr = _mm512_loadu_pd(thr.add(8 * gi));
+            let (vqn, vthr) = (V::load(qn.add(8 * gi)), V::load(thr.add(8 * gi)));
             for (j, g2) in accg.iter().enumerate() {
-                let s = _mm512_add_pd(vqn, _mm512_set1_pd(*cn.add(j)));
-                let f = _mm512_fnmadd_pd(*g2, two, s);
-                // Not-greater-than, unordered true: a NaN is flagged.
-                let hit = _mm512_cmp_pd_mask::<_CMP_NGT_UQ>(f, vthr);
-                *out.add(gi * nc + j) = usize::from(hit & valid[gi]);
+                let f = g2.fmadd(minus_two, vqn.add(V::splat(*cn.add(j))));
+                *out.add(gi * nc + j) = usize::from(f.ngt_mask(vthr) & valid[gi]);
             }
-        }
-    }
-
-    /// AVX2 body of [`super::dist_filter`]: an `8 x 4` register tile — one
-    /// packed query group as two `ymm` halves against four candidates,
-    /// eight accumulators — with the same sweep and epilogue as
-    /// [`dist_filter_avx512`]; the two 4-bit `movemask`s of a column join
-    /// into the output word.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA. Same layout contract as [`dist_filter_avx512`].
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn dist_filter_avx2(
-        d: usize,
-        m: usize,
-        nc: usize,
-        qpack: *const f64,
-        qn: *const f64,
-        thr: *const f64,
-        cand: *const f64,
-        cn: *const f64,
-        masks: *mut usize,
-    ) {
-        debug_assert!(super::cpu_supported(), "dist_filter_avx2 needs AVX2+FMA");
-        debug_assert!(!qpack.is_null() && !qn.is_null() && !thr.is_null());
-        debug_assert!(!cand.is_null() && !cn.is_null() && !masks.is_null());
-        for g in 0..m.div_ceil(8) {
-            let (q, gn, gt) = (qpack.add(8 * g * d), qn.add(8 * g), thr.add(8 * g));
-            let valid = filter_valid_lanes(m, g);
-            let out = masks.add(g * nc);
-            let mut j = 0;
-            while j + 4 <= nc {
-                filter_tile_avx2::<4>(d, q, gn, gt, valid, cand.add(j * d), cn.add(j), out.add(j));
-                j += 4;
-            }
-            while j < nc {
-                filter_tile_avx2::<1>(d, q, gn, gt, valid, cand.add(j * d), cn.add(j), out.add(j));
-                j += 1;
-            }
-        }
-    }
-
-    /// One `8 x NR` tile of [`dist_filter_avx2`].
-    ///
-    /// # Safety
-    /// As [`dist_filter_avx2`], restricted to this tile.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn filter_tile_avx2<const NR: usize>(
-        d: usize,
-        q: *const f64,
-        qn: *const f64,
-        thr: *const f64,
-        valid: u8,
-        c: *const f64,
-        cn: *const f64,
-        out: *mut usize,
-    ) {
-        let mut acc = [[_mm256_setzero_pd(); 2]; NR];
-        for k in 0..d {
-            let a0 = _mm256_loadu_pd(q.add(8 * k));
-            let a1 = _mm256_loadu_pd(q.add(8 * k + 4));
-            for (j, accj) in acc.iter_mut().enumerate() {
-                let b = _mm256_broadcast_sd(&*c.add(j * d + k));
-                accj[0] = _mm256_fmadd_pd(a0, b, accj[0]);
-                accj[1] = _mm256_fmadd_pd(a1, b, accj[1]);
-            }
-        }
-        let two = _mm256_set1_pd(2.0);
-        let (qn0, qn1) = (_mm256_loadu_pd(qn), _mm256_loadu_pd(qn.add(4)));
-        let (thr0, thr1) = (_mm256_loadu_pd(thr), _mm256_loadu_pd(thr.add(4)));
-        for (j, accj) in acc.iter().enumerate() {
-            let vcn = _mm256_broadcast_sd(&*cn.add(j));
-            let f0 = _mm256_fnmadd_pd(accj[0], two, _mm256_add_pd(qn0, vcn));
-            let f1 = _mm256_fnmadd_pd(accj[1], two, _mm256_add_pd(qn1, vcn));
-            // Not-greater-than, unordered true: a NaN is flagged.
-            let lo = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGT_UQ>(f0, thr0));
-            let hi = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGT_UQ>(f1, thr1));
-            *out.add(j) = usize::from((lo | hi << 4) as u8 & valid);
         }
     }
 
@@ -1897,16 +1907,27 @@ mod x86 {
         }
     }
 
-    /// AVX-512 body of [`dgemv_t_avx2`], with its bits: four columns per
-    /// pass, each column's two `zmm` accumulators the AVX2 body's four
-    /// `ymm` chains, and `_mm512_reduce_add_pd` its halving sum. Selected
-    /// when the CPU additionally reports `avx512f`; it stays because it is
-    /// faster end to end (EXPERIMENTS, "Which bodies stay").
+    /// `y[j] = alpha * dot(A[:, j], x)` for column-major `A` (`m x n`,
+    /// stride `lda`) over [`V8`]: the transpose counterpart of
+    /// [`dgemv_add_avx2`], and the per-pivot `F` accumulation of the blocked
+    /// CPQR.
+    ///
+    /// One reduction order, written out by `gemv_t_order` in `blas2.rs`'s
+    /// tests. A column of the first `4 * (n / 4)` is summed into two `V8`
+    /// chains from zero: 16-row steps put rows `i..i + 8` in chain 0 and
+    /// `i + 8..i + 16` in chain 1, then one 8-row step, if 8 rows remain,
+    /// feeds chain 0; the chains meet lane-wise and [`V8::reduce_add`] sums
+    /// the lanes. A later column takes one chain in 8-row steps, the same
+    /// sum. The last `m % 8` rows are then added in order (multiply, then
+    /// add), and the sum is scaled by `alpha`. `NC` columns go per pass: 4 in
+    /// `zmm`; 2 in `ymm` pairs, whose eight chain halves and four `x` halves
+    /// fit the 16 registers.
     ///
     /// # Safety
-    /// Requires AVX-512F. Same layout contract as [`dgemv_t_avx2`].
-    #[target_feature(enable = "avx512f")]
-    pub(crate) unsafe fn dgemv_t_avx512(
+    /// `V`'s CPU features; `NC` divides 4. `a` must expose `lda*(n-1)+m`
+    /// elements, `x` at least `m`, `y` at least `n`.
+    #[inline(always)]
+    unsafe fn dgemv_t_v8<V: V8, const NC: usize>(
         m: usize,
         n: usize,
         alpha: f64,
@@ -1915,218 +1936,97 @@ mod x86 {
         x: *const f64,
         y: *mut f64,
     ) {
-        debug_assert!(super::avx512_supported(), "dgemv_t_avx512 needs AVX-512F");
         debug_assert!(lda >= m || n <= 1, "A columns would overlap: lda = {lda}, m = {m}");
         debug_assert!(n == 0 || m == 0 || (!a.is_null() && !x.is_null() && !y.is_null()));
+        let four = n / 4 * 4;
         let mut j = 0;
-        while j + 4 <= n {
-            let c0 = a.add(j * lda);
-            let c1 = a.add((j + 1) * lda);
-            let c2 = a.add((j + 2) * lda);
-            let c3 = a.add((j + 3) * lda);
-            let mut s00 = _mm512_setzero_pd();
-            let mut s01 = _mm512_setzero_pd();
-            let mut s10 = _mm512_setzero_pd();
-            let mut s11 = _mm512_setzero_pd();
-            let mut s20 = _mm512_setzero_pd();
-            let mut s21 = _mm512_setzero_pd();
-            let mut s30 = _mm512_setzero_pd();
-            let mut s31 = _mm512_setzero_pd();
+        while j < four {
+            let cols: [*const f64; NC] = std::array::from_fn(|jj| a.add((j + jj) * lda));
+            let mut s = [[V::splat(0.0); 2]; NC];
             let mut i = 0;
             while i + 16 <= m {
-                let x0 = _mm512_loadu_pd(x.add(i));
-                let x1 = _mm512_loadu_pd(x.add(i + 8));
-                s00 = _mm512_fmadd_pd(_mm512_loadu_pd(c0.add(i)), x0, s00);
-                s01 = _mm512_fmadd_pd(_mm512_loadu_pd(c0.add(i + 8)), x1, s01);
-                s10 = _mm512_fmadd_pd(_mm512_loadu_pd(c1.add(i)), x0, s10);
-                s11 = _mm512_fmadd_pd(_mm512_loadu_pd(c1.add(i + 8)), x1, s11);
-                s20 = _mm512_fmadd_pd(_mm512_loadu_pd(c2.add(i)), x0, s20);
-                s21 = _mm512_fmadd_pd(_mm512_loadu_pd(c2.add(i + 8)), x1, s21);
-                s30 = _mm512_fmadd_pd(_mm512_loadu_pd(c3.add(i)), x0, s30);
-                s31 = _mm512_fmadd_pd(_mm512_loadu_pd(c3.add(i + 8)), x1, s31);
+                for h in 0..2 {
+                    let xv = V::load(x.add(i + 8 * h));
+                    for (sc, c) in s.iter_mut().zip(cols) {
+                        sc[h] = V::load(c.add(i + 8 * h)).fmadd(xv, sc[h]);
+                    }
+                }
                 i += 16;
             }
             if i + 8 <= m {
-                let x0 = _mm512_loadu_pd(x.add(i));
-                s00 = _mm512_fmadd_pd(_mm512_loadu_pd(c0.add(i)), x0, s00);
-                s10 = _mm512_fmadd_pd(_mm512_loadu_pd(c1.add(i)), x0, s10);
-                s20 = _mm512_fmadd_pd(_mm512_loadu_pd(c2.add(i)), x0, s20);
-                s30 = _mm512_fmadd_pd(_mm512_loadu_pd(c3.add(i)), x0, s30);
+                let xv = V::load(x.add(i));
+                for (sc, c) in s.iter_mut().zip(cols) {
+                    sc[0] = V::load(c.add(i)).fmadd(xv, sc[0]);
+                }
                 i += 8;
             }
-            let mut d0 = _mm512_reduce_add_pd(_mm512_add_pd(s00, s01));
-            let mut d1 = _mm512_reduce_add_pd(_mm512_add_pd(s10, s11));
-            let mut d2 = _mm512_reduce_add_pd(_mm512_add_pd(s20, s21));
-            let mut d3 = _mm512_reduce_add_pd(_mm512_add_pd(s30, s31));
-            while i < m {
-                let xv = *x.add(i);
-                d0 += *c0.add(i) * xv;
-                d1 += *c1.add(i) * xv;
-                d2 += *c2.add(i) * xv;
-                d3 += *c3.add(i) * xv;
-                i += 1;
+            let mut d: [f64; NC] = std::array::from_fn(|jj| s[jj][0].add(s[jj][1]).reduce_add());
+            for r in i..m {
+                for (dj, c) in d.iter_mut().zip(cols) {
+                    *dj += *c.add(r) * *x.add(r);
+                }
             }
-            *y.add(j) = alpha * d0;
-            *y.add(j + 1) = alpha * d1;
-            *y.add(j + 2) = alpha * d2;
-            *y.add(j + 3) = alpha * d3;
-            j += 4;
+            for (jj, dj) in d.iter().enumerate() {
+                *y.add(j + jj) = alpha * dj;
+            }
+            j += NC;
         }
         while j < n {
-            let col = a.add(j * lda);
-            let mut s0 = _mm512_setzero_pd();
+            let c = a.add(j * lda);
+            let mut s = V::splat(0.0);
             let mut i = 0;
             while i + 8 <= m {
-                s0 = _mm512_fmadd_pd(_mm512_loadu_pd(col.add(i)), _mm512_loadu_pd(x.add(i)), s0);
+                s = V::load(c.add(i)).fmadd(V::load(x.add(i)), s);
                 i += 8;
             }
-            let mut d = _mm512_reduce_add_pd(s0);
-            while i < m {
-                d += *col.add(i) * *x.add(i);
-                i += 1;
+            let mut d = s.reduce_add();
+            for r in i..m {
+                d += *c.add(r) * *x.add(r);
             }
             *y.add(j) = alpha * d;
             j += 1;
         }
     }
 
-    /// `y[j] = alpha * dot(A[:, j], x)` for column-major `A` (`m x n`,
-    /// stride `lda`): the transpose counterpart of [`dgemv_add_avx2`], and
-    /// the per-pivot `F` accumulation of the blocked CPQR.
-    ///
-    /// One reduction order, written out by `gemv_t_order` in `blas2.rs`'s
-    /// tests. A column of the first `4 * (n / 4)` is summed into four
-    /// 4-lane FMA chains from zero: 16-row steps put row `i + 4t + l` in
-    /// lane `l` of chain `t`, then one 8-row step, if 8 rows remain, feeds
-    /// chains 0 and 1. The chains meet as `(c0 + c2) + (c1 + c3)` and the
-    /// four lanes by halving, `(v0 + v2) + (v1 + v3)`. A later column takes
-    /// chains 0 and 1 in 8-row steps, `c0 + c1`, the same halving. The last
-    /// `m % 8` rows are then added in order (multiply, then add), and the
-    /// sum is scaled by `alpha`. A chain pair is one `zmm` and the halving
-    /// is `_mm512_reduce_add_pd`, so [`dgemv_t_avx512`] gives these bits.
-    /// Two columns go per pass: their eight chains and four `x` vectors fit
-    /// the 16 `ymm` registers.
+    widths! {
+        pub(crate) fn dgemv_t_v8(
+            m: usize,
+            n: usize,
+            alpha: f64,
+            a: *const f64,
+            lda: usize,
+            x: *const f64,
+            y: *mut f64,
+        );
+        dgemv_t_avx512 = <Zmm, 4>;
+        dgemv_t_avx2 = <YmmPair, 2>;
+    }
+
+    /// In-place `exp` over [`V8`] (see [`super::vexp`] for the contract):
+    /// [`V8::exp`] over every full group of eight, then once over a
+    /// zero-padded copy of a tail of 1–7.
     ///
     /// # Safety
-    /// Requires AVX2+FMA. `a` must expose `lda*(n-1)+m` elements, `x` at
-    /// least `m`, `y` at least `n`.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(crate) unsafe fn dgemv_t_avx2(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        a: *const f64,
-        lda: usize,
-        x: *const f64,
-        y: *mut f64,
-    ) {
-        debug_assert!(super::cpu_supported(), "dgemv_t_avx2 needs AVX2+FMA");
-        debug_assert!(lda >= m || n <= 1, "A columns would overlap: lda = {lda}, m = {m}");
-        debug_assert!(n == 0 || m == 0 || (!a.is_null() && !x.is_null() && !y.is_null()));
-        let four = n / 4 * 4;
-        let mut j = 0;
-        while j < four {
-            let cols = [a.add(j * lda), a.add((j + 1) * lda)];
-            let mut s = [[_mm256_setzero_pd(); 4]; 2];
-            let mut i = 0;
-            while i + 16 <= m {
-                for t in 0..4 {
-                    let xv = _mm256_loadu_pd(x.add(i + 4 * t));
-                    for (sc, c) in s.iter_mut().zip(cols) {
-                        sc[t] = _mm256_fmadd_pd(_mm256_loadu_pd(c.add(i + 4 * t)), xv, sc[t]);
-                    }
-                }
-                i += 16;
-            }
-            if i + 8 <= m {
-                for t in 0..2 {
-                    let xv = _mm256_loadu_pd(x.add(i + 4 * t));
-                    for (sc, c) in s.iter_mut().zip(cols) {
-                        sc[t] = _mm256_fmadd_pd(_mm256_loadu_pd(c.add(i + 4 * t)), xv, sc[t]);
-                    }
-                }
-                i += 8;
-            }
-            for (jj, (sc, c)) in s.iter().zip(cols).enumerate() {
-                let v = _mm256_add_pd(_mm256_add_pd(sc[0], sc[2]), _mm256_add_pd(sc[1], sc[3]));
-                *y.add(j + jj) = alpha * halve_then_rows(v, c, x, i, m);
-            }
-            j += 2;
+    /// `V`'s CPU features.
+    #[inline(always)]
+    unsafe fn vexp_v8<V: V8>(xs: &mut [f64]) {
+        let mut groups = xs.chunks_exact_mut(8);
+        for g in &mut groups {
+            V::load(g.as_ptr()).exp().store(g.as_mut_ptr());
         }
-        while j < n {
-            let c = a.add(j * lda);
-            let mut s = [_mm256_setzero_pd(); 2];
-            let mut i = 0;
-            while i + 8 <= m {
-                for (t, st) in s.iter_mut().enumerate() {
-                    let xv = _mm256_loadu_pd(x.add(i + 4 * t));
-                    *st = _mm256_fmadd_pd(_mm256_loadu_pd(c.add(i + 4 * t)), xv, *st);
-                }
-                i += 8;
-            }
-            *y.add(j) = alpha * halve_then_rows(_mm256_add_pd(s[0], s[1]), c, x, i, m);
-            j += 1;
+        let tail = groups.into_remainder();
+        if !tail.is_empty() {
+            let mut buf = [0.0f64; 8];
+            buf[..tail.len()].copy_from_slice(tail);
+            V::load(buf.as_ptr()).exp().store(buf.as_mut_ptr());
+            tail.copy_from_slice(&buf[..tail.len()]);
         }
     }
 
-    /// `(v0 + v2) + (v1 + v3)`, then `c[r] * x[r]` added for `r` in
-    /// `i..m`, in order: the close of every [`dgemv_t_avx2`] column.
-    ///
-    /// # Safety
-    /// Requires AVX2. `c` and `x` must expose `m` elements.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn halve_then_rows(v: __m256d, c: *const f64, x: *const f64, i: usize, m: usize) -> f64 {
-        let q = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd::<1>(v));
-        let mut d = _mm_cvtsd_f64(q) + _mm_cvtsd_f64(_mm_unpackhi_pd(q, q));
-        for r in i..m {
-            d += *c.add(r) * *x.add(r);
-        }
-        d
-    }
-
-    /// In-place vectorized `exp` (see [`super::vexp`] for the contract).
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub(super) unsafe fn vexp_avx2(xs: &mut [f64]) {
-        debug_assert!(super::cpu_supported(), "vexp_avx2 needs AVX2+FMA");
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 4 <= n {
-            _mm256_storeu_pd(p.add(i), exp4(_mm256_loadu_pd(p.add(i))));
-            i += 4;
-        }
-        if i < n {
-            let mut buf = [0.0f64; 4];
-            buf[..n - i].copy_from_slice(&xs[i..]);
-            _mm256_storeu_pd(buf.as_mut_ptr(), exp4(_mm256_loadu_pd(buf.as_ptr())));
-            xs[i..].copy_from_slice(&buf[..n - i]);
-        }
-    }
-
-    /// In-place 8-wide `exp` (see [`super::vexp`]): [`exp8`] over full
-    /// vectors, then once under a lane mask for a tail of 1–7.
-    ///
-    /// # Safety
-    /// Requires AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn vexp_avx512(xs: &mut [f64]) {
-        debug_assert!(super::avx512_supported(), "vexp_avx512 needs AVX-512F");
-        let n = xs.len();
-        let p = xs.as_mut_ptr();
-        let mut i = 0;
-        while i + 8 <= n {
-            _mm512_storeu_pd(p.add(i), exp8(_mm512_loadu_pd(p.add(i))));
-            i += 8;
-        }
-        if i < n {
-            let mask: __mmask8 = (1u8 << (n - i)) - 1;
-            let tail = exp8(_mm512_maskz_loadu_pd(mask, p.add(i)));
-            _mm512_mask_storeu_pd(p.add(i), mask, tail);
-        }
+    widths! {
+        pub(super) fn vexp_v8(xs: &mut [f64]);
+        vexp_avx512 = <Zmm>;
+        vexp_avx2 = <YmmPair>;
     }
 
     /// Largest input for which `exp` is finite.
