@@ -308,6 +308,9 @@ impl<K: Kernel> DistSolver<'_, K> {
 
     /// Solves `(λI + K̃) x = b` (`b` in the tree's permuted ordering) with
     /// the distributed solver (Algorithm II.5), all ranks in parallel.
+    ///
+    /// # Panics
+    /// Panics if `b.len()` is not the number of points in the tree.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         let n = self.st.tree().points().len();
         assert_eq!(b.len(), n, "dist solve: rhs length mismatch");

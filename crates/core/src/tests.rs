@@ -4,13 +4,16 @@
 use crate::config::{SolverConfig, StorageMode};
 use crate::{
     dist_factorize, estimate_condition, factorize, factorize_baseline, HybridSolver, KernelRidge,
+    PartitionedFactor, SharedFactor,
 };
 use kfds_askit::{hier_matvec, skeletonize, SkelConfig, SkeletonTree};
 use kfds_kernels::{eval_symmetric, Gaussian};
 use kfds_krylov::GmresOptions;
 use kfds_la::blas1::nrm2;
+use kfds_la::Mat;
 use kfds_tree::datasets::{normal_embedded, two_class_annulus};
-use kfds_tree::BallTree;
+use kfds_tree::{BallTree, PointSet};
+use std::sync::Arc;
 
 fn rel_err(a: &[f64], b: &[f64]) -> f64 {
     let mut num = 0.0;
@@ -1262,4 +1265,71 @@ mod refactor {
             }
         }
     }
+}
+
+#[test]
+fn hostile_small_inputs_factorize_and_solve() {
+    // Coincident points, sites with copies, fewer points than a leaf and a
+    // single point: each skeletonizes, factorizes and inverts λI + K̃ with
+    // no panic and a finite residual.
+    let kernel = Gaussian::new(1.0);
+    let cfg = SolverConfig::default().with_lambda(0.5);
+    let skel = SkelConfig::default().with_tol(1e-5).with_max_rank(96).with_neighbors(8);
+    let sites = normal_embedded(40, 3, 3, 0.05, 5);
+    let copies: Vec<usize> = (0..320).map(|i| i % 40).collect();
+    let cases = [
+        ("300 coincident", PointSet::from_col_major(3, [0.25, -1.0, 0.5].repeat(300)), 32),
+        ("40 sites x 8 copies", sites.select(&copies), 32),
+        ("n = 10", normal_embedded(10, 3, 3, 0.05, 6), 16),
+        ("n = 17", normal_embedded(17, 3, 3, 0.05, 7), 16),
+        ("n = 1", normal_embedded(1, 3, 3, 0.05, 8), 16),
+    ];
+    for (what, pts, leaf) in cases {
+        let st = skeletonize(BallTree::build(&pts, leaf), &kernel, skel.clone());
+        let ft = factorize(&st, &kernel, cfg).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let b = rand_vec(pts.len(), 3);
+        let mut x = b.clone();
+        ft.solve_in_place(&mut x).unwrap_or_else(|e| panic!("{what}: {e}"));
+        let r = rel_err(&hier_matvec(&st, &kernel, 0.5, &x), &b);
+        assert!(r <= 1e-8, "{what}: residual {r}"); // false for a NaN too
+    }
+}
+
+#[test]
+fn ragged_rank_splits_match_the_serial_solve() {
+    // n = 1001 over leaves of 64: the rank subtrees hold unequal point
+    // counts. Both renderings of "a rank owns a subtree" give the serial
+    // answer: the distributed solver to roundoff, the partitioned factor
+    // bit for bit.
+    let kernel = Gaussian::new(1.0);
+    let cfg = SolverConfig::default().with_lambda(0.6);
+    let skel = SkelConfig::default().with_tol(1e-5).with_max_rank(96).with_neighbors(8);
+    let pts = normal_embedded(1001, 3, 8, 0.05, 11);
+    let st = skeletonize(BallTree::build(&pts, 64), &kernel, skel.clone());
+    let b = rand_vec(1001, 19);
+    let serial = factorize(&st, &kernel, cfg).expect("serial factorize");
+    let mut want = b.clone();
+    serial.solve_in_place(&mut want).expect("serial solve");
+    for p in [2, 4] {
+        let ds = dist_factorize(&st, &kernel, cfg, p).expect("dist factorize");
+        let r = rel_err(&ds.solve(&b), &want);
+        assert!(r < 1e-9, "p={p}: dist-vs-serial {r}");
+    }
+    let sf = SharedFactor::factorize(Arc::new(st), Arc::new(kernel), cfg).expect("shared");
+    let rhs = Mat::from_fn(1001, 3, |i, j| b[(i + 97 * j) % 1001]);
+    let mut whole = rhs.clone();
+    sf.factor_tree().solve_mat_in_place(&mut whole).expect("whole solve");
+    for p in [2, 4] {
+        let pf = PartitionedFactor::partition(sf.clone(), p).expect("partition");
+        let mut split = rhs.clone();
+        pf.solve_mat_in_place(&mut split).expect("partitioned solve");
+        let same =
+            split.as_slice().iter().zip(whole.as_slice()).all(|(a, w)| a.to_bits() == w.to_bits());
+        assert!(same, "p={p}: partitioned solve is not the whole tree's bits");
+    }
+    // Ten points are one leaf: no level to give two ranks.
+    let pts = normal_embedded(10, 3, 8, 0.05, 12);
+    let st = skeletonize(BallTree::build(&pts, 64), &kernel, skel);
+    let got = dist_factorize(&st, &kernel, cfg, 2);
+    assert!(matches!(got, Err(crate::SolverError::Partition { .. })), "n = 10, p = 2");
 }

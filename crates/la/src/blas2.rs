@@ -58,7 +58,7 @@ pub fn gemv(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
 /// With SIMD active, `beta == 0` and at least 8 rows and 4 columns, the
 /// columns go through a vector body: 8-wide under AVX-512, 4-wide under
 /// AVX2, both reducing every column in one order (documented on
-/// `simd::dgemv_t_avx2`), so every AVX2+FMA host gives the same bits. The
+/// `simd`'s `dgemv_t_v8`), so every AVX2+FMA host gives the same bits. The
 /// scalar path (one `dot` per column) stays the reference implementation
 /// under `KFDS_SIMD=off`.
 ///
@@ -143,7 +143,7 @@ mod tests {
     }
 
     /// The reduction order of the vector `gemv_t` body (see
-    /// `simd::dgemv_t_avx2`) in portable code: `mul_add` chains in its lane
+    /// `simd`'s `dgemv_t_v8`) in portable code: `mul_add` chains in its lane
     /// order, its chain sum and its halving tree, the row tail unfused.
     fn gemv_t_order(alpha: f64, a: MatRef<'_>, x: &[f64]) -> Vec<f64> {
         let (m, n) = (a.nrows(), a.ncols());

@@ -6,12 +6,11 @@
 //! magnitude on the table per core. This module provides the explicit
 //! vector kernels every hot path bottoms out in:
 //!
-//! * two f64 GEMM microkernels over the same MR/NR-packed panels, both
-//!   written straight into column-major `C`: an `8 x 6` tile
-//!   (`dgemm_tile_avx2`, 12 `ymm` accumulators) on any panel, and with
-//!   AVX-512 a `16 x 12` tile (`dgemm_tile_16x12_avx512`, 24 `zmm`
-//!   accumulators) over two A panels by two B panels, giving every element
-//!   the operations the `8 x 6` tile gives it;
+//! * the f64 GEMM microkernel over MR/NR-packed panels, written straight
+//!   into column-major `C`: an `8 x 6` tile (`dgemm_tile_avx2`, 12 `ymm`
+//!   accumulators) on any panel, and with AVX-512 a `16 x 12` tile
+//!   (`dgemm_tile_16x12_avx512`, 24 `zmm` accumulators) over two A panels
+//!   by two B panels;
 //! * the three kernels of the GSKS engine's one tile layout, 8 target rows
 //!   in the vector lanes: the `8 x 8` Gram tile ([`gsks_gram`]) against
 //!   sources read point-major where they lie, the one-weight epilogue
@@ -41,20 +40,39 @@
 //! * the CPU must report AVX2 **and** FMA (`is_x86_feature_detected!`);
 //!   on other targets the portable scalar paths are the implementation
 //!   (no unconditional `std::arch::x86_64` imports anywhere);
-//! * where a kernel has an AVX-512 body (the packed GEMM's `16 x 12` tile,
-//!   the skinny GEMM, the transposed GEMV, the distance filter, the GSKS
-//!   Gram tile and the run contraction's `16 x 12` tile, [`vexp`]),
-//!   [`avx512_supported`] selects it over the AVX2 one, for speed only:
-//!   each gives the bits of the AVX2 body beside it (the skinny GEMM, the
-//!   packed path's), and its tests say so. [`gsks_dot`] and
-//!   [`rank1_update`] have none: an 8-wide body timed no faster end to
-//!   end. The TRSM leaf's register-resident substitution
+//! * where a kernel has an AVX-512 entry point, [`avx512_supported`]
+//!   selects it over the AVX2 one, for speed only: it gives the AVX2 bits
+//!   (see below). The skinny GEMM is AVX-512 only and gives the packed
+//!   path's bits; the TRSM leaf's register-resident substitution
 //!   (`subst_in_registers`) is AVX-512 only and gives the bits of the
-//!   [`rank1_update`] steps the leaf runs without it;
+//!   [`rank1_update`] steps the leaf runs without it. [`gsks_dot`] and
+//!   [`rank1_update`] are AVX2 only: an 8-wide body timed no faster end to
+//!   end;
 //! * the `KFDS_SIMD=off` (or `=0`) environment kill-switch forces the
 //!   scalar reference paths, so simd/scalar can be A/B'd in one binary;
 //! * [`set_simd_enabled`] overrides the environment at runtime (used by
 //!   the `microkernel` bench and the A/B property tests).
+//!
+//! # One source per paired kernel
+//!
+//! The packed GEMM tile, [`gsks_gram`], [`gsks_contract_run`],
+//! [`dist_filter`], the transposed GEMV and [`vexp`] are each written once,
+//! generic over `V8`: one row group of eight `f64` lanes, held in one
+//! `zmm` or in two `ymm` halves that each get the `zmm` operation. The
+//! `widths!` macro stamps out the body's two `#[target_feature]` entry
+//! points, `*_avx512` and `*_avx2`, so the body and every intrinsic inline
+//! into a function that enables them. Each picks the register tile its
+//! width holds (AVX-512 / AVX2): GEMM `16 x 12` / `8 x 6`, Gram columns per
+//! pass 8 / 4, contraction `16 x {12,8,4,2,1}` / `8 x {6,4,2,1}`, filter
+//! `{16,8} x {4,1}` / `8 x {4,1}`, transposed GEMV columns per pass 4 / 2.
+//! Every element gets the same operations in the same order at either
+//! shape. The unit tests that hold each pair to the same bits:
+//! `wide_tile_gives_the_avx2_tiles_bits` (`gemm.rs`),
+//! `gsks_gram_bodies_agree_bitwise_and_scalar_within_tolerance`,
+//! `gsks_contract_bodies_agree_bitwise_on_strided_views`,
+//! `dist_filter_vector_bodies_give_the_same_masks`,
+//! `vector_gemv_t_reduces_in_the_one_order` (`blas2.rs`) and
+//! `vexp_8_wide_equals_4_wide_bitwise`.
 //!
 //! # Tolerance model
 //!

@@ -337,20 +337,6 @@ impl Comm {
         }
     }
 
-    /// Element-wise sum reduction delivered to every rank.
-    pub fn allreduce_sum(&self, data: &[f64]) -> Vec<f64> {
-        // Non-root ranks pre-size their receive buffer so the bcast shape
-        // check can verify all ranks agree on the reduction length.
-        let mut out = self.reduce_sum(0, data).unwrap_or_else(|| vec![0.0; data.len()]);
-        self.bcast_f64(0, &mut out);
-        out
-    }
-
-    /// Blocks until every rank of the communicator has entered.
-    pub fn barrier(&self) {
-        let _ = self.allreduce_sum(&[0.0]);
-    }
-
     /// Splits the communicator into halves: local ranks `< size/2` form the
     /// lower half, the rest the upper half (the paper's distributed-tree
     /// split, Fig. 1). Both halves get fresh communicator ids agreed upon

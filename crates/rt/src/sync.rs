@@ -171,7 +171,7 @@ mod held {
 
     /// Snapshot of this thread's held ranks (debug builds; empty in
     /// release). Exposed for the discipline's own tests.
-    #[cfg(debug_assertions)]
+    #[cfg(all(test, debug_assertions))]
     pub(super) fn snapshot() -> Vec<LockRank> {
         STACK.try_with(|s| s.borrow().clone()).unwrap_or_default()
     }
@@ -179,7 +179,8 @@ mod held {
 
 /// This thread's currently held ranks, innermost last (always empty in
 /// release builds, where the checker is compiled out).
-pub fn held_ranks() -> Vec<LockRank> {
+#[cfg(test)]
+pub(crate) fn held_ranks() -> Vec<LockRank> {
     #[cfg(debug_assertions)]
     {
         held::snapshot()

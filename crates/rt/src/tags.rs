@@ -63,7 +63,7 @@ pub const SHARD_DATA: TagSpace = TagSpace { name: "shard-data", base: 264, len: 
 pub const ALL: &[TagSpace] = &[TEST, DIST_FACTOR, DIST_SOLVE, SHARD_DATA];
 
 /// Returns the registered space containing `tag`, if any.
-pub fn space_of(tag: u32) -> Option<&'static TagSpace> {
+pub(crate) fn space_of(tag: u32) -> Option<&'static TagSpace> {
     ALL.iter().find(|s| s.contains(tag))
 }
 
@@ -75,7 +75,7 @@ pub fn space_of(tag: u32) -> Option<&'static TagSpace> {
 /// # Panics
 /// Panics if `tag` is unregistered.
 #[track_caller]
-pub fn assert_registered(tag: u32) {
+pub(crate) fn assert_registered(tag: u32) {
     assert!(
         space_of(tag).is_some(),
         "point-to-point tag {tag} is not in any registered TagSpace; \

@@ -48,21 +48,12 @@ fn bcast_into_empty_buffers_adopts_the_roots_length() {
 }
 
 #[test]
-fn allreduce_receivers_are_presized() {
-    // Non-root ranks must pre-size their bcast buffer to the reduction
-    // length, otherwise the shape check itself would fire.
-    let p = 3;
-    let out = World::run(p, |c: Comm| c.allreduce_sum(&[c.rank() as f64, 1.0]));
-    for ranks in out {
-        assert_eq!(ranks, vec![3.0, p as f64]);
-    }
-}
-
-#[test]
 fn split_half_agrees_on_ids_with_presized_buffers() {
     let out = World::run(4, |c: Comm| {
         let sub = c.split_half();
-        (sub.rank(), sub.size(), sub.allreduce_sum(&[1.0])[0] as usize)
+        let mut total = sub.reduce_sum(0, &[1.0]).unwrap_or_else(|| vec![0.0]);
+        sub.bcast_f64(0, &mut total);
+        (sub.rank(), sub.size(), total[0] as usize)
     });
     for (i, (rank, size, total)) in out.into_iter().enumerate() {
         assert_eq!(size, 2);

@@ -27,7 +27,11 @@ fn reduction_tree_matches_sequential() {
     let p = 8;
     let out = World::run(p, |c: Comm| {
         let mine: Vec<f64> = (0..16).map(|i| (c.rank() * 16 + i) as f64).collect();
-        c.allreduce_sum(&mine)
+        // Reduce to rank 0, then broadcast into pre-sized buffers, as the
+        // distributed solver does at every level.
+        let mut total = c.reduce_sum(0, &mine).unwrap_or_else(|| vec![0.0; mine.len()]);
+        c.bcast_f64(0, &mut total);
+        total
     });
     let expected: Vec<f64> = (0..16).map(|i| (0..p).map(|r| (r * 16 + i) as f64).sum()).collect();
     for r in out {
@@ -44,9 +48,9 @@ fn deep_split_chain_with_collectives_at_every_level() {
         let mut comm = c;
         let mut level = 0;
         while comm.size() > 1 {
-            let total = comm.allreduce_sum(&[1.0]);
+            let mut total = comm.reduce_sum(0, &[1.0]).unwrap_or_else(|| vec![0.0]);
+            comm.bcast_f64(0, &mut total);
             assert_eq!(total[0] as usize, comm.size(), "level {level}");
-            comm.barrier();
             comm = comm.split_half();
             level += 1;
         }

@@ -5,8 +5,8 @@
 //! serial `O(N log N)` algorithm; the `log₂ p` levels above are handled
 //! with the paper's communication pattern — skeleton exchange between the
 //! communicator roots, reductions of the partial coupling blocks, and
-//! broadcast telescoping of the `P̂` row slices. The result must equal the
-//! serial factorization bit-for-bit up to roundoff.
+//! broadcast telescoping of the `P̂` row slices. The distributed solution
+//! must agree with the serial one to a relative error below `1e-9`.
 //!
 //! ```sh
 //! cargo run --release --example distributed
