@@ -4,16 +4,13 @@
 use crate::config::{SolverConfig, StorageMode};
 use crate::{
     dist_factorize, estimate_condition, factorize, factorize_baseline, HybridSolver, KernelRidge,
-    PartitionedFactor, SharedFactor,
 };
 use kfds_askit::{hier_matvec, skeletonize, SkelConfig, SkeletonTree};
 use kfds_kernels::{eval_symmetric, Gaussian};
 use kfds_krylov::GmresOptions;
 use kfds_la::blas1::nrm2;
-use kfds_la::Mat;
 use kfds_tree::datasets::{normal_embedded, two_class_annulus};
 use kfds_tree::{BallTree, PointSet};
-use std::sync::Arc;
 
 fn rel_err(a: &[f64], b: &[f64]) -> f64 {
     let mut num = 0.0;
@@ -37,8 +34,12 @@ fn rand_vec(n: usize, seed: u64) -> Vec<f64> {
 
 /// Standard fixture: 512 points with intrinsic dimension 3 in 8-D.
 fn fixture(max_level: usize, tol: f64) -> (SkeletonTree, Gaussian) {
-    let pts = normal_embedded(512, 3, 8, 0.05, 42);
-    let tree = BallTree::build(&pts, 32);
+    sized_fixture(512, 32, max_level, tol)
+}
+
+fn sized_fixture(n: usize, leaf: usize, max_level: usize, tol: f64) -> (SkeletonTree, Gaussian) {
+    let pts = normal_embedded(n, 3, 8, 0.05, 42);
+    let tree = BallTree::build(&pts, leaf);
     let kernel = Gaussian::new(1.0);
     let cfg = SkelConfig::default()
         .with_tol(tol)
@@ -251,21 +252,25 @@ fn level_restricted_direct_matches_hybrid() {
 #[test]
 fn distributed_matches_serial() {
     let (st, kernel) = fixture(1, 1e-5);
+    // n = 1001 over leaves of 64: the ranks' subtrees hold unequal counts.
+    let (ragged, _) = sized_fixture(1001, 64, 1, 1e-5);
     let base = SolverConfig::default().with_lambda(0.6);
     // The ranks' local sweeps are the serial sweep restricted to a
     // subtree: under stored V each assembles its own subtree's coupling
     // blocks.
     let stored = base.with_storage(StorageMode::StoredGemv);
-    for (cfg, ranks) in [(base, &[1, 2, 4][..]), (stored, &[2, 4])] {
-        let serial = factorize(&st, &kernel, cfg).expect("serial");
-        let b = rand_vec(512, 17);
+    for (st, cfg, ranks) in
+        [(&st, base, &[1, 2, 4][..]), (&st, stored, &[2, 4]), (&ragged, base, &[2, 4])]
+    {
+        let serial = factorize(st, &kernel, cfg).expect("serial");
+        let b = rand_vec(st.tree().points().len(), 17);
         let mut want = b.clone();
         serial.solve_in_place(&mut want).expect("serial solve");
         for &p in ranks {
-            let ds = dist_factorize(&st, &kernel, cfg, p).expect("dist factorize");
+            let ds = dist_factorize(st, &kernel, cfg, p).expect("dist factorize");
             let got = ds.solve(&b);
             let r = rel_err(&got, &want);
-            assert!(r < 1e-9, "{:?} p={p}: dist-vs-serial {r}", cfg.storage);
+            assert!(r < 1e-9, "{:?} n={} p={p}: dist-vs-serial {r}", cfg.storage, b.len());
         }
     }
 }
@@ -280,6 +285,10 @@ fn distributed_rejects_rank_counts_that_do_not_fit_the_tree() {
         let got = dist_factorize(&st, &kernel, cfg, p);
         assert!(matches!(got, Err(crate::SolverError::Partition { .. })), "p={p}");
     }
+    // Ten points are one leaf: no level to give two ranks.
+    let (one_leaf, _) = sized_fixture(10, 64, 1, 1e-5);
+    let got = dist_factorize(&one_leaf, &kernel, cfg, 2);
+    assert!(matches!(got, Err(crate::SolverError::Partition { .. })), "n = 10, p = 2");
 }
 
 #[test]
@@ -1293,43 +1302,4 @@ fn hostile_small_inputs_factorize_and_solve() {
         let r = rel_err(&hier_matvec(&st, &kernel, 0.5, &x), &b);
         assert!(r <= 1e-8, "{what}: residual {r}"); // false for a NaN too
     }
-}
-
-#[test]
-fn ragged_rank_splits_match_the_serial_solve() {
-    // n = 1001 over leaves of 64: the rank subtrees hold unequal point
-    // counts. Both renderings of "a rank owns a subtree" give the serial
-    // answer: the distributed solver to roundoff, the partitioned factor
-    // bit for bit.
-    let kernel = Gaussian::new(1.0);
-    let cfg = SolverConfig::default().with_lambda(0.6);
-    let skel = SkelConfig::default().with_tol(1e-5).with_max_rank(96).with_neighbors(8);
-    let pts = normal_embedded(1001, 3, 8, 0.05, 11);
-    let st = skeletonize(BallTree::build(&pts, 64), &kernel, skel.clone());
-    let b = rand_vec(1001, 19);
-    let serial = factorize(&st, &kernel, cfg).expect("serial factorize");
-    let mut want = b.clone();
-    serial.solve_in_place(&mut want).expect("serial solve");
-    for p in [2, 4] {
-        let ds = dist_factorize(&st, &kernel, cfg, p).expect("dist factorize");
-        let r = rel_err(&ds.solve(&b), &want);
-        assert!(r < 1e-9, "p={p}: dist-vs-serial {r}");
-    }
-    let sf = SharedFactor::factorize(Arc::new(st), Arc::new(kernel), cfg).expect("shared");
-    let rhs = Mat::from_fn(1001, 3, |i, j| b[(i + 97 * j) % 1001]);
-    let mut whole = rhs.clone();
-    sf.factor_tree().solve_mat_in_place(&mut whole).expect("whole solve");
-    for p in [2, 4] {
-        let pf = PartitionedFactor::partition(sf.clone(), p).expect("partition");
-        let mut split = rhs.clone();
-        pf.solve_mat_in_place(&mut split).expect("partitioned solve");
-        let same =
-            split.as_slice().iter().zip(whole.as_slice()).all(|(a, w)| a.to_bits() == w.to_bits());
-        assert!(same, "p={p}: partitioned solve is not the whole tree's bits");
-    }
-    // Ten points are one leaf: no level to give two ranks.
-    let pts = normal_embedded(10, 3, 8, 0.05, 12);
-    let st = skeletonize(BallTree::build(&pts, 64), &kernel, skel);
-    let got = dist_factorize(&st, &kernel, cfg, 2);
-    assert!(matches!(got, Err(crate::SolverError::Partition { .. })), "n = 10, p = 2");
 }

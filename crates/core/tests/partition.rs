@@ -71,8 +71,11 @@ fn assert_bitwise(pf: &PartitionedFactor<Gaussian>, sf: &SharedFactor<Gaussian>,
 
 #[test]
 fn sharded_solve_is_bitwise_identical_for_p_1_2_4() {
-    for &storage in &[StorageMode::Gsks, StorageMode::StoredGemv] {
-        let sf = shared_factor(512, 64, 1, 0.5, storage);
+    // n = 1001 over leaves of 64: the shards hold unequal row counts.
+    for (n, storage) in
+        [(512, StorageMode::Gsks), (512, StorageMode::StoredGemv), (1001, StorageMode::Gsks)]
+    {
+        let sf = shared_factor(n, 64, 1, 0.5, storage);
         for p in [1usize, 2, 4] {
             let pf = PartitionedFactor::partition(sf.clone(), p).expect("partition");
             assert_eq!(pf.shards(), p);

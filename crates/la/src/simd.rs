@@ -714,6 +714,18 @@ mod x86 {
         /// # Safety
         /// As for [`V8`].
         unsafe fn exp(self) -> Self;
+        /// `G` groups, the `g`-th at `p + g·step` (a loop, not a closure: see
+        /// [`widths!`]).
+        /// # Safety
+        /// As for [`V8`], at each of the `G` addresses.
+        #[inline(always)]
+        unsafe fn load_groups<const G: usize>(p: *const f64, step: usize) -> [Self; G] {
+            let mut v = [Self::splat(0.0); G];
+            for (g, x) in v.iter_mut().enumerate() {
+                *x = Self::load(p.add(g * step));
+            }
+            v
+        }
     }
 
     /// [`V8`] in one `zmm`.
@@ -824,7 +836,8 @@ mod x86 {
     /// (the const parameters after the lane type). The body and every `V8`
     /// method under it inline into the `#[target_feature]` entry point, so
     /// every intrinsic does too; a generic helper called across the feature
-    /// boundary might not.
+    /// boundary might not. A closure does not carry the `#[inline(always)]`
+    /// nor its caller's features, so no body calls a `V8` method from one.
     macro_rules! widths {
         (
             $vis:vis fn $body:ident($($arg:ident: $ty:ty),* $(,)?);
@@ -886,7 +899,7 @@ mod x86 {
         debug_assert!(ldc >= 8 * G, "C tile columns ({} rows) would overlap: ldc = {ldc}", 8 * G);
         let mut acc = [[[V::splat(0.0); G]; 6]; P];
         for k in 0..kc {
-            let a: [V; G] = std::array::from_fn(|g| V::load(ap.add(8 * (g * kc + k))));
+            let a = V::load_groups::<G>(ap.add(8 * k), 8 * kc);
             for (p, accp) in acc.iter_mut().enumerate() {
                 let bk = bp.add(6 * (p * kc + k));
                 for (j, accj) in accp.iter_mut().enumerate() {
@@ -1220,14 +1233,10 @@ mod x86 {
     ) -> usize {
         let mut acc = [[V::splat(0.0); G]; NR];
         for (j, aj) in acc.iter_mut().enumerate() {
-            for (g, a) in aj.iter_mut().enumerate() {
-                *a = V::load(w.add(j * wcs + 8 * g));
-            }
+            *aj = V::load_groups::<G>(w.add(j * wcs), 8);
         }
-        let k_col =
-            |c: usize| -> [V; G] { std::array::from_fn(|g| V::load(k.add(g * span + 8 * c))) };
         for c in 0..cols {
-            let kc = k_col(c);
+            let kc = V::load_groups::<G>(k.add(8 * c), span);
             for (j, aj) in acc.iter_mut().enumerate() {
                 let b = V::splat(*u.add(j * ucs + c));
                 for (a, v) in aj.iter_mut().zip(&kc) {
@@ -1237,7 +1246,7 @@ mod x86 {
         }
         let zero = V::splat(0.0);
         for c in cols..cols.next_multiple_of(4) {
-            let kc = k_col(c);
+            let kc = V::load_groups::<G>(k.add(8 * c), span);
             for aj in acc.iter_mut() {
                 for (a, v) in aj.iter_mut().zip(&kc) {
                     *a = v.fmadd(zero, *a);
@@ -1395,7 +1404,7 @@ mod x86 {
     ) {
         let mut acc = [[V::splat(0.0); NR]; MG];
         for k in 0..d {
-            let a: [V; MG] = std::array::from_fn(|gi| V::load(q.add(8 * (gi * d + k))));
+            let a = V::load_groups::<MG>(q.add(8 * k), 8 * d);
             for j in 0..NR {
                 let b = V::splat(*c.add(j * d + k));
                 for (accg, av) in acc.iter_mut().zip(a) {
@@ -1978,7 +1987,10 @@ mod x86 {
                 }
                 i += 8;
             }
-            let mut d: [f64; NC] = std::array::from_fn(|jj| s[jj][0].add(s[jj][1]).reduce_add());
+            let mut d = [0.0; NC];
+            for (dj, sc) in d.iter_mut().zip(s) {
+                *dj = sc[0].add(sc[1]).reduce_add();
+            }
             for r in i..m {
                 for (dj, c) in d.iter_mut().zip(cols) {
                     *dj += *c.add(r) * *x.add(r);
