@@ -3,12 +3,12 @@
 # lanes run), then format, clippy, rustdoc, kfds-lint, release build, the
 # eight examples, the workspace tests under the default environment and
 # under the one live KFDS_* switch, the golden digests with every retired
-# switch set and on one rayon thread, the benchmark package's own tests,
-# and the kfds-serve smoke runs. The golden digests bind the scalar table
-# with SIMD off and the vector table with SIMD on, on any AVX2+FMA host
-# (the AVX-512 bodies give the AVX2 bodies' bits). Correctness only:
-# nothing here asserts a timing (timings, bytes and throughput are
-# benchmark/'s — see BENCHMARK.json).
+# switch set and on one rayon thread (the rayon shim's tests too), the
+# benchmark package's own tests, and the kfds-serve smoke runs. The
+# golden digests bind the scalar table with SIMD off and the vector table
+# with SIMD on, on any AVX2+FMA host (the AVX-512 bodies give the AVX2
+# bodies' bits). Correctness only: nothing here asserts a timing
+# (timings, bytes and throughput are benchmark/'s — see BENCHMARK.json).
 # Every step prints the seconds it took and `CI OK` a table of them, so a
 # lane has a price before anyone argues for deleting it.
 #
@@ -139,15 +139,19 @@ KFDS_SIMD=off KFDS_WS_POOL=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=s
   KFDS_REFACTOR=off KFDS_SERVE_BATCH=off KFDS_SHARD=off KFDS_BATCH=off \
   cargo test -q -p kfds-core --lib digests
 
-step "cargo test (kfds-core and kfds-kernels digests, RAYON_NUM_THREADS=1 — the tables on one thread)"
+step "cargo test (kfds-core and kfds-kernels digests, rayon shim, RAYON_NUM_THREADS=1 — one thread)"
 # The other lanes run the pool at the host's width; the tables claim the
 # same rows on one thread. Every level's par_iter and every
 # row-split GEMM then runs serially, so a kernel whose bits depended on
 # the split would show here. The GSKS engine's own table too: its band
 # split, and so which row groups share a run contraction, follows the
-# thread count.
+# thread count. The shim's own tests last: at N = 1 the pool has no
+# worker, only the waiting caller, so its `install(4)` scope (which still
+# pushes jobs), `deep_recursive_join` and the width test show that the
+# caller alone completes every job, without hanging.
 RAYON_NUM_THREADS=1 cargo test -q -p kfds-core --lib digests
 RAYON_NUM_THREADS=1 cargo test -q -p kfds-kernels --test digests
+RAYON_NUM_THREADS=1 cargo test -q -p rayon
 
 if [[ $miri -eq 1 ]]; then
   step "miri lane (kfds-la deterministic suite under the interpreter)"

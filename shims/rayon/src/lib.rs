@@ -10,14 +10,24 @@
 //! - [`ThreadPoolBuilder`] / [`ThreadPool::install`] — thread-count scoping;
 //! - [`current_num_threads`] / [`current_thread_index`].
 //!
-//! Scheduling model: one global FIFO queue of jobs served by
-//! `RAYON_NUM_THREADS` (default: `available_parallelism`) worker threads.
-//! Parallel operations *started on a pool worker* (or while a thread is
-//! executing a stolen job) run serially in place — nested parallelism never
-//! oversubscribes, which is exactly the policy the solver's hot paths rely
-//! on (see `kfds-la::gemm`). [`current_thread_index`] returns `Some(_)`
-//! precisely in that nested context, so callers can implement the same
-//! guard explicitly.
+//! Scheduling model: the pool is N threads wide, N = `RAYON_NUM_THREADS`
+//! (default: `available_parallelism`). One global FIFO queue of jobs is
+//! served by N − 1 worker threads (none at N = 1) and by the caller: a
+//! thread waiting in [`join`] or a parallel iterator pops and runs queued
+//! jobs until its own are done, so it is the N-th thread and every job it
+//! pushed runs even when no worker is free. Parallel operations *started
+//! on a pool worker* (or while a thread is executing a stolen job) run
+//! serially in place — nested parallelism never oversubscribes, which is
+//! exactly the policy the solver's hot paths rely on (see
+//! `kfds-la::gemm`). [`current_thread_index`] returns `Some(_)` precisely
+//! in that nested context, so callers can implement the same guard
+//! explicitly.
+//!
+//! [`ThreadPool::install`]`(k)` caps the splits, not the threads that
+//! exist: inside it every split is sized for `k` threads, but the jobs
+//! still run on the N − 1 workers and the caller. Free threads that fan
+//! out at once (several callers of [`join`]) each add themselves to the
+//! N − 1 workers.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -70,7 +80,9 @@ fn registry() -> &'static Arc<Registry> {
             cv: Condvar::new(),
             nthreads: n,
         });
-        for i in 0..n {
+        // The caller waiting in `join` / `run_batch` drains the queue
+        // itself, so it is the N-th thread: N − 1 workers, none at N = 1.
+        for i in 0..n - 1 {
             let r = Arc::clone(&reg);
             std::thread::Builder::new()
                 .name(format!("rayon-shim-{i}"))
@@ -159,9 +171,10 @@ impl BatchState {
         }
     }
 
-    /// Blocks until every job in the batch has finished, helping drain the
-    /// global queue meanwhile (which also guarantees progress when all
-    /// workers are busy with unrelated work).
+    /// Blocks until every job in the batch has finished, draining the
+    /// global queue meanwhile: the waiting caller is the pool's N-th
+    /// thread, and the one that runs its own jobs when no worker is free
+    /// (at N = 1 there is no worker at all).
     fn wait(&self) {
         loop {
             if self.remaining.load(Ordering::Acquire) == 0 {
@@ -269,7 +282,8 @@ where
 ///
 /// The shim keeps one global pool; a built `ThreadPool` only scopes the
 /// *advertised* thread count (what [`current_num_threads`] reports and what
-/// gates fan-out) for the duration of [`ThreadPool::install`].
+/// gates fan-out) for the duration of [`ThreadPool::install`]. It starts no
+/// thread: the jobs run on the global pool's workers and the caller.
 #[derive(Default)]
 pub struct ThreadPoolBuilder {
     num_threads: usize,
@@ -361,23 +375,34 @@ mod tests {
         }
     }
 
+    /// A scope wider than the pool still completes every job it pushes:
+    /// the waiting caller runs them, even at `RAYON_NUM_THREADS=1`, where
+    /// no worker exists.
     #[test]
     fn install_scopes_thread_count() {
-        let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-        pool.install(|| assert_eq!(current_num_threads(), 1));
+        for k in [1, 4] {
+            let pool = ThreadPoolBuilder::new().num_threads(k).build().unwrap();
+            pool.install(|| {
+                assert_eq!(current_num_threads(), k);
+                assert_eq!(sum(0, 10_000), 10_000 * 9_999 / 2);
+                let v: Vec<usize> = (0..257usize).into_par_iter().map(|x| 2 * x).collect();
+                assert_eq!(v, (0..257).map(|x| 2 * x).collect::<Vec<_>>());
+            });
+        }
+    }
+
+    fn sum(lo: u64, hi: u64) -> u64 {
+        if hi - lo <= 64 {
+            (lo..hi).sum()
+        } else {
+            let mid = lo + (hi - lo) / 2;
+            let (a, b) = join(|| sum(lo, mid), || sum(mid, hi));
+            a + b
+        }
     }
 
     #[test]
     fn deep_recursive_join() {
-        fn sum(lo: u64, hi: u64) -> u64 {
-            if hi - lo <= 64 {
-                (lo..hi).sum()
-            } else {
-                let mid = lo + (hi - lo) / 2;
-                let (a, b) = join(|| sum(lo, mid), || sum(mid, hi));
-                a + b
-            }
-        }
         assert_eq!(sum(0, 10_000), 10_000 * 9_999 / 2);
     }
 }
