@@ -188,10 +188,13 @@ mod tests {
     }
 
     #[test]
-    fn vector_gemv_t_reduces_in_the_one_order() {
+    fn gemv_t_reduces_in_the_one_order() {
         // Rows through the 16-row steps, the one 8-row step and the tail;
         // columns through the four-column blocks and the n % 4 after them;
-        // every A a window of a larger matrix (col_stride > nrows).
+        // every A a window of a larger matrix (col_stride > nrows). The
+        // wrapper with SIMD on and off, and the AVX2 body where it runs.
+        let _mode = crate::simd::SIMD_MODE.lock().unwrap_or_else(|e| e.into_inner());
+        let was = crate::simd::active();
         let big = Mat::from_fn(300, 20, |i, j| ((i * 37 + j * 101) % 199) as f64 / 97.0 - 1.0);
         let xs: Vec<f64> = (0..300).map(|i| ((i * 53) % 89) as f64 / 44.0 - 1.0).collect();
         for m in [8, 12, 15, 16, 17, 23, 24, 31, 32, 39, 40, 47, 100, 263] {
@@ -203,10 +206,16 @@ mod tests {
                     let same = |got: &[f64]| {
                         got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits())
                     };
-                    if crate::simd::active() {
+                    let lanes = [true, false].map(|simd| {
+                        crate::simd::set_simd_enabled(simd);
                         let mut y = vec![f64::NAN; n];
                         gemv_t(alpha, a, x, 0.0, &mut y);
-                        assert!(same(&y), "gemv_t m={m} n={n} α={alpha}: {y:?} vs {want:?}");
+                        y
+                    });
+                    crate::simd::set_simd_enabled(was);
+                    for (y, simd) in lanes.iter().zip([true, false]) {
+                        let what = format!("m={m} n={n} α={alpha} simd={simd}");
+                        assert!(same(y), "gemv_t {what}: {y:?} vs {want:?}");
                     }
                     #[cfg(target_arch = "x86_64")]
                     if crate::simd::cpu_supported() {

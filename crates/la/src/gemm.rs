@@ -787,14 +787,18 @@ mod tests {
     }
 
     #[test]
-    fn wide_tile_gives_the_avx2_tiles_bits() {
-        // The 16 x 12 AVX-512 tile against the 8 x 6 AVX2 tile alone, over
+    fn every_tile_gives_the_same_bits() {
+        // Every tile choice this host runs against the portable tiles, over
         // the same packed panels: every m mod 16 and n mod 12, k on both
         // sides of KC, m past MC, both transposes, on a strided window of C
         // with signed zeros, NaNs and infinities in all three operands.
         // Equal bits, any NaN matching any NaN, as in props.rs.
-        if !(crate::simd::cpu_supported() && crate::simd::avx512_supported()) {
-            return; // the 16 x 12 tile needs AVX-512F
+        let mut choices = vec![];
+        if crate::simd::cpu_supported() {
+            choices.push(Tiles::Avx2);
+        }
+        if crate::simd::avx512_supported() {
+            choices.push(Tiles::Avx512);
         }
         let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         let trans = [Trans::No, Trans::Yes];
@@ -829,11 +833,15 @@ mod tests {
                         gemm_blocked(alpha, a.rb(), ta, b.rb(), tb, beta, c, k, tiles);
                         big
                     };
-                    let (want, got) = (run(Tiles::Avx2), run(Tiles::Avx512));
-                    let diff = want.as_slice().iter().zip(got.as_slice()).position(|(w, g)| {
-                        w.to_bits() != g.to_bits() && !(w.is_nan() && g.is_nan())
-                    });
-                    assert_eq!(diff, None, "m={m} n={n} k={k} {ta:?}/{tb:?} α={alpha} β={beta}");
+                    let want = run(Tiles::Scalar);
+                    for &tiles in &choices {
+                        let got = run(tiles);
+                        let diff = want.as_slice().iter().zip(got.as_slice()).position(|(w, g)| {
+                            w.to_bits() != g.to_bits() && !(w.is_nan() && g.is_nan())
+                        });
+                        let what = format!("m={m} n={n} k={k} {ta:?}/{tb:?} α={alpha} β={beta}");
+                        assert_eq!(diff, None, "{tiles:?} {what}");
+                    }
                 }
             }
         }

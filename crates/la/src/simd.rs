@@ -2300,36 +2300,20 @@ mod tests {
     }
 
     #[test]
-    fn gsks_gram_bodies_agree_bitwise_and_scalar_within_tolerance() {
+    fn gsks_gram_bodies_agree_bitwise() {
         for d in 0..=70usize {
             let xg = lcg_values(8 * d, d as u64 + 1);
             // The sources sit inside a wider window, as a point set's do.
             let window = lcg_values(8 * d + 3 * d + 5, d as u64 + 77);
             let ys = &window[2 * d + 1..];
-            let runs: Vec<(&str, [f64; 64])> =
-                bodies().into_iter().map(|b| (b, gram_body(b, &xg, ys, d))).collect();
-            let fused: Vec<&[f64; 64]> =
-                runs.iter().filter(|(b, _)| b.starts_with("avx")).map(|(_, o)| o).collect();
-            for o in &fused {
-                assert_eq!(bits(*o), bits(fused[0]), "d={d}: AVX-512 and AVX2 bodies differ");
+            // One fused chain from 0 per value, in ascending k.
+            let want: Vec<f64> = (0..64)
+                .map(|i| (0..d).fold(0.0, |s, k| xg[k * 8 + i % 8].mul_add(ys[i / 8 * d + k], s)))
+                .collect();
+            for body in bodies() {
+                let got = gram_body(body, &xg, ys, d);
+                assert_eq!(bits(&got), bits(&want), "{body} d={d}");
             }
-            let (_, scalar) = runs[0];
-            for c in 0..8 {
-                for r in 0..8 {
-                    // Chain from 0: exactly the naive sum in order.
-                    let naive = (0..d).fold(0.0, |s, k| s + xg[k * 8 + r] * ys[c * d + k]);
-                    assert_eq!(scalar[c * 8 + r].to_bits(), naive.to_bits(), "d={d} ({r},{c})");
-                    let mag: f64 = (0..d).map(|k| (xg[k * 8 + r] * ys[c * d + k]).abs()).sum();
-                    for (body, o) in &runs {
-                        let tol = 2.0 * (d as f64 + 1.0) * f64::EPSILON * mag;
-                        let diff = (o[c * 8 + r] - naive).abs();
-                        assert!(diff <= tol, "{body} d={d} ({r},{c}): off by {diff} > {tol}");
-                    }
-                }
-            }
-            let (_, wrapper) = runs[1];
-            let want = if active() { runs.last().expect("a vector body").1 } else { scalar };
-            assert_eq!(bits(&wrapper), bits(&want), "d={d}: the wrapper runs another body");
         }
     }
 
@@ -2529,14 +2513,14 @@ mod tests {
     }
 
     #[test]
-    fn vexp_8_wide_equals_4_wide_bitwise() {
-        if !avx512_supported() || !cpu_supported() {
-            return; // one of the two bodies cannot run here
-        }
+    fn vexp_lanes_agree_bitwise() {
+        // Every lane this host runs against the portable one (the wrapper
+        // with SIMD off), at the special values and at every tail of 1–7.
         let ulp = |x: f64, up: bool| {
             let b = x.to_bits() as i64;
             f64::from_bits((if (x > 0.0) == up { b + 1 } else { b - 1 }) as u64)
         };
+        #[cfg(target_arch = "x86_64")]
         let (hi, lo) = (x86::EXP_HI, x86::EXP_LO);
         let mut xs = vec![
             f64::NAN,
@@ -2560,27 +2544,42 @@ mod tests {
             709.5,
         ];
         xs.extend(lcg_values(997, 42).iter().map(|v| v * 710.0));
-        // Every length up to two vectors and a bit, so every tail of 1–7.
-        for len in 0..=19usize {
-            for start in [0usize, 5, 11] {
-                let src = &xs[start..start + len];
-                let (mut a, mut b) = (src.to_vec(), src.to_vec());
-                // SAFETY: both bodies' CPU features were checked above.
+        // Every length up to two vectors and a bit, so every tail of 1–7,
+        // then the whole sweep.
+        let spans: Vec<_> = (0..=19usize)
+            .flat_map(|len| [0usize, 5, 11].map(|at| at..at + len))
+            .chain([0..xs.len()])
+            .collect();
+        let portable: Vec<Vec<f64>> = {
+            let _mode = SIMD_MODE.lock().unwrap_or_else(|e| e.into_inner());
+            let was = active();
+            set_simd_enabled(false);
+            let out = spans.iter().map(|span| {
+                let mut v = xs[span.clone()].to_vec();
+                vexp(&mut v);
+                v
+            });
+            let out = out.collect();
+            set_simd_enabled(was);
+            out
+        };
+        for (span, want) in spans.iter().zip(&portable) {
+            for body in bodies().into_iter().filter(|b| b.starts_with("avx")) {
+                let mut got = xs[span.clone()].to_vec();
+                // SAFETY: `bodies` lists a vector body only when the CPU
+                // supports it.
+                #[cfg(target_arch = "x86_64")]
                 unsafe {
-                    x86::vexp_avx512(&mut a);
-                    x86::vexp_avx2(&mut b);
+                    if body == "avx512" {
+                        x86::vexp_avx512(&mut got)
+                    } else {
+                        x86::vexp_avx2(&mut got)
+                    }
                 }
-                assert_eq!(bits(&a), bits(&b), "len={len} start={start}");
+                assert_eq!(bits(&got), bits(want), "{body} at {span:?}");
             }
         }
-        let (mut a, mut b) = (xs.clone(), xs);
-        // SAFETY: as above.
-        unsafe {
-            x86::vexp_avx512(&mut a);
-            x86::vexp_avx2(&mut b);
-        }
-        assert_eq!(bits(&a), bits(&b), "the full sweep");
-        assert_eq!(a[12], 0.0, "the subnormal range flushes to zero");
+        assert_eq!(portable.last().expect("the sweep")[12], 0.0, "the subnormal range flushes");
     }
 
     /// One filter problem: `m` queries against `nc` candidates in `d`
@@ -2792,12 +2791,9 @@ mod tests {
     }
 
     #[test]
-    fn dist_filter_vector_bodies_give_the_same_masks() {
-        if !(cpu_supported() && avx512_supported()) {
-            return; // one of the two bodies cannot run here
-        }
+    fn dist_filter_bodies_give_the_same_masks() {
         // The grid of the mask contract test; thresholds at each candidate's
-        // reference distance and one ulp either side, where the two bodies'
+        // reference distance and one ulp either side, where two bodies'
         // rounding would show, and ±inf.
         for d in [1usize, 3, 8, 16, 54, 64] {
             for nc in [0usize, 1, 3, 4, 5, 127] {
@@ -2811,8 +2807,11 @@ mod tests {
                         thrs.push(at);
                     }
                     for (t, thr) in thrs.iter().enumerate() {
-                        let (wide, narrow) = (case.run("avx512", thr), case.run("avx2", thr));
-                        assert_eq!(wide, narrow, "d={d} nc={nc} m={m} threshold set {t}");
+                        let want = case.run("scalar", thr);
+                        for body in bodies() {
+                            let got = case.run(body, thr);
+                            assert_eq!(got, want, "{body} d={d} nc={nc} m={m} threshold set {t}");
+                        }
                     }
                 }
             }

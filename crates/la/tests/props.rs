@@ -35,30 +35,25 @@ impl Drop for SimdOff {
     }
 }
 
-/// Runs `gemm` with the SIMD microkernels and with the scalar fallback and
-/// asserts agreement within the reassociation/FMA tolerance documented in
-/// `kfds_la::simd` (`O(k · eps)` relative to the accumulated magnitude).
+/// Runs `gemm` with the vector kernels and with the portable lanes and
+/// asserts the same bits, at three `(alpha, beta)` pairs: whichever tiles
+/// run (the `16 x 12` or `8 x 6` ones, an edge tile, the skinny path), each
+/// element is one fused chain, so "is SIMD on?" decides speed, not bits.
 fn assert_gemm_simd_vs_scalar(m: usize, k: usize, n: usize, ta: Trans, tb: Trans, seed: u64) {
     let (ar, ac) = if matches!(ta, Trans::Yes) { (k, m) } else { (m, k) };
     let (br, bc) = if matches!(tb, Trans::Yes) { (n, k) } else { (k, n) };
     let a = Mat::from_fn(ar, ac, |i, j| (((i * 7 + j * 3) as u64 + seed) as f64 * 0.19).sin());
     let b = Mat::from_fn(br, bc, |i, j| (((i * 5 + j * 11) as u64 + seed) as f64 * 0.23).cos());
-    let mut c_scalar = Mat::from_fn(m, n, |i, j| ((i + 2 * j) as f64 * 0.31).sin());
-    let mut c_simd = c_scalar.clone();
-    {
-        let _off = SimdOff::new();
-        gemm(1.25, a.rb(), ta, b.rb(), tb, 0.5, c_scalar.rb_mut());
-    }
-    gemm(1.25, a.rb(), ta, b.rb(), tb, 0.5, c_simd.rb_mut());
-    let tol = 1e-13 * (k as f64 + 2.0);
-    for j in 0..n {
-        for i in 0..m {
-            let (s, v) = (c_scalar[(i, j)], c_simd[(i, j)]);
-            assert!(
-                (s - v).abs() <= tol * (1.0 + s.abs()),
-                "({m},{k},{n}) {ta:?}/{tb:?} at ({i},{j}): simd {v} vs scalar {s}"
-            );
+    let c0 = Mat::from_fn(m, n, |i, j| ((i + 2 * j) as f64 * 0.31).sin());
+    for (alpha, beta) in [(1.25, 0.5), (1.0, 1.0), (-0.75, 0.0)] {
+        let (mut c_scalar, mut c_simd) = (c0.clone(), c0.clone());
+        {
+            let _off = SimdOff::new();
+            gemm(alpha, a.rb(), ta, b.rb(), tb, beta, c_scalar.rb_mut());
         }
+        gemm(alpha, a.rb(), ta, b.rb(), tb, beta, c_simd.rb_mut());
+        let bad = same_bits(c_simd.as_slice(), c_scalar.as_slice());
+        assert_eq!(bad, None, "({m},{k},{n}) {ta:?}/{tb:?} alpha={alpha} beta={beta}");
     }
 }
 
@@ -126,8 +121,10 @@ fn successive_pooled_shapes_do_not_alias() {
 
 #[test]
 fn simd_gemm_matches_scalar_edge_tiles() {
-    // Shapes straddling the 8x6 register tile: partial rows (m < MR),
-    // partial columns (n < NR), and the degenerate k in {0, 1} panels.
+    // Shapes straddling the 8x6 register tile and the 16x12 one: partial
+    // rows (m < MR), partial columns (n < NR), the degenerate k in {0, 1}
+    // panels, k across a KC block, and the skinny n <= 16 right operands
+    // on both sides of the constant.
     let _guard = SIMD_TOGGLE.lock().unwrap();
     let shapes = [
         (1usize, 1usize, 1usize),
@@ -139,6 +136,10 @@ fn simd_gemm_matches_scalar_edge_tiles() {
         (16, 5, 12),
         (23, 37, 11),
         (64, 16, 48),
+        (33, 300, 16),
+        (17, 257, 17),
+        (40, 9, 25),
+        (300, 4, 3),
     ];
     for &(m, k, n) in &shapes {
         for ta in [Trans::No, Trans::Yes] {
@@ -159,31 +160,24 @@ fn simd_gemm_matches_scalar_on_submatrix_views() {
     let (m, k, n) = (21, 19, 13);
     let a = big_a.submatrix(4..4 + m, 6..6 + k);
     let b = big_b.submatrix(2..2 + k, 9..9 + n);
-    let mut c_scalar = Mat::from_fn(33, 29, |i, j| ((i + j) as f64 * 0.05).sin());
-    let mut c_simd = c_scalar.clone();
-    {
-        let _off = SimdOff::new();
-        gemm(
-            2.0,
-            a,
-            Trans::No,
-            b,
-            Trans::No,
-            1.0,
-            c_scalar.rb_mut().submatrix_mut(5..5 + m, 3..3 + n),
-        );
-    }
-    gemm(2.0, a, Trans::No, b, Trans::No, 1.0, c_simd.rb_mut().submatrix_mut(5..5 + m, 3..3 + n));
-    let tol = 1e-13 * (k as f64 + 2.0);
-    for j in 0..29 {
-        for i in 0..33 {
-            let (s, v) = (c_scalar[(i, j)], c_simd[(i, j)]);
-            let inside = (5..5 + m).contains(&i) && (3..3 + n).contains(&j);
-            if inside {
-                assert!((s - v).abs() <= tol * (1.0 + s.abs()), "({i},{j}): {v} vs {s}");
-            } else {
-                // Outside the target window both runs must leave C untouched.
-                assert_eq!(s.to_bits(), v.to_bits(), "({i},{j}) clobbered outside the view");
+    let c0 = Mat::from_fn(33, 29, |i, j| ((i + j) as f64 * 0.05).sin());
+    for (alpha, beta) in [(2.0, 1.0), (-0.5, 0.25)] {
+        let (mut c_scalar, mut c_simd) = (c0.clone(), c0.clone());
+        {
+            let _off = SimdOff::new();
+            let win = c_scalar.rb_mut().submatrix_mut(5..5 + m, 3..3 + n);
+            gemm(alpha, a, Trans::No, b, Trans::No, beta, win);
+        }
+        let win = c_simd.rb_mut().submatrix_mut(5..5 + m, 3..3 + n);
+        gemm(alpha, a, Trans::No, b, Trans::No, beta, win);
+        // The same bits inside the window; outside it C is untouched.
+        let bad = same_bits(c_simd.as_slice(), c_scalar.as_slice());
+        assert_eq!(bad, None, "alpha={alpha} beta={beta}");
+        for j in 0..29 {
+            for i in 0..33 {
+                if !((5..5 + m).contains(&i) && (3..3 + n).contains(&j)) {
+                    assert_eq!(c_simd[(i, j)].to_bits(), c0[(i, j)].to_bits(), "({i},{j})");
+                }
             }
         }
     }
@@ -191,88 +185,54 @@ fn simd_gemm_matches_scalar_on_submatrix_views() {
 
 #[test]
 fn simd_blas_matches_scalar() {
+    // Every length from 0 to past two 16-element steps, so each tail of
+    // the 16-, 8- and 4-element loops, under both lanes: the same bits.
     let _guard = SIMD_TOGGLE.lock().unwrap();
-    for &n in &[1usize, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 100, 1023] {
+    for n in (0usize..=40).chain([63, 64, 65, 100, 1023]) {
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
         let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
-        let tol = 1e-13 * (n as f64 + 2.0);
-
-        let d_simd = kfds_la::blas1::dot(&x, &y);
-        let mut ax_simd = y.clone();
-        kfds_la::blas1::axpy(0.75, &x, &mut ax_simd);
-        let (d_scalar, ax_scalar) = {
-            let _off = SimdOff::new();
-            let d = kfds_la::blas1::dot(&x, &y);
+        let run = || {
             let mut ax = y.clone();
             kfds_la::blas1::axpy(0.75, &x, &mut ax);
-            (d, ax)
+            (kfds_la::blas1::dot(&x, &y), ax)
         };
-        assert!((d_simd - d_scalar).abs() <= tol * (1.0 + d_scalar.abs()), "dot n={n}");
-        for i in 0..n {
-            assert!(
-                (ax_simd[i] - ax_scalar[i]).abs() <= tol * (1.0 + ax_scalar[i].abs()),
-                "axpy n={n} i={i}"
-            );
-        }
+        let (d_simd, ax_simd) = run();
+        let (d_scalar, ax_scalar) = {
+            let _off = SimdOff::new();
+            run()
+        };
+        assert_eq!(d_simd.to_bits(), d_scalar.to_bits(), "dot n={n}: {d_simd} vs {d_scalar}");
+        assert_eq!(same_bits(&ax_simd, &ax_scalar), None, "axpy n={n}");
     }
-    for &(m, n) in &[
-        (1usize, 1usize),
-        (3, 5),
-        (4, 4),
-        (5, 3),
-        (8, 4),
-        (9, 5),
-        (17, 9),
-        (33, 7),
-        (64, 33),
-        (128, 1),
-    ] {
-        let a = Mat::from_fn(m, n, |i, j| ((i * 3 + j * 5) as f64 * 0.21).sin());
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.43).cos()).collect();
-        let xt: Vec<f64> = (0..m).map(|i| (i as f64 * 0.29).sin()).collect();
-        let tol = 1e-13 * (m.max(n) as f64 + 2.0);
-
-        let mut y_simd = vec![0.5; m];
-        kfds_la::blas2::gemv(1.5, a.rb(), &x, 0.25, &mut y_simd);
-        let mut yt_simd = vec![0.5; n];
-        kfds_la::blas2::gemv_t(1.5, a.rb(), &xt, 0.25, &mut yt_simd);
-        let (y_scalar, yt_scalar) = {
-            let _off = SimdOff::new();
-            let mut y = vec![0.5; m];
-            kfds_la::blas2::gemv(1.5, a.rb(), &x, 0.25, &mut y);
-            let mut yt = vec![0.5; n];
-            kfds_la::blas2::gemv_t(1.5, a.rb(), &xt, 0.25, &mut yt);
-            (y, yt)
-        };
-        for i in 0..m {
-            assert!(
-                (y_simd[i] - y_scalar[i]).abs() <= tol * (1.0 + y_scalar[i].abs()),
-                "gemv ({m},{n}) row {i}"
-            );
-        }
-        for j in 0..n {
-            assert!(
-                (yt_simd[j] - yt_scalar[j]).abs() <= tol * (1.0 + yt_scalar[j].abs()),
-                "gemv_t ({m},{n}) row {j}"
-            );
-        }
-
-        // beta == 0 takes the dedicated multi-column transposed kernels
-        // (dgemv_t_avx512 / dgemv_t_avx2, one reduction order, held bit for
-        // bit by blas2's unit test); exercise that path too.
-        let mut yt0_simd = vec![f64::NAN; n];
-        kfds_la::blas2::gemv_t(1.5, a.rb(), &xt, 0.0, &mut yt0_simd);
-        let yt0_scalar = {
-            let _off = SimdOff::new();
-            let mut yt = vec![f64::NAN; n];
-            kfds_la::blas2::gemv_t(1.5, a.rb(), &xt, 0.0, &mut yt);
-            yt
-        };
-        for j in 0..n {
-            assert!(
-                (yt0_simd[j] - yt0_scalar[j]).abs() <= tol * (1.0 + yt0_scalar[j].abs()),
-                "gemv_t beta=0 ({m},{n}) row {j}"
-            );
+    // Rows through every m % 4 and m % 8 tail, columns through the 4- and
+    // 2-column blocks and what follows them; `x` holds exact zeros and the
+    // starting `y` negative zeros, so a column skipped on one lane and not
+    // on the other would show.
+    let ms = [0usize, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 33, 64, 100];
+    for m in ms {
+        for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 33] {
+            let a = Mat::from_fn(m, n, |i, j| ((i * 3 + j * 5) as f64 * 0.21).sin());
+            let x: Vec<f64> =
+                (0..n).map(|i| if i % 3 == 1 { 0.0 } else { (i as f64 * 0.43).cos() }).collect();
+            let xt: Vec<f64> = (0..m).map(|i| (i as f64 * 0.29).sin()).collect();
+            for (alpha, beta) in [(1.5, 0.25), (1.0, 1.0), (-0.5, 0.0)] {
+                let run = || {
+                    let mut y: Vec<f64> =
+                        (0..m).map(|i| if i % 4 == 2 { -0.0 } else { 0.5 }).collect();
+                    kfds_la::blas2::gemv(alpha, a.rb(), &x, beta, &mut y);
+                    let mut yt = vec![if beta == 0.0 { f64::NAN } else { 0.5 }; n];
+                    kfds_la::blas2::gemv_t(alpha, a.rb(), &xt, beta, &mut yt);
+                    (y, yt)
+                };
+                let (y_simd, yt_simd) = run();
+                let (y_scalar, yt_scalar) = {
+                    let _off = SimdOff::new();
+                    run()
+                };
+                let what = format!("({m},{n}) alpha={alpha} beta={beta}");
+                assert_eq!(same_bits(&y_simd, &y_scalar), None, "gemv {what}");
+                assert_eq!(same_bits(&yt_simd, &yt_scalar), None, "gemv_t {what}");
+            }
         }
     }
 }
@@ -626,25 +586,27 @@ fn rank1_case(m: usize, nc: usize, seed: u64) -> (Vec<f64>, Mat) {
 
 #[test]
 fn rank1_update_matches_one_axpy_per_column() {
-    // The kernel against `axpy(-C[p, j], x, C[r0.., j])` column by column,
-    // across the axpy thresholds, with the multiplier row above and below
-    // the updated rows, on a strided window, under both dispatch modes.
+    // The kernel against `axpy(-C[p, j], x, C[r0.., j])` column by column
+    // with the vector kernels on, across the axpy thresholds, with the
+    // multiplier row above and below the updated rows, on a strided
+    // window, under both lanes: the same bits whether SIMD is on or off.
     let _guard = SIMD_TOGGLE.lock().unwrap();
-    for simd in [true, false] {
-        let _off = (!simd).then(SimdOff::new);
-        for m in (0..=40).chain([47, 64, 100]) {
-            for nc in [0usize, 1, 3, 8, 13] {
-                // Multipliers above the updated rows, then below them.
-                for (p, r0) in [(2, 3), (2 + m.max(1), 2)] {
-                    let (x, c0) = rank1_case(m, nc, (m * 31 + nc) as u64);
-                    let (mut got, mut want) = (c0.clone(), c0.clone());
+    for m in (0..=40).chain([47, 64, 100]) {
+        for nc in [0usize, 1, 3, 8, 13] {
+            // Multipliers above the updated rows, then below them.
+            for (p, r0) in [(2, 3), (2 + m.max(1), 2)] {
+                let (x, c0) = rank1_case(m, nc, (m * 31 + nc) as u64);
+                let mut want = c0.clone();
+                for j in 1..1 + nc {
+                    let col = want.col_mut(j);
+                    let alpha = -col[p];
+                    kfds_la::blas1::axpy(alpha, &x, &mut col[r0..r0 + m]);
+                }
+                for simd in [true, false] {
+                    let _off = (!simd).then(SimdOff::new);
+                    let mut got = c0.clone();
                     let win = got.rb_mut().submatrix_mut(0..m + 7, 1..1 + nc);
                     kfds_la::simd::rank1_update(&x, p, r0, win);
-                    for j in 1..1 + nc {
-                        let col = want.col_mut(j);
-                        let alpha = -col[p];
-                        kfds_la::blas1::axpy(alpha, &x, &mut col[r0..r0 + m]);
-                    }
                     let bad = same_bits(got.as_slice(), want.as_slice());
                     assert_eq!(bad, None, "m={m} nc={nc} p={p} r0={r0} simd={simd}");
                 }
@@ -767,17 +729,20 @@ proptest! {
     #[test]
     fn simd_vexp_matches_libm(xs in proptest::collection::vec(-750.0f64..750.0, 0..64)) {
         let _guard = SIMD_TOGGLE.lock().unwrap();
-        let mut got = xs.clone();
-        kfds_la::simd::vexp(&mut got);
-        for (x, g) in xs.iter().zip(&got) {
-            let want = x.exp();
-            if want.is_infinite() {
-                prop_assert!(g.is_infinite() && *g > 0.0, "exp({x}): {g} vs inf");
-            } else {
-                prop_assert!(
-                    (g - want).abs() <= 1e-14 * (1.0 + want.abs()),
-                    "exp({x}): {g} vs {want}"
-                );
+        for simd in [true, false] {
+            let _off = (!simd).then(SimdOff::new);
+            let mut got = xs.clone();
+            kfds_la::simd::vexp(&mut got);
+            for (x, g) in xs.iter().zip(&got) {
+                let want = x.exp();
+                if want.is_infinite() {
+                    prop_assert!(g.is_infinite() && *g > 0.0, "exp({x}): {g} vs inf, simd={simd}");
+                } else {
+                    prop_assert!(
+                        (g - want).abs() <= 1e-14 * (1.0 + want.abs()),
+                        "exp({x}): {g} vs {want}, simd={simd}"
+                    );
+                }
             }
         }
     }
