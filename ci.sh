@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Local CI gate: the host's vector flags (which kernel bodies the vector
-# lanes run), then format, clippy, rustdoc, kfds-lint, release build, the
-# eight examples, the workspace tests under the default environment and
-# under the one live KFDS_* switch, the golden digests with every retired
-# switch set and on one rayon thread (the rayon shim's tests too), the
-# benchmark package's own tests, and the kfds-serve smoke runs. The
-# golden digests bind the scalar table with SIMD off and the vector table
-# with SIMD on, on any AVX2+FMA host (the AVX-512 bodies give the AVX2
-# bodies' bits). Correctness only: nothing here asserts a timing
+# lane runs), then format, clippy, rustdoc, kfds-lint, release build, the
+# eight examples, the workspace tests, the golden digests with every
+# registered (retired) switch set and on one rayon thread (the rayon
+# shim's tests too), the benchmark package's own tests, and the kfds-serve
+# smoke runs. The golden digests run the vector and the portable lanes in
+# process and bind one table in both, on any host (the AVX-512 bodies give
+# the AVX2 bodies' bits, the portable lanes run the same chains).
+# Correctness only: nothing here asserts a timing
 # (timings, bytes and throughput are benchmark/'s — see BENCHMARK.json).
 # Every step prints the seconds it took and `CI OK` a table of them, so a
 # lane has a price before anyone argues for deleting it.
@@ -58,8 +58,8 @@ nightly_has() {
 
 step "host vector bodies"
 # The host's avx2 / fma / avx512f flags, once, so a green log says which
-# bodies the vector lanes ran. They decide speed only: the default digest
-# lanes bind GOLDEN_VECTOR on any AVX2+FMA host, AVX-512F or not.
+# bodies the vector lane ran. They decide speed only: every digest lane
+# binds GOLDEN on any host, AVX2+FMA, AVX-512F or neither.
 flags="$(grep -m1 -E '^flags' /proc/cpuinfo 2>/dev/null || true)"
 has() { grep -qw "$1" <<<"$flags"; }
 if [[ -z $flags ]]; then
@@ -70,9 +70,9 @@ else
   done
   if has avx2 && has fma; then
     echo "SIMD on: the vector bodies run (the AVX-512 ones too where avx512f is yes);"
-    echo "the default digest lanes bind GOLDEN_VECTOR"
+    echo "the digest tests run them and the portable lanes, both binding GOLDEN"
   else
-    echo "no AVX2 + FMA: scalar bodies only; every digest lane binds GOLDEN_SCALAR"
+    echo "no AVX2 + FMA: the portable lanes only, binding GOLDEN"
   fi
 fi
 
@@ -122,26 +122,23 @@ if [[ $fast -eq 0 ]]; then
   done
 fi
 
-step "cargo test (workspace, SIMD default)"
+step "cargo test (workspace)"
+# Every test, in the default environment. The lane tests and the digests
+# flip SIMD in process (`kfds_la::simd::set_simd_enabled`), so the
+# portable lanes are held to the vector bits here.
 cargo test -q --workspace
 
-step "cargo test (workspace, KFDS_SIMD=off — scalar reference paths)"
-KFDS_SIMD=off cargo test -q --workspace
-
-step "cargo test (kfds-core digests, KFDS_SIMD=off + every retired switch — the scalar table)"
-# The binding rule: GOLDEN_SCALAR with SIMD off, GOLDEN_VECTOR with SIMD on
-# on any AVX2+FMA host. This lane holds neighbour lists, skeletons,
-# factors and solves to the scalar bits on any host (the default lane
-# holds them to the vector bits). The eight retired registry
-# names select nothing (no crate reads them; the entries wait on ROADMAP
-# 1(a)): setting them all must move no digest.
+step "cargo test (kfds-core digests, every registered switch set — nothing reads them)"
+# The nine registry names select nothing (no crate reads them; the
+# entries wait on ROADMAP 1(a)): setting them all must move no digest, in
+# either lane of the test.
 KFDS_SIMD=off KFDS_WS_POOL=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=scalar \
   KFDS_REFACTOR=off KFDS_SERVE_BATCH=off KFDS_SHARD=off KFDS_BATCH=off \
   cargo test -q -p kfds-core --lib digests
 
 step "cargo test (kfds-core and kfds-kernels digests, rayon shim, RAYON_NUM_THREADS=1 — one thread)"
 # The other lanes run the pool at the host's width; the tables claim the
-# same rows on one thread. Every level's par_iter and every
+# same rows on one thread, in both lanes. Every level's par_iter and every
 # row-split GEMM then runs serially, so a kernel whose bits depended on
 # the split would show here. The GSKS engine's own table too: its band
 # split, and so which row groups share a run contraction, follows the
@@ -156,8 +153,9 @@ RAYON_NUM_THREADS=1 cargo test -q -p rayon
 if [[ $miri -eq 1 ]]; then
   step "miri lane (kfds-la deterministic suite under the interpreter)"
   # Checks the raw-pointer/`set_len` unsafe core for UB. SIMD dispatch is
-  # hard-wired scalar under Miri (`cpu_supported()` returns false), and the
-  # proptest suite is compiled out (`#![cfg(not(miri))]` in props.rs).
+  # hard-wired to the portable lanes under Miri (`cpu_supported()` returns
+  # false), and the proptest suite is compiled out (`#![cfg(not(miri))]`
+  # in props.rs).
   if nightly_has miri; then
     cargo +nightly miri test -p kfds-la --test miri
   else

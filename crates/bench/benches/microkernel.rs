@@ -1,8 +1,10 @@
 //! SIMD microkernel A/B micro-benchmarks.
 //!
 //! Each shape family runs twice — `scalar` (vector kernels disabled via
-//! [`kfds_la::simd::set_simd_enabled`]) and `simd` — so the microkernel
-//! win is visible per shape rather than only end-to-end:
+//! [`kfds_la::simd::set_simd_enabled`], so the portable lanes run the same
+//! chains, `mul_add` a libm call on a baseline x86-64 build) and `simd` —
+//! so the microkernel win is visible per shape rather than only
+//! end-to-end:
 //!
 //! * `gemm` — square blocks (the skeletonization CPQR/ID working sets),
 //!   the tall-skinny panel products dominating the factorization, and the

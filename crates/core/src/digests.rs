@@ -9,30 +9,28 @@
 //! digest sees only from outside: skeleton indices and `proj`, every `P̂`,
 //! and the factorization's accounting.
 //!
-//! Two tables of the same 17 rows, in the same order; which binds
-//! depends on whether the vector kernels run, and on nothing else:
-//!
-//! * `GOLDEN_SCALAR` binds the scalar kernel bodies (`KFDS_SIMD=off`, or a
-//!   host without AVX2+FMA).
-//! * `GOLDEN_VECTOR` binds the vector bodies (`KFDS_SIMD` on) on any host
-//!   with AVX2+FMA, AVX-512F or not: every AVX-512 body gives the bits of
-//!   the AVX2 body beside it, and the skinny GEMM path the packed path's.
+//! One table of 17 rows, [`GOLDEN`], binds in both lanes on every host:
+//! with the vector kernels on (any host with AVX2+FMA, AVX-512F or not:
+//! every AVX-512 body gives the bits of the AVX2 body beside it, and the
+//! skinny GEMM path the packed path's) and with them off, where the
+//! portable lanes run the vector chains. The test runs the vector lane
+//! where the CPU has it, then the portable one through
+//! `kfds_la::simd::set_simd_enabled(false)`, and restores the mode it
+//! found.
 //!
 //! The thread count was checked not to move a bit; the ci lane
-//! `RAYON_NUM_THREADS=1` holds the tables on one thread. The eight retired
-//! registry names (every `kfds_switches::ALL` entry but `KFDS_SIMD`) are
-//! read by nothing, and the ci lane sets them all to show that.
+//! `RAYON_NUM_THREADS=1` holds the table on one thread. The nine registry
+//! names (`kfds_switches::ALL`) are read by nothing, and the ci lane sets
+//! them all to show that.
 //!
 //! The routes to a stored factor that share an assembly instead of
 //! building their own (`factorize_with_blocks`, `FactorTree::refactor`,
 //! `SharedFactor::refactorize`) have no constants of their own: their rows
-//! are asserted equal to the fresh `direct/StoredGemv` row, under any
-//! arithmetic.
+//! are asserted equal to the fresh `direct/StoredGemv` row in each lane.
 //!
 //! To regenerate after an intended change of arithmetic: run
-//! `cargo test -p kfds-core --lib digests`, with `KFDS_SIMD=off` for the
-//! scalar table; the failure message prints the table this build produces
-//! in source form.
+//! `cargo test -p kfds-core --lib digests`; the failure message prints the
+//! table each lane produces in source form.
 
 use crate::{
     factorize, factorize_with_blocks, FactorTree, HybridSolver, PartitionedFactor, SharedFactor,
@@ -50,68 +48,25 @@ use std::sync::Arc;
 const N: usize = 1024;
 const NRHS: usize = 8;
 
-/// Every row under the scalar kernel bodies (`KFDS_SIMD=off`, or a host
-/// without AVX2+FMA), on any host: they do not depend on the vector width.
-/// Three groups, in the order [`tables`] and [`normal64d_rows`] produce
-/// them.
-const GOLDEN_SCALAR: [(&str, u64); 17] = [
-    // The blocked solves. Recorded under `KFDS_SIMD=off` at the commit after
-    // ce90b77, which factors each reduced system `Z_α` through the Schur
-    // complement of its smaller child (`crate::reduced`); checked there to
-    // be equal on one and two rayon threads. The rows were first recorded
-    // at commit 966662b.
-    ("direct/StoredGemv", 0x5d3c1983aaef216b),
-    ("direct/RecomputeGemm", 0x5d3c1983aaef216b),
-    ("direct/Gsks", 0xba86b494ae1ef5d5),
-    ("hybrid/L2", 0x300a1ba6b5e7c993),
-    ("partition/p4", 0xba86b494ae1ef5d5),
-    // Skeletons, factors and the solves the group above lacks (a partial
-    // factor, ragged tolerance-driven ranks). The `skeleton/*` rows were
-    // recorded under `KFDS_SIMD=off` at commit 0c24218 and have not moved
-    // since; the `factor/*` and `direct/covtype` rows were re-recorded, like
-    // the solves, at the commit after ce90b77 (the smaller child's Schur
-    // complement, and a pivot ratio read against `Z`'s scale; the factor
-    // rows hash the held `B_l`, `B_r`).
-    ("skeleton/normal", 0x33ecb6ca1ba2371b),
-    ("factor/StoredGemv", 0xccd299f9ac91aa6f),
-    ("factor/RecomputeGemm", 0x694e9efc360eed93),
-    ("factor/Gsks", 0x465f40a9eba7537e),
-    ("factor/partial-L2", 0x02a7788c4ebe1161),
-    ("skeleton/covtype", 0x55a490d32fc576ce),
-    ("factor/covtype", 0xd45fc711ee3d4ccd),
-    ("direct/covtype", 0x9263dc202a15d2a2),
-    // The `normal64d_direct` benchmark shape, at n = 1024: the one set-up
-    // that takes the approximate neighbour search (8 projection trees),
-    // fixed rank 64 (τ = 0), matrix-free factors. The `knn/*` and
-    // `skeleton/*` rows were recorded under `KFDS_SIMD=off` at commit
-    // 8766a4a, the last with a per-query scalar kNN route, and checked there
-    // to be equal under it and on one rayon thread; the solve row was
-    // re-recorded at commit ce90b77 (Schur-complement reduced systems), the
-    // factor row at the commit after it (a pivot ratio read against `Z`'s
-    // scale; the equal fixed ranks keep the right child's complement, so the
-    // solve row holds).
-    ("knn/normal64d", 0x427e74ccd79c91b0),
-    ("skeleton/normal64d", 0xbfa8f9fb0b9e5409),
-    ("factor/normal64d/Gsks", 0xb8ce60b82a3cd627),
-    ("direct/normal64d/Gsks", 0x5b712eacbdd7e26a),
-];
-
-/// Every row of [`GOLDEN_SCALAR`], in the same order, under the vector
-/// kernel bodies (`KFDS_SIMD` on) of any host with AVX2+FMA: where a
-/// kernel has an AVX-512 body, it gives the AVX2 body's bits. The
-/// `knn/normal64d`, `skeleton/normal64d` and `factor/normal64d/Gsks` rows
-/// are those recorded on an AVX-512 host (the first two at commit
-/// 74324e4, the third at the commit after ce90b77). The other 14 are the
-/// bits commit 36f196a gives on an AVX-512 host with its AVX-512-only
-/// skinny GEMM path switched off, which is the packed path's arithmetic
-/// that the skinny path now gives too; an AVX2-only host gives them with
-/// `dgemv_t` reduced in one order.
-const GOLDEN_VECTOR: [(&str, u64); 17] = [
+/// Every row, in both lanes, on any host. Three groups, in the order
+/// [`tables`] and [`normal64d_rows`] produce them. The `knn/normal64d`,
+/// `skeleton/normal64d` and `factor/normal64d/Gsks` rows are those
+/// recorded on an AVX-512 host (the first two at commit 74324e4, the third
+/// at the commit after ce90b77). The other 14 are the bits commit 36f196a
+/// gives on an AVX-512 host with its AVX-512-only skinny GEMM path
+/// switched off, which is the packed path's arithmetic that the skinny
+/// path now gives too; an AVX2-only host gives them with `dgemv_t` reduced
+/// in one order, and the portable lanes with every vector chain run in
+/// portable code.
+const GOLDEN: [(&str, u64); 17] = [
+    // The blocked solves.
     ("direct/StoredGemv", 0xcfaafa80d7edbd4a),
     ("direct/RecomputeGemm", 0xcfaafa80d7edbd4a),
     ("direct/Gsks", 0x5de962f7d1d903a8),
     ("hybrid/L2", 0xfa12993f0f19be24),
     ("partition/p4", 0x5de962f7d1d903a8),
+    // Skeletons, factors and the solves the group above lacks (a partial
+    // factor, ragged tolerance-driven ranks).
     ("skeleton/normal", 0x33bfbba59df9ebb1),
     ("factor/StoredGemv", 0x5701ef6f675046fe),
     ("factor/RecomputeGemm", 0x8184e8430c359d5a),
@@ -120,6 +75,9 @@ const GOLDEN_VECTOR: [(&str, u64); 17] = [
     ("skeleton/covtype", 0xa7a41cf782a82188),
     ("factor/covtype", 0x91d417e5821d1ed4),
     ("direct/covtype", 0xe22453ccd63a7083),
+    // The `normal64d_direct` benchmark shape, at n = 1024: the one set-up
+    // that takes the approximate neighbour search (8 projection trees),
+    // fixed rank 64 (τ = 0), matrix-free factors.
     ("knn/normal64d", 0x427e74ccd79c91b0),
     ("skeleton/normal64d", 0xec3d48e271469131),
     ("factor/normal64d/Gsks", 0x02e9cff8823b26d6),
@@ -370,27 +328,41 @@ fn shared_assembly_rows() -> Rows {
     rows
 }
 
+/// Puts back the SIMD mode it was made with when dropped, so a lane that
+/// panics leaves the process as it found it.
+struct RestoreSimd(bool);
+
+impl Drop for RestoreSimd {
+    fn drop(&mut self) {
+        kfds_la::simd::set_simd_enabled(self.0);
+    }
+}
+
 #[test]
 fn blocked_solve_digests_match_the_recorded_table() {
-    let (solves, setup) = tables();
-    let normal64d = normal64d_rows();
-    let (_, fresh) = solves.iter().find(|(n, _)| n == "direct/StoredGemv").expect("fresh row");
-    for (name, digest) in shared_assembly_rows() {
-        assert_eq!(digest, *fresh, "{name} must reproduce direct/StoredGemv bit for bit");
-    }
-    let (title, want) = if kfds_la::simd::active() {
-        ("GOLDEN_VECTOR", &GOLDEN_VECTOR)
-    } else {
-        ("GOLDEN_SCALAR", &GOLDEN_SCALAR)
-    };
-    let got = [solves, setup, normal64d].concat();
-    let same = got.len() == want.len()
-        && got.iter().zip(want).all(|((gn, gd), (wn, wd))| gn == wn && gd == wd);
-    if !same {
-        let mut msg = format!("digests moved; the {title} this build produces is\n");
-        for (name, d) in &got {
-            msg.push_str(&format!("    (\"{name}\", {d:#018x}),\n"));
+    let _restore = RestoreSimd(kfds_la::simd::active());
+    let lanes = [("vector", true), ("portable", false)];
+    let mut msg = String::new();
+    for (lane, on) in lanes.into_iter().filter(|&(_, on)| !on || kfds_la::simd::cpu_supported()) {
+        kfds_la::simd::set_simd_enabled(on);
+        let (solves, setup) = tables();
+        let normal64d = normal64d_rows();
+        let (_, fresh) = solves.iter().find(|(n, _)| n == "direct/StoredGemv").expect("fresh row");
+        for (name, digest) in shared_assembly_rows() {
+            assert_eq!(
+                digest, *fresh,
+                "{lane}: {name} must reproduce direct/StoredGemv bit for bit"
+            );
         }
-        panic!("{msg}");
+        let got = [solves, setup, normal64d].concat();
+        let same = got.len() == GOLDEN.len()
+            && got.iter().zip(&GOLDEN).all(|((gn, gd), (wn, wd))| gn == wn && gd == wd);
+        if !same {
+            msg.push_str(&format!("digests moved; the {lane} lane produces\n"));
+            for (name, d) in &got {
+                msg.push_str(&format!("    (\"{name}\", {d:#018x}),\n"));
+            }
+        }
     }
+    assert!(msg.is_empty(), "{msg}");
 }

@@ -109,10 +109,10 @@ fn steady_state_solve_path_is_mostly_pool_hits() {
     // right-hand side and, matrix-free, the two column lists); the rest is
     // packing scratch inside the GEMM / GSKS calls. 531 is the largest
     // count of any lane (AVX-512 skinny GEMM, two or more threads; 529 on
-    // one thread, 501 with `KFDS_SIMD=off`), so a row half copied out and
-    // back again would show here. (A buffer built on the heap instead
-    // would not: `kfds-lint`'s hot-path-alloc rule holds `solve.rs` to the
-    // pool.)
+    // one thread, 501 with SIMD off, where no skinny path runs), so a row
+    // half copied out and back again would show here. (A buffer built on
+    // the heap instead would not: `kfds-lint`'s hot-path-alloc rule holds
+    // `solve.rs` to the pool.)
     let takes = steady("16-RHS", &|seed| {
         let mut b = Mat::from_col_major(n, 16, rand_vec(n * 16, seed));
         ft.solve_mat_in_place(&mut b).expect("blocked solve");

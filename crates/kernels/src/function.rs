@@ -36,9 +36,9 @@ pub trait Kernel: Sync + Send {
     /// [`Kernel::eval_parts`]; kernels whose transform ends in an
     /// exponential (Gaussian, Laplacian) override it to batch the `exp`
     /// through `kfds_la::simd::vexp`. Overrides must agree with
-    /// `eval_parts` within the SIMD tolerance documented in
-    /// `kfds_la::simd`, and must match it **bitwise** when
-    /// `kfds_la::simd::active()` is false (`KFDS_SIMD=off`).
+    /// `eval_parts` within the `vexp` tolerance documented in
+    /// `kfds_la::simd` (a few ulp), and must give the same bits with SIMD
+    /// on and off — `vexp` does, in every lane.
     fn eval_parts_many(&self, tile: &mut [f64], nx: &[f64], ny: &[f64]) {
         debug_assert_eq!(tile.len(), nx.len() * ny.len());
         let n = ny.len();
@@ -85,9 +85,8 @@ impl Kernel for Gaussian {
 
     /// Batched override: the scaled negative squared distances are written
     /// elementwise (same expression as `eval_parts`, so identical per-entry
-    /// values), then the whole tile goes through one `vexp` call. With SIMD
-    /// off `vexp` is `f64::exp` per element in order — bitwise the scalar
-    /// path; with SIMD on the 4-wide `exp` is within a few ulp of libm.
+    /// arguments), then the whole tile goes through one `vexp` call, within
+    /// a few ulp of libm's `exp` and the same bits in every SIMD lane.
     fn eval_parts_many(&self, tile: &mut [f64], nx: &[f64], ny: &[f64]) {
         debug_assert_eq!(tile.len(), nx.len() * ny.len());
         let n = ny.len();

@@ -39,29 +39,28 @@
 //! produced it, so the answer does not depend on the layout, the row
 //! grouping or the thread count:
 //!
-//! * the Gram value is one chain over the coordinates from `0` — fused
-//!   multiply-adds under the vector bodies, multiply then add under the
-//!   scalar one;
+//! * the Gram value is one chain of fused multiply-adds over the
+//!   coordinates from `0`;
 //! * squared norms: targets through `kfds_la::blas1::nrm2_sq`, sources as
-//!   one multiply-then-add chain under the vector bodies and through
-//!   `nrm2_sq` under the scalar one;
+//!   one multiply-then-add chain;
 //! * the kernel transform is `eval_parts_many` elementwise;
 //! * one weight column: groups of four columns, each summed from `0`
 //!   (`s += k·u`), then `acc += s`;
-//! * several: a full 8-row group under the vector bodies is one FMA chain
-//!   per element from `W = 0` over the columns in ascending order, carried
-//!   in registers through a run and in `W` from one run to the next; a
-//!   partial row group, or the scalar body, sums groups of four from `0`
-//!   and adds each to `W`. Which row groups pair up in a run call (it
-//!   depends on the band split, so on the thread count) moves no bit.
+//! * several: a full 8-row group is one FMA chain per element from `W = 0`
+//!   over the columns in ascending order, carried in registers through a
+//!   run and in `W` from one run to the next; a partial row group sums
+//!   groups of four from `0` and adds each to `W`. Which row groups pair
+//!   up in a run call (it depends on the band split, so on the thread
+//!   count) moves no bit.
 //!
-//! Only [`kfds_la::simd::gsks_dot`] (every body) and the full-row vector
+//! The same holds with SIMD on or off: the portable lanes run the vector
+//! bodies' chains. Only [`kfds_la::simd::gsks_dot`] and the full-row
 //! contraction complete a last group of four with zero-weight columns: the
 //! padded tail makes them kernel values at the origin, finite for finite
 //! targets, so they add only signed zeros. Only the sweep's last tile can
-//! be partial, so only the last run pads. A partial row group and the
-//! scalar contraction sum only the live columns of the last group. The
-//! golden digests in `tests/digests.rs` pin all of this.
+//! be partial, so only the last run pads. A partial row group sums only
+//! the live columns of the last group. The golden digests in
+//! `tests/digests.rs` pin all of this.
 
 use crate::function::Kernel;
 use kfds_la::simd::{self, GSKS_MR as MR};
@@ -142,18 +141,14 @@ impl<'a> Sources<'a> {
         }
     }
 
-    /// Squared norms of every source, zero past the last; see the module
-    /// docs for the two arithmetics.
-    fn norms(&self, use_simd: bool) -> workspace::WsVec {
+    /// Squared norms of every source, zero past the last: one
+    /// multiply-then-add chain per source.
+    fn norms(&self) -> workspace::WsVec {
         let d = self.pts.dim();
         let mut norms = workspace::take(self.groups() * MR);
         for (g, nv) in norms.chunks_mut(MR).enumerate() {
             for (n, y) in nv.iter_mut().zip(self.group(g).chunks_exact(d)) {
-                *n = if use_simd {
-                    y.iter().fold(0.0, |s, &v| s + v * v)
-                } else {
-                    kfds_la::blas1::nrm2_sq(y)
-                };
+                *n = y.iter().fold(0.0, |s, &v| s + v * v);
             }
         }
         norms
@@ -218,7 +213,7 @@ fn sum_tiles<K: Kernel>(
     }
     let d = pts.dim();
     let src = Sources::new(pts, cols);
-    let norms = src.norms(simd::active());
+    let norms = src.norms();
     let band = rows.len().div_ceil(MR).div_ceil(rayon::current_num_threads()).clamp(1, BAND);
     let block = (BLOCK_BYTES / (MR * (d + nrhs) * std::mem::size_of::<f64>())).max(1);
     for_each_band(w, 0, band, &|g0, mut wb| {

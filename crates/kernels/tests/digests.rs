@@ -10,20 +10,18 @@
 //! contiguous, reversed and scattered source lists, repeated targets, and
 //! the Gaussian and Laplacian kernels.
 //!
-//! One constant per arithmetic. [`SCALAR`] binds the scalar bodies on any
-//! host; [`VECTOR`] binds the vector bodies on any host with AVX2+FMA,
-//! where the AVX-512 bodies give the AVX2 bodies' bits. Both were recorded
-//! at commit 74324e4 (the vector one on an AVX-512 host), the last with
-//! the dimension-major source pack and the transposed `U`. On a mismatch
-//! the test prints the digest this build produces.
+//! One constant, [`VECTOR`], binds both lanes on any host: the vector
+//! bodies (AVX2+FMA, where the AVX-512 bodies give the AVX2 bodies' bits)
+//! and the portable ones, which run the same chains. It was recorded at
+//! commit 74324e4 on an AVX-512 host, the last with the dimension-major
+//! source pack and the transposed `U`. On a mismatch the test prints the
+//! digest each lane produces.
 
 use kfds_kernels::{sum_fused, sum_fused_multi, Gaussian, Kernel, Laplacian};
 use kfds_la::{simd, Mat};
 use kfds_tree::PointSet;
 
-/// FNV-1a over the sweep's outputs, scalar bodies (`KFDS_SIMD=off`).
-const SCALAR: u64 = 0xff0be02d6de6984b;
-/// The same with the vector bodies (AVX2+FMA, with or without AVX-512F).
+/// FNV-1a over the sweep's outputs, SIMD on or off.
 const VECTOR: u64 = 0xcd7fb3c7c8d304de;
 
 const NRHS: [usize; 9] = [1, 2, 3, 7, 8, 9, 16, 17, 64];
@@ -163,16 +161,16 @@ fn fused_summation_reproduces_the_recorded_bits() {
     // The only test in this binary, so flipping the process-wide SIMD
     // switch races nothing; the prior setting is restored at the end.
     let was_active = simd::active();
-    simd::set_simd_enabled(false);
-    let scalar = sweep_digest();
     let vector = simd::cpu_supported().then(|| {
         simd::set_simd_enabled(true);
         sweep_digest()
     });
+    simd::set_simd_enabled(false);
+    let portable = sweep_digest();
     simd::set_simd_enabled(was_active);
     let vector_hex = vector.map_or("not run".into(), |v| format!("{v:#018x}"));
-    let got = format!("this build gives SCALAR = {scalar:#018x}, VECTOR = {vector_hex}");
-    assert_eq!(scalar, SCALAR, "scalar bodies: {got}");
+    let got = format!("this build gives {vector_hex} (vector), {portable:#018x} (portable)");
+    assert_eq!(portable, VECTOR, "portable lanes: {got}");
     if let Some(vector) = vector {
         assert_eq!(vector, VECTOR, "vector bodies: {got}");
     }

@@ -5,27 +5,54 @@
 
 /// Dot product `x . y`.
 ///
-/// Dispatches to the AVX2+FMA kernel when [`crate::simd::active`] and the
-/// vectors are long enough to amortize the horizontal reduction; the scalar
-/// body below stays the reference path (and the exact pre-SIMD numerics
-/// under `KFDS_SIMD=off`).
+/// At 8 elements or more, sixteen running sums of fused multiply-adds —
+/// element `i` of each 16-element step into sum `i % 16`, then 4-element
+/// steps into sums `0..4` — are added four by four, `(s_l + s_{l+4}) +
+/// (s_{l+8} + s_{l+12})`, then `(t_0 + t_2) + (t_1 + t_3)`, and the last
+/// `len % 4` products are added in order, unfused: the AVX2 kernel where
+/// [`crate::simd::active`], the same chain in portable code otherwise.
+/// Shorter vectors take four partial sums, unfused, in every lane.
 ///
 /// # Panics
 /// Panics if the lengths differ.
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if x.len() >= 8 && crate::simd::active() {
+    let n = x.len();
+    if n >= 8 {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::active() {
             // SAFETY: active() implies AVX2+FMA; lengths asserted equal.
             return unsafe { crate::simd::dot_avx2(x, y) };
         }
+        let mut acc = [[0.0f64; 4]; 4];
+        let mut i = 0;
+        while i + 16 <= n {
+            for (a, (xs, ys)) in acc.iter_mut().zip(x[i..i + 16].chunks(4).zip(y[i..].chunks(4))) {
+                for ((s, &xv), &yv) in a.iter_mut().zip(xs).zip(ys) {
+                    *s = xv.mul_add(yv, *s);
+                }
+            }
+            i += 16;
+        }
+        while i + 4 <= n {
+            for ((s, &xv), &yv) in acc[0].iter_mut().zip(&x[i..i + 4]).zip(&y[i..]) {
+                *s = xv.mul_add(yv, *s);
+            }
+            i += 4;
+        }
+        let t: [f64; 4] =
+            std::array::from_fn(|l| (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]));
+        let mut s = (t[0] + t[2]) + (t[1] + t[3]);
+        for (&xv, &yv) in x[i..].iter().zip(&y[i..]) {
+            s += xv * yv;
+        }
+        return s;
     }
     // Four partial accumulators break the additive dependency chain so LLVM
-    // can vectorize and pipeline the reduction.
+    // can pipeline the reduction.
     let mut acc = [0.0f64; 4];
-    let chunks = x.len() / 4;
+    let chunks = n / 4;
     for k in 0..chunks {
         let i = 4 * k;
         acc[0] += x[i] * y[i];
@@ -34,16 +61,16 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
         acc[3] += x[i + 3] * y[i + 3];
     }
     let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for i in 4 * chunks..x.len() {
+    for i in 4 * chunks..n {
         s += x[i] * y[i];
     }
     s
 }
 
-/// `y += alpha * x`.
-///
-/// Dispatches to the AVX2+FMA kernel when [`crate::simd::active`]; the
-/// scalar body stays the reference path under `KFDS_SIMD=off`.
+/// `y += alpha * x`: one fused multiply-add per element on the first
+/// `4⌊len/4⌋` of a vector of at least 8 elements, `y + alpha·x` (multiply,
+/// then add) on the rest — the AVX2 kernel where [`crate::simd::active`],
+/// the same operations in portable code otherwise.
 ///
 /// # Panics
 /// Panics if the lengths differ.
@@ -61,7 +88,12 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
             return;
         }
     }
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
+    let fused = crate::simd::fused_rows(x.len());
+    let (yf, yr) = y.split_at_mut(fused);
+    for (yi, &xi) in yf.iter_mut().zip(x) {
+        *yi = alpha.mul_add(xi, *yi);
+    }
+    for (yi, &xi) in yr.iter_mut().zip(&x[fused..]) {
         *yi += alpha * xi;
     }
 }

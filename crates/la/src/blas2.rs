@@ -2,14 +2,18 @@
 
 use crate::blas1::{axpy, dot};
 use crate::mat::MatRef;
+use crate::simd::Lane;
 
 /// `y = alpha * A * x + beta * y`.
 ///
-/// Walks `A` column-by-column (contiguous in column-major storage). With
-/// SIMD active the columns are blocked four at a time through the AVX2
-/// kernel so each load of `y` amortizes four FMA columns; the scalar path
-/// (an `axpy` per unit-stride column) stays the reference implementation
-/// under `KFDS_SIMD=off`.
+/// Walks `A` column-by-column (contiguous in column-major storage). With at
+/// least 4 rows the columns go four at a time, so each pass over `y`
+/// amortizes four columns: per element a chain of four fused multiply-adds
+/// on the first `4⌊m/4⌋` rows and one multiply-then-add sum of the four
+/// products on the rest, then one column at a time, fused the same way —
+/// the AVX2 kernel where [`crate::simd::active`], the same chain in
+/// portable code otherwise. Fewer rows take an `axpy` per column with a
+/// nonzero `alpha * x_j`.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
@@ -24,15 +28,16 @@ pub fn gemv(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
     if alpha == 0.0 {
         return;
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if a.nrows() >= 4 && a.ncols() > 0 && crate::simd::active() {
+    let m = a.nrows();
+    if m >= 4 && a.ncols() > 0 {
+        #[cfg(target_arch = "x86_64")]
+        if crate::simd::active() {
             // SAFETY: active() implies AVX2+FMA; the view exposes
             // `col_stride * (ncols - 1) + nrows` elements from `as_ptr()`
             // and the length asserts above cover x and y.
             unsafe {
                 crate::simd::dgemv_add_avx2(
-                    a.nrows(),
+                    m,
                     a.ncols(),
                     alpha,
                     a.as_ptr(),
@@ -43,6 +48,33 @@ pub fn gemv(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
             }
             return;
         }
+        let (four, quads) = (x.len() / 4 * 4, m / 4 * 4);
+        for j in (0..four).step_by(4) {
+            let xs: [f64; 4] = std::array::from_fn(|t| alpha * x[j + t]);
+            let cols: [&[f64]; 4] = std::array::from_fn(|t| a.col(j + t));
+            for (i, yi) in y.iter_mut().enumerate() {
+                if i < quads {
+                    *yi = cols.iter().zip(xs).fold(*yi, |v, (c, xt)| c[i].mul_add(xt, v));
+                } else {
+                    *yi += xs[0] * cols[0][i]
+                        + xs[1] * cols[1][i]
+                        + xs[2] * cols[2][i]
+                        + xs[3] * cols[3][i];
+                }
+            }
+        }
+        for (j, &xv) in x.iter().enumerate().skip(four) {
+            let xa = alpha * xv;
+            let (yf, yr) = y.split_at_mut(quads);
+            let (cf, cr) = a.col(j).split_at(quads);
+            for (yi, &c) in yf.iter_mut().zip(cf) {
+                *yi = xa.mul_add(c, *yi);
+            }
+            for (yi, &c) in yr.iter_mut().zip(cr) {
+                *yi += xa * c;
+            }
+        }
+        return;
     }
     for (j, &xv) in x.iter().enumerate() {
         let xj = alpha * xv;
@@ -55,51 +87,33 @@ pub fn gemv(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
 /// `y = alpha * A^T * x + beta * y`.
 ///
 /// Each output element is a dot product with a contiguous column of `A`.
-/// With SIMD active, `beta == 0` and at least 8 rows and 4 columns, the
-/// columns go through a vector body: 8-wide under AVX-512, 4-wide under
-/// AVX2, both reducing every column in one order (documented on
-/// `simd`'s `dgemv_t_v8`), so every AVX2+FMA host gives the same bits. The
-/// scalar path (one `dot` per column) stays the reference implementation
-/// under `KFDS_SIMD=off`.
+/// With `beta == 0` and at least 8 rows and 4 columns, the columns go
+/// through one body in every lane — 8-wide under AVX-512, 4-wide under
+/// AVX2, the portable lanes otherwise — reducing every column in one order
+/// (documented on `simd`'s `dgemv_t_v8`); any other shape takes one
+/// [`dot`] per column.
 ///
 /// # Panics
 /// Panics on dimension mismatch.
 pub fn gemv_t(alpha: f64, a: MatRef<'_>, x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(a.nrows(), x.len(), "gemv_t: A.nrows != x.len");
     assert_eq!(a.ncols(), y.len(), "gemv_t: A.ncols != y.len");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if beta == 0.0 && alpha != 0.0 && a.nrows() >= 8 && a.ncols() >= 4 && crate::simd::active()
-        {
-            // SAFETY: active() implies AVX2+FMA (avx512_supported gates
-            // the 8-wide body, which gives the same bits); the view exposes
-            // `col_stride * (ncols - 1) + nrows` elements from `as_ptr()`
-            // and the length asserts above cover x and y.
-            unsafe {
-                if crate::simd::avx512_supported() {
-                    crate::simd::dgemv_t_avx512(
-                        a.nrows(),
-                        a.ncols(),
-                        alpha,
-                        a.as_ptr(),
-                        a.col_stride(),
-                        x.as_ptr(),
-                        y.as_mut_ptr(),
-                    );
-                } else {
-                    crate::simd::dgemv_t_avx2(
-                        a.nrows(),
-                        a.ncols(),
-                        alpha,
-                        a.as_ptr(),
-                        a.col_stride(),
-                        x.as_ptr(),
-                        y.as_mut_ptr(),
-                    );
-                }
+    if beta == 0.0 && alpha != 0.0 && a.nrows() >= 8 && a.ncols() >= 4 {
+        let (m, n, ap, lda) = (a.nrows(), a.ncols(), a.as_ptr(), a.col_stride());
+        let (xp, yp) = (x.as_ptr(), y.as_mut_ptr());
+        // SAFETY: the view exposes `col_stride * (ncols - 1) + nrows`
+        // elements from `as_ptr()` and the length asserts above cover x and
+        // y; a vector lane is only chosen where the CPU has its features.
+        unsafe {
+            match crate::simd::lane() {
+                Lane::Portable => crate::simd::dgemv_t_portable(m, n, alpha, ap, lda, xp, yp),
+                #[cfg(target_arch = "x86_64")]
+                Lane::Avx2 => crate::simd::dgemv_t_avx2(m, n, alpha, ap, lda, xp, yp),
+                #[cfg(target_arch = "x86_64")]
+                Lane::Avx512 => crate::simd::dgemv_t_avx512(m, n, alpha, ap, lda, xp, yp),
             }
-            return;
         }
+        return;
     }
     for (j, yj) in y.iter_mut().enumerate() {
         let d = if alpha == 0.0 { 0.0 } else { alpha * dot(a.col(j), x) };

@@ -8,13 +8,14 @@
 //! column or row panels of `C`. A right operand of at most 16 columns takes
 //! an unpacked AVX-512 path instead, where the CPU has it.
 //!
-//! With SIMD on, every element of `C` gets one chain on every path:
+//! Every element of `C` gets one chain on every path, SIMD on or off:
 //! `beta` applied up front, then per KC block one FMA chain from zero in
 //! ascending `k` and one fused update `C = fma(acc, alpha, C)`. Full tiles,
-//! edge tiles, the `16 x 12` tile and the skinny path all give it, so
-//! which one ran never shows in the bits.
+//! edge tiles, the `16 x 12` tile, the skinny path and the portable tiles
+//! all give it, so which one ran never shows in the bits.
 
 use crate::mat::{MatMut, MatRef};
+use crate::simd::Lane;
 
 /// Whether an operand is used as-is or transposed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -104,37 +105,7 @@ pub fn gemm_packed(
     c: MatMut<'_>,
 ) {
     let k = inner_dim(a, ta, b, tb, &c);
-    gemm_blocked(alpha, a, ta, b, tb, beta, c, k, Tiles::detect());
-}
-
-/// The register tiles one packed product runs, decided once per call by
-/// [`Tiles::detect`]; the unit tests pass one explicitly to compare them.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Tiles {
-    /// The portable `MR x NR` tile: `KFDS_SIMD=off`, no AVX2+FMA, non-x86.
-    Scalar,
-    /// `simd::dgemm_tile_avx2` on every panel.
-    Avx2,
-    /// `simd::dgemm_tile_16x12_avx512` on the full 16 x 12 panel pairs,
-    /// `simd::dgemm_tile_avx2` on the rest. Only made where the CPU reports
-    /// AVX-512F.
-    Avx512,
-}
-
-impl Tiles {
-    /// The widest tiles this CPU runs with SIMD enabled. `active()` implies
-    /// CPU support, which is immutable, so a concurrent kill-switch flip
-    /// cannot make a vector call unsound — at worst one product finishes on
-    /// the old tiles.
-    fn detect() -> Self {
-        if !crate::simd::active() {
-            Tiles::Scalar
-        } else if crate::simd::avx512_supported() {
-            Tiles::Avx512
-        } else {
-            Tiles::Avx2
-        }
-    }
+    gemm_blocked(alpha, a, ta, b, tb, beta, c, k, crate::simd::lane());
 }
 
 /// Convenience wrapper: returns `A * B` as a new matrix.
@@ -230,7 +201,7 @@ fn gemm_parallel(
             gemm_skinny(alpha, a, b, tb, beta, c, k);
             return;
         }
-        gemm_blocked(alpha, a, ta, b, tb, beta, c, k, Tiles::detect());
+        gemm_blocked(alpha, a, ta, b, tb, beta, c, k, crate::simd::lane());
     }
 }
 
@@ -354,6 +325,9 @@ fn scale_c(beta: f64, c: &mut MatMut<'_>) {
     }
 }
 
+/// The packed product on the register tiles of `lane`: the `8 x 6` tile
+/// of that lane on every panel (the AVX2 one under either vector lane),
+/// and under `Lane::Avx512` the `16 x 12` tile on the full panel pairs.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked(
     alpha: f64,
@@ -364,7 +338,7 @@ fn gemm_blocked(
     beta: f64,
     mut c: MatMut<'_>,
     k: usize,
-    tiles: Tiles,
+    lane: Lane,
 ) {
     let m = c.nrows();
     let n = c.ncols();
@@ -389,7 +363,7 @@ fn gemm_blocked(
         for ic in (0..m).step_by(MC) {
             let mc = MC.min(m - ic);
             pack_a(a, ta, ic, mc, pc, kc, &mut apack);
-            macro_kernel(alpha, &apack, &bpack, mc, n, kc, ic, c.rb_mut(), tiles);
+            macro_kernel(alpha, &apack, &bpack, mc, n, kc, ic, c.rb_mut(), lane);
         }
     }
 }
@@ -455,12 +429,11 @@ fn macro_kernel(
     kc: usize,
     ic: usize,
     mut c: MatMut<'_>,
-    tiles: Tiles,
+    lane: Lane,
 ) {
     let mpanels = mc.div_ceil(MR);
     let npanels = nc.div_ceil(NR);
-    let (mpairs, npairs) = wide_tiles(alpha, apack, bpack, mc, nc, kc, ic, &mut c, tiles);
-    let use_simd = tiles != Tiles::Scalar;
+    let (mpairs, npairs) = wide_tiles(alpha, apack, bpack, mc, nc, kc, ic, &mut c, lane);
     for jp in 0..npanels {
         let j0 = jp * NR;
         let jcols = NR.min(nc - j0);
@@ -471,21 +444,7 @@ fn macro_kernel(
             let i0 = ipn * MR;
             let irows = MR.min(mc - i0);
             let apanel = &apack[ipn * MR * kc..(ipn * MR * kc) + MR * kc];
-            if use_simd
-                && simd_micro_tile(alpha, apanel, bpanel, kc, irows, jcols, ic + i0, j0, &mut c)
-            {
-                continue;
-            }
-            let acc = micro_kernel(apanel, bpanel, kc);
-            // Accumulate the (possibly partial) tile into C. Plain index
-            // loops here: `jl`/`il` address both the tile and C.
-            #[allow(clippy::needless_range_loop)]
-            for jl in 0..jcols {
-                let ccol = c.col_mut(j0 + jl);
-                for il in 0..irows {
-                    ccol[ic + i0 + il] += alpha * acc[il][jl];
-                }
-            }
+            micro_tile(lane, alpha, apanel, bpanel, kc, irows, jcols, ic + i0, j0, &mut c);
         }
     }
 }
@@ -493,7 +452,7 @@ fn macro_kernel(
 /// Runs the `16 x 12` AVX-512 tile over the largest grid of full panel
 /// pairs at the top left of the macro tile — `2 * mpairs` full A panels by
 /// `2 * npairs` full B panels — and returns `(mpairs, npairs)`; `(0, 0)`,
-/// touching nothing, for any other tile choice.
+/// touching nothing, in any other lane.
 #[allow(clippy::too_many_arguments)]
 fn wide_tiles(
     alpha: f64,
@@ -504,10 +463,10 @@ fn wide_tiles(
     kc: usize,
     ic: usize,
     c: &mut MatMut<'_>,
-    tiles: Tiles,
+    lane: Lane,
 ) -> (usize, usize) {
     #[cfg(target_arch = "x86_64")]
-    if tiles == Tiles::Avx512 {
+    if lane == Lane::Avx512 {
         let (mpairs, npairs) = (mc / (2 * MR), nc / (2 * NR));
         assert!(ic + mc <= c.nrows() && nc <= c.ncols(), "wide_tiles: macro tile outside C");
         let ldc = c.col_stride();
@@ -515,7 +474,7 @@ fn wide_tiles(
             let bpair = &bpack[2 * jq * NR * kc..][..2 * NR * kc];
             for iq in 0..mpairs {
                 let apair = &apack[2 * iq * MR * kc..][..2 * MR * kc];
-                // SAFETY: `Tiles::Avx512` is only made where the CPU reports
+                // SAFETY: `Lane::Avx512` is only made where the CPU reports
                 // AVX-512F. The slices above hold both packed panels of each
                 // pair (16 * kc and 12 * kc elements), and rows
                 // ic + 16 iq .. + 16 and columns 12 jq .. + 12 lie inside
@@ -535,19 +494,19 @@ fn wide_tiles(
         }
         return (mpairs, npairs);
     }
-    let _ = (alpha, apack, bpack, mc, nc, kc, ic, c, tiles);
+    let _ = (alpha, apack, bpack, mc, nc, kc, ic, c, lane);
     (0, 0)
 }
 
-/// Runs one register tile through the AVX2 microkernel, accumulating
-/// `alpha * tile` into `C` at `(i0, j0)` as `C = fma(acc, alpha, C)`.
-/// Full tiles are updated in place; a partial edge tile goes through a
-/// stack buffer that carries the live part of `C` in and out. Returns
-/// `false` on non-x86 builds, where the caller falls back to the scalar
-/// reference tile.
+/// Runs one register tile through the `8 x 6` kernel of `lane` (the AVX2
+/// one under either vector lane), accumulating `alpha * tile` into `C` at
+/// `(i0, j0)` as `C = fma(acc, alpha, C)`. Full tiles are updated in place;
+/// a partial edge tile goes through a stack buffer that carries the live
+/// part of `C` in and out, so an edge element gets the full tile's update.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-fn simd_micro_tile(
+fn micro_tile(
+    lane: Lane,
     alpha: f64,
     apanel: &[f64],
     bpanel: &[f64],
@@ -557,75 +516,34 @@ fn simd_micro_tile(
     i0: usize,
     j0: usize,
     c: &mut MatMut<'_>,
-) -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        debug_assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
-        debug_assert!(i0 + irows <= c.nrows() && j0 + jcols <= c.ncols());
-        let ldc = c.col_stride();
-        if irows == MR && jcols == NR {
-            // SAFETY: the caller runs this only for vector `Tiles`, which are
-            // only made where the CPU reports AVX2+FMA; panel lengths and the
-            // full MR x NR destination tile are checked above.
-            unsafe {
-                let cptr = c.as_mut_ptr().add(i0 + j0 * ldc);
-                crate::simd::dgemm_tile_avx2(
-                    kc,
-                    alpha,
-                    apanel.as_ptr(),
-                    bpanel.as_ptr(),
-                    cptr,
-                    ldc,
-                );
-            }
-        } else {
-            // The live part of C in a stack tile, so an edge element gets
-            // the full tile's fused update.
-            let mut tile = [0.0f64; MR * NR];
-            for (jl, t) in tile.chunks_exact_mut(MR).take(jcols).enumerate() {
-                t[..irows].copy_from_slice(&c.col_mut(j0 + jl)[i0..i0 + irows]);
-            }
-            // SAFETY: as above, with the stack tile (ldc = MR) as C.
-            unsafe {
-                crate::simd::dgemm_tile_avx2(
-                    kc,
-                    alpha,
-                    apanel.as_ptr(),
-                    bpanel.as_ptr(),
-                    tile.as_mut_ptr(),
-                    MR,
-                );
-            }
-            for (jl, t) in tile.chunks_exact(MR).take(jcols).enumerate() {
-                c.col_mut(j0 + jl)[i0..i0 + irows].copy_from_slice(&t[..irows]);
-            }
-        }
-        true
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        // active() is always false off x86-64, but keep the signature used.
-        let _ = (alpha, apanel, bpanel, kc, irows, jcols, i0, j0, c);
-        false
-    }
-}
-
-/// The `MR x NR` register-tile kernel: `acc = sum_k a_panel[:,k] * b_panel[k,:]`.
-#[inline]
-fn micro_kernel(apanel: &[f64], bpanel: &[f64], kc: usize) -> [[f64; NR]; MR] {
-    let mut acc = [[0.0f64; NR]; MR];
+) {
     debug_assert!(apanel.len() >= kc * MR && bpanel.len() >= kc * NR);
-    for kk in 0..kc {
-        let av: &[f64] = &apanel[kk * MR..kk * MR + MR];
-        let bv: &[f64] = &bpanel[kk * NR..kk * NR + NR];
-        for (il, accrow) in acc.iter_mut().enumerate() {
-            let ai = av[il];
-            for (jl, accel) in accrow.iter_mut().enumerate() {
-                *accel += ai * bv[jl];
-            }
+    debug_assert!(i0 + irows <= c.nrows() && j0 + jcols <= c.ncols());
+    let (ap, bp) = (apanel.as_ptr(), bpanel.as_ptr());
+    // SAFETY: the packer hands over panels of kc * MR and kc * NR elements
+    // and the caller a tile inside `C`, so `cp` is an MR x NR tile with
+    // column stride `ldc` (or the stack tile below); a vector lane is only
+    // made where the CPU reports AVX2+FMA.
+    let tile = |cp: *mut f64, ldc: usize| unsafe {
+        match lane {
+            Lane::Portable => crate::simd::dgemm_tile_portable(kc, alpha, ap, bp, cp, ldc),
+            #[cfg(target_arch = "x86_64")]
+            Lane::Avx2 | Lane::Avx512 => crate::simd::dgemm_tile_avx2(kc, alpha, ap, bp, cp, ldc),
+        }
+    };
+    if irows == MR && jcols == NR {
+        let ldc = c.col_stride();
+        tile(c.as_mut_ptr().wrapping_add(i0 + j0 * ldc), ldc);
+    } else {
+        let mut t = [0.0f64; MR * NR];
+        for (jl, tc) in t.chunks_exact_mut(MR).take(jcols).enumerate() {
+            tc[..irows].copy_from_slice(&c.col_mut(j0 + jl)[i0..i0 + irows]);
+        }
+        tile(t.as_mut_ptr(), MR);
+        for (jl, tc) in t.chunks_exact(MR).take(jcols).enumerate() {
+            c.col_mut(j0 + jl)[i0..i0 + irows].copy_from_slice(&tc[..irows]);
         }
     }
-    acc
 }
 
 #[cfg(test)]
@@ -788,17 +706,18 @@ mod tests {
 
     #[test]
     fn every_tile_gives_the_same_bits() {
-        // Every tile choice this host runs against the portable tiles, over
+        // Every lane's tiles this host runs against the portable tiles, over
         // the same packed panels: every m mod 16 and n mod 12, k on both
         // sides of KC, m past MC, both transposes, on a strided window of C
         // with signed zeros, NaNs and infinities in all three operands.
         // Equal bits, any NaN matching any NaN, as in props.rs.
-        let mut choices = vec![];
+        let mut lanes = vec![];
+        #[cfg(target_arch = "x86_64")]
         if crate::simd::cpu_supported() {
-            choices.push(Tiles::Avx2);
-        }
-        if crate::simd::avx512_supported() {
-            choices.push(Tiles::Avx512);
+            lanes.push(Lane::Avx2);
+            if crate::simd::avx512_supported() {
+                lanes.push(Lane::Avx512);
+            }
         }
         let specials = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
         let trans = [Trans::No, Trans::Yes];
@@ -827,20 +746,20 @@ mod tests {
                         }
                         c0[(t % (m + 5), t / 2 % (n + 3))] = v;
                     }
-                    let run = |tiles| {
+                    let run = |lane| {
                         let mut big = c0.clone();
                         let c = big.rb_mut().submatrix_mut(2..2 + m, 1..1 + n);
-                        gemm_blocked(alpha, a.rb(), ta, b.rb(), tb, beta, c, k, tiles);
+                        gemm_blocked(alpha, a.rb(), ta, b.rb(), tb, beta, c, k, lane);
                         big
                     };
-                    let want = run(Tiles::Scalar);
-                    for &tiles in &choices {
-                        let got = run(tiles);
+                    let want = run(Lane::Portable);
+                    for &lane in &lanes {
+                        let got = run(lane);
                         let diff = want.as_slice().iter().zip(got.as_slice()).position(|(w, g)| {
                             w.to_bits() != g.to_bits() && !(w.is_nan() && g.is_nan())
                         });
                         let what = format!("m={m} n={n} k={k} {ta:?}/{tb:?} α={alpha} β={beta}");
-                        assert_eq!(diff, None, "{tiles:?} {what}");
+                        assert_eq!(diff, None, "{lane:?} {what}");
                     }
                 }
             }

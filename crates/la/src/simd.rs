@@ -1,4 +1,5 @@
-//! Explicit-SIMD microkernels with runtime dispatch (AVX2 + FMA).
+//! Explicit-SIMD microkernels with runtime dispatch (AVX2 + FMA), and the
+//! portable lanes that give their bits on any CPU.
 //!
 //! The paper's single-node performance rests on hand-written AVX2/AVX-512
 //! register-tile kernels (GSKS \[24\], BLIS-style GEMM); the scalar
@@ -35,62 +36,64 @@
 //!
 //! # Dispatch
 //!
-//! Whether the vector kernels run is decided at runtime:
+//! Which body runs is decided at runtime, and decides speed only:
 //!
-//! * the CPU must report AVX2 **and** FMA (`is_x86_feature_detected!`);
-//!   on other targets the portable scalar paths are the implementation
-//!   (no unconditional `std::arch::x86_64` imports anywhere);
+//! * the vector bodies run where the CPU reports AVX2 **and** FMA
+//!   (`is_x86_feature_detected!`), unless [`set_simd_enabled`] turned them
+//!   off for the process (the `microkernel` bench and the lane tests A/B
+//!   through it); otherwise — off, on other targets, under Miri — the
+//!   portable lanes run (no unconditional `std::arch::x86_64` imports
+//!   anywhere);
 //! * where a kernel has an AVX-512 entry point, [`avx512_supported`]
-//!   selects it over the AVX2 one, for speed only: it gives the AVX2 bits
-//!   (see below). The skinny GEMM is AVX-512 only and gives the packed
-//!   path's bits; the TRSM leaf's register-resident substitution
-//!   (`subst_in_registers`) is AVX-512 only and gives the bits of the
-//!   [`rank1_update`] steps the leaf runs without it. [`gsks_dot`] and
-//!   [`rank1_update`] are AVX2 only: an 8-wide body timed no faster end to
-//!   end;
-//! * the `KFDS_SIMD=off` (or `=0`) environment kill-switch forces the
-//!   scalar reference paths, so simd/scalar can be A/B'd in one binary;
-//! * [`set_simd_enabled`] overrides the environment at runtime (used by
-//!   the `microkernel` bench and the A/B property tests).
+//!   selects it over the AVX2 one. The skinny GEMM is AVX-512 only and
+//!   gives the packed path's bits; the TRSM leaf's register-resident
+//!   substitution (`subst_in_registers`) is AVX-512 only and gives the
+//!   bits of the [`rank1_update`] steps the leaf runs without it.
+//!   [`gsks_dot`] and [`rank1_update`] are AVX2 only: an 8-wide body timed
+//!   no faster end to end.
 //!
-//! # One source per paired kernel
+//! # One source per kernel
 //!
-//! The packed GEMM tile, [`gsks_gram`], [`gsks_contract_run`],
-//! [`dist_filter`], the transposed GEMV and [`vexp`] are each written once,
-//! generic over `V8`: one row group of eight `f64` lanes, held in one
-//! `zmm` or in two `ymm` halves that each get the `zmm` operation. The
-//! `widths!` macro stamps out the body's two `#[target_feature]` entry
-//! points, `*_avx512` and `*_avx2`, so the body and every intrinsic inline
-//! into a function that enables them. Each picks the register tile its
-//! width holds (AVX-512 / AVX2): GEMM `16 x 12` / `8 x 6`, Gram columns per
-//! pass 8 / 4, contraction `16 x {12,8,4,2,1}` / `8 x {6,4,2,1}`, filter
-//! `{16,8} x {4,1}` / `8 x {4,1}`, transposed GEMV columns per pass 4 / 2.
-//! Every element gets the same operations in the same order at either
-//! shape. The unit tests that hold each pair to the same bits:
-//! `wide_tile_gives_the_avx2_tiles_bits` (`gemm.rs`),
-//! `gsks_gram_bodies_agree_bitwise_and_scalar_within_tolerance`,
+//! The packed GEMM tile, [`gsks_gram`], [`gsks_contract_run`]'s full row
+//! groups, [`dist_filter`], the transposed GEMV and [`vexp`] are each
+//! written once, generic over `V8`: one row group of eight `f64` lanes,
+//! held in one `zmm`, in two `ymm` halves that each get the `zmm`
+//! operation, or in eight plain `f64`s (`Lanes`) that each get it one lane
+//! at a time. The `widths!` macro stamps out the body's three entry
+//! points: `*_avx512` and `*_avx2` under `#[target_feature]`, so the body
+//! and every intrinsic inline into a function that enables them, and
+//! `*_portable` for any CPU. Each picks the register tile its width holds
+//! (AVX-512 / AVX2, and the portable lanes the AVX2 shape): GEMM `16 x 12`
+//! / `8 x 6`, Gram columns per pass 8 / 4, contraction `16 x {12,8,4,2,1}`
+//! / `8 x {6,4,2,1}`, filter `{16,8} x {4,1}` / `8 x {4,1}`, transposed
+//! GEMV columns per pass 4 / 2. Every element gets the same operations in
+//! the same order at any shape. The unit tests that hold the three to the
+//! same bits: `every_tile_gives_the_same_bits` (`gemm.rs`),
+//! `gsks_gram_bodies_agree_bitwise`,
 //! `gsks_contract_bodies_agree_bitwise_on_strided_views`,
-//! `dist_filter_vector_bodies_give_the_same_masks`,
-//! `vector_gemv_t_reduces_in_the_one_order` (`blas2.rs`) and
-//! `vexp_8_wide_equals_4_wide_bitwise`.
+//! `dist_filter_bodies_give_the_same_masks`,
+//! `gemv_t_reduces_in_the_one_order` (`blas2.rs`) and
+//! `vexp_lanes_agree_bitwise`. The kernels with an AVX2 body only — `dot`,
+//! `axpy`, GEMV, [`rank1_update`], [`gsks_dot`], [`dist_epilogue`] — have a
+//! portable body beside it that runs the same chain.
 //!
 //! # Tolerance model
 //!
-//! The bits depend on whether SIMD is on, and on nothing else: with it
-//! off, every consumer takes its pre-existing scalar path and reproduces
-//! the previous numerics **bitwise**; with it on, every host with AVX2+FMA
-//! gives the same bits, AVX-512F or not (`kfds-core`'s golden digests bind
-//! one table of each). The vector results differ from the scalar ones by
-//! reassociation and fused multiply-adds: for a
-//! length-`k` reduction the per-element deviation is bounded by
-//! `O(k * eps * sum |terms|)` — the property tests in
-//! `crates/la/tests/props.rs` assert agreement within that envelope.
+//! The bits depend on nothing the host or the process decides: SIMD on or
+//! off, AVX2+FMA with or without AVX-512F or neither, every kernel gives
+//! the same bits (`kfds-core`'s golden digests bind one table in both
+//! lanes). The portable lanes fuse where the vector bodies fuse, with
+//! [`f64::mul_add`] — one rounding, a libm call where FMA is not a
+//! compile-time feature, so that lane is slower, not different — and leave
+//! unfused what the vector paths leave unfused: `dot` and `axpy` below 8
+//! elements, the last `m % 4` rows of `axpy`, [`rank1_update`] and GEMV,
+//! and a partial row group of [`gsks_contract_run`]. Against exact
+//! arithmetic a length-`k` reduction is off by `O(k * eps * sum |terms|)`.
 //! [`vexp`] deviates from `f64::exp` by at most a few ulp (asserted at
 //! `1e-14` relative); inputs below the normal range flush to zero.
 
 use crate::mat::{MatMut, MatRef};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Once;
 
 /// GEMM microkernel register-tile rows.
 pub const GEMM_MR: usize = 8;
@@ -111,28 +114,15 @@ const GSKS_SUM: usize = 4;
 /// and candidate, one bit per row.
 pub const DIST_FILTER_MR: usize = 8;
 
-/// Runtime kill-switch so benchmarks and tests can A/B the vector and
-/// scalar paths in one process. Defaults to on; `KFDS_SIMD=off` (or `0`)
-/// disables.
+/// Whether the vector kernels may run; on unless [`set_simd_enabled`]
+/// turned them off.
 static SIMD_ENABLED: AtomicBool = AtomicBool::new(true);
-static ENV_INIT: Once = Once::new();
 
-#[inline]
-fn enabled() -> bool {
-    ENV_INIT.call_once(|| {
-        if kfds_switches::KFDS_SIMD.is_off() {
-            SIMD_ENABLED.store(false, Ordering::Relaxed);
-        }
-    });
-    SIMD_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables the SIMD kernels at runtime (overrides `KFDS_SIMD`).
-/// With SIMD off every consumer runs its scalar reference path, which is
-/// exactly the pre-SIMD behavior — used by the `microkernel` bench and
-/// the scalar-vs-vector property tests to A/B from one binary.
+/// Turns the vector kernels on or off for the process (on by default).
+/// Off, every consumer runs the portable lanes, which give the same bits
+/// more slowly — the seam the `microkernel` bench and the lane tests A/B
+/// through from one binary.
 pub fn set_simd_enabled(on: bool) {
-    let _ = enabled(); // apply the env default first so it cannot clobber us
     SIMD_ENABLED.store(on, Ordering::Relaxed);
 }
 
@@ -146,7 +136,7 @@ pub(crate) static SIMD_MODE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// what makes capturing the dispatch decision once per call sound.
 ///
 /// Always `false` under Miri: the interpreter does not implement the AVX
-/// intrinsics, so the Miri lane checks the scalar paths (where all the
+/// intrinsics, so the Miri lane checks the portable paths (where all the
 /// raw-pointer/`set_len` reasoning lives) and dispatch stays honest.
 pub fn cpu_supported() -> bool {
     if cfg!(miri) {
@@ -165,7 +155,33 @@ pub fn cpu_supported() -> bool {
 /// `true` if the vector kernels are both supported and enabled.
 #[inline]
 pub fn active() -> bool {
-    enabled() && cpu_supported()
+    SIMD_ENABLED.load(Ordering::Relaxed) && cpu_supported()
+}
+
+/// Which instantiation of a [`V8`] body a call runs, decided once per
+/// call by [`lane`]; the unit tests pass one explicitly to compare them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum Lane {
+    /// [`Lanes`]: SIMD off, no AVX2+FMA, non-x86, Miri.
+    Portable,
+    /// `YmmPair`, AVX2+FMA.
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    /// `Zmm`: only made where the CPU reports AVX-512F.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+/// The widest lane this CPU runs with SIMD enabled. [`active`] implies CPU
+/// support, which is immutable, so a concurrent [`set_simd_enabled`]
+/// cannot make a vector call unsound — and every lane gives the same bits.
+#[inline]
+pub(crate) fn lane() -> Lane {
+    #[cfg(target_arch = "x86_64")]
+    if active() {
+        return if avx512_supported() { Lane::Avx512 } else { Lane::Avx2 };
+    }
+    Lane::Portable
 }
 
 /// Human-readable list of detected vector features (for perf reports),
@@ -193,33 +209,24 @@ pub fn detected_features() -> String {
 
 /// Elementwise `exp` over a slice, in place.
 ///
-/// Dispatches to a polynomial kernel when [`active`] — 8-wide under
-/// AVX-512, 4-wide under AVX2, the same arithmetic per lane, so the two
-/// give the same bits — and falls back to [`f64::exp`] per element
-/// otherwise (so `KFDS_SIMD=off` is bitwise the scalar libm path).
+/// A polynomial kernel, the same arithmetic per element in every lane —
+/// 8-wide under AVX-512, 4-wide under AVX2, one element at a time in the
+/// portable lanes — so all of them give the same bits.
 ///
-/// Vector-path accuracy: relative error vs [`f64::exp`] is a few ulp
-/// (tested at `1e-14`); inputs below `-708.396` (where `exp` enters the
-/// subnormal range) flush to `0.0` (absolute error `< 2.5e-308`); inputs
-/// above `709.783` saturate to `+inf`; NaN propagates.
+/// Accuracy: relative error vs [`f64::exp`] is a few ulp (tested at
+/// `1e-14`); inputs below `-708.396` (where `exp` enters the subnormal
+/// range) flush to `0.0` (absolute error `< 2.5e-308`); inputs above
+/// `709.783` saturate to `+inf`; NaN propagates.
 pub fn vexp(xs: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if active() {
-            // SAFETY: active() implies AVX2+FMA support; the AVX-512 body
-            // runs only when the CPU reports avx512f.
-            unsafe {
-                if avx512_supported() {
-                    x86::vexp_avx512(xs)
-                } else {
-                    x86::vexp_avx2(xs)
-                }
-            }
-            return;
+    // SAFETY: a vector lane is only chosen where the CPU has its features.
+    unsafe {
+        match lane() {
+            Lane::Portable => vexp_portable(xs),
+            #[cfg(target_arch = "x86_64")]
+            Lane::Avx2 => vexp_avx2(xs),
+            #[cfg(target_arch = "x86_64")]
+            Lane::Avx512 => vexp_avx512(xs),
         }
-    }
-    for v in xs.iter_mut() {
-        *v = v.exp();
     }
 }
 
@@ -233,42 +240,24 @@ pub fn vexp(xs: &mut [f64]) {
 ///   coordinate `k` of source `c` at `ys[c * d + k]`. For a contiguous
 ///   run of points it is a window of the point set itself.
 ///
-/// Each value is one chain over `k = 0..d` starting from `0`: fused
-/// multiply-adds in the AVX-512 and AVX2 bodies, which agree bitwise, and
-/// multiply then add in the scalar body.
+/// Each value is one chain of fused multiply-adds over `k = 0..d` starting
+/// from `0`, in every lane.
 ///
 /// # Panics
 /// Panics if `xg` or `ys` is shorter than `8 * d`.
 pub fn gsks_gram(xg: &[f64], ys: &[f64], d: usize, out: &mut [f64; GSKS_MR * GSKS_MR]) {
     assert!(xg.len() >= GSKS_MR * d && ys.len() >= GSKS_MR * d, "gsks_gram: operand under 8 x d");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if active() {
-            let (x, y, o) = (xg.as_ptr(), ys.as_ptr(), out.as_mut_ptr());
-            // SAFETY: both operands hold 8 x d elements (asserted above) and
-            // `out` is one tile; active() implies AVX2+FMA and the AVX-512
-            // body runs only when the CPU reports avx512f.
-            unsafe {
-                if avx512_supported() {
-                    x86::gsks_gram_avx512(d, x, y, o)
-                } else {
-                    x86::gsks_gram_avx2(d, x, y, o)
-                }
-            }
-            return;
-        }
-    }
-    gsks_gram_scalar(xg, ys, d, out);
-}
-
-/// The portable body of [`gsks_gram`] (and its `KFDS_SIMD=off` path).
-fn gsks_gram_scalar(xg: &[f64], ys: &[f64], d: usize, out: &mut [f64; GSKS_MR * GSKS_MR]) {
-    out.fill(0.0);
-    for (oc, y) in out.chunks_exact_mut(GSKS_MR).zip(ys.chunks_exact(d.max(1))) {
-        for (xk, &yv) in xg.chunks_exact(GSKS_MR).zip(&y[..d]) {
-            for (o, &x) in oc.iter_mut().zip(xk) {
-                *o += x * yv;
-            }
+    let (x, y, o) = (xg.as_ptr(), ys.as_ptr(), out.as_mut_ptr());
+    // SAFETY: both operands hold 8 x d elements (asserted above) and `out`
+    // is one tile; a vector lane is only chosen where the CPU has its
+    // features.
+    unsafe {
+        match lane() {
+            Lane::Portable => gsks_gram_portable(d, x, y, o),
+            #[cfg(target_arch = "x86_64")]
+            Lane::Avx2 => gsks_gram_avx2(d, x, y, o),
+            #[cfg(target_arch = "x86_64")]
+            Lane::Avx512 => gsks_gram_avx512(d, x, y, o),
         }
     }
 }
@@ -296,11 +285,11 @@ pub fn gsks_dot(k: &[f64; GSKS_MR * GSKS_MR], u: &[f64], acc: &mut [f64; GSKS_MR
             return;
         }
     }
-    gsks_dot_scalar(k, u, acc);
+    gsks_dot_portable(k, u, acc);
 }
 
 /// The portable body of [`gsks_dot`].
-fn gsks_dot_scalar(k: &[f64; GSKS_MR * GSKS_MR], u: &[f64], acc: &mut [f64; GSKS_MR]) {
+fn gsks_dot_portable(k: &[f64; GSKS_MR * GSKS_MR], u: &[f64], acc: &mut [f64; GSKS_MR]) {
     let groups = u.len().div_ceil(GSKS_SUM);
     for (g, kg) in k.chunks_exact(GSKS_SUM * GSKS_MR).take(groups).enumerate() {
         let mut s = [0.0f64; GSKS_MR];
@@ -328,14 +317,14 @@ fn gsks_dot_scalar(k: &[f64; GSKS_MR * GSKS_MR], u: &[f64], acc: &mut [f64; GSKS
 /// row group's tiles are one column-major `8 x 8·tiles` block, and only
 /// the last tile of the run can be partial.
 ///
-/// * A full 8-row group under the vector bodies: each element is one chain
-///   of fused multiply-adds from its `W` value over the columns in
-///   ascending order, with the zero-weight columns that complete the last
-///   group of four (`fma(k, 0, w)`, reading the tile's values there). The
-///   AVX-512 body (`16 x 12` register tile, or `8 x 12` for an odd group)
-///   and the AVX2 one (`8 x 6`) agree bitwise.
-/// * A partial row group, or the scalar body: groups of four columns from
-///   the first, each summed from `0` by multiply then add over its *live*
+/// * A full 8-row group: each element is one chain of fused multiply-adds
+///   from its `W` value over the columns in ascending order, with the
+///   zero-weight columns that complete the last group of four
+///   (`fma(k, 0, w)`, reading the tile's values there). The AVX-512 body
+///   (`16 x 12` register tile, or `8 x 12` for an odd group), the AVX2 one
+///   (`8 x 6`) and the portable one agree bitwise.
+/// * A partial row group, in every lane: groups of four columns from the
+///   first, each summed from `0` by multiply then add over its *live*
 ///   columns only (no zero-weight padding, unlike [`gsks_dot`]), then
 ///   added to `W`.
 ///
@@ -352,46 +341,44 @@ pub fn gsks_contract_run(k: &[f64], u: MatRef<'_>, mut w: MatMut<'_>) {
     if cols == 0 || nrhs == 0 {
         return; // no term: every body leaves W as it is
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        if active() {
-            let full = rows / GSKS_MR;
-            if full > 0 {
-                let (kp, up, us, ws) = (k.as_ptr(), u.as_ptr(), u.col_stride(), w.col_stride());
-                let wp = w.as_mut_ptr();
-                // SAFETY: `U` is a live cols x nrhs view and `W` a rows x
-                // nrhs one with `full` whole row groups, `k` holds `full`
-                // runs of `span` values (asserted above), so every element
-                // the bodies touch is inside them; active() implies
-                // AVX2+FMA and the AVX-512 body runs only when the CPU
-                // reports avx512f.
-                unsafe {
-                    if avx512_supported() {
-                        x86::gsks_contract_run_avx512(kp, span, full, cols, nrhs, up, us, wp, ws)
-                    } else {
-                        x86::gsks_contract_run_avx2(kp, span, full, cols, nrhs, up, us, wp, ws)
-                    }
+    let full = rows / GSKS_MR;
+    if full > 0 {
+        let (kp, up, us, ws) = (k.as_ptr(), u.as_ptr(), u.col_stride(), w.col_stride());
+        let wp = w.as_mut_ptr();
+        // SAFETY: `U` is a live cols x nrhs view and `W` a rows x nrhs one
+        // with `full` whole row groups, `k` holds `full` runs of `span`
+        // values (asserted above), so every element the bodies touch is
+        // inside them; a vector lane is only chosen where the CPU has its
+        // features.
+        unsafe {
+            match lane() {
+                Lane::Portable => {
+                    gsks_contract_run_portable(kp, span, full, cols, nrhs, up, us, wp, ws)
+                }
+                #[cfg(target_arch = "x86_64")]
+                Lane::Avx2 => gsks_contract_run_avx2(kp, span, full, cols, nrhs, up, us, wp, ws),
+                #[cfg(target_arch = "x86_64")]
+                Lane::Avx512 => {
+                    gsks_contract_run_avx512(kp, span, full, cols, nrhs, up, us, wp, ws)
                 }
             }
-            if rows > full * GSKS_MR {
-                let rest = w.submatrix_mut(full * GSKS_MR..rows, 0..nrhs);
-                gsks_contract_run_scalar(&k[full * span..], u, rest);
-            }
-            return;
         }
     }
-    gsks_contract_run_scalar(k, u, w);
+    if rows > full * GSKS_MR {
+        let rest = w.submatrix_mut(full * GSKS_MR..rows, 0..nrhs);
+        contract_partial_group(&k[full * span..], u, rest);
+    }
 }
 
-/// The portable body of [`gsks_contract_run`], and its path for a partial
-/// row group under any dispatch.
-fn gsks_contract_run_scalar(k: &[f64], u: MatRef<'_>, mut w: MatMut<'_>) {
-    let span = u.nrows().div_ceil(GSKS_MR) * GSKS_MR * GSKS_MR;
+/// The partial row group (`W.nrows() < 8`) of [`gsks_contract_run`], in
+/// every lane: `k` is that group's run of tiles.
+fn contract_partial_group(k: &[f64], u: MatRef<'_>, mut w: MatMut<'_>) {
+    debug_assert!(w.nrows() < GSKS_MR, "a partial row group has fewer than 8 rows");
     for t in 0..u.ncols() {
         let (ut, wt) = (u.col(t), w.col_mut(t));
         for (g, ug) in ut.chunks(GSKS_SUM).enumerate() {
             for (r, wr) in wt.iter_mut().enumerate() {
-                let kr = &k[r / GSKS_MR * span + g * GSKS_SUM * GSKS_MR + r % GSKS_MR..];
+                let kr = &k[g * GSKS_SUM * GSKS_MR + r..];
                 let mut s = 0.0;
                 for (c, &uc) in ug.iter().enumerate() {
                     s += kr[c * GSKS_MR] * uc;
@@ -410,12 +397,13 @@ fn gsks_contract_run_scalar(k: &[f64], u: MatRef<'_>, mut w: MatMut<'_>) {
 /// `α_j == 0` is skipped.
 ///
 /// Every element gets exactly the operation [`crate::blas1::axpy`]`(α_j,
-/// x, ..)` gives it at the same offset: with SIMD active and
-/// `x.len() >= 8`, one fused multiply-add on the first `4⌊len/4⌋` rows and
-/// `y + α·x` (multiply, then add) on the rest; `y + α·x` everywhere
-/// otherwise. So each column's bits are those of one `axpy` per column,
-/// whatever the other columns hold, with SIMD on or off. The vector body
-/// is AVX2 on every vector host: an 8-wide one timed no faster end to end.
+/// x, ..)` gives it at the same offset: with `x.len() >= 8`, one fused
+/// multiply-add on the first `4⌊len/4⌋` rows and `y + α·x` (multiply, then
+/// add) on the rest; `y + α·x` everywhere otherwise. So each column's bits
+/// are those of one `axpy` per column, whatever the other columns hold, in
+/// every lane. The vector body is AVX2 on every vector host (an 8-wide one
+/// timed no faster end to end); the portable lane is one `axpy` per
+/// column.
 ///
 /// # Panics
 /// Panics if row `p` or the rows `r0..r0 + x.len()` are outside `C`, or
@@ -446,11 +434,19 @@ pub fn rank1_update(x: &[f64], p: usize, r0: usize, mut c: MatMut<'_>) {
     for j in 0..nc {
         let col = c.col_mut(j);
         let alpha = -col[p];
-        if alpha != 0.0 {
-            for (y, &xi) in col[r0..r0 + m].iter_mut().zip(x) {
-                *y += alpha * xi;
-            }
-        }
+        crate::blas1::axpy(alpha, x, &mut col[r0..r0 + m]);
+    }
+}
+
+/// The rows [`crate::blas1::axpy`] gives a fused multiply-add, in every
+/// lane: the 4-aligned body of a vector of at least 8, none of a shorter
+/// one.
+#[inline(always)]
+pub(crate) fn fused_rows(m: usize) -> usize {
+    if m >= 8 {
+        m & !3
+    } else {
+        0
     }
 }
 
@@ -549,10 +545,10 @@ pub fn dist_epilogue(g: &mut [f64], row_norms: &[f64], col_norm: f64) {
 ///   (overflowing coordinates) is flagged rather than dropped. Bits of
 ///   padding rows are never set.
 ///
-/// Whatever the summation order of the body that runs (AVX-512, AVX2,
-/// scalar) and of the dots behind the norms, `f` differs from the scalar
-/// `Σ (q_k − c_k)²` loop by at most `2(d + 8)·ε·(‖q‖² + ‖c‖²)`: each norm
-/// and the Gram term carry `γ_d ≈ d·ε/2` relative to `‖q‖²`, `‖c‖²` and
+/// Every lane gives the same masks. Whatever the summation order of the
+/// dots behind the norms, `f` differs from the scalar `Σ (q_k − c_k)²`
+/// loop by at most `2(d + 8)·ε·(‖q‖² + ‖c‖²)`: each norm and the Gram
+/// term carry `γ_d ≈ d·ε/2` relative to `‖q‖²`, `‖c‖²` and
 /// `‖q‖‖c‖ ≤ (‖q‖² + ‖c‖²)/2`, the two final roundings add `1.5ε`, and the
 /// scalar loop itself is within `(d + 2)·ε/2` of `‖q − c‖² ≤ 2(‖q‖² + ‖c‖²)`
 /// — `(2d + 3.5)ε` in all. A caller that adds this bound to its thresholds
@@ -580,67 +576,25 @@ pub fn dist_filter(
     assert!(qpack.len() >= rows * d, "dist_filter: qpack too short");
     assert!(qn.len() >= rows && thr.len() >= rows, "dist_filter: norms/thresholds too short");
     assert!(masks.len() >= rows / DIST_FILTER_MR * nc, "dist_filter: masks too short");
-    #[cfg(target_arch = "x86_64")]
-    {
-        if active() {
-            let (q, c) = (qpack.as_ptr(), cand.as_ptr());
-            let (qn, thr, cn, out) = (qn.as_ptr(), thr.as_ptr(), cn.as_ptr(), masks.as_mut_ptr());
-            // SAFETY: every length the kernels read or write was asserted
-            // above; active() implies AVX2+FMA and the AVX-512 body runs
-            // only when the CPU reports avx512f.
-            unsafe {
-                if avx512_supported() {
-                    x86::dist_filter_avx512(d, m, nc, q, qn, thr, c, cn, out);
-                } else {
-                    x86::dist_filter_avx2(d, m, nc, q, qn, thr, c, cn, out);
-                }
-            }
-            return;
-        }
-    }
-    dist_filter_scalar(m, qpack, qn, thr, cand, cn, masks);
-}
-
-/// The portable body of [`dist_filter`] (and its `KFDS_SIMD=off` path):
-/// eight running dots per (group, candidate), plain multiply-add.
-fn dist_filter_scalar(
-    m: usize,
-    qpack: &[f64],
-    qn: &[f64],
-    thr: &[f64],
-    cand: &[f64],
-    cn: &[f64],
-    masks: &mut [usize],
-) {
-    const MR: usize = DIST_FILTER_MR;
-    let nc = cn.len();
-    let d = cand.len() / nc.max(1);
-    for g in 0..m.div_ceil(MR) {
-        let rows = (m - MR * g).min(MR);
-        let q = &qpack[g * MR * d..(g + 1) * MR * d];
-        let (gn, gt) = (&qn[MR * g..MR * g + rows], &thr[MR * g..MR * g + rows]);
-        for j in 0..nc {
-            let mut acc = [0.0f64; MR];
-            for (qk, &ck) in q.chunks_exact(MR).zip(&cand[j * d..(j + 1) * d]) {
-                for (a, &qv) in acc.iter_mut().zip(qk) {
-                    *a += qv * ck;
-                }
-            }
-            let mut mask = 0usize;
-            for (r, ((&g2, &n2), &t)) in acc.iter().zip(gn).zip(gt).enumerate() {
-                let f = (n2 + cn[j]) - 2.0 * g2;
-                // "unless f > t", so a NaN is flagged.
-                mask |= usize::from(f.partial_cmp(&t) != Some(std::cmp::Ordering::Greater)) << r;
-            }
-            masks[g * nc + j] = mask;
+    let (q, c) = (qpack.as_ptr(), cand.as_ptr());
+    let (qn, thr, cn, out) = (qn.as_ptr(), thr.as_ptr(), cn.as_ptr(), masks.as_mut_ptr());
+    // SAFETY: every length the kernels read or write was asserted above; a
+    // vector lane is only chosen where the CPU has its features.
+    unsafe {
+        match lane() {
+            Lane::Portable => dist_filter_portable(d, m, nc, q, qn, thr, c, cn, out),
+            #[cfg(target_arch = "x86_64")]
+            Lane::Avx2 => dist_filter_avx2(d, m, nc, q, qn, thr, c, cn, out),
+            #[cfg(target_arch = "x86_64")]
+            Lane::Avx512 => dist_filter_avx512(d, m, nc, q, qn, thr, c, cn, out),
         }
     }
 }
 
 /// `true` if this CPU additionally supports the 8-wide AVX-512 variants
 /// (the baseline vector kernels require only AVX2+FMA). Immutable for the
-/// process lifetime, like [`cpu_supported`]; gated by the same
-/// `KFDS_SIMD` kill-switch through [`active`].
+/// process lifetime, like [`cpu_supported`]; a body runs under it only
+/// while [`active`] holds, and gives the AVX2 body's bits.
 pub fn avx512_supported() -> bool {
     if cfg!(miri) {
         return false; // no AVX-512 intrinsics in the interpreter
@@ -656,81 +610,754 @@ pub fn avx512_supported() -> bool {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use x86::{
-    axpy_avx2, dgemm_skinny_avx512, dgemm_tile_16x12_avx512, dgemm_tile_avx2, dgemv_add_avx2,
-    dgemv_t_avx2, dgemv_t_avx512, dot_avx2,
-};
+pub(crate) use x86::{axpy_avx2, dgemm_skinny_avx512, dgemv_add_avx2, dot_avx2};
+#[cfg(target_arch = "x86_64")]
+use x86::{YmmPair, Zmm};
+
+/// One row group of a kernel body: eight `f64` lanes, row `r` of the group
+/// in lane `r`, held in one `zmm` (`Zmm`, AVX-512F), in two `ymm` halves,
+/// rows `0..4` and `4..8` (`YmmPair`, AVX2+FMA), or in eight plain `f64`s
+/// ([`Lanes`], any CPU). A `YmmPair` method is the `Zmm` one on each half
+/// and a `Lanes` method the same operation lane by lane, so a kernel body
+/// written once over `V8` gives every lane the same bits at every width;
+/// [`widths!`] instantiates it at each, with the register tile that width
+/// holds.
+///
+/// # Safety
+/// Every method runs its type's instructions, so runs only where the
+/// CPU has them; called from a body [`widths!`] instantiates, it inlines
+/// into the function that enables them. `load` reads eight elements at
+/// `p`, `store` writes eight.
+trait V8: Copy {
+    /// `[v; 8]`.
+    /// # Safety
+    /// As for [`V8`].
+    unsafe fn splat(v: f64) -> Self;
+    /// The eight elements at `p`.
+    /// # Safety
+    /// As for [`V8`].
+    unsafe fn load(p: *const f64) -> Self;
+    /// Writes the lanes to the eight elements at `p`.
+    /// # Safety
+    /// As for [`V8`].
+    unsafe fn store(self, p: *mut f64);
+    /// `self + b` per lane.
+    /// # Safety
+    /// As for [`V8`].
+    unsafe fn add(self, b: Self) -> Self;
+    /// `self · b + c` per lane, rounded once.
+    /// # Safety
+    /// As for [`V8`].
+    unsafe fn fmadd(self, b: Self, c: Self) -> Self;
+    /// The sum of the lanes: the halves added, `w_l = v_l + v_{l+4}`,
+    /// then `(w0 + w2) + (w1 + w3)`.
+    /// # Safety
+    /// As for [`V8`].
+    unsafe fn reduce_add(self) -> f64;
+    /// Bit `r` set unless lane `r` is greater than lane `r` of `t`, so a
+    /// NaN sets its bit.
+    /// # Safety
+    /// As for [`V8`].
+    unsafe fn ngt_mask(self, t: Self) -> u8;
+    /// `exp` per lane: `exp8`, `exp4` on each half, or [`exp_lane`] on
+    /// each lane (see [`vexp`] for the contract).
+    /// # Safety
+    /// As for [`V8`].
+    unsafe fn exp(self) -> Self;
+    /// `G` groups, the `g`-th at `p + g·step` (a loop, not a closure: see
+    /// [`widths!`]).
+    /// # Safety
+    /// As for [`V8`], at each of the `G` addresses.
+    #[inline(always)]
+    unsafe fn load_groups<const G: usize>(p: *const f64, step: usize) -> [Self; G] {
+        let mut v = [Self::splat(0.0); G];
+        for (g, x) in v.iter_mut().enumerate() {
+            *x = Self::load(p.add(g * step));
+        }
+        v
+    }
+}
+
+/// [`V8`] in eight plain `f64`s, on any CPU: `fmadd` is [`f64::mul_add`]
+/// (one rounding, as the vector FMA), `reduce_add` the documented halving
+/// order and `exp` [`exp_lane`] on each lane. Where FMA is not a
+/// compile-time feature `mul_add` is a libm call, so this lane is the slow
+/// one, never a different one.
+#[derive(Clone, Copy)]
+struct Lanes([f64; 8]);
+
+impl V8 for Lanes {
+    // SAFETY: plain arithmetic; no CPU feature.
+    #[inline(always)]
+    unsafe fn splat(v: f64) -> Self {
+        Lanes([v; 8])
+    }
+    // SAFETY: eight readable elements at `p`, which `V8` asks of the caller.
+    #[inline(always)]
+    unsafe fn load(p: *const f64) -> Self {
+        Lanes(p.cast::<[f64; 8]>().read_unaligned())
+    }
+    // SAFETY: eight writable elements at `p`, which `V8` asks of the caller.
+    #[inline(always)]
+    unsafe fn store(self, p: *mut f64) {
+        p.cast::<[f64; 8]>().write_unaligned(self.0)
+    }
+    // SAFETY: as for `splat`.
+    #[inline(always)]
+    unsafe fn add(self, b: Self) -> Self {
+        let mut v = self.0;
+        for (x, y) in v.iter_mut().zip(b.0) {
+            *x += y;
+        }
+        Lanes(v)
+    }
+    // SAFETY: as for `splat`.
+    #[inline(always)]
+    unsafe fn fmadd(self, b: Self, c: Self) -> Self {
+        let mut v = c.0;
+        for ((x, a), b) in v.iter_mut().zip(self.0).zip(b.0) {
+            *x = a.mul_add(b, *x);
+        }
+        Lanes(v)
+    }
+    // SAFETY: as for `splat`.
+    #[inline(always)]
+    unsafe fn reduce_add(self) -> f64 {
+        let v = self.0;
+        let w = [v[0] + v[4], v[1] + v[5], v[2] + v[6], v[3] + v[7]];
+        (w[0] + w[2]) + (w[1] + w[3])
+    }
+    // SAFETY: as for `splat`.
+    #[inline(always)]
+    unsafe fn ngt_mask(self, t: Self) -> u8 {
+        let mut mask = 0;
+        for (r, (x, t)) in self.0.iter().zip(t.0).enumerate() {
+            // Not greater than, unordered true: a NaN is flagged.
+            mask |= u8::from(x.partial_cmp(&t) != Some(std::cmp::Ordering::Greater)) << r;
+        }
+        mask
+    }
+    // SAFETY: as for `splat`.
+    #[inline(always)]
+    unsafe fn exp(self) -> Self {
+        Lanes(self.0.map(exp_lane))
+    }
+}
+
+/// Stamps out the three entry points of a kernel body written once over
+/// [`V8`]: `$wide` runs it in `Zmm` lanes under AVX-512F and `$narrow` in
+/// `YmmPair` lanes under AVX2+FMA (both x86-64 only), `$plain` in
+/// [`Lanes`] on any CPU, each with its width's tile shape (the const
+/// parameters after the lane type). The body and every `V8` method under
+/// it inline into the `#[target_feature]` entry point, so every intrinsic
+/// does too; a generic helper called across the feature boundary might
+/// not. A closure does not carry the `#[inline(always)]` nor its caller's
+/// features, so no body calls a `V8` method from one.
+macro_rules! widths {
+    (
+        $vis:vis fn $body:ident($($arg:ident: $ty:ty),* $(,)?);
+        $wide:ident = <Zmm $(, $ws:tt)*>;
+        $narrow:ident = <YmmPair $(, $ns:tt)*>;
+        $plain:ident = <Lanes $(, $ps:tt)*>;
+    ) => {
+        #[doc = concat!("[`", stringify!($body), "`] in `Zmm` lanes.")]
+        ///
+        /// # Safety
+        /// Requires AVX-512F; otherwise as the body.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = "avx512f")]
+        $vis unsafe fn $wide($($arg: $ty),*) {
+            debug_assert!(avx512_supported(), "{} needs AVX-512F", stringify!($wide));
+            $body::<Zmm $(, $ws)*>($($arg),*)
+        }
+
+        #[doc = concat!("[`", stringify!($body), "`] in `YmmPair` lanes.")]
+        ///
+        /// # Safety
+        /// Requires AVX2+FMA; otherwise as the body.
+        #[cfg(target_arch = "x86_64")]
+        #[allow(clippy::too_many_arguments)]
+        #[target_feature(enable = "avx2", enable = "fma")]
+        $vis unsafe fn $narrow($($arg: $ty),*) {
+            debug_assert!(cpu_supported(), "{} needs AVX2+FMA", stringify!($narrow));
+            $body::<YmmPair $(, $ns)*>($($arg),*)
+        }
+
+        #[doc = concat!("[`", stringify!($body), "`] in [`Lanes`], on any CPU.")]
+        ///
+        /// # Safety
+        /// As the body.
+        #[allow(clippy::too_many_arguments)]
+        $vis unsafe fn $plain($($arg: $ty),*) {
+            $body::<Lanes $(, $ps)*>($($arg),*)
+        }
+    };
+}
+
+/// `C[0..8G, 0..6P] += alpha * sum_k A[:, k] * B[k, :]` — the BLIS-style
+/// register-tile microkernel over `G` packed A panels by `P` packed B
+/// panels: an `8 x 6` tile in `ymm` pairs on any panel, a `16 x 12` one
+/// in `zmm` over two by two. A panel `g` holds rows `8g..8g + 8` MR-major
+/// (8 consecutive rows per `k`) at `ap + 8g·kc`, B panel `p` columns
+/// `6p..6p + 6` NR-major (6 consecutive columns per `k`) at `bp + 6p·kc`;
+/// `C` is column-major with stride `ldc`. The accumulators live in
+/// registers for the whole `k` loop (12 `ymm` pairs, 24 `zmm`); the
+/// epilogue fuses the `alpha` scale into the `C` update.
+///
+/// Each element is one FMA chain from zero in ascending `k`, then
+/// `C = fma(acc, alpha, C)`. So the four `8 x 6` tiles a `16 x 12` one
+/// covers come out with the bits they have when run one at a time.
+///
+/// # Safety
+/// `V`'s CPU features. `ap`/`bp` must hold at least `8G·kc` / `6P·kc`
+/// readable elements and `c[i + j*ldc]` must be writable for all
+/// `i < 8G`, `j < 6P`.
+#[inline(always)]
+unsafe fn dgemm_tile_v8<V: V8, const G: usize, const P: usize>(
+    kc: usize,
+    alpha: f64,
+    ap: *const f64,
+    bp: *const f64,
+    c: *mut f64,
+    ldc: usize,
+) {
+    debug_assert!(!ap.is_null() && !bp.is_null() && !c.is_null());
+    debug_assert!(ldc >= 8 * G, "C tile columns ({} rows) would overlap: ldc = {ldc}", 8 * G);
+    let mut acc = [[[V::splat(0.0); G]; 6]; P];
+    for k in 0..kc {
+        let a = V::load_groups::<G>(ap.add(8 * k), 8 * kc);
+        for (p, accp) in acc.iter_mut().enumerate() {
+            let bk = bp.add(6 * (p * kc + k));
+            for (j, accj) in accp.iter_mut().enumerate() {
+                let b = V::splat(*bk.add(j));
+                for (x, av) in accj.iter_mut().zip(a) {
+                    *x = av.fmadd(b, *x);
+                }
+            }
+        }
+    }
+    let va = V::splat(alpha);
+    for (p, accp) in acc.iter().enumerate() {
+        for (j, accj) in accp.iter().enumerate() {
+            for (g, x) in accj.iter().enumerate() {
+                let cg = c.add((6 * p + j) * ldc + 8 * g);
+                x.fmadd(va, V::load(cg)).store(cg);
+            }
+        }
+    }
+}
+
+widths! {
+    pub(crate) fn dgemm_tile_v8(
+        kc: usize,
+        alpha: f64,
+        ap: *const f64,
+        bp: *const f64,
+        c: *mut f64,
+        ldc: usize,
+    );
+    dgemm_tile_16x12_avx512 = <Zmm, 2, 2>;
+    dgemm_tile_avx2 = <YmmPair, 1, 1>;
+    dgemm_tile_portable = <Lanes, 1, 1>;
+}
+
+/// [`gsks_gram`] over [`V8`]: the 8 target rows in the lanes, one
+/// accumulator per source column, `NC` columns per pass, each coordinate
+/// of a source broadcast from where it lies — one FMA chain from zero per
+/// value. All 8 columns go in one pass in `zmm`; 4 per pass in `ymm`
+/// pairs, so the 16 registers hold them and the operands.
+///
+/// # Safety
+/// `V`'s CPU features; `NC` divides 8. `xg` and `ys` must hold `8 * d`
+/// readable elements, `out` 64 writable ones.
+#[inline(always)]
+unsafe fn gsks_gram_v8<V: V8, const NC: usize>(
+    d: usize,
+    xg: *const f64,
+    ys: *const f64,
+    out: *mut f64,
+) {
+    debug_assert!(!xg.is_null() && !ys.is_null() && !out.is_null());
+    for pass in 0..8 / NC {
+        let mut acc = [V::splat(0.0); NC];
+        for k in 0..d {
+            let x = V::load(xg.add(8 * k));
+            for (j, a) in acc.iter_mut().enumerate() {
+                *a = x.fmadd(V::splat(*ys.add((NC * pass + j) * d + k)), *a);
+            }
+        }
+        for (j, a) in acc.iter().enumerate() {
+            a.store(out.add(8 * (NC * pass + j)));
+        }
+    }
+}
+
+widths! {
+    fn gsks_gram_v8(d: usize, xg: *const f64, ys: *const f64, out: *mut f64);
+    gsks_gram_avx512 = <Zmm, 8>;
+    gsks_gram_avx2 = <YmmPair, 4>;
+    gsks_gram_portable = <Lanes, 4>;
+}
+
+/// [`gsks_contract_run`] over [`V8`] for `groups` (1 or 2) full
+/// row groups: both groups at once when `GM == 2` and there are two,
+/// otherwise one at a time, by the right-hand sides in blocks of `NR`,
+/// then at most one each of 8 (when `NR > 8`), 4, 2 and 1. Each block
+/// holds its piece of `W` in registers for the whole run: `16 x 12` in
+/// `zmm` (the shape of [`dgemm_tile_16x12_avx512`]), `8 x 6` in `ymm`
+/// pairs (that of [`dgemm_tile_avx2`]).
+///
+/// # Safety
+/// `V`'s CPU features. `1 <= groups <= 2`, `cols >= 1`; `k[g * span + i]`
+/// must be readable for `g < groups`, `i < 8 * cols.next_multiple_of(4)`;
+/// `u[c + t * ucs]` readable for `c < cols`, `t < nrhs`; and
+/// `w[r + t * wcs]` readable and writable for `r < 8 * groups`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn gsks_contract_run_v8<V: V8, const GM: usize, const NR: usize>(
+    k: *const f64,
+    span: usize,
+    groups: usize,
+    cols: usize,
+    nrhs: usize,
+    u: *const f64,
+    ucs: usize,
+    w: *mut f64,
+    wcs: usize,
+) {
+    debug_assert!((1..=2).contains(&groups) && cols >= 1, "run shape: {groups} x {cols}");
+    debug_assert!(nrhs <= 1 || (wcs >= 8 * groups && ucs >= cols), "U or W columns overlap");
+    if GM == 2 && groups == 2 {
+        run_blocks::<V, 2, NR>(k, span, cols, nrhs, u, ucs, w, wcs);
+    } else {
+        for g in 0..groups {
+            let (kg, wg) = (k.add(g * span), w.add(8 * g));
+            run_blocks::<V, 1, NR>(kg, span, cols, nrhs, u, ucs, wg, wcs);
+        }
+    }
+}
+
+widths! {
+    fn gsks_contract_run_v8(
+        k: *const f64,
+        span: usize,
+        groups: usize,
+        cols: usize,
+        nrhs: usize,
+        u: *const f64,
+        ucs: usize,
+        w: *mut f64,
+        wcs: usize,
+    );
+    gsks_contract_run_avx512 = <Zmm, 2, 12>;
+    gsks_contract_run_avx2 = <YmmPair, 1, 6>;
+    gsks_contract_run_portable = <Lanes, 1, 6>;
+}
+
+/// The right-hand-side blocks of [`gsks_contract_run_v8`] on `G` row
+/// groups at `k` / `w`.
+///
+/// # Safety
+/// As [`gsks_contract_run_v8`], with `groups == G`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn run_blocks<V: V8, const G: usize, const NR: usize>(
+    k: *const f64,
+    span: usize,
+    cols: usize,
+    nrhs: usize,
+    u: *const f64,
+    ucs: usize,
+    w: *mut f64,
+    wcs: usize,
+) {
+    let mut t = 0;
+    while t < nrhs {
+        let (ut, wt) = (u.add(t * ucs), w.add(t * wcs));
+        t += match nrhs - t {
+            r if r >= NR => run_block::<V, G, NR>(k, span, cols, ut, ucs, wt, wcs),
+            8.. => run_block::<V, G, 8>(k, span, cols, ut, ucs, wt, wcs),
+            4.. => run_block::<V, G, 4>(k, span, cols, ut, ucs, wt, wcs),
+            2.. => run_block::<V, G, 2>(k, span, cols, ut, ucs, wt, wcs),
+            _ => run_block::<V, G, 1>(k, span, cols, ut, ucs, wt, wcs),
+        };
+    }
+}
+
+/// One `8·G x NR` block of [`gsks_contract_run_v8`]: `W` loaded, one FMA
+/// per source column and right-hand side in ascending column order, then
+/// the zero-weight columns up to a multiple of four, stored back.
+/// Returns `NR`.
+///
+/// # Safety
+/// As [`gsks_contract_run_v8`], with `G` groups and `NR` right-hand sides
+/// at `k` / `u` / `w`.
+#[inline(always)]
+unsafe fn run_block<V: V8, const G: usize, const NR: usize>(
+    k: *const f64,
+    span: usize,
+    cols: usize,
+    u: *const f64,
+    ucs: usize,
+    w: *mut f64,
+    wcs: usize,
+) -> usize {
+    let mut acc = [[V::splat(0.0); G]; NR];
+    for (j, aj) in acc.iter_mut().enumerate() {
+        *aj = V::load_groups::<G>(w.add(j * wcs), 8);
+    }
+    for c in 0..cols {
+        let kc = V::load_groups::<G>(k.add(8 * c), span);
+        for (j, aj) in acc.iter_mut().enumerate() {
+            let b = V::splat(*u.add(j * ucs + c));
+            for (a, v) in aj.iter_mut().zip(&kc) {
+                *a = v.fmadd(b, *a);
+            }
+        }
+    }
+    let zero = V::splat(0.0);
+    for c in cols..cols.next_multiple_of(4) {
+        let kc = V::load_groups::<G>(k.add(8 * c), span);
+        for aj in acc.iter_mut() {
+            for (a, v) in aj.iter_mut().zip(&kc) {
+                *a = v.fmadd(zero, *a);
+            }
+        }
+    }
+    for (j, aj) in acc.iter().enumerate() {
+        for (g, a) in aj.iter().enumerate() {
+            a.store(w.add(j * wcs + 8 * g));
+        }
+    }
+    NR
+}
+
+/// [`dist_filter`] over [`V8`]: an `8·MG x 4` register tile —
+/// `MG` packed query groups against four candidates — swept over the
+/// candidates with the query tile resident; a last group short of `MG`
+/// runs as an `8 x 4` tile and leftover candidates one column at a time.
+/// `MG` is 2 in `zmm` (eight accumulators) and 1 in `ymm` pairs (eight
+/// halves). The epilogue forms `(qn + cn) − 2g` with one FMA and
+/// turns the compare mask into the output word.
+///
+/// # Safety
+/// `V`'s CPU features. With `groups = ceil(m / 8)`: `qpack` must hold
+/// `groups * 8 * d` elements, `qn` and `thr` `groups * 8`, `cand`
+/// `d * nc`, `cn` `nc`, and `masks` `groups * nc` writable words.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn dist_filter_v8<V: V8, const MG: usize>(
+    d: usize,
+    m: usize,
+    nc: usize,
+    qpack: *const f64,
+    qn: *const f64,
+    thr: *const f64,
+    cand: *const f64,
+    cn: *const f64,
+    masks: *mut usize,
+) {
+    debug_assert!(!qpack.is_null() && !qn.is_null() && !thr.is_null());
+    debug_assert!(!cand.is_null() && !cn.is_null() && !masks.is_null());
+    let groups = m.div_ceil(8);
+    let mut g = 0;
+    while g + MG <= groups {
+        filter_sweep::<V, MG>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
+        g += MG;
+    }
+    if MG > 1 && g < groups {
+        filter_sweep::<V, 1>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
+    }
+}
+
+widths! {
+    fn dist_filter_v8(
+        d: usize,
+        m: usize,
+        nc: usize,
+        qpack: *const f64,
+        qn: *const f64,
+        thr: *const f64,
+        cand: *const f64,
+        cn: *const f64,
+        masks: *mut usize,
+    );
+    dist_filter_avx512 = <Zmm, 2>;
+    dist_filter_avx2 = <YmmPair, 1>;
+    dist_filter_portable = <Lanes, 1>;
+}
+
+/// Query groups `g .. g + MG` of [`dist_filter_v8`] against every
+/// candidate, four at a time and then singly.
+///
+/// # Safety
+/// As [`dist_filter_v8`], with `g + MG <= ceil(m / 8)`.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn filter_sweep<V: V8, const MG: usize>(
+    d: usize,
+    m: usize,
+    g: usize,
+    nc: usize,
+    qpack: *const f64,
+    qn: *const f64,
+    thr: *const f64,
+    cand: *const f64,
+    cn: *const f64,
+    masks: *mut usize,
+) {
+    let (q, gn, gt) = (qpack.add(8 * g * d), qn.add(8 * g), thr.add(8 * g));
+    let out = masks.add(g * nc);
+    // The lanes of each group that hold one of the `m` real queries.
+    let valid: [u8; MG] = std::array::from_fn(|gi| u8::MAX >> (8 - (m - 8 * (g + gi)).min(8)));
+    let mut j = 0;
+    while j + 4 <= nc {
+        let (c, n) = (cand.add(j * d), cn.add(j));
+        filter_tile::<V, MG, 4>(d, nc, q, gn, gt, valid, c, n, out.add(j));
+        j += 4;
+    }
+    while j < nc {
+        let (c, n) = (cand.add(j * d), cn.add(j));
+        filter_tile::<V, MG, 1>(d, nc, q, gn, gt, valid, c, n, out.add(j));
+        j += 1;
+    }
+}
+
+/// One `8·MG x NR` tile of [`dist_filter_v8`]: `q`, `qn`, `thr` point at
+/// the first of `MG` consecutive query groups, `c` / `cn` at the first of
+/// `NR` candidates, `out` at that candidate's word in the first group's
+/// mask row (rows are `nc` apart).
+///
+/// # Safety
+/// As [`dist_filter_v8`], restricted to this tile.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+unsafe fn filter_tile<V: V8, const MG: usize, const NR: usize>(
+    d: usize,
+    nc: usize,
+    q: *const f64,
+    qn: *const f64,
+    thr: *const f64,
+    valid: [u8; MG],
+    c: *const f64,
+    cn: *const f64,
+    out: *mut usize,
+) {
+    let mut acc = [[V::splat(0.0); NR]; MG];
+    for k in 0..d {
+        let a = V::load_groups::<MG>(q.add(8 * k), 8 * d);
+        for j in 0..NR {
+            let b = V::splat(*c.add(j * d + k));
+            for (accg, av) in acc.iter_mut().zip(a) {
+                accg[j] = av.fmadd(b, accg[j]);
+            }
+        }
+    }
+    let minus_two = V::splat(-2.0);
+    for (gi, accg) in acc.iter().enumerate() {
+        let (vqn, vthr) = (V::load(qn.add(8 * gi)), V::load(thr.add(8 * gi)));
+        for (j, g2) in accg.iter().enumerate() {
+            let f = g2.fmadd(minus_two, vqn.add(V::splat(*cn.add(j))));
+            *out.add(gi * nc + j) = usize::from(f.ngt_mask(vthr) & valid[gi]);
+        }
+    }
+}
+
+/// `y[j] = alpha * dot(A[:, j], x)` for column-major `A` (`m x n`,
+/// stride `lda`) over [`V8`]: the transpose counterpart of
+/// [`dgemv_add_avx2`], and the per-pivot `F` accumulation of the blocked
+/// CPQR.
+///
+/// One reduction order, written out by `gemv_t_order` in `blas2.rs`'s
+/// tests. A column of the first `4 * (n / 4)` is summed into two `V8`
+/// chains from zero: 16-row steps put rows `i..i + 8` in chain 0 and
+/// `i + 8..i + 16` in chain 1, then one 8-row step, if 8 rows remain,
+/// feeds chain 0; the chains meet lane-wise and [`V8::reduce_add`] sums
+/// the lanes. A later column takes one chain in 8-row steps, the same
+/// sum. The last `m % 8` rows are then added in order (multiply, then
+/// add), and the sum is scaled by `alpha`. `NC` columns go per pass: 4 in
+/// `zmm`; 2 in `ymm` pairs, whose eight chain halves and four `x` halves
+/// fit the 16 registers.
+///
+/// # Safety
+/// `V`'s CPU features; `NC` divides 4. `a` must expose `lda*(n-1)+m`
+/// elements, `x` at least `m`, `y` at least `n`.
+#[inline(always)]
+unsafe fn dgemv_t_v8<V: V8, const NC: usize>(
+    m: usize,
+    n: usize,
+    alpha: f64,
+    a: *const f64,
+    lda: usize,
+    x: *const f64,
+    y: *mut f64,
+) {
+    debug_assert!(lda >= m || n <= 1, "A columns would overlap: lda = {lda}, m = {m}");
+    debug_assert!(n == 0 || m == 0 || (!a.is_null() && !x.is_null() && !y.is_null()));
+    let four = n / 4 * 4;
+    let mut j = 0;
+    while j < four {
+        let cols: [*const f64; NC] = std::array::from_fn(|jj| a.add((j + jj) * lda));
+        let mut s = [[V::splat(0.0); 2]; NC];
+        let mut i = 0;
+        while i + 16 <= m {
+            for h in 0..2 {
+                let xv = V::load(x.add(i + 8 * h));
+                for (sc, c) in s.iter_mut().zip(cols) {
+                    sc[h] = V::load(c.add(i + 8 * h)).fmadd(xv, sc[h]);
+                }
+            }
+            i += 16;
+        }
+        if i + 8 <= m {
+            let xv = V::load(x.add(i));
+            for (sc, c) in s.iter_mut().zip(cols) {
+                sc[0] = V::load(c.add(i)).fmadd(xv, sc[0]);
+            }
+            i += 8;
+        }
+        let mut d = [0.0; NC];
+        for (dj, sc) in d.iter_mut().zip(s) {
+            *dj = sc[0].add(sc[1]).reduce_add();
+        }
+        for r in i..m {
+            for (dj, c) in d.iter_mut().zip(cols) {
+                *dj += *c.add(r) * *x.add(r);
+            }
+        }
+        for (jj, dj) in d.iter().enumerate() {
+            *y.add(j + jj) = alpha * dj;
+        }
+        j += NC;
+    }
+    while j < n {
+        let c = a.add(j * lda);
+        let mut s = V::splat(0.0);
+        let mut i = 0;
+        while i + 8 <= m {
+            s = V::load(c.add(i)).fmadd(V::load(x.add(i)), s);
+            i += 8;
+        }
+        let mut d = s.reduce_add();
+        for r in i..m {
+            d += *c.add(r) * *x.add(r);
+        }
+        *y.add(j) = alpha * d;
+        j += 1;
+    }
+}
+
+widths! {
+    pub(crate) fn dgemv_t_v8(
+        m: usize,
+        n: usize,
+        alpha: f64,
+        a: *const f64,
+        lda: usize,
+        x: *const f64,
+        y: *mut f64,
+    );
+    dgemv_t_avx512 = <Zmm, 4>;
+    dgemv_t_avx2 = <YmmPair, 2>;
+    dgemv_t_portable = <Lanes, 2>;
+}
+
+/// In-place `exp` over [`V8`] (see [`vexp`] for the contract):
+/// [`V8::exp`] over every full group of eight, then once over a
+/// zero-padded copy of a tail of 1–7.
+///
+/// # Safety
+/// `V`'s CPU features.
+#[inline(always)]
+unsafe fn vexp_v8<V: V8>(xs: &mut [f64]) {
+    let mut groups = xs.chunks_exact_mut(8);
+    for g in &mut groups {
+        V::load(g.as_ptr()).exp().store(g.as_mut_ptr());
+    }
+    let tail = groups.into_remainder();
+    if !tail.is_empty() {
+        let mut buf = [0.0f64; 8];
+        buf[..tail.len()].copy_from_slice(tail);
+        V::load(buf.as_ptr()).exp().store(buf.as_mut_ptr());
+        tail.copy_from_slice(&buf[..tail.len()]);
+    }
+}
+
+widths! {
+    fn vexp_v8(xs: &mut [f64]);
+    vexp_avx512 = <Zmm>;
+    vexp_avx2 = <YmmPair>;
+    vexp_portable = <Lanes>;
+}
+
+/// Largest input for which `exp` is finite.
+const EXP_HI: f64 = 709.782712893384;
+/// Smallest input for which `exp` is a normal double; below this the
+/// kernel flushes to zero (absolute error < 2.5e-308).
+const EXP_LO: f64 = -708.396418532264;
+/// Cody–Waite split of ln 2 for the argument reduction.
+const LN2_HI: f64 = 6.931471803691238e-1;
+const LN2_LO: f64 = 1.9082149292705877e-10;
+/// `1.5 * 2^52` — the round-to-int magic constant: for |n| < 2^51 the
+/// low mantissa bits of `n + MAGIC` hold `n` as a two's-complement
+/// integer.
+const MAGIC: f64 = 6755399441055744.0;
+/// Taylor coefficients `1/k!`, `k = 13` down to `0`, in Horner order.
+const EXP_TAYLOR: [f64; 14] = [
+    1.6059043836821613e-10,
+    2.08767569878681e-9,
+    2.505210838544172e-8,
+    2.755731922398589e-7,
+    2.755731922398589e-6,
+    2.48015873015873e-5,
+    1.984126984126984e-4,
+    1.388888888888889e-3,
+    8.333333333333333e-3,
+    4.1666666666666664e-2,
+    1.6666666666666666e-1,
+    0.5,
+    1.0,
+    1.0,
+];
+
+/// [`V8::exp`] on one lane, for any CPU: the vector `exp`'s steps on one
+/// element — `x log2 e` rounded to nearest, ties to even; the two fused
+/// Cody–Waite reduction steps; the fused Horner polynomial; `2^n` in two
+/// halves through the exponent bits; the same range fix-ups — so the same
+/// bits.
+#[inline(always)]
+fn exp_lane(x: f64) -> f64 {
+    let n = (x * std::f64::consts::LOG2_E).round_ties_even();
+    let r = (-n).mul_add(LN2_HI, x);
+    let r = (-n).mul_add(LN2_LO, r);
+    let p = EXP_TAYLOR[1..].iter().fold(EXP_TAYLOR[0], |p, &c| p.mul_add(r, c));
+    // bits(ni + MAGIC) - bits(MAGIC) == ni, shifted into the exponent.
+    let pow2_half = |ni: f64| {
+        let expo = (ni + MAGIC).to_bits().wrapping_add(1023u64.wrapping_sub(MAGIC.to_bits()));
+        f64::from_bits(expo << 52)
+    };
+    let n1 = (n * 0.5).round_ties_even();
+    let res = p * pow2_half(n1) * pow2_half(n - n1);
+    if x.is_nan() {
+        x
+    } else if x > EXP_HI {
+        f64::INFINITY
+    } else if x < EXP_LO {
+        0.0
+    } else {
+        res
+    }
+}
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{fused_rows, EXP_HI, EXP_LO, EXP_TAYLOR, LN2_HI, LN2_LO, MAGIC, V8};
     use core::arch::x86_64::*;
-
-    /// One row group in registers: eight `f64` lanes, row `r` of the group
-    /// in lane `r`, held in one `zmm` ([`Zmm`], AVX-512F) or in two `ymm`
-    /// halves, rows `0..4` and `4..8` ([`YmmPair`], AVX2+FMA). A `YmmPair`
-    /// method is the `Zmm` one on each half, so a kernel body written once
-    /// over `V8` gives every lane the same bits at both widths; [`widths!`]
-    /// instantiates it at each, with the register tile that width's
-    /// register count holds.
-    ///
-    /// # Safety
-    /// Every method runs its type's instructions, so runs only where the
-    /// CPU has them; called from a body [`widths!`] instantiates, it inlines
-    /// into the function that enables them. `load` reads eight elements at
-    /// `p`, `store` writes eight.
-    trait V8: Copy {
-        /// `[v; 8]`.
-        /// # Safety
-        /// As for [`V8`].
-        unsafe fn splat(v: f64) -> Self;
-        /// The eight elements at `p`.
-        /// # Safety
-        /// As for [`V8`].
-        unsafe fn load(p: *const f64) -> Self;
-        /// Writes the lanes to the eight elements at `p`.
-        /// # Safety
-        /// As for [`V8`].
-        unsafe fn store(self, p: *mut f64);
-        /// `self + b` per lane.
-        /// # Safety
-        /// As for [`V8`].
-        unsafe fn add(self, b: Self) -> Self;
-        /// `self · b + c` per lane, rounded once.
-        /// # Safety
-        /// As for [`V8`].
-        unsafe fn fmadd(self, b: Self, c: Self) -> Self;
-        /// The sum of the lanes: the halves added, `w_l = v_l + v_{l+4}`,
-        /// then `(w0 + w2) + (w1 + w3)`.
-        /// # Safety
-        /// As for [`V8`].
-        unsafe fn reduce_add(self) -> f64;
-        /// Bit `r` set unless lane `r` is greater than lane `r` of `t`, so a
-        /// NaN sets its bit.
-        /// # Safety
-        /// As for [`V8`].
-        unsafe fn ngt_mask(self, t: Self) -> u8;
-        /// `exp` per lane: [`exp8`], or [`exp4`] on each half (see
-        /// [`super::vexp`] for the contract).
-        /// # Safety
-        /// As for [`V8`].
-        unsafe fn exp(self) -> Self;
-        /// `G` groups, the `g`-th at `p + g·step` (a loop, not a closure: see
-        /// [`widths!`]).
-        /// # Safety
-        /// As for [`V8`], at each of the `G` addresses.
-        #[inline(always)]
-        unsafe fn load_groups<const G: usize>(p: *const f64, step: usize) -> [Self; G] {
-            let mut v = [Self::splat(0.0); G];
-            for (g, x) in v.iter_mut().enumerate() {
-                *x = Self::load(p.add(g * step));
-            }
-            v
-        }
-    }
 
     /// [`V8`] in one `zmm`.
     #[derive(Clone, Copy)]
-    struct Zmm(__m512d);
+    pub(super) struct Zmm(__m512d);
 
     impl V8 for Zmm {
         // SAFETY: AVX-512F, which `V8` asks of the caller.
@@ -778,7 +1405,7 @@ mod x86 {
 
     /// [`V8`] in two `ymm` halves.
     #[derive(Clone, Copy)]
-    struct YmmPair([__m256d; 2]);
+    pub(super) struct YmmPair([__m256d; 2]);
 
     impl V8 for YmmPair {
         // SAFETY: AVX2+FMA, which `V8` asks of the caller.
@@ -828,110 +1455,6 @@ mod x86 {
         unsafe fn exp(self) -> Self {
             YmmPair([exp4(self.0[0]), exp4(self.0[1])])
         }
-    }
-
-    /// Stamps out the two entry points of a kernel body written once over
-    /// [`V8`]: `$wide` runs it in [`Zmm`] lanes under AVX-512F, `$narrow` in
-    /// [`YmmPair`] lanes under AVX2+FMA, each with its width's tile shape
-    /// (the const parameters after the lane type). The body and every `V8`
-    /// method under it inline into the `#[target_feature]` entry point, so
-    /// every intrinsic does too; a generic helper called across the feature
-    /// boundary might not. A closure does not carry the `#[inline(always)]`
-    /// nor its caller's features, so no body calls a `V8` method from one.
-    macro_rules! widths {
-        (
-            $vis:vis fn $body:ident($($arg:ident: $ty:ty),* $(,)?);
-            $wide:ident = <Zmm $(, $ws:tt)*>;
-            $narrow:ident = <YmmPair $(, $ns:tt)*>;
-        ) => {
-            #[doc = concat!("[`", stringify!($body), "`] in [`Zmm`] lanes.")]
-            ///
-            /// # Safety
-            /// Requires AVX-512F; otherwise as the body.
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = "avx512f")]
-            $vis unsafe fn $wide($($arg: $ty),*) {
-                debug_assert!(super::avx512_supported(), "{} needs AVX-512F", stringify!($wide));
-                $body::<Zmm $(, $ws)*>($($arg),*)
-            }
-
-            #[doc = concat!("[`", stringify!($body), "`] in [`YmmPair`] lanes.")]
-            ///
-            /// # Safety
-            /// Requires AVX2+FMA; otherwise as the body.
-            #[allow(clippy::too_many_arguments)]
-            #[target_feature(enable = "avx2", enable = "fma")]
-            $vis unsafe fn $narrow($($arg: $ty),*) {
-                debug_assert!(super::cpu_supported(), "{} needs AVX2+FMA", stringify!($narrow));
-                $body::<YmmPair $(, $ns)*>($($arg),*)
-            }
-        };
-    }
-
-    /// `C[0..8G, 0..6P] += alpha * sum_k A[:, k] * B[k, :]` — the BLIS-style
-    /// register-tile microkernel over `G` packed A panels by `P` packed B
-    /// panels: an `8 x 6` tile in `ymm` pairs on any panel, a `16 x 12` one
-    /// in `zmm` over two by two. A panel `g` holds rows `8g..8g + 8` MR-major
-    /// (8 consecutive rows per `k`) at `ap + 8g·kc`, B panel `p` columns
-    /// `6p..6p + 6` NR-major (6 consecutive columns per `k`) at `bp + 6p·kc`;
-    /// `C` is column-major with stride `ldc`. The accumulators live in
-    /// registers for the whole `k` loop (12 `ymm` pairs, 24 `zmm`); the
-    /// epilogue fuses the `alpha` scale into the `C` update.
-    ///
-    /// Each element is one FMA chain from zero in ascending `k`, then
-    /// `C = fma(acc, alpha, C)`. So the four `8 x 6` tiles a `16 x 12` one
-    /// covers come out with the bits they have when run one at a time.
-    ///
-    /// # Safety
-    /// `V`'s CPU features. `ap`/`bp` must hold at least `8G·kc` / `6P·kc`
-    /// readable elements and `c[i + j*ldc]` must be writable for all
-    /// `i < 8G`, `j < 6P`.
-    #[inline(always)]
-    unsafe fn dgemm_tile_v8<V: V8, const G: usize, const P: usize>(
-        kc: usize,
-        alpha: f64,
-        ap: *const f64,
-        bp: *const f64,
-        c: *mut f64,
-        ldc: usize,
-    ) {
-        debug_assert!(!ap.is_null() && !bp.is_null() && !c.is_null());
-        debug_assert!(ldc >= 8 * G, "C tile columns ({} rows) would overlap: ldc = {ldc}", 8 * G);
-        let mut acc = [[[V::splat(0.0); G]; 6]; P];
-        for k in 0..kc {
-            let a = V::load_groups::<G>(ap.add(8 * k), 8 * kc);
-            for (p, accp) in acc.iter_mut().enumerate() {
-                let bk = bp.add(6 * (p * kc + k));
-                for (j, accj) in accp.iter_mut().enumerate() {
-                    let b = V::splat(*bk.add(j));
-                    for (x, av) in accj.iter_mut().zip(a) {
-                        *x = av.fmadd(b, *x);
-                    }
-                }
-            }
-        }
-        let va = V::splat(alpha);
-        for (p, accp) in acc.iter().enumerate() {
-            for (j, accj) in accp.iter().enumerate() {
-                for (g, x) in accj.iter().enumerate() {
-                    let cg = c.add((6 * p + j) * ldc + 8 * g);
-                    x.fmadd(va, V::load(cg)).store(cg);
-                }
-            }
-        }
-    }
-
-    widths! {
-        pub(crate) fn dgemm_tile_v8(
-            kc: usize,
-            alpha: f64,
-            ap: *const f64,
-            bp: *const f64,
-            c: *mut f64,
-            ldc: usize,
-        );
-        dgemm_tile_16x12_avx512 = <Zmm, 2, 2>;
-        dgemm_tile_avx2 = <YmmPair, 1, 1>;
     }
 
     /// One `kc` run of the skinny product `A[0..m, 0..kc] * Bp`
@@ -1053,43 +1576,6 @@ mod x86 {
         }
     }
 
-    /// [`super::gsks_gram`] over [`V8`]: the 8 target rows in the lanes, one
-    /// accumulator per source column, `NC` columns per pass, each coordinate
-    /// of a source broadcast from where it lies — one FMA chain from zero per
-    /// value. All 8 columns go in one pass in `zmm`; 4 per pass in `ymm`
-    /// pairs, so the 16 registers hold them and the operands.
-    ///
-    /// # Safety
-    /// `V`'s CPU features; `NC` divides 8. `xg` and `ys` must hold `8 * d`
-    /// readable elements, `out` 64 writable ones.
-    #[inline(always)]
-    unsafe fn gsks_gram_v8<V: V8, const NC: usize>(
-        d: usize,
-        xg: *const f64,
-        ys: *const f64,
-        out: *mut f64,
-    ) {
-        debug_assert!(!xg.is_null() && !ys.is_null() && !out.is_null());
-        for pass in 0..8 / NC {
-            let mut acc = [V::splat(0.0); NC];
-            for k in 0..d {
-                let x = V::load(xg.add(8 * k));
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a = x.fmadd(V::splat(*ys.add((NC * pass + j) * d + k)), *a);
-                }
-            }
-            for (j, a) in acc.iter().enumerate() {
-                a.store(out.add(8 * (NC * pass + j)));
-            }
-        }
-    }
-
-    widths! {
-        pub(super) fn gsks_gram_v8(d: usize, xg: *const f64, ys: *const f64, out: *mut f64);
-        gsks_gram_avx512 = <Zmm, 8>;
-        gsks_gram_avx2 = <YmmPair, 4>;
-    }
-
     /// Weight `c` of a tile's `cols` live ones, zero past them.
     ///
     /// # Safety
@@ -1129,138 +1615,6 @@ mod x86 {
         _mm256_storeu_pd(acc.add(4), a1);
     }
 
-    /// [`super::gsks_contract_run`] over [`V8`] for `groups` (1 or 2) full
-    /// row groups: both groups at once when `GM == 2` and there are two,
-    /// otherwise one at a time, by the right-hand sides in blocks of `NR`,
-    /// then at most one each of 8 (when `NR > 8`), 4, 2 and 1. Each block
-    /// holds its piece of `W` in registers for the whole run: `16 x 12` in
-    /// `zmm` (the shape of [`dgemm_tile_16x12_avx512`]), `8 x 6` in `ymm`
-    /// pairs (that of [`dgemm_tile_avx2`]).
-    ///
-    /// # Safety
-    /// `V`'s CPU features. `1 <= groups <= 2`, `cols >= 1`; `k[g * span + i]`
-    /// must be readable for `g < groups`, `i < 8 * cols.next_multiple_of(4)`;
-    /// `u[c + t * ucs]` readable for `c < cols`, `t < nrhs`; and
-    /// `w[r + t * wcs]` readable and writable for `r < 8 * groups`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn gsks_contract_run_v8<V: V8, const GM: usize, const NR: usize>(
-        k: *const f64,
-        span: usize,
-        groups: usize,
-        cols: usize,
-        nrhs: usize,
-        u: *const f64,
-        ucs: usize,
-        w: *mut f64,
-        wcs: usize,
-    ) {
-        debug_assert!((1..=2).contains(&groups) && cols >= 1, "run shape: {groups} x {cols}");
-        debug_assert!(nrhs <= 1 || (wcs >= 8 * groups && ucs >= cols), "U or W columns overlap");
-        if GM == 2 && groups == 2 {
-            run_blocks::<V, 2, NR>(k, span, cols, nrhs, u, ucs, w, wcs);
-        } else {
-            for g in 0..groups {
-                let (kg, wg) = (k.add(g * span), w.add(8 * g));
-                run_blocks::<V, 1, NR>(kg, span, cols, nrhs, u, ucs, wg, wcs);
-            }
-        }
-    }
-
-    widths! {
-        pub(super) fn gsks_contract_run_v8(
-            k: *const f64,
-            span: usize,
-            groups: usize,
-            cols: usize,
-            nrhs: usize,
-            u: *const f64,
-            ucs: usize,
-            w: *mut f64,
-            wcs: usize,
-        );
-        gsks_contract_run_avx512 = <Zmm, 2, 12>;
-        gsks_contract_run_avx2 = <YmmPair, 1, 6>;
-    }
-
-    /// The right-hand-side blocks of [`gsks_contract_run_v8`] on `G` row
-    /// groups at `k` / `w`.
-    ///
-    /// # Safety
-    /// As [`gsks_contract_run_v8`], with `groups == G`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn run_blocks<V: V8, const G: usize, const NR: usize>(
-        k: *const f64,
-        span: usize,
-        cols: usize,
-        nrhs: usize,
-        u: *const f64,
-        ucs: usize,
-        w: *mut f64,
-        wcs: usize,
-    ) {
-        let mut t = 0;
-        while t < nrhs {
-            let (ut, wt) = (u.add(t * ucs), w.add(t * wcs));
-            t += match nrhs - t {
-                r if r >= NR => run_block::<V, G, NR>(k, span, cols, ut, ucs, wt, wcs),
-                8.. => run_block::<V, G, 8>(k, span, cols, ut, ucs, wt, wcs),
-                4.. => run_block::<V, G, 4>(k, span, cols, ut, ucs, wt, wcs),
-                2.. => run_block::<V, G, 2>(k, span, cols, ut, ucs, wt, wcs),
-                _ => run_block::<V, G, 1>(k, span, cols, ut, ucs, wt, wcs),
-            };
-        }
-    }
-
-    /// One `8·G x NR` block of [`gsks_contract_run_v8`]: `W` loaded, one FMA
-    /// per source column and right-hand side in ascending column order, then
-    /// the zero-weight columns up to a multiple of four, stored back.
-    /// Returns `NR`.
-    ///
-    /// # Safety
-    /// As [`gsks_contract_run_v8`], with `G` groups and `NR` right-hand sides
-    /// at `k` / `u` / `w`.
-    #[inline(always)]
-    unsafe fn run_block<V: V8, const G: usize, const NR: usize>(
-        k: *const f64,
-        span: usize,
-        cols: usize,
-        u: *const f64,
-        ucs: usize,
-        w: *mut f64,
-        wcs: usize,
-    ) -> usize {
-        let mut acc = [[V::splat(0.0); G]; NR];
-        for (j, aj) in acc.iter_mut().enumerate() {
-            *aj = V::load_groups::<G>(w.add(j * wcs), 8);
-        }
-        for c in 0..cols {
-            let kc = V::load_groups::<G>(k.add(8 * c), span);
-            for (j, aj) in acc.iter_mut().enumerate() {
-                let b = V::splat(*u.add(j * ucs + c));
-                for (a, v) in aj.iter_mut().zip(&kc) {
-                    *a = v.fmadd(b, *a);
-                }
-            }
-        }
-        let zero = V::splat(0.0);
-        for c in cols..cols.next_multiple_of(4) {
-            let kc = V::load_groups::<G>(k.add(8 * c), span);
-            for aj in acc.iter_mut() {
-                for (a, v) in aj.iter_mut().zip(&kc) {
-                    *a = v.fmadd(zero, *a);
-                }
-            }
-        }
-        for (j, aj) in acc.iter().enumerate() {
-            for (g, a) in aj.iter().enumerate() {
-                a.store(w.add(j * wcs + 8 * g));
-            }
-        }
-        NR
-    }
-
     /// The distance-tile epilogue: `g[i] = max(rn[i] + cn - 2*g[i], 0)`
     /// vectorized 4-wide (see [`super::dist_epilogue`]). `fnmadd` fuses
     /// exactly like the scalar `mul_add` reference, so both paths agree
@@ -1289,136 +1643,6 @@ mod x86 {
         while i < n {
             *gp.add(i) = (-2.0f64).mul_add(*gp.add(i), *rp.add(i) + cn).max(0.0);
             i += 1;
-        }
-    }
-
-    /// [`super::dist_filter`] over [`V8`]: an `8·MG x 4` register tile —
-    /// `MG` packed query groups against four candidates — swept over the
-    /// candidates with the query tile resident; a last group short of `MG`
-    /// runs as an `8 x 4` tile and leftover candidates one column at a time.
-    /// `MG` is 2 in `zmm` (eight accumulators) and 1 in `ymm` pairs (eight
-    /// halves). The epilogue forms `(qn + cn) − 2g` with one FMA and
-    /// turns the compare mask into the output word.
-    ///
-    /// # Safety
-    /// `V`'s CPU features. With `groups = ceil(m / 8)`: `qpack` must hold
-    /// `groups * 8 * d` elements, `qn` and `thr` `groups * 8`, `cand`
-    /// `d * nc`, `cn` `nc`, and `masks` `groups * nc` writable words.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn dist_filter_v8<V: V8, const MG: usize>(
-        d: usize,
-        m: usize,
-        nc: usize,
-        qpack: *const f64,
-        qn: *const f64,
-        thr: *const f64,
-        cand: *const f64,
-        cn: *const f64,
-        masks: *mut usize,
-    ) {
-        debug_assert!(!qpack.is_null() && !qn.is_null() && !thr.is_null());
-        debug_assert!(!cand.is_null() && !cn.is_null() && !masks.is_null());
-        let groups = m.div_ceil(8);
-        let mut g = 0;
-        while g + MG <= groups {
-            filter_sweep::<V, MG>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
-            g += MG;
-        }
-        if MG > 1 && g < groups {
-            filter_sweep::<V, 1>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
-        }
-    }
-
-    widths! {
-        pub(super) fn dist_filter_v8(
-            d: usize,
-            m: usize,
-            nc: usize,
-            qpack: *const f64,
-            qn: *const f64,
-            thr: *const f64,
-            cand: *const f64,
-            cn: *const f64,
-            masks: *mut usize,
-        );
-        dist_filter_avx512 = <Zmm, 2>;
-        dist_filter_avx2 = <YmmPair, 1>;
-    }
-
-    /// Query groups `g .. g + MG` of [`dist_filter_v8`] against every
-    /// candidate, four at a time and then singly.
-    ///
-    /// # Safety
-    /// As [`dist_filter_v8`], with `g + MG <= ceil(m / 8)`.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn filter_sweep<V: V8, const MG: usize>(
-        d: usize,
-        m: usize,
-        g: usize,
-        nc: usize,
-        qpack: *const f64,
-        qn: *const f64,
-        thr: *const f64,
-        cand: *const f64,
-        cn: *const f64,
-        masks: *mut usize,
-    ) {
-        let (q, gn, gt) = (qpack.add(8 * g * d), qn.add(8 * g), thr.add(8 * g));
-        let out = masks.add(g * nc);
-        // The lanes of each group that hold one of the `m` real queries.
-        let valid: [u8; MG] = std::array::from_fn(|gi| u8::MAX >> (8 - (m - 8 * (g + gi)).min(8)));
-        let mut j = 0;
-        while j + 4 <= nc {
-            let (c, n) = (cand.add(j * d), cn.add(j));
-            filter_tile::<V, MG, 4>(d, nc, q, gn, gt, valid, c, n, out.add(j));
-            j += 4;
-        }
-        while j < nc {
-            let (c, n) = (cand.add(j * d), cn.add(j));
-            filter_tile::<V, MG, 1>(d, nc, q, gn, gt, valid, c, n, out.add(j));
-            j += 1;
-        }
-    }
-
-    /// One `8·MG x NR` tile of [`dist_filter_v8`]: `q`, `qn`, `thr` point at
-    /// the first of `MG` consecutive query groups, `c` / `cn` at the first of
-    /// `NR` candidates, `out` at that candidate's word in the first group's
-    /// mask row (rows are `nc` apart).
-    ///
-    /// # Safety
-    /// As [`dist_filter_v8`], restricted to this tile.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    unsafe fn filter_tile<V: V8, const MG: usize, const NR: usize>(
-        d: usize,
-        nc: usize,
-        q: *const f64,
-        qn: *const f64,
-        thr: *const f64,
-        valid: [u8; MG],
-        c: *const f64,
-        cn: *const f64,
-        out: *mut usize,
-    ) {
-        let mut acc = [[V::splat(0.0); NR]; MG];
-        for k in 0..d {
-            let a = V::load_groups::<MG>(q.add(8 * k), 8 * d);
-            for j in 0..NR {
-                let b = V::splat(*c.add(j * d + k));
-                for (accg, av) in acc.iter_mut().zip(a) {
-                    accg[j] = av.fmadd(b, accg[j]);
-                }
-            }
-        }
-        let minus_two = V::splat(-2.0);
-        for (gi, accg) in acc.iter().enumerate() {
-            let (vqn, vthr) = (V::load(qn.add(8 * gi)), V::load(thr.add(8 * gi)));
-            for (j, g2) in accg.iter().enumerate() {
-                let f = g2.fmadd(minus_two, vqn.add(V::splat(*cn.add(j))));
-                *out.add(gi * nc + j) = usize::from(f.ngt_mask(vthr) & valid[gi]);
-            }
         }
     }
 
@@ -1500,17 +1724,6 @@ mod x86 {
     /// `ymm` of `x` one pass of [`rank1_update_avx2`] holds in registers
     /// while every column goes by.
     const RANK1_YMM: usize = 4;
-
-    /// The rows [`axpy_avx2`] gives a fused multiply-add: the 4-aligned
-    /// body of a vector of at least 8, none of a shorter one.
-    #[inline(always)]
-    fn fused_rows(m: usize) -> usize {
-        if m >= 8 {
-            m & !3
-        } else {
-            0
-        }
-    }
 
     /// Vector body of [`super::rank1_update`]: the fused rows in blocks of
     /// up to 16, four `ymm` of `x` held while every column of `C` goes by —
@@ -1934,161 +2147,6 @@ mod x86 {
         }
     }
 
-    /// `y[j] = alpha * dot(A[:, j], x)` for column-major `A` (`m x n`,
-    /// stride `lda`) over [`V8`]: the transpose counterpart of
-    /// [`dgemv_add_avx2`], and the per-pivot `F` accumulation of the blocked
-    /// CPQR.
-    ///
-    /// One reduction order, written out by `gemv_t_order` in `blas2.rs`'s
-    /// tests. A column of the first `4 * (n / 4)` is summed into two `V8`
-    /// chains from zero: 16-row steps put rows `i..i + 8` in chain 0 and
-    /// `i + 8..i + 16` in chain 1, then one 8-row step, if 8 rows remain,
-    /// feeds chain 0; the chains meet lane-wise and [`V8::reduce_add`] sums
-    /// the lanes. A later column takes one chain in 8-row steps, the same
-    /// sum. The last `m % 8` rows are then added in order (multiply, then
-    /// add), and the sum is scaled by `alpha`. `NC` columns go per pass: 4 in
-    /// `zmm`; 2 in `ymm` pairs, whose eight chain halves and four `x` halves
-    /// fit the 16 registers.
-    ///
-    /// # Safety
-    /// `V`'s CPU features; `NC` divides 4. `a` must expose `lda*(n-1)+m`
-    /// elements, `x` at least `m`, `y` at least `n`.
-    #[inline(always)]
-    unsafe fn dgemv_t_v8<V: V8, const NC: usize>(
-        m: usize,
-        n: usize,
-        alpha: f64,
-        a: *const f64,
-        lda: usize,
-        x: *const f64,
-        y: *mut f64,
-    ) {
-        debug_assert!(lda >= m || n <= 1, "A columns would overlap: lda = {lda}, m = {m}");
-        debug_assert!(n == 0 || m == 0 || (!a.is_null() && !x.is_null() && !y.is_null()));
-        let four = n / 4 * 4;
-        let mut j = 0;
-        while j < four {
-            let cols: [*const f64; NC] = std::array::from_fn(|jj| a.add((j + jj) * lda));
-            let mut s = [[V::splat(0.0); 2]; NC];
-            let mut i = 0;
-            while i + 16 <= m {
-                for h in 0..2 {
-                    let xv = V::load(x.add(i + 8 * h));
-                    for (sc, c) in s.iter_mut().zip(cols) {
-                        sc[h] = V::load(c.add(i + 8 * h)).fmadd(xv, sc[h]);
-                    }
-                }
-                i += 16;
-            }
-            if i + 8 <= m {
-                let xv = V::load(x.add(i));
-                for (sc, c) in s.iter_mut().zip(cols) {
-                    sc[0] = V::load(c.add(i)).fmadd(xv, sc[0]);
-                }
-                i += 8;
-            }
-            let mut d = [0.0; NC];
-            for (dj, sc) in d.iter_mut().zip(s) {
-                *dj = sc[0].add(sc[1]).reduce_add();
-            }
-            for r in i..m {
-                for (dj, c) in d.iter_mut().zip(cols) {
-                    *dj += *c.add(r) * *x.add(r);
-                }
-            }
-            for (jj, dj) in d.iter().enumerate() {
-                *y.add(j + jj) = alpha * dj;
-            }
-            j += NC;
-        }
-        while j < n {
-            let c = a.add(j * lda);
-            let mut s = V::splat(0.0);
-            let mut i = 0;
-            while i + 8 <= m {
-                s = V::load(c.add(i)).fmadd(V::load(x.add(i)), s);
-                i += 8;
-            }
-            let mut d = s.reduce_add();
-            for r in i..m {
-                d += *c.add(r) * *x.add(r);
-            }
-            *y.add(j) = alpha * d;
-            j += 1;
-        }
-    }
-
-    widths! {
-        pub(crate) fn dgemv_t_v8(
-            m: usize,
-            n: usize,
-            alpha: f64,
-            a: *const f64,
-            lda: usize,
-            x: *const f64,
-            y: *mut f64,
-        );
-        dgemv_t_avx512 = <Zmm, 4>;
-        dgemv_t_avx2 = <YmmPair, 2>;
-    }
-
-    /// In-place `exp` over [`V8`] (see [`super::vexp`] for the contract):
-    /// [`V8::exp`] over every full group of eight, then once over a
-    /// zero-padded copy of a tail of 1–7.
-    ///
-    /// # Safety
-    /// `V`'s CPU features.
-    #[inline(always)]
-    unsafe fn vexp_v8<V: V8>(xs: &mut [f64]) {
-        let mut groups = xs.chunks_exact_mut(8);
-        for g in &mut groups {
-            V::load(g.as_ptr()).exp().store(g.as_mut_ptr());
-        }
-        let tail = groups.into_remainder();
-        if !tail.is_empty() {
-            let mut buf = [0.0f64; 8];
-            buf[..tail.len()].copy_from_slice(tail);
-            V::load(buf.as_ptr()).exp().store(buf.as_mut_ptr());
-            tail.copy_from_slice(&buf[..tail.len()]);
-        }
-    }
-
-    widths! {
-        pub(super) fn vexp_v8(xs: &mut [f64]);
-        vexp_avx512 = <Zmm>;
-        vexp_avx2 = <YmmPair>;
-    }
-
-    /// Largest input for which `exp` is finite.
-    pub(super) const EXP_HI: f64 = 709.782712893384;
-    /// Smallest input for which `exp` is a normal double; below this the
-    /// kernel flushes to zero (absolute error < 2.5e-308).
-    pub(super) const EXP_LO: f64 = -708.396418532264;
-    /// Cody–Waite split of ln 2 for the argument reduction.
-    const LN2_HI: f64 = 6.931471803691238e-1;
-    const LN2_LO: f64 = 1.9082149292705877e-10;
-    /// `1.5 * 2^52` — the round-to-int magic constant: for |n| < 2^51 the
-    /// low mantissa bits of `n + MAGIC` hold `n` as a two's-complement
-    /// integer.
-    const MAGIC: f64 = 6755399441055744.0;
-    /// Taylor coefficients `1/k!`, `k = 13` down to `0`, in Horner order.
-    const EXP_TAYLOR: [f64; 14] = [
-        1.6059043836821613e-10,
-        2.08767569878681e-9,
-        2.505210838544172e-8,
-        2.755731922398589e-7,
-        2.755731922398589e-6,
-        2.48015873015873e-5,
-        1.984126984126984e-4,
-        1.388888888888889e-3,
-        8.333333333333333e-3,
-        4.1666666666666664e-2,
-        1.6666666666666666e-1,
-        0.5,
-        1.0,
-        1.0,
-    ];
-
     /// 4-wide `exp`: round-to-nearest power-of-two argument reduction
     /// `x = n ln2 + r`, |r| <= ln2/2, degree-13 Taylor polynomial (Horner,
     /// truncation error < 1e-17 relative), and exponent reconstruction via
@@ -2185,11 +2243,11 @@ mod tests {
     fn dispatch_flags() {
         // Every test that flips the switch in this binary holds SIMD_MODE
         // and puts it back, so `before` is the default: on whenever the CPU
-        // has the kernels, unless KFDS_SIMD opts out.
+        // has the kernels.
         let _mode = SIMD_MODE.lock().unwrap_or_else(|e| e.into_inner());
         let before = active();
-        assert_eq!(before, cpu_supported() && !kfds_switches::KFDS_SIMD.is_off());
-        // The override wins over the default/env; cpu_supported is fixed.
+        assert_eq!(before, cpu_supported());
+        // The override wins over the default; cpu_supported is fixed.
         set_simd_enabled(false);
         assert!(!active());
         set_simd_enabled(true);
@@ -2232,9 +2290,8 @@ mod tests {
         assert!(xs[3].is_nan());
         assert_eq!(xs[4], 0.0);
         assert_eq!(xs[5], f64::INFINITY);
-        // Subnormal range flushes to zero in the vector path; scalar path
-        // returns the subnormal. Either way the absolute error is tiny.
-        assert!(xs[6].abs() < 2.5e-308);
+        // The subnormal range flushes to zero (absolute error < 2.5e-308).
+        assert_eq!(xs[6], 0.0);
     }
 
     #[test]
@@ -2285,15 +2342,16 @@ mod tests {
         let mut out = [f64::NAN; 64];
         let (x, y, o) = (xg.as_ptr(), ys.as_ptr(), out.as_mut_ptr());
         match body {
-            "scalar" => gsks_gram_scalar(xg, ys, d, &mut out),
+            // SAFETY: both operands hold 8 x d elements.
+            "portable" => unsafe { gsks_gram_portable(d, x, y, o) },
             "wrapper" => gsks_gram(xg, ys, d, &mut out),
-            // SAFETY: both operands hold 8 x d elements; `bodies`
-            // lists a vector body only when the CPU supports it.
+            // SAFETY: as for the portable body; `bodies` lists a vector
+            // body only when the CPU supports it.
             #[cfg(target_arch = "x86_64")]
-            "avx2" => unsafe { x86::gsks_gram_avx2(d, x, y, o) },
+            "avx2" => unsafe { gsks_gram_avx2(d, x, y, o) },
             // SAFETY: as for the AVX2 body.
             #[cfg(target_arch = "x86_64")]
-            "avx512" => unsafe { x86::gsks_gram_avx512(d, x, y, o) },
+            "avx512" => unsafe { gsks_gram_avx512(d, x, y, o) },
             other => panic!("unknown body {other} ({x:?}, {y:?}, {o:?})"),
         }
         out
@@ -2340,7 +2398,7 @@ mod tests {
                     let mut acc = acc0;
                     let (kp, up, ap) = (k.as_ptr(), u.as_ptr(), acc.as_mut_ptr());
                     match body {
-                        "scalar" => gsks_dot_scalar(&k, &u, &mut acc),
+                        "portable" => gsks_dot_portable(&k, &u, &mut acc),
                         "wrapper" => gsks_dot(&k, &u, &mut acc),
                         // SAFETY: `u` holds `cols` weights, `k` one tile;
                         // the vector body is listed only when supported.
@@ -2357,7 +2415,7 @@ mod tests {
     /// The run contraction's bodies on one case. `W` is rows `1..1 + rows`
     /// of a poisoned 19-row matrix (`col_stride` 19 > 16 rows), `U` rows
     /// `2..2 + cols` of `u` (`col_stride` > 32 columns); `k` holds the run
-    /// as [`gsks_contract_run`] reads it. A vector body is given the full
+    /// as [`gsks_contract_run`] reads it. A lane's body is given the full
     /// row groups only, as the wrapper gives it them.
     fn contract_run_body(
         body: &str,
@@ -2371,37 +2429,28 @@ mod tests {
         let span = cols.div_ceil(8) * 64;
         let mut w = w0.clone();
         let uv = u.submatrix(2..2 + cols, 0..nrhs);
-        let full = if body.starts_with("avx") { rows / 8 * 8 } else { rows };
+        let full = if body == "wrapper" { rows } else { rows / 8 * 8 };
         let mut wv = w.rb_mut().submatrix_mut(1..1 + full, 0..nrhs);
-        let (up, us, ws) = (uv.as_ptr(), uv.col_stride(), wv.col_stride());
-        let wp = wv.as_mut_ptr();
+        let (kp, up, us, ws) = (k.as_ptr(), uv.as_ptr(), uv.col_stride(), wv.col_stride());
+        let (wp, g) = (wv.as_mut_ptr(), full / 8);
         match body {
-            "scalar" => gsks_contract_run_scalar(k, uv, wv),
             "wrapper" => gsks_contract_run(k, uv, wv),
-            // SAFETY: `W` is `full / 8` whole row groups and `U` cols x nrhs
-            // inside their matrices, `k` holds a run of `span` per group;
-            // the vector bodies are listed only when supported and called
-            // only with at least one group and one column.
-            #[cfg(target_arch = "x86_64")]
-            "avx2" => unsafe {
-                x86::gsks_contract_run_avx2(k.as_ptr(), span, full / 8, cols, nrhs, up, us, wp, ws)
+            // SAFETY: `W` is `g` whole row groups and `U` cols x nrhs inside
+            // their matrices, `k` holds a run of `span` per group; a body is
+            // called only with at least one group and one column.
+            "portable" => unsafe {
+                gsks_contract_run_portable(kp, span, g, cols, nrhs, up, us, wp, ws)
             },
+            // SAFETY: as for the portable body; `bodies` lists a vector body
+            // only when the CPU supports it.
+            #[cfg(target_arch = "x86_64")]
+            "avx2" => unsafe { gsks_contract_run_avx2(kp, span, g, cols, nrhs, up, us, wp, ws) },
             // SAFETY: as for the AVX2 body.
             #[cfg(target_arch = "x86_64")]
             "avx512" => unsafe {
-                x86::gsks_contract_run_avx512(
-                    k.as_ptr(),
-                    span,
-                    full / 8,
-                    cols,
-                    nrhs,
-                    up,
-                    us,
-                    wp,
-                    ws,
-                )
+                gsks_contract_run_avx512(kp, span, g, cols, nrhs, up, us, wp, ws)
             },
-            other => panic!("unknown body {other} ({up:?}, {us}, {wp:?}, {ws}, {span})"),
+            other => panic!("unknown body {other}"),
         }
         w
     }
@@ -2476,21 +2525,18 @@ mod tests {
                     };
                     let full = rows / 8 * 8;
                     for body in bodies() {
-                        if body.starts_with("avx") && full == 0 {
-                            continue; // a vector body takes whole row groups only
-                        }
-                        if body.starts_with("avx") && cols == 0 {
-                            continue; // nor an empty run
+                        let lane = body != "wrapper";
+                        if lane && (full == 0 || cols == 0) {
+                            continue; // a lane's body takes whole row groups of a run only
                         }
                         let got = contract_run_body(body, &k, &u, &w0, rows, cols);
-                        let vector = body.starts_with("avx") || (body == "wrapper" && active());
                         for t in 0..nrhs {
                             for i in 0..19usize {
                                 let want = match i.checked_sub(1) {
                                     Some(r) if r < rows && cols > 0 => {
-                                        if vector && r < full {
+                                        if r < full {
                                             fused(r, t)
-                                        } else if body.starts_with("avx") {
+                                        } else if lane {
                                             w0[(i, t)] // the partial group is the wrapper's
                                         } else {
                                             grouped(r, t)
@@ -2514,14 +2560,13 @@ mod tests {
 
     #[test]
     fn vexp_lanes_agree_bitwise() {
-        // Every lane this host runs against the portable one (the wrapper
-        // with SIMD off), at the special values and at every tail of 1–7.
+        // Every body this host runs against the portable one, at the
+        // special values and at every tail of 1–7.
         let ulp = |x: f64, up: bool| {
             let b = x.to_bits() as i64;
             f64::from_bits((if (x > 0.0) == up { b + 1 } else { b - 1 }) as u64)
         };
-        #[cfg(target_arch = "x86_64")]
-        let (hi, lo) = (x86::EXP_HI, x86::EXP_LO);
+        let (hi, lo) = (EXP_HI, EXP_LO);
         let mut xs = vec![
             f64::NAN,
             -f64::NAN,
@@ -2548,38 +2593,34 @@ mod tests {
         // then the whole sweep.
         let spans: Vec<_> = (0..=19usize)
             .flat_map(|len| [0usize, 5, 11].map(|at| at..at + len))
-            .chain([0..xs.len()])
+            .chain(std::iter::once(0..xs.len()))
             .collect();
-        let portable: Vec<Vec<f64>> = {
-            let _mode = SIMD_MODE.lock().unwrap_or_else(|e| e.into_inner());
-            let was = active();
-            set_simd_enabled(false);
-            let out = spans.iter().map(|span| {
+        for span in spans {
+            let run = |body: &str| {
                 let mut v = xs[span.clone()].to_vec();
-                vexp(&mut v);
-                v
-            });
-            let out = out.collect();
-            set_simd_enabled(was);
-            out
-        };
-        for (span, want) in spans.iter().zip(&portable) {
-            for body in bodies().into_iter().filter(|b| b.starts_with("avx")) {
-                let mut got = xs[span.clone()].to_vec();
-                // SAFETY: `bodies` lists a vector body only when the CPU
-                // supports it.
-                #[cfg(target_arch = "x86_64")]
-                unsafe {
-                    if body == "avx512" {
-                        x86::vexp_avx512(&mut got)
-                    } else {
-                        x86::vexp_avx2(&mut got)
-                    }
+                match body {
+                    "wrapper" => vexp(&mut v),
+                    // SAFETY: the portable lanes need no CPU feature.
+                    "portable" => unsafe { vexp_portable(&mut v) },
+                    // SAFETY: `bodies` lists a vector body only when the CPU
+                    // supports it.
+                    #[cfg(target_arch = "x86_64")]
+                    "avx2" => unsafe { vexp_avx2(&mut v) },
+                    // SAFETY: as for the AVX2 body.
+                    #[cfg(target_arch = "x86_64")]
+                    "avx512" => unsafe { vexp_avx512(&mut v) },
+                    other => panic!("unknown body {other}"),
                 }
-                assert_eq!(bits(&got), bits(want), "{body} at {span:?}");
+                v
+            };
+            let want = run("portable");
+            for body in bodies() {
+                assert_eq!(bits(&run(body)), bits(&want), "{body} at {span:?}");
+            }
+            if span.len() == xs.len() {
+                assert_eq!(want[12], 0.0, "the subnormal range flushes to zero");
             }
         }
-        assert_eq!(portable.last().expect("the sweep")[12], 0.0, "the subnormal range flushes");
     }
 
     /// One filter problem: `m` queries against `nc` candidates in `d`
@@ -2645,15 +2686,21 @@ mod tests {
             let mut masks = vec![usize::MAX; rows / DIST_FILTER_MR * self.nc];
             let (m, d, nc) = (self.m, self.d, self.nc);
             match body {
-                "scalar" => dist_filter_scalar(
-                    m,
-                    &self.qpack,
-                    &self.qn,
-                    &t,
-                    &self.cand,
-                    &self.cn,
-                    &mut masks,
-                ),
+                // SAFETY: the buffers were sized to the layout contract just
+                // above.
+                "portable" => unsafe {
+                    dist_filter_portable(
+                        d,
+                        m,
+                        nc,
+                        self.qpack.as_ptr(),
+                        self.qn.as_ptr(),
+                        t.as_ptr(),
+                        self.cand.as_ptr(),
+                        self.cn.as_ptr(),
+                        masks.as_mut_ptr(),
+                    )
+                },
                 "wrapper" => {
                     dist_filter(m, &self.qpack, &self.qn, &t, &self.cand, &self.cn, &mut masks)
                 }
@@ -2662,7 +2709,7 @@ mod tests {
                 // above; `bodies` lists a vector body only when the
                 // CPU supports it.
                 "avx2" => unsafe {
-                    x86::dist_filter_avx2(
+                    dist_filter_avx2(
                         d,
                         m,
                         nc,
@@ -2677,7 +2724,7 @@ mod tests {
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: as for the AVX2 body.
                 "avx512" => unsafe {
-                    x86::dist_filter_avx512(
+                    dist_filter_avx512(
                         d,
                         m,
                         nc,
@@ -2702,7 +2749,7 @@ mod tests {
     /// Every body this host can run, called directly — on an AVX-512 host
     /// dispatch would never reach the AVX2 one.
     fn bodies() -> Vec<&'static str> {
-        let mut bodies = vec!["scalar", "wrapper"];
+        let mut bodies = vec!["portable", "wrapper"];
         if cpu_supported() {
             bodies.push("avx2");
         }
@@ -2807,7 +2854,7 @@ mod tests {
                         thrs.push(at);
                     }
                     for (t, thr) in thrs.iter().enumerate() {
-                        let want = case.run("scalar", thr);
+                        let want = case.run("portable", thr);
                         for body in bodies() {
                             let got = case.run(body, thr);
                             assert_eq!(got, want, "{body} d={d} nc={nc} m={m} threshold set {t}");

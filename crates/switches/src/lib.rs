@@ -11,14 +11,10 @@
 //!
 //! ## Conventions
 //!
-//! One switch is live: `KFDS_SIMD`, a kill-switch that defaults to the
-//! fast path being **on** and is read **once** per process (the consumer
-//! caches the answer behind a `Once`; `kfds_la::simd::set_simd_enabled`
-//! overrides it for benches and A/B tests). Setting it to an `off_values`
-//! entry selects the scalar reference path bitwise. The other eight names
-//! are retired: each selected a path that is gone, no crate reads it, and
-//! it stays registered only so the benchmark harness keeps refusing to run
-//! with it set (ROADMAP item 1(a)).
+//! No switch is live. Each of the nine names selected a path that is gone
+//! or that now gives the same bits as the default one; no crate reads it,
+//! and it stays registered only so the benchmark harness keeps refusing to
+//! run with it set (ROADMAP item 1(a)).
 
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub, unnameable_types)]
@@ -63,14 +59,21 @@ impl Switch {
     }
 }
 
-/// `KFDS_SIMD`: kill-switch for the explicit vector microkernels.
+/// `KFDS_SIMD`: retired. It switched the explicit vector microkernels off
+/// for the process; the portable lanes now give the vector bits, so it
+/// chose speed only, `kfds_la::simd::set_simd_enabled` stays as the
+/// in-process seam, and no crate reads the variable. The entry stays only
+/// because `benchmark/tests/ledger.rs` pins the registry at nine names
+/// (ROADMAP item 1(a) unpins it; then this goes).
 pub const KFDS_SIMD: Switch = Switch {
     name: "KFDS_SIMD",
     default: "on",
     off_values: &["off", "0"],
-    doc: "disables the `kfds_la::simd` vector microkernels; every primitive \
-          takes its scalar reference path, reproducing the pre-SIMD numerics \
-          **bitwise**",
+    doc: "retired — selects nothing. It turned the `kfds_la::simd` vector \
+          microkernels off for the process; the portable lanes give the same \
+          bits, `kfds_la::simd::set_simd_enabled` is the in-process seam, and \
+          no crate reads the variable (the benchmark harness still refuses to \
+          run with it set, like any registered switch)",
 };
 
 /// `KFDS_WS_POOL`: retired. It sent every workspace take to the global
