@@ -5,12 +5,8 @@
 
 /// Dot product `x . y`.
 ///
-/// At 8 elements or more, sixteen running sums of fused multiply-adds —
-/// element `i` of each 16-element step into sum `i % 16`, then 4-element
-/// steps into sums `0..4` — are added four by four, `(s_l + s_{l+4}) +
-/// (s_{l+8} + s_{l+12})`, then `(t_0 + t_2) + (t_1 + t_3)`, and the last
-/// `len % 4` products are added in order, unfused: the AVX2 kernel where
-/// [`crate::simd::active`], the same chain in portable code otherwise.
+/// At 8 elements or more, the AVX2 kernel where [`crate::simd::active`]
+/// and the same chain in portable code otherwise (see `dot_portable`).
 /// Shorter vectors take four partial sums, unfused, in every lane.
 ///
 /// # Panics
@@ -18,41 +14,18 @@
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    let n = x.len();
-    if n >= 8 {
+    if x.len() >= 8 {
         #[cfg(target_arch = "x86_64")]
         if crate::simd::active() {
             // SAFETY: active() implies AVX2+FMA; lengths asserted equal.
             return unsafe { crate::simd::dot_avx2(x, y) };
         }
-        let mut acc = [[0.0f64; 4]; 4];
-        let mut i = 0;
-        while i + 16 <= n {
-            for (a, (xs, ys)) in acc.iter_mut().zip(x[i..i + 16].chunks(4).zip(y[i..].chunks(4))) {
-                for ((s, &xv), &yv) in a.iter_mut().zip(xs).zip(ys) {
-                    *s = xv.mul_add(yv, *s);
-                }
-            }
-            i += 16;
-        }
-        while i + 4 <= n {
-            for ((s, &xv), &yv) in acc[0].iter_mut().zip(&x[i..i + 4]).zip(&y[i..]) {
-                *s = xv.mul_add(yv, *s);
-            }
-            i += 4;
-        }
-        let t: [f64; 4] =
-            std::array::from_fn(|l| (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]));
-        let mut s = (t[0] + t[2]) + (t[1] + t[3]);
-        for (&xv, &yv) in x[i..].iter().zip(&y[i..]) {
-            s += xv * yv;
-        }
-        return s;
+        return dot_portable(x, y);
     }
     // Four partial accumulators break the additive dependency chain so LLVM
     // can pipeline the reduction.
     let mut acc = [0.0f64; 4];
-    let chunks = n / 4;
+    let chunks = x.len() / 4;
     for k in 0..chunks {
         let i = 4 * k;
         acc[0] += x[i] * y[i];
@@ -61,8 +34,40 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
         acc[3] += x[i + 3] * y[i + 3];
     }
     let mut s = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for i in 4 * chunks..n {
+    for i in 4 * chunks..x.len() {
         s += x[i] * y[i];
+    }
+    s
+}
+
+/// The AVX2 kernel's chain for [`dot`] in portable code: sixteen running
+/// sums of fused multiply-adds — element `i` of each 16-element step into
+/// sum `i % 16`, then 4-element steps into sums `0..4` — added four by
+/// four, `t_l = (s_l + s_{l+4}) + (s_{l+8} + s_{l+12})`, then
+/// `(t_0 + t_2) + (t_1 + t_3)`, and the last `len % 4` products added in
+/// order, unfused.
+fn dot_portable(x: &[f64], y: &[f64]) -> f64 {
+    let n = x.len();
+    let mut acc = [[0.0f64; 4]; 4];
+    let mut i = 0;
+    while i + 16 <= n {
+        for (a, (xs, ys)) in acc.iter_mut().zip(x[i..i + 16].chunks(4).zip(y[i..].chunks(4))) {
+            for ((s, &xv), &yv) in a.iter_mut().zip(xs).zip(ys) {
+                *s = xv.mul_add(yv, *s);
+            }
+        }
+        i += 16;
+    }
+    while i + 4 <= n {
+        for ((s, &xv), &yv) in acc[0].iter_mut().zip(&x[i..i + 4]).zip(&y[i..]) {
+            *s = xv.mul_add(yv, *s);
+        }
+        i += 4;
+    }
+    let t: [f64; 4] = std::array::from_fn(|l| (acc[0][l] + acc[1][l]) + (acc[2][l] + acc[3][l]));
+    let mut s = (t[0] + t[2]) + (t[1] + t[3]);
+    for (&xv, &yv) in x[i..].iter().zip(&y[i..]) {
+        s += xv * yv;
     }
     s
 }

@@ -346,7 +346,7 @@ mod tests {
     fn factors_match_one_axpy_per_column() {
         // Both paths at every size where a panel edge, the blocking
         // threshold or a TRSM leaf boundary falls, under the vector bodies
-        // and the scalar ones. About one entry in seven is an exact zero of
+        // and the portable lanes. About one entry in seven is an exact zero of
         // either sign (skipped multipliers), and the weak diagonal leaves
         // pivoting real swaps to make.
         let _mode = crate::simd::SIMD_MODE.lock().unwrap_or_else(|e| e.into_inner());

@@ -4,10 +4,11 @@
 //! Small, fixed-size exercises of exactly the code where the unsafe
 //! reasoning lives: `MatMut` raw-pointer views (element access, disjoint
 //! splits, cross-thread sends), the workspace pool's `set_len`
-//! round-trips, the scalar BLAS paths those views feed, and the GSKS
+//! round-trips, the portable BLAS paths those views feed, and the GSKS
 //! tile kernels' safe wrappers on strided and degenerate views. Under Miri,
 //! `simd::cpu_supported()` is hard-wired `false`, so dispatch takes the
-//! scalar reference paths the interpreter can check. The suite also runs
+//! portable lanes (the same bits as the vector bodies), which the
+//! interpreter can check. The suite also runs
 //! in every plain `cargo test` (it is fast), keeping it from bitrotting
 //! between Miri-capable hosts.
 
@@ -198,7 +199,7 @@ fn packed_gemm_on_a_view_wide_enough_for_the_16x12_tile() {
 }
 
 #[test]
-fn dist_filter_scalar_body_stays_inside_its_buffers() {
+fn dist_filter_portable_body_stays_inside_its_buffers() {
     // 11 queries (a ragged second group) against 5 candidates in 3-d, on
     // small integers so every distance is exact: the masks must be exactly
     // "distance <= threshold", and buffers sized to the layout contract —
@@ -235,8 +236,8 @@ fn dist_filter_scalar_body_stays_inside_its_buffers() {
 #[test]
 fn gsks_kernels_on_views_and_pooled_row_packs() {
     // Small integers throughout, so every product and partial sum is
-    // exact and the scalar bodies (Miri) and the vector ones (elsewhere)
-    // both equal the naive sums. The sources are a window one point into
+    // exact and the portable lanes (Miri) and the vector bodies
+    // (elsewhere) both equal the naive sums. The sources are a window one point into
     // a 10-point panel, as the engine reads a contiguous run in place.
     let d = 3;
     let panel: Vec<f64> = (0..10 * d).map(|i| ((i * 5) % 7) as f64 - 3.0).collect();

@@ -13,10 +13,10 @@ use std::sync::Mutex;
 /// compare bits) so they cannot observe each other's toggles.
 static SIMD_TOGGLE: Mutex<()> = Mutex::new(());
 
-/// RAII guard: forces the SIMD kill-switch off for a scalar reference run
-/// and restores the prior state on drop (including on panic). Must be used
-/// while holding [`SIMD_TOGGLE`]: the repeat-bitwise tests assume the SIMD
-/// mode does not flip between their paired runs.
+/// RAII guard: turns the vector kernels off for a run of the portable
+/// lanes and restores the prior state on drop (including on panic). Must
+/// be used while holding [`SIMD_TOGGLE`]: the repeat-bitwise tests assume
+/// the SIMD mode does not flip between their paired runs.
 struct SimdOff {
     was_active: bool,
 }
