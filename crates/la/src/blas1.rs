@@ -14,16 +14,18 @@
 #[inline]
 pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    if x.len() >= 8 {
-        #[cfg(target_arch = "x86_64")]
-        if crate::simd::active() {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if x.len() >= 8 && crate::simd::active() {
             // SAFETY: active() implies AVX2+FMA; lengths asserted equal.
             return unsafe { crate::simd::dot_avx2(x, y) };
         }
+    }
+    if x.len() >= 8 {
         return dot_portable(x, y);
     }
     // Four partial accumulators break the additive dependency chain so LLVM
-    // can pipeline the reduction.
+    // can vectorize and pipeline the reduction.
     let mut acc = [0.0f64; 4];
     let chunks = x.len() / 4;
     for k in 0..chunks {
