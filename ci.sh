@@ -136,18 +136,21 @@ KFDS_SIMD=off KFDS_WS_POOL=off KFDS_CPQR=unblocked KFDS_EVAL_GEMM=off KFDS_KNN=s
   KFDS_REFACTOR=off KFDS_SERVE_BATCH=off KFDS_SHARD=off KFDS_BATCH=off \
   cargo test -q -p kfds-core --lib digests
 
-step "cargo test (kfds-core and kfds-kernels digests, rayon shim, RAYON_NUM_THREADS=1 — one thread)"
+step "cargo test (kfds-core and kfds-kernels digests, kfds-tree, rayon shim, RAYON_NUM_THREADS=1 — one thread)"
 # The other lanes run the pool at the host's width; the tables claim the
 # same rows on one thread, in both lanes. Every level's par_iter and every
 # row-split GEMM then runs serially, so a kernel whose bits depended on
 # the split would show here. The GSKS engine's own table too: its band
 # split, and so which row groups share a run contraction, follows the
-# thread count. The shim's own tests last: at N = 1 the pool has no
+# thread count. The tree crate's suite: the ball tree's pool-split passes
+# and the neighbour searches' parallel rounds must give their references'
+# bits with no worker either. The shim's own tests last: at N = 1 the pool has no
 # worker, only the waiting caller, so its `install(4)` scope (which still
 # pushes jobs), `deep_recursive_join` and the width test show that the
 # caller alone completes every job, without hanging.
 RAYON_NUM_THREADS=1 cargo test -q -p kfds-core --lib digests
 RAYON_NUM_THREADS=1 cargo test -q -p kfds-kernels --test digests
+RAYON_NUM_THREADS=1 cargo test -q -p kfds-tree
 RAYON_NUM_THREADS=1 cargo test -q -p rayon
 
 if [[ $miri -eq 1 ]]; then

@@ -93,10 +93,11 @@ fn bench_dist_filter(c: &mut Criterion) {
         let thr: Vec<f64> = (0..M).map(|i| worst[i] + gamma * (norms[i] + max_norm)).collect();
         let cand = &pts.as_slice()[M * d..];
         let mut masks = vec![0usize; M / DIST_FILTER_MR * M];
+        let no_cthr = vec![f64::NEG_INFINITY; M];
         let mut best = worst.clone();
         group.bench_function(format!("filter_scan_rescore_d{d}"), |b| {
             b.iter(|| {
-                dist_filter(M, &qpack, &norms[..M], &thr, cand, &norms[M..], &mut masks);
+                dist_filter(M, &qpack, &norms[..M], &thr, cand, &norms[M..], &no_cthr, &mut masks);
                 for (g, row) in masks.chunks_exact(M).enumerate() {
                     for (j, &word) in row.iter().enumerate() {
                         let mut bits = word;

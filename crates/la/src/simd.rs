@@ -539,11 +539,15 @@ pub fn dist_epilogue(g: &mut [f64], row_norms: &[f64], col_norm: f64) {
 ///   squared norm and the threshold of every packed row (`8·⌈m/8⌉` each).
 /// * Candidates are a `d × nc` column-major panel `cand` with squared
 ///   norms `cn`; `d = cand.len() / cn.len()`.
+/// * `cthr` holds one threshold per candidate (`nc`), ORed with the
+///   queries' ones: a block filtered against itself sets both to its
+///   members' thresholds, so one pair decides for both of its points. A
+///   one-sided caller passes `−∞` for every candidate.
 /// * `masks[g·nc + j]` receives one mask per (group, candidate): bit `r`
-///   is set unless `f > thr[8g + r]` for query `8g + r` against candidate
-///   `j` — so `thr = +∞` flags every pair, `−∞` none, and a NaN `f`
-///   (overflowing coordinates) is flagged rather than dropped. Bits of
-///   padding rows are never set.
+///   is set unless `f > thr[8g + r]` **and** `f > cthr[j]` for query
+///   `8g + r` against candidate `j` — so a `+∞` on either side flags the
+///   pair, `−∞` on both none, and a NaN `f` (overflowing coordinates) is
+///   flagged rather than dropped. Bits of padding rows are never set.
 ///
 /// Every lane gives the same masks. Whatever the summation order of the
 /// dots behind the norms, `f` differs from the scalar `Σ (q_k − c_k)²`
@@ -557,6 +561,7 @@ pub fn dist_epilogue(g: &mut [f64], row_norms: &[f64], col_norm: f64) {
 /// # Panics
 /// Panics if `cand.len()` is not a multiple of `cn.len()` or a slice is
 /// shorter than the layout above requires.
+#[allow(clippy::too_many_arguments)]
 pub fn dist_filter(
     m: usize,
     qpack: &[f64],
@@ -564,6 +569,7 @@ pub fn dist_filter(
     thr: &[f64],
     cand: &[f64],
     cn: &[f64],
+    cthr: &[f64],
     masks: &mut [usize],
 ) {
     let nc = cn.len();
@@ -575,18 +581,20 @@ pub fn dist_filter(
     assert_eq!(cand.len(), d * nc, "dist_filter: candidate panel is not d x nc");
     assert!(qpack.len() >= rows * d, "dist_filter: qpack too short");
     assert!(qn.len() >= rows && thr.len() >= rows, "dist_filter: norms/thresholds too short");
+    assert!(cthr.len() >= nc, "dist_filter: candidate thresholds too short");
     assert!(masks.len() >= rows / DIST_FILTER_MR * nc, "dist_filter: masks too short");
     let (q, c) = (qpack.as_ptr(), cand.as_ptr());
     let (qn, thr, cn, out) = (qn.as_ptr(), thr.as_ptr(), cn.as_ptr(), masks.as_mut_ptr());
+    let ct = cthr.as_ptr();
     // SAFETY: every length the kernels read or write was asserted above; a
     // vector lane is only chosen where the CPU has its features.
     unsafe {
         match lane() {
-            Lane::Portable => dist_filter_portable(d, m, nc, q, qn, thr, c, cn, out),
+            Lane::Portable => dist_filter_portable(d, m, nc, q, qn, thr, c, cn, ct, out),
             #[cfg(target_arch = "x86_64")]
-            Lane::Avx2 => dist_filter_avx2(d, m, nc, q, qn, thr, c, cn, out),
+            Lane::Avx2 => dist_filter_avx2(d, m, nc, q, qn, thr, c, cn, ct, out),
             #[cfg(target_arch = "x86_64")]
-            Lane::Avx512 => dist_filter_avx512(d, m, nc, q, qn, thr, c, cn, out),
+            Lane::Avx512 => dist_filter_avx512(d, m, nc, q, qn, thr, c, cn, ct, out),
         }
     }
 }
@@ -1038,13 +1046,15 @@ unsafe fn run_block<V: V8, const G: usize, const NR: usize>(
 /// candidates with the query tile resident; a last group short of `MG`
 /// runs as an `8 x 4` tile and leftover candidates one column at a time.
 /// `MG` is 2 in `zmm` (eight accumulators) and 1 in `ymm` pairs (eight
-/// halves). The epilogue forms `(qn + cn) − 2g` with one FMA and
-/// turns the compare mask into the output word.
+/// halves). The epilogue forms `(qn + cn) − 2g` with one FMA, compares
+/// it with the query thresholds and with the candidate's, and turns the
+/// OR of the two compare masks into the output word.
 ///
 /// # Safety
 /// `V`'s CPU features. With `groups = ceil(m / 8)`: `qpack` must hold
 /// `groups * 8 * d` elements, `qn` and `thr` `groups * 8`, `cand`
-/// `d * nc`, `cn` `nc`, and `masks` `groups * nc` writable words.
+/// `d * nc`, `cn` and `cthr` `nc`, and `masks` `groups * nc` writable
+/// words.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 unsafe fn dist_filter_v8<V: V8, const MG: usize>(
@@ -1056,18 +1066,19 @@ unsafe fn dist_filter_v8<V: V8, const MG: usize>(
     thr: *const f64,
     cand: *const f64,
     cn: *const f64,
+    cthr: *const f64,
     masks: *mut usize,
 ) {
     debug_assert!(!qpack.is_null() && !qn.is_null() && !thr.is_null());
-    debug_assert!(!cand.is_null() && !cn.is_null() && !masks.is_null());
+    debug_assert!(!cand.is_null() && !cn.is_null() && !cthr.is_null() && !masks.is_null());
     let groups = m.div_ceil(8);
     let mut g = 0;
     while g + MG <= groups {
-        filter_sweep::<V, MG>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
+        filter_sweep::<V, MG>(d, m, g, nc, qpack, qn, thr, cand, cn, cthr, masks);
         g += MG;
     }
     if MG > 1 && g < groups {
-        filter_sweep::<V, 1>(d, m, g, nc, qpack, qn, thr, cand, cn, masks);
+        filter_sweep::<V, 1>(d, m, g, nc, qpack, qn, thr, cand, cn, cthr, masks);
     }
 }
 
@@ -1081,6 +1092,7 @@ widths! {
         thr: *const f64,
         cand: *const f64,
         cn: *const f64,
+        cthr: *const f64,
         masks: *mut usize,
     );
     dist_filter_avx512 = <Zmm, 2>;
@@ -1105,6 +1117,7 @@ unsafe fn filter_sweep<V: V8, const MG: usize>(
     thr: *const f64,
     cand: *const f64,
     cn: *const f64,
+    cthr: *const f64,
     masks: *mut usize,
 ) {
     let (q, gn, gt) = (qpack.add(8 * g * d), qn.add(8 * g), thr.add(8 * g));
@@ -1113,20 +1126,20 @@ unsafe fn filter_sweep<V: V8, const MG: usize>(
     let valid: [u8; MG] = std::array::from_fn(|gi| u8::MAX >> (8 - (m - 8 * (g + gi)).min(8)));
     let mut j = 0;
     while j + 4 <= nc {
-        let (c, n) = (cand.add(j * d), cn.add(j));
-        filter_tile::<V, MG, 4>(d, nc, q, gn, gt, valid, c, n, out.add(j));
+        let (c, n, t) = (cand.add(j * d), cn.add(j), cthr.add(j));
+        filter_tile::<V, MG, 4>(d, nc, q, gn, gt, valid, c, n, t, out.add(j));
         j += 4;
     }
     while j < nc {
-        let (c, n) = (cand.add(j * d), cn.add(j));
-        filter_tile::<V, MG, 1>(d, nc, q, gn, gt, valid, c, n, out.add(j));
+        let (c, n, t) = (cand.add(j * d), cn.add(j), cthr.add(j));
+        filter_tile::<V, MG, 1>(d, nc, q, gn, gt, valid, c, n, t, out.add(j));
         j += 1;
     }
 }
 
 /// One `8·MG x NR` tile of [`dist_filter_v8`]: `q`, `qn`, `thr` point at
-/// the first of `MG` consecutive query groups, `c` / `cn` at the first of
-/// `NR` candidates, `out` at that candidate's word in the first group's
+/// the first of `MG` consecutive query groups, `c` / `cn` / `ct` at the
+/// first of `NR` candidates, `out` at that candidate's word in the first group's
 /// mask row (rows are `nc` apart).
 ///
 /// # Safety
@@ -1142,6 +1155,7 @@ unsafe fn filter_tile<V: V8, const MG: usize, const NR: usize>(
     valid: [u8; MG],
     c: *const f64,
     cn: *const f64,
+    ct: *const f64,
     out: *mut usize,
 ) {
     let mut acc = [[V::splat(0.0); NR]; MG];
@@ -1159,7 +1173,8 @@ unsafe fn filter_tile<V: V8, const MG: usize, const NR: usize>(
         let (vqn, vthr) = (V::load(qn.add(8 * gi)), V::load(thr.add(8 * gi)));
         for (j, g2) in accg.iter().enumerate() {
             let f = g2.fmadd(minus_two, vqn.add(V::splat(*cn.add(j))));
-            *out.add(gi * nc + j) = usize::from(f.ngt_mask(vthr) & valid[gi]);
+            let flags = f.ngt_mask(vthr) | f.ngt_mask(V::splat(*ct.add(j)));
+            *out.add(gi * nc + j) = usize::from(flags & valid[gi]);
         }
     }
 }
@@ -2677,8 +2692,15 @@ mod tests {
             2.0 * (self.d as f64 + 8.0) * f64::EPSILON * (self.qn[i] + self.cn[j])
         }
 
-        /// Masks of one body under per-query thresholds `thr` (length `m`).
+        /// Masks of one body under per-query thresholds `thr` (length `m`)
+        /// alone: every candidate threshold `−∞`.
         fn run(&self, body: &str, thr: &[f64]) -> Vec<usize> {
+            self.run2(body, thr, &vec![f64::NEG_INFINITY; self.nc])
+        }
+
+        /// Masks of one body under per-query thresholds `thr` (length `m`)
+        /// ORed with per-candidate ones `cthr` (length `nc`).
+        fn run2(&self, body: &str, thr: &[f64], cthr: &[f64]) -> Vec<usize> {
             let rows = self.m.next_multiple_of(DIST_FILTER_MR);
             let mut t = vec![f64::NEG_INFINITY; rows];
             t[..self.m].copy_from_slice(thr);
@@ -2698,12 +2720,20 @@ mod tests {
                         t.as_ptr(),
                         self.cand.as_ptr(),
                         self.cn.as_ptr(),
+                        cthr.as_ptr(),
                         masks.as_mut_ptr(),
                     )
                 },
-                "wrapper" => {
-                    dist_filter(m, &self.qpack, &self.qn, &t, &self.cand, &self.cn, &mut masks)
-                }
+                "wrapper" => dist_filter(
+                    m,
+                    &self.qpack,
+                    &self.qn,
+                    &t,
+                    &self.cand,
+                    &self.cn,
+                    cthr,
+                    &mut masks,
+                ),
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: the buffers were sized to the layout contract just
                 // above; `bodies` lists a vector body only when the
@@ -2718,6 +2748,7 @@ mod tests {
                         t.as_ptr(),
                         self.cand.as_ptr(),
                         self.cn.as_ptr(),
+                        cthr.as_ptr(),
                         masks.as_mut_ptr(),
                     )
                 },
@@ -2733,6 +2764,7 @@ mod tests {
                         t.as_ptr(),
                         self.cand.as_ptr(),
                         self.cn.as_ptr(),
+                        cthr.as_ptr(),
                         masks.as_mut_ptr(),
                     )
                 },
@@ -2782,12 +2814,37 @@ mod tests {
         }
         let none = case.run(body, &vec![f64::NEG_INFINITY; m]);
         assert!(none.iter().all(|&w| w == 0), "{what}: bits under -inf");
-        // Padding rows of the last group stay clear even under +inf.
-        let all = case.run(body, &vec![f64::INFINITY; m]);
+        // Padding rows of the last group stay clear even under +inf, on
+        // either side.
         let last = (m - 1) / DIST_FILTER_MR;
-        for (w, &word) in all.iter().enumerate() {
+        let full = |masks: &[usize], side: &str| {
+            for (w, &word) in masks.iter().enumerate() {
+                let rows = if w / nc == last { m - last * DIST_FILTER_MR } else { DIST_FILTER_MR };
+                assert_eq!(word, (1usize << rows) - 1, "{what}: word {w} under +inf {side}");
+            }
+        };
+        full(&case.run(body, &vec![f64::INFINITY; m]), "per query");
+        full(&case.run2(body, &vec![f64::NEG_INFINITY; m], &vec![f64::INFINITY; nc]), "per cand");
+
+        // Two-sided: query i's threshold as above, candidate j's its
+        // distance to query (j % m). A pair clearly under either is
+        // flagged; one clearly over both is not.
+        let cthr: Vec<f64> = (0..nc).map(|j| case.reference[(j % m) * nc + j]).collect();
+        let masks = case.run2(body, &thr, &cthr);
+        for (i, &t) in thr.iter().enumerate() {
+            for (j, &ct) in cthr.iter().enumerate() {
+                let (r, b) = (case.reference[i * nc + j], case.bound(i, j));
+                if r < t - b || r < ct - b {
+                    assert!(case.bit(&masks, i, j), "{what}: ({i},{j}) dropped, two-sided");
+                }
+                if r > t + b && r > ct + b {
+                    assert!(!case.bit(&masks, i, j), "{what}: ({i},{j}) flagged, two-sided");
+                }
+            }
+        }
+        for (w, &word) in masks.iter().enumerate() {
             let rows = if w / nc == last { m - last * DIST_FILTER_MR } else { DIST_FILTER_MR };
-            assert_eq!(word, (1usize << rows) - 1, "{what}: word {w} under +inf");
+            assert_eq!(word >> rows, 0, "{what}: padding bit in word {w}, two-sided");
         }
     }
 
@@ -2858,6 +2915,27 @@ mod tests {
                         for body in bodies() {
                             let got = case.run(body, thr);
                             assert_eq!(got, want, "{body} d={d} nc={nc} m={m} threshold set {t}");
+                        }
+                    }
+                    // Two-sided: candidate j's threshold at its reference
+                    // distance to query (j % m), and one ulp either side,
+                    // against each query set — the OR is where the lanes
+                    // could part.
+                    let at: Vec<f64> = (0..nc).map(|j| case.reference[(j % m) * nc + j]).collect();
+                    let cthrs = [
+                        at.iter().map(|t| t.next_up()).collect::<Vec<_>>(),
+                        at.iter().map(|t| t.next_down()).collect(),
+                        at,
+                        vec![f64::INFINITY; nc],
+                    ];
+                    for (t, thr) in thrs.iter().enumerate() {
+                        for (u, cthr) in cthrs.iter().enumerate() {
+                            let want = case.run2("portable", thr, cthr);
+                            for body in bodies() {
+                                let got = case.run2(body, thr, cthr);
+                                let what = format!("threshold sets {t} / {u}");
+                                assert_eq!(got, want, "{body} d={d} nc={nc} m={m} {what}");
+                            }
                         }
                     }
                 }

@@ -202,7 +202,7 @@ fn packed_gemm_on_a_view_wide_enough_for_the_16x12_tile() {
 fn dist_filter_portable_body_stays_inside_its_buffers() {
     // 11 queries (a ragged second group) against 5 candidates in 3-d, on
     // small integers so every distance is exact: the masks must be exactly
-    // "distance <= threshold", and buffers sized to the layout contract —
+    // "distance <= either threshold", and buffers sized to the layout contract —
     // not a word more — must be enough.
     let (m, d, nc) = (11usize, 3usize, 5usize);
     let q = |i: usize, k: usize| ((i * 7 + k * 3) % 5) as f64;
@@ -219,16 +219,24 @@ fn dist_filter_portable_body_stays_inside_its_buffers() {
     let cn: Vec<f64> = cand.chunks(d).map(|p| p.iter().map(|v| v * v).sum()).collect();
     let thr: Vec<f64> =
         (0..16).map(|i| if i < m { (i % 4) as f64 * 3.0 } else { f64::INFINITY }).collect();
-    let mut masks = vec![usize::MAX; 2 * nc];
-    kfds_la::simd::dist_filter(m, &qpack, &qn, &thr, &cand, &cn, &mut masks);
-    for g in 0..2 {
-        for j in 0..nc {
-            let mut want = 0usize;
-            for r in 0..(m - 8 * g).min(8) {
-                let dist: f64 = (0..d).map(|k| (q(8 * g + r, k) - c(j, k)).powi(2)).sum();
-                want |= usize::from(dist <= thr[8 * g + r]) << r;
+    // One-sided (every candidate threshold −∞), then two-sided: candidate
+    // thresholds ORed in, the last one +∞ (its whole column flagged, still
+    // no padding bit).
+    let one_sided = vec![f64::NEG_INFINITY; nc];
+    let two_sided: Vec<f64> =
+        (0..nc).map(|j| if j + 1 < nc { (j % 3) as f64 * 2.0 } else { f64::INFINITY }).collect();
+    for cthr in [&one_sided, &two_sided] {
+        let mut masks = vec![usize::MAX; 2 * nc];
+        kfds_la::simd::dist_filter(m, &qpack, &qn, &thr, &cand, &cn, cthr, &mut masks);
+        for g in 0..2 {
+            for j in 0..nc {
+                let mut want = 0usize;
+                for r in 0..(m - 8 * g).min(8) {
+                    let dist: f64 = (0..d).map(|k| (q(8 * g + r, k) - c(j, k)).powi(2)).sum();
+                    want |= usize::from(dist <= thr[8 * g + r] || dist <= cthr[j]) << r;
+                }
+                assert_eq!(masks[g * nc + j], want, "group {g}, candidate {j}");
             }
-            assert_eq!(masks[g * nc + j], want, "group {g}, candidate {j}");
         }
     }
 }

@@ -540,12 +540,31 @@ mod tests {
         assert_eq!(x, z);
     }
 
-    /// `Builder::split` in comparator form, `sq_dist` and the projection
-    /// evaluated inside every comparison: the oracle for the permutation,
-    /// centers and radii.
+    /// The ball of a node as the builder first computed it, one scalar
+    /// `sq_dist` per point: the centroid summed in point order, the radius
+    /// the root of the largest distance to it.
+    fn ball_of_one_at_a_time(points: &PointSet, idx: &[usize]) -> (Vec<f64>, f64) {
+        let mut center = vec![0.0; points.dim()];
+        for &i in idx {
+            for (c, &v) in center.iter_mut().zip(points.point(i)) {
+                *c += v;
+            }
+        }
+        let inv = 1.0 / idx.len() as f64;
+        for c in &mut center {
+            *c *= inv;
+        }
+        let radius =
+            idx.iter().map(|&i| sq_dist(points.point(i), &center)).fold(0.0f64, f64::max).sqrt();
+        (center, radius)
+    }
+
+    /// `Builder::split` in comparator form, one `sq_dist` at a time and
+    /// the projection evaluated inside every comparison: the oracle for the
+    /// permutation, the ranges, centers and radii.
     fn split_by_comparators(b: &Builder<'_>, idx: &mut [usize]) -> Box<BoxNode> {
         let count = idx.len();
-        let (center, radius) = b.ball_of(idx);
+        let (center, radius) = ball_of_one_at_a_time(b.points, idx);
         if count <= b.leaf_size {
             return Box::new(BoxNode { count, center, radius, children: None });
         }
@@ -578,20 +597,25 @@ mod tests {
 
     #[test]
     fn keyed_split_matches_the_comparator_form() {
-        // Ragged n and d in {1, 8, 64}, on three sets: random points, the
-        // same with every fifth point a copy of point 0, and points of a
+        // Ragged n and d in {1, 8, 64}, on four sets: random points, the
+        // same with every fifth point a copy of point 0, points of a
         // {-1, 0, 1} lattice, whose distances and projections tie exactly
         // between different points (where the last-maximum rule and the
-        // selection's comparisons decide). The same permutation, centers
-        // and radii, to the bit.
+        // selection's comparisons decide), and tight clusters far from the
+        // origin. n < 16 is a single leaf; n = 5000 runs the root's passes
+        // over the pool. The same permutation, ranges, centers and radii,
+        // to the bit.
         for d in [1usize, 8, 64] {
             for n in [1usize, 2, 3, 17, 100, 257, 1000, 5000] {
                 let copies: Vec<usize> = (0..n).map(|i| if i % 5 == 3 { 0 } else { i }).collect();
                 let lattice = (0..n * d).map(|k| ((k * 7 + k / 3) % 3) as f64 - 1.0).collect();
+                let clustered = crate::datasets::gaussian_mixture(n, d, 6, 1e-3, 5);
+                let far = clustered.as_slice().iter().map(|v| v + 1e5).collect();
                 let sets = [
                     grid_points(n, d),
                     grid_points(n, d).select(&copies),
                     PointSet::from_col_major(d, lattice),
+                    PointSet::from_col_major(d, far),
                 ];
                 for (s, p) in sets.iter().enumerate() {
                     let t = BallTree::build(p, 16);
@@ -603,6 +627,8 @@ mod tests {
                     assert_eq!(t.perm(), &idx[..], "{what}: permutation");
                     assert_eq!(t.nodes().len(), nodes.len(), "{what}");
                     for (got, want) in t.nodes().iter().zip(&nodes) {
+                        assert_eq!(got.range(), want.range(), "{what}: range");
+                        assert_eq!(got.children, want.children, "{what}: children");
                         assert_eq!(got.radius.to_bits(), want.radius.to_bits(), "{what}: radius");
                         let bits = |c: &[f64]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                         assert_eq!(bits(&got.center), bits(&want.center), "{what}: center");

@@ -249,7 +249,9 @@ impl QueryBlock {
             self.masks.resize(words, 0);
         }
         let masks = &mut self.masks[..words];
-        simd::dist_filter(self.m, &self.pack, &self.norms, &self.thr, cand, cn, masks);
+        let mut none = workspace::take(nc);
+        none.fill(f64::NEG_INFINITY);
+        simd::dist_filter(self.m, &self.pack, &self.norms, &self.thr, cand, cn, &none, masks);
         TILES.fetch_add(1, Ordering::Relaxed);
         for (g, row) in masks.chunks_exact(nc).enumerate() {
             // Nearly every word is zero: rule them out eight at a time.

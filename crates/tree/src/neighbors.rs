@@ -839,6 +839,74 @@ mod tests {
         }
     }
 
+    /// One projection tree as the search first built it: depth first off
+    /// a stack, each split drawing its direction when popped and keying its
+    /// points with one `dot` each — the order the level-order builder must
+    /// reproduce.
+    fn projection_tree_buckets_dfs(pts: &PointSet, t: usize, seed: u64, bucket: usize) -> Vec<u32> {
+        let n = pts.len();
+        let d = pts.dim();
+        let mut assignment = vec![0u32; n];
+        let mut idx: Vec<usize> = (0..n).collect();
+        let mut next_bucket = 0u32;
+        let mut state = seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15) | 1;
+        let mut rnd = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+        };
+        let mut stack: Vec<(usize, usize)> = vec![(0, n)];
+        let mut dir = vec![0.0f64; d];
+        let mut keys = vec![0.0; n];
+        while let Some((lo, hi)) = stack.pop() {
+            if hi - lo <= bucket {
+                for &i in &idx[lo..hi] {
+                    assignment[i] = next_bucket;
+                }
+                next_bucket += 1;
+                continue;
+            }
+            for v in &mut dir {
+                *v = rnd();
+            }
+            let mid = lo + (hi - lo) / 2;
+            for &i in &idx[lo..hi] {
+                keys[i] = kfds_la::blas1::dot(pts.point(i), &dir);
+            }
+            idx[lo..hi].select_nth_unstable_by(mid - lo, |&a, &b| {
+                keys[a].partial_cmp(&keys[b]).expect("NaN projection")
+            });
+            stack.push((lo, mid));
+            stack.push((mid, hi));
+        }
+        assignment
+    }
+
+    #[test]
+    fn projection_trees_match_the_depth_first_build() {
+        // The normal64d shape (n = 16384, d = 64, buckets of 64, 8 trees);
+        // n at the bucket size and one either side; n = 1001; n under the
+        // bucket (one bucket); 30 sites x 20 copies, whose keys tie.
+        let sites = rand_points(30, 4, 5);
+        let copies = sites.select(&(0..600).map(|i| i % 30).collect::<Vec<_>>());
+        let cases = [
+            (crate::datasets::normal_embedded(16384, 6, 64, 0.1, 3), 64, 8),
+            (rand_points(63, 5, 1), 64, 3),
+            (rand_points(64, 5, 1), 64, 3),
+            (rand_points(65, 5, 1), 64, 3),
+            (rand_points(129, 9, 2), 64, 3),
+            (rand_points(1001, 12, 4), 32, 4),
+            (rand_points(40, 3, 6), 64, 2),
+            (copies, 32, 4),
+        ];
+        for (p, bucket, trees) in &cases {
+            for t in 0..*trees {
+                let want = projection_tree_buckets_dfs(p, t, 77, *bucket);
+                let got = projection_tree_buckets(p, t, 77, *bucket);
+                assert_eq!(got, want, "n={} d={} bucket={bucket} tree {t}", p.len(), p.dim());
+            }
+        }
+    }
+
     #[test]
     fn high_dim_small_n() {
         let p = rand_points(30, 64, 9);

@@ -192,6 +192,84 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
+/// Pairs one call of the batched helpers ([`sq_dists`], [`dot_sums`])
+/// takes through its loop together: that many independent chains.
+const CHAINS: usize = 8;
+
+/// `out[p] = sq_dist(x(p), y(p))` for every `p < out.len()`, bit for bit.
+///
+/// [`sq_dist`] is one chain of additions, each waiting on the last, so a
+/// single call runs at the adder's latency. Here [`CHAINS`] pairs go through
+/// the coordinate loop together, each still its own left-to-right
+/// `Σ (x_k − y_k)²` from `+0.0` (multiply, then add — never fused), so
+/// their additions overlap and every result keeps its bits.
+///
+/// # Panics
+/// Panics if two slices of one pair differ in length.
+#[inline]
+pub fn sq_dists<'a>(
+    x: impl Fn(usize) -> &'a [f64],
+    y: impl Fn(usize) -> &'a [f64],
+    out: &mut [f64],
+) {
+    chains(x, y, out, 0.0, |a, b| {
+        let t = a - b;
+        t * t
+    });
+}
+
+/// `out[p] = x(p) · y(p)` summed left to right from `−0.0`, for every
+/// `p < out.len()`: bit for bit `x.iter().zip(y).map(|(a, b)| a * b).sum()`
+/// (`Iterator::sum` on `f64` starts at `−0.0`), [`CHAINS`] pairs at a time
+/// as independent chains, like [`sq_dists`].
+///
+/// # Panics
+/// Panics if two slices of one pair differ in length.
+#[inline]
+pub fn dot_sums<'a>(
+    x: impl Fn(usize) -> &'a [f64],
+    y: impl Fn(usize) -> &'a [f64],
+    out: &mut [f64],
+) {
+    chains(x, y, out, -0.0, |a, b| a * b);
+}
+
+/// The loop under [`sq_dists`] and [`dot_sums`]: `out[p]` is `init`
+/// plus `term(x_k, y_k)` for `k` ascending, one rounding per addition,
+/// [`CHAINS`] pairs per pass and the rest one at a time.
+#[inline(always)]
+fn chains<'a>(
+    x: impl Fn(usize) -> &'a [f64],
+    y: impl Fn(usize) -> &'a [f64],
+    out: &mut [f64],
+    init: f64,
+    term: impl Fn(f64, f64) -> f64,
+) {
+    let full = out.len() - out.len() % CHAINS;
+    let mut groups = out.chunks_exact_mut(CHAINS);
+    for (g, o) in groups.by_ref().enumerate() {
+        let p0 = g * CHAINS;
+        let xs: [&[f64]; CHAINS] = std::array::from_fn(|l| x(p0 + l));
+        let d = xs[0].len();
+        // Every slice cut to `d`, so the loop below indexes in bounds.
+        let xs = xs.map(|v| &v[..d]);
+        let ys: [&[f64]; CHAINS] = std::array::from_fn(|l| &y(p0 + l)[..d]);
+        assert!(xs.iter().chain(&ys).all(|v| v.len() == d), "chains: length mismatch");
+        let mut s = [init; CHAINS];
+        for k in 0..d {
+            for l in 0..CHAINS {
+                s[l] += term(xs[l][k], ys[l][k]);
+            }
+        }
+        o.copy_from_slice(&s);
+    }
+    for (p, o) in (full..).zip(groups.into_remainder()) {
+        let (a, b) = (x(p), y(p));
+        assert_eq!(a.len(), b.len(), "chains: length mismatch");
+        *o = a.iter().zip(b).fold(init, |s, (&u, &v)| s + term(u, v));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -251,6 +329,51 @@ mod tests {
         for i in 0..3 {
             assert_eq!(p.point(i)[0], 0.0);
         }
+    }
+
+    /// Points at `shift + [-1, 1)` per coordinate, from a seeded stream.
+    fn cloud(n: usize, d: usize, shift: f64, seed: u64) -> PointSet {
+        let mut state = seed | 1;
+        let data = (0..n * d)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                shift + ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+            })
+            .collect();
+        PointSet::from_col_major(d, data)
+    }
+
+    #[test]
+    fn batched_chains_give_the_one_at_a_time_bits() {
+        // d = 1..=70 around every unroll of the loop, counts off the 8-pair
+        // groups, at the origin and far from it (where every term is a
+        // cancellation); the pairs repeat points and take a point with
+        // itself.
+        for d in 1..=70 {
+            for shift in [0.0, 3e7] {
+                let p = cloud(23, d, shift, d as u64 * 7 + 1);
+                let pairs: Vec<(usize, usize)> =
+                    (0..37).map(|q| ((q * 5) % 23, (q * 11 + 3) % 23)).collect();
+                let mut out = vec![f64::NAN; pairs.len()];
+                sq_dists(|q| p.point(pairs[q].0), |q| p.point(pairs[q].1), &mut out);
+                for (q, &(a, b)) in pairs.iter().enumerate() {
+                    let want = sq_dist(p.point(a), p.point(b));
+                    assert_eq!(out[q].to_bits(), want.to_bits(), "sq_dists d={d} pair {q}");
+                }
+                dot_sums(|q| p.point(pairs[q].0), |q| p.point(pairs[q].1), &mut out);
+                for (q, &(a, b)) in pairs.iter().enumerate() {
+                    let want: f64 = p.point(a).iter().zip(p.point(b)).map(|(u, v)| u * v).sum();
+                    assert_eq!(out[q].to_bits(), want.to_bits(), "dot_sums d={d} pair {q}");
+                }
+            }
+        }
+        // The sum's initial value: an all-(−0.0) sum stays −0.0.
+        let z = [-0.0, 0.0, -0.0];
+        let mut out = [0.0; 9];
+        dot_sums(|_| &z[..2], |_| &z[1..], &mut out);
+        let want: f64 = z[..2].iter().zip(&z[1..]).map(|(u, v)| u * v).sum();
+        assert!(want.is_sign_negative());
+        assert!(out.iter().all(|v| v.to_bits() == want.to_bits()), "{out:?} vs {want}");
     }
 
     #[test]
