@@ -9,8 +9,10 @@
 //! node owns a contiguous index range — diagonal blocks of the permuted
 //! kernel matrix correspond to tree nodes.
 
-use crate::points::{sq_dist, PointSet};
+use crate::points::{dot_sums, sq_dists, PointSet};
+use kfds_la::workspace;
 use rayon::join;
+use rayon::prelude::*;
 
 /// The hyperplane direction used to split a node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -235,9 +237,18 @@ struct BoxNode {
 
 impl Builder<'_> {
     /// Splits `idx` (reordered in place) and returns the subtree.
+    ///
+    /// Every per-point quantity of a node — the distance to the centroid
+    /// (the radius and the first sweep's farthest point), the distance to
+    /// that point (the second sweep) and the projection the median is
+    /// taken on — is one batched pass over its points ([`Builder::keys`]),
+    /// each value bit for bit the scalar one.
     fn split(&self, idx: &mut [usize]) -> Box<BoxNode> {
         let count = idx.len();
-        let (center, radius) = self.ball_of(idx);
+        let center = self.centroid(idx);
+        let mut keys = workspace::take(count);
+        self.keys(idx, &center, Pass::SqDist, &mut keys);
+        let radius = keys.iter().copied().fold(0.0f64, f64::max).sqrt();
         if count <= self.leaf_size {
             return Box::new(BoxNode { count, center, radius, children: None });
         }
@@ -247,23 +258,23 @@ impl Builder<'_> {
         // Splitting direction: approximate diameter by a double sweep —
         // farthest point p1 from the centroid, then farthest point p2 from
         // p1. Project onto p2 - p1 and split at the median.
-        let p1 = farthest(idx, |i| sq_dist(self.points.point(i), &center));
-        let p2 = farthest(idx, |i| self.points.sq_dist(i, p1));
+        let p1 = farthest(idx, &keys);
+        self.keys(idx, self.points.point(p1), Pass::SqDist, &mut keys);
+        let p2 = farthest(idx, &keys);
         let x1 = self.points.point(p1);
         let x2 = self.points.point(p2);
         let dir: Vec<f64> = x1.iter().zip(x2).map(|(a, b)| b - a).collect();
+        self.keys(idx, &dir, Pass::Projection, &mut keys);
 
-        let proj =
-            |i: usize| -> f64 { self.points.point(i).iter().zip(&dir).map(|(x, d)| x * d).sum() };
         let half = count / 2;
         // Equal split at the median projection (paper: children hold an
         // equal number of points). Degenerate direction (all points equal)
         // still splits by position, keeping the tree balanced.
-        select_by_key(idx, half, proj);
+        select_by_key(idx, half, &keys);
+        drop(keys);
 
         let (left_idx, right_idx) = idx.split_at_mut(half);
-        let parallel = count > 4096;
-        let (l, r) = if parallel {
+        let (l, r) = if count > PARALLEL_SPLIT {
             // Children own disjoint slices; rayon::join keeps construction
             // O(N log N) span-efficient.
             join(|| self.split(left_idx), || self.split(right_idx))
@@ -271,6 +282,25 @@ impl Builder<'_> {
             (self.split(left_idx), self.split(right_idx))
         };
         Box::new(BoxNode { count, center, radius, children: Some((l, r)) })
+    }
+
+    /// `keys[p]` = the squared distance from point `idx[p]` to `y`, or its
+    /// projection on `y` (summed from `−0.0`, as `Iterator::sum` does):
+    /// batched chains ([`sq_dists`], [`dot_sums`]) over chunks of the
+    /// points, the chunks on the pool above [`PARALLEL_SPLIT`] points.
+    fn keys(&self, idx: &[usize], y: &[f64], pass: Pass, keys: &mut [f64]) {
+        const CHUNK: usize = 1024;
+        let run = |ids: &[usize], out: &mut [f64]| match pass {
+            Pass::SqDist => sq_dists(|p| self.points.point(ids[p]), |_| y, out),
+            Pass::Projection => dot_sums(|p| self.points.point(ids[p]), |_| y, out),
+        };
+        if idx.len() > PARALLEL_SPLIT {
+            keys.par_chunks_mut(CHUNK)
+                .zip(idx.par_chunks(CHUNK))
+                .for_each(|(out, ids)| run(ids, out));
+        } else {
+            run(idx, keys);
+        }
     }
 
     /// KD-style split: median along the coordinate of maximum spread.
@@ -303,7 +333,7 @@ impl Builder<'_> {
                 .expect("NaN coordinate")
         });
         let (left_idx, right_idx) = idx.split_at_mut(half);
-        let (l, r) = if count > 4096 {
+        let (l, r) = if count > PARALLEL_SPLIT {
             join(|| self.split(left_idx), || self.split(right_idx))
         } else {
             (self.split(left_idx), self.split(right_idx))
@@ -311,9 +341,10 @@ impl Builder<'_> {
         Box::new(BoxNode { count, center, radius, children: Some((l, r)) })
     }
 
-    fn ball_of(&self, idx: &[usize]) -> (Vec<f64>, f64) {
-        let d = self.points.dim();
-        let mut center = vec![0.0; d];
+    /// The coordinate-wise mean of the points `idx`, summed in their
+    /// order.
+    fn centroid(&self, idx: &[usize]) -> Vec<f64> {
+        let mut center = vec![0.0; self.points.dim()];
         for &i in idx {
             for (c, &v) in center.iter_mut().zip(self.points.point(i)) {
                 *c += v;
@@ -323,39 +354,46 @@ impl Builder<'_> {
         for c in &mut center {
             *c *= inv;
         }
-        let radius = idx
-            .iter()
-            .map(|&i| sq_dist(self.points.point(i), &center))
-            .fold(0.0f64, f64::max)
-            .sqrt();
-        (center, radius)
+        center
     }
 }
 
-/// The point of `idx` with the largest `key`, the last of equals — the
-/// answer `max_by` on the keys gives — with `key` evaluated once per point
-/// rather than twice per comparison.
+/// What a [`Builder::keys`] pass computes per point.
+#[derive(Clone, Copy)]
+enum Pass {
+    /// The squared distance to the given point.
+    SqDist,
+    /// The projection on the given direction.
+    Projection,
+}
+
+/// Node size above which a split's passes, and its two children, run on
+/// the pool.
+const PARALLEL_SPLIT: usize = 4096;
+
+/// The point of `idx` with the largest key (`keys[p]` is point `idx[p]`'s),
+/// the last of equals — the answer `max_by` on the keys gives.
 ///
 /// # Panics
 /// Panics if `idx` is empty or a key is NaN.
-fn farthest(idx: &[usize], key: impl Fn(usize) -> f64) -> usize {
-    idx.iter()
-        .map(|&i| (key(i), i))
-        .max_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN coordinate"))
+fn farthest(idx: &[usize], keys: &[f64]) -> usize {
+    keys.iter()
+        .zip(idx)
+        .max_by(|a, b| a.0.partial_cmp(b.0).expect("NaN coordinate"))
+        .map(|(_, &i)| i)
         .expect("non-empty node")
-        .1
 }
 
-/// Reorders `idx` so position `nth` holds the point whose `key` ranks
-/// there, the smaller keys before it and the larger after — the
-/// permutation `select_nth_unstable_by` on the keys gives, comparison for
-/// comparison, since it runs the same comparisons on `(key, point)` pairs;
-/// each key is evaluated once rather than twice per comparison.
+/// Reorders `idx` so position `nth` holds the point whose key (`keys[p]`
+/// is point `idx[p]`'s) ranks there, the smaller keys before it and the
+/// larger after — the permutation `select_nth_unstable_by` on the keys
+/// gives, comparison for comparison, since it runs the same comparisons on
+/// `(key, point)` pairs.
 ///
 /// # Panics
 /// Panics if a key is NaN.
-fn select_by_key(idx: &mut [usize], nth: usize, key: impl Fn(usize) -> f64) {
-    let mut keyed: Vec<(f64, usize)> = idx.iter().map(|&i| (key(i), i)).collect();
+fn select_by_key(idx: &mut [usize], nth: usize, keys: &[f64]) {
+    let mut keyed: Vec<(f64, usize)> = keys.iter().copied().zip(idx.iter().copied()).collect();
     keyed.select_nth_unstable_by(nth, |a, b| a.0.partial_cmp(&b.0).expect("NaN projection"));
     for (slot, (_, i)) in idx.iter_mut().zip(keyed) {
         *slot = i;
@@ -389,6 +427,7 @@ fn flatten(boxed: BoxNode, begin: usize, parent: Option<usize>, out: &mut Vec<No
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::points::sq_dist;
 
     fn grid_points(n: usize, d: usize) -> PointSet {
         let mut data = Vec::with_capacity(n * d);

@@ -105,22 +105,34 @@ pub fn dist_tile_ranges(
 /// # Panics
 /// Panics if `out` is not `ids.len() x ids.len()`, `sq_norms` is shorter
 /// than the point count, or an id is out of range.
-pub fn dist_tile_sym(pts: &PointSet, sq_norms: &[f64], ids: &[u32], mut out: MatMut<'_>) {
+pub fn dist_tile_sym(pts: &PointSet, sq_norms: &[f64], ids: &[u32], out: MatMut<'_>) {
     let d = pts.dim();
     let n = ids.len();
-    assert_eq!(out.nrows(), n, "dist_tile_sym: row mismatch");
-    assert_eq!(out.ncols(), n, "dist_tile_sym: col mismatch");
     assert!(sq_norms.len() >= pts.len(), "dist_tile_sym: sq_norms too short");
-    if n == 0 {
-        return;
-    }
     let mut xc = workspace::take(d * n);
     let mut rn = workspace::take(n);
     gather_panel(pts, sq_norms, ids, &mut xc, &mut rn);
-    let xcv = MatRef::from_parts(&xc, d, n, d);
+    panel_tile_sym(&xc, &rn, out);
+}
+
+/// [`dist_tile_sym`] of a panel already gathered: `out[i, j]` the
+/// squared distance between columns `i` and `j` of the `d × rn.len()`
+/// column-major `xc` (squared norms `rn`).
+///
+/// # Panics
+/// Panics if `out` is not `rn.len() x rn.len()`.
+pub(crate) fn panel_tile_sym(xc: &[f64], rn: &[f64], mut out: MatMut<'_>) {
+    let n = rn.len();
+    assert_eq!(out.nrows(), n, "dist_tile_sym: row mismatch");
+    assert_eq!(out.ncols(), n, "dist_tile_sym: col mismatch");
+    if n == 0 {
+        return;
+    }
+    let d = xc.len() / n;
+    let xcv = MatRef::from_parts(xc, d, n, d);
     gemm(1.0, xcv, Trans::Yes, xcv, Trans::No, 0.0, out.rb_mut());
     for j in 0..n {
-        simd::dist_epilogue(out.col_mut(j), &rn, rn[j]);
+        simd::dist_epilogue(out.col_mut(j), rn, rn[j]);
     }
     TILES.fetch_add(1, Ordering::Relaxed);
 }
@@ -149,13 +161,16 @@ pub(crate) fn filter_slack(d: usize, q_norm: f64, max_norm: f64) -> f64 {
     2.0 * (d as f64 + 8.0) * f64::EPSILON * (q_norm + max_norm)
 }
 
-/// Reads the `m × m` seed tile of a block against itself: for every query
-/// `i`, calls `hit(i, j)` for each `j ≠ i` whose filter distance is within
-/// `2·slack(i)` of the query's k-th smallest — every candidate of the
-/// block that can end among its k nearest (module docs), about k of them.
-/// With fewer than `k` candidates all of them hit. Column `i` of the tile
-/// stands for query `i`'s distances (contiguous; the tile is symmetric up
-/// to summation order, which the slack covers).
+/// Reads the `m × m` seed tile of a block against itself: query `i`'s
+/// candidates are the `j ≠ i` whose filter distance is within `2·slack(i)`
+/// of its k-th smallest — every candidate of the block that can end among
+/// its k nearest (module docs), about k of them; with fewer than `k`
+/// candidates all of them are. Calls `hit(i, j)` once per unordered pair
+/// `i < j` that is a candidate of `i` or of `j`: the caller scores it once
+/// and offers it to both heaps (a member of the block is always a fair
+/// offer). Column `i` of the tile stands for query `i`'s distances
+/// (contiguous; the tile is symmetric up to summation order, which the
+/// slack covers, and each side is read against its own cut).
 pub(crate) fn seed_hits(
     tile: &[f64],
     m: usize,
@@ -164,8 +179,9 @@ pub(crate) fn seed_hits(
     mut hit: impl FnMut(usize, usize),
 ) {
     let mut sorted = workspace::take(m);
+    let mut cut = workspace::take(m);
     for (i, col) in tile.chunks_exact(m).enumerate() {
-        let cut = if k < m {
+        cut[i] = if k < m {
             sorted.copy_from_slice(col);
             sorted[i] = f64::INFINITY;
             let (_, kth, _) = sorted.select_nth_unstable_by(k - 1, f64::total_cmp);
@@ -173,8 +189,10 @@ pub(crate) fn seed_hits(
         } else {
             f64::INFINITY
         };
-        for (j, &f) in col.iter().enumerate() {
-            if j != i && f <= cut {
+    }
+    for (i, col) in tile.chunks_exact(m).enumerate() {
+        for j in i + 1..m {
+            if col[j] <= cut[i] || tile[j * m + i] <= cut[j] {
                 hit(i, j);
             }
         }
@@ -186,6 +204,7 @@ pub(crate) fn seed_hits(
 /// the filter compares against.
 pub(crate) struct QueryBlock {
     m: usize,
+    d: usize,
     /// 8-row groups, dimension-major inside a group; padding rows zero.
     pack: workspace::WsVec,
     norms: workspace::WsVec,
@@ -221,7 +240,7 @@ impl QueryBlock {
         // Mask words for a candidate panel as long as the block itself (a
         // leaf's peers, a bucket against itself); `filter` grows it for more.
         let masks = workspace::take_idx(rows / MR * m);
-        QueryBlock { m, pack, norms: padded, slack, thr, masks }
+        QueryBlock { m, d, pack, norms: padded, slack, thr, masks }
     }
 
     /// Query `i`'s slack.
@@ -239,32 +258,92 @@ impl QueryBlock {
     /// norms `cn`) and calls `hit(i, j)` for every pair the kernel flagged:
     /// query `i`'s filter distance to candidate `j` is at or under its
     /// threshold. Counts one block pair.
-    pub(crate) fn filter(&mut self, cand: &[f64], cn: &[f64], mut hit: impl FnMut(usize, usize)) {
+    pub(crate) fn filter(&mut self, cand: &[f64], cn: &[f64], hit: impl FnMut(usize, usize)) {
         let nc = cn.len();
         if nc == 0 {
             return;
         }
-        let words = self.m.div_ceil(simd::DIST_FILTER_MR) * nc;
-        if self.masks.len() < words {
-            self.masks.resize(words, 0);
-        }
-        let masks = &mut self.masks[..words];
         let mut none = workspace::take(nc);
         none.fill(f64::NEG_INFINITY);
-        simd::dist_filter(self.m, &self.pack, &self.norms, &self.thr, cand, cn, &none, masks);
+        let QueryBlock { m, d, pack, norms, thr, masks, .. } = self;
+        let q = Rows { d: *d, r0: 0, rows: *m, pack, norms, thr };
+        filter_rows(q, cand, cn, &none, masks, hit);
         TILES.fetch_add(1, Ordering::Relaxed);
-        for (g, row) in masks.chunks_exact(nc).enumerate() {
-            // Nearly every word is zero: rule them out eight at a time.
-            for (c, words) in row.chunks(8).enumerate() {
-                if words.iter().fold(0, |any, &w| any | w) == 0 {
-                    continue;
+    }
+
+    /// Filters the block against itself — `panel` and `norms` the ones it
+    /// was packed from — over its upper block triangle: each band of
+    /// `2·DIST_FILTER_MR` queries meets only the members from its own first
+    /// row on, every member's threshold serves it as query and as
+    /// candidate, and `hit(i, j)` is called once per unordered pair
+    /// `i < j` flagged under either member's threshold. Every pair that
+    /// could enter either heap is flagged: a member's slack bounds the
+    /// filter error against any candidate of the block. Counts one block
+    /// pair.
+    pub(crate) fn filter_self(
+        &mut self,
+        panel: &[f64],
+        norms: &[f64],
+        mut hit: impl FnMut(usize, usize),
+    ) {
+        const BAND: usize = 2 * simd::DIST_FILTER_MR;
+        let QueryBlock { m, d, pack, norms: qn, thr, masks, .. } = self;
+        let (m, d) = (*m, *d);
+        for r0 in (0..m).step_by(BAND) {
+            let q = Rows { d, r0, rows: BAND.min(m - r0), pack, norms: qn, thr };
+            let (cand, cn, cthr) = (&panel[r0 * d..m * d], &norms[r0..m], &thr[r0..m]);
+            filter_rows(q, cand, cn, cthr, masks, |i, j| {
+                if i < r0 + j {
+                    hit(i, r0 + j);
                 }
-                for (j, &word) in words.iter().enumerate() {
-                    let mut bits = word;
-                    while bits != 0 {
-                        hit(simd::DIST_FILTER_MR * g + bits.trailing_zeros() as usize, 8 * c + j);
-                        bits &= bits - 1;
-                    }
+            });
+        }
+        TILES.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The rows `r0 .. r0 + rows` of a [`QueryBlock`] (`r0` a multiple of
+/// `DIST_FILTER_MR`), as one filter call sees them.
+struct Rows<'a> {
+    d: usize,
+    r0: usize,
+    rows: usize,
+    pack: &'a [f64],
+    norms: &'a [f64],
+    thr: &'a [f64],
+}
+
+/// One filter call of the rows `q` against a candidate panel under the
+/// candidate thresholds `cthr`: `hit(i, j)` for each flagged pair, `i` a
+/// block row, `j` a panel column.
+fn filter_rows(
+    q: Rows<'_>,
+    cand: &[f64],
+    cn: &[f64],
+    cthr: &[f64],
+    masks: &mut workspace::WsIdx,
+    mut hit: impl FnMut(usize, usize),
+) {
+    const MR: usize = simd::DIST_FILTER_MR;
+    let nc = cn.len();
+    let words = q.rows.div_ceil(MR) * nc;
+    if masks.len() < words {
+        masks.resize(words, 0);
+    }
+    let masks = &mut masks[..words];
+    let (pack, qn, thr) = (&q.pack[q.r0 * q.d..], &q.norms[q.r0..], &q.thr[q.r0..]);
+    simd::dist_filter(q.rows, pack, qn, thr, cand, cn, cthr, masks);
+    for (g, row) in masks.chunks_exact(nc).enumerate() {
+        // Nearly every word is zero: rule them out eight at a time.
+        for (c, words) in row.chunks(8).enumerate() {
+            if words.iter().fold(0, |any, &w| any | w) == 0 {
+                continue;
+            }
+            for (j, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    hit(q.r0 + MR * g + bits.trailing_zeros() as usize, 8 * c + j);
+                    bits &= bits - 1;
                 }
             }
         }
@@ -407,9 +486,23 @@ mod tests {
         let m = r.len();
         let mut tile = kfds_la::Mat::zeros(m, m);
         dist_tile_ranges(&p, &norms, r.clone(), r.clone(), tile.rb_mut());
+        // Each unordered pair once, offered to both of its points.
         let mut hits = vec![Vec::new(); m];
+        let mut pairs = Vec::new();
         let slack = |i: usize| filter_slack(p.dim(), norms[r.start + i], max_norm);
-        seed_hits(tile.as_slice(), m, k, slack, |i, j| hits[i].push(j));
+        seed_hits(tile.as_slice(), m, k, slack, |i, j| {
+            assert!(i < j, "pair ({i},{j}) not in upper order");
+            pairs.push((i, j));
+            hits[i].push(j);
+            hits[j].push(i);
+        });
+        let mut unique = pairs.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), pairs.len(), "a pair met twice");
+        // About k per point: no more than each column's own k + slack
+        // survivors, counted once per pair.
+        assert!(pairs.len() < 2 * k * m, "{} pairs for m = {m}, k = {k}", pairs.len());
         for (i, row) in hits.iter().enumerate() {
             assert!(!row.contains(&i), "query {i} hit itself");
             let mut exact: Vec<(f64, usize)> = (0..m)
@@ -420,13 +513,12 @@ mod tests {
             for &(_, j) in &exact[..k] {
                 assert!(row.contains(&j), "query {i}: neighbor {j} not seeded");
             }
-            assert!(row.len() < 2 * k, "query {i}: {} seeds for k = {k}", row.len());
         }
-        // Fewer candidates than k: every other member hits.
+        // Fewer candidates than k: every pair hits, once.
         let mut few = Vec::new();
         let mut tiny = kfds_la::Mat::zeros(3, 3);
         dist_tile_ranges(&p, &norms, 0..3, 0..3, tiny.rb_mut());
         seed_hits(tiny.as_slice(), 3, k, slack, |i, j| few.push((i, j)));
-        assert_eq!(few.len(), 6);
+        assert_eq!(few, [(0, 1), (0, 2), (1, 2)]);
     }
 }

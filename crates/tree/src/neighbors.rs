@@ -29,7 +29,7 @@
 
 use crate::balltree::BallTree;
 use crate::dist_tiles::{self, QueryBlock};
-use crate::points::{sq_dist, PointSet};
+use crate::points::{sq_dist, sq_dists, PointSet};
 use kfds_la::{workspace, MatMut};
 use rayon::prelude::*;
 use std::cmp::Ordering;
@@ -141,10 +141,11 @@ impl KBest {
     }
 
     /// Whether candidate `i` is already kept — the approximate search
-    /// meets a near neighbor again in most trees.
+    /// meets a near neighbor again in most trees. No early exit: the scan
+    /// of a short heap runs without a branch per entry.
     #[inline]
     fn contains(&self, i: u32) -> bool {
-        self.heap.iter().any(|&(_, j)| j == i)
+        self.heap.iter().fold(false, |any, &(_, j)| any | (j == i))
     }
 
     /// The kept candidates, `(dist, idx)`-sorted nearest first.
@@ -259,13 +260,13 @@ fn leaf_all_nn(
     let mut tile = workspace::take(m * m);
     let seed = MatMut::from_parts(&mut tile, m, m, m);
     dist_tiles::dist_tile_ranges(pts, norms, qr.clone(), qr.clone(), seed);
-    dist_tiles::seed_hits(
-        &tile,
-        m,
-        k,
-        |i| block.slack(i),
-        |i, j| best[i].push(pts.sq_dist(qr.start + i, qr.start + j), (qr.start + j) as u32),
-    );
+    let mut pairs = workspace::take_idx(4 * m * k);
+    dist_tiles::seed_hits(&tile, m, k, |i| block.slack(i), |i, j| pairs.extend([i, j]));
+    let q = panel(&qr);
+    for (&s, ij) in rescore(q, q, d, &pairs).iter().zip(pairs.chunks_exact(2)) {
+        best[ij[0]].push(s, (qr.start + ij[1]) as u32);
+        best[ij[1]].push(s, (qr.start + ij[0]) as u32);
+    }
     let mut tau = tighten(&mut block, &best);
 
     let (qc, qrad) = (&nd.center, nd.radius);
@@ -281,9 +282,11 @@ fn leaf_all_nn(
         }
         if cn.is_leaf() {
             let cr = cn.range();
-            block.filter(panel(&cr), &norms[cr.clone()], |i, j| {
-                best[i].push(pts.sq_dist(qr.start + i, cr.start + j), (cr.start + j) as u32);
-            });
+            pairs.clear();
+            block.filter(panel(&cr), &norms[cr.clone()], |i, j| pairs.extend([i, j]));
+            for (&s, ij) in rescore(q, panel(&cr), d, &pairs).iter().zip(pairs.chunks_exact(2)) {
+                best[ij[0]].push(s, (cr.start + ij[1]) as u32);
+            }
             tau = tighten(&mut block, &best);
         } else {
             let (l, r) = cn.children.expect("internal node");
@@ -411,18 +414,22 @@ pub fn knn_approximate_brute_force(
 
 /// The projection trees of both approximate searches: per tree, the bucket
 /// id of every point and the members of every bucket (ascending).
-type Buckets = (Vec<Vec<u32>>, Vec<Vec<Vec<u32>>>);
+pub type Buckets = (Vec<Vec<u32>>, Vec<Vec<Vec<u32>>>);
 
-fn projection_buckets(pts: &PointSet, k: usize, n_trees: usize, seed: u64) -> Buckets {
+/// The `n_trees` randomized projection trees [`knn_approximate`] (and its
+/// reference) search for `k` neighbours of the points `pts` with `seed`:
+/// per tree, the bucket id of every point and the members of every bucket
+/// (ascending). Buckets hold at most `max(4k, 32)` points; the trees are
+/// built in parallel.
+///
+/// # Panics
+/// Panics if `k >= n`, `k == 0`, or `n_trees == 0`.
+pub fn projection_buckets(pts: &PointSet, k: usize, n_trees: usize, seed: u64) -> Buckets {
     let n = pts.len();
     assert!(k > 0 && k < n, "need 0 < k < n (k={k}, n={n})");
     assert!(n_trees > 0, "need at least one projection tree");
     let bucket = (4 * k).max(32).min(n);
-    // Trees are independent and seeded per index: build them in parallel.
-    let buckets: Vec<Vec<u32>> = (0..n_trees)
-        .into_par_iter()
-        .map(|t| projection_tree_buckets(pts, t, seed, bucket))
-        .collect();
+    let buckets = projection_trees(pts, n_trees, seed, bucket);
     let members = buckets
         .iter()
         .map(|assignment| {
@@ -437,9 +444,20 @@ fn projection_buckets(pts: &PointSet, k: usize, n_trees: usize, seed: u64) -> Bu
     (buckets, members)
 }
 
+/// Exact distances of flagged pairs, batched: `pairs` holds two entries
+/// per pair, a column of the `d`-row panel `q` and one of `c`, and entry
+/// `p` of the result is their [`sq_dist`], bit for bit (through
+/// [`sq_dists`], whose independent chains overlap).
+fn rescore(q: &[f64], c: &[f64], d: usize, pairs: &[usize]) -> workspace::WsVec {
+    let mut dist = workspace::take(pairs.len() / 2);
+    sq_dists(|p| &q[pairs[2 * p] * d..][..d], |p| &c[pairs[2 * p + 1] * d..][..d], &mut dist);
+    dist
+}
+
 /// A bucket of the first projection tree, `heaps[i]` being the (empty)
-/// heap of `mem[i]`: every member is seeded from the bucket's symmetric
-/// tile with the ~k other members it can take.
+/// heap of `mem[i]`: the bucket is gathered once, its symmetric tile picks
+/// the ~k other members each one can take, and each such pair is scored
+/// once from the gathered panel and offered to both heaps.
 fn seed_bucket(
     pts: &PointSet,
     norms: &[f64],
@@ -448,21 +466,26 @@ fn seed_bucket(
     k: usize,
     heaps: &mut [KBest],
 ) {
-    let len = mem.len();
+    let (len, d) = (mem.len(), pts.dim());
+    let mut xc = workspace::take(d * len);
+    let mut rn = workspace::take(len);
+    dist_tiles::gather_panel(pts, norms, mem, &mut xc, &mut rn);
     let mut tile = workspace::take(len * len);
-    dist_tiles::dist_tile_sym(pts, norms, mem, MatMut::from_parts(&mut tile, len, len, len));
-    dist_tiles::seed_hits(
-        &tile,
-        len,
-        k,
-        |i| dist_tiles::filter_slack(pts.dim(), norms[mem[i] as usize], max_norm),
-        |i, j| heaps[i].push(pts.sq_dist(mem[i] as usize, mem[j] as usize), mem[j]),
-    );
+    dist_tiles::panel_tile_sym(&xc, &rn, MatMut::from_parts(&mut tile, len, len, len));
+    let mut pairs = workspace::take_idx(4 * len * k);
+    let slack = |i: usize| dist_tiles::filter_slack(d, rn[i], max_norm);
+    dist_tiles::seed_hits(&tile, len, k, slack, |i, j| pairs.extend([i, j]));
+    for (&s, ij) in rescore(&xc, &xc, d, &pairs).iter().zip(pairs.chunks_exact(2)) {
+        heaps[ij[0]].push(s, mem[ij[1]]);
+        heaps[ij[1]].push(s, mem[ij[0]]);
+    }
 }
 
-/// A bucket of a later tree: one filter call of its members against each
-/// other under the thresholds the earlier trees left; a flagged candidate
-/// a heap already keeps is skipped before its distance is computed.
+/// A bucket of a later tree: one two-sided filter pass of its members
+/// against each other over the upper block triangle, under the thresholds
+/// the earlier trees left. A flagged pair is scored once — unless each
+/// heap already keeps the other — and offered to each heap that does not
+/// keep it yet.
 fn filter_bucket(pts: &PointSet, norms: &[f64], max_norm: f64, mem: &[u32], heaps: &mut [KBest]) {
     let d = pts.dim();
     let mut xc = workspace::take(d * mem.len());
@@ -470,11 +493,29 @@ fn filter_bucket(pts: &PointSet, norms: &[f64], max_norm: f64, mem: &[u32], heap
     dist_tiles::gather_panel(pts, norms, mem, &mut xc, &mut rn);
     let mut block = QueryBlock::new(&xc, &rn, max_norm);
     tighten(&mut block, heaps);
-    block.filter(&xc, &rn, |i, j| {
-        if i != j && !heaps[i].contains(mem[j]) {
-            heaps[i].push(sq_dist(&xc[i * d..(i + 1) * d], &xc[j * d..(j + 1) * d]), mem[j]);
+    // Per flagged pair, which heaps lack the other point: bit 0 `i`'s,
+    // bit 1 `j`'s. Only this bucket's pair (i, j) could add j to heap i,
+    // so the answer still holds when the pair's turn to be offered comes.
+    let mut pairs = workspace::take_idx(2 * mem.len());
+    let mut lacks = workspace::take_idx(mem.len());
+    block.filter_self(&xc, &rn, |i, j| {
+        let need = usize::from(!heaps[i].contains(mem[j]))
+            | (usize::from(!heaps[j].contains(mem[i])) << 1);
+        if need != 0 {
+            pairs.extend([i, j]);
+            lacks.push(need);
         }
     });
+    let dist = rescore(&xc, &xc, d, &pairs);
+    for ((&s, ij), &need) in dist.iter().zip(pairs.chunks_exact(2)).zip(lacks.iter()) {
+        let (i, j) = (ij[0], ij[1]);
+        if need & 1 != 0 {
+            heaps[i].push(s, mem[j]);
+        }
+        if need & 2 != 0 {
+            heaps[j].push(s, mem[i]);
+        }
+    }
 }
 
 /// Shared tail of both approximate searches: writes the `(dist,
@@ -510,47 +551,131 @@ fn finalize_approx_row(
     }
 }
 
-/// Builds one randomized projection tree and returns the bucket id per
-/// point. Each split computes every point's projection once into a cached
-/// key buffer and takes the median by those keys.
-fn projection_tree_buckets(pts: &PointSet, t: usize, seed: u64, bucket: usize) -> Vec<u32> {
+/// One node of the projection trees' common shape: its position range and
+/// either its split's rank or its bucket id, both counted in depth-first
+/// order.
+#[derive(Clone, Copy)]
+struct ProjNode {
+    lo: usize,
+    hi: usize,
+    /// A split: its rank, the row of a tree's directions it projects on.
+    /// A bucket: its id.
+    tag: u32,
+    split: bool,
+}
+
+/// One projection tree under construction: the position → point order
+/// its splits permute, each point's node in the current level (`u32::MAX`
+/// once its bucket is known), and the bucket ids given so far.
+struct ProjTree {
+    idx: Vec<usize>,
+    node: Vec<u32>,
+    assignment: Vec<u32>,
+}
+
+/// Builds the randomized projection trees `0..n_trees` and returns each
+/// one's bucket id per point.
+///
+/// A tree's shape depends on `n` and `bucket` only (every split halves its
+/// range at `lo + (hi − lo)/2`, down to ranges of at most `bucket`), so all
+/// trees share it: it is walked once, without the points, depth first off
+/// a stack as each tree's search always was, counting splits and buckets
+/// in that order — and since a tree's RNG stream only ever drew `d`
+/// direction coordinates per split, in that same order, split `r` of tree
+/// `t` projects on draws `r·d .. (r + 1)·d` of its stream. Then the trees
+/// grow level by level, all together: one pass over the points in storage
+/// order (in parallel over chunks of points) keys every point for every
+/// tree whose node splits it at this level — one `dot` with that node's
+/// direction, the point read once for all trees rather than once per tree
+/// from wherever the splits above scattered it — and each tree (in
+/// parallel) takes its splits' medians by those keys with the same
+/// `select_nth_unstable_by` on the same positions as its depth-first build
+/// did, so every bucket comes out identical.
+fn projection_trees(pts: &PointSet, n_trees: usize, seed: u64, bucket: usize) -> Vec<Vec<u32>> {
     let n = pts.len();
     let d = pts.dim();
-    let mut assignment = vec![0u32; n];
-    let mut idx: Vec<usize> = (0..n).collect();
-    let mut next_bucket = 0u32;
-    // Deterministic per-tree RNG (splitmix-style stream).
-    let mut state = seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15) | 1;
-    let mut rnd = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-    };
-    // Iterative median splits on random directions.
-    let mut stack: Vec<(usize, usize)> = vec![(0, n)];
-    let mut dir = vec![0.0f64; d];
-    let mut keys = workspace::take(n);
-    while let Some((lo, hi)) = stack.pop() {
-        if hi - lo <= bucket {
-            for &i in &idx[lo..hi] {
-                assignment[i] = next_bucket;
-            }
-            next_bucket += 1;
-            continue;
+    let mut levels: Vec<Vec<ProjNode>> = Vec::new();
+    let (mut splits, mut buckets) = (0u32, 0u32);
+    let mut stack: Vec<(usize, usize, usize)> = vec![(0, n, 0)];
+    while let Some((lo, hi, level)) = stack.pop() {
+        if levels.len() == level {
+            levels.push(Vec::new());
         }
-        for v in &mut dir {
-            *v = rnd();
+        let split = hi - lo > bucket;
+        let tag = if split { splits } else { buckets };
+        levels[level].push(ProjNode { lo, hi, tag, split });
+        if split {
+            splits += 1;
+            let mid = lo + (hi - lo) / 2;
+            stack.push((lo, mid, level + 1));
+            stack.push((mid, hi, level + 1));
+        } else {
+            buckets += 1;
         }
-        let mid = lo + (hi - lo) / 2;
-        for &i in &idx[lo..hi] {
-            keys[i] = kfds_la::blas1::dot(pts.point(i), &dir);
-        }
-        idx[lo..hi].select_nth_unstable_by(mid - lo, |&a, &b| {
-            keys[a].partial_cmp(&keys[b]).expect("NaN projection")
-        });
-        stack.push((lo, mid));
-        stack.push((mid, hi));
     }
-    assignment
+    let dirs: Vec<Vec<f64>> = (0..n_trees)
+        .map(|t| {
+            // Deterministic per-tree RNG (splitmix-style stream).
+            let mut state = seed ^ (t as u64).wrapping_mul(0x9e3779b97f4a7c15) | 1;
+            (0..splits as usize * d)
+                .map(|_| {
+                    state =
+                        state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut trees: Vec<ProjTree> = (0..n_trees)
+        .map(|_| ProjTree { idx: (0..n).collect(), node: vec![0; n], assignment: vec![0; n] })
+        .collect();
+    // Point-major: `keys[i·n_trees + t]` is point i's key in tree t.
+    let mut keys = workspace::take(n * n_trees);
+    const CHUNK: usize = 256;
+    for nodes in &mut levels {
+        nodes.sort_unstable_by_key(|nd| nd.lo);
+        let nodes: &[ProjNode] = nodes;
+        let shared: &[ProjTree] = &trees;
+        keys.par_chunks_mut(CHUNK * n_trees).enumerate().for_each(|(c, chunk)| {
+            for (r, row) in chunk.chunks_exact_mut(n_trees).enumerate() {
+                let i = c * CHUNK + r;
+                for ((key, tree), dir) in row.iter_mut().zip(shared).zip(&dirs) {
+                    if let Some(nd) = nodes.get(tree.node[i] as usize).filter(|nd| nd.split) {
+                        *key = kfds_la::blas1::dot(pts.point(i), &dir[nd.tag as usize * d..][..d]);
+                    }
+                }
+            }
+        });
+        let keys: &[f64] = &keys;
+        trees.par_chunks_mut(1).enumerate().for_each(|(t, tree)| {
+            let tree = &mut tree[0];
+            let key = |i: usize| keys[i * n_trees + t];
+            let mut child = 0u32;
+            for nd in nodes {
+                let (lo, hi) = (nd.lo, nd.hi);
+                if !nd.split {
+                    for &i in &tree.idx[lo..hi] {
+                        tree.assignment[i] = nd.tag;
+                        tree.node[i] = u32::MAX;
+                    }
+                    continue;
+                }
+                let mid = lo + (hi - lo) / 2;
+                tree.idx[lo..hi].select_nth_unstable_by(mid - lo, |&a, &b| {
+                    key(a).partial_cmp(&key(b)).expect("NaN projection")
+                });
+                for (half, ids) in [&tree.idx[lo..mid], &tree.idx[mid..hi]].into_iter().enumerate()
+                {
+                    for &i in ids {
+                        tree.node[i] = child + half as u32;
+                    }
+                }
+                child += 2;
+            }
+        });
+    }
+    trees.into_iter().map(|tree| tree.assignment).collect()
 }
 
 /// Fraction of exact k-nearest neighbors recovered by `approx` (averaged
@@ -899,10 +1024,11 @@ mod tests {
             (copies, 32, 4),
         ];
         for (p, bucket, trees) in &cases {
-            for t in 0..*trees {
+            let got = projection_trees(p, *trees, 77, *bucket);
+            assert_eq!(got.len(), *trees);
+            for (t, got) in got.iter().enumerate() {
                 let want = projection_tree_buckets_dfs(p, t, 77, *bucket);
-                let got = projection_tree_buckets(p, t, 77, *bucket);
-                assert_eq!(got, want, "n={} d={} bucket={bucket} tree {t}", p.len(), p.dim());
+                assert_eq!(got, &want, "n={} d={} bucket={bucket} tree {t}", p.len(), p.dim());
             }
         }
     }
