@@ -79,80 +79,78 @@ fn cand_cmp(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
     a.0.partial_cmp(&b.0).expect("NaN distance").then(a.1.cmp(&b.1))
 }
 
-/// A bounded max-heap of `(distance, index)` candidates under the
-/// lexicographic order of [`cand_lt`].
+/// The `k` least `(distance, index)` candidates offered so far under the
+/// lexicographic order of [`cand_lt`], kept sorted, their distances and
+/// indices in two arrays (entry `e` is `(dist[e], ids[e])`): an offer's
+/// place is a branch-free count over the entries, the membership scan reads
+/// the indices alone, and the list is already in output order.
 #[derive(Default)]
 struct KBest {
     k: usize,
-    heap: Vec<(f64, u32)>,
+    dist: Vec<f64>,
+    ids: Vec<u32>,
 }
 
 impl KBest {
     fn new(k: usize) -> Self {
-        KBest { k, heap: Vec::with_capacity(k + 1) }
+        KBest { k, dist: Vec::with_capacity(k + 1), ids: Vec::with_capacity(k + 1) }
     }
 
-    /// Current k-th-best squared distance (∞ while the heap is short) —
+    /// Current k-th-best squared distance (∞ while the list is short) —
     /// the pruning radius τ.
     #[inline]
     fn worst(&self) -> f64 {
-        if self.heap.len() < self.k {
+        if self.dist.len() < self.k {
             f64::INFINITY
         } else {
-            self.heap[0].0
+            self.dist[self.k - 1]
         }
     }
 
+    /// Offers a candidate: kept while the list is short, else in place of
+    /// the worst kept one if it is less than that one.
     fn push(&mut self, d: f64, i: u32) {
         let e = (d, i);
-        if self.heap.len() < self.k {
-            self.heap.push(e);
-            // Sift up.
-            let mut c = self.heap.len() - 1;
-            while c > 0 {
-                let p = (c - 1) / 2;
-                if cand_lt(self.heap[p], self.heap[c]) {
-                    self.heap.swap(p, c);
-                    c = p;
-                } else {
-                    break;
-                }
+        let len = self.dist.len();
+        if len == self.k {
+            if !cand_lt(e, (self.dist[len - 1], self.ids[len - 1])) {
+                return;
             }
-        } else if cand_lt(e, self.heap[0]) {
-            self.heap[0] = e;
-            // Sift down.
-            let mut p = 0;
-            loop {
-                let (l, r) = (2 * p + 1, 2 * p + 2);
-                let mut m = p;
-                if l < self.heap.len() && cand_lt(self.heap[m], self.heap[l]) {
-                    m = l;
-                }
-                if r < self.heap.len() && cand_lt(self.heap[m], self.heap[r]) {
-                    m = r;
-                }
-                if m == p {
-                    break;
-                }
-                self.heap.swap(p, m);
-                p = m;
-            }
+        } else {
+            self.dist.push(d);
+            self.ids.push(i);
         }
+        let (dist, ids) = (&mut self.dist[..], &mut self.ids[..]);
+        let at = dist[..len]
+            .iter()
+            .zip(&ids[..len])
+            .fold(0, |n, (&x, &j)| n + usize::from((x < d) | ((x == d) & (j < i))));
+        let mut slot = dist.len() - 1;
+        while slot > at {
+            dist[slot] = dist[slot - 1];
+            ids[slot] = ids[slot - 1];
+            slot -= 1;
+        }
+        dist[at] = d;
+        ids[at] = i;
     }
 
     /// Whether candidate `i` is already kept — the approximate search
     /// meets a near neighbor again in most trees. No early exit: the scan
-    /// of a short heap runs without a branch per entry.
+    /// of a short list runs without a branch per entry.
     #[inline]
     fn contains(&self, i: u32) -> bool {
-        self.heap.iter().fold(false, |any, &(_, j)| any | (j == i))
+        self.ids.iter().fold(false, |any, &j| any | (j == i))
     }
 
-    /// The kept candidates, `(dist, idx)`-sorted nearest first.
+    /// The kept candidates, nearest first.
     fn into_sorted(self) -> Vec<(f64, u32)> {
-        let mut h = self.heap;
-        h.sort_by(cand_cmp);
-        h
+        debug_assert!(self
+            .dist
+            .iter()
+            .zip(&self.ids)
+            .is_sorted_by(|a, b| cand_lt((*a.0, *a.1), (*b.0, *b.1))));
+        self.dist.into_iter().zip(self.ids).collect()
     }
 }
 
@@ -263,10 +261,7 @@ fn leaf_all_nn(
     let mut pairs = workspace::take_idx(4 * m * k);
     dist_tiles::seed_hits(&tile, m, k, |i| block.slack(i), |i, j| pairs.extend([i, j]));
     let q = panel(&qr);
-    for (&s, ij) in rescore(q, q, d, &pairs).iter().zip(pairs.chunks_exact(2)) {
-        best[ij[0]].push(s, (qr.start + ij[1]) as u32);
-        best[ij[1]].push(s, (qr.start + ij[0]) as u32);
-    }
+    seed_lists(&mut best, &pairs, &rescore(q, q, d, &pairs), |j| (qr.start + j) as u32);
     let mut tau = tighten(&mut block, &best);
 
     let (qc, qrad) = (&nd.center, nd.radius);
@@ -338,9 +333,10 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
     let (norms, max_norm) = sq_norms_and_max(pts);
     let norms: &[f64] = &norms;
     // A point sits in exactly one bucket of a tree, so the bucket jobs of
-    // one tree need disjoint heaps: move each bucket's heaps into its job,
-    // run the jobs in parallel, move them back.
-    let mut heaps: Vec<KBest> = (0..n).map(|_| KBest::new(k)).collect();
+    // one tree need disjoint lists: move each bucket's lists into its job,
+    // run the jobs in parallel, move them back. The first tree's jobs
+    // allocate them.
+    let mut heaps: Vec<KBest> = (0..n).map(|_| KBest::default()).collect();
     for (t, tree_buckets) in members.iter().enumerate() {
         let jobs: Vec<(&Vec<u32>, Vec<KBest>)> = tree_buckets
             .iter()
@@ -454,8 +450,8 @@ fn rescore(q: &[f64], c: &[f64], d: usize, pairs: &[usize]) -> workspace::WsVec 
     dist
 }
 
-/// A bucket of the first projection tree, `heaps[i]` being the (empty)
-/// heap of `mem[i]`: the bucket is gathered once, its symmetric tile picks
+/// A bucket of the first projection tree, `heaps[i]` becoming the list of
+/// `mem[i]`: the bucket is gathered once, its symmetric tile picks
 /// the ~k other members each one can take, and each such pair is scored
 /// once from the gathered panel and offered to both heaps.
 fn seed_bucket(
@@ -466,6 +462,7 @@ fn seed_bucket(
     k: usize,
     heaps: &mut [KBest],
 ) {
+    heaps.fill_with(|| KBest::new(k));
     let (len, d) = (mem.len(), pts.dim());
     let mut xc = workspace::take(d * len);
     let mut rn = workspace::take(len);
@@ -475,9 +472,44 @@ fn seed_bucket(
     let mut pairs = workspace::take_idx(4 * len * k);
     let slack = |i: usize| dist_tiles::filter_slack(d, rn[i], max_norm);
     dist_tiles::seed_hits(&tile, len, k, slack, |i, j| pairs.extend([i, j]));
-    for (&s, ij) in rescore(&xc, &xc, d, &pairs).iter().zip(pairs.chunks_exact(2)) {
-        heaps[ij[0]].push(s, mem[ij[1]]);
-        heaps[ij[1]].push(s, mem[ij[0]]);
+    seed_lists(heaps, &pairs, &rescore(&xc, &xc, d, &pairs), |j| mem[j]);
+}
+
+/// Fills the empty lists `lists` of a block's members from its seed
+/// pairs: pair `p` (`pairs[2p]`, `pairs[2p + 1]`, members of the block) at
+/// distance `dist[p]` is offered to both, `id(j)` naming member `j`. Each
+/// member's offers are gathered and sorted once, and its list takes the
+/// first `k` — what offering them one at a time would keep. An offer
+/// sorts as the integer `bits(distance) · 2³² + index`, which orders as
+/// [`cand_lt`] does: a distance is never negative, `−0` or NaN, and the
+/// bits of such floats ascend with their values.
+fn seed_lists(lists: &mut [KBest], pairs: &[usize], dist: &[f64], id: impl Fn(usize) -> u32) {
+    let m = lists.len();
+    // Offsets of each member's offers, then the offers themselves.
+    let mut start = vec![0usize; m + 1];
+    for &i in pairs {
+        start[i + 1] += 1;
+    }
+    for i in 0..m {
+        start[i + 1] += start[i];
+    }
+    let mut offers = vec![0u128; pairs.len()];
+    let mut fill = start.clone();
+    for (&s, ij) in dist.iter().zip(pairs.chunks_exact(2)) {
+        debug_assert!(s.is_sign_positive() && !s.is_nan());
+        for (a, b) in [(ij[0], ij[1]), (ij[1], ij[0])] {
+            offers[fill[a]] = u128::from(s.to_bits()) << 32 | u128::from(id(b));
+            fill[a] += 1;
+        }
+    }
+    for (list, w) in lists.iter_mut().zip(start.windows(2)) {
+        let mine = &mut offers[w[0]..w[1]];
+        mine.sort_unstable();
+        debug_assert!(list.dist.is_empty());
+        for &key in &mine[..mine.len().min(list.k)] {
+            list.dist.push(f64::from_bits((key >> 32) as u64));
+            list.ids.push(key as u32);
+        }
     }
 }
 
@@ -637,20 +669,29 @@ fn projection_trees(pts: &PointSet, n_trees: usize, seed: u64, bucket: usize) ->
         nodes.sort_unstable_by_key(|nd| nd.lo);
         let nodes: &[ProjNode] = nodes;
         let shared: &[ProjTree] = &trees;
-        keys.par_chunks_mut(CHUNK * n_trees).enumerate().for_each(|(c, chunk)| {
-            for (r, row) in chunk.chunks_exact_mut(n_trees).enumerate() {
-                let i = c * CHUNK + r;
-                for ((key, tree), dir) in row.iter_mut().zip(shared).zip(&dirs) {
-                    if let Some(nd) = nodes.get(tree.node[i] as usize).filter(|nd| nd.split) {
-                        *key = kfds_la::blas1::dot(pts.point(i), &dir[nd.tag as usize * d..][..d]);
+        // The last level holds buckets only: nothing to key.
+        if nodes.iter().any(|nd| nd.split) {
+            keys.par_chunks_mut(CHUNK * n_trees).enumerate().for_each(|(c, chunk)| {
+                for (r, row) in chunk.chunks_exact_mut(n_trees).enumerate() {
+                    let i = c * CHUNK + r;
+                    for ((key, tree), dir) in row.iter_mut().zip(shared).zip(&dirs) {
+                        if let Some(nd) = nodes.get(tree.node[i] as usize).filter(|nd| nd.split) {
+                            let dir = &dir[nd.tag as usize * d..][..d];
+                            *key = kfds_la::blas1::dot(pts.point(i), dir);
+                        }
                     }
                 }
-            }
-        });
+            });
+        }
         let keys: &[f64] = &keys;
         trees.par_chunks_mut(1).enumerate().for_each(|(t, tree)| {
             let tree = &mut tree[0];
-            let key = |i: usize| keys[i * n_trees + t];
+            // This tree's keys, contiguous: the selects read them at random.
+            let mut mine = workspace::take(n);
+            for (m, row) in mine.iter_mut().zip(keys.chunks_exact(n_trees)) {
+                *m = row[t];
+            }
+            let key = |i: usize| mine[i];
             let mut child = 0u32;
             for nd in nodes {
                 let (lo, hi) = (nd.lo, nd.hi);
