@@ -16,8 +16,16 @@
 //! ```sh
 //! cargo bench -p kfds-bench --bench cpqr_shapes
 //! ```
+//!
+//! `gemv_t` times the transposed GEMV the blocked path accumulates each
+//! pivot's `F` row with (`blas2::gemv_t`, `beta = 0`: the `dgemv_t_*`
+//! body the host dispatches to) at three block shapes of the adaptive
+//! CPQR's range, 160 × 128, 288 × 256 and 416 × 384, so one body can be
+//! A/B'd against another alone
+//! (`cargo bench -p kfds-bench --bench cpqr_shapes -- gemv_t`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use kfds_la::blas2::gemv_t;
 use kfds_la::{ColPivQr, Mat};
 use std::hint::black_box;
 
@@ -75,5 +83,21 @@ fn bench_cpqr(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_cpqr);
+fn bench_gemv_t(c: &mut Criterion) {
+    let mut group = c.benchmark_group("gemv_t");
+    for &(m, n) in &[(160usize, 128usize), (288, 256), (416, 384)] {
+        let a = rand_mat(m, n, (m * n) as u64);
+        let x: Vec<f64> = (0..m).map(|i| (i as f64 * 0.37).sin()).collect();
+        let mut y = vec![0.0; n];
+        group.bench_function(format!("{m}x{n}"), |bch| {
+            bch.iter(|| {
+                gemv_t(1.0, a.rb(), &x, 0.0, &mut y);
+                black_box(y[0])
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_cpqr, bench_gemv_t);
 criterion_main!(benches);

@@ -8,6 +8,18 @@
 //! (the user-specified leaf size). The tree permutes the points so every
 //! node owns a contiguous index range — diagonal blocks of the permuted
 //! kernel matrix correspond to tree nodes.
+//!
+//! A split reads its points in batched passes, one key per point: the
+//! squared distance to the centroid (giving the radius and the first
+//! sweep's farthest point), the squared distance to that point (the
+//! second sweep) and the projection the median is taken on. Each pass runs
+//! [`crate::points::sq_dists`] or [`crate::points::dot_sums`] — eight
+//! independent chains, each value bit for bit the scalar loop's, the
+//! projection summed from `−0.0` as `Iterator::sum` does — and above 4096
+//! points it is split over the pool, as the two children are. The centroid
+//! stays one sum in point order. Permutation, ranges, centers and radii
+//! are those of the one-point-at-a-time build, which the tests keep as
+//! their reference.
 
 use crate::points::{dot_sums, sq_dists, PointSet};
 use kfds_la::workspace;

@@ -7,11 +7,20 @@
 //! into a `QueryBlock`; every candidate panel it meets goes through
 //! [`kfds_la::simd::dist_filter`], which forms the norms+Gram distance
 //! `f = ‖q‖² + ‖c‖² − 2 qᵀc` in registers, compares it with the query's
-//! threshold and emits one mask word per (8 queries, candidate) — no
-//! distance is stored. The search re-scores each flagged pair with the
-//! scalar [`crate::points::sq_dist`] and offers *that* to the query's
-//! heap, so heaps only ever hold exact values and the filter's only job is
-//! to lose nothing.
+//! threshold — and with the candidate's, where the candidate is a member
+//! of the block — and emits one mask word per (8 queries, candidate) — no
+//! distance is stored. The search re-scores the flagged pairs exactly
+//! (batched through [`kfds_la::simd::sq_dist_pairs`], bit for bit
+//! [`crate::points::sq_dist`]) and offers *that* to the lists, so lists
+//! only ever hold exact values and the filter's only job is to lose
+//! nothing.
+//!
+//! A bucket filtered against itself (`QueryBlock::filter_self`) runs over
+//! its upper block triangle only: each band of 16 queries meets the
+//! members from its own first row on, and every member's threshold serves
+//! both as a query's and as a candidate's, so a pair `i < j` is flagged
+//! once if it could enter either list. The seed tile is read the same way
+//! (`seed_hits`): each unordered pair once, under either column's cut.
 //!
 //! # The slack
 //!
@@ -20,14 +29,14 @@
 //! (derived at `dist_filter`, tested there on all three kernel bodies). A
 //! query's threshold is therefore its current k-th-best exact distance
 //! plus `slack = γ·(‖q‖² + max‖x‖²)`: every candidate whose `sq_dist` could
-//! still enter the heap passes, whatever the SIMD level or the translation
+//! still enter the list passes, whatever the SIMD level or the translation
 //! of the data — far from the origin the slack grows and more pairs are
 //! re-scored, but none is lost. `γ` leaves `12ε` beyond the derivation's
 //! `(2d + 3.5)ε`, which also covers rounding the threshold sum itself.
 //!
 //! # Seed tiles
 //!
-//! A query's first block would pass everything (its heap is empty, its
+//! A query's first block would pass everything (its list is empty, its
 //! threshold `+∞`). So the first block of a search — the query leaf
 //! against itself, a bucket of the first projection tree — is one GEMM
 //! tile in memory ([`dist_tile_ranges`], [`dist_tile_sym`]) from which the
@@ -42,7 +51,8 @@
 //! `hot-path-alloc` list).
 //!
 //! [`blocked_tile_count`] counts block pairs resolved — one per seed tile
-//! or filter call: `benchmark/` reports them as `tree.knn_tiles`, and
+//! or filtered block pair (a bucket's banded pass against itself is one):
+//! `benchmark/` reports them as `tree.knn_tiles`, and
 //! `tests/dispatch_defaults.rs` fails if a search resolves none.
 
 use crate::points::PointSet;
@@ -53,7 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static TILES: AtomicU64 = AtomicU64::new(0);
 
 /// Number of block pairs (leaf × leaf, or a bucket against itself)
-/// resolved since process start, by a seed tile or a filter call.
+/// resolved since process start, by a seed tile or a filter pass.
 pub fn blocked_tile_count() -> u64 {
     TILES.load(Ordering::Relaxed)
 }
@@ -167,7 +177,7 @@ pub(crate) fn filter_slack(d: usize, q_norm: f64, max_norm: f64) -> f64 {
 /// its k nearest (module docs), about k of them; with fewer than `k`
 /// candidates all of them are. Calls `hit(i, j)` once per unordered pair
 /// `i < j` that is a candidate of `i` or of `j`: the caller scores it once
-/// and offers it to both heaps (a member of the block is always a fair
+/// and offers it to both lists (a member of the block is always a fair
 /// offer). Column `i` of the tile stands for query `i`'s distances
 /// (contiguous; the tile is symmetric up to summation order, which the
 /// slack covers, and each side is read against its own cut).
@@ -249,7 +259,7 @@ impl QueryBlock {
     }
 
     /// Sets query `i`'s threshold from `worst`, its current k-th-best exact
-    /// distance (`+∞` while its heap is short).
+    /// distance (`+∞` while its list is short).
     pub(crate) fn set_worst(&mut self, i: usize, worst: f64) {
         self.thr[i] = worst + self.slack[i];
     }
@@ -277,7 +287,7 @@ impl QueryBlock {
     /// row on, every member's threshold serves it as query and as
     /// candidate, and `hit(i, j)` is called once per unordered pair
     /// `i < j` flagged under either member's threshold. Every pair that
-    /// could enter either heap is flagged: a member's slack bounds the
+    /// could enter either list is flagged: a member's slack bounds the
     /// filter error against any candidate of the block. Counts one block
     /// pair.
     pub(crate) fn filter_self(

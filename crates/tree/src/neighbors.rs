@@ -7,20 +7,29 @@
 //! block of queries with its candidates through the fused filter of
 //! [`crate::dist_tiles`] — a register-tile kernel that flags the pairs
 //! whose norms+Gram distance is under the query's current k-th best plus a
-//! rounding slack — and only flagged pairs are re-scored with the scalar
-//! [`sq_dist`] and offered to the query's `KBest` heap:
+//! rounding slack — and only flagged pairs are re-scored exactly and
+//! offered to the query's `KBest` list:
 //!
 //! * **exact** ([`knn_all`]): a leaf-blocked all-nearest-neighbors
 //!   traversal (query leaf against candidate leaf, node-vs-node ball
 //!   bounds pruned against the *max* of the leaf's k-th-best radii);
-//! * **approximate** ([`knn_approximate`]): the projection trees in turn,
-//!   the buckets of a tree in parallel, over per-point heaps that persist
+//! * **approximate** ([`knn_approximate`]): the projection trees, built
+//!   together level by level ([`projection_buckets`]), searched in turn,
+//!   the buckets of a tree in parallel, over per-point lists that persist
 //!   across trees.
 //!
-//! A query's first block is seeded from one GEMM tile so it refines about
-//! k candidates there, not all of them.
+//! A block's first pass — a leaf against itself, a bucket of the first
+//! tree — is seeded from one GEMM tile, so a query refines about k
+//! candidates there, not all of them. Within a block every unordered pair
+//! is decided once: the seed reads both of its columns, and a later
+//! tree's bucket is filtered over its upper block triangle with each
+//! member's threshold on both sides of the pair (`QueryBlock::filter_self`);
+//! a pair is scored once and offered to both points. Flagged pairs are
+//! collected first and scored together by
+//! [`kfds_la::simd::sq_dist_pairs`], one pair per vector lane, with
+//! [`sq_dist`]'s bits.
 //!
-//! Heaps hold exact `sq_dist` values and order candidates by `(distance,
+//! Lists hold exact `sq_dist` values and order candidates by `(distance,
 //! index)`, and neither the filter nor a prune ever drops a candidate that
 //! could enter one, so the exact search returns [`knn_brute_force`]'s
 //! indices and distance bits, and the approximate one
@@ -29,7 +38,7 @@
 
 use crate::balltree::BallTree;
 use crate::dist_tiles::{self, QueryBlock};
-use crate::points::{sq_dist, sq_dists, PointSet};
+use crate::points::{sq_dist, PointSet};
 use kfds_la::{workspace, MatMut};
 use rayon::prelude::*;
 use std::cmp::Ordering;
@@ -65,7 +74,7 @@ impl NeighborLists {
 }
 
 /// `(dist, idx)` lexicographic "less than" — the total order used for all
-/// heap comparisons and output sorting. Breaking exact distance ties by
+/// list comparisons and output sorting. Breaking exact distance ties by
 /// index makes the selected set (and its order) independent of insertion
 /// order, which is what lets the searches return their brute-force
 /// references' lists bit for bit.
@@ -135,12 +144,21 @@ impl KBest {
         ids[at] = i;
     }
 
-    /// Whether candidate `i` is already kept — the approximate search
-    /// meets a near neighbor again in most trees. No early exit: the scan
-    /// of a short list runs without a branch per entry.
-    #[inline]
-    fn contains(&self, i: u32) -> bool {
-        self.ids.iter().fold(false, |any, &j| any | (j == i))
+    /// Offers a candidate the list may keep already — the approximate
+    /// search meets a near neighbor again in most trees: [`KBest::push`]
+    /// unless it is kept. Only an offer that would enter pays the
+    /// membership scan, since a kept candidate (the same pair, the same
+    /// distance bits) is never less than the worst kept one.
+    fn offer(&mut self, d: f64, i: u32) {
+        let len = self.dist.len();
+        if len == self.k && !cand_lt((d, i), (self.dist[len - 1], self.ids[len - 1])) {
+            return;
+        }
+        // No early exit: the scan of a short list runs without a branch
+        // per entry.
+        if !self.ids.iter().fold(false, |any, &j| any | (j == i)) {
+            self.push(d, i);
+        }
     }
 
     /// The kept candidates, nearest first.
@@ -215,14 +233,14 @@ fn sq_norms_and_max(pts: &PointSet) -> (workspace::WsVec, f64) {
 /// of `sq_dist` values, good to `(d/2 + 2)·ε/2` relative, and a computed
 /// `sq_dist` can sit `(d + 2)·ε/2` under the true squared distance. A node
 /// is skipped only when this bound is *strictly* above the k-th best: an
-/// equal-distance candidate with a smaller index still enters a heap.
+/// equal-distance candidate with a smaller index still enters a list.
 fn ball_gap_sq(d: usize, center_dist: f64, radii: f64) -> f64 {
     let margin = (d as f64 + 8.0) * f64::EPSILON * (center_dist + radii);
     let gap = (center_dist - radii - margin).max(0.0);
     gap * gap
 }
 
-/// Moves every query's filter threshold to its heap's current k-th best
+/// Moves every query's filter threshold to its list's current k-th best
 /// and returns `τ`, the largest of them — the leaf's pruning radius.
 fn tighten(block: &mut QueryBlock, best: &[KBest]) -> f64 {
     let mut tau = 0.0f64;
@@ -234,7 +252,7 @@ fn tighten(block: &mut QueryBlock, best: &[KBest]) -> f64 {
 }
 
 /// All-nearest-neighbors for the queries of one leaf: the self tile seeds
-/// the heaps (and with them `τ = max_i worst_i`), then a closer-child-first
+/// the lists (and with them `τ = max_i worst_i`), then a closer-child-first
 /// DFS over candidate nodes filters every leaf it cannot prune.
 fn leaf_all_nn(
     tree: &BallTree,
@@ -316,12 +334,13 @@ fn leaf_all_nn(
 /// candidates: `O(T·N·bucket·d)` total. Recall improves with `n_trees`;
 /// indices refer to the *permuted* positions of `tree`, like [`knn_all`].
 ///
-/// Each split keys every point by one SIMD dot with the split direction.
-/// The trees are then taken in turn: the buckets of one tree run in
-/// parallel, each filtering its members against each other (see
-/// [`crate::dist_tiles`]) into per-point heaps that persist from tree to
-/// tree, so nothing of size `n_trees · n · bucket` is ever held. Each list
-/// is the `(dist, idx)`-smallest `k` of the union of the query's buckets —
+/// The trees are built together, level by level ([`projection_buckets`]):
+/// each split keys its points with one `dot` with its direction. They are
+/// then taken in turn: the buckets of one tree run in parallel, each
+/// scoring its members against each other (see [`crate::dist_tiles`])
+/// into per-point lists that persist from tree to tree, so nothing of size
+/// `n_trees · n · bucket` is ever held. Each list is the
+/// `(dist, idx)`-smallest `k` of the union of the query's buckets —
 /// exactly [`knn_approximate_brute_force`]'s.
 ///
 /// # Panics
@@ -336,11 +355,11 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
     // one tree need disjoint lists: move each bucket's lists into its job,
     // run the jobs in parallel, move them back. The first tree's jobs
     // allocate them.
-    let mut heaps: Vec<KBest> = (0..n).map(|_| KBest::default()).collect();
+    let mut lists: Vec<KBest> = (0..n).map(|_| KBest::default()).collect();
     for (t, tree_buckets) in members.iter().enumerate() {
         let jobs: Vec<(&Vec<u32>, Vec<KBest>)> = tree_buckets
             .iter()
-            .map(|mem| (mem, mem.iter().map(|&i| std::mem::take(&mut heaps[i as usize])).collect()))
+            .map(|mem| (mem, mem.iter().map(|&i| std::mem::take(&mut lists[i as usize])).collect()))
             .collect();
         let done: Vec<Vec<KBest>> = jobs
             .into_par_iter()
@@ -355,7 +374,7 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
             .collect();
         for (mem, own) in tree_buckets.iter().zip(done) {
             for (&i, h) in mem.iter().zip(own) {
-                heaps[i as usize] = h;
+                lists[i as usize] = h;
             }
         }
     }
@@ -364,7 +383,7 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
     let mut dist = vec![0.0f64; n * k];
     idx.par_chunks_mut(k)
         .zip(dist.par_chunks_mut(k))
-        .zip(heaps.into_par_iter())
+        .zip(lists.into_par_iter())
         .enumerate()
         .for_each(|(q, ((irow, drow), best))| {
             finalize_approx_row(pts, q, &best.into_sorted(), k, irow, drow)
@@ -416,7 +435,8 @@ pub type Buckets = (Vec<Vec<u32>>, Vec<Vec<Vec<u32>>>);
 /// reference) search for `k` neighbours of the points `pts` with `seed`:
 /// per tree, the bucket id of every point and the members of every bucket
 /// (ascending). Buckets hold at most `max(4k, 32)` points; the trees are
-/// built in parallel.
+/// built together, level by level, each level's keys in parallel over the
+/// points and its selects in parallel over the trees.
 ///
 /// # Panics
 /// Panics if `k >= n`, `k == 0`, or `n_trees == 0`.
@@ -442,27 +462,28 @@ pub fn projection_buckets(pts: &PointSet, k: usize, n_trees: usize, seed: u64) -
 
 /// Exact distances of flagged pairs, batched: `pairs` holds two entries
 /// per pair, a column of the `d`-row panel `q` and one of `c`, and entry
-/// `p` of the result is their [`sq_dist`], bit for bit (through
-/// [`sq_dists`], whose independent chains overlap).
+/// `p` of the result is their [`sq_dist`], bit for bit
+/// ([`kfds_la::simd::sq_dist_pairs`], which keeps one pair per vector
+/// lane).
 fn rescore(q: &[f64], c: &[f64], d: usize, pairs: &[usize]) -> workspace::WsVec {
     let mut dist = workspace::take(pairs.len() / 2);
-    sq_dists(|p| &q[pairs[2 * p] * d..][..d], |p| &c[pairs[2 * p + 1] * d..][..d], &mut dist);
+    kfds_la::simd::sq_dist_pairs(q, c, d, pairs, &mut dist);
     dist
 }
 
-/// A bucket of the first projection tree, `heaps[i]` becoming the list of
+/// A bucket of the first projection tree, `lists[i]` becoming the list of
 /// `mem[i]`: the bucket is gathered once, its symmetric tile picks
 /// the ~k other members each one can take, and each such pair is scored
-/// once from the gathered panel and offered to both heaps.
+/// once from the gathered panel and offered to both lists.
 fn seed_bucket(
     pts: &PointSet,
     norms: &[f64],
     max_norm: f64,
     mem: &[u32],
     k: usize,
-    heaps: &mut [KBest],
+    lists: &mut [KBest],
 ) {
-    heaps.fill_with(|| KBest::new(k));
+    lists.fill_with(|| KBest::new(k));
     let (len, d) = (mem.len(), pts.dim());
     let mut xc = workspace::take(d * len);
     let mut rn = workspace::take(len);
@@ -472,7 +493,7 @@ fn seed_bucket(
     let mut pairs = workspace::take_idx(4 * len * k);
     let slack = |i: usize| dist_tiles::filter_slack(d, rn[i], max_norm);
     dist_tiles::seed_hits(&tile, len, k, slack, |i, j| pairs.extend([i, j]));
-    seed_lists(heaps, &pairs, &rescore(&xc, &xc, d, &pairs), |j| mem[j]);
+    seed_lists(lists, &pairs, &rescore(&xc, &xc, d, &pairs), |j| mem[j]);
 }
 
 /// Fills the empty lists `lists` of a block's members from its seed
@@ -515,38 +536,20 @@ fn seed_lists(lists: &mut [KBest], pairs: &[usize], dist: &[f64], id: impl Fn(us
 
 /// A bucket of a later tree: one two-sided filter pass of its members
 /// against each other over the upper block triangle, under the thresholds
-/// the earlier trees left. A flagged pair is scored once — unless each
-/// heap already keeps the other — and offered to each heap that does not
-/// keep it yet.
-fn filter_bucket(pts: &PointSet, norms: &[f64], max_norm: f64, mem: &[u32], heaps: &mut [KBest]) {
+/// the earlier trees left. A flagged pair is scored once and offered to
+/// both lists, each of which may keep it already.
+fn filter_bucket(pts: &PointSet, norms: &[f64], max_norm: f64, mem: &[u32], lists: &mut [KBest]) {
     let d = pts.dim();
     let mut xc = workspace::take(d * mem.len());
     let mut rn = workspace::take(mem.len());
     dist_tiles::gather_panel(pts, norms, mem, &mut xc, &mut rn);
     let mut block = QueryBlock::new(&xc, &rn, max_norm);
-    tighten(&mut block, heaps);
-    // Per flagged pair, which heaps lack the other point: bit 0 `i`'s,
-    // bit 1 `j`'s. Only this bucket's pair (i, j) could add j to heap i,
-    // so the answer still holds when the pair's turn to be offered comes.
+    tighten(&mut block, lists);
     let mut pairs = workspace::take_idx(2 * mem.len());
-    let mut lacks = workspace::take_idx(mem.len());
-    block.filter_self(&xc, &rn, |i, j| {
-        let need = usize::from(!heaps[i].contains(mem[j]))
-            | (usize::from(!heaps[j].contains(mem[i])) << 1);
-        if need != 0 {
-            pairs.extend([i, j]);
-            lacks.push(need);
-        }
-    });
-    let dist = rescore(&xc, &xc, d, &pairs);
-    for ((&s, ij), &need) in dist.iter().zip(pairs.chunks_exact(2)).zip(lacks.iter()) {
-        let (i, j) = (ij[0], ij[1]);
-        if need & 1 != 0 {
-            heaps[i].push(s, mem[j]);
-        }
-        if need & 2 != 0 {
-            heaps[j].push(s, mem[i]);
-        }
+    block.filter_self(&xc, &rn, |i, j| pairs.extend([i, j]));
+    for (&s, ij) in rescore(&xc, &xc, d, &pairs).iter().zip(pairs.chunks_exact(2)) {
+        lists[ij[0]].offer(s, mem[ij[1]]);
+        lists[ij[1]].offer(s, mem[ij[0]]);
     }
 }
 

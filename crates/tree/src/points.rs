@@ -205,7 +205,7 @@ const CHAINS: usize = 8;
 /// their additions overlap and every result keeps its bits.
 ///
 /// # Panics
-/// Panics if two slices of one pair differ in length.
+/// Panics unless every slice has the same length.
 #[inline]
 pub fn sq_dists<'a>(
     x: impl Fn(usize) -> &'a [f64],
@@ -224,7 +224,7 @@ pub fn sq_dists<'a>(
 /// as independent chains, like [`sq_dists`].
 ///
 /// # Panics
-/// Panics if two slices of one pair differ in length.
+/// Panics unless every slice has the same length.
 #[inline]
 pub fn dot_sums<'a>(
     x: impl Fn(usize) -> &'a [f64],
@@ -245,16 +245,18 @@ fn chains<'a>(
     init: f64,
     term: impl Fn(f64, f64) -> f64,
 ) {
+    let Some(d) = (!out.is_empty()).then(|| x(0).len()) else {
+        return;
+    };
     let full = out.len() - out.len() % CHAINS;
     let mut groups = out.chunks_exact_mut(CHAINS);
     for (g, o) in groups.by_ref().enumerate() {
         let p0 = g * CHAINS;
         let xs: [&[f64]; CHAINS] = std::array::from_fn(|l| x(p0 + l));
-        let d = xs[0].len();
-        // Every slice cut to `d`, so the loop below indexes in bounds.
-        let xs = xs.map(|v| &v[..d]);
-        let ys: [&[f64]; CHAINS] = std::array::from_fn(|l| &y(p0 + l)[..d]);
+        let ys: [&[f64]; CHAINS] = std::array::from_fn(|l| y(p0 + l));
         assert!(xs.iter().chain(&ys).all(|v| v.len() == d), "chains: length mismatch");
+        // Cut to `d` again so the compiler sees every index below in bounds.
+        let (xs, ys) = (xs.map(|v| &v[..d]), ys.map(|v| &v[..d]));
         let mut s = [init; CHAINS];
         for k in 0..d {
             for l in 0..CHAINS {
@@ -265,7 +267,7 @@ fn chains<'a>(
     }
     for (p, o) in (full..).zip(groups.into_remainder()) {
         let (a, b) = (x(p), y(p));
-        assert_eq!(a.len(), b.len(), "chains: length mismatch");
+        assert!(a.len() == d && b.len() == d, "chains: length mismatch");
         *o = a.iter().zip(b).fold(init, |s, (&u, &v)| s + term(u, v));
     }
 }
