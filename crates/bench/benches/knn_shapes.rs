@@ -21,15 +21,15 @@
 //! nearest distance in the bucket, both ways — one-sided over the full
 //! block with each flagged ordered pair re-scored by one `sq_dist`, and
 //! two-sided over the upper block triangle (16-row bands) with each
-//! flagged unordered pair re-scored once, batched through `sq_dists`.
+//! flagged unordered pair re-scored once, batched through `sq_dist_pairs`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kfds_la::simd::{dist_filter, DIST_FILTER_MR};
+use kfds_la::simd::{dist_filter, sq_dist_pairs, DIST_FILTER_MR};
 use kfds_la::Mat;
 use kfds_tree::datasets::{normal_embedded, spec_by_name, table2_standin};
 use kfds_tree::dist_tiles::dist_tile_ranges;
 use kfds_tree::neighbors::projection_buckets;
-use kfds_tree::points::{sq_dist, sq_dists};
+use kfds_tree::points::sq_dist;
 use kfds_tree::{knn_all, knn_approximate, BallTree, PointSet};
 use std::hint::black_box;
 
@@ -187,7 +187,7 @@ fn bench_approx_parts(c: &mut Criterion) {
             black_box(sink)
         })
     });
-    let mut pairs: Vec<(usize, usize)> = Vec::with_capacity(m * m);
+    let mut pairs: Vec<usize> = Vec::with_capacity(m * m);
     let mut dist = vec![0.0; m * m];
     group.bench_function("bucket64_two_sided_upper_d64", |b| {
         b.iter(|| {
@@ -212,15 +212,15 @@ fn bench_approx_parts(c: &mut Criterion) {
                         while bits != 0 {
                             let i = r0 + DIST_FILTER_MR * g + bits.trailing_zeros() as usize;
                             if i < r0 + j {
-                                pairs.push((i, r0 + j));
+                                pairs.extend([i, r0 + j]);
                             }
                             bits &= bits - 1;
                         }
                     }
                 }
             }
-            let out = &mut dist[..pairs.len()];
-            sq_dists(|p| point(pairs[p].0), |p| point(pairs[p].1), out);
+            let out = &mut dist[..pairs.len() / 2];
+            sq_dist_pairs(&panel, &panel, d, &pairs, out);
             black_box(out.iter().sum::<f64>())
         })
     });

@@ -88,53 +88,53 @@ fn cand_cmp(a: &(f64, u32), b: &(f64, u32)) -> Ordering {
     a.0.partial_cmp(&b.0).expect("NaN distance").then(a.1.cmp(&b.1))
 }
 
-/// The `k` least `(distance, index)` candidates offered so far under the
-/// lexicographic order of [`cand_lt`], kept sorted, their distances and
-/// indices in two arrays (entry `e` is `(dist[e], ids[e])`): an offer's
-/// place is a branch-free count over the entries, the membership scan reads
-/// the indices alone, and the list is already in output order.
-#[derive(Default)]
-struct KBest {
+/// The `k` least `(distance, index)` candidates offered so far to each of
+/// a run of points, under the lexicographic order of [`cand_lt`], stored
+/// flat: list `r` keeps its entries sorted at `r·k ..`, the first `len[r]`
+/// of them in use, distances and indices in two arrays (entry `e` is
+/// `(dist[e], ids[e])`). An offer's place is a branch-free count over the
+/// entries, the membership scan reads the indices alone, the lists are in
+/// output order, and a block's lists are one contiguous run.
+struct Lists<'a> {
     k: usize,
-    dist: Vec<f64>,
-    ids: Vec<u32>,
+    dist: &'a mut [f64],
+    ids: &'a mut [u32],
+    len: &'a mut [usize],
 }
 
-impl KBest {
-    fn new(k: usize) -> Self {
-        KBest { k, dist: Vec::with_capacity(k + 1), ids: Vec::with_capacity(k + 1) }
-    }
-
-    /// Current k-th-best squared distance (∞ while the list is short) —
-    /// the pruning radius τ.
+impl<'a> Lists<'a> {
+    /// Current k-th-best squared distance of list `r` (∞ while it is
+    /// short) — the pruning radius τ.
     #[inline]
-    fn worst(&self) -> f64 {
-        if self.dist.len() < self.k {
+    fn worst(&self, r: usize) -> f64 {
+        if self.len[r] < self.k {
             f64::INFINITY
         } else {
-            self.dist[self.k - 1]
+            self.dist[(r + 1) * self.k - 1]
         }
     }
 
-    /// Offers a candidate: kept while the list is short, else in place of
-    /// the worst kept one if it is less than that one.
-    fn push(&mut self, d: f64, i: u32) {
-        let e = (d, i);
-        let len = self.dist.len();
-        if len == self.k {
-            if !cand_lt(e, (self.dist[len - 1], self.ids[len - 1])) {
-                return;
-            }
-        } else {
-            self.dist.push(d);
-            self.ids.push(i);
+    /// Whether `(d, i)` would enter list `r`: it is short, or the
+    /// candidate is less than the worst kept one.
+    #[inline]
+    fn admits(&self, r: usize, d: f64, i: u32) -> bool {
+        let last = (r + 1) * self.k - 1;
+        self.len[r] < self.k || cand_lt((d, i), (self.dist[last], self.ids[last]))
+    }
+
+    /// Offers a candidate to list `r`: kept while the list is short, else
+    /// in place of the worst kept one if it is less than that one.
+    fn push(&mut self, r: usize, d: f64, i: u32) {
+        if !self.admits(r, d, i) {
+            return;
         }
-        let (dist, ids) = (&mut self.dist[..], &mut self.ids[..]);
+        let (k, len) = (self.k, self.len[r]);
+        let (dist, ids) = (&mut self.dist[r * k..(r + 1) * k], &mut self.ids[r * k..(r + 1) * k]);
         let at = dist[..len]
             .iter()
             .zip(&ids[..len])
             .fold(0, |n, (&x, &j)| n + usize::from((x < d) | ((x == d) & (j < i))));
-        let mut slot = dist.len() - 1;
+        let mut slot = len.min(k - 1);
         while slot > at {
             dist[slot] = dist[slot - 1];
             ids[slot] = ids[slot - 1];
@@ -142,33 +142,71 @@ impl KBest {
         }
         dist[at] = d;
         ids[at] = i;
+        self.len[r] = (len + 1).min(k);
     }
 
-    /// Offers a candidate the list may keep already — the approximate
-    /// search meets a near neighbor again in most trees: [`KBest::push`]
+    /// Offers a candidate list `r` may keep already — the approximate
+    /// search meets a near neighbor again in most trees: [`Lists::push`]
     /// unless it is kept. Only an offer that would enter pays the
     /// membership scan, since a kept candidate (the same pair, the same
     /// distance bits) is never less than the worst kept one.
-    fn offer(&mut self, d: f64, i: u32) {
-        let len = self.dist.len();
-        if len == self.k && !cand_lt((d, i), (self.dist[len - 1], self.ids[len - 1])) {
+    fn offer(&mut self, r: usize, d: f64, i: u32) {
+        if !self.admits(r, d, i) {
             return;
         }
         // No early exit: the scan of a short list runs without a branch
         // per entry.
-        if !self.ids.iter().fold(false, |any, &j| any | (j == i)) {
-            self.push(d, i);
+        let kept = &self.ids[r * self.k..][..self.len[r]];
+        if !kept.iter().fold(false, |any, &j| any | (j == i)) {
+            self.push(r, d, i);
         }
     }
 
-    /// The kept candidates, nearest first.
-    fn into_sorted(self) -> Vec<(f64, u32)> {
-        debug_assert!(self
-            .dist
-            .iter()
-            .zip(&self.ids)
-            .is_sorted_by(|a, b| cand_lt((*a.0, *a.1), (*b.0, *b.1))));
-        self.dist.into_iter().zip(self.ids).collect()
+    /// The first `rows` lists, and the rest.
+    fn split_at(self, rows: usize) -> (Lists<'a>, Lists<'a>) {
+        let k = self.k;
+        let (d0, d1) = self.dist.split_at_mut(rows * k);
+        let (i0, i1) = self.ids.split_at_mut(rows * k);
+        let (l0, l1) = self.len.split_at_mut(rows);
+        (Lists { k, dist: d0, ids: i0, len: l0 }, Lists { k, dist: d1, ids: i1, len: l1 })
+    }
+}
+
+/// The storage of `rows` [`Lists`], all empty.
+struct ListStore {
+    dist: Vec<f64>,
+    ids: Vec<u32>,
+    len: Vec<usize>,
+}
+
+impl ListStore {
+    fn new(k: usize, rows: usize) -> Self {
+        ListStore { dist: vec![0.0; rows * k], ids: vec![0; rows * k], len: vec![0; rows] }
+    }
+
+    fn lists(&mut self, k: usize) -> Lists<'_> {
+        Lists { k, dist: &mut self.dist, ids: &mut self.ids, len: &mut self.len }
+    }
+
+    /// Row `r`'s kept candidates, nearest first.
+    fn entries(&self, k: usize, r: usize) -> (&[f64], &[u32]) {
+        let len = self.len[r];
+        (&self.dist[r * k..][..len], &self.ids[r * k..][..len])
+    }
+
+    /// Refills every row from `src`: row `r` becomes `src`'s row
+    /// `from[order[r]]` (in parallel over chunks of rows).
+    fn gather(&mut self, k: usize, src: &ListStore, from: &[usize], order: &[u32]) {
+        const CHUNK: usize = 256;
+        let rows = self.dist.par_chunks_mut(CHUNK * k).zip(self.ids.par_chunks_mut(CHUNK * k));
+        rows.zip(self.len.par_chunks_mut(CHUNK)).enumerate().for_each(|(c, ((dist, ids), len))| {
+            for (j, len) in len.iter_mut().enumerate() {
+                let s = from[order[c * CHUNK + j] as usize];
+                *len = src.len[s];
+                dist[j * k..(j + 1) * k].copy_from_slice(&src.dist[s * k..(s + 1) * k]);
+                ids[j * k..(j + 1) * k].copy_from_slice(&src.ids[s * k..(s + 1) * k]);
+            }
+        });
     }
 }
 
@@ -242,11 +280,11 @@ fn ball_gap_sq(d: usize, center_dist: f64, radii: f64) -> f64 {
 
 /// Moves every query's filter threshold to its list's current k-th best
 /// and returns `τ`, the largest of them — the leaf's pruning radius.
-fn tighten(block: &mut QueryBlock, best: &[KBest]) -> f64 {
+fn tighten(block: &mut QueryBlock, lists: &Lists<'_>) -> f64 {
     let mut tau = 0.0f64;
-    for (i, b) in best.iter().enumerate() {
-        block.set_worst(i, b.worst());
-        tau = tau.max(b.worst());
+    for r in 0..lists.len.len() {
+        block.set_worst(r, lists.worst(r));
+        tau = tau.max(lists.worst(r));
     }
     tau
 }
@@ -270,7 +308,11 @@ fn leaf_all_nn(
     let m = nd.len();
     let panel = |r: &std::ops::Range<usize>| &pts.as_slice()[r.start * d..r.end * d];
 
-    let mut best: Vec<KBest> = (0..m).map(|_| KBest::new(k)).collect();
+    // The leaf's lists are its rows of the output, kept sorted as they
+    // fill; every one ends full (k < n, and every point is met or pruned
+    // as unable to enter).
+    let mut len = vec![0; m];
+    let mut best = Lists { k, dist: drow, ids: irow, len: &mut len };
     let mut block = QueryBlock::new(panel(&qr), &norms[qr.clone()], max_norm);
 
     let mut tile = workspace::take(m * m);
@@ -298,7 +340,7 @@ fn leaf_all_nn(
             pairs.clear();
             block.filter(panel(&cr), &norms[cr.clone()], |i, j| pairs.extend([i, j]));
             for (&s, ij) in rescore(q, panel(&cr), d, &pairs).iter().zip(pairs.chunks_exact(2)) {
-                best[ij[0]].push(s, (cr.start + ij[1]) as u32);
+                best.push(ij[0], s, (cr.start + ij[1]) as u32);
             }
             tau = tighten(&mut block, &best);
         } else {
@@ -315,13 +357,7 @@ fn leaf_all_nn(
             }
         }
     }
-
-    for (i, b) in best.into_iter().enumerate() {
-        for (j, (dd, id)) in b.into_sorted().into_iter().enumerate() {
-            irow[i * k + j] = id;
-            drow[i * k + j] = dd;
-        }
-    }
+    debug_assert!(best.len.iter().all(|&l| l == k));
 }
 
 /// Approximate kNN via randomized projection trees — the scheme ASKIT
@@ -351,43 +387,47 @@ pub fn knn_approximate(tree: &BallTree, k: usize, n_trees: usize, seed: u64) -> 
     let (_, members) = projection_buckets(pts, k, n_trees, seed);
     let (norms, max_norm) = sq_norms_and_max(pts);
     let norms: &[f64] = &norms;
-    // A point sits in exactly one bucket of a tree, so the bucket jobs of
-    // one tree need disjoint lists: move each bucket's lists into its job,
-    // run the jobs in parallel, move them back. The first tree's jobs
-    // allocate them.
-    let mut lists: Vec<KBest> = (0..n).map(|_| KBest::default()).collect();
+    // The lists live in one store whose rows follow the current tree's
+    // buckets, bucket after bucket: a bucket job borrows one contiguous
+    // run of rows, the jobs of a tree run in parallel, and between trees
+    // the rows are gathered into the next tree's order. `row[p]` is point
+    // p's row.
+    let (mut cur, mut next) = (ListStore::new(k, n), ListStore::new(k, n));
+    let mut row = vec![0usize; n];
+    let mut order: Vec<u32> = Vec::with_capacity(n);
     for (t, tree_buckets) in members.iter().enumerate() {
-        let jobs: Vec<(&Vec<u32>, Vec<KBest>)> = tree_buckets
-            .iter()
-            .map(|mem| (mem, mem.iter().map(|&i| std::mem::take(&mut lists[i as usize])).collect()))
-            .collect();
-        let done: Vec<Vec<KBest>> = jobs
-            .into_par_iter()
-            .map(|(mem, mut own)| {
-                if t == 0 {
-                    seed_bucket(pts, norms, max_norm, mem, k, &mut own);
-                } else {
-                    filter_bucket(pts, norms, max_norm, mem, &mut own);
-                }
-                own
-            })
-            .collect();
-        for (mem, own) in tree_buckets.iter().zip(done) {
-            for (&i, h) in mem.iter().zip(own) {
-                lists[i as usize] = h;
-            }
+        order.clear();
+        order.extend(tree_buckets.iter().flatten());
+        if t > 0 {
+            next.gather(k, &cur, &row, &order);
+            std::mem::swap(&mut cur, &mut next);
         }
+        for (r, &p) in order.iter().enumerate() {
+            row[p as usize] = r;
+        }
+        let mut rest = cur.lists(k);
+        let mut jobs = Vec::with_capacity(tree_buckets.len());
+        for mem in tree_buckets {
+            let (mine, tail) = rest.split_at(mem.len());
+            jobs.push((mem, mine));
+            rest = tail;
+        }
+        jobs.into_par_iter().for_each(|(mem, mut lists)| {
+            if t == 0 {
+                seed_bucket(pts, norms, max_norm, mem, k, &mut lists);
+            } else {
+                filter_bucket(pts, norms, max_norm, mem, &mut lists);
+            }
+        });
     }
 
     let mut idx = vec![0u32; n * k];
     let mut dist = vec![0.0f64; n * k];
-    idx.par_chunks_mut(k)
-        .zip(dist.par_chunks_mut(k))
-        .zip(lists.into_par_iter())
-        .enumerate()
-        .for_each(|(q, ((irow, drow), best))| {
-            finalize_approx_row(pts, q, &best.into_sorted(), k, irow, drow)
-        });
+    let cur = &cur;
+    idx.par_chunks_mut(k).zip(dist.par_chunks_mut(k)).enumerate().for_each(|(q, (irow, drow))| {
+        let (sd, si) = cur.entries(k, row[q]);
+        finalize_approx_row(pts, q, sd, si, k, irow, drow)
+    });
     NeighborLists { k, idx, dist }
 }
 
@@ -422,7 +462,8 @@ pub fn knn_approximate_brute_force(
             .collect();
         scored.sort_by(cand_cmp);
         scored.truncate(k);
-        finalize_approx_row(pts, q, &scored, k, irow, drow);
+        let (sd, si): (Vec<f64>, Vec<u32>) = scored.into_iter().unzip();
+        finalize_approx_row(pts, q, &sd, &si, k, irow, drow);
     }
     NeighborLists { k, idx, dist }
 }
@@ -481,9 +522,8 @@ fn seed_bucket(
     max_norm: f64,
     mem: &[u32],
     k: usize,
-    lists: &mut [KBest],
+    lists: &mut Lists<'_>,
 ) {
-    lists.fill_with(|| KBest::new(k));
     let (len, d) = (mem.len(), pts.dim());
     let mut xc = workspace::take(d * len);
     let mut rn = workspace::take(len);
@@ -504,8 +544,8 @@ fn seed_bucket(
 /// sorts as the integer `bits(distance) · 2³² + index`, which orders as
 /// [`cand_lt`] does: a distance is never negative, `−0` or NaN, and the
 /// bits of such floats ascend with their values.
-fn seed_lists(lists: &mut [KBest], pairs: &[usize], dist: &[f64], id: impl Fn(usize) -> u32) {
-    let m = lists.len();
+fn seed_lists(lists: &mut Lists<'_>, pairs: &[usize], dist: &[f64], id: impl Fn(usize) -> u32) {
+    let (m, k) = (lists.len.len(), lists.k);
     // Offsets of each member's offers, then the offers themselves.
     let mut start = vec![0usize; m + 1];
     for &i in pairs {
@@ -523,14 +563,16 @@ fn seed_lists(lists: &mut [KBest], pairs: &[usize], dist: &[f64], id: impl Fn(us
             fill[a] += 1;
         }
     }
-    for (list, w) in lists.iter_mut().zip(start.windows(2)) {
+    for (r, w) in start.windows(2).enumerate() {
         let mine = &mut offers[w[0]..w[1]];
         mine.sort_unstable();
-        debug_assert!(list.dist.is_empty());
-        for &key in &mine[..mine.len().min(list.k)] {
-            list.dist.push(f64::from_bits((key >> 32) as u64));
-            list.ids.push(key as u32);
+        debug_assert_eq!(lists.len[r], 0);
+        let kept = &mine[..mine.len().min(k)];
+        for (e, &key) in kept.iter().enumerate() {
+            lists.dist[r * k + e] = f64::from_bits((key >> 32) as u64);
+            lists.ids[r * k + e] = key as u32;
         }
+        lists.len[r] = kept.len();
     }
 }
 
@@ -538,7 +580,7 @@ fn seed_lists(lists: &mut [KBest], pairs: &[usize], dist: &[f64], id: impl Fn(us
 /// against each other over the upper block triangle, under the thresholds
 /// the earlier trees left. A flagged pair is scored once and offered to
 /// both lists, each of which may keep it already.
-fn filter_bucket(pts: &PointSet, norms: &[f64], max_norm: f64, mem: &[u32], lists: &mut [KBest]) {
+fn filter_bucket(pts: &PointSet, norms: &[f64], max_norm: f64, mem: &[u32], lists: &mut Lists<'_>) {
     let d = pts.dim();
     let mut xc = workspace::take(d * mem.len());
     let mut rn = workspace::take(mem.len());
@@ -548,40 +590,40 @@ fn filter_bucket(pts: &PointSet, norms: &[f64], max_norm: f64, mem: &[u32], list
     let mut pairs = workspace::take_idx(2 * mem.len());
     block.filter_self(&xc, &rn, |i, j| pairs.extend([i, j]));
     for (&s, ij) in rescore(&xc, &xc, d, &pairs).iter().zip(pairs.chunks_exact(2)) {
-        lists[ij[0]].offer(s, mem[ij[1]]);
-        lists[ij[1]].offer(s, mem[ij[0]]);
+        lists.offer(ij[0], s, mem[ij[1]]);
+        lists.offer(ij[1], s, mem[ij[0]]);
     }
 }
 
 /// Shared tail of both approximate searches: writes the `(dist,
-/// idx)`-sorted selection `sel`, then pads a row short of `k` with the
-/// smallest indices not already present (sorted among themselves, so the
-/// row stays duplicate-free).
+/// idx)`-sorted selection (`sd`, `si`), then pads a row short of `k` with
+/// the smallest indices not already present (sorted among themselves, so
+/// the row stays duplicate-free).
 fn finalize_approx_row(
     pts: &PointSet,
     q: usize,
-    sel: &[(f64, u32)],
+    sd: &[f64],
+    si: &[u32],
     k: usize,
     irow: &mut [u32],
     drow: &mut [f64],
 ) {
-    for (j, &(d, i)) in sel.iter().enumerate() {
-        irow[j] = i;
-        drow[j] = d;
-    }
-    if sel.len() < k {
-        let mut pad: Vec<(f64, u32)> = Vec::with_capacity(k - sel.len());
+    let n = sd.len();
+    irow[..n].copy_from_slice(si);
+    drow[..n].copy_from_slice(sd);
+    if n < k {
+        let mut pad: Vec<(f64, u32)> = Vec::with_capacity(k - n);
         let mut c = 0u32;
-        while sel.len() + pad.len() < k {
-            if c as usize != q && !sel.iter().any(|&(_, i)| i == c) {
+        while n + pad.len() < k {
+            if c as usize != q && !si.contains(&c) {
                 pad.push((pts.sq_dist(q, c as usize), c));
             }
             c += 1;
         }
         pad.sort_by(cand_cmp);
         for (j, &(d, i)) in pad.iter().enumerate() {
-            irow[sel.len() + j] = i;
-            drow[sel.len() + j] = d;
+            irow[n + j] = i;
+            drow[n + j] = d;
         }
     }
 }

@@ -192,58 +192,24 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// Pairs one call of the batched helpers ([`sq_dists`], [`dot_sums`])
-/// takes through its loop together: that many independent chains.
+/// Pairs [`dot_sums`] takes through its loop together: that many
+/// independent chains.
 const CHAINS: usize = 8;
-
-/// `out[p] = sq_dist(x(p), y(p))` for every `p < out.len()`, bit for bit.
-///
-/// [`sq_dist`] is one chain of additions, each waiting on the last, so a
-/// single call runs at the adder's latency. Here [`CHAINS`] pairs go through
-/// the coordinate loop together, each still its own left-to-right
-/// `Σ (x_k − y_k)²` from `+0.0` (multiply, then add — never fused), so
-/// their additions overlap and every result keeps its bits.
-///
-/// # Panics
-/// Panics unless every slice has the same length.
-#[inline]
-pub fn sq_dists<'a>(
-    x: impl Fn(usize) -> &'a [f64],
-    y: impl Fn(usize) -> &'a [f64],
-    out: &mut [f64],
-) {
-    chains(x, y, out, 0.0, |a, b| {
-        let t = a - b;
-        t * t
-    });
-}
 
 /// `out[p] = x(p) · y(p)` summed left to right from `−0.0`, for every
 /// `p < out.len()`: bit for bit `x.iter().zip(y).map(|(a, b)| a * b).sum()`
-/// (`Iterator::sum` on `f64` starts at `−0.0`), [`CHAINS`] pairs at a time
-/// as independent chains, like [`sq_dists`].
+/// (`Iterator::sum` on `f64` starts at `−0.0`; multiply, then add — never
+/// fused). One such sum is a chain of additions, each waiting on the last;
+/// here [`CHAINS`] pairs go through the coordinate loop together, each
+/// still its own chain, so their additions overlap and every result keeps
+/// its bits.
 ///
 /// # Panics
 /// Panics unless every slice has the same length.
-#[inline]
 pub fn dot_sums<'a>(
     x: impl Fn(usize) -> &'a [f64],
     y: impl Fn(usize) -> &'a [f64],
     out: &mut [f64],
-) {
-    chains(x, y, out, -0.0, |a, b| a * b);
-}
-
-/// The loop under [`sq_dists`] and [`dot_sums`]: `out[p]` is `init`
-/// plus `term(x_k, y_k)` for `k` ascending, one rounding per addition,
-/// [`CHAINS`] pairs per pass and the rest one at a time.
-#[inline(always)]
-fn chains<'a>(
-    x: impl Fn(usize) -> &'a [f64],
-    y: impl Fn(usize) -> &'a [f64],
-    out: &mut [f64],
-    init: f64,
-    term: impl Fn(f64, f64) -> f64,
 ) {
     let Some(d) = (!out.is_empty()).then(|| x(0).len()) else {
         return;
@@ -254,21 +220,21 @@ fn chains<'a>(
         let p0 = g * CHAINS;
         let xs: [&[f64]; CHAINS] = std::array::from_fn(|l| x(p0 + l));
         let ys: [&[f64]; CHAINS] = std::array::from_fn(|l| y(p0 + l));
-        assert!(xs.iter().chain(&ys).all(|v| v.len() == d), "chains: length mismatch");
+        assert!(xs.iter().chain(&ys).all(|v| v.len() == d), "dot_sums: length mismatch");
         // Cut to `d` again so the compiler sees every index below in bounds.
         let (xs, ys) = (xs.map(|v| &v[..d]), ys.map(|v| &v[..d]));
-        let mut s = [init; CHAINS];
+        let mut s = [-0.0; CHAINS];
         for k in 0..d {
             for l in 0..CHAINS {
-                s[l] += term(xs[l][k], ys[l][k]);
+                s[l] += xs[l][k] * ys[l][k];
             }
         }
         o.copy_from_slice(&s);
     }
     for (p, o) in (full..).zip(groups.into_remainder()) {
         let (a, b) = (x(p), y(p));
-        assert!(a.len() == d && b.len() == d, "chains: length mismatch");
-        *o = a.iter().zip(b).fold(init, |s, (&u, &v)| s + term(u, v));
+        assert!(a.len() == d && b.len() == d, "dot_sums: length mismatch");
+        *o = a.iter().zip(b).fold(-0.0, |s, (&u, &v)| s + u * v);
     }
 }
 
@@ -346,21 +312,24 @@ mod tests {
     }
 
     #[test]
-    fn batched_chains_give_the_one_at_a_time_bits() {
-        // d = 1..=70 around every unroll of the loop, counts off the 8-pair
-        // groups, at the origin and far from it (where every term is a
-        // cancellation); the pairs repeat points and take a point with
-        // itself.
+    fn batched_sums_give_the_one_at_a_time_bits() {
+        // d = 1..=70 around every unroll of the loops, counts off the 8-
+        // and 16-pair groups, at the origin and far from it (where every
+        // term of a distance is a cancellation); the pairs repeat points
+        // and take a point with itself. `dot_sums` against
+        // `Iterator::sum`, and the batched distances the searches and the
+        // ball tree use (`simd::sq_dist_pairs`) against `sq_dist`.
         for d in 1..=70 {
             for shift in [0.0, 3e7] {
                 let p = cloud(23, d, shift, d as u64 * 7 + 1);
                 let pairs: Vec<(usize, usize)> =
                     (0..37).map(|q| ((q * 5) % 23, (q * 11 + 3) % 23)).collect();
+                let flat: Vec<usize> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
                 let mut out = vec![f64::NAN; pairs.len()];
-                sq_dists(|q| p.point(pairs[q].0), |q| p.point(pairs[q].1), &mut out);
+                kfds_la::simd::sq_dist_pairs(p.as_slice(), p.as_slice(), d, &flat, &mut out);
                 for (q, &(a, b)) in pairs.iter().enumerate() {
                     let want = sq_dist(p.point(a), p.point(b));
-                    assert_eq!(out[q].to_bits(), want.to_bits(), "sq_dists d={d} pair {q}");
+                    assert_eq!(out[q].to_bits(), want.to_bits(), "sq_dist_pairs d={d} pair {q}");
                 }
                 dot_sums(|q| p.point(pairs[q].0), |q| p.point(pairs[q].1), &mut out);
                 for (q, &(a, b)) in pairs.iter().enumerate() {
