@@ -318,7 +318,10 @@ fn leaf_all_nn(
     let mut tile = workspace::take(m * m);
     let seed = MatMut::from_parts(&mut tile, m, m, m);
     dist_tiles::dist_tile_ranges(pts, norms, qr.clone(), qr.clone(), seed);
-    let mut pairs = workspace::take_idx(4 * m * k);
+    // Room for every pair of the leaf, or of it and a candidate leaf (one
+    // point larger at most): a pooled buffer that grew would be refiled
+    // into a larger class than the next leaf asks for.
+    let mut pairs = workspace::take_idx(2 * m * (m + 1));
     dist_tiles::seed_hits(&tile, m, k, |i| block.slack(i), |i, j| pairs.extend([i, j]));
     let q = panel(&qr);
     seed_lists(&mut best, &pairs, &rescore(q, q, d, &pairs), |j| (qr.start + j) as u32);
@@ -530,7 +533,7 @@ fn seed_bucket(
     dist_tiles::gather_panel(pts, norms, mem, &mut xc, &mut rn);
     let mut tile = workspace::take(len * len);
     dist_tiles::panel_tile_sym(&xc, &rn, MatMut::from_parts(&mut tile, len, len, len));
-    let mut pairs = workspace::take_idx(4 * len * k);
+    let mut pairs = workspace::take_idx(len * len);
     let slack = |i: usize| dist_tiles::filter_slack(d, rn[i], max_norm);
     dist_tiles::seed_hits(&tile, len, k, slack, |i, j| pairs.extend([i, j]));
     seed_lists(lists, &pairs, &rescore(&xc, &xc, d, &pairs), |j| mem[j]);
@@ -587,7 +590,8 @@ fn filter_bucket(pts: &PointSet, norms: &[f64], max_norm: f64, mem: &[u32], list
     dist_tiles::gather_panel(pts, norms, mem, &mut xc, &mut rn);
     let mut block = QueryBlock::new(&xc, &rn, max_norm);
     tighten(&mut block, lists);
-    let mut pairs = workspace::take_idx(2 * mem.len());
+    // Room for every pair of the bucket, so the pooled buffer never grows.
+    let mut pairs = workspace::take_idx(mem.len() * mem.len());
     block.filter_self(&xc, &rn, |i, j| pairs.extend([i, j]));
     for (&s, ij) in rescore(&xc, &xc, d, &pairs).iter().zip(pairs.chunks_exact(2)) {
         lists.offer(ij[0], s, mem[ij[1]]);
