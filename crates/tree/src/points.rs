@@ -200,7 +200,7 @@ const CHAINS: usize = 8;
 /// `p < out.len()`: bit for bit `x.iter().zip(y).map(|(a, b)| a * b).sum()`
 /// (`Iterator::sum` on `f64` starts at `−0.0`; multiply, then add — never
 /// fused). One such sum is a chain of additions, each waiting on the last;
-/// here [`CHAINS`] pairs go through the coordinate loop together, each
+/// here eight pairs go through the coordinate loop together, each
 /// still its own chain, so their additions overlap and every result keeps
 /// its bits.
 ///
