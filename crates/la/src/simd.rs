@@ -1721,6 +1721,8 @@ mod x86 {
         pairs: &[usize],
         out: &mut [f64],
     ) {
+        debug_assert!(super::cpu_supported(), "sq_dist_pairs_avx2 needs AVX2");
+        debug_assert_eq!(pairs.len(), 2 * out.len(), "sq_dist_pairs_avx2: two indices per pair");
         let n = out.len();
         let mut p = 0;
         while p + 8 <= n {
@@ -1783,6 +1785,8 @@ mod x86 {
         pairs: &[usize],
         out: &mut [f64],
     ) {
+        debug_assert!(super::avx512_supported(), "sq_dist_pairs_avx512 needs AVX-512F");
+        debug_assert_eq!(pairs.len(), 2 * out.len(), "sq_dist_pairs_avx512: two indices per pair");
         let n = out.len();
         let mut p = 0;
         while p + 16 <= n {
