@@ -21,15 +21,15 @@
 //! nearest distance in the bucket, both ways — one-sided over the full
 //! block with each flagged ordered pair re-scored by one `sq_dist`, and
 //! two-sided over the upper block triangle (16-row bands) with each
-//! flagged unordered pair re-scored once, batched through `sq_dist_pairs`.
+//! flagged unordered pair re-scored once, batched through `sq_dist_sums`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use kfds_la::simd::{dist_filter, sq_dist_pairs, DIST_FILTER_MR};
+use kfds_la::simd::{dist_filter, DIST_FILTER_MR};
 use kfds_la::Mat;
 use kfds_tree::datasets::{normal_embedded, spec_by_name, table2_standin};
 use kfds_tree::dist_tiles::dist_tile_ranges;
 use kfds_tree::neighbors::projection_buckets;
-use kfds_tree::points::sq_dist;
+use kfds_tree::points::{sq_dist, sq_dist_sums};
 use kfds_tree::{knn_all, knn_approximate, BallTree, PointSet};
 use std::hint::black_box;
 
@@ -220,7 +220,8 @@ fn bench_approx_parts(c: &mut Criterion) {
                 }
             }
             let out = &mut dist[..pairs.len() / 2];
-            sq_dist_pairs(&panel, &panel, d, &pairs, out);
+            let col = |j: usize| &panel[j * d..][..d];
+            sq_dist_sums(|p| col(pairs[2 * p]), |p| col(pairs[2 * p + 1]), out);
             black_box(out.iter().sum::<f64>())
         })
     });

@@ -600,56 +600,6 @@ pub fn dist_filter(
     }
 }
 
-/// Exact squared distances of many point pairs: `out[p]` is the scalar
-/// loop `s = 0; for k { t = x_k − y_k; s += t·t }` (multiply, then add —
-/// never fused) of `x` = row `pairs[2p]` of `a` and `y` = row
-/// `pairs[2p + 1]` of `b`, both panels of rows of `d` contiguous elements.
-///
-/// A single such loop is one chain of dependent additions, so it runs at
-/// the adder's latency. The vector bodies give each pair a lane — eight
-/// to a `zmm` (AVX-512F), four to a `ymm` (AVX2) — and keep two registers
-/// of pairs in flight: they load a run of coordinates of every row,
-/// subtract, transpose so that a register holds one coordinate of every
-/// pair, and square and add coordinate by coordinate in `k` order. Each
-/// pair's additions are the scalar loop's, in its order, each rounded
-/// once, so every lane gives the loop's bits; the pairs and coordinates
-/// left over run the loop itself.
-///
-/// # Panics
-/// Panics if `pairs.len() != 2 * out.len()` or a pair names a row outside
-/// its panel.
-pub fn sq_dist_pairs(a: &[f64], b: &[f64], d: usize, pairs: &[usize], out: &mut [f64]) {
-    assert_eq!(pairs.len(), 2 * out.len(), "sq_dist_pairs: two indices per pair");
-    let (rows_a, rows_b) =
-        pairs.chunks_exact(2).fold((0, 0), |(x, y), p| (x.max(p[0] + 1), y.max(p[1] + 1)));
-    assert!(rows_a * d <= a.len(), "sq_dist_pairs: a row outside `a`");
-    assert!(rows_b * d <= b.len(), "sq_dist_pairs: a row outside `b`");
-    match lane() {
-        Lane::Portable => sq_dist_pairs_portable(a, b, d, pairs, out),
-        // SAFETY: every row a pair names lies inside its panel (asserted
-        // above) and `out` holds one element per pair; the lane is only
-        // chosen where the CPU has its features.
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx2 => unsafe { x86::sq_dist_pairs_avx2(a.as_ptr(), b.as_ptr(), d, pairs, out) },
-        // SAFETY: as for the AVX2 body.
-        #[cfg(target_arch = "x86_64")]
-        Lane::Avx512 => unsafe { x86::sq_dist_pairs_avx512(a.as_ptr(), b.as_ptr(), d, pairs, out) },
-    }
-}
-
-/// [`sq_dist_pairs`] one pair at a time: the scalar loop itself.
-fn sq_dist_pairs_portable(a: &[f64], b: &[f64], d: usize, pairs: &[usize], out: &mut [f64]) {
-    for (o, p) in out.iter_mut().zip(pairs.chunks_exact(2)) {
-        let (x, y) = (&a[p[0] * d..][..d], &b[p[1] * d..][..d]);
-        let mut s = 0.0;
-        for (u, v) in x.iter().zip(y) {
-            let t = u - v;
-            s += t * t;
-        }
-        *o = s;
-    }
-}
-
 /// `true` if this CPU additionally supports the 8-wide AVX-512 variants
 /// (the baseline vector kernels require only AVX2+FMA). Immutable for the
 /// process lifetime, like [`cpu_supported`]; a body runs under it only
@@ -1681,177 +1631,6 @@ mod x86 {
         _mm256_storeu_pd(acc.add(4), a1);
     }
 
-    /// The scalar loop of [`super::sq_dist_pairs`] for the pairs `p0..`,
-    /// from the vector bodies: their leftover pairs, or (`k0 > 0`) the
-    /// leftover coordinates `k0..d` of pairs whose sums `s` so far are
-    /// given.
-    ///
-    /// # Safety
-    /// As for the vector bodies.
-    #[inline(always)]
-    unsafe fn sq_dist_tail(
-        a: *const f64,
-        b: *const f64,
-        d: usize,
-        pair: &[usize],
-        k0: usize,
-        s: f64,
-    ) -> f64 {
-        let (x, y) = (a.add(pair[0] * d), b.add(pair[1] * d));
-        let mut s = s;
-        for k in k0..d {
-            let t = *x.add(k) - *y.add(k);
-            s += t * t;
-        }
-        s
-    }
-
-    /// [`super::sq_dist_pairs`] in `ymm` registers: eight pairs per pass,
-    /// four to a register, coordinates four at a time.
-    ///
-    /// # Safety
-    /// Requires AVX2. Every row a pair names lies inside its panel —
-    /// `(i + 1)·d` elements from `a` (first index) or `b` (second) — and
-    /// `pairs.len() == 2 * out.len()`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sq_dist_pairs_avx2(
-        a: *const f64,
-        b: *const f64,
-        d: usize,
-        pairs: &[usize],
-        out: &mut [f64],
-    ) {
-        debug_assert!(super::cpu_supported(), "sq_dist_pairs_avx2 needs AVX2");
-        debug_assert_eq!(pairs.len(), 2 * out.len(), "sq_dist_pairs_avx2: two indices per pair");
-        let n = out.len();
-        let mut p = 0;
-        while p + 8 <= n {
-            let mut xs = [a; 8];
-            let mut ys = [b; 8];
-            for l in 0..8 {
-                xs[l] = a.add(pairs[2 * (p + l)] * d);
-                ys[l] = b.add(pairs[2 * (p + l) + 1] * d);
-            }
-            let mut acc = [_mm256_setzero_pd(); 2];
-            let mut k = 0;
-            while k + 4 <= d {
-                for (h, acc) in acc.iter_mut().enumerate() {
-                    let mut r = [_mm256_setzero_pd(); 4];
-                    for (l, r) in r.iter_mut().enumerate() {
-                        let (x, y) = (xs[4 * h + l].add(k), ys[4 * h + l].add(k));
-                        *r = _mm256_sub_pd(_mm256_loadu_pd(x), _mm256_loadu_pd(y));
-                    }
-                    // Transpose: column `c` holds coordinate `k + c` of the
-                    // four pairs.
-                    let t0 = _mm256_unpacklo_pd(r[0], r[1]);
-                    let t1 = _mm256_unpackhi_pd(r[0], r[1]);
-                    let t2 = _mm256_unpacklo_pd(r[2], r[3]);
-                    let t3 = _mm256_unpackhi_pd(r[2], r[3]);
-                    let cols = [
-                        _mm256_permute2f128_pd::<0x20>(t0, t2),
-                        _mm256_permute2f128_pd::<0x20>(t1, t3),
-                        _mm256_permute2f128_pd::<0x31>(t0, t2),
-                        _mm256_permute2f128_pd::<0x31>(t1, t3),
-                    ];
-                    for c in cols {
-                        *acc = _mm256_add_pd(*acc, _mm256_mul_pd(c, c));
-                    }
-                }
-                k += 4;
-            }
-            let mut s = [0.0; 8];
-            _mm256_storeu_pd(s.as_mut_ptr(), acc[0]);
-            _mm256_storeu_pd(s.as_mut_ptr().add(4), acc[1]);
-            for (l, &s) in s.iter().enumerate() {
-                out[p + l] = sq_dist_tail(a, b, d, &pairs[2 * (p + l)..], k, s);
-            }
-            p += 8;
-        }
-        for q in p..n {
-            out[q] = sq_dist_tail(a, b, d, &pairs[2 * q..], 0, 0.0);
-        }
-    }
-
-    /// [`super::sq_dist_pairs`] in `zmm` registers: sixteen pairs per
-    /// pass, eight to a register, coordinates eight at a time.
-    ///
-    /// # Safety
-    /// Requires AVX-512F; otherwise as for [`sq_dist_pairs_avx2`].
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn sq_dist_pairs_avx512(
-        a: *const f64,
-        b: *const f64,
-        d: usize,
-        pairs: &[usize],
-        out: &mut [f64],
-    ) {
-        debug_assert!(super::avx512_supported(), "sq_dist_pairs_avx512 needs AVX-512F");
-        debug_assert_eq!(pairs.len(), 2 * out.len(), "sq_dist_pairs_avx512: two indices per pair");
-        let n = out.len();
-        let mut p = 0;
-        while p + 16 <= n {
-            let mut xs = [a; 16];
-            let mut ys = [b; 16];
-            for l in 0..16 {
-                xs[l] = a.add(pairs[2 * (p + l)] * d);
-                ys[l] = b.add(pairs[2 * (p + l) + 1] * d);
-            }
-            let mut acc = [_mm512_setzero_pd(); 2];
-            let mut k = 0;
-            while k + 8 <= d {
-                for (h, acc) in acc.iter_mut().enumerate() {
-                    let mut r = [_mm512_setzero_pd(); 8];
-                    for (l, r) in r.iter_mut().enumerate() {
-                        let (x, y) = (xs[8 * h + l].add(k), ys[8 * h + l].add(k));
-                        *r = _mm512_sub_pd(_mm512_loadu_pd(x), _mm512_loadu_pd(y));
-                    }
-                    // Transpose 8 x 8: pairs of rows interleaved, then
-                    // 128-bit lanes gathered twice; column `c` holds
-                    // coordinate `k + c` of the eight pairs.
-                    let mut t = [_mm512_setzero_pd(); 8];
-                    for h2 in 0..4 {
-                        t[2 * h2] = _mm512_unpacklo_pd(r[2 * h2], r[2 * h2 + 1]);
-                        t[2 * h2 + 1] = _mm512_unpackhi_pd(r[2 * h2], r[2 * h2 + 1]);
-                    }
-                    let u = [
-                        _mm512_shuffle_f64x2::<0x88>(t[0], t[2]),
-                        _mm512_shuffle_f64x2::<0xdd>(t[0], t[2]),
-                        _mm512_shuffle_f64x2::<0x88>(t[1], t[3]),
-                        _mm512_shuffle_f64x2::<0xdd>(t[1], t[3]),
-                        _mm512_shuffle_f64x2::<0x88>(t[4], t[6]),
-                        _mm512_shuffle_f64x2::<0xdd>(t[4], t[6]),
-                        _mm512_shuffle_f64x2::<0x88>(t[5], t[7]),
-                        _mm512_shuffle_f64x2::<0xdd>(t[5], t[7]),
-                    ];
-                    let cols = [
-                        _mm512_shuffle_f64x2::<0x88>(u[0], u[4]),
-                        _mm512_shuffle_f64x2::<0x88>(u[2], u[6]),
-                        _mm512_shuffle_f64x2::<0x88>(u[1], u[5]),
-                        _mm512_shuffle_f64x2::<0x88>(u[3], u[7]),
-                        _mm512_shuffle_f64x2::<0xdd>(u[0], u[4]),
-                        _mm512_shuffle_f64x2::<0xdd>(u[2], u[6]),
-                        _mm512_shuffle_f64x2::<0xdd>(u[1], u[5]),
-                        _mm512_shuffle_f64x2::<0xdd>(u[3], u[7]),
-                    ];
-                    for c in cols {
-                        *acc = _mm512_add_pd(*acc, _mm512_mul_pd(c, c));
-                    }
-                }
-                k += 8;
-            }
-            let mut s = [0.0; 16];
-            _mm512_storeu_pd(s.as_mut_ptr(), acc[0]);
-            _mm512_storeu_pd(s.as_mut_ptr().add(8), acc[1]);
-            for (l, &s) in s.iter().enumerate() {
-                out[p + l] = sq_dist_tail(a, b, d, &pairs[2 * (p + l)..], k, s);
-            }
-            p += 16;
-        }
-        for q in p..n {
-            out[q] = sq_dist_tail(a, b, d, &pairs[2 * q..], 0, 0.0);
-        }
-    }
-
     /// The distance-tile epilogue: `g[i] = max(rn[i] + cn - 2*g[i], 0)`
     /// vectorized 4-wide (see [`super::dist_epilogue`]). `fnmadd` fuses
     /// exactly like the scalar `mul_add` reference, so both paths agree
@@ -2856,74 +2635,6 @@ mod tests {
             }
             if span.len() == xs.len() {
                 assert_eq!(want[12], 0.0, "the subnormal range flushes to zero");
-            }
-        }
-    }
-
-    #[test]
-    fn sq_dist_pairs_lanes_give_the_loop_bits() {
-        // d = 1..=70 across the 4- and 8-coordinate steps; 0..=37 pairs
-        // across the 8- and 16-pair passes; rows repeated, a row with
-        // itself; clouds at the origin and translated by 3e7 (every term a
-        // cancellation). Each body directly, and the wrapper.
-        let mut bodies = vec!["portable", "wrapper"];
-        if cpu_supported() {
-            bodies.push("avx2");
-        }
-        if avx512_supported() {
-            bodies.push("avx512");
-        }
-        for d in 1..=70 {
-            for shift in [0.0, 3e7] {
-                let a: Vec<f64> = lcg_values(13 * d, d as u64).iter().map(|v| v + shift).collect();
-                let b: Vec<f64> =
-                    lcg_values(9 * d, 77 + d as u64).iter().map(|v| v + shift).collect();
-                let pairs: Vec<usize> =
-                    (0..37).flat_map(|q| [(q * 5) % 13, (q * 7 + 2) % 9]).collect();
-                let want: Vec<f64> = pairs
-                    .chunks(2)
-                    .map(|p| {
-                        let mut s = 0.0;
-                        for k in 0..d {
-                            let t = a[p[0] * d + k] - b[p[1] * d + k];
-                            s += t * t;
-                        }
-                        s
-                    })
-                    .collect();
-                for body in &bodies {
-                    for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 31, 37] {
-                        let (pairs, mut out) = (&pairs[..2 * n], vec![f64::NAN; n]);
-                        match *body {
-                            "portable" => sq_dist_pairs_portable(&a, &b, d, pairs, &mut out),
-                            "wrapper" => sq_dist_pairs(&a, &b, d, pairs, &mut out),
-                            #[cfg(target_arch = "x86_64")]
-                            // SAFETY: every index is below the panels' row
-                            // counts; `bodies` lists a vector body only
-                            // where the CPU runs it.
-                            "avx2" => unsafe {
-                                x86::sq_dist_pairs_avx2(a.as_ptr(), b.as_ptr(), d, pairs, &mut out)
-                            },
-                            #[cfg(target_arch = "x86_64")]
-                            // SAFETY: as for the AVX2 body.
-                            "avx512" => unsafe {
-                                x86::sq_dist_pairs_avx512(
-                                    a.as_ptr(),
-                                    b.as_ptr(),
-                                    d,
-                                    pairs,
-                                    &mut out,
-                                )
-                            },
-                            other => panic!("unknown body {other}"),
-                        }
-                        assert_eq!(
-                            bits(&out),
-                            bits(&want[..n]),
-                            "{body} d={d} shift={shift} n={n}"
-                        );
-                    }
-                }
             }
         }
     }

@@ -13,16 +13,15 @@
 //! squared distance to the centroid (giving the radius and the first
 //! sweep's farthest point), the squared distance to that point (the
 //! second sweep) and the projection the median is taken on. Each pass runs
-//! [`kfds_la::simd::sq_dist_pairs`] (one point per vector lane) or
-//! [`crate::points::dot_sums`] (eight independent chains, summed from
-//! `−0.0` as `Iterator::sum` does) — each value bit for bit the scalar
-//! loop's — and above 4096 points it is split over the pool, as the two
-//! children are. The centroid
-//! stays one sum in point order. Permutation, ranges, centers and radii
+//! [`crate::points::sq_dist_sums`] or [`crate::points::dot_sums`] (eight
+//! independent chains; the projection summed from `−0.0` as
+//! `Iterator::sum` does) — each value bit for bit the scalar loop's — and
+//! above 4096 points it is split over the pool, as the two children are.
+//! The centroid stays one sum in point order. Permutation, ranges, centers and radii
 //! are those of the one-point-at-a-time build, which the tests keep as
 //! their reference.
 
-use crate::points::{dot_sums, PointSet};
+use crate::points::{dot_sums, sq_dist_sums, PointSet};
 use kfds_la::workspace;
 use rayon::join;
 use rayon::prelude::*;
@@ -299,19 +298,13 @@ impl Builder<'_> {
 
     /// `keys[p]` = the squared distance from point `idx[p]` to `y`, or its
     /// projection on `y` (summed from `−0.0`, as `Iterator::sum` does),
-    /// batched ([`kfds_la::simd::sq_dist_pairs`], [`dot_sums`]) over
+    /// batched ([`sq_dist_sums`], [`dot_sums`]) over
     /// chunks of the points, the chunks on the pool above
     /// [`PARALLEL_SPLIT`] points.
     fn keys(&self, idx: &[usize], y: &[f64], pass: Pass, keys: &mut [f64]) {
         const CHUNK: usize = 1024;
         let run = |ids: &[usize], out: &mut [f64]| match pass {
-            Pass::SqDist => {
-                // Pair p: row ids[p] of the points against row 0 of `y`.
-                let mut pairs = workspace::take_idx(2 * ids.len());
-                pairs.extend(ids.iter().flat_map(|&i| [i, 0]));
-                let d = self.points.dim();
-                kfds_la::simd::sq_dist_pairs(self.points.as_slice(), y, d, &pairs, out);
-            }
+            Pass::SqDist => sq_dist_sums(|p| self.points.point(ids[p]), |_| y, out),
             Pass::Projection => dot_sums(|p| self.points.point(ids[p]), |_| y, out),
         };
         if idx.len() > PARALLEL_SPLIT {

@@ -10,7 +10,7 @@
 //! threshold — and with the candidate's, where the candidate is a member
 //! of the block — and emits one mask word per (8 queries, candidate) — no
 //! distance is stored. The search re-scores the flagged pairs exactly
-//! (batched through [`kfds_la::simd::sq_dist_pairs`], bit for bit
+//! (batched through [`crate::points::sq_dist_sums`], bit for bit
 //! [`crate::points::sq_dist`]) and offers *that* to the lists, so lists
 //! only ever hold exact values and the filter's only job is to lose
 //! nothing.
@@ -510,8 +510,16 @@ mod tests {
         unique.sort_unstable();
         unique.dedup();
         assert_eq!(unique.len(), pairs.len(), "a pair met twice");
-        // About k per point: no more than each column's own k + slack
-        // survivors, counted once per pair.
+        // About k per point: each column's own cut (recomputed as
+        // `seed_hits` forms it) lets fewer than 2k other members through,
+        // so the pairs, counted once, number fewer than 2km.
+        for (i, col) in tile.as_slice().chunks_exact(m).enumerate() {
+            let mut others: Vec<f64> = (0..m).filter(|&j| j != i).map(|j| col[j]).collect();
+            others.sort_by(f64::total_cmp);
+            let cut = others[k - 1] + 2.0 * slack(i);
+            let under = others.iter().filter(|&&f| f <= cut).count();
+            assert!(under < 2 * k, "column {i}: {under} under its cut for k = {k}");
+        }
         assert!(pairs.len() < 2 * k * m, "{} pairs for m = {m}, k = {k}", pairs.len());
         for (i, row) in hits.iter().enumerate() {
             assert!(!row.contains(&i), "query {i} hit itself");

@@ -8,7 +8,7 @@
 //! [`crate::dist_tiles`] — a register-tile kernel that flags the pairs
 //! whose norms+Gram distance is under the query's current k-th best plus a
 //! rounding slack — and only flagged pairs are re-scored exactly and
-//! offered to the query's `KBest` list:
+//! offered to the query's list:
 //!
 //! * **exact** ([`knn_all`]): a leaf-blocked all-nearest-neighbors
 //!   traversal (query leaf against candidate leaf, node-vs-node ball
@@ -25,9 +25,8 @@
 //! tree's bucket is filtered over its upper block triangle with each
 //! member's threshold on both sides of the pair (`QueryBlock::filter_self`);
 //! a pair is scored once and offered to both points. Flagged pairs are
-//! collected first and scored together by
-//! [`kfds_la::simd::sq_dist_pairs`], one pair per vector lane, with
-//! [`sq_dist`]'s bits.
+//! collected first and scored together by [`sq_dist_sums`] (eight
+//! independent chains) with [`sq_dist`]'s bits.
 //!
 //! Lists hold exact `sq_dist` values and order candidates by `(distance,
 //! index)`, and neither the filter nor a prune ever drops a candidate that
@@ -38,7 +37,7 @@
 
 use crate::balltree::BallTree;
 use crate::dist_tiles::{self, QueryBlock};
-use crate::points::{sq_dist, PointSet};
+use crate::points::{sq_dist, sq_dist_sums, PointSet};
 use kfds_la::{workspace, MatMut};
 use rayon::prelude::*;
 use std::cmp::Ordering;
@@ -147,9 +146,10 @@ impl<'a> Lists<'a> {
 
     /// Offers a candidate list `r` may keep already — the approximate
     /// search meets a near neighbor again in most trees: [`Lists::push`]
-    /// unless it is kept. Only an offer that would enter pays the
-    /// membership scan, since a kept candidate (the same pair, the same
-    /// distance bits) is never less than the worst kept one.
+    /// unless it is kept. An offer [`Lists::admits`] refuses cannot
+    /// enter, so only admitted offers pay the membership scan; a kept
+    /// candidate re-offered (the same index, the same distance bits) is
+    /// admitted unless it is the worst kept one, and the scan drops it.
     fn offer(&mut self, r: usize, d: f64, i: u32) {
         if !self.admits(r, d, i) {
             return;
@@ -507,11 +507,10 @@ pub fn projection_buckets(pts: &PointSet, k: usize, n_trees: usize, seed: u64) -
 /// Exact distances of flagged pairs, batched: `pairs` holds two entries
 /// per pair, a column of the `d`-row panel `q` and one of `c`, and entry
 /// `p` of the result is their [`sq_dist`], bit for bit
-/// ([`kfds_la::simd::sq_dist_pairs`], which keeps one pair per vector
-/// lane).
+/// ([`sq_dist_sums`], eight pairs a pass).
 fn rescore(q: &[f64], c: &[f64], d: usize, pairs: &[usize]) -> workspace::WsVec {
     let mut dist = workspace::take(pairs.len() / 2);
-    kfds_la::simd::sq_dist_pairs(q, c, d, pairs, &mut dist);
+    sq_dist_sums(|p| &q[pairs[2 * p] * d..][..d], |p| &c[pairs[2 * p + 1] * d..][..d], &mut dist);
     dist
 }
 

@@ -192,23 +192,58 @@ pub fn sq_dist(a: &[f64], b: &[f64]) -> f64 {
     s
 }
 
-/// Pairs [`dot_sums`] takes through its loop together: that many
-/// independent chains.
+/// Pairs [`dot_sums`] and [`sq_dist_sums`] take through their loop
+/// together: that many independent chains.
 const CHAINS: usize = 8;
 
 /// `out[p] = x(p) · y(p)` summed left to right from `−0.0`, for every
 /// `p < out.len()`: bit for bit `x.iter().zip(y).map(|(a, b)| a * b).sum()`
 /// (`Iterator::sum` on `f64` starts at `−0.0`; multiply, then add — never
-/// fused). One such sum is a chain of additions, each waiting on the last;
-/// here eight pairs go through the coordinate loop together, each
-/// still its own chain, so their additions overlap and every result keeps
-/// its bits.
+/// fused). See [`chain_sums`].
 ///
 /// # Panics
 /// Panics unless every slice has the same length.
 pub fn dot_sums<'a>(
     x: impl Fn(usize) -> &'a [f64],
     y: impl Fn(usize) -> &'a [f64],
+    out: &mut [f64],
+) {
+    chain_sums(x, y, -0.0, |u, v| u * v, out);
+}
+
+/// `out[p] = ` [`sq_dist`]`(x(p), y(p))` for every `p < out.len()`, bit
+/// for bit: `Σ (x_k − y_k)²` left to right from `0.0`. See
+/// [`chain_sums`].
+///
+/// # Panics
+/// Panics unless every slice has the same length.
+pub fn sq_dist_sums<'a>(
+    x: impl Fn(usize) -> &'a [f64],
+    y: impl Fn(usize) -> &'a [f64],
+    out: &mut [f64],
+) {
+    chain_sums(
+        x,
+        y,
+        0.0,
+        |u, v| {
+            let t = u - v;
+            t * t
+        },
+        out,
+    );
+}
+
+/// `out[p] = init + term(x_0, y_0) + term(x_1, y_1) + …` left to right,
+/// `x = x(p)`, `y = y(p)`. One such sum is a chain of additions, each
+/// waiting on the last; here eight pairs go through the coordinate loop
+/// together, each still its own chain, so their additions overlap and
+/// every result keeps the one-at-a-time loop's bits.
+fn chain_sums<'a>(
+    x: impl Fn(usize) -> &'a [f64],
+    y: impl Fn(usize) -> &'a [f64],
+    init: f64,
+    term: impl Fn(f64, f64) -> f64,
     out: &mut [f64],
 ) {
     let Some(d) = (!out.is_empty()).then(|| x(0).len()) else {
@@ -220,21 +255,21 @@ pub fn dot_sums<'a>(
         let p0 = g * CHAINS;
         let xs: [&[f64]; CHAINS] = std::array::from_fn(|l| x(p0 + l));
         let ys: [&[f64]; CHAINS] = std::array::from_fn(|l| y(p0 + l));
-        assert!(xs.iter().chain(&ys).all(|v| v.len() == d), "dot_sums: length mismatch");
+        assert!(xs.iter().chain(&ys).all(|v| v.len() == d), "chain_sums: length mismatch");
         // Cut to `d` again so the compiler sees every index below in bounds.
         let (xs, ys) = (xs.map(|v| &v[..d]), ys.map(|v| &v[..d]));
-        let mut s = [-0.0; CHAINS];
+        let mut s = [init; CHAINS];
         for k in 0..d {
             for l in 0..CHAINS {
-                s[l] += xs[l][k] * ys[l][k];
+                s[l] += term(xs[l][k], ys[l][k]);
             }
         }
         o.copy_from_slice(&s);
     }
     for (p, o) in (full..).zip(groups.into_remainder()) {
         let (a, b) = (x(p), y(p));
-        assert!(a.len() == d && b.len() == d, "dot_sums: length mismatch");
-        *o = a.iter().zip(b).fold(-0.0, |s, (&u, &v)| s + u * v);
+        assert!(a.len() == d && b.len() == d, "chain_sums: length mismatch");
+        *o = a.iter().zip(b).fold(init, |s, (&u, &v)| s + term(u, v));
     }
 }
 
@@ -313,23 +348,21 @@ mod tests {
 
     #[test]
     fn batched_sums_give_the_one_at_a_time_bits() {
-        // d = 1..=70 around every unroll of the loops, counts off the 8-
-        // and 16-pair groups, at the origin and far from it (where every
+        // d = 1..=70 around every unroll of the loops, a count off the
+        // 8-pair groups, at the origin and far from it (where every
         // term of a distance is a cancellation); the pairs repeat points
         // and take a point with itself. `dot_sums` against
-        // `Iterator::sum`, and the batched distances the searches and the
-        // ball tree use (`simd::sq_dist_pairs`) against `sq_dist`.
+        // `Iterator::sum`, `sq_dist_sums` against `sq_dist`.
         for d in 1..=70 {
             for shift in [0.0, 3e7] {
                 let p = cloud(23, d, shift, d as u64 * 7 + 1);
                 let pairs: Vec<(usize, usize)> =
                     (0..37).map(|q| ((q * 5) % 23, (q * 11 + 3) % 23)).collect();
-                let flat: Vec<usize> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
                 let mut out = vec![f64::NAN; pairs.len()];
-                kfds_la::simd::sq_dist_pairs(p.as_slice(), p.as_slice(), d, &flat, &mut out);
+                sq_dist_sums(|q| p.point(pairs[q].0), |q| p.point(pairs[q].1), &mut out);
                 for (q, &(a, b)) in pairs.iter().enumerate() {
                     let want = sq_dist(p.point(a), p.point(b));
-                    assert_eq!(out[q].to_bits(), want.to_bits(), "sq_dist_pairs d={d} pair {q}");
+                    assert_eq!(out[q].to_bits(), want.to_bits(), "sq_dist_sums d={d} pair {q}");
                 }
                 dot_sums(|q| p.point(pairs[q].0), |q| p.point(pairs[q].1), &mut out);
                 for (q, &(a, b)) in pairs.iter().enumerate() {
