@@ -247,12 +247,8 @@ pub fn knn_all(tree: &BallTree, k: usize) -> NeighborLists {
         jobs.push((lf, ichunk, dchunk));
     }
 
-    // Leaves differ in size (halving stops at the leaf size, so leaves
-    // of about it and about half of it can sit side by side): a query
-    // leaf sizes its pair buffer for the largest candidate leaf.
-    let max_leaf = leaves.iter().map(|&lf| tree.node(lf).len()).max().unwrap_or(0);
     jobs.into_par_iter().for_each(|(lf, irow, drow)| {
-        leaf_all_nn(tree, norms, max_norm, lf, max_leaf, k, irow, drow);
+        leaf_all_nn(tree, norms, max_norm, lf, k, irow, drow);
     });
 
     NeighborLists { k, idx, dist }
@@ -295,15 +291,12 @@ fn tighten(block: &mut QueryBlock, lists: &Lists<'_>) -> f64 {
 
 /// All-nearest-neighbors for the queries of one leaf: the self tile seeds
 /// the lists (and with them `τ = max_i worst_i`), then a closer-child-first
-/// DFS over candidate nodes filters every leaf it cannot prune. No leaf
-/// holds more than `max_leaf` points.
-#[allow(clippy::too_many_arguments)]
+/// DFS over candidate nodes filters every leaf it cannot prune.
 fn leaf_all_nn(
     tree: &BallTree,
     norms: &[f64],
     max_norm: f64,
     lf: usize,
-    max_leaf: usize,
     k: usize,
     irow: &mut [u32],
     drow: &mut [f64],
@@ -325,10 +318,11 @@ fn leaf_all_nn(
     let mut tile = workspace::take(m * m);
     let seed = MatMut::from_parts(&mut tile, m, m, m);
     dist_tiles::dist_tile_ranges(pts, norms, qr.clone(), qr.clone(), seed);
-    // Room for every pair of the leaf, or of it and the largest candidate
-    // leaf: a pooled buffer that grew would be refiled into a larger class
-    // than the next leaf asks for.
-    let mut pairs = workspace::take_idx(2 * m * max_leaf);
+    // Room for every pair of the leaf, or of it and a candidate leaf of up
+    // to the leaf size — halving can leave leaves of about that size beside
+    // leaves of about half of it: a pooled buffer that grew would be
+    // refiled into a larger class than the next leaf asks for.
+    let mut pairs = workspace::take_idx(2 * m * tree.leaf_size());
     dist_tiles::seed_hits(&tile, m, k, |i| block.slack(i), |i, j| pairs.extend([i, j]));
     let q = panel(&qr);
     seed_lists(&mut best, &pairs, &rescore(q, q, d, &pairs), |j| (qr.start + j) as u32);

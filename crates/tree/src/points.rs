@@ -199,7 +199,8 @@ const CHAINS: usize = 8;
 /// `out[p] = x(p) · y(p)` summed left to right from `−0.0`, for every
 /// `p < out.len()`: bit for bit `x.iter().zip(y).map(|(a, b)| a * b).sum()`
 /// (`Iterator::sum` on `f64` starts at `−0.0`; multiply, then add — never
-/// fused). See [`chain_sums`].
+/// fused). Eight pairs go through the coordinate loop together, each
+/// its own chain, so their additions overlap.
 ///
 /// # Panics
 /// Panics unless every slice has the same length.
@@ -212,8 +213,8 @@ pub fn dot_sums<'a>(
 }
 
 /// `out[p] = ` [`sq_dist`]`(x(p), y(p))` for every `p < out.len()`, bit
-/// for bit: `Σ (x_k − y_k)²` left to right from `0.0`. See
-/// [`chain_sums`].
+/// for bit: `Σ (x_k − y_k)²` left to right from `0.0`, eight pairs
+/// through the coordinate loop together, as in [`dot_sums`].
 ///
 /// # Panics
 /// Panics unless every slice has the same length.
