@@ -2,9 +2,9 @@
 # Local CI gate: the host's vector flags (which kernel bodies the vector
 # lane runs), then format, clippy, rustdoc, kfds-lint, release build, the
 # eight examples, the workspace tests, the golden digests with every
-# registered (retired) switch set and on one rayon thread (the rayon
-# shim's tests too), the benchmark package's own tests, and the kfds-serve
-# smoke runs. The golden digests run the vector and the portable lanes in
+# registered (retired) switch set, on one rayon thread (the rayon shim's
+# tests too) and on three (odd row-group counts per GSKS band), the
+# benchmark package's own tests, and the kfds-serve smoke runs. The golden digests run the vector and the portable lanes in
 # process and bind one table in both, on any host (the AVX-512 bodies give
 # the AVX2 bodies' bits, the portable lanes run the same chains).
 # Correctness only: nothing here asserts a timing
@@ -152,6 +152,16 @@ RAYON_NUM_THREADS=1 cargo test -q -p kfds-core --lib digests
 RAYON_NUM_THREADS=1 cargo test -q -p kfds-kernels --test digests
 RAYON_NUM_THREADS=1 cargo test -q -p kfds-tree
 RAYON_NUM_THREADS=1 cargo test -q -p rayon
+
+step "cargo test (kfds-kernels and kfds-core digests, RAYON_NUM_THREADS=3 — odd row-group bands)"
+# The GSKS Gram tile covers two row groups of a band at once, and an odd
+# last group of a band is paired with itself. A band holds at most
+# ceil(groups / threads) groups, so on three threads the split differs
+# from one and two threads' (6 row groups go as bands of 1 + 2 + 1 + 2,
+# not 3 + 3): other groups pair up and others are paired with themselves,
+# and both digest tables must still bind without moving a bit.
+RAYON_NUM_THREADS=3 cargo test -q -p kfds-kernels --test digests
+RAYON_NUM_THREADS=3 cargo test -q -p kfds-core --lib digests
 
 if [[ $miri -eq 1 ]]; then
   step "miri lane (kfds-la deterministic suite under the interpreter)"

@@ -12,7 +12,8 @@
 //! # One tile layout
 //!
 //! A tile is 8 targets by 8 sources, column-major, with the targets in the
-//! vector lanes (`kfds_la::simd::GSKS_MR`):
+//! vector lanes (`kfds_la::simd::GSKS_MR`), and tiles are formed two row
+//! groups at a time:
 //!
 //! * The targets (at most `s x d` of them in the solver) are packed
 //!   dimension-major, 8 rows at a time, by the task that owns those rows.
@@ -22,13 +23,17 @@
 //!   the point set, no copy. Any other full group is gathered point-major
 //!   once per call, and a partial last group is copied into a zero-padded
 //!   `8 x d` tail.
-//! * [`kfds_la::simd::gsks_gram`] forms the tile, [`Kernel::eval_parts_many`]
-//!   transforms it, and one of two epilogues consumes it. One weight
-//!   column goes through [`kfds_la::simd::gsks_dot`] into eight lane
-//!   accumulators, tile by tile. With several, a band first forms every
-//!   row group's tiles against one source block into a pooled buffer (a
-//!   *run*: row group `g`'s tiles one `8 x 8·tiles` column-major block),
-//!   then [`kfds_la::simd::gsks_contract_run`] contracts each pair of row
+//! * [`kfds_la::simd::gsks_gram`] forms the tiles of a pair of row groups
+//!   of a band (groups `2p` and `2p + 1`; an odd last group is paired with
+//!   itself and the copy dropped) against one source group, a `16 x 8`
+//!   register tile with each source coordinate broadcast once for both.
+//!   [`Kernel::eval_parts_many`] transforms each tile, and one of two
+//!   epilogues consumes it. One weight column goes through
+//!   [`kfds_la::simd::gsks_dot`] into eight lane accumulators, tile by
+//!   tile. With several, a band first forms every row group's tiles
+//!   against one source block into a pooled buffer (a *run*: row group
+//!   `g`'s tiles one `8 x 8·tiles` column-major block), then
+//!   [`kfds_la::simd::gsks_contract_run`] contracts each pair of row
 //!   groups against the block's rows of `U`, holding that pair's `W` in
 //!   registers across the whole run. `U` is read and `W` accumulated,
 //!   both column-major, in place.
@@ -41,8 +46,10 @@
 //!
 //! * the Gram value is one chain of fused multiply-adds over the
 //!   coordinates from `0`;
-//! * squared norms: targets through `kfds_la::blas1::nrm2_sq`, sources as
-//!   one multiply-then-add chain;
+//! * squared norms: targets through `kfds_la::blas1::nrm2_sq`, per call
+//!   (at most `s` rows in the solver); sources as one multiply-then-add
+//!   chain, [`PointSet::cached_sq_norms`], chained once per point set and
+//!   read by every call after the first;
 //! * the kernel transform is `eval_parts_many` elementwise;
 //! * one weight column: groups of four columns, each summed from `0`
 //!   (`s += k·u`), then `acc += s`;
@@ -50,8 +57,8 @@
 //!   over the columns in ascending order, carried in registers through a
 //!   run and in `W` from one run to the next; a partial row group sums
 //!   groups of four from `0` and adds each to `W`. Which row groups pair
-//!   up in a run call (it depends on the band split, so on the thread
-//!   count) moves no bit.
+//!   up in a Gram tile or a run call (it depends on the band split, so on
+//!   the thread count) moves no bit.
 //!
 //! The same holds with SIMD on or off: the portable lanes run the vector
 //! bodies' chains. Only [`kfds_la::simd::gsks_dot`] and the full-row
@@ -141,18 +148,27 @@ impl<'a> Sources<'a> {
         }
     }
 
-    /// Squared norms of every source, zero past the last: one
-    /// multiply-then-add chain per source.
+    /// Squared norms of every source, zero past the last: the point set's
+    /// cached chains ([`PointSet::cached_sq_norms`]), each computed once
+    /// per set, not once per call.
     fn norms(&self) -> workspace::WsVec {
-        let d = self.pts.dim();
+        let all = self.pts.cached_sq_norms();
         let mut norms = workspace::take(self.groups() * MR);
-        for (g, nv) in norms.chunks_mut(MR).enumerate() {
-            for (n, y) in nv.iter_mut().zip(self.group(g).chunks_exact(d)) {
-                *n = y.iter().fold(0.0, |s, &v| s + v * v);
-            }
+        let (live, pad) = norms.split_at_mut(self.cols.len());
+        for (n, &p) in live.iter_mut().zip(self.cols) {
+            *n = all[p];
         }
+        pad.fill(0.0);
         norms
     }
+}
+
+/// Row groups `2p` and `2p + 1` of a band as one [`simd::gsks_gram`] pair,
+/// from `xp`, their packed targets: an odd last group is paired with
+/// itself.
+fn pair(xp: &[f64], d: usize) -> [&[f64]; 2] {
+    let (x0, x1) = xp.split_at(MR * d);
+    [x0, if x1.is_empty() { x0 } else { x1 }]
 }
 
 /// Packs one row group's targets dimension-major (`xg[k * MR + r]`, rows
@@ -218,7 +234,8 @@ fn sum_tiles<K: Kernel>(
     let block = (BLOCK_BYTES / (MR * (d + nrhs) * std::mem::size_of::<f64>())).max(1);
     for_each_band(w, 0, band, &|g0, mut wb| {
         let m = wb.nrows();
-        let mut xg = workspace::take(m.div_ceil(MR) * MR * d);
+        let groups = m.div_ceil(MR);
+        let mut xg = workspace::take(groups * MR * d);
         let mut rn = [[0.0f64; MR]; BAND];
         for ((idx, x), n) in
             rows[g0 * MR..g0 * MR + m].chunks(MR).zip(xg.chunks_mut(MR * d)).zip(&mut rn)
@@ -227,14 +244,20 @@ fn sum_tiles<K: Kernel>(
         }
         if nrhs == 1 {
             let mut acc = [[0.0f64; MR]; BAND];
-            let mut tile = [0.0f64; MR * MR];
+            let mut tiles = [[0.0f64; MR * MR]; 2];
             for s0 in (0..src.groups()).step_by(block) {
-                for (x, (n, a)) in xg.chunks(MR * d).zip(rn.iter().zip(&mut acc)) {
+                let pairs = rn[..groups].chunks(2).zip(acc[..groups].chunks_mut(2));
+                for (xp, (np, ap)) in xg.chunks(2 * MR * d).zip(pairs) {
                     for sg in s0..src.groups().min(s0 + block) {
-                        simd::gsks_gram(x, src.group(sg), d, &mut tile);
-                        k.eval_parts_many(&mut tile, &norms[sg * MR..(sg + 1) * MR], n);
+                        let [t0, t1] = &mut tiles;
+                        simd::gsks_gram(pair(xp, d), src.group(sg), d, [t0, t1]);
                         let live = sg * MR..cols.len().min((sg + 1) * MR);
-                        simd::gsks_dot(&tile, &u.col(0)[live], a);
+                        // The pair's live groups (a self-paired copy has
+                        // no norms): each tile as if formed alone.
+                        for ((tile, n), a) in tiles.iter_mut().zip(np).zip(ap.iter_mut()) {
+                            k.eval_parts_many(tile, &norms[sg * MR..(sg + 1) * MR], n);
+                            simd::gsks_dot(tile, &u.col(0)[live.clone()], a);
+                        }
                     }
                 }
             }
@@ -245,20 +268,32 @@ fn sum_tiles<K: Kernel>(
         }
         // Several weight columns: every row group's tiles against one
         // source block, then one run contraction per pair of row groups.
+        // The tiles of an odd last group's self-paired copy go to one
+        // spare run past the band's, never read.
         wb.fill(0.0);
-        let mut tiles = workspace::take(m.div_ceil(MR) * block.min(src.groups()) * MR * MR);
+        let pairs = groups.div_ceil(2);
+        let mut tiles = workspace::take(2 * pairs * block.min(src.groups()) * MR * MR);
         for s0 in (0..src.groups()).step_by(block) {
             let run = src.groups().min(s0 + block) - s0;
             let span = run * MR * MR;
-            for (x, (n, kg)) in xg.chunks(MR * d).zip(rn.iter().zip(tiles.chunks_exact_mut(span))) {
-                for (sg, tile) in (s0..s0 + run).zip(kg.chunks_exact_mut(MR * MR)) {
-                    let tile: &mut [f64; MR * MR] = tile.try_into().expect("one tile");
-                    simd::gsks_gram(x, src.group(sg), d, tile);
-                    k.eval_parts_many(tile, &norms[sg * MR..(sg + 1) * MR], n);
+            for (xp, (np, kp)) in xg
+                .chunks(2 * MR * d)
+                .zip(rn[..groups].chunks(2).zip(tiles.chunks_exact_mut(2 * span)))
+            {
+                let (k0, k1) = kp.split_at_mut(span);
+                for (sg, (t0, t1)) in (s0..s0 + run)
+                    .zip(k0.chunks_exact_mut(MR * MR).zip(k1.chunks_exact_mut(MR * MR)))
+                {
+                    let t0: &mut [f64; MR * MR] = t0.try_into().expect("one tile");
+                    let t1: &mut [f64; MR * MR] = t1.try_into().expect("one tile");
+                    simd::gsks_gram(pair(xp, d), src.group(sg), d, [&mut *t0, &mut *t1]);
+                    for (tile, n) in [t0, t1].into_iter().zip(np) {
+                        k.eval_parts_many(tile, &norms[sg * MR..(sg + 1) * MR], n);
+                    }
                 }
             }
             let live = s0 * MR..cols.len().min((s0 + run) * MR);
-            for (p, kp) in tiles.chunks(2 * span).enumerate().take(m.div_ceil(2 * MR)) {
+            for (p, kp) in tiles.chunks(2 * span).enumerate().take(pairs) {
                 let pair = wb.rb_mut().submatrix_mut(2 * p * MR..m.min(2 * (p + 1) * MR), 0..nrhs);
                 simd::gsks_contract_run(kp, u.submatrix(live.clone(), 0..nrhs), pair);
             }
@@ -423,6 +458,43 @@ mod tests {
         sum_fused_multi(&k, &q, &qrows, &qcols, u.rb(), w2.rb_mut());
         let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&w1), bits(&w2));
+    }
+
+    #[test]
+    fn source_norms_follow_every_change_to_the_point_set() {
+        // A summation fills the set's norm cache; each `&mut` method must
+        // empty it, so the next summation gives the bits of a set built
+        // fresh from the same coordinates. Every change moves a source.
+        let (n, d) = (30, 5);
+        let k = Laplacian::new(0.9);
+        let rows: Vec<usize> = (0..9).collect();
+        let u: Vec<f64> = (0..2 * n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let sum = |p: &PointSet| {
+            let cols: Vec<usize> = (rows.len()..p.len()).collect();
+            let mut w = vec![0.0; rows.len()];
+            sum_fused(&k, p, &rows, &cols, &u[..cols.len()], &mut w);
+            w.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        let fresh = |p: &PointSet| PointSet::from_col_major(d, p.as_slice().to_vec());
+        type Change = fn(&mut PointSet);
+        let changes: [(&str, Change); 3] = [
+            ("point_mut", |p| p.point_mut(12)[2] += 3.0),
+            ("push", |p| p.push(&vec![0.25; p.dim()])),
+            ("normalize", PointSet::normalize),
+        ];
+        let mut p = pts(n, d, 5);
+        for (what, change) in changes {
+            let before = sum(&p);
+            change(&mut p);
+            let (after, want) = (sum(&p), sum(&fresh(&p)));
+            assert_ne!(after, before, "{what} moved no output: the test shows nothing");
+            assert_eq!(after, want, "{what}: a stale norm was read");
+        }
+        // Equality reads the coordinates, not whether the cache is filled.
+        let q = fresh(&p);
+        p.cached_sq_norms();
+        assert_eq!(p, q);
+        assert_eq!(q, p);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!   (`dgemm_tile_16x12_avx512`, 24 `zmm` accumulators) over two A panels
 //!   by two B panels;
 //! * the three kernels of the GSKS engine's one tile layout, 8 target rows
-//!   in the vector lanes: the `8 x 8` Gram tile ([`gsks_gram`]) against
-//!   sources read point-major where they lie, the one-weight epilogue
+//!   in the vector lanes: the Gram tiles of two row groups at once
+//!   ([`gsks_gram`], two `8 x 8` tiles) against sources read point-major
+//!   where they lie, the one-weight epilogue
 //!   ([`gsks_dot`]) and the multi-RHS contraction of a whole run of tiles
 //!   ([`gsks_contract_run`]), which reads `U` and accumulates into `W` in
 //!   place, holding a `16 x 12` block of `W` in `zmm` registers (`8 x 6`
@@ -65,10 +66,11 @@
 //! and every intrinsic inline into a function that enables them, and
 //! `*_portable` for any CPU. Each picks the register tile its width holds
 //! (AVX-512 / AVX2, and the portable lanes the AVX2 shape): GEMM `16 x 12`
-//! / `8 x 6`, Gram columns per pass 8 / 4, contraction `16 x {12,8,4,2,1}`
-//! / `8 x {6,4,2,1}`, filter `{16,8} x {4,1}` / `8 x {4,1}`, transposed
-//! GEMV columns per pass 4 / 2. Every element gets the same operations in
-//! the same order at any shape. The unit tests that hold the three to the
+//! / `8 x 6`, Gram (two row groups) `16 x 8` in one pass, 16 `zmm`
+//! accumulators / `16 x 2` per pass, 8 `ymm` halves, contraction
+//! `16 x {12,8,4,2,1}` / `8 x {6,4,2,1}`, filter `{16,8} x {4,1}` /
+//! `8 x {4,1}`, transposed GEMV columns per pass 4 / 2. Every element gets
+//! the same operations in the same order at any shape. The unit tests that hold the three to the
 //! same bits: `every_tile_gives_the_same_bits` (`gemm.rs`),
 //! `gsks_gram_bodies_agree_bitwise`,
 //! `gsks_contract_bodies_agree_bitwise_on_strided_views`,
@@ -231,34 +233,39 @@ pub fn vexp(xs: &mut [f64]) {
     }
 }
 
-/// The GSKS Gram tile: `out[c * 8 + r] = x_r · y_c` for 8 targets against
-/// 8 sources — the rank-`d` update of paper §II-D with the targets in the
-/// vector lanes, written column-major.
+/// The GSKS Gram tiles of two row groups against one source group:
+/// `out[g][c * 8 + r] = x_{g,r} · y_c` for `g < 2`, 8 targets each against
+/// the same 8 sources — the rank-`d` update of paper §II-D with the
+/// targets in the vector lanes, each tile written column-major. A caller
+/// with one group left passes it twice; it gets the same tile twice.
 ///
-/// * `xg` holds the targets dimension-major: coordinate `k` of target `r`
-///   at `xg[k * 8 + r]`.
+/// * `xg[g]` holds group `g`'s targets dimension-major: coordinate `k` of
+///   target `r` at `xg[g][k * 8 + r]`.
 /// * `ys` holds the sources point-major, the way a point set stores them:
 ///   coordinate `k` of source `c` at `ys[c * d + k]`. For a contiguous
 ///   run of points it is a window of the point set itself.
 ///
 /// Each value is one chain of fused multiply-adds over `k = 0..d` starting
-/// from `0`, in every lane.
+/// from `0`, in every lane, whichever group it is paired with.
 ///
 /// # Panics
-/// Panics if `xg` or `ys` is shorter than `8 * d`.
-pub fn gsks_gram(xg: &[f64], ys: &[f64], d: usize, out: &mut [f64; GSKS_MR * GSKS_MR]) {
-    assert!(xg.len() >= GSKS_MR * d && ys.len() >= GSKS_MR * d, "gsks_gram: operand under 8 x d");
-    let (x, y, o) = (xg.as_ptr(), ys.as_ptr(), out.as_mut_ptr());
-    // SAFETY: both operands hold 8 x d elements (asserted above) and `out`
-    // is one tile; a vector lane is only chosen where the CPU has its
-    // features.
+/// Panics if an operand is shorter than `8 * d`.
+pub fn gsks_gram(xg: [&[f64]; 2], ys: &[f64], d: usize, out: [&mut [f64; GSKS_MR * GSKS_MR]; 2]) {
+    let n = GSKS_MR * d;
+    assert!(xg.iter().chain([&ys]).all(|v| v.len() >= n), "gsks_gram: operand under 8 x d");
+    let [o0, o1] = out;
+    let (x0, x1, y, o0, o1) =
+        (xg[0].as_ptr(), xg[1].as_ptr(), ys.as_ptr(), o0.as_mut_ptr(), o1.as_mut_ptr());
+    // SAFETY: every operand holds 8 x d elements (asserted above) and each
+    // `out[g]` is one tile of its own; a vector lane is only chosen where
+    // the CPU has its features.
     unsafe {
         match lane() {
-            Lane::Portable => gsks_gram_portable(d, x, y, o),
+            Lane::Portable => gsks_gram_portable(d, x0, x1, y, o0, o1),
             #[cfg(target_arch = "x86_64")]
-            Lane::Avx2 => gsks_gram_avx2(d, x, y, o),
+            Lane::Avx2 => gsks_gram_avx2(d, x0, x1, y, o0, o1),
             #[cfg(target_arch = "x86_64")]
-            Lane::Avx512 => gsks_gram_avx512(d, x, y, o),
+            Lane::Avx512 => gsks_gram_avx512(d, x0, x1, y, o0, o1),
         }
     }
 }
@@ -871,42 +878,60 @@ widths! {
     dgemm_tile_portable = <Lanes, 1, 1>;
 }
 
-/// [`gsks_gram`] over [`V8`]: the 8 target rows in the lanes, one
-/// accumulator per source column, `NC` columns per pass, each coordinate
-/// of a source broadcast from where it lies — one FMA chain from zero per
-/// value. All 8 columns go in one pass in `zmm`; 4 per pass in `ymm`
-/// pairs, so the 16 registers hold them and the operands.
+/// [`gsks_gram`] over [`V8`]: two row groups of 8 targets in the lanes,
+/// one accumulator per group and source column, `NC` columns per pass,
+/// each coordinate of a source broadcast once from where it lies for both
+/// groups — one FMA chain from zero per value. In `zmm` all 8 columns go
+/// in one pass: a `16 x 8` tile, 16 accumulators, 2 target loads and 8
+/// broadcasts per 16 FMAs. In `ymm` pairs 2 per pass, so the 16 registers
+/// hold the accumulators and the operands.
 ///
 /// # Safety
-/// `V`'s CPU features; `NC` divides 8. `xg` and `ys` must hold `8 * d`
-/// readable elements, `out` 64 writable ones.
+/// `V`'s CPU features; `NC` divides 8. `x0`, `x1` and `ys` must hold
+/// `8 * d` readable elements, `o0` and `o1` 64 writable ones each (they
+/// may be the same tile only if `x0 == x1`).
 #[inline(always)]
 unsafe fn gsks_gram_v8<V: V8, const NC: usize>(
     d: usize,
-    xg: *const f64,
+    x0: *const f64,
+    x1: *const f64,
     ys: *const f64,
-    out: *mut f64,
+    o0: *mut f64,
+    o1: *mut f64,
 ) {
-    debug_assert!(!xg.is_null() && !ys.is_null() && !out.is_null());
+    debug_assert!(!x0.is_null() && !x1.is_null() && !ys.is_null());
+    debug_assert!(!o0.is_null() && !o1.is_null());
     for pass in 0..8 / NC {
-        let mut acc = [V::splat(0.0); NC];
+        let mut acc = [[V::splat(0.0); NC]; 2];
         for k in 0..d {
-            let x = V::load(xg.add(8 * k));
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a = x.fmadd(V::splat(*ys.add((NC * pass + j) * d + k)), *a);
+            let x = [V::load(x0.add(8 * k)), V::load(x1.add(8 * k))];
+            for j in 0..NC {
+                let y = V::splat(*ys.add((NC * pass + j) * d + k));
+                for (a, xv) in acc.iter_mut().zip(x) {
+                    a[j] = xv.fmadd(y, a[j]);
+                }
             }
         }
-        for (j, a) in acc.iter().enumerate() {
-            a.store(out.add(8 * (NC * pass + j)));
+        for (a, o) in acc.iter().zip([o0, o1]) {
+            for (j, v) in a.iter().enumerate() {
+                v.store(o.add(8 * (NC * pass + j)));
+            }
         }
     }
 }
 
 widths! {
-    fn gsks_gram_v8(d: usize, xg: *const f64, ys: *const f64, out: *mut f64);
+    fn gsks_gram_v8(
+        d: usize,
+        x0: *const f64,
+        x1: *const f64,
+        ys: *const f64,
+        o0: *mut f64,
+        o1: *mut f64,
+    );
     gsks_gram_avx512 = <Zmm, 8>;
-    gsks_gram_avx2 = <YmmPair, 4>;
-    gsks_gram_portable = <Lanes, 4>;
+    gsks_gram_avx2 = <YmmPair, 2>;
+    gsks_gram_portable = <Lanes, 2>;
 }
 
 /// [`gsks_contract_run`] over [`V8`] for `groups` (1 or 2) full
@@ -2352,41 +2377,57 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// One body of [`gsks_gram`] on one operand pair.
-    fn gram_body(body: &str, xg: &[f64], ys: &[f64], d: usize) -> [f64; 64] {
+    /// One body of [`gsks_gram`] on one pair of row groups: its two tiles.
+    fn gram_body(body: &str, xg: [&[f64]; 2], ys: &[f64], d: usize) -> [[f64; 64]; 2] {
         // Poisoned, so a value the body fails to write is seen.
-        let mut out = [f64::NAN; 64];
-        let (x, y, o) = (xg.as_ptr(), ys.as_ptr(), out.as_mut_ptr());
+        let mut out = [[f64::NAN; 64]; 2];
+        let [o0, o1] = &mut out;
+        let (x0, x1, y) = (xg[0].as_ptr(), xg[1].as_ptr(), ys.as_ptr());
+        let (p0, p1) = (o0.as_mut_ptr(), o1.as_mut_ptr());
         match body {
-            // SAFETY: both operands hold 8 x d elements.
-            "portable" => unsafe { gsks_gram_portable(d, x, y, o) },
-            "wrapper" => gsks_gram(xg, ys, d, &mut out),
+            // SAFETY: every operand holds 8 x d elements, the tiles are two.
+            "portable" => unsafe { gsks_gram_portable(d, x0, x1, y, p0, p1) },
+            "wrapper" => gsks_gram(xg, ys, d, [o0, o1]),
             // SAFETY: as for the portable body; `bodies` lists a vector
             // body only when the CPU supports it.
             #[cfg(target_arch = "x86_64")]
-            "avx2" => unsafe { gsks_gram_avx2(d, x, y, o) },
+            "avx2" => unsafe { gsks_gram_avx2(d, x0, x1, y, p0, p1) },
             // SAFETY: as for the AVX2 body.
             #[cfg(target_arch = "x86_64")]
-            "avx512" => unsafe { gsks_gram_avx512(d, x, y, o) },
-            other => panic!("unknown body {other} ({x:?}, {y:?}, {o:?})"),
+            "avx512" => unsafe { gsks_gram_avx512(d, x0, x1, y, p0, p1) },
+            other => panic!("unknown body {other} ({x0:?}, {y:?}, {p0:?})"),
         }
         out
     }
 
     #[test]
     fn gsks_gram_bodies_agree_bitwise() {
-        for d in 0..=70usize {
-            let xg = lcg_values(8 * d, d as u64 + 1);
+        for d in (0..=70usize).chain([130]) {
+            // Two row groups packed back to back, as a band packs them.
+            let xs = lcg_values(16 * d, d as u64 + 1);
+            let (x0, x1) = xs.split_at(8 * d);
             // The sources sit inside a wider window, as a point set's do.
             let window = lcg_values(8 * d + 3 * d + 5, d as u64 + 77);
             let ys = &window[2 * d + 1..];
-            // One fused chain from 0 per value, in ascending k.
-            let want: Vec<f64> = (0..64)
-                .map(|i| (0..d).fold(0.0, |s, k| xg[k * 8 + i % 8].mul_add(ys[i / 8 * d + k], s)))
-                .collect();
+            // One fused chain from 0 per value, in ascending k: the 8 x 8
+            // tile of one group.
+            let chain = |xg: &[f64]| -> Vec<u64> {
+                let tile: Vec<f64> = (0..64)
+                    .map(|i| {
+                        (0..d).fold(0.0, |s, k| xg[k * 8 + i % 8].mul_add(ys[i / 8 * d + k], s))
+                    })
+                    .collect();
+                bits(&tile)
+            };
+            let want = [chain(x0), chain(x1)];
             for body in bodies() {
-                let got = gram_body(body, &xg, ys, d);
-                assert_eq!(bits(&got), bits(&want), "{body} d={d}");
+                let [t0, t1] = gram_body(body, [x0, x1], ys, d);
+                assert_eq!(bits(&t0), want[0], "{body} d={d}: group 0");
+                assert_eq!(bits(&t1), want[1], "{body} d={d}: group 1");
+                // An odd last group, paired with itself.
+                let [t0, t1] = gram_body(body, [x1, x1], ys, d);
+                assert_eq!(bits(&t0), want[1], "{body} d={d}: self-pair, first");
+                assert_eq!(bits(&t1), want[1], "{body} d={d}: self-pair, second");
             }
         }
     }

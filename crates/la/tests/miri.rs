@@ -245,27 +245,34 @@ fn dist_filter_portable_body_stays_inside_its_buffers() {
 fn gsks_kernels_on_views_and_pooled_row_packs() {
     // Small integers throughout, so every product and partial sum is
     // exact and the portable lanes (Miri) and the vector bodies
-    // (elsewhere) both equal the naive sums. The sources are a window one point into
-    // a 10-point panel, as the engine reads a contiguous run in place.
+    // (elsewhere) both equal the naive sums. The sources are a window one
+    // point into a 10-point panel, as the engine reads a contiguous run in
+    // place, and every operand is exactly 8 x d elements, so a read past
+    // its end is outside it.
     let d = 3;
     let panel: Vec<f64> = (0..10 * d).map(|i| ((i * 5) % 7) as f64 - 3.0).collect();
-    let ys = &panel[d..];
-    let mut tile = [f64::NAN; 64];
+    let ys = &panel[d..9 * d];
+    let mut tiles = [[f64::NAN; 64]; 2];
     for round in 0..3 {
-        // The row pack comes from the pool the way the engine takes it;
-        // later rounds get the earlier rounds' buffer back.
-        let mut xg = workspace::take(8 * d);
+        // Two row groups' packs from the pool the way the engine takes
+        // them; later rounds get the earlier rounds' buffer back.
+        let mut xg = workspace::take(16 * d);
         for (i, x) in xg.iter_mut().enumerate() {
             *x = ((i + round) % 5) as f64 - 2.0;
         }
-        simd::gsks_gram(&xg, ys, d, &mut tile);
-        for c in 0..8 {
-            for r in 0..8 {
-                let want: f64 = (0..d).map(|k| xg[k * 8 + r] * ys[c * d + k]).sum();
-                assert_eq!(tile[c * 8 + r], want, "round {round}: ({r},{c})");
+        let (x0, x1) = xg.split_at(8 * d);
+        let [t0, t1] = &mut tiles;
+        simd::gsks_gram([x0, x1], ys, d, [t0, t1]);
+        for (g, (x, tile)) in [x0, x1].iter().zip(&tiles).enumerate() {
+            for c in 0..8 {
+                for r in 0..8 {
+                    let want: f64 = (0..d).map(|k| x[k * 8 + r] * ys[c * d + k]).sum();
+                    assert_eq!(tile[c * 8 + r], want, "round {round}: group {g} ({r},{c})");
+                }
             }
         }
     }
+    let tile = tiles[0];
 
     // One weight column: five live columns, a group of four and a padded one.
     let u = [1.0, -2.0, 0.5, 3.0, 2.0];

@@ -73,3 +73,33 @@ fn sharded_service_answers_bitwise_like_a_single_node_one() {
         }
     }
 }
+
+#[test]
+fn ragged_n_sharded_answers_like_a_single_node_one() {
+    // n = 1001 splits into shards of unequal rows at p = 2 and p = 4. A
+    // sharded service must still answer every byte as shards(1) does, or
+    // refuse with a typed error; it must never panic.
+    let n = 1001;
+    let nreq = 3;
+    let key = FactorKey::new("t-shard-ragged", n, 1.0, 0.5, 5);
+    let svc = start(1);
+    let reference: Vec<Vec<f64>> = (0..nreq)
+        .map(|r| svc.submit(key.clone(), rhs(n, r)).expect("submit").wait().expect("solve"))
+        .collect();
+    svc.shutdown();
+    for p in [2usize, 4] {
+        let svc = start(p);
+        for (r, want) in reference.iter().enumerate() {
+            let got =
+                svc.submit(key.clone(), rhs(n, r)).expect("submit").wait().expect("routed solve");
+            assert_eq!(&got, want, "p={p} request {r}: sharded answer must be bitwise identical");
+        }
+        let stats = svc.shutdown();
+        assert_eq!(stats.completed, nreq as u64);
+        assert_eq!(stats.errors, 0);
+        assert_eq!(stats.shard_fallbacks, 0, "complete factors must never fall back");
+        assert_eq!(stats.shards.len(), p, "one counter lane per shard");
+        let rows: u64 = stats.shards.iter().map(|lane| lane.rows_solved).sum();
+        assert_eq!(rows, stats.batches * n as u64, "the shards' rows cover n once per batch");
+    }
+}

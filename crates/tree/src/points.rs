@@ -1,16 +1,34 @@
 //! Point sets: the `d x N` coordinate matrix `X` of the paper.
 
 use kfds_la::blas1::dot;
+use std::sync::OnceLock;
 
 /// A set of `n` points in `d` dimensions, stored column-major (`d x n`):
 /// point `i` is the contiguous slice `data[i*d .. (i+1)*d]`.
 ///
 /// This is the layout the fused kernel summation wants — a kernel block
 /// evaluation streams whole points.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Two accessors give `‖x_i‖²`, each with its own chain of roundings:
+/// [`PointSet::sq_norms`] / [`PointSet::sq_norms_into`] that of
+/// [`kfds_la::blas1::dot`] (the distance tiles' GEMM identity), computed
+/// on every call; [`PointSet::cached_sq_norms`] one multiply-then-add
+/// chain from `0` (the fused kernel summation's source norms), computed
+/// at most once per set and kept until the set changes. Equality compares
+/// the coordinates only, never whether that cache is filled.
+#[derive(Clone, Debug)]
 pub struct PointSet {
     dim: usize,
     data: Vec<f64>,
+    /// [`PointSet::cached_sq_norms`], filled on first use; every `&mut
+    /// self` method empties it.
+    norms: OnceLock<Vec<f64>>,
+}
+
+impl PartialEq for PointSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.dim == other.dim && self.data == other.data
+    }
 }
 
 impl PointSet {
@@ -21,13 +39,13 @@ impl PointSet {
     pub fn from_col_major(dim: usize, data: Vec<f64>) -> Self {
         assert!(dim > 0, "dimension must be positive");
         assert_eq!(data.len() % dim, 0, "data length must be a multiple of dim");
-        PointSet { dim, data }
+        PointSet { dim, data, norms: OnceLock::new() }
     }
 
     /// An empty set with capacity for `n` points.
     pub fn with_capacity(dim: usize, n: usize) -> Self {
         assert!(dim > 0);
-        PointSet { dim, data: Vec::with_capacity(dim * n) }
+        PointSet { dim, data: Vec::with_capacity(dim * n), norms: OnceLock::new() }
     }
 
     /// Number of points.
@@ -54,9 +72,10 @@ impl PointSet {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Mutable coordinates of point `i`.
+    /// Mutable coordinates of point `i` (empties the norm cache).
     #[inline]
     pub fn point_mut(&mut self, i: usize) -> &mut [f64] {
+        self.norms.take();
         &mut self.data[i * self.dim..(i + 1) * self.dim]
     }
 
@@ -66,12 +85,13 @@ impl PointSet {
         &self.data
     }
 
-    /// Appends a point.
+    /// Appends a point (empties the norm cache).
     ///
     /// # Panics
     /// Panics if `p.len() != dim`.
     pub fn push(&mut self, p: &[f64]) {
         assert_eq!(p.len(), self.dim);
+        self.norms.take();
         self.data.extend_from_slice(p);
     }
 
@@ -81,8 +101,9 @@ impl PointSet {
         sq_dist(self.point(i), self.point(j))
     }
 
-    /// Squared Euclidean norms of every point (`‖x_i‖²`), used to turn
-    /// pairwise distances into a GEMM (`‖x−y‖² = ‖x‖²+‖y‖²−2xᵀy`).
+    /// Squared Euclidean norms of every point (`‖x_i‖²`, [`dot`]'s chain),
+    /// used to turn pairwise distances into a GEMM
+    /// (`‖x−y‖² = ‖x‖²+‖y‖²−2xᵀy`).
     pub fn sq_norms(&self) -> Vec<f64> {
         let mut out = vec![0.0; self.len()];
         self.sq_norms_into(&mut out);
@@ -100,6 +121,21 @@ impl PointSet {
         for (i, o) in out.iter_mut().enumerate() {
             *o = dot(self.point(i), self.point(i));
         }
+    }
+
+    /// `‖x_i‖²` of every point as one multiply-then-add chain from `0`
+    /// over the coordinates in order — bit for bit
+    /// `x.iter().fold(0.0, |s, &v| s + v * v)`, not [`dot`]'s chain — the
+    /// source norms of the fused kernel summation. Computed on the first
+    /// call (one caller computes, concurrent ones wait) and kept until a
+    /// `&mut self` method changes the set, so a solve that meets every
+    /// point once per tree level chains each norm once.
+    pub fn cached_sq_norms(&self) -> &[f64] {
+        self.norms.get_or_init(|| {
+            let mut out = vec![0.0; self.len()];
+            chain_sums(|i| self.point(i), |i| self.point(i), 0.0, |u, v| u * v, &mut out);
+            out
+        })
     }
 
     /// A new point set containing `idx`-selected points (with repetition
@@ -123,8 +159,10 @@ impl PointSet {
 
     /// Normalizes every coordinate to zero mean and unit variance in place
     /// (the preprocessing used for all datasets in the paper's Table II).
-    /// Coordinates with zero variance are left centered.
+    /// Coordinates with zero variance are left centered. Empties the norm
+    /// cache.
     pub fn normalize(&mut self) {
+        self.norms.take();
         let n = self.len();
         if n == 0 {
             return;
@@ -379,6 +417,20 @@ mod tests {
         let want: f64 = z[..2].iter().zip(&z[1..]).map(|(u, v)| u * v).sum();
         assert!(want.is_sign_negative());
         assert!(out.iter().all(|v| v.to_bits() == want.to_bits()), "{out:?} vs {want}");
+    }
+
+    #[test]
+    fn cached_norms_are_the_fold_chain() {
+        // Far from the origin and at d = 13 (a vector `dot` body and a
+        // tail), where `dot`'s chain and the fold's part; the cache must
+        // give the fold's bits. `kfds-kernels` tests that every `&mut`
+        // method empties it.
+        let p = cloud(29, 13, 3e3, 5);
+        let fold: Vec<u64> = (0..p.len())
+            .map(|i| p.point(i).iter().fold(0.0, |s, &v| s + v * v).to_bits())
+            .collect();
+        let cached: Vec<u64> = p.cached_sq_norms().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(cached, fold);
     }
 
     #[test]
