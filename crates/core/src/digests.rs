@@ -19,9 +19,9 @@
 //! found.
 //!
 //! The thread count was checked not to move a bit; the ci lane
-//! `RAYON_NUM_THREADS=1` holds the table on one thread. The nine registry
-//! names (`kfds_switches::ALL`) are read by nothing, and the ci lane sets
-//! them all to show that.
+//! `RAYON_NUM_THREADS=1` holds the table on one thread, and the
+//! `RAYON_NUM_THREADS=3` one on three. No `KFDS_*` variable is read by any
+//! crate, so none can move a row.
 //!
 //! The routes to a stored factor that share an assembly instead of
 //! building their own (`factorize_with_blocks`, `FactorTree::refactor`,

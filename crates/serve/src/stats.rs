@@ -1,13 +1,16 @@
-//! Lightweight service observability: lock-free counters and log₂-bucketed
+//! Lightweight service observability: lock-free counters and log-linear
 //! latency histograms, snapshotted into a [`ServeStats`] that renders as
 //! JSON.
 //!
 //! The recording side is all relaxed atomics — a counter bump and (for
 //! latencies) one bucket increment — so instrumentation does not perturb
-//! the solve hot path. Percentiles are estimated from the power-of-two
-//! bucket boundaries (geometric midpoint), which is accurate to ~±41% per
-//! bucket — plenty for p50/p99 dashboards, and the exact max is tracked
-//! alongside.
+//! the solve hot path. A latency histogram splits every power-of-two
+//! octave of microseconds into 8 equal sub-buckets (the values below 16 µs
+//! each get their own). A percentile reads the midpoint of its bucket. A
+//! bucket `[m·2^k, (m+1)·2^k)` with `m` in 8…15 puts that midpoint within
+//! `1/(2m)` of every value it holds: 6.25 % at the bottom of an octave,
+//! 3.3 % at the top, so p50, p90 and p99 stay apart. The exact max is
+//! tracked alongside and clamps them.
 
 use kfds_core::LevelStats;
 use kfds_rt::sync::{LockRank, RankedMutex};
@@ -15,15 +18,34 @@ use kfds_shard::ShardLane;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Number of log₂ latency buckets: bucket `i` covers `[2^i, 2^{i+1})` µs,
-/// so 40 buckets reach ~12.7 days.
-const LAT_BUCKETS: usize = 40;
+/// Sub-buckets per octave, as a power of two.
+const SUB_BITS: u32 = 3;
+
+/// Number of latency buckets: 8 sub-buckets for each octave up to
+/// `[2^39, 2^40)` µs (~12.7 days); longer latencies land in the last one.
+const LAT_BUCKETS: usize = 38 << SUB_BITS;
+
+/// Bucket of a latency of `us` microseconds: the octave's exponent in the
+/// high bits, the 3 bits below the leading one in the low bits. Below
+/// `2^(SUB_BITS + 1)` µs the bucket is the value itself.
+fn bucket_of(us: u64) -> usize {
+    let shift = us.max(1).ilog2().saturating_sub(SUB_BITS);
+    (((shift as usize) << SUB_BITS) + (us >> shift) as usize).min(LAT_BUCKETS - 1)
+}
+
+/// The smallest and largest latency (µs) bucket `i` holds.
+fn bucket_range(i: usize) -> (u64, u64) {
+    let shift = (i >> SUB_BITS).saturating_sub(1) as u32;
+    let lo = ((i - ((shift as usize) << SUB_BITS)) as u64) << shift;
+    (lo, lo + (1u64 << shift) - 1)
+}
 
 /// Largest exactly-tracked batch size; bigger batches land in the last
 /// bucket.
 pub const MAX_TRACKED_BATCH: usize = 128;
 
-/// A log₂-bucketed latency histogram (microsecond resolution).
+/// A log-linear latency histogram (microsecond resolution, 8 buckets an
+/// octave).
 pub(crate) struct LatencyHist {
     buckets: [AtomicU64; LAT_BUCKETS],
     count: AtomicU64,
@@ -45,15 +67,14 @@ impl Default for LatencyHist {
 impl LatencyHist {
     pub(crate) fn record(&self, d: Duration) {
         let us = d.as_micros().min(u128::from(u64::MAX)) as u64;
-        let idx = (us.max(1).ilog2() as usize).min(LAT_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add(us, Ordering::Relaxed);
         self.max_us.fetch_max(us, Ordering::Relaxed);
     }
 
-    /// Approximate quantile in microseconds (geometric bucket midpoint,
-    /// clamped by the exact maximum).
+    /// Approximate quantile in microseconds (bucket midpoint, clamped by
+    /// the exact maximum).
     fn quantile(&self, q: f64) -> f64 {
         let total = self.count.load(Ordering::Relaxed);
         if total == 0 {
@@ -64,8 +85,8 @@ impl LatencyHist {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
-                let lo = (1u64 << i) as f64;
-                let mid = lo * std::f64::consts::SQRT_2;
+                let (lo, hi) = bucket_range(i);
+                let mid = (lo + hi) as f64 / 2.0;
                 return mid.min(self.max_us.load(Ordering::Relaxed) as f64);
             }
         }
@@ -392,6 +413,35 @@ mod tests {
         assert!(q.p99_us <= q.max_us as f64);
         assert_eq!(q.max_us, 100_000);
         assert!(q.mean_us > 0.0);
+    }
+
+    #[test]
+    fn latency_buckets_tile_the_range() {
+        // Consecutive buckets hold consecutive values, 8 to an octave.
+        let mut next = 0;
+        for i in 0..LAT_BUCKETS {
+            let (lo, hi) = bucket_range(i);
+            assert_eq!(lo, next, "bucket {i}");
+            assert_eq!((bucket_of(lo), bucket_of(hi)), (i, i), "bucket {i}");
+            next = hi + 1;
+        }
+        assert_eq!(next, 1 << 40);
+        assert_eq!(bucket_of(u64::MAX), LAT_BUCKETS - 1);
+    }
+
+    #[test]
+    fn latency_quantiles_tell_p50_from_p99() {
+        let h = LatencyHist::default();
+        for us in 1..=1000u64 {
+            h.record(Duration::from_micros(us));
+        }
+        let q = h.snapshot();
+        // The exact order statistics of 1..=1000 µs at ranks 500, 900, 990.
+        for (got, exact) in [(q.p50_us, 500.0), (q.p90_us, 900.0), (q.p99_us, 990.0)] {
+            assert!((got - exact).abs() <= 0.05 * exact, "{got} is not within 5 % of {exact}");
+        }
+        assert!(q.p50_us < q.p90_us && q.p90_us < q.p99_us, "{q:?}");
+        assert_eq!(q.max_us, 1000);
     }
 
     #[test]

@@ -2,19 +2,13 @@
 //!
 //! * `lint` — **kfds-lint**: machine-checks the safety invariants
 //!   documented in `DESIGN.md` §7 over every `.rs` file in the repo
-//!   (SAFETY comments on `unsafe`, `KFDS_*` reads only through the
-//!   `kfds-switches` registry, allocation-free hot-path modules,
-//!   `debug_assert!` preconditions on public unsafe helpers, ranked
-//!   locks and panic-free non-test code in the concurrency crates,
-//!   pinned `#![forbid(unsafe_code)]` attributes), plus the repo-level
-//!   checks: README switch-table drift and registry switch coverage
-//!   (README row + ci.sh lane + test reference per switch). Exits
-//!   non-zero on any finding and prints a per-rule finding count that
-//!   `ci.sh` asserts on.
-//! * `switch-table [--check|--write]` — prints the runtime-switch table
-//!   generated from the `kfds-switches` registry; `--write` splices it
-//!   into `README.md` between the `<!-- switch-table:begin/end -->`
-//!   markers, `--check` verifies it is already there verbatim.
+//!   (SAFETY comments on `unsafe`, no `KFDS_*` environment reads,
+//!   allocation-free hot-path modules, `debug_assert!` preconditions on
+//!   public unsafe helpers, ranked locks and panic-free non-test code in
+//!   the concurrency crates, pinned `#![forbid(unsafe_code)]` attributes).
+//!   A rule that checked no file, or a path list entry that names no file
+//!   in the tree, is a finding too. Exits non-zero on any finding and
+//!   prints, per rule, its findings and the files it checked.
 
 #![forbid(unsafe_code)]
 
@@ -26,34 +20,10 @@ use std::process::ExitCode;
 
 use rules::Finding;
 
-const BEGIN_MARKER: &str = "<!-- switch-table:begin -->";
-const END_MARKER: &str = "<!-- switch-table:end -->";
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let root = repo_root();
     match args.first().map(String::as_str) {
-        Some("lint") => run_lint(&root),
-        Some("switch-table") => match args.get(1).map(String::as_str) {
-            None => {
-                print!("{}", kfds_switches::markdown_table());
-                ExitCode::SUCCESS
-            }
-            Some("--check") => match readme_table_findings(&root) {
-                findings if findings.is_empty() => {
-                    println!("README.md switch table matches the kfds-switches registry.");
-                    ExitCode::SUCCESS
-                }
-                findings => {
-                    for f in findings {
-                        eprintln!("{f}");
-                    }
-                    ExitCode::FAILURE
-                }
-            },
-            Some("--write") => write_readme_table(&root),
-            Some(other) => usage(&format!("unknown switch-table flag `{other}`")),
-        },
+        Some("lint") => run_lint(&repo_root()),
         Some(other) => usage(&format!("unknown command `{other}`")),
         None => usage("missing command"),
     }
@@ -64,10 +34,7 @@ fn usage(err: &str) -> ExitCode {
         "error: {err}\n\nusage: cargo run -p xtask -- <command>\n\
          \n\
          commands:\n\
-         \x20 lint                    run kfds-lint over the whole repo\n\
-         \x20 switch-table            print the generated runtime-switch table\n\
-         \x20 switch-table --check    verify the README.md table matches the registry\n\
-         \x20 switch-table --write    regenerate the README.md table in place"
+         \x20 lint    run kfds-lint over the whole repo"
     );
     ExitCode::FAILURE
 }
@@ -79,12 +46,14 @@ fn repo_root() -> PathBuf {
 }
 
 fn run_lint(root: &Path) -> ExitCode {
-    let findings = lint_repo(root);
-    // Per-rule counts, printed always, so `ci.sh` can assert that each
-    // rule family actually ran (a silently skipped rule reads as green).
-    let counts: String = rules::RULE_NAMES
+    let (findings, checked) = lint_repo(root);
+    let counts: String = rules::RULES
         .iter()
-        .map(|r| format!(" {r}={}", findings.iter().filter(|f| f.rule == *r).count()))
+        .zip(&checked)
+        .map(|(r, files)| {
+            let n = findings.iter().filter(|f| f.rule == r.name).count();
+            format!(" {}={n} ({files} files)", r.name)
+        })
         .collect();
     println!("kfds-lint rules:{counts}");
     if findings.is_empty() {
@@ -98,44 +67,34 @@ fn run_lint(root: &Path) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// All findings over every tracked `.rs` file, plus the repo-level
-/// checks: README switch-table drift and registry switch coverage
-/// (README row + ci.sh lane + test reference for every switch).
-fn lint_repo(root: &Path) -> Vec<Finding> {
+/// All findings over every tracked `.rs` file, the coverage findings
+/// among them, and the number of files each rule of [`rules::RULES`]
+/// checked.
+fn lint_repo(root: &Path) -> (Vec<Finding>, Vec<usize>) {
     let mut findings = Vec::new();
-    let mut tested_switches: Vec<&'static str> = Vec::new();
+    let mut scanned = Vec::new();
     for path in rust_files(root) {
         let rel = path
             .strip_prefix(root)
             .expect("walked paths live under root")
             .to_string_lossy()
             .replace('\\', "/");
-        let text = match std::fs::read_to_string(&path) {
-            Ok(t) => t,
-            Err(e) => {
-                findings.push(Finding {
-                    path: rel,
-                    line: 0,
-                    rule: "io",
-                    msg: format!("unreadable: {e}"),
-                });
-                continue;
-            }
-        };
-        let src = scan::scan_str(&rel, &text);
-        findings.extend(rules::check_source(&src));
-        for name in rules::test_switch_refs(&src) {
-            if !tested_switches.contains(&name) {
-                tested_switches.push(name);
-            }
+        match std::fs::read_to_string(&path) {
+            Ok(text) => findings.extend(rules::check_source(&scan::scan_str(&rel, &text))),
+            Err(e) => findings.push(Finding {
+                path: rel.clone(),
+                line: 0,
+                rule: "io",
+                msg: format!("unreadable: {e}"),
+            }),
         }
+        scanned.push(rel);
     }
-    findings.extend(readme_table_findings(root));
-    let readme = std::fs::read_to_string(root.join("README.md")).unwrap_or_default();
-    let ci = std::fs::read_to_string(root.join("ci.sh")).unwrap_or_default();
-    findings.extend(rules::rule_switch_coverage(&readme, &ci, &tested_switches));
+    findings.extend(rules::coverage_findings(&scanned));
     findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    findings
+    let checked =
+        rules::RULES.iter().map(|r| scanned.iter().filter(|p| (r.applies)(p)).count()).collect();
+    (findings, checked)
 }
 
 /// Every `.rs` file under `root`, skipping build output and VCS metadata.
@@ -165,85 +124,6 @@ fn rust_files(root: &Path) -> Vec<PathBuf> {
     out
 }
 
-/// Drift check: the table between the README markers must be exactly what
-/// the registry generates.
-fn readme_table_findings(root: &Path) -> Vec<Finding> {
-    let finding = |line: usize, msg: String| Finding {
-        path: "README.md".into(),
-        line,
-        rule: "switch-table",
-        msg,
-    };
-    let readme = match std::fs::read_to_string(root.join("README.md")) {
-        Ok(t) => t,
-        Err(e) => return vec![finding(0, format!("unreadable: {e}"))],
-    };
-    let Some((begin_line, current)) = extract_marked_region(&readme) else {
-        return vec![finding(
-            0,
-            format!(
-                "missing `{BEGIN_MARKER}` / `{END_MARKER}` markers around the runtime-switch table"
-            ),
-        )];
-    };
-    if current.trim() != kfds_switches::markdown_table().trim() {
-        return vec![finding(
-            begin_line,
-            "runtime-switch table is out of date with the kfds-switches registry — \
-             run `cargo run -p xtask -- switch-table --write`"
-                .into(),
-        )];
-    }
-    Vec::new()
-}
-
-/// Returns the begin-marker line (1-based) and the text strictly between
-/// the markers, or `None` if either marker is absent/misordered.
-fn extract_marked_region(readme: &str) -> Option<(usize, &str)> {
-    let begin = readme.find(BEGIN_MARKER)?;
-    let after_begin = begin + BEGIN_MARKER.len();
-    let end = readme[after_begin..].find(END_MARKER)? + after_begin;
-    let line = readme[..begin].lines().count() + 1;
-    Some((line, &readme[after_begin..end]))
-}
-
-fn write_readme_table(root: &Path) -> ExitCode {
-    let path = root.join("README.md");
-    let readme = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: cannot read README.md: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(begin) = readme.find(BEGIN_MARKER) else {
-        eprintln!("error: README.md is missing the `{BEGIN_MARKER}` marker");
-        return ExitCode::FAILURE;
-    };
-    let after_begin = begin + BEGIN_MARKER.len();
-    let Some(end_rel) = readme[after_begin..].find(END_MARKER) else {
-        eprintln!("error: README.md is missing the `{END_MARKER}` marker");
-        return ExitCode::FAILURE;
-    };
-    let end = after_begin + end_rel;
-    let updated = format!(
-        "{}\n\n{}\n{}",
-        &readme[..after_begin],
-        kfds_switches::markdown_table(),
-        &readme[end..]
-    );
-    if updated == readme {
-        println!("README.md switch table already up to date.");
-        return ExitCode::SUCCESS;
-    }
-    if let Err(e) = std::fs::write(&path, updated) {
-        eprintln!("error: cannot write README.md: {e}");
-        return ExitCode::FAILURE;
-    }
-    println!("README.md switch table regenerated from the kfds-switches registry.");
-    ExitCode::SUCCESS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,10 +132,12 @@ mod tests {
     /// keeps `cargo test` and `cargo run -p xtask -- lint` in agreement,
     /// and (together with the fixture tests in `rules`) the guarantee
     /// that reintroducing an uncommented `unsafe` or a raw
-    /// `env::var("KFDS_…")` read fails CI.
+    /// `env::var("KFDS_…")` read fails CI. Its coverage findings make it
+    /// fail, too, when a rule stops checking any file, or a listed path
+    /// no longer names one.
     #[test]
     fn repo_tree_lints_clean() {
-        let findings = lint_repo(&repo_root());
+        let (findings, _) = lint_repo(&repo_root());
         assert!(
             findings.is_empty(),
             "kfds-lint findings in the committed tree:\n{}",
@@ -268,14 +150,5 @@ mod tests {
         let files = rust_files(&repo_root());
         assert!(files.iter().any(|p| p.ends_with("crates/xtask/src/main.rs")));
         assert!(files.iter().all(|p| !p.components().any(|c| c.as_os_str() == "target")));
-    }
-
-    #[test]
-    fn marked_region_extraction() {
-        let text = "intro\n<!-- switch-table:begin -->\nOLD\n<!-- switch-table:end -->\ntail\n";
-        let (line, region) = extract_marked_region(text).unwrap();
-        assert_eq!(line, 2);
-        assert_eq!(region.trim(), "OLD");
-        assert!(extract_marked_region("no markers here").is_none());
     }
 }

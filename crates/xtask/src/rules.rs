@@ -7,11 +7,10 @@
 //! * **unsafe-safety** — every `unsafe` block, `unsafe fn`, and
 //!   `unsafe impl` carries a `// SAFETY:` justification (items may use a
 //!   `/// # Safety` doc section instead), adjacent above or on the line.
-//! * **env-registry** — `KFDS_*` environment variables are read only
-//!   through the `kfds-switches` registry; raw `env::var("KFDS_…")` /
-//!   `var_os` / `env!` / `option_env!` reads anywhere else are rejected.
-//!   (Writes — `set_var` in tests — are fine; the registry is the single
-//!   source of truth for *reads*.)
+//! * **env-registry** — no crate reads a `KFDS_*` variable: a
+//!   `var("KFDS_…")` / `var_os` / `env!` / `option_env!` read of a
+//!   `KFDS_*` literal is a finding in every file. (Writes — `set_var` in
+//!   tests — are fine.)
 //! * **hot-path-alloc** — modules on the [`HOT_PATH_MODULES`] list (the
 //!   allocation-free kernels that take scratch from
 //!   `kfds_la::workspace`) must not call `Vec::new`, `vec![…]`, or
@@ -34,9 +33,10 @@
 //!   `// PANIC-OK:` justification (same adjacency mechanism as SAFETY).
 //! * **forbid-unsafe** — crate roots on the [`FORBID_UNSAFE_ROOTS`]
 //!   list keep their `#![forbid(unsafe_code)]` attribute.
-//! * **switch-coverage** — every switch in the `kfds-switches` registry
-//!   has a README table row, a `ci.sh` lane, and a test referencing it
-//!   (checked repo-wide from `lint_repo`).
+//!
+//! [`coverage_findings`] keeps the rules honest about what they checked:
+//! a rule that ran over no file, or a path list entry that names no
+//! scanned file, is a finding too.
 
 use crate::scan::{Source, Tok, Token};
 use kfds_rt::sync::{LockRank, FIELD_RANKS};
@@ -54,10 +54,6 @@ pub const HOT_PATH_MODULES: &[&str] = &[
     "crates/core/src/solve.rs",
     "crates/core/src/reduced.rs",
 ];
-
-/// Files allowed to read `KFDS_*` environment variables directly: the
-/// registry itself.
-pub const ENV_REGISTRY_PREFIX: &str = "crates/switches/";
 
 /// Path prefix whose public unsafe helpers must declare executable
 /// preconditions.
@@ -89,18 +85,43 @@ pub const FORBID_UNSAFE_ROOTS: &[&str] = &[
     "src/lib.rs",
 ];
 
-/// Every rule name `check_source`/`lint_repo` can emit, in report order —
-/// `run_lint` prints a per-rule count so CI can assert each family ran.
-pub const RULE_NAMES: &[&str] = &[
-    "unsafe-safety",
-    "env-registry",
-    "hot-path-alloc",
-    "unsafe-preconditions",
-    "lock-discipline",
-    "panic-path",
-    "forbid-unsafe",
-    "switch-coverage",
-    "switch-table",
+/// One rule: its name, which files it checks, and its body.
+pub struct Rule {
+    pub name: &'static str,
+    /// Does the rule check the file at this repo-relative path?
+    pub applies: fn(&str) -> bool,
+    pub check: fn(&Source) -> Vec<Finding>,
+}
+
+fn in_concurrency_crate(path: &str) -> bool {
+    CONCURRENCY_PREFIXES.iter().any(|p| path.starts_with(p))
+}
+
+/// Every rule, in report order.
+pub const RULES: &[Rule] = &[
+    Rule { name: "unsafe-safety", applies: |_| true, check: rule_unsafe_safety },
+    Rule { name: "env-registry", applies: |_| true, check: rule_env_registry },
+    Rule {
+        name: "hot-path-alloc",
+        applies: |p| HOT_PATH_MODULES.contains(&p),
+        check: rule_hot_path_alloc,
+    },
+    Rule {
+        name: "unsafe-preconditions",
+        applies: |p| p.starts_with(UNSAFE_PRECONDITION_PREFIX),
+        check: rule_unsafe_preconditions,
+    },
+    Rule {
+        name: "lock-discipline",
+        applies: |p| in_concurrency_crate(p) && p != LOCK_WRAPPER_IMPL,
+        check: rule_lock_discipline,
+    },
+    Rule { name: "panic-path", applies: in_concurrency_crate, check: rule_panic_path },
+    Rule {
+        name: "forbid-unsafe",
+        applies: |p| FORBID_UNSAFE_ROOTS.contains(&p),
+        check: rule_forbid_unsafe,
+    },
 ];
 
 /// One lint violation.
@@ -118,27 +139,43 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Runs every rule that applies to `src` (path-scoped rules check
-/// `src.path` themselves).
+/// Runs every rule that applies to `src`.
 pub fn check_source(src: &Source) -> Vec<Finding> {
-    let mut out = rule_unsafe_safety(src);
-    if !src.path.starts_with(ENV_REGISTRY_PREFIX) {
-        out.extend(rule_env_registry(src));
-    }
-    if HOT_PATH_MODULES.contains(&src.path.as_str()) {
-        out.extend(rule_hot_path_alloc(src));
-    }
-    if src.path.starts_with(UNSAFE_PRECONDITION_PREFIX) {
-        out.extend(rule_unsafe_preconditions(src));
-    }
-    if CONCURRENCY_PREFIXES.iter().any(|p| src.path.starts_with(p)) {
-        out.extend(rule_panic_path(src));
-        if src.path != LOCK_WRAPPER_IMPL {
-            out.extend(rule_lock_discipline(src));
+    RULES.iter().filter(|r| (r.applies)(&src.path)).flat_map(|r| (r.check)(src)).collect()
+}
+
+/// Findings for what the rules did not check: a rule that applied to none
+/// of the `scanned` paths, and an entry of [`HOT_PATH_MODULES`],
+/// [`FORBID_UNSAFE_ROOTS`] or [`LOCK_WRAPPER_IMPL`] that names none of them
+/// (a renamed file its rule would silently stop checking).
+pub fn coverage_findings(scanned: &[String]) -> Vec<Finding> {
+    let mut out = Vec::new();
+    for rule in RULES {
+        if !scanned.iter().any(|p| (rule.applies)(p)) {
+            out.push(Finding {
+                path: "crates/xtask/src/rules.rs".into(),
+                line: 0,
+                rule: rule.name,
+                msg: "the rule checked no file".into(),
+            });
         }
     }
-    if FORBID_UNSAFE_ROOTS.contains(&src.path.as_str()) {
-        out.extend(rule_forbid_unsafe(src));
+    let lists: [(&'static str, &str, &[&str]); 3] = [
+        ("hot-path-alloc", "HOT_PATH_MODULES", HOT_PATH_MODULES),
+        ("forbid-unsafe", "FORBID_UNSAFE_ROOTS", FORBID_UNSAFE_ROOTS),
+        ("lock-discipline", "LOCK_WRAPPER_IMPL", &[LOCK_WRAPPER_IMPL]),
+    ];
+    for (rule, list, entries) in lists {
+        for entry in entries {
+            if !scanned.iter().any(|p| p == entry) {
+                out.push(Finding {
+                    path: (*entry).into(),
+                    line: 0,
+                    rule,
+                    msg: format!("{list} names a file that is not in the tree"),
+                });
+            }
+        }
     }
     out
 }
@@ -217,8 +254,8 @@ pub fn rule_unsafe_safety(src: &Source) -> Vec<Finding> {
     out
 }
 
-/// **env-registry**: no raw reads of `KFDS_*` environment variables
-/// outside `kfds-switches`.
+/// **env-registry**: no read of a `KFDS_*` environment variable, in any
+/// file.
 pub fn rule_env_registry(src: &Source) -> Vec<Finding> {
     let mut out = Vec::new();
     for (i, t) in src.tokens.iter().enumerate() {
@@ -238,10 +275,7 @@ pub fn rule_env_registry(src: &Source) -> Vec<Finding> {
                 path: src.path.clone(),
                 line: t.line,
                 rule: "env-registry",
-                msg: format!(
-                    "raw environment read of \"{s}\" — route it through the \
-                     kfds-switches registry (the single source of truth for KFDS_* switches)"
-                ),
+                msg: format!("environment read of \"{s}\": no crate reads a `KFDS_*` variable"),
             });
         }
     }
@@ -662,77 +696,6 @@ pub fn rule_forbid_unsafe(src: &Source) -> Vec<Finding> {
     }]
 }
 
-/// Registry switch names referenced from test code in `src`: the whole
-/// file when it lives under a `tests/` directory, otherwise only tokens
-/// inside `#[cfg(test)]` modules. Both identifiers (`KFDS_SIMD.is_off()`)
-/// and string literals (`set_var("KFDS_SIMD", …)`) count. xtask itself is
-/// excluded — its lint fixtures mention switch names without testing them.
-pub fn test_switch_refs(src: &Source) -> Vec<&'static str> {
-    if src.path.starts_with("crates/xtask/") {
-        return Vec::new();
-    }
-    let whole_file = src.path.contains("/tests/");
-    let regions = if whole_file { Vec::new() } else { test_mod_regions(&src.tokens) };
-    let in_test = |i: usize| whole_file || regions.iter().any(|&(s, e)| i >= s && i < e);
-    let mut out = Vec::new();
-    for (i, t) in src.tokens.iter().enumerate() {
-        if !in_test(i) {
-            continue;
-        }
-        let text = match &t.kind {
-            Tok::Ident(s) => s.as_str(),
-            Tok::Str(s) => s.as_str(),
-            Tok::Punct(_) => continue,
-        };
-        for sw in kfds_switches::ALL {
-            if text.contains(sw.name) && !out.contains(&sw.name) {
-                out.push(sw.name);
-            }
-        }
-    }
-    out
-}
-
-/// **switch-coverage**: every switch in the `kfds-switches` registry must
-/// be (1) documented in the README switch table, (2) exercised by a
-/// `ci.sh` lane, and (3) referenced by at least one test. Called from
-/// `lint_repo`, which supplies the README/ci.sh texts and the union of
-/// [`test_switch_refs`] over every scanned file.
-pub fn rule_switch_coverage(readme: &str, ci: &str, tested: &[&str]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for sw in kfds_switches::ALL {
-        let name = sw.name;
-        if !readme.contains(&format!("`{name}`")) {
-            out.push(Finding {
-                path: "README.md".into(),
-                line: 0,
-                rule: "switch-coverage",
-                msg: format!("`{name}` has no row in the runtime-switch table"),
-            });
-        }
-        if !ci.contains(name) {
-            out.push(Finding {
-                path: "ci.sh".into(),
-                line: 0,
-                rule: "switch-coverage",
-                msg: format!("`{name}` is not exercised by any ci.sh lane"),
-            });
-        }
-        if !tested.contains(&name) {
-            out.push(Finding {
-                path: "crates/switches/src/lib.rs".into(),
-                line: 0,
-                rule: "switch-coverage",
-                msg: format!(
-                    "`{name}` is not referenced by any test (neither a tests/ file nor a \
-                     #[cfg(test)] module mentions it)"
-                ),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -801,7 +764,7 @@ mod tests {
     #[test]
     fn raw_kfds_env_read_fails() {
         // The acceptance criterion: adding a raw env::var("KFDS_X") to any
-        // non-registry file is a finding.
+        // file is a finding.
         let src = "fn f() -> bool { std::env::var(\"KFDS_X\").is_ok() }\n";
         let f = lint("crates/x/src/a.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
@@ -816,8 +779,17 @@ mod tests {
     }
 
     #[test]
+    fn literal_read_in_the_switches_crate_fails() {
+        // No file is exempt: the retired-name list reads through
+        // `var_os(self.name)`, never a `KFDS_*` literal.
+        let src = "fn f() { let _ = std::env::var_os(\"KFDS_X\"); }\n";
+        let f = lint("crates/switches/src/lib.rs", src);
+        assert!(f.iter().any(|f| f.rule == "env-registry"), "{f:?}");
+    }
+
+    #[test]
     fn registry_file_and_test_set_var_are_allowed() {
-        let read = "pub fn raw(&self) -> Option<OsString> { std::env::var_os(self.name) }\n";
+        let read = "pub fn is_off(&self) -> bool { std::env::var_os(self.name).is_some() }\n";
         // (filtering forbid-unsafe: the fixture is a snippet, not the
         // whole crate root, so the attribute is legitimately absent)
         let f = lint("crates/switches/src/lib.rs", read);
@@ -1030,53 +1002,49 @@ mod tests {
         );
     }
 
-    // --- switch-coverage -------------------------------------------------
+    // --- coverage --------------------------------------------------------
 
-    #[test]
-    fn switch_coverage_requires_all_three_legs() {
-        // Full coverage: every registry switch appears everywhere.
-        let readme: String =
-            kfds_switches::ALL.iter().map(|s| format!("| `{}` | row |\n", s.name)).collect();
-        let ci: String =
-            kfds_switches::ALL.iter().map(|s| format!("{}=off lane\n", s.name)).collect();
-        let tested: Vec<&str> = kfds_switches::ALL.iter().map(|s| s.name).collect();
-        assert!(rule_switch_coverage(&readme, &ci, &tested).is_empty());
-
-        // Drop one switch from each leg: exactly three findings, one per
-        // missing leg, all for that switch.
-        let victim = kfds_switches::ALL[0].name;
-        let readme2: String =
-            kfds_switches::ALL[1..].iter().map(|s| format!("| `{}` | row |\n", s.name)).collect();
-        let ci2: String =
-            kfds_switches::ALL[1..].iter().map(|s| format!("{}=off lane\n", s.name)).collect();
-        let tested2: Vec<&str> = kfds_switches::ALL[1..].iter().map(|s| s.name).collect();
-        let f = rule_switch_coverage(&readme2, &ci2, &tested2);
-        assert_eq!(f.len(), 3, "{f:?}");
-        assert!(f.iter().all(|f| f.rule == "switch-coverage" && f.msg.contains(victim)), "{f:?}");
+    /// Every path the rules' lists name, plus one file in a concurrency
+    /// crate other than the lock wrapper.
+    fn listed_paths() -> Vec<String> {
+        HOT_PATH_MODULES
+            .iter()
+            .chain(FORBID_UNSAFE_ROOTS)
+            .chain(&[LOCK_WRAPPER_IMPL, "crates/serve/src/service.rs"])
+            .map(|p| p.to_string())
+            .collect()
     }
 
     #[test]
-    fn test_switch_refs_sees_tests_and_skips_xtask_fixtures() {
-        let t = scan_str(
-            "crates/la/tests/simd_equiv.rs",
-            "fn t() { std::env::set_var(\"KFDS_SIMD\", \"off\"); }\n",
+    fn every_rule_checks_a_file_of_the_listed_paths() {
+        let f = coverage_findings(&listed_paths());
+        assert!(f.is_empty(), "{f:?}");
+    }
+
+    #[test]
+    fn renamed_hot_path_module_is_a_finding() {
+        let mut scanned = listed_paths();
+        scanned.retain(|p| p != "crates/core/src/reduced.rs");
+        scanned.push("crates/core/src/reduced_system.rs".into());
+        let f = coverage_findings(&scanned);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(
+            (f[0].rule, f[0].path.as_str()),
+            ("hot-path-alloc", "crates/core/src/reduced.rs")
         );
-        assert_eq!(test_switch_refs(&t), vec!["KFDS_SIMD"]);
-        // Non-test code referencing a switch does not count…
-        let s =
-            scan_str("crates/la/src/simd.rs", "fn f() { kfds_switches::KFDS_SIMD.is_off(); }\n");
-        assert!(test_switch_refs(&s).is_empty());
-        // …but a #[cfg(test)] module in src does.
-        let m = scan_str(
-            "crates/la/src/simd.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t() { kfds_switches::KFDS_SIMD.is_off(); }\n}\n",
-        );
-        assert_eq!(test_switch_refs(&m), vec!["KFDS_SIMD"]);
-        // xtask's own fixtures never count as test coverage.
-        let x = scan_str(
-            "crates/xtask/src/rules.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t() { let _ = \"KFDS_SIMD\"; }\n}\n",
-        );
-        assert!(test_switch_refs(&x).is_empty());
+    }
+
+    #[test]
+    fn a_rule_that_checked_no_file_is_a_finding() {
+        // Without the lock wrapper and the serve file, no file is in a
+        // concurrency crate: lock-discipline and panic-path ran over
+        // nothing, and the wrapper's entry names no scanned file.
+        let scanned: Vec<String> =
+            listed_paths().into_iter().filter(|p| !in_concurrency_crate(p)).collect();
+        let f = coverage_findings(&scanned);
+        let rules: Vec<&str> =
+            f.iter().filter(|f| f.msg == "the rule checked no file").map(|f| f.rule).collect();
+        assert_eq!(rules, ["lock-discipline", "panic-path"], "{f:?}");
+        assert!(f.iter().any(|f| f.path == LOCK_WRAPPER_IMPL), "{f:?}");
     }
 }
