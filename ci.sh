@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate: the host's vector flags (which kernel bodies the vector
 # lane runs), then format, clippy, rustdoc, kfds-lint, release build, the
-# eight examples, the workspace tests, the golden digests on one rayon
+# eight examples, one small Table IV run (its schemes must agree), the
+# workspace tests, the golden digests on one rayon
 # thread (the rayon shim's tests too) and on three (odd row-group counts
 # per GSKS band), the benchmark package's own tests, and the kfds-serve
 # smoke runs. The golden digests run the vector and the portable lanes in
@@ -112,6 +113,13 @@ if [[ $fast -eq 0 ]]; then
       exit 1
     fi
   done
+
+  step "table4_single_node --scale 0.25 (release; the schemes must agree)"
+  # The one bench bin run here. N = 4096 is the smallest scale whose
+  # L = 3 frontier nodes have children, so the stored and GSKS rows apply
+  # V below the frontier and the derived re-evaluated-GEMM row times the
+  # two-pass reference there; the bin asserts the schemes agree.
+  cargo run -q --release -p kfds-bench --bin table4_single_node -- --scale 0.25
 fi
 
 step "cargo test (workspace)"

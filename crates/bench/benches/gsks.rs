@@ -22,6 +22,13 @@
 //! cargo bench -p kfds-bench --bench gsks -- solver_shapes
 //! cargo bench -p kfds-bench --bench gsks -- contract_shapes
 //! ```
+//!
+//! An A/B of two builds runs one group alone, alternating the builds, under
+//! `RAYON_NUM_THREADS=1`. At the pool's default width `solver_shapes` is
+//! not fit for one: on a 2-vCPU host, pair ratios of its n ≤ 1024 rows
+//! between two builds spread 0.23–2.6, and one build read a row 713 then
+//! 286 µs minutes apart. On one thread most rows agree within 10–20 %
+//! over three alternations; a few n = 1024 rows still move up to 1.7×.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kfds_kernels::{

@@ -1,5 +1,11 @@
-//! Criterion benchmarks: the solve phase under the three storage modes
+//! Criterion benchmarks: the solve phase under the two storage modes
 //! (Table IV's measurement core at micro scale).
+//!
+//! An A/B of two builds runs the one group alone, alternating the builds,
+//! under `RAYON_NUM_THREADS=1`: at the pool's default width the GSKS
+//! bench's `solver_shapes` rows, the summations these solves run, spread
+//! 0.23–2.6 in pair ratio between two builds on a 2-vCPU host (see
+//! `benches/gsks.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kfds_askit::{skeletonize, SkelConfig};
@@ -23,11 +29,9 @@ fn bench_solve(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("solve_2K");
     group.sample_size(20);
-    for (mode, label) in [
-        (StorageMode::StoredGemv, "stored_gemv"),
-        (StorageMode::RecomputeGemm, "recompute_gemm"),
-        (StorageMode::Gsks, "gsks_fused"),
-    ] {
+    for (mode, label) in
+        [(StorageMode::StoredGemv, "stored_gemv"), (StorageMode::Gsks, "gsks_fused")]
+    {
         let cfg = SolverConfig::default().with_lambda(1.0).with_storage(mode);
         let ft = factorize(&st, &kernel, cfg).expect("factorize");
         group.bench_with_input(BenchmarkId::new("solve", label), &mode, |bch, _| {

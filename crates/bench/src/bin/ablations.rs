@@ -28,37 +28,6 @@ fn main() {
     adaptive_vs_fixed(scale);
     level_sweep(scale);
     storage_crossover(scale);
-    split_rule(scale);
-}
-
-/// Ablation 5 — the partitioner's split rule drives off-diagonal ranks.
-fn split_rule(scale: f64) {
-    use kfds_tree::{BallTree, SplitRule};
-    let n = (8192.0 * scale) as usize;
-    println!("# Ablation 5 — split rule (N = {n}, anisotropic 3-in-16-D data)\n");
-    header(&["rule", "total skeleton", "approx err", "T_f (s)"]);
-    let points = normal_embedded(n, 3, 16, 0.05, 51);
-    let kernel = kfds_kernels::Gaussian::new(2.0);
-    for (rule, label) in [
-        (SplitRule::FarthestPair, "farthest-pair (ball)"),
-        (SplitRule::MaxSpreadAxis, "max-spread axis (KD)"),
-    ] {
-        let tree = BallTree::build_with_rule(&points, 128, rule);
-        let st = kfds_askit::skeletonize(
-            tree,
-            &kernel,
-            kfds_askit::SkelConfig::default().with_tol(1e-4).with_max_rank(96).with_neighbors(16),
-        );
-        let err = kfds_askit::approx_error_estimate(&st, &kernel, 1);
-        let (_, t_f) = timed(|| factorize(&st, &kernel, SolverConfig::default()).expect("f"));
-        row(&[
-            label.into(),
-            st.total_skeleton_size().to_string(),
-            format!("{err:.1e}"),
-            format!("{t_f:.2}"),
-        ]);
-    }
-    println!();
 }
 
 fn telescoping(scale: f64) {
@@ -148,14 +117,14 @@ fn level_sweep(scale: f64) {
 fn storage_crossover(scale: f64) {
     let n = (4096.0 * scale) as usize;
     println!("# Ablation 4 — storage-mode solve time vs dimension (N = {n})\n");
-    header(&["d", "stored GEMV (s)", "recompute GEMM (s)", "GSKS (s)", "stored MiB"]);
+    header(&["d", "stored GEMV (s)", "GSKS (s)", "stored MiB"]);
     for d in [4usize, 16, 64, 128] {
         let points = normal_embedded(n, 4.min(d), d, 0.05, 41);
         let (st, kernel, _) = build_skeleton_tree(&points, (d as f64).sqrt(), 128, 0.0, 64, 1);
         let b = test_vec(n, 7);
         let mut cells = vec![d.to_string()];
         let mut stored_mib = 0.0;
-        for mode in [StorageMode::StoredGemv, StorageMode::RecomputeGemm, StorageMode::Gsks] {
+        for mode in [StorageMode::StoredGemv, StorageMode::Gsks] {
             let cfg = SolverConfig::default().with_lambda(1.0).with_storage(mode);
             let ft = factorize(&st, &kernel, cfg).expect("factorize");
             if mode == StorageMode::StoredGemv {
@@ -174,6 +143,5 @@ fn storage_crossover(scale: f64) {
         row(&cells);
     }
     println!("\n# shape: stored GEMV is fastest but pays O(sN log N) memory; GSKS tracks it");
-    println!("# within a small factor at small d and is matrix-free; recompute-GEMM pays");
-    println!("# the O(mn) block materialization every solve.");
+    println!("# within a small factor at small d and is matrix-free.");
 }

@@ -1,15 +1,16 @@
 //! Solver configuration and factorization diagnostics.
 
 /// How the `V` kernel blocks (`K_{l̃ r}`, `K_{r̃ l}`) are applied during
-/// factorization and solves — the three schemes of Table IV (§II-D).
+/// factorization and solves — the stored and the fused scheme of Table IV
+/// (§II-D). Table IV's third scheme, re-evaluating each block with the
+/// two-pass GEMM pipeline, is not offered: it lost to or tied with the
+/// fused pass on every measured shape. [`kfds_kernels::sum_reference_multi`]
+/// keeps it as a reference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StorageMode {
     /// Precompute and store every `K_{l̃ r}` block; solves use GEMV.
     /// Fastest solve, `O(sN log N)` memory.
     StoredGemv,
-    /// Re-evaluate blocks on demand with the two-pass GEMM pipeline.
-    /// `O(sN)` transient memory, slow (the full block is materialized).
-    RecomputeGemm,
     /// Matrix-free fused summation (GSKS): `O(1)` extra storage, within a
     /// small factor of the stored-GEMV solve time.
     Gsks,
@@ -105,7 +106,7 @@ pub struct FactorStats {
     /// memory actually held.
     pub stored_bytes: usize,
     /// Bytes of stored `V` blocks read from an assembly shared with the
-    /// caller; 0 for a fresh `factorize` and the matrix-free modes.
+    /// caller; 0 for a fresh `factorize` and the matrix-free mode.
     /// `stored_bytes + shared_bytes` is what a solve reads, the same
     /// number however the tree was built.
     pub shared_bytes: usize,

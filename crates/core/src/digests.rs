@@ -9,7 +9,7 @@
 //! digest sees only from outside: skeleton indices and `proj`, every `P̂`,
 //! and the factorization's accounting.
 //!
-//! One table of 17 rows, [`GOLDEN`], binds in both lanes on every host:
+//! One table of 15 rows, [`GOLDEN`], binds in both lanes on every host:
 //! with the vector kernels on (any host with AVX2+FMA, AVX-512F or not:
 //! every AVX-512 body gives the bits of the AVX2 body beside it, and the
 //! skinny GEMM path the packed path's) and with them off, where the
@@ -52,16 +52,15 @@ const NRHS: usize = 8;
 /// [`tables`] and [`normal64d_rows`] produce them. The `knn/normal64d`,
 /// `skeleton/normal64d` and `factor/normal64d/Gsks` rows are those
 /// recorded on an AVX-512 host (the first two at commit 74324e4, the third
-/// at the commit after ce90b77). The other 14 are the bits commit 36f196a
+/// at the commit after ce90b77). The other 12 are the bits commit 36f196a
 /// gives on an AVX-512 host with its AVX-512-only skinny GEMM path
 /// switched off, which is the packed path's arithmetic that the skinny
 /// path now gives too; an AVX2-only host gives them with `dgemv_t` reduced
 /// in one order, and the portable lanes with every vector chain run in
 /// portable code.
-const GOLDEN: [(&str, u64); 17] = [
+const GOLDEN: [(&str, u64); 15] = [
     // The blocked solves.
     ("direct/StoredGemv", 0xcfaafa80d7edbd4a),
-    ("direct/RecomputeGemm", 0xcfaafa80d7edbd4a),
     ("direct/Gsks", 0x5de962f7d1d903a8),
     ("hybrid/L2", 0xfa12993f0f19be24),
     ("partition/p4", 0x5de962f7d1d903a8),
@@ -69,7 +68,6 @@ const GOLDEN: [(&str, u64); 17] = [
     // factor, ragged tolerance-driven ranks).
     ("skeleton/normal", 0x33bfbba59df9ebb1),
     ("factor/StoredGemv", 0x5701ef6f675046fe),
-    ("factor/RecomputeGemm", 0x8184e8430c359d5a),
     ("factor/Gsks", 0xf758374a1e031447),
     ("factor/partial-L2", 0xbec7141a75b663dc),
     ("skeleton/covtype", 0xa7a41cf782a82188),
@@ -260,14 +258,14 @@ fn normal64d_rows() -> Rows {
     ]
 }
 
-/// The first 13 rows of the tables: the solves, then the skeletons and
+/// The first 11 rows of the tables: the solves, then the skeletons and
 /// factors, each group in table order.
 fn tables() -> (Rows, Rows) {
     let base = SolverConfig::default().with_lambda(0.5);
     let (mut solves, mut setup) = (Rows::new(), Rows::new());
     let (st, kernel) = fixture(1);
     setup.push(("skeleton/normal".to_string(), skeleton_digest(&st)));
-    for storage in [StorageMode::StoredGemv, StorageMode::RecomputeGemm, StorageMode::Gsks] {
+    for storage in [StorageMode::StoredGemv, StorageMode::Gsks] {
         let ft = factorize(&st, &kernel, base.with_storage(storage)).expect("factorize");
         solves.push(direct_digest(&format!("direct/{storage:?}"), &ft));
         setup.push((format!("factor/{storage:?}"), factor_digest(&ft)));

@@ -40,7 +40,7 @@ use crate::error::SolverError;
 use crate::reduced::ReducedLu;
 use kfds_askit::SkeletonTree;
 use kfds_kernels::flops;
-use kfds_kernels::{eval_symmetric, sum_fused_multi, sum_reference_multi, Kernel};
+use kfds_kernels::{eval_symmetric, sum_fused_multi, Kernel};
 use kfds_la::{gemm, workspace, Lu, Mat, Trans};
 use kfds_tree::BallTree;
 use rayon::prelude::*;
@@ -92,7 +92,7 @@ pub struct FactorTree<'a, K: Kernel> {
     pub(crate) stats: FactorStats,
     /// The λ-independent kernel blocks this tree was factorized over:
     /// `Some` for every [`StorageMode::StoredGemv`] tree (they hold its
-    /// `V` blocks), `None` for the matrix-free modes.
+    /// `V` blocks), `None` for the matrix-free mode.
     pub(crate) blocks: Option<Arc<AssembledBlocks>>,
 }
 
@@ -403,48 +403,24 @@ pub(crate) fn build_reduced_system<K: Kernel>(
     let mut cost = NodeCost { min_pivot: f64::INFINITY, ..Default::default() };
 
     // B_l = K_{l̃ r} P̂_{rr̃} (s_l x s_r) and B_r = K_{r̃ l} P̂_{ll̃}.
-    // Pooled: all three storage modes fully overwrite both blocks
-    // (beta = 0 GEMM / `sum_*_multi` overwrite their output).
+    // Pooled: both storage modes fully overwrite both blocks (beta = 0
+    // GEMM / `sum_fused_multi` overwrite their output).
     let mut b_l = workspace::take_mat_detached(sl, sr);
     let mut b_r = workspace::take_mat_detached(sr, sl);
-    match config.storage {
-        StorageMode::StoredGemv => {
-            let (klr, krl) = blocks.expect("a stored factorization has an assembly").coupling(node);
-            gemm(1.0, klr.rb(), Trans::No, p_hat_r.rb(), Trans::No, 0.0, b_l.rb_mut());
-            gemm(1.0, krl.rb(), Trans::No, p_hat_l.rb(), Trans::No, 0.0, b_r.rb_mut());
-            cost.flops += flops::gemm_flops(sl, sr, nr) + flops::gemm_flops(sr, sl, nl);
-        }
-        storage => {
-            // The matrix-free engines take explicit column lists; build
-            // them in pooled index scratch (one per node per factorize).
-            let mut r_cols = workspace::take_idx(nr);
-            r_cols.extend(tree.node(r).range());
-            let mut l_cols = workspace::take_idx(nl);
-            l_cols.extend(tree.node(l).range());
-            if storage == StorageMode::RecomputeGemm {
-                sum_reference_multi(
-                    kernel,
-                    pts,
-                    &skl.skeleton,
-                    &r_cols,
-                    p_hat_r.rb(),
-                    b_l.rb_mut(),
-                );
-                sum_reference_multi(
-                    kernel,
-                    pts,
-                    &skr.skeleton,
-                    &l_cols,
-                    p_hat_l.rb(),
-                    b_r.rb_mut(),
-                );
-            } else {
-                sum_fused_multi(kernel, pts, &skl.skeleton, &r_cols, p_hat_r.rb(), b_l.rb_mut());
-                sum_fused_multi(kernel, pts, &skr.skeleton, &l_cols, p_hat_l.rb(), b_r.rb_mut());
-            }
-        }
-    }
-    if !matches!(config.storage, StorageMode::StoredGemv) {
+    if config.storage == StorageMode::StoredGemv {
+        let (klr, krl) = blocks.expect("a stored factorization has an assembly").coupling(node);
+        gemm(1.0, klr.rb(), Trans::No, p_hat_r.rb(), Trans::No, 0.0, b_l.rb_mut());
+        gemm(1.0, krl.rb(), Trans::No, p_hat_l.rb(), Trans::No, 0.0, b_r.rb_mut());
+        cost.flops += flops::gemm_flops(sl, sr, nr) + flops::gemm_flops(sr, sl, nl);
+    } else {
+        // The fused engine takes explicit column lists; build them in
+        // pooled index scratch (one per node per factorize).
+        let mut r_cols = workspace::take_idx(nr);
+        r_cols.extend(tree.node(r).range());
+        let mut l_cols = workspace::take_idx(nl);
+        l_cols.extend(tree.node(l).range());
+        sum_fused_multi(kernel, pts, &skl.skeleton, &r_cols, p_hat_r.rb(), b_l.rb_mut());
+        sum_fused_multi(kernel, pts, &skr.skeleton, &l_cols, p_hat_l.rb(), b_r.rb_mut());
         // One kernel-block evaluation each, plus the multi-RHS reduction.
         cost.flops += flops::summation_flops(sl, nr, d, kernel.flops_per_eval())
             + flops::summation_flops(sr, nl, d, kernel.flops_per_eval())

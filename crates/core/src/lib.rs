@@ -11,8 +11,8 @@
 //! * [`factorize_baseline`] — the `O(N log² N)` INV-ASKIT scheme (\[36\])
 //!   producing identical factors, for the Table III comparison;
 //! * [`FactorTree::solve_in_place`] — Algorithm II.3, `O(sN log N)` per
-//!   right-hand side, with three `V`-block schemes (stored GEMV,
-//!   recomputed GEMM, fused GSKS — Table IV);
+//!   right-hand side, with two `V`-block schemes (stored GEMV, fused
+//!   GSKS — Table IV);
 //! * [`HybridSolver`] — Algorithms II.6–II.8: partial factorization up to
 //!   the skeletonization frontier plus the reduced `2^L s` system (§II-C),
 //!   solved by GMRES (assembled or matrix-free) or, as Table V's direct

@@ -3,8 +3,8 @@
 //! `K̃_αα^{-1} U = (I − W_α Z_α^{-1} V_α) D_α^{-1} U`: recurse into the
 //! children (the `D^{-1}` application), then apply the
 //! Sherman–Morrison–Woodbury correction through the reduced system. The
-//! `V` product runs in the configured storage mode (stored GEMM /
-//! recomputed GEMM / fused GSKS — Table IV). The stored blocks are the
+//! `V` product runs in the configured storage mode (stored GEMM or
+//! fused GSKS — Table IV). The stored blocks are the
 //! coupling blocks of the factor's [`AssembledBlocks`], read in place:
 //! any number of λ-factors over one assembly solve against the same
 //! `K_{l̃r}` / `K_{r̃l}` memory.
@@ -32,7 +32,7 @@ use crate::config::{SolverConfig, StorageMode};
 use crate::error::SolverError;
 use crate::factor::{FactorTree, NodeFactors};
 use kfds_askit::SkeletonTree;
-use kfds_kernels::{sum_fused_multi, sum_reference_multi, Kernel};
+use kfds_kernels::{sum_fused_multi, Kernel};
 use kfds_la::{gemm, workspace, Mat, MatMut, Trans};
 
 /// Borrowed solve context: a skeleton tree plus (possibly in-progress)
@@ -176,35 +176,25 @@ impl<K: Kernel> SolveCtx<'_, K> {
         {
             let (ytop, ybot) = y.rb_mut().split_at_row(sl);
             let (ul, ur) = (ul.rb(), ur.rb());
-            match self.config.storage {
-                StorageMode::StoredGemv => {
-                    let (v_lr, v_rl) =
-                        self.blocks.expect("a stored factor has an assembly").coupling(node);
-                    rayon::join(
-                        || gemm(1.0, v_lr.rb(), Trans::No, ur, Trans::No, 0.0, ytop),
-                        || gemm(1.0, v_rl.rb(), Trans::No, ul, Trans::No, 0.0, ybot),
-                    );
-                }
-                storage => {
-                    // The matrix-free engines take explicit column lists;
-                    // build them in pooled index scratch.
-                    let mut rc = workspace::take_idx(ur.nrows());
-                    rc.extend(tree.node(r).range());
-                    let mut lc = workspace::take_idx(ul.nrows());
-                    lc.extend(tree.node(l).range());
-                    let (k, pts) = (self.kernel, tree.points());
-                    if storage == StorageMode::RecomputeGemm {
-                        rayon::join(
-                            || sum_reference_multi(k, pts, &skl.skeleton, &rc, ur, ytop),
-                            || sum_reference_multi(k, pts, &skr.skeleton, &lc, ul, ybot),
-                        );
-                    } else {
-                        rayon::join(
-                            || sum_fused_multi(k, pts, &skl.skeleton, &rc, ur, ytop),
-                            || sum_fused_multi(k, pts, &skr.skeleton, &lc, ul, ybot),
-                        );
-                    }
-                }
+            if self.config.storage == StorageMode::StoredGemv {
+                let (v_lr, v_rl) =
+                    self.blocks.expect("a stored factor has an assembly").coupling(node);
+                rayon::join(
+                    || gemm(1.0, v_lr.rb(), Trans::No, ur, Trans::No, 0.0, ytop),
+                    || gemm(1.0, v_rl.rb(), Trans::No, ul, Trans::No, 0.0, ybot),
+                );
+            } else {
+                // The fused engine takes explicit column lists; build them
+                // in pooled index scratch.
+                let mut rc = workspace::take_idx(ur.nrows());
+                rc.extend(tree.node(r).range());
+                let mut lc = workspace::take_idx(ul.nrows());
+                lc.extend(tree.node(l).range());
+                let (k, pts) = (self.kernel, tree.points());
+                rayon::join(
+                    || sum_fused_multi(k, pts, &skl.skeleton, &rc, ur, ytop),
+                    || sum_fused_multi(k, pts, &skr.skeleton, &lc, ul, ybot),
+                );
             }
         }
         // Z^{-1} Y by block elimination, in place (see `crate::reduced`).

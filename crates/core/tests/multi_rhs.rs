@@ -376,7 +376,7 @@ fn single_rhs_direct_solve_is_column_zero_of_the_one_column_block() {
     let n = 1024;
     let (st, kernel) = fixture(n, 1);
     let b = rhs_matrix(n);
-    for storage in [StorageMode::StoredGemv, StorageMode::RecomputeGemm, StorageMode::Gsks] {
+    for storage in [StorageMode::StoredGemv, StorageMode::Gsks] {
         let cfg = SolverConfig::default().with_lambda(0.5).with_storage(storage);
         let ft = factorize(&st, &kernel, cfg).expect("factorize");
         let mut single = b.col(1).to_vec();

@@ -404,19 +404,37 @@ mod tests {
 
     #[test]
     fn fused_multi_matches_reference_multi() {
-        let (m, n, d, nrhs) = (19, 23, 5, 6);
-        let p = pts(m + n, d, 77);
-        let rows: Vec<usize> = (0..m).collect();
-        let cols: Vec<usize> = (m..m + n).collect();
-        let u = Mat::from_fn(n, nrhs, |i, j| ((i * 5 + j) as f64 * 0.23).cos());
-        let k = Laplacian::new(1.1);
-        let mut w1 = Mat::zeros(m, nrhs);
-        let mut w2 = Mat::zeros(m, nrhs);
-        sum_reference_multi(&k, &p, &rows, &cols, u.rb(), w1.rb_mut());
-        sum_fused_multi(&k, &p, &rows, &cols, u.rb(), w2.rb_mut());
-        for t in 0..nrhs {
-            for i in 0..m {
-                assert!((w1[(i, t)] - w2[(i, t)]).abs() < 1e-11);
+        // The fused pass against the two-pass reference: one small
+        // Laplacian case, then the Gaussian at the solver's shapes — the
+        // `d` of the workloads, skeleton ranks `s` as rows, about a leaf's
+        // worth of ragged columns, and one or `s` right-hand sides (a
+        // solve's `K_{l̃r} U_r`, a factorization's `K_{l̃r} P̂_r`). The two
+        // sum each output in different orders; they must agree to
+        // `‖W_fused − W_ref‖_F ≤ 1e-13 ‖W_ref‖_F`.
+        const REL: f64 = 1e-13;
+        fn check<K: Kernel>(k: &K, m: usize, n: usize, d: usize, nrhs: usize) {
+            let p = pts(m + n, d, (77 + m + n + d + nrhs) as u64);
+            let rows: Vec<usize> = (0..m).collect();
+            let cols: Vec<usize> = (m..m + n).collect();
+            let u = Mat::from_fn(n, nrhs, |i, j| ((i * 5 + j) as f64 * 0.23).cos());
+            let mut w1 = Mat::zeros(m, nrhs);
+            let mut w2 = Mat::zeros(m, nrhs);
+            sum_reference_multi(k, &p, &rows, &cols, u.rb(), w1.rb_mut());
+            sum_fused_multi(k, &p, &rows, &cols, u.rb(), w2.rb_mut());
+            let (w1, w2) = (w1.as_slice(), w2.as_slice());
+            let diff = w1.iter().zip(w2).map(|(a, b)| (a - b) * (a - b)).sum::<f64>().sqrt();
+            let norm = w1.iter().map(|v| v * v).sum::<f64>().sqrt();
+            assert!(diff <= REL * norm, "{m} x {n}, d = {d}, nrhs = {nrhs}: {:.2e}", diff / norm);
+        }
+        check(&Laplacian::new(1.1), 19, 23, 5, 6);
+        for d in [16, 54, 64] {
+            let k = Gaussian::new(0.5 * (d as f64).sqrt());
+            for s in [64, 256] {
+                for n in [129, 255] {
+                    for nrhs in [1, s] {
+                        check(&k, s, n, d, nrhs);
+                    }
+                }
             }
         }
     }

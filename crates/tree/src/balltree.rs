@@ -26,19 +26,6 @@ use kfds_la::workspace;
 use rayon::join;
 use rayon::prelude::*;
 
-/// The hyperplane direction used to split a node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SplitRule {
-    /// Project onto the direction between two (approximately) farthest
-    /// points — the ball-tree rule of the paper (Omohundro \[26\]).
-    #[default]
-    FarthestPair,
-    /// Split along the coordinate axis of maximum spread (KD-tree style).
-    /// Cheaper per level; typically yields slightly larger skeleton ranks
-    /// for anisotropic data (see the `ablations` bench).
-    MaxSpreadAxis,
-}
-
 /// A node of the ball tree.
 #[derive(Clone, Debug)]
 pub struct Node {
@@ -112,15 +99,6 @@ impl BallTree {
     /// Panics if `points` is empty, `m == 0`, or a coordinate is NaN or
     /// infinite (the message names the first such point's index).
     pub fn build(points: &PointSet, m: usize) -> Self {
-        Self::build_with_rule(points, m, SplitRule::FarthestPair)
-    }
-
-    /// Builds a tree with an explicit [`SplitRule`].
-    ///
-    /// # Panics
-    /// Panics if `points` is empty, `m == 0`, or a coordinate is NaN or
-    /// infinite (the message names the first such point's index).
-    pub fn build_with_rule(points: &PointSet, m: usize, rule: SplitRule) -> Self {
         assert!(m > 0, "leaf size must be positive");
         let n = points.len();
         assert!(n > 0, "cannot build a tree over zero points");
@@ -130,7 +108,7 @@ impl BallTree {
 
         let mut idx: Vec<usize> = (0..n).collect();
         // Recursively split, collecting nodes in a preorder list.
-        let builder = Builder { points, leaf_size: m, rule };
+        let builder = Builder { points, leaf_size: m };
         let tree_box = builder.split(&mut idx);
         let mut nodes = Vec::new();
         flatten(*tree_box, 0, None, &mut nodes);
@@ -236,7 +214,6 @@ impl BallTree {
 struct Builder<'a> {
     points: &'a PointSet,
     leaf_size: usize,
-    rule: SplitRule,
 }
 
 /// Intermediate boxed tree used during recursive construction.
@@ -263,9 +240,6 @@ impl Builder<'_> {
         let radius = keys.iter().copied().fold(0.0f64, f64::max).sqrt();
         if count <= self.leaf_size {
             return Box::new(BoxNode { count, center, radius, children: None });
-        }
-        if self.rule == SplitRule::MaxSpreadAxis {
-            return self.split_axis(idx, count, center, radius);
         }
         // Splitting direction: approximate diameter by a double sweep —
         // farthest point p1 from the centroid, then farthest point p2 from
@@ -314,44 +288,6 @@ impl Builder<'_> {
         } else {
             run(idx, keys);
         }
-    }
-
-    /// KD-style split: median along the coordinate of maximum spread.
-    fn split_axis(
-        &self,
-        idx: &mut [usize],
-        count: usize,
-        center: Vec<f64>,
-        radius: f64,
-    ) -> Box<BoxNode> {
-        let d = self.points.dim();
-        let mut best_axis = 0;
-        let mut best_spread = -1.0;
-        for axis in 0..d {
-            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
-            for &i in idx.iter() {
-                let v = self.points.point(i)[axis];
-                lo = lo.min(v);
-                hi = hi.max(v);
-            }
-            if hi - lo > best_spread {
-                best_spread = hi - lo;
-                best_axis = axis;
-            }
-        }
-        let half = count / 2;
-        idx.select_nth_unstable_by(half, |&a, &b| {
-            self.points.point(a)[best_axis]
-                .partial_cmp(&self.points.point(b)[best_axis])
-                .expect("NaN coordinate")
-        });
-        let (left_idx, right_idx) = idx.split_at_mut(half);
-        let (l, r) = if count > PARALLEL_SPLIT {
-            join(|| self.split(left_idx), || self.split(right_idx))
-        } else {
-            (self.split(left_idx), self.split(right_idx))
-        };
-        Box::new(BoxNode { count, center, radius, children: Some((l, r)) })
     }
 
     /// The coordinate-wise mean of the points `idx`, summed in their
@@ -548,41 +484,6 @@ mod tests {
     }
 
     #[test]
-    fn axis_split_rule_invariants() {
-        let p = grid_points(300, 4);
-        let t = BallTree::build_with_rule(&p, 16, SplitRule::MaxSpreadAxis);
-        let mut seen = vec![false; 300];
-        for &o in t.perm() {
-            assert!(!seen[o]);
-            seen[o] = true;
-        }
-        for nd in t.nodes() {
-            if let Some((l, r)) = nd.children {
-                assert_eq!(t.node(l).end, t.node(r).begin);
-                assert!((t.node(l).len() as isize - t.node(r).len() as isize).abs() <= 1);
-            } else {
-                assert!(nd.len() <= 16);
-            }
-            for k in nd.range() {
-                let d = sq_dist(t.points().point(k), &nd.center).sqrt();
-                assert!(d <= nd.radius + 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn axis_split_separates_dominant_axis() {
-        // Points spread along x only: the first split must separate x.
-        let data: Vec<f64> = (0..100).flat_map(|i| [i as f64, 0.0]).collect();
-        let p = PointSet::from_col_major(2, data);
-        let t = BallTree::build_with_rule(&p, 10, SplitRule::MaxSpreadAxis);
-        let (l, r) = t.node(0).children.expect("root split");
-        let max_left = t.node(l).range().map(|k| t.points().point(k)[0]).fold(f64::MIN, f64::max);
-        let min_right = t.node(r).range().map(|k| t.points().point(k)[0]).fold(f64::MAX, f64::min);
-        assert!(max_left <= min_right);
-    }
-
-    #[test]
     fn permute_unpermute_roundtrip() {
         let p = grid_points(64, 3);
         let t = BallTree::build(&p, 8);
@@ -671,7 +572,7 @@ mod tests {
                 ];
                 for (s, p) in sets.iter().enumerate() {
                     let t = BallTree::build(p, 16);
-                    let b = Builder { points: p, leaf_size: 16, rule: SplitRule::FarthestPair };
+                    let b = Builder { points: p, leaf_size: 16 };
                     let mut idx: Vec<usize> = (0..n).collect();
                     let mut nodes = Vec::new();
                     flatten(*split_by_comparators(&b, &mut idx), 0, None, &mut nodes);

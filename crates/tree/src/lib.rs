@@ -15,7 +15,7 @@ pub mod dist_tiles;
 pub mod neighbors;
 pub mod points;
 
-pub use balltree::{BallTree, Node, SplitRule};
+pub use balltree::{BallTree, Node};
 pub use dist_tiles::blocked_tile_count;
 pub use neighbors::{
     knn_all, knn_approximate, knn_approximate_brute_force, knn_brute_force, knn_recall,
