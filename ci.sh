@@ -170,15 +170,15 @@ if [[ $miri -eq 1 ]]; then
 fi
 
 if [[ $tsan -eq 1 ]]; then
-  step "tsan lane (kfds-rt + kfds-shard + kfds-serve under ThreadSanitizer)"
-  # Race-checks the channel runtime, the shard router's scatter/gather
-  # data plane, and the serve queue/cache/shutdown paths; the loom stress
-  # tests give the detector real interleavings to observe. Needs
+  step "tsan lane (kfds-rt + kfds-serve under ThreadSanitizer)"
+  # Race-checks the channel runtime and the serve queue/cache/shutdown
+  # paths; the loom stress tests give the detector real interleavings to
+  # observe. Needs
   # -Zbuild-std, hence nightly + the rust-src component.
   if nightly_has rust-src; then
     RUSTFLAGS="-Zsanitizer=thread" \
       cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
-      -p kfds-rt -p kfds-shard -p kfds-serve
+      -p kfds-rt -p kfds-serve
   else
     echo "WARNING: skipping TSan lane — 'rust-src' component not installed on the"
     echo "         nightly toolchain (rustup component add --toolchain nightly rust-src)."
@@ -197,12 +197,11 @@ step "kfds-serve smoke (single-node, then sharded)"
 # Stands up the batched solve service under closed-loop load and asserts a
 # clean run: zero errors, every request answered, cache hit rate > 0, and
 # exactly one λ-free setup build across the λ-only key spread (the
-# two-level cache contract). The --shards 2 lane routes every batch
-# through the shard tier and additionally asserts the routed answer is
-# bitwise-identical to the unsharded blocked solve plus what each shard
-# lane did: one request per batch, zero errors, zero fallbacks, and
-# rows_solved equal to the shard's row count times the right-hand sides
-# answered.
+# two-level cache contract). The --shards 2 lane solves every batch as two
+# rank-owned subtree shards and additionally asserts the answer is
+# bitwise-identical to the unsharded blocked solve, zero fallbacks, and
+# each shard lane's rows_solved equal to the shard's row count times the
+# right-hand sides answered.
 if [[ $fast -eq 0 ]]; then
   cargo run -q --release -p kfds-serve --bin kfds-serve -- --smoke --n 1024 --keys 2 --clients 8 --requests 64
   cargo run -q --release -p kfds-serve --bin kfds-serve -- --smoke --shards 2 --n 1024 --keys 2 --clients 8 --requests 64

@@ -19,11 +19,13 @@
 use crate::config::SolverConfig;
 use crate::error::SolverError;
 use crate::factor::{factor_z, factorize_impl, telescope_m, FactorTree, NodeCost};
+use crate::partition::{rank_owned_cut, Cut};
 use crate::reduced::ReducedLu;
 use kfds_askit::SkeletonTree;
 use kfds_kernels::{sum_fused, sum_fused_multi, Kernel};
 use kfds_la::{gemm, workspace, Mat, MatMut, Trans};
 use kfds_rt::{Comm, World};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Message tags for the distributed factorization/solve.
@@ -58,10 +60,6 @@ struct DistLevel {
 
 /// Everything one rank holds after the distributed factorization.
 struct RankState<'a, K: Kernel> {
-    /// Tree node (at level `log₂ p`) whose subtree this rank owns.
-    subtree_root: usize,
-    /// Owned point range (permuted positions).
-    range: std::ops::Range<usize>,
     /// Local factorization of the owned subtree.
     local: FactorTree<'a, K>,
     /// Distributed levels, deepest first (root last).
@@ -71,7 +69,8 @@ struct RankState<'a, K: Kernel> {
 /// A distributed factorization of `λI + K̃` across `p` simulated ranks.
 pub struct DistSolver<'a, K: Kernel> {
     st: &'a SkeletonTree,
-    p: usize,
+    /// Rank `r` owns the subtree `cut.roots[r]`, rows `cut.ranges[r]`.
+    cut: Cut,
     ranks: Vec<RankState<'a, K>>,
     factor_seconds: f64,
 }
@@ -79,8 +78,9 @@ pub struct DistSolver<'a, K: Kernel> {
 /// Runs the distributed factorization (Algorithm II.4).
 ///
 /// Requirements: `p` is a power of two and the tree is complete down to
-/// level `log₂ p` (every level-`log₂ p` node exists), with a fully
-/// skeletonized tree (no level restriction).
+/// level `log₂ p` (every level-`log₂ p` node exists), with every node at
+/// levels `1..=log₂ p` skeletonized — the rank-owned cut
+/// [`PartitionedFactor`](crate::PartitionedFactor) checks too.
 ///
 /// # Errors
 /// Returns [`SolverError::Partition`] if `p` is not a power of two or the
@@ -94,37 +94,17 @@ pub fn dist_factorize<'a, K: Kernel>(
     config: SolverConfig,
     p: usize,
 ) -> Result<DistSolver<'a, K>, SolverError> {
-    if !p.is_power_of_two() {
-        return Err(SolverError::Partition {
-            reason: format!("rank count {p} is not a power of two"),
-        });
-    }
-    let tree = st.tree();
-    let lp = p.trailing_zeros() as usize;
-    let level_nodes = tree.nodes_at_level(lp);
-    if level_nodes.len() != p {
-        return Err(SolverError::Partition {
-            reason: format!(
-                "tree has {} node(s) at level {lp}, need exactly {p} rank-owned subtrees",
-                level_nodes.len()
-            ),
-        });
-    }
-    for l in 1..=lp {
-        if let Some(&node) = tree.nodes_at_level(l).iter().find(|&&v| st.skeleton(v).is_none()) {
-            return Err(SolverError::NotSkeletonized { node });
-        }
-    }
+    let cut = rank_owned_cut(st, p)?;
     let t0 = Instant::now();
     let results: Vec<Result<RankState<'a, K>, SolverError>> = World::run(p, |comm: Comm| {
-        let my_node = tree.nodes_at_level(lp)[comm.rank()];
-        dist_factor_rank(st, kernel, &config, comm, my_node, lp)
+        let rank = comm.rank();
+        dist_factor_rank(st, kernel, &config, comm, cut.roots[rank], &cut.ranges[rank], cut.level)
     });
     let mut ranks = Vec::with_capacity(p);
     for r in results {
         ranks.push(r?);
     }
-    Ok(DistSolver { st, p, ranks, factor_seconds: t0.elapsed().as_secs_f64() })
+    Ok(DistSolver { st, cut, ranks, factor_seconds: t0.elapsed().as_secs_f64() })
 }
 
 fn dist_factor_rank<'a, K: Kernel>(
@@ -133,6 +113,7 @@ fn dist_factor_rank<'a, K: Kernel>(
     config: &SolverConfig,
     world: Comm,
     my_node: usize,
+    my_range: &Range<usize>,
     lp: usize,
 ) -> Result<RankState<'a, K>, SolverError> {
     let tree = st.tree();
@@ -164,11 +145,10 @@ fn dist_factor_rank<'a, K: Kernel>(
     // The rank's P̂ slice for its current child node, carried upward.
     // With p = 1 there are no distributed levels (and the root has no
     // skeleton/P̂): the local factorization is the whole factorization.
-    let my_range = tree.node(my_node).range();
     if lp == 0 {
-        return Ok(RankState { subtree_root: my_node, range: my_range, local, levels: Vec::new() });
+        return Ok(RankState { local, levels: Vec::new() });
     }
-    // Level lp >= 1 here, and `dist_factorize` checked it for skeletons.
+    // Level lp >= 1 here, and the cut checked it for skeletons.
     let mut phat_child: Mat = local.factors()[my_node].p_hat().clone();
     let mut levels = Vec::with_capacity(lp);
 
@@ -186,7 +166,7 @@ fn dist_factor_rank<'a, K: Kernel>(
         let mut skel_l: Vec<usize>;
         let mut skel_r: Vec<usize>;
         if me == 0 {
-            // `dist_factorize` checked every node of levels 1..=lp for a skeleton.
+            // The cut checked every node of levels 1..=lp for a skeleton.
             skel_l = st.skeleton(lc).expect("child skeleton").skeleton.clone();
             parent_comm.send_usize(q / 2, tag::SKEL_EXCHANGE, &skel_l);
             skel_r = parent_comm.recv_usize(q / 2, tag::SKEL_EXCHANGE);
@@ -292,13 +272,13 @@ fn dist_factor_rank<'a, K: Kernel>(
         }
     }
 
-    Ok(RankState { subtree_root: my_node, range: my_range, local, levels })
+    Ok(RankState { local, levels })
 }
 
 impl<K: Kernel> DistSolver<'_, K> {
     /// Number of simulated ranks.
     pub fn ranks(&self) -> usize {
-        self.p
+        self.cut.roots.len()
     }
 
     /// Wall-clock seconds of the distributed factorization.
@@ -315,11 +295,12 @@ impl<K: Kernel> DistSolver<'_, K> {
         let n = self.st.tree().points().len();
         assert_eq!(b.len(), n, "dist solve: rhs length mismatch");
         let slices: Vec<Vec<f64>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(self.p);
-            for rs in &self.ranks {
-                let mut u = b[rs.range.clone()].to_vec();
+            let mut handles = Vec::with_capacity(self.ranks.len());
+            for ((rs, &root), range) in self.ranks.iter().zip(&self.cut.roots).zip(&self.cut.ranges)
+            {
+                let mut u = b[range.clone()].to_vec();
                 handles.push(scope.spawn(move || {
-                    dist_solve_rank(rs, &mut u);
+                    dist_solve_rank(rs, root, range, &mut u);
                     u
                 }));
             }
@@ -335,15 +316,20 @@ impl<K: Kernel> DistSolver<'_, K> {
 
 /// Algorithm II.5 for one rank: local solve, then corrections through the
 /// distributed levels (deepest first).
-fn dist_solve_rank<K: Kernel>(rs: &RankState<'_, K>, u: &mut [f64]) {
+fn dist_solve_rank<K: Kernel>(
+    rs: &RankState<'_, K>,
+    root: usize,
+    range: &Range<usize>,
+    u: &mut [f64],
+) {
     let st = rs.local.skeleton_tree();
     let tree = st.tree();
     let pts = tree.points();
     let kernel = rs.local.kernel();
     // Local D^{-1} on the owned subtree.
-    rs.local.ctx().solve_node(rs.subtree_root, MatMut::from_col(u));
+    rs.local.ctx().solve_node(root, MatMut::from_col(u));
 
-    let own_cols: Vec<usize> = rs.range.clone().collect();
+    let own_cols: Vec<usize> = range.clone().collect();
     for lvl in &rs.levels {
         let q = lvl.parent_comm.size();
         let me = lvl.parent_comm.rank();

@@ -4,13 +4,16 @@
 use crate::config::{SolverConfig, StorageMode};
 use crate::{
     dist_factorize, estimate_condition, factorize, factorize_baseline, HybridSolver, KernelRidge,
+    PartitionedFactor, SharedFactor,
 };
 use kfds_askit::{hier_matvec, skeletonize, SkelConfig, SkeletonTree};
 use kfds_kernels::{eval_symmetric, Gaussian};
 use kfds_krylov::GmresOptions;
 use kfds_la::blas1::nrm2;
+use kfds_la::{workspace, Mat};
 use kfds_tree::datasets::{normal_embedded, two_class_annulus};
 use kfds_tree::{BallTree, PointSet};
+use std::sync::Arc;
 
 fn rel_err(a: &[f64], b: &[f64]) -> f64 {
     let mut num = 0.0;
@@ -275,19 +278,45 @@ fn distributed_matches_serial() {
 }
 
 #[test]
-fn distributed_rejects_rank_counts_that_do_not_fit_the_tree() {
-    let (st, kernel) = fixture(1, 1e-5);
+fn rank_owned_cut_rejects_what_does_not_fit_the_tree() {
+    // One cut, two entry points: every (tree, p) case runs
+    // `dist_factorize` and `PartitionedFactor::partition`. Each keeps its
+    // own typed error: a level restriction above the cut is
+    // `NotSkeletonized` to the ranks (they telescope through those
+    // skeletons) and `Partition` to the finished factor.
     let cfg = SolverConfig::default().with_lambda(0.6);
-    // Not a power of two; and a power of two one level past the leaves.
-    let too_many = 2 * st.tree().leaves().len();
-    for p in [0, 3, too_many] {
-        let got = dist_factorize(&st, &kernel, cfg, p);
-        assert!(matches!(got, Err(crate::SolverError::Partition { .. })), "p={p}");
-    }
+    let kernel = Gaussian::new(1.0);
+    let full = Arc::new(fixture(1, 1e-5).0);
     // Ten points are one leaf: no level to give two ranks.
-    let (one_leaf, _) = sized_fixture(10, 64, 1, 1e-5);
-    let got = dist_factorize(&one_leaf, &kernel, cfg, 2);
-    assert!(matches!(got, Err(crate::SolverError::Partition { .. })), "n = 10, p = 2");
+    let one_leaf = Arc::new(sized_fixture(10, 64, 1, 1e-5).0);
+    let restricted = Arc::new(fixture(2, 1e-5).0);
+    // Not a power of two; a power of two one level past the leaves; one
+    // far past them.
+    let too_many = 2 * full.tree().leaves().len();
+    let cases = [
+        (&full, 0, false),
+        (&full, 3, false),
+        (&full, too_many, false),
+        (&full, 1 << 12, false),
+        (&one_leaf, 2, false),
+        (&restricted, 2, true),
+        (&restricted, 4, true),
+    ];
+    for (st, p, level_restricted) in cases {
+        let n = st.tree().points().len();
+        match dist_factorize(st, &kernel, cfg, p) {
+            Err(crate::SolverError::NotSkeletonized { node }) if level_restricted => {
+                assert!(st.skeleton(node).is_none(), "n={n} p={p}: node {node}");
+            }
+            Err(crate::SolverError::Partition { .. }) if !level_restricted => {}
+            Err(e) => panic!("n={n} p={p}: dist_factorize answered {e}"),
+            Ok(_) => panic!("n={n} p={p}: dist_factorize must refuse"),
+        }
+        let sf = SharedFactor::factorize(Arc::clone(st), Arc::new(Gaussian::new(1.0)), cfg)
+            .expect("factorize");
+        let got = PartitionedFactor::partition(sf, p);
+        assert!(matches!(got, Err(crate::SolverError::Partition { .. })), "n={n} p={p}");
+    }
 }
 
 #[test]
@@ -314,6 +343,42 @@ fn distributed_rejects_a_level_restricted_tree() {
                 }
                 Err(e) => panic!("L={max_level} p={p}: {e}"),
             }
+        }
+    }
+}
+
+#[test]
+fn solving_a_strided_view_equals_solving_its_owned_copy() {
+    // The partition's shard solves and its top sweep hand the recursion
+    // row/column sub-views (col_stride > nrows) of a larger matrix. The
+    // root's recursion on a view is the whole solve.
+    let n = 512;
+    for storage in [StorageMode::Gsks, StorageMode::StoredGemv] {
+        let (st, kernel) = sized_fixture(n, 64, 1, 1e-5);
+        let cfg = SolverConfig::default().with_lambda(0.5).with_storage(storage);
+        let ft = factorize(&st, &kernel, cfg).expect("factorize");
+        for nrhs in [1usize, 3, 16, 17] {
+            let mut owned =
+                Mat::from_fn(n, nrhs, |i, j| ((i * (j + 2) + 5) % 29) as f64 / 29.0 - 0.5);
+            // The block sits at (3, 2) of a larger pooled matrix whose
+            // other elements must come back untouched.
+            let (r0, c0) = (3, 2);
+            let mut big = workspace::take_mat_detached(n + 7, nrhs + 3);
+            big.as_mut_slice().fill(-7.25);
+            for j in 0..nrhs {
+                big.col_mut(c0 + j)[r0..r0 + n].copy_from_slice(owned.col(j));
+            }
+            let view = big.rb_mut().submatrix_mut(r0..r0 + n, c0..c0 + nrhs);
+            ft.ctx().solve_node(st.tree().root(), view);
+            ft.solve_mat_in_place(&mut owned).expect("owned solve");
+            for j in 0..nrhs + 3 {
+                for (i, &v) in big.col(j).iter().enumerate() {
+                    let inside = (r0..r0 + n).contains(&i) && (c0..c0 + nrhs).contains(&j);
+                    let want = if inside { owned[(i - r0, j - c0)] } else { -7.25 };
+                    assert_eq!(v.to_bits(), want.to_bits(), "{storage:?} nrhs={nrhs} ({i},{j})");
+                }
+            }
+            workspace::recycle_mat(big);
         }
     }
 }

@@ -14,7 +14,7 @@ use kfds_core::{
 };
 use kfds_kernels::Gaussian;
 use kfds_krylov::{gmres, FnOp, GmresOptions};
-use kfds_la::{workspace, Mat};
+use kfds_la::Mat;
 use kfds_tree::datasets::{normal_embedded, uniform_cube};
 use kfds_tree::BallTree;
 use std::sync::Arc;
@@ -410,42 +410,6 @@ fn single_rhs_hybrid_solve_is_column_zero_of_the_one_column_block() {
         assert_eq!(out.reduced.operator, operator);
         assert_eq!(out.gmres[0].iters, single.gmres.iters);
         assert_eq!(single.x, block.col(0), "n={n} L={max_level} {operator}");
-    }
-}
-
-#[test]
-fn solving_a_strided_view_equals_solving_its_owned_copy() {
-    // The partition top sweep and the shard payload hand the recursion
-    // row/column sub-views (col_stride > nrows) of a larger matrix. A
-    // one-shard partition's local solve is the whole solve on a view.
-    let n = 512;
-    for storage in [StorageMode::Gsks, StorageMode::StoredGemv] {
-        let (st, kernel) = fixture(n, 1);
-        let cfg = SolverConfig::default().with_lambda(0.5).with_storage(storage);
-        let sf = SharedFactor::factorize(Arc::new(st), Arc::new(kernel), cfg).expect("shared");
-        let pf = PartitionedFactor::partition(sf.clone(), 1).expect("one shard");
-        for nrhs in [1usize, 3, 16, 17] {
-            let mut owned =
-                Mat::from_fn(n, nrhs, |i, j| ((i * (j + 2) + 5) % 29) as f64 / 29.0 - 0.5);
-            // The block sits at (3, 2) of a larger pooled matrix whose
-            // other elements must come back untouched.
-            let (r0, c0) = (3, 2);
-            let mut big = workspace::take_mat_detached(n + 7, nrhs + 3);
-            big.as_mut_slice().fill(-7.25);
-            for j in 0..nrhs {
-                big.col_mut(c0 + j)[r0..r0 + n].copy_from_slice(owned.col(j));
-            }
-            pf.solve_local(0, big.rb_mut().submatrix_mut(r0..r0 + n, c0..c0 + nrhs));
-            sf.factor_tree().solve_mat_in_place(&mut owned).expect("owned solve");
-            for j in 0..nrhs + 3 {
-                for (i, &v) in big.col(j).iter().enumerate() {
-                    let inside = (r0..r0 + n).contains(&i) && (c0..c0 + nrhs).contains(&j);
-                    let want = if inside { owned[(i - r0, j - c0)] } else { -7.25 };
-                    assert_eq!(v.to_bits(), want.to_bits(), "{storage:?} nrhs={nrhs} ({i},{j})");
-                }
-            }
-            workspace::recycle_mat(big);
-        }
     }
 }
 

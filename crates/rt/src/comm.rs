@@ -65,10 +65,9 @@ impl World {
     /// communicator endpoints (endpoint `i` is rank `i`), without
     /// spawning any threads.
     ///
-    /// [`World::run`] owns its ranks' lifetimes; `endpoints` is for
-    /// long-lived services (e.g. the sharded serve tier) that park each
-    /// endpoint on a worker thread of their own and keep the world alive
-    /// across many requests. Endpoints are plain `Clone + Send` values
+    /// [`World::run`] owns its ranks' lifetimes; `endpoints` hands the
+    /// caller the ranks to drive itself — the benchmark's block round-trip
+    /// probe is its one user. Endpoints are plain `Clone + Send` values
     /// wired to the same in-process channel fabric `run` uses.
     ///
     /// # Panics
@@ -96,12 +95,12 @@ impl World {
     }
 }
 
-/// Minimal point-to-point block transport: what the sharded serve tier's
-/// data plane needs from a communication fabric, and nothing more.
+/// Minimal point-to-point block transport: rank, size, and one block of
+/// `f64`s sent or received under a tag.
 ///
-/// [`Comm`] implements it over the in-process channel world; a wire
-/// backend (sockets, real MPI) only has to provide these four methods to
-/// slot in under `PartitionedFactor`'s scatter/gather.
+/// [`Comm`] implements it over the in-process channel world. The
+/// benchmark's block round-trip probe times a ping-pong through it; no
+/// solver path uses it.
 pub trait Transport: Send + Sync {
     /// This endpoint's rank.
     fn rank(&self) -> usize;

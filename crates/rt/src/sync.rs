@@ -1,7 +1,6 @@
 //! Lock-rank discipline: ranked wrappers over the std sync primitives.
 //!
-//! Every lock in the concurrent tier (`kfds-serve`, `kfds-shard`,
-//! `kfds-rt`) carries a [`LockRank`] drawn from one global, totally
+//! Every lock in the concurrent tier (`kfds-serve`, `kfds-rt`) carries a [`LockRank`] drawn from one global, totally
 //! ordered registry — the concurrency analogue of the PR 8 tag-namespace
 //! registry in [`crate::tags`]. The discipline is the classic
 //! lock-hierarchy rule: a thread may only acquire a lock whose rank is
@@ -38,9 +37,7 @@ use std::time::Duration;
 ///   (`ServeQueue` → `ServeSlot`);
 /// * a factor-cache build runs the setup cache single-flight
 ///   (`FactorCache` → `SetupCache` — both locks are only held for map
-///   bookkeeping, builders run unlocked);
-/// * the shard router serializes its data plane across the
-///   scatter/gather over rank mailboxes (`RouterDataPlane` → `RtMailbox`).
+///   bookkeeping, builders run unlocked).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum LockRank {
@@ -54,14 +51,8 @@ pub enum LockRank {
     FactorCache = 3,
     /// λ-free setup single-flight cache state.
     SetupCache = 4,
-    /// Shard router control plane (worker join handles).
-    RouterControl = 5,
-    /// Shard router data plane (endpoint + in-flight serialization).
-    RouterDataPlane = 6,
-    /// Per-request shard outcome (error slots).
-    ShardOutcome = 7,
     /// Runtime per-rank mailbox (`WorldState.mailboxes` in `kfds-rt`).
-    RtMailbox = 8,
+    RtMailbox = 5,
 }
 
 impl LockRank {
@@ -72,9 +63,6 @@ impl LockRank {
         LockRank::ServeMetrics,
         LockRank::FactorCache,
         LockRank::SetupCache,
-        LockRank::RouterControl,
-        LockRank::RouterDataPlane,
-        LockRank::ShardOutcome,
         LockRank::RtMailbox,
     ];
 
@@ -86,9 +74,6 @@ impl LockRank {
             LockRank::ServeMetrics => "ServeMetrics",
             LockRank::FactorCache => "FactorCache",
             LockRank::SetupCache => "SetupCache",
-            LockRank::RouterControl => "RouterControl",
-            LockRank::RouterDataPlane => "RouterDataPlane",
-            LockRank::ShardOutcome => "ShardOutcome",
             LockRank::RtMailbox => "RtMailbox",
         }
     }
@@ -97,8 +82,8 @@ impl LockRank {
 /// Receiver-field-name → rank table for the static analyzer.
 ///
 /// `rule_lock_discipline` resolves the rank of a textual `.lock()` call
-/// from the field identifier it is invoked on (`self.plane.lock()` →
-/// `plane` → `RouterDataPlane`); this table is the single source of
+/// from the field identifier it is invoked on (`self.queue.lock()` →
+/// `queue` → `ServeQueue`); this table is the single source of
 /// truth it consults, so a field rename or re-ranking is a one-line
 /// change here and the lint follows. Fields whose rank is per-instance
 /// (the generic single-flight cache's `state`) are deliberately absent —
@@ -107,9 +92,6 @@ pub const FIELD_RANKS: &[(&str, LockRank)] = &[
     ("queue", LockRank::ServeQueue),
     ("slot", LockRank::ServeSlot),
     ("factor_levels", LockRank::ServeMetrics),
-    ("workers", LockRank::RouterControl),
-    ("plane", LockRank::RouterDataPlane),
-    ("errs", LockRank::ShardOutcome),
     ("mailboxes", LockRank::RtMailbox),
 ];
 
@@ -362,7 +344,7 @@ mod tests {
 
     #[test]
     fn sequential_reacquisition_is_allowed() {
-        let m = RankedMutex::new(LockRank::RouterDataPlane, 0u32);
+        let m = RankedMutex::new(LockRank::SetupCache, 0u32);
         for i in 0..3 {
             let mut g = m.lock();
             *g = i;
@@ -388,18 +370,18 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "lock-rank inversion")]
     fn rank_inversion_panics_in_debug() {
-        let outer = RankedMutex::new(LockRank::ShardOutcome, ());
-        let inner = RankedMutex::new(LockRank::RouterDataPlane, ());
+        let outer = RankedMutex::new(LockRank::SetupCache, ());
+        let inner = RankedMutex::new(LockRank::FactorCache, ());
         let _g = outer.lock();
-        let _g2 = inner.lock(); // 7 held, acquiring 6: inversion
+        let _g2 = inner.lock(); // 4 held, acquiring 3: inversion
     }
 
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "lock-rank inversion")]
     fn same_rank_nesting_panics_in_debug() {
-        let a = RankedMutex::new(LockRank::ShardOutcome, ());
-        let b = RankedMutex::new(LockRank::ShardOutcome, ());
+        let a = RankedMutex::new(LockRank::SetupCache, ());
+        let b = RankedMutex::new(LockRank::SetupCache, ());
         let _ga = a.lock();
         let _gb = b.lock(); // equal ranks are non-increasing: inversion
     }

@@ -54,13 +54,9 @@ pub const DIST_FACTOR: TagSpace = TagSpace { name: "dist-factor", base: 256, len
 /// exchange between sibling rank groups.
 pub const DIST_SOLVE: TagSpace = TagSpace { name: "dist-solve", base: 260, len: 4 };
 
-/// Sharded serve tier: RHS-block scatter from the router to shard
-/// workers and solution-block gather back.
-pub const SHARD_DATA: TagSpace = TagSpace { name: "shard-data", base: 264, len: 4 };
-
 /// Every registered space. Keep sorted by `base`; the registry self-tests
 /// enforce disjointness and the collective-range ceiling.
-pub const ALL: &[TagSpace] = &[TEST, DIST_FACTOR, DIST_SOLVE, SHARD_DATA];
+pub const ALL: &[TagSpace] = &[TEST, DIST_FACTOR, DIST_SOLVE];
 
 /// Returns the registered space containing `tag`, if any.
 pub(crate) fn space_of(tag: u32) -> Option<&'static TagSpace> {
@@ -105,7 +101,7 @@ mod tests {
     #[test]
     fn tag_and_contains_agree() {
         assert_eq!(DIST_FACTOR.tag(0), 256);
-        assert_eq!(SHARD_DATA.tag(1), 265);
+        assert_eq!(DIST_SOLVE.tag(1), 261);
         assert!(TEST.contains(0) && TEST.contains(255) && !TEST.contains(256));
         assert_eq!(space_of(261).map(|s| s.name), Some("dist-solve"));
         assert_eq!(space_of(1 << 20), None);

@@ -25,12 +25,13 @@
 //!   latency histograms and the batch-size distribution, rendered as
 //!   JSON.
 //!
-//! * Sharded serving — `ServeConfig::with_shards(p)` routes every
-//!   complete-factorization batch through a [`kfds_shard::ShardRouter`]:
-//!   the factor is partitioned into `p` rank-owned subtree shards
-//!   ([`kfds_core::PartitionedFactor`]), RHS blocks scatter/gather over
-//!   the `kfds-rt` transport, and the answers are **bitwise-identical**
-//!   to the single-node blocked solve. Per-shard counters surface as
+//! * Sharded serving — `ServeConfig::with_shards(p)` partitions every
+//!   complete factorization into `p` rank-owned subtree shards
+//!   ([`kfds_core::PartitionedFactor`], the cut of the paper's distributed
+//!   Algorithms II.4/II.5) and solves them in turn on the service worker
+//!   that took the batch, so a sharded service starts no thread beyond
+//!   its workers. The answers are **bitwise-identical** to the
+//!   single-node blocked solve. Per-shard rows solved surface as
 //!   [`ShardLane`]s in [`ServeStats`]; `with_shards(1)` (the default) is
 //!   the single-node service the sharded one is tested against.
 //!
@@ -47,9 +48,8 @@ pub mod stats;
 
 pub use cache::{CacheError, FactorCache, FactorKey, SetupCache, SetupKey, SingleFlightCache};
 pub use kfds_rt::sync::LockRank;
-pub use kfds_shard::ShardLane;
 pub use service::{ServeConfig, SolveService, Ticket};
-pub use stats::{Quantiles, ServeStats};
+pub use stats::{Quantiles, ServeStats, ShardLane};
 
 /// Errors a request (or the service) can answer with.
 #[derive(Clone, Debug, PartialEq, Eq)]

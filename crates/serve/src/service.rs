@@ -33,15 +33,14 @@
 use crate::cache::{CacheError, FactorCache, FactorKey, SetupCache, SetupKey};
 use crate::stats::{Metrics, ServeStats};
 use crate::ServeError;
-use kfds_core::{SharedFactor, SharedSetup, SolverConfig};
+use kfds_core::{PartitionedFactor, SharedFactor, SharedSetup, SolverConfig};
 use kfds_kernels::Kernel;
 use kfds_krylov::GmresOptions;
 use kfds_la::Mat;
 use kfds_rt::sync::{LockRank, RankedCondvar, RankedMutex};
-use kfds_shard::{ShardError, ShardRouter};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -67,10 +66,11 @@ pub struct ServeConfig {
     /// GMRES options for the hybrid (partially factorized) solve path.
     pub gmres: GmresOptions,
     /// Shard-group size: `1` (default) serves every batch on the
-    /// single-node blocked path; `p > 1` starts a [`ShardRouter`] that
-    /// partitions each complete factorization across `p` rank-owned
-    /// subtree shards and scatter/gathers the RHS blocks
-    /// (bitwise-identical answers).
+    /// single-node blocked path; `p > 1` partitions each complete
+    /// factorization into `p` rank-owned subtree shards
+    /// ([`PartitionedFactor`]) and solves them in turn on the worker that
+    /// took the batch (bitwise-identical answers, one counter lane per
+    /// shard).
     pub shards: usize,
 }
 
@@ -209,9 +209,6 @@ struct Shared<K: Kernel + 'static> {
     /// λ-agnostic solver configuration; each key's λ is stamped in.
     base: SolverConfig,
     metrics: Metrics,
-    /// Shard router for `sharded(p)` services (`cfg.shards > 1`); `None`
-    /// serves single-node.
-    shard: Option<ShardRouter<K>>,
 }
 
 impl<K: Kernel + 'static> Shared<K> {
@@ -223,7 +220,6 @@ impl<K: Kernel + 'static> Shared<K> {
             self.cache.poisoned_len(),
             self.setups.ready_len(),
             self.setups.builds(),
-            self.shard.as_ref().map(ShardRouter::stats).unwrap_or_default(),
         )
     }
 }
@@ -250,7 +246,11 @@ impl<K: Kernel + 'static> SolveService<K> {
         base: SolverConfig,
         setup_builder: impl Fn(&SetupKey) -> Result<SharedSetup<K>, ServeError> + Send + Sync + 'static,
     ) -> Self {
-        let shard = (cfg.shards > 1).then(|| ShardRouter::start(cfg.shards));
+        let lanes = if cfg.shards > 1 { cfg.shards } else { 0 };
+        let metrics = Metrics {
+            shard_rows: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
+            ..Metrics::default()
+        };
         let shared = Arc::new(Shared {
             cache: FactorCache::new(cfg.cache_capacity, LockRank::FactorCache),
             setups: SetupCache::new(cfg.cache_capacity, LockRank::SetupCache),
@@ -262,8 +262,7 @@ impl<K: Kernel + 'static> SolveService<K> {
                 QueueState { deque: VecDeque::new(), open: true },
             ),
             cv: RankedCondvar::new(),
-            metrics: Metrics::default(),
-            shard,
+            metrics,
         });
         let workers = (0..shared.cfg.workers.max(1))
             .map(|i| {
@@ -345,8 +344,7 @@ impl<K: Kernel + 'static> SolveService<K> {
     }
 
     /// Closes the queue, drains it (pending requests are answered
-    /// [`ServeError::ShuttingDown`]), joins the workers, and stops the
-    /// shard router (if any).
+    /// [`ServeError::ShuttingDown`]) and joins the workers.
     pub fn shutdown(mut self) -> ServeStats {
         {
             let mut q = self.shared.queue.lock();
@@ -355,10 +353,6 @@ impl<K: Kernel + 'static> SolveService<K> {
         self.shared.cv.notify_all();
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        // Workers are gone, so no solve is in flight on the router.
-        if let Some(router) = &self.shared.shard {
-            router.shutdown();
         }
         let mut q = self.shared.queue.lock();
         while let Some(req) = q.deque.pop_front() {
@@ -424,53 +418,35 @@ fn worker_loop<K: Kernel + 'static>(sh: &Shared<K>) {
     }
 }
 
-/// How one blocked batch solve failed, and whether the failure implicates
-/// the cached factors.
-enum BatchFailure {
-    /// The solve returned an error; the factors themselves are fine.
-    Solve(String),
-    /// A shard worker panicked or returned a malformed gather leg
-    /// mid-protocol: the partitioned factors are suspect, so the key is
-    /// quarantined — the same policy a panicking local solve gets.
-    Shard(String),
-}
-
-/// Runs one blocked batch: through the shard router when this service is
-/// sharded and the factorization is complete (the only shape the
-/// partition covers — and where the routed answer is bitwise-identical to
-/// [`SharedFactor::solve_block_in_place`]), single-node otherwise. Router
-/// refusals (unpartitionable factor, racing shutdown) fall back to the
-/// single-node path — same bits — and count in `shard_fallbacks`.
+/// Runs one blocked batch. A sharded service (`shards > 1`) partitions
+/// the factorization into its rank-owned subtree shards and solves them
+/// on this thread ([`PartitionedFactor::solve_mat_in_place`], each shard
+/// taking the whole rayon pool in turn) — bitwise-identical to
+/// [`SharedFactor::solve_block_in_place`]. A factor the partition refuses
+/// (a hybrid, partially factorized one, or a tree too shallow for `p`
+/// subtrees) is solved single-node, same bits, and counts in
+/// `shard_fallbacks`.
 fn solve_batch<K: Kernel + 'static>(
     sh: &Shared<K>,
     sf: &SharedFactor<K>,
     b: &mut Mat,
-) -> Result<(), BatchFailure> {
-    let single = |b: &mut Mat| {
-        sf.solve_block_in_place(b, &sh.cfg.gmres)
-            .map(|_| ())
-            .map_err(|e| BatchFailure::Solve(e.to_string()))
-    };
-    let Some(router) = sh.shard.as_ref().filter(|_| sf.is_complete()) else {
-        if sh.shard.is_some() {
-            // Hybrid (partially factorized) solves have a GMRES outer
-            // iteration the shard tier does not partition.
-            sh.metrics.shard_fallbacks.fetch_add(1, Ordering::Relaxed);
-        }
-        return single(b);
-    };
-    match router.solve(sf, b) {
-        Ok(()) => Ok(()),
-        Err(e @ (ShardError::ShardFailed { .. } | ShardError::RhsShape { .. })) => {
-            Err(BatchFailure::Shard(e.to_string()))
-        }
-        Err(ShardError::Unpartitionable(_) | ShardError::ShuttingDown) => {
-            // Both refusals happen before any RHS block is scattered, so
-            // `b` is untouched and the single-node path sees clean input.
-            sh.metrics.shard_fallbacks.fetch_add(1, Ordering::Relaxed);
-            single(b)
+) -> Result<(), String> {
+    if sh.cfg.shards > 1 {
+        match PartitionedFactor::partition(sf.clone(), sh.cfg.shards) {
+            Ok(pf) => {
+                pf.solve_mat_in_place(b).map_err(|e| e.to_string())?;
+                for (s, rows) in sh.metrics.shard_rows.iter().enumerate() {
+                    let solved = pf.shard_range(s).len() * b.ncols();
+                    rows.fetch_add(solved as u64, Ordering::Relaxed);
+                }
+                return Ok(());
+            }
+            Err(_) => {
+                sh.metrics.shard_fallbacks.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
+    sf.solve_block_in_place(b, &sh.cfg.gmres).map(|_| ()).map_err(|e| e.to_string())
 }
 
 /// Solves one coalesced batch and scatters the per-request responses.
@@ -587,18 +563,7 @@ fn dispatch<K: Kernel + 'static>(sh: &Shared<K>, batch: Vec<Request>) {
                 req.cell.fulfill(Ok(xj));
             }
         }
-        Ok(Err(BatchFailure::Solve(e))) => {
-            m.errors.fetch_add(valid.len() as u64, Ordering::Relaxed);
-            let err = ServeError::SolveFailed(e);
-            for req in valid {
-                req.cell.fulfill(Err(err.clone()));
-            }
-        }
-        Ok(Err(BatchFailure::Shard(e))) => {
-            // A shard-side failure mid-protocol means the partitioned
-            // factors are suspect: quarantine the key, same as a local
-            // panic.
-            sh.cache.poison(&key, &e);
+        Ok(Err(e)) => {
             m.errors.fetch_add(valid.len() as u64, Ordering::Relaxed);
             let err = ServeError::SolveFailed(e);
             for req in valid {

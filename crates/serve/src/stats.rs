@@ -14,7 +14,6 @@
 
 use kfds_core::LevelStats;
 use kfds_rt::sync::{LockRank, RankedMutex};
-use kfds_shard::ShardLane;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -194,9 +193,13 @@ pub(crate) struct Metrics {
     pub full_misses: AtomicU64,
     pub batches: AtomicU64,
     /// Batches a sharded service served on the single-node path anyway
-    /// (hybrid factor, unpartitionable cut, or a racing router shutdown).
-    /// Always 0 for an unsharded service.
+    /// (hybrid factor or unpartitionable cut). Always 0 for an unsharded
+    /// service.
     pub shard_fallbacks: AtomicU64,
+    /// Rows solved by each shard, `shard rows × nrhs` summed over the
+    /// routed batches; one counter per shard of a sharded service, none
+    /// for an unsharded one.
+    pub shard_rows: Vec<AtomicU64>,
     pub max_queue_depth: AtomicU64,
     pub batch_hist: BatchHist,
     /// Per-level breakdown of the most recently *built* factorization
@@ -225,6 +228,7 @@ impl Default for Metrics {
             full_misses: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             shard_fallbacks: AtomicU64::new(0),
+            shard_rows: Vec::new(),
             max_queue_depth: AtomicU64::new(0),
             batch_hist: BatchHist::default(),
             factor_levels: RankedMutex::new(LockRank::ServeMetrics, Vec::new()),
@@ -243,7 +247,6 @@ impl Metrics {
         cache_poisoned: usize,
         setup_entries: usize,
         setup_builds: u64,
-        shards: Vec<ShardLane>,
     ) -> ServeStats {
         let (batch_hist, mean_batch) = self.batch_hist.snapshot();
         ServeStats {
@@ -258,7 +261,12 @@ impl Metrics {
             full_misses: self.full_misses.load(Ordering::Relaxed),
             batches: self.batches.load(Ordering::Relaxed),
             shard_fallbacks: self.shard_fallbacks.load(Ordering::Relaxed),
-            shards,
+            shards: self
+                .shard_rows
+                .iter()
+                .enumerate()
+                .map(|(shard, rows)| ShardLane { shard, rows_solved: rows.load(Ordering::Relaxed) })
+                .collect(),
             queue_depth,
             max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
             cache_entries,
@@ -303,13 +311,10 @@ pub struct ServeStats {
     /// Solve batches dispatched.
     pub batches: u64,
     /// Batches a sharded service served single-node anyway (hybrid
-    /// factor, unpartitionable shard cut, or a racing router shutdown) —
-    /// bitwise the same answers, just without the shard fan-out. Always 0
-    /// for an unsharded service.
+    /// factor or unpartitionable shard cut) — bitwise the same answers.
+    /// Always 0 for an unsharded service.
     pub shard_fallbacks: u64,
-    /// One lane of counters per shard worker (empty for an unsharded
-    /// service): requests seen, local partition-cache hits/misses, rows
-    /// solved, and errors.
+    /// One lane per shard (empty for an unsharded service).
     pub shards: Vec<ShardLane>,
     /// Queue depth at snapshot time.
     pub queue_depth: usize,
@@ -338,6 +343,23 @@ pub struct ServeStats {
     pub solve: Quantiles,
     /// End-to-end request latency distribution.
     pub total: Quantiles,
+}
+
+/// What one shard of a sharded service solved.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ShardLane {
+    /// Shard index, in row order.
+    pub shard: usize,
+    /// Rows solved on this shard's subtree (`shard rows × nrhs`, summed
+    /// over the routed batches).
+    pub rows_solved: u64,
+}
+
+impl ShardLane {
+    /// Renders the lane as a JSON object.
+    pub fn to_json(&self) -> String {
+        format!("{{\"shard\": {}, \"rows_solved\": {}}}", self.shard, self.rows_solved)
+    }
 }
 
 impl ServeStats {
@@ -463,7 +485,7 @@ mod tests {
         m.queue_us.record(Duration::from_micros(42));
         m.shard_fallbacks.fetch_add(2, Ordering::Relaxed);
         *m.factor_levels.lock() = vec![LevelStats { level: 1, nodes: 4, seconds: 0.25 }];
-        let s = m.snapshot(1, 2, 0, 1, 1, Vec::new());
+        let s = m.snapshot(1, 2, 0, 1, 1);
         assert_eq!(s.factor_levels.len(), 1);
         let j = s.to_json();
         assert!(j.contains("\"submitted\": 3"));
@@ -474,6 +496,10 @@ mod tests {
         assert!(j.contains("\"setup_builds\": 1"));
         assert!(j.contains("\"shard_fallbacks\": 2"));
         assert!(j.contains("\"shards\": []"), "unsharded snapshot renders an empty lane list");
+        let m = Metrics { shard_rows: vec![AtomicU64::new(64), AtomicU64::new(0)], ..m };
+        let j = m.snapshot(0, 1, 0, 1, 1).to_json();
+        let lanes = "[{\"shard\": 0, \"rows_solved\": 64}, {\"shard\": 1, \"rows_solved\": 0}]";
+        assert!(j.contains(&format!("\"shards\": {lanes}")), "{j}");
     }
 
     #[test]
@@ -483,7 +509,7 @@ mod tests {
         m.setup_hits.fetch_add(3, Ordering::Relaxed);
         m.full_misses.fetch_add(1, Ordering::Relaxed);
         m.cache_misses.fetch_add(4, Ordering::Relaxed);
-        let s = m.snapshot(0, 4, 0, 1, 1, Vec::new());
+        let s = m.snapshot(0, 4, 0, 1, 1);
         assert_eq!(s.setup_hits + s.full_misses, s.cache_misses);
         assert!((s.cache_hit_rate() - 5.0 / 9.0).abs() < 1e-12);
         let j = s.to_json();

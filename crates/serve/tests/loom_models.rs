@@ -1,7 +1,7 @@
 //! Loom model tests for the concurrent core of `kfds-serve`: the
 //! single-flight [`FactorCache`] (build / quarantine / evict
-//! interleavings) and the worker-queue shutdown path of
-//! [`SolveService`].
+//! interleavings), the worker-queue shutdown path of [`SolveService`],
+//! and the debug-build lock-rank checker under concurrency.
 //!
 //! The tests are written against loom's portable API (`loom::model`,
 //! `loom::thread`, `loom::sync`). Under the offline `shims/loom`
@@ -262,5 +262,37 @@ fn shutdown_never_loses_a_ticket() {
         }
         let stats = shutter.join().expect("shutdown");
         assert_eq!(stats.queue_depth, 0, "shutdown must drain the queue");
+    });
+}
+
+#[test]
+fn rank_inversion_is_caught_by_the_runtime_checker() {
+    // Seeded lock-order inversion: the debug-build held-rank stack in
+    // `kfds_rt::sync` must panic ("lock-rank inversion") on the thread
+    // that acquires against the hierarchy, under concurrency — the
+    // runtime backstop behind the static `rule_lock_discipline` lint. In
+    // release builds the checker compiles out and the nesting is merely
+    // a (deadlock-free, single-threaded here) pair of acquisitions.
+    use kfds_rt::sync::RankedMutex;
+    loom::model(|| {
+        let hi = Arc::new(RankedMutex::new(LockRank::SetupCache, ()));
+        let lo = Arc::new(RankedMutex::new(LockRank::FactorCache, ()));
+        let h = {
+            let hi = Arc::clone(&hi);
+            let lo = Arc::clone(&lo);
+            thread::spawn(move || {
+                let _outer = hi.lock();
+                let _inner = lo.lock(); // SetupCache > FactorCache: inversion
+            })
+        };
+        let res = h.join();
+        if cfg!(debug_assertions) {
+            assert!(res.is_err(), "rank inversion must panic the acquiring thread in debug");
+        } else {
+            assert!(res.is_ok(), "release builds compile the checker out");
+        }
+        // The hierarchy-respecting direction must stay clean either way.
+        let _a = lo.lock();
+        let _b = hi.lock();
     });
 }

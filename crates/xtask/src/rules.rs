@@ -21,7 +21,7 @@
 //!   declares its preconditions executably: the body must contain at
 //!   least one `debug_assert!`/`assert!` family call.
 //! * **lock-discipline** — the concurrency crates (`kfds-serve`,
-//!   `kfds-shard`, `kfds-rt`) use the ranked wrappers from
+//!   `kfds-rt`) use the ranked wrappers from
 //!   [`kfds_rt::sync`], never raw `Mutex`/`RwLock`/`Condvar`
 //!   (`lint:allow(raw-lock)` waives a deliberate exception), and every
 //!   statically visible nested acquisition of ranked fields takes locks
@@ -61,8 +61,7 @@ pub const UNSAFE_PRECONDITION_PREFIX: &str = "crates/la/src/";
 
 /// The concurrency crates: non-test code here must use the ranked lock
 /// wrappers and stay panic-free.
-pub const CONCURRENCY_PREFIXES: &[&str] =
-    &["crates/serve/src/", "crates/shard/src/", "crates/rt/src/"];
+pub const CONCURRENCY_PREFIXES: &[&str] = &["crates/serve/src/", "crates/rt/src/"];
 
 /// The ranked-wrapper implementation itself — the one file allowed to
 /// name the raw primitives it wraps.
@@ -78,7 +77,6 @@ pub const FORBID_UNSAFE_ROOTS: &[&str] = &[
     "crates/krylov/src/lib.rs",
     "crates/rt/src/lib.rs",
     "crates/serve/src/lib.rs",
-    "crates/shard/src/lib.rs",
     "crates/switches/src/lib.rs",
     "crates/tree/src/lib.rs",
     "crates/xtask/src/main.rs",
@@ -506,7 +504,7 @@ pub fn rule_panic_path(src: &Source) -> Vec<Finding> {
             line: t.line,
             rule: "panic-path",
             msg: format!(
-                "{what} on the data plane — return a typed error (ServeError/ShardError), \
+                "{what} on the data plane — return a typed error (ServeError/CacheError), \
                  or justify the invariant with an adjacent `// PANIC-OK: why`"
             ),
         });
@@ -871,7 +869,7 @@ mod tests {
     fn raw_lock_waiver_and_test_mod_are_honored() {
         let waived =
             "// lint:allow(raw-lock): FFI handoff needs the std type.\nuse std::sync::Condvar;\n";
-        assert!(lint("crates/shard/src/router.rs", waived).is_empty());
+        assert!(lint("crates/serve/src/service.rs", waived).is_empty());
         let in_test = "#[cfg(test)]\nmod tests {\n    use std::sync::Mutex;\n}\n";
         assert!(lint("crates/rt/src/comm.rs", in_test).is_empty());
     }
@@ -891,11 +889,11 @@ mod tests {
 
     #[test]
     fn rank_inverted_nested_lock_fails() {
-        // `workers` (RouterControl) under `plane`
-        // (RouterDataPlane) is exactly the inversion the runtime checker
-        // panics on — the lint catches it statically.
-        let src = "fn shutdown(&self) {\n    let p = self.plane.lock();\n    let w = self.workers.lock();\n}\n";
-        let f = lint("crates/shard/src/router.rs", src);
+        // `queue` (ServeQueue) under `slot` (ServeSlot) is exactly the
+        // inversion the runtime checker panics on — the lint catches it
+        // statically.
+        let src = "fn shutdown(&self) {\n    let s = self.slot.lock();\n    let q = self.queue.lock();\n}\n";
+        let f = lint("crates/serve/src/service.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "lock-discipline");
         assert_eq!(f[0].line, 3);
@@ -904,35 +902,39 @@ mod tests {
 
     #[test]
     fn increasing_rank_nesting_passes() {
-        let src = "fn f(&self) {\n    let q = self.queue.lock();\n    let s = self.slot.lock();\n    let e = self.errs.lock();\n}\n";
+        let src = "fn f(&self) {\n    let q = self.queue.lock();\n    let s = self.slot.lock();\n    let m = self.factor_levels.lock();\n}\n";
         assert!(lint("crates/serve/src/service.rs", src).is_empty());
     }
 
     #[test]
     fn same_rank_nesting_fails() {
         let src =
-            "fn f(&self) {\n    let a = self.plane.lock();\n    let b = self.plane.lock();\n}\n";
-        let f = lint("crates/shard/src/router.rs", src);
+            "fn f(&self) {\n    let a = self.queue.lock();\n    let b = self.queue.lock();\n}\n";
+        let f = lint("crates/serve/src/service.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
     }
 
     #[test]
     fn drop_and_scope_exit_release_held_ranks() {
         // Explicit drop() releases; so does leaving the binding's block.
-        let dropped = "fn f(&self) {\n    let p = self.plane.lock();\n    drop(p);\n    let w = self.workers.lock();\n}\n";
-        assert!(lint("crates/shard/src/router.rs", dropped).is_empty());
-        let scoped = "fn f(&self) {\n    { let p = self.plane.lock(); }\n    let w = self.workers.lock();\n}\n";
-        assert!(lint("crates/shard/src/router.rs", scoped).is_empty());
+        let dropped = "fn f(&self) {\n    let s = self.slot.lock();\n    drop(s);\n    let q = self.queue.lock();\n}\n";
+        assert!(lint("crates/serve/src/service.rs", dropped).is_empty());
+        let scoped =
+            "fn f(&self) {\n    { let s = self.slot.lock(); }\n    let q = self.queue.lock();\n}\n";
+        assert!(lint("crates/serve/src/service.rs", scoped).is_empty());
         let temp =
-            "fn f(&self) {\n    self.plane.lock().route();\n    let w = self.workers.lock();\n}\n";
-        assert!(lint("crates/shard/src/router.rs", temp).is_empty(), "temporary guard dies at `;`");
+            "fn f(&self) {\n    self.slot.lock().take();\n    let q = self.queue.lock();\n}\n";
+        assert!(
+            lint("crates/serve/src/service.rs", temp).is_empty(),
+            "temporary guard dies at `;`"
+        );
     }
 
     #[test]
     fn indexed_receiver_resolves_to_its_field() {
         // `self.mailboxes[dst].lock()` must resolve to `mailboxes`
         // (RtMailbox, the top rank) — nesting anything under it fails.
-        let src = "fn f(&self) {\n    let mb = self.mailboxes[dst].lock();\n    let e = self.errs.lock();\n}\n";
+        let src = "fn f(&self) {\n    let mb = self.mailboxes[dst].lock();\n    let s = self.slot.lock();\n}\n";
         let f = lint("crates/rt/src/comm.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].msg.contains("mailboxes"), "{}", f[0].msg);
@@ -949,15 +951,15 @@ mod tests {
 
     #[test]
     fn lock_order_waiver_is_honored() {
-        let src = "fn f(&self) {\n    let p = self.plane.lock();\n    // lint:allow(lock-order): guard provably dropped on the other thread.\n    let w = self.workers.lock();\n}\n";
-        assert!(lint("crates/shard/src/router.rs", src).is_empty());
+        let src = "fn f(&self) {\n    let s = self.slot.lock();\n    // lint:allow(lock-order): guard provably dropped on the other thread.\n    let q = self.queue.lock();\n}\n";
+        assert!(lint("crates/serve/src/service.rs", src).is_empty());
     }
 
     // --- panic-path ------------------------------------------------------
 
     #[test]
     fn unwaivered_unwrap_on_data_plane_fails() {
-        // The acceptance criterion: a bare .unwrap() in serve/shard/rt
+        // The acceptance criterion: a bare .unwrap() in serve/rt
         // non-test code is a finding.
         let src = "fn f(v: Option<u32>) -> u32 { v.unwrap() }\n";
         let f = lint("crates/serve/src/service.rs", src);
@@ -968,7 +970,7 @@ mod tests {
     #[test]
     fn panic_macros_fail_and_panic_ok_waives() {
         let bare = "fn f(x: u8) {\n    match x {\n        0 => panic!(\"zero\"),\n        1 => unreachable!(),\n        _ => todo!(),\n    }\n}\n";
-        let f = lint("crates/shard/src/router.rs", bare);
+        let f = lint("crates/serve/src/cache.rs", bare);
         assert_eq!(f.len(), 3, "{f:?}");
         let waived = "fn f(h: std::thread::JoinHandle<()>) {\n    // PANIC-OK: worker panics are contained by catch_unwind upstream.\n    h.join().expect(\"worker panicked\");\n}\n";
         assert!(lint("crates/rt/src/comm.rs", waived).is_empty());
