@@ -14,7 +14,7 @@ use crate::assemble::{assemble_blocks, AssembledBlocks};
 use crate::config::{FactorStats, SolverConfig, StorageMode};
 use crate::error::SolverError;
 use crate::factor::{
-    build_reduced_system, held_bytes, in_factored_region, FactorTree, NodeCost, NodeFactors,
+    build_reduced_system, held_bytes, in_factored_region, FactorTree, Held, NodeCost, NodeFactors,
 };
 use crate::reduced::ReducedLu;
 use crate::solve::SolveCtx;
@@ -22,7 +22,7 @@ use kfds_askit::SkeletonTree;
 use kfds_kernels::{flops, Kernel};
 use kfds_la::{gemm, Mat, Trans};
 use rayon::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Runs the `O(N log² N)` baseline factorization of `λI + K̃`.
@@ -116,7 +116,8 @@ pub fn factorize_baseline<'a, K: Kernel>(
         // per-level breakdown.
         levels: Vec::new(),
     };
-    Ok(FactorTree { st, kernel, config, factors, stats, blocks })
+    let (st, kernel) = (Held::Borrowed(st), Held::Borrowed(kernel));
+    Ok(FactorTree { st, kernel, config, factors, stats, blocks, hybrid: OnceLock::new() })
 }
 
 struct Pass1 {

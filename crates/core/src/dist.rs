@@ -18,7 +18,7 @@
 
 use crate::config::SolverConfig;
 use crate::error::SolverError;
-use crate::factor::{factor_z, factorize_impl, telescope_m, FactorTree, NodeCost};
+use crate::factor::{factor_z, factorize_impl, telescope_m, FactorTree, Held, NodeCost};
 use crate::partition::{rank_owned_cut, Cut};
 use crate::reduced::ReducedLu;
 use kfds_askit::SkeletonTree;
@@ -118,7 +118,7 @@ fn dist_factor_rank<'a, K: Kernel>(
 ) -> Result<RankState<'a, K>, SolverError> {
     let tree = st.tree();
     // Local phase: factorize the owned subtree (Algorithm II.2).
-    let local = factorize_impl(st, kernel, *config, None, my_node)?;
+    let local = factorize_impl(Held::Borrowed(st), Held::Borrowed(kernel), *config, None, my_node)?;
 
     // Distributed phase: walk up from level lp to the root, splitting the
     // communicator at each level. We process levels bottom-up, so first

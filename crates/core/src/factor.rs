@@ -37,6 +37,7 @@
 use crate::assemble::{assemble, assemble_blocks, AssembledBlocks};
 use crate::config::{FactorStats, LevelStats, SolverConfig, StorageMode, STABILITY_THRESHOLD};
 use crate::error::SolverError;
+use crate::hybrid::ReducedSystem;
 use crate::reduced::ReducedLu;
 use kfds_askit::SkeletonTree;
 use kfds_kernels::flops;
@@ -44,7 +45,8 @@ use kfds_kernels::{eval_symmetric, sum_fused_multi, Kernel};
 use kfds_la::{gemm, workspace, Lu, Mat, Trans};
 use kfds_tree::BallTree;
 use rayon::prelude::*;
-use std::sync::Arc;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// The λ-dependent factors stored at one tree node (the stored `V` blocks
@@ -83,10 +85,38 @@ pub(crate) fn held_bytes(factors: &[NodeFactors]) -> usize {
     8 * words
 }
 
+/// How a factor tree holds its skeleton tree and kernel: borrowed
+/// ([`factorize`]) or owned ([`SharedFactor`](crate::SharedFactor)).
+pub(crate) enum Held<'a, T> {
+    Borrowed(&'a T),
+    Shared(Arc<T>),
+}
+
+impl<T> Deref for Held<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            Held::Borrowed(t) => t,
+            Held::Shared(t) => t,
+        }
+    }
+}
+
+// Not derived: `derive(Clone)` would ask for `T: Clone`.
+impl<T> Clone for Held<'_, T> {
+    fn clone(&self) -> Self {
+        match self {
+            Held::Borrowed(t) => Held::Borrowed(t),
+            Held::Shared(t) => Held::Shared(Arc::clone(t)),
+        }
+    }
+}
+
 /// The factorization of `λI + K̃` over a skeleton tree.
 pub struct FactorTree<'a, K: Kernel> {
-    pub(crate) st: &'a SkeletonTree,
-    pub(crate) kernel: &'a K,
+    pub(crate) st: Held<'a, SkeletonTree>,
+    pub(crate) kernel: Held<'a, K>,
     pub(crate) config: SolverConfig,
     pub(crate) factors: Vec<NodeFactors>,
     pub(crate) stats: FactorStats,
@@ -94,6 +124,10 @@ pub struct FactorTree<'a, K: Kernel> {
     /// `Some` for every [`StorageMode::StoredGemv`] tree (they hold its
     /// `V` blocks), `None` for the matrix-free mode.
     pub(crate) blocks: Option<Arc<AssembledBlocks>>,
+    /// The hybrid solver's frontier layout and reduced operators, built by
+    /// the first [`HybridSolver::new`](crate::HybridSolver::new) on this
+    /// factor and shared by every later one.
+    pub(crate) hybrid: OnceLock<Result<ReducedSystem, SolverError>>,
 }
 
 /// Per-node accounting folded into [`FactorStats`].
@@ -106,13 +140,13 @@ pub(crate) struct NodeCost {
 
 impl<'a, K: Kernel> FactorTree<'a, K> {
     /// The skeleton tree this factorization refers to.
-    pub fn skeleton_tree(&self) -> &'a SkeletonTree {
-        self.st
+    pub fn skeleton_tree(&self) -> &SkeletonTree {
+        &self.st
     }
 
     /// The kernel function.
-    pub fn kernel(&self) -> &'a K {
-        self.kernel
+    pub fn kernel(&self) -> &K {
+        &self.kernel
     }
 
     /// The solver configuration (λ, storage mode).
@@ -165,9 +199,10 @@ impl<'a, K: Kernel> FactorTree<'a, K> {
     pub fn refactor(&self, lambda: f64) -> Result<FactorTree<'a, K>, SolverError> {
         let blocks = match &self.blocks {
             Some(b) => Arc::clone(b),
-            None => Arc::new(assemble_blocks(self.st, self.kernel)),
+            None => Arc::new(assemble_blocks(&self.st, &*self.kernel)),
         };
-        factorize_with_blocks(self.st, self.kernel, blocks, self.config.with_lambda(lambda))
+        let (st, kernel, config) = (self.st.clone(), self.kernel.clone(), self.config);
+        factorize_impl(st, kernel, config.with_lambda(lambda), Some(blocks), self.st.tree().root())
     }
 }
 
@@ -191,7 +226,7 @@ pub fn factorize<'a, K: Kernel>(
     kernel: &'a K,
     config: SolverConfig,
 ) -> Result<FactorTree<'a, K>, SolverError> {
-    factorize_impl(st, kernel, config, None, st.tree().root())
+    factorize_impl(Held::Borrowed(st), Held::Borrowed(kernel), config, None, st.tree().root())
 }
 
 /// Runs the λ-dependent half of the factorization over pre-assembled
@@ -215,21 +250,28 @@ pub fn factorize_with_blocks<'a, K: Kernel>(
     blocks: Arc<AssembledBlocks>,
     config: SolverConfig,
 ) -> Result<FactorTree<'a, K>, SolverError> {
-    blocks.check_compatible(st)?;
-    let config = config.with_storage(StorageMode::StoredGemv);
-    factorize_impl(st, kernel, config, Some(blocks), st.tree().root())
+    let root = st.tree().root();
+    factorize_impl(Held::Borrowed(st), Held::Borrowed(kernel), config, Some(blocks), root)
 }
 
-/// The sweep behind [`factorize`] and [`factorize_with_blocks`], over the
-/// subtree under `root` (the whole tree, or a rank's share in
-/// [`crate::dist`]): factors exist only for that subtree's nodes.
+/// The one entry to the sweep, for borrowed and owned inputs alike, over
+/// the subtree under `root` (the whole tree, or a rank's share in
+/// [`crate::dist`]): factors exist only for that subtree's nodes. Over an
+/// assembly (`blocks`, from [`factorize_with_blocks`],
+/// [`FactorTree::refactor`] or [`crate::SharedFactor::refactorize`]),
+/// which must fit `st`, the storage mode is pinned to
+/// [`StorageMode::StoredGemv`].
 pub(crate) fn factorize_impl<'a, K: Kernel>(
-    st: &'a SkeletonTree,
-    kernel: &'a K,
-    config: SolverConfig,
+    st: Held<'a, SkeletonTree>,
+    kernel: Held<'a, K>,
+    mut config: SolverConfig,
     blocks: Option<Arc<AssembledBlocks>>,
     root: usize,
 ) -> Result<FactorTree<'a, K>, SolverError> {
+    if let Some(blocks) = &blocks {
+        blocks.check_compatible(&st)?;
+        config = config.with_storage(StorageMode::StoredGemv);
+    }
     if !config.lambda.is_finite() {
         return Err(SolverError::NonFiniteLambda { lambda: config.lambda });
     }
@@ -240,7 +282,7 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
     // this call's; a fresh stored factorization assembles its own first.
     let shared_bytes = blocks.as_ref().map_or(0, |b| b.stats().bytes);
     let own = (blocks.is_none() && config.storage == StorageMode::StoredGemv)
-        .then(|| Arc::new(assemble(st, kernel, root)));
+        .then(|| Arc::new(assemble(&st, &*kernel, root)));
     let own_bytes = own.as_ref().map_or(0, |b| b.stats().bytes);
     let blocks = blocks.or(own);
     let mut factors: Vec<NodeFactors> = (0..n_nodes).map(|_| NodeFactors::default()).collect();
@@ -253,12 +295,12 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
     for level in (0..=tree.depth()).rev() {
         let lt0 = Instant::now();
         let level_nodes: Vec<usize> =
-            under_root(level).filter(|&i| in_factored_region(st, i)).collect();
+            under_root(level).filter(|&i| in_factored_region(&st, i)).collect();
         // The nodes of a level are independent: each reads only its
         // children's factors, final since the level below.
         let results: Vec<_> = level_nodes
             .par_iter()
-            .map(|&i| factor_node(st, kernel, &config, blocks.as_deref(), &factors, i))
+            .map(|&i| factor_node(&st, &*kernel, &config, blocks.as_deref(), &factors, i))
             .collect();
         for (&i, res) in level_nodes.iter().zip(results) {
             let (nf, cost) = res?;
@@ -287,7 +329,7 @@ pub(crate) fn factorize_impl<'a, K: Kernel>(
         shared_bytes,
         levels,
     };
-    Ok(FactorTree { st, kernel, config, factors, stats, blocks })
+    Ok(FactorTree { st, kernel, config, factors, stats, blocks, hybrid: OnceLock::new() })
 }
 
 /// `true` when `node` lies in the subtree under `root` (itself

@@ -31,25 +31,27 @@
 use crate::error::SolverError;
 use crate::factor::FactorTree;
 use crate::solve::check_rhs_rows;
+use kfds_askit::SkeletonTree;
 use kfds_kernels::{sum_fused_multi, Kernel};
 use kfds_krylov::{gmres, DenseOp, FnOp, GmresOptions, LinOp, SolveResult};
 use kfds_la::{gemm, workspace, Lu, Mat, MatMut, MatRef, Trans};
 use rayon::prelude::*;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// A level-restricted hybrid solver built on a partial factorization.
 pub struct HybridSolver<'a, 'f, K: Kernel> {
     ft: &'f FactorTree<'a, K>,
-    sys: Arc<ReducedSystem>,
+    sys: &'f ReducedSystem,
 }
 
-/// Everything the hybrid solver holds beyond the borrowed factor tree: the
-/// frontier layout and, once a solve has needed them, the assembled reduced
-/// operator and its LU. Behind an `Arc` so an owned factor
-/// ([`SharedFactor`](crate::SharedFactor)) keeps one beside its factor
-/// tree and every batch solved on that factor shares it.
+/// Everything the hybrid solver holds beyond the factor tree: the frontier
+/// layout and, once a solve has needed them, the assembled reduced
+/// operator and its LU. The factor tree keeps one, built by the first
+/// [`HybridSolver::new`] on it, so every solver on a factor — borrowed or
+/// owned ([`SharedFactor`](crate::SharedFactor)) — shares its layout and
+/// assembled operator.
 pub(crate) struct ReducedSystem {
     /// Frontier nodes sorted by their point range.
     frontier: Vec<usize>,
@@ -67,6 +69,51 @@ pub(crate) struct ReducedSystem {
     /// The LU of a freshly assembled `I + VW`, factored by the first
     /// factored solve and at most once.
     lu: OnceLock<Result<Lu, SolverError>>,
+}
+
+impl ReducedSystem {
+    /// The frontier layout of `st`, with the errors of [`HybridSolver::new`].
+    fn new(st: &SkeletonTree) -> Result<Self, SolverError> {
+        let tree = st.tree();
+        for leaf in tree.leaves() {
+            if !st.is_skeletonized(leaf) {
+                return Err(SolverError::FrontierIncomplete);
+            }
+        }
+        let mut frontier = st.frontier().to_vec();
+        frontier.sort_by_key(|&i| tree.node(i).begin);
+        // The frontier must partition the point set.
+        let mut cursor = 0;
+        for &f in &frontier {
+            if tree.node(f).begin != cursor {
+                return Err(SolverError::FrontierIncomplete);
+            }
+            cursor = tree.node(f).end;
+        }
+        if cursor != tree.points().len() {
+            return Err(SolverError::FrontierIncomplete);
+        }
+        let mut offsets = Vec::with_capacity(frontier.len() + 1);
+        let mut acc = 0;
+        for &f in &frontier {
+            offsets.push(acc);
+            acc += st.skeleton(f).expect("frontier node skeletonized").rank();
+        }
+        offsets.push(acc);
+        let n = tree.points().len();
+        let complements = frontier
+            .iter()
+            .map(|&f| {
+                let nd = tree.node(f);
+                if st.skeleton(f).expect("frontier node skeletonized").rank() == 0 {
+                    return Vec::new();
+                }
+                (0..nd.begin).chain(nd.end..n).collect()
+            })
+            .collect();
+        let (dense, lu) = (OnceLock::new(), OnceLock::new());
+        Ok(ReducedSystem { frontier, offsets, reduced_dim: acc, complements, dense, lu })
+    }
 }
 
 /// Which rendering of the reduced operator `I + VW` a solve ran over.
@@ -128,69 +175,15 @@ pub struct HybridBlockOutcome {
 
 impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// Builds the hybrid solver from a (typically partial) factorization.
+    /// The first solver on a factor lays out its frontier; every later one
+    /// shares that layout and whatever reduced operator a solve has built.
     ///
     /// # Errors
     /// [`SolverError::FrontierIncomplete`] if some leaf lies outside the
     /// skeletonization frontier (then `D` would not cover the matrix).
     pub fn new(ft: &'f FactorTree<'a, K>) -> Result<Self, SolverError> {
-        let st = ft.skeleton_tree();
-        let tree = st.tree();
-        for leaf in tree.leaves() {
-            if !st.is_skeletonized(leaf) {
-                return Err(SolverError::FrontierIncomplete);
-            }
-        }
-        let mut frontier = st.frontier().to_vec();
-        frontier.sort_by_key(|&i| tree.node(i).begin);
-        // The frontier must partition the point set.
-        let mut cursor = 0;
-        for &f in &frontier {
-            if tree.node(f).begin != cursor {
-                return Err(SolverError::FrontierIncomplete);
-            }
-            cursor = tree.node(f).end;
-        }
-        if cursor != tree.points().len() {
-            return Err(SolverError::FrontierIncomplete);
-        }
-        let mut offsets = Vec::with_capacity(frontier.len() + 1);
-        let mut acc = 0;
-        for &f in &frontier {
-            offsets.push(acc);
-            acc += st.skeleton(f).expect("frontier node skeletonized").rank();
-        }
-        offsets.push(acc);
-        let n = tree.points().len();
-        let complements = frontier
-            .iter()
-            .map(|&f| {
-                let nd = tree.node(f);
-                if st.skeleton(f).expect("frontier node skeletonized").rank() == 0 {
-                    return Vec::new();
-                }
-                (0..nd.begin).chain(nd.end..n).collect()
-            })
-            .collect();
-        let sys = ReducedSystem {
-            frontier,
-            offsets,
-            reduced_dim: acc,
-            complements,
-            dense: OnceLock::new(),
-            lu: OnceLock::new(),
-        };
-        Ok(HybridSolver { ft, sys: Arc::new(sys) })
-    }
-
-    /// Rebuilds a solver around the state of an earlier one on the same
-    /// factor tree, sharing its layout and assembled operator.
-    pub(crate) fn from_shared(ft: &'f FactorTree<'a, K>, sys: Arc<ReducedSystem>) -> Self {
-        HybridSolver { ft, sys }
-    }
-
-    /// The shareable state, for [`Self::from_shared`].
-    pub(crate) fn shared(&self) -> Arc<ReducedSystem> {
-        Arc::clone(&self.sys)
+        let sys = ft.hybrid.get_or_init(|| ReducedSystem::new(ft.skeleton_tree()));
+        Ok(HybridSolver { ft, sys: sys.as_ref().map_err(Clone::clone)? })
     }
 
     /// Size of the iteratively solved reduced system (`≈ 2^L s`).
@@ -198,9 +191,10 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         self.sys.reduced_dim
     }
 
-    /// Bytes of the reduced operators held right now: the dense `I + VW`
-    /// GMRES runs over once assembled, plus its LU once a factored solve
-    /// has run. 0 before the first solve, and 0 while every solve runs
+    /// Bytes of the reduced operators the factor holds right now: the
+    /// dense `I + VW` GMRES runs over once assembled, plus its LU once a
+    /// factored solve has run — by this solver or any other on the same
+    /// factor. 0 before the first solve, and 0 while every solve runs
     /// matrix-free.
     pub fn reduced_bytes(&self) -> usize {
         let held = usize::from(self.sys.dense.get().is_some())
@@ -211,11 +205,6 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// Bytes of one dense `reduced_dim²` operator, or of its LU.
     fn operator_bytes(&self) -> usize {
         8 * self.sys.reduced_dim * self.sys.reduced_dim
-    }
-
-    /// The skeleton tree underlying the factorization.
-    pub fn skeleton_tree(&self) -> &'a kfds_askit::SkeletonTree {
-        self.ft.skeleton_tree()
     }
 
     /// The frontier nodes, sorted by point range.
@@ -241,7 +230,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         debug_assert_eq!(z.nrows(), self.sys.reduced_dim);
         let nrhs = z.ncols();
         let factors = self.ft.factors();
-        let ReducedSystem { frontier, offsets, .. } = &*self.sys;
+        let ReducedSystem { frontier, offsets, .. } = self.sys;
         self.frontier_row_blocks(out).into_par_iter().enumerate().for_each(|(k, block)| {
             let z_k = z.submatrix(offsets[k]..offsets[k + 1], 0..nrhs);
             gemm(1.0, factors[frontier[k]].p_hat().rb(), Trans::No, z_k, Trans::No, 0.0, block);
@@ -258,7 +247,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         let pts = tree.points();
         let kernel = self.ft.kernel();
         let nrhs = x.ncols();
-        let ReducedSystem { frontier, offsets, complements, .. } = &*self.sys;
+        let ReducedSystem { frontier, offsets, complements, .. } = self.sys;
         let mut out = Mat::zeros(self.sys.reduced_dim, nrhs);
         let ranks = offsets.windows(2).map(|w| w[1] - w[0]);
         row_blocks(out.rb_mut(), ranks).into_par_iter().enumerate().for_each(|(k, y)| {
@@ -324,7 +313,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
         let tree = st.tree();
         let pts = tree.points();
         let kernel = self.ft.kernel();
-        let ReducedSystem { frontier, offsets, .. } = &*self.sys;
+        let ReducedSystem { frontier, offsets, .. } = self.sys;
         let mut z = Mat::identity(self.sys.reduced_dim);
         // One column panel per frontier node ψ, filled in parallel.
         let mut panels = Vec::with_capacity(frontier.len());
@@ -461,7 +450,7 @@ impl<'a, 'f, K: Kernel> HybridSolver<'a, 'f, K> {
     /// [`Self::solve_mat_in_place`] surround one triangular solve of all
     /// columns. The first call on a factor assembles and factors `I + VW`
     /// (reported as [`ReducedReport::assembly_seconds`]); later calls,
-    /// through any solver sharing this one's state, reuse the LU.
+    /// through any solver on the same factor, reuse the LU.
     ///
     /// # Errors
     /// [`SolverError::RhsShape`] if `b.nrows()` is not the problem size;

@@ -16,13 +16,19 @@
 //! * [`HybridSolver`] — Algorithms II.6–II.8: partial factorization up to
 //!   the skeletonization frontier plus the reduced `2^L s` system (§II-C),
 //!   solved by GMRES (assembled or matrix-free) or, as Table V's direct
-//!   variant, by one dense LU;
+//!   variant, by one dense LU; the factor keeps the reduced system, so
+//!   every solver on it shares one assembly;
+//! * [`SharedFactor`] — a factor that owns its skeleton tree and kernel,
+//!   behind one `Arc`, for caches and worker threads;
 //! * [`dist_factorize`]/[`DistSolver`] — Algorithms II.4/II.5 over the
 //!   simulated message-passing runtime;
 //! * [`KernelRidge`] — kernel ridge regression, the paper's end-to-end
 //!   learning task;
 //! * [`estimate_condition`] — the §III conditioning diagnostics.
+//!
+//! The crate forbids `unsafe`; the raw-pointer views it runs on are `kfds-la`'s.
 
+#![forbid(unsafe_code)]
 #![warn(unreachable_pub, unnameable_types)]
 
 mod assemble;

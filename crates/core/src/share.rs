@@ -1,28 +1,24 @@
 //! Owned, shareable factorization handles for long-lived services.
 //!
-//! [`FactorTree`] borrows its [`SkeletonTree`] and kernel, which is the
-//! right shape for one-shot binaries but not for a serving system that
-//! caches factorizations across requests and threads: a cache entry must
-//! own everything it needs. [`SharedFactor`] bundles the skeleton tree,
-//! the kernel, and the factorization behind one `Arc`, so handles clone
-//! in O(1) and can be handed to worker threads freely.
-//!
-//! Internally the factor tree is stored with a `'static` lifetime that is
-//! a private fiction: the references point into `Arc` allocations owned by
-//! the same struct, and the API only ever re-exposes them at the handle's
-//! borrow lifetime (sound because `FactorTree` is covariant in its
-//! lifetime parameter).
+//! [`factorize`](crate::factorize) borrows its [`SkeletonTree`] and
+//! kernel, which is the right shape for one-shot binaries but not for a
+//! serving system that caches factorizations across requests and threads:
+//! a cache entry must own everything it needs. [`SharedFactor`] is a [`FactorTree`] that owns
+//! its skeleton tree and kernel through `Arc`s, itself behind one `Arc`,
+//! so handles clone in O(1) and can be handed to worker threads freely.
+//! Everything a factor tree does, a handle does through `Deref`.
 
 use crate::assemble::{assemble_blocks, AssembledBlocks};
 use crate::config::SolverConfig;
 use crate::error::SolverError;
-use crate::factor::{factorize, factorize_with_blocks, FactorTree};
-use crate::hybrid::{HybridSolver, ReducedReport, ReducedSystem};
+use crate::factor::{factorize_impl, FactorTree, Held};
+use crate::hybrid::{HybridSolver, ReducedReport};
 use kfds_askit::SkeletonTree;
 use kfds_kernels::Kernel;
 use kfds_krylov::GmresOptions;
 use kfds_la::Mat;
-use std::sync::{Arc, OnceLock};
+use std::ops::Deref;
+use std::sync::Arc;
 
 /// The λ-independent half of a factorization, owned and shareable: the
 /// skeleton tree, the kernel, and the assembled coupling blocks
@@ -75,58 +71,28 @@ impl<K: Kernel + 'static> SharedSetup<K> {
     }
 }
 
-struct SharedInner<K: Kernel + 'static> {
-    /// Declared first so it drops before the `Arc`s it points into.
-    ft: FactorTree<'static, K>,
-    /// The hybrid solver's frontier layout and assembled reduced operator
-    /// for a partial `ft`: built by the first blocked solve, shared by
-    /// every later batch on this factor.
-    hybrid: OnceLock<Result<Arc<ReducedSystem>, SolverError>>,
-    _st: Arc<SkeletonTree>,
-    _kernel: Arc<K>,
-}
-
 /// An owned factorization of `λI + K̃`: skeleton tree + kernel + factors
 /// behind a single `Arc`. `Clone` is a reference-count bump, so a cache
 /// can hand the same factorization to many solve workers.
-pub struct SharedFactor<K: Kernel + 'static> {
-    inner: Arc<SharedInner<K>>,
-}
+pub struct SharedFactor<K: Kernel + 'static>(Arc<FactorTree<'static, K>>);
 
 impl<K: Kernel + 'static> Clone for SharedFactor<K> {
     fn clone(&self) -> Self {
-        SharedFactor { inner: Arc::clone(&self.inner) }
+        SharedFactor(Arc::clone(&self.0))
+    }
+}
+
+impl<K: Kernel + 'static> Deref for SharedFactor<K> {
+    type Target = FactorTree<'static, K>;
+
+    fn deref(&self) -> &FactorTree<'static, K> {
+        &self.0
     }
 }
 
 impl<K: Kernel + 'static> SharedFactor<K> {
-    /// The one place the `'static` fiction is stated: runs `build` over
-    /// references into the two `Arc`s and stores its tree beside them.
-    /// `build` must let the references out only inside the tree it returns
-    /// (private: both callers are the two constructors below).
-    fn build(
-        st: Arc<SkeletonTree>,
-        kernel: Arc<K>,
-        build: impl FnOnce(
-            &'static SkeletonTree,
-            &'static K,
-        ) -> Result<FactorTree<'static, K>, SolverError>,
-    ) -> Result<Self, SolverError> {
-        // SAFETY: the Arc heap allocations are stable for the life of
-        // `SharedInner` (the Arcs are stored alongside the factor tree and
-        // outlive it — field order), neither type has interior mutability,
-        // and no method returns a reference outliving `&self`.
-        let st_ref: &'static SkeletonTree = unsafe { &*Arc::as_ptr(&st) };
-        // SAFETY: identical argument for the kernel Arc — stored in
-        // `SharedInner._kernel`, declared after `ft`, so it outlives it.
-        let k_ref: &'static K = unsafe { &*Arc::as_ptr(&kernel) };
-        let ft = build(st_ref, k_ref)?;
-        let inner = SharedInner { ft, hybrid: OnceLock::new(), _st: st, _kernel: kernel };
-        Ok(SharedFactor { inner: Arc::new(inner) })
-    }
-
-    /// Runs [`factorize`] over an owned skeleton tree and kernel,
-    /// producing a self-contained handle.
+    /// Runs [`factorize`](crate::factorize) over an owned skeleton tree
+    /// and kernel, producing a self-contained handle.
     ///
     /// # Errors
     /// Propagates [`SolverError`] from the factorization.
@@ -135,7 +101,9 @@ impl<K: Kernel + 'static> SharedFactor<K> {
         kernel: Arc<K>,
         config: SolverConfig,
     ) -> Result<Self, SolverError> {
-        Self::build(st, kernel, |st, k| factorize(st, k, config))
+        let root = st.tree().root();
+        let ft = factorize_impl(Held::Shared(st), Held::Shared(kernel), config, None, root)?;
+        Ok(SharedFactor(Arc::new(ft)))
     }
 
     /// Factorizes at a new λ from a [`SharedSetup`] over its assembled
@@ -143,25 +111,21 @@ impl<K: Kernel + 'static> SharedFactor<K> {
     /// the linear algebra runs (the λ-sweep refactorization path; pins the
     /// stored `V`-block scheme). The factor shares the setup's `V` blocks —
     /// the `Arc`, not a copy — so a cached λ costs its λ-dependent factors
-    /// only, and answers bitwise what a [`factorize`] under `StoredGemv`
-    /// at that λ would.
+    /// only, and answers bitwise what a [`factorize`](crate::factorize)
+    /// under `StoredGemv` at that λ would.
     ///
     /// # Errors
     /// Propagates [`SolverError`] from the factorization.
     pub fn refactorize(setup: &SharedSetup<K>, config: SolverConfig) -> Result<Self, SolverError> {
-        Self::build(Arc::clone(&setup.st), Arc::clone(&setup.kernel), |st, k| {
-            factorize_with_blocks(st, k, Arc::clone(&setup.blocks), config)
-        })
+        let (st, kernel) = (Arc::clone(&setup.st), Arc::clone(&setup.kernel));
+        let (root, blocks) = (st.tree().root(), Some(Arc::clone(&setup.blocks)));
+        let ft = factorize_impl(Held::Shared(st), Held::Shared(kernel), config, blocks, root)?;
+        Ok(SharedFactor(Arc::new(ft)))
     }
 
-    /// The underlying factor tree, at the handle's borrow lifetime.
-    pub fn factor_tree(&self) -> &FactorTree<'_, K> {
-        &self.inner.ft
-    }
-
-    /// The skeleton tree.
-    pub fn skeleton_tree(&self) -> &SkeletonTree {
-        self.inner.ft.skeleton_tree()
+    /// The underlying factor tree.
+    pub fn factor_tree(&self) -> &FactorTree<'static, K> {
+        &self.0
     }
 
     /// Problem size `N`.
@@ -169,23 +133,9 @@ impl<K: Kernel + 'static> SharedFactor<K> {
         self.skeleton_tree().tree().points().len()
     }
 
-    /// `true` when the factorization is complete (direct solves apply);
-    /// otherwise solves route through the hybrid path.
-    pub fn is_complete(&self) -> bool {
-        self.inner.ft.is_complete()
-    }
-
     /// Number of live handles to this factorization (diagnostic).
     pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.inner)
-    }
-
-    /// Single-RHS solve in the tree's permuted ordering.
-    ///
-    /// # Errors
-    /// See [`FactorTree::solve_in_place`].
-    pub fn solve_in_place(&self, b: &mut [f64]) -> Result<(), SolverError> {
-        self.inner.ft.solve_in_place(b)
+        Arc::strong_count(&self.0)
     }
 
     /// Blocked multi-RHS solve in the tree's permuted ordering: the
@@ -193,7 +143,7 @@ impl<K: Kernel + 'static> SharedFactor<K> {
     /// hybrid path (partial factorization + GMRES on the reduced system)
     /// otherwise. This is the dispatch point a batching service uses. The
     /// hybrid path reports the reduced operator its GMRES ran over; the
-    /// handle keeps that operator, so only the first batch on a factor can
+    /// factor keeps that operator, so only the first batch on a factor can
     /// pay for assembling it.
     ///
     /// # Errors
@@ -204,15 +154,9 @@ impl<K: Kernel + 'static> SharedFactor<K> {
         gmres: &GmresOptions,
     ) -> Result<Option<ReducedReport>, SolverError> {
         if self.is_complete() {
-            return self.inner.ft.solve_mat_in_place(b).map(|()| None);
+            return self.solve_mat_in_place(b).map(|()| None);
         }
-        let ft = self.factor_tree();
-        let sys = self
-            .inner
-            .hybrid
-            .get_or_init(|| HybridSolver::new(ft).map(|hs| hs.shared()))
-            .clone()?;
-        let out = HybridSolver::from_shared(ft, sys).solve_mat_in_place(b, gmres)?;
+        let out = HybridSolver::new(&self.0)?.solve_mat_in_place(b, gmres)?;
         Ok(Some(out.reduced))
     }
 }
@@ -220,6 +164,7 @@ impl<K: Kernel + 'static> SharedFactor<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::factor::factorize;
     use kfds_askit::{skeletonize, SkelConfig};
     use kfds_kernels::Gaussian;
     use kfds_tree::datasets::normal_embedded;
@@ -277,16 +222,24 @@ mod tests {
         // The refactor contract pins stored V-blocks, so the reference
         // factorization must run under the same storage mode.
         let base = SolverConfig::default().with_storage(StorageMode::StoredGemv);
-        for lambda in [1e-3, 0.3, 5.0] {
+        let lambdas = [1e-3, 0.3, 5.0];
+        let (mut wants, mut refactored) = (Vec::new(), Vec::new());
+        for lambda in lambdas {
             let cfg = base.with_lambda(lambda);
             let fresh =
                 SharedFactor::factorize(Arc::clone(&st), Arc::clone(&kernel), cfg).expect("fresh");
-            let re = SharedFactor::refactorize(&setup, cfg).expect("refactorize");
             let mut want = vec![0.25; n];
-            let mut got = vec![0.25; n];
             fresh.solve_in_place(&mut want).expect("fresh solve");
+            wants.push(want);
+            refactored.push(SharedFactor::refactorize(&setup, cfg).expect("refactorize"));
+        }
+        // An owned factor owns what it reads: it outlives the setup and the
+        // caller's handles to the skeleton tree and kernel.
+        drop((setup, st, kernel));
+        for ((lambda, re), want) in lambdas.iter().zip(&refactored).zip(&wants) {
+            let mut got = vec![0.25; n];
             re.solve_in_place(&mut got).expect("refactor solve");
-            assert_eq!(got, want, "refactorize must be bitwise at λ={lambda}");
+            assert_eq!(&got, want, "refactorize must be bitwise at λ={lambda}");
         }
     }
 }

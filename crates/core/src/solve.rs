@@ -59,8 +59,8 @@ pub(crate) fn check_rhs_rows(expected: usize, got: usize) -> Result<(), SolverEr
 impl<K: Kernel> FactorTree<'_, K> {
     pub(crate) fn ctx(&self) -> SolveCtx<'_, K> {
         SolveCtx {
-            st: self.st,
-            kernel: self.kernel,
+            st: &self.st,
+            kernel: &self.kernel,
             config: &self.config,
             factors: &self.factors,
             blocks: self.blocks.as_deref(),

@@ -112,6 +112,11 @@ fn blocked_hybrid_solve_matches_columnwise() {
         assert_eq!(results.reduced.operator, ReducedOperator::Assembled);
         assert_eq!((results.reduced.bytes, hs.reduced_bytes()), (held, held));
         assert!(results.reduced.assembly_seconds > 0.0, "the first solve assembles");
+        // The operator lives on the factor: a second solver on it assembles
+        // nothing either.
+        let second = HybridSolver::new(&ft).expect("second hybrid solver");
+        let out = second.solve(b.col(0), &opts).expect("second solver's first solve");
+        assert_eq!(out.reduced, ReducedReport { assembly_seconds: 0.0, ..results.reduced });
 
         for j in 0..NRHS {
             // Against λI + K̃ itself, not just the reduced system GMRES saw.

@@ -73,6 +73,7 @@ pub const LOCK_WRAPPER_IMPL: &str = "crates/rt/src/sync.rs";
 pub const FORBID_UNSAFE_ROOTS: &[&str] = &[
     "crates/askit/src/lib.rs",
     "crates/bench/src/lib.rs",
+    "crates/core/src/lib.rs",
     "crates/kernels/src/lib.rs",
     "crates/krylov/src/lib.rs",
     "crates/rt/src/lib.rs",
